@@ -19,7 +19,7 @@
 //!   (the paper's boundedness axis: flat for the bounded protocol and the
 //!   swap race, growing with rounds for the AH line);
 //! * `scans_per_sec` — completed snapshot scans per wall-clock second
-//!   (zero for the swap race, which has nothing to scan);
+//!   (`null` for the swap race, which has nothing to scan);
 //! * `violations` — runs on which agreement or validity failed; the
 //!   validator requires zero.
 //!
@@ -87,10 +87,11 @@ fn row(
         scans += rep.telemetry.total(Counter::Scans);
     }
     let t = trials as f64;
-    let scans_per_sec = if elapsed > 0.0 {
-        scans as f64 / elapsed
+    // A row that took no scans has no scan rate; 0 would read as "slow".
+    let scans_per_sec = if scans == 0 {
+        Value::Null
     } else {
-        0.0
+        (scans as f64 / elapsed.max(1e-9)).into()
     };
     Value::obj(vec![
         (
@@ -114,7 +115,7 @@ fn row(
         ("mean_rounds", (rounds_sum / t).into()),
         ("mean_total_ops", (ops_sum / t).into()),
         ("max_register_bits", max_bits.into()),
-        ("scans_per_sec", scans_per_sec.into()),
+        ("scans_per_sec", scans_per_sec),
     ])
 }
 
@@ -142,14 +143,7 @@ pub fn run(scale: Scale, seed: u64) -> Value {
     }
     Value::obj(vec![
         ("schema", SCHEMA.into()),
-        (
-            "scale",
-            match scale {
-                Scale::Quick => "quick",
-                Scale::Full => "full",
-            }
-            .into(),
-        ),
+        ("scale", scale.name().into()),
         ("seed", seed.into()),
         ("entries", Value::Arr(entries)),
     ])
@@ -218,11 +212,15 @@ pub fn validate(doc: &Value) -> Vec<String> {
             "mean_rounds",
             "mean_total_ops",
             "max_register_bits",
-            "scans_per_sec",
         ] {
             if num(key).is_none() {
                 errs.push(format!("{name}.{key}: missing or not a number"));
             }
+        }
+        if num("scans_per_sec").is_none() && e.get("scans_per_sec") != Some(&Value::Null) {
+            errs.push(format!(
+                "{name}.scans_per_sec: must be a number, or null for a row that takes no scans"
+            ));
         }
         if num("trials").unwrap_or(0.0) < 1.0 {
             errs.push(format!("{name}: no trials recorded"));
@@ -307,6 +305,30 @@ mod tests {
         let mut doc = run_stub();
         doc = patch_first_entry(doc, "decided_fraction", 1.5f64.into());
         assert!(validate(&doc).iter().any(|e| e.contains("outside [0, 1]")));
+    }
+
+    #[test]
+    fn scans_per_sec_is_a_number_or_null_and_nothing_else() {
+        // The stub's rows are the swap race, which takes no scans.
+        let doc = run_stub();
+        let first = &doc.get("entries").and_then(|e| e.as_arr()).unwrap()[0];
+        assert_eq!(first.get("scans_per_sec"), Some(&Value::Null));
+        assert_eq!(validate(&doc), Vec::<String>::new());
+        let numeric = patch_first_entry(run_stub(), "scans_per_sec", 1234.5f64.into());
+        assert_eq!(validate(&numeric), Vec::<String>::new());
+    }
+
+    #[test]
+    fn validate_rejects_a_non_numeric_scan_rate_and_null_elsewhere() {
+        let text = patch_first_entry(run_stub(), "scans_per_sec", "n/a".into());
+        assert!(validate(&text)
+            .iter()
+            .any(|e| e.contains("scans_per_sec: must be a number, or null")));
+        // null is accepted for that key only.
+        let null_ops = patch_first_entry(run_stub(), "mean_total_ops", Value::Null);
+        assert!(validate(&null_ops)
+            .iter()
+            .any(|e| e.contains("mean_total_ops: missing or not a number")));
     }
 
     /// One real row (cheap: the swap race at n = 2) duplicated across the

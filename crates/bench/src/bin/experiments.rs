@@ -1,505 +1,289 @@
 //! CLI driver for the experiment suite.
 //!
 //! ```text
-//! experiments [all|e1|e2|...|e9] [--quick]        # markdown tables
-//! experiments bench [--quick] [--out=PATH]        # BENCH_consensus.json
-//! experiments validate PATH                       # schema-check a bench file
-//! experiments throughput [--quick] [--out=PATH]   # BENCH_throughput.json
-//! experiments validate-throughput PATH            # schema-check it
+//! experiments [all|e1|...|e14|e5b] [--quick]      # markdown tables
+//! experiments <doc> [--quick] [--out=PATH]        # emit BENCH_<doc>.json
+//! experiments validate-<doc> PATH                 # schema-check one
 //! experiments compare-throughput OLD NEW          # regression gate (exit 1)
-//! experiments explore [--quick] [--out=PATH]      # BENCH_explore.json
-//! experiments validate-explore PATH               # schema-check it
-//! experiments profile [--quick] [--out=PATH]      # BENCH_profile.json +
-//!             [--trace-out=PATH]                  #   Chrome trace companion
-//! experiments validate-profile PATH               # schema-check it
-//! experiments arena [--quick] [--out=PATH]        # BENCH_arena.json
-//! experiments validate-arena PATH                 # schema-check it
 //! experiments verify-gate [--quick] [--serial]    # fail-closed gate (exit 1
 //!             [--weakmem] [--fixture=NAME]        #   on any violation)
 //!             [--out-trace=PATH]
 //! ```
 //!
-//! Prints markdown tables (the same ones recorded in EXPERIMENTS.md); the
-//! `bench` subcommand instead emits the structured JSON experiment export
-//! (default path `BENCH_consensus.json`), and `validate` schema-checks an
-//! emitted file (exit 1 on violations — CI runs both). The `throughput`
-//! family does the same for the scans/sec / decisions/sec suite, and
-//! `compare-throughput` fails (exit 1) when the new document regresses more
-//! than the tolerance against a committed baseline. `verify-gate` runs the
-//! fail-closed verification gate (exhaustive + PCT schedule×fault
-//! exploration of the real stack; see `bprc_bench::verify_gate`) and exits
-//! non-zero on any violation, writing the shrunk replayable trace to
-//! `--out-trace` (default `verify_gate_counterexample.json`);
+//! `<doc>` is a row of [`DOCS`]: it emits the document, checks it against
+//! its own schema before writing (exit 1 on violations) and prints a
+//! summary; `profile` also writes a Chrome-trace companion
+//! (`--trace-out=PATH`). `verify-gate` is `bprc_bench::verify_gate`: any
+//! violation leaves its shrunk replayable trace at `--out-trace`,
 //! `--fixture=torn-scan|crash-publish|missing-fence` runs a seeded broken
-//! implementation the gate must catch — CI asserts the non-zero exit and
-//! the artifact. `--weakmem` runs the weak-memory plane instead: the
-//! litmus matrix plus exhaustive TSO/PSO store-buffer exploration of the
-//! real n = 2 snapshot stack.
+//! implementation the gate must catch, and `--weakmem` runs the litmus
+//! matrix plus TSO/PSO store-buffer exploration of the real n = 2 stack.
 
-use bprc_bench::{
-    arena, consensus_bench, experiments, explore, profile, throughput, verify_gate, Scale, Table,
-};
+use bprc_bench::{arena, experiments, explore, profile, throughput, verify_gate, Scale, Table};
+use bprc_sim::json::Value;
 
-fn run_bench(scale: Scale, out: &str) {
-    let doc = consensus_bench::run(scale, 42);
-    let errs = consensus_bench::validate(&doc);
-    if !errs.is_empty() {
-        eprintln!("generated document violates its own schema:");
-        for e in &errs {
-            eprintln!("  - {e}");
-        }
-        std::process::exit(1);
-    }
-    let text = doc.render_pretty(2);
-    if let Err(e) = std::fs::write(out, text + "\n") {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out}");
+/// One schema-checked JSON document: `<name>` writes it to `BENCH_<name>.json`
+/// unless told otherwise, `validate-<name> PATH` checks one.
+struct Doc {
+    name: &'static str,
+    schema: &'static str,
+    run: fn(Scale, u64) -> Value,
+    validate: fn(&Value) -> Vec<String>,
+    /// `(key, line)`: a freshly emitted document is summarised with one
+    /// `line` per row of the array at `key` (or one for an object there).
+    summary: &'static [(&'static str, LineFn)],
 }
 
-fn load_json(path: &str) -> bprc_sim::json::Value {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(1);
+type LineFn = fn(&Value) -> String;
+
+macro_rules! doc {
+    ($module:ident, $summary:expr) => {
+        Doc {
+            name: stringify!($module),
+            schema: $module::SCHEMA,
+            run: $module::run,
+            validate: $module::validate,
+            summary: $summary,
         }
     };
-    match bprc_sim::json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("{path}: not valid JSON: {e}");
-            std::process::exit(1);
-        }
+}
+
+const DOCS: [Doc; 4] = [
+    doc!(throughput, &[]),
+    doc!(
+        explore,
+        &[("exhaustive", exhaustive_line), ("pct", pct_line)]
+    ),
+    doc!(profile, &[("entries", profile_line)]),
+    doc!(arena, &[("entries", arena_line)]),
+];
+
+type Experiment = fn(Scale) -> Table;
+
+const EXPERIMENTS: [(&str, Experiment); 15] = [
+    ("e1", experiments::e1_disagreement),
+    ("e2", experiments::e2_walk_steps),
+    ("e3", experiments::e3_overflow),
+    ("e4", experiments::e4_rounds),
+    ("e5", experiments::e5_total_work),
+    ("e5b", experiments::e5b_adversarial_work),
+    ("e6", experiments::e6_memory),
+    ("e7", experiments::e7_scan_retries),
+    ("e8", experiments::e8_claim41),
+    ("e9", experiments::e9_snapshot),
+    ("e10", experiments::e10_modelcheck),
+    ("e11", experiments::e11_ablation_b),
+    ("e12", experiments::e12_ablation_k),
+    ("e13", experiments::e13_ablation_m),
+    ("e14", experiments::e14_waitfree),
+];
+
+/// Names what the driver accepts, from the two tables, and exits 2.
+fn die_unknown(name: &str) -> ! {
+    let docs: Vec<&str> = DOCS.iter().map(|d| d.name).collect();
+    let exps: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    let msg = format!(
+        "unknown experiment or subcommand '{name}' (expected experiments all|{}, or one \
+         subcommand: <doc> or validate-<doc> PATH with <doc> in {}, compare-throughput OLD NEW, \
+         verify-gate)",
+        exps.join("|"),
+        docs.join("|"),
+    );
+    die(2, msg)
+}
+
+fn die(code: i32, msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(code)
+}
+
+fn die_listing(heading: &str, errs: &[String]) -> ! {
+    let items: Vec<String> = errs.iter().map(|e| format!("\n  - {e}")).collect();
+    die(1, format!("{heading}{}", items.concat()))
+}
+
+/// The value of a `--name=value` flag.
+fn flag<'a>(args: &'a [String], prefix: &str) -> Option<&'a str> {
+    args.iter().find_map(|a| a.strip_prefix(prefix))
+}
+
+fn write_json(path: &str, doc: &Value) {
+    if let Err(e) = std::fs::write(path, doc.render_pretty(2) + "\n") {
+        die(1, format!("cannot write {path}: {e}"));
     }
 }
 
-fn run_validate(path: &str) {
-    let errs = consensus_bench::validate(&load_json(path));
-    if errs.is_empty() {
-        println!("{path}: valid ({})", consensus_bench::SCHEMA);
-    } else {
-        eprintln!("{path}: schema violations:");
-        for e in &errs {
-            eprintln!("  - {e}");
-        }
-        std::process::exit(1);
-    }
+fn load_json(path: &str) -> Value {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| die(1, format!("cannot read {path}: {e}")));
+    bprc_sim::json::parse(&text).unwrap_or_else(|e| die(1, format!("{path}: not valid JSON: {e}")))
 }
 
-fn run_throughput(scale: Scale, out: &str) {
-    let doc = throughput::run(scale, 42);
-    let errs = throughput::validate(&doc);
+/// `<doc>`: emit → self-validate → summarise → write.
+fn emit(doc: &Doc, scale: Scale, out: &str) {
+    let value = (doc.run)(scale, 42);
+    let errs = (doc.validate)(&value);
     if !errs.is_empty() {
-        eprintln!("generated document violates its own schema:");
-        for e in &errs {
-            eprintln!("  - {e}");
+        die_listing("generated document violates its own schema:", &errs);
+    }
+    for (key, line) in doc.summary {
+        match value.get(key) {
+            Some(Value::Arr(rows)) => rows.iter().for_each(|row| println!("{}", line(row))),
+            Some(section) => println!("{}", line(section)),
+            None => {}
         }
-        std::process::exit(1);
     }
-    for c in doc
-        .get("comparisons")
-        .and_then(|v| v.as_arr())
-        .unwrap_or(&[])
-    {
-        let get = |k: &str| c.get(k).and_then(|v| v.as_num()).unwrap_or(0.0);
-        println!(
-            "free-thread scan n={:.0}: before {:.0} scans/sec, after {:.0} scans/sec (x{:.2})",
-            get("n"),
-            get("baseline_ops_per_sec"),
-            get("fast_ops_per_sec"),
-            get("speedup"),
-        );
-    }
-    let text = doc.render_pretty(2);
-    if let Err(e) = std::fs::write(out, text + "\n") {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    }
+    write_json(out, &value);
     println!("wrote {out}");
 }
 
-fn run_validate_throughput(path: &str) {
-    let errs = throughput::validate(&load_json(path));
-    if errs.is_empty() {
-        println!("{path}: valid ({})", throughput::SCHEMA);
-    } else {
-        eprintln!("{path}: schema violations:");
-        for e in &errs {
-            eprintln!("  - {e}");
-        }
-        std::process::exit(1);
+/// `validate-<doc> PATH`.
+fn validate_file(doc: &Doc, path: &str) {
+    let errs = (doc.validate)(&load_json(path));
+    if !errs.is_empty() {
+        die_listing(&format!("{path}: schema violations:"), &errs);
     }
+    println!("{path}: valid ({})", doc.schema);
 }
 
-fn run_compare_throughput(old_path: &str, new_path: &str) {
+fn num(v: &Value, key: &str) -> f64 {
+    v.get(key).and_then(|x| x.as_num()).unwrap_or(0.0)
+}
+
+fn name_of(v: &Value) -> &str {
+    v.get("name").and_then(|x| x.as_str()).unwrap_or("?")
+}
+
+fn exhaustive_line(entry: &Value) -> String {
+    format!(
+        "exhaustive {}: {} schedules, {} pruned, {:.0} schedules/sec",
+        name_of(entry),
+        num(entry, "schedules"),
+        num(entry, "pruned"),
+        num(entry, "schedules_per_sec"),
+    )
+}
+
+fn pct_line(pct: &Value) -> String {
+    format!(
+        "pct n={}: {} schedules, {} violations, {:.0} schedules/sec",
+        num(pct, "n"),
+        num(pct, "schedules"),
+        num(pct, "violations"),
+        num(pct, "schedules_per_sec"),
+    )
+}
+
+fn profile_line(entry: &Value) -> String {
+    let lat = |which: &str, k: &str| entry.get(which).map_or(0.0, |h| num(h, k));
+    format!(
+        "{}: scan p50 {:.0}ns p99 {:.0}ns, lazy p50 {:.0}ns, decision p50 {:.0}ns p99 {:.0}ns",
+        name_of(entry),
+        lat("scan_latency_ns", "p50"),
+        lat("scan_latency_ns", "p99"),
+        lat("lazy_scan_latency_ns", "p50"),
+        lat("decision_latency_ns", "p50"),
+        lat("decision_latency_ns", "p99"),
+    )
+}
+
+fn arena_line(entry: &Value) -> String {
+    format!(
+        "{}: decided {:.0}%, rounds {:.1}, ops {:.0}, {} bits, {:.0} scans/sec",
+        name_of(entry),
+        num(entry, "decided_fraction") * 100.0,
+        num(entry, "mean_rounds"),
+        num(entry, "mean_total_ops"),
+        num(entry, "max_register_bits"),
+        num(entry, "scans_per_sec"),
+    )
+}
+
+fn compare_throughput(old_path: &str, new_path: &str) {
     let (report, failures) = throughput::compare(&load_json(old_path), &load_json(new_path));
     for line in &report {
         println!("{line}");
     }
-    if failures.is_empty() {
-        println!("no throughput regressions beyond tolerance");
-    } else {
-        eprintln!("throughput regressions:");
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        std::process::exit(1);
+    if !failures.is_empty() {
+        die_listing("throughput regressions:", &failures);
     }
+    println!("no throughput regressions beyond tolerance");
 }
 
-fn run_explore(scale: Scale, out: &str) {
-    let doc = explore::run(scale, 42);
-    let errs = explore::validate(&doc);
-    if !errs.is_empty() {
-        eprintln!("generated document violates its own schema:");
-        for e in &errs {
-            eprintln!("  - {e}");
-        }
-        std::process::exit(1);
+fn run_verify_gate(args: &[String], quick: bool) {
+    let fixture = flag(args, "--fixture=").map(|name| {
+        verify_gate::Fixture::parse(name).unwrap_or_else(|| {
+            let known = "expected torn-scan, crash-publish, or missing-fence";
+            die(2, format!("unknown fixture '{name}' ({known})"))
+        })
+    });
+    let opts = verify_gate::GateOptions {
+        quick,
+        serial: args.iter().any(|a| a == "--serial"),
+        weakmem: args.iter().any(|a| a == "--weakmem"),
+        fixture,
+        out_trace: flag(args, "--out-trace=")
+            .unwrap_or("verify_gate_counterexample.json")
+            .to_string(),
+    };
+    let report = verify_gate::run(&opts);
+    if report.passed() {
+        println!("verify-gate: PASS ({} checks)", report.checks.len());
+        return;
     }
-    for entry in doc
-        .get("exhaustive")
-        .and_then(|v| v.as_arr())
-        .unwrap_or(&[])
-    {
-        let get = |k: &str| entry.get(k).and_then(|v| v.as_num()).unwrap_or(0.0);
-        println!(
-            "exhaustive {}: {} schedules, {} pruned, {:.0} schedules/sec",
-            entry.get("name").and_then(|v| v.as_str()).unwrap_or("?"),
-            get("schedules"),
-            get("pruned"),
-            get("schedules_per_sec"),
-        );
+    eprintln!("verify-gate: FAIL");
+    for c in report.checks.iter().filter(|c| !c.passed) {
+        eprintln!("  - {}: {}", c.name, c.detail);
     }
-    if let Some(pct) = doc.get("pct") {
-        let get = |k: &str| pct.get(k).and_then(|v| v.as_num()).unwrap_or(0.0);
-        println!(
-            "pct n={}: {} schedules, {} violations, {:.0} schedules/sec",
-            get("n"),
-            get("schedules"),
-            get("violations"),
-            get("schedules_per_sec"),
-        );
+    if let Some(path) = &report.trace_path {
+        eprintln!("  shrunk counterexample trace: {path}");
     }
-    let text = doc.render_pretty(2);
-    if let Err(e) = std::fs::write(out, text + "\n") {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out}");
-}
-
-fn run_validate_explore(path: &str) {
-    let errs = explore::validate(&load_json(path));
-    if errs.is_empty() {
-        println!("{path}: valid ({})", explore::SCHEMA);
-    } else {
-        eprintln!("{path}: schema violations:");
-        for e in &errs {
-            eprintln!("  - {e}");
-        }
-        std::process::exit(1);
-    }
-}
-
-fn run_profile(scale: Scale, out: &str, trace_out: &str) {
-    let doc = profile::run(scale, 42);
-    let errs = profile::validate(&doc);
-    if !errs.is_empty() {
-        eprintln!("generated document violates its own schema:");
-        for e in &errs {
-            eprintln!("  - {e}");
-        }
-        std::process::exit(1);
-    }
-    for entry in doc.get("entries").and_then(|v| v.as_arr()).unwrap_or(&[]) {
-        let lat = |which: &str, k: &str| {
-            entry
-                .get(which)
-                .and_then(|h| h.get(k))
-                .and_then(|v| v.as_num())
-                .unwrap_or(0.0)
-        };
-        println!(
-            "{}: scan p50 {:.0}ns p99 {:.0}ns, lazy p50 {:.0}ns, decision p50 {:.0}ns p99 {:.0}ns",
-            entry.get("name").and_then(|v| v.as_str()).unwrap_or("?"),
-            lat("scan_latency_ns", "p50"),
-            lat("scan_latency_ns", "p99"),
-            lat("lazy_scan_latency_ns", "p50"),
-            lat("decision_latency_ns", "p50"),
-            lat("decision_latency_ns", "p99"),
-        );
-    }
-    let text = doc.render_pretty(2);
-    if let Err(e) = std::fs::write(out, text + "\n") {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out}");
-    let trace = profile::chrome_trace_demo(42);
-    if let Err(e) = std::fs::write(trace_out, trace.render_pretty(2) + "\n") {
-        eprintln!("cannot write {trace_out}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {trace_out} (load it at https://ui.perfetto.dev)");
-}
-
-fn run_arena(scale: Scale, out: &str) {
-    let doc = arena::run(scale, 42);
-    let errs = arena::validate(&doc);
-    if !errs.is_empty() {
-        eprintln!("generated document violates its own schema:");
-        for e in &errs {
-            eprintln!("  - {e}");
-        }
-        std::process::exit(1);
-    }
-    for entry in doc.get("entries").and_then(|v| v.as_arr()).unwrap_or(&[]) {
-        let get = |k: &str| entry.get(k).and_then(|v| v.as_num()).unwrap_or(0.0);
-        println!(
-            "{}: decided {:.0}%, rounds {:.1}, ops {:.0}, {} bits, {:.0} scans/sec",
-            entry.get("name").and_then(|v| v.as_str()).unwrap_or("?"),
-            get("decided_fraction") * 100.0,
-            get("mean_rounds"),
-            get("mean_total_ops"),
-            get("max_register_bits"),
-            get("scans_per_sec"),
-        );
-    }
-    let text = doc.render_pretty(2);
-    if let Err(e) = std::fs::write(out, text + "\n") {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out}");
-}
-
-fn run_validate_arena(path: &str) {
-    let errs = arena::validate(&load_json(path));
-    if errs.is_empty() {
-        println!("{path}: valid ({})", arena::SCHEMA);
-    } else {
-        eprintln!("{path}: schema violations:");
-        for e in &errs {
-            eprintln!("  - {e}");
-        }
-        std::process::exit(1);
-    }
-}
-
-fn run_validate_profile(path: &str) {
-    let errs = profile::validate(&load_json(path));
-    if errs.is_empty() {
-        println!("{path}: valid ({})", profile::SCHEMA);
-    } else {
-        eprintln!("{path}: schema violations:");
-        for e in &errs {
-            eprintln!("  - {e}");
-        }
-        std::process::exit(1);
-    }
+    std::process::exit(1);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Full
-    };
+    let quick = args.iter().any(|a| a == "--quick");
+    let scale = if quick { Scale::Quick } else { Scale::Full };
     let which: Vec<&str> = args
         .iter()
         .filter(|a| !a.starts_with("--"))
         .map(|s| s.as_str())
         .collect();
-    if which.first() == Some(&"bench") {
-        let out = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--out="))
-            .unwrap_or("BENCH_consensus.json");
-        run_bench(scale, out);
-        return;
-    }
-    if which.first() == Some(&"validate") {
-        match which.get(1) {
-            Some(path) => run_validate(path),
-            None => {
-                eprintln!("usage: experiments validate PATH");
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
-    if which.first() == Some(&"throughput") {
-        let out = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--out="))
-            .unwrap_or("BENCH_throughput.json");
-        run_throughput(scale, out);
-        return;
-    }
-    if which.first() == Some(&"validate-throughput") {
-        match which.get(1) {
-            Some(path) => run_validate_throughput(path),
-            None => {
-                eprintln!("usage: experiments validate-throughput PATH");
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
-    if which.first() == Some(&"explore") {
-        let out = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--out="))
-            .unwrap_or("BENCH_explore.json");
-        run_explore(scale, out);
-        return;
-    }
-    if which.first() == Some(&"validate-explore") {
-        match which.get(1) {
-            Some(path) => run_validate_explore(path),
-            None => {
-                eprintln!("usage: experiments validate-explore PATH");
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
-    if which.first() == Some(&"profile") {
-        let out = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--out="))
-            .unwrap_or("BENCH_profile.json");
-        let trace_out = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--trace-out="))
-            .unwrap_or("BENCH_profile_trace.json");
-        run_profile(scale, out, trace_out);
-        return;
-    }
-    if which.first() == Some(&"validate-profile") {
-        match which.get(1) {
-            Some(path) => run_validate_profile(path),
-            None => {
-                eprintln!("usage: experiments validate-profile PATH");
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
-    if which.first() == Some(&"arena") {
-        let out = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--out="))
-            .unwrap_or("BENCH_arena.json");
-        run_arena(scale, out);
-        return;
-    }
-    if which.first() == Some(&"validate-arena") {
-        match which.get(1) {
-            Some(path) => run_validate_arena(path),
-            None => {
-                eprintln!("usage: experiments validate-arena PATH");
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
-    if which.first() == Some(&"verify-gate") {
-        let fixture = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--fixture="))
-            .map(|name| {
-                verify_gate::Fixture::parse(name).unwrap_or_else(|| {
-                    eprintln!(
-                        "unknown fixture '{name}' (expected torn-scan, crash-publish, \
-                         or missing-fence)"
-                    );
-                    std::process::exit(2);
-                })
-            });
-        let opts = verify_gate::GateOptions {
-            quick: scale == Scale::Quick,
-            serial: args.iter().any(|a| a == "--serial"),
-            weakmem: args.iter().any(|a| a == "--weakmem"),
-            fixture,
-            out_trace: args
-                .iter()
-                .find_map(|a| a.strip_prefix("--out-trace="))
-                .unwrap_or("verify_gate_counterexample.json")
-                .to_string(),
-        };
-        let report = verify_gate::run(&opts);
-        if report.passed() {
-            println!("verify-gate: PASS ({} checks)", report.checks.len());
-        } else {
-            eprintln!("verify-gate: FAIL");
-            for c in report.checks.iter().filter(|c| !c.passed) {
-                eprintln!("  - {}: {}", c.name, c.detail);
-            }
-            if let Some(path) = &report.trace_path {
-                eprintln!("  shrunk counterexample trace: {path}");
-            }
-            std::process::exit(1);
-        }
-        return;
-    }
-    if which.first() == Some(&"compare-throughput") {
-        match (which.get(1), which.get(2)) {
-            (Some(old), Some(new)) => run_compare_throughput(old, new),
-            _ => {
-                eprintln!("usage: experiments compare-throughput OLD NEW");
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
-    let run_one = |name: &str| -> Option<Table> {
-        match name {
-            "e1" => Some(experiments::e1_disagreement(scale)),
-            "e2" => Some(experiments::e2_walk_steps(scale)),
-            "e3" => Some(experiments::e3_overflow(scale)),
-            "e4" => Some(experiments::e4_rounds(scale)),
-            "e5" => Some(experiments::e5_total_work(scale)),
-            "e5b" => Some(experiments::e5b_adversarial_work(scale)),
-            "e6" => Some(experiments::e6_memory(scale)),
-            "e7" => Some(experiments::e7_scan_retries(scale)),
-            "e8" => Some(experiments::e8_claim41(scale)),
-            "e9" => Some(experiments::e9_snapshot(scale)),
-            "e10" => Some(experiments::e10_modelcheck(scale)),
-            "e11" => Some(experiments::e11_ablation_b(scale)),
-            "e12" => Some(experiments::e12_ablation_k(scale)),
-            "e13" => Some(experiments::e13_ablation_m(scale)),
-            "e14" => Some(experiments::e14_waitfree(scale)),
-            _ => None,
-        }
-    };
+    let first = which.first().copied().unwrap_or("all");
+    let doc_named = |name: &str| DOCS.iter().find(|d| d.name == name);
 
-    println!(
-        "# BPRC experiment run ({})\n",
-        if scale == Scale::Quick {
-            "quick"
+    if let Some(doc) = doc_named(first) {
+        let default_out = format!("BENCH_{}.json", doc.name);
+        emit(doc, scale, flag(&args, "--out=").unwrap_or(&default_out));
+        if doc.name == "profile" {
+            let trace_out = flag(&args, "--trace-out=").unwrap_or("BENCH_profile_trace.json");
+            write_json(trace_out, &profile::chrome_trace_demo(42));
+            println!("wrote {trace_out} (load it at https://ui.perfetto.dev)");
+        }
+    } else if let Some(doc) = first.strip_prefix("validate-").and_then(doc_named) {
+        match which.get(1) {
+            Some(path) => validate_file(doc, path),
+            None => die(2, format!("usage: experiments {first} PATH")),
+        }
+    } else if first == "verify-gate" {
+        run_verify_gate(&args, quick);
+    } else if first == "compare-throughput" {
+        match (which.get(1), which.get(2)) {
+            (Some(old), Some(new)) => compare_throughput(old, new),
+            _ => die(2, "usage: experiments compare-throughput OLD NEW"),
+        }
+    } else {
+        println!("# BPRC experiment run ({})\n", scale.name());
+        let names = if which.is_empty() || which.contains(&"all") {
+            EXPERIMENTS.iter().map(|(name, _)| *name).collect()
         } else {
-            "full"
-        }
-    );
-    if which.is_empty() || which.contains(&"all") {
-        for t in experiments::all(scale) {
-            println!("{t}");
-        }
-        return;
-    }
-    for name in which {
-        match run_one(name) {
-            Some(t) => println!("{t}"),
-            None => {
-                eprintln!(
-                    "unknown experiment '{name}' (expected e1..e14, e5b, all, bench, or validate)"
-                );
-                std::process::exit(2);
+            which
+        };
+        for name in names {
+            match EXPERIMENTS.iter().find(|(n, _)| *n == name) {
+                Some((_, run)) => println!("{}", run(scale)),
+                None => die_unknown(name),
             }
         }
     }

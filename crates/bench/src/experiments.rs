@@ -1045,27 +1045,6 @@ pub fn e14_waitfree(scale: Scale) -> Table {
     t
 }
 
-/// Runs every experiment at the given scale.
-pub fn all(scale: Scale) -> Vec<Table> {
-    vec![
-        e1_disagreement(scale),
-        e2_walk_steps(scale),
-        e3_overflow(scale),
-        e4_rounds(scale),
-        e5_total_work(scale),
-        e5b_adversarial_work(scale),
-        e6_memory(scale),
-        e7_scan_retries(scale),
-        e8_claim41(scale),
-        e9_snapshot(scale),
-        e10_modelcheck(scale),
-        e11_ablation_b(scale),
-        e12_ablation_k(scale),
-        e13_ablation_m(scale),
-        e14_waitfree(scale),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

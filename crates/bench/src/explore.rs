@@ -23,11 +23,11 @@
 //! parser accepts, so it must be caught before the file is written.
 //!
 //! Schema v3 adds the weak-memory `litmus` section: the whole corpus
-//! (`bprc_sim::litmus`) is explored under SC, TSO, and PSO on both
-//! register planes. Rows where the matrix expects the forbidden outcome
-//! must record it found, shrunk, round-tripped byte-identically, and
-//! replayed; rows where the model's physics forbid it must record an
-//! exhaustive clean enumeration. [`validate`] fails on any row whose
+//! (`bprc_sim::litmus`) is explored under SC, TSO, and PSO (v4: one row per
+//! program × mode, no `plane` column). Rows where the matrix expects the
+//! forbidden outcome must record it found, shrunk, round-tripped
+//! byte-identically, and replayed; rows where the model's physics forbid it
+//! must record an exhaustive clean enumeration. [`validate`] fails on any row whose
 //! `outcome_ok` is false, and requires the matrix to exercise both kinds
 //! of cell.
 
@@ -39,7 +39,7 @@ use bprc_sim::explore::{
 use bprc_sim::json::{check_finite, Value};
 use bprc_sim::litmus::{corpus, LitmusProgram};
 use bprc_sim::sched::PctStrategy;
-use bprc_sim::world::{ProcBody, RegisterPlane, RunReport, World};
+use bprc_sim::world::{ProcBody, RunReport, World};
 use bprc_sim::{Counter, MetricsRegistry, WeakMode};
 use bprc_snapshot::memory::labels;
 use bprc_snapshot::{check_history, ScannableMemory, SnapshotMeta};
@@ -47,7 +47,7 @@ use bprc_snapshot::{check_history, ScannableMemory, SnapshotMeta};
 use crate::Scale;
 
 /// Schema identifier written into (and required from) every document.
-pub const SCHEMA: &str = "bprc.bench.explore/v3";
+pub const SCHEMA: &str = "bprc.bench.explore/v4";
 
 /// PCT schedules sampled at n = 4 (both scales — the CI smoke requires the
 /// full thousand).
@@ -139,9 +139,6 @@ pub(crate) fn raw_meta() -> SnapshotMeta {
     }
 }
 
-/// Both register planes, as the litmus matrix enumerates them.
-pub(crate) const LITMUS_PLANES: [RegisterPlane; 2] = [RegisterPlane::Packed, RegisterPlane::Locked];
-
 /// All memory modes the litmus matrix enumerates.
 pub(crate) const LITMUS_MODES: [WeakMode; 3] = [WeakMode::Sc, WeakMode::Tso, WeakMode::Pso];
 
@@ -149,8 +146,6 @@ pub(crate) const LITMUS_MODES: [WeakMode; 3] = [WeakMode::Sc, WeakMode::Tso, Wea
 pub(crate) struct LitmusOutcome {
     /// Corpus program name.
     pub name: &'static str,
-    /// Register plane the cell ran on.
-    pub plane: RegisterPlane,
     /// Memory mode the cell ran under.
     pub mode: WeakMode,
     /// Whether the matrix expects the forbidden outcome reachable here.
@@ -169,19 +164,14 @@ pub(crate) struct LitmusOutcome {
 
 /// Drives one cell of the litmus matrix end to end: explore, then (when the
 /// forbidden outcome is expected) shrink, serialize, parse back, and replay.
-pub(crate) fn litmus_cell(
-    prog: &LitmusProgram,
-    plane: RegisterPlane,
-    mode: WeakMode,
-) -> LitmusOutcome {
+pub(crate) fn litmus_cell(prog: &LitmusProgram, mode: WeakMode) -> LitmusOutcome {
     let build = prog.build;
     let check = prog.check;
-    let mut make = move || build(plane, mode);
+    let mut make = move || build(mode);
     let rep = explore(&ExploreConfig::default(), &mut make, |r| check(r));
     let expected_found = prog.expected_found(mode);
     let mut out = LitmusOutcome {
         name: prog.name,
-        plane,
         mode,
         expected_found,
         ok: false,
@@ -221,34 +211,31 @@ pub(crate) fn litmus_cell(
     out
 }
 
-/// The full weak-memory litmus matrix (schema v3): corpus × planes × modes.
+/// The full weak-memory litmus matrix: corpus × modes.
 fn litmus_section() -> Value {
     let mut rows = Vec::new();
-    for plane in LITMUS_PLANES {
-        for prog in corpus() {
-            for mode in LITMUS_MODES {
-                let cell = litmus_cell(&prog, plane, mode);
-                rows.push(Value::obj(vec![
-                    ("program", cell.name.into()),
-                    ("plane", format!("{plane:?}").to_lowercase().as_str().into()),
-                    ("mode", cell.mode.name().into()),
-                    ("expected_found", cell.expected_found.into()),
-                    ("outcome_ok", cell.ok.into()),
-                    ("schedules", cell.schedules.into()),
-                    (
-                        "shrunk_len",
-                        cell.shrunk_len.map(Value::from).unwrap_or(Value::Null),
-                    ),
-                    (
-                        "detail",
-                        if cell.detail.is_empty() {
-                            Value::Null
-                        } else {
-                            cell.detail.as_str().into()
-                        },
-                    ),
-                ]));
-            }
+    for prog in corpus() {
+        for mode in LITMUS_MODES {
+            let cell = litmus_cell(&prog, mode);
+            rows.push(Value::obj(vec![
+                ("program", cell.name.into()),
+                ("mode", cell.mode.name().into()),
+                ("expected_found", cell.expected_found.into()),
+                ("outcome_ok", cell.ok.into()),
+                ("schedules", cell.schedules.into()),
+                (
+                    "shrunk_len",
+                    cell.shrunk_len.map(Value::from).unwrap_or(Value::Null),
+                ),
+                (
+                    "detail",
+                    if cell.detail.is_empty() {
+                        Value::Null
+                    } else {
+                        cell.detail.as_str().into()
+                    },
+                ),
+            ]));
         }
     }
     Value::Arr(rows)
@@ -599,15 +586,7 @@ pub fn run(scale: Scale, seed: u64) -> Value {
     let (demo, demo_telemetry) = counterexample_demo();
     Value::obj(vec![
         ("schema", SCHEMA.into()),
-        (
-            "scale",
-            if scale == Scale::Quick {
-                "quick"
-            } else {
-                "full"
-            }
-            .into(),
-        ),
+        ("scale", scale.name().into()),
         ("seed", seed.into()),
         ("trace_schema", TRACE_SCHEMA.into()),
         ("exhaustive", Value::Arr(exhaustive)),
@@ -811,7 +790,7 @@ pub fn validate(doc: &Value) -> Vec<String> {
         }
     }
 
-    // The litmus matrix (schema v3): every cell must hold its verdict, and
+    // The litmus matrix: every cell must hold its verdict, and
     // the matrix must exercise both reachable and unreachable cells —
     // a corpus that only ever proves unreachability would also "pass" on a
     // model whose store buffers never reorder anything.
@@ -822,9 +801,8 @@ pub fn validate(doc: &Value) -> Vec<String> {
             let (mut found_cells, mut unreachable_cells) = (0u64, 0u64);
             for (i, row) in rows.iter().enumerate() {
                 let label = format!(
-                    "litmus[{i}] {} {}/{}",
+                    "litmus[{i}] {}/{}",
                     row.get("program").and_then(|v| v.as_str()).unwrap_or("?"),
-                    row.get("plane").and_then(|v| v.as_str()).unwrap_or("?"),
                     row.get("mode").and_then(|v| v.as_str()).unwrap_or("?"),
                 );
                 if row.get("outcome_ok") != Some(&Value::Bool(true)) {
@@ -967,14 +945,14 @@ mod tests {
     #[test]
     fn litmus_cells_hold_the_matrix_both_ways() {
         let sb = corpus().into_iter().find(|p| p.name == "sb").unwrap();
-        let cell = litmus_cell(&sb, RegisterPlane::Packed, WeakMode::Tso);
+        let cell = litmus_cell(&sb, WeakMode::Tso);
         assert!(cell.expected_found);
         assert!(cell.ok, "{}", cell.detail);
         // SB can shrink to the empty trace (the end-of-run drain alone
         // reorders the stores past the reads), so only presence is pinned.
         assert!(cell.shrunk_len.is_some());
         let lb = corpus().into_iter().find(|p| p.name == "lb").unwrap();
-        let cell = litmus_cell(&lb, RegisterPlane::Locked, WeakMode::Pso);
+        let cell = litmus_cell(&lb, WeakMode::Pso);
         assert!(!cell.expected_found);
         assert!(cell.ok, "{}", cell.detail);
     }

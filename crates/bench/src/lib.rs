@@ -23,7 +23,6 @@
 #![forbid(unsafe_code)]
 
 pub mod arena;
-pub mod consensus_bench;
 pub mod experiments;
 pub mod explore;
 pub mod profile;
@@ -43,6 +42,14 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// The name documents and run headers record (`"quick"` / `"full"`).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Full => "full",
+        }
+    }
+
     /// Picks a trial count by scale.
     pub fn trials(&self, quick: u64, full: u64) -> u64 {
         match self {

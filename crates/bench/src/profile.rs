@@ -6,11 +6,10 @@
 //! and decision-latency histograms the tracing plane records
 //! (`Hist::ScanLatencyNs`, `Hist::LazyScanLatencyNs`,
 //! `Hist::DecisionLatencyNs`) across the full measurement grid — both
-//! snapshot backends (`handshake` / `waitfree`) × both register planes
-//! (`seqlock` / `locked`) × n ∈ {2, 4, 8, 16} — on free-running OS
-//! threads, where nanosecond stamps measure real hardware behaviour. Each
-//! grid cell carries the power-of-two-bucketed histogram plus its
-//! p50/p90/p99/max ladder, exactly as [`bprc_sim::Histogram::to_json`]
+//! snapshot backends (`handshake` / `waitfree`) × n ∈ {2, 4, 8, 16} — on
+//! free-running OS threads, where nanosecond stamps measure real hardware
+//! behaviour. Each grid cell carries the power-of-two-bucketed histogram
+//! plus its p50/p90/p99/max ladder, exactly as [`bprc_sim::Histogram::to_json`]
 //! serializes it. The lazy ladder comes from a separate scan-burst
 //! workload with view reuse enabled (`SnapshotPort::set_lazy`), so
 //! reused-view scans stay distinguishable from full double collects.
@@ -31,41 +30,29 @@ use bprc_sim::rng::derive_seed;
 use bprc_sim::sched::RandomStrategy;
 use bprc_sim::trace::to_chrome_trace;
 use bprc_sim::world::ProcBody;
-use bprc_sim::{Hist, Histogram, Mode, RegisterPlane, World};
+use bprc_sim::{Hist, Histogram, Mode, World};
 use bprc_snapshot::{ScannableMemory, SnapshotBackend, SnapshotPort, WaitFreeSnapshot};
 
 use crate::Scale;
 
 /// Schema identifier written into (and required from) every document.
-/// v2 added the `lazy_scan_latency_ns` ladder to every grid cell.
-pub const SCHEMA: &str = "bprc.bench.profile/v2";
+/// v2 added the `lazy_scan_latency_ns` ladder to every grid cell; v3 has
+/// one entry per snapshot backend × size (no per-backing rows).
+pub const SCHEMA: &str = "bprc.bench.profile/v3";
 
 /// Process counts profiled (the same grid as the throughput suite).
 pub const SIZES: [usize; 4] = [2, 4, 8, 16];
 
-/// The register-plane dimension values.
-pub const PLANES: [&str; 2] = ["seqlock", "locked"];
-
 /// The snapshot-backend dimension values.
 pub const SNAPSHOT_BACKENDS: [&str; 2] = ["handshake", "waitfree"];
 
-fn plane_of(name: &str) -> RegisterPlane {
-    match name {
-        "locked" => RegisterPlane::Locked,
-        // The "seqlock" cells measure the current default fast stack —
-        // packed bit/lane planes over seqlock payload cells.
-        _ => RegisterPlane::default(),
-    }
-}
-
 /// Free-thread update+scan workload over backend `B`; returns the merged
 /// scan-latency histogram (samples recorded inside `finish_scan`).
-fn scan_latency<B: SnapshotBackend<u64>>(n: usize, iters: u64, plane: &str) -> Histogram {
+fn scan_latency<B: SnapshotBackend<u64>>(n: usize, iters: u64) -> Histogram {
     let mut world = World::builder(n)
         .mode(Mode::Free)
         .step_limit(u64::MAX)
         .record_history(false)
-        .register_plane(plane_of(plane))
         .build();
     let mem = B::alloc_fast(&world, n, 0u64);
     let bodies: Vec<ProcBody<u64>> = (0..n)
@@ -94,12 +81,11 @@ fn scan_latency<B: SnapshotBackend<u64>>(n: usize, iters: u64, plane: &str) -> H
 /// succeed, so the burst is guaranteed to fill `Hist::LazyScanLatencyNs`
 /// with reused-view samples while the full collects keep landing in
 /// `Hist::ScanLatencyNs` as usual. Returns the merged lazy histogram.
-fn lazy_scan_latency<B: SnapshotBackend<u64>>(n: usize, iters: u64, plane: &str) -> Histogram {
+fn lazy_scan_latency<B: SnapshotBackend<u64>>(n: usize, iters: u64) -> Histogram {
     let mut world = World::builder(n)
         .mode(Mode::Free)
         .step_limit(u64::MAX)
         .record_history(false)
-        .register_plane(plane_of(plane))
         .build();
     let mem = B::alloc_fast(&world, n, 0u64);
     let bodies: Vec<ProcBody<u64>> = (0..n)
@@ -126,7 +112,7 @@ fn lazy_scan_latency<B: SnapshotBackend<u64>>(n: usize, iters: u64, plane: &str)
 /// Full consensus instances back to back on free threads over snapshot
 /// backend `snap`; returns the merged decision-latency histogram (first
 /// protocol step to decision, recorded in the probe bridge).
-fn decision_latency(snap: &str, n: usize, trials: u64, seed0: u64, plane: &str) -> Histogram {
+fn decision_latency(snap: &str, n: usize, trials: u64, seed0: u64) -> Histogram {
     let mut merged = Histogram::default();
     for trial in 0..trials {
         let seed = derive_seed(seed0, trial);
@@ -137,7 +123,6 @@ fn decision_latency(snap: &str, n: usize, trials: u64, seed0: u64, plane: &str) 
             .record_history(false)
             .mode(Mode::Free)
             .step_limit(u64::MAX)
-            .register_plane(plane_of(plane))
             .build();
         let rep = match snap {
             "waitfree" => {
@@ -168,18 +153,10 @@ pub fn chrome_trace_demo(seed: u64) -> Value {
     to_chrome_trace(&rep.flight, &rep.telemetry, rep.history.as_ref(), n)
 }
 
-fn entry(
-    snap: &str,
-    plane: &str,
-    n: usize,
-    scan: &Histogram,
-    lazy: &Histogram,
-    decision: &Histogram,
-) -> Value {
+fn entry(snap: &str, n: usize, scan: &Histogram, lazy: &Histogram, decision: &Histogram) -> Value {
     Value::obj(vec![
-        ("name", format!("profile_n{n}_{snap}_{plane}").into()),
+        ("name", format!("profile_n{n}_{snap}").into()),
         ("snapshot_backend", snap.into()),
-        ("register_plane", plane.into()),
         ("n", n.into()),
         ("scan_latency_ns", scan.to_json()),
         ("lazy_scan_latency_ns", lazy.to_json()),
@@ -196,31 +173,21 @@ pub fn run(scale: Scale, seed: u64) -> Value {
             Scale::Full => (400, if n >= 8 { 2 } else { 4 }),
         };
         for snap in SNAPSHOT_BACKENDS {
-            for plane in PLANES {
-                let scan = match snap {
-                    "waitfree" => scan_latency::<WaitFreeSnapshot<u64>>(n, iters, plane),
-                    _ => scan_latency::<ScannableMemory<u64, DirectArrow>>(n, iters, plane),
-                };
-                let lazy = match snap {
-                    "waitfree" => lazy_scan_latency::<WaitFreeSnapshot<u64>>(n, iters, plane),
-                    _ => lazy_scan_latency::<ScannableMemory<u64, DirectArrow>>(n, iters, plane),
-                };
-                let decision =
-                    decision_latency(snap, n, trials, derive_seed(seed, n as u64), plane);
-                entries.push(entry(snap, plane, n, &scan, &lazy, &decision));
-            }
+            let scan = match snap {
+                "waitfree" => scan_latency::<WaitFreeSnapshot<u64>>(n, iters),
+                _ => scan_latency::<ScannableMemory<u64, DirectArrow>>(n, iters),
+            };
+            let lazy = match snap {
+                "waitfree" => lazy_scan_latency::<WaitFreeSnapshot<u64>>(n, iters),
+                _ => lazy_scan_latency::<ScannableMemory<u64, DirectArrow>>(n, iters),
+            };
+            let decision = decision_latency(snap, n, trials, derive_seed(seed, n as u64));
+            entries.push(entry(snap, n, &scan, &lazy, &decision));
         }
     }
     Value::obj(vec![
         ("schema", SCHEMA.into()),
-        (
-            "scale",
-            match scale {
-                Scale::Quick => "quick",
-                Scale::Full => "full",
-            }
-            .into(),
-        ),
+        ("scale", scale.name().into()),
         ("seed", seed.into()),
         ("backend", "free_threads".into()),
         ("entries", Value::Arr(entries)),
@@ -291,7 +258,6 @@ pub fn validate(doc: &Value) -> Vec<String> {
         }
     };
     let mut snaps_seen = Vec::new();
-    let mut planes_seen = Vec::new();
     let mut sizes_seen = Vec::new();
     for (i, e) in entries.iter().enumerate() {
         let name = e
@@ -306,14 +272,6 @@ pub fn validate(doc: &Value) -> Vec<String> {
                 }
             }
             None => errs.push(format!("{name}: snapshot_backend missing")),
-        }
-        match e.get("register_plane").and_then(|p| p.as_str()) {
-            Some(p) => {
-                if !planes_seen.contains(&p.to_string()) {
-                    planes_seen.push(p.to_string());
-                }
-            }
-            None => errs.push(format!("{name}: register_plane missing")),
         }
         match e.get("n").and_then(|v| v.as_num()) {
             Some(n) => {
@@ -344,11 +302,6 @@ pub fn validate(doc: &Value) -> Vec<String> {
             errs.push(format!("entries: no {required} snapshot backend present"));
         }
     }
-    for required in PLANES {
-        if !planes_seen.iter().any(|p| p == required) {
-            errs.push(format!("entries: no {required} register plane present"));
-        }
-    }
     for required in SIZES {
         if !sizes_seen.contains(&required) {
             errs.push(format!("entries: no n = {required} entry present"));
@@ -366,15 +319,15 @@ mod tests {
     fn small_real_cells_emit_valid_histograms() {
         // One cell per dimension value, tiny workloads: exercises the real
         // measurement path without paying for the whole grid.
-        let scan = scan_latency::<ScannableMemory<u64, DirectArrow>>(2, 5, "seqlock");
+        let scan = scan_latency::<ScannableMemory<u64, DirectArrow>>(2, 5);
         assert!(scan.count() >= 10, "2 procs x 5 scans");
-        let scan_locked = scan_latency::<WaitFreeSnapshot<u64>>(2, 5, "locked");
-        assert!(scan_locked.count() >= 10);
-        let lazy = lazy_scan_latency::<ScannableMemory<u64, DirectArrow>>(2, 8, "seqlock");
+        let scan_wf = scan_latency::<WaitFreeSnapshot<u64>>(2, 5);
+        assert!(scan_wf.count() >= 10);
+        let lazy = lazy_scan_latency::<ScannableMemory<u64, DirectArrow>>(2, 8);
         assert!(lazy.count() >= 1, "the last writer's burst reuses its view");
-        let lazy_wf = lazy_scan_latency::<WaitFreeSnapshot<u64>>(2, 8, "locked");
+        let lazy_wf = lazy_scan_latency::<WaitFreeSnapshot<u64>>(2, 8);
         assert!(lazy_wf.count() >= 1);
-        let dec = decision_latency("handshake", 2, 1, 3, "seqlock");
+        let dec = decision_latency("handshake", 2, 1, 3);
         assert!(dec.count() >= 1, "someone decided");
         let doc = Value::obj(vec![
             ("schema", SCHEMA.into()),
@@ -385,9 +338,7 @@ mod tests {
                 let mut entries = Vec::new();
                 for &n in &SIZES {
                     for snap in SNAPSHOT_BACKENDS {
-                        for plane in PLANES {
-                            entries.push(entry(snap, plane, n, &scan, &lazy, &dec));
-                        }
+                        entries.push(entry(snap, n, &scan, &lazy, &dec));
                     }
                 }
                 Value::Arr(entries)
@@ -415,7 +366,6 @@ mod tests {
                 "entries",
                 Value::Arr(vec![entry(
                     "handshake",
-                    "seqlock",
                     2,
                     &Histogram::default(),
                     &Histogram::default(),

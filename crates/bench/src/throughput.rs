@@ -1,42 +1,26 @@
 //! Throughput benchmark — scans/sec and decisions/sec per backend.
 //!
-//! Where [`crate::consensus_bench`] reports *algorithmic* cost (rounds,
-//! total ops), this module reports *implementation* cost: how many snapshot
-//! scans and consensus decisions each backend completes per wall-clock
-//! second — scans across {lockstep, free_threads, turn} ×
-//! n ∈ {2, 4, 8, 16, 32, 64, 128} (v3 added the three large sizes, where
-//! the cache-packed register planes earn their keep), decisions across the
-//! same backends × n ∈ {2, 4, 8, 16} — and, since schema v2, × snapshot
-//! backend: every register-level workload is measured over both the paper's
-//! bounded handshake memory (`"handshake"`) and the wait-free AADGMS
-//! snapshot (`"waitfree"`), so the artifact documents what wait-freedom
-//! costs (embedded scans on every update) next to what it buys (no scan
-//! retries under contention). The turn-driver workloads run at protocol
-//! level with no registers at all and carry `snapshot_backend: "none"`.
-//! The emitted `BENCH_throughput.json` is schema-checked by [`validate`],
-//! and [`compare`] diffs two documents for CI regression gating.
+//! Reports *implementation* cost: how many snapshot scans and consensus
+//! decisions each backend completes per wall-clock second — scans across
+//! {lockstep, free_threads, turn} × n ∈ {2, 4, 8, 16, 32, 64, 128} (v3
+//! added the three large sizes, where the cache-packed register backings
+//! earn their keep), decisions across the same backends × n ∈ {2, 4, 8, 16}
+//! — and, since schema v2, × snapshot backend: every register-level
+//! workload is measured over both the paper's bounded handshake memory
+//! (`"handshake"`) and the wait-free AADGMS snapshot (`"waitfree"`), so the
+//! artifact documents what wait-freedom costs (embedded scans on every
+//! update) next to what it buys (no scan retries under contention). The
+//! turn-driver workloads run at protocol level with no registers at all and
+//! carry `snapshot_backend: "none"`. The emitted `BENCH_throughput.json` is
+//! schema-checked by [`validate`], and [`compare`] diffs two documents for
+//! CI regression gating.
 //!
 //! Since v3 every register-level workload also carries `est_lines_per_op`:
-//! an *analytic* cache-lines-touched estimate for one steady-state scan on
-//! the packed plane (see [`est_lines_per_scan`]) — not a measurement (no
-//! perf-counter dependency), but a model CI can diff so a layout change
-//! that silently re-inflates a workload's cache footprint shows up in the
-//! artifact next to the rate it explains.
-//!
-//! The document also carries a `comparisons` array (v2 had a single
-//! `comparison` object; [`compare`] reads both): a free-thread handshake
-//! *steady-state* scan workload — each process alternates one update with a
-//! burst of [`COMPARISON_SCAN_BURST`] scans, the sparse-write regime the
-//! `est_lines_per_op` model assumes — measured twice in the same process.
-//! Once on the pre-optimization register stack (locked register plane +
-//! allocating legacy scan) and once on the current one (packed bit/lane
-//! planes + batched seq validation + lazy scan reuse), at n = 8 and at
-//! n = 32, so every generated file documents what the fast path buys on the
-//! machine that produced it, at a size where everything fits in cache and
-//! at one where the unpacked layout no longer does. The grid's plain scan
-//! rows keep the denser one-update-per-scan shape — the comparison isolates
-//! the optimizations where they are designed to pay, the grid shows the
-//! worst case (every slot dirty every scan) too.
+//! an *analytic* cache-lines-touched estimate for one steady-state scan
+//! (see [`est_lines_per_scan`]) — not a measurement (no perf-counter
+//! dependency), but a model CI can diff so a layout change that silently
+//! re-inflates a workload's cache footprint shows up in the artifact next
+//! to the rate it explains.
 
 use std::time::Instant;
 
@@ -48,23 +32,23 @@ use bprc_sim::rng::derive_seed;
 use bprc_sim::sched::RandomStrategy;
 use bprc_sim::turn::{TurnDriver, TurnProcess, TurnRandom, TurnStep};
 use bprc_sim::world::ProcBody;
-use bprc_sim::{Counter, Mode, RegisterPlane, World};
+use bprc_sim::{Counter, Mode, World};
 use bprc_snapshot::{ScannableMemory, SnapshotBackend, SnapshotPort, WaitFreeSnapshot};
 
 use crate::Scale;
 
 /// Schema identifier written into (and required from) every document.
 /// v2 added the `snapshot_backend` dimension to every workload; v3 added
-/// the n ∈ {32, 64, 128} scan rows, the per-workload `est_lines_per_op`
-/// model, and generalized `comparison` into the `comparisons` array.
-pub const SCHEMA: &str = "bprc.bench.throughput/v3";
+/// the n ∈ {32, 64, 128} scan rows and the per-workload `est_lines_per_op`
+/// model; v4 dropped the before/after `comparisons` cells.
+pub const SCHEMA: &str = "bprc.bench.throughput/v4";
 
 /// The snapshot-backend dimension values register-level workloads carry.
 pub const SNAPSHOT_BACKENDS: [&str; 2] = ["handshake", "waitfree"];
 
 /// Process counts the scan workloads cover. The three large sizes are
-/// where the packed register planes change the picture: at n = 128 the
-/// per-pair handshake state alone is 16 K cells, which the bit plane folds
+/// where the packed register backings change the picture: at n = 128 the
+/// per-pair handshake state alone is 16 K cells, which the bit chunks fold
 /// into 32 cache lines.
 pub const SIZES: [usize; 7] = [2, 4, 8, 16, 32, 64, 128];
 
@@ -82,19 +66,18 @@ pub const REGRESSION_TOLERANCE: f64 = 0.30;
 /// tens of milliseconds are dominated by scheduler jitter, not by the code
 /// under test (observed run-to-run swings of ±60% on 10–20 ms free-thread
 /// and turn rows on an otherwise idle machine). At quick scale this leaves
-/// the deterministic lockstep rows and the embedded comparison cells (gated
-/// directly on speedup, window-independent) carrying the gate.
+/// the deterministic lockstep rows carrying the gate.
 pub const MIN_GATED_ELAPSED_SEC: f64 = 0.05;
 
 /// Analytic lines-touched model: estimated distinct 64-byte cache lines one
-/// steady-state successful scan touches on the **packed** register plane,
+/// steady-state successful scan touches on the packed register backings,
 /// for a u64-payload snapshot of `snap` at size `n`. Not a measurement —
 /// the container has no perf-counter access and the repo takes no new
 /// dependencies — but a model CI can diff: a layout change that silently
 /// re-inflates the footprint moves these numbers in the committed artifact.
 ///
 /// Model terms (handshake):
-/// * arrow plane — one lower pass + one re-read pass over the n−1 arrows
+/// * arrow bits — one lower pass + one re-read pass over the n−1 arrows
 ///   aimed at the scanner. Arrow bits allocate writer-major, so a scanner's
 ///   column is strided n−1 bits apart: distinct 512-bit chunks per pass =
 ///   `min(n−1, ⌈(n−1)²/512⌉)`.
@@ -159,19 +142,12 @@ impl Measured {
     }
 }
 
-/// Scans per update in the before/after comparison workload: the
-/// steady-state shape the `est_lines_per_op` model assumes (most collects
-/// find most slots unchanged), and the regime where batched seq validation
-/// skips payload loads and lazy reuse can answer a scan from the cached
-/// view. Both comparison legs run the identical op sequence.
-pub const COMPARISON_SCAN_BURST: u64 = 8;
-
 /// Builds `n` bodies that each run `iters` update+scan iterations over one
 /// shared snapshot object of backend `B`, and runs them in `world`.
 /// Returns completed scans (from telemetry) and elapsed wall time.
 fn run_scan_bodies<B: SnapshotBackend<u64>>(mut world: World, n: usize, iters: u64) -> (u64, f64) {
-    // `alloc_fast` puts the value slots on the seqlock plane too (the
-    // handshake memory's fixed-width cells and the wait-free snapshot's
+    // `alloc_fast` puts the value slots on seqlock lanes (the handshake
+    // memory's fixed-width cells and the wait-free snapshot's
     // dynamic-width ones both qualify for u64 payloads at these sizes).
     let mem = B::alloc_fast(&world, n, 0u64);
     let bodies: Vec<ProcBody<u64>> = (0..n)
@@ -184,64 +160,6 @@ fn run_scan_bodies<B: SnapshotBackend<u64>>(mut world: World, n: usize, iters: u
                     port.update(ctx, k)?;
                     port.scan_into(ctx, &mut view)?;
                     acc = acc.wrapping_add(view.iter().sum::<u64>());
-                }
-                Ok(acc)
-            });
-            b
-        })
-        .collect();
-    let start = Instant::now();
-    let rep = world.run(bodies, Box::new(RandomStrategy::new(7)));
-    let elapsed = start.elapsed().as_secs_f64();
-    (rep.telemetry.total(Counter::Scans), elapsed)
-}
-
-/// The comparison's current-stack leg: packed plane memory via
-/// `alloc_fast`, buffer-reuse `scan_into`, lazy view reuse on — each body
-/// alternates one update with a [`COMPARISON_SCAN_BURST`]-scan burst.
-fn run_burst_bodies_fast(mut world: World, n: usize, iters: u64) -> (u64, f64) {
-    let mem: ScannableMemory<u64, DirectArrow> = ScannableMemory::alloc_fast(&world, n, 0);
-    let bodies: Vec<ProcBody<u64>> = (0..n)
-        .map(|pid| {
-            let mut port = mem.port(pid);
-            let b: ProcBody<u64> = Box::new(move |ctx| {
-                port.set_lazy(true);
-                let mut view: Vec<u64> = Vec::new();
-                let mut acc = 0u64;
-                for k in 1..=iters {
-                    port.update(ctx, k)?;
-                    for _ in 0..COMPARISON_SCAN_BURST {
-                        port.scan_into(ctx, &mut view)?;
-                        acc = acc.wrapping_add(view.iter().sum::<u64>());
-                    }
-                }
-                Ok(acc)
-            });
-            b
-        })
-        .collect();
-    let start = Instant::now();
-    let rep = world.run(bodies, Box::new(RandomStrategy::new(7)));
-    let elapsed = start.elapsed().as_secs_f64();
-    (rep.telemetry.total(Counter::Scans), elapsed)
-}
-
-/// The comparison's pre-optimization leg: locked register plane and the
-/// allocating legacy scan (the path the optimization replaced), driven
-/// through the identical update/burst op sequence.
-fn run_burst_bodies_legacy(mut world: World, n: usize, iters: u64) -> (u64, f64) {
-    let mem: ScannableMemory<u64, DirectArrow> = ScannableMemory::new_fast(&world, n, 0);
-    let bodies: Vec<ProcBody<u64>> = (0..n)
-        .map(|pid| {
-            let mut port = mem.port(pid);
-            let b: ProcBody<u64> = Box::new(move |ctx| {
-                let mut acc = 0u64;
-                for k in 1..=iters {
-                    port.update(ctx, k)?;
-                    for _ in 0..COMPARISON_SCAN_BURST {
-                        let v = port.scan_legacy(ctx)?;
-                        acc = acc.wrapping_add(v.iter().sum::<u64>());
-                    }
                 }
                 Ok(acc)
             });
@@ -274,7 +192,7 @@ fn lockstep_scan<B: SnapshotBackend<u64>>(n: usize, iters: u64) -> Measured {
 }
 
 /// Scan throughput on free-running OS threads — the backend where the
-/// seqlock plane and the allocation-free collects actually change the
+/// seqlock cells and the allocation-free collects actually change the
 /// machine-level hot path.
 fn threads_scan<B: SnapshotBackend<u64>>(n: usize, iters: u64) -> Measured {
     let world = World::builder(n)
@@ -405,63 +323,6 @@ fn decisions_workload(
     }
 }
 
-/// One before/after cell: free-thread handshake steady-state scan
-/// throughput at `n` — one update then [`COMPARISON_SCAN_BURST`] scans per
-/// iteration — on the pre-optimization stack vs the current one, identical
-/// op sequences.
-fn comparison_cell(n: usize, iters: u64) -> Value {
-    let free_world = || {
-        World::builder(n)
-            .mode(Mode::Free)
-            .step_limit(u64::MAX)
-            .build()
-    };
-    let legacy_world = || {
-        World::builder(n)
-            .mode(Mode::Free)
-            .step_limit(u64::MAX)
-            .register_plane(RegisterPlane::Locked)
-            .build()
-    };
-    let (legacy_ops, legacy_elapsed) = run_burst_bodies_legacy(legacy_world(), n, iters);
-    let (fast_ops, fast_elapsed) = run_burst_bodies_fast(free_world(), n, iters);
-    let legacy_rate = legacy_ops as f64 / legacy_elapsed.max(1e-9);
-    let fast_rate = fast_ops as f64 / fast_elapsed.max(1e-9);
-    let speedup = fast_rate / legacy_rate.max(1e-9);
-    Value::obj(vec![
-        ("backend", "free_threads".into()),
-        ("snapshot_backend", "handshake".into()),
-        ("kind", "scan".into()),
-        ("n", n.into()),
-        ("iters_per_proc", (iters as usize).into()),
-        ("scans_per_update", (COMPARISON_SCAN_BURST as usize).into()),
-        ("baseline_ops", legacy_ops.into()),
-        ("baseline_elapsed_sec", legacy_elapsed.into()),
-        ("baseline_ops_per_sec", legacy_rate.into()),
-        ("fast_ops", fast_ops.into()),
-        ("fast_elapsed_sec", fast_elapsed.into()),
-        ("fast_ops_per_sec", fast_rate.into()),
-        ("speedup", speedup.into()),
-    ])
-}
-
-/// The before/after section: one [`comparison_cell`] at n = 8 (in-cache
-/// regime) and one at n = 32 (the first size where the unpacked layouts
-/// stop fitting) — the number the packed-plane speedup claim rests on.
-fn comparisons_section(scale: Scale) -> Value {
-    // Enough iterations that thread spawn/join overhead (identical on both
-    // sides, and substantial at these sizes) stops diluting the ratio.
-    // Each iteration is 1 update + COMPARISON_SCAN_BURST scans per process.
-    let (iters8, iters32) = match scale {
-        Scale::Quick => (300, 60),
-        Scale::Full => (1_000, 240),
-    };
-    Value::Arr(vec![
-        comparison_cell(8, iters8),
-        comparison_cell(32, iters32),
-    ])
-}
-
 /// Runs the suite and builds the `BENCH_throughput.json` document.
 pub fn run(scale: Scale, seed: u64) -> Value {
     let mut workloads = Vec::new();
@@ -529,20 +390,12 @@ pub fn run(scale: Scale, seed: u64) -> Value {
     }
     Value::obj(vec![
         ("schema", SCHEMA.into()),
-        (
-            "scale",
-            match scale {
-                Scale::Quick => "quick",
-                Scale::Full => "full",
-            }
-            .into(),
-        ),
+        ("scale", scale.name().into()),
         ("seed", seed.into()),
         (
             "workloads",
             Value::Arr(workloads.iter().map(|w| w.to_json()).collect()),
         ),
-        ("comparisons", comparisons_section(scale)),
     ])
 }
 
@@ -632,36 +485,7 @@ pub fn validate(doc: &Value) -> Vec<String> {
             errs.push(format!("workloads: no {required} kind present"));
         }
     }
-    match doc.get("comparisons").and_then(|c| c.as_arr()) {
-        Some(cells) if !cells.is_empty() => {
-            for (i, c) in cells.iter().enumerate() {
-                for key in ["n", "baseline_ops_per_sec", "fast_ops_per_sec", "speedup"] {
-                    if c.get(key).and_then(|v| v.as_num()).is_none() {
-                        errs.push(format!("comparisons[{i}].{key}: missing or not a number"));
-                    }
-                }
-            }
-        }
-        _ => errs.push("comparisons: missing or empty".into()),
-    }
     errs
-}
-
-/// The before/after cells of a document as `(n, speedup)` pairs — reads
-/// both the v3 `comparisons` array and the v2 singular `comparison` object
-/// (as one cell), so [`compare`] can gate a v3 run against a committed v2
-/// baseline across the schema bump.
-fn comparison_cells(doc: &Value) -> Vec<(f64, f64)> {
-    let cell = |c: &Value| -> Option<(f64, f64)> {
-        Some((c.get("n")?.as_num()?, c.get("speedup")?.as_num()?))
-    };
-    if let Some(cells) = doc.get("comparisons").and_then(|c| c.as_arr()) {
-        return cells.iter().filter_map(cell).collect();
-    }
-    doc.get("comparison")
-        .and_then(|c| cell(c))
-        .into_iter()
-        .collect()
 }
 
 /// Compares a new document against a committed baseline. Returns
@@ -670,10 +494,7 @@ fn comparison_cells(doc: &Value) -> Vec<(f64, f64)> {
 /// Absolute ops/sec shifts with the machine, so the gate is *relative*: the
 /// median per-workload ratio (new/old) is taken as the machine-speed
 /// normalizer, and a workload only counts as regressed when it is more than
-/// [`REGRESSION_TOLERANCE`] slower than that median says it should be. The
-/// before/after speedup cells are machine-relative already and are gated
-/// directly, cell by cell (matched on n; v2 baselines with a singular
-/// `comparison` object are read as one cell).
+/// [`REGRESSION_TOLERANCE`] slower than that median says it should be.
 pub fn compare(old: &Value, new: &Value) -> (Vec<String>, Vec<String>) {
     let mut report = Vec::new();
     let mut failures = Vec::new();
@@ -738,27 +559,6 @@ pub fn compare(old: &Value, new: &Value) -> (Vec<String>, Vec<String>) {
                 "{name}: throughput ratio {r:.3} below floor {floor:.3} \
                  (median {median:.3}, tolerance {REGRESSION_TOLERANCE})"
             ));
-        }
-    }
-    // Before/after speedup cells are machine-relative already and gate
-    // directly, matched by n; a cell only the new document has (e.g. the
-    // n = 32 cell gained in v3) is reported, never gated.
-    let old_cells = comparison_cells(old);
-    for (n, new_s) in comparison_cells(new) {
-        match old_cells.iter().find(|(on, _)| *on == n) {
-            Some((_, old_s)) => {
-                report.push(format!(
-                    "before/after scan speedup at n={n}: old x{old_s:.3}, new x{new_s:.3}"
-                ));
-                if new_s < old_s * (1.0 - REGRESSION_TOLERANCE) {
-                    failures.push(format!(
-                        "comparison speedup at n={n} regressed: {new_s:.3} vs baseline {old_s:.3}"
-                    ));
-                }
-            }
-            None => report.push(format!(
-                "before/after scan speedup at n={n}: x{new_s:.3} (no baseline cell)"
-            )),
         }
     }
     (report, failures)
@@ -831,18 +631,6 @@ mod tests {
         rows
     }
 
-    fn fixture_comparison(n: usize, speedup: f64, scale_rate: f64) -> Value {
-        Value::obj(vec![
-            ("backend", "free_threads".into()),
-            ("snapshot_backend", "handshake".into()),
-            ("kind", "scan".into()),
-            ("n", n.into()),
-            ("baseline_ops_per_sec", scale_rate.into()),
-            ("fast_ops_per_sec", (speedup * scale_rate).into()),
-            ("speedup", speedup.into()),
-        ])
-    }
-
     /// A tiny document with the full shape but trivial workloads — the
     /// schema/compare tests don't need real measurements.
     fn tiny_doc(scale_rate: f64) -> Value {
@@ -851,13 +639,6 @@ mod tests {
             ("scale", "quick".into()),
             ("seed", 1u64.into()),
             ("workloads", Value::Arr(fixture_workloads(scale_rate))),
-            (
-                "comparisons",
-                Value::Arr(vec![
-                    fixture_comparison(8, 2.0, scale_rate),
-                    fixture_comparison(32, 3.0, scale_rate),
-                ]),
-            ),
         ])
     }
 
@@ -874,11 +655,6 @@ mod tests {
         assert!(validate(&wrong_schema)
             .iter()
             .any(|e| e.starts_with("schema:")));
-        let mut doc = tiny_doc(100.0);
-        if let Value::Obj(pairs) = &mut doc {
-            pairs.retain(|(k, _)| k != "comparisons");
-        }
-        assert!(validate(&doc).iter().any(|e| e.starts_with("comparisons")));
     }
 
     #[test]
@@ -902,45 +678,10 @@ mod tests {
     }
 
     #[test]
-    fn compare_reads_v2_singular_comparison_baselines() {
-        // A committed v2 baseline carries one `comparison` object; a v3 run
-        // carries the `comparisons` array. The n=8 cell must still gate
-        // across the bump, and the v3-only n=32 cell must not fail for
-        // lacking a baseline.
-        let mut old = tiny_doc(100.0);
-        if let Value::Obj(pairs) = &mut old {
-            pairs.retain(|(k, _)| k != "comparisons");
-            pairs.push(("comparison".into(), fixture_comparison(8, 2.0, 100.0)));
-        }
-        let (report, fails) = compare(&old, &tiny_doc(100.0));
-        assert!(fails.is_empty(), "{fails:?}");
-        assert!(
-            report
-                .iter()
-                .any(|l| l.contains("n=32") && l.contains("no baseline cell")),
-            "{report:?}"
-        );
-        // And a collapsed n=8 speedup in the new doc is still caught.
-        let mut slow = tiny_doc(100.0);
-        if let Value::Obj(pairs) = &mut slow {
-            for (k, v) in pairs.iter_mut() {
-                if k == "comparisons" {
-                    *v = Value::Arr(vec![fixture_comparison(8, 1.0, 100.0)]);
-                }
-            }
-        }
-        let (_, fails) = compare(&old, &slow);
-        assert!(
-            fails.iter().any(|f| f.contains("n=8")),
-            "collapsed speedup must gate: {fails:?}"
-        );
-    }
-
-    #[test]
     fn lines_model_shrinks_relative_to_unpacked_layouts() {
-        // The whole point of the packed planes: the modelled footprint
-        // grows like n²/512 + n/8, far below the n² distinct lines the
-        // unpacked handshake plane touches. Spot-check the shape.
+        // The whole point of the packed backings: the modelled footprint
+        // grows like n²/512 + n/8, far below the n² distinct lines an
+        // unpacked handshake memory touches. Spot-check the shape.
         let at = |n: usize| est_lines_per_scan("handshake", n);
         assert!(
             at(128) < 2.0 * 127.0,
@@ -1025,9 +766,6 @@ mod tests {
             ("scale", "quick".into()),
             ("seed", 3u64.into()),
             ("workloads", Value::Arr(workloads)),
-            // One real before/after cell, at the smallest size: the unit
-            // test proves both stacks measure, not the full-size ratio.
-            ("comparisons", Value::Arr(vec![comparison_cell(2, 30)])),
         ]);
         let errs = validate(&doc);
         assert!(errs.is_empty(), "schema violations: {errs:?}");
@@ -1035,9 +773,5 @@ mod tests {
         let text = doc.render_pretty(2);
         let back = bprc_sim::json::parse(&text).expect("rendered JSON parses");
         assert!(validate(&back).is_empty());
-        // The comparison measured both stacks for real.
-        let c = &back.get("comparisons").unwrap().as_arr().unwrap()[0];
-        assert!(c.get("baseline_ops_per_sec").unwrap().as_num().unwrap() > 0.0);
-        assert!(c.get("fast_ops_per_sec").unwrap().as_num().unwrap() > 0.0);
     }
 }

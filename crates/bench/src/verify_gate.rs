@@ -29,7 +29,7 @@
 //!   wait-free scan, which must finish within n + 1 attempts.
 //!
 //! The `--weakmem` mode runs the weak-memory plane instead: the whole
-//! litmus matrix (`bprc_sim::litmus`, corpus × planes × SC/TSO/PSO), then
+//! litmus matrix (`bprc_sim::litmus`, corpus × SC/TSO/PSO), then
 //! bounded-exhaustive store-buffer exploration of the real n = 2 snapshot
 //! stack (a double-updating writer racing a scanner) under TSO and PSO —
 //! every schedule×flush placement checked
@@ -65,7 +65,7 @@ use bprc_snapshot::{
 
 use crate::explore::{
     broken_check, broken_scanner_factory, litmus_cell, n3_writers_scanner_factory, raw_meta,
-    LITMUS_MODES, LITMUS_PLANES,
+    LITMUS_MODES,
 };
 
 /// The pinned property list every gate run checks. Printed verbatim at
@@ -593,33 +593,31 @@ fn missing_fence_check(r: &RunReport<Vec<u64>>) -> Option<String> {
         .then(|| "reader saw the publish flag before the data it guards".to_string())
 }
 
-/// The whole litmus matrix as one gate check: every corpus program on both
-/// register planes under SC, TSO, and PSO, each cell driven through the
+/// The whole litmus matrix as one gate check: every corpus program under
+/// SC, TSO, and PSO, each cell driven through the
 /// full explore→shrink→round-trip→replay pipeline by
 /// [`litmus_cell`](crate::explore::litmus_cell).
 fn litmus_matrix_check(out: &mut GateReport) {
     let mut cells = 0u64;
     let mut found = 0u64;
     let mut failure: Option<String> = None;
-    for plane in LITMUS_PLANES {
-        for prog in bprc_sim::litmus::corpus() {
-            for mode in LITMUS_MODES {
-                let cell = litmus_cell(&prog, plane, mode);
-                cells += 1;
-                if cell.expected_found {
-                    found += 1;
-                }
-                if !cell.ok && failure.is_none() {
-                    failure = Some(format!(
-                        "{} on {:?} under {}: {}",
-                        cell.name, cell.plane, cell.mode, cell.detail
-                    ));
-                }
+    for prog in bprc_sim::litmus::corpus() {
+        for mode in LITMUS_MODES {
+            let cell = litmus_cell(&prog, mode);
+            cells += 1;
+            if cell.expected_found {
+                found += 1;
+            }
+            if !cell.ok && failure.is_none() {
+                failure = Some(format!(
+                    "{} under {}: {}",
+                    cell.name, cell.mode, cell.detail
+                ));
             }
         }
     }
     let outcome = CheckOutcome {
-        name: "litmus matrix (corpus x planes x SC/TSO/PSO)".to_string(),
+        name: "litmus matrix (corpus x SC/TSO/PSO)".to_string(),
         passed: failure.is_none(),
         detail: failure.unwrap_or_else(|| {
             format!("{cells} cells clean ({found} forbidden outcomes found, shrunk, replayed)")

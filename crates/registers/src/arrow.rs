@@ -67,14 +67,11 @@ pub struct DirectArrow {
 impl DirectArrow {
     /// Allocates a lowered arrow.
     ///
-    /// Rides the world's packed bit-plane when available: the boolean
-    /// lands in a shared cache-line chunk whose mutations are
+    /// The boolean lands in a shared cache-line chunk whose mutations are
     /// `fetch_or`/`fetch_and` RMWs, so the *two*-writer discipline of an
     /// arrow (writer raises, scanner lowers) stays atomic and n² arrows
-    /// occupy ⌈n²/512⌉ cache lines instead of n² scattered cells. On the
-    /// `Fast` plane the cell is an individual seqlock (writer side
-    /// CAS-serialized — same atomicity argument). Scheduling and telemetry
-    /// are identical to a locked cell.
+    /// occupy ⌈n²/512⌉ cache lines instead of n² scattered cells.
+    /// Scheduling and telemetry are identical to a locked cell.
     pub fn new(world: &World, name: impl Into<String>) -> Self {
         DirectArrow {
             cell: world.bit_reg(name, false),
@@ -137,9 +134,8 @@ pub struct HandshakeArrow {
 impl HandshakeArrow {
     /// Allocates a lowered handshake arrow between `writer` and `scanner`.
     ///
-    /// Each bit is single-writer, so both ride the packed bit-plane (or an
-    /// individual seqlock on the `Fast` plane) without even needing RMW
-    /// arbitration between the endpoints.
+    /// Each bit is single-writer, so both ride packed bits without even
+    /// needing RMW arbitration between the endpoints.
     pub fn new(world: &World, name: &str, writer: usize, scanner: usize) -> Self {
         HandshakeArrow {
             flag: Swmr::new_bit(world, format!("{name}.flag"), writer, false),

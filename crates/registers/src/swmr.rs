@@ -62,7 +62,7 @@ impl<T: Clone + Send + Sync + 'static> Swmr<T> {
         self.reg.id()
     }
 
-    /// Whether the register landed on the seqlock fast plane.
+    /// Whether the register landed on a lock-free backing.
     pub fn is_fast(&self) -> bool {
         self.reg.is_fast()
     }
@@ -168,9 +168,8 @@ impl<T: Clone + Send + Sync + 'static> Swmr<T> {
 }
 
 impl<T: FastPod> Swmr<T> {
-    /// Like [`Swmr::new`] but allocates on the seqlock fast plane when the
-    /// payload fits (and the world's register plane allows it). The SWMR
-    /// discipline is unchanged.
+    /// Like [`Swmr::new`] but allocates a seqlock cell when the payload
+    /// fits. The SWMR discipline is unchanged.
     pub fn new_fast(world: &World, name: impl Into<String>, writer: usize, init: T) -> Self {
         Swmr {
             reg: world.fast_reg(name, init),
@@ -180,10 +179,10 @@ impl<T: FastPod> Swmr<T> {
 
     /// Like [`Swmr::new_fast`] but allocates lane `lane` of a shared
     /// [`ValueSlab`](bprc_sim::ValueSlab) (see
-    /// [`World::lane_reg`](bprc_sim::World::lane_reg)): under the packed
-    /// register plane, all the slab's version words are contiguous, which
-    /// is what makes the snapshot layer's batched seq validation touch
-    /// ⌈n/8⌉ cache lines. The SWMR discipline is unchanged.
+    /// [`World::lane_reg`](bprc_sim::World::lane_reg)): all the slab's
+    /// version words are contiguous, which is what makes the snapshot
+    /// layer's batched seq validation touch ⌈n/8⌉ cache lines. The SWMR
+    /// discipline is unchanged.
     pub fn new_lane(
         world: &World,
         slab: &bprc_sim::ValueSlab,
@@ -200,10 +199,9 @@ impl<T: FastPod> Swmr<T> {
 }
 
 impl Swmr<bool> {
-    /// Like [`Swmr::new_fast`] for a single bit, riding the packed
-    /// bit-plane when the world's register plane is `Packed` (see
-    /// [`World::bit_reg`](bprc_sim::World::bit_reg)). The SWMR discipline
-    /// is unchanged.
+    /// Like [`Swmr::new_fast`] for a single bit, packed into a shared
+    /// chunk (see [`World::bit_reg`](bprc_sim::World::bit_reg)). The SWMR
+    /// discipline is unchanged.
     pub fn new_bit(world: &World, name: impl Into<String>, writer: usize, init: bool) -> Self {
         Swmr {
             reg: world.bit_reg(name, init),

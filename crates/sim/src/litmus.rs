@@ -34,7 +34,7 @@
 //! [`explore`](crate::explore::ExploreConfig::explore).
 
 use crate::weakmem::WeakMode;
-use crate::world::{ProcBody, RegisterPlane, RunReport, World};
+use crate::world::{ProcBody, RunReport, World};
 
 /// One litmus program: a builder for (world, bodies) plus the forbidden
 /// outcome as a checkable property.
@@ -47,11 +47,11 @@ pub struct LitmusProgram {
     /// means the model keeps the program SC-equivalent even with store
     /// buffers (a model-soundness pin, not a gap in the corpus).
     pub found_under: &'static [WeakMode],
-    /// Builds a fresh world (on `plane`, buffering per `mode`) and the
-    /// process bodies. Registers go through
-    /// [`World::fast_reg`](crate::world::World::fast_reg) so the plane
-    /// decides the backing.
-    pub build: fn(RegisterPlane, WeakMode) -> (World, Vec<ProcBody<u64>>),
+    /// Builds a fresh world (buffering per `mode`) and the process bodies.
+    /// The store buffers sit above the register backing and the lockstep
+    /// gate serialises every granted access, so the backing cannot change
+    /// an outcome and is not a dimension of the matrix.
+    pub build: fn(WeakMode) -> (World, Vec<ProcBody<u64>>),
     /// Returns `Some(explanation)` iff the run observed the forbidden
     /// outcome.
     pub check: fn(&RunReport<u64>) -> Option<String>,
@@ -75,18 +75,15 @@ impl std::fmt::Debug for LitmusProgram {
     }
 }
 
-fn world(n: usize, plane: RegisterPlane, mode: WeakMode) -> World {
-    World::builder(n)
-        .register_plane(plane)
-        .weak_memory(mode)
-        .build()
+fn world(n: usize, mode: WeakMode) -> World {
+    World::builder(n).weak_memory(mode).build()
 }
 
 /// Store buffering (SB): `P0: x=1; r0=y` / `P1: y=1; r1=x`.
 /// Forbidden: `r0 == 0 && r1 == 0` — each read overtook the other
 /// process's (and its own, still-buffered) write.
-fn build_sb(plane: RegisterPlane, mode: WeakMode) -> (World, Vec<ProcBody<u64>>) {
-    let w = world(2, plane, mode);
+fn build_sb(mode: WeakMode) -> (World, Vec<ProcBody<u64>>) {
+    let w = world(2, mode);
     let x = w.fast_reg("x", 0u64);
     let y = w.fast_reg("y", 0u64);
     let (x0, y0) = (x.clone(), y.clone());
@@ -118,8 +115,8 @@ fn check_sb(report: &RunReport<u64>) -> Option<String> {
 /// Message passing (MP): `P0: data=1; flag=1` / `P1: rf=flag; rd=data`.
 /// P1 returns `rf * 10 + rd`; forbidden outcome is `10` — the flag was
 /// observed set while the data it publishes was still at init.
-fn build_mp(plane: RegisterPlane, mode: WeakMode) -> (World, Vec<ProcBody<u64>>) {
-    let w = world(2, plane, mode);
+fn build_mp(mode: WeakMode) -> (World, Vec<ProcBody<u64>>) {
+    let w = world(2, mode);
     let data = w.fast_reg("data", 0u64);
     let flag = w.fast_reg("flag", 0u64);
     let (data1, flag1) = (data.clone(), flag.clone());
@@ -154,8 +151,8 @@ fn check_mp(report: &RunReport<u64>) -> Option<String> {
 /// Forbidden: `r0 == 1 && r1 == 1` — each load would have to read from a
 /// write that is *po-after* the other load. Unreachable in this model
 /// under every mode: store buffers delay writes, never advance reads.
-fn build_lb(plane: RegisterPlane, mode: WeakMode) -> (World, Vec<ProcBody<u64>>) {
-    let w = world(2, plane, mode);
+fn build_lb(mode: WeakMode) -> (World, Vec<ProcBody<u64>>) {
+    let w = world(2, mode);
     let x = w.fast_reg("x", 0u64);
     let y = w.fast_reg("y", 0u64);
     let (x0, y0) = (x.clone(), y.clone());
@@ -188,8 +185,8 @@ fn check_lb(report: &RunReport<u64>) -> Option<String> {
 /// P3 says y landed before x. Unreachable here under every mode: there is
 /// one shared memory image and forwarding only covers a process's *own*
 /// stores, so the model is multi-copy atomic.
-fn build_iriw(plane: RegisterPlane, mode: WeakMode) -> (World, Vec<ProcBody<u64>>) {
-    let w = world(4, plane, mode);
+fn build_iriw(mode: WeakMode) -> (World, Vec<ProcBody<u64>>) {
+    let w = world(4, mode);
     let x = w.fast_reg("x", 0u64);
     let y = w.fast_reg("y", 0u64);
     let (x2, y2) = (x.clone(), y.clone());
@@ -239,8 +236,8 @@ fn check_iriw(report: &RunReport<u64>) -> Option<String> {
 /// forbidden outcome is both returning `2`. Under TSO/PSO both flag
 /// stores can stay buffered past both entry reads, so both gates read
 /// `flag[other] == 0` and both processes walk in.
-fn build_peterson(plane: RegisterPlane, mode: WeakMode) -> (World, Vec<ProcBody<u64>>) {
-    let w = world(2, plane, mode);
+fn build_peterson(mode: WeakMode) -> (World, Vec<ProcBody<u64>>) {
+    let w = world(2, mode);
     let flags = [w.fast_reg("flag0", 0u64), w.fast_reg("flag1", 0u64)];
     let turn = w.fast_reg("turn", 0u64);
     let bodies: Vec<ProcBody<u64>> = (0..2usize)
@@ -332,17 +329,15 @@ mod tests {
 
     #[test]
     fn programs_run_clean_under_round_robin_sc() {
-        for plane in [RegisterPlane::Packed, RegisterPlane::Locked] {
-            for prog in corpus() {
-                let (mut w, bodies) = (prog.build)(plane, WeakMode::Sc);
-                let report = w.run(bodies, Box::new(RoundRobin::new()));
-                assert_eq!(
-                    (prog.check)(&report),
-                    None,
-                    "{} observed its forbidden outcome under SC round-robin",
-                    prog.name
-                );
-            }
+        for prog in corpus() {
+            let (mut w, bodies) = (prog.build)(WeakMode::Sc);
+            let report = w.run(bodies, Box::new(RoundRobin::new()));
+            assert_eq!(
+                (prog.check)(&report),
+                None,
+                "{} observed its forbidden outcome under SC round-robin",
+                prog.name
+            );
         }
     }
 

@@ -10,40 +10,48 @@
 //! [`OpKind`] in the history, so checkers can tell at a glance whether a
 //! protocol stayed inside the paper's model.
 //!
-//! # The register planes
+//! # Backings
 //!
-//! A register handle hides one of four backings:
+//! A register handle hides one of four backings, and which one is a pure
+//! function of what the allocator is handed — there is no world-level
+//! switch, because every backing is a linearizable cell and so a faithful
+//! model of the paper's one primitive:
 //!
-//! * **Locked** — the original `parking_lot::RwLock<T>` cell. Works for any
-//!   `T: Clone`, and is what [`World::reg`](crate::world::World::reg)
-//!   allocates.
+//! | allocator | backing |
+//! |---|---|
+//! | [`World::reg`] | **Lock**, for any `T: Clone` |
+//! | [`World::fast_reg`] | **Seq** iff `T::WORDS ≤` [`MAX_FAST_WORDS`], else Lock |
+//! | [`World::fast_reg_dyn`] | **Seq** iff `1 ≤ init.dyn_words() ≤` [`MAX_FAST_WORDS_DYN`], else Lock |
+//! | [`World::bit_reg`] | **Bit**, always |
+//! | [`World::value_slab`] | a real slab iff `1 ≤ lane_words ≤` [`MAX_FAST_WORDS_DYN`], else inert |
+//! | [`World::lane_reg`] / [`World::lane_reg_dyn`] | **Lane** iff the slab is real, its stride equals the packed width and the lane exists; else as `fast_reg` / `fast_reg_dyn` |
+//!
+//! * **Lock** — a `parking_lot::RwLock<T>` cell. The wide-payload fallback,
+//!   the only backing whose [`Reg::swap`] is a true exchange on free
+//!   threads, and the oracle the equivalence tests compare the others
+//!   against.
 //! * **Seq** — a *seqlock*: the payload packed into a small array of
 //!   `AtomicU64` words guarded by an even/odd version word. Readers are
 //!   lock-free (optimistic read, retry if the version moved); writers
-//!   acquire the odd state with a CAS, so even the paper's two-writer arrow
-//!   registers are safe on this plane. Allocated by
-//!   [`World::fast_reg`](crate::world::World::fast_reg) for payloads that
-//!   implement [`FastPod`]; payloads wider than [`MAX_FAST_WORDS`] words
-//!   fall back to the locked backing transparently.
+//!   acquire the odd state with a CAS, so two writers on one cell stay
+//!   atomic.
 //! * **Bit** — a single boolean packed into one bit of a shared cache-line
 //!   chunk of atomic words ([`BIT_CHUNK_BITS`] = 512 booleans per line).
 //!   Raise/lower are `fetch_or`/`fetch_and` RMWs, so two writers on the
 //!   same bit — the paper's arrow registers — stay atomic, and neighbours
-//!   packed into the same word can never tear each other. Allocated by
-//!   [`World::bit_reg`](crate::world::World::bit_reg) under
-//!   `RegisterPlane::Packed`.
-//! * **Lane** — a seqlock lane inside a shared [`World::value_slab`]: all
-//!   `n` version words live in one contiguous array (and all payload words
-//!   in another), so a collect pass that only has to *check* versions walks
-//!   ⌈n/8⌉ cache lines instead of `n` scattered cells. Same even/odd
-//!   protocol as **Seq**, per lane.
+//!   packed into the same word can never tear each other.
+//! * **Lane** — a seqlock lane inside a shared slab: all `n` version words
+//!   live in one contiguous array (and all payload words in another), so a
+//!   collect pass that only has to *check* versions walks ⌈n/8⌉ cache lines
+//!   instead of `n` scattered cells. Same even/odd protocol as **Seq**, per
+//!   lane.
 //!
-//! Both planes sit *behind* the world's access gate, so scheduling,
+//! Every backing sits *behind* the world's access gate, so scheduling,
 //! telemetry counters and history recording are identical regardless of
-//! backing — the fast plane only changes how the granted access touches
-//! memory, never when it happens or how it is counted. In lockstep mode the
-//! gate serializes every access, so the seqlock never even retries there;
-//! it earns its keep in [`Mode::Free`](crate::world::Mode::Free), where the
+//! backing — it only changes how the granted access touches memory, never
+//! when it happens or how it is counted. In lockstep mode the gate
+//! serializes every access, so the seqlock never even retries there; it
+//! earns its keep in [`Mode::Free`](crate::world::Mode::Free), where the
 //! OS interleaves accesses for real.
 //!
 //! The seqlock is written in safe Rust (this crate is
@@ -51,6 +59,14 @@
 //! a torn *word* is impossible by construction, and the version check
 //! rejects any read window that overlapped a write — a reader can never
 //! observe a mix of two writes' words.
+//!
+//! [`World::reg`]: crate::world::World::reg
+//! [`World::fast_reg`]: crate::world::World::fast_reg
+//! [`World::fast_reg_dyn`]: crate::world::World::fast_reg_dyn
+//! [`World::bit_reg`]: crate::world::World::bit_reg
+//! [`World::value_slab`]: crate::world::World::value_slab
+//! [`World::lane_reg`]: crate::world::World::lane_reg
+//! [`World::lane_reg_dyn`]: crate::world::World::lane_reg_dyn
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -63,7 +79,7 @@ use crate::metrics::Counter;
 use crate::weakmem::BufferedStore;
 use crate::world::{Ctx, WorldInner};
 
-/// Widest payload (in 64-bit words) the seqlock plane accepts; wider
+/// Widest payload (in 64-bit words) the seqlock cell accepts; wider
 /// [`FastPod`] types fall back to the locked backing.
 pub const MAX_FAST_WORDS: usize = 4;
 
@@ -87,7 +103,7 @@ const BIT_CHUNK_WORDS: usize = 8;
 /// Single-bit registers packed per [`BitChunk`]: 8 words × 64 bits.
 pub const BIT_CHUNK_BITS: usize = BIT_CHUNK_WORDS * 64;
 
-/// Plain-old-data payloads that can ride the seqlock fast plane.
+/// Plain-old-data payloads that can ride a seqlock cell.
 ///
 /// A `FastPod` value packs into a fixed number of 64-bit words and unpacks
 /// losslessly: `unpack(pack(v)) == v`. Implementations must be pure
@@ -477,8 +493,8 @@ impl<T> LaneCell<T> {
     }
 }
 
-/// A register's storage: the locked plane (any `T`), the seqlock fast
-/// plane (small [`FastPod`] payloads), one bit of a shared [`BitChunk`], or
+/// A register's storage: the locked cell (any `T`), a seqlock cell (small
+/// [`FastPod`] / [`FastDyn`] payloads), one bit of a shared [`BitChunk`], or
 /// a lane of a shared [`LaneSlab`].
 enum Backing<T> {
     Lock(RwLock<T>),
@@ -509,8 +525,8 @@ impl<T: Clone> Backing<T> {
     }
 
     /// Applies `f` to the current value without handing out an owned clone
-    /// (the locked plane maps under the read guard; the fast plane
-    /// materializes the small payload on the stack).
+    /// (the locked cell maps under the read guard; the lock-free backings
+    /// materialize the small payload on the stack).
     #[inline]
     fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
         match self {
@@ -542,9 +558,10 @@ impl<T: Clone> Backing<T> {
     }
 
     /// Exchanges the stored value, returning the previous one. The locked
-    /// plane is a true atomic exchange (`mem::replace` under the write
-    /// lock) in both world modes; the lock-free planes load-then-store,
-    /// which is atomic only under the lockstep gate — see [`Reg::swap`].
+    /// cell is a true atomic exchange (`mem::replace` under the write
+    /// lock) in both world modes; the lock-free backings load-then-store,
+    /// which is atomic only under the lockstep gate — [`Reg::swap`] refuses
+    /// them on free threads.
     #[inline]
     fn swap_value(&self, value: T) -> T {
         match self {
@@ -788,19 +805,28 @@ impl<T: Clone + Send + Sync + 'static> Reg<T> {
     /// (an RMW drains the store buffer on every modeled architecture),
     /// then exchanges against shared memory — never against the buffer.
     ///
-    /// On the lock-free backings (seqlock/bit/lane) the exchange is
-    /// load-then-store, atomic only because the lockstep gate serializes
-    /// the whole access; for [`Mode::Free`](crate::world::Mode::Free) runs
-    /// allocate swap registers with [`World::reg`] (locked backing), where
-    /// the exchange is a true `mem::replace` under the write lock.
-    ///
-    /// [`World::reg`]: crate::world::World::reg
-    ///
     /// # Errors
     ///
     /// Returns [`Halted`] if the scheduler stopped this process.
+    ///
+    /// # Panics
+    ///
+    /// On the lock-free backings (seqlock/bit/lane) the exchange is
+    /// load-then-store, atomic only because the lockstep gate serializes
+    /// the whole access, so it panics there in
+    /// [`Mode::Free`](crate::world::Mode::Free) rather than silently lose
+    /// exchanges: allocate swap registers with [`World::reg`] (locked
+    /// backing), where the exchange is a true `mem::replace` under the
+    /// write lock.
+    ///
+    /// [`World::reg`]: crate::world::World::reg
     #[inline]
     pub fn swap(&self, ctx: &mut Ctx, value: T) -> Result<T, Halted> {
+        assert!(
+            !self.is_fast() || !ctx.inner().is_free(),
+            "Reg::swap on a lock-free backing is load-then-store, atomic only under the \
+             lockstep gate; in Mode::Free allocate swap registers with World::reg"
+        );
         let cell = Arc::clone(&self.cell);
         if ctx.inner().weak_buffering() {
             let (pid, id) = (ctx.pid(), self.id);
@@ -832,11 +858,11 @@ impl<T: Clone + Send + Sync + 'static> Reg<T> {
 }
 
 impl<T: FastPod + Clone + Send + Sync + 'static> Reg<T> {
-    /// Allocates on the fast plane when the payload fits (and the world's
-    /// register plane allows it); falls back to the locked backing
-    /// otherwise. Called via [`World::fast_reg`](crate::world::World::fast_reg).
-    pub(crate) fn new_fast(id: RegId, init: T, world: Arc<WorldInner>, allow_fast: bool) -> Self {
-        let cell = if allow_fast && T::WORDS <= MAX_FAST_WORDS {
+    /// Allocates a seqlock cell when the payload fits [`MAX_FAST_WORDS`];
+    /// falls back to the locked backing otherwise. Called via
+    /// [`World::fast_reg`](crate::world::World::fast_reg).
+    pub(crate) fn new_fast(id: RegId, init: T, world: Arc<WorldInner>) -> Self {
+        let cell = if T::WORDS <= MAX_FAST_WORDS {
             Backing::Seq(SeqCell::new(&init))
         } else {
             Backing::Lock(RwLock::new(init))
@@ -851,8 +877,7 @@ impl<T: FastPod + Clone + Send + Sync + 'static> Reg<T> {
 
 impl Reg<bool> {
     /// Allocates one bit of `chunk` (bit index `bit`, chunk-relative).
-    /// Called via [`World::bit_reg`](crate::world::World::bit_reg) under
-    /// `RegisterPlane::Packed`.
+    /// Called via [`World::bit_reg`](crate::world::World::bit_reg).
     pub(crate) fn new_bit(
         id: RegId,
         init: bool,
@@ -924,17 +949,11 @@ impl<T: FastDyn> Reg<T> {
 
     /// The runtime-width counterpart of [`new_fast`](Reg::new_fast): takes
     /// the seqlock backing when the initial value's [`FastDyn::dyn_words`]
-    /// fits [`MAX_FAST_WORDS_DYN`] (and the world's plane allows it), the
-    /// locked backing otherwise. Called via
-    /// [`World::fast_reg_dyn`](crate::world::World::fast_reg_dyn).
-    pub(crate) fn new_fast_dyn(
-        id: RegId,
-        init: T,
-        world: Arc<WorldInner>,
-        allow_fast: bool,
-    ) -> Self {
+    /// fits [`MAX_FAST_WORDS_DYN`], the locked backing otherwise. Called
+    /// via [`World::fast_reg_dyn`](crate::world::World::fast_reg_dyn).
+    pub(crate) fn new_fast_dyn(id: RegId, init: T, world: Arc<WorldInner>) -> Self {
         let w = init.dyn_words();
-        let cell = if allow_fast && w >= 1 && w <= MAX_FAST_WORDS_DYN {
+        let cell = if (1..=MAX_FAST_WORDS_DYN).contains(&w) {
             Backing::Seq(SeqCell::new_dyn(&init))
         } else {
             Backing::Lock(RwLock::new(init))
@@ -951,7 +970,7 @@ impl<T: FastDyn> Reg<T> {
 mod tests {
     use super::*;
     use crate::sched::RoundRobin;
-    use crate::world::{Mode, ProcBody, RegisterPlane, World};
+    use crate::world::{Mode, ProcBody, World};
 
     #[test]
     fn peek_poke_do_not_consume_steps() {
@@ -1018,18 +1037,96 @@ mod tests {
         })];
         let rep = w.run(bodies, Box::new(RoundRobin::new()));
         assert_eq!(rep.outputs[0], Some(10));
-        assert_eq!(rep.steps, 3, "fast-plane ops are scheduled steps too");
+        assert_eq!(rep.steps, 3, "seqlock-cell ops are scheduled steps too");
+    }
+
+    /// The allocator → backing table of the module docs, row by row.
+    #[test]
+    fn backing_follows_what_the_allocator_is_handed() {
+        #[derive(Clone)]
+        struct Wide([u64; 5]);
+        impl FastPod for Wide {
+            const WORDS: usize = 5;
+            fn pack(&self, out: &mut [u64]) {
+                out.copy_from_slice(&self.0);
+            }
+            fn unpack(words: &[u64]) -> Self {
+                Wide(words.try_into().unwrap())
+            }
+        }
+        let w = World::builder(1).build();
+        // `reg` is the locked cell even for a payload that would fit.
+        assert!(!w.reg("r", 0u64).is_fast());
+        let f = w.fast_reg("f", (1u64, 2u64, 3u64));
+        assert!(f.is_fast() && !f.is_bit() && !f.is_lane());
+        let wide = w.fast_reg("wide", Wide([7; 5]));
+        assert!(!wide.is_fast(), "5 words > MAX_FAST_WORDS");
+        assert_eq!(wide.peek().0, [7; 5]);
+        // Vec<u64> packs to 1 + len words.
+        assert!(w.fast_reg_dyn("d64", vec![0u64; 63]).is_fast());
+        assert!(!w.fast_reg_dyn("d65", vec![0u64; 64]).is_fast());
+        let b = w.bit_reg("b", true);
+        assert!(b.is_bit() && b.is_fast() && b.peek());
+
+        let slab = w.value_slab(2, 2);
+        assert!(slab.is_packed());
+        assert!(w.lane_reg(&slab, 1, "l", (0u64, 0u64)).is_lane());
+        let mismatched = w.lane_reg(&slab, 0, "m", 0u64);
+        assert!(!mismatched.is_lane() && mismatched.is_fast());
+        let past_the_end = w.lane_reg(&slab, 2, "p", (0u64, 0u64));
+        assert!(!past_the_end.is_lane() && past_the_end.is_fast());
+        let dyn_slab = w.value_slab(1, 3);
+        assert!(w.lane_reg_dyn(&dyn_slab, 0, "dl", vec![0u64; 2]).is_lane());
+        assert!(!w.lane_reg_dyn(&dyn_slab, 0, "dm", vec![0u64; 3]).is_lane());
+
+        let oversize = w.value_slab(1, MAX_FAST_WORDS_DYN + 1);
+        assert!(!oversize.is_packed());
+        let inert = w.lane_reg_dyn(&oversize, 0, "x", vec![0u64; MAX_FAST_WORDS_DYN]);
+        assert!(!inert.is_lane() && !inert.is_fast(), "65 words: locked");
+        assert!(!w.value_slab(1, 0).is_packed());
+    }
+
+    /// `World::run` contains the body's panic; the test resurfaces it.
+    #[test]
+    #[should_panic(expected = "World::reg")]
+    fn swap_on_a_lock_free_backing_panics_in_free_mode() {
+        let mut w = World::builder(1).mode(Mode::Free).build();
+        let r = w.fast_reg("r", 0u64);
+        let bodies: Vec<ProcBody<u64>> = vec![Box::new(move |ctx| r.swap(ctx, 1))];
+        let rep = w.run(bodies, Box::new(RoundRobin::new()));
+        assert_eq!(rep.outputs[0], None);
+        panic!("{}", rep.panics[0].as_deref().expect("swap must refuse"));
     }
 
     #[test]
-    fn locked_plane_knob_forces_lock_backing() {
-        let w = World::builder(1)
-            .register_plane(RegisterPlane::Locked)
+    fn swap_on_the_locked_cell_is_a_true_exchange_in_free_mode() {
+        // Two threads swap distinct values into one register as fast as
+        // they can. An atomic exchange hands every value out exactly once:
+        // the initial 0 and all but the last value stored come back from
+        // some swap, and the last one is what the register holds.
+        const PER_THREAD: u64 = 20_000;
+        let mut w = World::builder(2)
+            .mode(Mode::Free)
+            .step_limit(u64::MAX)
             .build();
-        let r = w.fast_reg("would-be-fast", 0u64);
-        assert!(!r.is_fast());
-        r.poke(3);
-        assert_eq!(r.peek(), 3);
+        let r = w.reg("r", 0u64);
+        let bodies: Vec<ProcBody<Vec<u64>>> = (0..2u64)
+            .map(|t| {
+                let r = r.clone();
+                let b: ProcBody<Vec<u64>> = Box::new(move |ctx| {
+                    (1..=PER_THREAD)
+                        .map(|k| r.swap(ctx, t * PER_THREAD + k))
+                        .collect()
+                });
+                b
+            })
+            .collect();
+        let rep = w.run(bodies, Box::new(RoundRobin::new()));
+        let mut seen: Vec<u64> = rep.outputs.into_iter().flatten().flatten().collect();
+        seen.push(r.peek());
+        seen.sort_unstable();
+        let want: Vec<u64> = (0..=2 * PER_THREAD).collect();
+        assert_eq!(seen, want, "an exchange was lost or duplicated");
     }
 
     #[test]

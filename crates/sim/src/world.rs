@@ -35,33 +35,6 @@ pub enum Mode {
     Free,
 }
 
-/// Which storage plane [`World::fast_reg`] (and the packed allocators
-/// [`World::bit_reg`] / [`World::value_slab`]) put registers on.
-///
-/// Scheduling, telemetry and history are identical on every plane — the
-/// plane only decides how a *granted* access touches memory. The `Locked`
-/// setting exists so benchmarks can measure the pre-seqlock register stack
-/// in the same binary; `Fast` keeps the pre-packing seqlock layout
-/// (individual cells, no sharing) for the same reason.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum RegisterPlane {
-    /// Cache-packed: single-bit registers share [`BIT_CHUNK_BITS`]-bit
-    /// cache-line chunks ([`World::bit_reg`]), and value slots allocated
-    /// through a [`World::value_slab`] become seqlock lanes with all
-    /// version words contiguous. Everything else behaves as `Fast`. The
-    /// default.
-    ///
-    /// [`BIT_CHUNK_BITS`]: crate::reg::BIT_CHUNK_BITS
-    #[default]
-    Packed,
-    /// Small POD payloads get an individually allocated lock-free seqlock
-    /// cell; larger payloads fall back to the locked cell. No packing.
-    Fast,
-    /// Every register uses the original `RwLock` cell, even when the
-    /// payload would fit the seqlock.
-    Locked,
-}
-
 /// The register consistency model a world simulates.
 ///
 /// Atomic (linearizable) registers are the default and match the paper's
@@ -90,9 +63,9 @@ pub type ProcBody<T> = Box<dyn FnOnce(&mut Ctx) -> Result<T, Halted> + Send + 's
 
 /// A handle on a contiguous slab of seqlock value lanes, allocated by
 /// [`World::value_slab`] and consumed by [`World::lane_reg`] /
-/// [`World::lane_reg_dyn`]. On planes other than
-/// [`RegisterPlane::Packed`] the handle is inert and lane allocation falls
-/// back to individual cells.
+/// [`World::lane_reg_dyn`]. A stride outside
+/// `1..=`[`MAX_FAST_WORDS_DYN`](crate::reg::MAX_FAST_WORDS_DYN) makes the
+/// handle inert, and lane allocation falls back to individual cells.
 pub struct ValueSlab {
     lane_words: usize,
     slab: Option<Arc<crate::reg::LaneSlab>>,
@@ -100,7 +73,7 @@ pub struct ValueSlab {
 
 impl ValueSlab {
     /// Whether lanes allocated from this slab actually share the packed
-    /// layout (false on non-`Packed` planes or oversized strides).
+    /// layout (false for an inert, out-of-range stride).
     pub fn is_packed(&self) -> bool {
         self.slab.is_some()
     }
@@ -225,7 +198,6 @@ pub(crate) struct WorldInner {
     step_limit: u64,
     record: bool,
     seed: u64,
-    plane: RegisterPlane,
     /// The simulated memory model (store buffers when not
     /// [`WeakMode::Sc`]; lockstep only).
     weak: WeakMode,
@@ -380,6 +352,12 @@ impl WorldInner {
         c.granted = None;
         self.sched_cv.notify_one();
         Ok(r)
+    }
+
+    /// Whether accesses run on free OS threads rather than under the
+    /// lockstep gate.
+    pub(crate) fn is_free(&self) -> bool {
+        self.mode == Mode::Free
     }
 
     /// Whether granted writes go through store buffers: a weak memory
@@ -767,7 +745,6 @@ pub struct WorldBuilder {
     step_limit: u64,
     seed: u64,
     record: bool,
-    plane: RegisterPlane,
     trace_capacity: usize,
     weak: WeakMode,
     reg_mode: RegMode,
@@ -795,14 +772,6 @@ impl WorldBuilder {
     /// Enables or disables history recording (default enabled; lockstep only).
     pub fn record_history(mut self, record: bool) -> Self {
         self.record = record;
-        self
-    }
-
-    /// Selects the storage plane for [`World::fast_reg`] /
-    /// [`World::bit_reg`] / [`World::value_slab`] allocations
-    /// (default [`RegisterPlane::Packed`]).
-    pub fn register_plane(mut self, plane: RegisterPlane) -> Self {
-        self.plane = plane;
         self
     }
 
@@ -861,7 +830,6 @@ impl WorldBuilder {
                 step_limit: self.step_limit,
                 record: self.record,
                 seed: self.seed,
-                plane: self.plane,
                 weak: self.weak,
                 reg_mode: self.reg_mode,
                 central: Mutex::new(Central {
@@ -918,7 +886,6 @@ impl World {
             step_limit: 10_000_000,
             seed: 0,
             record: true,
-            plane: RegisterPlane::default(),
             trace_capacity: DEFAULT_RING_CAPACITY,
             weak: WeakMode::Sc,
             reg_mode: RegMode::Atomic,
@@ -967,7 +934,17 @@ impl World {
         &self.inner.metrics
     }
 
-    /// Allocates a fresh linearizable register initialized to `init`.
+    /// Records a new register's name; its position is the register's id.
+    fn name_reg(&self, name: impl Into<String>) -> RegId {
+        let mut names = self.inner.reg_names.lock();
+        names.push(name.into());
+        names.len() - 1
+    }
+
+    /// Allocates a fresh linearizable register initialized to `init`, on
+    /// the locked cell — any `T: Clone`, and the oracle the lock-free
+    /// backings are tested against. [`crate::reg`] has the whole
+    /// allocator → backing table.
     ///
     /// The `name` shows up in debugging output and history dumps.
     pub fn reg<T: Clone + Send + Sync + 'static>(
@@ -975,52 +952,35 @@ impl World {
         name: impl Into<String>,
         init: T,
     ) -> crate::reg::Reg<T> {
-        let mut names = self.inner.reg_names.lock();
-        let id = names.len();
-        names.push(name.into());
-        crate::reg::Reg::new(id, init, Arc::clone(&self.inner))
+        crate::reg::Reg::new(self.name_reg(name), init, Arc::clone(&self.inner))
     }
 
-    /// Allocates a register on the seqlock fast plane when the payload is a
-    /// small [`FastPod`](crate::reg::FastPod) (and the world's
-    /// [`RegisterPlane`] allows it); otherwise identical to [`World::reg`].
+    /// Allocates a register on a seqlock cell when the
+    /// [`FastPod`](crate::reg::FastPod) payload packs into at most
+    /// [`MAX_FAST_WORDS`](crate::reg::MAX_FAST_WORDS) words; otherwise
+    /// identical to [`World::reg`].
     ///
     /// Access semantics — scheduling, counters, recorded history — do not
-    /// depend on which plane the register lands on.
+    /// depend on which backing the register lands on.
     pub fn fast_reg<T: crate::reg::FastPod>(
         &self,
         name: impl Into<String>,
         init: T,
     ) -> crate::reg::Reg<T> {
-        let mut names = self.inner.reg_names.lock();
-        let id = names.len();
-        names.push(name.into());
-        crate::reg::Reg::new_fast(
-            id,
-            init,
-            Arc::clone(&self.inner),
-            self.inner.plane != RegisterPlane::Locked,
-        )
+        crate::reg::Reg::new_fast(self.name_reg(name), init, Arc::clone(&self.inner))
     }
 
-    /// Allocates a single-bit register. Under [`RegisterPlane::Packed`]
-    /// the bit lands in a shared cache-line chunk
+    /// Allocates a single-bit register: the bit lands in a shared
+    /// cache-line chunk
     /// ([`BIT_CHUNK_BITS`](crate::reg::BIT_CHUNK_BITS) booleans per line;
     /// mutation is `fetch_or`/`fetch_and`, so even two-writer bits — the
     /// paper's arrows — stay atomic and neighbours cannot tear each
-    /// other). On the other planes this is identical to
-    /// [`World::fast_reg`] / [`World::reg`].
+    /// other).
     ///
-    /// Access semantics — scheduling, counters, recorded history — do not
-    /// depend on which plane the register lands on.
+    /// Access semantics — scheduling, counters, recorded history — are
+    /// those of any other register.
     pub fn bit_reg(&self, name: impl Into<String>, init: bool) -> crate::reg::Reg<bool> {
-        if self.inner.plane != RegisterPlane::Packed {
-            return self.fast_reg(name, init);
-        }
-        let mut names = self.inner.reg_names.lock();
-        let id = names.len();
-        names.push(name.into());
-        drop(names);
+        let id = self.name_reg(name);
         let mut alloc = self.inner.bit_alloc.lock();
         let chunk = match &alloc.chunk {
             Some(c) if alloc.used < crate::reg::BIT_CHUNK_BITS => Arc::clone(c),
@@ -1044,15 +1004,13 @@ impl World {
     /// [`Reg::read_changed`](crate::reg::Reg::read_changed) touches
     /// ⌈lanes/8⌉ cache lines instead of `lanes` scattered cells.
     ///
-    /// On planes other than [`RegisterPlane::Packed`] (or when
-    /// `lane_words` exceeds
-    /// [`MAX_FAST_WORDS_DYN`](crate::reg::MAX_FAST_WORDS_DYN)) the slab is
-    /// inert and the lane allocators fall back to [`World::fast_reg`]-style
-    /// individual cells — a representation knob, never a semantics change.
+    /// When `lane_words` is outside
+    /// `1..=`[`MAX_FAST_WORDS_DYN`](crate::reg::MAX_FAST_WORDS_DYN) the
+    /// slab is inert and the lane allocators fall back to
+    /// [`World::fast_reg`]-style individual cells — a change of
+    /// representation, never of semantics.
     pub fn value_slab(&self, lanes: usize, lane_words: usize) -> ValueSlab {
-        let packed = self.inner.plane == RegisterPlane::Packed
-            && lane_words >= 1
-            && lane_words <= crate::reg::MAX_FAST_WORDS_DYN;
+        let packed = (1..=crate::reg::MAX_FAST_WORDS_DYN).contains(&lane_words);
         ValueSlab {
             lane_words,
             slab: packed.then(|| Arc::new(crate::reg::LaneSlab::new(lanes, lane_words))),
@@ -1071,10 +1029,7 @@ impl World {
     ) -> crate::reg::Reg<T> {
         match &slab.slab {
             Some(s) if T::WORDS == slab.lane_words && lane < s.lanes() => {
-                let mut names = self.inner.reg_names.lock();
-                let id = names.len();
-                names.push(name.into());
-                drop(names);
+                let id = self.name_reg(name);
                 crate::reg::Reg::new_lane(id, init, Arc::clone(&self.inner), Arc::clone(s), lane)
             }
             _ => self.fast_reg(name, init),
@@ -1094,10 +1049,7 @@ impl World {
     ) -> crate::reg::Reg<T> {
         match &slab.slab {
             Some(s) if init.dyn_words() == slab.lane_words && lane < s.lanes() => {
-                let mut names = self.inner.reg_names.lock();
-                let id = names.len();
-                names.push(name.into());
-                drop(names);
+                let id = self.name_reg(name);
                 crate::reg::Reg::new_lane_dyn(
                     id,
                     init,
@@ -1110,29 +1062,20 @@ impl World {
         }
     }
 
-    /// Allocates a register on the seqlock fast plane when the payload's
-    /// *runtime* packed width ([`FastDyn`](crate::reg::FastDyn)) fits
-    /// [`MAX_FAST_WORDS_DYN`](crate::reg::MAX_FAST_WORDS_DYN) (and the
-    /// world's [`RegisterPlane`] allows it); otherwise identical to
-    /// [`World::reg`]. The width is fixed by `init`: every later write must
-    /// pack to the same number of words.
+    /// Allocates a register on a seqlock cell when the payload's *runtime*
+    /// packed width ([`FastDyn`](crate::reg::FastDyn)) fits
+    /// [`MAX_FAST_WORDS_DYN`](crate::reg::MAX_FAST_WORDS_DYN); otherwise
+    /// identical to [`World::reg`]. The width is fixed by `init`: every
+    /// later write must pack to the same number of words.
     ///
     /// Access semantics — scheduling, counters, recorded history — do not
-    /// depend on which plane the register lands on.
+    /// depend on which backing the register lands on.
     pub fn fast_reg_dyn<T: crate::reg::FastDyn>(
         &self,
         name: impl Into<String>,
         init: T,
     ) -> crate::reg::Reg<T> {
-        let mut names = self.inner.reg_names.lock();
-        let id = names.len();
-        names.push(name.into());
-        crate::reg::Reg::new_fast_dyn(
-            id,
-            init,
-            Arc::clone(&self.inner),
-            self.inner.plane != RegisterPlane::Locked,
-        )
+        crate::reg::Reg::new_fast_dyn(self.name_reg(name), init, Arc::clone(&self.inner))
     }
 
     /// Runs `n` process bodies to completion under `strategy`.

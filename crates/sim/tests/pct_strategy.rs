@@ -1,22 +1,31 @@
 //! Distribution sanity for the PCT strategy (Burckhardt et al.): priority
 //! assignments are fair across seeds, the d=0 degenerate case is strict
-//! priority scheduling, and the strategy behaves identically on both
-//! register planes.
+//! priority scheduling, and the strategy behaves identically over seqlock
+//! cells and the locked cells they are tested against.
 
 use bprc_sim::sched::PctStrategy;
 use bprc_sim::world::{ProcBody, World};
-use bprc_sim::RegisterPlane;
+use bprc_sim::Reg;
 
 const N: usize = 4;
 const SEEDS: u64 = 50;
 
+/// Allocates one of the workload's registers, on the backing under test.
+type Alloc = fn(&World, String) -> Reg<u64>;
+
+/// Seqlock cells, and the locked oracle.
+const BACKINGS: [(&str, Alloc); 2] = [
+    ("fast_reg", |w, name| w.fast_reg(name, 0u64)),
+    ("reg", |w, name| w.reg(name, 0u64)),
+];
+
 /// Each process bumps its own counter register a few times and reads a
 /// shared register, so every pid has observable scheduled work.
-fn bodies(w: &World) -> Vec<ProcBody<u64>> {
-    let shared = w.fast_reg("shared", 0u64);
+fn bodies(w: &World, alloc: Alloc) -> Vec<ProcBody<u64>> {
+    let shared = alloc(w, "shared".into());
     (0..N)
         .map(|pid| {
-            let own = w.fast_reg(format!("c{pid}"), 0u64);
+            let own = alloc(w, format!("c{pid}"));
             let shared = shared.clone();
             let b: ProcBody<u64> = Box::new(move |ctx| {
                 let mut last = 0;
@@ -31,25 +40,25 @@ fn bodies(w: &World) -> Vec<ProcBody<u64>> {
         .collect()
 }
 
-/// Across 50 seeds and both register planes: every pid gets scheduled
+/// Across 50 seeds and both backings: every pid gets scheduled
 /// (takes steps and finishes), i.e. no priority assignment starves anyone
 /// forever on a finite workload.
 #[test]
-fn every_pid_is_eventually_scheduled_across_seeds_and_planes() {
-    for plane in [RegisterPlane::Fast, RegisterPlane::Locked] {
+fn every_pid_is_eventually_scheduled_across_seeds_and_backings() {
+    for (backing, alloc) in BACKINGS {
         for seed in 0..SEEDS {
-            let mut w = World::builder(N).seed(0).register_plane(plane).build();
-            let bodies = bodies(&w);
+            let mut w = World::builder(N).seed(0).build();
+            let bodies = bodies(&w, alloc);
             let rep = w.run(bodies, Box::new(PctStrategy::new(seed, N, 3, 100)));
             assert_eq!(
                 rep.decided_count(),
                 N,
-                "plane {plane:?} seed {seed}: a pid never finished"
+                "{backing} seed {seed}: a pid never finished"
             );
             for pid in 0..N {
                 assert!(
                     rep.per_proc_steps[pid] > 0,
-                    "plane {plane:?} seed {seed}: pid {pid} was never granted a step"
+                    "{backing} seed {seed}: pid {pid} was never granted a step"
                 );
             }
         }
@@ -83,15 +92,15 @@ fn priority_assignments_are_permutations_and_unbiased() {
 /// blocks appear in descending initial priority.
 #[test]
 fn zero_change_points_degenerate_to_strict_priority_order() {
-    for plane in [RegisterPlane::Fast, RegisterPlane::Locked] {
+    for (backing, alloc) in BACKINGS {
         for seed in 0..SEEDS {
             let strat = PctStrategy::new(seed, N, 0, 100);
             let prios = strat.priorities().to_vec();
             let mut expect: Vec<usize> = (0..N).collect();
             expect.sort_by_key(|&p| std::cmp::Reverse(prios[p]));
 
-            let mut w = World::builder(N).seed(0).register_plane(plane).build();
-            let bodies = bodies(&w);
+            let mut w = World::builder(N).seed(0).build();
+            let bodies = bodies(&w, alloc);
             let rep = w.run(bodies, Box::new(strat));
             let grant_pids: Vec<usize> = rep
                 .history
@@ -110,28 +119,28 @@ fn zero_change_points_degenerate_to_strict_priority_order() {
             }
             assert_eq!(
                 blocks, expect,
-                "plane {plane:?} seed {seed}: d=0 must serialize by priority"
+                "{backing} seed {seed}: d=0 must serialize by priority"
             );
         }
     }
 }
 
-/// The plane knob is invisible to PCT: identical seeds produce identical
-/// outputs, steps, and op sequences on Fast and Locked.
+/// The backing is invisible to PCT: identical seeds produce identical
+/// outputs, steps, and op sequences over `fast_reg` and `reg`.
 #[test]
-fn pct_runs_identically_on_both_planes() {
-    let run = |plane: RegisterPlane, seed: u64| {
-        let mut w = World::builder(N).seed(0).register_plane(plane).build();
-        let bodies = bodies(&w);
+fn pct_runs_identically_on_both_backings() {
+    let run = |alloc: Alloc, seed: u64| {
+        let mut w = World::builder(N).seed(0).build();
+        let bodies = bodies(&w, alloc);
         let rep = w.run(bodies, Box::new(PctStrategy::new(seed, N, 2, 60)));
         let ops: Vec<_> = rep.history.as_ref().unwrap().ops().collect();
         (rep.outputs.clone(), rep.steps, ops)
     };
     for seed in 0..SEEDS {
         assert_eq!(
-            run(RegisterPlane::Fast, seed),
-            run(RegisterPlane::Locked, seed),
-            "seed {seed}: plane changed PCT-observable behaviour"
+            run(BACKINGS[0].1, seed),
+            run(BACKINGS[1].1, seed),
+            "seed {seed}: backing changed PCT-observable behaviour"
         );
     }
 }

@@ -1,16 +1,17 @@
-//! Adversarial coverage for the seqlock-backed fast register plane.
+//! Adversarial coverage for the lock-free register backings.
 //!
-//! The fast plane replaces the `RwLock` cell with a word-packed seqlock
+//! `fast_reg` replaces the `RwLock` cell with a word-packed seqlock
 //! (`reg.rs`). Its one safety obligation is atomicity of the visible value:
 //! a reader must never observe a mix of two different writes. These tests
 //! attack that from three directions — real OS-thread races in free mode,
-//! adversarial lockstep schedules across many seeds, and a cross-plane
-//! equivalence check that the plane is invisible to scheduling, telemetry,
-//! and history recording.
+//! adversarial lockstep schedules across many seeds, and a cross-backing
+//! equivalence check (seqlock cell, slab lane and packed bit, each against
+//! the locked cell `reg` allocates) that the backing is invisible to
+//! scheduling, telemetry, and history recording.
 
 use bprc_sim::sched::{RandomStrategy, RoundRobin};
 use bprc_sim::world::{Mode, ProcBody, World};
-use bprc_sim::{Counter, RegisterPlane};
+use bprc_sim::{Counter, Reg};
 
 /// A value whose two halves must always agree: the writer only ever stores
 /// `(k, 3k)`, so any observed pair with `b != 3a` is a torn read.
@@ -71,7 +72,7 @@ fn free_threads_never_observe_torn_pairs_across_seeds() {
 
 /// Lockstep with a randomized adversary across 100+ seeds: the writer bursts
 /// mid-run while readers interleave at every granted step. Lockstep grants
-/// ops one at a time, so this checks the fast plane preserves per-op
+/// ops one at a time, so this checks the seqlock cell preserves per-op
 /// atomicity under every schedule the adversary picks — and that `peek`
 /// (which bypasses scheduling entirely) also never sees a torn pair.
 #[test]
@@ -107,14 +108,15 @@ fn random_lockstep_schedules_never_observe_torn_pairs() {
     }
 }
 
-/// The register plane is a memory-representation knob only: the same seeded
-/// run on the fast plane and the locked plane must produce identical outputs,
-/// step counts, telemetry counters, and recorded histories.
+/// The backing is a memory representation only: the same seeded run on a
+/// seqlock cell (`fast_reg`) and on the locked cell (`reg`) must produce
+/// identical outputs, step counts, telemetry counters, and recorded
+/// histories.
 #[test]
-fn fast_and_locked_planes_are_observationally_identical() {
-    let run = |plane: RegisterPlane, seed: u64| {
-        let mut w = World::builder(3).seed(seed).register_plane(plane).build();
-        let r = w.fast_reg("pair", pair(0));
+fn seqlock_and_locked_cells_are_observationally_identical() {
+    let run = |alloc: fn(&World) -> Reg<(u64, u64)>, seed: u64| {
+        let mut w = World::builder(3).seed(seed).build();
+        let r = alloc(&w);
         let bodies: Vec<ProcBody<u64>> = (0..3)
             .map(|i| {
                 let r = r.clone();
@@ -140,102 +142,124 @@ fn fast_and_locked_planes_are_observationally_identical() {
         (rep.outputs.clone(), rep.steps, ops, reads, writes)
     };
     for seed in [0, 1, 7, 42, 99] {
-        let fast = run(RegisterPlane::Fast, seed);
-        let locked = run(RegisterPlane::Locked, seed);
+        let fast = run(|w| w.fast_reg("pair", pair(0)), seed);
+        let locked = run(|w| w.reg("pair", pair(0)), seed);
         assert_eq!(
             fast, locked,
-            "seed {seed}: plane changed observable behaviour"
+            "seed {seed}: backing changed observable behaviour"
         );
     }
 }
 
-/// Exhaustive schedule exploration on the fast plane: every interleaving of
-/// a writer/reader pair (n=2 DFS via `bprc_sim::explore`) yields untorn
-/// reads, and the per-schedule observables — outputs, step counts, recorded
-/// ops — are identical to the Locked plane, schedule by schedule. This is
-/// the strongest form of the plane-equivalence claim: not just along sampled
-/// seeds but along *all* schedules of the bounded workload.
-#[test]
-fn exhaustive_exploration_is_plane_invariant() {
+/// Per-schedule observables of one explored run: outputs, step count,
+/// recorded history.
+type Fingerprint = (Vec<Option<u64>>, u64, String);
+
+/// Enumerates every interleaving of a writer storing `vals[1..]` into the
+/// register `alloc` makes (initially `vals[0]`) against a reader reading it
+/// three times (n=2 DFS via `bprc_sim::explore`). `encode` flattens a read
+/// value to a digit — and may assert it untorn — so the reader's output
+/// spells out everything it saw.
+fn explore_cell<T: Clone + Send + Sync + 'static>(
+    what: &str,
+    alloc: impl Fn(&World, T) -> Reg<T>,
+    vals: [T; 4],
+    encode: fn(T) -> u64,
+) -> (Vec<Fingerprint>, u64) {
     use bprc_sim::explore::{explore, ExploreConfig};
 
-    let explore_plane = |plane: RegisterPlane| {
-        let factory = move || {
-            let w = World::builder(2).seed(0).register_plane(plane).build();
-            let r = w.fast_reg("pair", pair(0));
-            let writer = {
-                let r = r.clone();
-                let b: ProcBody<u64> = Box::new(move |ctx| {
-                    for k in 1..=3u64 {
-                        r.write(ctx, pair(k))?;
-                    }
-                    Ok(0)
-                });
-                b
-            };
-            let reader = {
-                let r = r.clone();
-                let b: ProcBody<u64> = Box::new(move |ctx| {
-                    let mut last = (0, 0);
-                    for _ in 0..3 {
-                        last = r.read(ctx)?;
-                        assert_untorn(last);
-                    }
-                    Ok(last.0)
-                });
-                b
-            };
-            (w, vec![writer, reader])
+    let factory = || {
+        let w = World::builder(2).seed(0).build();
+        let r = alloc(&w, vals[0].clone());
+        let writer = {
+            let r = r.clone();
+            let stores = vals[1..].to_vec();
+            let b: ProcBody<u64> = Box::new(move |ctx| {
+                for v in stores {
+                    r.write(ctx, v)?;
+                }
+                Ok(0)
+            });
+            b
         };
-        let mut fingerprints: Vec<(Vec<Option<u64>>, u64, String)> = Vec::new();
-        let rep = explore(&ExploreConfig::default(), factory, |r| {
-            fingerprints.push((
-                r.outputs.clone(),
-                r.steps,
-                r.history.as_ref().unwrap().to_jsonl(),
-            ));
-            None
+        let reader: ProcBody<u64> = Box::new(move |ctx| {
+            let mut seen = 0;
+            for _ in 0..3 {
+                seen = seen * 10 + encode(r.read(ctx)?);
+            }
+            Ok(seen)
         });
-        assert!(rep.exhausted, "plane {plane:?}: space must be enumerated");
-        assert!(rep.violation.is_none());
-        (fingerprints, rep.schedules)
+        (w, vec![writer, reader])
     };
-
-    let (fast, fast_n) = explore_plane(RegisterPlane::Fast);
-    let (locked, locked_n) = explore_plane(RegisterPlane::Locked);
-    // 3 writes vs 3 reads of one register: C(6,3) = 20 interleavings, all
-    // dependent (no pruning applies between a write and anything).
-    assert_eq!(fast_n, 20, "writer/reader pair has C(6,3) schedules");
-    assert_eq!(fast_n, locked_n);
-    assert_eq!(
-        fast, locked,
-        "some schedule distinguishes the planes observationally"
-    );
+    let mut fingerprints: Vec<Fingerprint> = Vec::new();
+    let rep = explore(&ExploreConfig::default(), factory, |r| {
+        fingerprints.push((
+            r.outputs.clone(),
+            r.steps,
+            r.history.as_ref().unwrap().to_jsonl(),
+        ));
+        None
+    });
+    assert!(rep.exhausted, "{what}: space must be enumerated");
+    assert!(rep.violation.is_none());
+    (fingerprints, rep.schedules)
 }
 
-/// Large payloads silently take the lock backing; the fast constructor must
-/// still behave identically to `reg` for them.
+/// Exhaustive schedule exploration of every lock-free backing against the
+/// locked cell: along *all* schedules of the bounded workload — not just
+/// sampled seeds — a seqlock cell (`fast_reg`), a slab lane (`lane_reg`)
+/// and a packed bit (`bit_reg`) yield untorn reads and per-schedule
+/// observables identical to `reg`'s, schedule by schedule. The arrows are
+/// always bit-packed and `alloc_fast` always takes lanes, so this is where
+/// those two backings meet their locked oracle.
 #[test]
-fn oversized_payloads_fall_back_to_the_locked_cell() {
-    let mut w = World::builder(1).build();
-    // A 5-word tuple is over MAX_FAST_WORDS on the packing side — the type
-    // doesn't implement FastPod at all, so `reg` is the only route; check
-    // the fast route's fallback knob instead via the Locked plane.
-    let mut wl = World::builder(1)
-        .register_plane(RegisterPlane::Locked)
-        .build();
-    let rf = w.fast_reg("x", (1u64, 2u64));
-    let rl = wl.fast_reg("x", (1u64, 2u64));
-    assert!(rf.is_fast());
-    assert!(!rl.is_fast(), "Locked plane must force the RwLock backing");
-    let bodies = |r: bprc_sim::Reg<(u64, u64)>| -> Vec<ProcBody<(u64, u64)>> {
-        vec![Box::new(move |ctx| {
-            r.write(ctx, (7, 21))?;
-            r.read(ctx)
-        })]
+fn exhaustive_exploration_is_backing_invariant() {
+    let pairs = [pair(0), pair(1), pair(2), pair(3)];
+    let pair_digit = |v: (u64, u64)| {
+        assert_untorn(v);
+        v.0
     };
-    let a = w.run(bodies(rf), Box::new(RoundRobin::new()));
-    let b = wl.run(bodies(rl), Box::new(RoundRobin::new()));
-    assert_eq!(a.outputs, b.outputs);
-    assert_eq!(a.steps, b.steps);
+    let (locked, locked_n) = explore_cell("reg", |w, v| w.reg("cell", v), pairs, pair_digit);
+    // 3 writes vs 3 reads of one register: C(6,3) = 20 interleavings, all
+    // dependent (no pruning applies between a write and anything).
+    assert_eq!(locked_n, 20, "writer/reader pair has C(6,3) schedules");
+    let (fast, fast_n) = explore_cell(
+        "fast_reg",
+        |w, v| {
+            let r = w.fast_reg("cell", v);
+            assert!(r.is_fast() && !r.is_lane());
+            r
+        },
+        pairs,
+        pair_digit,
+    );
+    let (lane, lane_n) = explore_cell(
+        "lane_reg",
+        |w, v| {
+            let r = w.lane_reg(&w.value_slab(1, 2), 0, "cell", v);
+            assert!(r.is_lane());
+            r
+        },
+        pairs,
+        pair_digit,
+    );
+    assert_eq!((fast_n, lane_n), (locked_n, locked_n));
+    assert_eq!(fast, locked, "some schedule tells a seqlock cell from reg");
+    assert_eq!(lane, locked, "some schedule tells a slab lane from reg");
+
+    let bits = [false, true, false, true];
+    let (locked_bit, locked_bit_n) =
+        explore_cell("reg<bool>", |w, v| w.reg("cell", v), bits, u64::from);
+    let (bit, bit_n) = explore_cell(
+        "bit_reg",
+        |w, v| {
+            let r = w.bit_reg("cell", v);
+            assert!(r.is_bit());
+            r
+        },
+        bits,
+        u64::from,
+    );
+    assert_eq!(bit_n, locked_bit_n);
+    assert_eq!(bit, locked_bit, "some schedule tells a packed bit from reg");
 }

@@ -91,9 +91,9 @@ where
     fn alloc(world: &World, n: usize, init: T) -> Self;
 
     /// Like [`alloc`](SnapshotBackend::alloc) but puts the value registers
-    /// on the world's seqlock fast plane where the payload fits; falls back
-    /// to the locked cells transparently (a representation knob, never a
-    /// semantics change).
+    /// on seqlock lanes where the payload fits; falls back to the locked
+    /// cells transparently (a change of representation, never of
+    /// semantics).
     fn alloc_fast(world: &World, n: usize, init: T) -> Self
     where
         T: FastPod;

@@ -44,10 +44,10 @@ impl<T: Clone + Send + Sync + 'static> crate::collect::SeqSlot for Slot<T> {
     }
 }
 
-/// Slots of small POD payloads can ride the seqlock register plane: the
-/// packed layout is the payload words, then the toggle, then the ghost seq.
-/// Slots too wide for the plane ([`bprc_sim::MAX_FAST_WORDS`] words)
-/// transparently keep the locked backing — the fast constructor checks.
+/// Slots of small POD payloads can ride the seqlock backings: the packed
+/// layout is the payload words, then the toggle, then the ghost seq. Slots
+/// too wide for the backing they are handed to (the table in
+/// [`bprc_sim::reg`]) transparently keep the locked one.
 impl<T: FastPod> FastPod for Slot<T> {
     const WORDS: usize = T::WORDS + 2;
 
@@ -141,15 +141,14 @@ where
         Self::build(world, n, init, Swmr::new)
     }
 
-    /// Like [`ScannableMemory::new`], but allocates the value registers on
-    /// the world's fast register plane — as lanes of one shared
-    /// [`value slab`](World::value_slab), so under the packed plane the `n`
+    /// Like [`ScannableMemory::new`], but allocates the value registers as
+    /// lanes of one shared [`value slab`](World::value_slab), so the `n`
     /// seqlock version words sit contiguously and a steady collect's
     /// batched validation sweeps ⌈n/8⌉ cache lines instead of `n`.
-    /// Payloads whose packed slot exceeds the plane's width — and worlds
-    /// built with `RegisterPlane::Locked` — transparently keep the locked
-    /// cells, so this only ever changes the memory representation, never
-    /// semantics.
+    /// Payloads whose packed slot exceeds a lane's widest stride
+    /// ([`bprc_sim::MAX_FAST_WORDS_DYN`] words) transparently keep the
+    /// locked cells, so this only ever changes the memory representation,
+    /// never semantics.
     pub fn new_fast(world: &World, n: usize, init: T) -> Self
     where
         T: FastPod,
@@ -619,10 +618,8 @@ where
     /// fresh collect vectors every attempt, full second collect, full arrow
     /// re-read, every register access a plain one-shot `read` that clones
     /// the whole slot — no version tokens, no buffer reuse, no early exits.
-    /// The equivalence tests check the optimized scans against it, and the
-    /// throughput bench's "before" configuration measures it (on the locked
-    /// register plane) for an honest before/after comparison. Not part of
-    /// the supported API.
+    /// The equivalence tests check the optimized scans against it. Not part
+    /// of the supported API.
     ///
     /// # Errors
     ///

@@ -58,15 +58,15 @@ impl<T: Clone + Send + Sync + 'static> crate::collect::SeqSlot for WfSlot<T> {
     }
 }
 
-/// Slots of small POD payloads can ride the seqlock register plane — but
+/// Slots of small POD payloads can ride the seqlock backings — but
 /// unlike the bounded construction's [`crate::memory`] slots, a `WfSlot`'s
 /// packed width depends on `n` (the embedded view has one entry per
 /// process), so it takes the *runtime-width* [`FastDyn`] route. Layout:
 /// payload words, seq, view length, then `(payload words, seq)` per view
 /// entry. Every slot written to a given register packs to the same width
-/// because the view always has exactly `n` entries. Slots too wide for the
-/// dynamic plane ([`bprc_sim::MAX_FAST_WORDS_DYN`] words) transparently
-/// keep the locked backing — the fast constructor checks.
+/// because the view always has exactly `n` entries. Slots wider than
+/// [`bprc_sim::MAX_FAST_WORDS_DYN`] words transparently keep the locked
+/// backing — the fast constructor checks.
 impl<T: FastPod> FastDyn for WfSlot<T> {
     fn dyn_words(&self) -> usize {
         T::WORDS + 2 + self.view.len() * (T::WORDS + 1)
@@ -172,16 +172,15 @@ where
         }
     }
 
-    /// Like [`new`](WaitFreeSnapshot::new) but puts the registers on the
-    /// world's fast register plane when the packed slot — payload, seq, and
-    /// the `n`-entry embedded view — fits in
-    /// [`bprc_sim::MAX_FAST_WORDS_DYN`] words; wider slots transparently
-    /// keep the locked backing. The registers are lanes of one shared
-    /// [`value slab`](World::value_slab), so under the packed plane the
+    /// Like [`new`](WaitFreeSnapshot::new) but puts the registers on
+    /// seqlock lanes when the packed slot — payload, seq, and the `n`-entry
+    /// embedded view — fits in [`bprc_sim::MAX_FAST_WORDS_DYN`] words;
+    /// wider slots transparently keep the locked backing. The registers are
+    /// lanes of one shared [`value slab`](World::value_slab), so the
     /// version words the batched collect validation sweeps are contiguous.
-    /// A representation knob, never a semantics change: the
-    /// `fast_and_locked_planes_are_observationally_identical` test pins
-    /// observational identity across planes.
+    /// A change of representation, never of semantics: the
+    /// `fast_and_locked_cells_are_observationally_identical` test pins
+    /// observational identity against [`new`](WaitFreeSnapshot::new).
     pub fn new_fast(world: &World, n: usize, init: T) -> Self
     where
         T: FastPod,
@@ -720,23 +719,20 @@ mod tests {
     }
 
     /// The mirror of the sim-level seqlock equivalence test
-    /// (`fast_and_locked_planes_are_observationally_identical` in
-    /// `crates/sim/tests/seqlock_adversarial.rs`), one layer up: a
-    /// [`WaitFreeSnapshot::new_fast`] workload run on the seqlock plane and
-    /// the locked plane must produce identical outputs, step counts,
-    /// recorded register ops, and scan statistics. WfSlot<u64> at n=3 packs
-    /// to 9 words, comfortably on the dynamic fast path.
+    /// (`seqlock_and_locked_cells_are_observationally_identical` in
+    /// `crates/sim/tests/seqlock_adversarial.rs`), one layer up: the same
+    /// workload over [`WaitFreeSnapshot::new_fast`] (slab lanes) and
+    /// [`WaitFreeSnapshot::new`] (locked cells) must produce identical
+    /// outputs, step counts, recorded register ops, and scan statistics.
+    /// WfSlot<u64> at n=3 packs to 9 words, comfortably on the dynamic fast
+    /// path.
     #[test]
-    fn fast_and_locked_planes_are_observationally_identical() {
-        use bprc_sim::RegisterPlane;
-        let run = |plane: RegisterPlane, seed: u64| {
+    fn fast_and_locked_cells_are_observationally_identical() {
+        type New = fn(&World, usize, u64) -> WaitFreeSnapshot<u64>;
+        let run = |new: New, seed: u64| {
             let n = 3;
-            let mut world = World::builder(n)
-                .seed(seed)
-                .register_plane(plane)
-                .step_limit(2_000_000)
-                .build();
-            let snap = WaitFreeSnapshot::<u64>::new_fast(&world, n, 0);
+            let mut world = World::builder(n).seed(seed).step_limit(2_000_000).build();
+            let snap = new(&world, n, 0);
             let meta = snap.meta();
             let bodies: Vec<ProcBody<Vec<u64>>> = (0..n)
                 .map(|i| {
@@ -769,11 +765,11 @@ mod tests {
             (rep.outputs.clone(), rep.steps, ops, stats)
         };
         for seed in [0u64, 1, 7, 42, 99] {
-            let fast = run(RegisterPlane::Fast, seed);
-            let locked = run(RegisterPlane::Locked, seed);
+            let fast = run(WaitFreeSnapshot::new_fast, seed);
+            let locked = run(WaitFreeSnapshot::new, seed);
             assert_eq!(
                 fast, locked,
-                "seed {seed}: plane changed observable behaviour"
+                "seed {seed}: backing changed observable behaviour"
             );
         }
     }

@@ -3,37 +3,34 @@
 //! exhaustive exploration**, and under TSO/PSO it must be *found* exactly
 //! when the model's physics say so (see the matrix in `bprc::sim::litmus`)
 //! — then shrunk, serialized, parsed back byte-identically, and replayed
-//! to the same violation. Both register planes (Packed and Locked) run
-//! the same matrix: buffering happens at the scheduling layer, so the
-//! backing must not matter.
+//! to the same violation. Buffering happens at the scheduling layer, above
+//! the register backing, so the backing is not a dimension of the matrix:
+//! 5 programs × 3 modes, 15 cells.
 
 use bprc::sim::explore::{explore, run_trace, shrink_trace, DecisionTrace, ExploreConfig};
 use bprc::sim::litmus::{corpus, LitmusProgram};
 use bprc::sim::weakmem::{critical_cycle, WeakMode};
-use bprc::sim::world::RegisterPlane;
 
-const PLANES: [RegisterPlane; 2] = [RegisterPlane::Packed, RegisterPlane::Locked];
-
-/// Exhaustively explores `prog` on `plane` under `mode` and asserts the
+/// Exhaustively explores `prog` under `mode` and asserts the
 /// forbidden outcome is found exactly when the corpus matrix says it is.
 /// When found: shrink, round-trip the JSON artifact, replay, and demand a
 /// critical cycle from the violating history.
-fn drive(prog: &LitmusProgram, plane: RegisterPlane, mode: WeakMode) {
+fn drive(prog: &LitmusProgram, mode: WeakMode) {
     let build = prog.build;
     let check = prog.check;
-    let mut make = move || build(plane, mode);
+    let mut make = move || build(mode);
     let rep = explore(&ExploreConfig::default(), &mut make, |r| check(r));
     if !prog.expected_found(mode) {
         assert!(
             rep.violation.is_none(),
-            "{} on {plane:?} under {mode}: forbidden outcome must be \
+            "{} under {mode}: forbidden outcome must be \
              unreachable, got {:?}",
             prog.name,
             rep.violation,
         );
         assert!(
             rep.exhausted,
-            "{} on {plane:?} under {mode}: unreachability must come from an \
+            "{} under {mode}: unreachability must come from an \
              exhaustive enumeration, not a budget cutoff",
             prog.name,
         );
@@ -41,7 +38,7 @@ fn drive(prog: &LitmusProgram, plane: RegisterPlane, mode: WeakMode) {
     }
     let cex = rep.violation.unwrap_or_else(|| {
         panic!(
-            "{} on {plane:?} under {mode}: the explorer must find the \
+            "{} under {mode}: the explorer must find the \
              forbidden outcome ({} schedules searched)",
             prog.name, rep.schedules,
         )
@@ -63,11 +60,11 @@ fn drive(prog: &LitmusProgram, plane: RegisterPlane, mode: WeakMode) {
 
     // The violation must hinge on weak memory: the same trace against an
     // SC build (flush entries skip as never-flushable) stays clean.
-    let mut make_sc = move || build(plane, WeakMode::Sc);
+    let mut make_sc = move || build(WeakMode::Sc);
     let (sc_replay, _) = run_trace(&mut make_sc, &parsed);
     assert!(
         check(&sc_replay).is_none(),
-        "{} on {plane:?}: the shrunk trace must not reproduce under SC: {:?}",
+        "{}: the shrunk trace must not reproduce under SC: {:?}",
         prog.name,
         sc_replay.outputs,
     );
@@ -77,7 +74,7 @@ fn drive(prog: &LitmusProgram, plane: RegisterPlane, mode: WeakMode) {
     let (replayed, _) = run_trace(&mut make, &parsed);
     assert!(
         check(&replayed).is_some(),
-        "{} on {plane:?} under {mode}: replayed trace must reproduce: {:?}",
+        "{} under {mode}: replayed trace must reproduce: {:?}",
         prog.name,
         replayed.outputs,
     );
@@ -86,12 +83,12 @@ fn drive(prog: &LitmusProgram, plane: RegisterPlane, mode: WeakMode) {
         .as_ref()
         .expect("lockstep litmus runs record history");
     let names = {
-        let (w, _) = build(plane, mode);
+        let (w, _) = build(mode);
         w.reg_names()
     };
     let cycle = critical_cycle(history, &names).unwrap_or_else(|| {
         panic!(
-            "{} on {plane:?} under {mode}: a reordering violation must \
+            "{} under {mode}: a reordering violation must \
              yield a critical cycle",
             prog.name,
         )
@@ -105,28 +102,22 @@ fn drive(prog: &LitmusProgram, plane: RegisterPlane, mode: WeakMode) {
 
 #[test]
 fn forbidden_outcomes_are_unreachable_under_sc() {
-    for plane in PLANES {
-        for prog in corpus() {
-            drive(&prog, plane, WeakMode::Sc);
-        }
+    for prog in corpus() {
+        drive(&prog, WeakMode::Sc);
     }
 }
 
 #[test]
-fn tso_matrix_holds_on_both_planes() {
-    for plane in PLANES {
-        for prog in corpus() {
-            drive(&prog, plane, WeakMode::Tso);
-        }
+fn tso_matrix_holds() {
+    for prog in corpus() {
+        drive(&prog, WeakMode::Tso);
     }
 }
 
 #[test]
-fn pso_matrix_holds_on_both_planes() {
-    for plane in PLANES {
-        for prog in corpus() {
-            drive(&prog, plane, WeakMode::Pso);
-        }
+fn pso_matrix_holds() {
+    for prog in corpus() {
+        drive(&prog, WeakMode::Pso);
     }
 }
 
@@ -135,14 +126,14 @@ fn sb_critical_cycle_blames_a_buffered_store() {
     let prog = corpus().into_iter().find(|p| p.name == "sb").unwrap();
     let build = prog.build;
     let check = prog.check;
-    let mut make = move || build(RegisterPlane::Packed, WeakMode::Tso);
+    let mut make = move || build(WeakMode::Tso);
     let rep = explore(&ExploreConfig::default(), &mut make, |r| check(r));
     let cex = rep.violation.expect("sb is reachable under TSO");
     let (min, _) = shrink_trace(&mut make, &mut |r| check(r), cex.trace);
     let (replayed, _) = run_trace(&mut make, &min);
     let history = replayed.history.as_ref().unwrap();
     let names = {
-        let (w, _) = build(RegisterPlane::Packed, WeakMode::Tso);
+        let (w, _) = build(WeakMode::Tso);
         w.reg_names()
     };
     let cycle = critical_cycle(history, &names).expect("sb violation forms a cycle");

@@ -1,18 +1,23 @@
-//! The cache-packing knobs must be observationally invisible.
+//! The cache-packing mechanisms must be observationally invisible.
 //!
-//! Three of them shipped together: the packed register plane (bit-packed
-//! handshake/arrow chunks, value-slab lanes), the version-token batched
-//! collect, and the lazy scan-reuse mode. Each changes *how memory is
-//! touched* — how many cache lines a collect sweeps, whether a payload is
-//! re-cloned, whether a scan runs at all — and none may change what any
-//! process observes. These tests pin that claim where it is strongest:
+//! Three of them shipped together: the packed value registers (`alloc_fast`
+//! puts them on value-slab lanes), the version-token batched collect, and
+//! the lazy scan-reuse mode. Each changes *how memory is touched* — how
+//! many cache lines a collect sweeps, whether a payload is re-cloned,
+//! whether a scan runs at all — and none may change what any process
+//! observes. These tests pin that claim where it is strongest, against the
+//! locked value cells `alloc` allocates (both constructors go through one
+//! `build`, so register ids line up; the arrows are bit-packed either way
+//! and meet their locked oracle at the register level, in
+//! `crates/sim/tests/seqlock_adversarial.rs`):
 //!
 //! 1. **Exhaustively** — every explorer-enumerated schedule of a small
 //!    update+scan configuration produces identical per-schedule
-//!    fingerprints (outputs, step counts, recorded histories) on the
-//!    Packed, Fast, and Locked planes, and satisfies P1–P3 on each.
+//!    fingerprints (outputs, step counts, recorded histories) over
+//!    `alloc_fast` and `alloc`, and satisfies P1–P3 on each, for both
+//!    snapshot backends.
 //! 2. **Under crashes** — PCT-sampled schedules with injected crash
-//!    faults are plane-invariant and keep P1–P3, for both snapshot
+//!    faults are allocation-invariant and keep P1–P3, for both snapshot
 //!    backends.
 //! 3. **Lazily** — scans with view reuse enabled agree with `scan_legacy`
 //!    action-by-action under an action-atomic adversary, whole lazy runs
@@ -26,19 +31,15 @@ use bprc::registers::DirectArrow;
 use bprc::sim::explore::{explore, ExploreConfig, Independence};
 use bprc::sim::sched::{FnStrategy, PctStrategy, SoloBursts};
 use bprc::sim::world::ProcBody;
-use bprc::sim::{
-    Counter, Decision, FaultPlan, FaultedStrategy, RegisterPlane, ScheduleView, World,
-};
+use bprc::sim::{Counter, Decision, FaultPlan, FaultedStrategy, ScheduleView, World};
 use bprc::snapshot::{
     check_backend_history, check_history, OpGrained, ScannableMemory, SnapshotBackend,
     SnapshotPort, WaitFreeSnapshot,
 };
 
-const PLANES: [RegisterPlane; 3] = [
-    RegisterPlane::Packed,
-    RegisterPlane::Fast,
-    RegisterPlane::Locked,
-];
+/// A snapshot constructor: [`SnapshotBackend::alloc_fast`] (slab lanes) or
+/// [`SnapshotBackend::alloc`] (the locked oracle).
+type Alloc<B> = fn(&World, usize, u64) -> B;
 
 /// Minimal deterministic generator so the test needs no external crates.
 fn lcg(state: &mut u64) -> u64 {
@@ -48,7 +49,7 @@ fn lcg(state: &mut u64) -> u64 {
     *state >> 33
 }
 
-/// Canonicalizes a history for cross-plane comparison: every scheduled
+/// Canonicalizes a history for cross-allocation comparison: every scheduled
 /// access owns its own step, but several *annotations* can share one step,
 /// and their relative order within it is a coroutine-wake artifact (two
 /// processes annotating before their first access), not an observable.
@@ -66,14 +67,17 @@ fn canonical_history(jsonl: &str) -> String {
     lines.join("\n")
 }
 
-/// Enumerates every schedule of the n=2 update+scan configuration on
-/// `plane`, checking P1–P3 on each and fingerprinting each run.
-fn explore_plane<B: SnapshotBackend<u64>>(
-    plane: RegisterPlane,
-) -> (Vec<(Vec<Option<Vec<u64>>>, u64, String)>, u64) {
+/// One explored schedule's observables: outputs, step count, canonical
+/// history.
+type Fingerprint = (Vec<Option<Vec<u64>>>, u64, String);
+
+/// Enumerates every schedule of the n=2 update+scan configuration over
+/// the memory `alloc` builds, checking P1–P3 on each and fingerprinting
+/// each run.
+fn explore_alloc<B: SnapshotBackend<u64>>(what: &str, alloc: Alloc<B>) -> (Vec<Fingerprint>, u64) {
     let factory = move || {
-        let world = World::builder(2).seed(0).register_plane(plane).build();
-        let mem = B::alloc_fast(&world, 2, 0u64);
+        let world = World::builder(2).seed(0).build();
+        let mem = alloc(&world, 2, 0);
         let bodies: Vec<ProcBody<Vec<u64>>> = (0..2)
             .map(|pid| {
                 let mut port = mem.port(pid);
@@ -86,10 +90,7 @@ fn explore_plane<B: SnapshotBackend<u64>>(
             .collect();
         (world, bodies)
     };
-    let meta = {
-        let world = World::builder(2).register_plane(plane).build();
-        B::alloc_fast(&world, 2, 0u64).meta()
-    };
+    let meta = alloc(&World::builder(2).build(), 2, 0).meta();
     let cfg = ExploreConfig {
         max_steps: 40,
         max_schedules: 500_000,
@@ -98,14 +99,12 @@ fn explore_plane<B: SnapshotBackend<u64>>(
         independence: Independence::ReadsOnly,
         ..ExploreConfig::default()
     };
-    let mut fingerprints: Vec<(Vec<Option<Vec<u64>>>, u64, String)> = Vec::new();
+    let mut fingerprints: Vec<Fingerprint> = Vec::new();
     let rep = explore(&cfg, factory, |r| {
         let history = r.history.as_ref().expect("lockstep records history");
         let check = check_history(history, &meta);
         if let Some(v) = check.violations.first() {
-            return Some(format!(
-                "plane {plane:?}: snapshot property violated: {v:?}"
-            ));
+            return Some(format!("{what}: snapshot property violated: {v:?}"));
         }
         fingerprints.push((
             r.outputs.clone(),
@@ -115,52 +114,54 @@ fn explore_plane<B: SnapshotBackend<u64>>(
         None
     });
     assert!(rep.violation.is_none(), "{:?}", rep.violation);
-    assert!(rep.exhausted, "plane {plane:?}: space must be enumerated");
+    assert!(rep.exhausted, "{what}: space must be enumerated");
     assert_eq!(rep.truncated, 0, "40 steps must cover the whole workload");
-    // The DFS may visit equivalent schedules in a plane-dependent order
-    // (the packed chunks change the raw material of the independence
-    // relation), so the invariant is set equality, not sequence equality.
+    // The DFS may visit equivalent schedules in another order, so the
+    // invariant is set equality, not sequence equality.
     fingerprints.sort();
     (fingerprints, rep.schedules)
 }
 
 /// The strongest form of the packing claim: not just along sampled seeds
-/// but along *all* schedules of the bounded workload, the Packed plane is
-/// indistinguishable — schedule by schedule — from the Fast and Locked
-/// planes, and every schedule satisfies P1–P3.
-#[test]
-fn exhaustive_snapshot_exploration_is_plane_invariant() {
-    let (packed, packed_n) = explore_plane::<ScannableMemory<u64, DirectArrow>>(PLANES[0]);
-    let (fast, fast_n) = explore_plane::<ScannableMemory<u64, DirectArrow>>(PLANES[1]);
-    let (locked, locked_n) = explore_plane::<ScannableMemory<u64, DirectArrow>>(PLANES[2]);
-    assert!(packed_n > 10, "n=2 update+scan has many interleavings");
-    assert_eq!(packed_n, fast_n);
-    assert_eq!(packed_n, locked_n);
+/// but along *all* schedules of the bounded workload, `alloc_fast` is
+/// indistinguishable — schedule by schedule — from `alloc`, and every
+/// schedule satisfies P1–P3.
+fn exhaustive_exploration_is_allocation_invariant<B: SnapshotBackend<u64>>() {
+    let (fast, fast_n) = explore_alloc::<B>("alloc_fast", B::alloc_fast);
+    let (locked, locked_n) = explore_alloc::<B>("alloc", B::alloc);
+    assert!(fast_n > 10, "n=2 update+scan has many interleavings");
+    assert_eq!(fast_n, locked_n);
     assert_eq!(
-        packed, fast,
-        "some schedule distinguishes Packed from Fast observationally"
-    );
-    assert_eq!(
-        packed, locked,
-        "some schedule distinguishes Packed from Locked observationally"
+        fast,
+        locked,
+        "{}: some schedule distinguishes alloc_fast from alloc observationally",
+        B::NAME
     );
 }
 
-/// One PCT-sampled crash schedule of the real stack on `plane`: three
-/// processes interleave updates and scans while one PCT fault point
-/// crashes the leading process. Returns the full observable fingerprint;
-/// P1–P3 are asserted inline (the checker understands crashed updates).
+#[test]
+fn exhaustive_snapshot_exploration_is_allocation_invariant_handshake() {
+    exhaustive_exploration_is_allocation_invariant::<ScannableMemory<u64, DirectArrow>>();
+}
+
+#[test]
+fn exhaustive_snapshot_exploration_is_allocation_invariant_waitfree() {
+    exhaustive_exploration_is_allocation_invariant::<WaitFreeSnapshot<u64>>();
+}
+
+/// One PCT-sampled crash schedule of the real stack over the memory `alloc`
+/// builds: three processes interleave updates and scans while one PCT fault
+/// point crashes the leading process. Returns the full observable
+/// fingerprint; P1–P3 are asserted inline (the checker understands crashed
+/// updates).
 fn pct_crash_run<B: SnapshotBackend<u64>>(
-    plane: RegisterPlane,
+    what: &str,
+    alloc: Alloc<B>,
     seed: u64,
 ) -> (Vec<Option<u64>>, u64, String) {
     let n = 3;
-    let mut world = World::builder(n)
-        .seed(seed)
-        .register_plane(plane)
-        .step_limit(2_000_000)
-        .build();
-    let mem = B::alloc_fast(&world, n, 0u64);
+    let mut world = World::builder(n).seed(seed).step_limit(2_000_000).build();
+    let mem = alloc(&world, n, 0);
     let bodies: Vec<ProcBody<u64>> = (0..n)
         .map(|pid| {
             let mut port = mem.port(pid);
@@ -183,32 +184,35 @@ fn pct_crash_run<B: SnapshotBackend<u64>>(
     let check = check_backend_history(history, &mem);
     assert!(
         check.violations.is_empty(),
-        "plane {plane:?} seed {seed}: {:?}",
+        "{what} seed {seed}: {:?}",
         check.violations
     );
-    (rep.outputs.clone(), rep.steps, history.to_jsonl())
+    (
+        rep.outputs.clone(),
+        rep.steps,
+        canonical_history(&history.to_jsonl()),
+    )
 }
 
 /// PCT schedules with injected crashes are decided by step counts, which
 /// the packing never changes — so the same seed must produce the same
-/// crash, the same survivors, and the same history on every plane, for
-/// both snapshot constructions.
-#[test]
-fn pct_crash_schedules_are_plane_invariant_for_both_backends() {
+/// crash, the same survivors, and the same history over `alloc_fast` and
+/// `alloc`, for both snapshot constructions.
+fn pct_crash_schedules_are_allocation_invariant<B: SnapshotBackend<u64>>() {
     for seed in [0, 1, 7, 42, 99] {
-        let hs: Vec<_> = PLANES
-            .iter()
-            .map(|&p| pct_crash_run::<ScannableMemory<u64, DirectArrow>>(p, seed))
-            .collect();
-        assert_eq!(hs[0], hs[1], "handshake seed {seed}: Packed vs Fast");
-        assert_eq!(hs[0], hs[2], "handshake seed {seed}: Packed vs Locked");
-        let wf: Vec<_> = PLANES
-            .iter()
-            .map(|&p| pct_crash_run::<WaitFreeSnapshot<u64>>(p, seed))
-            .collect();
-        assert_eq!(wf[0], wf[1], "waitfree seed {seed}: Packed vs Fast");
-        assert_eq!(wf[0], wf[2], "waitfree seed {seed}: Packed vs Locked");
+        assert_eq!(
+            pct_crash_run::<B>("alloc_fast", B::alloc_fast, seed),
+            pct_crash_run::<B>("alloc", B::alloc, seed),
+            "{} seed {seed}: alloc_fast vs alloc",
+            B::NAME
+        );
     }
+}
+
+#[test]
+fn pct_crash_schedules_are_allocation_invariant_for_both_backends() {
+    pct_crash_schedules_are_allocation_invariant::<ScannableMemory<u64, DirectArrow>>();
+    pct_crash_schedules_are_allocation_invariant::<WaitFreeSnapshot<u64>>();
 }
 
 /// Every process owns a *lazy* port and performs a seeded sequence of
