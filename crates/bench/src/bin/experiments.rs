@@ -5,21 +5,21 @@
 //! experiments <doc> [--quick] [--out=PATH]        # emit BENCH_<doc>.json
 //! experiments validate-<doc> PATH                 # schema-check one
 //! experiments compare-throughput OLD NEW          # regression gate (exit 1)
-//! experiments verify-gate [--quick] [--serial]    # fail-closed gate (exit 1
-//!             [--weakmem] [--fixture=NAME]        #   on any violation)
-//!             [--out-trace=PATH]
+//! experiments verify-gate [--quick] [--serial]    # fail-closed gate: writes
+//!             [--weakmem] [--out=PATH]            #   BENCH_verify.json, then
+//! experiments validate-verify PATH                #   exit 1 on any violation
 //! ```
 //!
 //! `<doc>` is a row of [`DOCS`]: it emits the document, checks it against
 //! its own schema before writing (exit 1 on violations) and prints a
 //! summary; `profile` also writes a Chrome-trace companion
-//! (`--trace-out=PATH`). `verify-gate` is `bprc_bench::verify_gate`: any
-//! violation leaves its shrunk replayable trace at `--out-trace`,
-//! `--fixture=torn-scan|crash-publish|missing-fence` runs a seeded broken
-//! implementation the gate must catch, and `--weakmem` runs the litmus
-//! matrix plus TSO/PSO store-buffer exploration of the real n = 2 stack.
+//! (`--trace-out=PATH`). `verify-gate` is `bprc_bench::verify_gate`: it runs
+//! the gate's table of checks (`--weakmem` adds the weak-memory rows),
+//! prints the coverage matrix and writes it *before* judging it, so a red
+//! gate leaves its evidence — each violated row embeds its shrunk
+//! replayable trace.
 
-use bprc_bench::{arena, experiments, explore, profile, throughput, verify_gate, Scale, Table};
+use bprc_bench::{arena, experiments, profile, throughput, verify_gate, Scale, Table};
 use bprc_sim::json::Value;
 
 /// One schema-checked JSON document: `<name>` writes it to `BENCH_<name>.json`
@@ -48,12 +48,8 @@ macro_rules! doc {
     };
 }
 
-const DOCS: [Doc; 4] = [
+const DOCS: [Doc; 3] = [
     doc!(throughput, &[]),
-    doc!(
-        explore,
-        &[("exhaustive", exhaustive_line), ("pct", pct_line)]
-    ),
     doc!(profile, &[("entries", profile_line)]),
     doc!(arena, &[("entries", arena_line)]),
 ];
@@ -85,7 +81,7 @@ fn die_unknown(name: &str) -> ! {
     let msg = format!(
         "unknown experiment or subcommand '{name}' (expected experiments all|{}, or one \
          subcommand: <doc> or validate-<doc> PATH with <doc> in {}, compare-throughput OLD NEW, \
-         verify-gate)",
+         verify-gate, validate-verify PATH)",
         exps.join("|"),
         docs.join("|"),
     );
@@ -138,12 +134,12 @@ fn emit(doc: &Doc, scale: Scale, out: &str) {
 }
 
 /// `validate-<doc> PATH`.
-fn validate_file(doc: &Doc, path: &str) {
-    let errs = (doc.validate)(&load_json(path));
+fn validate_file(schema: &str, validate: fn(&Value) -> Vec<String>, path: &str) {
+    let errs = validate(&load_json(path));
     if !errs.is_empty() {
         die_listing(&format!("{path}: schema violations:"), &errs);
     }
-    println!("{path}: valid ({})", doc.schema);
+    println!("{path}: valid ({schema})");
 }
 
 fn num(v: &Value, key: &str) -> f64 {
@@ -152,26 +148,6 @@ fn num(v: &Value, key: &str) -> f64 {
 
 fn name_of(v: &Value) -> &str {
     v.get("name").and_then(|x| x.as_str()).unwrap_or("?")
-}
-
-fn exhaustive_line(entry: &Value) -> String {
-    format!(
-        "exhaustive {}: {} schedules, {} pruned, {:.0} schedules/sec",
-        name_of(entry),
-        num(entry, "schedules"),
-        num(entry, "pruned"),
-        num(entry, "schedules_per_sec"),
-    )
-}
-
-fn pct_line(pct: &Value) -> String {
-    format!(
-        "pct n={}: {} schedules, {} violations, {:.0} schedules/sec",
-        num(pct, "n"),
-        num(pct, "schedules"),
-        num(pct, "violations"),
-        num(pct, "schedules_per_sec"),
-    )
 }
 
 fn profile_line(entry: &Value) -> String {
@@ -210,35 +186,22 @@ fn compare_throughput(old_path: &str, new_path: &str) {
     println!("no throughput regressions beyond tolerance");
 }
 
-fn run_verify_gate(args: &[String], quick: bool) {
-    let fixture = flag(args, "--fixture=").map(|name| {
-        verify_gate::Fixture::parse(name).unwrap_or_else(|| {
-            let known = "expected torn-scan, crash-publish, or missing-fence";
-            die(2, format!("unknown fixture '{name}' ({known})"))
-        })
-    });
+/// `verify-gate`: run → write → judge, in that order.
+fn run_verify_gate(args: &[String], scale: Scale) {
     let opts = verify_gate::GateOptions {
-        quick,
+        scale,
         serial: args.iter().any(|a| a == "--serial"),
         weakmem: args.iter().any(|a| a == "--weakmem"),
-        fixture,
-        out_trace: flag(args, "--out-trace=")
-            .unwrap_or("verify_gate_counterexample.json")
-            .to_string(),
     };
-    let report = verify_gate::run(&opts);
-    if report.passed() {
-        println!("verify-gate: PASS ({} checks)", report.checks.len());
-        return;
+    let out = flag(args, "--out=").unwrap_or("BENCH_verify.json");
+    let doc = verify_gate::run(&opts);
+    write_json(out, &doc);
+    println!("wrote {out}");
+    let errs = verify_gate::validate(&doc);
+    if !errs.is_empty() {
+        die_listing("verify-gate: FAIL", &errs);
     }
-    eprintln!("verify-gate: FAIL");
-    for c in report.checks.iter().filter(|c| !c.passed) {
-        eprintln!("  - {}: {}", c.name, c.detail);
-    }
-    if let Some(path) = &report.trace_path {
-        eprintln!("  shrunk counterexample trace: {path}");
-    }
-    std::process::exit(1);
+    println!("verify-gate: PASS");
 }
 
 fn main() {
@@ -261,13 +224,18 @@ fn main() {
             write_json(trace_out, &profile::chrome_trace_demo(42));
             println!("wrote {trace_out} (load it at https://ui.perfetto.dev)");
         }
-    } else if let Some(doc) = first.strip_prefix("validate-").and_then(doc_named) {
+    } else if let Some(name) = first.strip_prefix("validate-") {
+        let (schema, validate) = match doc_named(name) {
+            Some(doc) => (doc.schema, doc.validate),
+            None if name == "verify" => (verify_gate::SCHEMA, verify_gate::validate as _),
+            None => die_unknown(first),
+        };
         match which.get(1) {
-            Some(path) => validate_file(doc, path),
+            Some(path) => validate_file(schema, validate, path),
             None => die(2, format!("usage: experiments {first} PATH")),
         }
     } else if first == "verify-gate" {
-        run_verify_gate(&args, quick);
+        run_verify_gate(&args, scale);
     } else if first == "compare-throughput" {
         match (which.get(1), which.get(2)) {
             (Some(old), Some(new)) => compare_throughput(old, new),

@@ -24,7 +24,6 @@
 
 pub mod arena;
 pub mod experiments;
-pub mod explore;
 pub mod profile;
 pub mod table;
 pub mod throughput;

@@ -1,75 +1,73 @@
-//! The fail-closed verification gate: systematic fault injection composed
-//! into schedule exploration, run as one CI-enforced command.
+//! The fail-closed verification gate: one table of checks, run by one
+//! routine, whose verdicts are the coverage matrix.
 //!
-//! `experiments verify-gate` drives the real stack — both snapshot
-//! backends, the full consensus protocol, the wait-free attempt bound —
-//! through the joint schedule×fault space and exits non-zero on the first
-//! property violation, writing the shrunk, replayable decision trace
-//! (`bprc-trace-v1`) next to it. The property list is pinned
-//! ([`PROPERTIES`]): a gate whose checks can silently drift is advisory,
-//! not a gate.
+//! The paper's evaluation is its properties, so the harness that explores
+//! schedules × faults × memory modes and checks them is this reproduction's
+//! results table. `experiments verify-gate` builds [`table`], runs every
+//! [`Check`] in it, prints the verdicts as one [`Table`] and emits them as
+//! `BENCH_verify.json` ([`SCHEMA`]): property × protocol × snapshot backend
+//! × memory mode × (n, depth bound, fault budget, exhausted?). The command
+//! writes the document first and exits non-zero iff [`validate`] rejects
+//! it, so a red gate always ships its evidence — each violated row carries
+//! its shrunk, replayable `bprc-trace-v1` trace.
 //!
-//! Coverage, per run:
+//! A row of the explored kind ([`Check::explored`]) declares a world
+//! factory, a per-schedule check, the independence relation that check
+//! tolerates, a memory mode, a fault budget, the [`PROPERTIES`] tags it
+//! exercises and an [`Expect`]ation; [`run_check`] is the only place that
+//! knows how such a row is run and judged:
 //!
-//! * **bounded-exhaustive** — every schedule of the n = 2 update/scan
-//!   configuration over *both* backends, with fault budgets 0 and 1 (every
-//!   placement of one crash branches the DFS alongside the grants), and
-//!   the distilled n = 3 writers+scanner space with one crash — checked
-//!   against P1–P3 plus telemetry/history parity on every schedule;
-//! * **parallel frontier** — the n = 3 space re-run through the
-//!   work-stealing parallel explorer, serial (`workers = 1`) against the
-//!   machine's parallelism on the identical frontier, results required to
-//!   agree;
-//! * **randomized depth** — a PCT sweep over the full consensus stack on
-//!   both backends, each seed's strategy injecting crashes (scheduler-
-//!   composed [`PctStrategy::with_faults`] on even seeds, declarative
-//!   seeded [`FaultPlan`]s on odd seeds), each run checked for agreement,
-//!   validity, P1–P3, and telemetry parity;
-//! * **wait-freedom** — the writer-pressure adversary against the
-//!   wait-free scan, which must finish within n + 1 attempts.
+//! * [`Expect::Clean`] — the bounded space must exhaust untruncated with
+//!   no violation *and* non-vacuously: a crash branch actually taken when
+//!   the budget is positive, a store actually buffered under TSO/PSO;
+//! * [`Expect::Found`] — a seeded violation must be found, shrunk,
+//!   serialised, parsed back byte-identically and replayed to the same
+//!   violation, optionally [`Keep`]ing the crash or flush decision the bug
+//!   depends on, with the critical cycle attached under weak modes. A gate
+//!   that has lost its teeth therefore fails its own `Found` rows in every
+//!   run.
 //!
-//! The `--weakmem` mode runs the weak-memory plane instead: the whole
-//! litmus matrix (`bprc_sim::litmus`, corpus × SC/TSO/PSO), then
-//! bounded-exhaustive store-buffer exploration of the real n = 2 snapshot
-//! stack (a double-updating writer racing a scanner) under TSO and PSO —
-//! every schedule×flush placement checked
-//! against P1–P3 through the flush-timed checker
-//! ([`bprc_snapshot::check_history_weak`]), with the critical cycle
-//! printed alongside any counterexample.
-//!
-//! The `--fixture` mode inverts the gate to prove it fails closed: a
-//! seeded broken implementation (`torn-scan`, grant-only) or a seeded
-//! fault-dependent bug (`crash-publish`, reachable only through a crash
-//! branch) or a seeded ordering bug (`missing-fence`, a publish whose
-//! release fence was dropped, reachable only through a store-buffer
-//! reordering) must be *found*, shrunk, round-tripped, and replayed — the
-//! command still exits non-zero (a violation was found), and CI asserts
-//! exactly that plus the presence of the trace artifact.
+//! The real-stack exhaustive spaces, the distilled n = 3 space, the litmus
+//! matrix and the seeded fixtures with their repaired controls are all rows
+//! of that kind. What cannot be enumerated is [`Expect::Sampled`] by small
+//! runners emitting the same row shape: the PCT sweeps over the full
+//! consensus stack and the n = 4 snapshot, and the wait-free attempt bound;
+//! the serial-vs-parallel frontier comparison is a fourth runner.
+//! `--weakmem` *adds* the weak-memory rows to the sequentially consistent
+//! ones, and only the property tags some row of the run carries are printed.
+
+use std::cell::Cell;
+use std::time::Instant;
 
 use bprc_core::threaded::ThreadedConsensusOn;
 use bprc_core::{check_telemetry_parity, ConsensusParams, ConsensusSpec, ProcState};
 use bprc_registers::DirectArrow;
 use bprc_sim::explore::{
-    explore, explore_parallel, run_trace, shrink_trace, DecisionTrace, ExploreConfig, Independence,
-    ParallelConfig,
+    explore, explore_parallel, run_trace, shrink_trace, Counterexample, DecisionTrace,
+    ExploreConfig, ExploreReport, Independence, ParallelConfig,
 };
+use bprc_sim::faults::quiet_injected_panics;
+use bprc_sim::json::{check_finite, Value};
+use bprc_sim::litmus::{corpus, LitmusProgram};
 use bprc_sim::sched::{FnStrategy, PctStrategy};
 use bprc_sim::world::{ProcBody, RunReport, World};
 use bprc_sim::{
-    critical_cycle, Decision, FaultPlan, FaultedStrategy, ScheduleView, Strategy, WeakMode,
+    critical_cycle, Counter, Decision, FaultPlan, FaultedStrategy, Heartbeat, ScheduleView,
+    Strategy, WeakMode,
 };
+use bprc_snapshot::memory::labels;
 use bprc_snapshot::{
     check_history, check_history_weak, ScannableMemory, SnapshotBackend, SnapshotMeta,
     SnapshotPort, WaitFreeSnapshot,
 };
 
-use crate::explore::{
-    broken_check, broken_scanner_factory, litmus_cell, n3_writers_scanner_factory, raw_meta,
-    LITMUS_MODES,
-};
+use crate::{Scale, Table};
 
-/// The pinned property list every gate run checks. Printed verbatim at
-/// startup so a log always states what "PASS" covered.
+/// Schema identifier written into (and required from) every document.
+pub const SCHEMA: &str = "bprc.bench.verify/v1";
+
+/// The pinned property list. A run prints (and records) the entries some
+/// row of its table carries, so a log always states what "PASS" covered.
 pub const PROPERTIES: &[(&str, &str)] = &[
     (
         "P1-P3",
@@ -96,107 +94,338 @@ pub const PROPERTIES: &[(&str, &str)] = &[
         "litmus matrix holds and P1-P3 survive store-buffer (TSO/PSO) exploration, \
          via the flush-timed checker",
     ),
+    (
+        "TEETH",
+        "seeded bugs (grant-only, crash-only, flush-only) are found, shrunk, serialised, \
+         parsed back and replayed; their repaired controls exhaust clean",
+    ),
 ];
 
-/// A seeded broken fixture the gate must catch (fail-closed demonstration).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fixture {
-    /// A single-collect scanner whose torn views are reachable by grants
-    /// alone.
-    TornScan,
-    /// A two-step publish whose stale state is reachable *only* when the
-    /// writer crashes between its writes — invisible to any grant-only
-    /// exploration.
-    CrashPublish,
-    /// A data/flag publish whose release fence was dropped: the stale read
-    /// is reachable *only* when the data store lingers in the writer's
-    /// store buffer past the flag store — invisible to any sequentially
-    /// consistent exploration, however exhaustive.
-    MissingFence,
-}
-
-impl Fixture {
-    /// Parses a `--fixture=NAME` value.
-    pub fn parse(name: &str) -> Option<Fixture> {
-        match name {
-            "torn-scan" => Some(Fixture::TornScan),
-            "crash-publish" => Some(Fixture::CrashPublish),
-            "missing-fence" => Some(Fixture::MissingFence),
-            _ => None,
-        }
-    }
-
-    /// The CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Fixture::TornScan => "torn-scan",
-            Fixture::CrashPublish => "crash-publish",
-            Fixture::MissingFence => "missing-fence",
-        }
-    }
-}
+/// Decision path bound of every explored row ([`ExploreConfig::max_steps`]).
+const MAX_STEPS: u64 = 40;
 
 /// How to run the gate.
 #[derive(Debug, Clone)]
 pub struct GateOptions {
-    /// CI-sized sweeps (smaller PCT seed counts); the exhaustive passes are
-    /// identical at both scales.
-    pub quick: bool,
-    /// Skip the parallel-frontier comparison (single-core environments).
+    /// Sizes the consensus PCT sweeps (300 seeds quick, 5,000 full); every
+    /// other row is identical at both scales.
+    pub scale: Scale,
+    /// Run the frontier comparison with one worker on both sides
+    /// (single-core environments).
     pub serial: bool,
-    /// Run the weak-memory plane (litmus matrix + store-buffer exploration
-    /// of the real stack) instead of the SC schedule×fault gate.
+    /// Add the weak-memory rows: the litmus matrix, store-buffer
+    /// exploration of the real n = 2 stack, the missing-fence fixture.
     pub weakmem: bool,
-    /// Run a seeded broken fixture instead of the real stack.
-    pub fixture: Option<Fixture>,
-    /// Where the shrunk counterexample trace is written when a violation is
-    /// found.
-    pub out_trace: String,
 }
 
-impl Default for GateOptions {
-    fn default() -> Self {
-        GateOptions {
-            quick: false,
-            serial: false,
-            weakmem: false,
-            fixture: None,
-            out_trace: "verify_gate_counterexample.json".to_string(),
+/// The decision kind a seeded bug depends on: it must survive shrinking.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Keep {
+    /// An injected crash.
+    Crash,
+    /// A store-buffer flush.
+    Flush,
+}
+
+impl Keep {
+    fn survives_in(self, trace: &DecisionTrace) -> bool {
+        trace.decisions.iter().any(|step| match self {
+            Keep::Crash => step.is_crash(),
+            Keep::Flush => step.is_flush(),
+        })
+    }
+}
+
+/// What a row must show to be `ok`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Expect {
+    /// The bounded space exhausts untruncated, violation-free and
+    /// non-vacuously.
+    #[default]
+    Clean,
+    /// The violation is found and survives shrink → serialise → parse →
+    /// replay; the shrunk trace must still contain a decision of the named
+    /// kind, if one is named.
+    Found(Option<Keep>),
+    /// No violation on the schedules actually run; exhaustion is not
+    /// claimed.
+    Sampled,
+}
+
+impl Expect {
+    /// The name documents record.
+    fn name(self) -> &'static str {
+        match self {
+            Expect::Clean => "clean",
+            Expect::Found(_) => "found",
+            Expect::Sampled => "sampled",
         }
     }
 }
 
-/// One gate check's verdict.
-#[derive(Debug, Clone)]
-pub struct CheckOutcome {
-    /// Which check.
-    pub name: String,
-    /// Whether it held.
-    pub passed: bool,
-    /// Human-readable coverage / failure detail.
-    pub detail: String,
-}
-
-/// Everything a gate run produced.
+/// One row of the coverage matrix: what a check declared, then what
+/// running it measured.
 #[derive(Debug, Clone, Default)]
-pub struct GateReport {
-    /// Every check's verdict, in execution order.
-    pub checks: Vec<CheckOutcome>,
-    /// Path of the shrunk trace artifact, when a violation was found and
-    /// serialized.
-    pub trace_path: Option<String>,
+struct Row {
+    /// Unique; `jq '.checks[] | select(.name == "…")'` finds the row.
+    name: String,
+    /// The [`PROPERTIES`] tags this row exercises.
+    tags: &'static [&'static str],
+    protocol: &'static str,
+    /// [`SnapshotBackend::NAME`], or `raw` for programs over bare registers.
+    backend: &'static str,
+    mode: WeakMode,
+    n: usize,
+    /// Decisions per schedule for explored rows, the world's step limit for
+    /// sampled ones.
+    depth: u64,
+    fault_budget: u64,
+    expect: Expect,
+    // Measured — the coverage counts of `ExploreReport`, under its names.
+    schedules: u64,
+    pruned: u64,
+    truncated: u64,
+    exhausted: bool,
+    max_depth: usize,
+    faults_injected: u64,
+    schedules_by_faults: Vec<u64>,
+    /// Stores that went through a store buffer, summed over the schedules.
+    stores_buffered: u64,
+    elapsed_sec: f64,
+    /// The shrunk counterexample, when a violation was found.
+    trace: Option<DecisionTrace>,
+    ok: bool,
+    /// Coverage summary, or the failure reason.
+    detail: String,
 }
 
-impl GateReport {
-    /// True iff every check passed (the gate's exit code is `!passed()`).
-    pub fn passed(&self) -> bool {
-        self.checks.iter().all(|c| c.passed)
+impl Row {
+    /// Copies an exploration's coverage counts into the row.
+    fn record(&mut self, rep: &ExploreReport) {
+        self.schedules = rep.schedules;
+        self.pruned = rep.pruned;
+        self.truncated = rep.truncated;
+        self.exhausted = rep.exhausted;
+        self.max_depth = rep.max_depth;
+        self.faults_injected = rep.faults_injected;
+        self.schedules_by_faults = rep.schedules_by_faults.clone();
+        self.elapsed_sec = rep.elapsed_secs;
+    }
+
+    /// Executed schedules per wall-clock second — how long this row took on
+    /// the machine that ran it, not the explorer's speed (that number is
+    /// `explore-lockstep-n2` in `BENCHMARK.json`). Always finite.
+    fn schedules_per_sec(&self) -> f64 {
+        (self.schedules + self.truncated) as f64 / self.elapsed_sec.max(1e-9)
+    }
+
+    fn to_json(&self) -> Value {
+        let nums = |xs: &[u64]| Value::Arr(xs.iter().map(|&x| x.into()).collect());
+        let trace = self.trace.as_ref();
+        Value::obj(vec![
+            ("name", self.name.as_str().into()),
+            (
+                "properties",
+                Value::Arr(self.tags.iter().map(|&t| t.into()).collect()),
+            ),
+            ("protocol", self.protocol.into()),
+            ("snapshot_backend", self.backend.into()),
+            ("memory_mode", self.mode.name().into()),
+            ("n", self.n.into()),
+            ("depth_bound", self.depth.into()),
+            ("fault_budget", self.fault_budget.into()),
+            ("expectation", self.expect.name().into()),
+            ("schedules", self.schedules.into()),
+            ("pruned", self.pruned.into()),
+            ("truncated", self.truncated.into()),
+            ("exhausted", self.exhausted.into()),
+            ("max_depth", self.max_depth.into()),
+            ("faults_injected", self.faults_injected.into()),
+            ("schedules_by_faults", nums(&self.schedules_by_faults)),
+            ("stores_buffered", self.stores_buffered.into()),
+            ("elapsed_sec", self.elapsed_sec.into()),
+            ("schedules_per_sec", self.schedules_per_sec().into()),
+            (
+                "shrunk_len",
+                trace.map_or(Value::Null, |t| t.decisions.len().into()),
+            ),
+            ("trace", trace.map_or(Value::Null, |t| t.to_json())),
+            ("ok", self.ok.into()),
+            ("detail", self.detail.as_str().into()),
+        ])
     }
 }
 
-/// The composite per-schedule check the exhaustive passes run: P1–P3 over
-/// the recorded history, then telemetry/history parity.
-fn snapshot_and_parity_check(r: &RunReport<Vec<u64>>, meta: &SnapshotMeta) -> Option<String> {
+/// A row's declaration plus the routine that fills in its measurements.
+struct Check {
+    row: Row,
+    run: Box<dyn Fn(&mut Row)>,
+}
+
+impl Check {
+    /// A row judged by [`run_check`]: `factory` builds the world under the
+    /// row's memory mode, `check` inspects each explored schedule.
+    fn explored<T, F, C>(row: Row, independence: Independence, factory: F, check: C) -> Check
+    where
+        T: Send + 'static,
+        F: Fn(WeakMode) -> (World, Vec<ProcBody<T>>) + 'static,
+        C: Fn(&RunReport<T>) -> Option<String> + 'static,
+    {
+        let row = Row {
+            depth: MAX_STEPS,
+            ..row
+        };
+        Check {
+            row,
+            run: Box::new(move |row| run_check(row, independence, &factory, &check)),
+        }
+    }
+
+    /// Runs the check and returns its filled-in row.
+    fn run(self) -> Row {
+        let mut row = self.row;
+        (self.run)(&mut row);
+        row
+    }
+}
+
+/// The exploration bounds every explored row shares; a row contributes its
+/// depth bound, its fault budget and the independence relation its checker
+/// tolerates (checkers that consume note timestamps, P1–P3, need
+/// [`Independence::ReadsOnly`]).
+fn config(row: &Row, independence: Independence) -> ExploreConfig {
+    ExploreConfig {
+        max_steps: row.depth,
+        max_schedules: 2_000_000,
+        independence,
+        fault_budget: row.fault_budget,
+        progress: true,
+        ..ExploreConfig::default()
+    }
+}
+
+/// Runs and judges one explored row.
+fn run_check<T, F, C>(row: &mut Row, independence: Independence, factory: &F, check: &C)
+where
+    T: Send + 'static,
+    F: Fn(WeakMode) -> (World, Vec<ProcBody<T>>),
+    C: Fn(&RunReport<T>) -> Option<String>,
+{
+    let mode = row.mode;
+    let mut make = || factory(mode);
+    // Explorer telemetry carries only the explorer's own counters; the
+    // per-run world counters (where `StoresBuffered` lives) arrive on each
+    // `RunReport`, so the vacuity evidence is accumulated run by run.
+    let buffered = Cell::new(0u64);
+    let mut check = |r: &RunReport<T>| {
+        buffered.set(buffered.get() + r.telemetry.total(Counter::StoresBuffered));
+        check(r)
+    };
+    let rep = explore(&config(row, independence), &mut make, &mut check);
+    row.record(&rep);
+    row.stores_buffered = buffered.get();
+    let searched = rep.schedules;
+    let verdict = match (row.expect, rep.violation) {
+        (Expect::Found(keep), Some(cex)) => counterexample(row, &mut make, &mut check, cex)
+            .and_then(|shrunk| {
+                let trace = row.trace.as_ref().expect("counterexample embeds the trace");
+                let found = format!("found within {searched} schedules");
+                match keep {
+                    Some(kind) if !kind.survives_in(trace) => Err(format!(
+                        "{found} but the shrinker dropped the {kind:?}: {shrunk}"
+                    )),
+                    Some(kind) => Ok(format!("{found}, keeping the {kind:?}: {shrunk}")),
+                    None => Ok(format!("{found}: {shrunk}")),
+                }
+            }),
+        (Expect::Found(_), None) => Err(format!(
+            "MISSED: seeded violation not found in {searched} schedules"
+        )),
+        (_, Some(cex)) => {
+            let (Ok(shrunk) | Err(shrunk)) = counterexample(row, &mut make, &mut check, cex);
+            Err(format!("VIOLATION: {shrunk}"))
+        }
+        (Expect::Clean, None) if !rep.exhausted => Err(format!(
+            "space not exhausted ({searched} schedules, {} truncated) — the claim is vacuous",
+            rep.truncated
+        )),
+        (Expect::Clean, None) if row.fault_budget > 0 && rep.faults_injected == 0 => {
+            Err("fault budget granted but no crash branch was ever taken".to_string())
+        }
+        (Expect::Clean, None) if mode != WeakMode::Sc && row.stores_buffered == 0 => {
+            Err("weak mode requested but no store was ever buffered".to_string())
+        }
+        (_, None) => Ok(format!(
+            "{searched} schedules clean (by crash count: {:?}, {} stores buffered)",
+            rep.schedules_by_faults, row.stores_buffered
+        )),
+    };
+    row.ok = verdict.is_ok();
+    let (Ok(detail) | Err(detail)) = verdict;
+    row.detail = detail;
+}
+
+/// Shrinks a counterexample, serialises it, parses it back and replays it,
+/// embedding the shrunk trace in the row. `Ok` iff the text round-trips
+/// byte-identically and the replay reproduces the violation; either way
+/// the string describes the counterexample (with its critical cycle under
+/// weak modes).
+fn counterexample<T, F, C>(
+    row: &mut Row,
+    make: &mut F,
+    check: &mut C,
+    cex: Counterexample,
+) -> Result<String, String>
+where
+    T: Send + 'static,
+    F: FnMut() -> (World, Vec<ProcBody<T>>),
+    C: FnMut(&RunReport<T>) -> Option<String>,
+{
+    let full_len = cex.trace.decisions.len();
+    let (min, _) = shrink_trace(make, check, cex.trace);
+    let text = min.to_json().render();
+    let parsed = bprc_sim::json::parse(&text)
+        .ok()
+        .and_then(|v| DecisionTrace::from_json(&v).ok());
+    let round_trips = parsed
+        .as_ref()
+        .is_some_and(|t| t.to_json().render() == text);
+    let replayed = parsed.map(|t| run_trace(make, &t).0);
+    let reproduces = replayed.as_ref().is_some_and(|r| check(r).is_some());
+    let cycle = replayed
+        .filter(|_| row.mode != WeakMode::Sc)
+        .and_then(|r| critical_cycle(r.history.as_ref()?, &make().0.reg_names()))
+        .map(|c| format!("; {c}"))
+        .unwrap_or_default();
+    let summary = format!(
+        "{} — trace shrunk {full_len} -> {} decisions{cycle}",
+        cex.description,
+        min.decisions.len()
+    );
+    row.trace = Some(min);
+    if !round_trips {
+        Err(format!(
+            "{summary}; the shrunk trace did not round-trip byte-identically"
+        ))
+    } else if !reproduces {
+        Err(format!(
+            "{summary}; the shrunk trace did not replay to the violation"
+        ))
+    } else {
+        Ok(summary)
+    }
+}
+
+type Handshake<T> = ScannableMemory<T, DirectArrow>;
+
+fn backend_meta<B: SnapshotBackend<u64>>(n: usize) -> SnapshotMeta {
+    let world = World::builder(n).build();
+    B::alloc(&world, n, 0u64).meta()
+}
+
+/// The per-schedule check of the sequentially consistent snapshot rows:
+/// P1–P3 over the recorded history, then telemetry/history parity.
+fn snapshot_check(r: &RunReport<Vec<u64>>, meta: &SnapshotMeta) -> Option<String> {
     let history = r.history.as_ref().expect("lockstep records history");
     if let Some(v) = check_history(history, meta).violations.first() {
         return Some(format!("snapshot property violated: {v:?}"));
@@ -204,233 +433,405 @@ fn snapshot_and_parity_check(r: &RunReport<Vec<u64>>, meta: &SnapshotMeta) -> Op
     check_telemetry_parity(r)
 }
 
-/// n = 2 over backend `B`: both processes update their slot then scan.
-fn n2_factory<B: SnapshotBackend<u64>>() -> impl Fn() -> (World, Vec<ProcBody<Vec<u64>>>) + Sync {
-    || {
-        let world = World::builder(2).seed(0).build();
-        let mem = B::alloc(&world, 2, 0u64);
-        let bodies: Vec<ProcBody<Vec<u64>>> = (0..2)
-            .map(|pid| {
-                let mut port = mem.port(pid);
-                let b: ProcBody<Vec<u64>> = Box::new(move |ctx| {
-                    port.update(ctx, 10 + pid as u64)?;
-                    port.scan(ctx)
-                });
-                b
-            })
-            .collect();
+/// n = 2 over backend `B`, both processes update their slot then scan —
+/// every schedule, with every placement of up to `fault_budget` crashes.
+fn n2_update_scan<B: SnapshotBackend<u64> + 'static>(fault_budget: u64) -> Check {
+    let meta = backend_meta::<B>(2);
+    Check::explored(
+        Row {
+            name: format!("snapshot-n2-update-scan-{}-b{fault_budget}", B::NAME),
+            tags: &["P1-P3", "PARITY"],
+            protocol: "update+scan",
+            backend: B::NAME,
+            n: 2,
+            fault_budget,
+            ..Row::default()
+        },
+        Independence::ReadsOnly,
+        |mode| {
+            let world = World::builder(2).seed(0).weak_memory(mode).build();
+            let mem = B::alloc(&world, 2, 0u64);
+            let bodies: Vec<ProcBody<Vec<u64>>> = (0..2)
+                .map(|pid| {
+                    let mut port = mem.port(pid);
+                    let b: ProcBody<Vec<u64>> = Box::new(move |ctx| {
+                        port.update(ctx, 10 + pid as u64)?;
+                        port.scan(ctx)
+                    });
+                    b
+                })
+                .collect();
+            (world, bodies)
+        },
+        move |r| snapshot_check(r, &meta),
+    )
+}
+
+/// The real n = 2 handshake stack under store buffering: a writer's update
+/// (a raise + value store, each of which may linger in the buffer) racing
+/// a full scan, which exercises every fence the memory carries; P1–P3 are
+/// checked through the flush-timed checker (a store linearizes at its
+/// flush, not its issue). Flush branching resets sleep sets (a flush is
+/// dependent with everything), so the space grows brutally with each
+/// buffered store: both-sides-do-everything blows past 10^6 schedules,
+/// while this split stays exhaustive in minutes on the real code path.
+fn n2_writer_scanner(mode: WeakMode) -> Check {
+    let meta = backend_meta::<Handshake<u64>>(2);
+    Check::explored(
+        Row {
+            name: format!("snapshot-n2-writer-scanner-{mode}"),
+            tags: &["WEAKMEM"],
+            protocol: "writer vs scanner",
+            backend: Handshake::<u64>::NAME,
+            mode,
+            n: 2,
+            ..Row::default()
+        },
+        Independence::ReadsOnly,
+        |mode| {
+            let world = World::builder(2).seed(0).weak_memory(mode).build();
+            let mem = Handshake::<u64>::alloc(&world, 2, 0u64);
+            let (mut writer, mut scanner) = (mem.port(0), mem.port(1));
+            let bodies: Vec<ProcBody<Vec<u64>>> = vec![
+                Box::new(move |ctx| {
+                    writer.update(ctx, 10)?;
+                    Ok(Vec::new())
+                }),
+                Box::new(move |ctx| scanner.scan(ctx)),
+            ];
+            (world, bodies)
+        },
+        move |r| {
+            let history = r.history.as_ref().expect("lockstep records history");
+            check_history_weak(history, &meta)
+                .violations
+                .first()
+                .map(|v| format!("snapshot property violated under store buffering: {v:?}"))
+        },
+    )
+}
+
+/// n = 3 over raw registers: two annotated single-write writers racing one
+/// scanner — the widest configuration the exhaustive DFS covers in CI
+/// wall-clock (three full `ScannableMemory` bodies of 12+ ops each are
+/// beyond any CI budget, so the n = 3 statement is made on this distilled
+/// update/scan skeleton). With `double_collect` the scanner collects until
+/// two consecutive views agree; the registers are monotone (0 → 1, written
+/// once), so that terminates within four collects and the repeated view is
+/// a valid snapshot. Without it the scanner does ONE naive collect, so torn
+/// (non-linearizable) views are reachable by grants alone — the seeded
+/// torn-scan bug.
+fn writers_scanner_factory(
+    double_collect: bool,
+) -> impl Fn(WeakMode) -> (World, Vec<ProcBody<Vec<u64>>>) + Sync {
+    move |mode| {
+        let world = World::builder(3).seed(0).weak_memory(mode).build();
+        let v: Vec<_> = (0..3).map(|i| world.reg(format!("V{i}"), 0u64)).collect();
+        let mut bodies: Vec<ProcBody<Vec<u64>>> = Vec::new();
+        for reg in &v[..2] {
+            let reg = reg.clone();
+            bodies.push(Box::new(move |ctx| {
+                ctx.annotate(labels::UPD_START, vec![1]);
+                reg.write_tagged(ctx, 1, 1)?;
+                ctx.annotate(labels::UPD_END, vec![1]);
+                Ok(vec![])
+            }));
+        }
+        bodies.push(Box::new(move |ctx| {
+            ctx.annotate(labels::SCAN_START, vec![]);
+            let mut prev: Option<Vec<u64>> = None;
+            let view = loop {
+                let mut cur = Vec::with_capacity(3);
+                for reg in &v {
+                    cur.push(reg.read(ctx)?);
+                }
+                if !double_collect || prev.as_ref() == Some(&cur) {
+                    break cur;
+                }
+                prev = Some(cur);
+            };
+            ctx.annotate(labels::SCAN_END, view.clone());
+            Ok(view)
+        }));
         (world, bodies)
     }
 }
 
-fn backend_meta<B: SnapshotBackend<u64>>(n: usize) -> SnapshotMeta {
-    let world = World::builder(n).build();
-    B::alloc(&world, n, 0u64).meta()
+/// Meta for [`writers_scanner_factory`]'s layout: registers 0–2 are the
+/// value slots and values double as sequence numbers.
+fn raw_meta() -> SnapshotMeta {
+    SnapshotMeta {
+        value_regs: vec![0, 1, 2],
+    }
 }
 
-/// Shrinks a counterexample, serializes it to `out_trace`, and verifies the
-/// written artifact parses and replays to the same violation. Returns the
-/// failure detail line.
-fn write_shrunk_trace<F, C>(
-    mut factory: F,
-    mut check: C,
-    trace: DecisionTrace,
-    description: &str,
-    out_trace: &str,
-) -> (String, bool)
-where
-    F: FnMut() -> (World, Vec<ProcBody<Vec<u64>>>),
-    C: FnMut(&RunReport<Vec<u64>>) -> Option<String>,
-{
-    let full_len = trace.decisions.len();
-    let (min, _) = shrink_trace(&mut factory, &mut check, trace);
-    let text = min.to_json().render_pretty(2);
-    let replays = bprc_sim::json::parse(&text)
-        .ok()
-        .and_then(|v| DecisionTrace::from_json(&v).ok())
-        .map(|t| {
-            let (rep, _) = run_trace(&mut factory, &t);
-            check(&rep).is_some()
-        })
-        .unwrap_or(false);
-    let written = std::fs::write(out_trace, text + "\n").is_ok();
-    (
-        format!(
-            "VIOLATION: {description} — trace shrunk {full_len} -> {} decisions, \
-             replay {}, written to {out_trace}",
-            min.decisions.len(),
-            if replays {
-                "reproduces"
+/// A row over [`writers_scanner_factory`]: the honest scanner claims
+/// P1–P3, the torn one is a seeded bug.
+fn writers_scanner(name: &str, double_collect: bool, fault_budget: u64, expect: Expect) -> Check {
+    let meta = raw_meta();
+    Check::explored(
+        Row {
+            name: name.to_string(),
+            tags: if double_collect {
+                &["P1-P3", "PARITY"]
             } else {
-                "FAILED to reproduce"
+                &["TEETH"]
             },
-        ),
-        written && replays,
+            protocol: "2 writers + scanner",
+            backend: "raw",
+            n: 3,
+            fault_budget,
+            expect,
+            ..Row::default()
+        },
+        Independence::ReadsOnly,
+        writers_scanner_factory(double_collect),
+        move |r| snapshot_check(r, &meta),
     )
 }
 
-/// One bounded-exhaustive pass: the whole schedule×fault space of `factory`
-/// must be enumerated without truncation and hold P1–P3 + parity on every
-/// schedule. On violation the shrunk trace is written to `out_trace`.
-fn exhaustive_check<F>(
-    name: &str,
-    meta: SnapshotMeta,
-    fault_budget: u64,
-    factory: F,
-    out: &mut GateReport,
-    out_trace: &str,
-) where
-    F: Fn() -> (World, Vec<ProcBody<Vec<u64>>>) + Sync,
-{
-    let cfg = ExploreConfig {
-        max_steps: 40,
-        max_schedules: 2_000_000,
-        independence: Independence::ReadsOnly,
-        fault_budget,
-        progress: true,
-        ..ExploreConfig::default()
-    };
-    let check = |r: &RunReport<Vec<u64>>| snapshot_and_parity_check(r, &meta);
-    let rep = explore(&cfg, &factory, check);
-    let outcome = match &rep.violation {
-        Some(cex) => {
-            let (detail, artifact_ok) = write_shrunk_trace(
-                &factory,
-                check,
-                cex.trace.clone(),
-                &cex.description,
-                out_trace,
-            );
-            if artifact_ok {
-                out.trace_path = Some(out_trace.to_string());
-            }
-            CheckOutcome {
-                name: name.to_string(),
-                passed: false,
-                detail,
-            }
-        }
-        None if !rep.exhausted => CheckOutcome {
-            name: name.to_string(),
-            passed: false,
-            detail: format!(
-                "space not exhausted ({} schedules, {} truncated) — the claim is vacuous",
-                rep.schedules, rep.truncated
+/// The [`writers_scanner`] space re-run through the work-stealing parallel
+/// explorer, one worker against the machine's parallelism on the same kind
+/// of frontier split: both must exhaust cleanly. Wall-clocks are reported,
+/// not judged.
+fn frontier(serial_only: bool) -> Check {
+    let name = "frontier-n3-writers-scanner-b1";
+    let row = writers_scanner(name, true, 1, Expect::Clean).row;
+    let run = move |row: &mut Row| {
+        let cfg = config(row, Independence::ReadsOnly);
+        let workers = if serial_only {
+            1
+        } else {
+            std::thread::available_parallelism().map_or(1, |v| v.get().clamp(1, 8))
+        };
+        let factory = writers_scanner_factory(true);
+        let (mode, meta) = (row.mode, raw_meta());
+        let run_with = |workers: usize| {
+            let par = ParallelConfig {
+                workers,
+                frontier_factor: 4,
+                max_frontier_depth: 4,
+            };
+            explore_parallel(&cfg, &par, || factory(mode), |r| snapshot_check(r, &meta))
+        };
+        let serial = run_with(1);
+        let parallel = run_with(workers);
+        row.record(&parallel.report);
+        let violation = [&serial.report, &parallel.report]
+            .iter()
+            .find_map(|r| r.violation.as_ref().map(|c| c.description.clone()));
+        row.ok = violation.is_none() && serial.report.exhausted && parallel.report.exhausted;
+        row.detail = match violation {
+            Some(v) => format!("VIOLATION: {v}"),
+            None => format!(
+                "serial {} schedules in {:.2}s; {} workers {} schedules in {:.2}s \
+                 ({} jobs, {} steals, x{:.2})",
+                serial.report.schedules,
+                serial.report.elapsed_secs,
+                parallel.workers,
+                parallel.report.schedules,
+                parallel.report.elapsed_secs,
+                parallel.jobs,
+                parallel.steals,
+                serial.report.elapsed_secs / parallel.report.elapsed_secs.max(1e-9),
             ),
-        },
-        None if fault_budget > 0 && rep.faults_injected == 0 => CheckOutcome {
-            name: name.to_string(),
-            passed: false,
-            detail: "fault budget granted but no crash branch was ever taken".to_string(),
-        },
-        None => CheckOutcome {
-            name: name.to_string(),
-            passed: true,
-            detail: format!(
-                "{} schedules exhausted (by crash count: {:?}), {} crashes injected",
-                rep.schedules, rep.schedules_by_faults, rep.faults_injected
-            ),
-        },
+        };
     };
-    println!(
-        "  [{}] {}: {}",
-        if outcome.passed { "ok" } else { "FAIL" },
-        outcome.name,
-        outcome.detail
-    );
-    out.checks.push(outcome);
+    Check {
+        row,
+        run: Box::new(run),
+    }
 }
 
-/// The serial-vs-parallel frontier comparison over the distilled n = 3
-/// space with one crash: both must exhaust cleanly; wall-clocks are
-/// reported (the speedup claim itself lives in `BENCH_explore.json`).
-fn frontier_check(out: &mut GateReport, serial_only: bool) {
-    let meta = raw_meta();
-    let cfg = ExploreConfig {
-        max_steps: 40,
-        max_schedules: 2_000_000,
-        independence: Independence::ReadsOnly,
-        fault_budget: 1,
-        progress: true,
-        ..ExploreConfig::default()
-    };
-    let workers = if serial_only {
-        1
+/// The seeded crash-publish bug: the writer publishes `value` then raises
+/// `published`; the reader holding the value without the bit while the
+/// writer is *dead* is a permanently stale handshake, reachable only when
+/// the writer crashes between its writes — invisible to any grant-only
+/// exploration, so it proves the crash branches are explored and not just
+/// configured. At fault budget 0 the same program is its own control.
+fn crash_publish(name: &str, fault_budget: u64, expect: Expect) -> Check {
+    Check::explored(
+        Row {
+            name: name.to_string(),
+            tags: &["TEETH"],
+            protocol: "publish value, then bit",
+            backend: "raw",
+            n: 2,
+            fault_budget,
+            expect,
+            ..Row::default()
+        },
+        Independence::DistinctRegisters,
+        |mode| {
+            let world = World::builder(2).weak_memory(mode).build();
+            let value = world.reg("value", 0u64);
+            let published = world.reg("published", 0u64);
+            let (v0, p0) = (value.clone(), published.clone());
+            let bodies: Vec<ProcBody<Vec<u64>>> = vec![
+                Box::new(move |ctx| {
+                    v0.write(ctx, 1)?;
+                    p0.write(ctx, 1)?;
+                    Ok(vec![])
+                }),
+                Box::new(move |ctx| {
+                    let v = value.read(ctx)?;
+                    let p = published.read(ctx)?;
+                    Ok(vec![v, p])
+                }),
+            ];
+            (world, bodies)
+        },
+        |r| {
+            let stale = r.outputs[1].as_deref() == Some(&[1, 0][..]) && r.outputs[0].is_none();
+            stale.then(|| "survivor holds a value whose publish bit can never arrive".to_string())
+        },
+    )
+}
+
+/// The seeded missing-fence bug, under PSO: the writer stores `data` then
+/// raises `flag`. With the release fence the flag can never overtake the
+/// data (the control); without it the PSO store buffer can land the flag
+/// first and the reader observes the publish signal guarding nothing —
+/// reachable only through a store-buffer reordering, so invisible to any
+/// sequentially consistent exploration and proof that the flush branches
+/// are explored.
+fn message_passing(name: &str, fenced: bool, expect: Expect) -> Check {
+    Check::explored(
+        Row {
+            name: name.to_string(),
+            tags: &["TEETH"],
+            protocol: if fenced {
+                "publish data, fence, flag"
+            } else {
+                "publish data, then flag"
+            },
+            backend: "raw",
+            mode: WeakMode::Pso,
+            n: 2,
+            expect,
+            ..Row::default()
+        },
+        Independence::DistinctRegisters,
+        move |mode| {
+            let world = World::builder(2).weak_memory(mode).build();
+            let data = world.reg("data", 0u64);
+            let flag = world.reg("flag", 0u64);
+            let (d0, f0) = (data.clone(), flag.clone());
+            let bodies: Vec<ProcBody<Vec<u64>>> = vec![
+                Box::new(move |ctx| {
+                    d0.write(ctx, 1)?;
+                    if fenced {
+                        ctx.fence()?;
+                    }
+                    f0.write(ctx, 1)?;
+                    Ok(vec![])
+                }),
+                Box::new(move |ctx| {
+                    let f = flag.read(ctx)?;
+                    let d = data.read(ctx)?;
+                    Ok(vec![f, d])
+                }),
+            ];
+            (world, bodies)
+        },
+        |r| {
+            (r.outputs[1].as_deref() == Some(&[1, 0][..]))
+                .then(|| "reader saw the publish flag before the data it guards".to_string())
+        },
+    )
+}
+
+/// One cell of the litmus matrix: the forbidden outcome must be found
+/// exactly where the corpus says store-buffer physics allow it, and be
+/// exhaustively unreachable everywhere else.
+fn litmus(prog: &LitmusProgram, mode: WeakMode) -> Check {
+    let expect = if prog.expected_found(mode) {
+        Expect::Found(None)
     } else {
-        std::thread::available_parallelism()
-            .map(|v| v.get())
-            .unwrap_or(1)
-            .clamp(1, 8)
+        Expect::Clean
     };
-    let run_with = |w: usize| {
-        let par = ParallelConfig {
-            workers: w,
-            frontier_factor: 4,
-            max_frontier_depth: 4,
+    Check::explored(
+        Row {
+            name: format!("litmus-{}-{mode}", prog.name),
+            tags: &["WEAKMEM"],
+            protocol: prog.name,
+            backend: "raw",
+            mode,
+            n: prog.n,
+            expect,
+            ..Row::default()
+        },
+        Independence::DistinctRegisters,
+        prog.build,
+        prog.check,
+    )
+}
+
+/// A row that samples instead of enumerating: `one(row, seed)` runs one
+/// seeded schedule and returns what it covered, or the violation it found.
+fn sampled<S>(row: Row, seeds: u64, one: S) -> Check
+where
+    S: Fn(&mut Row, u64) -> Result<String, String> + 'static,
+{
+    let row = Row {
+        expect: Expect::Sampled,
+        ..row
+    };
+    let run = move |row: &mut Row| {
+        let mut heartbeat = Heartbeat::new(2.0);
+        let start = Instant::now();
+        let mut verdict = Ok(String::new());
+        for seed in 0..seeds {
+            heartbeat.tick(|secs| {
+                format!(
+                    "verify-gate [{}]: seed {seed}/{seeds} ({:.1}/s), {} crashes injected",
+                    row.name,
+                    seed as f64 / secs.max(1e-9),
+                    row.faults_injected,
+                )
+            });
+            verdict = one(row, seed).map_err(|v| format!("VIOLATION at seed {seed}: {v}"));
+            row.schedules += 1;
+            if verdict.is_err() {
+                break;
+            }
+        }
+        row.elapsed_sec = start.elapsed().as_secs_f64();
+        row.ok = verdict.is_ok();
+        row.detail = match verdict {
+            Ok(covered) => format!("{seeds} seeds clean ({covered})"),
+            Err(violation) => violation,
         };
-        explore_parallel(&cfg, &par, n3_writers_scanner_factory(), |r| {
-            snapshot_and_parity_check(r, &meta)
-        })
     };
-    let serial = run_with(1);
-    let parallel = run_with(workers);
-    let clean = serial.report.violation.is_none()
-        && parallel.report.violation.is_none()
-        && serial.report.exhausted
-        && parallel.report.exhausted;
-    let outcome = CheckOutcome {
-        name: "exhaustive n=3 frontier serial-vs-parallel (fault budget 1)".to_string(),
-        passed: clean,
-        detail: format!(
-            "serial {} schedules in {:.2}s; {} workers {} schedules in {:.2}s \
-             ({} jobs, {} steals, x{:.2})",
-            serial.report.schedules,
-            serial.report.elapsed_secs,
-            parallel.workers,
-            parallel.report.schedules,
-            parallel.report.elapsed_secs,
-            parallel.jobs,
-            parallel.steals,
-            serial.report.elapsed_secs / parallel.report.elapsed_secs.max(1e-9),
-        ),
-    };
-    println!(
-        "  [{}] {}: {}",
-        if outcome.passed { "ok" } else { "FAIL" },
-        outcome.name,
-        outcome.detail
-    );
-    out.checks.push(outcome);
+    Check {
+        row,
+        run: Box::new(run),
+    }
 }
 
 /// The PCT sweep over the full consensus stack on backend `B`: every seed
 /// runs the whole protocol at register granularity under a fault-injecting
-/// strategy and must satisfy agreement, validity, P1–P3, and parity.
-fn pct_consensus_check<B: SnapshotBackend<ProcState>>(
-    label: &str,
-    seeds: u64,
-    out: &mut GateReport,
-) {
-    let n = 3usize;
+/// strategy and must satisfy agreement, validity, P1–P3 and parity.
+fn pct_consensus<B: SnapshotBackend<ProcState> + 'static>(seeds: u64) -> Check {
     let inputs = [true, false, true];
-    let d = 3usize;
+    let (n, d) = (inputs.len(), 3usize);
     // Short enough that sampled fault points usually land inside the run
     // (a point past the last step is spent without firing — legal but
     // uninformative).
     let horizon = 800u64;
+    let row = Row {
+        name: format!("pct-consensus-n3-{}", B::NAME),
+        tags: &["AGREE", "VALID", "P1-P3", "PARITY"],
+        protocol: "bounded consensus",
+        backend: B::NAME,
+        n,
+        depth: 60_000,
+        fault_budget: 1,
+        ..Row::default()
+    };
     let spec = ConsensusSpec::new(&inputs);
-    let mut failure: Option<String> = None;
-    let mut crashes_seen = 0u64;
-    let mut heartbeat = bprc_sim::Heartbeat::new(2.0);
-    for seed in 0..seeds {
-        heartbeat.tick(|secs| {
-            format!(
-                "verify-gate [{label}]: seed {seed}/{seeds} ({:.1}/s), \
-                 {crashes_seen} crashes injected",
-                seed as f64 / secs.max(1e-9),
-            )
-        });
-        let mut world = World::builder(n).seed(0).step_limit(60_000).build();
+    sampled(row, seeds, move |row, seed| {
+        let mut world = World::builder(n).seed(0).step_limit(row.depth).build();
         let params = ConsensusParams::quick(n);
         let inst = ThreadedConsensusOn::<B>::new(&world, &params, &inputs, seed);
         let meta = inst.memory.meta();
@@ -446,626 +847,435 @@ fn pct_consensus_check<B: SnapshotBackend<ProcState>>(
             ))
         };
         let rep = world.run(inst.bodies, strategy);
-        crashes_seen += rep
-            .history
-            .as_ref()
-            .map(|h| h.crashes().count() as u64)
-            .unwrap_or(0);
-        if let Some(v) = spec
+        row.faults_injected += rep.history.as_ref().map_or(0, |h| h.crashes().count()) as u64;
+        let violation = spec
             .check_with_snapshot(&meta, &rep)
-            .or_else(|| check_telemetry_parity(&rep))
-        {
-            failure = Some(format!("seed {seed}: {v}"));
-            break;
+            .or_else(|| check_telemetry_parity(&rep));
+        match violation {
+            Some(v) => Err(v),
+            None => Ok(format!("d={d}, {} crashes injected", row.faults_injected)),
         }
-    }
-    let outcome = CheckOutcome {
-        name: format!("pct consensus sweep, {label} backend"),
-        passed: failure.is_none(),
-        detail: failure.unwrap_or_else(|| {
-            format!("{seeds} seeds clean (n={n}, d={d}, {crashes_seen} crashes injected)")
-        }),
+    })
+}
+
+/// The PCT sweep at n = 4 over the handshake memory: `seeds` schedules
+/// with d = 3 change points, every run's history checked against P1–P3.
+fn pct_snapshot(seeds: u64) -> Check {
+    let (n, d, horizon) = (4usize, 3usize, 200u64);
+    let meta = backend_meta::<Handshake<u64>>(n);
+    let row = Row {
+        name: "pct-snapshot-n4-handshake".to_string(),
+        tags: &["P1-P3"],
+        protocol: "update+scan",
+        backend: Handshake::<u64>::NAME,
+        n,
+        depth: 5_000,
+        ..Row::default()
     };
-    println!(
-        "  [{}] {}: {}",
-        if outcome.passed { "ok" } else { "FAIL" },
-        outcome.name,
-        outcome.detail
-    );
-    out.checks.push(outcome);
-}
-
-/// The wait-freedom bound: a writer granted two of every three steps must
-/// not push the wait-free scan past n + 1 attempts or starve it.
-fn waitfree_bound_check(out: &mut GateReport) {
-    let mut world = World::builder(2).step_limit(100_000).build();
-    let mem = WaitFreeSnapshot::<u64>::alloc(&world, 2, 0);
-    let mut wp = mem.port(0);
-    let mut sp = mem.port(1);
-    let bodies: Vec<ProcBody<Vec<u64>>> = vec![
-        Box::new(move |ctx| {
-            let mut k = 0u64;
-            loop {
-                k += 1;
-                wp.update(ctx, k)?;
-            }
-        }),
-        Box::new(move |ctx| sp.scan(ctx)),
-    ];
-    let strategy = FnStrategy::new(|view: &ScheduleView<'_>| {
-        if view.step % 3 == 0 && view.runnable.contains(&1) {
-            Decision::Grant(1)
-        } else if view.runnable.contains(&0) {
-            Decision::Grant(0)
-        } else {
-            Decision::Grant(1)
-        }
-    });
-    let rep = world.run(bodies, Box::new(strategy));
-    let attempts = mem
-        .stats(1)
-        .attempts
-        .load(std::sync::atomic::Ordering::Relaxed);
-    let passed = rep.outputs[1].is_some() && attempts <= 3;
-    let outcome = CheckOutcome {
-        name: "wait-free scan attempt bound under writer pressure".to_string(),
-        passed,
-        detail: if passed {
-            format!("scan completed in {attempts} attempts (bound n+1 = 3)")
-        } else {
-            format!(
-                "VIOLATION: attempts = {attempts} (bound 3), scan output {:?}, halted {:?}",
-                rep.outputs[1], rep.halted[1]
-            )
-        },
-    };
-    println!(
-        "  [{}] {}: {}",
-        if outcome.passed { "ok" } else { "FAIL" },
-        outcome.name,
-        outcome.detail
-    );
-    out.checks.push(outcome);
-}
-
-/// The n = 2 crash-publish fixture: writer publishes `value` then raises a
-/// bit; the reader seeing the value without the bit while the writer is
-/// *dead* is a permanently-stale handshake reachable only via a crash.
-fn crash_publish_factory() -> impl Fn() -> (World, Vec<ProcBody<Vec<u64>>>) + Sync {
-    || {
-        let world = World::builder(2).build();
-        let value = world.reg("value", 0u64);
-        let published = world.reg("published", 0u64);
-        let (v0, p0) = (value.clone(), published.clone());
-        let bodies: Vec<ProcBody<Vec<u64>>> = vec![
-            Box::new(move |ctx| {
-                v0.write(ctx, 1)?;
-                p0.write(ctx, 1)?;
-                Ok(vec![])
-            }),
-            Box::new(move |ctx| {
-                let v = value.read(ctx)?;
-                let p = published.read(ctx)?;
-                Ok(vec![v, p])
-            }),
-        ];
-        (world, bodies)
-    }
-}
-
-fn crash_publish_check(r: &RunReport<Vec<u64>>) -> Option<String> {
-    let stale = r.outputs[1].as_deref() == Some(&[1, 0][..]) && r.outputs[0].is_none();
-    stale.then(|| "survivor holds a value whose publish bit can never arrive".to_string())
-}
-
-/// The n = 2 missing-fence fixture under PSO: the writer publishes `data`
-/// then raises `flag`; with the release fence (`fenced = true`) the flag
-/// can never overtake the data, without it the PSO store buffer can land
-/// the flag first and the reader observes the publish signal guarding
-/// nothing.
-fn missing_fence_factory(fenced: bool) -> impl Fn() -> (World, Vec<ProcBody<Vec<u64>>>) + Sync {
-    move || {
-        let world = World::builder(2).weak_memory(WeakMode::Pso).build();
-        let data = world.reg("data", 0u64);
-        let flag = world.reg("flag", 0u64);
-        let (d0, f0) = (data.clone(), flag.clone());
-        let bodies: Vec<ProcBody<Vec<u64>>> = vec![
-            Box::new(move |ctx| {
-                d0.write(ctx, 1)?;
-                if fenced {
-                    ctx.fence()?;
-                }
-                f0.write(ctx, 1)?;
-                Ok(vec![])
-            }),
-            Box::new(move |ctx| {
-                let f = flag.read(ctx)?;
-                let d = data.read(ctx)?;
-                Ok(vec![f, d])
-            }),
-        ];
-        (world, bodies)
-    }
-}
-
-fn missing_fence_check(r: &RunReport<Vec<u64>>) -> Option<String> {
-    (r.outputs[1].as_deref() == Some(&[1, 0][..]))
-        .then(|| "reader saw the publish flag before the data it guards".to_string())
-}
-
-/// The whole litmus matrix as one gate check: every corpus program under
-/// SC, TSO, and PSO, each cell driven through the
-/// full explore→shrink→round-trip→replay pipeline by
-/// [`litmus_cell`](crate::explore::litmus_cell).
-fn litmus_matrix_check(out: &mut GateReport) {
-    let mut cells = 0u64;
-    let mut found = 0u64;
-    let mut failure: Option<String> = None;
-    for prog in bprc_sim::litmus::corpus() {
-        for mode in LITMUS_MODES {
-            let cell = litmus_cell(&prog, mode);
-            cells += 1;
-            if cell.expected_found {
-                found += 1;
-            }
-            if !cell.ok && failure.is_none() {
-                failure = Some(format!(
-                    "{} under {}: {}",
-                    cell.name, cell.mode, cell.detail
-                ));
-            }
-        }
-    }
-    let outcome = CheckOutcome {
-        name: "litmus matrix (corpus x SC/TSO/PSO)".to_string(),
-        passed: failure.is_none(),
-        detail: failure.unwrap_or_else(|| {
-            format!("{cells} cells clean ({found} forbidden outcomes found, shrunk, replayed)")
-        }),
-    };
-    println!(
-        "  [{}] {}: {}",
-        if outcome.passed { "ok" } else { "FAIL" },
-        outcome.name,
-        outcome.detail
-    );
-    out.checks.push(outcome);
-}
-
-/// Bounded-exhaustive store-buffer exploration of the real n = 2 snapshot
-/// stack under `mode`: every schedule×flush placement, P1–P3 checked
-/// through the flush-timed checker ([`check_history_weak`] — a store
-/// linearizes at its flush, not its issue). The workload is the shape
-/// weak memory actually threatens: a writer's update (a raise + value
-/// store, each of which may linger in the buffer) racing a full scan —
-/// which exercises every fence the memory carries. Flush branching
-/// resets sleep sets (a flush is dependent with everything), so the
-/// usual reduction gets no purchase and the space grows brutally with
-/// each buffered store: both-sides-do-everything blows past 10^6
-/// schedules, while this split stays exhaustive in seconds without
-/// giving up the real code path. On a violation the shrunk trace is
-/// written and the critical cycle from the counterexample's history is
-/// printed alongside.
-fn weakmem_exhaustive_check(mode: WeakMode, out: &mut GateReport, out_trace: &str) {
-    let meta = backend_meta::<ScannableMemory<u64, DirectArrow>>(2);
-    let factory = move || {
-        let world = World::builder(2).seed(0).weak_memory(mode).build();
-        let mem = ScannableMemory::<u64, DirectArrow>::alloc(&world, 2, 0u64);
-        let bodies: Vec<ProcBody<Vec<u64>>> = (0..2)
+    sampled(row, seeds, move |row, seed| {
+        let mut world = World::builder(n).seed(0).step_limit(row.depth).build();
+        let mem = Handshake::<u64>::alloc(&world, n, 0);
+        let bodies: Vec<ProcBody<Vec<u64>>> = (0..n)
             .map(|pid| {
                 let mut port = mem.port(pid);
                 let b: ProcBody<Vec<u64>> = Box::new(move |ctx| {
-                    if pid == 0 {
-                        port.update(ctx, 10)?;
-                        Ok(Vec::new())
-                    } else {
-                        port.scan(ctx)
-                    }
+                    port.update(ctx, pid as u64 + 1)?;
+                    port.scan(ctx)
                 });
                 b
             })
             .collect();
-        (world, bodies)
-    };
-    let cfg = ExploreConfig {
-        max_steps: 40,
-        max_schedules: 2_000_000,
-        independence: Independence::ReadsOnly,
-        progress: true,
-        ..ExploreConfig::default()
-    };
-    // Explorer telemetry carries only the explorer's own counters; the
-    // per-run world counters (where `StoresBuffered` lives) arrive on each
-    // `RunReport`, so the vacuity evidence is accumulated run by run.
-    let buffered_seen = std::cell::Cell::new(0u64);
-    let check = |r: &RunReport<Vec<u64>>| {
-        buffered_seen
-            .set(buffered_seen.get() + r.telemetry.total(bprc_sim::Counter::StoresBuffered));
-        let history = r.history.as_ref().expect("lockstep records history");
-        check_history_weak(history, &meta)
-            .violations
-            .first()
-            .map(|v| format!("snapshot property violated under {mode}: {v:?}"))
-    };
-    let name = format!("exhaustive n=2 writer/scanner under {mode} store buffering");
-    let rep = explore(&cfg, &factory, check);
-    let buffered = buffered_seen.get();
-    let outcome = match &rep.violation {
-        Some(cex) => {
-            // Explain the reordering before shrinking consumes the trace.
-            let cycle_line = {
-                let mut make = factory;
-                let (replayed, _) = run_trace(&mut make, &cex.trace);
-                let names = {
-                    let (w, _) = make();
-                    w.reg_names()
-                };
-                replayed
-                    .history
-                    .as_ref()
-                    .and_then(|h| critical_cycle(h, &names))
-                    .map(|c| format!("\n  critical cycle: {c}"))
-                    .unwrap_or_default()
-            };
-            let (detail, artifact_ok) = write_shrunk_trace(
-                factory,
-                check,
-                cex.trace.clone(),
-                &cex.description,
-                out_trace,
-            );
-            if artifact_ok {
-                out.trace_path = Some(out_trace.to_string());
-            }
-            CheckOutcome {
-                name,
-                passed: false,
-                detail: format!("{detail}{cycle_line}"),
-            }
+        let rep = world.run(bodies, Box::new(PctStrategy::new(seed, n, d, horizon)));
+        let history = rep.history.as_ref().expect("lockstep records history");
+        match check_history(history, &meta).violations.first() {
+            Some(v) => Err(format!("snapshot property violated: {v:?}")),
+            None => Ok(format!("d={d}")),
         }
-        None if !rep.exhausted => CheckOutcome {
-            name,
-            passed: false,
-            detail: format!(
-                "space not exhausted ({} schedules, {} truncated) — the claim is vacuous",
-                rep.schedules, rep.truncated
-            ),
-        },
-        None if buffered == 0 => CheckOutcome {
-            name,
-            passed: false,
-            detail: "weak mode requested but no store was ever buffered".to_string(),
-        },
-        None => CheckOutcome {
-            name,
-            passed: true,
-            detail: format!(
-                "{} schedules exhausted, {} stores buffered across the space",
-                rep.schedules, buffered
-            ),
-        },
-    };
-    println!(
-        "  [{}] {}: {}",
-        if outcome.passed { "ok" } else { "FAIL" },
-        outcome.name,
-        outcome.detail
-    );
-    out.checks.push(outcome);
+    })
 }
 
-/// Runs a seeded broken fixture: the gate must find the bug, shrink it,
-/// and write the replayable trace. The check "passes" in the inverted
-/// sense — it reports `passed = false` (a violation exists, so the command
-/// exits non-zero, which is what CI asserts) while the detail records
-/// whether the find/shrink/replay pipeline behaved.
-fn fixture_check(fixture: Fixture, out: &mut GateReport, out_trace: &str) {
-    let (cfg, name) = match fixture {
-        Fixture::TornScan => (
-            ExploreConfig {
-                independence: Independence::ReadsOnly,
-                ..ExploreConfig::default()
-            },
-            "fixture torn-scan (grant-only bug)",
-        ),
-        Fixture::CrashPublish => (
-            ExploreConfig {
-                fault_budget: 1,
-                ..ExploreConfig::default()
-            },
-            "fixture crash-publish (fault-dependent bug)",
-        ),
-        Fixture::MissingFence => (
-            ExploreConfig::default(),
-            "fixture missing-fence (ordering-dependent bug)",
-        ),
+/// The wait-freedom bound: a writer granted two of every three steps must
+/// not push the wait-free scan past n + 1 attempts or starve it. One
+/// adversarial schedule, so one "seed".
+fn waitfree_bound() -> Check {
+    let row = Row {
+        name: "waitfree-attempt-bound-n2".to_string(),
+        tags: &["WFREE"],
+        protocol: "endless writer vs scan",
+        backend: WaitFreeSnapshot::<u64>::NAME,
+        n: 2,
+        depth: 100_000,
+        ..Row::default()
     };
-    let outcome = match fixture {
-        Fixture::TornScan => {
-            let rep = explore(&cfg, broken_scanner_factory(), broken_check);
-            match rep.violation {
-                Some(cex) => {
-                    let (detail, artifact_ok) = write_shrunk_trace(
-                        broken_scanner_factory(),
-                        broken_check,
-                        cex.trace,
-                        &cex.description,
-                        out_trace,
-                    );
-                    if artifact_ok {
-                        out.trace_path = Some(out_trace.to_string());
-                    }
-                    CheckOutcome {
-                        name: name.to_string(),
-                        passed: false,
-                        detail,
-                    }
+    sampled(row, 1, |row, _| {
+        let mut world = World::builder(2).step_limit(row.depth).build();
+        let mem = WaitFreeSnapshot::<u64>::alloc(&world, 2, 0);
+        let mut wp = mem.port(0);
+        let mut sp = mem.port(1);
+        let bodies: Vec<ProcBody<Vec<u64>>> = vec![
+            Box::new(move |ctx| {
+                let mut k = 0u64;
+                loop {
+                    k += 1;
+                    wp.update(ctx, k)?;
                 }
-                None => CheckOutcome {
-                    name: name.to_string(),
-                    passed: true, // wrong — the fixture must be caught
-                    detail: "gate FAILED to find the seeded bug".to_string(),
-                },
+            }),
+            Box::new(move |ctx| sp.scan(ctx)),
+        ];
+        let strategy = FnStrategy::new(|view: &ScheduleView<'_>| {
+            if view.step % 3 == 0 && view.runnable.contains(&1) {
+                Decision::Grant(1)
+            } else if view.runnable.contains(&0) {
+                Decision::Grant(0)
+            } else {
+                Decision::Grant(1)
             }
+        });
+        let rep = world.run(bodies, Box::new(strategy));
+        let attempts = mem
+            .stats(1)
+            .attempts
+            .load(std::sync::atomic::Ordering::Relaxed);
+        if rep.outputs[1].is_some() && attempts <= 3 {
+            Ok(format!(
+                "scan completed in {attempts} attempts, bound n+1 = 3"
+            ))
+        } else {
+            Err(format!(
+                "attempts = {attempts} (bound 3), scan output {:?}, halted {:?}",
+                rep.outputs[1], rep.halted[1]
+            ))
         }
-        Fixture::CrashPublish => {
-            // The fault-dependence claim: grants alone must exhaust clean.
-            let grants_only = explore(
-                &ExploreConfig {
-                    fault_budget: 0,
-                    ..cfg.clone()
-                },
-                crash_publish_factory(),
-                crash_publish_check,
-            );
-            let rep = explore(&cfg, crash_publish_factory(), crash_publish_check);
-            match rep.violation {
-                Some(cex) if grants_only.violation.is_none() && grants_only.exhausted => {
-                    let crash_kept = cex.trace.decisions.iter().any(|s| s.is_crash());
-                    let (detail, artifact_ok) = write_shrunk_trace(
-                        crash_publish_factory(),
-                        crash_publish_check,
-                        cex.trace,
-                        &cex.description,
-                        out_trace,
-                    );
-                    if artifact_ok {
-                        out.trace_path = Some(out_trace.to_string());
-                    }
-                    CheckOutcome {
-                        name: name.to_string(),
-                        passed: false,
-                        detail: format!(
-                            "{detail} (grant-only space clean: bug is fault-dependent; \
-                             crash kept by shrinker: {crash_kept})"
-                        ),
-                    }
-                }
-                Some(_) => CheckOutcome {
-                    name: name.to_string(),
-                    passed: true,
-                    detail: "grant-only exploration was not clean — fixture is not \
-                             fault-dependent"
-                        .to_string(),
-                },
-                None => CheckOutcome {
-                    name: name.to_string(),
-                    passed: true,
-                    detail: "gate FAILED to find the seeded fault-dependent bug".to_string(),
-                },
-            }
-        }
-        Fixture::MissingFence => {
-            // The ordering-dependence claim: with the release fence in
-            // place the whole schedule×flush space must exhaust clean.
-            let fenced = explore(&cfg, missing_fence_factory(true), missing_fence_check);
-            let rep = explore(&cfg, missing_fence_factory(false), missing_fence_check);
-            match rep.violation {
-                Some(cex) if fenced.violation.is_none() && fenced.exhausted => {
-                    let flush_kept = cex.trace.decisions.iter().any(|s| s.is_flush());
-                    let cycle_line = {
-                        let mut make = missing_fence_factory(false);
-                        let (replayed, _) = run_trace(&mut make, &cex.trace);
-                        let names = {
-                            let (w, _) = make();
-                            w.reg_names()
-                        };
-                        replayed
-                            .history
-                            .as_ref()
-                            .and_then(|h| critical_cycle(h, &names))
-                            .map(|c| format!("; critical cycle: {c}"))
-                            .unwrap_or_default()
-                    };
-                    let (detail, artifact_ok) = write_shrunk_trace(
-                        missing_fence_factory(false),
-                        missing_fence_check,
-                        cex.trace,
-                        &cex.description,
-                        out_trace,
-                    );
-                    if artifact_ok {
-                        out.trace_path = Some(out_trace.to_string());
-                    }
-                    CheckOutcome {
-                        name: name.to_string(),
-                        passed: false,
-                        detail: format!(
-                            "{detail} (fenced variant clean: bug is ordering-dependent; \
-                             flush decision in counterexample: {flush_kept}{cycle_line})"
-                        ),
-                    }
-                }
-                Some(_) => CheckOutcome {
-                    name: name.to_string(),
-                    passed: true,
-                    detail: "fenced variant was not clean — fixture is not \
-                             ordering-dependent"
-                        .to_string(),
-                },
-                None => CheckOutcome {
-                    name: name.to_string(),
-                    passed: true,
-                    detail: "gate FAILED to find the seeded ordering bug".to_string(),
-                },
-            }
-        }
-    };
-    println!(
-        "  [{}] {}: {}",
-        if outcome.passed { "MISSED" } else { "caught" },
-        outcome.name,
-        outcome.detail
-    );
-    out.checks.push(outcome);
+    })
 }
 
-/// Runs the gate. Progress is printed as checks complete; the returned
-/// report carries every verdict (the CLI exits non-zero unless
-/// [`GateReport::passed`]).
-pub fn run(opts: &GateOptions) -> GateReport {
-    println!("verify-gate: fail-closed verification over the schedule x fault space");
-    println!("  pinned properties:");
-    for (tag, what) in PROPERTIES {
-        println!("    {tag:<7} {what}");
+/// The gate's checks, in execution order.
+fn table(opts: &GateOptions) -> Vec<Check> {
+    let seeds = opts.scale.trials(300, 5_000);
+    let mut checks = Vec::new();
+    for budget in [0, 1] {
+        checks.push(n2_update_scan::<Handshake<u64>>(budget));
+        checks.push(n2_update_scan::<WaitFreeSnapshot<u64>>(budget));
     }
-    let mut report = GateReport::default();
-
-    if let Some(fixture) = opts.fixture {
-        println!("  running seeded fixture '{}':", fixture.name());
-        fixture_check(fixture, &mut report, &opts.out_trace);
-        return report;
-    }
-
+    checks.extend([
+        writers_scanner("snapshot-n3-writers-scanner-b1", true, 1, Expect::Clean),
+        frontier(opts.serial),
+        writers_scanner("fixture-torn-scan", false, 0, Expect::Found(None)),
+        crash_publish("fixture-crash-publish", 1, Expect::Found(Some(Keep::Crash))),
+        crash_publish("control-crash-publish-b0", 0, Expect::Clean),
+        pct_consensus::<Handshake<ProcState>>(seeds),
+        pct_consensus::<WaitFreeSnapshot<ProcState>>(seeds),
+        pct_snapshot(1_000),
+        waitfree_bound(),
+    ]);
     if opts.weakmem {
-        println!("  weak-memory plane (store buffers as explorable decisions):");
-        litmus_matrix_check(&mut report);
-        for mode in [WeakMode::Tso, WeakMode::Pso] {
-            weakmem_exhaustive_check(mode, &mut report, &opts.out_trace);
+        for prog in corpus() {
+            for mode in [WeakMode::Sc, WeakMode::Tso, WeakMode::Pso] {
+                checks.push(litmus(&prog, mode));
+            }
         }
-        return report;
+        checks.extend([
+            n2_writer_scanner(WeakMode::Tso),
+            n2_writer_scanner(WeakMode::Pso),
+            message_passing(
+                "fixture-missing-fence",
+                false,
+                Expect::Found(Some(Keep::Flush)),
+            ),
+            message_passing("control-fenced-mp", true, Expect::Clean),
+        ]);
     }
+    checks
+}
 
-    for budget in [0u64, 1] {
-        exhaustive_check(
-            &format!("exhaustive n=2 handshake (fault budget {budget})"),
-            backend_meta::<ScannableMemory<u64, DirectArrow>>(2),
-            budget,
-            n2_factory::<ScannableMemory<u64, DirectArrow>>(),
-            &mut report,
-            &opts.out_trace,
-        );
-        exhaustive_check(
-            &format!("exhaustive n=2 waitfree (fault budget {budget})"),
-            backend_meta::<WaitFreeSnapshot<u64>>(2),
-            budget,
-            n2_factory::<WaitFreeSnapshot<u64>>(),
-            &mut report,
-            &opts.out_trace,
-        );
+/// The columns of the printed coverage matrix: keys of a row's JSON object.
+const COLUMNS: &[&str] = &[
+    "name",
+    "properties",
+    "protocol",
+    "snapshot_backend",
+    "memory_mode",
+    "n",
+    "depth_bound",
+    "fault_budget",
+    "expectation",
+    "schedules",
+    "schedules_by_faults",
+    "pruned",
+    "exhausted",
+    "max_depth",
+    "stores_buffered",
+    "shrunk_len",
+    "ok",
+];
+
+/// The rows of a document as the coverage matrix; failing rows repeat
+/// their detail underneath.
+fn render(rows: &[Value]) -> Table {
+    fn cell(v: &Value) -> String {
+        match v {
+            Value::Str(s) => s.clone(),
+            Value::Arr(items) if !items.is_empty() => {
+                items.iter().map(cell).collect::<Vec<_>>().join(" ")
+            }
+            Value::Null | Value::Arr(_) => "-".to_string(),
+            other => other.render(),
+        }
     }
-    frontier_check(&mut report, opts.serial);
+    let mut t = Table::new("verify-gate coverage matrix", COLUMNS);
+    for row in rows {
+        let col = |key: &str| cell(row.get(key).unwrap_or(&Value::Null));
+        t.row(COLUMNS.iter().map(|key| col(key)).collect());
+        if row.get("ok") != Some(&Value::Bool(true)) {
+            t.note(format!("FAIL {}: {}", col("name"), col("detail")));
+        }
+    }
+    t
+}
 
-    let seeds = if opts.quick { 300 } else { 5_000 };
-    pct_consensus_check::<ScannableMemory<ProcState, DirectArrow>>("handshake", seeds, &mut report);
-    pct_consensus_check::<WaitFreeSnapshot<ProcState>>("waitfree", seeds, &mut report);
+/// Runs the gate: prints the property tags the table carries, each row's
+/// verdict as it lands, then the coverage matrix; returns the [`SCHEMA`]
+/// document (the CLI writes it, then exits non-zero iff [`validate`]
+/// rejects it).
+pub fn run(opts: &GateOptions) -> Value {
+    // The PCT sweep's seeded fault plans inject panics; the runs contain
+    // and check them, so their unwind reports would only bury the verdict.
+    quiet_injected_panics();
+    let checks = table(opts);
+    println!("verify-gate: fail-closed verification over schedules x faults x memory modes");
+    println!("  pinned properties:");
+    let mut properties = Vec::new();
+    for &(tag, what) in PROPERTIES {
+        if checks.iter().any(|c| c.row.tags.contains(&tag)) {
+            println!("    {tag:<7} {what}");
+            properties.push(Value::obj(vec![("tag", tag.into()), ("what", what.into())]));
+        }
+    }
+    let mut rows = Vec::new();
+    for check in checks {
+        let row = check.run();
+        let verdict = if row.ok { "ok" } else { "FAIL" };
+        println!("  [{verdict}] {}: {}", row.name, row.detail);
+        rows.push(row.to_json());
+    }
+    println!("\n{}", render(&rows));
+    Value::obj(vec![
+        ("schema", SCHEMA.into()),
+        ("scale", opts.scale.name().into()),
+        ("properties", Value::Arr(properties)),
+        ("checks", Value::Arr(rows)),
+    ])
+}
 
-    waitfree_bound_check(&mut report);
-    report
+/// Checks an emitted document: the schema id, every row `ok`, `clean` rows
+/// exhausted and untruncated, `found` rows carrying a trace that parses,
+/// and no non-finite number anywhere. Returns human-readable violation
+/// strings; empty means valid.
+pub fn validate(doc: &Value) -> Vec<String> {
+    let mut errs = Vec::new();
+    match doc.get("schema").and_then(|v| v.as_str()) {
+        Some(s) if s == SCHEMA => {}
+        other => errs.push(format!("schema must be {SCHEMA:?}, got {other:?}")),
+    }
+    let rows = doc.get("checks").and_then(|v| v.as_arr()).unwrap_or(&[]);
+    if rows.is_empty() {
+        errs.push("checks must be a non-empty array".to_string());
+    }
+    for row in rows {
+        let text = |key: &str| row.get(key).and_then(|v| v.as_str()).unwrap_or("?");
+        let name = text("name");
+        if row.get("ok") != Some(&Value::Bool(true)) {
+            errs.push(format!("{name}: {}", text("detail")));
+            continue;
+        }
+        match text("expectation") {
+            "clean" => {
+                if row.get("exhausted") != Some(&Value::Bool(true))
+                    || row.get("truncated").and_then(|v| v.as_num()) != Some(0.0)
+                {
+                    errs.push(format!(
+                        "{name}: a clean row must be exhausted and untruncated"
+                    ));
+                }
+            }
+            "found" => {
+                if let Err(e) = DecisionTrace::from_json(row.get("trace").unwrap_or(&Value::Null)) {
+                    errs.push(format!("{name}: a found row must embed its trace: {e}"));
+                }
+            }
+            "sampled" => {}
+            other => errs.push(format!("{name}: unknown expectation {other:?}")),
+        }
+    }
+    check_finite(doc, "$", &mut errs);
+    errs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The real stack passes the exhaustive slices of the gate (the PCT
-    /// sweep is exercised with a tiny seed count to stay unit-test sized).
-    #[test]
-    fn real_stack_exhaustive_slices_pass() {
-        let mut report = GateReport::default();
-        exhaustive_check(
-            "n2 handshake b1",
-            backend_meta::<ScannableMemory<u64, DirectArrow>>(2),
-            1,
-            n2_factory::<ScannableMemory<u64, DirectArrow>>(),
-            &mut report,
-            "/dev/null",
-        );
-        exhaustive_check(
-            "n2 waitfree b1",
-            backend_meta::<WaitFreeSnapshot<u64>>(2),
-            1,
-            n2_factory::<WaitFreeSnapshot<u64>>(),
-            &mut report,
-            "/dev/null",
-        );
-        waitfree_bound_check(&mut report);
-        assert!(report.passed(), "{:?}", report.checks);
-        assert!(report.trace_path.is_none());
+    /// A row's embedded trace, through the document: parses as
+    /// `bprc-trace-v1`.
+    fn embedded_trace(row: &Row) -> DecisionTrace {
+        let json = row.to_json();
+        DecisionTrace::from_json(json.get("trace").unwrap()).expect("bprc-trace-v1")
     }
 
-    /// A small consensus PCT slice holds all four properties on both
-    /// backends.
     #[test]
-    fn consensus_pct_slice_passes_on_both_backends() {
-        let mut report = GateReport::default();
-        pct_consensus_check::<ScannableMemory<ProcState, DirectArrow>>("handshake", 6, &mut report);
-        pct_consensus_check::<WaitFreeSnapshot<ProcState>>("waitfree", 6, &mut report);
-        assert!(report.passed(), "{:?}", report.checks);
+    fn clean_row_reports_fault_coverage() {
+        let row = n2_update_scan::<WaitFreeSnapshot<u64>>(1).run();
+        assert!(row.ok, "{}", row.detail);
+        assert!(row.exhausted);
+        assert_eq!((row.schedules, row.truncated), (152, 0));
+        assert_eq!(row.schedules_by_faults, vec![18, 134]);
+        assert_eq!(row.faults_injected, 134);
+        assert_eq!(row.trace, None);
     }
 
-    /// The weak-memory plane of the gate: litmus matrix clean both ways,
-    /// and the real n = 2 stack survives exhaustive TSO and PSO
-    /// store-buffer exploration through the flush-timed checker.
+    /// One reachable and one model-soundness cell of the litmus matrix.
     #[test]
-    fn weakmem_plane_passes_on_the_real_stack() {
-        let mut report = GateReport::default();
-        litmus_matrix_check(&mut report);
-        weakmem_exhaustive_check(WeakMode::Tso, &mut report, "/dev/null");
-        weakmem_exhaustive_check(WeakMode::Pso, &mut report, "/dev/null");
-        assert!(report.passed(), "{:?}", report.checks);
-        assert!(report.trace_path.is_none());
+    fn litmus_cells_hold_the_matrix_both_ways() {
+        let prog = |name: &str| corpus().into_iter().find(|p| p.name == name).unwrap();
+        let sb = litmus(&prog("sb"), WeakMode::Tso).run();
+        assert_eq!(sb.expect, Expect::Found(None));
+        assert!(sb.ok, "{}", sb.detail);
+        // SB shrinks to the empty trace (the end-of-run drain alone delays
+        // the stores past the reads), so only presence is pinned.
+        embedded_trace(&sb);
+        let lb = litmus(&prog("lb"), WeakMode::Pso).run();
+        assert_eq!(lb.expect, Expect::Clean);
+        assert!(lb.ok, "{}", lb.detail);
+        assert!(lb.exhausted && lb.stores_buffered > 0);
     }
 
-    /// All fixtures are caught, shrunk, and serialized; the crash-publish
-    /// one is certified fault-dependent (grant-only space clean) and the
-    /// missing-fence one ordering-dependent (fenced space clean).
+    /// Every seeded bug is caught and its embedded trace replays; handed
+    /// its repaired control instead, the same `Found` row reports a miss.
     #[test]
-    fn fixtures_are_caught_and_traces_written() {
-        for fixture in [
-            Fixture::TornScan,
-            Fixture::CrashPublish,
-            Fixture::MissingFence,
-        ] {
-            let path = format!(
-                "{}/gate_fixture_{}.json",
-                std::env::temp_dir().display(),
-                fixture.name()
-            );
-            let mut report = GateReport::default();
-            fixture_check(fixture, &mut report, &path);
-            assert!(
-                !report.passed(),
-                "{}: the fixture must register as a violation",
-                fixture.name()
-            );
-            assert_eq!(report.trace_path.as_deref(), Some(path.as_str()));
-            let text = std::fs::read_to_string(&path).expect("trace artifact written");
-            let parsed = bprc_sim::json::parse(&text).expect("artifact is JSON");
-            DecisionTrace::from_json(&parsed).expect("artifact is a bprc-trace-v1 trace");
-            let _ = std::fs::remove_file(&path);
+    fn fixtures_are_caught_and_their_controls_are_missed() {
+        let torn = |double_collect| writers_scanner("torn", double_collect, 0, Expect::Found(None));
+        let crash = |budget| crash_publish("crash", budget, Expect::Found(Some(Keep::Crash)));
+        let fence = |fenced| message_passing("fence", fenced, Expect::Found(Some(Keep::Flush)));
+
+        let caught = [torn(false).run(), crash(1).run(), fence(false).run()];
+        for row in &caught {
+            assert!(row.ok, "{}: {}", row.name, row.detail);
+        }
+        let shrunk = caught
+            .each_ref()
+            .map(|row| embedded_trace(row).decisions.len());
+        assert_eq!(shrunk, [1, 2, 3]);
+        assert!(caught[2].detail.contains("critical cycle"));
+
+        let factory = writers_scanner_factory(false);
+        let (replayed, _) = run_trace(&mut || factory(WeakMode::Sc), &embedded_trace(&caught[0]));
+        assert!(snapshot_check(&replayed, &raw_meta()).is_some());
+
+        for row in [torn(true).run(), crash(0).run(), fence(true).run()] {
+            assert!(!row.ok, "{}: a repaired control cannot be caught", row.name);
+            assert!(row.detail.contains("MISSED"), "{}", row.detail);
+            assert!(row.exhausted && row.truncated == 0, "{}", row.name);
         }
     }
 
+    /// A `Clean` row over a violating space fails with the shrunk trace
+    /// embedded — what a red gate ships.
     #[test]
-    fn fixture_names_round_trip() {
-        for f in [
-            Fixture::TornScan,
-            Fixture::CrashPublish,
-            Fixture::MissingFence,
-        ] {
-            assert_eq!(Fixture::parse(f.name()), Some(f));
+    fn violated_clean_row_embeds_its_counterexample() {
+        let row = crash_publish("regression", 1, Expect::Clean).run();
+        assert!(!row.ok);
+        assert!(row.detail.starts_with("VIOLATION"), "{}", row.detail);
+        assert_eq!(embedded_trace(&row).decisions.len(), 2);
+    }
+
+    #[test]
+    fn sampled_runners_fill_the_same_row_shape() {
+        quiet_injected_panics();
+        let rows = [
+            pct_consensus::<Handshake<ProcState>>(6).run(),
+            pct_consensus::<WaitFreeSnapshot<ProcState>>(6).run(),
+            pct_snapshot(20).run(),
+            waitfree_bound().run(),
+        ];
+        for row in &rows {
+            assert!(row.ok, "{}: {}", row.name, row.detail);
+            assert_eq!(row.expect, Expect::Sampled);
+            assert!(!row.exhausted);
         }
-        assert_eq!(Fixture::parse("nope"), None);
+        assert_eq!(rows.map(|r| r.schedules), [6, 6, 20, 1]);
+    }
+
+    #[test]
+    fn table_rows_are_unique_and_cover_the_property_list() {
+        let [sc, all] = [false, true].map(|weakmem| {
+            table(&GateOptions {
+                scale: Scale::Quick,
+                serial: false,
+                weakmem,
+            })
+        });
+        assert_eq!((sc.len(), all.len()), (13, 32));
+        let known = |tag: &&str| PROPERTIES.iter().any(|(t, _)| t == tag);
+        for (i, check) in all.iter().enumerate() {
+            let row = &check.row;
+            assert!(!row.tags.is_empty() && row.tags.iter().all(known));
+            let earlier = all[..i].iter().any(|c| c.row.name == row.name);
+            assert!(!earlier, "duplicate row name {}", row.name);
+        }
+        for (tag, _) in PROPERTIES {
+            let carried = all.iter().any(|c| c.row.tags.contains(tag));
+            assert!(carried, "no row carries {tag}");
+        }
+        // `--weakmem` adds rows; a run without it carries no WEAKMEM tag.
+        assert!(sc.iter().all(|c| !c.row.tags.contains(&"WEAKMEM")));
+        assert!(sc.iter().zip(&all).all(|(a, b)| a.row.name == b.row.name));
+    }
+
+    fn document(rows: &[Row]) -> Value {
+        Value::obj(vec![
+            ("schema", SCHEMA.into()),
+            (
+                "checks",
+                Value::Arr(rows.iter().map(Row::to_json).collect()),
+            ),
+        ])
+    }
+
+    #[test]
+    fn validate_accepts_real_rows_and_rejects_forgeries() {
+        let rows = [
+            n2_update_scan::<Handshake<u64>>(0).run(),
+            crash_publish("found", 1, Expect::Found(Some(Keep::Crash))).run(),
+            waitfree_bound().run(),
+        ];
+        let doc = document(&rows);
+        assert_eq!(validate(&doc), Vec::<String>::new());
+        // The document survives a render → parse round trip, and its rows
+        // render as the coverage matrix.
+        let text = doc.render_pretty(2);
+        let parsed = bprc_sim::json::parse(&text).unwrap();
+        assert_eq!(validate(&parsed), Vec::<String>::new());
+        assert_eq!(parsed.render_pretty(2), text);
+        let matrix = render(parsed.get("checks").unwrap().as_arr().unwrap()).to_string();
+        assert!(matrix.contains(" found |"), "{matrix}");
+        assert!(!matrix.contains("FAIL"), "{matrix}");
+
+        let forged = |from: &str, to: &str| {
+            let edited = text.replacen(from, to, 1);
+            assert_ne!(edited, text, "nothing to forge at {from:?}");
+            validate(&bprc_sim::json::parse(&edited).unwrap())
+        };
+        assert!(forged("\"ok\": true", "\"ok\": false")[0].contains("snapshot-n2"));
+        assert!(forged("\"exhausted\": true", "\"exhausted\": false")[0].contains("exhausted"));
+        assert!(forged("\"truncated\": 0", "\"truncated\": 2")[0].contains("untruncated"));
+        assert!(forged(SCHEMA, "bprc.bench.verify/v0")[0].contains("schema"));
+        assert!(forged("bprc-trace-v1", "bprc-trace-v0")[0].contains("trace"));
+        assert!(forged("\"clean\"", "\"hopeful\"")[0].contains("unknown expectation"));
+
+        let mut slow = rows[0].clone();
+        slow.elapsed_sec = f64::NAN;
+        let errs = validate(&document(&[slow]));
+        assert!(errs.iter().any(|e| e.contains("non-finite")), "{errs:?}");
+        assert!(validate(&document(&[]))[0].contains("non-empty"));
     }
 }

@@ -398,21 +398,10 @@ mod tests {
         // Inject a panic into one process mid-run over the real register
         // stack: the panic is contained, the survivors reach agreement, and
         // the injection is visible in the recorded history.
-        use bprc_sim::faults::{FaultPlan, FaultedStrategy};
+        use bprc_sim::faults::{quiet_injected_panics, FaultPlan, FaultedStrategy};
         use bprc_sim::{FaultKind, Halted};
         // Expected contained panic: keep it off stderr.
-        let prev_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| info.payload().downcast_ref::<String>().cloned())
-                .is_some_and(|s| s.contains("chaos"));
-            if !injected {
-                prev_hook(info);
-            }
-        }));
+        quiet_injected_panics();
         for seed in 0..4 {
             let params = ConsensusParams::quick(3);
             let mut world = World::builder(3).seed(seed).step_limit(5_000_000).build();

@@ -43,6 +43,30 @@ use crate::history::FaultKind;
 use crate::sched::{Decision, ScheduleView, Strategy};
 use crate::turn::{TurnAdversary, TurnDecision, TurnView};
 
+/// Keeps injected panics (`Decision::Panic` unwinds its target with a
+/// payload starting `"chaos: injected panic"`) off stderr: the hook it
+/// installs, once per process, swallows any panic whose `&str` or `String`
+/// payload contains `"chaos"` and hands every other panic to the hook that
+/// was installed before it. Contained panics are still reported through
+/// `RunReport::panics` either way.
+pub fn quiet_injected_panics() {
+    static ONCE: std::sync::Once = std::sync::Once::new();
+    ONCE.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let payload = info.payload();
+            let injected = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .is_some_and(|msg| msg.contains("chaos"));
+            if !injected {
+                prev(info);
+            }
+        }));
+    });
+}
+
 /// When a fault point becomes due.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultTrigger {

@@ -194,6 +194,12 @@ impl History {
         self.events.push(e);
     }
 
+    /// Stable-sorts the events by pid (crate-internal; the scheduler does
+    /// this once, to the notes recorded before its first decision).
+    pub(crate) fn sort_by_pid(&mut self) {
+        self.events.sort_by_key(Event::pid);
+    }
+
     /// All events, in execution order.
     pub fn events(&self) -> &[Event] {
         &self.events

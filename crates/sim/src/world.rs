@@ -487,6 +487,7 @@ impl WorldInner {
     /// Drives the lockstep scheduler until every process finished, the step
     /// limit is reached, or only crashed processes remain.
     fn scheduler_loop(&self, strategy: &mut dyn Strategy) {
+        let mut first_decision = true;
         loop {
             let mut c = self.central.lock();
             // Wait for quiescence: every non-finished process parked at a
@@ -506,6 +507,14 @@ impl WorldInner {
                     break;
                 }
                 self.sched_cv.wait(&mut c);
+            }
+            if std::mem::take(&mut first_decision) {
+                // Until the first grant every process thread runs freely to
+                // its first gate, so the notes recorded so far arrived in
+                // the OS's order. Put them in pid order (each process's own
+                // notes keep program order); from here on only the granted
+                // process runs, so the history's order is the schedule's.
+                c.history.sort_by_pid();
             }
             let runnable: Vec<usize> = (0..self.n)
                 .filter(|&p| !c.finished[p] && !c.crashed[p] && c.waiting[p].is_some())
@@ -1370,6 +1379,49 @@ mod tests {
         assert_eq!(h.notes_labelled("done").count(), 1);
     }
 
+    /// Before the first grant every process thread runs freely, so the
+    /// arrival order of step-0 notes is the OS's; the channel forces the
+    /// worst case (pid 1's notes recorded strictly before pid 0's) and the
+    /// history must still list them by pid, each pid in program order.
+    #[test]
+    fn notes_before_the_first_grant_are_recorded_in_pid_order() {
+        let mut w = World::builder(2).build();
+        let r = w.reg("r", 0u32);
+        let (r0, r1) = (r.clone(), r);
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let bodies: Vec<ProcBody<()>> = vec![
+            Box::new(move |ctx| {
+                rx.recv().expect("pid 1 signals after annotating");
+                ctx.annotate("early", vec![0, 0]);
+                ctx.annotate("early", vec![0, 1]);
+                r0.read(ctx)?;
+                Ok(())
+            }),
+            Box::new(move |ctx| {
+                ctx.annotate("early", vec![1, 0]);
+                ctx.annotate("early", vec![1, 1]);
+                tx.send(()).expect("pid 0 is waiting");
+                r1.read(ctx)?;
+                Ok(())
+            }),
+        ];
+        let rep = w.run(bodies, Box::new(RoundRobin::new()));
+        let h = rep.history.unwrap();
+        let notes: Vec<(usize, Vec<u64>)> = h
+            .notes_labelled("early")
+            .map(|(_, pid, note)| (pid, note.data.clone()))
+            .collect();
+        assert_eq!(
+            notes,
+            vec![
+                (0, vec![0, 0]),
+                (0, vec![0, 1]),
+                (1, vec![1, 0]),
+                (1, vec![1, 1])
+            ]
+        );
+    }
+
     #[test]
     fn distinct_outputs_dedups() {
         let rep = RunReport {
@@ -1448,31 +1500,8 @@ mod tests {
         assert!(phases[0].step <= phases[1].step);
     }
 
-    /// Suppresses the default panic-to-stderr hook for tests that exercise
-    /// panic containment, so expected contained panics don't spam output.
-    fn quiet_panics() {
-        use std::sync::Once;
-        static ONCE: Once = Once::new();
-        ONCE.call_once(|| {
-            let prev = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                let msg = info
-                    .payload()
-                    .downcast_ref::<&str>()
-                    .copied()
-                    .map(String::from)
-                    .or_else(|| info.payload().downcast_ref::<String>().cloned())
-                    .unwrap_or_default();
-                if !msg.contains("chaos") && !msg.contains("boom") {
-                    prev(info);
-                }
-            }));
-        });
-    }
-
     #[test]
     fn body_panic_is_contained_and_survivors_finish() {
-        quiet_panics();
         let mut w = World::builder(2).build();
         let r = w.reg("r", 0u32);
         let r0 = r.clone();
@@ -1499,7 +1528,7 @@ mod tests {
 
     #[test]
     fn injected_panic_decision_poisons_target() {
-        quiet_panics();
+        crate::faults::quiet_injected_panics();
         let mut w = World::builder(2).build();
         let r = w.reg("r", 0u32);
         let r0 = r.clone();

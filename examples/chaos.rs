@@ -10,7 +10,7 @@
 use bprc::core::bounded::ConsensusParams;
 use bprc::core::threaded::ThreadedConsensus;
 use bprc::registers::DirectArrow;
-use bprc::sim::faults::{FaultPlan, FaultedStrategy};
+use bprc::sim::faults::{quiet_injected_panics, FaultPlan, FaultedStrategy};
 use bprc::sim::sched::RandomStrategy;
 use bprc::sim::trace::{render, render_unified, summary, TraceOptions};
 use bprc::sim::World;
@@ -19,18 +19,7 @@ use bprc::sim::{Counter, Gauge};
 fn main() {
     // The injected panic below is expected and contained; keep its default
     // unwind report off the demo's output.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| info.payload().downcast_ref::<String>().cloned())
-            .is_some_and(|s| s.contains("chaos"));
-        if !injected {
-            prev_hook(info);
-        }
-    }));
+    quiet_injected_panics();
 
     let n = 3;
     let seed = 7;

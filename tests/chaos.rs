@@ -34,34 +34,11 @@ use bprc::core::multivalued::{MvCore, MvState};
 use bprc::core::threaded::{over_snapshot, ThreadedConsensus, WaitFreeConsensus};
 use bprc::core::ProcState;
 use bprc::registers::DirectArrow;
-use bprc::sim::faults::{FaultPlan, FaultedStrategy, FaultedTurnAdversary};
+use bprc::sim::faults::{quiet_injected_panics, FaultPlan, FaultedStrategy, FaultedTurnAdversary};
 use bprc::sim::sched::RandomStrategy;
 use bprc::sim::turn::{TurnAdversary, TurnBsp, TurnDriver, TurnRandom, TurnReport, TurnRoundRobin};
 use bprc::sim::{FaultKind, Halted, World};
 use bprc::snapshot::{SnapshotBackend, WaitFreeSnapshot};
-
-/// Silences the default panic-to-stderr hook for the *expected*, contained
-/// chaos panics; everything else still reports.
-fn quiet_chaos_panics() {
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<&str>()
-                .is_some_and(|s| s.contains("chaos"))
-                || info
-                    .payload()
-                    .downcast_ref::<String>()
-                    .is_some_and(|s| s.contains("chaos"));
-            if !injected {
-                prev(info);
-            }
-        }));
-    });
-}
 
 fn bounded_cores(n: usize, inputs: &[bool], seed: u64) -> Vec<BoundedCore> {
     let params = ConsensusParams::quick(n);
@@ -122,7 +99,7 @@ fn bounded_adversary(kind: usize, seed: u64) -> Box<dyn TurnAdversary<ProcState>
 
 #[test]
 fn bounded_survives_seeded_chaos_under_every_adversary() {
-    quiet_chaos_panics();
+    quiet_injected_panics();
     let n = 4;
     for kind in 0..5usize {
         for seed in 0..24u64 {
@@ -144,7 +121,7 @@ fn bounded_survives_seeded_chaos_under_every_adversary() {
 
 #[test]
 fn multivalued_survives_seeded_chaos() {
-    quiet_chaos_panics();
+    quiet_injected_panics();
     let n = 3;
     let width = 4;
     for kind in 0..3usize {
@@ -172,7 +149,7 @@ fn multivalued_survives_seeded_chaos() {
 
 #[test]
 fn multishot_survives_seeded_chaos() {
-    quiet_chaos_panics();
+    quiet_injected_panics();
     let n = 3;
     let n_slots = 2;
     let width = 4;
@@ -229,7 +206,7 @@ fn full_stack_survives_seeded_chaos() {
     // The same contract over the real register-level stack: genuine §2
     // snapshot scans, arrows, and process threads, with panic containment
     // exercised by actual unwinding.
-    quiet_chaos_panics();
+    quiet_injected_panics();
     let n = 3;
     for seed in 0..24u64 {
         let params = ConsensusParams::quick(n);
@@ -277,7 +254,7 @@ fn full_stack_survives_seeded_chaos_waitfree() {
     // The register-level chaos contract over the wait-free snapshot: same
     // seeded plans, same assertions — plus one the handshake memory cannot
     // make: no scan is ever starved, whatever the plan and schedule do.
-    quiet_chaos_panics();
+    quiet_injected_panics();
     let n = 3;
     for seed in 0..24u64 {
         let params = ConsensusParams::quick(n);
@@ -337,7 +314,7 @@ where
 fn multivalued_full_stack_waitfree_chaos() {
     // Multivalued consensus over the wait-free snapshot under seeded fault
     // plans: agreement, validity, and zero starvation.
-    quiet_chaos_panics();
+    quiet_injected_panics();
     let n = 3;
     for seed in 0..8u64 {
         let params = ConsensusParams::quick(n);
@@ -381,7 +358,7 @@ fn multishot_full_stack_waitfree_chaos() {
     // The multi-shot log over the wait-free snapshot: surviving replicas
     // agree slot for slot, every slot holds a proposed value, no scan
     // starves.
-    quiet_chaos_panics();
+    quiet_injected_panics();
     let n = 3;
     let n_slots = 2;
     for seed in 0..6u64 {
@@ -532,7 +509,7 @@ fn composed_crash_stall_panic_plan_full_stack() {
     // late injected panic — over the threaded stack, with a scan retry
     // budget active: every degradation path in one run, and the fault
     // timeline lands in the recorded history.
-    quiet_chaos_panics();
+    quiet_injected_panics();
     let n = 4;
     let seed = 9;
     let params = ConsensusParams::quick(n);

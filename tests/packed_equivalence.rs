@@ -49,26 +49,8 @@ fn lcg(state: &mut u64) -> u64 {
     *state >> 33
 }
 
-/// Canonicalizes a history for cross-allocation comparison: every scheduled
-/// access owns its own step, but several *annotations* can share one step,
-/// and their relative order within it is a coroutine-wake artifact (two
-/// processes annotating before their first access), not an observable.
-/// Sorting lines per step (ties by text) erases exactly that artifact.
-fn canonical_history(jsonl: &str) -> String {
-    let step_of = |l: &str| -> u64 {
-        l.split("\"step\":")
-            .nth(1)
-            .and_then(|s| s.split([',', '}']).next())
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0)
-    };
-    let mut lines: Vec<&str> = jsonl.lines().collect();
-    lines.sort_by(|a, b| step_of(a).cmp(&step_of(b)).then(a.cmp(b)));
-    lines.join("\n")
-}
-
-/// One explored schedule's observables: outputs, step count, canonical
-/// history.
+/// One explored schedule's observables: outputs, step count, the history
+/// as JSONL.
 type Fingerprint = (Vec<Option<Vec<u64>>>, u64, String);
 
 /// Enumerates every schedule of the n=2 update+scan configuration over
@@ -106,11 +88,7 @@ fn explore_alloc<B: SnapshotBackend<u64>>(what: &str, alloc: Alloc<B>) -> (Vec<F
         if let Some(v) = check.violations.first() {
             return Some(format!("{what}: snapshot property violated: {v:?}"));
         }
-        fingerprints.push((
-            r.outputs.clone(),
-            r.steps,
-            canonical_history(&history.to_jsonl()),
-        ));
+        fingerprints.push((r.outputs.clone(), r.steps, history.to_jsonl()));
         None
     });
     assert!(rep.violation.is_none(), "{:?}", rep.violation);
@@ -187,11 +165,7 @@ fn pct_crash_run<B: SnapshotBackend<u64>>(
         "{what} seed {seed}: {:?}",
         check.violations
     );
-    (
-        rep.outputs.clone(),
-        rep.steps,
-        canonical_history(&history.to_jsonl()),
-    )
+    (rep.outputs.clone(), rep.steps, history.to_jsonl())
 }
 
 /// PCT schedules with injected crashes are decided by step counts, which
