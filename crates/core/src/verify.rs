@@ -186,6 +186,7 @@ mod tests {
             panics: vec![None; n],
             steps: 0,
             per_proc_steps: vec![0; n],
+            handoffs: 0,
             history: None,
             telemetry: Telemetry::empty(n),
             flight: bprc_sim::FlightLog::empty(n),

@@ -75,9 +75,10 @@
 //! — (suffix first, then interior) while the violation persists, yielding a
 //! minimal forcing prefix.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Instant;
+
+use parking_lot::Mutex;
 
 use crate::history::{OpKind, RegId};
 use crate::json::Value;
@@ -363,24 +364,19 @@ impl DecisionTrace {
     }
 
     /// The tolerant replayer: an [`FnStrategy`] that re-executes this trace.
-    pub fn strategy(&self) -> FnStrategy<impl FnMut(&ScheduleView<'_>) -> Decision + 'static> {
+    pub fn strategy(
+        &self,
+    ) -> FnStrategy<impl FnMut(&ScheduleView<'_>) -> Decision + Send + 'static> {
         self.replayer(None)
     }
 
-    /// Like [`DecisionTrace::strategy`], but also appends every decision it
-    /// actually issues (including fallback grants) to `log` — used by
-    /// [`run_trace`] to canonicalize traces.
-    pub fn recording_strategy(
-        &self,
-        log: Rc<RefCell<Vec<TraceStep>>>,
-    ) -> FnStrategy<impl FnMut(&ScheduleView<'_>) -> Decision + 'static> {
-        self.replayer(Some(log))
-    }
-
+    /// The replayer behind [`DecisionTrace::strategy`]; with a `log` it
+    /// also appends every decision it actually issues (fallback grants
+    /// included), which is how [`run_trace`] canonicalizes traces.
     fn replayer(
         &self,
-        log: Option<Rc<RefCell<Vec<TraceStep>>>>,
-    ) -> FnStrategy<impl FnMut(&ScheduleView<'_>) -> Decision + 'static> {
+        log: Option<Arc<Mutex<Vec<TraceStep>>>>,
+    ) -> FnStrategy<impl FnMut(&ScheduleView<'_>) -> Decision + Send + 'static> {
         let decisions = self.decisions.clone();
         let mut idx = 0usize;
         FnStrategy::new(move |view: &ScheduleView<'_>| {
@@ -397,7 +393,7 @@ impl DecisionTrace {
             }
             let step = pick.unwrap_or(TraceStep::Grant(view.runnable[0]));
             if let Some(log) = &log {
-                log.borrow_mut().push(step);
+                log.lock().push(step);
             }
             step.decision()
         })
@@ -529,12 +525,13 @@ fn fallback(view: &ScheduleView<'_>) -> Decision {
 
 /// The controller: replays the stack prefix, then extends it.
 struct Controller {
-    st: Rc<RefCell<Dfs>>,
+    st: Arc<Mutex<Dfs>>,
 }
 
 impl Strategy for Controller {
     fn decide(&mut self, view: &ScheduleView<'_>) -> Decision {
-        let mut st = self.st.borrow_mut();
+        let mut guard = self.st.lock();
+        let st = &mut *guard;
         if st.dead {
             return fallback(view);
         }
@@ -778,7 +775,7 @@ where
 {
     let metrics = MetricsRegistry::new(1);
     let start = Instant::now();
-    let st = Rc::new(RefCell::new(Dfs {
+    let st = Arc::new(Mutex::new(Dfs {
         fixed: prefix.to_vec(),
         stack: Vec::new(),
         depth: 0,
@@ -814,7 +811,7 @@ where
             break;
         }
         {
-            let mut s = st.borrow_mut();
+            let mut s = st.lock();
             s.depth = 0;
             s.dead = false;
             s.redundant = false;
@@ -826,10 +823,15 @@ where
             Mode::Lockstep,
             "exploration needs the deterministic lockstep backend"
         );
-        let run_report = world.run(bodies, Box::new(Controller { st: Rc::clone(&st) }));
+        let run_report = world.run(
+            bodies,
+            Box::new(Controller {
+                st: Arc::clone(&st),
+            }),
+        );
         runs += 1;
         let (redundant, truncated, pruned_now, path_faults, path_len) = {
-            let mut s = st.borrow_mut();
+            let mut s = st.lock();
             let path_len = s.fixed.len() + s.stack.len();
             report.max_depth = report.max_depth.max(path_len);
             (
@@ -864,7 +866,7 @@ where
         // truncated prefixes are real executions and still worth checking.
         if !redundant {
             if let Some(description) = check(&run_report) {
-                let s = st.borrow();
+                let s = st.lock();
                 let trace = DecisionTrace {
                     n: world.n(),
                     decisions: s
@@ -892,7 +894,7 @@ where
                 )
             });
         }
-        if backtrack(&mut st.borrow_mut(), &mut report, &metrics) {
+        if backtrack(&mut st.lock(), &mut report, &metrics) {
             report.exhausted = report.truncated == 0;
             break;
         }
@@ -913,12 +915,12 @@ where
     T: Send + 'static,
     F: FnMut() -> (World, Vec<ProcBody<T>>),
 {
-    let log = Rc::new(RefCell::new(Vec::new()));
+    let log = Arc::new(Mutex::new(Vec::new()));
     let (mut world, bodies) = make();
-    let report = world.run(bodies, Box::new(trace.recording_strategy(Rc::clone(&log))));
+    let report = world.run(bodies, Box::new(trace.replayer(Some(Arc::clone(&log)))));
     let actual = DecisionTrace {
         n: trace.n,
-        decisions: log.borrow().clone(),
+        decisions: std::mem::take(&mut *log.lock()),
     };
     (report, actual)
 }
@@ -997,8 +999,8 @@ where
     F: FnMut() -> (World, Vec<ProcBody<T>>),
 {
     type Captured = (Vec<usize>, Vec<(usize, RegId)>);
-    let captured: Rc<RefCell<Option<Captured>>> = Rc::new(RefCell::new(None));
-    let cap = Rc::clone(&captured);
+    let captured: Arc<Mutex<Option<Captured>>> = Arc::new(Mutex::new(None));
+    let cap = Arc::clone(&captured);
     let steps = prefix.to_vec();
     let mut idx = 0usize;
     let strategy = FnStrategy::new(move |view: &ScheduleView<'_>| {
@@ -1013,7 +1015,7 @@ where
         }
         if idx == steps.len() {
             idx += 1;
-            *cap.borrow_mut() = Some((view.runnable.to_vec(), view.flushable.to_vec()));
+            *cap.lock() = Some((view.runnable.to_vec(), view.flushable.to_vec()));
         }
         Decision::Grant(view.runnable[0])
     });
@@ -1024,7 +1026,7 @@ where
         "exploration needs the deterministic lockstep backend"
     );
     let report = world.run(bodies, Box::new(strategy));
-    let at_branch = captured.borrow_mut().take();
+    let at_branch = captured.lock().take();
     match at_branch {
         Some((enabled, flushable)) => Probe::Branch { enabled, flushable },
         None => Probe::Complete(report),
@@ -1250,8 +1252,7 @@ where
         progress: false,
         ..cfg.clone()
     };
-    let results: Vec<parking_lot::Mutex<Option<ExploreReport>>> =
-        (0..jobs).map(|_| parking_lot::Mutex::new(None)).collect();
+    let results: Vec<Mutex<Option<ExploreReport>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for w in 0..workers {
             let queues = &queues;

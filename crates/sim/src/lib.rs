@@ -9,9 +9,10 @@
 //! This crate provides that model twice, at two different granularities:
 //!
 //! * [`world::World`] — every process runs on its own OS thread. In
-//!   [`world::Mode::Lockstep`] each shared-memory access blocks on a
-//!   per-process turnstile and a scheduler (driven by a [`sched::Strategy`])
-//!   grants exactly one access at a time, giving **deterministic, replayable,
+//!   [`world::Mode::Lockstep`] each shared-memory access blocks at a
+//!   per-process gate and a [`sched::Strategy`] — consulted by whichever
+//!   process thread leaves the world quiescent — grants exactly one access
+//!   at a time, giving **deterministic, replayable,
 //!   adversary-controlled executions** with a recorded [`history::History`].
 //!   In [`world::Mode::Free`] the registers are still linearizable but the OS
 //!   provides the interleaving — this validates the algorithms on real
@@ -63,6 +64,7 @@ pub mod history;
 pub mod json;
 pub mod litmus;
 pub mod metrics;
+mod pool;
 pub mod reg;
 pub mod rng;
 pub mod sched;

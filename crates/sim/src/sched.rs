@@ -86,9 +86,11 @@ pub enum Decision {
 
 /// The adversary interface.
 ///
-/// Strategies run on the thread that called
-/// [`World::run`](crate::world::World::run), so they need not be `Send`.
-pub trait Strategy {
+/// A strategy is consulted by whichever process thread makes the world
+/// quiescent (see [`World::run`](crate::world::World::run)), never by two
+/// at once — so it must be `Send`, but needs no synchronization of its own.
+/// State shared with the caller of `run` goes behind an `Arc<Mutex<_>>`.
+pub trait Strategy: Send {
     /// Picks the next decision given the current quiescent state.
     fn decide(&mut self, view: &ScheduleView<'_>) -> Decision;
 
@@ -185,7 +187,7 @@ impl<F> std::fmt::Debug for FnStrategy<F> {
     }
 }
 
-impl<F: FnMut(&ScheduleView<'_>) -> Decision> Strategy for FnStrategy<F> {
+impl<F: FnMut(&ScheduleView<'_>) -> Decision + Send> Strategy for FnStrategy<F> {
     fn decide(&mut self, view: &ScheduleView<'_>) -> Decision {
         (self.0)(view)
     }

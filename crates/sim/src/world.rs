@@ -1,14 +1,23 @@
-//! The shared-memory world: process threads, lockstep scheduler, run reports.
+//! The shared-memory world: process threads, lockstep executor, run reports.
 //!
 //! See the crate docs for the model. A [`World`] is built once, registers are
 //! allocated with [`World::reg`], and then [`World::run`] executes `n`
 //! process bodies to completion under a [`Strategy`].
+//!
+//! The lockstep executor is a baton pass. There is no scheduler thread:
+//! whichever process thread makes the world *quiescent* — by arriving at a
+//! gate or by finishing — consults the strategy itself, under the central
+//! lock it already holds. A grant to itself costs nothing; a grant to
+//! another process is one `unpark`, issued after the lock is released.
 
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, OnceLock};
+use std::thread::Thread;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Mutex, MutexGuard};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -104,6 +113,13 @@ pub struct RunReport<T> {
     pub steps: u64,
     /// Granted accesses per process.
     pub per_proc_steps: Vec<u64>,
+    /// Grants that passed the baton to a process other than the one that
+    /// took the decision — each cost one `unpark`; a process granting
+    /// itself continues with no switch and is not counted. The first grant
+    /// of a run always counts (before it nobody holds the baton), which
+    /// makes the figure a pure function of the schedule. Lockstep only;
+    /// 0 in free mode.
+    pub handoffs: u64,
     /// The recorded history (lockstep mode only, and only if recording was
     /// enabled — it is by default).
     pub history: Option<History>,
@@ -158,7 +174,16 @@ pub(crate) struct Central {
     shutdown: Option<Halted>,
     steps: u64,
     per_proc_steps: Vec<u64>,
+    handoffs: u64,
     history: History,
+    /// The adversary, parked here by [`World::run`] for whichever process
+    /// thread takes the next decision.
+    strategy: Option<Box<dyn Strategy>>,
+    /// A panic raised by the strategy (or by the legality checks on its
+    /// decision), held for [`World::run`] to re-raise on its caller.
+    strategy_panic: Option<Box<dyn Any + Send>>,
+    /// Whether the first decision was taken (it sorts the pre-grant notes).
+    decided_once: bool,
     /// Per-process store buffers (weak-memory modes; always empty under
     /// [`WeakMode::Sc`]).
     buffers: Vec<VecDeque<BufferedStore>>,
@@ -205,8 +230,9 @@ pub(crate) struct WorldInner {
     /// [`RegMode::Regular`]; lockstep only).
     reg_mode: RegMode,
     central: Mutex<Central>,
-    proc_cv: Condvar,
-    sched_cv: Condvar,
+    /// Each process's thread handle, set before its body's first gate —
+    /// what a decider `unpark`s. Worlds are single-shot, so once is enough.
+    threads: Vec<OnceLock<Thread>>,
     // Free-mode fast counters.
     free_steps: AtomicU64,
     free_shutdown: AtomicBool,
@@ -266,6 +292,9 @@ impl WorldInner {
     /// body — the store-buffer paths use it to push and read buffered
     /// stores while holding the grant. [`WorldInner::access`] is the thin
     /// wrapper that ignores the borrow.
+    ///
+    /// Arriving here may make the world quiescent, in which case this
+    /// thread takes the decision before it looks at its own fate.
     pub(crate) fn access_central<R>(
         &self,
         pid: usize,
@@ -285,18 +314,18 @@ impl WorldInner {
             return Err(h);
         }
         c.waiting[pid] = Some(PendingOp { kind, reg, tag });
-        self.sched_cv.notify_one();
+        let mut wake = self.decide_if_quiescent(&mut c, pid);
         loop {
             if c.crashed[pid] {
                 c.waiting[pid] = None;
-                self.sched_cv.notify_one();
+                self.release(c, wake);
                 return Err(Halted::Crashed);
             }
             if c.poisoned[pid] {
                 // An injected panic: unwind on the process thread so
                 // panic containment is exercised for real. The
-                // central lock is released by the unwind; the
-                // FinishGuard then marks the process finished.
+                // FinishGuard then marks the process finished and takes
+                // the next decision.
                 c.poisoned[pid] = false;
                 c.waiting[pid] = None;
                 if self.record {
@@ -314,20 +343,26 @@ impl WorldInner {
                     EventKind::Fault,
                     fault_arg(FaultKind::PanicInjected),
                 );
-                self.sched_cv.notify_one();
-                drop(c);
+                self.release(c, wake);
                 panic!("chaos: injected panic (pid {pid})");
             }
             if let Some(h) = c.shutdown {
                 c.waiting[pid] = None;
-                self.sched_cv.notify_one();
+                self.release(c, wake);
                 return Err(h);
             }
             if c.granted == Some(pid) {
                 break;
             }
-            self.proc_cv.wait(&mut c);
+            // Not ours: pass the baton (if this thread decided) and sleep.
+            // `unpark` before `park` leaves a token, so a wake-up that
+            // races ahead of us is not lost; a stale token only costs one
+            // more trip round this loop.
+            self.release(c, std::mem::take(&mut wake));
+            std::thread::park();
+            c = self.central.lock();
         }
+        debug_assert!(wake.is_empty(), "a self-grant wakes nobody");
         c.waiting[pid] = None;
         let r = f(&mut c);
         let step = c.steps;
@@ -350,8 +385,20 @@ impl WorldInner {
             });
         }
         c.granted = None;
-        self.sched_cv.notify_one();
         Ok(r)
+    }
+
+    /// Drops the central lock, *then* wakes `wake`: a thread unparked
+    /// while the lock is still held runs straight into it and pays the
+    /// switch twice (on one CPU, every time).
+    fn release(&self, c: MutexGuard<'_, Central>, wake: Vec<usize>) {
+        drop(c);
+        for pid in wake {
+            self.threads[pid]
+                .get()
+                .expect("a parked process registered its thread before its first gate")
+                .unpark();
+        }
     }
 
     /// Whether accesses run on free OS threads rather than under the
@@ -476,168 +523,216 @@ impl WorldInner {
             c.finished[pid] = true;
             c.waiting[pid] = None;
             // If the body panicked mid-access (while holding its grant) the
-            // grant would otherwise stay stuck and deadlock the scheduler.
+            // grant would otherwise stay stuck and wedge the world.
             if c.granted == Some(pid) {
                 c.granted = None;
             }
-            self.sched_cv.notify_one();
+            let wake = self.decide_if_quiescent(&mut c, pid);
+            self.release(c, wake);
         }
     }
 
-    /// Drives the lockstep scheduler until every process finished, the step
-    /// limit is reached, or only crashed processes remain.
-    fn scheduler_loop(&self, strategy: &mut dyn Strategy) {
-        let mut first_decision = true;
-        loop {
-            let mut c = self.central.lock();
-            // Wait for quiescence: every non-finished process parked at a
-            // gate (crashed-but-unwinding processes finish shortly).
-            loop {
-                if c.shutdown.is_some() {
-                    self.proc_cv.notify_all();
-                    return;
-                }
-                // A poisoned process is mid-unwind: wait until its
-                // FinishGuard reports it finished, so decisions are made
-                // against a settled process set (deterministic replay).
-                let all_quiet = c.granted.is_none()
-                    && (0..self.n)
-                        .all(|p| c.finished[p] || (c.waiting[p].is_some() && !c.poisoned[p]));
-                if all_quiet {
-                    break;
-                }
-                self.sched_cv.wait(&mut c);
+    /// Whether every process is settled: finished, or parked at a gate
+    /// with nothing pending against it. A poisoned or crashed process is
+    /// mid-unwind until its FinishGuard reports it finished, so decisions
+    /// are made against a settled process set — and, past the first grant,
+    /// at most one process thread is ever running, which is what makes the
+    /// recorded history the schedule's and nothing else's.
+    fn quiescent(&self, c: &Central) -> bool {
+        c.granted.is_none()
+            && (0..self.n).all(|p| {
+                c.finished[p] || (c.waiting[p].is_some() && !c.poisoned[p] && !c.crashed[p])
+            })
+    }
+
+    /// The baton: called by the thread `me` that just arrived at a gate or
+    /// finished, with the central lock held. If that made the world
+    /// quiescent, `me` consults the strategy until a decision un-quiets
+    /// the world (a grant, a crash, a panic injection) or ends the run.
+    /// Returns the pids to `unpark` once the lock is released.
+    ///
+    /// A panic out of the strategy or the legality checks must not unwind
+    /// through `me`'s body — it would be contained there and blamed on an
+    /// innocent pid. It is caught here, stored for [`World::run`] to
+    /// re-raise on its caller, and the world is shut down.
+    fn decide_if_quiescent(&self, c: &mut Central, me: usize) -> Vec<usize> {
+        let mut wake = Vec::new();
+        if c.shutdown.is_some() || !self.quiescent(c) {
+            return wake;
+        }
+        let mut strategy = c
+            .strategy
+            .take()
+            .expect("World::run parks the strategy before any body starts");
+        let decided = catch_unwind(AssertUnwindSafe(|| loop {
+            self.decide_once(c, strategy.as_mut(), me, &mut wake);
+            if c.shutdown.is_some() || !self.quiescent(c) {
+                break;
             }
-            if std::mem::take(&mut first_decision) {
-                // Until the first grant every process thread runs freely to
-                // its first gate, so the notes recorded so far arrived in
-                // the OS's order. Put them in pid order (each process's own
-                // notes keep program order); from here on only the granted
-                // process runs, so the history's order is the schedule's.
-                c.history.sort_by_pid();
+        }));
+        match decided {
+            Ok(()) => c.strategy = Some(strategy),
+            Err(payload) => {
+                c.strategy_panic = Some(payload);
+                self.shut_down(c, Halted::Shutdown, me, &mut wake);
             }
-            let runnable: Vec<usize> = (0..self.n)
-                .filter(|&p| !c.finished[p] && !c.crashed[p] && c.waiting[p].is_some())
-                .collect();
-            if runnable.is_empty() {
-                // Everyone finished, or only crashed processes remain
-                // parked. Buffered stores of finished processes land now,
-                // deterministically — unobservable, hence decision-free.
-                if self.weak_buffering() {
-                    self.drain_all_buffers(&mut c);
-                }
-                c.shutdown = Some(Halted::Shutdown);
-                self.proc_cv.notify_all();
-                return;
-            }
-            if c.steps >= self.step_limit {
-                c.shutdown = Some(Halted::StepLimit);
-                self.proc_cv.notify_all();
-                return;
-            }
-            let pending: Vec<PendingOp> = runnable
-                .iter()
-                .map(|&p| c.waiting[p].expect("runnable process has a pending op"))
-                .collect();
-            let mut flushable: Vec<(usize, RegId)> = Vec::new();
+        }
+        wake
+    }
+
+    /// Ends the run: every process still parked at a gate is released to
+    /// observe `why`.
+    fn shut_down(&self, c: &mut Central, why: Halted, me: usize, wake: &mut Vec<usize>) {
+        c.shutdown = Some(why);
+        wake.extend((0..self.n).filter(|&p| p != me && !c.finished[p]));
+    }
+
+    /// One consultation of the strategy at a quiescent point.
+    fn decide_once(
+        &self,
+        c: &mut Central,
+        strategy: &mut dyn Strategy,
+        me: usize,
+        wake: &mut Vec<usize>,
+    ) {
+        let first = !std::mem::replace(&mut c.decided_once, true);
+        if first {
+            // Until the first grant every process thread runs freely to
+            // its first gate, so the notes recorded so far arrived in
+            // the OS's order. Put them in pid order (each process's own
+            // notes keep program order); from here on only the granted
+            // process runs, so the history's order is the schedule's.
+            c.history.sort_by_pid();
+        }
+        let runnable: Vec<usize> = (0..self.n)
+            .filter(|&p| !c.finished[p] && !c.crashed[p] && c.waiting[p].is_some())
+            .collect();
+        if runnable.is_empty() {
+            // Everyone finished or crashed. Buffered stores of finished
+            // processes land now, deterministically — unobservable, hence
+            // decision-free.
             if self.weak_buffering() {
-                let fm = self.flush_mode();
-                for p in 0..self.n {
-                    for r in flushable_of(fm, &c.buffers[p]) {
-                        flushable.push((p, r));
-                    }
+                self.drain_all_buffers(c);
+            }
+            self.shut_down(c, Halted::Shutdown, me, wake);
+            return;
+        }
+        if c.steps >= self.step_limit {
+            self.shut_down(c, Halted::StepLimit, me, wake);
+            return;
+        }
+        let pending: Vec<PendingOp> = runnable
+            .iter()
+            .map(|&p| c.waiting[p].expect("runnable process has a pending op"))
+            .collect();
+        let mut flushable: Vec<(usize, RegId)> = Vec::new();
+        if self.weak_buffering() {
+            let fm = self.flush_mode();
+            for p in 0..self.n {
+                for r in flushable_of(fm, &c.buffers[p]) {
+                    flushable.push((p, r));
                 }
             }
-            let decision = {
-                let view = ScheduleView {
-                    step: c.steps,
-                    runnable: &runnable,
-                    pending: &pending,
-                    flushable: &flushable,
-                };
-                strategy.decide(&view)
+        }
+        let decision = {
+            let view = ScheduleView {
+                step: c.steps,
+                runnable: &runnable,
+                pending: &pending,
+                flushable: &flushable,
             };
-            match decision {
-                Decision::Grant(pid) => {
-                    assert!(
-                        runnable.contains(&pid),
-                        "illegal strategy decision Grant({pid}) at step {}: \
-                         process is not runnable (runnable = {runnable:?})",
-                        c.steps
-                    );
-                    c.granted = Some(pid);
-                    self.proc_cv.notify_all();
+            strategy.decide(&view)
+        };
+        match decision {
+            Decision::Grant(pid) => {
+                assert!(
+                    runnable.contains(&pid),
+                    "illegal strategy decision Grant({pid}) at step {}: \
+                     process is not runnable (runnable = {runnable:?})",
+                    c.steps
+                );
+                c.granted = Some(pid);
+                if pid != me {
+                    wake.push(pid);
                 }
-                Decision::Crash(pid) => {
-                    assert!(
-                        pid < self.n,
-                        "illegal strategy decision Crash({pid}) at step {}: \
-                         unknown process (world has {} processes)",
-                        c.steps,
-                        self.n
-                    );
-                    assert!(
-                        !c.crashed[pid],
-                        "illegal strategy decision Crash({pid}) at step {}: \
-                         process {pid} is already crashed",
-                        c.steps
-                    );
-                    assert!(
-                        !c.finished[pid],
-                        "illegal strategy decision Crash({pid}) at step {}: \
-                         process {pid} already finished",
-                        c.steps
-                    );
-                    c.crashed[pid] = true;
-                    // The store buffer dies with the process: its unflushed
-                    // writes are lost. The explorer separately branches
-                    // flush-before-crash to cover the published variants.
-                    c.buffers[pid].clear();
-                    let step = c.steps;
-                    if self.record {
-                        c.history.push(Event::Crash { step, pid });
-                    }
-                    // Safe single-writer exception: a crash decision is made
-                    // at quiescence, when no process thread is mid-access.
-                    self.recorder.record(pid, step, EventKind::Fault, 0);
-                    self.proc_cv.notify_all();
-                }
-                Decision::Panic(pid) => {
-                    assert!(
-                        runnable.contains(&pid),
-                        "illegal strategy decision Panic({pid}) at step {}: \
-                         process is not runnable (runnable = {runnable:?})",
-                        c.steps
-                    );
-                    c.poisoned[pid] = true;
-                    self.proc_cv.notify_all();
-                }
-                Decision::Flush { pid, reg } => {
-                    assert!(
-                        flushable.contains(&(pid, reg)),
-                        "illegal strategy decision Flush{{pid: {pid}, reg: {reg}}} at \
-                         step {}: not flushable (flushable = {flushable:?})",
-                        c.steps
-                    );
-                    let pos = c.buffers[pid]
-                        .iter()
-                        .position(|e| e.reg == reg)
-                        .expect("flushable entry exists in the buffer");
-                    let entry = c.buffers[pid].remove(pos).expect("position is in range");
-                    self.land_store(&mut c, pid, entry);
-                    // Nobody advanced: the strategy is consulted again at
-                    // the same step, exactly like after a crash.
+                // Who arrived last before the first decision is the OS's
+                // choice, so that grant counts whoever took it.
+                if pid != me || first {
+                    c.handoffs += 1;
                 }
             }
-            {
+            Decision::Crash(pid) => {
+                assert!(
+                    pid < self.n,
+                    "illegal strategy decision Crash({pid}) at step {}: \
+                     unknown process (world has {} processes)",
+                    c.steps,
+                    self.n
+                );
+                assert!(
+                    !c.crashed[pid],
+                    "illegal strategy decision Crash({pid}) at step {}: \
+                     process {pid} is already crashed",
+                    c.steps
+                );
+                assert!(
+                    !c.finished[pid],
+                    "illegal strategy decision Crash({pid}) at step {}: \
+                     process {pid} already finished",
+                    c.steps
+                );
+                c.crashed[pid] = true;
+                // The store buffer dies with the process: its unflushed
+                // writes are lost. The explorer separately branches
+                // flush-before-crash to cover the published variants.
+                c.buffers[pid].clear();
                 let step = c.steps;
-                for (pid, kind) in strategy.drain_fault_notes() {
-                    self.recorder
-                        .record(pid, step, EventKind::Fault, fault_arg(kind));
-                    if self.record {
-                        c.history.push(Event::Fault { step, pid, kind });
-                    }
+                if self.record {
+                    c.history.push(Event::Crash { step, pid });
                 }
+                // Safe single-writer exception: a crash decision is made
+                // at quiescence, when no process thread is mid-access.
+                self.recorder.record(pid, step, EventKind::Fault, 0);
+                // The victim unwinds now; its finisher decides next.
+                if pid != me {
+                    wake.push(pid);
+                }
+            }
+            Decision::Panic(pid) => {
+                assert!(
+                    runnable.contains(&pid),
+                    "illegal strategy decision Panic({pid}) at step {}: \
+                     process is not runnable (runnable = {runnable:?})",
+                    c.steps
+                );
+                c.poisoned[pid] = true;
+                if pid != me {
+                    wake.push(pid);
+                }
+            }
+            Decision::Flush { pid, reg } => {
+                assert!(
+                    flushable.contains(&(pid, reg)),
+                    "illegal strategy decision Flush{{pid: {pid}, reg: {reg}}} at \
+                     step {}: not flushable (flushable = {flushable:?})",
+                    c.steps
+                );
+                let pos = c.buffers[pid]
+                    .iter()
+                    .position(|e| e.reg == reg)
+                    .expect("flushable entry exists in the buffer");
+                let entry = c.buffers[pid].remove(pos).expect("position is in range");
+                self.land_store(c, pid, entry);
+                // Nobody advanced: the strategy is consulted again at
+                // the same step.
+            }
+        }
+        let step = c.steps;
+        for (pid, kind) in strategy.drain_fault_notes() {
+            self.recorder
+                .record(pid, step, EventKind::Fault, fault_arg(kind));
+            if self.record {
+                c.history.push(Event::Fault { step, pid, kind });
             }
         }
     }
@@ -850,11 +945,14 @@ impl WorldBuilder {
                     shutdown: None,
                     steps: 0,
                     per_proc_steps: vec![0; self.n],
+                    handoffs: 0,
                     history: History::new(),
+                    strategy: None,
+                    strategy_panic: None,
+                    decided_once: false,
                     buffers: (0..self.n).map(|_| VecDeque::new()).collect(),
                 }),
-                proc_cv: Condvar::new(),
-                sched_cv: Condvar::new(),
+                threads: (0..self.n).map(|_| OnceLock::new()).collect(),
                 free_steps: AtomicU64::new(0),
                 free_shutdown: AtomicBool::new(false),
                 reg_names: Mutex::new(Vec::new()),
@@ -1089,37 +1187,43 @@ impl World {
 
     /// Runs `n` process bodies to completion under `strategy`.
     ///
-    /// In [`Mode::Free`] the strategy is ignored. The calling thread drives
-    /// the scheduler; bodies run on spawned threads.
+    /// Bodies run on pooled worker threads that outlive the run; the
+    /// calling thread only waits for them. In [`Mode::Lockstep`] the
+    /// strategy is consulted by whichever process thread makes the world
+    /// quiescent (see the module docs); in [`Mode::Free`] it is ignored.
     ///
     /// # Panics
     ///
-    /// Panics if `bodies.len() != n`, if called twice, or if the strategy
-    /// makes an illegal decision (granting a non-runnable process, crashing
-    /// a finished process).
+    /// Panics if `bodies.len() != n`, if called twice, or — on the calling
+    /// thread, with the original payload, once every process thread has
+    /// been released — if the strategy panics or makes an illegal decision
+    /// (granting a non-runnable process, crashing a finished process).
     pub fn run<T: Send + 'static>(
         &mut self,
         bodies: Vec<ProcBody<T>>,
-        mut strategy: Box<dyn Strategy>,
+        strategy: Box<dyn Strategy>,
     ) -> RunReport<T> {
-        assert_eq!(
-            bodies.len(),
-            self.inner.n,
-            "need exactly one body per process"
-        );
+        let n = self.inner.n;
+        assert_eq!(bodies.len(), n, "need exactly one body per process");
         assert!(!self.used, "a World is single-shot; build a new one");
         self.used = true;
 
-        let mut handles = Vec::with_capacity(self.inner.n);
-        for (pid, body) in bodies.into_iter().enumerate() {
+        let lockstep = self.inner.mode == Mode::Lockstep;
+        if lockstep {
+            self.inner.central.lock().strategy = Some(strategy);
+        }
+        let workers = crate::pool::checkout(n);
+        let (done_tx, done_rx) = mpsc::channel();
+        for ((pid, body), worker) in bodies.into_iter().enumerate().zip(&workers) {
             let inner = Arc::clone(&self.inner);
+            let done_tx = done_tx.clone();
             let seed = inner
                 .seed
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(pid as u64);
-            handles.push(std::thread::spawn(move || {
-                /// Marks the process finished even if the body panics, so the
-                /// scheduler never waits on a dead thread.
+            worker.run(move || {
+                /// Marks the process finished even if the body panics, so
+                /// the world never waits on a dead process.
                 struct FinishGuard {
                     inner: Arc<WorldInner>,
                     pid: usize,
@@ -1129,36 +1233,57 @@ impl World {
                         self.inner.mark_finished(self.pid);
                     }
                 }
-                let _guard = FinishGuard {
-                    inner: Arc::clone(&inner),
-                    pid,
+                let result = {
+                    let _guard = FinishGuard {
+                        inner: Arc::clone(&inner),
+                        pid,
+                    };
+                    if lockstep {
+                        let _ = inner.threads[pid].set(std::thread::current());
+                    }
+                    let mut ctx = Ctx {
+                        pid,
+                        rng: SmallRng::seed_from_u64(seed),
+                        inner,
+                    };
+                    // Contain panics (the body's own bugs or injected chaos
+                    // panics): the FinishGuard tells the world this process
+                    // is done, so the survivors keep running; the panic
+                    // payload is reported instead of re-thrown.
+                    catch_unwind(AssertUnwindSafe(move || body(&mut ctx))).map_err(panic_message)
                 };
-                let mut ctx = Ctx {
-                    pid,
-                    rng: SmallRng::seed_from_u64(seed),
-                    inner,
-                };
-                // Contain panics (the body's own bugs or injected chaos
-                // panics): the FinishGuard already told the scheduler this
-                // process is done, so the survivors keep running; the panic
-                // payload is reported instead of re-thrown.
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || body(&mut ctx)))
-                    .map_err(panic_message)
-            }));
+                // Sent after the guard dropped: a reported process has
+                // passed the baton on and touches the world no more.
+                let _ = done_tx.send((pid, result));
+            });
+        }
+        drop(done_tx);
+
+        // Hear from every process before inspecting results: a panicked
+        // process must not make us abandon the rest mid-run.
+        let mut results: Vec<_> = (0..n).map(|_| None).collect();
+        for (pid, result) in done_rx {
+            results[pid] = Some(result);
+        }
+        crate::pool::checkin(workers);
+        if lockstep {
+            // The strategy leaves with the run (it may hold register
+            // handles, which would otherwise keep the world alive), and is
+            // dropped outside the lock.
+            let mut c = self.inner.central.lock();
+            let (strategy, panic) = (c.strategy.take(), c.strategy_panic.take());
+            drop(c);
+            drop(strategy);
+            if let Some(payload) = panic {
+                resume_unwind(payload);
+            }
         }
 
-        if let Mode::Lockstep = self.inner.mode {
-            self.inner.scheduler_loop(strategy.as_mut());
-        }
-
-        // Join every thread before inspecting results: a panicked process
-        // must not make us abandon (and leak) the remaining handles.
-        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-        let mut outputs = Vec::with_capacity(self.inner.n);
-        let mut halted = Vec::with_capacity(self.inner.n);
-        let mut panics = Vec::with_capacity(self.inner.n);
-        for j in joined {
-            match j.expect("process gate thread never panics (bodies are caught)") {
+        let mut outputs = Vec::with_capacity(n);
+        let mut halted = Vec::with_capacity(n);
+        let mut panics = Vec::with_capacity(n);
+        for r in results {
+            match r.expect("process gate thread never panics (bodies are caught)") {
                 Ok(Ok(v)) => {
                     outputs.push(Some(v));
                     halted.push(None);
@@ -1178,7 +1303,7 @@ impl World {
         }
 
         let telemetry = self.inner.metrics.snapshot();
-        // All writers are joined above, so this snapshot sees whole slots.
+        // Every writer reported above, so this snapshot sees whole slots.
         let flight = self.inner.recorder.snapshot();
         match self.inner.mode {
             Mode::Lockstep => {
@@ -1194,6 +1319,7 @@ impl World {
                     panics,
                     steps: c.steps,
                     per_proc_steps: std::mem::take(&mut c.per_proc_steps),
+                    handoffs: c.handoffs,
                     history,
                     telemetry,
                     flight,
@@ -1204,7 +1330,8 @@ impl World {
                 halted,
                 panics,
                 steps: self.inner.free_steps.load(Ordering::Relaxed),
-                per_proc_steps: vec![0; self.inner.n],
+                per_proc_steps: vec![0; n],
+                handoffs: 0,
                 history: None,
                 telemetry,
                 flight,
@@ -1358,6 +1485,7 @@ mod tests {
         let rep = w.run(bodies, Box::new(RoundRobin::new()));
         assert!(rep.outputs.iter().all(|o| *o == Some(7)));
         assert_eq!(rep.steps, 4 * 100 + 4);
+        assert_eq!(rep.handoffs, 0, "free mode has no baton");
     }
 
     #[test]
@@ -1430,6 +1558,7 @@ mod tests {
             panics: vec![None, None, None, None],
             steps: 0,
             per_proc_steps: vec![],
+            handoffs: 0,
             history: None,
             telemetry: Telemetry::empty(4),
             flight: FlightLog::empty(4),
@@ -1582,6 +1711,91 @@ mod tests {
         // Crash pid 0, then illegally crash it again.
         let strategy = FnStrategy::new(|_view: &ScheduleView<'_>| Decision::Crash(0));
         let _ = w.run(bodies, Box::new(strategy));
+    }
+
+    /// A strategy bug must surface on the caller of `run` with its own
+    /// message — not as `Halted::Panicked` for whichever innocent pid
+    /// happened to be deciding — and must strand nobody at a gate.
+    #[test]
+    fn strategy_panic_is_reraised_on_the_caller_and_strands_nobody() {
+        let looping_bodies = |w: &World, alive: &Arc<()>| -> Vec<ProcBody<u32>> {
+            let r = w.reg("r", 0u32);
+            (0..3)
+                .map(|_| {
+                    let (r, alive) = (r.clone(), Arc::clone(alive));
+                    let b: ProcBody<u32> = Box::new(move |ctx| {
+                        let _alive = alive;
+                        for _ in 0..20 {
+                            r.write(ctx, 1)?;
+                        }
+                        r.read(ctx)
+                    });
+                    b
+                })
+                .collect()
+        };
+        let alive = Arc::new(());
+        let mut w = World::builder(3).build();
+        let bodies = looping_bodies(&w, &alive);
+        let mut rr = RoundRobin::new();
+        let strategy = FnStrategy::new(move |view: &ScheduleView<'_>| {
+            assert!(view.step < 7, "adversary bug at step {}", view.step);
+            rr.decide(view)
+        });
+        let caught = catch_unwind(AssertUnwindSafe(|| w.run(bodies, Box::new(strategy))));
+        let msg = panic_message(caught.expect_err("the strategy's panic reaches run's caller"));
+        assert!(msg.contains("adversary bug at step 7"), "got: {msg}");
+        // Every body was dropped, so every process thread left its gate
+        // and reported before `run` re-raised.
+        assert_eq!(Arc::strong_count(&alive), 1, "a process is still parked");
+
+        // The pool workers that hosted the wrecked run serve the next one.
+        let mut w = World::builder(3).build();
+        let bodies = looping_bodies(&w, &alive);
+        let rep = w.run(bodies, Box::new(RoundRobin::new()));
+        assert_eq!(rep.outputs, vec![Some(1); 3]);
+        assert_eq!(rep.steps, 3 * 21);
+    }
+
+    fn k_step_bodies(world: &World, k: usize) -> Vec<ProcBody<()>> {
+        let r = world.reg("r", 0u32);
+        (0..world.n())
+            .map(|_| {
+                let r = r.clone();
+                let b: ProcBody<()> = Box::new(move |ctx| {
+                    for _ in 0..k {
+                        r.write(ctx, 1)?;
+                    }
+                    Ok(())
+                });
+                b
+            })
+            .collect()
+    }
+
+    /// A process that is granted again just keeps going: running each pid
+    /// to completion costs one hand-off per pid, however long the bodies.
+    #[test]
+    fn solo_runs_hand_off_once_per_process() {
+        for k in [5, 500] {
+            let mut w = World::builder(2).build();
+            let bodies = k_step_bodies(&w, k);
+            let lowest = FnStrategy::new(|v: &ScheduleView<'_>| Decision::Grant(v.runnable[0]));
+            let rep = w.run(bodies, Box::new(lowest));
+            assert_eq!(rep.steps, 2 * k as u64);
+            assert_eq!(rep.handoffs, 2, "k = {k}");
+        }
+    }
+
+    /// Strict alternation is the worst case: every grant changes hands.
+    #[test]
+    fn round_robin_hands_off_at_every_step() {
+        for k in [5, 50] {
+            let mut w = World::builder(2).build();
+            let bodies = k_step_bodies(&w, k);
+            let rep = w.run(bodies, Box::new(RoundRobin::new()));
+            assert_eq!(rep.handoffs, 2 * k as u64, "k = {k}");
+        }
     }
 
     #[test]

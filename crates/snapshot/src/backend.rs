@@ -288,7 +288,7 @@ where
 /// deterministic and RNG-free.
 pub struct OpGrained {
     /// Completed-op readers, one per pid (each owns a backend handle).
-    done: Vec<Box<dyn Fn() -> u64>>,
+    done: Vec<Box<dyn Fn() -> u64 + Send>>,
     /// The process currently holding the turn and its op count at the time
     /// the turn started.
     holding: Option<(usize, u64)>,
@@ -307,7 +307,7 @@ impl OpGrained {
         let done = (0..memory.n())
             .map(|pid| {
                 let mem = memory.clone();
-                let f: Box<dyn Fn() -> u64> = Box::new(move || {
+                let f: Box<dyn Fn() -> u64 + Send> = Box::new(move || {
                     let s = mem.stats(pid);
                     s.scans.load(Ordering::Relaxed)
                         + s.updates.load(Ordering::Relaxed)

@@ -37,9 +37,12 @@ fn register_level_consensus_replays_exactly() {
             ThreadedConsensus::<DirectArrow>::new(&world, &params, &[true, false, true], seed);
         let rep = world.run(inst.bodies, Box::new(RandomStrategy::new(seed)));
         let ops: Vec<_> = rep.history.as_ref().unwrap().ops().collect();
-        (rep.outputs.clone(), rep.steps, ops.len())
+        (rep.outputs.clone(), rep.steps, ops.len(), rep.handoffs)
     };
-    assert_eq!(run(9), run(9));
+    let (first, second) = (run(9), run(9));
+    assert_eq!(first, second);
+    // The baton changed hands, but a re-granted process kept it.
+    assert!(first.3 > 0 && first.3 < first.1, "handoffs {}", first.3);
 }
 
 /// FNV-1a over the history JSONL: a stable, dependency-free fingerprint of
