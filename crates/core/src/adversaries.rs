@@ -5,7 +5,7 @@
 //! allowed to do) and try to delay agreement.
 
 use bprc_sim::turn::{TurnAdversary, TurnDecision, TurnView};
-use bprc_strip::EdgeCounters;
+use bprc_strip::DistanceGraph;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -35,14 +35,11 @@ impl SplitAdversary {
 
 impl TurnAdversary<ProcState> for SplitAdversary {
     fn choose(&mut self, view: &TurnView<'_, ProcState>) -> TurnDecision {
-        let rows: Vec<Vec<u32>> = view.shared.iter().map(|s| s.edges.clone()).collect();
-        let counters = EdgeCounters::from_rows(&rows, self.k);
-        let g = counters.make_graph();
-        let leaders = g.leaders();
+        let g = DistanceGraph::from_rows(view.shared.iter().map(|s| &s.edges[..]), self.k);
         // Count leader preferences.
         let mut zeros = 0usize;
         let mut ones = 0usize;
-        for &l in &leaders {
+        for l in g.leaders() {
             match view.shared[l].pref {
                 Pref::Val(false) => zeros += 1,
                 Pref::Val(true) => ones += 1,
@@ -90,9 +87,7 @@ impl LeaderStarver {
 
 impl TurnAdversary<ProcState> for LeaderStarver {
     fn choose(&mut self, view: &TurnView<'_, ProcState>) -> TurnDecision {
-        let rows: Vec<Vec<u32>> = view.shared.iter().map(|s| s.edges.clone()).collect();
-        let counters = EdgeCounters::from_rows(&rows, self.k);
-        let g = counters.make_graph();
+        let g = DistanceGraph::from_rows(view.shared.iter().map(|s| &s.edges[..]), self.k);
         let non_leaders: Vec<usize> = view
             .active
             .iter()

@@ -29,7 +29,7 @@ use bprc_coin::value::{coin_value_total, walk_step, CoinValue};
 use bprc_coin::CoinParams;
 use bprc_sim::turn::{TurnProbe, TurnProcess, TurnStep};
 use bprc_sim::{Counter, ProcMetrics};
-use bprc_strip::{DistanceGraph, EdgeCounters};
+use bprc_strip::{inc_row, Closure, DistanceGraph};
 
 use crate::state::{Pref, ProcState};
 
@@ -142,7 +142,7 @@ impl CoreStats {
 /// scan/write state machine.
 ///
 /// `Clone` deliberately: the model checker snapshots cores to branch over
-/// schedules and flip outcomes.
+/// schedules and flip outcomes (the strip scratch makes that n² words).
 #[derive(Debug, Clone)]
 pub struct BoundedCore {
     params: ConsensusParams,
@@ -152,6 +152,10 @@ pub struct BoundedCore {
     stats: CoreStats,
     /// True until a late joiner performs its first, scan-based `inc`.
     join_pending: bool,
+    /// Scratch, sized on first use: the graph `on_view` decodes its scan
+    /// into, and that graph's closure on the turns that `inc`.
+    graph: DistanceGraph,
+    closure: Closure,
 }
 
 impl BoundedCore {
@@ -173,20 +177,10 @@ impl BoundedCore {
     ///
     /// Panics if `pid >= params.n()`.
     pub fn with_flips(params: ConsensusParams, pid: usize, input: bool, flips: Flips) -> Self {
-        assert!(pid < params.n(), "pid out of range");
-        let mut state = ProcState::phantom(params.n(), params.k());
-        state.pref = Pref::Val(input);
-        let mut core = BoundedCore {
-            params,
-            me: pid,
-            state,
-            flips,
-            stats: CoreStats::default(),
-            join_pending: false,
-        };
-        // The paper's first write carries `inc(round)`: the initial inc is
-        // computed against the all-zero initial memory, which every process
-        // knows without scanning. NOTE: this is sound only when all
+        let mut core = Self::joiner(params, pid, input, flips);
+        // A joiner whose join inc runs now: the paper's first write carries
+        // `inc(round)`, computed against the all-zero initial memory, which
+        // every process knows without scanning. NOTE: this is sound only when all
         // participants start the instance together (the paper's setting) —
         // rows built from the zero assumption stay pairwise- and
         // cross-pair-consistent only because everyone's first row is the
@@ -195,9 +189,9 @@ impl BoundedCore {
         // instead: the zero-assumed row combined with advanced peers decodes
         // to a configuration that is no legal token-game state (positive
         // cycles ⇒ no leaders ⇒ livelock).
-        let zero = EdgeCounters::new(core.params.n(), core.params.k());
-        let g = zero.make_graph();
-        core.advance_round(&zero, &g);
+        core.join_pending = false;
+        core.graph = DistanceGraph::new(core.params.n(), core.params.k());
+        core.advance_round();
         core
     }
 
@@ -212,6 +206,8 @@ impl BoundedCore {
         let mut state = ProcState::phantom(params.n(), params.k());
         state.pref = Pref::Val(input);
         BoundedCore {
+            graph: DistanceGraph::new(0, params.k()),
+            closure: Closure::default(),
             params,
             me: pid,
             state,
@@ -253,16 +249,14 @@ impl BoundedCore {
     }
 
     /// The paper's `inc`: advance the coin pointer, zero the slot of the
-    /// round after next, and advance the edge-counter row against the
-    /// scanned graph.
-    fn advance_round(&mut self, counters: &EdgeCounters, g: &DistanceGraph) {
+    /// round after next, and advance my edge-counter row in place against
+    /// the scanned graph (`self.graph`).
+    fn advance_round(&mut self) {
         self.state.current_coin = self.state.next_coin_slot();
         let next = self.state.next_coin_slot();
         self.state.coins[next] = 0;
-        let mut with_my_row = counters.clone();
-        with_my_row.set_row(self.me, &self.state.edges);
-        let (row, incs, wraps) = with_my_row.next_row_counted(self.me, g);
-        self.state.edges = row;
+        self.graph.closure_into(&mut self.closure);
+        let (incs, wraps) = inc_row(&self.graph, &self.closure, self.me, &mut self.state.edges);
         self.stats.strip_incs += incs;
         self.stats.strip_wraps += wraps;
         self.stats.rounds += 1;
@@ -272,7 +266,7 @@ impl BoundedCore {
     /// from the scanned states, reading process `j`'s contribution from the
     /// slot `(current_coin_j + 1 − w(j,me)) mod (K+1)` when `j` is
     /// at-or-above me by less than K, and 0 otherwise (Observation 1).
-    fn next_coin_value(&self, g: &DistanceGraph, view: &[ProcState]) -> CoinValue {
+    fn next_coin_value(&self, view: &[ProcState]) -> CoinValue {
         let kk = self.params.k() as i64;
         let slots = self.params.k() as usize + 1;
         let own = self.state.coins[self.state.next_coin_slot()];
@@ -281,7 +275,7 @@ impl BoundedCore {
             if j == self.me {
                 continue;
             }
-            let dji = g.delta(j, self.me);
+            let dji = self.graph.delta(j, self.me);
             if (0..kk).contains(&dji) {
                 let slot = (s.current_coin + 1 + slots - dji as usize) % slots;
                 total += s.coins[slot];
@@ -307,18 +301,9 @@ impl BoundedCore {
     /// The common value of all leaders, if they agree (a leader with ⊥
     /// means the leaders do not agree).
     fn leaders_agreement(g: &DistanceGraph, view: &[ProcState]) -> Option<bool> {
-        let mut common: Option<bool> = None;
-        for j in g.leaders() {
-            match view[j].pref.value() {
-                None => return None,
-                Some(v) => match common {
-                    None => common = Some(v),
-                    Some(c) if c != v => return None,
-                    Some(_) => {}
-                },
-            }
-        }
-        common
+        let mut prefs = g.leaders().map(|j| view[j].pref.value());
+        let first = prefs.next()??;
+        prefs.all(|p| p == Some(first)).then_some(first)
     }
 
     /// One protocol turn over an atomic view (the paper's lines 1–8).
@@ -329,27 +314,25 @@ impl BoundedCore {
             "the driver must publish my writes before my next scan"
         );
         self.stats.scans += 1;
-        let rows: Vec<Vec<u32>> = view.iter().map(|s| s.edges.clone()).collect();
-        let counters = EdgeCounters::from_rows(&rows, self.params.k());
-        let g = counters.make_graph();
+        self.graph.decode_rows(view.iter().map(|s| &s.edges[..]));
 
         // A late joiner first performs its join inc against the real strip
         // state (see [`BoundedCore::joiner`]) before running the protocol
         // lines — the analogue of the paper's initial write-with-inc.
         if self.join_pending {
             self.join_pending = false;
-            self.advance_round(&counters, &g);
+            self.advance_round();
             return TurnStep::Write(self.state.clone());
         }
 
         // Line 2: decide if I'm a leader, I have a value, and everyone who
         // disagrees with it trails by K.
         if let Pref::Val(v) = self.state.pref {
-            if g.is_leader(self.me) {
+            if self.graph.is_leader(self.me) {
                 let all_trail = (0..self.params.n()).all(|j| {
                     j == self.me
                         || view[j].pref.agrees_with(&self.state.pref)
-                        || g.delta(self.me, j) >= self.params.k() as i64
+                        || self.graph.delta(self.me, j) >= self.params.k() as i64
                 });
                 if all_trail {
                     return TurnStep::Decide(v);
@@ -358,9 +341,9 @@ impl BoundedCore {
         }
 
         // Lines 3–4: adopt the leaders' common value and advance.
-        if let Some(v) = Self::leaders_agreement(&g, view) {
+        if let Some(v) = Self::leaders_agreement(&self.graph, view) {
             self.state.pref = Pref::Val(v);
-            self.advance_round(&counters, &g);
+            self.advance_round();
             return TurnStep::Write(self.state.clone());
         }
 
@@ -372,7 +355,7 @@ impl BoundedCore {
         }
 
         // Lines 7–8: consult the next round's shared coin.
-        match self.next_coin_value(&g, view) {
+        match self.next_coin_value(view) {
             CoinValue::Undecided => {
                 self.flip_next_coin();
                 TurnStep::Write(self.state.clone())
@@ -380,7 +363,7 @@ impl BoundedCore {
             v => {
                 self.state.pref = Pref::Val(v.as_bool());
                 self.stats.coin_adoptions += 1;
-                self.advance_round(&counters, &g);
+                self.advance_round();
                 TurnStep::Write(self.state.clone())
             }
         }

@@ -22,7 +22,7 @@
 //! turning the lemma into a runtime invariant exercised by every test that
 //! uses [`check_execution`].
 
-use bprc_strip::EdgeCounters;
+use bprc_strip::DistanceGraph;
 
 use crate::state::ProcState;
 
@@ -118,10 +118,7 @@ impl VirtualRoundTracker {
     /// Feeds the next scan in serialization order.
     pub fn observe(&mut self, view: &[ProcState]) {
         assert_eq!(view.len(), self.n, "view size mismatch");
-        let rows: Vec<Vec<u32>> = view.iter().map(|s| s.edges.clone()).collect();
-        let counters = EdgeCounters::from_rows(&rows, self.k);
-        let g = counters.make_graph();
-        let closure = g.closure();
+        let closure = DistanceGraph::from_rows(view.iter().map(|s| &s.edges[..]), self.k).closure();
 
         let max = *self.rounds.iter().max().expect("nonempty");
         let old_leaders: Vec<usize> = (0..self.n).filter(|&j| self.rounds[j] == max).collect();
@@ -146,12 +143,12 @@ impl VirtualRoundTracker {
             let d = if i == anchor {
                 0
             } else {
-                match closure[anchor][i] {
+                match closure.get(anchor, i) {
                     Some(d) => d,
                     // No path from the anchor down to i means the graph sees
                     // i at-or-above the anchor; i sits at the anchor's round
                     // plus its lead (clamped into the window).
-                    None => -closure[i][anchor].unwrap_or(0),
+                    None => -closure.get(i, anchor).unwrap_or(0),
                 }
             };
             next[i] = anchor_round - d;

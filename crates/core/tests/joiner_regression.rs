@@ -51,8 +51,7 @@ fn stale_scan_race_corrupts_and_degraded_mode_recovers() {
     // Hand-built race outcome (taken from a real stuck run, slot-1 level-0):
     // r0 advanced vs r1 (its scan showed r2 capped at K) while r2's
     // catch-up write landed in between.
-    let rows = vec![vec![0u32, 3, 2], vec![1, 0, 1], vec![1, 1, 0]];
-    let counters = EdgeCounters::from_rows(&rows, k);
+    let counters = EdgeCounters::from_rows([[0u32, 3, 2], [1, 0, 1], [1, 1, 0]], k);
     let g = counters.make_graph();
     assert!(
         g.validate().is_err(),

@@ -84,8 +84,7 @@ fn line2_decides_when_disagreer_trails_by_k() {
         other => panic!("expected decide after racing ahead, got {other:?}"),
     }
     // And the edge counters stayed within their cyclic bound.
-    let rows = vec![core.state().edges.clone(), behind.edges.clone()];
-    let counters = EdgeCounters::from_rows(&rows, k);
+    let counters = EdgeCounters::from_rows([&core.state().edges, &behind.edges], k);
     for i in 0..2 {
         for j in 0..2 {
             assert!(counters.counter(i, j) < counters.modulus());

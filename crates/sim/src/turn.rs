@@ -234,26 +234,23 @@ impl<M> TurnAdversary<M> for TurnBsp {
         // finishes its write re-enters the scan phase but is NOT scheduled
         // again until the release completes, so no one observes a partial
         // reveal.
-        let scanners: Vec<usize> = view
-            .active
-            .iter()
-            .copied()
-            .filter(|&p| matches!(view.phases[p], Phase::Scan))
-            .collect();
-        let writers: Vec<usize> = view
-            .active
-            .iter()
-            .copied()
-            .filter(|&p| matches!(view.phases[p], Phase::Write(_)))
-            .collect();
-        if self.releasing && writers.is_empty() {
+        let writing = |p: &usize| matches!(view.phases[*p], Phase::Write(_));
+        let writers = view.active.iter().filter(|p| writing(p)).count();
+        let scanners = view.active.len() - writers; // active: scanning or writing
+        if self.releasing && writers == 0 {
             self.releasing = false;
-        } else if !self.releasing && scanners.is_empty() {
+        } else if !self.releasing && scanners == 0 {
             self.releasing = true;
         }
-        let pool = if self.releasing { &writers } else { &scanners };
-        self.rr = (self.rr + 1) % pool.len();
-        TurnDecision::Step(pool[self.rr])
+        let pool = if self.releasing { writers } else { scanners };
+        self.rr = (self.rr + 1) % pool;
+        let pick = view
+            .active
+            .iter()
+            .filter(|p| writing(p) == self.releasing)
+            .nth(self.rr)
+            .expect("rr indexes the pool");
+        TurnDecision::Step(*pick)
     }
 }
 
@@ -317,6 +314,9 @@ pub struct TurnDriver<P: TurnProcess> {
     shared: Vec<P::Msg>,
     phases: Vec<Phase<P::Msg>>,
     crashed: Vec<bool>,
+    /// Pids neither done nor crashed, ascending, as [`TurnView::active`]
+    /// borrows them. A pid leaves when it decides, crashes or panics.
+    active: Vec<usize>,
     halted: Vec<Option<Halted>>,
     fault_log: Vec<(u64, usize, FaultKind)>,
     outputs: Vec<Option<P::Out>>,
@@ -360,6 +360,7 @@ impl<P: TurnProcess> TurnDriver<P> {
             shared,
             phases,
             crashed: vec![false; n],
+            active: (0..n).collect(),
             halted: vec![None; n],
             fault_log: Vec::new(),
             outputs: (0..n).map(|_| None).collect(),
@@ -401,10 +402,14 @@ impl<P: TurnProcess> TurnDriver<P> {
     }
 
     /// Active pids (not done, not crashed), ascending.
-    pub fn active(&self) -> Vec<usize> {
-        (0..self.n())
-            .filter(|&p| !self.crashed[p] && !matches!(self.phases[p], Phase::Done))
-            .collect()
+    pub fn active(&self) -> &[usize] {
+        &self.active
+    }
+
+    fn halt_panicked(&mut self, pid: usize) {
+        self.crashed[pid] = true;
+        self.halted[pid] = Some(Halted::Panicked);
+        self.active.retain(|&p| p != pid);
     }
 
     /// Applies one event for `pid` (must be active).
@@ -437,11 +442,9 @@ impl<P: TurnProcess> TurnDriver<P> {
                         self.outputs[pid] = Some(o);
                         self.phases[pid] = Phase::Done;
                         self.metrics.proc(pid).incr(Counter::Decisions, 1);
+                        self.active.retain(|&p| p != pid);
                     }
-                    Err(_) => {
-                        self.crashed[pid] = true;
-                        self.halted[pid] = Some(Halted::Panicked);
-                    }
+                    Err(_) => self.halt_panicked(pid),
                 }
             }
             Phase::Done => panic!("process {pid} already decided"),
@@ -454,6 +457,7 @@ impl<P: TurnProcess> TurnDriver<P> {
         self.crashed[pid] = true;
         if !matches!(self.phases[pid], Phase::Done) {
             self.halted[pid] = Some(Halted::Crashed);
+            self.active.retain(|&p| p != pid);
         }
     }
 
@@ -477,8 +481,7 @@ impl<P: TurnProcess> TurnDriver<P> {
         mut observer: impl FnMut(&Self),
     ) -> TurnReport<P::Out> {
         loop {
-            let active = self.active();
-            if active.is_empty() {
+            if self.active.is_empty() {
                 return self.finish(true);
             }
             if self.events >= max_events {
@@ -487,7 +490,7 @@ impl<P: TurnProcess> TurnDriver<P> {
             let decision = {
                 let view = TurnView {
                     events: self.events,
-                    active: &active,
+                    active: &self.active,
                     shared: &self.shared,
                     phases: &self.phases,
                     crashed: &self.crashed,
@@ -495,15 +498,12 @@ impl<P: TurnProcess> TurnDriver<P> {
                 adversary.choose(&view)
             };
             match decision {
-                TurnDecision::Step(pid) => {
-                    assert!(active.contains(&pid), "adversary stepped inactive {pid}");
-                    self.step(pid);
-                }
+                // `step` itself rejects a crashed or decided pid.
+                TurnDecision::Step(pid) => self.step(pid),
                 TurnDecision::Crash(pid) => self.crash(pid),
                 TurnDecision::Panic(pid) => {
-                    assert!(active.contains(&pid), "adversary panicked inactive {pid}");
-                    self.crashed[pid] = true;
-                    self.halted[pid] = Some(Halted::Panicked);
+                    assert!(self.active.contains(&pid), "panicked inactive pid {pid}");
+                    self.halt_panicked(pid);
                     self.fault_log
                         .push((self.events, pid, FaultKind::PanicInjected));
                 }
@@ -518,13 +518,8 @@ impl<P: TurnProcess> TurnDriver<P> {
     fn finish(mut self, completed: bool) -> TurnReport<P::Out> {
         if !completed {
             // Processes still undecided when the budget ran out.
-            for p in 0..self.procs.len() {
-                if !self.crashed[p]
-                    && !matches!(self.phases[p], Phase::Done)
-                    && self.halted[p].is_none()
-                {
-                    self.halted[p] = Some(Halted::StepLimit);
-                }
+            for &p in &self.active {
+                self.halted[p] = Some(Halted::StepLimit);
             }
         }
         // Drain protocol-level telemetry once, at the end: cumulative
@@ -742,14 +737,96 @@ mod tests {
                 panic!("chaos: deliberate on_scan panic");
             }
         }
-        // Silence the expected panic's default stderr report.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
+        crate::faults::quiet_injected_panics();
         let report = TurnDriver::new(vec![Bomb, Bomb]).run(&mut TurnRoundRobin::new(), 100);
-        std::panic::set_hook(prev);
         assert!(report.completed, "both bombs halt, so the run completes");
         assert_eq!(report.halted, vec![Some(Halted::Panicked); 2]);
         assert_eq!(report.outputs, vec![None, None]);
+    }
+
+    /// The active list is incremental state: each of the four ways a pid
+    /// leaves it must keep it ascending and equal to what the adversary is
+    /// shown, under `run` and under manual `step`/`crash` calls.
+    #[test]
+    fn active_list_tracks_every_way_a_pid_leaves() {
+        #[derive(Clone, Copy)]
+        enum Leaver {
+            Decides,
+            Panics,
+            Spins,
+        }
+        impl TurnProcess for Leaver {
+            type Msg = u32;
+            type Out = u32;
+            fn initial_msg(&mut self) -> u32 {
+                0
+            }
+            fn on_scan(&mut self, _: &[u32]) -> TurnStep<u32, u32> {
+                match self {
+                    Leaver::Decides => TurnStep::Decide(1),
+                    Leaver::Panics => panic!("chaos: deliberate on_scan panic"),
+                    Leaver::Spins => TurnStep::Write(0),
+                }
+            }
+        }
+        use Leaver::{Decides, Panics, Spins};
+        use TurnDecision::{Crash, Panic, Step};
+        crate::faults::quiet_injected_panics();
+        let procs = [Spins, Decides, Spins, Panics, Decides, Spins];
+        // Each decision with the active list it must leave behind.
+        let script: [(TurnDecision, &[usize]); 11] = [
+            (Step(1), &[0, 1, 2, 3, 4, 5]),
+            (Step(1), &[0, 2, 3, 4, 5]), // decides
+            (Crash(0), &[2, 3, 4, 5]),
+            (Step(3), &[2, 3, 4, 5]),
+            (Step(3), &[2, 4, 5]), // its on_scan panics
+            (Panic(2), &[4, 5]),
+            (Step(5), &[4, 5]),
+            (Step(5), &[4, 5]), // scans and writes on
+            (Step(4), &[4, 5]),
+            (Step(4), &[5]), // decides
+            (Crash(5), &[]),
+        ];
+
+        // `run`: the adversary must be shown what the previous decision left
+        // behind, which is also what the driver reports to the observer.
+        let at = std::cell::Cell::new(0usize);
+        let report = TurnDriver::new(procs.to_vec()).run_observed(
+            &mut TurnFn(|view: &TurnView<'_, u32>| {
+                let i = at.get();
+                // (The first decision leaves everyone active.)
+                assert_eq!(view.active, script[i.saturating_sub(1)].1, "at {i}");
+                assert!(view.active.windows(2).all(|w| w[0] < w[1]));
+                at.set(i + 1);
+                script[i].0
+            }),
+            100,
+            |d| assert_eq!(d.active(), script[at.get() - 1].1),
+        );
+        assert!(report.completed, "everyone left, so the run completes");
+        assert_eq!(at.get(), script.len());
+        assert_eq!(
+            report.halted,
+            [
+                Some(Halted::Crashed),
+                None,
+                Some(Halted::Panicked),
+                Some(Halted::Panicked),
+                None,
+                Some(Halted::Crashed)
+            ]
+        );
+
+        // The same departures by hand (the manual form of an injected
+        // panic is a crash).
+        let mut driver = TurnDriver::new(procs.to_vec());
+        for (decision, after) in script {
+            match decision {
+                Step(pid) => driver.step(pid),
+                Crash(pid) | Panic(pid) => driver.crash(pid),
+            }
+            assert_eq!(driver.active(), after);
+        }
     }
 
     #[test]

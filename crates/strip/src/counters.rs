@@ -17,7 +17,46 @@
 //! [`DistanceGraph::should_advance`] says so — "a process does not increment
 //! `e_i[j]` unless it is the trailing pointer, or it leads by less than K".
 
-use crate::graph::DistanceGraph;
+use crate::graph::{Closure, DistanceGraph};
+
+/// Decodes one counter pair `(a, b) = (e_i[j], e_j[i])`, both below `3K`,
+/// into `(δ(i,j), δ(j,i))`. Never fails: an (illegal) desynchronized pair is
+/// clamped, each side toward its nearest representable value — so a pair
+/// exactly halfway round the cycle reads `+K` from both sides.
+pub(crate) fn decode_pair(a: u32, b: u32, k: u32) -> (i64, i64) {
+    let (k, m) = (k as i64, 3 * k as i64);
+    let d = a as i64 - b as i64;
+    let d = if d < 0 { d + m } else { d };
+    if d <= k {
+        (d, -d)
+    } else if d >= 2 * k {
+        (d - m, m - d)
+    } else {
+        let toward = |near: bool| if near { k } else { -k };
+        (toward(2 * d <= m), toward(2 * d >= m))
+    }
+}
+
+/// The paper's `inc_graph` on process `i`'s own row, in place: increments
+/// `row[j]` (mod 3K) for every `j` that `graph`, decoded from a scan and with
+/// `closure` its closure, says `i` should advance against. Returns the number
+/// of increments and how many of them wrapped from `3K − 1` back to `0`.
+pub fn inc_row(graph: &DistanceGraph, closure: &Closure, i: usize, row: &mut [u32]) -> (u64, u64) {
+    assert_eq!(row.len(), graph.n(), "row has wrong length");
+    let m = 3 * graph.k();
+    let (mut incs, mut wraps) = (0, 0);
+    for (j, slot) in row.iter_mut().enumerate() {
+        if j != i && graph.should_advance(closure, i, j) {
+            incs += 1;
+            *slot += 1;
+            if *slot == m {
+                *slot = 0;
+                wraps += 1;
+            }
+        }
+    }
+    (incs, wraps)
+}
 
 /// The full matrix of edge counters (sequential form; the consensus protocol
 /// distributes row `i` into process `i`'s register and reassembles the
@@ -68,15 +107,22 @@ impl EdgeCounters {
     ///
     /// # Panics
     ///
-    /// Panics if the rows do not form an `n × n` matrix.
-    pub fn from_rows(rows: &[Vec<u32>], k: u32) -> Self {
-        let n = rows.len();
-        let mut m = EdgeCounters::new(n, k);
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(row.len(), n, "row {i} has wrong length");
-            m.e[i * n..(i + 1) * n].copy_from_slice(row);
+    /// Panics if the rows do not form an `n × n` matrix of counters below
+    /// `3K`.
+    pub fn from_rows(rows: impl IntoIterator<Item = impl AsRef<[u32]>>, k: u32) -> Self {
+        let mut e = Vec::new();
+        let mut n = 0;
+        for row in rows {
+            e.extend_from_slice(row.as_ref());
+            n += 1;
+            assert_eq!(e.len(), n * row.as_ref().len(), "ragged rows");
         }
-        m
+        assert!(
+            n >= 1 && e.len() == n * n,
+            "rows do not form an n × n matrix"
+        );
+        assert!(e.iter().all(|&c| c < 3 * k), "edge counter out of range");
+        EdgeCounters { n, k, e }
     }
 
     /// Number of processes.
@@ -100,59 +146,23 @@ impl EdgeCounters {
     }
 
     /// Process `i`'s row (what it stores in its register).
-    pub fn row(&self, i: usize) -> Vec<u32> {
-        self.e[i * self.n..(i + 1) * self.n].to_vec()
+    pub fn row(&self, i: usize) -> &[u32] {
+        &self.e[i * self.n..(i + 1) * self.n]
     }
 
-    /// Overwrites process `i`'s row (modelling `i` publishing a new row).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row has the wrong length.
-    pub fn set_row(&mut self, i: usize, row: &[u32]) {
-        assert_eq!(row.len(), self.n, "row has wrong length");
-        self.e[i * self.n..(i + 1) * self.n].copy_from_slice(row);
-    }
-
-    /// Decodes the capped signed distance `δ(i,j)` from the counter pair.
-    ///
-    /// Never fails: an (illegal) desynchronized pair is clamped toward the
-    /// nearest representable value — use [`decode_checked`](Self::decode_checked)
-    /// to detect that case.
-    pub fn decode(&self, i: usize, j: usize) -> i64 {
-        if i == j {
-            return 0;
-        }
-        let m = self.modulus();
-        let d = (self.counter(i, j) + m - self.counter(j, i)) % m;
-        if d <= self.k {
-            d as i64
-        } else if d >= 2 * self.k {
-            d as i64 - m as i64
-        } else {
-            // Desynchronized (cannot happen in legal executions): clamp.
-            if d - self.k <= 2 * self.k - d {
-                self.k as i64
-            } else {
-                -(self.k as i64)
-            }
-        }
-    }
-
-    /// Like [`decode`](Self::decode) but reports desynchronization.
+    /// Decodes the capped signed distance `δ(i,j)` from the counter pair, as
+    /// [`make_graph`](Self::make_graph) does but reporting desynchronization
+    /// instead of clamping it.
     ///
     /// # Errors
     ///
     /// Returns [`CounterDesyncError`] when the pair's clockwise difference
     /// lies in the impossible band `(K, 2K)`.
     pub fn decode_checked(&self, i: usize, j: usize) -> Result<i64, CounterDesyncError> {
-        if i == j {
-            return Ok(0);
-        }
         let m = self.modulus();
         let d = (self.counter(i, j) + m - self.counter(j, i)) % m;
-        if d <= self.k || d >= 2 * self.k {
-            Ok(self.decode(i, j))
+        if i == j || d <= self.k || d >= 2 * self.k {
+            Ok(decode_pair(self.counter(i, j), self.counter(j, i), self.k).0)
         } else {
             Err(CounterDesyncError {
                 pair: (i, j),
@@ -163,54 +173,23 @@ impl EdgeCounters {
 
     /// The paper's `make_graph`: decode every pair into a [`DistanceGraph`].
     pub fn make_graph(&self) -> DistanceGraph {
-        let n = self.n;
-        let mut positions_free = DistanceGraph::new(n, self.k);
-        // DistanceGraph has no public bulk setter; rebuild via from_deltas.
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    positions_free.set_delta_raw(i, j, self.decode(i, j));
-                }
-            }
-        }
-        positions_free
+        DistanceGraph::from_rows(self.e.chunks_exact(self.n), self.k)
     }
 
     /// The paper's `inc_graph(e_1[1..n], …, e_n[1..n])` for process `i`:
     /// increments `e_i[j]` (mod 3K) for every `j` the graph says `i` should
     /// advance against.
     pub fn inc_graph(&mut self, i: usize) {
-        let row = self.next_row(i, &self.make_graph());
-        self.set_row(i, &row);
+        let (graph, n) = (self.make_graph(), self.n);
+        inc_row(&graph, &graph.closure(), i, &mut self.e[i * n..(i + 1) * n]);
     }
 
-    /// The pure core of `inc_graph`: given a graph decoded from a scan,
-    /// computes the new row process `i` should publish. The concurrent
-    /// protocol uses this (scan → compute row → write own register).
+    /// The pure form of `inc_graph`: given a graph decoded from a scan,
+    /// the new row process `i` should publish ([`inc_row`] on a copy).
     pub fn next_row(&self, i: usize, graph: &DistanceGraph) -> Vec<u32> {
-        self.next_row_counted(i, graph).0
-    }
-
-    /// Like [`next_row`](Self::next_row), but also reports how many
-    /// increments and modulo-`3K` wrap-arounds the step performed —
-    /// the bounded-space events the metrics plane counts (a wrap is an
-    /// increment that took a counter from `3K − 1` back to `0`).
-    pub fn next_row_counted(&self, i: usize, graph: &DistanceGraph) -> (Vec<u32>, u64, u64) {
-        let closure = graph.closure();
-        let m = self.modulus();
-        let mut row = self.row(i);
-        let mut incs = 0u64;
-        let mut wraps = 0u64;
-        for (j, slot) in row.iter_mut().enumerate() {
-            if j != i && graph.should_advance(&closure, i, j) {
-                incs += 1;
-                if *slot == m - 1 {
-                    wraps += 1;
-                }
-                *slot = (*slot + 1) % m;
-            }
-        }
-        (row, incs, wraps)
+        let mut row = self.row(i).to_vec();
+        inc_row(graph, &graph.closure(), i, &mut row);
+        row
     }
 }
 
@@ -225,7 +204,7 @@ mod tests {
         let e = EdgeCounters::new(3, 2);
         for i in 0..3 {
             for j in 0..3 {
-                assert_eq!(e.decode(i, j), 0);
+                assert_eq!(e.decode_checked(i, j), Ok(0));
             }
         }
         assert_eq!(e.modulus(), 6);
@@ -233,46 +212,37 @@ mod tests {
 
     #[test]
     fn decode_positive_and_negative() {
-        let mut e = EdgeCounters::new(2, 2);
-        e.set_row(0, &[0, 2]); // e_0[1] = 2, e_1[0] = 0 -> δ(0,1) = 2
-        assert_eq!(e.decode(0, 1), 2);
-        assert_eq!(e.decode(1, 0), -2);
-        e.set_row(1, &[5, 0]); // e_1[0] = 5: (2−5) mod 6 = 3... desync band
+        let e = EdgeCounters::from_rows([[0, 2], [0, 0]], 2); // δ(0,1) = 2 − 0
+        assert_eq!(e.decode_checked(0, 1), Ok(2));
+        assert_eq!(e.decode_checked(1, 0), Ok(-2));
+        let e = EdgeCounters::from_rows([[0, 2], [5, 0]], 2); // (2 − 5) mod 6 = 3: desync band
         assert!(e.decode_checked(0, 1).is_err());
     }
 
     #[test]
     fn decode_wraps_modulo_3k() {
-        let mut e = EdgeCounters::new(2, 2);
-        e.set_row(0, &[0, 1]);
-        e.set_row(1, &[5, 0]); // (1 − 5) mod 6 = 2 -> δ(0,1) = 2
-        assert_eq!(e.decode(0, 1), 2);
+        let e = EdgeCounters::from_rows([[0, 1], [5, 0]], 2); // (1 − 5) mod 6 = 2
         assert_eq!(e.decode_checked(0, 1), Ok(2));
+        assert_eq!(e.make_graph().delta(0, 1), 2);
     }
 
     #[test]
-    fn next_row_counted_reports_incs_and_wraps() {
-        let mut e = EdgeCounters::new(2, 2); // modulus 6
-                                             // Put p0's counter against p1 at the top of the modulus: one more
-                                             // increment wraps it to 0.
-        e.set_row(0, &[0, 5]);
-        e.set_row(1, &[0, 0]); // δ(0,1) = (5 − 0) mod 6 = 5 -> desync? no: 5 > 2K=4 decodes negative
-                               // δ(0,1) = 5 ≥ 2K+? decode maps (m−1) to −1, so p0 is *behind* and
-                               // should advance against p1.
+    fn inc_row_reports_incs_and_wraps() {
+        // Modulus 6; p0's counter against p1 sits at the top of it, which
+        // decodes to δ(0,1) = −1: p0 trails, advances, and wraps to 0.
+        let e = EdgeCounters::from_rows([[0, 5], [0, 0]], 2);
         let g = e.make_graph();
-        let (row, incs, wraps) = e.next_row_counted(0, &g);
-        if incs > 0 {
-            assert_eq!(row[1], 0, "5 + 1 wraps to 0 mod 6");
-            assert_eq!(wraps, incs);
-        }
-        // Counted and uncounted variants agree on the row itself.
+        assert_eq!(g.delta(0, 1), -1);
+        let mut row = e.row(0).to_vec();
+        assert_eq!(inc_row(&g, &g.closure(), 0, &mut row), (1, 1));
+        assert_eq!(row, [0, 0], "5 + 1 wraps to 0 mod 6");
+        // The allocating wrapper agrees on the row itself.
         assert_eq!(row, e.next_row(0, &g));
-        // A fresh strip never wraps.
+        // A fresh strip advances against everyone and never wraps.
         let f = EdgeCounters::new(3, 2);
         let gf = f.make_graph();
-        let (_, incs0, wraps0) = f.next_row_counted(0, &gf);
-        assert_eq!(wraps0, 0);
-        let _ = incs0;
+        let mut row = f.row(0).to_vec();
+        assert_eq!(inc_row(&gf, &gf.closure(), 0, &mut row), (2, 0));
     }
 
     #[test]
@@ -310,15 +280,14 @@ mod tests {
     #[test]
     fn next_row_is_pure_and_matches_inc_graph() {
         let mut a = EdgeCounters::new(3, 2);
-        let plays = [0usize, 1, 1, 2, 0, 1, 2, 2, 2, 0];
-        let mut b = a.clone();
-        for &i in plays.iter() {
-            // Path 1: in-place.
+        for i in [0usize, 1, 1, 2, 0, 1, 2, 2, 2, 0] {
+            let (before, row) = (a.clone(), a.next_row(i, &a.make_graph()));
+            assert_eq!(a, before, "next_row leaves the counters alone");
             a.inc_graph(i);
-            // Path 2: pure row computation then install.
-            let row = b.next_row(i, &b.make_graph());
-            b.set_row(i, &row);
-            assert_eq!(a, b);
+            assert_eq!(a.row(i), row);
+            for j in (0..3).filter(|&j| j != i) {
+                assert_eq!(a.row(j), before.row(j), "inc_graph({i}) touched row {j}");
+            }
         }
     }
 
@@ -328,8 +297,7 @@ mod tests {
         e.inc_graph(1);
         e.inc_graph(1);
         e.inc_graph(2);
-        let rows: Vec<Vec<u32>> = (0..3).map(|i| e.row(i)).collect();
-        let rebuilt = EdgeCounters::from_rows(&rows, 2);
+        let rebuilt = EdgeCounters::from_rows((0..3).map(|i| e.row(i)), 2);
         assert_eq!(rebuilt, e);
     }
 
@@ -342,11 +310,11 @@ mod tests {
             e.inc_graph(0);
         }
         assert!(e.counter(0, 1) < 6);
-        assert_eq!(e.decode(0, 1), 2, "lead capped at K");
+        assert_eq!(e.decode_checked(0, 1), Ok(2), "lead capped at K");
         // The trailing process catches up by exactly the capped distance.
         e.inc_graph(1);
-        assert_eq!(e.decode(0, 1), 1);
+        assert_eq!(e.decode_checked(0, 1), Ok(1));
         e.inc_graph(1);
-        assert_eq!(e.decode(0, 1), 0);
+        assert_eq!(e.decode_checked(0, 1), Ok(0));
     }
 }

@@ -12,9 +12,35 @@
 //! graph equals the graph of the shrunken game) is property-tested here and
 //! exhaustively verified for small `n`, `K`.
 
+use crate::counters::decode_pair;
 use crate::game::ShrunkenGame;
 
 const NEG_INF: i64 = i64::MIN / 4;
+
+/// The max-plus closure of a [`DistanceGraph`]: the flat `n × n` matrix of
+/// maximal path weights and whether the graph is consistent, both computed
+/// once by [`DistanceGraph::closure_into`] (which also sizes the buffer).
+#[derive(Debug, Clone, Default)]
+pub struct Closure {
+    n: usize,
+    /// Row-major; entries below `NEG_INF / 2` mean "no path".
+    d: Vec<i64>,
+    consistent: bool,
+}
+
+impl Closure {
+    /// The paper's `dist(i,j)`: maximal weight of a directed path `i → j`
+    /// (edges with `δ ≥ 0` only), or `None` if no path exists.
+    pub fn get(&self, i: usize, j: usize) -> Option<i64> {
+        let v = self.d[i * self.n + j];
+        (v > NEG_INF / 2).then_some(v)
+    }
+
+    /// True iff the graph has no positive cycle: `dist(v,v) = 0` for all `v`.
+    pub fn is_consistent(&self) -> bool {
+        self.consistent
+    }
+}
 
 /// The distance graph over `n` processes with window constant `K`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,14 +52,50 @@ pub struct DistanceGraph {
 }
 
 impl DistanceGraph {
-    /// The graph of the initial configuration (all tokens level).
+    /// The graph of the initial configuration (all tokens level); `n = 0`
+    /// allocates nothing and waits for [`decode_rows`](Self::decode_rows).
     pub fn new(n: usize, k: u32) -> Self {
-        assert!(n >= 1, "need at least one process");
         assert!(k >= 1, "K must be positive");
         DistanceGraph {
             n,
             k,
             delta: vec![0; n * n],
+        }
+    }
+
+    /// The paper's `make_graph` over borrowed edge-counter rows, row `i` being
+    /// what process `i` published (wire format: [`crate::counters`]).
+    pub fn from_rows<'a>(rows: impl IntoIterator<Item = &'a [u32]>, k: u32) -> Self {
+        let mut g = DistanceGraph::new(0, k);
+        g.decode_rows(rows);
+        g
+    }
+
+    /// [`from_rows`](Self::from_rows) in place: takes `n` from the rows and
+    /// allocates only when it grows. Panics unless the rows form an `n × n`
+    /// matrix of counters below `3K`.
+    pub fn decode_rows<'a>(&mut self, rows: impl IntoIterator<Item = &'a [u32]>) {
+        let m = 3 * self.k;
+        self.delta.clear();
+        for row in rows {
+            if self.delta.is_empty() {
+                self.n = row.len();
+                self.delta.reserve(self.n * self.n);
+            }
+            assert!(row.len() == self.n, "rows must be n × n");
+            assert!(row.iter().all(|&c| c < m), "edge counter out of range");
+            self.delta.extend(row.iter().map(|&c| c as i64));
+        }
+        let n = self.n;
+        assert!(n >= 1 && self.delta.len() == n * n, "rows must be n × n");
+        // The raw counters sit where their deltas go: decode each pair once.
+        for i in 0..n {
+            self.delta[i * n + i] = 0;
+            for j in i + 1..n {
+                let (ij, ji) = (i * n + j, j * n + i);
+                let (a, b) = (self.delta[ij] as u32, self.delta[ji] as u32);
+                (self.delta[ij], self.delta[ji]) = decode_pair(a, b, self.k);
+            }
         }
     }
 
@@ -69,12 +131,6 @@ impl DistanceGraph {
         self.delta[i * self.n + j]
     }
 
-    /// Crate-internal: install one decoded slot without touching the mirror
-    /// entry (the counters decode fills both directions itself).
-    pub(crate) fn set_delta_raw(&mut self, i: usize, j: usize, v: i64) {
-        self.delta[i * self.n + j] = v;
-    }
-
     fn set_delta(&mut self, i: usize, j: usize, v: i64) {
         debug_assert!(v.abs() <= self.k as i64, "delta {v} out of range");
         self.delta[i * self.n + j] = v;
@@ -99,57 +155,48 @@ impl DistanceGraph {
     }
 
     /// All leaders, ascending.
-    pub fn leaders(&self) -> Vec<usize> {
-        (0..self.n).filter(|&i| self.is_leader(i)).collect()
+    pub fn leaders(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.n).filter(|&i| self.is_leader(i))
     }
 
-    /// Max-plus closure: `closure[i][j]` = maximal weight of a directed path
-    /// `i → j` (edges with `δ ≥ 0` only), or `None` if no path exists.
-    ///
-    /// This is the paper's `dist(i,j)`; for consistent states it recovers the
-    /// *exact* shrunken distance even across saturated direct edges, because
-    /// sorted-consecutive tokens are at most K apart.
-    pub fn closure(&self) -> Vec<Vec<Option<i64>>> {
+    /// Max-plus closure (Floyd–Warshall over the edges with `δ ≥ 0`). For
+    /// consistent states it recovers the *exact* shrunken distance even across
+    /// saturated direct edges: sorted-consecutive tokens are at most K apart.
+    pub fn closure(&self) -> Closure {
+        let mut c = Closure::default();
+        self.closure_into(&mut c);
+        c
+    }
+
+    /// [`closure`](Self::closure) into a reused buffer.
+    pub fn closure_into(&self, out: &mut Closure) {
         let n = self.n;
-        let mut d = vec![vec![NEG_INF; n]; n];
-        for (i, row) in d.iter_mut().enumerate() {
-            row[i] = 0;
-            for (j, slot) in row.iter_mut().enumerate() {
-                if i != j && self.delta(i, j) >= 0 {
-                    *slot = self.delta(i, j);
-                }
-            }
-        }
+        out.n = n;
+        out.d.clear();
+        out.d
+            .extend(self.delta.iter().map(|&w| if w >= 0 { w } else { NEG_INF }));
+        let d = &mut out.d[..];
+        // A positive cycle makes `d[mid][mid] > 0`, so pass `mid` rewrites
+        // row and column `mid` while reading them: every entry is re-read
+        // where it is used, never hoisted (the differential test shows a
+        // hoisted `d[a][mid]` gives other distances).
         for mid in 0..n {
             for a in 0..n {
                 for b in 0..n {
-                    let via = d[a][mid].saturating_add(d[mid][b]);
-                    if via > d[a][b] {
-                        d[a][b] = via;
+                    let via = d[a * n + mid].saturating_add(d[mid * n + b]);
+                    if via > d[a * n + b] {
+                        d[a * n + b] = via;
                     }
                 }
             }
         }
-        d.into_iter()
-            .map(|row| {
-                row.into_iter()
-                    .map(|v| (v > NEG_INF / 2).then_some(v))
-                    .collect()
-            })
-            .collect()
+        out.consistent = (0..n).all(|v| d[v * n + v] == 0);
     }
 
     /// The paper's `dist(i,j)`: maximal path weight `i → j`, if a path
     /// exists.
     pub fn dist(&self, i: usize, j: usize) -> Option<i64> {
-        self.closure()[i][j]
-    }
-
-    /// Is the direct edge `(j,i)` on some maximal path into `i` (the
-    /// condition in the paper's `inc`)? Equivalent to the edge's weight
-    /// realizing `dist(j,i)` exactly.
-    pub fn on_max_path(&self, j: usize, i: usize) -> bool {
-        self.delta(j, i) >= 0 && Some(self.delta(j, i)) == self.dist(j, i)
+        self.closure().get(i, j)
     }
 
     /// The paper's `inc` condition for updating `e_i[j]` / `δ(i,j)`: process
@@ -172,11 +219,10 @@ impl DistanceGraph {
     /// back to the direct-edge rule — catch up against anyone at-or-above —
     /// which monotonically drives the configuration back to a consistent
     /// one. Consistent graphs are unaffected.
-    pub fn should_advance(&self, closure: &[Vec<Option<i64>>], i: usize, j: usize) -> bool {
+    pub fn should_advance(&self, closure: &Closure, i: usize, j: usize) -> bool {
         let dji = self.delta(j, i);
-        let consistent = (0..self.n).all(|v| closure[v][v] == Some(0));
-        let catching_up = if consistent {
-            dji >= 0 && Some(dji) == closure[j][i]
+        let catching_up = if closure.is_consistent() {
+            dji >= 0 && Some(dji) == closure.get(j, i)
         } else {
             dji >= 0
         };
@@ -227,11 +273,12 @@ impl DistanceGraph {
             }
         }
         let c = self.closure();
-        for (i, row) in c.iter().enumerate() {
-            if row[i] != Some(0) {
-                return Err(format!("positive cycle through {i}: {:?}", row[i]));
+        for i in 0..n {
+            if c.get(i, i) != Some(0) {
+                return Err(format!("positive cycle through {i}: {:?}", c.get(i, i)));
             }
-            for (j, &cij) in row.iter().enumerate() {
+            for j in 0..n {
+                let cij = c.get(i, j);
                 if let Some(d) = cij {
                     if !(0..=k * n as i64).contains(&d) {
                         return Err(format!("dist({i},{j}) = {d} outside [0, K·n]"));
@@ -276,7 +323,7 @@ mod tests {
                 assert_eq!(g.weight(i, j), Some(0));
             }
         }
-        assert_eq!(g.leaders(), vec![0, 1, 2]);
+        assert!(g.leaders().eq(0..3));
         g.validate().unwrap();
     }
 
@@ -288,7 +335,7 @@ mod tests {
         assert_eq!(g.delta(2, 0), 1);
         assert!(!g.has_edge(0, 1));
         assert!(g.has_edge(1, 2));
-        assert_eq!(g.leaders(), vec![1]);
+        assert!(g.leaders().eq([1]));
     }
 
     #[test]
@@ -298,9 +345,12 @@ mod tests {
         let g = DistanceGraph::from_positions(&[0, 2, 4], 2);
         assert_eq!(g.delta(2, 0), 2);
         assert_eq!(g.dist(2, 0), Some(4));
-        assert!(!g.on_max_path(2, 0), "saturated edge is not on a max path");
-        assert!(g.on_max_path(1, 0));
-        assert!(g.on_max_path(2, 1));
+        assert_eq!(
+            g.dist(1, 0),
+            Some(g.delta(1, 0)),
+            "unsaturated edges are exact"
+        );
+        assert_eq!(g.dist(2, 1), Some(g.delta(2, 1)));
         g.validate().unwrap();
     }
 
@@ -389,7 +439,7 @@ mod tests {
             let i = rng.gen_range(0..n);
             game.move_token(i);
             graph.inc(i);
-            assert_eq!(graph.leaders(), game.leaders());
+            assert!(graph.leaders().eq(game.leaders()));
         }
     }
 

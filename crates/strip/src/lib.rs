@@ -59,6 +59,6 @@ pub mod counters;
 pub mod game;
 pub mod graph;
 
-pub use counters::EdgeCounters;
+pub use counters::{inc_row, EdgeCounters};
 pub use game::{normalize_k, shrink_k, ShrunkenGame, TokenGame};
-pub use graph::DistanceGraph;
+pub use graph::{Closure, DistanceGraph};

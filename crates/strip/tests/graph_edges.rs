@@ -7,7 +7,7 @@ fn single_node_graph_is_trivial() {
     let g = DistanceGraph::new(1, 2);
     assert!(g.is_leader(0));
     assert_eq!(g.dist(0, 0), Some(0));
-    assert_eq!(g.leaders(), vec![0]);
+    assert!(g.leaders().eq([0]));
     g.validate().unwrap();
 }
 
@@ -20,7 +20,7 @@ fn equal_positions_give_zero_weight_double_edges() {
             assert_eq!(g.weight(i, j), Some(0));
         }
     }
-    assert_eq!(g.leaders(), vec![0, 1, 2]);
+    assert!(g.leaders().eq(0..3));
 }
 
 #[test]
@@ -81,7 +81,7 @@ fn leaders_after_total_domination() {
         counters.inc_graph(2);
     }
     let g = counters.make_graph();
-    assert_eq!(g.leaders(), vec![2]);
+    assert!(g.leaders().eq([2]));
     for j in [0usize, 1, 3] {
         assert_eq!(g.delta(2, j), k as i64);
         assert_eq!(g.dist(2, j), Some(k as i64));
@@ -96,13 +96,13 @@ fn catch_up_goes_through_every_intermediate_distance() {
     for _ in 0..10 {
         counters.inc_graph(0);
     }
-    assert_eq!(counters.decode(0, 1), k as i64);
+    assert_eq!(counters.decode_checked(0, 1), Ok(k as i64));
     // The trailing process catches up one round at a time.
     for expected in (0..k as i64).rev() {
         counters.inc_graph(1);
-        assert_eq!(counters.decode(0, 1), expected);
+        assert_eq!(counters.decode_checked(0, 1), Ok(expected));
     }
     // And can take the lead.
     counters.inc_graph(1);
-    assert_eq!(counters.decode(1, 0), 1);
+    assert_eq!(counters.decode_checked(1, 0), Ok(1));
 }

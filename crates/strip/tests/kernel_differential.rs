@@ -1,0 +1,288 @@
+//! Differential test of the flat strip kernels (`DistanceGraph::decode_rows`,
+//! `closure_into`, `should_advance`, `inc_row` and their allocating wrappers)
+//! against the naive reference below: the `%`-based pair decode, the
+//! `Vec<Vec<Option<i64>>>` Floyd–Warshall and the per-`j` consistency check
+//! the kernels replaced.
+
+use std::collections::HashSet;
+
+use bprc_strip::{inc_row, Closure, DistanceGraph, EdgeCounters};
+use rand::{rngs::SmallRng, Rng, SeedableRng};
+
+type Rows = Vec<Vec<u32>>;
+
+const NEG_INF: i64 = i64::MIN / 4;
+
+fn naive_decode(rows: &Rows, k: u32, i: usize, j: usize) -> i64 {
+    if i == j {
+        return 0;
+    }
+    let m = 3 * k;
+    let d = (rows[i][j] + m - rows[j][i]) % m;
+    if d <= k {
+        d as i64
+    } else if d >= 2 * k {
+        d as i64 - m as i64
+    } else if d - k <= 2 * k - d {
+        k as i64
+    } else {
+        -(k as i64)
+    }
+}
+
+fn naive_graph(rows: &Rows, k: u32) -> Vec<Vec<i64>> {
+    let n = rows.len();
+    (0..n)
+        .map(|i| (0..n).map(|j| naive_decode(rows, k, i, j)).collect())
+        .collect()
+}
+
+/// Floyd–Warshall exactly as it stood: every `d[a][mid]` and `d[mid][b]` is
+/// read inside the `b` loop. With `hoist` it instead loads `d[a][mid]` once
+/// per `(mid, a)` — the micro-optimisation the kernel must not make.
+fn naive_closure(delta: &[Vec<i64>], hoist: bool) -> Vec<Vec<Option<i64>>> {
+    let n = delta.len();
+    let mut d = vec![vec![NEG_INF; n]; n];
+    for i in 0..n {
+        d[i][i] = 0;
+        for j in 0..n {
+            if i != j && delta[i][j] >= 0 {
+                d[i][j] = delta[i][j];
+            }
+        }
+    }
+    for mid in 0..n {
+        for a in 0..n {
+            let hoisted = d[a][mid];
+            for b in 0..n {
+                let left = if hoist { hoisted } else { d[a][mid] };
+                let via = left.saturating_add(d[mid][b]);
+                if via > d[a][b] {
+                    d[a][b] = via;
+                }
+            }
+        }
+    }
+    d.into_iter()
+        .map(|row| {
+            row.into_iter()
+                .map(|v| (v > NEG_INF / 2).then_some(v))
+                .collect()
+        })
+        .collect()
+}
+
+fn naive_should_advance(
+    delta: &[Vec<i64>],
+    closure: &[Vec<Option<i64>>],
+    k: u32,
+    i: usize,
+    j: usize,
+) -> bool {
+    let dji = delta[j][i];
+    let consistent = (0..delta.len()).all(|v| closure[v][v] == Some(0));
+    let catching_up = if consistent {
+        dji >= 0 && Some(dji) == closure[j][i]
+    } else {
+        dji >= 0
+    };
+    catching_up || (delta[i][j] >= 0 && delta[i][j] < k as i64)
+}
+
+/// The row process `i` publishes next, with its increment and wrap counts.
+fn naive_next_row(rows: &Rows, k: u32, i: usize) -> (Vec<u32>, u64, u64) {
+    let delta = naive_graph(rows, k);
+    let closure = naive_closure(&delta, false);
+    let m = 3 * k;
+    let mut row = rows[i].clone();
+    let (mut incs, mut wraps) = (0, 0);
+    for (j, slot) in row.iter_mut().enumerate() {
+        if j != i && naive_should_advance(&delta, &closure, k, i, j) {
+            incs += 1;
+            if *slot == m - 1 {
+                wraps += 1;
+            }
+            *slot = (*slot + 1) % m;
+        }
+    }
+    (row, incs, wraps)
+}
+
+/// Scratch that outlives one state, as the consensus core's does: a stale
+/// decode or closure surviving into the next state would show here.
+struct Scratch {
+    graph: DistanceGraph,
+    closure: Closure,
+}
+
+/// Checks every kernel and wrapper on one strip state; returns whether the
+/// state is consistent.
+fn check_state(rows: &Rows, k: u32, scratch: &mut Scratch) -> bool {
+    let n = rows.len();
+    let delta = naive_graph(rows, k);
+    let closure = naive_closure(&delta, false);
+    let consistent = (0..n).all(|v| closure[v][v] == Some(0));
+
+    let counters = EdgeCounters::from_rows(rows, k);
+    let graph = counters.make_graph();
+    scratch.graph.decode_rows(rows.iter().map(|r| &r[..]));
+    assert_eq!(scratch.graph, graph, "in-place decode of {rows:?}");
+    assert_eq!(
+        graph,
+        DistanceGraph::from_rows(rows.iter().map(|r| &r[..]), k)
+    );
+    let flat = graph.closure();
+    scratch.graph.closure_into(&mut scratch.closure);
+    assert_eq!(flat.is_consistent(), consistent, "consistency of {rows:?}");
+    assert_eq!(scratch.closure.is_consistent(), consistent);
+    for i in 0..n {
+        for j in 0..n {
+            assert_eq!(graph.delta(i, j), delta[i][j], "δ({i},{j}) of {rows:?}");
+            match counters.decode_checked(i, j) {
+                Ok(d) => assert_eq!(d, delta[i][j]),
+                Err(e) => assert!(e.diff > k && e.diff < 2 * k, "{e} is no desync"),
+            }
+            assert_eq!(flat.get(i, j), closure[i][j], "dist({i},{j}) of {rows:?}");
+            assert_eq!(scratch.closure.get(i, j), closure[i][j]);
+            if i != j {
+                assert_eq!(
+                    graph.should_advance(&flat, i, j),
+                    naive_should_advance(&delta, &closure, k, i, j),
+                    "should_advance({i},{j}) of {rows:?}"
+                );
+            }
+        }
+        assert_eq!(graph.dist(i, 0), closure[i][0]);
+        let expected = naive_next_row(rows, k, i);
+        let mut row = rows[i].clone();
+        let counts = inc_row(&scratch.graph, &scratch.closure, i, &mut row);
+        assert_eq!(
+            (row, counts.0, counts.1),
+            expected,
+            "inc_row({i}) of {rows:?}"
+        );
+        assert_eq!(counters.next_row(i, &graph), expected.0);
+        let mut moved = counters.clone();
+        moved.inc_graph(i);
+        assert_eq!(moved.row(i), expected.0);
+    }
+    let leaders: Vec<usize> = (0..n)
+        .filter(|&i| delta[i].iter().all(|&d| d >= 0))
+        .collect();
+    assert!(graph.leaders().eq(leaders));
+    consistent
+}
+
+fn new_scratch(k: u32) -> Scratch {
+    Scratch {
+        graph: DistanceGraph::new(0, k),
+        closure: Closure::default(),
+    }
+}
+
+fn rows_of(counters: &EdgeCounters) -> Rows {
+    (0..counters.n())
+        .map(|i| counters.row(i).to_vec())
+        .collect()
+}
+
+#[test]
+fn every_state_within_12_moves_of_zero_matches_the_reference() {
+    for k in [2, 3] {
+        let mut scratch = new_scratch(k);
+        for n in 1..=4 {
+            let mut seen: HashSet<Rows> = HashSet::new();
+            let mut frontier = vec![EdgeCounters::new(n, k)];
+            seen.insert(rows_of(&frontier[0]));
+            for depth in 0..=12 {
+                let mut next = Vec::new();
+                for state in &frontier {
+                    let consistent = check_state(&rows_of(state), k, &mut scratch);
+                    assert!(consistent, "sequential play stays a legal game state");
+                    if depth == 12 {
+                        continue;
+                    }
+                    for i in 0..n {
+                        let mut moved = state.clone();
+                        moved.inc_graph(i);
+                        if seen.insert(rows_of(&moved)) {
+                            next.push(moved);
+                        }
+                    }
+                }
+                frontier = next;
+            }
+            assert!(n == 1 || seen.len() > 12, "n={n} K={k}: {}", seen.len());
+        }
+    }
+}
+
+#[test]
+fn seeded_random_plays_at_n8_match_the_reference() {
+    let mut rng = SmallRng::seed_from_u64(0x5712);
+    for k in [2, 3] {
+        let mut scratch = new_scratch(k);
+        for _ in 0..8 {
+            let mut counters = EdgeCounters::new(8, k);
+            for step in 0..160 {
+                // Skewed picks let some tokens race ahead and saturate.
+                let i = rng.gen_range(0..8usize).min(rng.gen_range(0..8));
+                counters.inc_graph(i);
+                if step % 4 == 0 {
+                    assert!(check_state(&rows_of(&counters), k, &mut scratch));
+                }
+            }
+        }
+    }
+}
+
+/// Arbitrary in-range rows: desynchronized pairs (the clamped decode and its
+/// `+K`/`+K` tie) and positive cycles, the states the degraded-mode gate
+/// exists for.
+#[test]
+fn seeded_inconsistent_rows_match_the_reference() {
+    let mut rng = SmallRng::seed_from_u64(0xC1C1E);
+    let (mut inconsistent, mut reread_matters, mut ties) = (0, 0, 0);
+    for case in 0..600 {
+        let k = [2, 3][case % 2];
+        let n = [3, 4, 8][case % 3];
+        let rows: Rows = (0..n)
+            .map(|_| (0..n).map(|_| rng.gen_range(0..3 * k)).collect())
+            .collect();
+        // A scratch sized by another state must not leak into this one.
+        let mut scratch = new_scratch(k);
+        check_state(&vec![vec![0; n + 1]; n + 1], k, &mut scratch);
+        if !check_state(&rows, k, &mut scratch) {
+            inconsistent += 1;
+        }
+        let delta = naive_graph(&rows, k);
+        if naive_closure(&delta, true) != naive_closure(&delta, false) {
+            reread_matters += 1;
+        }
+        ties += (0..n)
+            .flat_map(|i| (0..i).map(move |j| (i, j)))
+            .filter(|&(i, j)| delta[i][j] == k as i64 && delta[j][i] == k as i64)
+            .count();
+    }
+    // Non-vacuity: the seeds reach positive cycles, inputs on which loading
+    // `d[a][mid]` once per row of the closure gives another answer (so the
+    // kernel provably does not do that), and the antisymmetry-breaking tie.
+    assert!(inconsistent > 100, "{inconsistent} inconsistent states");
+    assert!(
+        reread_matters > 20,
+        "{reread_matters} states need the re-read"
+    );
+    assert!(ties > 20, "{ties} tie pairs");
+}
+
+#[test]
+#[should_panic(expected = "edge counter out of range")]
+fn out_of_range_counters_are_rejected() {
+    let _ = DistanceGraph::from_rows([&[0u32, 6][..], &[0, 0][..]], 2);
+}
+
+#[test]
+#[should_panic(expected = "n × n")]
+fn ragged_rows_are_rejected() {
+    let _ = DistanceGraph::from_rows([&[0u32, 1][..], &[0][..]], 2);
+}
