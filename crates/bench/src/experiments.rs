@@ -472,8 +472,7 @@ pub fn e6_memory(scale: Scale) -> Table {
     let trials = scale.trials(150, 1500);
     let n = 4usize;
     let params = ConsensusParams::quick(n);
-    let (m, k) = (params.coin().m(), params.k());
-    let bounded_bits = bprc_core::state::ProcState::phantom(n, k).register_bits(m, k);
+    let bounded_bits = params.layout().bits();
 
     // Tail-sample contested rounds under the BSP adversary with b = 1
     // (maximally disagreement-prone coin) — and double-check that the
@@ -509,7 +508,7 @@ pub fn e6_memory(scale: Scale) -> Table {
             .map(|p| BoundedCore::new(params.clone(), p, p % 2 == 0, derive_seed(seed, p as u64)))
             .collect();
         let (_, hw) = run_metered(procs, &mut TurnBsp::new(), 20_000_000, |s| {
-            s.register_bits(m, k)
+            s.register_bits()
         });
         assert_eq!(
             hw.max_register_bits, bounded_bits,
@@ -882,7 +881,7 @@ pub fn e12_ablation_k(scale: Scale) -> Table {
     for k in [2u32, 3, 4, 6] {
         let params = ConsensusParams::with_k(n, k, CoinParams::new(n, 3, 1_000_000));
         let (events, rounds, timeouts) = ablation_run(&params, trials, 1200 + k as u64);
-        let bits = bprc_core::state::ProcState::phantom(n, k).register_bits(params.coin().m(), k);
+        let bits = params.layout().bits();
         t.row(vec![
             k.to_string(),
             mean(events),

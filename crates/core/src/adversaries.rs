@@ -5,10 +5,10 @@
 //! allowed to do) and try to delay agreement.
 
 use bprc_sim::turn::{TurnAdversary, TurnDecision, TurnView};
-use bprc_strip::DistanceGraph;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::bounded::view_graph;
 use crate::state::{Pref, ProcState};
 
 /// The classic anti-consensus strategy: keep the two preference camps
@@ -35,12 +35,12 @@ impl SplitAdversary {
 
 impl TurnAdversary<ProcState> for SplitAdversary {
     fn choose(&mut self, view: &TurnView<'_, ProcState>) -> TurnDecision {
-        let g = DistanceGraph::from_rows(view.shared.iter().map(|s| &s.edges[..]), self.k);
+        let g = view_graph(view.shared, self.k);
         // Count leader preferences.
         let mut zeros = 0usize;
         let mut ones = 0usize;
         for l in g.leaders() {
-            match view.shared[l].pref {
+            match view.shared[l].pref() {
                 Pref::Val(false) => zeros += 1,
                 Pref::Val(true) => ones += 1,
                 Pref::Bottom => {}
@@ -59,7 +59,7 @@ impl TurnAdversary<ProcState> for SplitAdversary {
             if let Some(&p) = view
                 .active
                 .iter()
-                .find(|&&p| view.shared[p].pref == Pref::Val(want))
+                .find(|&&p| view.shared[p].pref() == Pref::Val(want))
             {
                 return TurnDecision::Step(p);
             }
@@ -87,7 +87,7 @@ impl LeaderStarver {
 
 impl TurnAdversary<ProcState> for LeaderStarver {
     fn choose(&mut self, view: &TurnView<'_, ProcState>) -> TurnDecision {
-        let g = DistanceGraph::from_rows(view.shared.iter().map(|s| &s.edges[..]), self.k);
+        let g = view_graph(view.shared, self.k);
         let non_leaders: Vec<usize> = view
             .active
             .iter()
@@ -139,8 +139,8 @@ impl TurnAdversary<ProcState> for HoldDeciders {
         let mut free: Vec<usize> = Vec::new();
         for &p in view.active {
             match &view.phases[p] {
-                Phase::Write(m) if m.edges != view.shared[p].edges => {
-                    held.push((p, m.pref.value()));
+                Phase::Write(m) if !m.edges().eq(view.shared[p].edges()) => {
+                    held.push((p, m.pref().value()));
                 }
                 _ => free.push(p),
             }
@@ -186,11 +186,10 @@ mod tests {
         for seed in 0..8 {
             let n = 4;
             let params = ConsensusParams::quick(n);
-            let (m, k) = (params.coin().m(), params.k());
-            let static_bits = crate::state::ProcState::phantom(n, k).register_bits(m, k);
+            let static_bits = params.layout().bits();
             let procs = cores(n, seed);
             let (r, hw) = run_metered(procs, &mut HoldDeciders::new(seed), 10_000_000, |s| {
-                s.register_bits(m, k)
+                s.register_bits()
             });
             assert!(
                 r.completed,

@@ -253,7 +253,6 @@ impl Consensus for BoundedEntrant {
         check_world(self, world, inputs);
         let n = inputs.len();
         let params = ConsensusParams::quick(n);
-        let (m, k) = (params.coin().m(), params.k());
         let probe = Arc::new(ArenaProbe::default());
         let procs: Vec<MeteredProc<BoundedCore>> = (0..n)
             .map(|pid| {
@@ -264,12 +263,12 @@ impl Consensus for BoundedEntrant {
                         inputs[pid],
                         derive_seed(seed, pid as u64),
                     ),
-                    Box::new(move |s: &ProcState| s.register_bits(m, k)),
+                    Box::new(ProcState::register_bits),
                     Arc::clone(&probe),
                 )
             })
             .collect();
-        let initial = ProcState::phantom(n, k);
+        let initial = ProcState::phantom(params.layout());
         let bodies = build_over(world, procs, initial, backend);
         ArenaInstance { bodies, probe }
     }

@@ -23,6 +23,10 @@
 //! write, `on_scan` maps an atomic view to the next write or a decision.
 //! It implements [`TurnProcess`] for the fast driver; [`crate::threaded`]
 //! runs the *same* core over the real scannable memory.
+//!
+//! The core computes on its own fields unpacked ([`ProcParts`]) and packs
+//! them when it publishes; peers are read through the packed registers'
+//! field accessors ([`ProcRef`]), never unpacked.
 
 use bprc_coin::flip::{FlipSource, Flips};
 use bprc_coin::value::{coin_value_total, walk_step, CoinValue};
@@ -31,7 +35,7 @@ use bprc_sim::turn::{TurnProbe, TurnProcess, TurnStep};
 use bprc_sim::{Counter, ProcMetrics};
 use bprc_strip::{inc_row, Closure, DistanceGraph};
 
-use crate::state::{Pref, ProcState};
+use crate::state::{Pref, ProcParts, ProcRef, ProcState, RegisterLayout};
 
 /// Parameters of a consensus instance.
 #[derive(Debug, Clone)]
@@ -83,6 +87,11 @@ impl ConsensusParams {
     /// The shared-coin parameters.
     pub fn coin(&self) -> &CoinParams {
         &self.coin
+    }
+
+    /// The layout every register of the instance is packed under.
+    pub fn layout(&self) -> RegisterLayout {
+        RegisterLayout::new(self.n, self.k, self.coin.m())
     }
 }
 
@@ -138,6 +147,17 @@ impl CoreStats {
     }
 }
 
+/// The distance graph a scanned `view` encodes (the paper's `make_graph`).
+pub(crate) fn view_graph(view: &[ProcState], k: u32) -> DistanceGraph {
+    let mut graph = DistanceGraph::new(0, k);
+    graph.decode_rows_with(view.len(), |j, row| view[j].fields().edges_into(row));
+    graph
+}
+
+/// Why packing a core's own state cannot fail: `walk_step` saturates at
+/// ±(m+1), `inc_row` wraps at 3K, the pointer moves mod K+1.
+const IN_DOMAIN: &str = "the protocol keeps every field inside its domain";
+
 /// One process of the bounded consensus protocol, as a pure
 /// scan/write state machine.
 ///
@@ -146,8 +166,11 @@ impl CoreStats {
 #[derive(Debug, Clone)]
 pub struct BoundedCore {
     params: ConsensusParams,
+    /// `params.layout()`, derived once.
+    layout: RegisterLayout,
     me: usize,
-    state: ProcState,
+    /// What this process last published, unpacked.
+    state: ProcParts,
     flips: Flips,
     stats: CoreStats,
     /// True until a late joiner performs its first, scan-based `inc`.
@@ -203,12 +226,14 @@ impl BoundedCore {
     /// the multivalued levels and multi-shot slots do.
     pub fn joiner(params: ConsensusParams, pid: usize, input: bool, flips: Flips) -> Self {
         assert!(pid < params.n(), "pid out of range");
-        let mut state = ProcState::phantom(params.n(), params.k());
+        let layout = params.layout();
+        let mut state = ProcParts::phantom(&layout);
         state.pref = Pref::Val(input);
         BoundedCore {
             graph: DistanceGraph::new(0, params.k()),
             closure: Closure::default(),
             params,
+            layout,
             me: pid,
             state,
             flips,
@@ -232,9 +257,14 @@ impl BoundedCore {
         self.stats
     }
 
-    /// The state this process last published.
-    pub fn state(&self) -> &ProcState {
-        &self.state
+    /// The state this process last published, packed afresh.
+    pub fn state(&self) -> ProcState {
+        ProcState::pack(self.layout, &self.state).expect(IN_DOMAIN)
+    }
+
+    /// Packs the last published state into `out`, one register wide.
+    pub(crate) fn pack_state_into(&self, out: &mut [u64]) {
+        self.layout.pack(&self.state, out).expect(IN_DOMAIN);
     }
 
     /// The local flip source.
@@ -266,19 +296,20 @@ impl BoundedCore {
     /// from the scanned states, reading process `j`'s contribution from the
     /// slot `(current_coin_j + 1 − w(j,me)) mod (K+1)` when `j` is
     /// at-or-above me by less than K, and 0 otherwise (Observation 1).
-    fn next_coin_value(&self, view: &[ProcState]) -> CoinValue {
+    fn next_coin_value<'a>(&self, peer: &impl Fn(usize) -> ProcRef<'a>) -> CoinValue {
         let kk = self.params.k() as i64;
         let slots = self.params.k() as usize + 1;
         let own = self.state.coins[self.state.next_coin_slot()];
         let mut total = own;
-        for (j, s) in view.iter().enumerate() {
+        for j in 0..self.params.n() {
             if j == self.me {
                 continue;
             }
             let dji = self.graph.delta(j, self.me);
             if (0..kk).contains(&dji) {
-                let slot = (s.current_coin + 1 + slots - dji as usize) % slots;
-                total += s.coins[slot];
+                let s = peer(j);
+                let slot = (s.current_coin() + 1 + slots - dji as usize) % slots;
+                total += s.coin(slot);
             }
         }
         coin_value_total(self.params.coin(), own, total)
@@ -300,8 +331,11 @@ impl BoundedCore {
 
     /// The common value of all leaders, if they agree (a leader with ⊥
     /// means the leaders do not agree).
-    fn leaders_agreement(g: &DistanceGraph, view: &[ProcState]) -> Option<bool> {
-        let mut prefs = g.leaders().map(|j| view[j].pref.value());
+    fn leaders_agreement<'a>(
+        g: &DistanceGraph,
+        peer: &impl Fn(usize) -> ProcRef<'a>,
+    ) -> Option<bool> {
+        let mut prefs = g.leaders().map(|j| peer(j).pref().value());
         let first = prefs.next()??;
         prefs.all(|p| p == Some(first)).then_some(first)
     }
@@ -309,12 +343,24 @@ impl BoundedCore {
     /// One protocol turn over an atomic view (the paper's lines 1–8).
     pub fn on_view(&mut self, view: &[ProcState]) -> TurnStep<ProcState, bool> {
         debug_assert_eq!(view.len(), self.params.n());
-        debug_assert_eq!(
-            &view[self.me], &self.state,
+        match self.turn(|j| view[j].fields()) {
+            TurnStep::Write(()) => TurnStep::Write(self.state()),
+            TurnStep::Decide(v) => TurnStep::Decide(v),
+        }
+    }
+
+    /// [`on_view`](Self::on_view) over registers borrowed wherever they lie:
+    /// `peer(j)` is process `j`'s. `Write(())` leaves the state to publish
+    /// in `self`, for [`state`](Self::state) or
+    /// [`pack_state_into`](Self::pack_state_into) to encode.
+    pub(crate) fn turn<'a>(&mut self, peer: impl Fn(usize) -> ProcRef<'a>) -> TurnStep<(), bool> {
+        debug_assert!(
+            peer(self.me) == self.state,
             "the driver must publish my writes before my next scan"
         );
         self.stats.scans += 1;
-        self.graph.decode_rows(view.iter().map(|s| &s.edges[..]));
+        self.graph
+            .decode_rows_with(self.params.n(), |j, row| peer(j).edges_into(row));
 
         // A late joiner first performs its join inc against the real strip
         // state (see [`BoundedCore::joiner`]) before running the protocol
@@ -322,7 +368,7 @@ impl BoundedCore {
         if self.join_pending {
             self.join_pending = false;
             self.advance_round();
-            return TurnStep::Write(self.state.clone());
+            return TurnStep::Write(());
         }
 
         // Line 2: decide if I'm a leader, I have a value, and everyone who
@@ -331,7 +377,7 @@ impl BoundedCore {
             if self.graph.is_leader(self.me) {
                 let all_trail = (0..self.params.n()).all(|j| {
                     j == self.me
-                        || view[j].pref.agrees_with(&self.state.pref)
+                        || peer(j).pref().agrees_with(&self.state.pref)
                         || self.graph.delta(self.me, j) >= self.params.k() as i64
                 });
                 if all_trail {
@@ -341,32 +387,29 @@ impl BoundedCore {
         }
 
         // Lines 3–4: adopt the leaders' common value and advance.
-        if let Some(v) = Self::leaders_agreement(&self.graph, view) {
+        if let Some(v) = Self::leaders_agreement(&self.graph, &peer) {
             self.state.pref = Pref::Val(v);
             self.advance_round();
-            return TurnStep::Write(self.state.clone());
+            return TurnStep::Write(());
         }
 
         // Lines 5–6: leaders disagree — drop my preference.
         if self.state.pref != Pref::Bottom {
             self.state.pref = Pref::Bottom;
             self.stats.demotions += 1;
-            return TurnStep::Write(self.state.clone());
+            return TurnStep::Write(());
         }
 
         // Lines 7–8: consult the next round's shared coin.
-        match self.next_coin_value(view) {
-            CoinValue::Undecided => {
-                self.flip_next_coin();
-                TurnStep::Write(self.state.clone())
-            }
+        match self.next_coin_value(&peer) {
+            CoinValue::Undecided => self.flip_next_coin(),
             v => {
                 self.state.pref = Pref::Val(v.as_bool());
                 self.stats.coin_adoptions += 1;
                 self.advance_round();
-                TurnStep::Write(self.state.clone())
             }
         }
+        TurnStep::Write(())
     }
 }
 
@@ -375,7 +418,7 @@ impl TurnProcess for BoundedCore {
     type Out = bool;
 
     fn initial_msg(&mut self) -> ProcState {
-        self.state.clone()
+        self.state()
     }
 
     fn on_scan(&mut self, view: &[ProcState]) -> TurnStep<ProcState, bool> {
@@ -509,7 +552,7 @@ mod tests {
         let params = ConsensusParams::quick(2);
         let mut a = BoundedCore::new(params.clone(), 0, true, 1);
         let b = BoundedCore::new(params, 1, false, 2);
-        let view = vec![a.state().clone(), b.state().clone()];
+        let view = vec![a.state(), b.state()];
         let _ = a.on_view(&view);
         assert_eq!(a.stats().scans, 1);
         assert!(a.stats().rounds >= 1, "initial inc counts");

@@ -77,13 +77,12 @@ mod tests {
     #[test]
     fn bounded_protocol_register_width_is_flat() {
         let params = ConsensusParams::quick(3);
-        let (m, k) = (params.coin().m(), params.k());
-        let static_bits = crate::state::ProcState::phantom(3, k).register_bits(m, k);
+        let static_bits = params.layout().bits();
         let procs: Vec<BoundedCore> = (0..3)
             .map(|p| BoundedCore::new(params.clone(), p, p % 2 == 0, p as u64))
             .collect();
         let (report, hw) = run_metered(procs, &mut TurnRandom::new(3), 3_000_000, |s| {
-            s.register_bits(m, k)
+            s.register_bits()
         });
         assert!(report.completed);
         assert_eq!(

@@ -440,7 +440,7 @@ pub fn check_bounded(
     let procs: Vec<BoundedCore> = (0..n)
         .map(|p| BoundedCore::with_flips(params.clone(), p, inputs[p], Flips::queue()))
         .collect();
-    let shared = vec![ProcState::phantom(n, params.k()); n];
+    let shared = vec![ProcState::phantom(params.layout()); n];
     let inputs = inputs.to_vec();
     check(procs, shared, |v| inputs.contains(v), cfg)
 }
@@ -524,7 +524,7 @@ mod tests {
                 input: p == 0,
             })
             .collect();
-        let shared = vec![ProcState::phantom(2, params.k()); 2];
+        let shared = vec![ProcState::phantom(params.layout()); 2];
         let report = check(procs, shared, |_: &bool| true, McConfig::default());
         let v = report.violation.expect("must catch the disagreement");
         assert!(matches!(v.kind, ViolationKind::Agreement { .. }));
@@ -569,13 +569,7 @@ mod tests {
         let procs: Vec<MvCore> = (0..2)
             .map(|p| MvCore::with_queue_flips(params.clone(), p, values[p], width))
             .collect();
-        let shared = vec![
-            MvState {
-                candidate: 0,
-                levels: Vec::new(),
-            };
-            2
-        ];
+        let shared = vec![MvState::phantom(params.layout()); 2];
         let report = check(
             procs,
             shared,

@@ -47,10 +47,24 @@ impl<F: FnMut(&[u64]) -> u64> ProposalSource for F {
 
 /// What each replica publishes: its per-slot multivalued states, for the
 /// slots it has joined so far (bounded by `n_slots`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct LogMsg {
     /// One multivalued-consensus state per joined slot.
     pub slots: Vec<MvState>,
+}
+
+impl Clone for LogMsg {
+    fn clone(&self) -> Self {
+        LogMsg {
+            slots: self.slots.clone(),
+        }
+    }
+
+    /// Reuses `self`'s slots and their buffers: no allocation once they
+    /// are long enough.
+    fn clone_from(&mut self, source: &Self) {
+        self.slots.clone_from(&source.slots);
+    }
 }
 
 /// One replica of the multi-shot log.
@@ -66,6 +80,8 @@ pub struct LogCore<S> {
     /// Stats folded forward from inner cores retired at slot boundaries.
     retired: crate::bounded::CoreStats,
     msg: LogMsg,
+    /// What a replica that has not joined my slot reads as.
+    phantom: MvState,
 }
 
 impl<S> std::fmt::Debug for LogCore<S> {
@@ -103,9 +119,10 @@ impl<S: ProposalSource> LogCore<S> {
             bprc_sim::rng::derive_seed(seed, 0),
         );
         let msg = LogMsg {
-            slots: vec![inner_msg(&inner)],
+            slots: vec![inner.current_msg().clone()],
         };
         LogCore {
+            phantom: MvState::phantom(params.layout()),
             params,
             me: pid,
             width,
@@ -132,12 +149,6 @@ impl<S: ProposalSource> LogCore<S> {
     }
 }
 
-/// The register value a fresh `MvCore` starts with (its `initial_msg`
-/// without requiring `&mut`): candidate + level-0 state.
-fn inner_msg(inner: &MvCore) -> MvState {
-    inner.current_msg()
-}
-
 impl<S: ProposalSource> TurnProcess for LogCore<S> {
     type Msg = LogMsg;
     type Out = Vec<u64>;
@@ -150,24 +161,12 @@ impl<S: ProposalSource> TurnProcess for LogCore<S> {
         let slot = self.decided.len();
         // Project the view to the current slot; replicas that have not
         // joined it appear as not-yet-started multivalued participants.
-        let phantom = MvState {
-            candidate: 0,
-            levels: Vec::new(),
-        };
-        let slot_view: Vec<MvState> = view
-            .iter()
-            .map(|m| {
-                m.slots
-                    .get(slot)
-                    .cloned()
-                    .unwrap_or_else(|| phantom.clone())
-            })
-            .collect();
-        match self.inner.on_scan(&slot_view) {
-            TurnStep::Write(s) => {
-                self.msg.slots[slot] = s;
-                TurnStep::Write(self.msg.clone())
-            }
+        let phantom = &self.phantom;
+        match self
+            .inner
+            .turn(|j| view[j].slots.get(slot).unwrap_or(phantom))
+        {
+            TurnStep::Write(()) => self.msg.slots[slot].clone_from(self.inner.current_msg()),
             TurnStep::Decide(v) => {
                 self.decided.push(v);
                 if self.decided.len() == self.n_slots {
@@ -182,10 +181,11 @@ impl<S: ProposalSource> TurnProcess for LogCore<S> {
                     self.width,
                     bprc_sim::rng::derive_seed(self.seed, self.decided.len() as u64),
                 );
-                self.msg.slots.push(inner_msg(&self.inner));
-                TurnStep::Write(self.msg.clone())
+                self.msg.slots.push(self.inner.current_msg().clone());
             }
         }
+        // The one copy a turn allocates: the register value it hands over.
+        TurnStep::Write(self.msg.clone())
     }
 
     fn probe(&self) -> bprc_sim::turn::TurnProbe {

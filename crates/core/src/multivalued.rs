@@ -23,16 +23,100 @@
 use bprc_sim::turn::{TurnProcess, TurnStep};
 
 use crate::bounded::{BoundedCore, ConsensusParams, CoreStats};
-use crate::state::ProcState;
+use crate::state::{ProcRef, ProcState, RegisterLayout};
 
-/// Register contents of one multivalued-consensus process.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Register contents of one multivalued-consensus process: its candidate
+/// and its binary-instance states for levels `0..=current` (one per level
+/// joined; bounded by the width), packed back to back in one buffer at the
+/// layout's fixed stride.
+#[derive(PartialEq, Eq, Hash)]
 pub struct MvState {
+    candidate: u64,
+    layout: RegisterLayout,
+    /// `level_count() × layout.words()` words.
+    words: Vec<u64>,
+}
+
+impl MvState {
+    /// The register of a process that has not joined the instance: no
+    /// levels (and no allocation).
+    pub fn phantom(layout: RegisterLayout) -> Self {
+        MvState {
+            candidate: 0,
+            layout,
+            words: Vec::new(),
+        }
+    }
+
+    /// The first write of a process proposing `candidate`, whose level-0
+    /// binary instance starts at `level0`.
+    pub fn new(candidate: u64, level0: ProcRef<'_>) -> Self {
+        MvState {
+            candidate,
+            layout: *level0.layout(),
+            words: level0.words().to_vec(),
+        }
+    }
+
     /// The process's current candidate value.
-    pub candidate: u64,
-    /// Its binary-instance states for levels `0..=current` (one entry per
-    /// level joined; bounded by the width).
-    pub levels: Vec<ProcState>,
+    pub fn candidate(&self) -> u64 {
+        self.candidate
+    }
+
+    /// Levels joined so far.
+    pub fn level_count(&self) -> usize {
+        self.words.len() / self.layout.words()
+    }
+
+    /// The binary-instance state at `level`, if the process has joined it.
+    #[inline]
+    pub fn level(&self, level: usize) -> Option<ProcRef<'_>> {
+        let stride = self.layout.words();
+        let words = self.words.get(level * stride..(level + 1) * stride)?;
+        Some(ProcRef::new(&self.layout, words))
+    }
+
+    /// The joined levels' states, level 0 first.
+    pub fn levels(&self) -> impl ExactSizeIterator<Item = ProcRef<'_>> {
+        self.words
+            .chunks_exact(self.layout.words())
+            .map(|words| ProcRef::new(&self.layout, words))
+    }
+
+    /// The words of `level`, opening it (zeroed) if it is the next one.
+    fn level_words_mut(&mut self, level: usize) -> &mut [u64] {
+        let stride = self.layout.words();
+        if level == self.level_count() {
+            self.words.resize((level + 1) * stride, 0);
+        }
+        &mut self.words[level * stride..(level + 1) * stride]
+    }
+}
+
+impl std::fmt::Debug for MvState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MvState")
+            .field("candidate", &self.candidate)
+            .field("levels", &self.levels().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
+impl Clone for MvState {
+    fn clone(&self) -> Self {
+        MvState {
+            candidate: self.candidate,
+            layout: self.layout,
+            words: self.words.clone(),
+        }
+    }
+
+    /// Reuses `self`'s buffer: no allocation once it is long enough.
+    fn clone_from(&mut self, source: &Self) {
+        self.candidate = source.candidate;
+        self.layout = source.layout;
+        self.words.clone_from(&source.words);
+    }
 }
 
 /// How the per-level binary cores obtain their local coin flips.
@@ -58,6 +142,8 @@ pub struct MvCore {
     /// Stats folded forward from inner cores retired at level advances.
     retired: CoreStats,
     state: MvState,
+    /// What a peer that has not joined my level reads as.
+    phantom: ProcState,
 }
 
 impl MvCore {
@@ -96,11 +182,9 @@ impl MvCore {
             value & ((1u64 << width) - 1)
         };
         let inner = Self::make_inner(&params, pid, value & 1 == 1, &flip_mode, 0);
-        let state = MvState {
-            candidate: value,
-            levels: vec![inner.state().clone()],
-        };
+        let state = MvState::new(value, inner.state().fields());
         MvCore {
+            phantom: ProcState::phantom(params.layout()),
             params,
             me: pid,
             width,
@@ -159,8 +243,8 @@ impl MvCore {
 
     /// The register value this process last published (its candidate plus
     /// its per-level states).
-    pub fn current_msg(&self) -> MvState {
-        self.state.clone()
+    pub fn current_msg(&self) -> &MvState {
+        &self.state
     }
 
     fn bit(value: u64, level: usize) -> bool {
@@ -179,34 +263,16 @@ impl MvCore {
         };
         (candidate ^ self.decided_bits) & mask == 0
     }
-}
 
-impl TurnProcess for MvCore {
-    type Msg = MvState;
-    type Out = u64;
-
-    fn initial_msg(&mut self) -> MvState {
-        self.state.clone()
-    }
-
-    fn on_scan(&mut self, view: &[MvState]) -> TurnStep<MvState, u64> {
+    /// One turn over registers borrowed wherever they lie: `peer(j)` is
+    /// process `j`'s. `Write(())` leaves the register to publish in
+    /// [`current_msg`](Self::current_msg).
+    pub(crate) fn turn<'a>(&mut self, peer: impl Fn(usize) -> &'a MvState) -> TurnStep<(), u64> {
         // Project the view down to the current level's binary instance;
         // processes that have not joined this level appear as phantoms.
-        let phantom = ProcState::phantom(self.params.n(), self.params.k());
-        let level_view: Vec<ProcState> = view
-            .iter()
-            .map(|s| {
-                s.levels
-                    .get(self.level)
-                    .cloned()
-                    .unwrap_or_else(|| phantom.clone())
-            })
-            .collect();
-        match self.inner.on_view(&level_view) {
-            TurnStep::Write(s) => {
-                self.state.levels[self.level] = s;
-                TurnStep::Write(self.state.clone())
-            }
+        let (level, phantom) = (self.level, self.phantom.fields());
+        match self.inner.turn(|j| peer(j).level(level).unwrap_or(phantom)) {
+            TurnStep::Write(()) => {}
             TurnStep::Decide(bit) => {
                 if bit {
                     self.decided_bits |= 1 << self.level;
@@ -215,9 +281,9 @@ impl TurnProcess for MvCore {
                     // Adopt a published prefix-compatible candidate
                     // (deterministically the smallest). Registers of joined
                     // processes only — phantoms have no levels.
-                    let adopted = view
-                        .iter()
-                        .filter(|s| !s.levels.is_empty())
+                    let adopted = (0..self.params.n())
+                        .map(&peer)
+                        .filter(|s| s.level_count() > 0)
                         .map(|s| s.candidate)
                         .filter(|&c| self.matches_prefix(c, self.level + 1))
                         .min()
@@ -236,9 +302,26 @@ impl TurnProcess for MvCore {
                     &self.flip_mode,
                     self.level,
                 );
-                self.state.levels.push(self.inner.state().clone());
-                TurnStep::Write(self.state.clone())
             }
+        }
+        self.inner
+            .pack_state_into(self.state.level_words_mut(self.level));
+        TurnStep::Write(())
+    }
+}
+
+impl TurnProcess for MvCore {
+    type Msg = MvState;
+    type Out = u64;
+
+    fn initial_msg(&mut self) -> MvState {
+        self.state.clone()
+    }
+
+    fn on_scan(&mut self, view: &[MvState]) -> TurnStep<MvState, u64> {
+        match self.turn(|j| &view[j]) {
+            TurnStep::Write(()) => TurnStep::Write(self.state.clone()),
+            TurnStep::Decide(v) => TurnStep::Decide(v),
         }
     }
 

@@ -198,8 +198,7 @@ impl<B: SnapshotBackend<ProcState>> ThreadedConsensusOn<B> {
                 )
             })
             .collect();
-        let (memory, bodies) =
-            over_snapshot(world, procs, ProcState::phantom(params.n(), params.k()));
+        let (memory, bodies) = over_snapshot(world, procs, ProcState::phantom(params.layout()));
         ThreadedConsensusOn { memory, bodies }
     }
 
@@ -341,10 +340,7 @@ mod tests {
             let procs: Vec<MvCore> = (0..n)
                 .map(|p| MvCore::new(params.clone(), p, values[p], 8, seed * 31 + p as u64))
                 .collect();
-            let initial = MvState {
-                candidate: 0,
-                levels: Vec::new(),
-            };
+            let initial = MvState::phantom(params.layout());
             let (_mem, bodies) = over_scannable_memory::<_, DirectArrow>(&world, procs, initial);
             let rep = world.run(bodies, Box::new(RandomStrategy::new(seed)));
             let decisions: Vec<u64> = rep.outputs.iter().map(|o| o.unwrap()).collect();

@@ -22,8 +22,7 @@
 //! turning the lemma into a runtime invariant exercised by every test that
 //! uses [`check_execution`].
 
-use bprc_strip::DistanceGraph;
-
+use crate::bounded::view_graph;
 use crate::state::ProcState;
 
 /// One recorded scan: who scanned, and the full view it returned.
@@ -118,7 +117,7 @@ impl VirtualRoundTracker {
     /// Feeds the next scan in serialization order.
     pub fn observe(&mut self, view: &[ProcState]) {
         assert_eq!(view.len(), self.n, "view size mismatch");
-        let closure = DistanceGraph::from_rows(view.iter().map(|s| &s.edges[..]), self.k).closure();
+        let closure = view_graph(view, self.k).closure();
 
         let max = *self.rounds.iter().max().expect("nonempty");
         let old_leaders: Vec<usize> = (0..self.n).filter(|&j| self.rounds[j] == max).collect();
@@ -127,7 +126,7 @@ impl VirtualRoundTracker {
             Some(prev) => old_leaders
                 .iter()
                 .copied()
-                .filter(|&j| prev[j].edges != view[j].edges)
+                .filter(|&j| !prev[j].edges().eq(view[j].edges()))
                 .collect(),
         };
 

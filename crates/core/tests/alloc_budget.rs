@@ -1,37 +1,49 @@
-//! Allocation budget of one decision under the turn driver: a scan that
-//! ends in a write allocates the `ProcState` it publishes and nothing else;
-//! write events, deciding scans and the driver's own loop allocate nothing.
+//! Allocation budgets, counted by a wrapping global allocator:
 //!
-//! One test only — the counter is switched on per thread, but keeping the
-//! file single-test also keeps the harness quiet while it counts.
+//! * under the turn driver, a `BoundedCore` scan that ends in a write
+//!   allocates the one word buffer of the `ProcState` it publishes; write
+//!   events, deciding scans and the driver's own loop allocate nothing;
+//! * a `LogCore` turn at slot `s` allocates the `LogMsg` it publishes —
+//!   `1 + (s + 1)` buffers — plus a constant on the turns that open a level
+//!   or a slot, however many levels earlier slots hold;
+//! * over real registers, a steady-state `scan_into` of an 8-slot `LogMsg`
+//!   allocates nothing, and neither does the `update` that publishes one.
+//!
+//! The counter is per thread, so the tests do not see each other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use bprc_core::bounded::{BoundedCore, ConsensusParams};
+use bprc_core::multishot::{LogCore, LogMsg, StaticProposals};
 use bprc_core::state::ProcState;
+use bprc_registers::DirectArrow;
+use bprc_sim::sched::RoundRobin;
 use bprc_sim::turn::{
-    Phase, TurnAdversary, TurnDecision, TurnDriver, TurnFn, TurnRandom, TurnView,
+    Phase, TurnAdversary, TurnDecision, TurnDriver, TurnFn, TurnRandom, TurnRoundRobin, TurnView,
 };
-use bprc_sim::Counter;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+use bprc_sim::world::ProcBody;
+use bprc_sim::{Counter, Mode, World};
+use bprc_snapshot::ScannableMemory;
 
 thread_local! {
-    // Const-initialised and without a destructor, so reading it inside the
+    // Const-initialised and without a destructor, so touching it inside the
     // allocator never allocates.
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations (and reallocations) this thread has made so far.
+fn allocs() -> u64 {
+    ALLOCS.get()
 }
 
 struct CountingAlloc;
 
 impl CountingAlloc {
     fn note() {
-        if COUNTING.try_with(Cell::get).unwrap_or(false) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        // `try_with`: the allocator outlives the thread-local.
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
     }
 }
 
@@ -43,6 +55,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
         Self::note();
         // SAFETY: forwarded, see above.
         unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::note();
+        // SAFETY: forwarded, see above.
+        unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -70,6 +88,21 @@ fn driver(seed: u64) -> TurnDriver<BoundedCore> {
     TurnDriver::new(procs)
 }
 
+/// Wraps `inner` so that `stepped` holds which pid the next event steps and
+/// whether that event is a scan.
+fn noting<'a, M>(
+    inner: &'a mut dyn TurnAdversary<M>,
+    stepped: &'a Cell<(usize, bool)>,
+) -> impl TurnAdversary<M> + 'a {
+    TurnFn(move |view: &TurnView<'_, M>| {
+        let decision = inner.choose(view);
+        if let TurnDecision::Step(pid) = decision {
+            stepped.set((pid, matches!(view.phases[pid], Phase::Scan)));
+        }
+        decision
+    })
+}
+
 #[test]
 fn a_turn_allocates_only_the_state_it_publishes() {
     // Warm-up instance: anything lazily initialised per thread or per
@@ -77,48 +110,36 @@ fn a_turn_allocates_only_the_state_it_publishes() {
     assert!(driver(7).run(&mut TurnRandom::new(7), 1_000_000).completed);
 
     // What publishing one state costs: the `ProcState` clone, measured.
-    let state = ProcState::phantom(N, 2);
-    COUNTING.set(true);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let state = ProcState::phantom(ConsensusParams::quick(N).layout());
+    let before = allocs();
     drop(black_box(state.clone()));
-    let per_state = ALLOCS.load(Ordering::Relaxed) - before;
-    COUNTING.set(false);
-    assert_eq!(per_state, 2, "ProcState is two Vecs (ROADMAP item (a))");
+    let per_state = allocs() - before;
+    assert_eq!(per_state, 1, "a packed ProcState is one word buffer");
 
     // The counted instance. The adversary notes which pid it stepped and
     // whether that event is a scan; the observer, called after the event,
     // charges everything allocated since the previous event to it.
     let stepped = Cell::new((0usize, false));
     let mut inner = TurnRandom::new(11);
-    let mut adversary = TurnFn(|view: &TurnView<'_, ProcState>| {
-        let decision = inner.choose(view);
-        if let TurnDecision::Step(pid) = decision {
-            stepped.set((pid, matches!(view.phases[pid], Phase::Scan)));
-        }
-        decision
-    });
+    let mut adversary = noting(&mut inner, &stepped);
     let (mut total, mut writing_scans) = (0u64, 0u64);
-    let mut mark = ALLOCS.load(Ordering::Relaxed);
     let driver = driver(11);
-    COUNTING.set(true);
+    let mut mark = allocs();
     let report = driver.run_observed(&mut adversary, 1_000_000, |d| {
-        let now = ALLOCS.load(Ordering::Relaxed);
+        let now = allocs();
         let (pid, was_scan) = stepped.get();
         let wrote = was_scan && matches!(d.phases()[pid], Phase::Write(_));
         let budget = if wrote { per_state } else { 0 };
-        COUNTING.set(false);
         assert_eq!(
             now - mark,
             budget,
             "event {} (pid {pid}, scan: {was_scan}, wrote: {wrote})",
             d.events()
         );
-        COUNTING.set(true);
         total += now - mark;
         writing_scans += u64::from(wrote);
-        mark = now;
+        mark = allocs();
     });
-    COUNTING.set(false);
 
     assert!(report.completed);
     let scans = report.telemetry.total(Counter::Scans);
@@ -128,4 +149,163 @@ fn a_turn_allocates_only_the_state_it_publishes() {
     assert!(writing_scans > 100, "only {writing_scans} writing scans");
     // Exact, and independent of the rand stream the seed expands to.
     assert_eq!(total, per_state * writing_scans);
+}
+
+const SLOTS: usize = 16;
+const WIDTH: u32 = 8;
+
+fn log_driver(n: usize, seed: u64) -> TurnDriver<LogCore<StaticProposals>> {
+    let params = ConsensusParams::quick(n);
+    let procs = (0..n)
+        .map(|p| {
+            let proposals = StaticProposals((0..SLOTS as u64).map(|s| s * 7 + p as u64).collect());
+            LogCore::new(params.clone(), p, SLOTS, WIDTH, proposals, seed + p as u64)
+        })
+        .collect();
+    TurnDriver::new(procs)
+}
+
+/// What a turn may allocate on top of the `LogMsg` it publishes, reached
+/// exactly by a turn that opens a slot: the new `BoundedCore`'s two working
+/// rows and its packed state, the new `MvCore`'s `MvState` and phantom, the
+/// message's copy of that `MvState`, and the doubling of the slot vector and
+/// of the decided list. A turn that opens a level builds the `BoundedCore`
+/// and may grow two level buffers; the turn after either sizes the new
+/// core's strip scratch (graph, closure). None of it depends on the slot.
+const C: u64 = 8;
+
+#[test]
+fn a_log_turn_allocates_the_message_it_publishes() {
+    assert!(
+        log_driver(2, 1)
+            .run(&mut TurnRoundRobin::new(), 10_000_000)
+            .completed
+    );
+
+    let n = 2;
+    let stepped = Cell::new((0usize, false));
+    let mut inner = TurnRoundRobin::new();
+    let mut adversary = noting(&mut inner, &stepped);
+    // Per pid: (slots, levels of the newest slot) as last published, and
+    // whether the previous turn opened a level or a slot.
+    let mut shape = vec![(1usize, 1usize); n];
+    let mut opened = vec![true; n];
+    let (mut steady, mut opening, mut worst) = (0u64, 0u64, 0u64);
+    let mut steady_by_slot = [0u64; SLOTS];
+    let driver = log_driver(n, 1);
+    let mut mark = allocs();
+    let report = driver.run_observed(&mut adversary, 10_000_000, |d| {
+        let spent = allocs() - mark;
+        let (pid, was_scan) = stepped.get();
+        match &d.phases()[pid] {
+            Phase::Write(msg) if was_scan => {
+                let now = (msg.slots.len(), msg.slots.last().unwrap().level_count());
+                let slot = now.0 - 1;
+                let message = 1 + now.0 as u64;
+                let opens = now != shape[pid];
+                if opens || opened[pid] {
+                    opening += 1;
+                    assert!(
+                        (message..=message + C).contains(&spent),
+                        "event {}: pid {pid} slot {slot} opening turn allocated {spent}",
+                        d.events()
+                    );
+                    worst = worst.max(spent - message);
+                } else {
+                    steady += 1;
+                    steady_by_slot[slot] += 1;
+                    assert_eq!(
+                        spent,
+                        message,
+                        "event {}: pid {pid} slot {slot} steady turn",
+                        d.events()
+                    );
+                }
+                shape[pid] = now;
+                opened[pid] = opens;
+            }
+            // A write event moves the message in; a deciding scan returns
+            // the decided log (one vector) and only at the very end.
+            Phase::Done => assert!(spent <= 1, "deciding scan allocated {spent}"),
+            _ => assert_eq!(spent, 0, "event {} (pid {pid})", d.events()),
+        }
+        mark = allocs();
+    });
+    assert!(report.completed);
+    assert_eq!(report.outputs[0], report.outputs[1]);
+    // The slope is pinned where it is measured: late slots have steady
+    // turns too, and they cost exactly their message.
+    assert!(steady > opening, "{steady} steady, {opening} opening turns");
+    assert!(steady_by_slot[SLOTS - 1] > 0 && steady_by_slot[0] > 0);
+    assert!(worst <= C, "worst opening excess {worst}");
+}
+
+/// The register value replica 0 of a solo two-replica log publishes after
+/// `slots` slots.
+fn log_msg(slots: usize) -> LogMsg {
+    let params = ConsensusParams::quick(2);
+    let procs: Vec<_> = (0..2)
+        .map(|pid| {
+            let proposals = StaticProposals((0..slots as u64).collect());
+            LogCore::new(params.clone(), pid, slots, WIDTH, proposals, pid as u64)
+        })
+        .collect();
+    let mut last = None;
+    TurnDriver::new(procs).run_observed(&mut TurnRoundRobin::new(), 1_000_000, |d| {
+        last = Some(d.shared()[0].clone());
+    });
+    last.expect("the log took at least one event")
+}
+
+#[test]
+fn steady_state_scan_and_update_allocate_nothing() {
+    const ROUNDS: u64 = 1024;
+    let mut world = World::builder(2)
+        .mode(Mode::Free)
+        .step_limit(u64::MAX)
+        .build();
+    let memory =
+        ScannableMemory::<LogMsg, DirectArrow>::new(&world, 2, LogMsg { slots: Vec::new() });
+    let mut port = memory.port(0);
+    let msg = log_msg(8);
+    assert_eq!(msg.slots.len(), 8);
+    // (allocations inside all the scans, inside all the updates, rounds in
+    // which either allocated).
+    let live: ProcBody<(u64, u64, u64)> = Box::new(move |ctx| {
+        let mut view = Vec::new();
+        // Warm-up: the port's buffers, the view and the staging copy grow to
+        // the message's size once.
+        for _ in 0..2 {
+            port.update(ctx, msg.clone())?;
+            port.scan_into(ctx, &mut view)?;
+        }
+        assert_eq!(view[0], msg);
+        let (mut in_scans, mut in_updates, mut dirty) = (0, 0, 0);
+        for _ in 0..ROUNDS {
+            // "Nothing beyond the value it is handed": the clone is the
+            // caller's, made before the count starts.
+            let value = msg.clone();
+            let before = allocs();
+            port.update(ctx, value)?;
+            let update = allocs() - before;
+            // The scan copies the new value into buffers the port owns.
+            let before = allocs();
+            port.scan_into(ctx, &mut view)?;
+            let scan = allocs() - before;
+            in_scans += scan;
+            in_updates += update;
+            dirty += u64::from(scan + update > 0);
+        }
+        Ok((in_scans, in_updates, dirty))
+    });
+    let idle: ProcBody<(u64, u64, u64)> = Box::new(|_ctx| Ok((0, 0, 0)));
+    // Free mode ignores the strategy.
+    let report = world.run(vec![live, idle], Box::new(RoundRobin::new()));
+    let (in_scans, in_updates, dirty) = report.outputs[0].expect("the live body returned");
+    // The snapshot layer allocates nothing. What is left is the metrics
+    // plane's phase log (`Ctx::phase`, one entry per scan and per update),
+    // a vector that doubles: at most log₂ of its 2·ROUNDS entries, where a
+    // payload copy per operation would be thousands.
+    assert_eq!(in_scans + in_updates, dirty, "never two in one round");
+    assert!(dirty <= 12, "{in_scans} in scans, {in_updates} in updates");
 }

@@ -1,0 +1,302 @@
+//! The packed register encoding: `pack`/`unpack` round-trip over the whole
+//! domain, the packed width is `register_bits`, padding is zero, equality on
+//! words is equality on fields, an out-of-domain field is a typed error, and
+//! the composed payloads survive `clone`/`clone_from` into any destination.
+//!
+//! Cases are seeded loops over `stream_rng(SEED, case)`; every assertion
+//! names the case, so a failure replays with that one stream.
+
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+
+use bprc_coin::CoinParams;
+use bprc_core::bounded::ConsensusParams;
+use bprc_core::multishot::{LogCore, LogMsg, StaticProposals};
+use bprc_core::multivalued::{MvCore, MvState};
+use bprc_core::state::{PackError, Pref, ProcParts, ProcState, RegisterLayout};
+use bprc_sim::rng::stream_rng;
+use bprc_sim::turn::{TurnDriver, TurnProcess, TurnRoundRobin};
+use rand::Rng;
+
+const SEED: u64 = 23;
+const CASES: u64 = 40;
+
+/// Every layout of the issue's grid.
+fn layouts() -> Vec<RegisterLayout> {
+    let mut out = Vec::new();
+    for n in [1, 2, 3, 8, 33] {
+        for k in [2, 3, 4] {
+            for m in [1, 10, 1_000_000, CoinParams::recommended(8, 3).m()] {
+                out.push(RegisterLayout::new(n, k, m));
+            }
+        }
+    }
+    out
+}
+
+/// Bits needed to write `max`.
+fn bits(max: u64) -> u64 {
+    (64 - max.leading_zeros()).max(1) as u64
+}
+
+/// Uniform parts, with each counter pushed to a saturation value and each
+/// edge and the pointer to its maximum one time in four.
+fn random_parts(layout: &RegisterLayout, rng: &mut impl Rng) -> ProcParts {
+    let (cap, k) = (layout.m() + 1, layout.k());
+    let coins = (0..layout.coin_slots())
+        .map(|_| match rng.gen_range(0..8) {
+            0 => cap,
+            1 => -cap,
+            _ => rng.gen_range(-cap..=cap),
+        })
+        .collect();
+    let edges = (0..layout.n())
+        .map(|_| {
+            if rng.gen_range(0..4) == 0 {
+                3 * k - 1
+            } else {
+                rng.gen_range(0..3 * k)
+            }
+        })
+        .collect();
+    ProcParts {
+        pref: [Pref::Bottom, Pref::Val(false), Pref::Val(true)][rng.gen_range(0..3)],
+        coins,
+        current_coin: if rng.gen_range(0..4) == 0 {
+            k as usize
+        } else {
+            rng.gen_range(0..=k as usize)
+        },
+        edges,
+    }
+}
+
+fn hash_of(s: &ProcState) -> u64 {
+    let mut h = DefaultHasher::new();
+    s.hash(&mut h);
+    h.finish()
+}
+
+#[test]
+fn pack_unpack_round_trips_at_the_declared_width() {
+    for layout in layouts() {
+        // One formula: the packed width is `register_bits`, field by field.
+        let (n, k, m) = (layout.n() as u64, layout.k() as u64, layout.m() as u64);
+        let want_bits = 2 + bits(k) + (k + 1) * bits(2 * m + 3) + n * bits(3 * k - 1);
+        assert_eq!(layout.bits(), want_bits, "{layout:?}");
+        assert_eq!(layout.words() as u64, want_bits.div_ceil(64), "{layout:?}");
+
+        // Both saturation values, the pointer at K, edges at 3K − 1.
+        let cap = layout.m() + 1;
+        for c in [cap, -cap] {
+            let extreme = ProcParts {
+                pref: Pref::Val(true),
+                coins: vec![c; layout.coin_slots()],
+                current_coin: layout.k() as usize,
+                edges: vec![3 * layout.k() - 1; layout.n()],
+            };
+            let packed = ProcState::pack(layout, &extreme).unwrap();
+            assert_eq!(packed.unpack(), extreme, "{layout:?} extreme {c}");
+        }
+
+        for case in 0..CASES {
+            let at = format!("seed {SEED} case {case} {layout:?}");
+            let mut rng = stream_rng(SEED, case);
+            let parts = random_parts(&layout, &mut rng);
+            let packed = ProcState::pack(layout, &parts).unwrap_or_else(|e| panic!("{at}: {e}"));
+            assert_eq!(packed.unpack(), parts, "{at}");
+            assert_eq!(packed.register_bits(), want_bits, "{at}");
+
+            // The accessors agree with the unpacked fields one by one.
+            let r = packed.fields();
+            assert_eq!(r.pref(), parts.pref, "{at}");
+            assert_eq!(r.current_coin(), parts.current_coin, "{at}");
+            assert_eq!(r.next_coin_slot(), parts.next_coin_slot(), "{at}");
+            for (slot, &c) in parts.coins.iter().enumerate() {
+                assert_eq!(r.coin(slot), c, "{at} coin {slot}");
+            }
+            let mut row = vec![-1i64; layout.n()];
+            r.edges_into(&mut row);
+            for (j, &e) in parts.edges.iter().enumerate() {
+                assert_eq!(r.edge(j), e, "{at} edge {j}");
+                assert_eq!(row[j], e as i64, "{at} edge {j} (bulk)");
+            }
+            assert!(r == parts, "{at}: field-wise comparison");
+
+            // Padding bits are zero.
+            let words = r.words();
+            assert_eq!(words.len(), layout.words(), "{at}");
+            let used = (want_bits % 64) as u32;
+            if used != 0 {
+                assert_eq!(words[words.len() - 1] >> used, 0, "{at}: padding");
+            }
+
+            // Two states are `==` (and hash alike) iff their parts are.
+            let mut other = if rng.gen() {
+                parts.clone()
+            } else {
+                random_parts(&layout, &mut rng)
+            };
+            if rng.gen_range(0..4) == 0 {
+                other.edges[0] = (other.edges[0] + 1) % (3 * layout.k());
+            }
+            let other_packed = ProcState::pack(layout, &other).unwrap();
+            assert_eq!(packed == other_packed, parts == other, "{at}");
+            if parts == other {
+                assert_eq!(hash_of(&packed), hash_of(&other_packed), "{at}");
+            }
+
+            // `clone` and `clone_from` (into a narrower and a wider buffer).
+            assert_eq!(packed.clone(), packed, "{at}");
+            for other_n in [1, 70] {
+                let mut dst = ProcState::phantom(RegisterLayout::new(other_n, 2, 10));
+                dst.clone_from(&packed);
+                assert_eq!(dst, packed, "{at}: clone_from n = {other_n}");
+                assert_eq!(dst.unpack(), parts, "{at}: clone_from n = {other_n}");
+            }
+        }
+    }
+}
+
+#[test]
+fn an_out_of_domain_field_is_a_typed_error() {
+    for layout in layouts() {
+        let (cap, k) = (layout.m() + 1, layout.k());
+        let ok = ProcParts::phantom(&layout);
+        let with = |f: &dyn Fn(&mut ProcParts)| {
+            let mut parts = ok.clone();
+            f(&mut parts);
+            ProcState::pack(layout, &parts).unwrap_err()
+        };
+        let last = layout.coin_slots() - 1;
+        for value in [cap + 1, -cap - 1, i64::MAX, i64::MIN] {
+            assert_eq!(
+                with(&|p| p.coins[last] = value),
+                PackError::Counter {
+                    slot: last,
+                    value,
+                    cap
+                },
+                "{layout:?}"
+            );
+        }
+        let j = layout.n() - 1;
+        for value in [3 * k, u32::MAX] {
+            assert_eq!(
+                with(&|p| p.edges[j] = value),
+                PackError::Edge {
+                    j,
+                    value,
+                    modulus: 3 * k
+                },
+                "{layout:?}"
+            );
+        }
+        assert_eq!(
+            with(&|p| p.current_coin = k as usize + 1),
+            PackError::Pointer {
+                value: k as usize + 1,
+                max: k as usize
+            },
+            "{layout:?}"
+        );
+        assert_eq!(
+            with(&|p| p.coins.push(0)),
+            PackError::CoinsLen {
+                len: k as usize + 2,
+                want: k as usize + 1
+            },
+            "{layout:?}"
+        );
+        assert_eq!(
+            with(&|p| {
+                p.edges.pop();
+            }),
+            PackError::EdgesLen {
+                len: layout.n() - 1,
+                want: layout.n()
+            },
+            "{layout:?}"
+        );
+        // The message names the field.
+        for (err, field) in [
+            (with(&|p| p.coins[0] = cap + 1), "coin counter"),
+            (with(&|p| p.edges[0] = 3 * k), "edge counter"),
+            (with(&|p| p.current_coin = 99), "coin pointer"),
+        ] {
+            assert!(err.to_string().contains(field), "{err}");
+        }
+    }
+}
+
+/// Everything `proc` publishes while it runs alone to its decision.
+fn solo_messages<P: TurnProcess>(proc: P) -> Vec<P::Msg> {
+    let mut seen = Vec::new();
+    let report =
+        TurnDriver::new(vec![proc]).run_observed(&mut TurnRoundRobin::new(), 100_000, |d| {
+            seen.push(d.shared()[0].clone())
+        });
+    assert!(report.completed);
+    seen
+}
+
+/// `src` survives `clone` and `clone_from` into each of `dsts`.
+fn assert_clones<T: Clone + PartialEq + std::fmt::Debug>(src: &T, dsts: &[&T]) {
+    assert_eq!(&src.clone(), src);
+    for &dst in dsts {
+        let mut dst = dst.clone();
+        dst.clone_from(src);
+        assert_eq!(&dst, src);
+    }
+}
+
+#[test]
+fn composed_payloads_round_trip_through_clone_from() {
+    let width = 8;
+    let params = ConsensusParams::quick(1);
+    let layout = params.layout();
+
+    // MvStates with 0, 1, …, `width` levels.
+    let mut by_levels = vec![MvState::phantom(layout)];
+    for s in solo_messages(MvCore::new(params.clone(), 0, 0xA5, width, 3)) {
+        if s.level_count() == by_levels.len() {
+            by_levels.push(s);
+        }
+    }
+    assert_eq!(by_levels.len(), width as usize + 1);
+    let (none, one, full) = (&by_levels[0], &by_levels[1], &by_levels[width as usize]);
+    assert_eq!((none.level_count(), none.levels().len()), (0, 0));
+    assert!(none.level(0).is_none());
+    assert_eq!(full.levels().len(), width as usize);
+    for src in [none, one, full] {
+        // Into a longer and a shorter destination (and an equal one).
+        assert_clones(src, &[none, one, full]);
+        let copy = src.clone();
+        assert_eq!(copy.candidate(), src.candidate());
+        for (a, b) in copy.levels().zip(src.levels()) {
+            assert_eq!(a.unpack(), b.unpack());
+        }
+        assert!(copy.level(src.level_count()).is_none());
+    }
+
+    // LogMsgs of 0..=4 slots, and one with a phantom slot in the middle.
+    let logs = solo_messages(LogCore::new(
+        params,
+        0,
+        4,
+        width,
+        StaticProposals(vec![1, 2, 3, 4]),
+        5,
+    ));
+    let empty = LogMsg { slots: Vec::new() };
+    let first = logs.first().unwrap();
+    let last = logs.last().unwrap();
+    assert_eq!((first.slots.len(), last.slots.len()), (1, 4));
+    let mut holed = last.clone();
+    holed.slots[1] = MvState::phantom(layout);
+    for src in [&empty, first, last, &holed] {
+        assert_clones(src, &[&empty, first, last, &holed]);
+    }
+    assert_eq!(holed.slots[1].level_count(), 0);
+    assert_ne!(&holed, last);
+}

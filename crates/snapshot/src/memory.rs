@@ -24,11 +24,30 @@ pub mod labels {
 /// (the algorithm never branches on it — the double collect compares
 /// `(value, toggle)` only, so ABA hazards are real and must be handled by
 /// the toggle, exactly as in the paper).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Slot<T> {
     value: T,
     toggle: bool,
     seq: u64,
+}
+
+impl<T: Clone> Clone for Slot<T> {
+    fn clone(&self) -> Self {
+        Slot {
+            value: self.value.clone(),
+            toggle: self.toggle,
+            seq: self.seq,
+        }
+    }
+
+    /// Forwards to the payload's `clone_from`, so a payload that reuses its
+    /// buffers makes every collect, own-slot refresh and view refill a copy
+    /// into memory the port already owns.
+    fn clone_from(&mut self, source: &Self) {
+        self.value.clone_from(&source.value);
+        self.toggle = source.toggle;
+        self.seq = source.seq;
+    }
 }
 
 impl<T: PartialEq> Slot<T> {
@@ -224,6 +243,7 @@ where
             shared: Arc::clone(&self.shared),
             me: pid,
             last: snap[pid].clone(),
+            staged: snap[pid].clone(),
             seq: 0,
             c1: snap.clone(),
             c2: snap,
@@ -287,6 +307,9 @@ pub struct Port<T, A> {
     shared: Arc<Shared<T, A>>,
     me: usize,
     last: Slot<T>,
+    /// Where `update` copies the slot it is about to write; swapped with
+    /// `last` once the write has landed, so neither is ever reallocated.
+    staged: Slot<T>,
     seq: u64,
     /// Persistent double-collect buffers, reused across attempts and across
     /// scans — `scan` allocates nothing per attempt. A buffered slot whose
@@ -370,7 +393,9 @@ where
     /// Returns [`Halted`] if the scheduler stopped this process.
     pub fn update(&mut self, ctx: &mut Ctx, value: T) -> Result<(), Halted> {
         let seq = self.seq + 1;
-        ctx.annotate(labels::UPD_START, vec![seq]);
+        if ctx.recording() {
+            ctx.annotate(labels::UPD_START, vec![seq]);
+        }
         ctx.phase(PhaseKind::Write);
         for j in 0..self.shared.n {
             if let Some(a) = &self.shared.arrows[self.me][j] {
@@ -387,19 +412,24 @@ where
             toggle: !self.last.toggle,
             seq,
         };
-        self.shared.values[self.me].write_tagged(ctx, slot.clone(), seq)?;
+        // The port keeps its own copy in a buffer it already owns; the
+        // value it was handed moves into the register.
+        self.staged.clone_from(&slot);
+        self.shared.values[self.me].write_tagged(ctx, slot, seq)?;
         // Release: the value store must drain before update() returns. A
         // store still sitting in this process's buffer after the call
         // completes would let a scan that *starts later* return the old
         // value — a real-time regularity (P1) violation no schedule can
         // excuse. Deleting this fence is the `missing-fence` gate fixture.
         ctx.fence()?;
-        self.last = slot;
+        std::mem::swap(&mut self.last, &mut self.staged);
         self.seq = seq;
         // The cached view no longer includes this process's latest write —
         // a lazy scan must not reuse it.
         self.view_valid = false;
-        ctx.annotate(labels::UPD_END, vec![seq]);
+        if ctx.recording() {
+            ctx.annotate(labels::UPD_END, vec![seq]);
+        }
         self.shared.stats[self.me]
             .updates
             .fetch_add(1, Ordering::Relaxed);

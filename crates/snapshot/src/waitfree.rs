@@ -45,11 +45,40 @@ use crate::memory::{labels, ScanStats, SnapshotMeta};
 
 /// One register's contents: payload, sequence number, and the embedded view
 /// `(value, seq)` per process captured by the update's embedded scan.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct WfSlot<T> {
     value: T,
     seq: u64,
     view: Vec<(T, u64)>,
+}
+
+impl<T: Clone> Clone for WfSlot<T> {
+    fn clone(&self) -> Self {
+        WfSlot {
+            value: self.value.clone(),
+            seq: self.seq,
+            view: self.view.clone(),
+        }
+    }
+
+    /// Forwards to the payload's `clone_from`, for the value and for every
+    /// entry of the embedded view (tuples do not forward on their own).
+    fn clone_from(&mut self, source: &Self) {
+        self.value.clone_from(&source.value);
+        self.seq = source.seq;
+        clone_view_from(&mut self.view, &source.view);
+    }
+}
+
+/// `dst.clone_from(src)` that reuses each entry's payload buffers.
+fn clone_view_from<T: Clone>(dst: &mut Vec<(T, u64)>, src: &[(T, u64)]) {
+    dst.truncate(src.len());
+    for (d, s) in dst.iter_mut().zip(src) {
+        d.0.clone_from(&s.0);
+        d.1 = s.1;
+    }
+    let have = dst.len();
+    dst.extend_from_slice(&src[have..]);
 }
 
 impl<T: Clone + Send + Sync + 'static> crate::collect::SeqSlot for WfSlot<T> {
@@ -472,7 +501,7 @@ where
                     // equal the memory state at any later instant, so it is
                     // never eligible for lazy reuse.
                     self.view_valid = false;
-                    self.view.clone_from(&self.c2[j].view);
+                    clone_view_from(&mut self.view, &self.c2[j].view);
                     let view = &self.view;
                     let tries = attempt.tries();
                     crate::collect::finish_scan(

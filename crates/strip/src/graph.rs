@@ -88,6 +88,32 @@ impl DistanceGraph {
         }
         let n = self.n;
         assert!(n >= 1 && self.delta.len() == n * n, "rows must be n × n");
+        self.decode_pairs();
+    }
+
+    /// [`decode_rows`](Self::decode_rows) for rows that are not slices —
+    /// counters packed inside registers: `fill(i, row)` writes the `n`
+    /// counters process `i` published into `row`, in order. Panics if one is
+    /// not below `3K`.
+    pub fn decode_rows_with(&mut self, n: usize, mut fill: impl FnMut(usize, &mut [i64])) {
+        assert!(n >= 1, "rows must be n × n");
+        self.n = n;
+        self.delta.resize(n * n, 0);
+        for (i, row) in self.delta.chunks_exact_mut(n).enumerate() {
+            fill(i, row);
+        }
+        // One unsigned compare per counter: a negative one reads as huge.
+        let m = 3 * self.k as u64;
+        assert!(
+            self.delta.iter().all(|&c| (c as u64) < m),
+            "edge counter out of range"
+        );
+        self.decode_pairs();
+    }
+
+    /// Turns the raw counters sitting in `delta` into their deltas.
+    fn decode_pairs(&mut self) {
+        let n = self.n;
         // The raw counters sit where their deltas go: decode each pair once.
         for i in 0..n {
             self.delta[i * n + i] = 0;

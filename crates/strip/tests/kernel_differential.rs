@@ -131,6 +131,14 @@ fn check_state(rows: &Rows, k: u32, scratch: &mut Scratch) -> bool {
         graph,
         DistanceGraph::from_rows(rows.iter().map(|r| &r[..]), k)
     );
+    // The same decode with each row written by the caller, over the deltas
+    // the scratch graph now holds.
+    scratch.graph.decode_rows_with(n, |i, row| {
+        for (d, &c) in row.iter_mut().zip(&rows[i]) {
+            *d = c as i64;
+        }
+    });
+    assert_eq!(scratch.graph, graph, "caller-filled decode of {rows:?}");
     let flat = graph.closure();
     scratch.graph.closure_into(&mut scratch.closure);
     assert_eq!(flat.is_consistent(), consistent, "consistency of {rows:?}");
@@ -279,6 +287,19 @@ fn seeded_inconsistent_rows_match_the_reference() {
 #[should_panic(expected = "edge counter out of range")]
 fn out_of_range_counters_are_rejected() {
     let _ = DistanceGraph::from_rows([&[0u32, 6][..], &[0, 0][..]], 2);
+}
+
+#[test]
+fn caller_filled_counters_out_of_range_are_rejected() {
+    for bad in [6, -1, i64::MIN] {
+        let caught = std::panic::catch_unwind(|| {
+            let mut g = DistanceGraph::new(0, 2);
+            g.decode_rows_with(2, |i, row| {
+                row.copy_from_slice(&[0, if i == 0 { bad } else { 0 }])
+            });
+        });
+        assert!(caught.is_err(), "counter {bad} was accepted");
+    }
 }
 
 #[test]

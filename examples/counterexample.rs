@@ -53,7 +53,7 @@ fn main() {
             input: p == 0,
         })
         .collect();
-    let shared = vec![ProcState::phantom(2, params.k()); 2];
+    let shared = vec![ProcState::phantom(params.layout()); 2];
 
     println!("model-checking a protocol that decides its own input immediately…\n");
     let report = check(procs, shared, |_| true, McConfig::default());

@@ -322,10 +322,7 @@ fn multivalued_full_stack_waitfree_chaos() {
         let procs: Vec<MvCore> = (0..n)
             .map(|p| MvCore::new(params.clone(), p, values[p], 4, seed * 31 + p as u64))
             .collect();
-        let initial = MvState {
-            candidate: 0,
-            levels: Vec::new(),
-        };
+        let initial = MvState::phantom(params.layout());
         let mut world = World::builder(n).seed(seed).step_limit(20_000_000).build();
         let (memory, bodies) =
             over_snapshot::<_, WaitFreeSnapshot<MvState>>(&world, procs, initial);

@@ -85,7 +85,7 @@ fn handshake_runs_are_pinned_across_refactors() {
         let (_mem, bodies) = over_scannable_memory::<_, DirectArrow>(
             &world,
             procs,
-            ProcState::phantom(params.n(), params.k()),
+            ProcState::phantom(params.layout()),
         );
         let rep = world.run(bodies, Box::new(RoundRobin::new()));
         let history = rep.history.as_ref().unwrap().to_jsonl();
@@ -130,4 +130,211 @@ fn coin_monte_carlo_replays_exactly() {
     assert_eq!(a.overflows, b.overflows);
     assert_eq!(a.mean_walk_steps, b.mean_walk_steps);
     assert_eq!(a.mean_events, b.mean_events);
+}
+
+/// A representation-independent digest of everything the composed cores
+/// publish: every field of every register, folded field by field, so the
+/// pins below survive any change to how a register is *stored* and move on
+/// any change to what it *says*.
+mod digest {
+    use bprc::core::multishot::LogMsg;
+    use bprc::core::multivalued::MvState;
+    use bprc::core::state::{Pref, ProcRef};
+
+    pub fn fold(h: u64, x: u64) -> u64 {
+        (h ^ x).wrapping_mul(0x100000001b3)
+    }
+
+    pub fn proc_state(mut h: u64, s: ProcRef<'_>) -> u64 {
+        h = fold(
+            h,
+            match s.pref() {
+                Pref::Bottom => 0,
+                Pref::Val(false) => 1,
+                Pref::Val(true) => 2,
+            },
+        );
+        h = fold(h, s.current_coin() as u64);
+        h = s.coins().fold(h, |h, c| fold(h, c as u64));
+        s.edges().fold(h, |h, e| fold(h, e as u64))
+    }
+
+    pub fn mv_state(h: u64, s: &MvState) -> u64 {
+        let h = fold(fold(h, s.candidate()), s.level_count() as u64);
+        s.levels().fold(h, proc_state)
+    }
+
+    pub fn log_msg(h: u64, m: &LogMsg) -> u64 {
+        m.slots.iter().fold(fold(h, m.slots.len() as u64), mv_state)
+    }
+}
+
+/// Decided outputs, event count, the protocol counters' totals and the
+/// register digest of one composed run under a deterministic schedule.
+type Fingerprint<O> = (Vec<Option<O>>, u64, [u64; 9], u64);
+
+fn composed_fingerprint<P>(
+    procs: Vec<P>,
+    adversary: &mut dyn bprc::sim::turn::TurnAdversary<P::Msg>,
+    digest: impl Fn(u64, &P::Msg) -> u64,
+) -> Fingerprint<P::Out>
+where
+    P: bprc::sim::turn::TurnProcess,
+{
+    use bprc::sim::Counter::*;
+    let mut h = 0xcbf29ce484222325u64;
+    let r = TurnDriver::new(procs).run_observed(adversary, 50_000_000, |d| {
+        h = d.shared().iter().fold(h, &digest);
+    });
+    assert!(r.completed);
+    let totals = [
+        Scans,
+        Updates,
+        RoundAdvances,
+        CoinFlips,
+        Demotions,
+        CoinAdoptions,
+        StripIncs,
+        StripWraps,
+        WalkExtremes,
+    ]
+    .map(|c| r.telemetry.total(c));
+    (r.outputs, r.events, totals, h)
+}
+
+/// The schedule that runs each active process for `burst` events in turn:
+/// processes drift whole levels and slots apart, so later joiners meet
+/// peers far ahead and everyone reads phantoms.
+fn bursts<M>(burst: u64) -> impl bprc::sim::turn::TurnAdversary<M> {
+    bprc::sim::turn::TurnFn(move |view: &bprc::sim::turn::TurnView<'_, M>| {
+        let turn = (view.events / burst) as usize % view.active.len();
+        bprc::sim::turn::TurnDecision::Step(view.active[turn])
+    })
+}
+
+/// Pins the multivalued and multishot compositions to values captured on
+/// the tree where `ProcState`/`MvState`/`LogMsg` were nested `Vec`s (PR 22,
+/// with `digest` reading the same fields off the structs): the packed
+/// representation must be invisible here. Schedules are
+/// deterministic. The `bursts` rows flip no local coin (asserted), so they
+/// depend on no RNG implementation; the contended rows walk the shared coin
+/// and are pinned under the in-tree `rand` stand-in's stream (the one every
+/// offline build links) — under another stream they only have to replay.
+#[test]
+fn composed_runs_are_pinned_across_representations() {
+    use bprc::core::multishot::{LogCore, StaticProposals};
+    use bprc::core::multivalued::MvCore;
+    use bprc::sim::turn::{TurnAdversary, TurnBsp, TurnRoundRobin};
+    use rand::{Rng, SeedableRng};
+
+    let mv = |adversary: &mut dyn TurnAdversary<_>| {
+        let values = [13u64, 200, 77];
+        let params = ConsensusParams::quick(values.len());
+        let procs: Vec<MvCore> = (0..values.len())
+            .map(|p| MvCore::new(params.clone(), p, values[p], 8, 40 + p as u64))
+            .collect();
+        let (out, events, totals, h) = composed_fingerprint(procs, adversary, digest::mv_state);
+        (format!("{out:?}"), events, totals, h)
+    };
+    let log = |n: usize, adversary: &mut dyn TurnAdversary<_>| {
+        let params = ConsensusParams::quick(n);
+        let procs: Vec<LogCore<StaticProposals>> = (0..n)
+            .map(|p| {
+                let mine = (0..4)
+                    .map(|s| (p * 37 + s * 11 + 5) as u64 & 0xFF)
+                    .collect();
+                LogCore::new(
+                    params.clone(),
+                    p,
+                    4,
+                    8,
+                    StaticProposals(mine),
+                    70 + p as u64,
+                )
+            })
+            .collect();
+        let (out, events, totals, h) = composed_fingerprint(procs, adversary, digest::log_msg);
+        (format!("{out:?}"), events, totals, h)
+    };
+    // The stand-in's first draw from seed 1 identifies its stream.
+    let in_tree_stream =
+        rand::rngs::SmallRng::seed_from_u64(1).gen::<u64>() == 14971601782005023387;
+    let decided = |v: &str, n: usize| format!("[{}]", vec![format!("Some({v})"); n].join(", "));
+    type Row = (String, u64, [u64; 9], u64);
+    // (scenario, got, want); totals are scans, updates, round advances, coin
+    // flips, demotions, coin adoptions, strip incs, strip wraps, walk extremes.
+    let rows: [(&str, Row, Row); 6] = [
+        (
+            "mv n=3 w=8 bursts(20)",
+            mv(&mut bursts(20)),
+            (
+                decided("13", 3),
+                138,
+                [69, 69, 45, 0, 0, 0, 90, 0, 0],
+                11914219495391268505,
+            ),
+        ),
+        (
+            "log n=2 bursts(50)",
+            log(2, &mut bursts(50)),
+            (
+                decided("[5, 16, 27, 38]", 2),
+                390,
+                [195, 195, 130, 0, 1, 0, 130, 0, 0],
+                6783549770091855557,
+            ),
+        ),
+        (
+            "log n=3 bursts(50)",
+            log(3, &mut bursts(50)),
+            (
+                decided("[5, 16, 27, 38]", 3),
+                586,
+                [293, 293, 195, 0, 2, 0, 390, 0, 0],
+                16240436269702773955,
+            ),
+        ),
+        (
+            "mv n=3 w=8 round-robin",
+            mv(&mut TurnRoundRobin::new()),
+            (
+                decided("77", 3),
+                318,
+                [159, 159, 30, 99, 6, 6, 60, 0, 0],
+                12625930775945731507,
+            ),
+        ),
+        (
+            "log n=2 round-robin",
+            log(2, &mut TurnRoundRobin::new()),
+            (
+                decided("[5, 16, 64, 38]", 2),
+                1288,
+                [644, 644, 72, 500, 8, 8, 72, 0, 0],
+                14384336058521390924,
+            ),
+        ),
+        (
+            "log n=3 bsp",
+            log(3, &mut TurnBsp::new()),
+            (
+                decided("[79, 53, 64, 112]", 3),
+                1338,
+                [669, 669, 114, 441, 18, 18, 228, 0, 0],
+                14534665621317557030,
+            ),
+        ),
+    ];
+    for (name, got, want) in &rows {
+        let flips = want.2[3];
+        if flips == 0 || in_tree_stream {
+            assert_eq!(got, want, "{name}: pinned fingerprint changed");
+        } else {
+            assert_eq!(
+                got.2[0] + got.2[1],
+                got.1,
+                "{name}: events are scans plus updates"
+            );
+        }
+    }
 }

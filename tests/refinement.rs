@@ -69,7 +69,7 @@ fn turn_schedule_replays_exactly_on_registers() {
             inner: TurnRandom::new(seed),
             log: &mut log,
         };
-        let phantoms = vec![ProcState::phantom(n, params.k()); n];
+        let phantoms = vec![ProcState::phantom(params.layout()); n];
         let turn_report = TurnDriver::with_initial_shared(procs, phantoms).run(&mut rec, 5_000_000);
         assert!(turn_report.completed, "seed {seed}");
 

@@ -214,12 +214,11 @@ fn turn_driver_telemetry_matches_backend_invariants() {
 fn meter_fold_is_equivalent_to_gauges() {
     let n = 3;
     let params = ConsensusParams::quick(n);
-    let (m, k) = (params.coin().m(), params.k());
     let procs: Vec<BoundedCore> = (0..n)
         .map(|p| BoundedCore::new(params.clone(), p, p % 2 == 0, p as u64))
         .collect();
     let (rep, hw) = run_metered(procs, &mut TurnRandom::new(9), 5_000_000, |s| {
-        s.register_bits(m, k)
+        s.register_bits()
     });
     assert!(rep.completed);
     assert!(hw.max_register_bits > 0);
