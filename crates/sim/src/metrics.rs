@@ -6,8 +6,8 @@
 //! cost an allocation per event. This module is the complementary
 //! "flight recorder": a [`MetricsRegistry`] of per-process **sharded
 //! atomic counters** that works identically under the lockstep scheduler
-//! and free-running OS threads, because every increment is a relaxed
-//! atomic add on a cache-line-padded shard owned by one process.
+//! and free-running OS threads, because every increment ends up as a
+//! relaxed atomic add on a cache-line-padded shard owned by one process.
 //!
 //! Three kinds of signal live here:
 //!
@@ -30,11 +30,19 @@
 //! rides on every [`RunReport`](crate::world::RunReport) and serializes
 //! to JSONL for the experiment exporter.
 //!
-//! Overhead: counters are one `fetch_add(Relaxed)` on an uncontended
-//! cache line (~1 ns); phase events take an uncontended per-shard mutex
-//! and are emitted at protocol granularity (a handful per scan), not per
-//! register access. The registry is always on — there is no feature gate
-//! to drift out of date.
+//! Overhead: a `fetch_add(Relaxed)` on an uncontended cache line is still
+//! a locked read-modify-write — ≈ 6.5 ns on the benchmark's machine (an
+//! arrow check that sheds three of them goes 24.5 → 4.6 ns) — and two to
+//! four of them per register access are over half of a free-mode scan. So
+//! the per-access counts do not come here one by one: a process body
+//! counts into its [`Ctx`](crate::world::Ctx) (plain adds) and the context
+//! publishes the batch (one `fetch_add` per counter that moved) every 64
+//! accesses and when it drops. A shard read mid-run may therefore lag its
+//! process by up to one batch; a [`Telemetry`] snapshot taken after the run
+//! is exact. Phase events take an uncontended per-shard mutex and are
+//! emitted at protocol granularity (a handful per scan), not per register
+//! access. The registry is always on — there is no feature gate to drift
+//! out of date. DESIGN.md § Overhead has the measured table.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -323,6 +331,22 @@ impl MetricsRegistry {
     }
 }
 
+/// Counter increments a process has made but not yet published to its
+/// shard: plain adds on memory one thread owns (see
+/// [`Ctx::count`](crate::world::Ctx::count)).
+pub(crate) struct Tally([u64; N_COUNTERS]);
+
+impl Tally {
+    pub(crate) fn new() -> Self {
+        Tally([0; N_COUNTERS])
+    }
+
+    #[inline]
+    pub(crate) fn add(&mut self, c: Counter, k: u64) {
+        self.0[c as usize] += k;
+    }
+}
+
 /// A borrowed handle for one shard: the write API handed to process
 /// bodies (via [`Ctx`](crate::world::Ctx)) and to protocol layers.
 #[derive(Clone, Copy)]
@@ -331,7 +355,9 @@ pub struct ProcMetrics<'a> {
 }
 
 impl<'a> ProcMetrics<'a> {
-    /// Adds `k` to counter `c` (relaxed, uncontended — ~1 ns).
+    /// Adds `k` to counter `c`: one relaxed `fetch_add`, ≈ 6.5 ns uncontended
+    /// (a locked RMW). Fine at protocol granularity; per register access,
+    /// count through [`Ctx::count`](crate::world::Ctx::count) instead.
     pub fn incr(&self, c: Counter, k: u64) {
         self.shard.counters[c as usize].fetch_add(k, Ordering::Relaxed);
     }
@@ -361,13 +387,25 @@ impl<'a> ProcMetrics<'a> {
 
     /// Appends a phase announcement stamped with world step `step` and
     /// the monotonic-nanosecond clock (the free-mode-proof half of the
-    /// dual stamp).
-    pub fn phase(&self, step: u64, kind: PhaseKind) {
+    /// dual stamp). Returns the nanosecond stamp it recorded.
+    pub fn phase(&self, step: u64, kind: PhaseKind) -> u64 {
         let nanos = now_nanos();
         self.shard
             .phases
             .lock()
             .push(PhaseEvent { step, nanos, kind });
+        nanos
+    }
+
+    /// Adds every non-zero count of `tally` to this shard and zeroes it.
+    /// `fetch_add`, like [`incr`](ProcMetrics::incr), so the shard's other
+    /// writers stay correct.
+    pub(crate) fn publish(&self, tally: &mut Tally) {
+        for (counter, delta) in self.shard.counters.iter().zip(&mut tally.0) {
+            if *delta != 0 {
+                counter.fetch_add(std::mem::take(delta), Ordering::Relaxed);
+            }
+        }
     }
 
     /// Records one latency sample into histogram `h` (relaxed atomics).

@@ -658,8 +658,7 @@ impl<T: Clone + Send + Sync + 'static> Reg<T> {
                 }
             });
         }
-        ctx.inner()
-            .access(ctx.pid(), OpKind::Read, self.id, 0, || cell.load())
+        ctx.access(OpKind::Read, self.id, 0, || cell.load())
     }
 
     /// Atomically reads the register and maps the value under the access —
@@ -684,8 +683,7 @@ impl<T: Clone + Send + Sync + 'static> Reg<T> {
                 }
             });
         }
-        ctx.inner()
-            .access(ctx.pid(), OpKind::Read, self.id, 0, || cell.with(f))
+        ctx.access(OpKind::Read, self.id, 0, || cell.with(f))
     }
 
     /// Atomically reads the register with a *version token*: one scheduled
@@ -735,9 +733,7 @@ impl<T: Clone + Send + Sync + 'static> Reg<T> {
                 }
             });
         }
-        ctx.inner().access(ctx.pid(), OpKind::Read, self.id, 0, || {
-            cell.with_changed(cached, f)
-        })
+        ctx.access(OpKind::Read, self.id, 0, || cell.with_changed(cached, f))
     }
 
     /// Atomically writes the register (one scheduled step).
@@ -788,8 +784,7 @@ impl<T: Clone + Send + Sync + 'static> Reg<T> {
             }
             return res;
         }
-        ctx.inner()
-            .access(ctx.pid(), OpKind::Write, self.id, tag, || cell.store(value))
+        ctx.access(OpKind::Write, self.id, tag, || cell.store(value))
     }
 
     /// Atomically exchanges the register's value, returning the previous
@@ -838,10 +833,7 @@ impl<T: Clone + Send + Sync + 'static> Reg<T> {
                     cell.swap_value(value)
                 });
         }
-        ctx.inner()
-            .access(ctx.pid(), OpKind::Swap, self.id, 0, move || {
-                cell.swap_value(value)
-            })
+        ctx.access(OpKind::Swap, self.id, 0, move || cell.swap_value(value))
     }
 
     /// Reads the register **without scheduling** — for adversary strategies,

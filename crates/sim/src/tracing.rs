@@ -12,10 +12,20 @@
 //!   per process. A ring has a **single writer** (its process), a relaxed
 //!   write cursor, and never blocks: when the ring is full, the oldest
 //!   events are overwritten and the overflow is counted. Every event is
-//!   dual-stamped with the world step counter and [`now_nanos`], so the
-//!   same log is meaningful under the lockstep scheduler (steps are exact,
-//!   nanos are wall-clock) and under [`Mode::Free`](crate::Mode::Free)
-//!   (steps are an approximate global order, nanos are exact).
+//!   dual-stamped with a world step and [`now_nanos`], and which half is
+//!   exact depends on the backend. Under the lockstep scheduler the step is
+//!   the global counter and every event reads the clock itself (a process
+//!   parked since an earlier step must not stamp its event before a peer's,
+//!   or [`FlightLog::merged`] would stop being step-ordered). Under
+//!   [`Mode::Free`](crate::Mode::Free) the step is the process's own lease
+//!   cursor — an approximate global order — and only the *ends* of an
+//!   operation read the clock (a scan's opening and close, every phase
+//!   announcement): the events in between, `reg_write` above all, **carry**
+//!   the last reading ([`FlightRecorder::record_at`]), so a register write
+//!   costs no clock read. Interior events are therefore time-stamped to
+//!   their enclosing operation and ordered within a ring by position and
+//!   step; stamps are still non-zero, non-decreasing per ring, and
+//!   comparable across rings.
 //! - [`Histogram`] — mergeable power-of-two-bucketed latency histograms
 //!   (p50/p90/p99/max) with an atomic live form ([`AtomicHistogram`])
 //!   that rides the metrics shards.
@@ -136,10 +146,13 @@ pub fn fault_label(arg: u64) -> &'static str {
 pub struct TraceEvent {
     /// The process (or explorer worker) that recorded it.
     pub pid: usize,
-    /// World step counter at record time (exact under lockstep,
-    /// approximate global order under free threads).
+    /// World step counter at record time (exact under lockstep; the
+    /// recording process's lease cursor under free threads, an approximate
+    /// global order).
     pub step: u64,
-    /// [`now_nanos`] at record time.
+    /// [`now_nanos`] at record time under lockstep; under free threads the
+    /// process's last clock reading, taken no later than the event (see the
+    /// module docs).
     pub nanos: u64,
     /// What happened.
     pub kind: EventKind,
@@ -265,11 +278,23 @@ impl FlightRecorder {
     /// when disabled or `pid` is out of range.
     #[inline]
     pub fn record(&self, pid: usize, step: u64, kind: EventKind, arg: u64) {
+        if self.capacity != 0 {
+            self.record_at(pid, step, now_nanos(), kind, arg);
+        }
+    }
+
+    /// [`record`](FlightRecorder::record) with a stamp the caller already
+    /// holds — a [`now_nanos`] value it read no earlier than the ring's
+    /// previous event, so the ring's stamps stay non-decreasing. This is
+    /// how a free-mode process carries one clock read across the interior
+    /// events of an operation (see the module docs).
+    #[inline]
+    pub fn record_at(&self, pid: usize, step: u64, nanos: u64, kind: EventKind, arg: u64) {
         if self.capacity == 0 {
             return;
         }
         if let Some(ring) = self.rings.get(pid) {
-            ring.record(step, now_nanos(), kind, arg);
+            ring.record(step, nanos, kind, arg);
         }
     }
 

@@ -23,10 +23,10 @@ use rand::SeedableRng;
 
 use crate::error::Halted;
 use crate::history::{Annotation, Event, FaultKind, History, OpKind, RegId};
-use crate::metrics::{Counter, MetricsRegistry, PhaseKind, ProcMetrics, Telemetry};
+use crate::metrics::{Counter, MetricsRegistry, PhaseKind, ProcMetrics, Tally, Telemetry};
 use crate::sched::{Decision, PendingOp, ScheduleView, Strategy};
 use crate::tracing::{
-    fault_arg, EventKind, FlightLog, FlightRecorder, Hist, DEFAULT_RING_CAPACITY,
+    fault_arg, now_nanos, EventKind, FlightLog, FlightRecorder, Hist, DEFAULT_RING_CAPACITY,
 };
 use crate::weakmem::{flushable_of, BufferedStore, WeakMode, FENCE_REG};
 
@@ -233,7 +233,8 @@ pub(crate) struct WorldInner {
     /// Each process's thread handle, set before its body's first gate —
     /// what a decider `unpark`s. Worlds are single-shot, so once is enough.
     threads: Vec<OnceLock<Thread>>,
-    // Free-mode fast counters.
+    /// Free mode: the step frontier — how much of `step_limit` is leased
+    /// out to process contexts (see [`STEP_LEASE`]). Never exceeds the limit.
     free_steps: AtomicU64,
     free_shutdown: AtomicBool,
     reg_names: Mutex<Vec<String>>,
@@ -244,6 +245,22 @@ pub(crate) struct WorldInner {
     bit_alloc: Mutex<BitAlloc>,
 }
 
+/// The telemetry counter(s) one granted access of `kind` bumps. A swap is
+/// one gate that both reads and writes, so it counts in both columns — the
+/// parity checkers apply the same rule to the history.
+#[inline]
+fn op_counters(kind: OpKind, mut bump: impl FnMut(Counter)) {
+    match kind {
+        OpKind::Read => bump(Counter::RegReads),
+        OpKind::Write => bump(Counter::RegWrites),
+        OpKind::Fence => bump(Counter::Fences),
+        OpKind::Swap => {
+            bump(Counter::RegReads);
+            bump(Counter::RegWrites);
+        }
+    }
+}
+
 #[derive(Default)]
 struct BitAlloc {
     chunk: Option<Arc<crate::reg::BitChunk>>,
@@ -251,46 +268,11 @@ struct BitAlloc {
 }
 
 impl WorldInner {
-    /// Performs one scheduled shared-memory access on behalf of `pid`.
-    ///
-    /// In lockstep mode this blocks until the scheduler grants the step, then
-    /// executes `f` while holding the central lock (so the whole run is
-    /// serialized and deterministic). In free mode it only checks the
-    /// shutdown flag and counts the step.
-    pub(crate) fn access<R>(
-        &self,
-        pid: usize,
-        kind: OpKind,
-        reg: RegId,
-        tag: u64,
-        f: impl FnOnce() -> R,
-    ) -> Result<R, Halted> {
-        match self.mode {
-            Mode::Free => {
-                if self.free_shutdown.load(Ordering::Acquire) {
-                    return Err(Halted::Shutdown);
-                }
-                let s = self.free_steps.fetch_add(1, Ordering::Relaxed);
-                if s >= self.step_limit {
-                    self.free_shutdown.store(true, Ordering::Release);
-                    return Err(Halted::StepLimit);
-                }
-                self.count_op(pid, kind);
-                // Only writes hit the ring: per-read stamping would put a
-                // clock read on the dominant free-mode path.
-                if matches!(kind, OpKind::Write | OpKind::Swap) {
-                    self.recorder
-                        .record(pid, s, EventKind::RegWrite, reg as u64);
-                }
-                Ok(f())
-            }
-            Mode::Lockstep => self.access_central(pid, kind, reg, tag, |_c| f()),
-        }
-    }
-
-    /// The lockstep access gate with the central state borrowed into the
-    /// body — the store-buffer paths use it to push and read buffered
-    /// stores while holding the grant. [`WorldInner::access`] is the thin
+    /// The lockstep access gate: blocks until the scheduler grants the
+    /// step, then executes `f` while holding the central lock (so the whole
+    /// run is serialized and deterministic), with the central state borrowed
+    /// into the body — the store-buffer paths use it to push and read
+    /// buffered stores while holding the grant. [`Ctx::access`] is the thin
     /// wrapper that ignores the borrow.
     ///
     /// Arriving here may make the world quiescent, in which case this
@@ -428,20 +410,12 @@ impl WorldInner {
         }
     }
 
-    /// Increments the telemetry counter(s) for one granted access. A swap
-    /// is one gate that both reads and writes, so it counts in both
-    /// columns — the parity checkers apply the same rule to the history.
+    /// Increments the telemetry counter(s) for one granted lockstep access,
+    /// straight on the shard: the caller holds the central lock, and this
+    /// is the point where telemetry and `History` agree event for event.
     fn count_op(&self, pid: usize, kind: OpKind) {
         let m = self.metrics.proc(pid);
-        match kind {
-            OpKind::Read => m.incr(Counter::RegReads, 1),
-            OpKind::Write => m.incr(Counter::RegWrites, 1),
-            OpKind::Fence => m.incr(Counter::Fences, 1),
-            OpKind::Swap => {
-                m.incr(Counter::RegReads, 1);
-                m.incr(Counter::RegWrites, 1);
-            }
-        }
+        op_counters(kind, |c| m.incr(c, 1));
     }
 
     /// Lands one buffered store in shared memory and records the flush in
@@ -494,16 +468,6 @@ impl WorldInner {
             while let Some(entry) = c.buffers[pid].pop_front() {
                 self.land_store(c, pid, entry);
             }
-        }
-    }
-
-    /// The current global step counter, in either mode. Free mode reads
-    /// the atomic (approximate under concurrency); lockstep takes the
-    /// central lock (exact).
-    pub(crate) fn current_step(&self) -> u64 {
-        match self.mode {
-            Mode::Free => self.free_steps.load(Ordering::Relaxed),
-            Mode::Lockstep => self.central.lock().steps,
         }
     }
 
@@ -738,14 +702,38 @@ impl WorldInner {
     }
 }
 
+/// How many steps a free-mode process takes from the world's budget at a
+/// time. One shared `fetch_update` per lease instead of one per access; also
+/// the most a live [`World::metrics`] counter can lag its process, and the
+/// most of the budget one process can hold unspent when the run is shut
+/// down (minus the step it leased for).
+const STEP_LEASE: u64 = 64;
+
 /// Per-process execution context handed to process bodies.
 ///
 /// Carries the process id, a deterministic per-process RNG (seeded from the
-/// world seed), and hooks for annotating the recorded history.
+/// world seed), and hooks for annotating the recorded history. It also keeps
+/// the process's books, because it is the one object only this process
+/// touches: counts made through [`Ctx::count`] are plain adds here,
+/// *published* to the process's metrics shard at every step-lease renewal
+/// and when the context drops — which it does on every way out of a body,
+/// `Ok`, [`Halted`], crash and panic unwind alike — so a
+/// [`RunReport`]'s telemetry is exact.
 pub struct Ctx {
     pid: usize,
     rng: SmallRng,
     inner: Arc<WorldInner>,
+    /// Counts not yet published to the shard.
+    tally: Tally,
+    /// Free mode: the unspent part of the current step lease,
+    /// `step..lease_end`. Empty in lockstep, where the central lock counts.
+    step: u64,
+    lease_end: u64,
+    /// Free mode: accesses this process was granted, reported on drop.
+    granted: u64,
+    /// The last clock read made on this context; what the interior ring
+    /// events of a free-mode operation are stamped with. 0 before the first.
+    stamp: u64,
 }
 
 impl std::fmt::Debug for Ctx {
@@ -755,6 +743,19 @@ impl std::fmt::Debug for Ctx {
 }
 
 impl Ctx {
+    fn new(pid: usize, seed: u64, inner: Arc<WorldInner>) -> Self {
+        Ctx {
+            pid,
+            rng: SmallRng::seed_from_u64(seed),
+            inner,
+            tally: Tally::new(),
+            step: 0,
+            lease_end: 0,
+            granted: 0,
+            stamp: 0,
+        }
+    }
+
     /// This process's id (0-based).
     pub fn pid(&self) -> usize {
         self.pid
@@ -781,35 +782,161 @@ impl Ctx {
         self.inner.mode == Mode::Lockstep && self.inner.record
     }
 
-    /// This process's metrics handle — works identically in lockstep and
-    /// free mode. Protocol layers use it to count events at the source:
-    /// `ctx.metrics().incr(Counter::Scans, 1)`.
+    /// This process's metrics shard — gauges, histograms, phases, and
+    /// counters written or read directly rather than through
+    /// [`Ctx::count`]. A counter read here lacks whatever [`Ctx::count`]
+    /// has not yet published.
     pub fn metrics(&self) -> ProcMetrics<'_> {
         self.inner.metrics.proc(self.pid)
     }
 
-    /// Adds `k` to counter `c` for this process (shorthand for
-    /// [`Ctx::metrics`]`.incr`).
-    pub fn count(&self, c: Counter, k: u64) {
-        self.inner.metrics.proc(self.pid).incr(c, k);
+    /// Adds `k` to counter `c` for this process: a plain add on the
+    /// context, published to the shard at the next lease renewal or drop.
+    /// Protocol layers count events at the source:
+    /// `ctx.count(Counter::Scans, 1)`.
+    #[inline]
+    pub fn count(&mut self, c: Counter, k: u64) {
+        self.tally.add(c, k);
     }
 
-    /// Announces that this process entered a protocol phase, stamped
-    /// with the current world step. Works in both modes (unlike
+    /// Performs one scheduled shared-memory access: the one gate every
+    /// unbuffered [`Reg`](crate::reg::Reg) operation goes through.
+    ///
+    /// In lockstep mode this is [`WorldInner::access_central`]. In free
+    /// mode it checks the shutdown flag, spends one leased step, tallies the
+    /// operation and runs `f` — touching shared bookkeeping only when the
+    /// lease runs out.
+    #[inline]
+    pub(crate) fn access<R>(
+        &mut self,
+        kind: OpKind,
+        reg: RegId,
+        tag: u64,
+        f: impl FnOnce() -> R,
+    ) -> Result<R, Halted> {
+        match self.inner.mode {
+            Mode::Free => {
+                if self.inner.free_shutdown.load(Ordering::Acquire) {
+                    return Err(Halted::Shutdown);
+                }
+                if self.step == self.lease_end {
+                    self.renew_lease()?;
+                }
+                let step = self.step;
+                self.step += 1;
+                self.granted += 1;
+                op_counters(kind, |c| self.tally.add(c, 1));
+                // Only writes hit the ring: it is there to order what
+                // changed memory. Reads are counted, not logged — a scan
+                // makes three of them per write, and they would evict the
+                // writes from a bounded ring that much sooner.
+                if matches!(kind, OpKind::Write | OpKind::Swap) && self.inner.recorder.enabled() {
+                    let nanos = self.carried_stamp();
+                    self.inner.recorder.record_at(
+                        self.pid,
+                        step,
+                        nanos,
+                        EventKind::RegWrite,
+                        reg as u64,
+                    );
+                }
+                Ok(f())
+            }
+            Mode::Lockstep => self
+                .inner
+                .access_central(self.pid, kind, reg, tag, |_c| f()),
+        }
+    }
+
+    /// Publishes the tallies and takes the next [`STEP_LEASE`] steps (or
+    /// what is left of the budget) from the world's frontier. An exhausted
+    /// frontier shuts the world down: steps other processes still hold are
+    /// handed back only when they finish, which may be never.
+    #[cold]
+    fn renew_lease(&mut self) -> Result<(), Halted> {
+        self.inner.metrics.proc(self.pid).publish(&mut self.tally);
+        let limit = self.inner.step_limit;
+        let lease_end = |frontier: u64| frontier + STEP_LEASE.min(limit - frontier);
+        // Relaxed: the frontier is a budget, it publishes no other data.
+        let taken =
+            self.inner
+                .free_steps
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |frontier| {
+                    (frontier < limit).then(|| lease_end(frontier))
+                });
+        match taken {
+            Ok(frontier) => {
+                self.step = frontier;
+                self.lease_end = lease_end(frontier);
+                Ok(())
+            }
+            Err(_) => {
+                self.inner.free_shutdown.store(true, Ordering::Release);
+                Err(Halted::StepLimit)
+            }
+        }
+    }
+
+    /// The world step events and phases of this process are stamped with
+    /// right now: its lease cursor in free mode (this process's next step —
+    /// an approximate global order), the exact counter in lockstep.
+    fn step_stamp(&self) -> u64 {
+        match self.inner.mode {
+            Mode::Free => self.step,
+            Mode::Lockstep => self.inner.central.lock().steps,
+        }
+    }
+
+    /// Reads the monotonic clock ([`now_nanos`]) and remembers the reading
+    /// as the stamp this process's interior free-mode ring events carry.
+    /// Called at the two ends of an operation, whose latency is then the
+    /// difference of the two readings.
+    pub fn clock(&mut self) -> u64 {
+        self.stamp = now_nanos();
+        self.stamp
+    }
+
+    /// The remembered clock reading, taking one if there is none yet (a
+    /// ring event never carries a zero stamp).
+    fn carried_stamp(&mut self) -> u64 {
+        if self.stamp == 0 {
+            self.clock();
+        }
+        self.stamp
+    }
+
+    /// Announces that this process entered a protocol phase, stamped with
+    /// the world step and the clock. Works in both modes (unlike
     /// [`Ctx::annotate`], which needs a recorded history).
-    pub fn phase(&self, kind: PhaseKind) {
-        let step = self.inner.current_step();
-        self.inner.metrics.proc(self.pid).phase(step, kind);
+    pub fn phase(&mut self, kind: PhaseKind) {
+        let step = self.step_stamp();
+        self.stamp = self.inner.metrics.proc(self.pid).phase(step, kind);
     }
 
-    /// Records a flight-recorder event for this process, dual-stamped
-    /// with the current world step and the monotonic-nanosecond clock.
-    /// Wait-free relaxed stores; a no-op when the world was built with
-    /// [`WorldBuilder::trace_capacity`]`(0)`.
-    pub fn trace_event(&self, kind: EventKind, arg: u64) {
-        if self.inner.recorder.enabled() {
-            let step = self.inner.current_step();
-            self.inner.recorder.record(self.pid, step, kind, arg);
+    /// Records a flight-recorder event for this process, dual-stamped with
+    /// the world step and monotonic nanoseconds. In lockstep mode the
+    /// event reads the clock itself. In free mode it carries the context's
+    /// last reading ([`Ctx::clock`], [`Ctx::phase`]) — the time of the
+    /// enclosing operation's opening — so that a register write does not
+    /// cost a clock read; within a ring, position and step order what the
+    /// shared stamp does not. Wait-free relaxed stores; a no-op when the
+    /// world was built with [`WorldBuilder::trace_capacity`]`(0)`.
+    pub fn trace_event(&mut self, kind: EventKind, arg: u64) {
+        if !self.inner.recorder.enabled() {
+            return;
+        }
+        let step = self.step_stamp();
+        match self.inner.mode {
+            Mode::Free => {
+                let nanos = self.carried_stamp();
+                self.inner
+                    .recorder
+                    .record_at(self.pid, step, nanos, kind, arg);
+            }
+            // A process parked since an earlier step would carry a stamp
+            // older than its peers' events at later steps, and `merged()`
+            // of a lockstep log must stay step-ordered.
+            Mode::Lockstep => self.inner.recorder.record(self.pid, step, kind, arg),
         }
     }
 
@@ -838,6 +965,28 @@ impl Ctx {
 
     pub(crate) fn inner(&self) -> &Arc<WorldInner> {
         &self.inner
+    }
+}
+
+impl Drop for Ctx {
+    /// The process is done, however it left its body: publish what it
+    /// counted, hand the unspent part of its lease back to the budget (the
+    /// next lease may then repeat step numbers this one covered — free-mode
+    /// steps are stamps, the budget is what is exact), and report the
+    /// accesses it was granted.
+    fn drop(&mut self) {
+        self.inner.metrics.proc(self.pid).publish(&mut self.tally);
+        if self.inner.mode == Mode::Free {
+            let unspent = self.lease_end - self.step;
+            if unspent != 0 {
+                self.inner.free_steps.fetch_sub(unspent, Ordering::Relaxed);
+            }
+            if self.granted != 0 {
+                let mut c = self.inner.central.lock();
+                c.steps += self.granted;
+                c.per_proc_steps[self.pid] += self.granted;
+            }
+        }
     }
 }
 
@@ -1241,11 +1390,7 @@ impl World {
                     if lockstep {
                         let _ = inner.threads[pid].set(std::thread::current());
                     }
-                    let mut ctx = Ctx {
-                        pid,
-                        rng: SmallRng::seed_from_u64(seed),
-                        inner,
-                    };
+                    let mut ctx = Ctx::new(pid, seed, inner);
                     // Contain panics (the body's own bugs or injected chaos
                     // panics): the FinishGuard tells the world this process
                     // is done, so the survivors keep running; the panic
@@ -1305,37 +1450,20 @@ impl World {
         let telemetry = self.inner.metrics.snapshot();
         // Every writer reported above, so this snapshot sees whole slots.
         let flight = self.inner.recorder.snapshot();
-        match self.inner.mode {
-            Mode::Lockstep => {
-                let mut c = self.inner.central.lock();
-                let history = if self.inner.record {
-                    Some(std::mem::take(&mut c.history))
-                } else {
-                    None
-                };
-                RunReport {
-                    outputs,
-                    halted,
-                    panics,
-                    steps: c.steps,
-                    per_proc_steps: std::mem::take(&mut c.per_proc_steps),
-                    handoffs: c.handoffs,
-                    history,
-                    telemetry,
-                    flight,
-                }
-            }
-            Mode::Free => RunReport {
-                outputs,
-                halted,
-                panics,
-                steps: self.inner.free_steps.load(Ordering::Relaxed),
-                per_proc_steps: vec![0; n],
-                handoffs: 0,
-                history: None,
-                telemetry,
-                flight,
-            },
+        // Lockstep counted every grant under this lock; free-mode contexts
+        // reported theirs when they dropped.
+        let mut c = self.inner.central.lock();
+        let history = (lockstep && self.inner.record).then(|| std::mem::take(&mut c.history));
+        RunReport {
+            outputs,
+            halted,
+            panics,
+            steps: c.steps,
+            per_proc_steps: std::mem::take(&mut c.per_proc_steps),
+            handoffs: c.handoffs,
+            history,
+            telemetry,
+            flight,
         }
     }
 }
@@ -1586,7 +1714,38 @@ mod tests {
                 rep.telemetry.total(Counter::RegReads) + rep.telemetry.total(Counter::RegWrites),
                 rep.steps
             );
+            // Granted accesses per process, in free mode too.
+            assert_eq!(rep.per_proc_steps, vec![2, 2], "{mode:?}");
         }
+    }
+
+    /// A swap is one step that counts in both telemetry columns.
+    #[test]
+    fn free_mode_steps_are_the_accesses_each_process_was_granted() {
+        let mut w = World::builder(2).mode(Mode::Free).build();
+        let r = w.reg("r", 0u32);
+        let bodies: Vec<ProcBody<u32>> = (0..2u32)
+            .map(|p| {
+                let r = r.clone();
+                let b: ProcBody<u32> = Box::new(move |ctx| {
+                    for _ in 0..p {
+                        r.swap(ctx, p)?;
+                    }
+                    r.write(ctx, p)?;
+                    r.read(ctx)
+                });
+                b
+            })
+            .collect();
+        let rep = w.run(bodies, Box::new(RoundRobin::new()));
+        assert_eq!(rep.per_proc_steps, vec![2, 3]);
+        assert_eq!(rep.steps, 5);
+        let t = &rep.telemetry;
+        let swaps = 1;
+        assert_eq!(
+            t.total(Counter::RegReads) + t.total(Counter::RegWrites) - swaps,
+            rep.steps
+        );
     }
 
     #[test]

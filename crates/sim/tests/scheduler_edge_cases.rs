@@ -126,12 +126,16 @@ fn histories_are_identical_across_reruns_with_solo_bursts() {
 
 #[test]
 fn step_limit_zero_halts_immediately() {
-    let mut w = World::builder(1).step_limit(0).build();
-    let r = w.reg("r", 0u8);
-    let bodies: Vec<ProcBody<u8>> = vec![Box::new(move |ctx| r.read(ctx))];
-    let rep = w.run(bodies, Box::new(RoundRobin::new()));
-    assert_eq!(rep.halted[0], Some(Halted::StepLimit));
-    assert_eq!(rep.steps, 0);
+    // Free mode used to count the refused access as a step.
+    for mode in [Mode::Lockstep, Mode::Free] {
+        let mut w = World::builder(1).mode(mode).step_limit(0).build();
+        let r = w.reg("r", 0u8);
+        let bodies: Vec<ProcBody<u8>> = vec![Box::new(move |ctx| r.read(ctx))];
+        let rep = w.run(bodies, Box::new(RoundRobin::new()));
+        assert_eq!(rep.halted[0], Some(Halted::StepLimit), "{mode:?}");
+        assert_eq!(rep.steps, 0, "{mode:?}");
+        assert_eq!(rep.per_proc_steps, vec![0], "{mode:?}");
+    }
 }
 
 #[test]

@@ -18,7 +18,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use bprc_registers::Swmr;
-use bprc_sim::tracing::{now_nanos, EventKind, Hist};
+use bprc_sim::tracing::{EventKind, Hist};
 use bprc_sim::{Counter, Ctx, Halted, PhaseKind};
 
 use crate::memory::{labels, ScanStats};
@@ -93,12 +93,14 @@ pub(crate) struct ScanSpan {
 }
 
 /// Opens a scan: the `SCAN_START` annotation, the scan phase span, and
-/// the latency stamp the matching [`finish_scan`] closes.
+/// the latency stamp the matching [`finish_scan`] closes — which is also
+/// the stamp the scan's interior ring events carry in free mode (see
+/// [`Ctx::trace_event`]).
 pub(crate) fn begin_scan(ctx: &mut Ctx) -> ScanSpan {
     ctx.annotate(labels::SCAN_START, vec![]);
     ctx.phase(PhaseKind::Scan);
     ScanSpan {
-        start_nanos: now_nanos(),
+        start_nanos: ctx.clock(),
     }
 }
 
@@ -140,7 +142,8 @@ pub(crate) fn flush_collect_reads(ctx: &mut Ctx, stats: &ScanStats, reads: u64) 
 /// Closes a successful scan: the `SCAN_END` annotation (seqs built lazily —
 /// only when the world records history), the scan counters, the
 /// [`EventKind::ScanEnd`] ring event (arg: attempts it took), and the
-/// scan-latency histogram sample closing `span`.
+/// scan-latency histogram sample closing `span` — one clock read serves
+/// both (in free mode the event's stamp *is* that reading).
 pub(crate) fn finish_scan(
     ctx: &mut Ctx,
     stats: &ScanStats,
@@ -153,10 +156,11 @@ pub(crate) fn finish_scan(
     }
     stats.scans.fetch_add(1, Ordering::Relaxed);
     ctx.count(Counter::Scans, 1);
+    let end_nanos = ctx.clock();
     ctx.trace_event(EventKind::ScanEnd, attempts);
     ctx.hist_record(
         Hist::ScanLatencyNs,
-        now_nanos().saturating_sub(span.start_nanos),
+        end_nanos.saturating_sub(span.start_nanos),
     );
 }
 
@@ -183,11 +187,12 @@ pub(crate) fn finish_reuse(
     stats.scans.fetch_add(1, Ordering::Relaxed);
     ctx.count(Counter::Scans, 1);
     ctx.count(Counter::LazyScanHits, 1);
+    let end_nanos = ctx.clock();
     ctx.trace_event(EventKind::ScanReuse, probe_reads);
     ctx.trace_event(EventKind::ScanEnd, attempts);
     ctx.hist_record(
         Hist::LazyScanLatencyNs,
-        now_nanos().saturating_sub(span.start_nanos),
+        end_nanos.saturating_sub(span.start_nanos),
     );
 }
 

@@ -12,7 +12,8 @@ use bprc::registers::DirectArrow;
 use bprc::sim::history::OpKind;
 use bprc::sim::sched::RandomStrategy;
 use bprc::sim::trace::to_chrome_trace;
-use bprc::sim::tracing::EventKind;
+use bprc::sim::tracing::{EventKind, Hist};
+use bprc::sim::world::{ProcBody, RunReport};
 use bprc::sim::{json, Counter, Mode, World};
 
 /// Under `Mode::Free` there is no world step counter worth reading, but
@@ -140,6 +141,102 @@ fn chrome_trace_export_from_a_real_run_is_well_formed() {
     assert!(errs.is_empty(), "non-finite numbers in trace: {errs:?}");
 }
 
+/// The carried-stamp rule. Under `Mode::Free` only the ends of an operation
+/// read the clock: a scan's opening (the stamp its first `scan_begin`
+/// shows), its `scan_end`, and every phase announcement. Every event in
+/// between — `reg_write`, `collect_pass`, a retry's `scan_begin` — carries
+/// the last of those readings, the scan-latency histogram is fed the
+/// difference of the two end stamps, and the log still exports.
+#[test]
+fn free_mode_interior_events_carry_the_enclosing_operations_stamp() {
+    let n = 3;
+    let params = ConsensusParams::quick(n);
+    let mut world = World::builder(n)
+        .mode(Mode::Free)
+        .step_limit(u64::MAX)
+        .trace_capacity(1 << 16)
+        .build();
+    let inst = ThreadedConsensus::<DirectArrow>::new(&world, &params, &[true, false, true], 11);
+    let rep = world.run(inst.bodies, Box::new(RandomStrategy::new(11)));
+    assert!(rep.outputs.iter().all(|o| o.is_some()));
+    for pid in 0..n {
+        let events = rep.flight.events(pid);
+        assert_eq!(rep.flight.overflow(pid), 0, "pid {pid}: size the ring up");
+        assert!(events.iter().all(|e| e.nanos > 0), "pid {pid}: zero stamp");
+        assert!(
+            events.windows(2).all(|w| w[0].nanos <= w[1].nanos),
+            "pid {pid}: stamps went backwards"
+        );
+        let phase_stamps: Vec<u64> = rep.telemetry.phases(pid).iter().map(|p| p.nanos).collect();
+        let (mut opened, mut scans, mut latency) = (0, 0, 0);
+        for (i, e) in events.iter().enumerate() {
+            let opens_a_scan = e.kind == EventKind::ScanBegin && e.arg == 1;
+            if opens_a_scan {
+                opened = e.nanos;
+            } else if e.kind == EventKind::ScanEnd {
+                scans += 1;
+                latency += e.nanos - opened;
+            } else if i > 0 {
+                // Interior: no clock read of its own. The reading it
+                // carries is the previous ring event's, or a phase's (the
+                // phase log is not in the ring).
+                assert!(
+                    e.nanos == events[i - 1].nanos || phase_stamps.contains(&e.nanos),
+                    "pid {pid}: {} at ring position {i} read the clock",
+                    e.kind
+                );
+            }
+        }
+        assert_eq!(rep.telemetry.counter(pid, Counter::Scans), scans);
+        let hist = rep.telemetry.hist(pid, Hist::ScanLatencyNs);
+        assert_eq!((hist.count(), hist.sum()), (scans, latency), "pid {pid}");
+        // Nothing was overwritten, so the ring saw every counted write.
+        assert_eq!(
+            rep.flight.count(pid, EventKind::RegWrite) as u64,
+            rep.telemetry.counter(pid, Counter::RegWrites),
+            "pid {pid}"
+        );
+    }
+    let merged = rep.flight.merged();
+    assert!(merged.windows(2).all(|w| w[0].nanos <= w[1].nanos));
+    let doc = to_chrome_trace(&rep.flight, &rep.telemetry, None, n);
+    let reparsed = json::parse(&doc.render_pretty(2)).expect("chrome trace parses back");
+    let mut errs = Vec::new();
+    json::check_finite(&reparsed, "$", &mut errs);
+    assert!(errs.is_empty(), "non-finite numbers in trace: {errs:?}");
+}
+
+/// A free-mode run whose counts repeat exactly: the three consensus bodies
+/// take turns, each starting when the one before it has decided.
+fn free_run_in_turns(capacity: usize) -> RunReport<bool> {
+    let n = 3;
+    let params = ConsensusParams::quick(n);
+    let mut world = World::builder(n)
+        .mode(Mode::Free)
+        .step_limit(u64::MAX)
+        .trace_capacity(capacity)
+        .build();
+    let inst = ThreadedConsensus::<DirectArrow>::new(&world, &params, &[true, true, false], 47);
+    let (first_tx, mut turn_rx) = std::sync::mpsc::channel::<()>();
+    first_tx.send(()).expect("pid 0 holds the receiver");
+    let bodies: Vec<ProcBody<bool>> = inst
+        .bodies
+        .into_iter()
+        .map(|body| {
+            let (next_tx, next_rx) = std::sync::mpsc::channel();
+            let my_turn = std::mem::replace(&mut turn_rx, next_rx);
+            let b: ProcBody<bool> = Box::new(move |ctx| {
+                my_turn.recv().expect("the previous body passes the turn");
+                let out = body(ctx);
+                let _ = next_tx.send(());
+                out
+            });
+            b
+        })
+        .collect();
+    world.run(bodies, Box::new(RandomStrategy::new(47)))
+}
+
 /// Self-measurement: recording into the ring buffer must not distort the
 /// run. With the recorder on (default capacity) and off (capacity 0) the
 /// same seed produces the same outputs, the telemetry==history parity the
@@ -200,4 +297,27 @@ fn recorder_overhead_leaves_the_run_intact() {
         t_on <= t_off * 4.0 + 0.05,
         "recorder overhead out of bounds: on {t_on:.4}s vs off {t_off:.4}s"
     );
+
+    // Free mode has no history to hold the books against, so hold them
+    // against each other: same outputs, same steps, same total of every
+    // counter. Counts, not wall clock.
+    let (on, off) = (
+        free_run_in_turns(bprc::sim::DEFAULT_RING_CAPACITY),
+        free_run_in_turns(0),
+    );
+    assert!(on.flight.total_events() > 0, "recorder on but ring empty");
+    assert_eq!(off.flight.total_events(), 0, "capacity 0 must disable");
+    assert_eq!(on.outputs, off.outputs, "recording changed the outcome");
+    assert_eq!(
+        (on.steps, &on.per_proc_steps),
+        (off.steps, &off.per_proc_steps)
+    );
+    for &c in Counter::ALL {
+        assert_eq!(
+            on.telemetry.total(c),
+            off.telemetry.total(c),
+            "{}",
+            c.name()
+        );
+    }
 }

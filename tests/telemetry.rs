@@ -271,3 +271,99 @@ fn telemetry_jsonl_round_trips() {
         "telemetry lines ride along with the history"
     );
 }
+
+/// What [`exit_path_run`] does to pid 0 while it is inside its first scan.
+#[derive(Debug, Clone, Copy)]
+enum Exit {
+    /// Nothing: every body returns `Ok`.
+    Completes,
+    /// A lockstep crash decision: the body returns `Err(Halted::Crashed)`.
+    Crashed,
+    /// The free-mode step budget runs out mid-collect.
+    StepLimit,
+    /// An injected poison: the body panics at its next gate and unwinds.
+    Panics,
+}
+
+/// n = 3 over the handshake memory; each live body updates then scans.
+/// Pid 0 runs solo first and leaves by `exit` after exactly seven accesses
+/// (its update's three writes, its scan's two lowers, two of the first
+/// collect's reads); the free-mode run keeps pids 1 and 2 idle so that the
+/// counts are exact there too.
+fn exit_path_run(exit: Exit) -> bprc::sim::world::RunReport<Vec<u64>> {
+    use bprc::sim::sched::FnStrategy;
+    use bprc::sim::world::ProcBody;
+    use bprc::sim::{Decision, ScheduleView};
+    use bprc::snapshot::{ScannableMemory, SnapshotBackend};
+
+    const MID_COLLECT: u64 = 7;
+    let n = 3;
+    let free = matches!(exit, Exit::StepLimit);
+    let mut world = if free {
+        World::builder(n)
+            .mode(Mode::Free)
+            .step_limit(MID_COLLECT)
+            .build()
+    } else {
+        World::builder(n).build()
+    };
+    let mem = ScannableMemory::<u64, DirectArrow>::alloc_fast(&world, n, 0);
+    let bodies: Vec<ProcBody<Vec<u64>>> = (0..n)
+        .map(|pid| {
+            let mut port = mem.port(pid);
+            let b: ProcBody<Vec<u64>> = Box::new(move |ctx| {
+                if free && pid != 0 {
+                    return Ok(Vec::new());
+                }
+                port.update(ctx, pid as u64 + 1)?;
+                port.scan(ctx)
+            });
+            b
+        })
+        .collect();
+    let mut pending = true;
+    let strategy = FnStrategy::new(move |view: &ScheduleView<'_>| {
+        if pending && view.step == MID_COLLECT {
+            pending = false;
+            match exit {
+                Exit::Crashed => return Decision::Crash(0),
+                Exit::Panics => return Decision::Panic(0),
+                Exit::Completes | Exit::StepLimit => {}
+            }
+        }
+        Decision::Grant(view.runnable[0])
+    });
+    world.run(bodies, Box::new(strategy))
+}
+
+/// Counts a process accumulated before it left must reach the run's
+/// telemetry however it left. The expected totals were pinned from the
+/// commit before tallies moved into `Ctx`, where every count was an atomic
+/// add on the shared shard at the call site.
+#[test]
+fn counts_survive_every_exit_path() {
+    use bprc::sim::Halted;
+    bprc::sim::faults::quiet_injected_panics();
+    const PINNED: [Counter; 6] = [
+        Counter::ArrowLowers,
+        Counter::ArrowChecks,
+        Counter::CollectReads,
+        Counter::ScanAttempts,
+        Counter::RegReads,
+        Counter::RegWrites,
+    ];
+    for (exit, halted, want) in [
+        (Exit::Completes, None, [6u64, 6, 12, 3, 18, 15]),
+        (Exit::Crashed, Some(Halted::Crashed), [6, 4, 8, 3, 14, 15]),
+        (Exit::StepLimit, Some(Halted::StepLimit), [2, 0, 0, 1, 2, 5]),
+        (Exit::Panics, Some(Halted::Panicked), [6, 4, 8, 3, 14, 15]),
+    ] {
+        let rep = exit_path_run(exit);
+        assert_eq!(rep.halted[0], halted, "{exit:?}");
+        let got = PINNED.map(|c| rep.telemetry.total(c));
+        assert_eq!(
+            got, want,
+            "{exit:?}: [lowers, checks, collect reads, attempts, reads, writes]"
+        );
+    }
+}
