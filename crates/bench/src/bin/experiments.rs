@@ -3,8 +3,8 @@
 //! ```text
 //! experiments [all|e1|...|e14|e5b]... [--quick]   # markdown tables
 //! experiments arena [--quick] [--out=PATH]        # writes BENCH_arena.json
-//! experiments verify-gate [--quick] [--serial]    # fail-closed gate: writes
-//!             [--weakmem] [--out=PATH]            #   BENCH_verify.json
+//! experiments verify-gate [--quick] [--weakmem]   # fail-closed gate: writes
+//!             [--out=PATH]                        #   BENCH_verify.json
 //! ```
 //!
 //! `arena` and `verify-gate` write their document *before* judging it and
@@ -42,10 +42,7 @@ const EXPERIMENTS: [(&str, Experiment); 15] = [
 /// the experiment tables are the fallback command.
 const COMMANDS: [(&str, &[&str]); 2] = [
     ("arena", &["--quick", "--out="]),
-    (
-        "verify-gate",
-        &["--quick", "--serial", "--weakmem", "--out="],
-    ),
+    ("verify-gate", &["--quick", "--weakmem", "--out="]),
 ];
 
 const EXPERIMENT_FLAGS: &[&str] = &["--quick"];
@@ -127,7 +124,6 @@ fn main() {
         "verify-gate" => {
             let opts = verify_gate::GateOptions {
                 scale,
-                serial: flags.contains(&"--serial"),
                 weakmem: flags.contains(&"--weakmem"),
             };
             emit(

@@ -3,36 +3,35 @@
 //!
 //! The paper's evaluation is its properties, so the harness that explores
 //! schedules × faults × memory modes and checks them is this reproduction's
-//! results table. `experiments verify-gate` builds [`table`], runs every
-//! [`Check`] in it, prints the verdicts as one [`Table`] and emits them as
+//! results table. `experiments verify-gate` builds `table`, runs every
+//! `Check` in it, prints the verdicts as one [`Table`] and emits them as
 //! `BENCH_verify.json` ([`SCHEMA`]): property × protocol × snapshot backend
 //! × memory mode × (n, depth bound, fault budget, exhausted?). The command
 //! writes the document first and exits non-zero iff [`validate`] rejects
 //! it, so a red gate always ships its evidence — each violated row carries
 //! its shrunk, replayable `bprc-trace-v1` trace.
 //!
-//! A row of the explored kind ([`Check::explored`]) declares a world
+//! A row of the explored kind (`Check::explored`) declares a world
 //! factory, a per-schedule check, the independence relation that check
 //! tolerates, a memory mode, a fault budget, the [`PROPERTIES`] tags it
-//! exercises and an [`Expect`]ation; [`run_check`] is the only place that
+//! exercises and an `Expect`ation; `run_check` is the only place that
 //! knows how such a row is run and judged:
 //!
-//! * [`Expect::Clean`] — the bounded space must exhaust untruncated with
+//! * `Expect::Clean` — the bounded space must exhaust untruncated with
 //!   no violation *and* non-vacuously: a crash branch actually taken when
 //!   the budget is positive, a store actually buffered under TSO/PSO;
-//! * [`Expect::Found`] — a seeded violation must be found, shrunk,
+//! * `Expect::Found` — a seeded violation must be found, shrunk,
 //!   serialised, parsed back byte-identically and replayed to the same
-//!   violation, optionally [`Keep`]ing the crash or flush decision the bug
+//!   violation, optionally `Keep`ing the crash or flush decision the bug
 //!   depends on, with the critical cycle attached under weak modes. A gate
 //!   that has lost its teeth therefore fails its own `Found` rows in every
 //!   run.
 //!
 //! The real-stack exhaustive spaces, the distilled n = 3 space, the litmus
 //! matrix and the seeded fixtures with their repaired controls are all rows
-//! of that kind. What cannot be enumerated is [`Expect::Sampled`] by small
+//! of that kind. What cannot be enumerated is `Expect::Sampled` by small
 //! runners emitting the same row shape: the PCT sweeps over the full
-//! consensus stack and the n = 4 snapshot, and the wait-free attempt bound;
-//! the serial-vs-parallel frontier comparison is a fourth runner.
+//! consensus stack and the n = 4 snapshot, and the wait-free attempt bound.
 //! `--weakmem` *adds* the weak-memory rows to the sequentially consistent
 //! ones, and only the property tags some row of the run carries are printed.
 //! Every recorded value is a count or a verdict, so a document is a pure
@@ -44,8 +43,8 @@ use bprc_core::threaded::ThreadedConsensusOn;
 use bprc_core::{check_telemetry_parity, ConsensusParams, ConsensusSpec, ProcState};
 use bprc_registers::DirectArrow;
 use bprc_sim::explore::{
-    explore, explore_parallel, run_trace, shrink_trace, Counterexample, DecisionTrace,
-    ExploreConfig, ExploreReport, Independence, ParallelConfig,
+    explore, run_trace, shrink_trace, Counterexample, DecisionTrace, ExploreConfig, ExploreReport,
+    Independence,
 };
 use bprc_sim::faults::quiet_injected_panics;
 use bprc_sim::json::{check_finite, Value};
@@ -112,9 +111,6 @@ pub struct GateOptions {
     /// Sizes the consensus PCT sweeps (300 seeds quick, 5,000 full); every
     /// other row is identical at both scales.
     pub scale: Scale,
-    /// Run the frontier comparison with one worker on both sides
-    /// (single-core environments).
-    pub serial: bool,
     /// Add the weak-memory rows: the litmus matrix, store-buffer
     /// exploration of the real n = 2 stack, the missing-fence fixture.
     pub weakmem: bool,
@@ -514,7 +510,7 @@ fn n2_writer_scanner(mode: WeakMode) -> Check {
 /// torn-scan bug.
 fn writers_scanner_factory(
     double_collect: bool,
-) -> impl Fn(WeakMode) -> (World, Vec<ProcBody<Vec<u64>>>) + Sync {
+) -> impl Fn(WeakMode) -> (World, Vec<ProcBody<Vec<u64>>>) {
     move |mode| {
         let world = World::builder(3).seed(0).weak_memory(mode).build();
         let v: Vec<_> = (0..3).map(|i| world.reg(format!("V{i}"), 0u64)).collect();
@@ -579,70 +575,6 @@ fn writers_scanner(name: &str, double_collect: bool, fault_budget: u64, expect: 
         writers_scanner_factory(double_collect),
         move |r| snapshot_check(r, &meta),
     )
-}
-
-/// The [`writers_scanner`] space re-run through the work-stealing parallel
-/// explorer, one worker against the machine's parallelism on the same kind
-/// of frontier split: judged by [`judge_frontier`].
-fn frontier(serial_only: bool) -> Check {
-    let name = "frontier-n3-writers-scanner-b1";
-    let row = writers_scanner(name, true, 1, Expect::Clean).row;
-    let run = move |row: &mut Row| {
-        let cfg = config(row, Independence::ReadsOnly);
-        let workers = if serial_only {
-            1
-        } else {
-            std::thread::available_parallelism().map_or(1, |v| v.get().clamp(1, 8))
-        };
-        let factory = writers_scanner_factory(true);
-        let (mode, meta) = (row.mode, raw_meta());
-        let run_with = |workers: usize| {
-            let par = ParallelConfig {
-                workers,
-                frontier_factor: 4,
-                max_frontier_depth: 4,
-            };
-            explore_parallel(&cfg, &par, || factory(mode), |r| snapshot_check(r, &meta))
-        };
-        let serial = run_with(1);
-        let parallel = run_with(workers);
-        row.record(&parallel.report);
-        let verdict = judge_frontier(&serial.report, &parallel.report);
-        row.ok = verdict.is_ok();
-        let (Ok(detail) | Err(detail)) = verdict;
-        row.detail = detail;
-    };
-    Check {
-        row,
-        run: Box::new(run),
-    }
-}
-
-/// The frontier row's verdict: both runs exhaust violation-free *and* count
-/// the same schedules, in total and by crash count — a parallel explorer
-/// that dropped or repeated a subtree disagrees with the serial one. (The
-/// space prunes nothing, so splitting the frontier deeper for more workers
-/// loses no sleep-set inheritance that could legitimately change a count.)
-fn judge_frontier(serial: &ExploreReport, parallel: &ExploreReport) -> Result<String, String> {
-    let (s, p) = (serial, parallel);
-    if let Some(cex) = [s, p].iter().find_map(|r| r.violation.as_ref()) {
-        Err(format!("VIOLATION: {}", cex.description))
-    } else if !(s.exhausted && p.exhausted) {
-        Err(format!(
-            "not exhausted: serial {}, parallel {}",
-            s.exhausted, p.exhausted
-        ))
-    } else if (s.schedules, &s.schedules_by_faults) != (p.schedules, &p.schedules_by_faults) {
-        Err(format!(
-            "serial and parallel disagree: {} vs {} schedules, by crash count {:?} vs {:?}",
-            s.schedules, p.schedules, s.schedules_by_faults, p.schedules_by_faults
-        ))
-    } else {
-        Ok(format!(
-            "serial and parallel agree: {} schedules (by crash count: {:?})",
-            p.schedules, p.schedules_by_faults
-        ))
-    }
 }
 
 /// The seeded crash-publish bug: the writer publishes `value` then raises
@@ -959,7 +891,6 @@ fn table(opts: &GateOptions) -> Vec<Check> {
     }
     checks.extend([
         writers_scanner("snapshot-n3-writers-scanner-b1", true, 1, Expect::Clean),
-        frontier(opts.serial),
         writers_scanner("fixture-torn-scan", false, 0, Expect::Found(None)),
         crash_publish("fixture-crash-publish", 1, Expect::Found(Some(Keep::Crash))),
         crash_publish("control-crash-publish-b0", 0, Expect::Clean),
@@ -1210,11 +1141,10 @@ mod tests {
         let [sc, all] = [false, true].map(|weakmem| {
             table(&GateOptions {
                 scale: Scale::Quick,
-                serial: false,
                 weakmem,
             })
         });
-        assert_eq!((sc.len(), all.len()), (13, 32));
+        assert_eq!((sc.len(), all.len()), (12, 31));
         let known = |tag: &&str| PROPERTIES.iter().any(|(t, _)| t == tag);
         for (i, check) in all.iter().enumerate() {
             let row = &check.row;
@@ -1281,37 +1211,17 @@ mod tests {
         assert!(validate(&document(&[]))[0].contains("non-empty"));
     }
 
-    /// The frontier row has teeth: equal runs pass, and a parallel run that
-    /// lost a schedule — in total or in one crash-count bucket — fails it.
+    /// The n = 3 space's coverage is pinned: two writers and a
+    /// double-collect scanner, with every placement of one crash.
     #[test]
-    fn frontier_row_fails_when_serial_and_parallel_counts_differ() {
-        let row = frontier(true).run();
+    fn n3_writers_scanner_space_is_pinned() {
+        let row = writers_scanner("snapshot-n3-writers-scanner-b1", true, 1, Expect::Clean).run();
         assert!(row.ok, "{}", row.detail);
+        assert!(row.exhausted);
         assert_eq!(
             (row.schedules, &row.schedules_by_faults[..]),
             (386, &[74, 312][..])
         );
-
-        let cfg = config(&row, Independence::ReadsOnly);
-        let factory = writers_scanner_factory(true);
-        let space = || {
-            explore(
-                &cfg,
-                || factory(WeakMode::Sc),
-                |r| snapshot_check(r, &raw_meta()),
-            )
-        };
-        let serial = space();
-        let mut parallel = space();
-        assert!(judge_frontier(&serial, &parallel).is_ok());
-        parallel.schedules -= 1;
-        let lost = judge_frontier(&serial, &parallel).unwrap_err();
-        assert!(lost.contains("386 vs 385 schedules"), "{lost}");
-        parallel.schedules += 1;
-        parallel.schedules_by_faults[1] -= 1;
-        parallel.schedules_by_faults[0] += 1;
-        let shifted = judge_frontier(&serial, &parallel).unwrap_err();
-        assert!(shifted.contains("[74, 312] vs [75, 311]"), "{shifted}");
     }
 
     /// Checked = claimed: the coverage matrix pasted into DESIGN.md § Scope

@@ -19,8 +19,9 @@ fn experiments(args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn misspelt_flags_and_unknown_commands_exit_2_with_usage() {
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 8] = [
         (&["verify-gate", "--weakmen"], "--weakmen"),
+        (&["verify-gate", "--serial"], "--serial"),
         (&["arena", "--qiuck"], "--qiuck"),
         (&["arena", "--serial"], "--serial"),
         (

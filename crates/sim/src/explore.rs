@@ -83,7 +83,7 @@ use crate::history::{OpKind, RegId};
 use crate::json::Value;
 use crate::metrics::{Counter, MetricsRegistry, Telemetry};
 use crate::sched::{Decision, FnStrategy, PendingOp, ScheduleView, Strategy};
-use crate::tracing::{EventKind, FlightLog, FlightRecorder, Heartbeat, Histogram};
+use crate::tracing::{Heartbeat, Histogram};
 use crate::world::{Mode, ProcBody, RunReport, World};
 
 /// JSON schema tag embedded in every serialized [`DecisionTrace`].
@@ -424,11 +424,8 @@ impl Node {
 
 /// DFS state shared between the driver loop and the controller strategy.
 struct Dfs {
-    /// A fixed decision prefix replayed verbatim before the DFS stack — the
-    /// subtree root for parallel frontier jobs (empty for [`explore`]).
-    fixed: Vec<TraceStep>,
     stack: Vec<Node>,
-    /// Decision index within the current run (counts `fixed` decisions too).
+    /// Decision index within the current run.
     depth: usize,
     /// The current run stopped extending the stack (redundant or truncated):
     /// grant arbitrarily (lowest runnable) until the world finishes.
@@ -446,10 +443,9 @@ struct Dfs {
 }
 
 impl Dfs {
-    /// Crash decisions on the whole current path (fixed prefix + stack).
+    /// Crash decisions on the current path.
     fn faults_on_path(&self) -> u64 {
-        self.fixed.iter().filter(|s| s.is_crash()).count() as u64
-            + self.stack.iter().filter(|n| n.chosen.is_crash()).count() as u64
+        self.stack.iter().filter(|n| n.chosen.is_crash()).count() as u64
     }
 
     /// The pids whose crash may be branched at the *next* node (canonical
@@ -466,13 +462,7 @@ impl Dfs {
     /// only through the steps the victim no longer takes — which holds for
     /// every checker in this workspace.
     fn crash_candidates(&self, enabled: &[(usize, PendingOp)]) -> Vec<usize> {
-        for step in self
-            .stack
-            .iter()
-            .map(|n| n.chosen)
-            .rev()
-            .chain(self.fixed.iter().copied().rev())
-        {
+        for step in self.stack.iter().map(|n| n.chosen).rev() {
             match step {
                 TraceStep::Grant(p) | TraceStep::Flush { pid: p, .. } => {
                     return enabled
@@ -514,25 +504,10 @@ impl Strategy for Controller {
         if st.dead {
             return fallback(view);
         }
-        if st.depth < st.fixed.len() {
-            // Fixed-prefix segment (parallel frontier jobs): issue the
-            // prefix decision verbatim.
-            let step = st.fixed[st.depth];
-            assert!(
-                step.legal(view),
-                "nondeterministic workload: fixed prefix step {} ({step:?}) is \
-                 not legal against runnable {:?} / flushable {:?}",
-                st.depth,
-                view.runnable,
-                view.flushable,
-            );
-            st.depth += 1;
-            return step.decision();
-        }
-        if st.depth - st.fixed.len() < st.stack.len() {
+        if st.depth < st.stack.len() {
             // Replay segment: take the recorded choice and check the world
             // is behaving deterministically.
-            let depth = st.depth - st.fixed.len();
+            let depth = st.depth;
             let node = &st.stack[depth];
             assert!(
                 node.enabled.len() == view.runnable.len()
@@ -734,27 +709,8 @@ where
     F: FnMut() -> (World, Vec<ProcBody<T>>),
     C: FnMut(&RunReport<T>) -> Option<String>,
 {
-    explore_inner(cfg, &[], &mut make, &mut check, &|| false)
-}
-
-/// The DFS driver shared by [`explore`] (empty prefix) and the parallel
-/// frontier jobs (subtree rooted at a fixed prefix, with a cancellation
-/// probe checked between runs).
-fn explore_inner<T, F, C>(
-    cfg: &ExploreConfig,
-    prefix: &[TraceStep],
-    make: &mut F,
-    check: &mut C,
-    cancelled: &dyn Fn() -> bool,
-) -> ExploreReport
-where
-    T: Send + 'static,
-    F: FnMut() -> (World, Vec<ProcBody<T>>),
-    C: FnMut(&RunReport<T>) -> Option<String>,
-{
     let metrics = MetricsRegistry::new(1);
     let st = Arc::new(Mutex::new(Dfs {
-        fixed: prefix.to_vec(),
         stack: Vec::new(),
         depth: 0,
         dead: false,
@@ -782,11 +738,6 @@ where
     let mut heartbeat = cfg.progress.then(|| Heartbeat::new(1.0));
     let mut runs: u64 = 0;
     loop {
-        if cancelled() {
-            // A cancelled job reports what it covered; `exhausted` stays
-            // false.
-            break;
-        }
         {
             let mut s = st.lock();
             s.depth = 0;
@@ -809,7 +760,7 @@ where
         runs += 1;
         let (redundant, truncated, pruned_now, path_faults, path_len) = {
             let mut s = st.lock();
-            let path_len = s.fixed.len() + s.stack.len();
+            let path_len = s.stack.len();
             report.max_depth = report.max_depth.max(path_len);
             (
                 s.redundant,
@@ -846,12 +797,7 @@ where
                 let s = st.lock();
                 let trace = DecisionTrace {
                     n: world.n(),
-                    decisions: s
-                        .fixed
-                        .iter()
-                        .copied()
-                        .chain(s.stack.iter().map(|nd| nd.chosen))
-                        .collect(),
+                    decisions: s.stack.iter().map(|nd| nd.chosen).collect(),
                 };
                 report.violation = Some(Counterexample { trace, description });
                 break;
@@ -905,8 +851,7 @@ where
 /// violation: first trims the suffix (the tolerant replayer completes any
 /// prefix deterministically), then repeatedly deletes single interior
 /// decisions to a fixpoint. Returns the minimal trace and the number of
-/// candidate re-executions spent (callers feed that into the
-/// `ShrinkRuns` telemetry counter).
+/// candidate re-executions spent.
 pub fn shrink_trace<T, F, C>(
     make: &mut F,
     check: &mut C,
@@ -955,373 +900,6 @@ where
     (best, runs)
 }
 
-/// Outcome of probing one frontier prefix: either the world finished while
-/// (or right after) replaying the prefix — a complete schedule — or there is
-/// a live decision point with this enabled set.
-enum Probe<T> {
-    Complete(RunReport<T>),
-    Branch {
-        enabled: Vec<usize>,
-        flushable: Vec<(usize, RegId)>,
-    },
-}
-
-/// Replays `prefix` verbatim and captures the runnable + flushable sets at
-/// the first decision point past it (granting lowest-runnable from there
-/// on).
-fn probe_prefix<T, F>(make: &mut F, prefix: &[TraceStep]) -> Probe<T>
-where
-    T: Send + 'static,
-    F: FnMut() -> (World, Vec<ProcBody<T>>),
-{
-    type Captured = (Vec<usize>, Vec<(usize, RegId)>);
-    let captured: Arc<Mutex<Option<Captured>>> = Arc::new(Mutex::new(None));
-    let cap = Arc::clone(&captured);
-    let steps = prefix.to_vec();
-    let mut idx = 0usize;
-    let strategy = FnStrategy::new(move |view: &ScheduleView<'_>| {
-        if idx < steps.len() {
-            let step = steps[idx];
-            idx += 1;
-            assert!(
-                step.legal(view),
-                "frontier prefixes are built from observed enabled/flushable sets"
-            );
-            return step.decision();
-        }
-        if idx == steps.len() {
-            idx += 1;
-            *cap.lock() = Some((view.runnable.to_vec(), view.flushable.to_vec()));
-        }
-        Decision::Grant(view.runnable[0])
-    });
-    let (mut world, bodies) = make();
-    assert_eq!(
-        world.mode(),
-        Mode::Lockstep,
-        "exploration needs the deterministic lockstep backend"
-    );
-    let report = world.run(bodies, Box::new(strategy));
-    let at_branch = captured.lock().take();
-    match at_branch {
-        Some((enabled, flushable)) => Probe::Branch { enabled, flushable },
-        None => Probe::Complete(report),
-    }
-}
-
-/// Tuning knobs for [`explore_parallel`].
-#[derive(Debug, Clone)]
-pub struct ParallelConfig {
-    /// Worker threads. `1` runs the identical frontier serially — the fair
-    /// baseline for speedup measurements.
-    pub workers: usize,
-    /// Stop splitting once the frontier holds at least
-    /// `workers × frontier_factor` jobs.
-    pub frontier_factor: usize,
-    /// Never split deeper than this many decisions.
-    pub max_frontier_depth: usize,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig {
-            workers: std::thread::available_parallelism()
-                .map(|v| v.get())
-                .unwrap_or(1),
-            frontier_factor: 4,
-            max_frontier_depth: 4,
-        }
-    }
-}
-
-/// What a parallel exploration covered, plus frontier statistics.
-#[derive(Debug)]
-pub struct ParallelExploreReport {
-    /// The merged per-job coverage. On a clean (violation-free) run every
-    /// job ran to completion, so the aggregate counts are deterministic; on
-    /// a violating run jobs above the winning index may have been cancelled
-    /// mid-flight, so only [`ExploreReport::violation`] itself is
-    /// deterministic.
-    pub report: ExploreReport,
-    /// Worker threads used.
-    pub workers: usize,
-    /// Subtree jobs the frontier was split into.
-    pub jobs: usize,
-    /// Jobs a worker popped from another worker's deque or the injector.
-    pub steals: u64,
-    /// Decision depth at which the frontier was split.
-    pub frontier_depth: usize,
-    /// [`ParallelExploreReport::steals`] attributed per worker (index =
-    /// worker id, length = `workers`).
-    pub worker_steals: Vec<u64>,
-    /// Jobs each worker executed (local pops + steals; sums to `jobs` on
-    /// violation-free runs).
-    pub worker_executes: Vec<u64>,
-    /// Frontier-job prefix lengths, power-of-two bucketed (the
-    /// depth profile the BFS split actually produced).
-    pub frontier_lengths: Histogram,
-    /// One flight-recorder lane per **worker** (not per simulated
-    /// process): [`EventKind::Execute`] per job run (arg = prefix
-    /// length) and [`EventKind::Steal`] per stolen job, `step` = job
-    /// index.
-    pub worker_flight: FlightLog,
-}
-
-/// Work-stealing parallel version of [`explore`]: splits the schedule tree
-/// into subtree jobs at a shallow frontier (breadth-first over observed
-/// enabled sets, crash branches included under the fault budget), then runs
-/// the jobs on `par.workers` threads with per-worker deques plus a global
-/// injector ([`crate::stealing`]).
-///
-/// **Deterministic result merge:** on violation, the reported
-/// counterexample is the one from the *lowest-indexed* job (frontier jobs
-/// are ordered breadth-first, matching the serial DFS visit order of their
-/// roots) — workers publish violations into an atomic min-index and jobs
-/// above the current minimum are cancelled, while lower-indexed jobs always
-/// run to their own completion or first violation. The winning
-/// counterexample is therefore independent of thread timing.
-///
-/// Frontier splitting drops cross-sibling sleep-set inheritance at the
-/// split levels, so the union of jobs may re-execute schedules the serial
-/// DFS would have pruned; the result is coverage-equivalent, just
-/// potentially larger `schedules` counts.
-pub fn explore_parallel<T, F, C>(
-    cfg: &ExploreConfig,
-    par: &ParallelConfig,
-    factory: F,
-    check: C,
-) -> ParallelExploreReport
-where
-    T: Send + 'static,
-    F: Fn() -> (World, Vec<ProcBody<T>>) + Sync,
-    C: Fn(&RunReport<T>) -> Option<String> + Sync,
-{
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-    let workers = par.workers.max(1);
-    let target = workers * par.frontier_factor.max(1);
-    let mut merged = ExploreReport {
-        schedules: 0,
-        pruned: 0,
-        truncated: 0,
-        exhausted: false,
-        max_depth: 0,
-        violation: None,
-        telemetry: Telemetry::empty(1),
-        fault_budget: cfg.fault_budget,
-        faults_injected: 0,
-        schedules_by_faults: vec![0; cfg.fault_budget as usize + 1],
-        schedule_lengths: Histogram::default(),
-    };
-
-    // Serial frontier phase: BFS-split the tree until enough subtree roots
-    // exist. Prefixes that complete the world are full schedules — check
-    // them right here (their serial visit order precedes every job's).
-    let mut frontier: Vec<Vec<TraceStep>> = vec![Vec::new()];
-    let mut depth = 0usize;
-    while frontier.len() < target && depth < par.max_frontier_depth {
-        let mut next: Vec<Vec<TraceStep>> = Vec::new();
-        let mut make = || factory();
-        for prefix in &frontier {
-            match probe_prefix::<T, _>(&mut make, prefix) {
-                Probe::Complete(rep) => {
-                    merged.schedules += 1;
-                    merged.schedule_lengths.record(prefix.len() as u64);
-                    let crashes = prefix.iter().filter(|s| s.is_crash()).count() as u64;
-                    let bucket = (crashes as usize).min(merged.schedules_by_faults.len() - 1);
-                    merged.schedules_by_faults[bucket] += 1;
-                    merged.faults_injected += crashes;
-                    merged.max_depth = merged.max_depth.max(prefix.len());
-                    if merged.violation.is_none() {
-                        if let Some(description) = check(&rep) {
-                            merged.violation = Some(Counterexample {
-                                trace: DecisionTrace {
-                                    n: rep.outputs.len(),
-                                    decisions: prefix.clone(),
-                                },
-                                description,
-                            });
-                        }
-                    }
-                }
-                Probe::Branch { enabled, flushable } => {
-                    let crashes = prefix.iter().filter(|s| s.is_crash()).count() as u64;
-                    for &p in &enabled {
-                        let mut child = prefix.clone();
-                        child.push(TraceStep::Grant(p));
-                        next.push(child);
-                    }
-                    for &(pid, reg) in &flushable {
-                        let mut child = prefix.clone();
-                        child.push(TraceStep::Flush { pid, reg });
-                        next.push(child);
-                    }
-                    if crashes < cfg.fault_budget {
-                        // Canonical crash placement at frontier level: the
-                        // actor of the last grant/flush, or every enabled
-                        // pid while the prefix is all-crash/empty.
-                        let last_actor = prefix.iter().rev().find_map(|s| match s {
-                            TraceStep::Grant(p) => Some(*p),
-                            TraceStep::Flush { pid, .. } => Some(*pid),
-                            TraceStep::Crash(_) => None,
-                        });
-                        let cands: Vec<usize> = match last_actor {
-                            Some(p) => enabled.iter().copied().filter(|&q| q == p).collect(),
-                            None => enabled.clone(),
-                        };
-                        for p in cands {
-                            let mut child = prefix.clone();
-                            child.push(TraceStep::Crash(p));
-                            next.push(child);
-                        }
-                    }
-                }
-            }
-        }
-        if next.is_empty() {
-            frontier.clear();
-            break;
-        }
-        frontier = next;
-        depth += 1;
-    }
-    if merged.violation.is_some() || frontier.is_empty() {
-        // Violation among complete short schedules, or the whole tree is
-        // shallower than one split level: nothing left to parallelize.
-        merged.exhausted = merged.violation.is_none() && merged.truncated == 0;
-        let metrics = MetricsRegistry::new(1);
-        fill_merged_telemetry(&metrics, &merged);
-        merged.telemetry = metrics.snapshot();
-        return ParallelExploreReport {
-            report: merged,
-            workers,
-            jobs: 0,
-            steals: 0,
-            frontier_depth: depth,
-            worker_steals: vec![0; workers],
-            worker_executes: vec![0; workers],
-            frontier_lengths: Histogram::default(),
-            worker_flight: FlightLog::empty(workers),
-        };
-    }
-
-    // Parallel phase: one explore_inner per subtree, work-stealing, lowest
-    // violating job index wins.
-    let jobs = frontier.len();
-    let mut frontier_lengths = Histogram::default();
-    for prefix in &frontier {
-        frontier_lengths.record(prefix.len() as u64);
-    }
-    let queues = crate::stealing::StealQueues::new(workers);
-    queues.seed(frontier.iter().cloned().enumerate());
-    let min_violation = AtomicUsize::new(usize::MAX);
-    let jobs_done = AtomicU64::new(0);
-    // One flight-recorder lane per worker; each job pop is an Execute
-    // event, each stolen pop additionally a Steal event.
-    let worker_rec = FlightRecorder::new(workers, jobs.next_power_of_two().max(64));
-    // Workers heartbeat per job at the loop level (worker 0 speaks for
-    // everyone), so the per-job explorations run quiet.
-    let job_cfg = ExploreConfig {
-        progress: false,
-        ..cfg.clone()
-    };
-    let results: Vec<Mutex<Option<ExploreReport>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let queues = &queues;
-            let min_violation = &min_violation;
-            let jobs_done = &jobs_done;
-            let worker_rec = &worker_rec;
-            let results = &results;
-            let factory = &factory;
-            let check = &check;
-            let job_cfg = &job_cfg;
-            let mut heartbeat = (cfg.progress && w == 0).then(|| Heartbeat::new(1.0));
-            scope.spawn(move || {
-                let mut my_steals = 0u64;
-                while let Some((idx, prefix)) = queues.pop(w) {
-                    worker_rec.record(w, idx as u64, EventKind::Execute, prefix.len() as u64);
-                    let stolen = queues.worker_steals()[w];
-                    if stolen > my_steals {
-                        my_steals = stolen;
-                        worker_rec.record(w, idx as u64, EventKind::Steal, stolen);
-                    }
-                    if idx > min_violation.load(Ordering::Acquire) {
-                        continue;
-                    }
-                    let mut make = || factory();
-                    let mut chk = |r: &RunReport<T>| check(r);
-                    let rep = explore_inner(job_cfg, &prefix, &mut make, &mut chk, &|| {
-                        idx > min_violation.load(Ordering::Relaxed)
-                    });
-                    if rep.violation.is_some() {
-                        min_violation.fetch_min(idx, Ordering::AcqRel);
-                    }
-                    *results[idx].lock() = Some(rep);
-                    let done = jobs_done.fetch_add(1, Ordering::Relaxed) + 1;
-                    if let Some(hb) = heartbeat.as_mut() {
-                        hb.tick(|secs| {
-                            format!(
-                                "explore: {done}/{jobs} frontier jobs done \
-                                 ({:.1}/s), {} steals",
-                                done as f64 / secs.max(1e-9),
-                                queues.steals(),
-                            )
-                        });
-                    }
-                }
-            });
-        }
-    });
-
-    let winner = min_violation.load(Ordering::Acquire);
-    let mut all_exhausted = true;
-    for (idx, slot) in results.iter().enumerate() {
-        let Some(rep) = slot.lock().take() else {
-            all_exhausted = false;
-            continue;
-        };
-        merged.schedules += rep.schedules;
-        merged.pruned += rep.pruned;
-        merged.truncated += rep.truncated;
-        merged.max_depth = merged.max_depth.max(rep.max_depth);
-        merged.faults_injected += rep.faults_injected;
-        merged.schedule_lengths.merge(&rep.schedule_lengths);
-        for (b, c) in rep.schedules_by_faults.iter().enumerate() {
-            let b = b.min(merged.schedules_by_faults.len() - 1);
-            merged.schedules_by_faults[b] += c;
-        }
-        all_exhausted &= rep.exhausted;
-        if idx == winner {
-            merged.violation = rep.violation;
-        }
-    }
-    merged.exhausted = merged.violation.is_none() && all_exhausted && merged.truncated == 0;
-    let metrics = MetricsRegistry::new(1);
-    fill_merged_telemetry(&metrics, &merged);
-    merged.telemetry = metrics.snapshot();
-    ParallelExploreReport {
-        report: merged,
-        workers,
-        jobs,
-        steals: queues.steals(),
-        frontier_depth: depth,
-        worker_steals: queues.worker_steals(),
-        worker_executes: queues.worker_executes(),
-        frontier_lengths,
-        worker_flight: worker_rec.snapshot(),
-    }
-}
-
-/// Rebuilds the aggregate explorer counters for a merged parallel report.
-fn fill_merged_telemetry(metrics: &MetricsRegistry, merged: &ExploreReport) {
-    let m = metrics.proc(0);
-    m.incr(Counter::SchedulesExplored, merged.schedules);
-    m.incr(Counter::SchedulesPruned, merged.pruned);
-    m.incr(Counter::SchedulesTruncated, merged.truncated);
-    m.incr(Counter::FaultsInjected, merged.faults_injected);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1329,7 +907,7 @@ mod tests {
 
     /// The flag-principle workload: each process raises its own flag then
     /// reads the other's. 4 ops, two per process.
-    fn flag_factory(seed: u64) -> impl Fn() -> (World, Vec<ProcBody<u32>>) + Sync {
+    fn flag_factory(seed: u64) -> impl Fn() -> (World, Vec<ProcBody<u32>>) {
         move || {
             let w = World::builder(2).seed(seed).build();
             let a = w.reg("a", 0u32);
@@ -1410,7 +988,7 @@ mod tests {
     /// One writer, one reader on a single register: exploring finds the
     /// read-before-write schedule, and shrinking reduces it to the single
     /// forcing decision (grant the reader first).
-    fn race_factory() -> impl Fn() -> (World, Vec<ProcBody<u32>>) + Sync {
+    fn race_factory() -> impl Fn() -> (World, Vec<ProcBody<u32>>) {
         || {
             let w = World::builder(2).build();
             let r = w.reg("r", 0u32);
@@ -1549,7 +1127,7 @@ mod tests {
     /// decision (the flag store must land while the data store stays
     /// buffered), so the counterexample carries a [`TraceStep::Flush`]
     /// through find → shrink → replay.
-    fn mp_pso_factory() -> impl Fn() -> (World, Vec<ProcBody<u64>>) + Sync {
+    fn mp_pso_factory() -> impl Fn() -> (World, Vec<ProcBody<u64>>) {
         || {
             let w = World::builder(2)
                 .weak_memory(crate::weakmem::WeakMode::Pso)
@@ -1877,81 +1455,5 @@ mod tests {
         );
         let (rep2, _) = run_trace(&mut make, &min);
         assert!(unpublished(&rep2).is_some(), "shrunk trace still violates");
-    }
-
-    /// The parallel frontier covers exactly the serial enumeration (no
-    /// reduction → exact partition of the schedule tree), and a violating
-    /// workload yields the same deterministic counterexample for any worker
-    /// count.
-    #[test]
-    fn parallel_exploration_matches_serial() {
-        let cfg = ExploreConfig {
-            reduction: false,
-            fault_budget: 1,
-            ..ExploreConfig::default()
-        };
-        let serial = explore(&cfg, flag_factory(6), |_| None);
-        for workers in [1usize, 4] {
-            let par = ParallelConfig {
-                workers,
-                frontier_factor: 2,
-                max_frontier_depth: 3,
-            };
-            let rep = explore_parallel(&cfg, &par, flag_factory(6), |_| None);
-            assert!(rep.report.exhausted, "workers={workers}");
-            assert_eq!(
-                rep.report.schedules, serial.schedules,
-                "workers={workers}: unreduced parallel must partition exactly"
-            );
-            assert_eq!(rep.report.schedules_by_faults, serial.schedules_by_faults);
-            assert_eq!(
-                rep.report.schedule_lengths.count(),
-                serial.schedule_lengths.count(),
-                "workers={workers}: every counted schedule gets a length sample"
-            );
-            // The per-worker split must tell the same story as the totals.
-            assert_eq!(rep.worker_steals.len(), workers);
-            assert_eq!(rep.worker_executes.len(), workers);
-            assert_eq!(rep.worker_steals.iter().sum::<u64>(), rep.steals);
-            assert_eq!(
-                rep.worker_executes.iter().sum::<u64>(),
-                rep.jobs as u64,
-                "workers={workers}: every frontier job executed exactly once"
-            );
-            assert_eq!(rep.frontier_lengths.count(), rep.jobs as u64);
-            assert_eq!(
-                (0..workers)
-                    .map(|w| rep.worker_flight.count(w, EventKind::Execute))
-                    .sum::<usize>(),
-                rep.jobs,
-                "workers={workers}: one Execute ring event per job"
-            );
-            if workers == 1 {
-                // A lone worker owns every deque: nothing it pops from its
-                // own queue counts as a steal, and the whole execute column
-                // lands on worker 0 — the serial-equivalence baseline.
-                assert_eq!(rep.worker_executes, vec![rep.jobs as u64]);
-                assert_eq!(rep.worker_steals, vec![rep.steals]);
-            }
-        }
-
-        // Deterministic violation merge: every worker count reports the
-        // same counterexample as the serial explorer finds first.
-        let vcfg = ExploreConfig::default();
-        let serial_v = explore(&vcfg, race_factory(), stale_read);
-        let want = serial_v.violation.expect("stale read reachable");
-        for workers in [1usize, 4] {
-            let par = ParallelConfig {
-                workers,
-                frontier_factor: 2,
-                max_frontier_depth: 2,
-            };
-            let rep = explore_parallel(&vcfg, &par, race_factory(), stale_read);
-            let got = rep.report.violation.expect("parallel must find it too");
-            assert_eq!(got.description, want.description);
-            let mut make = race_factory();
-            let (r, _) = run_trace(&mut make, &got.trace);
-            assert!(stale_read(&r).is_some(), "parallel trace must replay");
-        }
     }
 }

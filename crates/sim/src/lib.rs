@@ -68,7 +68,6 @@ mod pool;
 pub mod reg;
 pub mod rng;
 pub mod sched;
-pub mod stealing;
 pub mod trace;
 pub mod tracing;
 pub mod turn;
@@ -77,8 +76,7 @@ pub mod world;
 
 pub use error::Halted;
 pub use explore::{
-    explore_parallel, Counterexample, DecisionTrace, ExploreConfig, ExploreReport, Independence,
-    ParallelConfig, ParallelExploreReport, TraceStep,
+    Counterexample, DecisionTrace, ExploreConfig, ExploreReport, Independence, TraceStep,
 };
 pub use faults::{FaultPlan, FaultedStrategy, FaultedTurnAdversary};
 pub use history::FaultKind;

@@ -31,7 +31,7 @@
 //! [`LitmusProgram::check`] maps a [`RunReport`] to `Some(explanation)`
 //! exactly when the forbidden outcome was observed — the same shape the
 //! explorer's property checks use, so a program drops straight into
-//! [`explore`](crate::explore::ExploreConfig::explore).
+//! [`explore`](crate::explore::explore).
 
 use crate::weakmem::WeakMode;
 use crate::world::{ProcBody, RunReport, World};

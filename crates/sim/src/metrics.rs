@@ -120,8 +120,6 @@ counters! {
     SchedulesPruned => "schedules_pruned",
     /// Explorer paths cut short by the step budget.
     SchedulesTruncated => "schedules_truncated",
-    /// Candidate re-executions performed by the trace shrinker.
-    ShrinkRuns => "shrink_runs",
     /// Crash decisions injected by the explorer's fault branches.
     FaultsInjected => "faults_injected",
     /// Lazy-mode scans answered by revalidating and reusing the previous

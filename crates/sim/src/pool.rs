@@ -5,8 +5,8 @@
 //! verify gate and every per-log world reuse the same few OS threads
 //! instead of paying a `thread::spawn`/`join` per process per run. Workers
 //! are spawned on demand, idle ones block on their channel (an untouched
-//! stack costs no resident memory), and concurrent runs (parallel frontier
-//! jobs, concurrent tests) simply check out disjoint sets.
+//! stack costs no resident memory), and concurrent runs (concurrent tests,
+//! say) simply check out disjoint sets.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Sender};

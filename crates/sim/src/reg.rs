@@ -100,7 +100,7 @@ pub const NO_VERSION: u64 = u64::MAX;
 /// Atomic words per bit chunk — one 64-byte cache line.
 const BIT_CHUNK_WORDS: usize = 8;
 
-/// Single-bit registers packed per [`BitChunk`]: 8 words × 64 bits.
+/// Single-bit registers packed per `BitChunk`: 8 words × 64 bits.
 pub const BIT_CHUNK_BITS: usize = BIT_CHUNK_WORDS * 64;
 
 /// Plain-old-data payloads that can ride a seqlock cell.
@@ -626,7 +626,7 @@ impl<T: Clone + Send + Sync + 'static> Reg<T> {
         !matches!(*self.cell, Backing::Lock(_))
     }
 
-    /// Whether this register is one bit of a packed [`BitChunk`].
+    /// Whether this register is one bit of a packed `BitChunk`.
     pub fn is_bit(&self) -> bool {
         matches!(*self.cell, Backing::Bit(_))
     }

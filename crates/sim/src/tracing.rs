@@ -94,15 +94,8 @@ events! {
     Decide => "decide",
     /// A crash or injected fault hit this process (arg: fault code).
     Fault => "fault",
-    /// An explorer worker stole a job from the injector or a victim
-    /// (arg: job index).
-    Steal => "steal",
-    /// An explorer worker started executing a job (arg: job index).
-    Execute => "execute",
     /// A lazy-mode scan revalidated and reused its previous view instead
     /// of running a full double collect (arg: probe reads performed).
-    /// Appended after the original kinds so existing ring-event codes are
-    /// stable.
     ScanReuse => "scan_reuse",
     /// A buffered store became globally visible (arg: register id).
     Flush => "flush",
@@ -144,7 +137,7 @@ pub fn fault_label(arg: u64) -> &'static str {
 /// One captured event, in snapshot (plain-data) form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// The process (or explorer worker) that recorded it.
+    /// The process that recorded it.
     pub pid: usize,
     /// World step counter at record time (exact under lockstep; the
     /// recording process's lease cursor under free threads, an approximate

@@ -29,8 +29,8 @@ use crate::memory::{Port, ScanStats, ScannableMemory, SnapshotMeta};
 use crate::waitfree::{WaitFreeSnapshot, WfPort};
 
 /// A process's handle on a snapshot object: the paper's `update` and
-/// `scan` operations (plus the allocation-free [`scan_into`]
-/// (SnapshotPort::scan_into) the hot consensus loops use).
+/// `scan` operations (plus the allocation-free
+/// [`scan_into`](SnapshotPort::scan_into) the hot consensus loops use).
 pub trait SnapshotPort<T>: Send + 'static {
     /// This port's process id.
     fn pid(&self) -> usize;

@@ -112,7 +112,7 @@ struct ScanRec {
     seqs: Vec<u64>,
 }
 
-/// Streaming checker: feed history events one at a time, then [`finish`].
+/// Streaming checker: feed history events one at a time, then [`finish`](Self::finish).
 ///
 /// [`check_history`] is the one-shot wrapper. The incremental form exists
 /// for callers that produce events faster than they can afford to buffer

@@ -11,14 +11,13 @@
 //! exists only in the joint schedule×fault space.
 
 use bprc::sim::explore::{
-    explore, explore_parallel, run_trace, shrink_trace, DecisionTrace, ExploreConfig,
-    ParallelConfig, TraceStep,
+    explore, run_trace, shrink_trace, DecisionTrace, ExploreConfig, TraceStep,
 };
 use bprc::sim::world::{ProcBody, RunReport, World};
 
 /// n=2: pid 0 writes `value` then `published`; pid 1 reads both and
 /// reports what it saw (value * 10 + published-bit).
-fn handshake_factory() -> impl Fn() -> (World, Vec<ProcBody<u32>>) + Sync {
+fn handshake_factory() -> impl Fn() -> (World, Vec<ProcBody<u32>>) {
     || {
         let world = World::builder(2).build();
         let value = world.reg("value", 0u32);
@@ -113,33 +112,4 @@ fn fault_budget_finds_shrinks_and_replays_the_stale_handshake() {
         "replayed trace must reproduce: {:?}",
         replayed.outputs
     );
-}
-
-#[test]
-fn parallel_frontier_finds_the_same_fault_dependent_bug() {
-    let cfg = ExploreConfig {
-        fault_budget: 1,
-        ..ExploreConfig::default()
-    };
-    let serial = explore(&cfg, handshake_factory(), stale_handshake);
-    let want = serial.violation.expect("serial explorer finds it");
-    for workers in [1usize, 4] {
-        let par = ParallelConfig {
-            workers,
-            frontier_factor: 2,
-            max_frontier_depth: 2,
-        };
-        let rep = explore_parallel(&cfg, &par, handshake_factory(), stale_handshake);
-        let got = rep
-            .report
-            .violation
-            .unwrap_or_else(|| panic!("workers={workers} must find the bug"));
-        assert_eq!(
-            got.description, want.description,
-            "workers={workers}: deterministic merge must pick the serial winner"
-        );
-        let mut make = handshake_factory();
-        let (replayed, _) = run_trace(&mut make, &got.trace);
-        assert!(stale_handshake(&replayed).is_some());
-    }
 }
