@@ -147,7 +147,8 @@ impl CoreStats {
     }
 }
 
-/// The distance graph a scanned `view` encodes (the paper's `make_graph`).
+/// The distance graph a scanned `view` encodes (the paper's `make_graph`):
+/// the decode a core's turn makes, with every row moved.
 pub(crate) fn view_graph(view: &[ProcState], k: u32) -> DistanceGraph {
     let mut graph = DistanceGraph::new(0, k);
     graph.decode_rows_with(view.len(), |j, row| view[j].fields().edges_into(row));
@@ -162,7 +163,9 @@ const IN_DOMAIN: &str = "the protocol keeps every field inside its domain";
 /// scan/write state machine.
 ///
 /// `Clone` deliberately: the model checker snapshots cores to branch over
-/// schedules and flip outcomes (the strip scratch makes that n² words).
+/// schedules and flip outcomes. The strip scratch makes that 3·n² words
+/// (the graph's δ and counters, the closure) plus n edge rows and at most
+/// n leaders.
 #[derive(Debug, Clone)]
 pub struct BoundedCore {
     params: ConsensusParams,
@@ -175,9 +178,16 @@ pub struct BoundedCore {
     stats: CoreStats,
     /// True until a late joiner performs its first, scan-based `inc`.
     join_pending: bool,
-    /// Scratch, sized on first use: the graph `on_view` decodes its scan
-    /// into, and that graph's closure on the turns that `inc`.
+    /// The graph of the last scan, with the counters it was decoded from;
+    /// `rows` holds each process's edge row as that decode read it, packed
+    /// (`layout.edge_words()` words apiece), and `leaders` the graph's
+    /// leaders, ascending. All three start as the decode of the all-zero
+    /// initial memory, sized by [`with_flips`](Self::with_flips) or by a
+    /// joiner's first scan, so a scan re-decodes only the rows that moved.
     graph: DistanceGraph,
+    rows: Vec<u64>,
+    leaders: Vec<usize>,
+    /// The graph's closure on the turns that `inc`.
     closure: Closure,
 }
 
@@ -213,7 +223,7 @@ impl BoundedCore {
         // to a configuration that is no legal token-game state (positive
         // cycles ⇒ no leaders ⇒ livelock).
         core.join_pending = false;
-        core.graph = DistanceGraph::new(core.params.n(), core.params.k());
+        core.start_scan_cache();
         core.advance_round();
         core
     }
@@ -224,6 +234,9 @@ impl BoundedCore {
     /// may show other participants many rounds ahead). Use this for
     /// composed instances where participants start at different times —
     /// the multivalued levels and multi-shot slots do.
+    ///
+    /// A joiner allocates no strip scratch until that first scan: composed
+    /// cores build joiners inside the turn that opens a level or a slot.
     pub fn joiner(params: ConsensusParams, pid: usize, input: bool, flips: Flips) -> Self {
         assert!(pid < params.n(), "pid out of range");
         let layout = params.layout();
@@ -231,6 +244,8 @@ impl BoundedCore {
         state.pref = Pref::Val(input);
         BoundedCore {
             graph: DistanceGraph::new(0, params.k()),
+            rows: Vec::new(),
+            leaders: Vec::new(),
             closure: Closure::default(),
             params,
             layout,
@@ -276,6 +291,60 @@ impl BoundedCore {
     /// predetermined outcomes through this).
     pub fn flips_mut(&mut self) -> &mut Flips {
         &mut self.flips
+    }
+
+    /// The distance graph of the last scan (before the first, the graph of
+    /// the all-zero initial memory; empty for a joiner that has not
+    /// scanned).
+    pub fn graph(&self) -> &DistanceGraph {
+        &self.graph
+    }
+
+    /// [`graph`](Self::graph)'s leaders, ascending, as the protocol lines
+    /// read them.
+    pub fn leaders(&self) -> &[usize] {
+        &self.leaders
+    }
+
+    /// Sizes the scan cache as the decode of the all-zero initial memory:
+    /// every row zero, everyone level, everyone a leader.
+    fn start_scan_cache(&mut self) {
+        let n = self.params.n();
+        self.graph = DistanceGraph::new(n, self.params.k());
+        self.rows = vec![0; n * self.layout.edge_words()];
+        self.leaders = (0..n).collect();
+    }
+
+    /// Brings the scan cache up to the scan `peer`: a row whose packed
+    /// words equal the ones last decoded is skipped (process `j` alone
+    /// writes row `j`, so equal words are an equal row), any other is
+    /// unpacked, range-checked and re-decoded, and the leaders are
+    /// recomputed only if some row moved.
+    fn sync_scan_cache<'a>(&mut self, peer: &impl Fn(usize) -> ProcRef<'a>) {
+        if self.rows.is_empty() {
+            self.start_scan_cache();
+        }
+        let mut moved = false;
+        for (j, cached) in self
+            .rows
+            .chunks_exact_mut(self.layout.edge_words())
+            .enumerate()
+        {
+            let row = peer(j);
+            let mut same = true;
+            for (c, w) in cached.iter_mut().zip(row.edge_words()) {
+                same &= *c == w;
+                *c = w;
+            }
+            if !same {
+                self.graph.decode_row_with(j, |out| row.edges_into(out));
+                moved = true;
+            }
+        }
+        if moved {
+            self.leaders.clear();
+            self.leaders.extend(self.graph.leaders());
+        }
     }
 
     /// The paper's `inc`: advance the coin pointer, zero the slot of the
@@ -330,12 +399,10 @@ impl BoundedCore {
     }
 
     /// The common value of all leaders, if they agree (a leader with ⊥
-    /// means the leaders do not agree).
-    fn leaders_agreement<'a>(
-        g: &DistanceGraph,
-        peer: &impl Fn(usize) -> ProcRef<'a>,
-    ) -> Option<bool> {
-        let mut prefs = g.leaders().map(|j| peer(j).pref().value());
+    /// means the leaders do not agree). Preferences are read from the scan:
+    /// a demotion changes one without moving an edge row.
+    fn leaders_agreement<'a>(&self, peer: &impl Fn(usize) -> ProcRef<'a>) -> Option<bool> {
+        let mut prefs = self.leaders.iter().map(|&j| peer(j).pref().value());
         let first = prefs.next()??;
         prefs.all(|p| p == Some(first)).then_some(first)
     }
@@ -359,8 +426,7 @@ impl BoundedCore {
             "the driver must publish my writes before my next scan"
         );
         self.stats.scans += 1;
-        self.graph
-            .decode_rows_with(self.params.n(), |j, row| peer(j).edges_into(row));
+        self.sync_scan_cache(&peer);
 
         // A late joiner first performs its join inc against the real strip
         // state (see [`BoundedCore::joiner`]) before running the protocol
@@ -374,7 +440,7 @@ impl BoundedCore {
         // Line 2: decide if I'm a leader, I have a value, and everyone who
         // disagrees with it trails by K.
         if let Pref::Val(v) = self.state.pref {
-            if self.graph.is_leader(self.me) {
+            if self.leaders.contains(&self.me) {
                 let all_trail = (0..self.params.n()).all(|j| {
                     j == self.me
                         || peer(j).pref().agrees_with(&self.state.pref)
@@ -387,7 +453,7 @@ impl BoundedCore {
         }
 
         // Lines 3–4: adopt the leaders' common value and advance.
-        if let Some(v) = Self::leaders_agreement(&self.graph, &peer) {
+        if let Some(v) = self.leaders_agreement(&peer) {
             self.state.pref = Pref::Val(v);
             self.advance_round();
             return TurnStep::Write(());

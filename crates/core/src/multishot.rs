@@ -141,6 +141,11 @@ impl<S: ProposalSource> LogCore<S> {
         &self.decided
     }
 
+    /// The current slot's multivalued core.
+    pub fn inner_core(&self) -> &MvCore {
+        &self.inner
+    }
+
     /// Protocol stats summed across every slot this replica worked on.
     pub fn cumulative_stats(&self) -> crate::bounded::CoreStats {
         let mut s = self.retired;

@@ -155,6 +155,15 @@ impl RegisterLayout {
         self.words as usize
     }
 
+    /// Words [`ProcRef::edge_words`] yields: the edge row's bits, 64 to a
+    /// word.
+    #[inline]
+    pub fn edge_words(&self) -> usize {
+        // Computed, not stored: one more field would grow every
+        // `ProcState` past 64 bytes.
+        (self.n() * self.edge_bits as usize).div_ceil(64)
+    }
+
     #[inline]
     fn coins_at(&self) -> usize {
         (PREF_BITS + self.ptr_bits) as usize
@@ -459,6 +468,20 @@ impl<'a> ProcRef<'a> {
             }
             at += bits as usize;
         }
+    }
+
+    /// The edge row as packed, shifted down to bit 0: 64 bits to a word, the
+    /// last word zero-padded, [`RegisterLayout::edge_words`] words. Two
+    /// registers of a layout hold the same row iff these words are equal,
+    /// whatever their other fields — one compare per word, no unpacking.
+    #[inline]
+    pub fn edge_words(&self) -> impl ExactSizeIterator<Item = u64> + 'a {
+        let (words, at) = (self.words, self.layout.edges_at());
+        let bits = self.layout.n() * self.layout.edge_bits as usize;
+        (0..self.layout.edge_words()).map(move |w| {
+            let from = 64 * w;
+            get_bits(words, at + from, (bits - from).min(64) as u32)
+        })
     }
 
     /// All fields, unpacked.

@@ -43,23 +43,41 @@ impl Closure {
 }
 
 /// The distance graph over `n` processes with window constant `K`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// A graph decoded from edge counters keeps them, row by row, so that a row
+/// that moves is re-decoded alone ([`decode_row_with`](Self::decode_row_with)).
+/// Two graphs are equal when their `δ` are: the counters are how a graph was
+/// reached, not what it is.
+#[derive(Debug, Clone)]
 pub struct DistanceGraph {
     n: usize,
     k: u32,
     /// Row-major `δ(i,j) ∈ [−K, K]`, antisymmetric.
     delta: Vec<i64>,
+    /// Row-major `e_i[j]`, row `i` as process `i` published it: what `delta`
+    /// was decoded from. Empty for a graph built from token positions.
+    counters: Vec<i64>,
 }
 
+impl PartialEq for DistanceGraph {
+    fn eq(&self, other: &Self) -> bool {
+        (self.n, self.k, &self.delta) == (other.n, other.k, &other.delta)
+    }
+}
+
+impl Eq for DistanceGraph {}
+
 impl DistanceGraph {
-    /// The graph of the initial configuration (all tokens level); `n = 0`
-    /// allocates nothing and waits for [`decode_rows`](Self::decode_rows).
+    /// The graph of the initial configuration (all tokens level), decoded
+    /// from all-zero counters; `n = 0` allocates nothing and waits for
+    /// [`decode_rows`](Self::decode_rows).
     pub fn new(n: usize, k: u32) -> Self {
         assert!(k >= 1, "K must be positive");
         DistanceGraph {
             n,
             k,
             delta: vec![0; n * n],
+            counters: vec![0; n * n],
         }
     }
 
@@ -75,66 +93,89 @@ impl DistanceGraph {
     /// allocates only when it grows. Panics unless the rows form an `n × n`
     /// matrix of counters below `3K`.
     pub fn decode_rows<'a>(&mut self, rows: impl IntoIterator<Item = &'a [u32]>) {
-        let m = 3 * self.k;
-        self.delta.clear();
-        for row in rows {
-            if self.delta.is_empty() {
-                self.n = row.len();
-                self.delta.reserve(self.n * self.n);
+        let mut rows = rows.into_iter().peekable();
+        let n = rows.peek().map_or(0, |row| row.len());
+        self.decode_rows_with(n, |_, out| {
+            let row = rows.next().filter(|row| row.len() == n);
+            let row = row.expect("rows must be n × n");
+            for (d, &c) in out.iter_mut().zip(row) {
+                *d = c as i64;
             }
-            assert!(row.len() == self.n, "rows must be n × n");
-            assert!(row.iter().all(|&c| c < m), "edge counter out of range");
-            self.delta.extend(row.iter().map(|&c| c as i64));
-        }
-        let n = self.n;
-        assert!(n >= 1 && self.delta.len() == n * n, "rows must be n × n");
-        self.decode_pairs();
+        });
+        assert!(rows.next().is_none(), "rows must be n × n");
     }
 
     /// [`decode_rows`](Self::decode_rows) for rows that are not slices —
     /// counters packed inside registers: `fill(i, row)` writes the `n`
     /// counters process `i` published into `row`, in order. Panics if one is
     /// not below `3K`.
+    ///
+    /// This is [`decode_row_with`](Self::decode_row_with) with every row
+    /// moved, except that row `i` decodes only its pairs with the rows
+    /// before it, so that each pair is decoded once.
     pub fn decode_rows_with(&mut self, n: usize, mut fill: impl FnMut(usize, &mut [i64])) {
         assert!(n >= 1, "rows must be n × n");
         self.n = n;
         self.delta.resize(n * n, 0);
-        for (i, row) in self.delta.chunks_exact_mut(n).enumerate() {
-            fill(i, row);
+        self.counters.resize(n * n, 0);
+        for i in 0..n {
+            self.load_row(i, |row| fill(i, row));
+            self.delta[i * n + i] = 0;
+            self.decode_pairs(i, 0..i);
         }
+    }
+
+    /// Re-decodes row `i` alone: `fill` writes the `n` counters process `i`
+    /// published into `row`, as for [`decode_rows_with`](Self::decode_rows_with),
+    /// and the `n − 1` pairs through row `i` are decoded against the counters
+    /// the graph holds for the other rows. Calling it for every row that
+    /// moved since the last decode gives the graph a full decode would (a
+    /// pair between two moved rows is decoded twice, the second time right).
+    /// The graph must hold counters: [`new`](Self::new) or a decode sized
+    /// it. Panics if a counter of row `i` is not below `3K`.
+    pub fn decode_row_with(&mut self, i: usize, fill: impl FnOnce(&mut [i64])) {
+        self.load_row(i, fill);
+        self.decode_pairs(i, 0..i);
+        self.decode_pairs(i, i + 1..self.n);
+    }
+
+    /// Writes row `i` of the counters with `fill` and range-checks it.
+    fn load_row(&mut self, i: usize, fill: impl FnOnce(&mut [i64])) {
+        let n = self.n;
+        let row = &mut self.counters[i * n..(i + 1) * n];
+        fill(row);
         // One unsigned compare per counter: a negative one reads as huge.
         let m = 3 * self.k as u64;
         assert!(
-            self.delta.iter().all(|&c| (c as u64) < m),
+            row.iter().all(|&c| (c as u64) < m),
             "edge counter out of range"
         );
-        self.decode_pairs();
     }
 
-    /// Turns the raw counters sitting in `delta` into their deltas.
-    fn decode_pairs(&mut self) {
+    /// Decodes the pairs `(i, j)`, `j ∈ js` (which skips `i`), from the
+    /// counters: the one decode step every entry point shares.
+    fn decode_pairs(&mut self, i: usize, js: std::ops::Range<usize>) {
         let n = self.n;
-        // The raw counters sit where their deltas go: decode each pair once.
-        for i in 0..n {
-            self.delta[i * n + i] = 0;
-            for j in i + 1..n {
-                let (ij, ji) = (i * n + j, j * n + i);
-                let (a, b) = (self.delta[ij] as u32, self.delta[ji] as u32);
-                (self.delta[ij], self.delta[ji]) = decode_pair(a, b, self.k);
-            }
+        for j in js {
+            let (a, b) = (self.counters[i * n + j], self.counters[j * n + i]);
+            (self.delta[i * n + j], self.delta[j * n + i]) =
+                decode_pair(a as u32, b as u32, self.k);
         }
     }
 
     /// Derives the graph from (shrunken) token positions.
     pub fn from_positions(positions: &[i64], k: u32) -> Self {
-        let n = positions.len();
-        let mut g = DistanceGraph::new(n, k);
-        for i in 0..n {
-            for j in 0..n {
-                g.delta[i * n + j] = (positions[i] - positions[j]).clamp(-(k as i64), k as i64);
-            }
+        assert!(k >= 1, "K must be positive");
+        let cap = move |d: i64| d.clamp(-(k as i64), k as i64);
+        DistanceGraph {
+            n: positions.len(),
+            k,
+            delta: positions
+                .iter()
+                .flat_map(|&pi| positions.iter().map(move |&pj| cap(pi - pj)))
+                .collect(),
+            counters: Vec::new(),
         }
-        g
     }
 
     /// Derives the graph from a shrunken game state.
@@ -262,6 +303,8 @@ impl DistanceGraph {
 
     /// The paper's `inc(i, G)`: the image of `move_token_i` on the graph
     /// (Claim 4.1: equals re-deriving the graph from the shrunken game).
+    /// It moves `δ` only; counters the graph was decoded from stay as they
+    /// were.
     pub fn inc(&mut self, i: usize) {
         let closure = self.closure();
         for j in 0..self.n {

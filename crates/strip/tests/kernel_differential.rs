@@ -1,8 +1,8 @@
 //! Differential test of the flat strip kernels (`DistanceGraph::decode_rows`,
-//! `closure_into`, `should_advance`, `inc_row` and their allocating wrappers)
-//! against the naive reference below: the `%`-based pair decode, the
-//! `Vec<Vec<Option<i64>>>` Floyd–Warshall and the per-`j` consistency check
-//! the kernels replaced.
+//! `decode_row_with`, `closure_into`, `should_advance`, `inc_row` and their
+//! allocating wrappers) against the naive reference below: the `%`-based pair
+//! decode, the `Vec<Vec<Option<i64>>>` Floyd–Warshall and the per-`j`
+//! consistency check the kernels replaced.
 
 use std::collections::HashSet;
 
@@ -109,10 +109,15 @@ fn naive_next_row(rows: &Rows, k: u32, i: usize) -> (Vec<u32>, u64, u64) {
 }
 
 /// Scratch that outlives one state, as the consensus core's does: a stale
-/// decode or closure surviving into the next state would show here.
+/// decode or closure surviving into the next state would show here. `rows`
+/// and `by_row` are the consensus core's scan cache: the rows of the previous
+/// state, and the graph `decode_row_with` keeps by re-decoding only the rows
+/// that moved since.
 struct Scratch {
     graph: DistanceGraph,
     closure: Closure,
+    rows: Rows,
+    by_row: DistanceGraph,
 }
 
 /// Checks every kernel and wrapper on one strip state; returns whether the
@@ -139,6 +144,22 @@ fn check_state(rows: &Rows, k: u32, scratch: &mut Scratch) -> bool {
         }
     });
     assert_eq!(scratch.graph, graph, "caller-filled decode of {rows:?}");
+    if scratch.rows.len() != n {
+        // A new size starts over from all-zero counters.
+        scratch.rows = vec![vec![0; n]; n];
+        scratch.by_row = DistanceGraph::new(n, k);
+    }
+    for (i, (row, last)) in rows.iter().zip(&mut scratch.rows).enumerate() {
+        if row != last {
+            scratch.by_row.decode_row_with(i, |out| {
+                for (d, &c) in out.iter_mut().zip(row) {
+                    *d = c as i64;
+                }
+            });
+            last.clone_from(row);
+        }
+    }
+    assert_eq!(scratch.by_row, graph, "row-by-row decode of {rows:?}");
     let flat = graph.closure();
     scratch.graph.closure_into(&mut scratch.closure);
     assert_eq!(flat.is_consistent(), consistent, "consistency of {rows:?}");
@@ -185,6 +206,8 @@ fn new_scratch(k: u32) -> Scratch {
     Scratch {
         graph: DistanceGraph::new(0, k),
         closure: Closure::default(),
+        rows: Vec::new(),
+        by_row: DistanceGraph::new(0, k),
     }
 }
 
