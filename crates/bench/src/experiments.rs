@@ -12,7 +12,7 @@ use bprc_sim::rng::derive_seed;
 use bprc_sim::sched::FnStrategy;
 use bprc_sim::turn::{TurnBsp, TurnDriver, TurnRandom};
 use bprc_sim::world::ProcBody;
-use bprc_sim::{Decision, World};
+use bprc_sim::{Counter, Decision, World};
 use bprc_snapshot::{check_history, ScannableMemory};
 use bprc_strip::{DistanceGraph, EdgeCounters, ShrunkenGame};
 use rand::rngs::SmallRng;
@@ -618,9 +618,8 @@ pub fn e7_scan_retries(scale: Scale) -> Table {
                 }
             });
             let rep = world.run(bodies, Box::new(strategy));
-            let st = mem.stats(0);
-            attempts += st.attempts.load(std::sync::atomic::Ordering::Relaxed);
-            scans += st.scans.load(std::sync::atomic::Ordering::Relaxed);
+            attempts += rep.telemetry.counter(0, Counter::ScanAttempts);
+            scans += rep.telemetry.counter(0, Counter::Scans);
             if rep.outputs[0].is_none() {
                 starved += 1;
             }
@@ -980,10 +979,7 @@ pub fn e14_waitfree(scale: Scale) -> Table {
                     }
                 });
                 let rep = world.run(bodies, Box::new(strategy));
-                paper_scans += mem
-                    .stats(0)
-                    .scans
-                    .load(std::sync::atomic::Ordering::Relaxed);
+                paper_scans += rep.telemetry.counter(0, Counter::Scans);
                 if rep.outputs[0].is_none() {
                     paper_starved += 1;
                 }
@@ -1021,11 +1017,11 @@ pub fn e14_waitfree(scale: Scale) -> Table {
                         Decision::Grant(view.runnable[0])
                     }
                 });
-                let _ = world.run(bodies, Box::new(strategy));
-                let st = snap.stats(0);
-                wf_scans += st.scans.load(std::sync::atomic::Ordering::Relaxed);
-                let attempts = st.attempts.load(std::sync::atomic::Ordering::Relaxed);
-                let scans = st.scans.load(std::sync::atomic::Ordering::Relaxed).max(1);
+                let rep = world.run(bodies, Box::new(strategy));
+                let scans = rep.telemetry.counter(0, Counter::Scans);
+                wf_scans += scans;
+                let attempts = rep.telemetry.counter(0, Counter::ScanAttempts);
+                let scans = scans.max(1);
                 wf_max_attempts = wf_max_attempts.max(attempts.div_ceil(scans));
             }
         }

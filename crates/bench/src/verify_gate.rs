@@ -864,10 +864,7 @@ fn waitfree_bound() -> Check {
             }
         });
         let rep = world.run(bodies, Box::new(strategy));
-        let attempts = mem
-            .stats(1)
-            .attempts
-            .load(std::sync::atomic::Ordering::Relaxed);
+        let attempts = rep.telemetry.counter(1, Counter::ScanAttempts);
         if rep.outputs[1].is_some() && attempts <= 3 {
             Ok(format!(
                 "scan completed in {attempts} attempts, bound n+1 = 3"

@@ -286,36 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn waitfree_agreement_at_op_granularity() {
-        // The third execution granularity: whole scans/updates as atomic
-        // turns, reconstructed over real registers by the OpGrained
-        // strategy (see `bprc_snapshot::OpGrained`).
-        use bprc_snapshot::OpGrained;
-        let params = ConsensusParams::quick(3);
-        let mut world = World::builder(3).seed(11).step_limit(5_000_000).build();
-        let inst = WaitFreeConsensus::new(&world, &params, &[true, false, false], 11);
-        let strategy = OpGrained::new(&inst.memory);
-        let rep = world.run(inst.bodies, Box::new(strategy));
-        let decisions: Vec<bool> = rep.outputs.iter().map(|o| o.unwrap()).collect();
-        assert!(
-            decisions.windows(2).all(|w| w[0] == w[1]),
-            "agreement violated: {decisions:?}"
-        );
-    }
-
-    #[test]
-    fn op_grained_turns_work_on_handshake_too() {
-        use bprc_snapshot::OpGrained;
-        let params = ConsensusParams::quick(2);
-        let mut world = World::builder(2).seed(3).step_limit(5_000_000).build();
-        let inst = ThreadedConsensus::<DirectArrow>::new(&world, &params, &[false, true], 3);
-        let strategy = OpGrained::new(&inst.memory);
-        let rep = world.run(inst.bodies, Box::new(strategy));
-        let decisions: Vec<bool> = rep.outputs.iter().map(|o| o.unwrap()).collect();
-        assert!(decisions.windows(2).all(|w| w[0] == w[1]));
-    }
-
-    #[test]
     fn validity_over_threads() {
         let params = ConsensusParams::quick(3);
         let mut world = World::builder(3)

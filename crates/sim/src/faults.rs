@@ -19,10 +19,7 @@
 //!
 //! * **Crash / panic points** fire the first time their trigger is due *and*
 //!   the target is still schedulable; a point whose target already finished
-//!   or crashed is silently skipped (it fires at most once). A point whose
-//!   target is mid-operation under a coarse-grained strategy (see
-//!   [`Strategy::mid_op`]) stays armed and fires at the next operation
-//!   boundary — it is neither torn into the operation nor lost.
+//!   or crashed is silently skipped (it fires at most once).
 //! * **Stall windows** hide the process from the wrapped strategy's view.
 //!   If hiding would leave the strategy with an empty view (every runnable
 //!   process stalled), the full view is passed through instead — a stall
@@ -300,25 +297,11 @@ impl PlanEngine {
     }
 
     /// The first due, unfired point whose target is in `runnable`, if any.
-    /// Marks it fired.
-    ///
-    /// A point whose target is `defer` (currently inside a multi-access
-    /// atomic operation — see [`Strategy::mid_op`]) is left **unfired**: it
-    /// stays due and is delivered at the next decision point where the
-    /// target sits on an operation boundary. A due point whose target is
-    /// no longer schedulable at all is spent silently, as before.
-    fn due_point(
-        &mut self,
-        step: u64,
-        runnable: &[usize],
-        defer: Option<usize>,
-    ) -> Option<FaultPoint> {
+    /// Marks it fired; a due point whose target is no longer schedulable is
+    /// spent silently.
+    fn due_point(&mut self, step: u64, runnable: &[usize]) -> Option<FaultPoint> {
         for (i, p) in self.plan.points.iter().enumerate() {
             if self.fired[i] {
-                continue;
-            }
-            if defer == Some(p.pid) {
-                // Mid-operation: keep the point armed for the boundary.
                 continue;
             }
             let due = match p.trigger {
@@ -337,15 +320,10 @@ impl PlanEngine {
     }
 
     /// A starvation allowance exhausted by a runnable process, if any.
-    /// Marks it spent and records the `Starved` note. Like
-    /// [`PlanEngine::due_point`], a `defer`red (mid-operation) target keeps
-    /// its allowance armed until the next operation boundary.
-    fn due_starvation(&mut self, runnable: &[usize], defer: Option<usize>) -> Option<usize> {
+    /// Marks it spent and records the `Starved` note.
+    fn due_starvation(&mut self, runnable: &[usize]) -> Option<usize> {
         for (i, &(pid, allowance)) in self.plan.starvation.iter().enumerate() {
             if self.starved[i] {
-                continue;
-            }
-            if defer == Some(pid) {
                 continue;
             }
             if self.own_steps(pid) >= allowance {
@@ -389,18 +367,13 @@ impl<S: Strategy> FaultedStrategy<S> {
 
 impl<S: Strategy> Strategy for FaultedStrategy<S> {
     fn decide(&mut self, view: &ScheduleView<'_>) -> Decision {
-        // A process the inner strategy reports as mid-operation (e.g.
-        // `OpGrained` half-way through a scan) must not be crashed, panicked,
-        // starved, or stalled *now*: the fault stays armed and fires at the
-        // next operation boundary instead of tearing the operation.
-        let defer = self.inner.mid_op();
-        if let Some(p) = self.engine.due_point(view.step, view.runnable, defer) {
+        if let Some(p) = self.engine.due_point(view.step, view.runnable) {
             return match p.action {
                 FaultAction::Crash => Decision::Crash(p.pid),
                 FaultAction::Panic => Decision::Panic(p.pid),
             };
         }
-        if let Some(pid) = self.engine.due_starvation(view.runnable, defer) {
+        if let Some(pid) = self.engine.due_starvation(view.runnable) {
             return Decision::Crash(pid);
         }
         let stalled = self.engine.update_stalls(view.step);
@@ -410,7 +383,7 @@ impl<S: Strategy> Strategy for FaultedStrategy<S> {
             let mut runnable = Vec::with_capacity(view.runnable.len());
             let mut pending = Vec::with_capacity(view.pending.len());
             for (i, &p) in view.runnable.iter().enumerate() {
-                if !stalled.contains(&p) || defer == Some(p) {
+                if !stalled.contains(&p) {
                     runnable.push(p);
                     pending.push(view.pending[i]);
                 }
@@ -440,11 +413,6 @@ impl<S: Strategy> Strategy for FaultedStrategy<S> {
         notes.extend(self.inner.drain_fault_notes());
         notes
     }
-
-    fn mid_op(&self) -> Option<usize> {
-        // Forwarded so stacked wrappers observe the innermost granularity.
-        self.inner.mid_op()
-    }
 }
 
 /// Composes a [`FaultPlan`] with any [`TurnAdversary`] — identical
@@ -473,15 +441,13 @@ impl<A> FaultedTurnAdversary<A> {
 
 impl<M, A: TurnAdversary<M>> TurnAdversary<M> for FaultedTurnAdversary<A> {
     fn choose(&mut self, view: &TurnView<'_, M>) -> TurnDecision {
-        // Turn events are whole scans/writes, so every decision point is an
-        // operation boundary: nothing is ever mid-op here.
-        if let Some(p) = self.engine.due_point(view.events, view.active, None) {
+        if let Some(p) = self.engine.due_point(view.events, view.active) {
             return match p.action {
                 FaultAction::Crash => TurnDecision::Crash(p.pid),
                 FaultAction::Panic => TurnDecision::Panic(p.pid),
             };
         }
-        if let Some(pid) = self.engine.due_starvation(view.active, None) {
+        if let Some(pid) = self.engine.due_starvation(view.active) {
             return TurnDecision::Crash(pid);
         }
         let stalled = self.engine.update_stalls(view.events);
@@ -768,35 +734,15 @@ mod tests {
         // Crash pid 0 at step 0; once fired the point must not hit again
         // even though `step >= 0` stays true forever.
         let mut engine = PlanEngine::new(FaultPlan::new().crash_at(0, 0));
-        assert!(engine.due_point(0, &[0, 1], None).is_some());
-        assert!(engine.due_point(5, &[0, 1], None).is_none());
+        assert!(engine.due_point(0, &[0, 1]).is_some());
+        assert!(engine.due_point(5, &[0, 1]).is_none());
     }
 
     #[test]
     fn point_on_finished_target_is_skipped() {
         let mut engine = PlanEngine::new(FaultPlan::new().crash_at(3, 0));
         // Due, but pid 0 no longer runnable: spent silently.
-        assert!(engine.due_point(10, &[1, 2], None).is_none());
-        assert!(engine.due_point(11, &[0, 1, 2], None).is_none());
-    }
-
-    #[test]
-    fn mid_op_point_defers_without_spending() {
-        let mut engine = PlanEngine::new(FaultPlan::new().crash_at(3, 0));
-        // Due, target runnable, but mid-operation: armed, not spent.
-        assert!(engine.due_point(10, &[0, 1], Some(0)).is_none());
-        // A different process mid-op does not shield the target.
-        let mut other = PlanEngine::new(FaultPlan::new().crash_at(3, 0));
-        assert!(other.due_point(10, &[0, 1], Some(1)).is_some());
-        // At the next boundary the point finally fires.
-        assert!(engine.due_point(11, &[0, 1], None).is_some());
-        assert!(engine.due_point(12, &[0, 1], None).is_none(), "fires once");
-
-        // Starvation defers the same way.
-        let mut engine = PlanEngine::new(FaultPlan::new().starve_after(0, 2));
-        engine.count_grant(0);
-        engine.count_grant(0);
-        assert!(engine.due_starvation(&[0, 1], Some(0)).is_none());
-        assert!(engine.due_starvation(&[0, 1], None).is_some());
+        assert!(engine.due_point(10, &[1, 2]).is_none());
+        assert!(engine.due_point(11, &[0, 1, 2]).is_none());
     }
 }

@@ -122,9 +122,6 @@ counters! {
     SchedulesTruncated => "schedules_truncated",
     /// Crash decisions injected by the explorer's fault branches.
     FaultsInjected => "faults_injected",
-    /// Lazy-mode scans answered by revalidating and reusing the previous
-    /// view instead of a full double collect.
-    LazyScanHits => "lazy_scan_hits",
     /// Writes parked in a per-process store buffer instead of landing in
     /// shared memory (weak-memory modes only).
     StoresBuffered => "stores_buffered",

@@ -104,21 +104,6 @@ pub trait Strategy: Send {
     fn drain_fault_notes(&mut self) -> Vec<(usize, FaultKind)> {
         Vec::new()
     }
-
-    /// The process currently *inside* a multi-access atomic operation, if
-    /// this strategy schedules at a coarser-than-register granularity (see
-    /// `OpGrained` in the snapshot crate, which grants a whole scan or
-    /// update as one turn).
-    ///
-    /// Fault-injection wrappers consult this before delivering a due
-    /// crash/panic point: a fault landing mid-operation would tear the very
-    /// atomicity the strategy exists to provide, so the wrapper defers it
-    /// to the next operation boundary instead of firing (or silently
-    /// skipping) it. The default — every quiescent point is a boundary —
-    /// returns `None`.
-    fn mid_op(&self) -> Option<usize> {
-        None
-    }
 }
 
 /// Cycles fairly through the runnable processes.

@@ -94,9 +94,6 @@ events! {
     Decide => "decide",
     /// A crash or injected fault hit this process (arg: fault code).
     Fault => "fault",
-    /// A lazy-mode scan revalidated and reused its previous view instead
-    /// of running a full double collect (arg: probe reads performed).
-    ScanReuse => "scan_reuse",
     /// A buffered store became globally visible (arg: register id).
     Flush => "flush",
 }
@@ -432,10 +429,6 @@ hists! {
     /// Wall-clock nanoseconds from a process's first step to its
     /// decision.
     DecisionLatencyNs => "decision_latency_ns",
-    /// Wall-clock nanoseconds per *reused-view* lazy scan (the validity
-    /// probe pass only) — kept separate from [`Hist::ScanLatencyNs`] so
-    /// telemetry can tell amortized scans from full collects.
-    LazyScanLatencyNs => "lazy_scan_latency_ns",
 }
 
 /// Number of power-of-two buckets: bucket `b` holds values whose bit

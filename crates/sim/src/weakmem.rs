@@ -547,10 +547,6 @@ impl<S: Strategy> Strategy for RandomFlushes<S> {
     fn drain_fault_notes(&mut self) -> Vec<(usize, FaultKind)> {
         self.inner.drain_fault_notes()
     }
-
-    fn mid_op(&self) -> Option<usize> {
-        self.inner.mid_op()
-    }
 }
 
 #[cfg(test)]

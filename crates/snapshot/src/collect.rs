@@ -1,13 +1,13 @@
 //! Shared double-collect plumbing for the two snapshot constructions.
 //!
 //! [`crate::memory`] (the paper's bounded handshake construction) and
-//! [`crate::waitfree`] (the AADGMS wait-free construction) used to copy
-//! this machinery from each other: the take-once port gate, the
-//! ghost-seq-keyed buffer-reuse collect pass, and the attempt/stats
-//! bookkeeping that keeps the port-local [`ScanStats`] and the metrics
-//! plane telling the same story. It lives here once now; the two modules
-//! keep only what genuinely differs (arrows and the stability rule on one
-//! side, movers and view borrowing on the other).
+//! [`crate::waitfree`] (the AADGMS wait-free construction) share this
+//! machinery: the take-once port gate, the ghost-seq-keyed buffer-reuse
+//! collect pass, and the per-attempt bookkeeping that records every scan in
+//! the metrics plane ([`Counter`]s, ring events, the scan-latency
+//! histogram) — the one record of scans either backend keeps. The two
+//! modules keep only what genuinely differs (arrows and the stability rule
+//! on one side, movers and view borrowing on the other).
 //!
 //! Everything here is order-preserving relative to the original inlined
 //! code — the same counters bump in the same sequence around the same
@@ -21,7 +21,7 @@ use bprc_registers::Swmr;
 use bprc_sim::tracing::{EventKind, Hist};
 use bprc_sim::{Counter, Ctx, Halted, PhaseKind};
 
-use crate::memory::{labels, ScanStats};
+use crate::memory::labels;
 
 /// A register slot carrying a *ghost* sequence number: per-writer strictly
 /// monotonic, invisible to the algorithm. Equal seq ⟹ the very same write,
@@ -54,9 +54,9 @@ pub(crate) fn claim_port(taken: &[AtomicBool], pid: usize) {
 /// every slot is read, and the ghost-seq comparison still skips the clone.
 ///
 /// Returns the number of register reads performed (the caller flushes them
-/// into stats once the attempt's accounting point is reached). Each read is
-/// still one scheduled step — the packing changes how a granted access
-/// touches memory, never how many accesses happen.
+/// into the counters once the attempt's accounting point is reached). Each
+/// read is still one scheduled step — the packing changes how a granted
+/// access touches memory, never how many accesses happen.
 ///
 /// # Errors
 ///
@@ -104,19 +104,17 @@ pub(crate) fn begin_scan(ctx: &mut Ctx) -> ScanSpan {
     }
 }
 
-/// Counts attempts across one scan's retry loop, mirroring every bump into
-/// both the port-local [`ScanStats`] and the metrics plane.
+/// Counts attempts across one scan's retry loop into the metrics plane.
 #[derive(Default)]
 pub(crate) struct AttemptTracker {
     tries: u64,
 }
 
 impl AttemptTracker {
-    /// Opens the next attempt: bumps `attempts`/`ScanAttempts`, and
-    /// `ScanRetries` from the second attempt on.
-    pub(crate) fn begin_attempt(&mut self, ctx: &mut Ctx, stats: &ScanStats) {
+    /// Opens the next attempt: bumps `ScanAttempts`, and `ScanRetries`
+    /// from the second attempt on.
+    pub(crate) fn begin_attempt(&mut self, ctx: &mut Ctx) {
         self.tries += 1;
-        stats.attempts.fetch_add(1, Ordering::Relaxed);
         ctx.count(Counter::ScanAttempts, 1);
         if self.tries > 1 {
             ctx.count(Counter::ScanRetries, 1);
@@ -130,11 +128,10 @@ impl AttemptTracker {
     }
 }
 
-/// Flushes one attempt's collect reads into stats — called on **every**
-/// attempt exit path (success, retry, starvation), so a scan abandoned by
-/// its budget still accounts the collect work it did.
-pub(crate) fn flush_collect_reads(ctx: &mut Ctx, stats: &ScanStats, reads: u64) {
-    stats.collect_reads.fetch_add(reads, Ordering::Relaxed);
+/// Flushes one attempt's collect reads into [`Counter::CollectReads`] —
+/// called on **every** attempt exit path (success, retry, starvation), so a
+/// scan abandoned by its budget still accounts the collect work it did.
+pub(crate) fn flush_collect_reads(ctx: &mut Ctx, reads: u64) {
     ctx.count(Counter::CollectReads, reads);
     ctx.trace_event(EventKind::CollectPass, reads);
 }
@@ -146,7 +143,6 @@ pub(crate) fn flush_collect_reads(ctx: &mut Ctx, stats: &ScanStats, reads: u64) 
 /// both (in free mode the event's stamp *is* that reading).
 pub(crate) fn finish_scan(
     ctx: &mut Ctx,
-    stats: &ScanStats,
     span: ScanSpan,
     attempts: u64,
     seqs: impl FnOnce() -> Vec<u64>,
@@ -154,7 +150,6 @@ pub(crate) fn finish_scan(
     if ctx.recording() {
         ctx.annotate(labels::SCAN_END, seqs());
     }
-    stats.scans.fetch_add(1, Ordering::Relaxed);
     ctx.count(Counter::Scans, 1);
     let end_nanos = ctx.clock();
     ctx.trace_event(EventKind::ScanEnd, attempts);
@@ -164,42 +159,9 @@ pub(crate) fn finish_scan(
     );
 }
 
-/// Closes a *lazy* scan that revalidated and reused its previous view
-/// instead of running a full double collect. Same success footprint as
-/// [`finish_scan`] — a reused view IS a completed scan: `SCAN_END`
-/// annotation, `scans`/[`Counter::Scans`], the [`EventKind::ScanEnd`] ring
-/// event — plus the reuse-specific telemetry that keeps amortized scans
-/// distinguishable from full collects: [`Counter::LazyScanHits`], an
-/// [`EventKind::ScanReuse`] ring event (arg: probe reads performed), and
-/// the probe latency into [`Hist::LazyScanLatencyNs`] rather than the
-/// full-collect histogram.
-pub(crate) fn finish_reuse(
-    ctx: &mut Ctx,
-    stats: &ScanStats,
-    span: ScanSpan,
-    attempts: u64,
-    probe_reads: u64,
-    seqs: impl FnOnce() -> Vec<u64>,
-) {
-    if ctx.recording() {
-        ctx.annotate(labels::SCAN_END, seqs());
-    }
-    stats.scans.fetch_add(1, Ordering::Relaxed);
-    ctx.count(Counter::Scans, 1);
-    ctx.count(Counter::LazyScanHits, 1);
-    let end_nanos = ctx.clock();
-    ctx.trace_event(EventKind::ScanReuse, probe_reads);
-    ctx.trace_event(EventKind::ScanEnd, attempts);
-    ctx.hist_record(
-        Hist::LazyScanLatencyNs,
-        end_nanos.saturating_sub(span.start_nanos),
-    );
-}
-
 /// Records a starved scan (budget exhausted) and returns the halt the
 /// caller propagates.
-pub(crate) fn starve_scan(ctx: &mut Ctx, stats: &ScanStats) -> Halted {
-    stats.starved.fetch_add(1, Ordering::Relaxed);
+pub(crate) fn starve_scan(ctx: &mut Ctx) -> Halted {
     ctx.count(Counter::ScanStarved, 1);
     Halted::ScanStarved
 }

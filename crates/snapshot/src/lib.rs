@@ -65,9 +65,9 @@ pub(crate) mod collect;
 pub mod memory;
 pub mod waitfree;
 
-pub use backend::{check_backend_history, OpGrained, SnapshotBackend, SnapshotPort};
+pub use backend::{check_backend_history, ScanStats, SnapshotBackend, SnapshotPort};
 pub use checker::{
     check_history, check_history_weak, CheckReport, IncrementalChecker, SnapshotViolation,
 };
-pub use memory::{Port, ScanStats, ScannableMemory, SnapshotMeta};
+pub use memory::{Port, ScannableMemory, SnapshotMeta};
 pub use waitfree::{WaitFreeSnapshot, WfPort};

@@ -92,25 +92,6 @@ pub struct SnapshotMeta {
     pub value_regs: Vec<usize>,
 }
 
-/// Counters exposed per port, updated during the run.
-#[derive(Debug, Default)]
-pub struct ScanStats {
-    /// Completed scans.
-    pub scans: AtomicU64,
-    /// Scan attempts (a scan that returns first try counts 1).
-    pub attempts: AtomicU64,
-    /// Completed updates.
-    pub updates: AtomicU64,
-    /// Scans abandoned because the retry budget ran out
-    /// (see [`ScannableMemory::set_scan_retry_budget`]).
-    pub starved: AtomicU64,
-    /// Value-register reads performed inside collects. Flushed at the end
-    /// of **every** attempt — including the final attempt of a scan that
-    /// exhausts its budget — so a starved scan's collect work is accounted
-    /// before [`Halted::ScanStarved`] is returned.
-    pub collect_reads: AtomicU64,
-}
-
 struct Shared<T, A> {
     n: usize,
     values: Vec<Swmr<Slot<T>>>,
@@ -120,7 +101,6 @@ struct Shared<T, A> {
     /// Max double-collect attempts per scan; 0 = unbounded (the paper's
     /// semantics, and the default).
     scan_retry_budget: AtomicU64,
-    stats: Vec<ScanStats>,
     port_taken: Vec<AtomicBool>,
 }
 
@@ -219,7 +199,6 @@ where
                 values,
                 arrows,
                 scan_retry_budget: AtomicU64::new(0),
-                stats: (0..n).map(|_| ScanStats::default()).collect(),
                 port_taken: (0..n).map(|_| AtomicBool::new(false)).collect(),
             }),
         }
@@ -249,8 +228,6 @@ where
             c2: snap,
             v1: vec![NO_VERSION; n],
             v2: vec![NO_VERSION; n],
-            lazy: false,
-            view_valid: false,
         }
     }
 
@@ -261,11 +238,6 @@ where
         }
     }
 
-    /// Statistics for process `pid`'s port.
-    pub fn stats(&self, pid: usize) -> &ScanStats {
-        &self.shared.stats[pid]
-    }
-
     /// Bounds (or unbounds, with `None`) the number of double-collect
     /// attempts a single scan may make before degrading gracefully.
     ///
@@ -273,7 +245,7 @@ where
     /// a hostile scheduler driving a writer forever starves the scan. With
     /// a budget of `k`, a scan that fails to stabilize within `k` attempts
     /// returns [`Halted::ScanStarved`] instead of livelocking, and the
-    /// port's [`ScanStats::starved`] counter is bumped. The default is
+    /// process's [`Counter::ScanStarved`] is bumped. The default is
     /// unbounded (the paper's semantics); `Some(0)` is normalized to
     /// `Some(1)` (a scan always gets at least one attempt).
     pub fn set_scan_retry_budget(&self, budget: Option<u64>) {
@@ -326,12 +298,6 @@ pub struct Port<T, A> {
     /// backings without version words — those always read.
     v1: Vec<u64>,
     v2: Vec<u64>,
-    /// Amortized-scan mode (opt-in, see [`Port::set_lazy`]).
-    lazy: bool,
-    /// Whether `c2` still holds the view certified by the last successful
-    /// scan, with no local update since — the precondition for a lazy
-    /// scan's revalidate-and-reuse fast path.
-    view_valid: bool,
 }
 
 impl<T, A> std::fmt::Debug for Port<T, A> {
@@ -356,31 +322,6 @@ where
     /// The value this process last wrote (initially the memory's `init`).
     pub fn last_written(&self) -> &T {
         &self.last.value
-    }
-
-    /// Switches the port's amortized *lazy-scan* mode (off by default).
-    ///
-    /// A lazy scan whose previous view is still intact first runs a single
-    /// **probe pass**: one version-token read per other slot, no arrow
-    /// writes. If every probe certifies its register unwritten since the
-    /// view was taken, the old view is returned as-is — it linearizes at
-    /// the first probe read (each probe proves no write completed between
-    /// the old scan and itself, so at the first probe's instant every
-    /// register still holds its viewed value). Any change falls back into
-    /// the normal double-collect loop, with the probe's reads retained as a
-    /// warm cache. The probe counts as a scan attempt, so the
-    /// `ScanAttempts == Scans + ScanRetries` telemetry identity holds
-    /// either way; a reuse is reported via [`Counter::LazyScanHits`]
-    /// (`bprc_sim::Counter`), an `EventKind::ScanReuse` ring event, and the
-    /// `Hist::LazyScanLatencyNs` histogram, keeping it distinguishable
-    /// from full collects in telemetry.
-    pub fn set_lazy(&mut self, lazy: bool) {
-        self.lazy = lazy;
-    }
-
-    /// Whether amortized lazy-scan mode is on.
-    pub fn is_lazy(&self) -> bool {
-        self.lazy
     }
 
     /// Publishes `value` (the paper's `write` procedure): raise every arrow
@@ -424,15 +365,9 @@ where
         ctx.fence()?;
         std::mem::swap(&mut self.last, &mut self.staged);
         self.seq = seq;
-        // The cached view no longer includes this process's latest write —
-        // a lazy scan must not reuse it.
-        self.view_valid = false;
         if ctx.recording() {
             ctx.annotate(labels::UPD_END, vec![seq]);
         }
-        self.shared.stats[self.me]
-            .updates
-            .fetch_add(1, Ordering::Relaxed);
         ctx.count(Counter::Updates, 1);
         Ok(())
     }
@@ -496,60 +431,8 @@ where
         let budget = self.shared.scan_retry_budget.load(Ordering::Relaxed);
         let mut attempt = crate::collect::AttemptTracker::default();
         let span = crate::collect::begin_scan(ctx);
-        // Lazy fast path: revalidate the previous view with one probe pass
-        // and reuse it if nothing moved (see [`Port::set_lazy`]). A failed
-        // probe falls through into the normal loop below — the probe's
-        // buffers are kept as a warm cache, but they are NOT the attempt's
-        // protocol collect (arrows must be lowered before that one starts).
-        if self.lazy && self.view_valid {
-            attempt.begin_attempt(ctx, &self.shared.stats[self.me]);
-            let mut reads = 0;
-            let mut changed = false;
-            {
-                let (c2, v2) = (&mut self.c2, &mut self.v2);
-                for j in 0..n {
-                    if j == self.me {
-                        continue;
-                    }
-                    reads += 1;
-                    let slot = &mut c2[j];
-                    let mut delta = false;
-                    v2[j] = self.shared.values[j].read_changed(ctx, v2[j], |s| {
-                        if slot.seq != s.seq {
-                            slot.clone_from(s);
-                            delta = true;
-                        }
-                    })?;
-                    if delta {
-                        // Doomed reuse — stop probing (failure path only).
-                        changed = true;
-                        break;
-                    }
-                }
-            }
-            crate::collect::flush_collect_reads(ctx, &self.shared.stats[self.me], reads);
-            if !changed {
-                let c2 = &self.c2;
-                crate::collect::finish_reuse(
-                    ctx,
-                    &self.shared.stats[self.me],
-                    span,
-                    attempt.tries(),
-                    reads,
-                    || c2.iter().map(|s| s.seq).collect(),
-                );
-                return Ok(());
-            }
-            self.view_valid = false;
-            if budget != 0 && attempt.tries() >= budget {
-                return Err(crate::collect::starve_scan(
-                    ctx,
-                    &self.shared.stats[self.me],
-                ));
-            }
-        }
         loop {
-            attempt.begin_attempt(ctx, &self.shared.stats[self.me]);
+            attempt.begin_attempt(ctx);
             // Lower all arrows aimed at me.
             for j in 0..n {
                 if let Some(a) = &self.shared.arrows[j][self.me] {
@@ -616,30 +499,22 @@ where
             }
             // Account this attempt's collect reads whether it succeeded,
             // retries, or is about to starve.
-            crate::collect::flush_collect_reads(ctx, &self.shared.stats[self.me], reads);
+            crate::collect::flush_collect_reads(ctx, reads);
             if !mismatch && !raised {
                 let me = self.me;
                 if self.c2[me].seq != self.last.seq {
                     self.c2[me].clone_from(&self.last);
                 }
-                self.view_valid = true;
                 let c2 = &self.c2;
-                crate::collect::finish_scan(
-                    ctx,
-                    &self.shared.stats[me],
-                    span,
-                    attempt.tries(),
-                    || c2.iter().map(|s| s.seq).collect(),
-                );
+                crate::collect::finish_scan(ctx, span, attempt.tries(), || {
+                    c2.iter().map(|s| s.seq).collect()
+                });
                 return Ok(());
             }
             if budget != 0 && attempt.tries() >= budget {
                 // Budget exhausted: report starvation instead of retrying
                 // forever under writer pressure.
-                return Err(crate::collect::starve_scan(
-                    ctx,
-                    &self.shared.stats[self.me],
-                ));
+                return Err(crate::collect::starve_scan(ctx));
             }
         }
     }
@@ -663,9 +538,6 @@ where
         ctx.phase(PhaseKind::Scan);
         loop {
             tries += 1;
-            self.shared.stats[self.me]
-                .attempts
-                .fetch_add(1, Ordering::Relaxed);
             ctx.count(Counter::ScanAttempts, 1);
             if tries > 1 {
                 ctx.count(Counter::ScanRetries, 1);
@@ -699,9 +571,6 @@ where
                     }
                 }
             }
-            self.shared.stats[self.me]
-                .collect_reads
-                .fetch_add(2 * (n as u64 - 1), Ordering::Relaxed);
             ctx.count(Counter::CollectReads, 2 * (n as u64 - 1));
             let stable = !raised
                 && c1.iter().zip(&c2).all(|(x, y)| match (x, y) {
@@ -722,16 +591,10 @@ where
                     })
                     .collect();
                 ctx.annotate(labels::SCAN_END, view.iter().map(|s| s.seq).collect());
-                self.shared.stats[self.me]
-                    .scans
-                    .fetch_add(1, Ordering::Relaxed);
                 ctx.count(Counter::Scans, 1);
                 return Ok(view.into_iter().map(|s| s.value).collect());
             }
             if budget != 0 && tries >= budget {
-                self.shared.stats[self.me]
-                    .starved
-                    .fetch_add(1, Ordering::Relaxed);
                 ctx.count(Counter::ScanStarved, 1);
                 return Err(Halted::ScanStarved);
             }
@@ -854,8 +717,8 @@ mod tests {
         let rep = w.run(bodies, Box::new(strategy));
         // The scan never completed: both halted at the step limit.
         assert_eq!(rep.halted[1], Some(bprc_sim::Halted::StepLimit));
-        assert!(mem.stats(1).attempts.load(Ordering::Relaxed) > 1);
-        assert_eq!(mem.stats(1).scans.load(Ordering::Relaxed), 0);
+        assert!(rep.telemetry.counter(1, Counter::ScanAttempts) > 1);
+        assert_eq!(rep.telemetry.counter(1, Counter::Scans), 0);
     }
 
     #[test]
@@ -914,25 +777,20 @@ mod tests {
         });
         let rep = w.run(bodies, Box::new(strategy));
         assert_eq!(rep.halted[1], Some(bprc_sim::Halted::ScanStarved));
-        assert_eq!(mem.stats(1).starved.load(Ordering::Relaxed), 1);
-        assert_eq!(mem.stats(1).scans.load(Ordering::Relaxed), 0);
+        let t = &rep.telemetry;
+        assert_eq!(t.counter(1, Counter::ScanStarved), 1);
+        assert_eq!(t.counter(1, Counter::Scans), 0);
         // Exactly the budgeted number of attempts was made.
-        assert_eq!(mem.stats(1).attempts.load(Ordering::Relaxed), 5);
+        assert_eq!(t.counter(1, Counter::ScanAttempts), 5);
+        assert_eq!(t.counter(1, Counter::ScanRetries), 4);
         // Regression: the starved scan's collect work is accounted — every
         // attempt (including the fifth, which returned ScanStarved) did a
         // full double collect of the one other slot: 5 × 2 reads.
-        assert_eq!(mem.stats(1).collect_reads.load(Ordering::Relaxed), 10);
-        // The metrics plane saw the same story as the port-local ScanStats.
-        let t = &rep.telemetry;
-        assert_eq!(t.counter(1, Counter::ScanAttempts), 5);
-        assert_eq!(t.counter(1, Counter::ScanRetries), 4);
-        assert_eq!(t.counter(1, Counter::ScanStarved), 1);
-        assert_eq!(t.counter(1, Counter::Scans), 0);
         assert_eq!(t.counter(1, Counter::CollectReads), 10);
     }
 
     #[test]
-    fn telemetry_mirrors_scan_stats() {
+    fn telemetry_counts_every_scan_and_update() {
         let mut w = World::builder(2).build();
         let mem = ScannableMemory::<u32, DirectArrow>::new(&w, 2, 0);
         let mut p0 = mem.port(0);
@@ -950,24 +808,9 @@ mod tests {
         ];
         let rep = w.run(bodies, Box::new(RoundRobin::new()));
         let t = &rep.telemetry;
-        for pid in 0..2 {
-            let s = mem.stats(pid);
-            assert_eq!(
-                t.counter(pid, Counter::Updates),
-                s.updates.load(Ordering::Relaxed)
-            );
-            assert_eq!(
-                t.counter(pid, Counter::Scans),
-                s.scans.load(Ordering::Relaxed)
-            );
-            assert_eq!(
-                t.counter(pid, Counter::ScanAttempts),
-                s.attempts.load(Ordering::Relaxed)
-            );
-            assert_eq!(
-                t.counter(pid, Counter::CollectReads),
-                s.collect_reads.load(Ordering::Relaxed)
-            );
+        for (pid, updates) in [(0, 2), (1, 1)] {
+            assert_eq!(t.counter(pid, Counter::Updates), updates);
+            assert_eq!(t.counter(pid, Counter::Scans), 1);
             // Clean run: attempts split exactly into successes and retries.
             assert_eq!(
                 t.counter(pid, Counter::ScanAttempts),

@@ -35,13 +35,13 @@
 //! for it unchanged (embedded scans are real scans and are checked too —
 //! the sequence number doubles as the checker's ghost).
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use bprc_registers::Swmr;
 use bprc_sim::{Counter, Ctx, FastDyn, FastPod, Halted, PhaseKind, World, NO_VERSION};
 
-use crate::memory::{labels, ScanStats, SnapshotMeta};
+use crate::memory::{labels, SnapshotMeta};
 
 /// One register's contents: payload, sequence number, and the embedded view
 /// `(value, seq)` per process captured by the update's embedded scan.
@@ -132,7 +132,6 @@ impl<T: FastPod> FastDyn for WfSlot<T> {
 struct WfShared<T> {
     n: usize,
     values: Vec<Swmr<WfSlot<T>>>,
-    stats: Vec<ScanStats>,
     port_taken: Vec<AtomicBool>,
 }
 
@@ -195,7 +194,6 @@ where
             shared: Arc::new(WfShared {
                 n,
                 values,
-                stats: (0..n).map(|_| ScanStats::default()).collect(),
                 port_taken: (0..n).map(|_| AtomicBool::new(false)).collect(),
             }),
         }
@@ -246,8 +244,6 @@ where
             v2: vec![NO_VERSION; n],
             moved: vec![false; n],
             view,
-            lazy: false,
-            view_valid: false,
         }
     }
 
@@ -256,11 +252,6 @@ where
         SnapshotMeta {
             value_regs: self.shared.values.iter().map(|v| v.id()).collect(),
         }
-    }
-
-    /// Per-port statistics.
-    pub fn stats(&self, pid: usize) -> &ScanStats {
-        &self.shared.stats[pid]
     }
 }
 
@@ -288,13 +279,6 @@ pub struct WfPort<T> {
     /// Persistent result buffer: [`scan_slots`](WfPort::scan_slots) leaves
     /// the completed view here, so a steady-state scan allocates nothing.
     view: Vec<(T, u64)>,
-    /// Amortized-scan mode (opt-in, see [`WfPort::set_lazy`]).
-    lazy: bool,
-    /// Whether `view` still equals the memory state certified by the last
-    /// successful scan. Only a *no-mover* success sets this: a **borrowed**
-    /// view is legal for the scan that borrowed it but need not equal the
-    /// memory state at any later instant, so it is never reused.
-    view_valid: bool,
 }
 
 impl<T> std::fmt::Debug for WfPort<T> {
@@ -310,25 +294,6 @@ where
     /// This port's pid.
     pub fn pid(&self) -> usize {
         self.me
-    }
-
-    /// Switches the port's amortized *lazy-scan* mode (off by default) —
-    /// the same revalidate-and-reuse fast path as
-    /// [`Port::set_lazy`](crate::memory::Port::set_lazy): a scan whose
-    /// previous (non-borrowed) view is still intact probes every other
-    /// register once through the version tokens and, if nothing moved,
-    /// returns the old view — it linearizes at the first probe read. One
-    /// caveat specific to this construction: the probe counts as a scan
-    /// attempt, so with lazy mode on, a scan completes within `n + 2`
-    /// attempts instead of `n + 1` (a failed probe costs one attempt before
-    /// the normal wait-free argument takes over).
-    pub fn set_lazy(&mut self, lazy: bool) {
-        self.lazy = lazy;
-    }
-
-    /// Whether amortized lazy-scan mode is on.
-    pub fn is_lazy(&self) -> bool {
-        self.lazy
     }
 
     /// Publishes `value`: embedded scan, then write `(value, seq+1, view)`.
@@ -349,13 +314,7 @@ where
         };
         self.shared.values[self.me].write_tagged(ctx, slot.clone(), seq)?;
         self.last = slot;
-        // The cached view no longer includes this process's latest write —
-        // a lazy scan must not reuse it.
-        self.view_valid = false;
         ctx.annotate(labels::UPD_END, vec![seq]);
-        self.shared.stats[self.me]
-            .updates
-            .fetch_add(1, Ordering::Relaxed);
         ctx.count(Counter::Updates, 1);
         Ok(())
     }
@@ -401,53 +360,8 @@ where
         let span = crate::collect::begin_scan(ctx);
         self.moved.fill(false);
         let mut attempt = crate::collect::AttemptTracker::default();
-        // Lazy fast path (see [`WfPort::set_lazy`]): revalidate the previous
-        // no-mover view with one probe pass and reuse it if nothing moved.
-        // A failed probe falls through into the wait-free loop below with
-        // the probe's reads kept as a warm cache.
-        if self.lazy && self.view_valid {
-            attempt.begin_attempt(ctx, &self.shared.stats[self.me]);
-            let mut reads = 0;
-            let mut changed = false;
-            {
-                let (c2, v2) = (&mut self.c2, &mut self.v2);
-                for j in 0..n {
-                    if j == self.me {
-                        continue;
-                    }
-                    reads += 1;
-                    let slot = &mut c2[j];
-                    let mut delta = false;
-                    v2[j] = self.shared.values[j].read_changed(ctx, v2[j], |s| {
-                        if slot.seq != s.seq {
-                            slot.clone_from(s);
-                            delta = true;
-                        }
-                    })?;
-                    if delta {
-                        // Doomed reuse — stop probing (failure path only).
-                        changed = true;
-                        break;
-                    }
-                }
-            }
-            crate::collect::flush_collect_reads(ctx, &self.shared.stats[self.me], reads);
-            if !changed {
-                let view = &self.view;
-                crate::collect::finish_reuse(
-                    ctx,
-                    &self.shared.stats[self.me],
-                    span,
-                    attempt.tries(),
-                    reads,
-                    || view.iter().map(|(_, s)| *s).collect(),
-                );
-                return Ok(());
-            }
-            self.view_valid = false;
-        }
         loop {
-            attempt.begin_attempt(ctx, &self.shared.stats[self.me]);
+            attempt.begin_attempt(ctx);
             let mut reads = crate::collect::collect_pass(
                 ctx,
                 &self.shared.values,
@@ -462,7 +376,7 @@ where
                 &mut self.c2,
                 &mut self.v2,
             )?;
-            crate::collect::flush_collect_reads(ctx, &self.shared.stats[self.me], reads);
+            crate::collect::flush_collect_reads(ctx, reads);
             // Movers: registers whose seq changed between the two collects —
             // i.e. processes whose write landed inside this attempt.
             let any_mover = (0..n).any(|j| j != self.me && self.c1[j].seq != self.c2[j].seq);
@@ -478,15 +392,10 @@ where
                     self.view[j].0.clone_from(src);
                     self.view[j].1 = seq;
                 }
-                self.view_valid = true;
                 let view = &self.view;
-                crate::collect::finish_scan(
-                    ctx,
-                    &self.shared.stats[me],
-                    span,
-                    attempt.tries(),
-                    || view.iter().map(|(_, s)| *s).collect(),
-                );
+                crate::collect::finish_scan(ctx, span, attempt.tries(), || {
+                    view.iter().map(|(_, s)| *s).collect()
+                });
                 return Ok(());
             }
             for j in 0..n {
@@ -496,21 +405,13 @@ where
                 if self.moved[j] {
                     // j's register changed inside two different attempts:
                     // the update behind the second change ran its embedded
-                    // scan entirely within this scan — borrow its view. A
-                    // borrowed view is legal *for this scan* but need not
-                    // equal the memory state at any later instant, so it is
-                    // never eligible for lazy reuse.
-                    self.view_valid = false;
+                    // scan entirely within this scan — borrow its view.
                     clone_view_from(&mut self.view, &self.c2[j].view);
                     let view = &self.view;
                     let tries = attempt.tries();
-                    crate::collect::finish_scan(
-                        ctx,
-                        &self.shared.stats[self.me],
-                        span,
-                        tries,
-                        || view.iter().map(|(_, s)| *s).collect(),
-                    );
+                    crate::collect::finish_scan(ctx, span, tries, || {
+                        view.iter().map(|(_, s)| *s).collect()
+                    });
                     return Ok(());
                 }
                 self.moved[j] = true;
@@ -636,7 +537,7 @@ mod tests {
             "wait-free scan must complete under writer pressure (halted: {:?})",
             rep.halted[0]
         );
-        assert_eq!(snap.stats(0).scans.load(Ordering::Relaxed), 1);
+        assert_eq!(rep.telemetry.counter(0, Counter::Scans), 1);
     }
 
     #[test]
@@ -660,8 +561,8 @@ mod tests {
                     Ok(0)
                 }));
             }
-            let _ = w.run(bodies, Box::new(RandomStrategy::new(seed)));
-            let attempts = snap.stats(0).attempts.load(Ordering::Relaxed);
+            let rep = w.run(bodies, Box::new(RandomStrategy::new(seed)));
+            let attempts = rep.telemetry.counter(0, Counter::ScanAttempts);
             assert!(
                 attempts <= (n as u64) + 1,
                 "seed {seed}: {attempts} attempts > n+1"
@@ -781,13 +682,13 @@ mod tests {
             let check = check_history(rep.history.as_ref().unwrap(), &meta);
             assert!(check.ok(), "seed {seed}: {:?}", check.violations);
             let ops: Vec<_> = rep.history.as_ref().unwrap().ops().collect();
+            let t = &rep.telemetry;
             let stats: Vec<(u64, u64, u64)> = (0..n)
                 .map(|p| {
-                    let s = snap.stats(p);
                     (
-                        s.scans.load(Ordering::Relaxed),
-                        s.attempts.load(Ordering::Relaxed),
-                        s.collect_reads.load(Ordering::Relaxed),
+                        t.counter(p, Counter::Scans),
+                        t.counter(p, Counter::ScanAttempts),
+                        t.counter(p, Counter::CollectReads),
                     )
                 })
                 .collect();

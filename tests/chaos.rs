@@ -37,7 +37,7 @@ use bprc::registers::DirectArrow;
 use bprc::sim::faults::{quiet_injected_panics, FaultPlan, FaultedStrategy, FaultedTurnAdversary};
 use bprc::sim::sched::RandomStrategy;
 use bprc::sim::turn::{TurnAdversary, TurnBsp, TurnDriver, TurnRandom, TurnReport, TurnRoundRobin};
-use bprc::sim::{FaultKind, Halted, World};
+use bprc::sim::{Counter, FaultKind, Halted, Telemetry, World};
 use bprc::snapshot::{SnapshotBackend, WaitFreeSnapshot};
 
 fn bounded_cores(n: usize, inputs: &[bool], seed: u64) -> Vec<BoundedCore> {
@@ -261,7 +261,6 @@ fn full_stack_survives_seeded_chaos_waitfree() {
         let inputs: Vec<bool> = (0..n).map(|p| (seed >> p) & 1 == 1).collect();
         let mut world = World::builder(n).seed(seed).step_limit(5_000_000).build();
         let inst = WaitFreeConsensus::new(&world, &params, &inputs, seed);
-        let memory = inst.memory.clone();
         let plan = FaultPlan::seeded(seed, n, 400);
         let kills = plan.kill_count();
         let strategy = FaultedStrategy::new(RandomStrategy::new(seed), plan);
@@ -283,7 +282,7 @@ fn full_stack_survives_seeded_chaos_waitfree() {
                 "wf stack seed={seed}: invalid decision"
             );
         }
-        assert_no_starvation(&memory, n, &format!("wf stack seed={seed}"));
+        assert_no_starvation(&rep.telemetry, n, &format!("wf stack seed={seed}"));
         assert!(
             !rep.halted.iter().any(|h| *h == Some(Halted::ScanStarved)),
             "wf stack seed={seed}: wait-free scan starved"
@@ -291,19 +290,12 @@ fn full_stack_survives_seeded_chaos_waitfree() {
     }
 }
 
-/// Asserts the backend recorded zero starved scans — the wait-free
-/// guarantee, checked through the shared [`SnapshotBackend`] stats.
-fn assert_no_starvation<T, B>(memory: &B, n: usize, label: &str)
-where
-    T: Clone + PartialEq + Send + Sync + 'static,
-    B: SnapshotBackend<T>,
-{
+/// Asserts the run recorded zero starved scans — the wait-free guarantee,
+/// checked through the per-pid [`Counter::ScanStarved`] telemetry.
+fn assert_no_starvation(telemetry: &Telemetry, n: usize, label: &str) {
     for pid in 0..n {
         assert_eq!(
-            memory
-                .stats(pid)
-                .starved
-                .load(std::sync::atomic::Ordering::Relaxed),
+            telemetry.counter(pid, Counter::ScanStarved),
             0,
             "{label}: pid {pid} recorded a starved scan on a wait-free backend"
         );
@@ -324,8 +316,7 @@ fn multivalued_full_stack_waitfree_chaos() {
             .collect();
         let initial = MvState::phantom(params.layout());
         let mut world = World::builder(n).seed(seed).step_limit(20_000_000).build();
-        let (memory, bodies) =
-            over_snapshot::<_, WaitFreeSnapshot<MvState>>(&world, procs, initial);
+        let (_, bodies) = over_snapshot::<_, WaitFreeSnapshot<MvState>>(&world, procs, initial);
         let plan = FaultPlan::seeded(seed * 7, n, 300);
         let kills = plan.kill_count();
         let strategy = FaultedStrategy::new(RandomStrategy::new(seed), plan);
@@ -346,7 +337,7 @@ fn multivalued_full_stack_waitfree_chaos() {
                 "wf mv seed={seed}: invalid decision {d}"
             );
         }
-        assert_no_starvation(&memory, n, &format!("wf mv seed={seed}"));
+        assert_no_starvation(&rep.telemetry, n, &format!("wf mv seed={seed}"));
     }
 }
 
@@ -381,7 +372,7 @@ fn multishot_full_stack_waitfree_chaos() {
             .collect();
         let initial = LogMsg { slots: Vec::new() };
         let mut world = World::builder(n).seed(seed).step_limit(20_000_000).build();
-        let (memory, bodies) = over_snapshot::<_, WaitFreeSnapshot<LogMsg>>(&world, procs, initial);
+        let (_, bodies) = over_snapshot::<_, WaitFreeSnapshot<LogMsg>>(&world, procs, initial);
         let plan = FaultPlan::seeded(seed * 3 + 1, n, 350);
         let kills = plan.kill_count();
         let strategy = FaultedStrategy::new(RandomStrategy::new(seed), plan);
@@ -405,7 +396,7 @@ fn multishot_full_stack_waitfree_chaos() {
                 );
             }
         }
-        assert_no_starvation(&memory, n, &format!("wf log seed={seed}"));
+        assert_no_starvation(&rep.telemetry, n, &format!("wf log seed={seed}"));
     }
 }
 
@@ -459,13 +450,14 @@ fn writer_pressure_starves_handshake_but_not_waitfree() {
             "budget {budget:?}: scan did not complete (halted: {:?})",
             rep.halted[1]
         );
-        assert_no_starvation(&mem, 2, &format!("writer-pressure budget {budget:?}"));
+        assert_no_starvation(
+            &rep.telemetry,
+            2,
+            &format!("writer-pressure budget {budget:?}"),
+        );
         assert_eq!(mem.scan_retry_budget(), None, "wait-free has no budget");
         assert!(
-            mem.stats(1)
-                .attempts
-                .load(std::sync::atomic::Ordering::Relaxed)
-                <= 3,
+            rep.telemetry.counter(1, Counter::ScanAttempts) <= 2 + 1,
             "n+1 attempt bound violated"
         );
     }
@@ -575,10 +567,5 @@ fn scan_retry_budget_degrades_full_stack_scan() {
     });
     let rep = world.run(bodies, Box::new(strategy));
     assert_eq!(rep.halted[1], Some(Halted::ScanStarved));
-    assert_eq!(
-        mem.stats(1)
-            .starved
-            .load(std::sync::atomic::Ordering::Relaxed),
-        1
-    );
+    assert_eq!(rep.telemetry.counter(1, Counter::ScanStarved), 1);
 }

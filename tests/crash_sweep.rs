@@ -223,7 +223,7 @@ fn crash_sweep_full_stack_waitfree() {
     use bprc::core::threaded::WaitFreeConsensus;
     use bprc::sim::faults::{FaultPlan, FaultedStrategy};
     use bprc::sim::sched::RandomStrategy;
-    use bprc::sim::{Halted, World};
+    use bprc::sim::{Counter, Halted, World};
 
     let n = 3;
     let inputs = [true, false, true];
@@ -244,7 +244,6 @@ fn crash_sweep_full_stack_waitfree() {
         for crash_at in (0..horizon).step_by(23) {
             let mut world = World::builder(n).seed(seed).step_limit(5_000_000).build();
             let inst = WaitFreeConsensus::new(&world, &params, &inputs, seed);
-            let memory = inst.memory.clone();
             let plan = FaultPlan::new().crash_at(crash_at, victim);
             let strategy = FaultedStrategy::new(RandomStrategy::new(seed), plan);
             let rep = world.run(inst.bodies, Box::new(strategy));
@@ -271,10 +270,7 @@ fn crash_sweep_full_stack_waitfree() {
             );
             for pid in 0..n {
                 assert_eq!(
-                    memory
-                        .stats(pid)
-                        .starved
-                        .load(std::sync::atomic::Ordering::Relaxed),
+                    rep.telemetry.counter(pid, Counter::ScanStarved),
                     0,
                     "wf sweep victim {victim} @ {crash_at}: pid {pid} starved"
                 );
