@@ -2,7 +2,7 @@
 //! of the same algorithm [`crate::montecarlo`] simulates.
 
 use bprc_registers::Swmr;
-use bprc_sim::{Counter, Ctx, Halted, PhaseKind, World};
+use bprc_sim::{Counter, Ctx, EventKind, Halted, World};
 
 use crate::flip::FlipSource;
 use crate::params::CoinParams;
@@ -94,6 +94,7 @@ impl CoinPort {
         self.own = walk_step(&self.params, self.own, flips.flip());
         self.walk_steps += 1;
         ctx.count(Counter::CoinFlips, 1);
+        ctx.trace_event(EventKind::CoinFlip, 1);
         if self.own == before {
             // The flip tried to move past ±Kn and the clamp held it there.
             ctx.count(Counter::WalkExtremes, 1);
@@ -109,7 +110,6 @@ impl CoinPort {
     /// Returns [`Halted`] if the scheduler stopped this process (e.g. the
     /// world's step limit expired first).
     pub fn flip(&mut self, ctx: &mut Ctx, flips: &mut dyn FlipSource) -> Result<CoinValue, Halted> {
-        ctx.phase(PhaseKind::Coin);
         loop {
             match self.coin_value(ctx)? {
                 CoinValue::Undecided => self.walk_step(ctx, flips)?,
@@ -217,11 +217,8 @@ mod tests {
         // ...unless the threshold sits past the cap; either way the count
         // can never exceed the flip count.
         assert!(extremes <= t.counter(0, Counter::CoinFlips));
-        // The coin phase was announced.
-        assert!(t
-            .phases(0)
-            .iter()
-            .any(|p| p.kind == bprc_sim::PhaseKind::Coin));
+        // Every walk step opened a coin span on the ring.
+        assert_eq!(rep.flight.count(0, EventKind::CoinFlip) as u64, walk_steps);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use bprc_registers::ArrowCell;
 use bprc_sim::tracing::{now_nanos, EventKind, Hist};
 use bprc_sim::turn::{TurnProcess, TurnStep};
 use bprc_sim::world::ProcBody;
-use bprc_sim::{Counter, Gauge, PhaseKind, World};
+use bprc_sim::{Counter, Gauge, World};
 use bprc_snapshot::{ScannableMemory, SnapshotBackend, SnapshotPort, WaitFreeSnapshot};
 
 use crate::bounded::{BoundedCore, ConsensusParams};
@@ -91,18 +91,18 @@ where
             let mut port = memory.port(pid);
             let first = proc.initial_msg();
             let b: ProcBody<P::Out> = Box::new(move |ctx| {
-                // Bridge the protocol's probe into the metrics plane: round
-                // changes become `round(r)` phase spans (and move the round
-                // gauge), new coin flips open a `coin` span. The snapshot
-                // layer emits its own `scan`/`write` spans underneath. The
-                // same probe deltas feed the flight recorder (round-advance
-                // and coin-flip ring events) and the latency histograms
+                // Bridge the protocol's probe into the flight recorder: round
+                // changes become round-advance ring events (and move the
+                // round gauge), new coin flips a coin-flip event; each opens
+                // a `round(r)`/`coin` span on the timeline, beside the
+                // `scan`/`write` spans the snapshot layer opens underneath.
+                // The same probe deltas feed the latency histograms
                 // (per-round duration, first-step-to-decision).
                 let mut last = proc.probe();
                 let body_start = now_nanos();
                 let mut round_start = body_start;
                 if let Some(r) = last.round {
-                    ctx.phase(PhaseKind::Round(r));
+                    ctx.trace_event(EventKind::RoundAdvance, r);
                     ctx.metrics().gauge_set(Gauge::Round, r);
                 }
                 // One view buffer for the whole run: `scan_into` refills it
@@ -116,7 +116,6 @@ where
                         let now = proc.probe();
                         if now.round != last.round {
                             if let Some(r) = now.round {
-                                ctx.phase(PhaseKind::Round(r));
                                 ctx.metrics().gauge_set(Gauge::Round, r);
                                 ctx.trace_event(EventKind::RoundAdvance, r);
                                 let t = now_nanos();
@@ -128,7 +127,6 @@ where
                             }
                         }
                         if now.coin_flips > last.coin_flips {
-                            ctx.phase(PhaseKind::Coin);
                             ctx.trace_event(EventKind::CoinFlip, now.coin_flips - last.coin_flips);
                         }
                         last = now;
@@ -337,10 +335,7 @@ mod tests {
             // Decided processes published a positive round via the gauge.
             assert!(t.gauge(pid, Gauge::Round).unwrap_or(0) >= 1, "pid {pid}");
             // The probe bridge opened at least the initial round span.
-            assert!(t
-                .phases(pid)
-                .iter()
-                .any(|p| matches!(p.kind, PhaseKind::Round(_))));
+            assert!(rep.flight.count(pid, EventKind::RoundAdvance) > 0);
         }
     }
 

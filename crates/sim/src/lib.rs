@@ -80,7 +80,7 @@ pub use explore::{
 };
 pub use faults::{FaultPlan, FaultedStrategy, FaultedTurnAdversary};
 pub use history::FaultKind;
-pub use metrics::{Counter, Gauge, MetricsRegistry, PhaseEvent, PhaseKind, ProcMetrics, Telemetry};
+pub use metrics::{Counter, Gauge, MetricsRegistry, ProcMetrics, Telemetry};
 pub use reg::{
     FastDyn, FastPod, Reg, BIT_CHUNK_BITS, MAX_FAST_WORDS, MAX_FAST_WORDS_DYN, NO_VERSION,
 };

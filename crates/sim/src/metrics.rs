@@ -1,13 +1,14 @@
-//! The metrics plane: cheap cross-backend counters, gauges, and phase
-//! spans.
+//! The metrics plane: cheap cross-backend counters, gauges, and latency
+//! histograms.
 //!
 //! Histories ([`crate::history`]) give a perfect record of lockstep runs,
 //! but they do not exist in [`Mode::Free`](crate::Mode::Free) and they
-//! cost an allocation per event. This module is the complementary
-//! "flight recorder": a [`MetricsRegistry`] of per-process **sharded
-//! atomic counters** that works identically under the lockstep scheduler
-//! and free-running OS threads, because every increment ends up as a
-//! relaxed atomic add on a cache-line-padded shard owned by one process.
+//! cost an allocation per event. This module answers *how many* where a
+//! history cannot: a [`MetricsRegistry`] of per-process **sharded atomic
+//! counters** that works identically under the lockstep scheduler and
+//! free-running OS threads, because every increment ends up as a relaxed
+//! atomic add on a cache-line-padded shard owned by one process. *In what
+//! order* is the flight recorder's business ([`crate::tracing`]).
 //!
 //! Three kinds of signal live here:
 //!
@@ -20,11 +21,8 @@
 //! - **Gauges** ([`Gauge`]) — last-written or high-water values, e.g. the
 //!   round a process reached or the register-width high-water mark that
 //!   backs E6's §6 space accounting.
-//! - **Phase spans** ([`PhaseEvent`]) — a per-process log of protocol
-//!   phases (`round(r)`/`scan`/`write`/`coin`), stamped with the world
-//!   step counter. A new phase implicitly ends the previous one. The
-//!   unified trace renderer ([`crate::trace::render_unified`]) merges
-//!   them with fault events from the history into one timeline.
+//! - **Histograms** ([`Hist`]) — power-of-two-bucketed latency
+//!   distributions (scan latency, round duration, decision latency).
 //!
 //! A [`Telemetry`] snapshot freezes the registry into plain data; it
 //! rides on every [`RunReport`](crate::world::RunReport) and serializes
@@ -39,17 +37,13 @@
 //! publishes the batch (one `fetch_add` per counter that moved) every 64
 //! accesses and when it drops. A shard read mid-run may therefore lag its
 //! process by up to one batch; a [`Telemetry`] snapshot taken after the run
-//! is exact. Phase events take an uncontended per-shard mutex and are
-//! emitted at protocol granularity (a handful per scan), not per register
-//! access. The registry is always on — there is no feature gate to drift
+//! is exact. The registry is always on — there is no feature gate to drift
 //! out of date. DESIGN.md § Overhead has the measured table.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
-
 use crate::json::Value;
-use crate::tracing::{now_nanos, AtomicHistogram, Hist, Histogram};
+use crate::tracing::{AtomicHistogram, Hist, Histogram};
 
 macro_rules! counters {
     ($($(#[$doc:meta])* $variant:ident => $name:literal,)*) => {
@@ -172,47 +166,6 @@ const N_HISTS: usize = Hist::ALL.len();
 /// set" and `fetch_max` still implements high-water semantics.
 const GAUGE_UNSET: u64 = 0;
 
-/// A protocol phase a process can announce (see [`PhaseEvent`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PhaseKind {
-    /// Entered round `r`.
-    Round(u64),
-    /// Started a snapshot scan.
-    Scan,
-    /// Started a snapshot update (write).
-    Write,
-    /// Consulted / advanced the shared coin.
-    Coin,
-}
-
-impl std::fmt::Display for PhaseKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PhaseKind::Round(r) => write!(f, "round({r})"),
-            PhaseKind::Scan => write!(f, "scan"),
-            PhaseKind::Write => write!(f, "write"),
-            PhaseKind::Coin => write!(f, "coin"),
-        }
-    }
-}
-
-/// One phase announcement: at world step `step` the process entered
-/// `kind`. A later event from the same process implicitly ends it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseEvent {
-    /// World step counter at announcement time (approximate global order
-    /// in free mode, exact in lockstep).
-    pub step: u64,
-    /// Monotonic nanoseconds ([`now_nanos`]) at announcement time: the
-    /// stamp that stays meaningful under
-    /// [`Mode::Free`](crate::Mode::Free), where the step counter is only
-    /// an approximate order, and the feed for Chrome-trace span
-    /// durations.
-    pub nanos: u64,
-    /// The phase entered.
-    pub kind: PhaseKind,
-}
-
 /// One process's slice of the registry. `#[repr(align(64))]` pads each
 /// shard to its own cache line so free-mode increments never false-share.
 #[repr(align(64))]
@@ -220,7 +173,6 @@ struct Shard {
     counters: [AtomicU64; N_COUNTERS],
     gauges: [AtomicU64; N_GAUGES],
     hists: [AtomicHistogram; N_HISTS],
-    phases: Mutex<Vec<PhaseEvent>>,
 }
 
 impl Shard {
@@ -229,12 +181,11 @@ impl Shard {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             gauges: std::array::from_fn(|_| AtomicU64::new(GAUGE_UNSET)),
             hists: std::array::from_fn(|_| AtomicHistogram::new()),
-            phases: Mutex::new(Vec::new()),
         }
     }
 }
 
-/// Sharded counters/gauges/phase logs for `n` processes plus one global
+/// Sharded counters/gauges/histograms for `n` processes plus one global
 /// shard (pid-less accounting such as the §6 memory high-water).
 ///
 /// Cloneable handles are taken with [`MetricsRegistry::proc`]; snapshots
@@ -317,11 +268,6 @@ impl MetricsRegistry {
                 .iter()
                 .map(|s| s.hists.iter().map(|h| h.snapshot()).collect())
                 .collect(),
-            phases: self
-                .shards
-                .iter()
-                .map(|s| s.phases.lock().clone())
-                .collect(),
         }
     }
 }
@@ -380,18 +326,6 @@ impl<'a> ProcMetrics<'a> {
         }
     }
 
-    /// Appends a phase announcement stamped with world step `step` and
-    /// the monotonic-nanosecond clock (the free-mode-proof half of the
-    /// dual stamp). Returns the nanosecond stamp it recorded.
-    pub fn phase(&self, step: u64, kind: PhaseKind) -> u64 {
-        let nanos = now_nanos();
-        self.shard
-            .phases
-            .lock()
-            .push(PhaseEvent { step, nanos, kind });
-        nanos
-    }
-
     /// Adds every non-zero count of `tally` to this shard and zeroes it.
     /// `fetch_add`, like [`incr`](ProcMetrics::incr), so the shard's other
     /// writers stay correct.
@@ -419,7 +353,6 @@ pub struct Telemetry {
     counters: Vec<Vec<u64>>,
     gauges: Vec<Vec<Option<u64>>>,
     hists: Vec<Vec<Histogram>>,
-    phases: Vec<Vec<PhaseEvent>>,
 }
 
 impl Telemetry {
@@ -474,24 +407,6 @@ impl Telemetry {
         out
     }
 
-    /// Process `pid`'s phase log, in announcement order.
-    pub fn phases(&self, pid: usize) -> &[PhaseEvent] {
-        &self.phases[pid]
-    }
-
-    /// All phase announcements merged across processes, sorted by step
-    /// (ties by pid): the unified-timeline feed.
-    pub fn merged_phases(&self) -> Vec<(u64, usize, PhaseKind)> {
-        let mut all: Vec<(u64, usize, PhaseKind)> = self
-            .phases
-            .iter()
-            .enumerate()
-            .flat_map(|(pid, log)| log.iter().map(move |e| (e.step, pid, e.kind)))
-            .collect();
-        all.sort_by_key(|&(step, pid, _)| (step, pid));
-        all
-    }
-
     /// One JSON object per shard (`"pid": n` is the global shard),
     /// counters and set gauges keyed by their stable names.
     pub fn to_json(&self) -> Value {
@@ -517,7 +432,6 @@ impl Telemetry {
                     })
                     .collect();
                 pairs.push(("gauges".to_string(), Value::Obj(gauges)));
-                pairs.push(("phases".to_string(), self.phases[pid].len().into()));
                 Value::Obj(pairs)
             })
             .collect();
@@ -549,8 +463,7 @@ impl Telemetry {
         )
     }
 
-    /// JSONL: one `{"type":"metrics",...}` line per shard followed by one
-    /// `{"type":"phase",...}` line per phase announcement.
+    /// JSONL: one `{"type":"metrics",...}` line per shard.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for pid in 0..=self.n {
@@ -567,24 +480,6 @@ impl Telemetry {
                 if let Some(v) = self.gauges[pid][g as usize] {
                     pairs.push((g.name().to_string(), v.into()));
                 }
-            }
-            out.push_str(&Value::Obj(pairs).render());
-            out.push('\n');
-        }
-        for (step, pid, kind) in self.merged_phases() {
-            let mut pairs: Vec<(String, Value)> = vec![
-                ("type".to_string(), "phase".into()),
-                ("step".to_string(), step.into()),
-                ("pid".to_string(), pid.into()),
-            ];
-            match kind {
-                PhaseKind::Round(r) => {
-                    pairs.push(("phase".to_string(), "round".into()));
-                    pairs.push(("round".to_string(), r.into()));
-                }
-                PhaseKind::Scan => pairs.push(("phase".to_string(), "scan".into())),
-                PhaseKind::Write => pairs.push(("phase".to_string(), "write".into())),
-                PhaseKind::Coin => pairs.push(("phase".to_string(), "coin".into())),
             }
             out.push_str(&Value::Obj(pairs).render());
             out.push('\n');
@@ -655,26 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn phases_merge_in_step_order() {
-        let reg = MetricsRegistry::new(2);
-        reg.proc(1).phase(5, PhaseKind::Scan);
-        reg.proc(0).phase(2, PhaseKind::Round(1));
-        reg.proc(0).phase(9, PhaseKind::Coin);
-        reg.proc(1).phase(2, PhaseKind::Write);
-        let t = reg.snapshot();
-        assert_eq!(
-            t.merged_phases(),
-            vec![
-                (2, 0, PhaseKind::Round(1)),
-                (2, 1, PhaseKind::Write),
-                (5, 1, PhaseKind::Scan),
-                (9, 0, PhaseKind::Coin),
-            ]
-        );
-        assert_eq!(t.phases(0).len(), 2);
-    }
-
-    #[test]
     fn concurrent_increments_are_lossless() {
         use std::sync::Arc;
         let reg = Arc::new(MetricsRegistry::new(4));
@@ -699,7 +574,6 @@ mod tests {
         let reg = MetricsRegistry::new(2);
         reg.proc(0).incr(Counter::Scans, 3);
         reg.proc(0).gauge_set(Gauge::Round, 4);
-        reg.proc(1).phase(7, PhaseKind::Round(2));
         let t = reg.snapshot();
         for line in t.to_jsonl().lines() {
             let v = crate::json::parse(line).expect("every JSONL line parses");
@@ -757,17 +631,5 @@ mod tests {
             hists.get("round_duration_ns").is_none(),
             "empty histograms are omitted"
         );
-    }
-
-    #[test]
-    fn phase_events_carry_monotonic_nanos() {
-        let reg = MetricsRegistry::new(1);
-        reg.proc(0).phase(1, PhaseKind::Scan);
-        reg.proc(0).phase(2, PhaseKind::Write);
-        reg.proc(0).phase(3, PhaseKind::Coin);
-        let t = reg.snapshot();
-        let phases = t.phases(0);
-        assert!(phases.windows(2).all(|w| w[0].nanos <= w[1].nanos));
-        assert!(phases.iter().all(|p| p.nanos > 0));
     }
 }

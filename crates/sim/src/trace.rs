@@ -13,20 +13,23 @@
 //! ```
 //!
 //! [`render`] shows every recorded event (register granularity).
-//! [`render_unified`] is the zoomed-out view: protocol **phase spans**
-//! from the metrics plane (`round(r)`/`scan`/`write`/`coin`) merged with
-//! **fault and crash events** from the history into one timeline — what
-//! the chaos example prints to explain a run.
-//! [`to_chrome_trace`] exports the same material — plus the flight
-//! recorder's ring events — as Chrome Trace Event JSON, loadable in
-//! Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`.
+//! [`render_unified`] is the zoomed-out view: protocol **spans**
+//! (`round(r)`/`scan`/`write`/`coin`) read from the flight recorder's
+//! rings, merged with **fault and crash events** from the history into one
+//! timeline — what the chaos example prints to explain a run.
+//! [`to_chrome_trace`] exports the same spans — plus every ring event as an
+//! instant — as Chrome Trace Event JSON, loadable in Perfetto
+//! (<https://ui.perfetto.dev>) or `chrome://tracing`.
+//!
+//! A span opens at a ring event that starts a protocol step — the first
+//! `scan_begin` of a scan (arg 1), `update`, `round_advance`, `coin_flip`
+//! — and runs to the same ring's next such event.
 
 use std::fmt::Write as _;
 
 use crate::history::{Event, History, OpKind};
 use crate::json::Value;
-use crate::metrics::Telemetry;
-use crate::tracing::{fault_label, EventKind, FlightLog};
+use crate::tracing::{fault_label, EventKind, FlightLog, TraceEvent};
 
 /// Options for [`render`].
 #[derive(Debug, Clone)]
@@ -173,51 +176,75 @@ fn push_row(
     out.push('\n');
 }
 
-/// Renders the unified protocol-level timeline: phase spans from the
-/// metrics plane merged with fault and crash events from the history,
-/// one column per process, sorted by world step.
+/// The label of the protocol span `e` opens, or `None` if it opens none
+/// (see the module docs).
+fn span_label(e: &TraceEvent) -> Option<String> {
+    match e.kind {
+        EventKind::ScanBegin if e.arg == 1 => Some("scan".to_string()),
+        EventKind::Update => Some("write".to_string()),
+        EventKind::RoundAdvance => Some(format!("round({})", e.arg)),
+        EventKind::CoinFlip => Some("coin".to_string()),
+        _ => None,
+    }
+}
+
+/// Renders the unified protocol-level timeline: the spans each ring opens,
+/// merged with fault and crash events from the history, one column per
+/// process, sorted by world step. One `pN: K earlier events overwritten`
+/// line precedes the table for each ring that wrapped, since its oldest
+/// spans are missing from it.
 ///
 /// `history` may be `None` (free-mode runs record none); the timeline
-/// then shows phases only. [`TraceOptions::steps`] windows the output;
+/// then shows spans only. [`TraceOptions::steps`] windows the table;
 /// [`TraceOptions::notes`] is ignored (notes stay in [`render`]).
 pub fn render_unified(
     history: Option<&History>,
-    telemetry: &Telemetry,
+    flight: &FlightLog,
     n: usize,
     opts: &TraceOptions,
 ) -> String {
-    // (step, source-rank, pid, cell, show_step): stable sort on (step,
-    // rank) puts same-step fault/crash events before the phase a process
-    // entered afterwards.
-    let mut rows: Vec<(u64, u8, usize, String, bool)> = Vec::new();
+    // (step, source-rank, pid, cell): stable sort on (step, rank, pid)
+    // puts same-step fault/crash events before the span a process entered
+    // afterwards, and keeps each ring's own order.
+    let mut rows: Vec<(u64, u8, usize, String)> = Vec::new();
     if let Some(h) = history {
         for ev in h.events() {
             match ev {
                 Event::Crash { step, pid } => {
-                    rows.push((*step, 0, *pid, "☠ CRASHED".to_string(), true));
+                    rows.push((*step, 0, *pid, "☠ CRASHED".to_string()));
                 }
                 Event::Fault { step, pid, kind } => {
-                    rows.push((*step, 0, *pid, format!("⚡ {kind}"), true));
+                    rows.push((*step, 0, *pid, format!("⚡ {kind}")));
                 }
                 _ => {}
             }
         }
     }
-    for (step, pid, kind) in telemetry.merged_phases() {
-        rows.push((step, 1, pid, format!("▶ {kind}"), true));
+    for pid in 0..n {
+        for e in flight.events(pid) {
+            if let Some(label) = span_label(e) {
+                rows.push((e.step, 1, pid, format!("▶ {label}")));
+            }
+        }
     }
-    rows.sort_by_key(|&(step, rank, pid, _, _)| (step, rank, pid));
+    rows.sort_by_key(|&(step, rank, pid, _)| (step, rank, pid));
 
     let w = opts.width;
     let mut out = String::new();
+    for pid in 0..n {
+        let lost = flight.overflow(pid);
+        if lost > 0 {
+            let _ = writeln!(out, "p{pid}: {lost} earlier events overwritten");
+        }
+    }
     push_header(&mut out, n, w);
-    for (step, _, pid, cell, show_step) in rows {
+    for (step, _, pid, cell) in rows {
         if let Some((lo, hi)) = opts.steps {
             if step < lo || step >= hi {
                 continue;
             }
         }
-        push_row(&mut out, step, show_step, pid, &cell, n, w);
+        push_row(&mut out, step, true, pid, &cell, n, w);
     }
     out
 }
@@ -249,32 +276,27 @@ fn trace_ev(
     Value::obj(fields)
 }
 
-/// Exports a run's observability planes as **Chrome Trace Event JSON**:
-/// one browser-process (`pid` 0) with one thread lane per simulated
-/// process, loadable in Perfetto or `chrome://tracing`.
+/// Exports a run's flight log as **Chrome Trace Event JSON**: one
+/// browser-process (`pid` 0) with one thread lane per simulated process,
+/// loadable in Perfetto or `chrome://tracing`.
 ///
-/// Three sources merge onto one monotonic-nanosecond timeline (rendered
-/// in microseconds, the Trace Event `ts` unit):
+/// Two sources merge onto one monotonic-nanosecond timeline (rendered in
+/// microseconds, the Trace Event `ts` unit):
 ///
-/// * **Phase spans** from the metrics plane become `"X"` (complete)
-///   events — each span runs until the same process's next phase, the
-///   last until the latest stamp anywhere in the run.
-/// * **Flight-recorder ring events** become `"i"` (instant) events,
-///   with the world step and the event arg in `args`. Fault events are
-///   renamed by [`fault_label`].
+/// * **Ring events** become `"i"` (instant) events, with the world step
+///   and the event arg in `args`; fault events are renamed by
+///   [`fault_label`]. The events that open a protocol span (see the module
+///   docs) also become `"X"` (complete) events, each running until the same
+///   ring's next span opens, the last until the latest stamp anywhere in
+///   the run.
 /// * **History crash/fault events** (lockstep runs) carry only step
-///   stamps; their nanos are interpolated from the dual-stamped events
-///   around them — the latest phase or ring stamp at or before their
-///   step (0 if none precedes).
+///   stamps; their nanos are interpolated from the dual-stamped ring
+///   events — the latest stamp at or before their step (0 if none
+///   precedes).
 ///
 /// `history` may be `None` (free mode) and `flight` may be empty
 /// (tracing disabled); the export degrades to whatever sources exist.
-pub fn to_chrome_trace(
-    flight: &FlightLog,
-    telemetry: &Telemetry,
-    history: Option<&History>,
-    n: usize,
-) -> Value {
+pub fn to_chrome_trace(flight: &FlightLog, history: Option<&History>, n: usize) -> Value {
     let mut events: Vec<Value> = Vec::new();
 
     // Metadata: name the synthetic process and one thread lane per pid.
@@ -297,33 +319,30 @@ pub fn to_chrome_trace(
         ));
     }
 
-    // The step↔nanos correlation table from every dual-stamped event,
-    // and the run's end stamp (closes each lane's last open phase).
-    let mut stamps: Vec<(u64, u64)> = Vec::new();
-    let mut end_nanos = 0u64;
-    for pid in 0..n {
-        for e in telemetry.phases(pid) {
-            stamps.push((e.step, e.nanos));
-            end_nanos = end_nanos.max(e.nanos);
-        }
-        for e in flight.events(pid) {
-            stamps.push((e.step, e.nanos));
-            end_nanos = end_nanos.max(e.nanos);
-        }
-    }
+    // The step↔nanos correlation table from every ring event, and the
+    // run's end stamp (closes each lane's last open span).
+    let mut stamps: Vec<(u64, u64)> = (0..n)
+        .flat_map(|pid| flight.events(pid))
+        .map(|e| (e.step, e.nanos))
+        .collect();
     stamps.sort_unstable();
+    let end_nanos = stamps.iter().map(|&(_, nanos)| nanos).max().unwrap_or(0);
 
-    // Phase spans, per lane: each closes at the next phase's stamp.
+    // Spans, per lane: each closes at the next span's opening stamp.
     for pid in 0..n {
-        let phases = telemetry.phases(pid);
-        for (i, e) in phases.iter().enumerate() {
-            let close = phases
+        let spans: Vec<(String, &TraceEvent)> = flight
+            .events(pid)
+            .iter()
+            .filter_map(|e| span_label(e).map(|label| (label, e)))
+            .collect();
+        for (i, (label, e)) in spans.iter().enumerate() {
+            let close = spans
                 .get(i + 1)
-                .map(|next| next.nanos)
+                .map(|(_, next)| next.nanos)
                 .unwrap_or(end_nanos)
                 .max(e.nanos);
             events.push(trace_ev(
-                &e.kind.to_string(),
+                label,
                 "X",
                 micros(e.nanos),
                 pid,
@@ -478,9 +497,9 @@ mod tests {
     }
 
     #[test]
-    fn unified_timeline_merges_phases_and_faults() {
+    fn unified_timeline_merges_ring_spans_and_faults() {
         use crate::history::{Event, FaultKind};
-        use crate::metrics::{MetricsRegistry, PhaseKind};
+        use crate::tracing::FlightRecorder;
         let h = History::from_events(vec![
             Event::Fault {
                 step: 5,
@@ -489,45 +508,71 @@ mod tests {
             },
             Event::Crash { step: 9, pid: 0 },
         ]);
-        let reg = MetricsRegistry::new(2);
-        reg.proc(0).phase(2, PhaseKind::Round(1));
-        reg.proc(0).phase(3, PhaseKind::Scan);
-        reg.proc(1).phase(7, PhaseKind::Coin);
-        let t = reg.snapshot();
-        let text = render_unified(Some(&h), &t, 2, &TraceOptions::default());
+        let rec = FlightRecorder::new(2, 8);
+        rec.record(0, 2, EventKind::RoundAdvance, 1);
+        rec.record(0, 3, EventKind::ScanBegin, 1);
+        // A retry and the events inside a scan open no span.
+        rec.record(0, 4, EventKind::CollectPass, 3);
+        rec.record(0, 4, EventKind::ScanBegin, 2);
+        rec.record(1, 6, EventKind::Update, 1);
+        rec.record(1, 7, EventKind::CoinFlip, 1);
+        let flight = rec.snapshot();
+        let text = render_unified(Some(&h), &flight, 2, &TraceOptions::default());
         assert!(text.contains("▶ round(1)"), "{text}");
-        assert!(text.contains("▶ scan"));
+        assert_eq!(text.matches("▶ scan").count(), 1, "{text}");
+        assert!(text.contains("▶ write"));
         assert!(text.contains("▶ coin"));
         assert!(text.contains("⚡ stall:start"));
         assert!(text.contains("☠ CRASHED"));
+        assert!(!text.contains("overwritten"), "no ring wrapped:\n{text}");
         // Step order: round(1)@2 before stall@5 before coin@7 before crash@9.
         let round_at = text.find("round(1)").unwrap();
         let stall_at = text.find("stall:start").unwrap();
         let coin_at = text.find("coin").unwrap();
         let crash_at = text.find("CRASHED").unwrap();
         assert!(round_at < stall_at && stall_at < coin_at && coin_at < crash_at);
-        // Without a history (free mode), phases alone still render.
-        let text2 = render_unified(None, &t, 2, &TraceOptions::default());
+        // Without a history (free mode), the ring spans alone still render.
+        let text2 = render_unified(None, &flight, 2, &TraceOptions::default());
         assert!(text2.contains("▶ scan"));
         assert!(!text2.contains("CRASHED"));
     }
 
     #[test]
+    fn unified_timeline_reports_overwritten_events() {
+        use crate::tracing::FlightRecorder;
+        let rec = FlightRecorder::new(2, 4);
+        rec.record(0, 1, EventKind::RoundAdvance, 1);
+        rec.record(0, 2, EventKind::ScanBegin, 1);
+        rec.record(0, 3, EventKind::RegWrite, 0);
+        rec.record(0, 4, EventKind::ScanEnd, 1);
+        rec.record(0, 5, EventKind::Update, 1);
+        rec.record(0, 6, EventKind::RegWrite, 0);
+        rec.record(1, 2, EventKind::Update, 1);
+        let text = render_unified(None, &rec.snapshot(), 2, &TraceOptions::default());
+        assert!(
+            text.starts_with("p0: 2 earlier events overwritten\n"),
+            "{text}"
+        );
+        assert_eq!(text.matches("overwritten").count(), 1, "p1 lost nothing");
+        assert!(!text.contains("round(1)"), "overwritten:\n{text}");
+        assert!(!text.contains("▶ scan"), "overwritten:\n{text}");
+        assert_eq!(text.matches("▶ write").count(), 2, "{text}");
+    }
+
+    #[test]
     fn chrome_trace_has_the_trace_event_shape() {
         use crate::history::Event;
-        use crate::metrics::{MetricsRegistry, PhaseKind};
         use crate::tracing::FlightRecorder;
 
-        let reg = MetricsRegistry::new(2);
-        reg.proc(0).phase(2, PhaseKind::Round(1));
-        reg.proc(0).phase(5, PhaseKind::Scan);
-        reg.proc(1).phase(3, PhaseKind::Coin);
         let rec = FlightRecorder::new(2, 8);
+        rec.record(0, 2, EventKind::RoundAdvance, 1);
         rec.record(0, 4, EventKind::ScanBegin, 1);
+        rec.record(0, 5, EventKind::RegWrite, 0);
+        rec.record(1, 3, EventKind::CoinFlip, 1);
         rec.record(1, 6, EventKind::Fault, 1);
         let h = History::from_events(vec![Event::Crash { step: 9, pid: 1 }]);
 
-        let v = to_chrome_trace(&rec.snapshot(), &reg.snapshot(), Some(&h), 2);
+        let v = to_chrome_trace(&rec.snapshot(), Some(&h), 2);
         // Round-trip through the hand-rolled renderer/parser: the export
         // must be valid JSON, not just a valid Value.
         let parsed = crate::json::parse(&v.render()).expect("valid JSON");
@@ -540,16 +585,16 @@ mod tests {
             .and_then(|e| e.as_arr())
             .expect("traceEvents array");
         assert!(!evs.is_empty());
-        let mut complete = 0;
+        let mut spans = Vec::new();
         let mut instants = 0;
         for e in evs {
             let ph = e.get("ph").and_then(|p| p.as_str()).expect("ph");
-            assert!(e.get("name").and_then(|x| x.as_str()).is_some());
+            let name = e.get("name").and_then(|x| x.as_str()).expect("name");
             assert!(e.get("ts").and_then(|x| x.as_num()).is_some());
             assert!(e.get("pid").is_some() && e.get("tid").is_some());
             match ph {
                 "X" => {
-                    complete += 1;
+                    spans.push(name);
                     assert!(e.get("dur").and_then(|d| d.as_num()).is_some());
                 }
                 "i" => {
@@ -560,8 +605,8 @@ mod tests {
                 other => panic!("unexpected phase type {other}"),
             }
         }
-        assert_eq!(complete, 3, "one span per phase event");
-        assert_eq!(instants, 3, "two ring events + one history crash");
+        assert_eq!(spans, ["round(1)", "scan", "coin"], "one per opening event");
+        assert_eq!(instants, 6, "five ring events + one history crash");
         // The fault ring event was decoded to its label.
         let names: Vec<&str> = evs
             .iter()
@@ -575,21 +620,19 @@ mod tests {
     #[test]
     fn chrome_trace_interpolates_history_stamps_from_dual_stamped_events() {
         use crate::history::Event;
-        use crate::metrics::{MetricsRegistry, PhaseKind};
         use crate::tracing::FlightRecorder;
 
-        let reg = MetricsRegistry::new(1);
-        reg.proc(0).phase(2, PhaseKind::Scan);
-        let t = reg.snapshot();
-        let phase_nanos = t.phases(0)[0].nanos;
-        // Crash at step 7 (after the phase at step 2): its ts must be the
-        // phase's nanos stamp, not 0.
+        let rec = FlightRecorder::new(1, 8);
+        rec.record(0, 2, EventKind::ScanBegin, 1);
+        let flight = rec.snapshot();
+        let ring_nanos = flight.events(0)[0].nanos;
+        // Crash at step 7 (after the ring event at step 2): its ts must be
+        // that event's nanos stamp, not 0.
         let h = History::from_events(vec![
             Event::Crash { step: 7, pid: 0 },
             Event::Crash { step: 1, pid: 0 },
         ]);
-        let empty = FlightRecorder::new(1, 0).snapshot();
-        let v = to_chrome_trace(&empty, &t, Some(&h), 1);
+        let v = to_chrome_trace(&flight, Some(&h), 1);
         let evs = v.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
         let crash_ts: Vec<f64> = evs
             .iter()
@@ -597,22 +640,21 @@ mod tests {
             .map(|e| e.get("ts").and_then(|x| x.as_num()).unwrap())
             .collect();
         assert_eq!(crash_ts.len(), 2);
-        assert_eq!(crash_ts[0], phase_nanos as f64 / 1_000.0);
+        assert_eq!(crash_ts[0], ring_nanos as f64 / 1_000.0);
         assert_eq!(crash_ts[1], 0.0, "no stamp at or before step 1");
     }
 
     #[test]
     fn unified_timeline_windows_steps() {
-        use crate::metrics::{MetricsRegistry, PhaseKind};
-        let reg = MetricsRegistry::new(1);
-        reg.proc(0).phase(1, PhaseKind::Scan);
-        reg.proc(0).phase(8, PhaseKind::Coin);
-        let t = reg.snapshot();
+        use crate::tracing::FlightRecorder;
+        let rec = FlightRecorder::new(1, 8);
+        rec.record(0, 1, EventKind::ScanBegin, 1);
+        rec.record(0, 8, EventKind::CoinFlip, 1);
         let opts = TraceOptions {
             steps: Some((0, 5)),
             ..Default::default()
         };
-        let text = render_unified(None, &t, 1, &opts);
+        let text = render_unified(None, &rec.snapshot(), 1, &opts);
         assert!(text.contains("▶ scan"), "{text}");
         assert!(!text.contains("▶ coin"), "step 8 windowed out:\n{text}");
     }

@@ -5,12 +5,14 @@
 //! answers *how long* and *in what fine-grained order*. Three pieces:
 //!
 //! - [`now_nanos`] — monotonic nanoseconds since a lazy process-wide
-//!   epoch. Every stamp in this module (and the nanosecond half of
-//!   [`PhaseEvent`](crate::metrics::PhaseEvent)) comes from this clock, so
-//!   stamps from different processes are mutually comparable.
+//!   epoch. Every stamp in this module comes from this clock, so stamps
+//!   from different processes are mutually comparable.
 //! - [`FlightRecorder`] — one fixed-capacity ring of atomic event slots
-//!   per process. A ring has a **single writer** (its process), a relaxed
-//!   write cursor, and never blocks: when the ring is full, the oldest
+//!   per process: the process's one ordered event record, which the
+//!   protocol timeline ([`crate::trace::render_unified`],
+//!   [`crate::trace::to_chrome_trace`]) is read from. A ring has a
+//!   **single writer** (its process), a relaxed write cursor, and never
+//!   blocks: when the ring is full, the oldest
 //!   events are overwritten and the overflow is counted. Every event is
 //!   dual-stamped with a world step and [`now_nanos`], and which half is
 //!   exact depends on the backend. Under the lockstep scheduler the step is
@@ -19,8 +21,8 @@
 //!   or [`FlightLog::merged`] would stop being step-ordered). Under
 //!   [`Mode::Free`](crate::Mode::Free) the step is the process's own lease
 //!   cursor — an approximate global order — and only the *ends* of an
-//!   operation read the clock (a scan's opening and close, every phase
-//!   announcement): the events in between, `reg_write` above all, **carry**
+//!   operation read the clock (a scan's opening and close, an update's
+//!   opening): the events in between, `reg_write` above all, **carry**
 //!   the last reading ([`FlightRecorder::record_at`]), so a register write
 //!   costs no clock read. Interior events are therefore time-stamped to
 //!   their enclosing operation and ordered within a ring by position and
@@ -82,10 +84,12 @@ events! {
     /// One collect pass over the value registers finished (arg: register
     /// reads performed).
     CollectPass => "collect_pass",
+    /// A snapshot update opened (arg: the update's seq).
+    Update => "update",
     /// A scheduled register write was granted (arg: register id).
     RegWrite => "reg_write",
     /// Local coin flips fed the shared coin (arg: flips since the last
-    /// probe).
+    /// probe; 1 for a shared-coin walk step).
     CoinFlip => "coin_flip",
     /// The protocol advanced to a new round (arg: the round entered).
     RoundAdvance => "round_advance",

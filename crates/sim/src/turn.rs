@@ -40,7 +40,7 @@ pub enum TurnStep<M, O> {
 /// its driver (see [`TurnProcess::probe`]).
 ///
 /// The threaded adapter in `bprc-core` polls it once per protocol
-/// iteration to bridge round changes into phase spans; the turn driver
+/// iteration to bridge round changes into flight-recorder round events; the turn driver
 /// reads it once at the end of a run to set the round gauge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TurnProbe {

@@ -23,7 +23,7 @@ use rand::SeedableRng;
 
 use crate::error::Halted;
 use crate::history::{Annotation, Event, FaultKind, History, OpKind, RegId};
-use crate::metrics::{Counter, MetricsRegistry, PhaseKind, ProcMetrics, Tally, Telemetry};
+use crate::metrics::{Counter, MetricsRegistry, ProcMetrics, Tally, Telemetry};
 use crate::sched::{Decision, PendingOp, ScheduleView, Strategy};
 use crate::tracing::{
     fault_arg, now_nanos, EventKind, FlightLog, FlightRecorder, Hist, DEFAULT_RING_CAPACITY,
@@ -123,7 +123,7 @@ pub struct RunReport<T> {
     /// The recorded history (lockstep mode only, and only if recording was
     /// enabled — it is by default).
     pub history: Option<History>,
-    /// The metrics-plane snapshot: counters, gauges, and phase spans.
+    /// The metrics-plane snapshot: counters, gauges, and histograms.
     /// Unlike [`RunReport::history`], this is populated in **both** modes.
     pub telemetry: Telemetry,
     /// The flight-recorder snapshot: the newest ring-buffered fine-grained
@@ -782,7 +782,7 @@ impl Ctx {
         self.inner.mode == Mode::Lockstep && self.inner.record
     }
 
-    /// This process's metrics shard — gauges, histograms, phases, and
+    /// This process's metrics shard — gauges, histograms, and
     /// counters written or read directly rather than through
     /// [`Ctx::count`]. A counter read here lacks whatever [`Ctx::count`]
     /// has not yet published.
@@ -877,7 +877,7 @@ impl Ctx {
         }
     }
 
-    /// The world step events and phases of this process are stamped with
+    /// The world step this process's ring events are stamped with
     /// right now: its lease cursor in free mode (this process's next step —
     /// an approximate global order), the exact counter in lockstep.
     fn step_stamp(&self) -> u64 {
@@ -905,19 +905,11 @@ impl Ctx {
         self.stamp
     }
 
-    /// Announces that this process entered a protocol phase, stamped with
-    /// the world step and the clock. Works in both modes (unlike
-    /// [`Ctx::annotate`], which needs a recorded history).
-    pub fn phase(&mut self, kind: PhaseKind) {
-        let step = self.step_stamp();
-        self.stamp = self.inner.metrics.proc(self.pid).phase(step, kind);
-    }
-
     /// Records a flight-recorder event for this process, dual-stamped with
     /// the world step and monotonic nanoseconds. In lockstep mode the
     /// event reads the clock itself. In free mode it carries the context's
-    /// last reading ([`Ctx::clock`], [`Ctx::phase`]) — the time of the
-    /// enclosing operation's opening — so that a register write does not
+    /// last reading ([`Ctx::clock`]) — the time of the enclosing
+    /// operation's opening — so that a register write does not
     /// cost a clock read; within a ring, position and step order what the
     /// shared stamp does not. Wait-free relaxed stores; a no-op when the
     /// world was built with [`WorldBuilder::trace_capacity`]`(0)`.
@@ -1770,22 +1762,29 @@ mod tests {
     }
 
     #[test]
-    fn phase_announcements_land_in_telemetry() {
+    fn trace_events_land_in_the_flight_log() {
         let mut w = World::builder(1).build();
         let r = w.reg("r", 0u32);
         let bodies: Vec<ProcBody<()>> = vec![Box::new(move |ctx| {
-            ctx.phase(PhaseKind::Round(1));
+            ctx.trace_event(EventKind::RoundAdvance, 1);
             r.write(ctx, 5)?;
-            ctx.phase(PhaseKind::Scan);
+            ctx.trace_event(EventKind::ScanBegin, 1);
             r.read(ctx)?;
             Ok(())
         })];
         let rep = w.run(bodies, Box::new(RoundRobin::new()));
-        let phases = rep.telemetry.phases(0);
-        assert_eq!(phases.len(), 2);
-        assert_eq!(phases[0].kind, PhaseKind::Round(1));
-        assert_eq!(phases[1].kind, PhaseKind::Scan);
-        assert!(phases[0].step <= phases[1].step);
+        let events = rep.flight.events(0);
+        let kinds: Vec<EventKind> = events.iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                EventKind::RoundAdvance,
+                EventKind::RegWrite,
+                EventKind::ScanBegin
+            ]
+        );
+        assert_eq!(events[0].arg, 1);
+        assert!(events.windows(2).all(|w| w[0].step <= w[1].step));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use bprc_registers::Swmr;
 use bprc_sim::tracing::{EventKind, Hist};
-use bprc_sim::{Counter, Ctx, Halted, PhaseKind};
+use bprc_sim::{Counter, Ctx, Halted};
 
 use crate::memory::labels;
 
@@ -92,13 +92,12 @@ pub(crate) struct ScanSpan {
     start_nanos: u64,
 }
 
-/// Opens a scan: the `SCAN_START` annotation, the scan phase span, and
-/// the latency stamp the matching [`finish_scan`] closes — which is also
-/// the stamp the scan's interior ring events carry in free mode (see
-/// [`Ctx::trace_event`]).
+/// Opens a scan: the `SCAN_START` annotation and the latency stamp the
+/// matching [`finish_scan`] closes — which is also the stamp the scan's
+/// first [`EventKind::ScanBegin`] and interior ring events carry in free
+/// mode (see [`Ctx::trace_event`]).
 pub(crate) fn begin_scan(ctx: &mut Ctx) -> ScanSpan {
     ctx.annotate(labels::SCAN_START, vec![]);
-    ctx.phase(PhaseKind::Scan);
     ScanSpan {
         start_nanos: ctx.clock(),
     }

@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bprc_registers::{ArrowCell, Swmr};
-use bprc_sim::{Counter, Ctx, FastPod, Halted, PhaseKind, World, NO_VERSION};
+use bprc_sim::{Counter, Ctx, EventKind, FastPod, Halted, World, NO_VERSION};
 
 /// History annotation labels used by this construction (consumed by
 /// [`crate::checker`]).
@@ -337,7 +337,8 @@ where
         if ctx.recording() {
             ctx.annotate(labels::UPD_START, vec![seq]);
         }
-        ctx.phase(PhaseKind::Write);
+        ctx.clock();
+        ctx.trace_event(EventKind::Update, seq);
         for j in 0..self.shared.n {
             if let Some(a) = &self.shared.arrows[self.me][j] {
                 a.raise(ctx)?;
@@ -535,7 +536,6 @@ where
         let budget = self.shared.scan_retry_budget.load(Ordering::Relaxed);
         let mut tries: u64 = 0;
         ctx.annotate(labels::SCAN_START, vec![]);
-        ctx.phase(PhaseKind::Scan);
         loop {
             tries += 1;
             ctx.count(Counter::ScanAttempts, 1);
@@ -816,9 +816,20 @@ mod tests {
                 t.counter(pid, Counter::ScanAttempts),
                 t.counter(pid, Counter::Scans) + t.counter(pid, Counter::ScanRetries)
             );
-            // Scans and writes announce phase spans.
-            assert!(t.phases(pid).iter().any(|p| p.kind == PhaseKind::Scan));
-            assert!(t.phases(pid).iter().any(|p| p.kind == PhaseKind::Write));
+            // Each update opens its span on the ring with its seq, and so
+            // does each scan with its first attempt.
+            let ring = rep.flight.events(pid);
+            let seqs: Vec<u64> = ring
+                .iter()
+                .filter(|e| e.kind == EventKind::Update)
+                .map(|e| e.arg)
+                .collect();
+            assert_eq!(seqs, (1..=updates).collect::<Vec<u64>>());
+            let scans = ring
+                .iter()
+                .filter(|e| e.kind == EventKind::ScanBegin && e.arg == 1)
+                .count();
+            assert_eq!(scans, 1);
         }
     }
 

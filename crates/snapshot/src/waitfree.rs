@@ -39,7 +39,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use bprc_registers::Swmr;
-use bprc_sim::{Counter, Ctx, FastDyn, FastPod, Halted, PhaseKind, World, NO_VERSION};
+use bprc_sim::{Counter, Ctx, EventKind, FastDyn, FastPod, Halted, World, NO_VERSION};
 
 use crate::memory::{labels, SnapshotMeta};
 
@@ -306,7 +306,8 @@ where
         self.scan_slots(ctx)?;
         let seq = self.last.seq + 1;
         ctx.annotate(labels::UPD_START, vec![seq]);
-        ctx.phase(PhaseKind::Write);
+        ctx.clock();
+        ctx.trace_event(EventKind::Update, seq);
         let slot = WfSlot {
             value,
             seq,

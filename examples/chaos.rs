@@ -1,7 +1,7 @@
 //! Chaos demo: a composed fault plan — an early crash, a long stall
 //! window, and a late injected panic — over the full register-level
-//! consensus stack, with faults and protocol phase spans rendered as one
-//! unified timeline from the recorded history plus the metrics plane.
+//! consensus stack, with faults and protocol spans rendered as one unified
+//! timeline from the recorded history plus the flight-recorder rings.
 //!
 //! ```text
 //! cargo run --example chaos
@@ -39,17 +39,17 @@ fn main() {
     let report = world.run(inst.bodies, Box::new(strategy));
     let history = report.history.as_ref().expect("lockstep records history");
 
-    // Faults, crashes, and the protocol's round/scan/write/coin phase
-    // spans, merged into one per-process timeline. The early steps show
-    // each process entering round 1 before the chaos begins.
+    // Faults, crashes, and the protocol's round/scan/write/coin spans from
+    // the flight recorder, merged into one per-process timeline. The early
+    // steps show each process entering round 1 before the chaos begins.
     let unified_opts = TraceOptions {
         steps: Some((0, 80)),
         ..Default::default()
     };
-    println!("unified timeline (phases + faults, steps 0..80):");
+    println!("unified timeline (spans + faults, steps 0..80):");
     println!(
         "{}",
-        render_unified(Some(history), &report.telemetry, n, &unified_opts)
+        render_unified(Some(history), &report.flight, n, &unified_opts)
     );
 
     println!("\noutcome per process:");

@@ -1,7 +1,7 @@
 //! Flight-recorder plane, end to end: the ring buffer captures real
-//! protocol events on real runs, phase events carry wall-clock stamps
-//! under free threads, the Chrome trace export is loadable Trace Event
-//! JSON, and leaving the recorder on does not distort the books the
+//! protocol events on real runs, free-mode events carry the clock reading
+//! of their enclosing operation, the Chrome trace export is loadable Trace
+//! Event JSON, and leaving the recorder on does not distort the books the
 //! telemetry==history parity tests depend on.
 
 use std::time::Instant;
@@ -15,38 +15,6 @@ use bprc::sim::trace::to_chrome_trace;
 use bprc::sim::tracing::{EventKind, Hist};
 use bprc::sim::world::{ProcBody, RunReport};
 use bprc::sim::{json, Counter, Mode, World};
-
-/// Under `Mode::Free` there is no world step counter worth reading, but
-/// phase events must still be orderable: every phase carries a nonzero
-/// monotonic nanosecond stamp, and per process the stamps never go
-/// backwards (satellite: free-thread phases used to be step-stamped with
-/// a meaningless shared counter).
-#[test]
-fn free_mode_phases_carry_monotonic_nanos() {
-    let n = 3;
-    let params = ConsensusParams::quick(n);
-    let mut world = World::builder(n)
-        .mode(Mode::Free)
-        .step_limit(u64::MAX)
-        .build();
-    let inst = ThreadedConsensus::<DirectArrow>::new(&world, &params, &[true, false, true], 11);
-    let rep = world.run(inst.bodies, Box::new(RandomStrategy::new(11)));
-    assert!(rep.outputs.iter().all(|o| o.is_some()));
-    for pid in 0..n {
-        let phases = rep.telemetry.phases(pid);
-        assert!(!phases.is_empty(), "pid {pid}: no phases recorded");
-        let mut last = 0u64;
-        for ev in phases {
-            assert!(ev.nanos > 0, "pid {pid}: phase {:?} missing nanos", ev.kind);
-            assert!(
-                ev.nanos >= last,
-                "pid {pid}: phase nanos went backwards ({} < {last})",
-                ev.nanos
-            );
-            last = ev.nanos;
-        }
-    }
-}
 
 /// A real lockstep snapshot run fills the flight recorder: every process
 /// shows scan begin/end pairs, register writes, round advances and a
@@ -105,7 +73,7 @@ fn chrome_trace_export_from_a_real_run_is_well_formed() {
         ThreadedConsensus::<DirectArrow>::new(&world, &params, &[true, false, true, false], 31);
     let rep = world.run(inst.bodies, Box::new(RandomStrategy::new(31)));
     assert!(rep.outputs.iter().all(|o| o.is_some()));
-    let doc = to_chrome_trace(&rep.flight, &rep.telemetry, rep.history.as_ref(), n);
+    let doc = to_chrome_trace(&rep.flight, rep.history.as_ref(), n);
 
     let reparsed = json::parse(&doc.render_pretty(2)).expect("chrome trace parses back");
     let events = reparsed
@@ -137,7 +105,7 @@ fn chrome_trace_export_from_a_real_run_is_well_formed() {
     assert!(complete > 0, "no complete (X) span events");
     assert!(instants > 0, "no instant (i) events");
     // The consensus stack leaves its signature on the timeline: round/scan
-    // phase spans and scan ring events.
+    // spans and scan ring events.
     let names: Vec<&str> = events
         .iter()
         .filter_map(|e| e.get("name").and_then(|s| s.as_str()))
@@ -152,10 +120,11 @@ fn chrome_trace_export_from_a_real_run_is_well_formed() {
 
 /// The carried-stamp rule. Under `Mode::Free` only the ends of an operation
 /// read the clock: a scan's opening (the stamp its first `scan_begin`
-/// shows), its `scan_end`, and every phase announcement. Every event in
-/// between — `reg_write`, `collect_pass`, a retry's `scan_begin` — carries
-/// the last of those readings, the scan-latency histogram is fed the
-/// difference of the two end stamps, and the log still exports.
+/// shows), its `scan_end`, and an update's opening (its `update` event).
+/// Every other event — `reg_write`, `collect_pass`, a retry's `scan_begin`,
+/// `round_advance`, `coin_flip`, `decide` — carries the previous event's
+/// reading, the scan-latency histogram is fed the difference of the two
+/// end stamps, and the log still exports.
 #[test]
 fn free_mode_interior_events_carry_the_enclosing_operations_stamp() {
     let n = 3;
@@ -176,7 +145,6 @@ fn free_mode_interior_events_carry_the_enclosing_operations_stamp() {
             events.windows(2).all(|w| w[0].nanos <= w[1].nanos),
             "pid {pid}: stamps went backwards"
         );
-        let phase_stamps: Vec<u64> = rep.telemetry.phases(pid).iter().map(|p| p.nanos).collect();
         let (mut opened, mut scans, mut latency) = (0, 0, 0);
         for (i, e) in events.iter().enumerate() {
             let opens_a_scan = e.kind == EventKind::ScanBegin && e.arg == 1;
@@ -185,12 +153,12 @@ fn free_mode_interior_events_carry_the_enclosing_operations_stamp() {
             } else if e.kind == EventKind::ScanEnd {
                 scans += 1;
                 latency += e.nanos - opened;
-            } else if i > 0 {
-                // Interior: no clock read of its own. The reading it
-                // carries is the previous ring event's, or a phase's (the
-                // phase log is not in the ring).
-                assert!(
-                    e.nanos == events[i - 1].nanos || phase_stamps.contains(&e.nanos),
+            } else if i > 0 && e.kind != EventKind::Update {
+                // Interior: no clock read of its own, so it carries the
+                // previous ring event's reading.
+                assert_eq!(
+                    e.nanos,
+                    events[i - 1].nanos,
                     "pid {pid}: {} at ring position {i} read the clock",
                     e.kind
                 );
@@ -208,7 +176,7 @@ fn free_mode_interior_events_carry_the_enclosing_operations_stamp() {
     }
     let merged = rep.flight.merged();
     assert!(merged.windows(2).all(|w| w[0].nanos <= w[1].nanos));
-    let doc = to_chrome_trace(&rep.flight, &rep.telemetry, None, n);
+    let doc = to_chrome_trace(&rep.flight, None, n);
     let reparsed = json::parse(&doc.render_pretty(2)).expect("chrome trace parses back");
     let mut errs = Vec::new();
     json::check_finite(&reparsed, "$", &mut errs);

@@ -103,9 +103,9 @@ fn lockstep_metrics_equal_history_counts_waitfree() {
     }
 }
 
-/// Wait-free scans show up in the unified phase timeline exactly like
-/// handshake scans: `render_unified` is fed by the same `scan`/`write`
-/// phase spans both backends emit.
+/// Wait-free scans show up in the unified timeline exactly like handshake
+/// scans: `render_unified` reads the same `scan`/`write` spans off the
+/// ring events both backends record.
 #[test]
 fn waitfree_scans_visible_in_unified_timeline() {
     use bprc::sim::trace::{render_unified, TraceOptions};
@@ -124,7 +124,7 @@ fn waitfree_scans_visible_in_unified_timeline() {
     assert!(rep.outputs.iter().all(|o| o.is_some()));
     let timeline = render_unified(
         rep.history.as_ref(),
-        &rep.telemetry,
+        &rep.flight,
         n,
         &TraceOptions::default(),
     );
