@@ -2,21 +2,18 @@
 //!
 //! ```text
 //! experiments [all|e1|...|e14|e5b]... [--quick]   # markdown tables
-//! experiments arena [--quick] [--out=PATH]        # writes BENCH_arena.json
 //! experiments verify-gate [--quick] [--weakmem]   # fail-closed gate: writes
 //!             [--out=PATH]                        #   BENCH_verify.json
 //! ```
 //!
-//! `arena` and `verify-gate` write their document *before* judging it and
-//! exit 1 iff the validator rejects it, so a red run always leaves its
-//! evidence — a violated gate row embeds its shrunk replayable trace.
-//! Every document is counts only: the same code and seed write the same
-//! bytes, so CI checks a committed document by regenerating it and
-//! comparing. A flag a command does not take is an error (exit 2), never
+//! `verify-gate` writes its document *before* judging it and exits 1 iff
+//! the validator rejects it, so a red run always leaves its evidence — a
+//! violated gate row embeds its shrunk replayable trace. The document is
+//! counts only: the same code writes the same bytes, so CI checks the
+//! committed document by regenerating it and comparing. A flag a command does not take is an error (exit 2), never
 //! ignored; the usage text is generated from [`COMMANDS`].
 
-use bprc_bench::{arena, experiments, verify_gate, Scale, Table};
-use bprc_sim::json::Value;
+use bprc_bench::{experiments, verify_gate, Scale, Table};
 
 type Experiment = fn(Scale) -> Table;
 
@@ -40,10 +37,7 @@ const EXPERIMENTS: [(&str, Experiment); 15] = [
 
 /// Every subcommand with the flags it takes (a trailing `=` takes a value);
 /// the experiment tables are the fallback command.
-const COMMANDS: [(&str, &[&str]); 2] = [
-    ("arena", &["--quick", "--out="]),
-    ("verify-gate", &["--quick", "--weakmem", "--out="]),
-];
+const COMMANDS: [(&str, &[&str]); 1] = [("verify-gate", &["--quick", "--weakmem", "--out="])];
 
 const EXPERIMENT_FLAGS: &[&str] = &["--quick"];
 
@@ -73,18 +67,19 @@ fn die_usage(msg: impl std::fmt::Display) -> ! {
     die(2, format!("{msg}\n{}", usage()))
 }
 
-/// `arena` / `verify-gate`: write the document, then judge it.
-fn emit(command: &str, doc: Value, out: &str, validate: fn(&Value) -> Vec<String>) {
+/// `verify-gate`: write the document, then judge it.
+fn gate(opts: &verify_gate::GateOptions, out: &str) {
+    let doc = verify_gate::run(opts);
     if let Err(e) = std::fs::write(out, doc.render_pretty(2) + "\n") {
         die(1, format!("cannot write {out}: {e}"));
     }
     println!("wrote {out}");
-    let errs = validate(&doc);
+    let errs = verify_gate::validate(&doc);
     if !errs.is_empty() {
         let items: Vec<String> = errs.iter().map(|e| format!("\n  - {e}")).collect();
-        die(1, format!("{command}: FAIL{}", items.concat()));
+        die(1, format!("verify-gate: FAIL{}", items.concat()));
     }
-    println!("{command}: PASS");
+    println!("verify-gate: PASS");
 }
 
 fn main() {
@@ -115,24 +110,13 @@ fn main() {
     };
 
     match first {
-        "arena" => emit(
-            first,
-            arena::run(scale, 42),
-            out.unwrap_or("BENCH_arena.json"),
-            arena::validate,
-        ),
-        "verify-gate" => {
-            let opts = verify_gate::GateOptions {
+        "verify-gate" => gate(
+            &verify_gate::GateOptions {
                 scale,
                 weakmem: flags.contains(&"--weakmem"),
-            };
-            emit(
-                first,
-                verify_gate::run(&opts),
-                out.unwrap_or("BENCH_verify.json"),
-                verify_gate::validate,
-            )
-        }
+            },
+            out.unwrap_or("BENCH_verify.json"),
+        ),
         _ => {
             let names = if words.is_empty() || words.contains(&"all") {
                 EXPERIMENTS.iter().map(|(name, _)| *name).collect()

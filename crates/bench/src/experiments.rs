@@ -11,9 +11,11 @@ use bprc_registers::{DirectArrow, HandshakeArrow};
 use bprc_sim::rng::derive_seed;
 use bprc_sim::sched::FnStrategy;
 use bprc_sim::turn::{TurnBsp, TurnDriver, TurnRandom};
-use bprc_sim::world::ProcBody;
+use bprc_sim::world::{ProcBody, RunReport};
 use bprc_sim::{Counter, Decision, World};
-use bprc_snapshot::{check_history, ScannableMemory};
+use bprc_snapshot::{
+    check_history, ScannableMemory, SnapshotBackend, SnapshotPort, WaitFreeSnapshot,
+};
 use bprc_strip::{DistanceGraph, EdgeCounters, ShrunkenGame};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -566,6 +568,48 @@ pub fn e6_memory(scale: Scale) -> Table {
     t
 }
 
+/// The handshake memory E7 and E14 put under writer pressure.
+type Handshake = ScannableMemory<u64, DirectArrow>;
+
+/// E7's and E14's run: on backend `B`, one scanner (pid 0) attempting 20
+/// scans against two endless writers, in lockstep under a scheduler that
+/// grants a runnable writer with probability `pressure`, its coin seeded
+/// `derive_seed(tag, trial)`.
+fn writer_pressure<B: SnapshotBackend<u64>>(pressure: f64, tag: u64, trial: u64) -> RunReport<()> {
+    let n = 3;
+    let mut world = World::builder(n).seed(trial).step_limit(60_000).build();
+    let mem = B::alloc(&world, n, 0);
+    let mut scanner = mem.port(0);
+    let mut bodies: Vec<ProcBody<()>> = vec![Box::new(move |ctx| {
+        for _ in 0..20 {
+            scanner.scan(ctx)?;
+        }
+        Ok(())
+    })];
+    for w in 1..n {
+        let mut port = mem.port(w);
+        bodies.push(Box::new(move |ctx| {
+            let mut k = 0u64;
+            loop {
+                k += 1;
+                port.update(ctx, k)?;
+            }
+        }));
+    }
+    let mut rng = SmallRng::seed_from_u64(derive_seed(tag, trial));
+    let strategy = FnStrategy::new(move |view: &bprc_sim::ScheduleView<'_>| {
+        let writers: Vec<usize> = view.runnable.iter().copied().filter(|&p| p != 0).collect();
+        if !writers.is_empty() && rng.gen::<f64>() < pressure {
+            Decision::Grant(writers[rng.gen_range(0..writers.len())])
+        } else if view.runnable.contains(&0) {
+            Decision::Grant(0)
+        } else {
+            Decision::Grant(view.runnable[0])
+        }
+    });
+    world.run(bodies, Box::new(strategy))
+}
+
 /// E7 (§2): snapshot scan retries under increasing writer pressure.
 pub fn e7_scan_retries(scale: Scale) -> Table {
     let trials = scale.trials(3, 10);
@@ -583,41 +627,7 @@ pub fn e7_scan_retries(scale: Scale) -> Table {
         let mut scans = 0u64;
         let mut starved = 0u64;
         for trial in 0..trials {
-            let n = 3;
-            let mut world = World::builder(n).seed(trial).step_limit(60_000).build();
-            let mem = ScannableMemory::<u64, DirectArrow>::new(&world, n, 0);
-            let mut scanner = mem.port(0);
-            let mut bodies: Vec<ProcBody<u64>> = vec![Box::new(move |ctx| {
-                let mut done = 0u64;
-                for _ in 0..20 {
-                    scanner.scan(ctx)?;
-                    done += 1;
-                }
-                Ok(done)
-            })];
-            for w in 1..n {
-                let mut port = mem.port(w);
-                bodies.push(Box::new(move |ctx| {
-                    let mut k = 0u64;
-                    loop {
-                        k += 1;
-                        port.update(ctx, k)?;
-                    }
-                }));
-            }
-            let mut rng = SmallRng::seed_from_u64(derive_seed(70, trial));
-            let strategy = FnStrategy::new(move |view: &bprc_sim::ScheduleView<'_>| {
-                let writers: Vec<usize> =
-                    view.runnable.iter().copied().filter(|&p| p != 0).collect();
-                if !writers.is_empty() && rng.gen::<f64>() < pressure {
-                    Decision::Grant(writers[rng.gen_range(0..writers.len())])
-                } else if view.runnable.contains(&0) {
-                    Decision::Grant(0)
-                } else {
-                    Decision::Grant(view.runnable[0])
-                }
-            });
-            let rep = world.run(bodies, Box::new(strategy));
+            let rep = writer_pressure::<Handshake>(pressure, 70, trial);
             attempts += rep.telemetry.counter(0, Counter::ScanAttempts);
             scans += rep.telemetry.counter(0, Counter::Scans);
             if rep.outputs[0].is_none() {
@@ -926,7 +936,6 @@ pub fn e13_ablation_m(scale: Scale) -> Table {
 /// pressure; the wait-free scan always completes within n+1 attempts by
 /// borrowing embedded views.
 pub fn e14_waitfree(scale: Scale) -> Table {
-    use bprc_snapshot::WaitFreeSnapshot;
     let trials = scale.trials(3, 10);
     let mut t = Table::new(
         "E14 — paper scan vs wait-free scan under writer pressure (extension)",
@@ -944,86 +953,17 @@ pub fn e14_waitfree(scale: Scale) -> Table {
         let mut wf_scans = 0u64;
         let mut wf_max_attempts = 0u64;
         for trial in 0..trials {
-            let n = 3;
-            // Paper construction.
-            {
-                let mut world = World::builder(n).seed(trial).step_limit(60_000).build();
-                let mem = ScannableMemory::<u64, DirectArrow>::new(&world, n, 0);
-                let mut scanner = mem.port(0);
-                let mut bodies: Vec<ProcBody<u64>> = vec![Box::new(move |ctx| {
-                    for _ in 0..20 {
-                        scanner.scan(ctx)?;
-                    }
-                    Ok(0)
-                })];
-                for w in 1..n {
-                    let mut port = mem.port(w);
-                    bodies.push(Box::new(move |ctx| {
-                        let mut k = 0u64;
-                        loop {
-                            k += 1;
-                            port.update(ctx, k)?;
-                        }
-                    }));
-                }
-                let mut rng = SmallRng::seed_from_u64(derive_seed(140, trial));
-                let strategy = FnStrategy::new(move |view: &bprc_sim::ScheduleView<'_>| {
-                    let writers: Vec<usize> =
-                        view.runnable.iter().copied().filter(|&p| p != 0).collect();
-                    if !writers.is_empty() && rng.gen::<f64>() < pressure {
-                        Decision::Grant(writers[rng.gen_range(0..writers.len())])
-                    } else if view.runnable.contains(&0) {
-                        Decision::Grant(0)
-                    } else {
-                        Decision::Grant(view.runnable[0])
-                    }
-                });
-                let rep = world.run(bodies, Box::new(strategy));
-                paper_scans += rep.telemetry.counter(0, Counter::Scans);
-                if rep.outputs[0].is_none() {
-                    paper_starved += 1;
-                }
+            let paper = writer_pressure::<Handshake>(pressure, 140, trial);
+            paper_scans += paper.telemetry.counter(0, Counter::Scans);
+            if paper.outputs[0].is_none() {
+                paper_starved += 1;
             }
             // Wait-free construction, identical pressure.
-            {
-                let mut world = World::builder(n).seed(trial).step_limit(60_000).build();
-                let snap = WaitFreeSnapshot::<u64>::new(&world, n, 0);
-                let mut scanner = snap.port(0);
-                let mut bodies: Vec<ProcBody<u64>> = vec![Box::new(move |ctx| {
-                    for _ in 0..20 {
-                        scanner.scan(ctx)?;
-                    }
-                    Ok(0)
-                })];
-                for w in 1..n {
-                    let mut port = snap.port(w);
-                    bodies.push(Box::new(move |ctx| {
-                        let mut k = 0u64;
-                        loop {
-                            k += 1;
-                            port.update(ctx, k)?;
-                        }
-                    }));
-                }
-                let mut rng = SmallRng::seed_from_u64(derive_seed(140, trial));
-                let strategy = FnStrategy::new(move |view: &bprc_sim::ScheduleView<'_>| {
-                    let writers: Vec<usize> =
-                        view.runnable.iter().copied().filter(|&p| p != 0).collect();
-                    if !writers.is_empty() && rng.gen::<f64>() < pressure {
-                        Decision::Grant(writers[rng.gen_range(0..writers.len())])
-                    } else if view.runnable.contains(&0) {
-                        Decision::Grant(0)
-                    } else {
-                        Decision::Grant(view.runnable[0])
-                    }
-                });
-                let rep = world.run(bodies, Box::new(strategy));
-                let scans = rep.telemetry.counter(0, Counter::Scans);
-                wf_scans += scans;
-                let attempts = rep.telemetry.counter(0, Counter::ScanAttempts);
-                let scans = scans.max(1);
-                wf_max_attempts = wf_max_attempts.max(attempts.div_ceil(scans));
-            }
+            let wf = writer_pressure::<WaitFreeSnapshot<u64>>(pressure, 140, trial);
+            let scans = wf.telemetry.counter(0, Counter::Scans);
+            wf_scans += scans;
+            let attempts = wf.telemetry.counter(0, Counter::ScanAttempts);
+            wf_max_attempts = wf_max_attempts.max(attempts.div_ceil(scans.max(1)));
         }
         t.row(vec![
             format!("{pressure:.2}"),

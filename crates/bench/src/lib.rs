@@ -22,7 +22,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod arena;
 pub mod experiments;
 pub mod table;
 pub mod verify_gate;

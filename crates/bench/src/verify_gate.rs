@@ -31,16 +31,23 @@
 //! matrix and the seeded fixtures with their repaired controls are all rows
 //! of that kind. What cannot be enumerated is `Expect::Sampled` by small
 //! runners emitting the same row shape: the PCT sweeps over the full
-//! consensus stack and the n = 4 snapshot, and the wait-free attempt bound.
+//! consensus stack and the n = 4 snapshot, the wait-free attempt bound, and
+//! the arena race — every [`bprc_core::entrants`] protocol at n ∈ {2, 4, 8}
+//! over both snapshot backends, whose rows also record the decided
+//! fraction, mean rounds, mean register operations and widest register.
 //! `--weakmem` *adds* the weak-memory rows to the sequentially consistent
 //! ones, and only the property tags some row of the run carries are printed.
-//! Every recorded value is a count or a verdict, so a document is a pure
-//! function of the code: timing lives in `benchmark/`.
+//! Every recorded value is a count, a mean of counts or a verdict, so a
+//! document is a pure function of the code: timing lives in `benchmark/`.
 
 use std::cell::Cell;
+use std::rc::Rc;
 
 use bprc_core::threaded::ThreadedConsensusOn;
-use bprc_core::{check_telemetry_parity, ConsensusParams, ConsensusSpec, ProcState};
+use bprc_core::{
+    arena_strategy, check_telemetry_parity, entrants, ArenaBackend, Consensus, ConsensusParams,
+    ConsensusSpec, ProcState,
+};
 use bprc_registers::DirectArrow;
 use bprc_sim::explore::{
     explore, run_trace, shrink_trace, Counterexample, DecisionTrace, ExploreConfig, ExploreReport,
@@ -49,6 +56,7 @@ use bprc_sim::explore::{
 use bprc_sim::faults::quiet_injected_panics;
 use bprc_sim::json::{check_finite, Value};
 use bprc_sim::litmus::{corpus, LitmusProgram};
+use bprc_sim::rng::derive_seed;
 use bprc_sim::sched::{FnStrategy, PctStrategy};
 use bprc_sim::world::{ProcBody, RunReport, World};
 use bprc_sim::{
@@ -64,8 +72,9 @@ use bprc_snapshot::{
 use crate::{Scale, Table};
 
 /// Schema identifier written into (and required from) every document.
-/// v2 dropped the wall-clock `elapsed_sec` and `schedules_per_sec` columns.
-pub const SCHEMA: &str = "bprc.bench.verify/v2";
+/// v2 dropped the wall-clock `elapsed_sec` and `schedules_per_sec` columns;
+/// v3 added the arena rows and their four race columns (`null` elsewhere).
+pub const SCHEMA: &str = "bprc.bench.verify/v3";
 
 /// The pinned property list. A run prints (and records) the entries some
 /// row of its table carries, so a log always states what "PASS" covered.
@@ -104,6 +113,9 @@ pub const PROPERTIES: &[(&str, &str)] = &[
 
 /// Decision path bound of every explored row ([`ExploreConfig::max_steps`]).
 const MAX_STEPS: u64 = 40;
+
+/// Process counts the arena race runs at.
+const ARENA_SIZES: [usize; 3] = [2, 4, 8];
 
 /// How to run the gate.
 #[derive(Debug, Clone)]
@@ -191,9 +203,27 @@ struct Row {
     stores_buffered: u64,
     /// The shrunk counterexample, when a violation was found.
     trace: Option<DecisionTrace>,
+    /// What an arena row measured; `None` on every other row.
+    race: Option<Race>,
     ok: bool,
     /// Coverage summary, or the failure reason.
     detail: String,
+}
+
+/// An arena row's measurements, summed over its trials (the document
+/// records per-trial means).
+#[derive(Debug, Clone, Default)]
+struct Race {
+    /// Processes that decided within the step limit.
+    decided: u64,
+    /// The highest round any process reached ([`bprc_core::ArenaProbe`]).
+    rounds: u64,
+    /// Scheduled register reads + writes; a swap counts in both, as the
+    /// telemetry plane counts it.
+    ops: u64,
+    /// The widest single register any process published, in bits — flat
+    /// for the bounded protocol and the swap race, growing for the AH line.
+    max_register_bits: u64,
 }
 
 impl Row {
@@ -211,6 +241,8 @@ impl Row {
     fn to_json(&self) -> Value {
         let nums = |xs: &[u64]| Value::Arr(xs.iter().map(|&x| x.into()).collect());
         let trace = self.trace.as_ref();
+        let trials = self.schedules as f64;
+        let race = |f: &dyn Fn(&Race) -> Value| self.race.as_ref().map_or(Value::Null, f);
         Value::obj(vec![
             ("name", self.name.as_str().into()),
             (
@@ -232,6 +264,13 @@ impl Row {
             ("faults_injected", self.faults_injected.into()),
             ("schedules_by_faults", nums(&self.schedules_by_faults)),
             ("stores_buffered", self.stores_buffered.into()),
+            (
+                "decided_fraction",
+                race(&|r| (r.decided as f64 / (self.n as f64 * trials)).into()),
+            ),
+            ("mean_rounds", race(&|r| (r.rounds as f64 / trials).into())),
+            ("mean_total_ops", race(&|r| (r.ops as f64 / trials).into())),
+            ("max_register_bits", race(&|r| r.max_register_bits.into())),
             (
                 "shrunk_len",
                 trace.map_or(Value::Null, |t| t.decisions.len().into()),
@@ -878,6 +917,88 @@ fn waitfree_bound() -> Check {
     })
 }
 
+/// One arena cell: `trials` runs of `entrant` at `n` processes over
+/// `backend`, each seeded `derive_seed(seed, trial)`, capped at
+/// `step_limit` steps and scheduled by [`arena_strategy`] for the
+/// entrant's memory model. A run fails the row if it violates agreement or
+/// validity, or decides without advancing a round, metering a register or
+/// counting an operation.
+fn arena_row(
+    entrant: Rc<dyn Consensus>,
+    n: usize,
+    backend: ArenaBackend,
+    trials: u64,
+    step_limit: u64,
+    seed: u64,
+) -> Check {
+    let row = Row {
+        name: format!("arena-{}-n{n}-{}", entrant.name(), backend.name()),
+        tags: &["AGREE", "VALID"],
+        protocol: entrant.name(),
+        backend: backend.name(),
+        mode: entrant.memory_mode(),
+        n,
+        depth: step_limit,
+        race: Some(Race::default()),
+        ..Row::default()
+    };
+    let inputs: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
+    let spec = ConsensusSpec::new(&inputs);
+    sampled(row, trials, move |row, trial| {
+        let trial_seed = derive_seed(seed, trial);
+        let mut world = World::builder(n)
+            .seed(trial_seed)
+            .step_limit(row.depth)
+            .record_history(false)
+            .weak_memory(row.mode)
+            .build();
+        let inst = entrant.build(&world, backend, &spec.inputs, trial_seed);
+        let rep = world.run(inst.bodies, arena_strategy(row.mode, trial_seed));
+        let decided = rep.outputs.iter().filter(|o| o.is_some()).count() as u64;
+        let rounds = inst.probe.max_round();
+        let bits = inst.probe.max_register_bits();
+        let ops = rep.telemetry.total(Counter::RegReads) + rep.telemetry.total(Counter::RegWrites);
+        let race = row.race.as_mut().expect("an arena row carries its race");
+        race.decided += decided;
+        race.rounds += rounds;
+        race.ops += ops;
+        race.max_register_bits = race.max_register_bits.max(bits);
+        if let Some(v) = spec.check(&rep) {
+            return Err(v);
+        }
+        if decided > 0 && (rounds == 0 || bits == 0 || ops == 0) {
+            return Err(format!(
+                "a run decided at {rounds} rounds, {bits} register bits and {ops} operations"
+            ));
+        }
+        Ok(format!(
+            "{} of {} decided",
+            race.decided,
+            n as u64 * (trial + 1)
+        ))
+    })
+}
+
+/// The arena race: every entrant × [`ARENA_SIZES`] × both backends, the
+/// cell at entrant `e`, size index `i` and backend index `b` seeded
+/// `derive_seed(seed, 100e + 10i + b)`.
+fn arena_race(seed: u64, trials: u64, step_limit: u64) -> Vec<Check> {
+    let mut checks = Vec::new();
+    for (e, entrant) in entrants().into_iter().enumerate() {
+        let entrant: Rc<dyn Consensus> = entrant.into();
+        for (i, &n) in ARENA_SIZES.iter().enumerate() {
+            for (b, backend) in ArenaBackend::ALL.into_iter().enumerate() {
+                let cell_seed = derive_seed(seed, (e * 100 + i * 10 + b) as u64);
+                let entrant = Rc::clone(&entrant);
+                checks.push(arena_row(
+                    entrant, n, backend, trials, step_limit, cell_seed,
+                ));
+            }
+        }
+    }
+    checks
+}
+
 /// The gate's checks, in execution order.
 fn table(opts: &GateOptions) -> Vec<Check> {
     let seeds = opts.scale.trials(300, 5_000);
@@ -896,6 +1017,7 @@ fn table(opts: &GateOptions) -> Vec<Check> {
         pct_snapshot(1_000),
         waitfree_bound(),
     ]);
+    checks.extend(arena_race(42, 5, 1_000_000));
     if opts.weakmem {
         for prog in corpus() {
             for mode in [WeakMode::Sc, WeakMode::Tso, WeakMode::Pso] {
@@ -933,6 +1055,10 @@ const COLUMNS: &[&str] = &[
     "exhausted",
     "max_depth",
     "stores_buffered",
+    "decided_fraction",
+    "mean_rounds",
+    "mean_total_ops",
+    "max_register_bits",
     "shrunk_len",
     "ok",
 ];
@@ -1141,7 +1267,7 @@ mod tests {
                 weakmem,
             })
         });
-        assert_eq!((sc.len(), all.len()), (12, 31));
+        assert_eq!((sc.len(), all.len()), (48, 67));
         let known = |tag: &&str| PROPERTIES.iter().any(|(t, _)| t == tag);
         for (i, check) in all.iter().enumerate() {
             let row = &check.row;
@@ -1156,6 +1282,42 @@ mod tests {
         // `--weakmem` adds rows; a run without it carries no WEAKMEM tag.
         assert!(sc.iter().all(|c| !c.row.tags.contains(&"WEAKMEM")));
         assert!(sc.iter().zip(&all).all(|(a, b)| a.row.name == b.row.name));
+        // The arena race covers the whole field: entrants × sizes × backends.
+        let arena: Vec<&str> = all
+            .iter()
+            .map(|c| c.row.name.as_str())
+            .filter(|name| name.starts_with("arena-"))
+            .collect();
+        let mut field = Vec::new();
+        for entrant in entrants() {
+            for n in ARENA_SIZES {
+                for backend in ArenaBackend::ALL {
+                    field.push(format!("arena-{}-n{n}-{}", entrant.name(), backend.name()));
+                }
+            }
+        }
+        assert_eq!(arena, field);
+    }
+
+    /// Pins the open finding of DESIGN.md § Scope limits ("Open finding"):
+    /// racing at seed 3, 2 trials and a 200,000-step limit fails exactly
+    /// one arena row, Aspnes–Herlihy over regular registers at n = 2 on the
+    /// handshake backend. The test fails if the finding moves or spreads;
+    /// deciding it empties the list.
+    #[test]
+    fn quick_arena_race_pins_the_open_finding() {
+        let rows: Vec<Row> = arena_race(3, 2, 200_000)
+            .into_iter()
+            .map(Check::run)
+            .collect();
+        let failed: Vec<&Row> = rows.iter().filter(|r| !r.ok).collect();
+        let names: Vec<&str> = failed.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["arena-ah-regular-n2-handshake"]);
+        assert!(
+            failed[0].detail.starts_with("VIOLATION"),
+            "{}",
+            failed[0].detail
+        );
     }
 
     fn document(rows: &[Row]) -> Value {

@@ -19,17 +19,13 @@ fn experiments(args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn misspelt_flags_and_unknown_commands_exit_2_with_usage() {
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 7] = [
         (&["verify-gate", "--weakmen"], "--weakmen"),
         (&["verify-gate", "--serial"], "--serial"),
-        (&["arena", "--qiuck"], "--qiuck"),
-        (&["arena", "--serial"], "--serial"),
-        (
-            &["arena", "BENCH_arena.json"],
-            "unexpected operand BENCH_arena.json",
-        ),
+        (&["verify-gate", "x.json"], "unexpected operand x.json"),
         (&["e1", "--out=x.json"], "--out=x.json"),
         (&["throughput"], "'throughput'"),
+        (&["arena"], "'arena'"),
         (&["validate-arena"], "'validate-arena'"),
     ];
     for (args, offender) in cases {

@@ -8,8 +8,11 @@
 //! [`bprc_sim::World`] process bodies through the same trait, so the chaos
 //! plane ([`bprc_sim::faults::FaultPlan`]), the systematic explorer
 //! ([`bprc_sim::explore`]), the flight recorder, and the telemetry plane
-//! all drive every protocol *unmodified*, and the benchmark harness can
-//! race them under identical adversaries.
+//! all drive every protocol *unmodified*, and the verification gate races
+//! them under identical adversaries ([`arena_strategy`]) as its `arena-*`
+//! rows. The memory model an entrant runs on is the world's one
+//! [`WeakMode`] knob: [`WeakMode::Sc`] for atomic registers,
+//! [`WeakMode::Regular`] for regular ones.
 //!
 //! Entrants:
 //!
@@ -17,7 +20,7 @@
 //!   genuine snapshot backend;
 //! * [`AhEntrant`] — Aspnes–Herlihy \[AH88\], over atomic registers or —
 //!   per the Hadzilacos–Hu–Toueg line (arXiv 2006.06771) — over
-//!   [`RegMode::Regular`] registers;
+//!   [`WeakMode::Regular`] registers;
 //! * [`AbrahamsonEntrant`] — local coins, exponential expected time;
 //! * [`OracleEntrant`] — the atomic-shared-coin floor;
 //! * [`SwapEntrant`] — the swap-race protocol
@@ -37,8 +40,8 @@ use bprc_sim::metrics::ProcMetrics;
 use bprc_sim::rng::derive_seed;
 use bprc_sim::sched::{RandomStrategy, Strategy};
 use bprc_sim::turn::{TurnProbe, TurnProcess, TurnStep};
-use bprc_sim::weakmem::RandomFlushes;
-use bprc_sim::world::{ProcBody, RegMode, World};
+use bprc_sim::weakmem::{RandomFlushes, WeakMode};
+use bprc_sim::world::{ProcBody, World};
 use bprc_snapshot::{ScannableMemory, WaitFreeSnapshot};
 
 use crate::baselines::abrahamson::LcState;
@@ -122,11 +125,12 @@ pub trait Consensus: Send + Sync {
     /// Stable name for artifacts, logs, and benchmark rows.
     fn name(&self) -> &'static str;
 
-    /// The register consistency model this entrant expects the world to
-    /// simulate. Build the world with
-    /// [`bprc_sim::world::WorldBuilder::reg_mode`] set to this.
-    fn reg_mode(&self) -> RegMode {
-        RegMode::Atomic
+    /// The memory model this entrant expects the world to simulate:
+    /// [`WeakMode::Sc`] (atomic registers) unless it says otherwise. Build
+    /// the world with [`bprc_sim::world::WorldBuilder::weak_memory`] set to
+    /// this.
+    fn memory_mode(&self) -> WeakMode {
+        WeakMode::Sc
     }
 
     /// Builds one body per process (plus the probe) in `world`.
@@ -134,7 +138,7 @@ pub trait Consensus: Send + Sync {
     /// # Panics
     ///
     /// Panics if `inputs.len()` differs from the world size or the world's
-    /// register mode differs from [`Consensus::reg_mode`].
+    /// memory model differs from [`Consensus::memory_mode`].
     fn build(
         &self,
         world: &World,
@@ -223,9 +227,9 @@ where
 fn check_world<C: Consensus + ?Sized>(c: &C, world: &World, inputs: &[bool]) {
     assert_eq!(world.n(), inputs.len(), "one input per world slot");
     assert_eq!(
-        world.register_mode(),
-        c.reg_mode(),
-        "build the world with this entrant's reg_mode()"
+        world.weak_memory_mode(),
+        c.memory_mode(),
+        "build the world with this entrant's memory_mode()"
     );
 }
 
@@ -287,7 +291,7 @@ impl AhEntrant {
     }
 
     /// AH over regular registers: same cores, but the world must simulate
-    /// [`RegMode::Regular`], so every register under the snapshot
+    /// [`WeakMode::Regular`], so every register under the snapshot
     /// construction — values, handshakes, arrows — admits stale reads at
     /// explorable flush points.
     pub fn regular() -> Self {
@@ -304,11 +308,11 @@ impl Consensus for AhEntrant {
         }
     }
 
-    fn reg_mode(&self) -> RegMode {
+    fn memory_mode(&self) -> WeakMode {
         if self.regular {
-            RegMode::Regular
+            WeakMode::Regular
         } else {
-            RegMode::Atomic
+            WeakMode::Sc
         }
     }
 
@@ -447,8 +451,8 @@ impl Consensus for SwapEntrant {
     }
 }
 
-/// The arena's seeded adversary for a register mode: uniform random grants
-/// and — when the mode buffers writes — uniform random flush injections
+/// The arena's seeded adversary for a memory model: uniform random grants
+/// and — when the model buffers writes — uniform random flush injections
 /// ([`RandomFlushes`]).
 ///
 /// The flush fairness is part of the *mode*, not of any protocol: a
@@ -457,12 +461,13 @@ impl Consensus for SwapEntrant {
 /// even over atomic registers) could stay live or safe. Regular registers
 /// still guarantee that a *completed* write becomes visible; schedules
 /// that withhold flushes forever model an adversary even Lamport's
-/// definition rules out. Every entrant with the same [`Consensus::reg_mode`]
-/// therefore gets the identical adversary — no per-protocol forks.
-pub fn arena_strategy(mode: RegMode, seed: u64) -> Box<dyn Strategy> {
+/// definition rules out. Every entrant with the same
+/// [`Consensus::memory_mode`] therefore gets the identical adversary — no
+/// per-protocol forks.
+pub fn arena_strategy(mode: WeakMode, seed: u64) -> Box<dyn Strategy> {
     match mode {
-        RegMode::Atomic => Box::new(RandomStrategy::new(seed)),
-        RegMode::Regular => Box::new(RandomFlushes::new(
+        WeakMode::Sc => Box::new(RandomStrategy::new(seed)),
+        _ => Box::new(RandomFlushes::new(
             RandomStrategy::new(seed),
             derive_seed(seed, u64::from(b'F')),
         )),
@@ -496,10 +501,10 @@ mod tests {
                 let mut world = World::builder(3)
                     .seed(11)
                     .step_limit(2_000_000)
-                    .reg_mode(entrant.reg_mode())
+                    .weak_memory(entrant.memory_mode())
                     .build();
                 let inst = entrant.build(&world, backend, &inputs, 11);
-                let rep = world.run(inst.bodies, arena_strategy(entrant.reg_mode(), 11));
+                let rep = world.run(inst.bodies, arena_strategy(entrant.memory_mode(), 11));
                 let spec = ConsensusSpec::new(&inputs);
                 assert_eq!(
                     spec.check(&rep),
@@ -525,7 +530,7 @@ mod tests {
     }
 
     #[test]
-    fn world_reg_mode_mismatch_is_rejected() {
+    fn world_memory_mode_mismatch_is_rejected() {
         let world = World::builder(2).build();
         let entrant = AhEntrant::regular();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -548,7 +553,7 @@ mod tests {
             coins: Default::default(),
         }
         .bits();
-        let rep = world.run(inst.bodies, arena_strategy(RegMode::Atomic, 3));
+        let rep = world.run(inst.bodies, arena_strategy(WeakMode::Sc, 3));
         if rep.outputs.iter().all(|o| o.is_some()) {
             assert!(inst.probe.max_register_bits() >= initial_bits);
         }

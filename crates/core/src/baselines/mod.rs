@@ -5,9 +5,10 @@
 //! referenced papers, not re-derived here. The *measured* column says
 //! what this repository actually observes empirically: every row runs in
 //! the protocol arena ([`crate::arena`]) under identical adversaries, and
-//! `BENCH_arena.json` records its mean rounds, total operations and
-//! register high-water bits per `n` and snapshot backend — seed-exact
-//! counts, the last of them the space axis of Ovens (arXiv 2305.06507).
+//! the verification gate's `arena-*` rows (`BENCH_verify.json`) record its
+//! mean rounds, total operations and register high-water bits per `n` and
+//! snapshot backend — seed-exact counts, the last of them the space axis
+//! of Ovens (arXiv 2305.06507).
 //! Wall-clock costs are `benchmark/`'s, not the arena's.
 //!
 //! | entrant | time (analytic) | space (analytic) | provenance | measured here |

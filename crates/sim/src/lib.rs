@@ -92,4 +92,4 @@ pub use tracing::{
 pub use weakmem::{
     critical_cycle, CriticalCycle, CycleNode, EdgeKind, RandomFlushes, WeakMode, FENCE_REG,
 };
-pub use world::{Ctx, Mode, RegMode, RunReport, ValueSlab, World, WorldBuilder};
+pub use world::{Ctx, Mode, RunReport, ValueSlab, World, WorldBuilder};

@@ -22,6 +22,10 @@
 //!   write *of each register* is flushable, so writes to distinct
 //!   registers drain in any order (additionally the `MP` litmus outcome).
 //!
+//! [`WeakMode::Regular`] reuses the PSO discipline to weaken every register
+//! to a *regular* one instead, with fences left free: it is a register
+//! consistency model, not a hardware one.
+//!
 //! Both disciplines do **store-to-load forwarding**: a process reading a
 //! register it has buffered writes for sees its own newest buffered value,
 //! never the stale memory cell. Reads are never delayed or reordered, so
@@ -80,7 +84,8 @@ pub const FENCE_REG: RegId = usize::MAX;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WeakMode {
     /// Sequential consistency: writes land in memory at their grant (the
-    /// pre-weakmem behaviour; store buffers stay empty).
+    /// pre-weakmem behaviour; store buffers stay empty). Registers are
+    /// atomic — the paper's model.
     #[default]
     Sc,
     /// Total store order: per-process FIFO store buffers, head-only
@@ -89,6 +94,13 @@ pub enum WeakMode {
     /// Partial store order: like TSO but only per-*register* FIFO order —
     /// buffered writes to distinct registers flush in any order.
     Pso,
+    /// Regular registers (Lamport): a read concurrent with a write may
+    /// return the old or the new value. Simulated with PSO's buffers and
+    /// flush discipline — per-register FIFO, no cross-register order, the
+    /// writer forwarding its own staged stores — which is exactly
+    /// regularity. [`Ctx::fence`](crate::world::Ctx::fence) is a free
+    /// no-op here, because no fence can make a regular register atomic.
+    Regular,
 }
 
 impl WeakMode {
@@ -98,6 +110,7 @@ impl WeakMode {
             WeakMode::Sc => "sc",
             WeakMode::Tso => "tso",
             WeakMode::Pso => "pso",
+            WeakMode::Regular => "regular",
         }
     }
 }
@@ -133,13 +146,13 @@ impl fmt::Debug for BufferedStore {
 }
 
 /// The flushable entries of one process's buffer under `mode`: TSO exposes
-/// the head only; PSO exposes the oldest entry per register, in buffer
-/// order of first occurrence.
+/// the head only; PSO (and regular registers) expose the oldest entry per
+/// register, in buffer order of first occurrence.
 pub(crate) fn flushable_of(mode: WeakMode, buffer: &VecDeque<BufferedStore>) -> Vec<RegId> {
     match mode {
         WeakMode::Sc => Vec::new(),
         WeakMode::Tso => buffer.front().map(|e| e.reg).into_iter().collect(),
-        WeakMode::Pso => {
+        WeakMode::Pso | WeakMode::Regular => {
             let mut regs = Vec::new();
             for e in buffer {
                 if !regs.contains(&e.reg) {
@@ -504,7 +517,7 @@ pub fn critical_cycle(history: &History, reg_names: &[String]) -> Option<Critica
 /// Decorator that randomly interleaves flush decisions with an inner
 /// strategy — the weak-memory counterpart of
 /// [`RandomStrategy`](crate::sched::RandomStrategy) for PCT/random sweeps.
-/// With probability `percent`% (default 40) at each decision point with a
+/// With probability 40 % at each decision point with a
 /// non-empty flushable set, it flushes a uniformly chosen entry; otherwise
 /// it delegates. Seeded and replayable; under SC the flushable set is
 /// always empty, so `RandomFlushes` degenerates to its inner strategy with
@@ -514,8 +527,10 @@ pub fn critical_cycle(history: &History, reg_names: &[String]) -> Option<Critica
 pub struct RandomFlushes<S> {
     inner: S,
     rng: SmallRng,
-    percent: u32,
 }
+
+/// The per-decision flush probability of [`RandomFlushes`], in percent.
+const FLUSH_PERCENT: u32 = 40;
 
 impl<S: Strategy> RandomFlushes<S> {
     /// Wraps `inner` with a fresh flush-coin stream.
@@ -523,21 +538,13 @@ impl<S: Strategy> RandomFlushes<S> {
         RandomFlushes {
             inner,
             rng: SmallRng::seed_from_u64(seed ^ 0xF1A5_F1A5_F1A5_F1A5),
-            percent: 40,
         }
-    }
-
-    /// Overrides the per-decision flush probability (in percent, clamped
-    /// to 100).
-    pub fn with_percent(mut self, percent: u32) -> Self {
-        self.percent = percent.min(100);
-        self
     }
 }
 
 impl<S: Strategy> Strategy for RandomFlushes<S> {
     fn decide(&mut self, view: &ScheduleView<'_>) -> Decision {
-        if !view.flushable.is_empty() && self.rng.gen_range(0..100u32) < self.percent {
+        if !view.flushable.is_empty() && self.rng.gen_range(0..100u32) < FLUSH_PERCENT {
             let (pid, reg) = view.flushable[self.rng.gen_range(0..view.flushable.len())];
             return Decision::Flush { pid, reg };
         }
@@ -660,6 +667,7 @@ mod tests {
         assert_eq!(flushable_of(WeakMode::Sc, &buf), Vec::<RegId>::new());
         assert_eq!(flushable_of(WeakMode::Tso, &buf), vec![3]);
         assert_eq!(flushable_of(WeakMode::Pso, &buf), vec![3, 5]);
+        assert_eq!(flushable_of(WeakMode::Regular, &buf), vec![3, 5]);
         assert!(flushable_of(WeakMode::Tso, &VecDeque::new()).is_empty());
     }
 
@@ -668,6 +676,7 @@ mod tests {
         assert_eq!(WeakMode::Sc.name(), "sc");
         assert_eq!(WeakMode::Tso.name(), "tso");
         assert_eq!(WeakMode::Pso.name(), "pso");
+        assert_eq!(WeakMode::Regular.name(), "regular");
         assert_eq!(WeakMode::Pso.to_string(), "pso");
         assert_eq!(WeakMode::default(), WeakMode::Sc);
     }

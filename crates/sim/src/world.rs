@@ -44,29 +44,6 @@ pub enum Mode {
     Free,
 }
 
-/// The register consistency model a world simulates.
-///
-/// Atomic (linearizable) registers are the default and match the paper's
-/// model. [`RegMode::Regular`] weakens every register to a *regular* one
-/// (Lamport): a read concurrent with a write may return either the old or
-/// the new value. The weakening is simulated with the store-buffer
-/// machinery — a granted write stages in the writer's buffer and lands at
-/// an explorable [`Decision::Flush`] point, so DFS/PCT exploration branches
-/// over both outcomes and the flush serializes into `bprc-trace-v1`
-/// unchanged. Writers forward their own staged values (a regular register
-/// still reads-its-own-writes); [`Ctx::fence`] stays a free no-op, because
-/// no fence can make a regular register atomic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum RegMode {
-    /// Linearizable registers (the paper's model). The default.
-    #[default]
-    Atomic,
-    /// Regular registers per Lamport: concurrent reads may return old or
-    /// new. Requires [`Mode::Lockstep`] and [`WeakMode::Sc`] (the
-    /// store-buffer planes already model *their* weakenings).
-    Regular,
-}
-
 /// A process body run by [`World::run`].
 pub type ProcBody<T> = Box<dyn FnOnce(&mut Ctx) -> Result<T, Halted> + Send + 'static>;
 
@@ -226,9 +203,6 @@ pub(crate) struct WorldInner {
     /// The simulated memory model (store buffers when not
     /// [`WeakMode::Sc`]; lockstep only).
     weak: WeakMode,
-    /// The simulated register consistency model (store buffers when
-    /// [`RegMode::Regular`]; lockstep only).
-    reg_mode: RegMode,
     central: Mutex<Central>,
     /// Each process's thread handle, set before its body's first gate —
     /// what a decider `unpark`s. Worlds are single-shot, so once is enough.
@@ -389,25 +363,12 @@ impl WorldInner {
         self.mode == Mode::Free
     }
 
-    /// Whether granted writes go through store buffers: a weak memory
-    /// model *or* the regular-register mode on the lockstep backend. Free
-    /// mode always runs the real hardware model, so the simulated buffers
-    /// stay off there.
+    /// Whether granted writes go through store buffers: any memory model
+    /// but [`WeakMode::Sc`], on the lockstep backend. Free mode always
+    /// runs the real hardware model, so the simulated buffers stay off
+    /// there.
     pub(crate) fn weak_buffering(&self) -> bool {
-        self.mode == Mode::Lockstep
-            && (self.weak != WeakMode::Sc || self.reg_mode == RegMode::Regular)
-    }
-
-    /// The flush discipline the scheduler offers when buffering is on.
-    /// Regular registers reuse the PSO rule — per-register FIFO, no
-    /// cross-register order — which is exactly Lamport regularity once
-    /// writers forward their own staged stores.
-    fn flush_mode(&self) -> WeakMode {
-        if self.reg_mode == RegMode::Regular {
-            WeakMode::Pso
-        } else {
-            self.weak
-        }
+        self.mode == Mode::Lockstep && self.weak != WeakMode::Sc
     }
 
     /// Increments the telemetry counter(s) for one granted lockstep access,
@@ -437,11 +398,11 @@ impl WorldInner {
     /// ([`OpKind::Fence`] on the [`FENCE_REG`] sentinel) that drains the
     /// caller's own buffer, oldest first, when granted. Free of charge
     /// under SC (no gate, no step) so protocol code can fence
-    /// unconditionally. Deliberately also free under [`RegMode::Regular`]:
+    /// unconditionally. Deliberately also free under [`WeakMode::Regular`]:
     /// no fence can make a regular register atomic, so the snapshot
     /// layer's pinned fences must not re-atomicize the weakened plane.
     pub(crate) fn fence(&self, pid: usize) -> Result<(), Halted> {
-        if !(self.mode == Mode::Lockstep && self.weak != WeakMode::Sc) {
+        if !(self.mode == Mode::Lockstep && matches!(self.weak, WeakMode::Tso | WeakMode::Pso)) {
             return Ok(());
         }
         self.access_central(pid, OpKind::Fence, FENCE_REG, 0, |c| {
@@ -591,9 +552,8 @@ impl WorldInner {
             .collect();
         let mut flushable: Vec<(usize, RegId)> = Vec::new();
         if self.weak_buffering() {
-            let fm = self.flush_mode();
             for p in 0..self.n {
-                for r in flushable_of(fm, &c.buffers[p]) {
+                for r in flushable_of(self.weak, &c.buffers[p]) {
                     flushable.push((p, r));
                 }
             }
@@ -932,12 +892,6 @@ impl Ctx {
         }
     }
 
-    /// Whether the flight recorder is keeping events — lets hot paths
-    /// skip preparing event payloads when tracing is off.
-    pub fn tracing_enabled(&self) -> bool {
-        self.inner.recorder.enabled()
-    }
-
     /// Records one latency sample into this process's histogram `h`
     /// (shorthand for [`Ctx::metrics`]`.hist_record`).
     pub fn hist_record(&self, h: Hist, v: u64) {
@@ -992,7 +946,6 @@ pub struct WorldBuilder {
     record: bool,
     trace_capacity: usize,
     weak: WeakMode,
-    reg_mode: RegMode,
 }
 
 impl WorldBuilder {
@@ -1029,24 +982,14 @@ impl WorldBuilder {
     }
 
     /// Selects the simulated memory model (default
-    /// [`WeakMode::Sc`](crate::weakmem::WeakMode)). Weak modes route every
-    /// granted write through a per-process store buffer whose flush points
-    /// are scheduler decisions — see [`crate::weakmem`]. Requires
-    /// [`Mode::Lockstep`]; [`WorldBuilder::build`] panics on a weak free
-    /// world.
+    /// [`WeakMode::Sc`](crate::weakmem::WeakMode)). Every other mode routes
+    /// each granted write through a per-process store buffer whose flush
+    /// points are scheduler decisions — see [`crate::weakmem`];
+    /// [`WeakMode::Regular`] uses them to weaken the registers themselves.
+    /// Requires [`Mode::Lockstep`]; [`WorldBuilder::build`] panics on a
+    /// weak free world.
     pub fn weak_memory(mut self, weak: WeakMode) -> Self {
         self.weak = weak;
-        self
-    }
-
-    /// Selects the simulated register consistency model (default
-    /// [`RegMode::Atomic`]). [`RegMode::Regular`] stages every write in
-    /// the writer's store buffer and lands it at an explorable
-    /// [`Decision::Flush`](crate::sched::Decision) point. Requires
-    /// [`Mode::Lockstep`] and is mutually exclusive with a weak
-    /// [`WeakMode`]; [`WorldBuilder::build`] panics otherwise.
-    pub fn reg_mode(mut self, reg_mode: RegMode) -> Self {
-        self.reg_mode = reg_mode;
         self
     }
 
@@ -1055,18 +998,8 @@ impl WorldBuilder {
         assert!(self.n >= 1, "a world needs at least one process");
         assert!(
             self.weak == WeakMode::Sc || self.mode == Mode::Lockstep,
-            "weak-memory store buffers are simulated by the lockstep \
-             scheduler; free mode runs the real hardware model"
-        );
-        assert!(
-            self.reg_mode == RegMode::Atomic || self.mode == Mode::Lockstep,
-            "regular registers are simulated by the lockstep scheduler; \
-             free mode runs the real (atomic) hardware model"
-        );
-        assert!(
-            self.reg_mode == RegMode::Atomic || self.weak == WeakMode::Sc,
-            "regular registers and weak-memory store buffers are separate \
-             weakenings; pick one"
+            "store buffers (weak memory, regular registers) are simulated \
+             by the lockstep scheduler; free mode runs the real hardware model"
         );
         World {
             inner: Arc::new(WorldInner {
@@ -1076,7 +1009,6 @@ impl WorldBuilder {
                 record: self.record,
                 seed: self.seed,
                 weak: self.weak,
-                reg_mode: self.reg_mode,
                 central: Mutex::new(Central {
                     granted: None,
                     waiting: vec![None; self.n],
@@ -1136,7 +1068,6 @@ impl World {
             record: true,
             trace_capacity: DEFAULT_RING_CAPACITY,
             weak: WeakMode::Sc,
-            reg_mode: RegMode::Atomic,
         }
     }
 
@@ -1150,17 +1081,10 @@ impl World {
         self.inner.mode
     }
 
-    /// The weak-memory buffering discipline this world simulates
-    /// ([`WeakMode::Sc`] unless [`WorldBuilder::weak_memory`] said otherwise).
+    /// The memory model this world simulates ([`WeakMode::Sc`] unless
+    /// [`WorldBuilder::weak_memory`] said otherwise).
     pub fn weak_memory_mode(&self) -> WeakMode {
         self.inner.weak
-    }
-
-    /// The register consistency model this world simulates
-    /// ([`RegMode::Atomic`] unless [`WorldBuilder::reg_mode`] said
-    /// otherwise).
-    pub fn register_mode(&self) -> RegMode {
-        self.inner.reg_mode
     }
 
     /// The global step budget this world was built with. The systematic

@@ -319,11 +319,6 @@ where
         self.me
     }
 
-    /// The value this process last wrote (initially the memory's `init`).
-    pub fn last_written(&self) -> &T {
-        &self.last.value
-    }
-
     /// Publishes `value` (the paper's `write` procedure): raise every arrow
     /// `A_{me,j}`, then atomically write `(value, !toggle)` into `V_me`.
     ///

@@ -5,7 +5,7 @@
 //! iterate `entrants()` and drive each row through
 //!
 //! 1. a depth-bounded exhaustive n=2 DFS exploration (every schedule —
-//!    and, under `RegMode::Regular`, every flush placement — of the first
+//!    and, under `WeakMode::Regular`, every flush placement — of the first
 //!    `max_steps` register grants, with truncated paths still executed and
 //!    checked as prefixes);
 //! 2. a 100-seed PCT + crash sweep at n=3 over both snapshot backends;
@@ -26,13 +26,13 @@ use bprc::sim::explore::{
 use bprc::sim::faults::{FaultPlan, FaultedStrategy};
 use bprc::sim::rng::derive_seed;
 use bprc::sim::sched::PctStrategy;
-use bprc::sim::weakmem::RandomFlushes;
-use bprc::sim::world::{ProcBody, RegMode, World};
+use bprc::sim::weakmem::{RandomFlushes, WeakMode};
+use bprc::sim::world::{ProcBody, World};
 use bprc::sim::Counter;
 
 /// Depth-bounded exhaustive DFS at n=2 for every entrant on every backend.
 /// The explorer branches over every grant order and, in a
-/// `RegMode::Regular` world, over every flush placement — so under the
+/// `WeakMode::Regular` world, over every flush placement — so under the
 /// regular mode the same budget covers a strictly richer decision tree and
 /// gets a smaller step bound to stay enumerable.
 #[test]
@@ -42,19 +42,16 @@ fn every_entrant_survives_bounded_exhaustive_n2_dfs() {
         // Flush placements multiply the branching under `Regular`, and
         // every truncated prefix is completed (flush-fairly) and checked —
         // so the regular tree gets a shorter horizon to stay enumerable.
-        let max_steps = match entrant.reg_mode() {
-            RegMode::Atomic => 14,
-            RegMode::Regular => 7,
-        };
+        let mode = entrant.memory_mode();
+        let max_steps = if mode == WeakMode::Regular { 7 } else { 14 };
         for backend in ArenaBackend::ALL {
             let cfg = ExploreConfig {
                 max_steps,
                 max_schedules: 400_000,
                 ..ExploreConfig::default()
             };
-            let mode = entrant.reg_mode();
             let make = || {
-                let world = World::builder(2).seed(0).reg_mode(mode).build();
+                let world = World::builder(2).seed(0).weak_memory(mode).build();
                 let inst = entrant.build(&world, backend, &inputs, 5);
                 (world, inst.bodies)
             };
@@ -111,16 +108,16 @@ fn pct_crash_sweep_keeps_every_entrant_safe() {
                     .seed(seed)
                     .step_limit(150_000)
                     .record_history(false)
-                    .reg_mode(entrant.reg_mode())
+                    .weak_memory(entrant.memory_mode())
                     .build();
                 let inst = entrant.build(&world, backend, &inputs, seed);
                 let victim = (seed as usize) % n;
                 let plan = FaultPlan::new().crash_at(20 + 13 * seed % 400, victim);
                 let pct = PctStrategy::new(seed, n, 3, 200);
                 let faulted = FaultedStrategy::new(pct, plan);
-                let rep = match entrant.reg_mode() {
-                    RegMode::Atomic => world.run(inst.bodies, Box::new(faulted)),
-                    RegMode::Regular => world.run(
+                let rep = match entrant.memory_mode() {
+                    WeakMode::Sc => world.run(inst.bodies, Box::new(faulted)),
+                    _ => world.run(
                         inst.bodies,
                         Box::new(RandomFlushes::new(faulted, derive_seed(seed, 0xF1))),
                     ),
@@ -149,15 +146,15 @@ fn pct_crash_sweep_keeps_every_entrant_safe() {
 /// Message-passing litmus cell on raw registers: writer publishes `x` then
 /// raises `flag`; reader sees the flag up but the payload stale. The
 /// outcome must be *exhaustively unreachable* in an atomic world and
-/// *reachable* in a `RegMode::Regular` world — and the violating schedule
+/// *reachable* in a `WeakMode::Regular` world — and the violating schedule
 /// (which necessarily carries `Decision::Flush` entries) must shrink,
 /// serialize through `bprc-trace-v1`, parse back byte-identically, and
 /// replay to the same stale read.
 #[test]
 fn regular_registers_admit_stale_reads_where_atomicity_forbids() {
-    fn factory(mode: RegMode) -> impl FnMut() -> (World, Vec<ProcBody<Vec<u64>>>) {
+    fn factory(mode: WeakMode) -> impl FnMut() -> (World, Vec<ProcBody<Vec<u64>>>) {
         move || {
-            let world = World::builder(2).seed(0).reg_mode(mode).build();
+            let world = World::builder(2).seed(0).weak_memory(mode).build();
             let x = world.reg("X", 0u64);
             let flag = world.reg("FLAG", 0u64);
             let (xw, fw) = (x.clone(), flag.clone());
@@ -182,7 +179,7 @@ fn regular_registers_admit_stale_reads_where_atomicity_forbids() {
     };
 
     // Atomic: exhaustively unreachable.
-    let rep = explore(&ExploreConfig::default(), factory(RegMode::Atomic), stale);
+    let rep = explore(&ExploreConfig::default(), factory(WeakMode::Sc), stale);
     assert!(
         rep.violation.is_none(),
         "atomic registers must forbid the stale read: {:?}",
@@ -194,11 +191,11 @@ fn regular_registers_admit_stale_reads_where_atomicity_forbids() {
     );
 
     // Regular: reachable, shrinkable, serializable, replayable.
-    let rep = explore(&ExploreConfig::default(), factory(RegMode::Regular), stale);
+    let rep = explore(&ExploreConfig::default(), factory(WeakMode::Regular), stale);
     let cex = rep
         .violation
         .expect("a regular register must admit the stale read");
-    let mut make = factory(RegMode::Regular);
+    let mut make = factory(WeakMode::Regular);
     let (min, runs) = shrink_trace(&mut make, &mut |r| stale(r), cex.trace);
     assert!(runs > 0);
     assert!(
