@@ -12,7 +12,7 @@ use bprc_sim::rng::derive_seed;
 use bprc_sim::sched::FnStrategy;
 use bprc_sim::turn::{TurnBsp, TurnDriver, TurnRandom};
 use bprc_sim::world::{ProcBody, RunReport};
-use bprc_sim::{Counter, Decision, World};
+use bprc_sim::{Counter, Decision, Gauge, World};
 use bprc_snapshot::{
     check_history, ScannableMemory, SnapshotBackend, SnapshotPort, WaitFreeSnapshot,
 };
@@ -491,7 +491,7 @@ pub fn e6_memory(scale: Scale) -> Table {
         let mut contester = AhHoldDeciders {
             rng: SmallRng::seed_from_u64(seed),
         };
-        let (_, _hw) = run_metered(procs, &mut contester, 20_000_000, |s| {
+        run_metered(procs, &mut contester, 20_000_000, |s| {
             let e = s.coins.len() as u64;
             entries_max.set(entries_max.get().max(e));
             let b = s.bits();
@@ -509,11 +509,12 @@ pub fn e6_memory(scale: Scale) -> Table {
         let procs: Vec<BoundedCore> = (0..n)
             .map(|p| BoundedCore::new(params.clone(), p, p % 2 == 0, derive_seed(seed, p as u64)))
             .collect();
-        let (_, hw) = run_metered(procs, &mut TurnBsp::new(), 20_000_000, |s| {
+        let report = run_metered(procs, &mut TurnBsp::new(), 20_000_000, |s| {
             s.register_bits()
         });
         assert_eq!(
-            hw.max_register_bits, bounded_bits,
+            report.telemetry.gauge_global(Gauge::MaxRegisterBits),
+            Some(bounded_bits),
             "bounded register grew beyond its static size"
         );
     }

@@ -60,7 +60,7 @@ use bprc_sim::rng::derive_seed;
 use bprc_sim::sched::{FnStrategy, PctStrategy};
 use bprc_sim::world::{ProcBody, RunReport, World};
 use bprc_sim::{
-    critical_cycle, Counter, Decision, FaultPlan, FaultedStrategy, Heartbeat, ScheduleView,
+    critical_cycle, Counter, Decision, FaultPlan, FaultedStrategy, Gauge, Heartbeat, ScheduleView,
     Strategy, WeakMode,
 };
 use bprc_snapshot::memory::labels;
@@ -216,13 +216,14 @@ struct Row {
 struct Race {
     /// Processes that decided within the step limit.
     decided: u64,
-    /// The highest round any process reached ([`bprc_core::ArenaProbe`]).
+    /// The highest round any process reached ([`Gauge::Round`]).
     rounds: u64,
     /// Scheduled register reads + writes; a swap counts in both, as the
     /// telemetry plane counts it.
     ops: u64,
-    /// The widest single register any process published, in bits — flat
-    /// for the bounded protocol and the swap race, growing for the AH line.
+    /// The widest single register any process published, in bits
+    /// ([`Gauge::MaxRegisterBits`]) — flat for the bounded protocol and the
+    /// swap race, growing for the AH line.
     max_register_bits: u64,
 }
 
@@ -952,11 +953,14 @@ fn arena_row(
             .record_history(false)
             .weak_memory(row.mode)
             .build();
-        let inst = entrant.build(&world, backend, &spec.inputs, trial_seed);
-        let rep = world.run(inst.bodies, arena_strategy(row.mode, trial_seed));
+        let bodies = entrant.build(&world, backend, &spec.inputs, trial_seed);
+        let rep = world.run(bodies, arena_strategy(row.mode, trial_seed));
         let decided = rep.outputs.iter().filter(|o| o.is_some()).count() as u64;
-        let rounds = inst.probe.max_round();
-        let bits = inst.probe.max_register_bits();
+        let rounds = rep.telemetry.gauge_max_all(Gauge::Round).unwrap_or(0);
+        let bits = rep
+            .telemetry
+            .gauge_max_all(Gauge::MaxRegisterBits)
+            .unwrap_or(0);
         let ops = rep.telemetry.total(Counter::RegReads) + rep.telemetry.total(Counter::RegWrites);
         let race = row.race.as_mut().expect("an arena row carries its race");
         race.decided += decided;
@@ -1409,5 +1413,46 @@ mod tests {
             table(&rendered),
             "re-paste DESIGN.md § Scope limits from the matrix `verify-gate --quick --weakmem` prints"
         );
+    }
+
+    /// Every `bprc-<crate>::<module>` (or `bprc-<crate>::{a, b}`) that
+    /// DESIGN.md's experiment index names is a module file of that crate.
+    #[test]
+    fn design_experiment_index_names_existing_modules() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let design = std::fs::read_to_string(format!("{root}/DESIGN.md")).unwrap();
+        let index = design
+            .split("\n## Experiment index")
+            .nth(1)
+            .expect("DESIGN.md has an Experiment index section");
+        let index = index.split("\n## ").next().unwrap();
+        let mut named = Vec::new();
+        for cell in index.lines().filter(|l| l.starts_with('|')) {
+            for path in cell.split("bprc-").skip(1) {
+                let end = path
+                    .find(|c: char| !c.is_ascii_lowercase())
+                    .unwrap_or(path.len());
+                let (krate, rest) = path.split_at(end);
+                let Some(rest) = rest.strip_prefix("::") else {
+                    continue;
+                };
+                let modules = match rest.strip_prefix('{') {
+                    Some(list) => list.split('}').next().unwrap(),
+                    None => rest.split(['`', ' ']).next().unwrap(),
+                };
+                for module in modules.split(',').map(str::trim) {
+                    if module != "*" {
+                        named.push(format!("crates/{krate}/src/{module}.rs"));
+                    }
+                }
+            }
+        }
+        assert!(named.len() >= 10, "too few module paths parsed: {named:?}");
+        for file in named {
+            assert!(
+                std::path::Path::new(&format!("{root}/{file}")).is_file(),
+                "DESIGN.md's experiment index names a missing module: {file}"
+            );
+        }
     }
 }

@@ -15,7 +15,9 @@
 //! Every *shared-memory operation* (one counter read, or the own-counter
 //! write) is a separately schedulable event, so the adversary can stall a
 //! process in the middle of its collect — the interleaving that creates the
-//! coin's disagreement probability in the first place.
+//! coin's disagreement probability in the first place. The own-overflow
+//! check is local and costs no event: it is the same schedule, event for
+//! event, that [`crate::shared::SharedCoin`] runs over real registers.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -242,12 +244,6 @@ pub fn run_walk(
         events += 1;
         match phases[pid].clone() {
             WalkPhase::Collect { read, sum } => {
-                // Own-overflow check costs no shared ops; do it at the start
-                // of a collect.
-                if read == 0 && params.overflowed(counters[pid]) {
-                    phases[pid] = WalkPhase::Done(CoinValue::Heads);
-                    continue;
-                }
                 // Read the next foreign counter (skipping self).
                 let foreign: Vec<usize> = (0..n).filter(|&j| j != pid).collect();
                 if let Some(&j) = foreign.get(read) {
@@ -274,11 +270,16 @@ pub fn run_walk(
             WalkPhase::Step => {
                 let heads = flips[pid].flip();
                 counters[pid] = walk_step(params, counters[pid], heads);
-                if params.overflowed(counters[pid]) {
-                    overflowed = true;
-                }
                 walk_steps += 1;
-                phases[pid] = WalkPhase::Collect { read: 0, sum: 0 };
+                // The own-overflow check that opens the next `coin_value`
+                // costs no shared op, so an overflowing step decides heads
+                // within its own event.
+                phases[pid] = if params.overflowed(counters[pid]) {
+                    overflowed = true;
+                    WalkPhase::Done(CoinValue::Heads)
+                } else {
+                    WalkPhase::Collect { read: 0, sum: 0 }
+                };
             }
             WalkPhase::Done(_) => unreachable!("inactive process scheduled"),
         }

@@ -1,15 +1,20 @@
 //! Property tests of the coin's Monte-Carlo walk simulator: bounded
-//! counters under arbitrary adversarial scripts, determinism, and
-//! consistency of decisions with the decision rules.
+//! counters under arbitrary adversarial scripts, determinism, consistency
+//! of decisions with the decision rules, and event-for-event agreement with
+//! the register-level coin it stands in for.
 //!
 //! Cases are seeded loops over `stream_rng(SEED, case)`; every assertion
 //! names the case, so a failure replays with that one stream.
 
-use bprc_coin::flip::{FlipSource, ScriptedFlips};
-use bprc_coin::montecarlo::{run_walk, WalkAdversary, WalkRandom, WalkView};
+use bprc_coin::flip::{FairFlips, FlipSource, ScriptedFlips};
+use bprc_coin::montecarlo::{run_walk, WalkAdversary, WalkRandom, WalkRoundRobin, WalkView};
+use bprc_coin::shared::SharedCoin;
 use bprc_coin::value::CoinValue;
 use bprc_coin::CoinParams;
-use bprc_sim::rng::stream_rng;
+use bprc_sim::rng::{derive_seed, stream_rng};
+use bprc_sim::sched::{RandomStrategy, RoundRobin};
+use bprc_sim::world::ProcBody;
+use bprc_sim::{Counter, Strategy, World};
 use rand::Rng;
 
 const SEED: u64 = 128;
@@ -135,5 +140,66 @@ fn run_walk_is_deterministic() {
         assert_eq!(a.decisions, b.decisions, "{at}");
         assert_eq!(a.events, b.events, "{at}");
         assert_eq!(a.walk_steps, b.walk_steps, "{at}");
+    }
+}
+
+/// `run_walk` is the fast executor for [`SharedCoin`]: under the same
+/// scheduler decisions and the same local flips, the simulator and the
+/// coin over lockstep registers reach the same decisions with the same walk
+/// steps and the same number of events — the own-overflow check is local
+/// in both.
+#[test]
+fn run_walk_matches_the_shared_coin_over_registers() {
+    const LIMIT: u64 = 10_000_000;
+    for n in 2..=4 {
+        for b in [1, 2] {
+            for m in [1, 4, 16, 1_000_000] {
+                let params = CoinParams::new(n, b, m);
+                for seed in 0..10 {
+                    for round_robin in [false, true] {
+                        let at = format!("n {n} b {b} m {m} seed {seed} round-robin {round_robin}");
+                        let flips = |p: usize| FairFlips::new(derive_seed(seed, p as u64));
+                        let (mut walk_adv, strategy): (Box<dyn WalkAdversary>, Box<dyn Strategy>) =
+                            if round_robin {
+                                (Box::new(WalkRoundRobin::new()), Box::new(RoundRobin::new()))
+                            } else {
+                                (
+                                    Box::new(WalkRandom::new(seed)),
+                                    Box::new(RandomStrategy::new(seed)),
+                                )
+                            };
+                        let sources = (0..n)
+                            .map(|p| Box::new(flips(p)) as Box<dyn FlipSource>)
+                            .collect();
+                        let walk = run_walk(&params, sources, walk_adv.as_mut(), LIMIT);
+
+                        let mut world = World::builder(n)
+                            .seed(seed)
+                            .step_limit(LIMIT)
+                            .record_history(false)
+                            .build();
+                        let coin = SharedCoin::new(&world, params);
+                        let bodies: Vec<ProcBody<CoinValue>> = (0..n)
+                            .map(|p| {
+                                let (mut port, mut flips) = (coin.port(p), flips(p));
+                                let body: ProcBody<CoinValue> =
+                                    Box::new(move |ctx| port.flip(ctx, &mut flips));
+                                body
+                            })
+                            .collect();
+                        let rep = world.run(bodies, strategy);
+
+                        assert!(walk.decisions.iter().all(Option::is_some), "{at}");
+                        assert_eq!(walk.decisions, rep.outputs, "{at}");
+                        assert_eq!(
+                            walk.walk_steps,
+                            rep.telemetry.total(Counter::CoinFlips),
+                            "{at}"
+                        );
+                        assert_eq!(walk.events, rep.steps, "{at}");
+                    }
+                }
+            }
+        }
     }
 }

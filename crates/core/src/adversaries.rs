@@ -159,6 +159,7 @@ mod tests {
     use super::*;
     use crate::bounded::{BoundedCore, ConsensusParams};
     use bprc_sim::turn::TurnDriver;
+    use bprc_sim::Gauge;
 
     fn cores(n: usize, seed: u64) -> Vec<BoundedCore> {
         let params = ConsensusParams::quick(n);
@@ -188,7 +189,7 @@ mod tests {
             let params = ConsensusParams::quick(n);
             let static_bits = params.layout().bits();
             let procs = cores(n, seed);
-            let (r, hw) = run_metered(procs, &mut HoldDeciders::new(seed), 10_000_000, |s| {
+            let r = run_metered(procs, &mut HoldDeciders::new(seed), 10_000_000, |s| {
                 s.register_bits()
             });
             assert!(
@@ -197,7 +198,8 @@ mod tests {
             );
             assert_eq!(r.distinct_outputs().len(), 1, "seed {seed}");
             assert_eq!(
-                hw.max_register_bits, static_bits,
+                r.telemetry.gauge_global(Gauge::MaxRegisterBits),
+                Some(static_bits),
                 "seed {seed}: registers grew under the Lemma 3.1 attack"
             );
         }

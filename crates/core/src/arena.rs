@@ -14,32 +14,31 @@
 //! [`WeakMode`] knob: [`WeakMode::Sc`] for atomic registers,
 //! [`WeakMode::Regular`] for regular ones.
 //!
-//! Entrants:
+//! [`entrants`] lists them, in benchmark order:
 //!
-//! * [`BoundedEntrant`] — the paper's bounded-polynomial protocol over a
-//!   genuine snapshot backend;
-//! * [`AhEntrant`] — Aspnes–Herlihy \[AH88\], over atomic registers or —
-//!   per the Hadzilacos–Hu–Toueg line (arXiv 2006.06771) — over
-//!   [`WeakMode::Regular`] registers;
-//! * [`AbrahamsonEntrant`] — local coins, exponential expected time;
-//! * [`OracleEntrant`] — the atomic-shared-coin floor;
-//! * [`SwapEntrant`] — the swap-race protocol
+//! * `bounded` — the paper's bounded-polynomial protocol
+//!   ([`BoundedCore`]) over a genuine snapshot backend;
+//! * `ah-atomic` and `ah-regular` — Aspnes–Herlihy \[AH88\] ([`AhCore`]),
+//!   over atomic registers or — per the Hadzilacos–Hu–Toueg line (arXiv
+//!   2006.06771) — over [`WeakMode::Regular`] registers;
+//! * `abrahamson` — local coins ([`LocalCoinCore`]), exponential expected
+//!   time;
+//! * `oracle` — the atomic-shared-coin floor ([`OracleCore`]);
+//! * `swap-race` — the swap-race protocol
 //!   ([`crate::baselines::swap_race`]) on raw registers plus
 //!   [`bprc_sim::reg::Reg::swap`].
 //!
-//! Each instance carries an [`ArenaProbe`]: lock-free high-water marks for
-//! the register width (the paper's boundedness axis) and the round count
-//! (the convergence axis), fed either by [`MeteredProc`] wrapping a
-//! [`TurnProcess`] or directly by the swap-race bodies.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+//! The first five are one generic entrant: a [`TurnProcess`] core run by
+//! [`over_snapshot`]. Round progress and register width — the convergence
+//! and boundedness axes — are read off the run's telemetry as the
+//! [`bprc_sim::Gauge::Round`] and [`bprc_sim::Gauge::MaxRegisterBits`]
+//! gauges, which [`over_snapshot`] bridges from the core's probe and the
+//! swap-race bodies set directly.
 
 use bprc_registers::DirectArrow;
-use bprc_sim::metrics::ProcMetrics;
 use bprc_sim::rng::derive_seed;
 use bprc_sim::sched::{RandomStrategy, Strategy};
-use bprc_sim::turn::{TurnProbe, TurnProcess, TurnStep};
+use bprc_sim::turn::TurnProcess;
 use bprc_sim::weakmem::{RandomFlushes, WeakMode};
 use bprc_sim::world::{ProcBody, World};
 use bprc_snapshot::{ScannableMemory, WaitFreeSnapshot};
@@ -76,46 +75,6 @@ impl ArenaBackend {
     }
 }
 
-/// Lock-free protocol-progress high-water marks, shared between the
-/// running bodies and the harness that inspects them after the run.
-#[derive(Debug, Default)]
-pub struct ArenaProbe {
-    max_register_bits: AtomicU64,
-    max_round: AtomicU64,
-}
-
-impl ArenaProbe {
-    /// Folds one observed register width into the high-water mark.
-    pub fn record_bits(&self, bits: u64) {
-        self.max_register_bits.fetch_max(bits, Ordering::Relaxed);
-    }
-
-    /// Folds one observed round number into the high-water mark.
-    pub fn record_round(&self, round: u64) {
-        self.max_round.fetch_max(round, Ordering::Relaxed);
-    }
-
-    /// Largest single-register width any process published (bits).
-    pub fn max_register_bits(&self) -> u64 {
-        self.max_register_bits.load(Ordering::Relaxed)
-    }
-
-    /// Highest round any process reached.
-    pub fn max_round(&self) -> u64 {
-        self.max_round.load(Ordering::Relaxed)
-    }
-}
-
-/// A built arena instance: one body per process, plus the probe the
-/// bodies feed. Pass `bodies` to [`World::run`] (or the explorer's run
-/// factory) exactly like any other body set.
-pub struct ArenaInstance {
-    /// One runnable body per process.
-    pub bodies: Vec<ProcBody<bool>>,
-    /// Register-width and round high-water marks, live during the run.
-    pub probe: Arc<ArenaProbe>,
-}
-
 /// One consensus protocol, buildable into a [`World`] on demand.
 ///
 /// Object-safe on purpose: harnesses hold `Box<dyn Consensus>` rows and
@@ -133,7 +92,10 @@ pub trait Consensus: Send + Sync {
         WeakMode::Sc
     }
 
-    /// Builds one body per process (plus the probe) in `world`.
+    /// Builds one body per process in `world`. Pass them to [`World::run`]
+    /// (or the explorer's run factory) exactly like any other body set;
+    /// the run's telemetry carries each process's round and register-width
+    /// gauges.
     ///
     /// # Panics
     ///
@@ -145,83 +107,7 @@ pub trait Consensus: Send + Sync {
         backend: ArenaBackend,
         inputs: &[bool],
         seed: u64,
-    ) -> ArenaInstance;
-}
-
-/// Wraps a [`TurnProcess`] so every published register value is measured
-/// into an [`ArenaProbe`] (width via the protocol-specific `bits` closure,
-/// round via the inner probe) while delegating the protocol logic — and
-/// the [`TurnProcess::probe`] / [`TurnProcess::publish_telemetry`]
-/// surfaces — untouched.
-pub struct MeteredProc<P: TurnProcess> {
-    inner: P,
-    bits: Box<dyn Fn(&P::Msg) -> u64 + Send>,
-    probe: Arc<ArenaProbe>,
-}
-
-impl<P: TurnProcess> MeteredProc<P> {
-    /// Wraps `inner`, measuring each written message with `bits`.
-    pub fn new(inner: P, bits: Box<dyn Fn(&P::Msg) -> u64 + Send>, probe: Arc<ArenaProbe>) -> Self {
-        MeteredProc { inner, bits, probe }
-    }
-
-    fn note_round(&self) {
-        if let Some(r) = self.inner.probe().round {
-            self.probe.record_round(r);
-        }
-    }
-}
-
-impl<P: TurnProcess> TurnProcess for MeteredProc<P> {
-    type Msg = P::Msg;
-    type Out = P::Out;
-
-    fn initial_msg(&mut self) -> P::Msg {
-        let msg = self.inner.initial_msg();
-        self.probe.record_bits((self.bits)(&msg));
-        self.note_round();
-        msg
-    }
-
-    fn on_scan(&mut self, view: &[P::Msg]) -> TurnStep<P::Msg, P::Out> {
-        let step = self.inner.on_scan(view);
-        if let TurnStep::Write(msg) = &step {
-            self.probe.record_bits((self.bits)(msg));
-        }
-        self.note_round();
-        step
-    }
-
-    fn probe(&self) -> TurnProbe {
-        self.inner.probe()
-    }
-
-    fn publish_telemetry(&self, m: &ProcMetrics<'_>) {
-        self.inner.publish_telemetry(m);
-    }
-}
-
-/// Monomorphizes [`over_snapshot`] on the chosen backend and keeps only
-/// the bodies (ports hold the memory alive on their own).
-fn build_over<P>(
-    world: &World,
-    procs: Vec<P>,
-    initial: P::Msg,
-    backend: ArenaBackend,
-) -> Vec<ProcBody<P::Out>>
-where
-    P: TurnProcess + Send + 'static,
-    P::Msg: Clone + PartialEq + Send + Sync + 'static,
-    P::Out: Send + 'static,
-{
-    match backend {
-        ArenaBackend::Handshake => {
-            over_snapshot::<P, ScannableMemory<P::Msg, DirectArrow>>(world, procs, initial).1
-        }
-        ArenaBackend::WaitFree => {
-            over_snapshot::<P, WaitFreeSnapshot<P::Msg>>(world, procs, initial).1
-        }
-    }
+    ) -> Vec<ProcBody<bool>>;
 }
 
 fn check_world<C: Consensus + ?Sized>(c: &C, world: &World, inputs: &[bool]) {
@@ -233,87 +119,27 @@ fn check_world<C: Consensus + ?Sized>(c: &C, world: &World, inputs: &[bool]) {
     );
 }
 
-/// Bits a `pref + round` register holds: 2 for the preference (value or
-/// ⊥), plus the round counter's current width.
-fn pref_round_bits(round: u64) -> u64 {
-    2 + (65 - round.leading_zeros() as u64)
+/// A scan/write entrant: `core(n, pid, input, seed)` builds each process's
+/// [`TurnProcess`], which [`over_snapshot`] runs over the chosen backend
+/// with every register initially `initial(n)`.
+struct TurnEntrant<P: TurnProcess> {
+    name: &'static str,
+    mode: WeakMode,
+    core: fn(usize, usize, bool, u64) -> P,
+    initial: fn(usize) -> P::Msg,
 }
 
-/// The paper's bounded-polynomial protocol over a real snapshot backend.
-pub struct BoundedEntrant;
-
-impl Consensus for BoundedEntrant {
+impl<P> Consensus for TurnEntrant<P>
+where
+    P: TurnProcess<Out = bool> + Send + 'static,
+    P::Msg: Clone + PartialEq + Send + Sync + 'static,
+{
     fn name(&self) -> &'static str {
-        "bounded"
-    }
-
-    fn build(
-        &self,
-        world: &World,
-        backend: ArenaBackend,
-        inputs: &[bool],
-        seed: u64,
-    ) -> ArenaInstance {
-        check_world(self, world, inputs);
-        let n = inputs.len();
-        let params = ConsensusParams::quick(n);
-        let probe = Arc::new(ArenaProbe::default());
-        let procs: Vec<MeteredProc<BoundedCore>> = (0..n)
-            .map(|pid| {
-                MeteredProc::new(
-                    BoundedCore::new(
-                        params.clone(),
-                        pid,
-                        inputs[pid],
-                        derive_seed(seed, pid as u64),
-                    ),
-                    Box::new(ProcState::register_bits),
-                    Arc::clone(&probe),
-                )
-            })
-            .collect();
-        let initial = ProcState::phantom(params.layout());
-        let bodies = build_over(world, procs, initial, backend);
-        ArenaInstance { bodies, probe }
-    }
-}
-
-/// Aspnes–Herlihy \[AH88\] over a snapshot backend — atomic registers, or
-/// regular ones per the Hadzilacos–Hu–Toueg line (arXiv 2006.06771).
-pub struct AhEntrant {
-    regular: bool,
-}
-
-impl AhEntrant {
-    /// AH over atomic registers (the classical setting).
-    pub fn atomic() -> Self {
-        AhEntrant { regular: false }
-    }
-
-    /// AH over regular registers: same cores, but the world must simulate
-    /// [`WeakMode::Regular`], so every register under the snapshot
-    /// construction — values, handshakes, arrows — admits stale reads at
-    /// explorable flush points.
-    pub fn regular() -> Self {
-        AhEntrant { regular: true }
-    }
-}
-
-impl Consensus for AhEntrant {
-    fn name(&self) -> &'static str {
-        if self.regular {
-            "ah-regular"
-        } else {
-            "ah-atomic"
-        }
+        self.name
     }
 
     fn memory_mode(&self) -> WeakMode {
-        if self.regular {
-            WeakMode::Regular
-        } else {
-            WeakMode::Sc
-        }
+        self.mode
     }
 
     fn build(
@@ -322,114 +148,49 @@ impl Consensus for AhEntrant {
         backend: ArenaBackend,
         inputs: &[bool],
         seed: u64,
-    ) -> ArenaInstance {
+    ) -> Vec<ProcBody<bool>> {
         check_world(self, world, inputs);
         let n = inputs.len();
-        let probe = Arc::new(ArenaProbe::default());
-        let procs: Vec<MeteredProc<AhCore>> = (0..n)
-            .map(|pid| {
-                MeteredProc::new(
-                    AhCore::new(n, pid, inputs[pid], derive_seed(seed, pid as u64), 3),
-                    Box::new(|s: &AhState| s.bits()),
-                    Arc::clone(&probe),
-                )
-            })
+        let procs: Vec<P> = (0..n)
+            .map(|pid| (self.core)(n, pid, inputs[pid], seed))
             .collect();
-        let initial = AhState {
+        let initial = (self.initial)(n);
+        match backend {
+            ArenaBackend::Handshake => {
+                over_snapshot::<P, ScannableMemory<P::Msg, DirectArrow>>(world, procs, initial).1
+            }
+            ArenaBackend::WaitFree => {
+                over_snapshot::<P, WaitFreeSnapshot<P::Msg>>(world, procs, initial).1
+            }
+        }
+    }
+}
+
+/// Aspnes–Herlihy \[AH88\] on the memory model `mode`: over
+/// [`WeakMode::Regular`], every register under the snapshot construction —
+/// values, handshakes, arrows — admits stale reads at explorable flush
+/// points.
+fn aspnes_herlihy(name: &'static str, mode: WeakMode) -> TurnEntrant<AhCore> {
+    TurnEntrant {
+        name,
+        mode,
+        core: |n, pid, input, seed| AhCore::new(n, pid, input, derive_seed(seed, pid as u64), 3),
+        initial: |_| AhState {
             pref: Pref::Bottom,
             round: 0,
             coins: Default::default(),
-        };
-        let bodies = build_over(world, procs, initial, backend);
-        ArenaInstance { bodies, probe }
-    }
-}
-
-/// Abrahamson \[A88\]: independent local coins, exponential expected time.
-pub struct AbrahamsonEntrant;
-
-impl Consensus for AbrahamsonEntrant {
-    fn name(&self) -> &'static str {
-        "abrahamson"
-    }
-
-    fn build(
-        &self,
-        world: &World,
-        backend: ArenaBackend,
-        inputs: &[bool],
-        seed: u64,
-    ) -> ArenaInstance {
-        check_world(self, world, inputs);
-        let n = inputs.len();
-        let probe = Arc::new(ArenaProbe::default());
-        let procs: Vec<MeteredProc<LocalCoinCore>> = (0..n)
-            .map(|pid| {
-                MeteredProc::new(
-                    LocalCoinCore::new(n, pid, inputs[pid], derive_seed(seed, pid as u64)),
-                    Box::new(|s: &LcState| pref_round_bits(s.round)),
-                    Arc::clone(&probe),
-                )
-            })
-            .collect();
-        let initial = LcState {
-            pref: Pref::Bottom,
-            round: 0,
-        };
-        let bodies = build_over(world, procs, initial, backend);
-        ArenaInstance { bodies, probe }
-    }
-}
-
-/// The \[CIL87\]-style perfect-shared-coin oracle — the convergence floor.
-pub struct OracleEntrant;
-
-impl Consensus for OracleEntrant {
-    fn name(&self) -> &'static str {
-        "oracle"
-    }
-
-    fn build(
-        &self,
-        world: &World,
-        backend: ArenaBackend,
-        inputs: &[bool],
-        seed: u64,
-    ) -> ArenaInstance {
-        check_world(self, world, inputs);
-        let n = inputs.len();
-        let probe = Arc::new(ArenaProbe::default());
-        let procs: Vec<MeteredProc<OracleCore>> = (0..n)
-            .map(|pid| {
-                MeteredProc::new(
-                    // The shared seed IS the oracle: identical for all.
-                    OracleCore::new(n, pid, inputs[pid], seed),
-                    Box::new(|s: &OracleState| pref_round_bits(s.round)),
-                    Arc::clone(&probe),
-                )
-            })
-            .collect();
-        let initial = OracleState {
-            pref: Pref::Bottom,
-            round: 0,
-        };
-        let bodies = build_over(world, procs, initial, backend);
-        ArenaInstance { bodies, probe }
+        },
     }
 }
 
 /// The swap-race protocol ([`crate::baselines::swap_race`]). Runs on raw
 /// registers plus [`bprc_sim::reg::Reg::swap`]; the snapshot backend
 /// parameter is ignored (there is nothing to scan).
-pub struct SwapEntrant {
-    /// Pre-allocated rounds (bounds the register file).
-    pub max_rounds: usize,
-}
+struct SwapEntrant;
 
-impl Default for SwapEntrant {
-    fn default() -> Self {
-        SwapEntrant { max_rounds: 64 }
-    }
+impl SwapEntrant {
+    /// Pre-allocated rounds (bounds the register file).
+    const MAX_ROUNDS: usize = 64;
 }
 
 impl Consensus for SwapEntrant {
@@ -443,11 +204,9 @@ impl Consensus for SwapEntrant {
         _backend: ArenaBackend,
         inputs: &[bool],
         seed: u64,
-    ) -> ArenaInstance {
+    ) -> Vec<ProcBody<bool>> {
         check_world(self, world, inputs);
-        let probe = Arc::new(ArenaProbe::default());
-        let bodies = swap_race_bodies(world, inputs, seed, self.max_rounds, Arc::clone(&probe));
-        ArenaInstance { bodies, probe }
+        swap_race_bodies(world, inputs, seed, Self::MAX_ROUNDS)
     }
 }
 
@@ -478,33 +237,79 @@ pub fn arena_strategy(mode: WeakMode, seed: u64) -> Box<dyn Strategy> {
 /// and the shared-trait acceptance tests both iterate exactly this list.
 pub fn entrants() -> Vec<Box<dyn Consensus>> {
     vec![
-        Box::new(BoundedEntrant),
-        Box::new(AhEntrant::atomic()),
-        Box::new(AhEntrant::regular()),
-        Box::new(AbrahamsonEntrant),
-        Box::new(OracleEntrant),
-        Box::new(SwapEntrant::default()),
+        Box::new(TurnEntrant {
+            name: "bounded",
+            mode: WeakMode::Sc,
+            core: |n, pid, input, seed| {
+                let params = ConsensusParams::quick(n);
+                BoundedCore::new(params, pid, input, derive_seed(seed, pid as u64))
+            },
+            initial: |n| ProcState::phantom(ConsensusParams::quick(n).layout()),
+        }),
+        Box::new(aspnes_herlihy("ah-atomic", WeakMode::Sc)),
+        Box::new(aspnes_herlihy("ah-regular", WeakMode::Regular)),
+        Box::new(TurnEntrant {
+            name: "abrahamson",
+            mode: WeakMode::Sc,
+            core: |n, pid, input, seed| {
+                LocalCoinCore::new(n, pid, input, derive_seed(seed, pid as u64))
+            },
+            initial: |_| LcState {
+                pref: Pref::Bottom,
+                round: 0,
+            },
+        }),
+        Box::new(TurnEntrant {
+            name: "oracle",
+            mode: WeakMode::Sc,
+            // The shared seed IS the oracle: identical for all.
+            core: OracleCore::new,
+            initial: |_| OracleState {
+                pref: Pref::Bottom,
+                round: 0,
+            },
+        }),
+        Box::new(SwapEntrant),
     ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::swap_race::SWAP_RACE_REGISTER_BITS;
     use crate::verify::ConsensusSpec;
-    use bprc_sim::World;
+    use bprc_sim::world::RunReport;
+    use bprc_sim::Gauge;
+
+    fn entrant(name: &str) -> Box<dyn Consensus> {
+        entrants()
+            .into_iter()
+            .find(|e| e.name() == name)
+            .unwrap_or_else(|| panic!("no entrant named {name}"))
+    }
+
+    fn run(
+        entrant: &dyn Consensus,
+        backend: ArenaBackend,
+        inputs: &[bool],
+        seed: u64,
+        step_limit: u64,
+    ) -> RunReport<bool> {
+        let mut world = World::builder(inputs.len())
+            .seed(seed)
+            .step_limit(step_limit)
+            .weak_memory(entrant.memory_mode())
+            .build();
+        let bodies = entrant.build(&world, backend, inputs, seed);
+        world.run(bodies, arena_strategy(entrant.memory_mode(), seed))
+    }
 
     #[test]
     fn every_entrant_runs_under_the_shared_surface() {
         let inputs = [true, false, true];
         for entrant in entrants() {
             for backend in ArenaBackend::ALL {
-                let mut world = World::builder(3)
-                    .seed(11)
-                    .step_limit(2_000_000)
-                    .weak_memory(entrant.memory_mode())
-                    .build();
-                let inst = entrant.build(&world, backend, &inputs, 11);
-                let rep = world.run(inst.bodies, arena_strategy(entrant.memory_mode(), 11));
+                let rep = run(entrant.as_ref(), backend, &inputs, 11, 2_000_000);
                 let spec = ConsensusSpec::new(&inputs);
                 assert_eq!(
                     spec.check(&rep),
@@ -514,13 +319,14 @@ mod tests {
                     backend.name()
                 );
                 if rep.outputs.iter().any(|o| o.is_some()) {
+                    let t = &rep.telemetry;
                     assert!(
-                        inst.probe.max_round() >= 1,
+                        t.gauge_max_all(Gauge::Round).unwrap_or(0) >= 1,
                         "{}: a deciding run advances rounds",
                         entrant.name()
                     );
                     assert!(
-                        inst.probe.max_register_bits() > 0,
+                        t.gauge_max_all(Gauge::MaxRegisterBits).unwrap_or(0) > 0,
                         "{}: bodies must meter register width",
                         entrant.name()
                     );
@@ -532,7 +338,7 @@ mod tests {
     #[test]
     fn world_memory_mode_mismatch_is_rejected() {
         let world = World::builder(2).build();
-        let entrant = AhEntrant::regular();
+        let entrant = entrant("ah-regular");
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             entrant.build(&world, ArenaBackend::Handshake, &[true, false], 0)
         }));
@@ -541,21 +347,71 @@ mod tests {
 
     #[test]
     fn metered_bits_track_ah_growth() {
-        // The AH entrant's probe must observe register growth (the
-        // unbounded strip), while the bounded entrant's stays flat at its
-        // static width.
+        // The AH entrant's width gauge must reach at least its initial
+        // width once every process decides (its strip only grows).
         let inputs = [true, false];
-        let mut world = World::builder(2).seed(3).step_limit(2_000_000).build();
-        let inst = AhEntrant::atomic().build(&world, ArenaBackend::Handshake, &inputs, 3);
         let initial_bits = AhState {
             pref: Pref::Val(true),
             round: 1,
             coins: Default::default(),
         }
         .bits();
-        let rep = world.run(inst.bodies, arena_strategy(WeakMode::Sc, 3));
+        let rep = run(
+            entrant("ah-atomic").as_ref(),
+            ArenaBackend::Handshake,
+            &inputs,
+            3,
+            2_000_000,
+        );
         if rep.outputs.iter().all(|o| o.is_some()) {
-            assert!(inst.probe.max_register_bits() >= initial_bits);
+            for pid in 0..inputs.len() {
+                let bits = rep.telemetry.gauge(pid, Gauge::MaxRegisterBits);
+                assert!(bits >= Some(initial_bits), "pid {pid}: {bits:?}");
+            }
+        }
+    }
+
+    /// The width gauge is the entrant's register width, per pid: the
+    /// bounded protocol's static layout (73 bits at n = 2, 91 at n = 8)
+    /// and the swap race's constant, however far a run gets.
+    #[test]
+    fn width_gauges_are_pinned_per_pid() {
+        for (n, want) in [(2, 73), (8, 91)] {
+            let bits = ConsensusParams::quick(n).layout().bits();
+            assert_eq!(bits, want, "n = {n}");
+            let inputs: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
+            for (name, width) in [("bounded", bits), ("swap-race", SWAP_RACE_REGISTER_BITS)] {
+                let rep = run(
+                    entrant(name).as_ref(),
+                    ArenaBackend::Handshake,
+                    &inputs,
+                    5,
+                    20_000,
+                );
+                for pid in 0..n {
+                    assert_eq!(
+                        rep.telemetry.gauge(pid, Gauge::MaxRegisterBits),
+                        Some(width),
+                        "{name} n = {n} pid {pid}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn arena_telemetry_jsonl_carries_the_width_gauge() {
+        let rep = run(
+            entrant("bounded").as_ref(),
+            ArenaBackend::WaitFree,
+            &[true, false],
+            7,
+            2_000_000,
+        );
+        let jsonl = rep.telemetry.to_jsonl();
+        let proc_lines = jsonl.lines().take(2);
+        for line in proc_lines {
+            assert!(line.contains("\"max_register_bits\":73"), "{line}");
         }
     }
 }

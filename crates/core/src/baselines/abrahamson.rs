@@ -105,6 +105,7 @@ impl TurnProcess for LocalCoinCore {
         TurnProbe {
             round: Some(self.state.round),
             coin_flips: self.coin_flips,
+            register_bits: super::pref_round_bits(self.state.round),
         }
     }
 

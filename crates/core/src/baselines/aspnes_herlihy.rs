@@ -111,6 +111,7 @@ impl TurnProcess for AhCore {
         TurnProbe {
             round: Some(self.state.round),
             coin_flips: self.coin_flips,
+            register_bits: self.state.bits(),
         }
     }
 

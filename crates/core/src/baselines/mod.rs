@@ -37,3 +37,9 @@ pub use abrahamson::LocalCoinCore;
 pub use aspnes_herlihy::AhCore;
 pub use oracle::OracleCore;
 pub use swap_race::swap_race_bodies;
+
+/// Bits a `pref + round` register holds: 2 for the preference (value or
+/// ⊥), plus the round counter's current width.
+fn pref_round_bits(round: u64) -> u64 {
+    2 + (65 - round.leading_zeros() as u64)
+}

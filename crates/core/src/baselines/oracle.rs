@@ -75,6 +75,7 @@ impl TurnProcess for OracleCore {
             // no local flips to report, just round progress.
             round: Some(self.state.round),
             coin_flips: 0,
+            register_bits: super::pref_round_bits(self.state.round),
         }
     }
 

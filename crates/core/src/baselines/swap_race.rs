@@ -35,8 +35,7 @@ use bprc_coin::flip::{FairFlips, FlipSource};
 use bprc_sim::reg::Reg;
 use bprc_sim::rng::derive_seed;
 use bprc_sim::world::{ProcBody, World};
-
-use crate::arena::ArenaProbe;
+use bprc_sim::Gauge;
 
 /// Bits one conciliator or marker register holds: a presence bit plus the
 /// payload (`Option<(bool, bool)>` is the widest at 1 + 2). Constant — the
@@ -92,8 +91,9 @@ fn alloc(world: &World, n: usize, max_rounds: usize) -> Arc<Shared> {
 
 /// Builds one body per process for a swap-race consensus instance over
 /// `world`'s registers. `max_rounds` bounds the pre-allocated rounds (and
-/// thereby the register file); `probe` receives round progress and the
-/// (constant) register high-water mark.
+/// thereby the register file). Each body publishes its round as
+/// [`Gauge::Round`] and the (constant) register width as
+/// [`Gauge::MaxRegisterBits`].
 ///
 /// # Panics
 ///
@@ -104,24 +104,23 @@ pub fn swap_race_bodies(
     inputs: &[bool],
     seed: u64,
     max_rounds: usize,
-    probe: Arc<ArenaProbe>,
 ) -> Vec<ProcBody<bool>> {
     let n = inputs.len();
     assert_eq!(world.n(), n, "one process per world slot");
     assert!(max_rounds > 0, "at least one round");
-    probe.record_bits(SWAP_RACE_REGISTER_BITS);
     let shared = alloc(world, n, max_rounds);
     inputs
         .iter()
         .enumerate()
         .map(|(pid, &input)| {
             let sh = Arc::clone(&shared);
-            let probe = Arc::clone(&probe);
             let body: ProcBody<bool> = Box::new(move |ctx| {
+                ctx.metrics()
+                    .gauge_max(Gauge::MaxRegisterBits, SWAP_RACE_REGISTER_BITS);
                 let mut flips = FairFlips::new(derive_seed(seed, pid as u64));
                 let mut v = input;
                 for r in 0..max_rounds {
-                    probe.record_round(r as u64 + 1);
+                    ctx.metrics().gauge_set(Gauge::Round, r as u64 + 1);
                     // Fast path: a committed decision is the only value any
                     // round can ever commit again, so adopting it is safe.
                     if let Some(dv) = sh.d.read(ctx)? {
@@ -201,8 +200,7 @@ mod tests {
 
     fn run(n: usize, inputs: &[bool], seed: u64) -> bprc_sim::world::RunReport<bool> {
         let mut world = World::builder(n).seed(seed).step_limit(2_000_000).build();
-        let probe = Arc::new(ArenaProbe::default());
-        let bodies = swap_race_bodies(&world, inputs, seed, 64, probe);
+        let bodies = swap_race_bodies(&world, inputs, seed, 64);
         world.run(bodies, Box::new(RandomStrategy::new(seed)))
     }
 

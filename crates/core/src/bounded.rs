@@ -495,6 +495,7 @@ impl TurnProcess for BoundedCore {
         TurnProbe {
             round: Some(self.stats.rounds),
             coin_flips: self.stats.coin_flips,
+            register_bits: self.layout.bits(),
         }
     }
 

@@ -64,10 +64,7 @@ pub mod threaded;
 pub mod verify;
 pub mod virtual_rounds;
 
-pub use arena::{
-    arena_strategy, entrants, AbrahamsonEntrant, AhEntrant, ArenaBackend, ArenaInstance,
-    ArenaProbe, BoundedEntrant, Consensus, MeteredProc, OracleEntrant, SwapEntrant,
-};
+pub use arena::{arena_strategy, entrants, ArenaBackend, Consensus};
 pub use bounded::{BoundedCore, ConsensusParams};
 pub use state::{Pref, ProcState};
 pub use verify::{check_telemetry_parity, ConsensusSpec};

@@ -6,51 +6,24 @@
 //! registers grow with the round number.
 
 use bprc_sim::turn::{TurnAdversary, TurnDriver, TurnProcess, TurnReport};
-use bprc_sim::{Gauge, Telemetry};
-
-/// Tracks the maximal register width observed during a run.
-///
-/// Since the metrics plane landed this is a thin projection of the
-/// [`Gauge::MaxRegisterBits`] / [`Gauge::MaxTotalBits`] high-water gauges
-/// (global shard) that [`run_metered`] maintains; it is kept so existing
-/// experiment code reads the numbers without touching [`Telemetry`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MemoryHighWater {
-    /// Largest single-register width seen (bits).
-    pub max_register_bits: u64,
-    /// Sum of all register widths at the moment the maximum total occurred.
-    pub max_total_bits: u64,
-    /// Events applied.
-    pub events: u64,
-}
-
-impl MemoryHighWater {
-    /// Reads the high-water gauges back out of a run's telemetry snapshot
-    /// (`events` comes from the report, not the gauges).
-    pub fn from_telemetry(t: &Telemetry, events: u64) -> Self {
-        MemoryHighWater {
-            max_register_bits: t.gauge_global(Gauge::MaxRegisterBits).unwrap_or(0),
-            max_total_bits: t.gauge_global(Gauge::MaxTotalBits).unwrap_or(0),
-            events,
-        }
-    }
-}
+use bprc_sim::Gauge;
 
 /// Runs a turn-based protocol while measuring register widths after every
 /// event, using `bits` to size one register's contents.
 ///
 /// The observed maxima are pushed into the driver's metrics registry as
-/// [`Gauge::MaxRegisterBits`] and [`Gauge::MaxTotalBits`] (global shard),
-/// so they ride along in the report's [`Telemetry`] and its JSONL export;
-/// the returned [`MemoryHighWater`] is the same numbers in struct form.
+/// [`Gauge::MaxRegisterBits`] (the widest single register) and
+/// [`Gauge::MaxTotalBits`] (the widest sum over all registers), both on the
+/// global shard, so they ride along in the report's
+/// [`bprc_sim::Telemetry`] and its JSONL export: read them back with
+/// [`bprc_sim::Telemetry::gauge_global`].
 pub fn run_metered<P: TurnProcess>(
     procs: Vec<P>,
     adversary: &mut dyn TurnAdversary<P::Msg>,
     max_events: u64,
     bits: impl Fn(&P::Msg) -> u64,
-) -> (TurnReport<P::Out>, MemoryHighWater) {
-    let mut events = 0u64;
-    let report = TurnDriver::new(procs).run_observed(adversary, max_events, |driver| {
+) -> TurnReport<P::Out> {
+    TurnDriver::new(procs).run_observed(adversary, max_events, |driver| {
         let mut total = 0u64;
         let mut max_reg = 0u64;
         for msg in driver.shared() {
@@ -61,10 +34,7 @@ pub fn run_metered<P: TurnProcess>(
         let g = driver.metrics().global();
         g.gauge_max(Gauge::MaxRegisterBits, max_reg);
         g.gauge_max(Gauge::MaxTotalBits, total);
-        events = driver.events();
-    });
-    let hw = MemoryHighWater::from_telemetry(&report.telemetry, events);
-    (report, hw)
+    })
 }
 
 #[cfg(test)]
@@ -81,12 +51,13 @@ mod tests {
         let procs: Vec<BoundedCore> = (0..3)
             .map(|p| BoundedCore::new(params.clone(), p, p % 2 == 0, p as u64))
             .collect();
-        let (report, hw) = run_metered(procs, &mut TurnRandom::new(3), 3_000_000, |s| {
+        let report = run_metered(procs, &mut TurnRandom::new(3), 3_000_000, |s| {
             s.register_bits()
         });
         assert!(report.completed);
         assert_eq!(
-            hw.max_register_bits, static_bits,
+            report.telemetry.gauge_global(Gauge::MaxRegisterBits),
+            Some(static_bits),
             "bounded register width must never exceed its static size"
         );
     }
@@ -99,13 +70,12 @@ mod tests {
             .map(|p| AhCore::new(3, p, p % 2 == 0, 7 + p as u64, 3))
             .collect();
         let initial_bits = procs[0].register_bits();
-        let (report, hw) = run_metered(procs, &mut TurnRandom::new(5), 3_000_000, |s| s.bits());
+        let report = run_metered(procs, &mut TurnRandom::new(5), 3_000_000, |s| s.bits());
         assert!(report.completed);
+        let max_bits = report.telemetry.gauge_global(Gauge::MaxRegisterBits);
         assert!(
-            hw.max_register_bits > initial_bits,
-            "AH88 registers must grow: {} vs initial {}",
-            hw.max_register_bits,
-            initial_bits
+            max_bits > Some(initial_bits),
+            "AH88 registers must grow: {max_bits:?} vs initial {initial_bits}"
         );
     }
 }

@@ -198,6 +198,7 @@ impl<S: ProposalSource> TurnProcess for LogCore<S> {
         bprc_sim::turn::TurnProbe {
             round: Some(s.rounds),
             coin_flips: s.coin_flips,
+            register_bits: 0,
         }
     }
 

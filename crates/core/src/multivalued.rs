@@ -330,6 +330,7 @@ impl TurnProcess for MvCore {
         bprc_sim::turn::TurnProbe {
             round: Some(s.rounds),
             coin_flips: s.coin_flips,
+            register_bits: 0,
         }
     }
 

@@ -11,10 +11,11 @@
 //! handshake construction ([`ScannableMemory`], the default) or the
 //! wait-free AADGMS construction ([`bprc_snapshot::WaitFreeSnapshot`],
 //! immune to scan starvation). [`over_snapshot`] takes the backend as a
-//! type parameter; [`over_scannable_memory`] and [`ThreadedConsensus`] are
-//! the historical handshake-specialised entry points.
+//! type parameter and runs any [`TurnProcess`], publishing its probe's round
+//! and register width as the [`Gauge::Round`] and [`Gauge::MaxRegisterBits`]
+//! telemetry gauges; [`ThreadedConsensusOn`] is the bounded protocol's
+//! instance over it.
 
-use bprc_registers::ArrowCell;
 use bprc_sim::tracing::{now_nanos, EventKind, Hist};
 use bprc_sim::turn::{TurnProcess, TurnStep};
 use bprc_sim::world::ProcBody;
@@ -27,35 +28,6 @@ use crate::state::ProcState;
 /// What [`over_snapshot`] returns: the backend plus one runnable body per
 /// process.
 pub type BackendAndBodies<B, O> = (B, Vec<ProcBody<O>>);
-
-/// What [`over_scannable_memory`] returns: the memory plus one runnable
-/// body per process.
-pub type MemoryAndBodies<M, A, O> = (ScannableMemory<M, A>, Vec<ProcBody<O>>);
-
-/// Wraps any scan/write protocol ([`TurnProcess`]) into process bodies that
-/// run it over a real [`ScannableMemory`]: the returned memory plus one
-/// body per process. Shorthand for [`over_snapshot`] with the handshake
-/// backend.
-///
-/// `initial` is the registers' initial contents (what a process that has
-/// not yet written appears as).
-///
-/// # Panics
-///
-/// Panics if `procs.len()` differs from the world size.
-pub fn over_scannable_memory<P, A>(
-    world: &World,
-    procs: Vec<P>,
-    initial: P::Msg,
-) -> MemoryAndBodies<P::Msg, A, P::Out>
-where
-    P: TurnProcess + Send + 'static,
-    P::Msg: Clone + PartialEq + Send + Sync + 'static,
-    P::Out: Send + 'static,
-    A: ArrowCell,
-{
-    over_snapshot::<P, ScannableMemory<P::Msg, A>>(world, procs, initial)
-}
 
 /// Wraps any scan/write protocol ([`TurnProcess`]) into process bodies that
 /// run it over any [`SnapshotBackend`] `B`: the returned backend plus one
@@ -96,6 +68,7 @@ where
                 // round gauge), new coin flips a coin-flip event; each opens
                 // a `round(r)`/`coin` span on the timeline, beside the
                 // `scan`/`write` spans the snapshot layer opens underneath.
+                // Width changes raise the register-width high-water gauge.
                 // The same probe deltas feed the latency histograms
                 // (per-round duration, first-step-to-decision).
                 let mut last = proc.probe();
@@ -104,6 +77,10 @@ where
                 if let Some(r) = last.round {
                     ctx.trace_event(EventKind::RoundAdvance, r);
                     ctx.metrics().gauge_set(Gauge::Round, r);
+                }
+                if last.register_bits > 0 {
+                    ctx.metrics()
+                        .gauge_max(Gauge::MaxRegisterBits, last.register_bits);
                 }
                 // One view buffer for the whole run: `scan_into` refills it
                 // in place, so the steady-state loop allocates nothing.
@@ -128,6 +105,10 @@ where
                         }
                         if now.coin_flips > last.coin_flips {
                             ctx.trace_event(EventKind::CoinFlip, now.coin_flips - last.coin_flips);
+                        }
+                        if now.register_bits != last.register_bits {
+                            ctx.metrics()
+                                .gauge_max(Gauge::MaxRegisterBits, now.register_bits);
                         }
                         last = now;
                         match step {
@@ -214,7 +195,8 @@ impl<B: SnapshotBackend<ProcState>> ThreadedConsensusOn<B> {
 mod tests {
     use super::*;
     use bprc_registers::{DirectArrow, HandshakeArrow};
-    use bprc_sim::sched::{CrashPlan, RandomStrategy};
+    use bprc_sim::faults::{FaultPlan, FaultedStrategy};
+    use bprc_sim::sched::RandomStrategy;
     use bprc_sim::Mode;
     use bprc_snapshot::check_history;
 
@@ -309,7 +291,8 @@ mod tests {
                 .map(|p| MvCore::new(params.clone(), p, values[p], 8, seed * 31 + p as u64))
                 .collect();
             let initial = MvState::phantom(params.layout());
-            let (_mem, bodies) = over_scannable_memory::<_, DirectArrow>(&world, procs, initial);
+            let (_mem, bodies) =
+                over_snapshot::<_, ScannableMemory<_, DirectArrow>>(&world, procs, initial);
             let rep = world.run(bodies, Box::new(RandomStrategy::new(seed)));
             let decisions: Vec<u64> = rep.outputs.iter().map(|o| o.unwrap()).collect();
             assert_eq!(decisions[0], decisions[1], "seed {seed}");
@@ -346,7 +329,8 @@ mod tests {
             let mut world = World::builder(3).seed(seed).step_limit(5_000_000).build();
             let inst =
                 ThreadedConsensus::<DirectArrow>::new(&world, &params, &[true, false, false], seed);
-            let strategy = CrashPlan::new(RandomStrategy::new(seed), vec![(30, 0)]);
+            let plan = FaultPlan::new().crash_at(30, 0);
+            let strategy = FaultedStrategy::new(RandomStrategy::new(seed), plan);
             let rep = world.run(inst.bodies, Box::new(strategy));
             let survivors: Vec<bool> = (1..3).filter_map(|p| rep.outputs[p]).collect();
             assert_eq!(survivors.len(), 2, "seed {seed}: survivors must decide");
@@ -359,7 +343,7 @@ mod tests {
         // Inject a panic into one process mid-run over the real register
         // stack: the panic is contained, the survivors reach agreement, and
         // the injection is visible in the recorded history.
-        use bprc_sim::faults::{quiet_injected_panics, FaultPlan, FaultedStrategy};
+        use bprc_sim::faults::quiet_injected_panics;
         use bprc_sim::{FaultKind, Halted};
         // Expected contained panic: keep it off stderr.
         quiet_injected_panics();

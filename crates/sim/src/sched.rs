@@ -223,56 +223,6 @@ impl Strategy for SoloBursts {
     }
 }
 
-/// Decorator that crashes given processes at given global steps, delegating
-/// every other decision to an inner strategy.
-#[derive(Debug)]
-pub struct CrashPlan<S> {
-    inner: S,
-    /// Sorted list of (step, pid) crash points still awaiting delivery. An
-    /// entry is only removed when its crash is actually issued: the target
-    /// may be absent from `view.runnable` at the due step without being
-    /// dead — an outer wrapper (e.g. a stall window from the `faults`
-    /// module) can hide a live pid from this view, and the crash must still
-    /// land once the pid reappears.
-    plan: Vec<(u64, usize)>,
-}
-
-impl<S: Strategy> CrashPlan<S> {
-    /// Wraps `inner`, crashing `pid` the first time the global step counter
-    /// reaches `step` *and* `pid` is visible as runnable, for each
-    /// `(step, pid)` in `plan`.
-    pub fn new(inner: S, mut plan: Vec<(u64, usize)>) -> Self {
-        plan.sort_unstable();
-        CrashPlan { inner, plan }
-    }
-
-    /// Crash points not yet delivered (targets that finished before their
-    /// due step simply stay here; they are never illegally crashed).
-    pub fn undelivered(&self) -> &[(u64, usize)] {
-        &self.plan
-    }
-}
-
-impl<S: Strategy> Strategy for CrashPlan<S> {
-    fn decide(&mut self, view: &ScheduleView<'_>) -> Decision {
-        // Deliver the earliest due entry whose target is currently visible.
-        // Due-but-hidden entries are retried at every later decision point.
-        let due = self
-            .plan
-            .iter()
-            .position(|&(step, pid)| view.step >= step && view.runnable.contains(&pid));
-        if let Some(i) = due {
-            let (_, pid) = self.plan.remove(i);
-            return Decision::Crash(pid);
-        }
-        self.inner.decide(view)
-    }
-
-    fn drain_fault_notes(&mut self) -> Vec<(usize, FaultKind)> {
-        self.inner.drain_fault_notes()
-    }
-}
-
 /// PCT — probabilistic concurrency testing (Burckhardt et al., ASPLOS'10).
 ///
 /// Samples a random priority assignment over the `n` processes plus `d`
@@ -468,71 +418,6 @@ mod tests {
             })
             .collect();
         assert_eq!(picks, vec![0, 0, 0, 1, 1, 1]);
-    }
-
-    #[test]
-    fn crash_plan_fires_once() {
-        let mut s = CrashPlan::new(RoundRobin::new(), vec![(2, 1)]);
-        let runnable = [0, 1];
-        let pending = dummy_pending(2);
-        assert_eq!(s.decide(&view(0, &runnable, &pending)), Decision::Grant(0));
-        assert_eq!(s.decide(&view(1, &runnable, &pending)), Decision::Grant(1));
-        assert_eq!(s.decide(&view(2, &runnable, &pending)), Decision::Crash(1));
-        // After the crash the inner strategy resumes.
-        let runnable = [0];
-        let pending = dummy_pending(1);
-        assert_eq!(s.decide(&view(2, &runnable, &pending)), Decision::Grant(0));
-    }
-
-    /// A crash whose target is hidden from the view at the due step (as a
-    /// stall wrapper does) must not be dropped: it fires as soon as the pid
-    /// is visible again.
-    #[test]
-    fn crash_plan_retries_hidden_targets() {
-        let mut s = CrashPlan::new(RoundRobin::new(), vec![(2, 1)]);
-        let pending = dummy_pending(1);
-        // At the due step pid 1 is not visible; the plan entry must survive.
-        assert_eq!(s.decide(&view(2, &[0], &pending)), Decision::Grant(0));
-        assert_eq!(s.decide(&view(3, &[0], &pending)), Decision::Grant(0));
-        assert_eq!(s.undelivered(), &[(2, 1)]);
-        // Pid 1 reappears two steps later: the crash lands.
-        let pending = dummy_pending(2);
-        assert_eq!(s.decide(&view(4, &[0, 1], &pending)), Decision::Crash(1));
-        assert!(s.undelivered().is_empty());
-    }
-
-    /// Every planned crash is delivered, even when several become due at the
-    /// same step or their targets are hidden in different windows.
-    #[test]
-    fn crash_plan_delivers_every_planned_crash() {
-        let mut s = CrashPlan::new(RoundRobin::new(), vec![(1, 2), (1, 0)]);
-        let pending = dummy_pending(3);
-        assert_eq!(s.decide(&view(0, &[0, 1, 2], &pending)), Decision::Grant(0));
-        // Both entries due at step 1; pid 0 is hidden, pid 2 visible.
-        let pending2 = dummy_pending(2);
-        assert_eq!(s.decide(&view(1, &[1, 2], &pending2)), Decision::Crash(2));
-        assert_eq!(
-            s.decide(&view(1, &[1], &dummy_pending(1))),
-            Decision::Grant(1)
-        );
-        // Pid 0 becomes visible again: its crash still fires.
-        assert_eq!(s.decide(&view(2, &[0, 1], &pending2)), Decision::Crash(0));
-        assert!(s.undelivered().is_empty());
-    }
-
-    /// A target that genuinely finished before its due step stays pending
-    /// harmlessly and never produces an illegal crash decision.
-    #[test]
-    fn crash_plan_never_crashes_finished_processes() {
-        let mut s = CrashPlan::new(RoundRobin::new(), vec![(0, 5)]);
-        let pending = dummy_pending(2);
-        for step in 0..4 {
-            match s.decide(&view(step, &[0, 1], &pending)) {
-                Decision::Grant(_) => {}
-                d => panic!("unexpected {d:?}"),
-            }
-        }
-        assert_eq!(s.undelivered(), &[(0, 5)]);
     }
 
     #[test]

@@ -40,14 +40,18 @@ pub enum TurnStep<M, O> {
 /// its driver (see [`TurnProcess::probe`]).
 ///
 /// The threaded adapter in `bprc-core` polls it once per protocol
-/// iteration to bridge round changes into flight-recorder round events; the turn driver
-/// reads it once at the end of a run to set the round gauge.
+/// iteration to bridge round changes into flight-recorder round events and
+/// register widths into the register-width gauge; the turn driver reads it
+/// once at the end of a run to set the round gauge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TurnProbe {
     /// The round the process has reached, if the protocol has rounds.
     pub round: Option<u64>,
     /// Local coin flips performed so far.
     pub coin_flips: u64,
+    /// Width in bits of the register value the process last published;
+    /// 0 when the protocol does not size its registers.
+    pub register_bits: u64,
 }
 
 /// A per-process protocol state machine driven by [`TurnDriver`].
@@ -711,7 +715,7 @@ mod tests {
             fn probe(&self) -> TurnProbe {
                 TurnProbe {
                     round: Some(3 - self.left as u64),
-                    coin_flips: 0,
+                    ..TurnProbe::default()
                 }
             }
             fn publish_telemetry(&self, m: &ProcMetrics<'_>) {

@@ -13,7 +13,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::ThreadId;
 use std::time::Duration;
 
-use bprc_sim::sched::{CrashPlan, FnStrategy, RandomStrategy, RoundRobin};
+use bprc_sim::faults::{FaultPlan, FaultedStrategy};
+use bprc_sim::sched::{FnStrategy, RandomStrategy, RoundRobin};
 use bprc_sim::world::{ProcBody, World};
 use bprc_sim::{Decision, Halted, ScheduleView, Strategy};
 
@@ -58,7 +59,8 @@ fn tiny_run(seed: u64) -> Outcome {
         random.decide(view)
     });
     let strategy: Box<dyn Strategy> = if seed % 4 == 0 {
-        Box::new(CrashPlan::new(base, vec![(seed % 5, seed as usize % n)]))
+        let plan = FaultPlan::new().crash_at(seed % 5, seed as usize % n);
+        Box::new(FaultedStrategy::new(base, plan))
     } else {
         Box::new(base)
     };
@@ -177,7 +179,7 @@ fn a_crashed_process_still_unwinding_takes_the_next_decision_itself() {
     // (thread, decision) for every consultation of the strategy.
     let deciders = Arc::new(Mutex::new(Vec::new()));
     let log = Arc::clone(&deciders);
-    let mut plan = CrashPlan::new(RandomStrategy::new(7), vec![(3, 0)]);
+    let mut plan = FaultedStrategy::new(RandomStrategy::new(7), FaultPlan::new().crash_at(3, 0));
     let strategy = FnStrategy::new(move |view: &ScheduleView<'_>| {
         let d = plan.decide(view);
         log.lock().unwrap().push((std::thread::current().id(), d));

@@ -2,8 +2,9 @@
 //! piece of infrastructure in the workspace (every deterministic result
 //! rests on it).
 
+use bprc_sim::faults::{FaultPlan, FaultedStrategy};
 use bprc_sim::history::OpKind;
-use bprc_sim::sched::{CrashPlan, FnStrategy, RandomStrategy, RoundRobin, SoloBursts};
+use bprc_sim::sched::{FnStrategy, RandomStrategy, RoundRobin, SoloBursts};
 use bprc_sim::world::{Mode, ProcBody, World};
 use bprc_sim::{Decision, Halted};
 
@@ -60,7 +61,11 @@ fn crashing_every_process_terminates_the_world() {
             b
         })
         .collect();
-    let strategy = CrashPlan::new(RoundRobin::new(), vec![(0, 0), (0, 1), (0, 2)]);
+    let plan = FaultPlan::new()
+        .crash_at(0, 0)
+        .crash_at(0, 1)
+        .crash_at(0, 2);
+    let strategy = FaultedStrategy::new(RoundRobin::new(), plan);
     let rep = w.run(bodies, Box::new(strategy));
     assert!(rep.outputs.iter().all(|o| o.is_none()));
     assert!(rep

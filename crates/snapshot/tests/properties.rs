@@ -5,7 +5,8 @@
 //! recorded history with the offline checker.
 
 use bprc_registers::{ArrowCell, DirectArrow, HandshakeArrow};
-use bprc_sim::sched::{CrashPlan, RandomStrategy, SoloBursts};
+use bprc_sim::faults::{FaultPlan, FaultedStrategy};
+use bprc_sim::sched::{RandomStrategy, SoloBursts};
 use bprc_sim::world::ProcBody;
 use bprc_sim::{Strategy, World};
 use bprc_snapshot::{check_history, ScannableMemory};
@@ -84,7 +85,8 @@ fn p1_p3_hold_with_crashes() {
     // Crash one process mid-run; the survivors' scans must still satisfy
     // the properties (crashed writes may be half-finished).
     for seed in 0..20 {
-        let strategy = CrashPlan::new(RandomStrategy::new(seed), vec![(25 + seed, 0)]);
+        let plan = FaultPlan::new().crash_at(25 + seed, 0);
+        let strategy = FaultedStrategy::new(RandomStrategy::new(seed), plan);
         let mut world = World::builder(3).seed(seed).step_limit(2_000_000).build();
         let mem = ScannableMemory::<u64, HandshakeArrow>::new(&world, 3, 0);
         let meta = mem.meta();

@@ -52,8 +52,8 @@ fn every_entrant_survives_bounded_exhaustive_n2_dfs() {
             };
             let make = || {
                 let world = World::builder(2).seed(0).weak_memory(mode).build();
-                let inst = entrant.build(&world, backend, &inputs, 5);
-                (world, inst.bodies)
+                let bodies = entrant.build(&world, backend, &inputs, 5);
+                (world, bodies)
             };
             let spec = ConsensusSpec::new(&inputs);
             let rep = explore(&cfg, make, |r| spec.check(r));
@@ -110,15 +110,15 @@ fn pct_crash_sweep_keeps_every_entrant_safe() {
                     .record_history(false)
                     .weak_memory(entrant.memory_mode())
                     .build();
-                let inst = entrant.build(&world, backend, &inputs, seed);
+                let bodies = entrant.build(&world, backend, &inputs, seed);
                 let victim = (seed as usize) % n;
                 let plan = FaultPlan::new().crash_at(20 + 13 * seed % 400, victim);
                 let pct = PctStrategy::new(seed, n, 3, 200);
                 let faulted = FaultedStrategy::new(pct, plan);
                 let rep = match entrant.memory_mode() {
-                    WeakMode::Sc => world.run(inst.bodies, Box::new(faulted)),
+                    WeakMode::Sc => world.run(bodies, Box::new(faulted)),
                     _ => world.run(
-                        inst.bodies,
+                        bodies,
                         Box::new(RandomFlushes::new(faulted, derive_seed(seed, 0xF1))),
                     ),
                 };

@@ -69,8 +69,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn handshake_runs_are_pinned_across_refactors() {
     use bprc::coin::flip::{Flips, ScriptedFlips};
     use bprc::core::state::ProcState;
-    use bprc::core::threaded::over_scannable_memory;
+    use bprc::core::threaded::over_snapshot;
     use bprc::sim::sched::RoundRobin;
+    use bprc::snapshot::ScannableMemory;
 
     let run = |inputs: &[bool], script: &[bool]| {
         let n = inputs.len();
@@ -82,7 +83,7 @@ fn handshake_runs_are_pinned_across_refactors() {
                 BoundedCore::with_flips(params.clone(), pid, inputs[pid], flips)
             })
             .collect();
-        let (_mem, bodies) = over_scannable_memory::<_, DirectArrow>(
+        let (_mem, bodies) = over_snapshot::<_, ScannableMemory<_, DirectArrow>>(
             &world,
             procs,
             ProcState::phantom(params.layout()),

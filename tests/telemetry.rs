@@ -4,7 +4,7 @@
 //! and survive the round trip through the JSONL export.
 
 use bprc::core::bounded::{BoundedCore, ConsensusParams};
-use bprc::core::meter::{run_metered, MemoryHighWater};
+use bprc::core::meter::run_metered;
 use bprc::core::threaded::{ThreadedConsensus, WaitFreeConsensus};
 use bprc::registers::DirectArrow;
 use bprc::sim::history::OpKind;
@@ -213,8 +213,9 @@ fn turn_driver_telemetry_matches_backend_invariants() {
     }
 }
 
-/// The meter path and the metrics registry report the same high-water
-/// marks (satellite: `MemoryHighWater` is now a projection of the gauges).
+/// The meter path publishes its high-water marks as global gauges: the
+/// widest register is the bounded protocol's static width, and the widest
+/// register total is that width times `n`.
 #[test]
 fn meter_fold_is_equivalent_to_gauges() {
     let n = 3;
@@ -222,22 +223,16 @@ fn meter_fold_is_equivalent_to_gauges() {
     let procs: Vec<BoundedCore> = (0..n)
         .map(|p| BoundedCore::new(params.clone(), p, p % 2 == 0, p as u64))
         .collect();
-    let (rep, hw) = run_metered(procs, &mut TurnRandom::new(9), 5_000_000, |s| {
+    let rep = run_metered(procs, &mut TurnRandom::new(9), 5_000_000, |s| {
         s.register_bits()
     });
     assert!(rep.completed);
-    assert!(hw.max_register_bits > 0);
-    assert_eq!(
-        Some(hw.max_register_bits),
-        rep.telemetry.gauge_global(Gauge::MaxRegisterBits)
-    );
-    assert_eq!(
-        Some(hw.max_total_bits),
-        rep.telemetry.gauge_global(Gauge::MaxTotalBits)
-    );
-    let back = MemoryHighWater::from_telemetry(&rep.telemetry, hw.events);
-    assert_eq!(back.max_register_bits, hw.max_register_bits);
-    assert_eq!(back.max_total_bits, hw.max_total_bits);
+    let bits = params.layout().bits();
+    let t = &rep.telemetry;
+    assert_eq!(t.gauge_global(Gauge::MaxRegisterBits), Some(bits));
+    assert_eq!(t.gauge_global(Gauge::MaxTotalBits), Some(bits * n as u64));
+    // The meter writes the global shard only.
+    assert_eq!(t.gauge(0, Gauge::MaxRegisterBits), None);
 }
 
 /// The JSONL export carries every counter, gauge and phase through the
