@@ -65,8 +65,7 @@ use bprc_sim::{
 };
 use bprc_snapshot::memory::labels;
 use bprc_snapshot::{
-    check_history, check_history_weak, ScannableMemory, SnapshotBackend, SnapshotMeta,
-    SnapshotPort, WaitFreeSnapshot,
+    check_history, ScannableMemory, SnapshotBackend, SnapshotMeta, SnapshotPort, WaitFreeSnapshot,
 };
 
 use crate::{Scale, Table};
@@ -530,7 +529,7 @@ fn n2_writer_scanner(mode: WeakMode) -> Check {
         },
         move |r| {
             let history = r.history.as_ref().expect("lockstep records history");
-            check_history_weak(history, &meta)
+            check_history(history, &meta)
                 .violations
                 .first()
                 .map(|v| format!("snapshot property violated under store buffering: {v:?}"))

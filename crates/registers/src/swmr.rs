@@ -1,6 +1,6 @@
 //! Single-writer multi-reader registers.
 
-use bprc_sim::{Ctx, FastDyn, FastPod, Halted, Reg, World};
+use bprc_sim::{Ctx, FastPod, Halted, Reg, World};
 
 /// A single-writer multi-reader atomic register.
 ///
@@ -60,11 +60,6 @@ impl<T: Clone + Send + Sync + 'static> Swmr<T> {
     /// The underlying register id (for history inspection).
     pub fn id(&self) -> usize {
         self.reg.id()
-    }
-
-    /// Whether the register landed on a lock-free backing.
-    pub fn is_fast(&self) -> bool {
-        self.reg.is_fast()
     }
 
     /// The pid allowed to write this register.
@@ -168,16 +163,7 @@ impl<T: Clone + Send + Sync + 'static> Swmr<T> {
 }
 
 impl<T: FastPod> Swmr<T> {
-    /// Like [`Swmr::new`] but allocates a seqlock cell when the payload
-    /// fits. The SWMR discipline is unchanged.
-    pub fn new_fast(world: &World, name: impl Into<String>, writer: usize, init: T) -> Self {
-        Swmr {
-            reg: world.fast_reg(name, init),
-            writer,
-        }
-    }
-
-    /// Like [`Swmr::new_fast`] but allocates lane `lane` of a shared
+    /// Like [`Swmr::new`] but allocates lane `lane` of a shared
     /// [`ValueSlab`](bprc_sim::ValueSlab) (see
     /// [`World::lane_reg`](bprc_sim::World::lane_reg)): all the slab's
     /// version words are contiguous, which is what makes the snapshot
@@ -199,42 +185,12 @@ impl<T: FastPod> Swmr<T> {
 }
 
 impl Swmr<bool> {
-    /// Like [`Swmr::new_fast`] for a single bit, packed into a shared
+    /// Like [`Swmr::new`] for a single bit, packed into a shared
     /// chunk (see [`World::bit_reg`](bprc_sim::World::bit_reg)). The SWMR
     /// discipline is unchanged.
     pub fn new_bit(world: &World, name: impl Into<String>, writer: usize, init: bool) -> Self {
         Swmr {
             reg: world.bit_reg(name, init),
-            writer,
-        }
-    }
-}
-
-impl<T: FastDyn> Swmr<T> {
-    /// Like [`Swmr::new_fast`] but for payloads whose packed width is fixed
-    /// at *runtime* by the initial value ([`FastDyn`]) — the wait-free
-    /// snapshot's slots, whose embedded views grow with `n`. The SWMR
-    /// discipline is unchanged.
-    pub fn new_fast_dyn(world: &World, name: impl Into<String>, writer: usize, init: T) -> Self {
-        Swmr {
-            reg: world.fast_reg_dyn(name, init),
-            writer,
-        }
-    }
-
-    /// The runtime-width counterpart of [`Swmr::new_lane`] (see
-    /// [`World::lane_reg_dyn`](bprc_sim::World::lane_reg_dyn)). The SWMR
-    /// discipline is unchanged.
-    pub fn new_lane_dyn(
-        world: &World,
-        slab: &bprc_sim::ValueSlab,
-        lane: usize,
-        name: impl Into<String>,
-        writer: usize,
-        init: T,
-    ) -> Self {
-        Swmr {
-            reg: world.lane_reg_dyn(slab, lane, name, init),
             writer,
         }
     }

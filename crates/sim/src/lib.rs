@@ -81,9 +81,7 @@ pub use explore::{
 pub use faults::{FaultPlan, FaultedStrategy, FaultedTurnAdversary};
 pub use history::FaultKind;
 pub use metrics::{Counter, Gauge, MetricsRegistry, ProcMetrics, Telemetry};
-pub use reg::{
-    FastDyn, FastPod, Reg, BIT_CHUNK_BITS, MAX_FAST_WORDS, MAX_FAST_WORDS_DYN, NO_VERSION,
-};
+pub use reg::{FastPod, Reg, BIT_CHUNK_BITS, MAX_FAST_WORDS, NO_VERSION};
 pub use sched::{Decision, ScheduleView, Strategy};
 pub use tracing::{
     now_nanos, EventKind, FlightLog, FlightRecorder, Heartbeat, Hist, Histogram, TraceEvent,

@@ -12,7 +12,7 @@
 //!
 //! # Backings
 //!
-//! A register handle hides one of four backings, and which one is a pure
+//! A register handle hides one of three backings, and which one is a pure
 //! function of what the allocator is handed — there is no world-level
 //! switch, because every backing is a linearizable cell and so a faithful
 //! model of the paper's one primitive:
@@ -20,31 +20,27 @@
 //! | allocator | backing |
 //! |---|---|
 //! | [`World::reg`] | **Lock**, for any `T: Clone` |
-//! | [`World::fast_reg`] | **Seq** iff `T::WORDS ≤` [`MAX_FAST_WORDS`], else Lock |
-//! | [`World::fast_reg_dyn`] | **Seq** iff `1 ≤ init.dyn_words() ≤` [`MAX_FAST_WORDS_DYN`], else Lock |
+//! | [`World::fast_reg`] | **Lane** of a private one-lane slab iff `1 ≤ init.words() ≤` [`MAX_FAST_WORDS`], else Lock |
 //! | [`World::bit_reg`] | **Bit**, always |
-//! | [`World::value_slab`] | a real slab iff `1 ≤ lane_words ≤` [`MAX_FAST_WORDS_DYN`], else inert |
-//! | [`World::lane_reg`] / [`World::lane_reg_dyn`] | **Lane** iff the slab is real, its stride equals the packed width and the lane exists; else as `fast_reg` / `fast_reg_dyn` |
+//! | [`World::value_slab`] + [`World::lane_reg`] | **Lane** of the shared slab iff its stride is in `1..=`[`MAX_FAST_WORDS`] and equals `init.words()`, and the lane exists; else as `fast_reg` |
 //!
 //! * **Lock** — a `parking_lot::RwLock<T>` cell. The wide-payload fallback,
 //!   the only backing whose [`Reg::swap`] is a true exchange on free
 //!   threads, and the oracle the equivalence tests compare the others
 //!   against.
-//! * **Seq** — a *seqlock*: the payload packed into a small array of
-//!   `AtomicU64` words guarded by an even/odd version word. Readers are
-//!   lock-free (optimistic read, retry if the version moved); writers
-//!   acquire the odd state with a CAS, so two writers on one cell stay
-//!   atomic.
 //! * **Bit** — a single boolean packed into one bit of a shared cache-line
 //!   chunk of atomic words ([`BIT_CHUNK_BITS`] = 512 booleans per line).
 //!   Raise/lower are `fetch_or`/`fetch_and` RMWs, so two writers on the
 //!   same bit — the paper's arrow registers — stay atomic, and neighbours
 //!   packed into the same word can never tear each other.
-//! * **Lane** — a seqlock lane inside a shared slab: all `n` version words
-//!   live in one contiguous array (and all payload words in another), so a
-//!   collect pass that only has to *check* versions walks ⌈n/8⌉ cache lines
-//!   instead of `n` scattered cells. Same even/odd protocol as **Seq**, per
-//!   lane.
+//! * **Lane** — a *seqlock*: the [`FastPod`] payload packed into `AtomicU64`
+//!   words guarded by an even/odd version word. Readers are lock-free
+//!   (optimistic read, retry if the version moved); writers acquire the odd
+//!   state with a CAS, so two writers on one lane stay atomic. A slab keeps
+//!   all its lanes' version words in one contiguous array (and all payload
+//!   words in another), so a collect pass that only has to *check* versions
+//!   walks ⌈n/8⌉ cache lines instead of `n` scattered cells; a `fast_reg`
+//!   is simply a slab of one lane.
 //!
 //! Every backing sits *behind* the world's access gate, so scheduling,
 //! telemetry counters and history recording are identical regardless of
@@ -62,11 +58,9 @@
 //!
 //! [`World::reg`]: crate::world::World::reg
 //! [`World::fast_reg`]: crate::world::World::fast_reg
-//! [`World::fast_reg_dyn`]: crate::world::World::fast_reg_dyn
 //! [`World::bit_reg`]: crate::world::World::bit_reg
 //! [`World::value_slab`]: crate::world::World::value_slab
 //! [`World::lane_reg`]: crate::world::World::lane_reg
-//! [`World::lane_reg_dyn`]: crate::world::World::lane_reg_dyn
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -79,16 +73,11 @@ use crate::metrics::Counter;
 use crate::weakmem::BufferedStore;
 use crate::world::{Ctx, WorldInner};
 
-/// Widest payload (in 64-bit words) the seqlock cell accepts; wider
-/// [`FastPod`] types fall back to the locked backing.
-pub const MAX_FAST_WORDS: usize = 4;
-
-/// Widest *runtime-sized* payload (in 64-bit words) the dynamic seqlock
-/// path ([`FastDyn`]) accepts; wider values fall back to the locked
-/// backing. Larger than [`MAX_FAST_WORDS`] because the dynamic path exists
-/// precisely for payloads whose width depends on run parameters (the
-/// wait-free snapshot's embedded views grow with the process count `n`).
-pub const MAX_FAST_WORDS_DYN: usize = 64;
+/// Widest payload (in 64-bit words) a seqlock lane accepts; wider
+/// [`FastPod`] values fall back to the locked backing. Sized for payloads
+/// whose width depends on run parameters: the wait-free snapshot's slots
+/// embed an `n`-entry view.
+pub const MAX_FAST_WORDS: usize = 64;
 
 /// Version token returned by [`Reg::read_changed`] when the backing has no
 /// seqlock version word (locked and bit cells). It is odd, so it can never
@@ -103,64 +92,42 @@ const BIT_CHUNK_WORDS: usize = 8;
 /// Single-bit registers packed per `BitChunk`: 8 words × 64 bits.
 pub const BIT_CHUNK_BITS: usize = BIT_CHUNK_WORDS * 64;
 
-/// Plain-old-data payloads that can ride a seqlock cell.
+/// Plain-old-data payloads that can ride a seqlock lane.
 ///
-/// A `FastPod` value packs into a fixed number of 64-bit words and unpacks
-/// losslessly: `unpack(pack(v)) == v`. Implementations must be pure
-/// (no interior mutability, no heap indirection) — the seqlock stores the
-/// words themselves, so anything behind a pointer would defeat atomicity.
+/// A `FastPod` value packs into [`words`](FastPod::words) 64-bit words and
+/// unpacks losslessly: `unpack(pack(v)) == v`. The width may depend on the
+/// value (the wait-free snapshot's slots grow with `n`), but the lane is
+/// sized from the **initial** value, so every value written to one register
+/// must report the same width. Implementations must be pure (no interior
+/// mutability, no heap indirection in the packed form) — the seqlock stores
+/// the words themselves, so anything behind a pointer would defeat
+/// atomicity.
 pub trait FastPod: Clone + Send + Sync + 'static {
-    /// How many 64-bit words [`FastPod::pack`] fills.
-    const WORDS: usize;
+    /// How many 64-bit words [`FastPod::pack`] fills for this value.
+    fn words(&self) -> usize;
 
-    /// Serializes `self` into exactly [`FastPod::WORDS`] words.
+    /// Serializes `self` into `out`, which holds exactly
+    /// [`words`](FastPod::words) words.
     fn pack(&self, out: &mut [u64]);
 
-    /// Reconstructs a value from words produced by [`FastPod::pack`].
+    /// Reconstructs a value from exactly the words [`FastPod::pack`]
+    /// produced.
     fn unpack(words: &[u64]) -> Self;
 }
 
-/// Payloads whose packed width is only known at *runtime* but fixed per
-/// register — the dynamic cousin of [`FastPod`].
-///
-/// The seqlock cell sizes its word array from the **initial** value, so
-/// every value subsequently written to the same register must report the
-/// same [`dyn_words`](FastDyn::dyn_words). (The wait-free snapshot's slots
-/// satisfy this by construction: the embedded view always has exactly `n`
-/// entries.) Widths above [`MAX_FAST_WORDS_DYN`] fall back to the locked
-/// backing transparently.
-///
-/// There is deliberately **no** blanket `FastPod → FastDyn` impl: it would
-/// forbid downstream crates from implementing `FastDyn` for their own slot
-/// types (coherence disallows the overlap), and those runtime-width slots
-/// are the whole point of this trait.
-pub trait FastDyn: Clone + Send + Sync + 'static {
-    /// How many 64-bit words [`pack_dyn`](FastDyn::pack_dyn) fills for
-    /// *this* value. Must be identical for every value written to a given
-    /// register.
-    fn dyn_words(&self) -> usize;
-
-    /// Serializes `self` into exactly [`dyn_words`](FastDyn::dyn_words)
-    /// words.
-    fn pack_dyn(&self, out: &mut [u64]);
-
-    /// Reconstructs a value from words produced by
-    /// [`pack_dyn`](FastDyn::pack_dyn).
-    fn unpack_dyn(words: &[u64]) -> Self;
-}
-
-/// A fixed-length `Vec<u64>` is the simplest runtime-width payload: one
-/// header word for the length, then the elements. (The length header keeps
-/// `unpack_dyn` total even though the register's width already implies it.)
-impl FastDyn for Vec<u64> {
-    fn dyn_words(&self) -> usize {
+/// A `Vec<u64>` is the simplest runtime-width payload: one header word for
+/// the length, then the elements. (The length header keeps `unpack` total
+/// even though the register's width already implies it.)
+impl FastPod for Vec<u64> {
+    fn words(&self) -> usize {
         1 + self.len()
     }
-    fn pack_dyn(&self, out: &mut [u64]) {
+    fn pack(&self, out: &mut [u64]) {
+        debug_assert_eq!(out.len(), self.words());
         out[0] = self.len() as u64;
         out[1..=self.len()].copy_from_slice(self);
     }
-    fn unpack_dyn(words: &[u64]) -> Self {
+    fn unpack(words: &[u64]) -> Self {
         let len = words[0] as usize;
         words[1..=len].to_vec()
     }
@@ -169,7 +136,9 @@ impl FastDyn for Vec<u64> {
 macro_rules! fast_pod_int {
     ($($t:ty),*) => {$(
         impl FastPod for $t {
-            const WORDS: usize = 1;
+            fn words(&self) -> usize {
+                1
+            }
             fn pack(&self, out: &mut [u64]) {
                 out[0] = *self as u64;
             }
@@ -183,7 +152,9 @@ macro_rules! fast_pod_int {
 fast_pod_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64);
 
 impl FastPod for bool {
-    const WORDS: usize = 1;
+    fn words(&self) -> usize {
+        1
+    }
     fn pack(&self, out: &mut [u64]) {
         out[0] = u64::from(*self);
     }
@@ -193,7 +164,9 @@ impl FastPod for bool {
 }
 
 impl FastPod for (u64, u64) {
-    const WORDS: usize = 2;
+    fn words(&self) -> usize {
+        2
+    }
     fn pack(&self, out: &mut [u64]) {
         out[0] = self.0;
         out[1] = self.1;
@@ -204,7 +177,9 @@ impl FastPod for (u64, u64) {
 }
 
 impl FastPod for (u64, u64, u64) {
-    const WORDS: usize = 3;
+    fn words(&self) -> usize {
+        3
+    }
     fn pack(&self, out: &mut [u64]) {
         out[0] = self.0;
         out[1] = self.1;
@@ -215,56 +190,11 @@ impl FastPod for (u64, u64, u64) {
     }
 }
 
-/// The seqlock cell: an even/odd version word guarding a small array of
-/// atomic payload words. See the module docs for the memory-ordering
-/// argument; the pack/unpack function pointers are captured at construction
-/// so the cell stays usable through the type-erased [`Backing`] enum.
-struct SeqCell<T> {
-    version: AtomicU64,
-    words: Box<[AtomicU64]>,
-    pack: fn(&T, &mut [u64]),
-    unpack: fn(&[u64]) -> T,
-}
-
-impl<T: FastPod> SeqCell<T> {
-    fn new(init: &T) -> Self {
-        debug_assert!(T::WORDS >= 1 && T::WORDS <= MAX_FAST_WORDS);
-        let mut buf = [0u64; MAX_FAST_WORDS];
-        init.pack(&mut buf[..T::WORDS]);
-        SeqCell {
-            version: AtomicU64::new(0),
-            words: buf[..T::WORDS].iter().map(|&w| AtomicU64::new(w)).collect(),
-            pack: T::pack,
-            unpack: T::unpack,
-        }
-    }
-}
-
-impl<T: FastDyn> SeqCell<T> {
-    /// Builds a cell whose word count comes from the initial value's
-    /// [`FastDyn::dyn_words`] instead of a compile-time constant. The
-    /// load/store machinery is shared with the const-width path — the cell
-    /// already type-erases packing into function pointers.
-    fn new_dyn(init: &T) -> Self {
-        let w = init.dyn_words();
-        debug_assert!(w >= 1 && w <= MAX_FAST_WORDS_DYN);
-        let mut buf = [0u64; MAX_FAST_WORDS_DYN];
-        init.pack_dyn(&mut buf[..w]);
-        SeqCell {
-            version: AtomicU64::new(0),
-            words: buf[..w].iter().map(|&b| AtomicU64::new(b)).collect(),
-            pack: T::pack_dyn,
-            unpack: T::unpack_dyn,
-        }
-    }
-}
-
-/// The seqlock read protocol over any (version word, payload words) pair —
-/// shared by [`SeqCell`] (own words) and [`LaneCell`] (a lane of a shared
-/// slab). Optimistic lock-free read: snapshot the version (must be even),
-/// read the payload words, fence, re-check the version. A concurrent writer
-/// moves the version, so a stable even version brackets a quiescent window
-/// and the words form one consistent write. Returns the validated version.
+/// The seqlock read protocol over one lane's (version word, payload words).
+/// Optimistic lock-free read: snapshot the version (must be even), read the
+/// payload words, fence, re-check the version. A concurrent writer moves
+/// the version, so a stable even version brackets a quiescent window and
+/// the words form one consistent write. Returns the validated version.
 #[inline]
 fn seq_load_words(version: &AtomicU64, words: &[AtomicU64], buf: &mut [u64]) -> u64 {
     loop {
@@ -286,10 +216,9 @@ fn seq_load_words(version: &AtomicU64, words: &[AtomicU64], buf: &mut [u64]) -> 
     }
 }
 
-/// The seqlock write protocol (shared like [`seq_load_words`]): CAS the
-/// version even→odd (serializes concurrent writers — the paper's arrow
-/// registers have two), store the words, publish the next even version with
-/// Release.
+/// The seqlock write protocol: CAS the version even→odd (serializes
+/// concurrent writers — the paper's arrow registers have two), store the
+/// words, publish the next even version with Release.
 #[inline]
 fn seq_store_words(version: &AtomicU64, words: &[AtomicU64], buf: &[u64]) {
     let mut v = version.load(Ordering::Relaxed);
@@ -329,36 +258,6 @@ fn seq_load_words_changed(
         return (v, false);
     }
     (seq_load_words(version, words, buf), true)
-}
-
-impl<T> SeqCell<T> {
-    fn load(&self) -> T {
-        let mut buf = [0u64; MAX_FAST_WORDS_DYN];
-        seq_load_words(&self.version, &self.words, &mut buf[..self.words.len()]);
-        (self.unpack)(&buf[..self.words.len()])
-    }
-
-    fn store(&self, value: &T) {
-        let mut buf = [0u64; MAX_FAST_WORDS_DYN];
-        (self.pack)(value, &mut buf[..self.words.len()]);
-        seq_store_words(&self.version, &self.words, &buf[..self.words.len()]);
-    }
-
-    /// See [`seq_load_words_changed`]: skips unpacking (and `f`) entirely
-    /// when the version token proves the register unchanged.
-    fn load_if_changed(&self, cached: u64, f: impl FnOnce(&T)) -> u64 {
-        let mut buf = [0u64; MAX_FAST_WORDS_DYN];
-        let (v, loaded) = seq_load_words_changed(
-            &self.version,
-            &self.words,
-            cached,
-            &mut buf[..self.words.len()],
-        );
-        if loaded {
-            f(&(self.unpack)(&buf[..self.words.len()]));
-        }
-        v
-    }
 }
 
 /// One cache line of packed single-bit registers: 8 atomic words = 512
@@ -426,7 +325,8 @@ impl<T> BitCell<T> {
 /// (`words`, stride `lane_words`). A collect pass whose buffered copies are
 /// still valid therefore touches only ⌈lanes/8⌉ version cache lines — the
 /// payload arrays stay cold. Allocated by
-/// [`World::value_slab`](crate::world::World::value_slab).
+/// [`World::value_slab`](crate::world::World::value_slab), and with one lane
+/// by [`World::fast_reg`](crate::world::World::fast_reg).
 pub(crate) struct LaneSlab {
     lane_words: usize,
     versions: Box<[AtomicU64]>,
@@ -458,8 +358,8 @@ impl LaneSlab {
     }
 }
 
-/// One lane of a [`LaneSlab`] — the seqlock protocol of [`SeqCell`], with
-/// the version and payload words held in the slab's shared arrays.
+/// One lane of a [`LaneSlab`]: the seqlock protocol above, over the lane's
+/// version word and payload words in the slab's shared arrays.
 struct LaneCell<T> {
     slab: Arc<LaneSlab>,
     lane: usize,
@@ -470,21 +370,23 @@ struct LaneCell<T> {
 impl<T> LaneCell<T> {
     fn load(&self) -> T {
         let (version, words) = self.slab.parts(self.lane);
-        let mut buf = [0u64; MAX_FAST_WORDS_DYN];
+        let mut buf = [0u64; MAX_FAST_WORDS];
         seq_load_words(version, words, &mut buf[..words.len()]);
         (self.unpack)(&buf[..words.len()])
     }
 
     fn store(&self, value: &T) {
         let (version, words) = self.slab.parts(self.lane);
-        let mut buf = [0u64; MAX_FAST_WORDS_DYN];
+        let mut buf = [0u64; MAX_FAST_WORDS];
         (self.pack)(value, &mut buf[..words.len()]);
         seq_store_words(version, words, &buf[..words.len()]);
     }
 
+    /// See [`seq_load_words_changed`]: skips unpacking (and `f`) entirely
+    /// when the version token proves the register unchanged.
     fn load_if_changed(&self, cached: u64, f: impl FnOnce(&T)) -> u64 {
         let (version, words) = self.slab.parts(self.lane);
-        let mut buf = [0u64; MAX_FAST_WORDS_DYN];
+        let mut buf = [0u64; MAX_FAST_WORDS];
         let (v, loaded) = seq_load_words_changed(version, words, cached, &mut buf[..words.len()]);
         if loaded {
             f(&(self.unpack)(&buf[..words.len()]));
@@ -493,12 +395,10 @@ impl<T> LaneCell<T> {
     }
 }
 
-/// A register's storage: the locked cell (any `T`), a seqlock cell (small
-/// [`FastPod`] / [`FastDyn`] payloads), one bit of a shared [`BitChunk`], or
-/// a lane of a shared [`LaneSlab`].
+/// A register's storage: the locked cell (any `T`), one bit of a shared
+/// [`BitChunk`], or a lane of a [`LaneSlab`] (small [`FastPod`] payloads).
 enum Backing<T> {
     Lock(RwLock<T>),
-    Seq(SeqCell<T>),
     Bit(BitCell<T>),
     Lane(LaneCell<T>),
 }
@@ -508,7 +408,6 @@ impl<T: Clone> Backing<T> {
     fn load(&self) -> T {
         match self {
             Backing::Lock(l) => l.read().clone(),
-            Backing::Seq(s) => s.load(),
             Backing::Bit(b) => (b.from_bit)(b.get()),
             Backing::Lane(c) => c.load(),
         }
@@ -518,7 +417,6 @@ impl<T: Clone> Backing<T> {
     fn store(&self, value: T) {
         match self {
             Backing::Lock(l) => *l.write() = value,
-            Backing::Seq(s) => s.store(&value),
             Backing::Bit(b) => b.set((b.to_bit)(&value)),
             Backing::Lane(c) => c.store(&value),
         }
@@ -531,16 +429,15 @@ impl<T: Clone> Backing<T> {
     fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
         match self {
             Backing::Lock(l) => f(&l.read()),
-            Backing::Seq(s) => f(&s.load()),
             Backing::Bit(b) => f(&(b.from_bit)(b.get())),
             Backing::Lane(c) => f(&c.load()),
         }
     }
 
-    /// Version-token read (see [`Reg::read_changed`]): seqlock backings skip
-    /// `f` — without even touching the payload words — when the version
-    /// still equals `cached`; the locked and bit backings have no version
-    /// word, always run `f`, and return [`NO_VERSION`].
+    /// Version-token read (see [`Reg::read_changed`]): the seqlock lane
+    /// skips `f` — without even touching the payload words — when the
+    /// version still equals `cached`; the locked and bit backings have no
+    /// version word, always run `f`, and return [`NO_VERSION`].
     #[inline]
     fn with_changed(&self, cached: u64, f: impl FnOnce(&T)) -> u64 {
         match self {
@@ -548,7 +445,6 @@ impl<T: Clone> Backing<T> {
                 f(&l.read());
                 NO_VERSION
             }
-            Backing::Seq(s) => s.load_if_changed(cached, f),
             Backing::Bit(b) => {
                 f(&(b.from_bit)(b.get()));
                 NO_VERSION
@@ -620,8 +516,8 @@ impl<T: Clone + Send + Sync + 'static> Reg<T> {
         self.id
     }
 
-    /// Whether this register rides a lock-free backing (seqlock cell,
-    /// packed bit, or slab lane) rather than the `RwLock` cell.
+    /// Whether this register rides a lock-free backing (seqlock lane or
+    /// packed bit) rather than the `RwLock` cell.
     pub fn is_fast(&self) -> bool {
         !matches!(*self.cell, Backing::Lock(_))
     }
@@ -629,14 +525,6 @@ impl<T: Clone + Send + Sync + 'static> Reg<T> {
     /// Whether this register is one bit of a packed `BitChunk`.
     pub fn is_bit(&self) -> bool {
         matches!(*self.cell, Backing::Bit(_))
-    }
-
-    /// Whether this register is a lane of a shared [`World::value_slab`]
-    /// (contiguous version words).
-    ///
-    /// [`World::value_slab`]: crate::world::World::value_slab
-    pub fn is_lane(&self) -> bool {
-        matches!(*self.cell, Backing::Lane(_))
     }
 
     /// Atomically reads the register (one scheduled step).
@@ -806,7 +694,7 @@ impl<T: Clone + Send + Sync + 'static> Reg<T> {
     ///
     /// # Panics
     ///
-    /// On the lock-free backings (seqlock/bit/lane) the exchange is
+    /// On the lock-free backings (lane/bit) the exchange is
     /// load-then-store, atomic only because the lockstep gate serializes
     /// the whole access, so it panics there in
     /// [`Mode::Free`](crate::world::Mode::Free) rather than silently lose
@@ -849,24 +737,6 @@ impl<T: Clone + Send + Sync + 'static> Reg<T> {
     }
 }
 
-impl<T: FastPod + Clone + Send + Sync + 'static> Reg<T> {
-    /// Allocates a seqlock cell when the payload fits [`MAX_FAST_WORDS`];
-    /// falls back to the locked backing otherwise. Called via
-    /// [`World::fast_reg`](crate::world::World::fast_reg).
-    pub(crate) fn new_fast(id: RegId, init: T, world: Arc<WorldInner>) -> Self {
-        let cell = if T::WORDS <= MAX_FAST_WORDS {
-            Backing::Seq(SeqCell::new(&init))
-        } else {
-            Backing::Lock(RwLock::new(init))
-        };
-        Reg {
-            id,
-            cell: Arc::new(cell),
-            world,
-        }
-    }
-}
-
 impl Reg<bool> {
     /// Allocates one bit of `chunk` (bit index `bit`, chunk-relative).
     /// Called via [`World::bit_reg`](crate::world::World::bit_reg).
@@ -886,10 +756,11 @@ impl Reg<bool> {
     }
 }
 
-impl<T: FastPod + Clone + Send + Sync + 'static> Reg<T> {
-    /// Allocates lane `lane` of `slab` (whose stride must equal
-    /// `T::WORDS`). Called via
-    /// [`World::lane_reg`](crate::world::World::lane_reg).
+impl<T: FastPod> Reg<T> {
+    /// Allocates lane `lane` of `slab`, whose stride must equal
+    /// `init.words()`. Called via
+    /// [`World::fast_reg`](crate::world::World::fast_reg) (a private
+    /// one-lane slab) and [`World::lane_reg`](crate::world::World::lane_reg).
     pub(crate) fn new_lane(
         id: RegId,
         init: T,
@@ -897,7 +768,7 @@ impl<T: FastPod + Clone + Send + Sync + 'static> Reg<T> {
         slab: Arc<LaneSlab>,
         lane: usize,
     ) -> Self {
-        debug_assert_eq!(slab.lane_words(), T::WORDS);
+        debug_assert_eq!(slab.lane_words(), init.words());
         let cell = LaneCell {
             slab,
             lane,
@@ -908,51 +779,6 @@ impl<T: FastPod + Clone + Send + Sync + 'static> Reg<T> {
         Reg {
             id,
             cell: Arc::new(Backing::Lane(cell)),
-            world,
-        }
-    }
-}
-
-impl<T: FastDyn> Reg<T> {
-    /// The runtime-width counterpart of [`new_lane`](Reg::new_lane): the
-    /// slab stride must equal the initial value's [`FastDyn::dyn_words`].
-    /// Called via [`World::lane_reg_dyn`](crate::world::World::lane_reg_dyn).
-    pub(crate) fn new_lane_dyn(
-        id: RegId,
-        init: T,
-        world: Arc<WorldInner>,
-        slab: Arc<LaneSlab>,
-        lane: usize,
-    ) -> Self {
-        debug_assert_eq!(slab.lane_words(), init.dyn_words());
-        let cell = LaneCell {
-            slab,
-            lane,
-            pack: T::pack_dyn,
-            unpack: T::unpack_dyn,
-        };
-        cell.store(&init);
-        Reg {
-            id,
-            cell: Arc::new(Backing::Lane(cell)),
-            world,
-        }
-    }
-
-    /// The runtime-width counterpart of [`new_fast`](Reg::new_fast): takes
-    /// the seqlock backing when the initial value's [`FastDyn::dyn_words`]
-    /// fits [`MAX_FAST_WORDS_DYN`], the locked backing otherwise. Called
-    /// via [`World::fast_reg_dyn`](crate::world::World::fast_reg_dyn).
-    pub(crate) fn new_fast_dyn(id: RegId, init: T, world: Arc<WorldInner>) -> Self {
-        let w = init.dyn_words();
-        let cell = if (1..=MAX_FAST_WORDS_DYN).contains(&w) {
-            Backing::Seq(SeqCell::new_dyn(&init))
-        } else {
-            Backing::Lock(RwLock::new(init))
-        };
-        Reg {
-            id,
-            cell: Arc::new(cell),
             world,
         }
     }
@@ -999,9 +825,9 @@ mod tests {
     #[test]
     fn fast_pod_round_trips() {
         fn rt<T: FastPod + PartialEq + std::fmt::Debug>(v: T) {
-            let mut buf = [0u64; MAX_FAST_WORDS];
-            v.pack(&mut buf[..T::WORDS]);
-            assert_eq!(T::unpack(&buf[..T::WORDS]), v);
+            let mut buf = vec![0u64; v.words()];
+            v.pack(&mut buf);
+            assert_eq!(T::unpack(&buf), v);
         }
         rt(true);
         rt(false);
@@ -1029,53 +855,61 @@ mod tests {
         })];
         let rep = w.run(bodies, Box::new(RoundRobin::new()));
         assert_eq!(rep.outputs[0], Some(10));
-        assert_eq!(rep.steps, 3, "seqlock-cell ops are scheduled steps too");
+        assert_eq!(rep.steps, 3, "seqlock-lane ops are scheduled steps too");
     }
 
-    /// The allocator → backing table of the module docs, row by row.
+    /// The slab a lane register sits in; `None` for the other backings.
+    fn slab_of<T>(r: &Reg<T>) -> Option<&Arc<LaneSlab>> {
+        match &*r.cell {
+            Backing::Lane(c) => Some(&c.slab),
+            _ => None,
+        }
+    }
+
+    /// How many lanes the slab under `r` has; `None` off the lane backing.
+    fn lanes<T>(r: &Reg<T>) -> Option<usize> {
+        slab_of(r).map(|s| s.lanes())
+    }
+
+    /// The allocator → backing table of the module docs, one assertion per
+    /// row.
     #[test]
     fn backing_follows_what_the_allocator_is_handed() {
-        #[derive(Clone)]
-        struct Wide([u64; 5]);
-        impl FastPod for Wide {
-            const WORDS: usize = 5;
-            fn pack(&self, out: &mut [u64]) {
-                out.copy_from_slice(&self.0);
-            }
-            fn unpack(words: &[u64]) -> Self {
-                Wide(words.try_into().unwrap())
-            }
-        }
         let w = World::builder(1).build();
         // `reg` is the locked cell even for a payload that would fit.
         assert!(!w.reg("r", 0u64).is_fast());
-        let f = w.fast_reg("f", (1u64, 2u64, 3u64));
-        assert!(f.is_fast() && !f.is_bit() && !f.is_lane());
-        let wide = w.fast_reg("wide", Wide([7; 5]));
-        assert!(!wide.is_fast(), "5 words > MAX_FAST_WORDS");
-        assert_eq!(wide.peek().0, [7; 5]);
-        // Vec<u64> packs to 1 + len words.
-        assert!(w.fast_reg_dyn("d64", vec![0u64; 63]).is_fast());
-        assert!(!w.fast_reg_dyn("d65", vec![0u64; 64]).is_fast());
+        // `fast_reg`: a private one-lane slab up to the cap, else locked
+        // (`Vec<u64>` packs to 1 + len words).
+        assert_eq!(
+            [
+                lanes(&w.fast_reg("f", vec![0u64; MAX_FAST_WORDS - 1])),
+                lanes(&w.fast_reg("g", vec![0u64; MAX_FAST_WORDS])),
+            ],
+            [Some(1), None]
+        );
         let b = w.bit_reg("b", true);
         assert!(b.is_bit() && b.is_fast() && b.peek());
-
+        // `value_slab` + `lane_reg`: the lanes join the shared slab; a
+        // width mismatch, a missing lane or an inert slab (stride 0 or
+        // past the cap) fall back to `fast_reg`.
         let slab = w.value_slab(2, 2);
-        assert!(slab.is_packed());
-        assert!(w.lane_reg(&slab, 1, "l", (0u64, 0u64)).is_lane());
-        let mismatched = w.lane_reg(&slab, 0, "m", 0u64);
-        assert!(!mismatched.is_lane() && mismatched.is_fast());
-        let past_the_end = w.lane_reg(&slab, 2, "p", (0u64, 0u64));
-        assert!(!past_the_end.is_lane() && past_the_end.is_fast());
-        let dyn_slab = w.value_slab(1, 3);
-        assert!(w.lane_reg_dyn(&dyn_slab, 0, "dl", vec![0u64; 2]).is_lane());
-        assert!(!w.lane_reg_dyn(&dyn_slab, 0, "dm", vec![0u64; 3]).is_lane());
-
-        let oversize = w.value_slab(1, MAX_FAST_WORDS_DYN + 1);
-        assert!(!oversize.is_packed());
-        let inert = w.lane_reg_dyn(&oversize, 0, "x", vec![0u64; MAX_FAST_WORDS_DYN]);
-        assert!(!inert.is_lane() && !inert.is_fast(), "65 words: locked");
-        assert!(!w.value_slab(1, 0).is_packed());
+        let (l0, l1) = (
+            w.lane_reg(&slab, 0, "l0", (0u64, 0u64)),
+            w.lane_reg(&slab, 1, "l1", (0u64, 0u64)),
+        );
+        let oversize = w.value_slab(1, MAX_FAST_WORDS + 1);
+        assert_eq!(
+            [
+                slab_of(&l0)
+                    .zip(slab_of(&l1))
+                    .map(|(a, b)| Arc::ptr_eq(a, b) && a.lanes() == 2),
+                lanes(&w.lane_reg(&slab, 0, "m", 0u64)).map(|n| n == 1),
+                lanes(&w.lane_reg(&slab, 2, "p", (0u64, 0u64))).map(|n| n == 1),
+                lanes(&w.lane_reg(&w.value_slab(1, 0), 0, "z", 0u64)).map(|n| n == 1),
+                lanes(&w.lane_reg(&oversize, 0, "x", vec![0u64; MAX_FAST_WORDS])).map(|n| n == 1),
+            ],
+            [Some(true), Some(true), Some(true), Some(true), None]
+        );
     }
 
     /// `World::run` contains the body's panic; the test resurfaces it.
@@ -1136,12 +970,12 @@ mod tests {
     #[test]
     fn raw_seqlock_torture_no_torn_pairs() {
         // Hammer the seqlock *outside* the scheduler (peek/poke bypass the
-        // gate): two writer threads and two reader threads on one cell; the
+        // gate): two writer threads and two reader threads on one lane; the
         // pair invariant (b == 3a) must hold on every read, or the seqlock
         // leaked a torn value. Multi-writer exercises the CAS-odd path.
         let w = World::builder(1).mode(Mode::Free).build();
         let r = w.fast_reg("pair", (0u64, 0u64));
-        assert!(r.is_fast());
+        assert_eq!(lanes(&r), Some(1));
         let mut handles = Vec::new();
         for t in 0..2u64 {
             let r = r.clone();

@@ -14,12 +14,15 @@
 //!
 //! [`render`] shows every recorded event (register granularity).
 //! [`render_unified`] is the zoomed-out view: protocol **spans**
-//! (`round(r)`/`scan`/`write`/`coin`) read from the flight recorder's
-//! rings, merged with **fault and crash events** from the history into one
-//! timeline — what the chaos example prints to explain a run.
-//! [`to_chrome_trace`] exports the same spans — plus every ring event as an
-//! instant — as Chrome Trace Event JSON, loadable in Perfetto
-//! (<https://ui.perfetto.dev>) or `chrome://tracing`.
+//! (`round(r)`/`scan`/`write`/`coin`) merged with **fault and crash
+//! events** into one timeline — what the chaos example prints to explain a
+//! run. [`to_chrome_trace`] exports the same spans — plus every ring event
+//! as an instant — as Chrome Trace Event JSON, loadable in Perfetto
+//! (<https://ui.perfetto.dev>) or `chrome://tracing`. Both read the flight
+//! recorder's rings alone: each crash and injected fault is one
+//! [`EventKind::Fault`] ring event, so it shows exactly once, and a ring
+//! that wrapped may have lost old ones (both renderings say how many
+//! events each ring overwrote).
 //!
 //! A span opens at a ring event that starts a protocol step — the first
 //! `scan_begin` of a scan (arg 1), `update`, `round_advance`, `coin_flip`
@@ -189,42 +192,27 @@ fn span_label(e: &TraceEvent) -> Option<String> {
 }
 
 /// Renders the unified protocol-level timeline: the spans each ring opens,
-/// merged with fault and crash events from the history, one column per
-/// process, sorted by world step. One `pN: K earlier events overwritten`
-/// line precedes the table for each ring that wrapped, since its oldest
-/// spans are missing from it.
+/// merged with the rings' fault and crash events, one column per process,
+/// sorted by world step. One `pN: K earlier events overwritten` line
+/// precedes the table for each ring that wrapped, since its oldest spans
+/// and faults are missing from it.
 ///
-/// `history` may be `None` (free-mode runs record none); the timeline
-/// then shows spans only. [`TraceOptions::steps`] windows the table;
-/// [`TraceOptions::notes`] is ignored (notes stay in [`render`]).
-pub fn render_unified(
-    history: Option<&History>,
-    flight: &FlightLog,
-    n: usize,
-    opts: &TraceOptions,
-) -> String {
-    // (step, source-rank, pid, cell): stable sort on (step, rank, pid)
-    // puts same-step fault/crash events before the span a process entered
+/// [`TraceOptions::steps`] windows the table; [`TraceOptions::notes`] is
+/// ignored (notes stay in [`render`]).
+pub fn render_unified(flight: &FlightLog, n: usize, opts: &TraceOptions) -> String {
+    // (step, rank, pid, cell): a stable sort on (step, rank, pid) puts
+    // same-step fault/crash events before the span a process entered
     // afterwards, and keeps each ring's own order.
     let mut rows: Vec<(u64, u8, usize, String)> = Vec::new();
-    if let Some(h) = history {
-        for ev in h.events() {
-            match ev {
-                Event::Crash { step, pid } => {
-                    rows.push((*step, 0, *pid, "☠ CRASHED".to_string()));
-                }
-                Event::Fault { step, pid, kind } => {
-                    rows.push((*step, 0, *pid, format!("⚡ {kind}")));
-                }
-                _ => {}
-            }
-        }
-    }
     for pid in 0..n {
         for e in flight.events(pid) {
-            if let Some(label) = span_label(e) {
-                rows.push((e.step, 1, pid, format!("▶ {label}")));
-            }
+            let (rank, cell) = match (e.kind, span_label(e)) {
+                (EventKind::Fault, _) if e.arg == 0 => (0, "☠ CRASHED".to_string()),
+                (EventKind::Fault, _) => (0, format!("⚡ {}", fault_label(e.arg))),
+                (_, Some(label)) => (1, format!("▶ {label}")),
+                (_, None) => continue,
+            };
+            rows.push((e.step, rank, pid, cell));
         }
     }
     rows.sort_by_key(|&(step, rank, pid, _)| (step, rank, pid));
@@ -278,25 +266,23 @@ fn trace_ev(
 
 /// Exports a run's flight log as **Chrome Trace Event JSON**: one
 /// browser-process (`pid` 0) with one thread lane per simulated process,
-/// loadable in Perfetto or `chrome://tracing`.
+/// loadable in Perfetto or `chrome://tracing`, on the rings'
+/// monotonic-nanosecond timeline (rendered in microseconds, the Trace Event
+/// `ts` unit):
 ///
-/// Two sources merge onto one monotonic-nanosecond timeline (rendered in
-/// microseconds, the Trace Event `ts` unit):
+/// * Every ring event becomes an `"i"` (instant) event, with the world step
+///   and the event arg in `args`; fault and crash events are renamed by
+///   [`fault_label`].
+/// * The events that open a protocol span (see the module docs) also
+///   become `"X"` (complete) events, each running until the same ring's
+///   next span opens, the last until the latest stamp anywhere in the run.
+/// * Each lane's `thread_name` metadata carries the ring's `overflow`: the
+///   count of its oldest events, faults among them, that the ring
+///   overwrote.
 ///
-/// * **Ring events** become `"i"` (instant) events, with the world step
-///   and the event arg in `args`; fault events are renamed by
-///   [`fault_label`]. The events that open a protocol span (see the module
-///   docs) also become `"X"` (complete) events, each running until the same
-///   ring's next span opens, the last until the latest stamp anywhere in
-///   the run.
-/// * **History crash/fault events** (lockstep runs) carry only step
-///   stamps; their nanos are interpolated from the dual-stamped ring
-///   events — the latest stamp at or before their step (0 if none
-///   precedes).
-///
-/// `history` may be `None` (free mode) and `flight` may be empty
-/// (tracing disabled); the export degrades to whatever sources exist.
-pub fn to_chrome_trace(flight: &FlightLog, history: Option<&History>, n: usize) -> Value {
+/// `flight` may be empty (tracing disabled); the export is then the
+/// metadata alone.
+pub fn to_chrome_trace(flight: &FlightLog, n: usize) -> Value {
     let mut events: Vec<Value> = Vec::new();
 
     // Metadata: name the synthetic process and one thread lane per pid.
@@ -314,19 +300,20 @@ pub fn to_chrome_trace(flight: &FlightLog, history: Option<&History>, n: usize) 
             "M",
             0.0,
             pid,
-            Value::obj(vec![("name", format!("p{pid}").into())]),
+            Value::obj(vec![
+                ("name", format!("p{pid}").into()),
+                ("overflow", flight.overflow(pid).into()),
+            ]),
             vec![],
         ));
     }
 
-    // The step↔nanos correlation table from every ring event, and the
-    // run's end stamp (closes each lane's last open span).
-    let mut stamps: Vec<(u64, u64)> = (0..n)
+    // The run's end stamp closes each lane's last open span.
+    let end_nanos = (0..n)
         .flat_map(|pid| flight.events(pid))
-        .map(|e| (e.step, e.nanos))
-        .collect();
-    stamps.sort_unstable();
-    let end_nanos = stamps.iter().map(|&(_, nanos)| nanos).max().unwrap_or(0);
+        .map(|e| e.nanos)
+        .max()
+        .unwrap_or(0);
 
     // Spans, per lane: each closes at the next span's opening stamp.
     for pid in 0..n {
@@ -365,32 +352,6 @@ pub fn to_chrome_trace(flight: &FlightLog, history: Option<&History>, n: usize) 
                 micros(e.nanos),
                 pid,
                 Value::obj(vec![("step", e.step.into()), ("arg", e.arg.into())]),
-                vec![("s", "t".into())],
-            ));
-        }
-    }
-
-    // History crash/fault instants: step-stamped only, so interpolate
-    // nanos from the dual-stamped events at or before the same step.
-    if let Some(h) = history {
-        let nanos_at = |step: u64| -> u64 {
-            match stamps.partition_point(|&(s, _)| s <= step) {
-                0 => 0,
-                i => stamps[i - 1].1,
-            }
-        };
-        for ev in h.events() {
-            let (step, pid, name) = match ev {
-                Event::Crash { step, pid } => (*step, *pid, "crash".to_string()),
-                Event::Fault { step, pid, kind } => (*step, *pid, kind.to_string()),
-                _ => continue,
-            };
-            events.push(trace_ev(
-                &name,
-                "i",
-                micros(nanos_at(step)),
-                pid,
-                Value::obj(vec![("step", step.into())]),
                 vec![("s", "t".into())],
             ));
         }
@@ -498,32 +459,25 @@ mod tests {
 
     #[test]
     fn unified_timeline_merges_ring_spans_and_faults() {
-        use crate::history::{Event, FaultKind};
-        use crate::tracing::FlightRecorder;
-        let h = History::from_events(vec![
-            Event::Fault {
-                step: 5,
-                pid: 1,
-                kind: FaultKind::StallStart,
-            },
-            Event::Crash { step: 9, pid: 0 },
-        ]);
+        use crate::history::FaultKind;
+        use crate::tracing::{fault_arg, FlightRecorder};
         let rec = FlightRecorder::new(2, 8);
         rec.record(0, 2, EventKind::RoundAdvance, 1);
         rec.record(0, 3, EventKind::ScanBegin, 1);
         // A retry and the events inside a scan open no span.
         rec.record(0, 4, EventKind::CollectPass, 3);
         rec.record(0, 4, EventKind::ScanBegin, 2);
+        rec.record(1, 5, EventKind::Fault, fault_arg(FaultKind::StallStart));
         rec.record(1, 6, EventKind::Update, 1);
         rec.record(1, 7, EventKind::CoinFlip, 1);
-        let flight = rec.snapshot();
-        let text = render_unified(Some(&h), &flight, 2, &TraceOptions::default());
+        rec.record(0, 9, EventKind::Fault, 0);
+        let text = render_unified(&rec.snapshot(), 2, &TraceOptions::default());
         assert!(text.contains("▶ round(1)"), "{text}");
         assert_eq!(text.matches("▶ scan").count(), 1, "{text}");
         assert!(text.contains("▶ write"));
         assert!(text.contains("▶ coin"));
-        assert!(text.contains("⚡ stall:start"));
-        assert!(text.contains("☠ CRASHED"));
+        assert_eq!(text.matches("⚡ stall:start").count(), 1, "{text}");
+        assert_eq!(text.matches("☠ CRASHED").count(), 1, "{text}");
         assert!(!text.contains("overwritten"), "no ring wrapped:\n{text}");
         // Step order: round(1)@2 before stall@5 before coin@7 before crash@9.
         let round_at = text.find("round(1)").unwrap();
@@ -531,10 +485,6 @@ mod tests {
         let coin_at = text.find("coin").unwrap();
         let crash_at = text.find("CRASHED").unwrap();
         assert!(round_at < stall_at && stall_at < coin_at && coin_at < crash_at);
-        // Without a history (free mode), the ring spans alone still render.
-        let text2 = render_unified(None, &flight, 2, &TraceOptions::default());
-        assert!(text2.contains("▶ scan"));
-        assert!(!text2.contains("CRASHED"));
     }
 
     #[test]
@@ -548,7 +498,7 @@ mod tests {
         rec.record(0, 5, EventKind::Update, 1);
         rec.record(0, 6, EventKind::RegWrite, 0);
         rec.record(1, 2, EventKind::Update, 1);
-        let text = render_unified(None, &rec.snapshot(), 2, &TraceOptions::default());
+        let text = render_unified(&rec.snapshot(), 2, &TraceOptions::default());
         assert!(
             text.starts_with("p0: 2 earlier events overwritten\n"),
             "{text}"
@@ -561,7 +511,6 @@ mod tests {
 
     #[test]
     fn chrome_trace_has_the_trace_event_shape() {
-        use crate::history::Event;
         use crate::tracing::FlightRecorder;
 
         let rec = FlightRecorder::new(2, 8);
@@ -570,9 +519,9 @@ mod tests {
         rec.record(0, 5, EventKind::RegWrite, 0);
         rec.record(1, 3, EventKind::CoinFlip, 1);
         rec.record(1, 6, EventKind::Fault, 1);
-        let h = History::from_events(vec![Event::Crash { step: 9, pid: 1 }]);
+        rec.record(1, 9, EventKind::Fault, 0);
 
-        let v = to_chrome_trace(&rec.snapshot(), Some(&h), 2);
+        let v = to_chrome_trace(&rec.snapshot(), 2);
         // Round-trip through the hand-rolled renderer/parser: the export
         // must be valid JSON, not just a valid Value.
         let parsed = crate::json::parse(&v.render()).expect("valid JSON");
@@ -601,13 +550,18 @@ mod tests {
                     instants += 1;
                     assert!(e.get("args").and_then(|a| a.get("step")).is_some());
                 }
-                "M" => {}
+                "M" => {
+                    let args = e.get("args").expect("args");
+                    if name == "thread_name" {
+                        assert_eq!(args.get("overflow").and_then(|o| o.as_num()), Some(0.0));
+                    }
+                }
                 other => panic!("unexpected phase type {other}"),
             }
         }
         assert_eq!(spans, ["round(1)", "scan", "coin"], "one per opening event");
-        assert_eq!(instants, 6, "five ring events + one history crash");
-        // The fault ring event was decoded to its label.
+        assert_eq!(instants, 6, "one per ring event");
+        // The fault and crash ring events were decoded to their labels.
         let names: Vec<&str> = evs
             .iter()
             .filter_map(|e| e.get("name").and_then(|x| x.as_str()))
@@ -615,33 +569,6 @@ mod tests {
         assert!(names.contains(&"stall:start"), "{names:?}");
         assert!(names.contains(&"crash"));
         assert!(names.contains(&"scan_begin"));
-    }
-
-    #[test]
-    fn chrome_trace_interpolates_history_stamps_from_dual_stamped_events() {
-        use crate::history::Event;
-        use crate::tracing::FlightRecorder;
-
-        let rec = FlightRecorder::new(1, 8);
-        rec.record(0, 2, EventKind::ScanBegin, 1);
-        let flight = rec.snapshot();
-        let ring_nanos = flight.events(0)[0].nanos;
-        // Crash at step 7 (after the ring event at step 2): its ts must be
-        // that event's nanos stamp, not 0.
-        let h = History::from_events(vec![
-            Event::Crash { step: 7, pid: 0 },
-            Event::Crash { step: 1, pid: 0 },
-        ]);
-        let v = to_chrome_trace(&flight, Some(&h), 1);
-        let evs = v.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
-        let crash_ts: Vec<f64> = evs
-            .iter()
-            .filter(|e| e.get("name").and_then(|x| x.as_str()) == Some("crash"))
-            .map(|e| e.get("ts").and_then(|x| x.as_num()).unwrap())
-            .collect();
-        assert_eq!(crash_ts.len(), 2);
-        assert_eq!(crash_ts[0], ring_nanos as f64 / 1_000.0);
-        assert_eq!(crash_ts[1], 0.0, "no stamp at or before step 1");
     }
 
     #[test]
@@ -654,7 +581,7 @@ mod tests {
             steps: Some((0, 5)),
             ..Default::default()
         };
-        let text = render_unified(None, &rec.snapshot(), 1, &opts);
+        let text = render_unified(&rec.snapshot(), 1, &opts);
         assert!(text.contains("▶ scan"), "{text}");
         assert!(!text.contains("▶ coin"), "step 8 windowed out:\n{text}");
     }

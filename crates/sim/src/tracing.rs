@@ -129,7 +129,7 @@ pub fn fault_label(arg: u64) -> &'static str {
         0 => "crash",
         1 => "stall:start",
         2 => "stall:end",
-        3 => "panic",
+        3 => "panic:injected",
         4 => "starved",
         _ => "fault:?",
     }

@@ -48,10 +48,9 @@ pub enum Mode {
 pub type ProcBody<T> = Box<dyn FnOnce(&mut Ctx) -> Result<T, Halted> + Send + 'static>;
 
 /// A handle on a contiguous slab of seqlock value lanes, allocated by
-/// [`World::value_slab`] and consumed by [`World::lane_reg`] /
-/// [`World::lane_reg_dyn`]. A stride outside
-/// `1..=`[`MAX_FAST_WORDS_DYN`](crate::reg::MAX_FAST_WORDS_DYN) makes the
-/// handle inert, and lane allocation falls back to individual cells.
+/// [`World::value_slab`] and consumed by [`World::lane_reg`]. A stride
+/// outside `1..=`[`MAX_FAST_WORDS`](crate::reg::MAX_FAST_WORDS) makes the
+/// handle inert, and lane allocation falls back to [`World::fast_reg`].
 pub struct ValueSlab {
     lane_words: usize,
     slab: Option<Arc<crate::reg::LaneSlab>>,
@@ -1127,10 +1126,11 @@ impl World {
         crate::reg::Reg::new(self.name_reg(name), init, Arc::clone(&self.inner))
     }
 
-    /// Allocates a register on a seqlock cell when the
-    /// [`FastPod`](crate::reg::FastPod) payload packs into at most
-    /// [`MAX_FAST_WORDS`](crate::reg::MAX_FAST_WORDS) words; otherwise
-    /// identical to [`World::reg`].
+    /// Allocates a register on a seqlock lane of its own one-lane slab when
+    /// the [`FastPod`](crate::reg::FastPod) payload packs into
+    /// `1..=`[`MAX_FAST_WORDS`](crate::reg::MAX_FAST_WORDS) words;
+    /// otherwise identical to [`World::reg`]. The width is fixed by `init`:
+    /// every later write must pack to the same number of words.
     ///
     /// Access semantics — scheduling, counters, recorded history — do not
     /// depend on which backing the register lands on.
@@ -1139,7 +1139,14 @@ impl World {
         name: impl Into<String>,
         init: T,
     ) -> crate::reg::Reg<T> {
-        crate::reg::Reg::new_fast(self.name_reg(name), init, Arc::clone(&self.inner))
+        let (id, inner) = (self.name_reg(name), Arc::clone(&self.inner));
+        let w = init.words();
+        if (1..=crate::reg::MAX_FAST_WORDS).contains(&w) {
+            let slab = Arc::new(crate::reg::LaneSlab::new(1, w));
+            crate::reg::Reg::new_lane(id, init, inner, slab, 0)
+        } else {
+            crate::reg::Reg::new(id, init, inner)
+        }
     }
 
     /// Allocates a single-bit register: the bit lands in a shared
@@ -1170,28 +1177,28 @@ impl World {
     }
 
     /// Allocates a shared slab of `lanes` seqlock lanes, `lane_words`
-    /// payload words each, for use with [`World::lane_reg`] /
-    /// [`World::lane_reg_dyn`]. All version words are contiguous, so a
+    /// payload words each, for use with [`World::lane_reg`]. All version
+    /// words are contiguous, so a
     /// collect pass validating `lanes` buffered copies through
     /// [`Reg::read_changed`](crate::reg::Reg::read_changed) touches
     /// ⌈lanes/8⌉ cache lines instead of `lanes` scattered cells.
     ///
     /// When `lane_words` is outside
-    /// `1..=`[`MAX_FAST_WORDS_DYN`](crate::reg::MAX_FAST_WORDS_DYN) the
-    /// slab is inert and the lane allocators fall back to
-    /// [`World::fast_reg`]-style individual cells — a change of
-    /// representation, never of semantics.
+    /// `1..=`[`MAX_FAST_WORDS`](crate::reg::MAX_FAST_WORDS) the slab is
+    /// inert and [`World::lane_reg`] falls back to [`World::fast_reg`] — a
+    /// change of representation, never of semantics.
     pub fn value_slab(&self, lanes: usize, lane_words: usize) -> ValueSlab {
-        let packed = (1..=crate::reg::MAX_FAST_WORDS_DYN).contains(&lane_words);
+        let packed = (1..=crate::reg::MAX_FAST_WORDS).contains(&lane_words);
         ValueSlab {
             lane_words,
             slab: packed.then(|| Arc::new(crate::reg::LaneSlab::new(lanes, lane_words))),
         }
     }
 
-    /// Allocates lane `lane` of `slab` as a register (packed width
-    /// `T::WORDS` must match the slab's stride); falls back to
-    /// [`World::fast_reg`] when the slab is inert or the width differs.
+    /// Allocates lane `lane` of `slab` as a register (`init.words()` must
+    /// match the slab's stride, and every later write must pack to the same
+    /// width); falls back to [`World::fast_reg`] when the slab is inert, the
+    /// width differs or the lane does not exist.
     pub fn lane_reg<T: crate::reg::FastPod>(
         &self,
         slab: &ValueSlab,
@@ -1200,54 +1207,12 @@ impl World {
         init: T,
     ) -> crate::reg::Reg<T> {
         match &slab.slab {
-            Some(s) if T::WORDS == slab.lane_words && lane < s.lanes() => {
+            Some(s) if init.words() == slab.lane_words && lane < s.lanes() => {
                 let id = self.name_reg(name);
                 crate::reg::Reg::new_lane(id, init, Arc::clone(&self.inner), Arc::clone(s), lane)
             }
             _ => self.fast_reg(name, init),
         }
-    }
-
-    /// The runtime-width counterpart of [`World::lane_reg`]: the initial
-    /// value's [`FastDyn::dyn_words`](crate::reg::FastDyn::dyn_words) must
-    /// match the slab's stride (every later write must pack to the same
-    /// width, as with [`World::fast_reg_dyn`]).
-    pub fn lane_reg_dyn<T: crate::reg::FastDyn>(
-        &self,
-        slab: &ValueSlab,
-        lane: usize,
-        name: impl Into<String>,
-        init: T,
-    ) -> crate::reg::Reg<T> {
-        match &slab.slab {
-            Some(s) if init.dyn_words() == slab.lane_words && lane < s.lanes() => {
-                let id = self.name_reg(name);
-                crate::reg::Reg::new_lane_dyn(
-                    id,
-                    init,
-                    Arc::clone(&self.inner),
-                    Arc::clone(s),
-                    lane,
-                )
-            }
-            _ => self.fast_reg_dyn(name, init),
-        }
-    }
-
-    /// Allocates a register on a seqlock cell when the payload's *runtime*
-    /// packed width ([`FastDyn`](crate::reg::FastDyn)) fits
-    /// [`MAX_FAST_WORDS_DYN`](crate::reg::MAX_FAST_WORDS_DYN); otherwise
-    /// identical to [`World::reg`]. The width is fixed by `init`: every
-    /// later write must pack to the same number of words.
-    ///
-    /// Access semantics — scheduling, counters, recorded history — do not
-    /// depend on which backing the register lands on.
-    pub fn fast_reg_dyn<T: crate::reg::FastDyn>(
-        &self,
-        name: impl Into<String>,
-        init: T,
-    ) -> crate::reg::Reg<T> {
-        crate::reg::Reg::new_fast_dyn(self.name_reg(name), init, Arc::clone(&self.inner))
     }
 
     /// Runs `n` process bodies to completion under `strategy`.

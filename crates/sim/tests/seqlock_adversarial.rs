@@ -1,17 +1,20 @@
 //! Adversarial coverage for the lock-free register backings.
 //!
-//! `fast_reg` replaces the `RwLock` cell with a word-packed seqlock
-//! (`reg.rs`). Its one safety obligation is atomicity of the visible value:
-//! a reader must never observe a mix of two different writes. These tests
-//! attack that from three directions — real OS-thread races in free mode,
-//! adversarial lockstep schedules across many seeds, and a cross-backing
-//! equivalence check (seqlock cell, slab lane and packed bit, each against
-//! the locked cell `reg` allocates) that the backing is invisible to
+//! `fast_reg` and `lane_reg` replace the `RwLock` cell with a word-packed
+//! seqlock lane (`reg.rs`): `fast_reg` a lane of its own one-lane slab,
+//! `lane_reg` a lane of a slab shared with its neighbours. The lane's one
+//! safety obligation is atomicity of the visible value: a reader must never
+//! observe a mix of two different writes. These tests attack that from
+//! three directions — real OS-thread races in free mode (on one lane, and
+//! across the adjacent version words of a shared slab), adversarial
+//! lockstep schedules across many seeds, and a cross-backing equivalence
+//! check (one-lane slab, shared-slab lane and packed bit, each against the
+//! locked cell `reg` allocates) that the backing is invisible to
 //! scheduling, telemetry, and history recording.
 
 use bprc_sim::sched::{RandomStrategy, RoundRobin};
 use bprc_sim::world::{Mode, ProcBody, World};
-use bprc_sim::{Counter, Reg};
+use bprc_sim::{Counter, Reg, NO_VERSION};
 
 /// A value whose two halves must always agree: the writer only ever stores
 /// `(k, 3k)`, so any observed pair with `b != 3a` is a torn read.
@@ -41,7 +44,7 @@ fn free_threads_never_observe_torn_pairs_across_seeds() {
             .step_limit(u64::MAX)
             .build();
         let r = w.fast_reg("pair", pair(0));
-        assert!(r.is_fast(), "(u64,u64) must take the seqlock backing");
+        assert!(r.is_fast(), "(u64,u64) must take a seqlock lane");
         let writer = {
             let r = r.clone();
             let b: ProcBody<()> = Box::new(move |ctx| {
@@ -70,9 +73,90 @@ fn free_threads_never_observe_torn_pairs_across_seeds() {
     }
 }
 
+/// Free-mode races across one shared slab, laid out as the snapshot layer
+/// lays out its value registers: pids 0 and 1 each publish increasing
+/// `pair(k)` to their own lane of `value_slab(4, 2)` (so two writers bump
+/// adjacent version words), while pids 2 and 3 sweep all four lanes,
+/// alternating plain reads with version-token reads. Every pair read must
+/// be untorn, each lane's `k` must never go backwards within one reader,
+/// and a token read that skips its closure must hand back the cached token.
+#[test]
+fn free_threads_race_a_shared_slab_without_tearing_or_regressing() {
+    const LANES: usize = 4;
+    const WRITES: u64 = 300;
+    for seed in 0..110u64 {
+        let mut w = World::builder(4)
+            .seed(seed)
+            .mode(Mode::Free)
+            .step_limit(u64::MAX)
+            .build();
+        let slab = w.value_slab(LANES, 2);
+        let regs: Vec<Reg<(u64, u64)>> = (0..LANES)
+            .map(|lane| w.lane_reg(&slab, lane, format!("V_{lane}"), pair(0)))
+            .collect();
+        let last_k = seed * 1000 + WRITES;
+        let bodies: Vec<ProcBody<()>> = (0..4)
+            .map(|pid| {
+                let regs = regs.clone();
+                let b: ProcBody<()> = if pid < 2 {
+                    Box::new(move |ctx| {
+                        for k in seed * 1000 + 1..=last_k {
+                            regs[pid].write(ctx, pair(k))?;
+                        }
+                        Ok(())
+                    })
+                } else {
+                    // Sweep until both writers' last values show, so the
+                    // readers overlap the writers however the OS starts them.
+                    Box::new(move |ctx| {
+                        let mut seen_k = [0u64; LANES];
+                        let mut token = [NO_VERSION; LANES];
+                        for sweep in 0.. {
+                            if seen_k[..2] == [last_k; 2] {
+                                break;
+                            }
+                            for (lane, r) in regs.iter().enumerate() {
+                                let seen = if sweep % 2 == 0 {
+                                    Some(r.read(ctx)?)
+                                } else {
+                                    let mut got = None;
+                                    let t = r.read_changed(ctx, token[lane], |v| got = Some(*v))?;
+                                    if got.is_none() {
+                                        assert_eq!(t, token[lane], "a skip must keep the token");
+                                    }
+                                    token[lane] = t;
+                                    got
+                                };
+                                if let Some(v) = seen {
+                                    assert_untorn(v);
+                                    assert!(
+                                        v.0 >= seen_k[lane],
+                                        "lane {lane} went back from k = {} to {}",
+                                        seen_k[lane],
+                                        v.0
+                                    );
+                                    seen_k[lane] = v.0;
+                                }
+                            }
+                        }
+                        Ok(())
+                    })
+                };
+                b
+            })
+            .collect();
+        let rep = w.run(bodies, Box::new(RoundRobin::new()));
+        assert_eq!(rep.decided_count(), 4, "seed {seed}: {:?}", rep.panics);
+        for (lane, r) in regs.iter().enumerate() {
+            let want = if lane < 2 { last_k } else { 0 };
+            assert_eq!(r.peek(), pair(want), "seed {seed}: lane {lane}");
+        }
+    }
+}
+
 /// Lockstep with a randomized adversary across 100+ seeds: the writer bursts
 /// mid-run while readers interleave at every granted step. Lockstep grants
-/// ops one at a time, so this checks the seqlock cell preserves per-op
+/// ops one at a time, so this checks the seqlock lane preserves per-op
 /// atomicity under every schedule the adversary picks — and that `peek`
 /// (which bypasses scheduling entirely) also never sees a torn pair.
 #[test]
@@ -109,7 +193,7 @@ fn random_lockstep_schedules_never_observe_torn_pairs() {
 }
 
 /// The backing is a memory representation only: the same seeded run on a
-/// seqlock cell (`fast_reg`) and on the locked cell (`reg`) must produce
+/// seqlock lane (`fast_reg`) and on the locked cell (`reg`) must produce
 /// identical outputs, step counts, telemetry counters, and recorded
 /// histories.
 #[test]
@@ -207,11 +291,11 @@ fn explore_cell<T: Clone + Send + Sync + 'static>(
 
 /// Exhaustive schedule exploration of every lock-free backing against the
 /// locked cell: along *all* schedules of the bounded workload — not just
-/// sampled seeds — a seqlock cell (`fast_reg`), a slab lane (`lane_reg`)
-/// and a packed bit (`bit_reg`) yield untorn reads and per-schedule
-/// observables identical to `reg`'s, schedule by schedule. The arrows are
-/// always bit-packed and `alloc_fast` always takes lanes, so this is where
-/// those two backings meet their locked oracle.
+/// sampled seeds — a one-lane slab (`fast_reg`), a shared-slab lane
+/// (`lane_reg`) and a packed bit (`bit_reg`) yield untorn reads and
+/// per-schedule observables identical to `reg`'s, schedule by schedule.
+/// The arrows are always bit-packed and `alloc_fast` always takes lanes, so
+/// this is where those two backings meet their locked oracle.
 #[test]
 fn exhaustive_exploration_is_backing_invariant() {
     let pairs = [pair(0), pair(1), pair(2), pair(3)];
@@ -227,7 +311,7 @@ fn exhaustive_exploration_is_backing_invariant() {
         "fast_reg",
         |w, v| {
             let r = w.fast_reg("cell", v);
-            assert!(r.is_fast() && !r.is_lane());
+            assert!(r.is_fast() && !r.is_bit());
             r
         },
         pairs,
@@ -236,15 +320,15 @@ fn exhaustive_exploration_is_backing_invariant() {
     let (lane, lane_n) = explore_cell(
         "lane_reg",
         |w, v| {
-            let r = w.lane_reg(&w.value_slab(1, 2), 0, "cell", v);
-            assert!(r.is_lane());
+            let r = w.lane_reg(&w.value_slab(2, 2), 1, "cell", v);
+            assert!(r.is_fast() && !r.is_bit());
             r
         },
         pairs,
         pair_digit,
     );
     assert_eq!((fast_n, lane_n), (locked_n, locked_n));
-    assert_eq!(fast, locked, "some schedule tells a seqlock cell from reg");
+    assert_eq!(fast, locked, "some schedule tells a one-lane slab from reg");
     assert_eq!(lane, locked, "some schedule tells a slab lane from reg");
 
     let bits = [false, true, false, true];

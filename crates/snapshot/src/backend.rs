@@ -16,14 +16,12 @@
 //!   at the price of unbounded sequence numbers.
 //!
 //! Both backends emit the same history annotations and metrics, so the
-//! P1–P3 checker, the telemetry plane, and the phase timelines treat them
-//! identically — see [`check_backend_history`].
+//! P1–P3 checker ([`check_history`](crate::check_history) over [`SnapshotBackend::meta`]), the
+//! telemetry plane, and the phase timelines treat them identically.
 
 use bprc_registers::ArrowCell;
-use bprc_sim::history::History;
 use bprc_sim::{Ctx, FastPod, Halted, World};
 
-use crate::checker::{check_history, CheckReport};
 use crate::memory::{Port, ScannableMemory, SnapshotMeta};
 use crate::waitfree::{WaitFreeSnapshot, WfPort};
 
@@ -110,8 +108,8 @@ where
     fn port(&self, pid: usize) -> Self::Port;
 
     /// Checker metadata (register-id ↦ process mapping) — same format for
-    /// every backend, which is what keeps [`check_history`] backend-
-    /// agnostic.
+    /// every backend, which is what keeps
+    /// [`check_history`](crate::check_history) backend-agnostic.
     fn meta(&self) -> SnapshotMeta;
 
     /// Returns the field-less [`ScanStats`]: scans are counted in the run's
@@ -251,16 +249,4 @@ where
     fn scan_into(&mut self, ctx: &mut Ctx, out: &mut Vec<T>) -> Result<(), Halted> {
         WfPort::scan_into(self, ctx, out)
     }
-}
-
-/// Checks a recorded history against a backend's metadata — the
-/// backend-dimension entry point to [`check_history`]: both constructions
-/// emit the same annotations, so the P1–P3 verdict is computed identically
-/// for either.
-pub fn check_backend_history<T, B>(history: &History, backend: &B) -> CheckReport
-where
-    T: Clone + PartialEq + Send + Sync + 'static,
-    B: SnapshotBackend<T>,
-{
-    check_history(history, &backend.meta())
 }

@@ -331,33 +331,31 @@ impl IncrementalChecker {
 /// except that an incomplete update's *store*, if it landed, still counts as
 /// memory content for P2 and staleness for P1 — exactly as a real crashed
 /// write would.
-pub fn check_history(history: &History, meta: &SnapshotMeta) -> CheckReport {
-    let mut checker = IncrementalChecker::new(meta);
-    for ev in history.events() {
-        checker.feed(ev);
-    }
-    checker.finish()
-}
-
-/// Checks P1–P3 on a history recorded under weak memory
-/// (`WeakMode::Tso`/`WeakMode::Pso` in `bprc_sim::weakmem`).
 ///
-/// Under store buffering a write *issues* at its `Event::Op` step but only
+/// Under weak memory (`WeakMode::Tso`/`WeakMode::Pso` in
+/// `bprc_sim::weakmem`) a write *issues* at its `Event::Op` step but only
 /// becomes visible to other processes at its [`Event::Flush`] step, so the
-/// store's linearization point is the flush. This wrapper re-times every
-/// write to its matching flush before feeding the checker. Matching is a
-/// per-`(pid, reg)` FIFO: both TSO and PSO land same-register stores from
-/// one process in issue order, so front-of-queue pairing is exact. A write
-/// with no flush (its buffer was dropped by a crash) never became visible
-/// and is withheld from the checker entirely — its `upd:start` record keeps
+/// store's linearization point is the flush: every write is re-timed to its
+/// matching flush before the checker sees it. Matching is a per-`(pid,
+/// reg)` FIFO: both TSO and PSO land same-register stores from one process
+/// in issue order, so front-of-queue pairing is exact. A write with no
+/// flush (its buffer was dropped by a crash) never became visible and is
+/// withheld from the checker entirely — its `upd:start` record keeps
 /// `store: None`, the same shape as a crash between `upd:start` and the
-/// store under SC. On a history with no flush events this is exactly
-/// [`check_history`].
-pub fn check_history_weak(history: &History, meta: &SnapshotMeta) -> CheckReport {
+/// store under SC. A history with no flush events (every SC history) is fed
+/// through as recorded, after one scan for a flush.
+pub fn check_history(history: &History, meta: &SnapshotMeta) -> CheckReport {
+    let events = history.events();
+    let mut checker = IncrementalChecker::new(meta);
+    if !events.iter().any(|ev| matches!(ev, Event::Flush { .. })) {
+        for ev in events {
+            checker.feed(ev);
+        }
+        return checker.finish();
+    }
     let mut pending: HashMap<(usize, usize), VecDeque<usize>> = HashMap::new();
     let mut vis_step: HashMap<usize, u64> = HashMap::new();
-    let mut any_flush = false;
-    for (i, ev) in history.events().iter().enumerate() {
+    for (i, ev) in events.iter().enumerate() {
         match ev {
             Event::Op {
                 pid,
@@ -368,7 +366,6 @@ pub fn check_history_weak(history: &History, meta: &SnapshotMeta) -> CheckReport
                 pending.entry((*pid, *reg)).or_default().push_back(i);
             }
             Event::Flush { step, pid, reg } => {
-                any_flush = true;
                 if let Some(idx) = pending.get_mut(&(*pid, *reg)).and_then(|q| q.pop_front()) {
                     vis_step.insert(idx, *step);
                 }
@@ -376,11 +373,7 @@ pub fn check_history_weak(history: &History, meta: &SnapshotMeta) -> CheckReport
             _ => {}
         }
     }
-    if !any_flush {
-        return check_history(history, meta);
-    }
-    let mut checker = IncrementalChecker::new(meta);
-    for (i, ev) in history.events().iter().enumerate() {
+    for (i, ev) in events.iter().enumerate() {
         match ev {
             &Event::Op {
                 pid,
@@ -578,22 +571,20 @@ mod tests {
 
     /// Under weak memory a scan must not return a value whose store was
     /// still buffered when the scan ended: the store linearizes at its
-    /// flush, and the plain checker (which trusts the issue step) misses
-    /// the impossibility.
+    /// flush, not at its issue step.
     #[test]
     fn weak_checker_times_stores_at_their_flush() {
         let mut ev = Vec::new();
         upd(&mut ev, 0, 0, 1); // issue at step 0 ...
         ev.push(note(2, 1, labels::SCAN_START, vec![]));
         ev.push(note(4, 1, labels::SCAN_END, vec![1, 0]));
-        ev.push(flush(10, 0, 100)); // ... but only visible at step 10
-        let history = History::from_events(ev);
         let m = meta(2);
         assert!(
-            check_history(&history, &m).ok(),
-            "the issue-step checker cannot see the buffering"
+            check_history(&History::from_events(ev.clone()), &m).ok(),
+            "without a flush the store is visible at its issue step"
         );
-        let r = check_history_weak(&history, &m);
+        ev.push(flush(10, 0, 100)); // ... but only visible at step 10
+        let r = check_history(&History::from_events(ev), &m);
         assert!(matches!(
             r.violations[0],
             SnapshotViolation::FutureValue {
@@ -615,7 +606,7 @@ mod tests {
         ev.push(note(2, 1, labels::SCAN_START, vec![]));
         ev.push(note(4, 1, labels::SCAN_END, vec![0, 0]));
         let history = History::from_events(ev);
-        let r = check_history_weak(&history, &meta(2));
+        let r = check_history(&history, &meta(2));
         assert!(
             r.ok(),
             "old value is the only visible one: {:?}",
@@ -628,7 +619,7 @@ mod tests {
         ev2.push(flush(1, 1, 101));
         ev2.push(note(2, 1, labels::SCAN_START, vec![]));
         ev2.push(note(4, 1, labels::SCAN_END, vec![1, 0]));
-        let r2 = check_history_weak(&History::from_events(ev2), &meta(2));
+        let r2 = check_history(&History::from_events(ev2), &meta(2));
         assert!(
             matches!(r2.violations[0], SnapshotViolation::FutureValue { .. }),
             "a dropped store must read as never-written: {:?}",
@@ -636,10 +627,9 @@ mod tests {
         );
     }
 
-    /// Flushes pair with writes FIFO per (pid, reg), and a flush-free
-    /// history degrades to the plain checker verbatim.
+    /// Flushes pair with writes FIFO per (pid, reg).
     #[test]
-    fn weak_checker_matches_fifo_and_degrades_to_sc() {
+    fn weak_checker_matches_flushes_fifo() {
         let mut ev = Vec::new();
         upd(&mut ev, 0, 0, 1);
         ev.push(flush(2, 0, 100)); // FIFO: pairs with seq 1
@@ -651,22 +641,12 @@ mod tests {
         ev.push(note(10, 0, labels::UPD_END, vec![2]));
         let weak_hist = History::from_events(ev);
         let m = meta(2);
-        let r = check_history_weak(&weak_hist, &m);
+        let r = check_history(&weak_hist, &m);
         assert!(
             r.ok(),
             "seq 2 is still buffered during the scan: {:?}",
             r.violations
         );
-
-        let mut sc = Vec::new();
-        upd(&mut sc, 0, 0, 1);
-        sc.push(note(2, 1, labels::SCAN_START, vec![]));
-        sc.push(note(4, 1, labels::SCAN_END, vec![1, 0]));
-        let sc_hist = History::from_events(sc);
-        let a = check_history(&sc_hist, &m);
-        let b = check_history_weak(&sc_hist, &m);
-        assert_eq!(a.violations, b.violations);
-        assert_eq!((a.scans, a.updates), (b.scans, b.updates));
     }
 
     /// The incremental checker is checkpointable: finishing mid-stream sees

@@ -65,9 +65,7 @@ pub(crate) mod collect;
 pub mod memory;
 pub mod waitfree;
 
-pub use backend::{check_backend_history, ScanStats, SnapshotBackend, SnapshotPort};
-pub use checker::{
-    check_history, check_history_weak, CheckReport, IncrementalChecker, SnapshotViolation,
-};
+pub use backend::{ScanStats, SnapshotBackend, SnapshotPort};
+pub use checker::{check_history, CheckReport, IncrementalChecker, SnapshotViolation};
 pub use memory::{Port, ScannableMemory, SnapshotMeta};
 pub use waitfree::{WaitFreeSnapshot, WfPort};

@@ -68,19 +68,24 @@ impl<T: Clone + Send + Sync + 'static> crate::collect::SeqSlot for Slot<T> {
 /// too wide for the backing they are handed to (the table in
 /// [`bprc_sim::reg`]) transparently keep the locked one.
 impl<T: FastPod> FastPod for Slot<T> {
-    const WORDS: usize = T::WORDS + 2;
+    fn words(&self) -> usize {
+        self.value.words() + 2
+    }
 
     fn pack(&self, out: &mut [u64]) {
-        self.value.pack(&mut out[..T::WORDS]);
-        out[T::WORDS] = u64::from(self.toggle);
-        out[T::WORDS + 1] = self.seq;
+        debug_assert_eq!(out.len(), self.words());
+        let k = out.len() - 2;
+        self.value.pack(&mut out[..k]);
+        out[k] = u64::from(self.toggle);
+        out[k + 1] = self.seq;
     }
 
     fn unpack(words: &[u64]) -> Self {
+        let k = words.len() - 2;
         Slot {
-            value: T::unpack(&words[..T::WORDS]),
-            toggle: words[T::WORDS] != 0,
-            seq: words[T::WORDS + 1],
+            value: T::unpack(&words[..k]),
+            toggle: words[k] != 0,
+            seq: words[k + 1],
         }
     }
 }
@@ -145,14 +150,15 @@ where
     /// seqlock version words sit contiguously and a steady collect's
     /// batched validation sweeps ⌈n/8⌉ cache lines instead of `n`.
     /// Payloads whose packed slot exceeds a lane's widest stride
-    /// ([`bprc_sim::MAX_FAST_WORDS_DYN`] words) transparently keep the
+    /// ([`bprc_sim::MAX_FAST_WORDS`] words) transparently keep the
     /// locked cells, so this only ever changes the memory representation,
     /// never semantics.
     pub fn new_fast(world: &World, n: usize, init: T) -> Self
     where
         T: FastPod,
     {
-        let slab = world.value_slab(n, Slot::<T>::WORDS);
+        // A slot packs the payload, the toggle and the ghost seq.
+        let slab = world.value_slab(n, init.words() + 2);
         Self::build(world, n, init, move |w, name, i, slot| {
             Swmr::new_lane(w, &slab, i, name, i, slot)
         })

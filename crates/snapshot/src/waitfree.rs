@@ -39,7 +39,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use bprc_registers::Swmr;
-use bprc_sim::{Counter, Ctx, EventKind, FastDyn, FastPod, Halted, World, NO_VERSION};
+use bprc_sim::{Counter, Ctx, EventKind, FastPod, Halted, World, NO_VERSION};
 
 use crate::memory::{labels, SnapshotMeta};
 
@@ -87,45 +87,45 @@ impl<T: Clone + Send + Sync + 'static> crate::collect::SeqSlot for WfSlot<T> {
     }
 }
 
-/// Slots of small POD payloads can ride the seqlock backings — but
-/// unlike the bounded construction's [`crate::memory`] slots, a `WfSlot`'s
-/// packed width depends on `n` (the embedded view has one entry per
-/// process), so it takes the *runtime-width* [`FastDyn`] route. Layout:
-/// payload words, seq, view length, then `(payload words, seq)` per view
-/// entry. Every slot written to a given register packs to the same width
-/// because the view always has exactly `n` entries. Slots wider than
-/// [`bprc_sim::MAX_FAST_WORDS_DYN`] words transparently keep the locked
-/// backing — the fast constructor checks.
-impl<T: FastPod> FastDyn for WfSlot<T> {
-    fn dyn_words(&self) -> usize {
-        T::WORDS + 2 + self.view.len() * (T::WORDS + 1)
+/// Slots of small POD payloads can ride the seqlock lanes — but unlike the
+/// bounded construction's [`crate::memory`] slots, a `WfSlot`'s packed width
+/// depends on `n` (the embedded view has one entry per process). Layout:
+/// seq, view length, payload words, then `(payload words, seq)` per view
+/// entry. With the header first, `unpack` derives the payload width `w`
+/// from the total: `total = 2 + w + len·(w + 1)`. Every slot written to a
+/// given register packs to the same width because the view always has
+/// exactly `n` entries. Slots wider than [`bprc_sim::MAX_FAST_WORDS`] words
+/// transparently keep the locked backing.
+impl<T: FastPod> FastPod for WfSlot<T> {
+    fn words(&self) -> usize {
+        let w = self.value.words();
+        2 + w + self.view.len() * (w + 1)
     }
 
-    fn pack_dyn(&self, out: &mut [u64]) {
-        self.value.pack(&mut out[..T::WORDS]);
-        out[T::WORDS] = self.seq;
-        out[T::WORDS + 1] = self.view.len() as u64;
-        let mut at = T::WORDS + 2;
-        for (v, s) in &self.view {
-            v.pack(&mut out[at..at + T::WORDS]);
-            out[at + T::WORDS] = *s;
-            at += T::WORDS + 1;
+    fn pack(&self, out: &mut [u64]) {
+        debug_assert_eq!(out.len(), self.words());
+        let w = self.value.words();
+        out[0] = self.seq;
+        out[1] = self.view.len() as u64;
+        self.value.pack(&mut out[2..2 + w]);
+        for ((v, s), entry) in self.view.iter().zip(out[2 + w..].chunks_exact_mut(w + 1)) {
+            v.pack(&mut entry[..w]);
+            entry[w] = *s;
         }
     }
 
-    fn unpack_dyn(words: &[u64]) -> Self {
-        let value = T::unpack(&words[..T::WORDS]);
-        let seq = words[T::WORDS];
-        let len = words[T::WORDS + 1] as usize;
-        let mut at = T::WORDS + 2;
-        let view = (0..len)
-            .map(|_| {
-                let entry = (T::unpack(&words[at..at + T::WORDS]), words[at + T::WORDS]);
-                at += T::WORDS + 1;
-                entry
-            })
+    fn unpack(words: &[u64]) -> Self {
+        let (seq, len) = (words[0], words[1] as usize);
+        let w = (words.len() - 2 - len) / (len + 1);
+        let view = words[2 + w..]
+            .chunks_exact(w + 1)
+            .map(|entry| (T::unpack(&entry[..w]), entry[w]))
             .collect();
-        WfSlot { value, seq, view }
+        WfSlot {
+            value: T::unpack(&words[2..2 + w]),
+            seq,
+            view,
+        }
     }
 }
 
@@ -201,7 +201,7 @@ where
 
     /// Like [`new`](WaitFreeSnapshot::new) but puts the registers on
     /// seqlock lanes when the packed slot — payload, seq, and the `n`-entry
-    /// embedded view — fits in [`bprc_sim::MAX_FAST_WORDS_DYN`] words;
+    /// embedded view — fits in [`bprc_sim::MAX_FAST_WORDS`] words;
     /// wider slots transparently keep the locked backing. The registers are
     /// lanes of one shared [`value slab`](World::value_slab), so the
     /// version words the batched collect validation sweeps are contiguous.
@@ -212,10 +212,10 @@ where
     where
         T: FastPod,
     {
-        let lane_words = T::WORDS + 2 + n * (T::WORDS + 1);
-        let slab = world.value_slab(n, lane_words);
+        let w = init.words();
+        let slab = world.value_slab(n, 2 + w + n * (w + 1));
         Self::build(world, n, &init, move |world, name, writer, slot| {
-            Swmr::new_lane_dyn(world, &slab, writer, name, writer, slot)
+            Swmr::new_lane(world, &slab, writer, name, writer, slot)
         })
     }
 

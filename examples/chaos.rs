@@ -1,7 +1,8 @@
 //! Chaos demo: a composed fault plan — an early crash, a long stall
 //! window, and a late injected panic — over the full register-level
 //! consensus stack, with faults and protocol spans rendered as one unified
-//! timeline from the recorded history plus the flight-recorder rings.
+//! timeline from the flight-recorder rings, and the recorded history's
+//! register-level timeline around the panic.
 //!
 //! ```text
 //! cargo run --example chaos
@@ -47,10 +48,7 @@ fn main() {
         ..Default::default()
     };
     println!("unified timeline (spans + faults, steps 0..80):");
-    println!(
-        "{}",
-        render_unified(Some(history), &report.flight, n, &unified_opts)
-    );
+    println!("{}", render_unified(&report.flight, n, &unified_opts));
 
     println!("\noutcome per process:");
     for p in 0..n {

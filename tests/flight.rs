@@ -9,12 +9,53 @@ use std::time::Instant;
 use bprc::core::bounded::ConsensusParams;
 use bprc::core::threaded::{ThreadedConsensus, WaitFreeConsensus};
 use bprc::registers::DirectArrow;
+use bprc::sim::faults::{FaultPlan, FaultedStrategy};
 use bprc::sim::history::OpKind;
-use bprc::sim::sched::RandomStrategy;
+use bprc::sim::sched::{RandomStrategy, RoundRobin};
 use bprc::sim::trace::to_chrome_trace;
 use bprc::sim::tracing::{EventKind, Hist};
 use bprc::sim::world::{ProcBody, RunReport};
 use bprc::sim::{json, Counter, Mode, World};
+
+/// Each lockstep crash and injected fault is one ring event, so the Chrome
+/// trace shows it exactly once (the history records the same faults, so an
+/// export reading both sources would show each twice).
+#[test]
+fn chrome_trace_shows_each_crash_and_fault_once() {
+    let n = 2;
+    let mut world = World::builder(n).build();
+    let r = world.reg("r", 0u64);
+    let bodies: Vec<ProcBody<()>> = (0..n)
+        .map(|_| {
+            let r = r.clone();
+            let b: ProcBody<()> = Box::new(move |ctx| {
+                for k in 0..20 {
+                    r.write(ctx, k)?;
+                }
+                Ok(())
+            });
+            b
+        })
+        .collect();
+    let plan = FaultPlan::new().crash_at(3, 0).stall(1, 5, 8);
+    let rep = world.run(
+        bodies,
+        Box::new(FaultedStrategy::new(RoundRobin::new(), plan)),
+    );
+    let doc = to_chrome_trace(&rep.flight, n);
+    let instants: Vec<&str> = doc
+        .get("traceEvents")
+        .and_then(|v| v.as_arr())
+        .expect("traceEvents array")
+        .iter()
+        .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("i"))
+        .filter_map(|e| e.get("name").and_then(|x| x.as_str()))
+        .collect();
+    for name in ["crash", "stall:start", "stall:end"] {
+        let count = instants.iter().filter(|&&i| i == name).count();
+        assert_eq!(count, 1, "{name} exported {count} times: {instants:?}");
+    }
+}
 
 /// A real lockstep snapshot run fills the flight recorder: every process
 /// shows scan begin/end pairs, register writes, round advances and a
@@ -73,7 +114,7 @@ fn chrome_trace_export_from_a_real_run_is_well_formed() {
         ThreadedConsensus::<DirectArrow>::new(&world, &params, &[true, false, true, false], 31);
     let rep = world.run(inst.bodies, Box::new(RandomStrategy::new(31)));
     assert!(rep.outputs.iter().all(|o| o.is_some()));
-    let doc = to_chrome_trace(&rep.flight, rep.history.as_ref(), n);
+    let doc = to_chrome_trace(&rep.flight, n);
 
     let reparsed = json::parse(&doc.render_pretty(2)).expect("chrome trace parses back");
     let events = reparsed
@@ -176,7 +217,7 @@ fn free_mode_interior_events_carry_the_enclosing_operations_stamp() {
     }
     let merged = rep.flight.merged();
     assert!(merged.windows(2).all(|w| w[0].nanos <= w[1].nanos));
-    let doc = to_chrome_trace(&rep.flight, None, n);
+    let doc = to_chrome_trace(&rep.flight, n);
     let reparsed = json::parse(&doc.render_pretty(2)).expect("chrome trace parses back");
     let mut errs = Vec::new();
     json::check_finite(&reparsed, "$", &mut errs);

@@ -28,8 +28,7 @@ use bprc::sim::sched::PctStrategy;
 use bprc::sim::world::ProcBody;
 use bprc::sim::World;
 use bprc::snapshot::{
-    check_backend_history, check_history, ScannableMemory, SnapshotBackend, SnapshotPort,
-    WaitFreeSnapshot,
+    check_history, ScannableMemory, SnapshotBackend, SnapshotPort, WaitFreeSnapshot,
 };
 
 /// A snapshot constructor: [`SnapshotBackend::alloc_fast`] (slab lanes) or
@@ -146,7 +145,7 @@ fn pct_crash_run<B: SnapshotBackend<u64>>(
         Box::new(PctStrategy::with_faults(seed, n, 1, 600, 1)),
     );
     let history = rep.history.as_ref().expect("lockstep records history");
-    let check = check_backend_history(history, &mem);
+    let check = check_history(history, &mem.meta());
     assert!(
         check.violations.is_empty(),
         "{what} seed {seed}: {:?}",

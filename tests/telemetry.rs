@@ -122,12 +122,7 @@ fn waitfree_scans_visible_in_unified_timeline() {
         .find(|rep| rep.telemetry.total(Counter::CoinFlips) > 0)
         .expect("some seed in 0..32 flips the shared coin");
     assert!(rep.outputs.iter().all(|o| o.is_some()));
-    let timeline = render_unified(
-        rep.history.as_ref(),
-        &rep.flight,
-        n,
-        &TraceOptions::default(),
-    );
+    let timeline = render_unified(&rep.flight, n, &TraceOptions::default());
     for needle in ["▶ scan", "▶ write", "▶ round(", "▶ coin"] {
         assert!(
             timeline.contains(needle),
