@@ -369,9 +369,10 @@ impl bprc_sim::turn::TurnAdversary<bprc_core::baselines::aspnes_herlihy::AhState
     fn choose(
         &mut self,
         view: &bprc_sim::turn::TurnView<'_, bprc_core::baselines::aspnes_herlihy::AhState>,
-    ) -> bprc_sim::turn::TurnDecision {
+    ) -> bprc_sim::sched::Decision {
         use bprc_core::state::Pref;
-        use bprc_sim::turn::{Phase, TurnDecision};
+        use bprc_sim::sched::Decision;
+        use bprc_sim::turn::Phase;
         let visible_max = view.shared.iter().map(|s| s.round).max().unwrap_or(0);
         let coin_round = visible_max + 1;
         let visible_total: i64 = view
@@ -411,7 +412,7 @@ impl bprc_sim::turn::TurnAdversary<bprc_core::baselines::aspnes_herlihy::AhState
         let tails_held = deciders.iter().any(|(_, v)| *v == Some(false));
         if heads_held && tails_held {
             // Contested round secured: release the deciders.
-            return TurnDecision::Step(deciders[self.rng.gen_range(0..deciders.len())].0);
+            return Decision::Grant(deciders[self.rng.gen_range(0..deciders.len())].0);
         }
         if deciders.is_empty() {
             // No one has committed to a side yet: run freely.
@@ -423,9 +424,9 @@ impl bprc_sim::turn::TurnAdversary<bprc_core::baselines::aspnes_herlihy::AhState
                 .collect();
             if pool.is_empty() {
                 let all: Vec<usize> = view.active.to_vec();
-                return TurnDecision::Step(all[self.rng.gen_range(0..all.len())]);
+                return Decision::Grant(all[self.rng.gen_range(0..all.len())]);
             }
-            return TurnDecision::Step(pool[self.rng.gen_range(0..pool.len())]);
+            return Decision::Grant(pool[self.rng.gen_range(0..pool.len())]);
         }
 
         // One camp held: steer the visible walk toward the other barrier.
@@ -444,22 +445,22 @@ impl bprc_sim::turn::TurnAdversary<bprc_core::baselines::aspnes_herlihy::AhState
         };
         if crossed && !scanners.is_empty() {
             // A scanner will now read the opposite value and join `deciders`.
-            return TurnDecision::Step(scanners[self.rng.gen_range(0..scanners.len())]);
+            return Decision::Grant(scanners[self.rng.gen_range(0..scanners.len())]);
         }
         if !toward.is_empty() {
-            return TurnDecision::Step(toward[self.rng.gen_range(0..toward.len())]);
+            return Decision::Grant(toward[self.rng.gen_range(0..toward.len())]);
         }
         if !scanners.is_empty() {
             // Produce fresh flips (scanning inside the band is safe; near
             // the wrong barrier it risks another same-side decider, which
             // the hold absorbs anyway).
-            return TurnDecision::Step(scanners[self.rng.gen_range(0..scanners.len())]);
+            return Decision::Grant(scanners[self.rng.gen_range(0..scanners.len())]);
         }
         if !away.is_empty() {
-            return TurnDecision::Step(away[self.rng.gen_range(0..away.len())]);
+            return Decision::Grant(away[self.rng.gen_range(0..away.len())]);
         }
         // Everyone is a held decider of one camp: forced release.
-        TurnDecision::Step(deciders[self.rng.gen_range(0..deciders.len())].0)
+        Decision::Grant(deciders[self.rng.gen_range(0..deciders.len())].0)
     }
 }
 

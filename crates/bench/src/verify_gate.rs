@@ -50,8 +50,8 @@ use bprc_core::{
 };
 use bprc_registers::DirectArrow;
 use bprc_sim::explore::{
-    explore, run_trace, shrink_trace, Counterexample, DecisionTrace, ExploreConfig, ExploreReport,
-    Independence,
+    explore, run_trace, shrink_trace, Counterexample, DecisionRecorder, DecisionTrace,
+    ExploreConfig, ExploreReport, Independence,
 };
 use bprc_sim::faults::quiet_injected_panics;
 use bprc_sim::json::{check_finite, Value};
@@ -139,8 +139,8 @@ enum Keep {
 impl Keep {
     fn survives_in(self, trace: &DecisionTrace) -> bool {
         trace.decisions.iter().any(|step| match self {
-            Keep::Crash => step.is_crash(),
-            Keep::Flush => step.is_flush(),
+            Keep::Crash => matches!(step, Decision::Crash(_)),
+            Keep::Flush => matches!(step, Decision::Flush { .. }),
         })
     }
 }
@@ -922,7 +922,9 @@ fn waitfree_bound() -> Check {
 /// `step_limit` steps and scheduled by [`arena_strategy`] for the
 /// entrant's memory model. A run fails the row if it violates agreement or
 /// validity, or decides without advancing a round, metering a register or
-/// counting an operation.
+/// counting an operation. A violating run's recorded decisions go through
+/// [`counterexample`], so the failed row embeds its shrunk, replayable
+/// trace like a failed explored row.
 fn arena_row(
     entrant: Rc<dyn Consensus>,
     n: usize,
@@ -946,14 +948,11 @@ fn arena_row(
     let spec = ConsensusSpec::new(&inputs);
     sampled(row, trials, move |row, trial| {
         let trial_seed = derive_seed(seed, trial);
-        let mut world = World::builder(n)
-            .seed(trial_seed)
-            .step_limit(row.depth)
-            .record_history(false)
-            .weak_memory(row.mode)
-            .build();
-        let bodies = entrant.build(&world, backend, &spec.inputs, trial_seed);
-        let rep = world.run(bodies, arena_strategy(row.mode, trial_seed));
+        let make =
+            |record| arena_trial(&*entrant, &inputs, backend, step_limit, trial_seed, record);
+        let (mut world, bodies) = make(false);
+        let (recorder, log) = DecisionRecorder::new(arena_strategy(row.mode, trial_seed));
+        let rep = world.run(bodies, Box::new(recorder));
         let decided = rep.outputs.iter().filter(|o| o.is_some()).count() as u64;
         let rounds = rep.telemetry.gauge_max_all(Gauge::Round).unwrap_or(0);
         let bits = rep
@@ -966,8 +965,18 @@ fn arena_row(
         race.rounds += rounds;
         race.ops += ops;
         race.max_register_bits = race.max_register_bits.max(bits);
-        if let Some(v) = spec.check(&rep) {
-            return Err(v);
+        if let Some(description) = spec.check(&rep) {
+            // The replay world records history, so a weak-mode violation
+            // reports its critical cycle.
+            let trace = DecisionTrace {
+                n,
+                decisions: std::mem::take(&mut *log.lock()),
+            };
+            let cex = Counterexample { trace, description };
+            let mut check = |r: &RunReport<bool>| spec.check(r);
+            let (Ok(summary) | Err(summary)) =
+                counterexample(row, &mut || make(true), &mut check, cex);
+            return Err(summary);
         }
         if decided > 0 && (rounds == 0 || bits == 0 || ops == 0) {
             return Err(format!(
@@ -980,6 +989,25 @@ fn arena_row(
             n as u64 * (trial + 1)
         ))
     })
+}
+
+/// The world and bodies of one arena trial, seeded `trial_seed` for both.
+fn arena_trial(
+    entrant: &dyn Consensus,
+    inputs: &[bool],
+    backend: ArenaBackend,
+    step_limit: u64,
+    trial_seed: u64,
+    record_history: bool,
+) -> (World, Vec<ProcBody<bool>>) {
+    let world = World::builder(inputs.len())
+        .seed(trial_seed)
+        .step_limit(step_limit)
+        .record_history(record_history)
+        .weak_memory(entrant.memory_mode())
+        .build();
+    let bodies = entrant.build(&world, backend, inputs, trial_seed);
+    (world, bodies)
 }
 
 /// The arena race: every entrant × [`ARENA_SIZES`] × both backends, the
@@ -1316,11 +1344,19 @@ mod tests {
         let failed: Vec<&Row> = rows.iter().filter(|r| !r.ok).collect();
         let names: Vec<&str> = failed.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, ["arena-ah-regular-n2-handshake"]);
+        let detail = &failed[0].detail;
         assert!(
-            failed[0].detail.starts_with("VIOLATION"),
-            "{}",
-            failed[0].detail
+            detail.starts_with("VIOLATION") && detail.contains("critical cycle"),
+            "{detail}"
         );
+        // The row embeds the failing trial's shrunk trace, and it replays
+        // to the disagreement on that trial's world (cell 200, trial 0).
+        let (inputs, seed) = ([true, false], derive_seed(derive_seed(3, 200), 0));
+        let handshake = ArenaBackend::Handshake;
+        let mut make = || arena_trial(&*entrants()[2], &inputs, handshake, 200_000, seed, true);
+        let (replayed, _) = run_trace(&mut make, &embedded_trace(failed[0]));
+        let disagreement = ConsensusSpec::new(&inputs).check(&replayed);
+        assert!(disagreement.is_some(), "{:?}", replayed.outputs);
     }
 
     fn document(rows: &[Row]) -> Value {

@@ -4,7 +4,8 @@
 //! inspect the protocol state (which the strong adversary of the model is
 //! allowed to do) and try to delay agreement.
 
-use bprc_sim::turn::{TurnAdversary, TurnDecision, TurnView};
+use bprc_sim::sched::Decision;
+use bprc_sim::turn::{TurnAdversary, TurnView};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -34,7 +35,7 @@ impl SplitAdversary {
 }
 
 impl TurnAdversary<ProcState> for SplitAdversary {
-    fn choose(&mut self, view: &TurnView<'_, ProcState>) -> TurnDecision {
+    fn choose(&mut self, view: &TurnView<'_, ProcState>) -> Decision {
         let g = view_graph(view.shared, self.k);
         // Count leader preferences.
         let mut zeros = 0usize;
@@ -61,10 +62,10 @@ impl TurnAdversary<ProcState> for SplitAdversary {
                 .iter()
                 .find(|&&p| view.shared[p].pref() == Pref::Val(want))
             {
-                return TurnDecision::Step(p);
+                return Decision::Grant(p);
             }
         }
-        TurnDecision::Step(view.active[self.rng.gen_range(0..view.active.len())])
+        Decision::Grant(view.active[self.rng.gen_range(0..view.active.len())])
     }
 }
 
@@ -86,7 +87,7 @@ impl LeaderStarver {
 }
 
 impl TurnAdversary<ProcState> for LeaderStarver {
-    fn choose(&mut self, view: &TurnView<'_, ProcState>) -> TurnDecision {
+    fn choose(&mut self, view: &TurnView<'_, ProcState>) -> Decision {
         let g = view_graph(view.shared, self.k);
         let non_leaders: Vec<usize> = view
             .active
@@ -100,7 +101,7 @@ impl TurnAdversary<ProcState> for LeaderStarver {
             &non_leaders[..]
         };
         self.rr = (self.rr + 1) % pool.len();
-        TurnDecision::Step(pool[self.rr])
+        Decision::Grant(pool[self.rr])
     }
 }
 
@@ -133,7 +134,7 @@ impl HoldDeciders {
 }
 
 impl TurnAdversary<ProcState> for HoldDeciders {
-    fn choose(&mut self, view: &TurnView<'_, ProcState>) -> TurnDecision {
+    fn choose(&mut self, view: &TurnView<'_, ProcState>) -> Decision {
         use bprc_sim::turn::Phase;
         let mut held: Vec<(usize, Option<bool>)> = Vec::new();
         let mut free: Vec<usize> = Vec::new();
@@ -148,9 +149,9 @@ impl TurnAdversary<ProcState> for HoldDeciders {
         let heads = held.iter().any(|(_, v)| *v == Some(true));
         let tails = held.iter().any(|(_, v)| *v == Some(false));
         if (heads && tails) || free.is_empty() {
-            return TurnDecision::Step(held[self.rng.gen_range(0..held.len())].0);
+            return Decision::Grant(held[self.rng.gen_range(0..held.len())].0);
         }
-        TurnDecision::Step(free[self.rng.gen_range(0..free.len())])
+        Decision::Grant(free[self.rng.gen_range(0..free.len())])
     }
 }
 

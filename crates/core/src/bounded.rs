@@ -585,7 +585,8 @@ mod tests {
 
     #[test]
     fn survivors_decide_despite_crashes() {
-        use bprc_sim::turn::{TurnDecision, TurnFn, TurnView};
+        use bprc_sim::sched::Decision;
+        use bprc_sim::turn::{TurnFn, TurnView};
         for seed in 0..10 {
             let n = 4;
             let inputs: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
@@ -597,10 +598,10 @@ mod tests {
             let mut inner = TurnRandom::new(seed);
             let mut adversary = TurnFn(move |view: &TurnView<'_, ProcState>| {
                 if view.events == 5 && !view.crashed[0] && view.active.contains(&0) {
-                    return TurnDecision::Crash(0);
+                    return Decision::Crash(0);
                 }
                 if view.events == 11 && !view.crashed[1] && view.active.contains(&1) {
-                    return TurnDecision::Crash(1);
+                    return Decision::Crash(1);
                 }
                 bprc_sim::turn::TurnAdversary::choose(&mut inner, view)
             });

@@ -24,6 +24,7 @@
 use std::collections::HashSet;
 use std::hash::Hash;
 
+use bprc_sim::sched::Decision;
 use bprc_sim::turn::{Phase, TurnProcess, TurnStep};
 
 /// A protocol the checker can drive: a clonable turn process whose local
@@ -92,12 +93,11 @@ impl Default for McConfig {
 /// One step of a counterexample trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct McEvent {
-    /// The stepped (or crashed) process.
-    pub pid: usize,
+    /// The adversary's choice: [`Decision::Grant`] steps the process,
+    /// [`Decision::Crash`] crashes it.
+    pub decision: Decision,
     /// The flip outcome injected for this step, if the step flipped.
     pub flip: Option<bool>,
-    /// True if this event crashed the process instead of stepping it.
-    pub crash: bool,
 }
 
 /// A safety violation found by the checker.
@@ -259,70 +259,42 @@ where
                         child,
                         id,
                         Some(McEvent {
-                            pid,
+                            decision: Decision::Grant(pid),
                             flip: None,
-                            crash: false,
                         }),
                         depth + 1,
                     ));
                 }
                 Phase::Scan => {
-                    // Probe whether this scan consumes a flip.
+                    // Probe whether this scan consumes a flip: if it does,
+                    // branch on both outcomes; if not, re-run on a clean
+                    // clone so no stray queued outcome pollutes the state.
                     let mut probe = node.clone();
                     probe.procs[pid].load_flip(false);
                     let _ = probe.procs[pid].on_scan(&probe.shared);
-                    let consumed = probe.procs[pid].pending_flips() == 0;
-                    if !consumed {
-                        // No randomness involved: re-run on a clean clone so
-                        // no stray queued outcome pollutes the state.
+                    let flips: &[Option<bool>] = if probe.procs[pid].pending_flips() == 0 {
+                        &[Some(false), Some(true)]
+                    } else {
+                        &[None]
+                    };
+                    for &flip in flips {
                         let mut child = node.clone();
+                        if let Some(heads) = flip {
+                            child.procs[pid].load_flip(heads);
+                        }
                         let step = child.procs[pid].on_scan(&child.shared);
+                        debug_assert_eq!(child.procs[pid].pending_flips(), 0);
+                        let ev = McEvent {
+                            decision: Decision::Grant(pid),
+                            flip,
+                        };
                         if let Some(v) = apply_step(&mut child, pid, step, &mut report) {
-                            if let Err(viol) = validate::<P>(
-                                &node,
-                                v,
-                                &valid,
-                                &arena,
-                                id,
-                                McEvent {
-                                    pid,
-                                    flip: None,
-                                    crash: false,
-                                },
-                            ) {
+                            if let Err(viol) = validate::<P>(&node, v, &valid, &arena, id, ev) {
                                 report.violation = Some(viol);
                                 return report;
                             }
                         }
-                        stack.push((
-                            child,
-                            id,
-                            Some(McEvent {
-                                pid,
-                                flip: None,
-                                crash: false,
-                            }),
-                            depth + 1,
-                        ));
-                    } else {
-                        for heads in [false, true] {
-                            let mut child = node.clone();
-                            child.procs[pid].load_flip(heads);
-                            let step = child.procs[pid].on_scan(&child.shared);
-                            debug_assert_eq!(child.procs[pid].pending_flips(), 0);
-                            let ev = McEvent {
-                                pid,
-                                flip: Some(heads),
-                                crash: false,
-                            };
-                            if let Some(v) = apply_step(&mut child, pid, step, &mut report) {
-                                if let Err(viol) = validate::<P>(&node, v, &valid, &arena, id, ev) {
-                                    report.violation = Some(viol);
-                                    return report;
-                                }
-                            }
-                            stack.push((child, id, Some(ev), depth + 1));
-                        }
+                        stack.push((child, id, Some(ev), depth + 1));
                     }
                 }
                 Phase::Done => unreachable!("inactive process in active set"),
@@ -340,9 +312,8 @@ where
                     child,
                     id,
                     Some(McEvent {
-                        pid,
+                        decision: Decision::Crash(pid),
                         flip: None,
-                        crash: true,
                     }),
                     depth + 1,
                 ));

@@ -156,7 +156,8 @@ mod tests {
 
     #[test]
     fn test_and_set_crash_leaves_a_winner_among_survivors() {
-        use bprc_sim::turn::{TurnAdversary, TurnDecision, TurnFn, TurnView};
+        use bprc_sim::sched::Decision;
+        use bprc_sim::turn::{TurnAdversary, TurnFn, TurnView};
         let n = 3;
         let params = ConsensusParams::quick(n);
         let procs: Vec<TestAndSetCore> = (0..n)
@@ -165,7 +166,7 @@ mod tests {
         let mut inner = TurnRandom::new(8);
         let mut adversary = TurnFn(move |view: &TurnView<'_, MvState>| {
             if view.events == 3 && view.active.contains(&0) && !view.crashed[0] {
-                return TurnDecision::Crash(0);
+                return Decision::Crash(0);
             }
             inner.choose(view)
         });

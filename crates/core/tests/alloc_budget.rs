@@ -21,10 +21,10 @@ use bprc_core::state::ProcState;
 use bprc_registers::DirectArrow;
 use bprc_sim::sched::RoundRobin;
 use bprc_sim::turn::{
-    Phase, TurnAdversary, TurnDecision, TurnDriver, TurnFn, TurnRandom, TurnRoundRobin, TurnView,
+    Phase, TurnAdversary, TurnDriver, TurnFn, TurnRandom, TurnRoundRobin, TurnView,
 };
 use bprc_sim::world::ProcBody;
-use bprc_sim::{Counter, Mode, World};
+use bprc_sim::{Counter, Decision, Mode, World};
 use bprc_snapshot::ScannableMemory;
 
 thread_local! {
@@ -96,7 +96,7 @@ fn noting<'a, M>(
 ) -> impl TurnAdversary<M> + 'a {
     TurnFn(move |view: &TurnView<'_, M>| {
         let decision = inner.choose(view);
-        if let TurnDecision::Step(pid) = decision {
+        if let Decision::Grant(pid) = decision {
             stepped.set((pid, matches!(view.phases[pid], Phase::Scan)));
         }
         decision

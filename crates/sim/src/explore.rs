@@ -5,7 +5,10 @@
 //! explored schedule is a fresh [`World`] run driven by a controller
 //! strategy that replays a decision prefix recorded on earlier runs, then
 //! extends it with the first unexplored choice. A depth-first stack of
-//! decision nodes tracks, per quiescent point, which grants have been tried.
+//! decision nodes tracks the search; each node is one ordered list of the
+//! [`Decision`]s it branches on — the grants that are awake, then the
+//! flushable store-buffer entries, then the crash candidates — and a
+//! cursor naming the branch the current run takes.
 //!
 //! # Soundness of the sleep-set reduction
 //!
@@ -64,22 +67,24 @@
 //!
 //! # Replay artifacts
 //!
-//! A violating schedule is serialized as a [`DecisionTrace`] — the list of
-//! [`TraceStep`] decisions (grants and crash injections), JSON-rendered via
-//! [`crate::json`] under schema [`TRACE_SCHEMA`]; grants render as bare pid
-//! numbers, so pre-fault trace documents still parse. Replay is a tolerant
-//! [`FnStrategy`]: each listed step fires when its pid is runnable (skipped
-//! otherwise), and after the trace is exhausted the lowest runnable pid
-//! runs — so a *prefix* of a run is a complete, deterministic artifact.
-//! [`shrink_trace`] greedily removes decisions — injected crashes included
-//! — (suffix first, then interior) while the violation persists, yielding a
-//! minimal forcing prefix.
+//! A violating run is serialized as a [`DecisionTrace`] — every
+//! [`Decision`] the run took (below a truncation cut that includes the
+//! flush-first completion), JSON-rendered
+//! via [`crate::json`] under schema [`TRACE_SCHEMA`]; grants render as bare
+//! pid numbers, so pre-fault trace documents still parse. Replay
+//! ([`run_trace`]) is tolerant: each listed decision fires when it is
+//! [legal](Decision::legal) (it is skipped otherwise), and after the trace
+//! is exhausted the lowest runnable pid runs — so a *prefix* of a run is a
+//! complete, deterministic artifact. [`shrink_trace`] greedily removes
+//! decisions — injected crashes and flushes included — (suffix first, then
+//! interior) while the violation persists, yielding a minimal forcing
+//! prefix.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::history::{OpKind, RegId};
+use crate::history::{FaultKind, OpKind, RegId};
 use crate::json::Value;
 use crate::metrics::{Counter, MetricsRegistry, Telemetry};
 use crate::sched::{Decision, FnStrategy, PendingOp, ScheduleView, Strategy};
@@ -187,87 +192,30 @@ pub struct ExploreReport {
     pub schedule_lengths: Histogram,
 }
 
-/// One decision of a serialized schedule: grant a process its pending
-/// access, crash it, or land one of its buffered stores (weak-memory
-/// modes).
+/// A serializable schedule: the [`Decision`]s taken at successive decision
+/// points — grants, injected crashes and panics, and store-buffer flushes.
 ///
 /// In the JSON form a grant renders as a bare pid number — so every
 /// pre-fault `bprc-trace-v1` document still parses, as an all-grant trace —
-/// a crash renders as the object `{"crash": pid}`, and a flush as
-/// `{"flush": pid, "reg": reg}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceStep {
-    /// Grant this pid its pending operation.
-    Grant(usize),
-    /// Crash this pid (it never takes another step).
-    Crash(usize),
-    /// Make this pid's oldest buffered store to `reg` globally visible.
-    /// Nobody advances — flushes interleave *between* scheduled steps.
-    Flush {
-        /// The process whose store buffer is drained by one entry.
-        pid: usize,
-        /// The register the landing store targets.
-        reg: RegId,
-    },
-}
-
-impl TraceStep {
-    /// The pid this step targets.
-    pub fn pid(self) -> usize {
-        match self {
-            TraceStep::Grant(p) | TraceStep::Crash(p) | TraceStep::Flush { pid: p, .. } => p,
-        }
-    }
-
-    /// True for crash decisions.
-    pub fn is_crash(self) -> bool {
-        matches!(self, TraceStep::Crash(_))
-    }
-
-    /// True for store-buffer flush decisions.
-    pub fn is_flush(self) -> bool {
-        matches!(self, TraceStep::Flush { .. })
-    }
-
-    /// Whether this step may legally be issued against `view`: grants and
-    /// crashes need their pid runnable, flushes need their (pid, reg) entry
-    /// currently flushable under the world's buffer discipline.
-    fn legal(self, view: &ScheduleView<'_>) -> bool {
-        match self {
-            TraceStep::Grant(p) | TraceStep::Crash(p) => view.runnable.contains(&p),
-            TraceStep::Flush { pid, reg } => view.flushable.contains(&(pid, reg)),
-        }
-    }
-
-    /// The [`Decision`] this step issues.
-    fn decision(self) -> Decision {
-        match self {
-            TraceStep::Grant(pid) => Decision::Grant(pid),
-            TraceStep::Crash(pid) => Decision::Crash(pid),
-            TraceStep::Flush { pid, reg } => Decision::Flush { pid, reg },
-        }
-    }
-}
-
-/// A serializable schedule: the decisions taken at successive decision
-/// points — grants and injected crashes.
+/// a crash as the object `{"crash": pid}`, a panic as `{"panic": pid}` and a
+/// flush as `{"flush": pid, "reg": reg}`.
 ///
-/// Replay is tolerant: a listed step whose pid is not currently runnable is
-/// skipped, and once the list is exhausted the lowest runnable pid is
-/// granted — so a *prefix* of a run is a complete deterministic artifact.
+/// Replay ([`run_trace`]) is tolerant: a listed decision that is not
+/// [legal](Decision::legal) when its turn comes is skipped, and once the
+/// list is exhausted the lowest runnable pid is granted — so a *prefix* of
+/// a run is a complete deterministic artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecisionTrace {
     /// Number of processes in the world this trace drives.
     pub n: usize,
-    /// Decisions in order: grants and crash injections.
-    pub decisions: Vec<TraceStep>,
+    /// Decisions in order.
+    pub decisions: Vec<Decision>,
 }
 
 impl DecisionTrace {
-    /// Serializes to the [`TRACE_SCHEMA`] JSON document. Grants are bare
-    /// pid numbers (backward compatible with pre-fault traces); crashes are
-    /// `{"crash": pid}` objects.
+    /// Serializes to the [`TRACE_SCHEMA`] JSON document.
     pub fn to_json(&self) -> Value {
+        let pid_obj = |key, pid: usize| Value::obj(vec![(key, Value::from(pid))]);
         Value::obj(vec![
             ("schema", Value::from(TRACE_SCHEMA)),
             ("n", Value::from(self.n)),
@@ -277,9 +225,10 @@ impl DecisionTrace {
                     self.decisions
                         .iter()
                         .map(|&d| match d {
-                            TraceStep::Grant(p) => Value::from(p),
-                            TraceStep::Crash(p) => Value::obj(vec![("crash", Value::from(p))]),
-                            TraceStep::Flush { pid, reg } => Value::obj(vec![
+                            Decision::Grant(p) => Value::from(p),
+                            Decision::Crash(p) => pid_obj("crash", p),
+                            Decision::Panic(p) => pid_obj("panic", p),
+                            Decision::Flush { pid, reg } => Value::obj(vec![
                                 ("flush", Value::from(pid)),
                                 ("reg", Value::from(reg)),
                             ]),
@@ -291,8 +240,7 @@ impl DecisionTrace {
     }
 
     /// Parses a [`TRACE_SCHEMA`] document, validating the schema tag and
-    /// that every decision names a pid `< n`. Bare numbers parse as grants,
-    /// `{"crash": pid}` objects as crash injections.
+    /// that every decision names a pid `< n`.
     pub fn from_json(v: &Value) -> Result<Self, String> {
         match v.get("schema").and_then(|s| s.as_str()) {
             Some(s) if s == TRACE_SCHEMA => {}
@@ -312,70 +260,88 @@ impl DecisionTrace {
             .ok_or("missing array field 'decisions'")?;
         let mut decisions = Vec::with_capacity(arr.len());
         for (i, d) in arr.iter().enumerate() {
-            let step = if let Some(pid) = d.as_num() {
-                TraceStep::Grant(pid as usize)
-            } else if let Some(pid) = d.get("crash").and_then(|x| x.as_num()) {
-                TraceStep::Crash(pid as usize)
-            } else if let Some(pid) = d.get("flush").and_then(|x| x.as_num()) {
+            let pid_of = |key| d.get(key).and_then(|x| x.as_num()).map(|p| p as usize);
+            let decision = if let Some(pid) = d.as_num() {
+                Decision::Grant(pid as usize)
+            } else if let Some(pid) = pid_of("crash") {
+                Decision::Crash(pid)
+            } else if let Some(pid) = pid_of("panic") {
+                Decision::Panic(pid)
+            } else if let Some(pid) = pid_of("flush") {
                 let reg = d
                     .get("reg")
                     .and_then(|x| x.as_num())
                     .ok_or(format!("decisions[{i}] is a flush without a numeric 'reg'"))?;
-                TraceStep::Flush {
-                    pid: pid as usize,
+                Decision::Flush {
+                    pid,
                     reg: reg as RegId,
                 }
             } else {
                 return Err(format!(
-                    "decisions[{i}] is neither a pid number, a {{\"crash\": pid}} object, \
-                     nor a {{\"flush\": pid, \"reg\": reg}} object"
+                    "decisions[{i}] is neither a pid number nor a {{\"crash\": pid}}, \
+                     {{\"panic\": pid}} or {{\"flush\": pid, \"reg\": reg}} object"
                 ));
             };
-            if step.pid() >= n {
+            if decision.pid() >= n {
                 return Err(format!(
                     "decisions[{i}] targets pid {} out of range (n = {n})",
-                    step.pid()
+                    decision.pid()
                 ));
             }
-            decisions.push(step);
+            decisions.push(decision);
         }
         Ok(DecisionTrace { n, decisions })
     }
 
-    /// The tolerant replayer: an [`FnStrategy`] that re-executes this trace.
-    pub fn strategy(
-        &self,
-    ) -> FnStrategy<impl FnMut(&ScheduleView<'_>) -> Decision + Send + 'static> {
-        self.replayer(None)
-    }
-
-    /// The replayer behind [`DecisionTrace::strategy`]; with a `log` it
-    /// also appends every decision it actually issues (fallback grants
-    /// included), which is how [`run_trace`] canonicalizes traces.
-    fn replayer(
-        &self,
-        log: Option<Arc<Mutex<Vec<TraceStep>>>>,
-    ) -> FnStrategy<impl FnMut(&ScheduleView<'_>) -> Decision + Send + 'static> {
+    /// The tolerant replayer behind [`run_trace`].
+    fn replayer(&self) -> FnStrategy<impl FnMut(&ScheduleView<'_>) -> Decision + Send + 'static> {
         let decisions = self.decisions.clone();
         let mut idx = 0usize;
         FnStrategy::new(move |view: &ScheduleView<'_>| {
-            let mut pick = None;
             while idx < decisions.len() {
-                let step = decisions[idx];
+                let decision = decisions[idx];
                 idx += 1;
-                if step.legal(view) {
-                    pick = Some(step);
-                    break;
+                if decision.legal(view) {
+                    return decision;
                 }
                 // Pid not runnable (finished/crashed/hidden) or flush entry
                 // not buffered (already landed/deleted): skip the entry.
             }
-            let step = pick.unwrap_or(TraceStep::Grant(view.runnable[0]));
-            if let Some(log) = &log {
-                log.lock().push(step);
-            }
-            step.decision()
+            Decision::Grant(view.runnable[0])
         })
+    }
+}
+
+/// Logs every decision the strategy it wraps issues, so any run can be
+/// kept as a [`DecisionTrace`]: [`run_trace`]'s canonical traces, and any
+/// sampled run a caller wants to replay.
+pub struct DecisionRecorder {
+    inner: Box<dyn Strategy>,
+    log: Arc<Mutex<Vec<Decision>>>,
+}
+
+impl DecisionRecorder {
+    /// Wraps `inner`, returning the recorder and a handle on its log, which
+    /// stays readable after [`World::run`] has consumed the recorder.
+    pub fn new(inner: Box<dyn Strategy>) -> (Self, Arc<Mutex<Vec<Decision>>>) {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let recorder = DecisionRecorder {
+            inner,
+            log: Arc::clone(&log),
+        };
+        (recorder, log)
+    }
+}
+
+impl Strategy for DecisionRecorder {
+    fn decide(&mut self, view: &ScheduleView<'_>) -> Decision {
+        let decision = self.inner.decide(view);
+        self.log.lock().push(decision);
+        decision
+    }
+
+    fn drain_fault_notes(&mut self) -> Vec<(usize, FaultKind)> {
+        self.inner.drain_fault_notes()
     }
 }
 
@@ -396,20 +362,13 @@ struct Node {
     /// Sleeping ops: provably redundant here because an equivalent
     /// interleaving already ran them in an explored sibling branch.
     sleep: Vec<(usize, PendingOp)>,
-    /// Pids whose grant subtrees are fully explored.
-    explored: Vec<usize>,
-    /// Crash branches this node may take (canonical placement — computed
-    /// from the ancestor path when the node is opened).
-    crash_cands: Vec<usize>,
-    /// Pids whose crash subtrees are fully explored.
-    crash_explored: Vec<usize>,
-    /// Flush branches this node may take: the world's flushable set when
-    /// the node was opened (always empty under sequential consistency).
-    flush_cands: Vec<(usize, RegId)>,
-    /// Flush entries whose subtrees are fully explored.
-    flush_explored: Vec<(usize, RegId)>,
-    /// The decision the current run takes at this node.
-    chosen: TraceStep,
+    /// The decisions this node branches on, in exploration order: the
+    /// grants that are awake (in enabled order), then the world's flushable
+    /// entries (always none under sequential consistency), then the crash
+    /// candidates (canonical placement, computed from the ancestor path).
+    branches: Vec<Decision>,
+    /// The branch the current run takes; `branches[..at]` are explored.
+    at: usize,
 }
 
 impl Node {
@@ -418,8 +377,29 @@ impl Node {
             .iter()
             .find(|&&(p, _)| p == pid)
             .map(|&(_, op)| op)
-            .expect("chosen/explored pids come from the enabled set")
+            .expect("granted pids come from the enabled set")
     }
+
+    /// The decision the current run takes at this node.
+    fn chosen(&self) -> Decision {
+        self.branches[self.at]
+    }
+
+    /// Whether every enabled grant was asleep when the node opened (its
+    /// sleepers were counted as pruned then, not when it pops).
+    fn all_asleep(&self) -> bool {
+        !matches!(self.branches.first(), Some(Decision::Grant(_)))
+    }
+}
+
+/// Why a run stopped extending the stack; it is then completed with
+/// [`fallback`] until the world finishes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Cut {
+    /// Every enabled process slept: an explored sibling covers the rest.
+    Redundant,
+    /// The run hit the step budget.
+    Truncated,
 }
 
 /// DFS state shared between the driver loop and the controller strategy.
@@ -427,15 +407,14 @@ struct Dfs {
     stack: Vec<Node>,
     /// Decision index within the current run.
     depth: usize,
-    /// The current run stopped extending the stack (redundant or truncated):
-    /// grant arbitrarily (lowest runnable) until the world finishes.
-    dead: bool,
-    /// The current run was abandoned because every enabled process slept.
-    redundant: bool,
-    /// The current run hit the step budget.
-    truncated: bool,
-    /// Branches proven redundant during this run (dead-node abandonment).
-    pruned_now: u64,
+    /// Set once the current run stops extending the stack.
+    cut: Option<Cut>,
+    /// Every decision of the current run, the completion below a cut
+    /// included (one buffer, reused across runs).
+    log: Vec<Decision>,
+    /// Sleeping grants counted so far ([`ExploreReport::pruned`]): when a
+    /// node opens with no grant awake, otherwise when it pops.
+    pruned: u64,
     max_steps: u64,
     reduction: bool,
     independence: Independence,
@@ -445,7 +424,10 @@ struct Dfs {
 impl Dfs {
     /// Crash decisions on the current path.
     fn faults_on_path(&self) -> u64 {
-        self.stack.iter().filter(|n| n.chosen.is_crash()).count() as u64
+        self.stack
+            .iter()
+            .filter(|n| matches!(n.chosen(), Decision::Crash(_)))
+            .count() as u64
     }
 
     /// The pids whose crash may be branched at the *next* node (canonical
@@ -462,19 +444,149 @@ impl Dfs {
     /// only through the steps the victim no longer takes — which holds for
     /// every checker in this workspace.
     fn crash_candidates(&self, enabled: &[(usize, PendingOp)]) -> Vec<usize> {
-        for step in self.stack.iter().map(|n| n.chosen).rev() {
-            match step {
-                TraceStep::Grant(p) | TraceStep::Flush { pid: p, .. } => {
-                    return enabled
-                        .iter()
-                        .map(|&(q, _)| q)
-                        .filter(|&q| q == p)
-                        .collect();
-                }
-                TraceStep::Crash(_) => {}
+        let last_step = self
+            .stack
+            .iter()
+            .rev()
+            .map(Node::chosen)
+            .find(|d| !matches!(d, Decision::Crash(_)));
+        enabled
+            .iter()
+            .map(|&(q, _)| q)
+            .filter(|&q| last_step.is_none_or(|d| d.pid() == q))
+            .collect()
+    }
+
+    /// Advances the stack to the next unexplored branch, popping exhausted
+    /// nodes. Returns `true` when the whole space is exhausted.
+    fn backtrack(&mut self) -> bool {
+        while let Some(node) = self.stack.last_mut() {
+            node.at += 1;
+            if node.at < node.branches.len() {
+                return false;
             }
+            if !node.all_asleep() {
+                self.pruned += node.sleep.len() as u64;
+            }
+            self.stack.pop();
         }
-        enabled.iter().map(|&(q, _)| q).collect()
+        true
+    }
+
+    /// The node for the decision point `view`, below the current stack.
+    fn open(&self, view: &ScheduleView<'_>) -> Node {
+        let enabled: Vec<(usize, PendingOp)> = view
+            .runnable
+            .iter()
+            .copied()
+            .zip(view.pending.iter().copied())
+            .collect();
+        let sleep: Vec<(usize, PendingOp)> = match self.stack.last() {
+            Some(parent) if self.reduction => match parent.chosen() {
+                Decision::Grant(chosen_pid) => {
+                    // Inherit the parent's sleepers and its explored grants
+                    // that are independent of the op the parent executed
+                    // to get here — dependent ones wake up.
+                    let executed = parent.op_of(chosen_pid);
+                    let rel = self.independence;
+                    let explored = parent.branches[..parent.at]
+                        .iter()
+                        .filter_map(|d| match *d {
+                            Decision::Grant(q) => Some((q, parent.op_of(q))),
+                            _ => None,
+                        });
+                    parent
+                        .sleep
+                        .iter()
+                        .copied()
+                        .chain(explored)
+                        .filter(|(q, qop)| *q != chosen_pid && independent(rel, qop, &executed))
+                        .filter(|(q, _)| enabled.iter().any(|&(p, _)| p == *q))
+                        .collect()
+                }
+                // A crash is dependent with every process: survivors'
+                // subsequent behavior may hinge on the victim's absence, so
+                // nothing stays asleep across a crash edge. A flush is a
+                // write landing in shared memory — dependent with every
+                // reader of that register, and cheap enough to treat as
+                // dependent with everything. (Panics are never branched.)
+                _ => Vec::new(),
+            },
+            _ => Vec::new(),
+        };
+        let mut branches: Vec<Decision> = enabled
+            .iter()
+            .map(|&(p, _)| p)
+            .filter(|p| !sleep.iter().any(|&(q, _)| q == *p))
+            .map(Decision::Grant)
+            .collect();
+        // Flush and crash branches are dependent with everything, so
+        // sleeping grants never cover them.
+        branches.extend(
+            view.flushable
+                .iter()
+                .map(|&(pid, reg)| Decision::Flush { pid, reg }),
+        );
+        if self.faults_on_path() < self.fault_budget {
+            branches.extend(
+                self.crash_candidates(&enabled)
+                    .into_iter()
+                    .map(Decision::Crash),
+            );
+        }
+        Node {
+            enabled,
+            sleep,
+            branches,
+            at: 0,
+        }
+    }
+
+    /// The current run's next decision.
+    fn decide(&mut self, view: &ScheduleView<'_>) -> Decision {
+        if self.cut.is_some() {
+            return fallback(view);
+        }
+        if let Some(node) = self.stack.get(self.depth) {
+            // Replay segment: take the recorded choice and check the world
+            // is behaving deterministically.
+            assert!(
+                node.enabled.len() == view.runnable.len()
+                    && node
+                        .enabled
+                        .iter()
+                        .zip(view.runnable.iter())
+                        .all(|(&(p, _), &q)| p == q),
+                "nondeterministic workload: decision point {} saw runnable \
+                 {:?} on a previous run but {:?} now — explore() factories must \
+                 rebuild identical worlds",
+                self.depth,
+                node.enabled.iter().map(|&(p, _)| p).collect::<Vec<_>>(),
+                view.runnable,
+            );
+            self.depth += 1;
+            return node.chosen();
+        }
+        if self.depth as u64 >= self.max_steps {
+            self.cut = Some(Cut::Truncated);
+            return fallback(view);
+        }
+        // Extension segment: open a new node.
+        let node = self.open(view);
+        if node.all_asleep() {
+            // Every grant here was proven redundant.
+            self.pruned += node.enabled.len() as u64;
+        }
+        if node.branches.is_empty() {
+            // Everything enabled is asleep: this whole continuation is
+            // covered by an explored sibling. Abandon the path.
+            self.cut = Some(Cut::Redundant);
+            return fallback(view);
+        }
+        let chosen = node.chosen();
+        self.stack.push(node);
+        self.depth += 1;
+        chosen
     }
 }
 
@@ -492,201 +604,18 @@ fn fallback(view: &ScheduleView<'_>) -> Decision {
     Decision::Grant(view.runnable[0])
 }
 
-/// The controller: replays the stack prefix, then extends it.
+/// The controller: replays the stack prefix, then extends it, logging
+/// every decision of the run.
 struct Controller {
     st: Arc<Mutex<Dfs>>,
 }
 
 impl Strategy for Controller {
     fn decide(&mut self, view: &ScheduleView<'_>) -> Decision {
-        let mut guard = self.st.lock();
-        let st = &mut *guard;
-        if st.dead {
-            return fallback(view);
-        }
-        if st.depth < st.stack.len() {
-            // Replay segment: take the recorded choice and check the world
-            // is behaving deterministically.
-            let depth = st.depth;
-            let node = &st.stack[depth];
-            assert!(
-                node.enabled.len() == view.runnable.len()
-                    && node
-                        .enabled
-                        .iter()
-                        .zip(view.runnable.iter())
-                        .all(|(&(p, _), &q)| p == q),
-                "nondeterministic workload: decision point {depth} saw runnable \
-                 {:?} on a previous run but {:?} now — explore() factories must \
-                 rebuild identical worlds",
-                node.enabled.iter().map(|&(p, _)| p).collect::<Vec<_>>(),
-                view.runnable,
-            );
-            let chosen = node.chosen;
-            st.depth += 1;
-            return chosen.decision();
-        }
-        if st.depth as u64 >= st.max_steps {
-            st.dead = true;
-            st.truncated = true;
-            return fallback(view);
-        }
-        // Extension segment: open a new node.
-        let enabled: Vec<(usize, PendingOp)> = view
-            .runnable
-            .iter()
-            .copied()
-            .zip(view.pending.iter().copied())
-            .collect();
-        let sleep: Vec<(usize, PendingOp)> = if !st.reduction {
-            Vec::new()
-        } else if let Some(parent) = st.stack.last() {
-            match parent.chosen {
-                // A crash is dependent with every process: survivors'
-                // subsequent behavior may hinge on the victim's absence, so
-                // nothing stays asleep across a crash edge. A flush is a
-                // write landing in shared memory — dependent with every
-                // reader of that register, and cheap enough to treat as
-                // dependent with everything.
-                TraceStep::Crash(_) | TraceStep::Flush { .. } => Vec::new(),
-                TraceStep::Grant(chosen_pid) => {
-                    // Inherit the parent's sleepers (and its already-explored
-                    // choices) that are independent of the op the parent
-                    // executed to get here — dependent ones wake up.
-                    let executed = parent.op_of(chosen_pid);
-                    let rel = st.independence;
-                    parent
-                        .sleep
-                        .iter()
-                        .copied()
-                        .chain(parent.explored.iter().map(|&q| (q, parent.op_of(q))))
-                        .filter(|(q, qop)| *q != chosen_pid && independent(rel, qop, &executed))
-                        .filter(|(q, _)| enabled.iter().any(|&(p, _)| p == *q))
-                        .collect()
-                }
-            }
-        } else {
-            Vec::new()
-        };
-        let crash_cands = if st.faults_on_path() < st.fault_budget {
-            st.crash_candidates(&enabled)
-        } else {
-            Vec::new()
-        };
-        // Flush branches come straight from the world's flushable set
-        // (empty under SC, so SC exploration is bit-identical to before).
-        let flush_cands: Vec<(usize, RegId)> = view.flushable.to_vec();
-        let pick = enabled
-            .iter()
-            .map(|&(p, _)| p)
-            .find(|p| !sleep.iter().any(|&(q, _)| q == *p));
-        match pick {
-            Some(pid) => {
-                st.stack.push(Node {
-                    enabled,
-                    sleep,
-                    explored: Vec::new(),
-                    crash_cands,
-                    crash_explored: Vec::new(),
-                    flush_cands,
-                    flush_explored: Vec::new(),
-                    chosen: TraceStep::Grant(pid),
-                });
-                st.depth += 1;
-                Decision::Grant(pid)
-            }
-            None if !flush_cands.is_empty() || !crash_cands.is_empty() => {
-                // Every grant is asleep, but flush/crash branches remain —
-                // they are dependent with everything, so sleeping grants
-                // cannot cover them. Take the first such branch; the grants
-                // here were proven redundant.
-                st.pruned_now += enabled.len() as u64;
-                let explored = enabled.iter().map(|&(p, _)| p).collect();
-                let chosen = match flush_cands.first() {
-                    Some(&(pid, reg)) => TraceStep::Flush { pid, reg },
-                    None => TraceStep::Crash(crash_cands[0]),
-                };
-                st.stack.push(Node {
-                    enabled,
-                    sleep,
-                    explored,
-                    crash_cands,
-                    crash_explored: Vec::new(),
-                    flush_cands,
-                    flush_explored: Vec::new(),
-                    chosen,
-                });
-                st.depth += 1;
-                chosen.decision()
-            }
-            None => {
-                // Everything enabled is asleep: this whole continuation is
-                // covered by an explored sibling. Abandon the path.
-                st.dead = true;
-                st.redundant = true;
-                st.pruned_now += enabled.len() as u64;
-                Decision::Grant(view.runnable[0])
-            }
-        }
-    }
-}
-
-/// Advances the stack to the next unexplored branch. Returns `true` when
-/// the whole space is exhausted.
-fn backtrack(s: &mut Dfs, report: &mut ExploreReport, metrics: &MetricsRegistry) -> bool {
-    loop {
-        let Some(node) = s.stack.last_mut() else {
-            return true;
-        };
-        match node.chosen {
-            // Sleep-set rule: after exploring a grant, it sleeps for the
-            // node's remaining branches (it is in `explored`, which the
-            // child-sleep computation treats as sleeping). Crash and flush
-            // choices never enter sleep sets — they are dependent with
-            // everything.
-            TraceStep::Grant(p) => node.explored.push(p),
-            TraceStep::Crash(p) => node.crash_explored.push(p),
-            TraceStep::Flush { pid, reg } => node.flush_explored.push((pid, reg)),
-        }
-        let next = node
-            .enabled
-            .iter()
-            .map(|&(p, _)| p)
-            .find(|p| !node.explored.contains(p) && !node.sleep.iter().any(|&(q, _)| q == *p));
-        if let Some(p) = next {
-            node.chosen = TraceStep::Grant(p);
-            return false;
-        }
-        // Grants exhausted: take the next unexplored flush branch, then the
-        // next crash branch (if the fault budget allowed any at this node).
-        let next_flush = node
-            .flush_cands
-            .iter()
-            .copied()
-            .find(|e| !node.flush_explored.contains(e));
-        if let Some((pid, reg)) = next_flush {
-            node.chosen = TraceStep::Flush { pid, reg };
-            return false;
-        }
-        let next_crash = node
-            .crash_cands
-            .iter()
-            .copied()
-            .find(|p| !node.crash_explored.contains(p));
-        if let Some(p) = next_crash {
-            node.chosen = TraceStep::Crash(p);
-            return false;
-        }
-        let skipped = node
-            .enabled
-            .iter()
-            .filter(|&&(p, _)| !node.explored.contains(&p))
-            .count() as u64;
-        if skipped > 0 {
-            report.pruned += skipped;
-            metrics.proc(0).incr(Counter::SchedulesPruned, skipped);
-        }
-        s.stack.pop();
+        let mut st = self.st.lock();
+        let decision = st.decide(view);
+        st.log.push(decision);
+        decision
     }
 }
 
@@ -709,14 +638,12 @@ where
     F: FnMut() -> (World, Vec<ProcBody<T>>),
     C: FnMut(&RunReport<T>) -> Option<String>,
 {
-    let metrics = MetricsRegistry::new(1);
     let st = Arc::new(Mutex::new(Dfs {
         stack: Vec::new(),
         depth: 0,
-        dead: false,
-        redundant: false,
-        truncated: false,
-        pruned_now: 0,
+        cut: None,
+        log: Vec::new(),
+        pruned: 0,
         max_steps: cfg.max_steps,
         reduction: cfg.reduction,
         independence: cfg.independence,
@@ -741,9 +668,8 @@ where
         {
             let mut s = st.lock();
             s.depth = 0;
-            s.dead = false;
-            s.redundant = false;
-            s.truncated = false;
+            s.cut = None;
+            s.log.clear();
         }
         let (mut world, bodies) = make();
         assert_eq!(
@@ -751,53 +677,38 @@ where
             Mode::Lockstep,
             "exploration needs the deterministic lockstep backend"
         );
-        let run_report = world.run(
-            bodies,
-            Box::new(Controller {
-                st: Arc::clone(&st),
-            }),
-        );
-        runs += 1;
-        let (redundant, truncated, pruned_now, path_faults, path_len) = {
-            let mut s = st.lock();
-            let path_len = s.stack.len();
-            report.max_depth = report.max_depth.max(path_len);
-            (
-                s.redundant,
-                s.truncated,
-                std::mem::take(&mut s.pruned_now),
-                s.faults_on_path(),
-                path_len,
-            )
+        let controller = Controller {
+            st: Arc::clone(&st),
         };
-        if !redundant {
-            report.schedule_lengths.record(path_len as u64);
-        }
-        if pruned_now > 0 {
-            report.pruned += pruned_now;
-            metrics.proc(0).incr(Counter::SchedulesPruned, pruned_now);
-        }
-        if truncated {
-            report.truncated += 1;
-            metrics.proc(0).incr(Counter::SchedulesTruncated, 1);
-        } else if !redundant {
-            report.schedules += 1;
-            metrics.proc(0).incr(Counter::SchedulesExplored, 1);
-            let bucket = (path_faults as usize).min(report.schedules_by_faults.len() - 1);
-            report.schedules_by_faults[bucket] += 1;
-            if path_faults > 0 {
+        let run_report = world.run(bodies, Box::new(controller));
+        runs += 1;
+        let (cut, path_faults, path_len) = {
+            let s = st.lock();
+            report.pruned = s.pruned;
+            (s.cut, s.faults_on_path(), s.stack.len())
+        };
+        report.max_depth = report.max_depth.max(path_len);
+        match cut {
+            Some(Cut::Redundant) => {}
+            Some(Cut::Truncated) => report.truncated += 1,
+            None => {
+                report.schedules += 1;
+                let bucket = (path_faults as usize).min(report.schedules_by_faults.len() - 1);
+                report.schedules_by_faults[bucket] += 1;
                 report.faults_injected += path_faults;
-                metrics.proc(0).incr(Counter::FaultsInjected, path_faults);
             }
         }
         // Redundant paths were already checked under an equivalent schedule;
         // truncated prefixes are real executions and still worth checking.
-        if !redundant {
+        if cut != Some(Cut::Redundant) {
+            report.schedule_lengths.record(path_len as u64);
             if let Some(description) = check(&run_report) {
-                let s = st.lock();
+                // Every decision the run took, the completion below a
+                // truncation cut included: the stack alone would replay
+                // with the replayer's completion instead.
                 let trace = DecisionTrace {
                     n: world.n(),
-                    decisions: s.stack.iter().map(|nd| nd.chosen).collect(),
+                    decisions: std::mem::take(&mut st.lock().log),
                 };
                 report.violation = Some(Counterexample { trace, description });
                 break;
@@ -817,7 +728,7 @@ where
                 )
             });
         }
-        if backtrack(&mut st.lock(), &mut report, &metrics) {
+        if st.lock().backtrack() {
             report.exhausted = report.truncated == 0;
             break;
         }
@@ -825,21 +736,30 @@ where
             break;
         }
     }
+    report.pruned = st.lock().pruned;
+    // The explorer's counters mirror the report's.
+    let metrics = MetricsRegistry::new(1);
+    let m = metrics.proc(0);
+    m.incr(Counter::SchedulesExplored, report.schedules);
+    m.incr(Counter::SchedulesPruned, report.pruned);
+    m.incr(Counter::SchedulesTruncated, report.truncated);
+    m.incr(Counter::FaultsInjected, report.faults_injected);
     report.telemetry = metrics.snapshot();
     report
 }
 
 /// Replays `trace` against a fresh world from `make`, returning the run
-/// report plus the *canonical* trace — the grants actually issued, which
-/// may differ from `trace` when entries were skipped as not-runnable.
+/// report plus the *canonical* trace — the decisions actually issued, which
+/// may differ from `trace` when entries were skipped as illegal, and which
+/// end with the replayer's completion grants.
 pub fn run_trace<T, F>(make: &mut F, trace: &DecisionTrace) -> (RunReport<T>, DecisionTrace)
 where
     T: Send + 'static,
     F: FnMut() -> (World, Vec<ProcBody<T>>),
 {
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let (recorder, log) = DecisionRecorder::new(Box::new(trace.replayer()));
     let (mut world, bodies) = make();
-    let report = world.run(bodies, Box::new(trace.replayer(Some(Arc::clone(&log)))));
+    let report = world.run(bodies, Box::new(recorder));
     let actual = DecisionTrace {
         n: trace.n,
         decisions: std::mem::take(&mut *log.lock()),
@@ -903,6 +823,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::weakmem::WeakMode;
     use crate::world::World;
 
     /// The flag-principle workload: each process raises its own flag then
@@ -988,9 +909,9 @@ mod tests {
     /// One writer, one reader on a single register: exploring finds the
     /// read-before-write schedule, and shrinking reduces it to the single
     /// forcing decision (grant the reader first).
-    fn race_factory() -> impl Fn() -> (World, Vec<ProcBody<u32>>) {
-        || {
-            let w = World::builder(2).build();
+    fn race_factory(mode: WeakMode) -> impl Fn() -> (World, Vec<ProcBody<u32>>) {
+        move || {
+            let w = World::builder(2).weak_memory(mode).build();
             let r = w.reg("r", 0u32);
             let (r0, r1) = (r.clone(), r);
             let bodies: Vec<ProcBody<u32>> = vec![
@@ -1010,12 +931,16 @@ mod tests {
 
     #[test]
     fn violation_is_found_shrunk_and_replayable() {
-        let rep = explore(&ExploreConfig::default(), race_factory(), stale_read);
+        let rep = explore(
+            &ExploreConfig::default(),
+            race_factory(WeakMode::Sc),
+            stale_read,
+        );
         let cex = rep.violation.expect("the stale read must be reachable");
         assert!(!rep.exhausted, "exploration stops at the violation");
 
         // Replay reproduces it.
-        let mut make = race_factory();
+        let mut make = race_factory(WeakMode::Sc);
         let (replayed, actual) = run_trace(&mut make, &cex.trace);
         assert_eq!(
             stale_read(&replayed),
@@ -1028,21 +953,23 @@ mod tests {
 
         // Shrinking yields the single forcing decision: grant pid 1 first.
         let (min, shrink_runs) = shrink_trace(&mut make, &mut |r| stale_read(r), cex.trace);
-        assert_eq!(min.decisions, vec![TraceStep::Grant(1)]);
+        assert_eq!(min.decisions, vec![Decision::Grant(1)]);
         assert!(shrink_runs > 0);
         let (rep2, _) = run_trace(&mut make, &min);
         assert!(stale_read(&rep2).is_some(), "shrunk trace still violates");
     }
 
+    /// Every decision kind round-trips byte-identically.
     #[test]
     fn trace_json_round_trips() {
         let t = DecisionTrace {
             n: 3,
             decisions: vec![
-                TraceStep::Grant(2),
-                TraceStep::Grant(0),
-                TraceStep::Crash(1),
-                TraceStep::Grant(0),
+                Decision::Grant(2),
+                Decision::Flush { pid: 2, reg: 1 },
+                Decision::Panic(2),
+                Decision::Crash(1),
+                Decision::Grant(0),
             ],
         };
         let rendered = t.to_json().render();
@@ -1065,11 +992,7 @@ mod tests {
         let t = DecisionTrace::from_json(&v).unwrap();
         assert_eq!(
             t.decisions,
-            vec![
-                TraceStep::Grant(2),
-                TraceStep::Grant(0),
-                TraceStep::Grant(1)
-            ]
+            vec![Decision::Grant(2), Decision::Grant(0), Decision::Grant(1)]
         );
     }
 
@@ -1083,38 +1006,10 @@ mod tests {
             r#"{"schema": "bprc-trace-v1", "n": 0, "decisions": []}"#,
             r#"{"schema": "bprc-trace-v1", "n": 2, "decisions": [{"crash": 5}]}"#,
             r#"{"schema": "bprc-trace-v1", "n": 2, "decisions": [{"halt": 0}]}"#,
-        ];
-        for doc in bad {
-            let v = crate::json::parse(doc).unwrap();
-            assert!(DecisionTrace::from_json(&v).is_err(), "accepted {doc}");
-        }
-    }
-
-    #[test]
-    fn flush_steps_round_trip_and_malformed_flushes_reject() {
-        let t = DecisionTrace {
-            n: 2,
-            decisions: vec![
-                TraceStep::Grant(0),
-                TraceStep::Flush { pid: 0, reg: 1 },
-                TraceStep::Crash(0),
-                TraceStep::Grant(1),
-            ],
-        };
-        let rendered = t.to_json().render();
-        let parsed = crate::json::parse(&rendered).unwrap();
-        let back = DecisionTrace::from_json(&parsed).unwrap();
-        assert_eq!(back, t);
-        assert_eq!(
-            back.to_json().render(),
-            rendered,
-            "round-trip is byte-identical"
-        );
-
-        let bad = [
+            r#"{"schema": "bprc-trace-v1", "n": 2, "decisions": [{"panic": "x"}]}"#,
+            r#"{"schema": "bprc-trace-v1", "n": 2, "decisions": [{"panic": 2}]}"#,
             // A flush without its register is not a decision.
             r#"{"schema": "bprc-trace-v1", "n": 2, "decisions": [{"flush": 0}]}"#,
-            // Flush pids obey the same range check as grants and crashes.
             r#"{"schema": "bprc-trace-v1", "n": 2, "decisions": [{"flush": 5, "reg": 0}]}"#,
         ];
         for doc in bad {
@@ -1125,13 +1020,11 @@ mod tests {
 
     /// Message-passing under PSO: the violation *requires* a mid-run flush
     /// decision (the flag store must land while the data store stays
-    /// buffered), so the counterexample carries a [`TraceStep::Flush`]
+    /// buffered), so the counterexample carries a [`Decision::Flush`]
     /// through find → shrink → replay.
     fn mp_pso_factory() -> impl Fn() -> (World, Vec<ProcBody<u64>>) {
         || {
-            let w = World::builder(2)
-                .weak_memory(crate::weakmem::WeakMode::Pso)
-                .build();
+            let w = World::builder(2).weak_memory(WeakMode::Pso).build();
             let data = w.reg("data", 0u64);
             let flag = w.reg("flag", 0u64);
             let (d1, f1) = (data.clone(), flag.clone());
@@ -1160,7 +1053,10 @@ mod tests {
         let rep = explore(&ExploreConfig::default(), mp_pso_factory(), stale_publish);
         let cex = rep.violation.expect("PSO reorders the two stores");
         assert!(
-            cex.trace.decisions.iter().any(|s| s.is_flush()),
+            cex.trace
+                .decisions
+                .iter()
+                .any(|s| matches!(s, Decision::Flush { .. })),
             "the counterexample must carry the forcing flush: {:?}",
             cex.trace.decisions
         );
@@ -1168,7 +1064,11 @@ mod tests {
         let mut make = mp_pso_factory();
         let (min, shrink_runs) = shrink_trace(&mut make, &mut |r| stale_publish(r), cex.trace);
         assert!(shrink_runs > 0);
-        let flushes: Vec<&TraceStep> = min.decisions.iter().filter(|s| s.is_flush()).collect();
+        let flushes: Vec<&Decision> = min
+            .decisions
+            .iter()
+            .filter(|s| matches!(s, Decision::Flush { .. }))
+            .collect();
         assert_eq!(
             flushes.len(),
             1,
@@ -1198,7 +1098,9 @@ mod tests {
             rep.violation.unwrap().trace,
         );
         let mut without_flush = min.clone();
-        without_flush.decisions.retain(|s| !s.is_flush());
+        without_flush
+            .decisions
+            .retain(|s| !matches!(s, Decision::Flush { .. }));
         let (replayed, actual) = run_trace(&mut make, &without_flush);
         assert!(
             stale_publish(&replayed).is_none(),
@@ -1206,9 +1108,40 @@ mod tests {
             replayed.outputs
         );
         assert!(
-            actual.decisions.iter().all(|s| !s.is_flush()),
+            actual
+                .decisions
+                .iter()
+                .all(|s| !matches!(s, Decision::Flush { .. })),
             "the canonical log of a flush-free replay stays flush-free"
         );
+    }
+
+    /// A violation found below a truncation cut replays: the trace is every
+    /// decision the run took, the flush-first completion included, not just
+    /// the stack above the cut (which the replayer would complete with
+    /// grants alone, leaving the store buffered past the read).
+    #[test]
+    fn counterexample_below_a_truncation_cut_replays() {
+        let saw_one =
+            |r: &RunReport<u32>| (r.outputs[1] == Some(1)).then(|| "the reader saw 1".to_string());
+        let cfg = ExploreConfig {
+            max_steps: 1,
+            ..ExploreConfig::default()
+        };
+        let rep = explore(&cfg, race_factory(WeakMode::Pso), saw_one);
+        assert_eq!(rep.truncated, 1, "the violating run is cut below one step");
+        let cex = rep.violation.expect("the fair completion lands the store");
+        assert_eq!(
+            cex.trace.decisions,
+            [
+                Decision::Grant(0),
+                Decision::Flush { pid: 0, reg: 0 },
+                Decision::Grant(1)
+            ]
+        );
+        let (replayed, actual) = run_trace(&mut race_factory(WeakMode::Pso), &cex.trace);
+        assert_eq!(replayed.outputs, [Some(7), Some(1)]);
+        assert_eq!(actual, cex.trace, "the trace replays verbatim");
     }
 
     #[test]
@@ -1444,12 +1377,18 @@ mod tests {
         };
         let rep = explore(&cfg, factory, unpublished);
         let cex = rep.violation.expect("a crash between the writes forces it");
-        assert!(cex.trace.decisions.iter().any(|s| s.is_crash()));
+        assert!(cex
+            .trace
+            .decisions
+            .iter()
+            .any(|s| matches!(s, Decision::Crash(_))));
 
         let mut make = factory;
         let (min, _) = shrink_trace(&mut make, &mut |r| unpublished(r), cex.trace);
         assert!(
-            min.decisions.iter().any(|s| s.is_crash()),
+            min.decisions
+                .iter()
+                .any(|s| matches!(s, Decision::Crash(_))),
             "shrinking must keep the forcing crash: {:?}",
             min.decisions
         );

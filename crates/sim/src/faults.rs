@@ -17,9 +17,12 @@
 //!
 //! Semantics chosen to preserve the model's liveness guarantees:
 //!
-//! * **Crash / panic points** fire the first time their trigger is due *and*
-//!   the target is still schedulable; a point whose target already finished
-//!   or crashed is silently skipped (it fires at most once).
+//! * **Crash / panic points** ([`FaultPoint`]) hold the [`Decision`] they
+//!   issue — `Crash(pid)` or `Panic(pid)` — and fire it the first time
+//!   their trigger is due *and* the target is still schedulable; a point
+//!   whose target already finished or crashed is silently skipped (it fires
+//!   at most once). Both wrappers ask the plan for the decision that is due
+//!   before anything else, so the two granularities share one rule.
 //! * **Stall windows** hide the process from the wrapped strategy's view.
 //!   If hiding would leave the strategy with an empty view (every runnable
 //!   process stalled), the full view is passed through instead — a stall
@@ -37,8 +40,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::history::FaultKind;
-use crate::sched::{Decision, ScheduleView, Strategy};
-use crate::turn::{TurnAdversary, TurnDecision, TurnView};
+use crate::sched::{Decision, PendingOp, ScheduleView, Strategy};
+use crate::turn::{TurnAdversary, TurnView};
 
 /// Keeps injected panics (`Decision::Panic` unwinds its target with a
 /// payload starting `"chaos: injected panic"`) off stderr: the hook it
@@ -73,25 +76,16 @@ pub enum FaultTrigger {
     AtProcStep(u64),
 }
 
-/// What happens when a fault point fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultAction {
-    /// Crash the process (a clean fail-stop).
-    Crash,
-    /// Inject a panic (fail-stop with an unwinding cause — exercises the
-    /// containment path).
-    Panic,
-}
-
-/// One crash/panic point of a plan.
+/// One crash/panic point of a plan: the decision it issues once due.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPoint {
-    /// The target process.
-    pub pid: usize,
-    /// When the point becomes due.
+    /// When the point becomes due ([`FaultTrigger::AtProcStep`] counts
+    /// the steps of the decision's target).
     pub trigger: FaultTrigger,
-    /// What to do when it fires.
-    pub action: FaultAction,
+    /// What to do when it fires: [`Decision::Crash`] for a clean
+    /// fail-stop, [`Decision::Panic`] for a fail-stop with an unwinding
+    /// cause (exercises the containment path).
+    pub decision: Decision,
 }
 
 /// A window during which a process is withheld from scheduling.
@@ -130,9 +124,8 @@ impl FaultPlan {
     /// Adds a crash of `pid` at global step `step`.
     pub fn crash_at(mut self, step: u64, pid: usize) -> Self {
         self.points.push(FaultPoint {
-            pid,
             trigger: FaultTrigger::AtStep(step),
-            action: FaultAction::Crash,
+            decision: Decision::Crash(pid),
         });
         self
     }
@@ -140,9 +133,8 @@ impl FaultPlan {
     /// Adds an injected panic into `pid` at global step `step`.
     pub fn panic_at(mut self, step: u64, pid: usize) -> Self {
         self.points.push(FaultPoint {
-            pid,
             trigger: FaultTrigger::AtStep(step),
-            action: FaultAction::Panic,
+            decision: Decision::Panic(pid),
         });
         self
     }
@@ -150,9 +142,8 @@ impl FaultPlan {
     /// Adds a crash of `pid` once it has taken `own_steps` of its own steps.
     pub fn crash_at_proc_step(mut self, own_steps: u64, pid: usize) -> Self {
         self.points.push(FaultPoint {
-            pid,
             trigger: FaultTrigger::AtProcStep(own_steps),
-            action: FaultAction::Crash,
+            decision: Decision::Crash(pid),
         });
         self
     }
@@ -182,7 +173,7 @@ impl FaultPlan {
         let mut killed: Vec<usize> = self
             .points
             .iter()
-            .map(|p| p.pid)
+            .map(|p| p.decision.pid())
             .chain(self.starvation.iter().map(|&(p, _)| p))
             .collect();
         killed.sort_unstable();
@@ -265,20 +256,15 @@ impl PlanEngine {
         }
     }
 
-    fn count_grant(&mut self, pid: usize) {
-        if self.per_proc.len() <= pid {
-            self.per_proc.resize(pid + 1, 0);
-        }
-        self.per_proc[pid] += 1;
-    }
-
     fn own_steps(&self, pid: usize) -> u64 {
         self.per_proc.get(pid).copied().unwrap_or(0)
     }
 
-    /// Updates stall-window state for the current step and returns the pids
-    /// currently stalled.
-    fn update_stalls(&mut self, step: u64) -> Vec<usize> {
+    /// Updates stall-window state for `step` and returns the indices of the
+    /// `pids` not stalled — or `None` when the view passes through as it
+    /// is: nothing is stalled, or everything is (a stall delays, it never
+    /// wedges the run).
+    fn unstalled(&mut self, step: u64, pids: &[usize]) -> Option<Vec<usize>> {
         let mut stalled = Vec::new();
         for (i, w) in self.plan.stalls.iter().enumerate() {
             let inside = step >= w.from && step < w.until;
@@ -293,35 +279,50 @@ impl PlanEngine {
                 stalled.push(w.pid);
             }
         }
-        stalled
+        if stalled.is_empty() {
+            return None;
+        }
+        let keep: Vec<usize> = (0..pids.len())
+            .filter(|&i| !stalled.contains(&pids[i]))
+            .collect();
+        (!keep.is_empty()).then_some(keep)
     }
 
-    /// The first due, unfired point whose target is in `runnable`, if any.
-    /// Marks it fired; a due point whose target is no longer schedulable is
-    /// spent silently.
-    fn due_point(&mut self, step: u64, runnable: &[usize]) -> Option<FaultPoint> {
+    /// Counts `decision` against its target's own steps if it is a grant,
+    /// and passes it on.
+    fn counted(&mut self, decision: Decision) -> Decision {
+        if let Decision::Grant(pid) = decision {
+            if self.per_proc.len() <= pid {
+                self.per_proc.resize(pid + 1, 0);
+            }
+            self.per_proc[pid] += 1;
+        }
+        decision
+    }
+
+    /// The fault decision due at `step`, if any: the first due, unfired
+    /// point whose target is in `runnable`, else a crash for a starvation
+    /// allowance a runnable process has exhausted (recording its `Starved`
+    /// note). Either is marked spent; a due one whose target is no longer
+    /// schedulable is spent silently.
+    fn due(&mut self, step: u64, runnable: &[usize]) -> Option<Decision> {
         for (i, p) in self.plan.points.iter().enumerate() {
             if self.fired[i] {
                 continue;
             }
+            let pid = p.decision.pid();
             let due = match p.trigger {
                 FaultTrigger::AtStep(s) => step >= s,
-                FaultTrigger::AtProcStep(s) => self.own_steps(p.pid) >= s,
+                FaultTrigger::AtProcStep(s) => self.own_steps(pid) >= s,
             };
             if due {
                 self.fired[i] = true;
-                if runnable.contains(&p.pid) {
-                    return Some(*p);
+                if runnable.contains(&pid) {
+                    return Some(p.decision);
                 }
                 // Target already finished/crashed — the point is spent.
             }
         }
-        None
-    }
-
-    /// A starvation allowance exhausted by a runnable process, if any.
-    /// Marks it spent and records the `Starved` note.
-    fn due_starvation(&mut self, runnable: &[usize]) -> Option<usize> {
         for (i, &(pid, allowance)) in self.plan.starvation.iter().enumerate() {
             if self.starved[i] {
                 continue;
@@ -330,7 +331,7 @@ impl PlanEngine {
                 self.starved[i] = true;
                 if runnable.contains(&pid) {
                     self.notes.push((pid, FaultKind::Starved));
-                    return Some(pid);
+                    return Some(Decision::Crash(pid));
                 }
             }
         }
@@ -367,45 +368,22 @@ impl<S: Strategy> FaultedStrategy<S> {
 
 impl<S: Strategy> Strategy for FaultedStrategy<S> {
     fn decide(&mut self, view: &ScheduleView<'_>) -> Decision {
-        if let Some(p) = self.engine.due_point(view.step, view.runnable) {
-            return match p.action {
-                FaultAction::Crash => Decision::Crash(p.pid),
-                FaultAction::Panic => Decision::Panic(p.pid),
-            };
+        if let Some(fault) = self.engine.due(view.step, view.runnable) {
+            return fault;
         }
-        if let Some(pid) = self.engine.due_starvation(view.runnable) {
-            return Decision::Crash(pid);
-        }
-        let stalled = self.engine.update_stalls(view.step);
-        let decision = if stalled.is_empty() {
-            self.inner.decide(view)
-        } else {
-            let mut runnable = Vec::with_capacity(view.runnable.len());
-            let mut pending = Vec::with_capacity(view.pending.len());
-            for (i, &p) in view.runnable.iter().enumerate() {
-                if !stalled.contains(&p) {
-                    runnable.push(p);
-                    pending.push(view.pending[i]);
-                }
-            }
-            if runnable.is_empty() {
-                // Every runnable process stalled: a stall must not wedge the
-                // run, so the inner strategy sees the unfiltered view.
-                self.inner.decide(view)
-            } else {
-                let filtered = ScheduleView {
-                    step: view.step,
+        let decision = match self.engine.unstalled(view.step, view.runnable) {
+            None => self.inner.decide(view),
+            Some(keep) => {
+                let runnable: Vec<usize> = keep.iter().map(|&i| view.runnable[i]).collect();
+                let pending: Vec<PendingOp> = keep.iter().map(|&i| view.pending[i]).collect();
+                self.inner.decide(&ScheduleView {
                     runnable: &runnable,
                     pending: &pending,
-                    flushable: view.flushable,
-                };
-                self.inner.decide(&filtered)
+                    ..*view
+                })
             }
         };
-        if let Decision::Grant(pid) = decision {
-            self.engine.count_grant(pid);
-        }
-        decision
+        self.engine.counted(decision)
     }
 
     fn drain_fault_notes(&mut self) -> Vec<(usize, FaultKind)> {
@@ -440,43 +418,21 @@ impl<A> FaultedTurnAdversary<A> {
 }
 
 impl<M, A: TurnAdversary<M>> TurnAdversary<M> for FaultedTurnAdversary<A> {
-    fn choose(&mut self, view: &TurnView<'_, M>) -> TurnDecision {
-        if let Some(p) = self.engine.due_point(view.events, view.active) {
-            return match p.action {
-                FaultAction::Crash => TurnDecision::Crash(p.pid),
-                FaultAction::Panic => TurnDecision::Panic(p.pid),
-            };
+    fn choose(&mut self, view: &TurnView<'_, M>) -> Decision {
+        if let Some(fault) = self.engine.due(view.events, view.active) {
+            return fault;
         }
-        if let Some(pid) = self.engine.due_starvation(view.active) {
-            return TurnDecision::Crash(pid);
-        }
-        let stalled = self.engine.update_stalls(view.events);
-        let decision = if stalled.is_empty() {
-            self.inner.choose(view)
-        } else {
-            let active: Vec<usize> = view
-                .active
-                .iter()
-                .copied()
-                .filter(|p| !stalled.contains(p))
-                .collect();
-            if active.is_empty() {
-                self.inner.choose(view)
-            } else {
-                let filtered = TurnView {
-                    events: view.events,
+        let decision = match self.engine.unstalled(view.events, view.active) {
+            None => self.inner.choose(view),
+            Some(keep) => {
+                let active: Vec<usize> = keep.iter().map(|&i| view.active[i]).collect();
+                self.inner.choose(&TurnView {
                     active: &active,
-                    shared: view.shared,
-                    phases: view.phases,
-                    crashed: view.crashed,
-                };
-                self.inner.choose(&filtered)
+                    ..*view
+                })
             }
         };
-        if let TurnDecision::Step(pid) = decision {
-            self.engine.count_grant(pid);
-        }
-        decision
+        self.engine.counted(decision)
     }
 
     fn drain_fault_notes(&mut self) -> Vec<(usize, FaultKind)> {
@@ -734,15 +690,15 @@ mod tests {
         // Crash pid 0 at step 0; once fired the point must not hit again
         // even though `step >= 0` stays true forever.
         let mut engine = PlanEngine::new(FaultPlan::new().crash_at(0, 0));
-        assert!(engine.due_point(0, &[0, 1]).is_some());
-        assert!(engine.due_point(5, &[0, 1]).is_none());
+        assert!(engine.due(0, &[0, 1]).is_some());
+        assert!(engine.due(5, &[0, 1]).is_none());
     }
 
     #[test]
     fn point_on_finished_target_is_skipped() {
         let mut engine = PlanEngine::new(FaultPlan::new().crash_at(3, 0));
         // Due, but pid 0 no longer runnable: spent silently.
-        assert!(engine.due_point(10, &[1, 2]).is_none());
-        assert!(engine.due_point(11, &[0, 1, 2]).is_none());
+        assert!(engine.due(10, &[1, 2]).is_none());
+        assert!(engine.due(11, &[0, 1, 2]).is_none());
     }
 }

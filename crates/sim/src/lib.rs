@@ -75,9 +75,7 @@ pub mod weakmem;
 pub mod world;
 
 pub use error::Halted;
-pub use explore::{
-    Counterexample, DecisionTrace, ExploreConfig, ExploreReport, Independence, TraceStep,
-};
+pub use explore::{Counterexample, DecisionTrace, ExploreConfig, ExploreReport, Independence};
 pub use faults::{FaultPlan, FaultedStrategy, FaultedTurnAdversary};
 pub use history::FaultKind;
 pub use metrics::{Counter, Gauge, MetricsRegistry, ProcMetrics, Telemetry};

@@ -84,6 +84,30 @@ pub enum Decision {
     },
 }
 
+impl Decision {
+    /// The process this decision targets.
+    pub fn pid(self) -> usize {
+        match self {
+            Decision::Grant(p)
+            | Decision::Crash(p)
+            | Decision::Panic(p)
+            | Decision::Flush { pid: p, .. } => p,
+        }
+    }
+
+    /// Whether this decision may be issued against `view`: grants, crashes
+    /// and panics need their pid runnable, flushes need their `(pid, reg)`
+    /// entry in [`ScheduleView::flushable`].
+    pub fn legal(self, view: &ScheduleView<'_>) -> bool {
+        match self {
+            Decision::Grant(p) | Decision::Crash(p) | Decision::Panic(p) => {
+                view.runnable.contains(&p)
+            }
+            Decision::Flush { pid, reg } => view.flushable.contains(&(pid, reg)),
+        }
+    }
+}
+
 /// The adversary interface.
 ///
 /// A strategy is consulted by whichever process thread makes the world
@@ -367,12 +391,9 @@ mod tests {
         let runnable = [0, 1, 2];
         let pending = dummy_pending(3);
         let picks: Vec<_> = (0..6)
-            .map(|s| match rr.decide(&view(s, &runnable, &pending)) {
-                Decision::Grant(p) => p,
-                _ => unreachable!(),
-            })
+            .map(|s| rr.decide(&view(s, &runnable, &pending)))
             .collect();
-        assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
+        assert_eq!(picks, [0, 1, 2, 0, 1, 2].map(Decision::Grant));
     }
 
     #[test]
@@ -381,12 +402,9 @@ mod tests {
         let pending = dummy_pending(2);
         // Process 1 not runnable.
         let picks: Vec<_> = (0..4)
-            .map(|s| match rr.decide(&view(s, &[0, 2], &pending)) {
-                Decision::Grant(p) => p,
-                _ => unreachable!(),
-            })
+            .map(|s| rr.decide(&view(s, &[0, 2], &pending)))
             .collect();
-        assert_eq!(picks, vec![0, 2, 0, 2]);
+        assert_eq!(picks, [0, 2, 0, 2].map(Decision::Grant));
     }
 
     #[test]
@@ -396,10 +414,7 @@ mod tests {
             let runnable = [0, 1, 2, 3];
             let pending = dummy_pending(4);
             (0..20)
-                .map(|i| match s.decide(&view(i, &runnable, &pending)) {
-                    Decision::Grant(p) => p,
-                    _ => unreachable!(),
-                })
+                .map(|i| s.decide(&view(i, &runnable, &pending)))
                 .collect::<Vec<_>>()
         };
         assert_eq!(seq(42), seq(42));
@@ -412,12 +427,9 @@ mod tests {
         let runnable = [0, 1];
         let pending = dummy_pending(2);
         let picks: Vec<_> = (0..6)
-            .map(|i| match s.decide(&view(i, &runnable, &pending)) {
-                Decision::Grant(p) => p,
-                _ => unreachable!(),
-            })
+            .map(|i| s.decide(&view(i, &runnable, &pending)))
             .collect();
-        assert_eq!(picks, vec![0, 0, 0, 1, 1, 1]);
+        assert_eq!(picks, [0, 0, 0, 1, 1, 1].map(Decision::Grant));
     }
 
     #[test]

@@ -19,6 +19,12 @@
 //! this granularity is the standard strong adversary of \[AH88\]: it sees all
 //! process states and pending writes, and may delay a pending write
 //! arbitrarily long after the scan that produced it.
+//!
+//! The adversary answers with the register-level scheduler's
+//! [`Decision`]: a grant steps a process through its next event, a crash or
+//! an injected panic halts it. So strategies, turn adversaries, fault plans
+//! and recorded traces share one vocabulary; only `Flush` has no meaning
+//! here (turns have no store buffers) and the driver rejects it.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -26,6 +32,7 @@ use rand::{Rng, SeedableRng};
 use crate::error::Halted;
 use crate::history::FaultKind;
 use crate::metrics::{Counter, Gauge, MetricsRegistry, ProcMetrics, Telemetry};
+use crate::sched::Decision;
 
 /// What a process does after observing a scan.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,24 +127,14 @@ pub struct TurnView<'a, M> {
     pub crashed: &'a [bool],
 }
 
-/// An adversary decision at turn granularity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TurnDecision {
-    /// Let this active process perform its next event (scan or write).
-    Step(usize),
-    /// Crash this process.
-    Crash(usize),
-    /// Inject a panic into this (active) process: it halts as
-    /// [`Halted::Panicked`] and the injection is recorded in
-    /// [`TurnReport::fault_events`]. At turn granularity there is no thread
-    /// to unwind, so the effect is a crash with a diagnosable cause.
-    Panic(usize),
-}
-
 /// The strong adversary at scan/write granularity.
 pub trait TurnAdversary<M> {
-    /// Chooses the next event.
-    fn choose(&mut self, view: &TurnView<'_, M>) -> TurnDecision;
+    /// Chooses the next event: `Grant(pid)` lets an active process perform
+    /// its next scan or write, `Crash(pid)` crashes it, and `Panic(pid)`
+    /// halts it as [`Halted::Panicked`], recorded in
+    /// [`TurnReport::fault_events`] (there is no thread to unwind). The
+    /// driver rejects a `Flush`: turns have no store buffers.
+    fn choose(&mut self, view: &TurnView<'_, M>) -> Decision;
 
     /// Fault events the adversary wants appended to the run's fault log
     /// (see [`TurnReport::fault_events`]). The driver calls this after every
@@ -149,7 +146,7 @@ pub trait TurnAdversary<M> {
 }
 
 impl<M, A: TurnAdversary<M> + ?Sized> TurnAdversary<M> for Box<A> {
-    fn choose(&mut self, view: &TurnView<'_, M>) -> TurnDecision {
+    fn choose(&mut self, view: &TurnView<'_, M>) -> Decision {
         (**self).choose(view)
     }
 
@@ -172,7 +169,7 @@ impl TurnRoundRobin {
 }
 
 impl<M> TurnAdversary<M> for TurnRoundRobin {
-    fn choose(&mut self, view: &TurnView<'_, M>) -> TurnDecision {
+    fn choose(&mut self, view: &TurnView<'_, M>) -> Decision {
         let pick = view
             .active
             .iter()
@@ -180,7 +177,7 @@ impl<M> TurnAdversary<M> for TurnRoundRobin {
             .find(|&p| p >= self.next)
             .unwrap_or(view.active[0]);
         self.next = pick + 1;
-        TurnDecision::Step(pick)
+        Decision::Grant(pick)
     }
 }
 
@@ -200,9 +197,9 @@ impl TurnRandom {
 }
 
 impl<M> TurnAdversary<M> for TurnRandom {
-    fn choose(&mut self, view: &TurnView<'_, M>) -> TurnDecision {
+    fn choose(&mut self, view: &TurnView<'_, M>) -> Decision {
         let i = self.rng.gen_range(0..view.active.len());
-        TurnDecision::Step(view.active[i])
+        Decision::Grant(view.active[i])
     }
 }
 
@@ -231,7 +228,7 @@ impl TurnBsp {
 }
 
 impl<M> TurnAdversary<M> for TurnBsp {
-    fn choose(&mut self, view: &TurnView<'_, M>) -> TurnDecision {
+    fn choose(&mut self, view: &TurnView<'_, M>) -> Decision {
         // Two strict phases: *gather* steps only scanners (memory is
         // frozen, everyone observes the same state) until none remain;
         // *release* steps only writers until none remain — a process that
@@ -254,7 +251,7 @@ impl<M> TurnAdversary<M> for TurnBsp {
             .filter(|p| writing(p) == self.releasing)
             .nth(self.rr)
             .expect("rr indexes the pool");
-        TurnDecision::Step(*pick)
+        Decision::Grant(*pick)
     }
 }
 
@@ -267,8 +264,8 @@ impl<F> std::fmt::Debug for TurnFn<F> {
     }
 }
 
-impl<M, F: FnMut(&TurnView<'_, M>) -> TurnDecision> TurnAdversary<M> for TurnFn<F> {
-    fn choose(&mut self, view: &TurnView<'_, M>) -> TurnDecision {
+impl<M, F: FnMut(&TurnView<'_, M>) -> Decision> TurnAdversary<M> for TurnFn<F> {
+    fn choose(&mut self, view: &TurnView<'_, M>) -> Decision {
         (self.0)(view)
     }
 }
@@ -503,14 +500,19 @@ impl<P: TurnProcess> TurnDriver<P> {
             };
             match decision {
                 // `step` itself rejects a crashed or decided pid.
-                TurnDecision::Step(pid) => self.step(pid),
-                TurnDecision::Crash(pid) => self.crash(pid),
-                TurnDecision::Panic(pid) => {
+                Decision::Grant(pid) => self.step(pid),
+                Decision::Crash(pid) => self.crash(pid),
+                Decision::Panic(pid) => {
                     assert!(self.active.contains(&pid), "panicked inactive pid {pid}");
                     self.halt_panicked(pid);
                     self.fault_log
                         .push((self.events, pid, FaultKind::PanicInjected));
                 }
+                Decision::Flush { .. } => panic!(
+                    "illegal adversary decision {decision:?} at event {}: \
+                     turns have no store buffers, so nothing is flushable",
+                    self.events
+                ),
             }
             for (pid, kind) in adversary.drain_fault_notes() {
                 self.fault_log.push((self.events, pid, kind));
@@ -654,7 +656,7 @@ mod tests {
                 if view.phases[0].pending_write().is_some() {
                     saw_pending = true;
                 }
-                TurnDecision::Step(view.active[0])
+                Decision::Grant(view.active[0])
             }),
             1_000,
         );
@@ -773,22 +775,22 @@ mod tests {
                 }
             }
         }
+        use Decision::{Crash, Grant, Panic};
         use Leaver::{Decides, Panics, Spins};
-        use TurnDecision::{Crash, Panic, Step};
         crate::faults::quiet_injected_panics();
         let procs = [Spins, Decides, Spins, Panics, Decides, Spins];
         // Each decision with the active list it must leave behind.
-        let script: [(TurnDecision, &[usize]); 11] = [
-            (Step(1), &[0, 1, 2, 3, 4, 5]),
-            (Step(1), &[0, 2, 3, 4, 5]), // decides
+        let script: [(Decision, &[usize]); 11] = [
+            (Grant(1), &[0, 1, 2, 3, 4, 5]),
+            (Grant(1), &[0, 2, 3, 4, 5]), // decides
             (Crash(0), &[2, 3, 4, 5]),
-            (Step(3), &[2, 3, 4, 5]),
-            (Step(3), &[2, 4, 5]), // its on_scan panics
+            (Grant(3), &[2, 3, 4, 5]),
+            (Grant(3), &[2, 4, 5]), // its on_scan panics
             (Panic(2), &[4, 5]),
-            (Step(5), &[4, 5]),
-            (Step(5), &[4, 5]), // scans and writes on
-            (Step(4), &[4, 5]),
-            (Step(4), &[5]), // decides
+            (Grant(5), &[4, 5]),
+            (Grant(5), &[4, 5]), // scans and writes on
+            (Grant(4), &[4, 5]),
+            (Grant(4), &[5]), // decides
             (Crash(5), &[]),
         ];
 
@@ -826,8 +828,9 @@ mod tests {
         let mut driver = TurnDriver::new(procs.to_vec());
         for (decision, after) in script {
             match decision {
-                Step(pid) => driver.step(pid),
+                Grant(pid) => driver.step(pid),
                 Crash(pid) | Panic(pid) => driver.crash(pid),
+                Decision::Flush { .. } => unreachable!("the script flushes nothing"),
             }
             assert_eq!(driver.active(), after);
         }
@@ -839,9 +842,9 @@ mod tests {
         let report = TurnDriver::new(procs).run(
             &mut TurnFn(|view: &TurnView<'_, u32>| {
                 if view.events == 0 && view.active.contains(&2) {
-                    TurnDecision::Panic(2)
+                    Decision::Panic(2)
                 } else {
-                    TurnDecision::Step(view.active[0])
+                    Decision::Grant(view.active[0])
                 }
             }),
             1_000,
@@ -852,6 +855,18 @@ mod tests {
         // Survivors still decide (they saw pid 2's initial value).
         assert_eq!(report.outputs[0], Some(20));
         assert_eq!(report.fault_events, vec![(0, 2, FaultKind::PanicInjected)]);
+    }
+
+    /// Turns have no store buffers, so a flush is an illegal decision and
+    /// the panic names it.
+    #[test]
+    #[should_panic(expected = "illegal adversary decision Flush { pid: 0, reg: 0 } at event 0")]
+    fn flush_decision_is_rejected() {
+        let procs: Vec<MaxFinder> = (0..2).map(|i| MaxFinder { input: i }).collect();
+        TurnDriver::new(procs).run(
+            &mut TurnFn(|_: &TurnView<'_, u32>| Decision::Flush { pid: 0, reg: 0 }),
+            1_000,
+        );
     }
 
     #[test]

@@ -79,7 +79,7 @@ fn main() {
             None => "steps".to_string(),
             Some(h) => format!("steps, local coin = {}", if h { "heads" } else { "tails" }),
         };
-        println!("  {i:>2}. process {} {what}", ev.pid);
+        println!("  {i:>2}. process {} {what}", ev.decision.pid());
     }
     println!(
         "\n(the real bounded protocol, checked the same way, has zero violations \

@@ -12,7 +12,9 @@
 //! 3. a regular-register litmus cell proving a stale read is reachable
 //!    exactly where atomicity forbids it, with the violating flush trace
 //!    round-tripping through `bprc-trace-v1` byte-identically;
-//! 4. the same byte-identical round-trip for a `Swap`-bearing trace.
+//! 4. the same byte-identical round-trip for a `Swap`-bearing trace;
+//! 5. the committed trace of the open `ah-regular` finding (DESIGN.md §
+//!    Scope limits), replayed to its disagreement and critical cycle.
 //!
 //! Full protocol executions outlive any feasible exhaustive budget (a
 //! deciding run takes ~50+ grants), so layer 1 is a *bounded-prefix*
@@ -20,15 +22,13 @@
 //! Layer 2 covers full executions, crashes included, by sampling.
 
 use bprc::core::{entrants, ArenaBackend, ConsensusSpec};
-use bprc::sim::explore::{
-    explore, run_trace, shrink_trace, DecisionTrace, ExploreConfig, TraceStep,
-};
+use bprc::sim::explore::{explore, run_trace, shrink_trace, DecisionTrace, ExploreConfig};
 use bprc::sim::faults::{FaultPlan, FaultedStrategy};
 use bprc::sim::rng::derive_seed;
 use bprc::sim::sched::PctStrategy;
-use bprc::sim::weakmem::{RandomFlushes, WeakMode};
+use bprc::sim::weakmem::{critical_cycle, RandomFlushes, WeakMode};
 use bprc::sim::world::{ProcBody, World};
-use bprc::sim::Counter;
+use bprc::sim::{Counter, Decision};
 
 /// Depth-bounded exhaustive DFS at n=2 for every entrant on every backend.
 /// The explorer branches over every grant order and, in a
@@ -201,7 +201,7 @@ fn regular_registers_admit_stale_reads_where_atomicity_forbids() {
     assert!(
         min.decisions
             .iter()
-            .any(|d| matches!(d, TraceStep::Flush { .. })),
+            .any(|d| matches!(d, Decision::Flush { .. })),
         "the minimal stale-read schedule must place a flush explicitly: {:?}",
         min.decisions
     );
@@ -273,4 +273,40 @@ fn swap_traces_roundtrip_through_trace_v1() {
         two.history.as_ref().unwrap().to_jsonl(),
         "replaying the same swap trace must reproduce the identical history"
     );
+}
+
+/// The open finding of DESIGN.md § Scope limits, as a committed artifact:
+/// the failing `arena-ah-regular-n2-handshake` trial at seed 3 (cell 200,
+/// trial 0) shrinks to the empty trace, and its critical cycle is a scan
+/// reading a `V` whose write had already responded — stale under the
+/// buffered model, forbidden for a regular register.
+#[test]
+fn ah_regular_finding_replays_from_its_committed_trace() {
+    const TRACE: &str = r#"{"schema":"bprc-trace-v1","n":2,"decisions":[]}"#;
+    const CYCLE: &str = "critical cycle (6 edges): W p0 V_0@1 -po-> W p0 A_1_0@2 -po-> \
+        R p0 V_1@3 -fr-> W p1 V_1@13 -po-> W p1 A_0_1@14 -po-> R p1 V_0@15 -fr-> W p0 V_0@1";
+    let (entrant, inputs) = (&entrants()[2], [true, false]);
+    assert_eq!(entrant.name(), "ah-regular");
+    let seed = derive_seed(derive_seed(3, 200), 0);
+    let mut make = || {
+        let world = World::builder(2)
+            .seed(seed)
+            .step_limit(200_000)
+            .weak_memory(entrant.memory_mode())
+            .build();
+        let bodies = entrant.build(&world, ArenaBackend::Handshake, &inputs, seed);
+        (world, bodies)
+    };
+    let trace = DecisionTrace::from_json(&bprc::sim::json::parse(TRACE).unwrap()).unwrap();
+    let (replayed, _) = run_trace(&mut make, &trace);
+    assert_eq!(replayed.outputs, [Some(true), Some(false)]);
+    assert_eq!(
+        ConsensusSpec::new(&inputs).check(&replayed).as_deref(),
+        Some("agreement violated: pid 0 decided true but pid 1 decided false")
+    );
+    let history = replayed.history.as_ref().expect("lockstep records history");
+    let cycle = critical_cycle(history, &make().0.reg_names())
+        .expect("the disagreement needs a weak-memory reordering")
+        .to_string();
+    assert!(cycle.starts_with(CYCLE), "{cycle}");
 }

@@ -7,7 +7,8 @@ use bprc::core::bounded::{BoundedCore, ConsensusParams};
 use bprc::core::multishot::{LogCore, LogMsg, StaticProposals};
 use bprc::core::multivalued::MvCore;
 use bprc::core::ProcState;
-use bprc::sim::turn::{TurnAdversary, TurnDecision, TurnDriver, TurnFn, TurnRandom, TurnView};
+use bprc::sim::turn::{TurnAdversary, TurnDriver, TurnFn, TurnRandom, TurnView};
+use bprc::sim::Decision;
 
 fn cores(n: usize, inputs: &[bool], seed: u64) -> Vec<BoundedCore> {
     let params = ConsensusParams::quick(n);
@@ -37,7 +38,7 @@ fn crash_each_process_at_every_event() {
             let mut adversary = TurnFn(|view: &TurnView<'_, ProcState>| {
                 if !crashed && view.events == crash_at && view.active.contains(&victim) {
                     crashed = true;
-                    return TurnDecision::Crash(victim);
+                    return Decision::Crash(victim);
                 }
                 inner.choose(view)
             });
@@ -82,11 +83,11 @@ fn crash_two_of_four_at_every_pair_of_sampled_events() {
             let mut adversary = TurnFn(|view: &TurnView<'_, ProcState>| {
                 if !done1 && view.events >= c1 && view.active.contains(&0) {
                     done1 = true;
-                    return TurnDecision::Crash(0);
+                    return Decision::Crash(0);
                 }
                 if !done2 && view.events >= c2 && view.active.contains(&1) {
                     done2 = true;
-                    return TurnDecision::Crash(1);
+                    return Decision::Crash(1);
                 }
                 inner.choose(view)
             });
@@ -125,7 +126,7 @@ fn crash_each_process_at_every_event_multivalued() {
             let mut adversary = TurnFn(|view: &TurnView<'_, _>| {
                 if !crashed && view.events == crash_at && view.active.contains(&victim) {
                     crashed = true;
-                    return TurnDecision::Crash(victim);
+                    return Decision::Crash(victim);
                 }
                 inner.choose(view)
             });
@@ -185,7 +186,7 @@ fn crash_each_process_at_every_event_multishot() {
             let mut adversary = TurnFn(|view: &TurnView<'_, LogMsg>| {
                 if !crashed && view.events == crash_at && view.active.contains(&victim) {
                     crashed = true;
-                    return TurnDecision::Crash(victim);
+                    return Decision::Crash(victim);
                 }
                 inner.choose(view)
             });
@@ -291,7 +292,7 @@ fn all_but_one_crash_leaves_a_lone_decider() {
             let mut adversary = TurnFn(|view: &TurnView<'_, ProcState>| {
                 if let Some(&victim) = view.active.iter().find(|&&p| p != survivor) {
                     if !view.crashed[victim] {
-                        return TurnDecision::Crash(victim);
+                        return Decision::Crash(victim);
                     }
                 }
                 inner.choose(view)

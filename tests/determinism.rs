@@ -209,7 +209,7 @@ where
 fn bursts<M>(burst: u64) -> impl bprc::sim::turn::TurnAdversary<M> {
     bprc::sim::turn::TurnFn(move |view: &bprc::sim::turn::TurnView<'_, M>| {
         let turn = (view.events / burst) as usize % view.active.len();
-        bprc::sim::turn::TurnDecision::Step(view.active[turn])
+        bprc::sim::Decision::Grant(view.active[turn])
     })
 }
 

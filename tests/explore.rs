@@ -303,16 +303,10 @@ fn manual_fn_strategy_replay_matches_run_trace() {
     let decisions = cex.trace.decisions.clone();
     let strategy = bprc::sim::sched::FnStrategy::new(move |view: &bprc::sim::ScheduleView<'_>| {
         while idx < decisions.len() {
-            let step = decisions[idx];
+            let decision = decisions[idx];
             idx += 1;
-            match step {
-                bprc::sim::TraceStep::Grant(pid) if view.runnable.contains(&pid) => {
-                    return Decision::Grant(pid);
-                }
-                bprc::sim::TraceStep::Crash(pid) if view.runnable.contains(&pid) => {
-                    return Decision::Crash(pid);
-                }
-                _ => {}
+            if decision.legal(view) {
+                return decision;
             }
         }
         Decision::Grant(view.runnable[0])

@@ -10,10 +10,9 @@
 //! stale handshake forever. No pure grant schedule reaches that state — it
 //! exists only in the joint schedule×fault space.
 
-use bprc::sim::explore::{
-    explore, run_trace, shrink_trace, DecisionTrace, ExploreConfig, TraceStep,
-};
+use bprc::sim::explore::{explore, run_trace, shrink_trace, DecisionTrace, ExploreConfig};
 use bprc::sim::world::{ProcBody, RunReport, World};
+use bprc::sim::Decision;
 
 /// n=2: pid 0 writes `value` then `published`; pid 1 reads both and
 /// reports what it saw (value * 10 + published-bit).
@@ -62,6 +61,10 @@ fn stale_handshake_is_unreachable_without_faults() {
     assert_eq!(rep.faults_injected, 0);
 }
 
+fn is_crash(d: &Decision) -> bool {
+    matches!(d, Decision::Crash(_))
+}
+
 #[test]
 fn fault_budget_finds_shrinks_and_replays_the_stale_handshake() {
     let cfg = ExploreConfig {
@@ -73,7 +76,7 @@ fn fault_budget_finds_shrinks_and_replays_the_stale_handshake() {
         .violation
         .expect("one crash between the two writes must expose the bug");
     assert!(
-        cex.trace.decisions.iter().any(|s| s.is_crash()),
+        cex.trace.decisions.iter().any(is_crash),
         "the counterexample must carry the injected fault: {:?}",
         cex.trace.decisions
     );
@@ -85,7 +88,7 @@ fn fault_budget_finds_shrinks_and_replays_the_stale_handshake() {
         shrink_trace(&mut make, &mut |r| stale_handshake(r), cex.trace.clone());
     assert!(shrink_runs > 0);
     assert!(min.decisions.len() <= cex.trace.decisions.len());
-    let crashes: Vec<&TraceStep> = min.decisions.iter().filter(|s| s.is_crash()).collect();
+    let crashes: Vec<&Decision> = min.decisions.iter().filter(|s| is_crash(s)).collect();
     assert_eq!(
         crashes.len(),
         1,

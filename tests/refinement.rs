@@ -15,7 +15,7 @@ use bprc::core::threaded::ThreadedConsensus;
 use bprc::core::ProcState;
 use bprc::registers::DirectArrow;
 use bprc::sim::sched::FnStrategy;
-use bprc::sim::turn::{Phase, TurnAdversary, TurnDecision, TurnDriver, TurnRandom, TurnView};
+use bprc::sim::turn::{Phase, TurnAdversary, TurnDriver, TurnRandom, TurnView};
 use bprc::sim::{Decision, World};
 
 /// What one turn event was: which process, and whether it scanned or wrote.
@@ -32,9 +32,9 @@ struct Recording<'a, I> {
 }
 
 impl<I: TurnAdversary<ProcState>> TurnAdversary<ProcState> for Recording<'_, I> {
-    fn choose(&mut self, view: &TurnView<'_, ProcState>) -> TurnDecision {
+    fn choose(&mut self, view: &TurnView<'_, ProcState>) -> Decision {
         let d = self.inner.choose(view);
-        if let TurnDecision::Step(pid) = d {
+        if let Decision::Grant(pid) = d {
             let kind = match view.phases[pid] {
                 Phase::Write(_) => Kind::Write,
                 Phase::Scan => Kind::Scan,

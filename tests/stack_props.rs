@@ -8,11 +8,12 @@
 use bprc::core::bounded::{BoundedCore, ConsensusParams};
 use bprc::registers::DirectArrow;
 use bprc::sim::explore::{
-    explore, run_trace, shrink_trace, DecisionTrace, ExploreConfig, Independence, TraceStep,
+    explore, run_trace, shrink_trace, DecisionTrace, ExploreConfig, Independence,
 };
 use bprc::sim::rng::stream_rng;
 use bprc::sim::turn::{TurnDriver, TurnRandom};
 use bprc::sim::world::{ProcBody, World};
+use bprc::sim::Decision;
 use bprc::snapshot::{check_history, ScannableMemory};
 use bprc::strip::{DistanceGraph, EdgeCounters, ShrunkenGame};
 use rand::Rng;
@@ -216,7 +217,7 @@ fn shrunk_counterexample_traces_round_trip_byte_identically() {
         let mut padded = found.trace.clone();
         for (pid, pos) in pads {
             let idx = pos % (padded.decisions.len() + 1);
-            padded.decisions.insert(idx, TraceStep::Grant(pid));
+            padded.decisions.insert(idx, Decision::Grant(pid));
         }
         let mut make = race_factory();
         let (rep, _) = run_trace(&mut make, &padded);
