@@ -17,7 +17,7 @@ use bprc_bench::{experiments, verify_gate, Scale, Table};
 
 type Experiment = fn(Scale) -> Table;
 
-const EXPERIMENTS: [(&str, Experiment); 15] = [
+const EXPERIMENTS: [(&str, Experiment); 13] = [
     ("e1", experiments::e1_disagreement),
     ("e2", experiments::e2_walk_steps),
     ("e3", experiments::e3_overflow),
@@ -27,8 +27,6 @@ const EXPERIMENTS: [(&str, Experiment); 15] = [
     ("e6", experiments::e6_memory),
     ("e7", experiments::e7_scan_retries),
     ("e8", experiments::e8_claim41),
-    ("e9", experiments::e9_snapshot),
-    ("e10", experiments::e10_modelcheck),
     ("e11", experiments::e11_ablation_b),
     ("e12", experiments::e12_ablation_k),
     ("e13", experiments::e13_ablation_m),

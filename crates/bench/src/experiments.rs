@@ -7,15 +7,13 @@ use bprc_core::baselines::{AhCore, LocalCoinCore, OracleCore};
 use bprc_core::bounded::{BoundedCore, ConsensusParams};
 use bprc_core::meter::run_metered;
 use bprc_core::virtual_rounds::check_execution;
-use bprc_registers::{DirectArrow, HandshakeArrow};
+use bprc_registers::DirectArrow;
 use bprc_sim::rng::derive_seed;
 use bprc_sim::sched::FnStrategy;
 use bprc_sim::turn::{TurnBsp, TurnDriver, TurnRandom};
 use bprc_sim::world::{ProcBody, RunReport};
 use bprc_sim::{Counter, Decision, Gauge, World};
-use bprc_snapshot::{
-    check_history, ScannableMemory, SnapshotBackend, SnapshotPort, WaitFreeSnapshot,
-};
+use bprc_snapshot::{ScannableMemory, SnapshotBackend, SnapshotPort, WaitFreeSnapshot};
 use bprc_strip::{DistanceGraph, EdgeCounters, ShrunkenGame};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -704,121 +702,6 @@ pub fn e8_claim41(scale: Scale) -> Table {
     t
 }
 
-/// E9 (§2): P1–P3 checked on recorded register-level interleavings, for
-/// both arrow implementations.
-pub fn e9_snapshot(scale: Scale) -> Table {
-    let seeds = scale.trials(10, 60);
-
-    fn one_seed<A: bprc_registers::ArrowCell>(seed: u64) -> (usize, usize, usize) {
-        let n = 4;
-        let mut world = World::builder(n).seed(seed).step_limit(2_000_000).build();
-        let mem = ScannableMemory::<u64, A>::new(&world, n, 0);
-        let meta = mem.meta();
-        let bodies: Vec<ProcBody<()>> = (0..n)
-            .map(|i| {
-                let mut port = mem.port(i);
-                let b: ProcBody<()> = Box::new(move |ctx| {
-                    for k in 0..6u64 {
-                        port.update(ctx, (i as u64) * 1000 + k)?;
-                        port.scan(ctx)?;
-                    }
-                    Ok(())
-                });
-                b
-            })
-            .collect();
-        let rep = world.run(bodies, Box::new(bprc_sim::sched::RandomStrategy::new(seed)));
-        let check = check_history(rep.history.as_ref().unwrap(), &meta);
-        (check.scans, check.updates, check.violations.len())
-    }
-
-    let mut t = Table::new(
-        "E9 — snapshot properties P1–P3 on real interleavings (§2)",
-        &["arrows", "seeds", "scans checked", "updates", "violations"],
-    );
-    for arrows in ["direct 2W2R", "handshake bits"] {
-        let (mut scans, mut updates, mut violations) = (0usize, 0usize, 0usize);
-        for seed in 0..seeds {
-            let (s, u, v) = if arrows == "direct 2W2R" {
-                one_seed::<DirectArrow>(seed)
-            } else {
-                one_seed::<HandshakeArrow>(seed)
-            };
-            scans += s;
-            updates += u;
-            violations += v;
-        }
-        t.row(vec![
-            arrows.to_string(),
-            seeds.to_string(),
-            scans.to_string(),
-            updates.to_string(),
-            violations.to_string(),
-        ]);
-    }
-    t.note("4 processes, interleaved updates+scans, random lockstep schedules; checker verifies P1, P2 (linearizability) and P3");
-    t
-}
-
-/// E10: exhaustive model-checking summary — the finite state space of the
-/// bounded protocol fully explored for n = 2 (every schedule, every flip),
-/// zero safety violations. A table version of `examples/model_check.rs`.
-pub fn e10_modelcheck(scale: Scale) -> Table {
-    use bprc_core::modelcheck::{check_bounded, McConfig};
-    let mut t = Table::new(
-        "E10 — exhaustive verification (all schedules × all flips)",
-        &[
-            "config",
-            "states",
-            "complete paths",
-            "violations",
-            "coverage",
-        ],
-    );
-    let mut cases: Vec<(usize, u32, i64, Vec<bool>)> = vec![
-        (2, 1, 1, vec![false, false]),
-        (2, 1, 1, vec![true, false]),
-        (2, 2, 1, vec![true, false]),
-    ];
-    if scale == Scale::Full {
-        cases.push((2, 1, 2, vec![true, false]));
-        cases.push((2, 2, 2, vec![true, false]));
-        cases.push((3, 1, 1, vec![true, false, true]));
-    }
-    for (n, b, m, inputs) in cases {
-        let params = ConsensusParams::new(n, CoinParams::new(n, b, m));
-        for with_crashes in [false, true] {
-            if with_crashes && (n > 2 || m > 1) {
-                continue; // keep the crash rows small
-            }
-            let cfg = McConfig {
-                max_states: if n > 2 { 1_500_000 } else { 2_000_000 },
-                max_depth: 2_000_000,
-                with_crashes,
-            };
-            let report = check_bounded(&params, &inputs, cfg);
-            let tag = if with_crashes { " +crashes" } else { "" };
-            t.row(vec![
-                format!("n={n} b={b} m={m} {inputs:?}{tag}"),
-                report.states.to_string(),
-                report.complete_paths.to_string(),
-                if report.violation.is_some() {
-                    "FOUND".into()
-                } else {
-                    "0".to_string()
-                },
-                if report.verified() {
-                    "exhaustive".into()
-                } else {
-                    format!("first {} states", report.states)
-                },
-            ]);
-        }
-    }
-    t.note("exhaustive rows cover the protocol's entire reachable state space — possible only because the paper makes that space finite");
-    t
-}
-
 fn ablation_run(params: &ConsensusParams, trials: u64, tag: u64) -> (f64, f64, u64) {
     // Returns (mean events, mean max virtual round, timeouts).
     let n = params.n();
@@ -992,14 +875,6 @@ mod tests {
         for row in &t.rows {
             assert_eq!(row[3], "0", "graph mismatches in {row:?}");
             assert_eq!(row[4], "0", "counter mismatches in {row:?}");
-        }
-    }
-
-    #[test]
-    fn e9_finds_no_violations_quick() {
-        let t = e9_snapshot(Scale::Quick);
-        for row in &t.rows {
-            assert_eq!(row[4], "0", "snapshot violations in {row:?}");
         }
     }
 

@@ -15,9 +15,12 @@
 //! | [`experiments::e6_memory`]       | headline — bounded registers vs \[AH88\] growth |
 //! | [`experiments::e7_scan_retries`] | §2 — scan retries under write contention |
 //! | [`experiments::e8_claim41`]      | Claim 4.1 — graph game ≡ shrunken game |
-//! | [`experiments::e9_snapshot`]     | §2 — P1–P3 hold on real interleavings |
 //!
 //! Run them all with `cargo run -p bprc-bench --release --bin experiments`.
+//!
+//! The properties themselves — snapshot P1–P3, and agreement and validity
+//! exhausted over every n = 2 schedule, flip and crash by the turn-level
+//! model checker — are rows of the fail-closed [`verify_gate`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -29,10 +29,16 @@
 //!
 //! The real-stack exhaustive spaces, the distilled n = 3 space, the litmus
 //! matrix and the seeded fixtures with their repaired controls are all rows
-//! of that kind. What cannot be enumerated is `Expect::Sampled` by small
-//! runners emitting the same row shape: the PCT sweeps over the full
-//! consensus stack and the n = 4 snapshot, the wait-free attempt bound, and
-//! the arena race — every [`bprc_core::entrants`] protocol at n ∈ {2, 4, 8}
+//! of that kind. The `mc-consensus-*` rows are `Clean` too, one level up:
+//! [`bprc_core::modelcheck`] exhausts bounded consensus at n = 2 over the
+//! atomic snapshot — every schedule, every coin flip and, on the `-crash`
+//! rows, every crash of one process — stepping the turn driver's own
+//! state, and records the states it expanded and, as `faults_injected`,
+//! the crash branches it took, which must be non-zero on a `-crash` row.
+//! What cannot be enumerated is
+//! `Expect::Sampled` by small runners emitting the same row shape: the PCT
+//! sweeps over the full consensus stack and the n = 4 snapshot, the
+//! wait-free attempt bound, and the arena race — every [`bprc_core::entrants`] protocol at n ∈ {2, 4, 8}
 //! over both snapshot backends, whose rows also record the decided
 //! fraction, mean rounds, mean register operations and widest register.
 //! `--weakmem` *adds* the weak-memory rows to the sequentially consistent
@@ -43,6 +49,8 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
+use bprc_coin::CoinParams;
+use bprc_core::modelcheck::{check_bounded, McConfig};
 use bprc_core::threaded::ThreadedConsensusOn;
 use bprc_core::{
     arena_strategy, check_telemetry_parity, entrants, ArenaBackend, Consensus, ConsensusParams,
@@ -72,8 +80,10 @@ use crate::{Scale, Table};
 
 /// Schema identifier written into (and required from) every document.
 /// v2 dropped the wall-clock `elapsed_sec` and `schedules_per_sec` columns;
-/// v3 added the arena rows and their four race columns (`null` elsewhere).
-pub const SCHEMA: &str = "bprc.bench.verify/v3";
+/// v3 added the arena rows and their four race columns (`null` elsewhere);
+/// v4 added the model-checked rows and their `states` column (`null`
+/// elsewhere).
+pub const SCHEMA: &str = "bprc.bench.verify/v4";
 
 /// The pinned property list. A run prints (and records) the entries some
 /// row of its table carries, so a log always states what "PASS" covered.
@@ -186,12 +196,15 @@ struct Row {
     mode: WeakMode,
     n: usize,
     /// Decisions per schedule for explored rows, the world's step limit for
-    /// sampled ones.
+    /// sampled ones, the checker's path bound for model-checked ones.
     depth: u64,
     fault_budget: u64,
     expect: Expect,
     // Measured — the coverage counts of `ExploreReport`, under its names.
     schedules: u64,
+    /// Distinct protocol states a model-checked row expanded; `None` on
+    /// every other row.
+    states: Option<usize>,
     pruned: u64,
     truncated: u64,
     exhausted: bool,
@@ -227,6 +240,14 @@ struct Race {
 }
 
 impl Row {
+    /// Records a verdict: `Ok` carries the coverage summary, `Err` the
+    /// failure reason.
+    fn judge(&mut self, verdict: Result<String, String>) {
+        self.ok = verdict.is_ok();
+        let (Ok(detail) | Err(detail)) = verdict;
+        self.detail = detail;
+    }
+
     /// Copies an exploration's coverage counts into the row.
     fn record(&mut self, rep: &ExploreReport) {
         self.schedules = rep.schedules;
@@ -257,6 +278,7 @@ impl Row {
             ("fault_budget", self.fault_budget.into()),
             ("expectation", self.expect.name().into()),
             ("schedules", self.schedules.into()),
+            ("states", self.states.map_or(Value::Null, Value::from)),
             ("pruned", self.pruned.into()),
             ("truncated", self.truncated.into()),
             ("exhausted", self.exhausted.into()),
@@ -386,9 +408,7 @@ where
             rep.schedules_by_faults, row.stores_buffered
         )),
     };
-    row.ok = verdict.is_ok();
-    let (Ok(detail) | Err(detail)) = verdict;
-    row.detail = detail;
+    row.judge(verdict);
 }
 
 /// Shrinks a counterexample, serialises it, parses it back and replays it,
@@ -768,11 +788,7 @@ where
                 break;
             }
         }
-        row.ok = verdict.is_ok();
-        row.detail = match verdict {
-            Ok(covered) => format!("{seeds} seeds clean ({covered})"),
-            Err(violation) => violation,
-        };
+        row.judge(verdict.map(|covered| format!("{seeds} seeds clean ({covered})")));
     };
     Check {
         row,
@@ -917,6 +933,80 @@ fn waitfree_bound() -> Check {
     })
 }
 
+/// Bounded consensus at n = 2 with coin parameters (b, m), exhausted by the
+/// turn-level model checker: every schedule, every flip outcome and, with
+/// `crashes`, every crash of one process. `schedules` counts the complete
+/// paths.
+fn mc_consensus(b: u32, m: i64, inputs: [bool; 2], crashes: bool) -> Check {
+    let cfg = McConfig {
+        with_crashes: crashes,
+        ..McConfig::default()
+    };
+    let kind = if inputs[0] == inputs[1] {
+        "unanimous"
+    } else {
+        "mixed"
+    };
+    let crash = if crashes { "-crash" } else { "" };
+    let row = Row {
+        name: format!("mc-consensus-n2-b{b}-m{m}-{kind}{crash}"),
+        tags: &["AGREE", "VALID"],
+        protocol: "bounded consensus",
+        backend: "atomic",
+        n: 2,
+        depth: cfg.max_depth as u64,
+        fault_budget: u64::from(crashes),
+        ..Row::default()
+    };
+    Check {
+        row,
+        run: Box::new(move |row| model_check(row, b, m, inputs, cfg)),
+    }
+}
+
+/// Runs and judges one model-checked row under `cfg`: it fails on a
+/// violation, on truncation, on a fault budget with no crash branch taken,
+/// or unless the decisions seen are exactly the inputs. `faults_injected`
+/// counts the crash branches.
+fn model_check(row: &mut Row, b: u32, m: i64, inputs: [bool; 2], cfg: McConfig) {
+    let params = ConsensusParams::new(2, CoinParams::new(2, b, m));
+    let rep = check_bounded(&params, &inputs, cfg);
+    row.states = Some(rep.states);
+    row.schedules = rep.complete_paths as u64;
+    row.truncated = u64::from(rep.truncated);
+    row.exhausted = !rep.truncated;
+    row.faults_injected = rep.crash_branches as u64;
+    let expected: Vec<bool> = [false, true]
+        .into_iter()
+        .filter(|v| inputs.contains(v))
+        .collect();
+    let mut seen = rep.decisions_seen;
+    seen.sort_unstable();
+    let verdict = if let Some(v) = rep.violation {
+        Err(format!(
+            "VIOLATION: {:?} after {} events: {:?}",
+            v.kind,
+            v.trace.len(),
+            v.trace
+        ))
+    } else if rep.truncated {
+        Err(format!(
+            "space not exhausted ({} states expanded) — the claim is vacuous",
+            rep.states
+        ))
+    } else if row.fault_budget > 0 && row.faults_injected == 0 {
+        Err("fault budget granted but no crash branch was ever taken".to_string())
+    } else if seen != expected {
+        Err(format!("decided {seen:?} from inputs {inputs:?}"))
+    } else {
+        Ok(format!(
+            "{} states exhausted, {} complete paths, decided {seen:?}",
+            rep.states, rep.complete_paths
+        ))
+    };
+    row.judge(verdict);
+}
+
 /// One arena cell: `trials` runs of `entrant` at `n` processes over
 /// `backend`, each seeded `derive_seed(seed, trial)`, capped at
 /// `step_limit` steps and scheduled by [`arena_strategy`] for the
@@ -1048,6 +1138,16 @@ fn table(opts: &GateOptions) -> Vec<Check> {
         pct_snapshot(1_000),
         waitfree_bound(),
     ]);
+    checks.extend([
+        mc_consensus(1, 1, [false, false], false),
+        mc_consensus(1, 1, [false, false], true),
+        mc_consensus(1, 1, [true, false], false),
+        mc_consensus(1, 1, [true, false], true),
+        mc_consensus(2, 1, [true, false], false),
+        mc_consensus(2, 1, [true, false], true),
+        mc_consensus(1, 2, [true, false], false),
+        mc_consensus(2, 2, [true, false], false),
+    ]);
     checks.extend(arena_race(42, 5, 1_000_000));
     if opts.weakmem {
         for prog in corpus() {
@@ -1081,6 +1181,7 @@ const COLUMNS: &[&str] = &[
     "fault_budget",
     "expectation",
     "schedules",
+    "states",
     "schedules_by_faults",
     "pruned",
     "exhausted",
@@ -1298,7 +1399,7 @@ mod tests {
                 weakmem,
             })
         });
-        assert_eq!((sc.len(), all.len()), (48, 67));
+        assert_eq!((sc.len(), all.len()), (56, 75));
         let known = |tag: &&str| PROPERTIES.iter().any(|(t, _)| t == tag);
         for (i, check) in all.iter().enumerate() {
             let row = &check.row;
@@ -1359,6 +1460,44 @@ mod tests {
         assert!(disagreement.is_some(), "{:?}", replayed.outputs);
     }
 
+    /// The smallest model-checked pair is pinned as (states, complete
+    /// paths, crash branches), and its `-crash` row expands strictly more
+    /// states than its crash-free twin; the committed document pins the
+    /// other rows.
+    #[test]
+    fn mc_crash_row_explores_crashes() {
+        let quiet = mc_consensus(1, 1, [false, false], false).run();
+        let crash = mc_consensus(1, 1, [false, false], true).run();
+        let pin = |row: &Row| {
+            assert!(row.ok && row.exhausted, "{}: {}", row.name, row.detail);
+            (row.states.unwrap(), row.schedules, row.faults_injected)
+        };
+        assert_eq!(pin(&quiet), (29, 6, 0));
+        assert_eq!(pin(&crash), (53, 14, 30));
+        assert!(crash.states > quiet.states);
+    }
+
+    /// A model-checked row fails closed when it runs out of state budget,
+    /// and when it is granted a crash but takes no crash branch.
+    #[test]
+    fn mc_rows_fail_closed() {
+        let inputs = [true, false];
+        let mut row = mc_consensus(1, 1, inputs, false).row;
+        let cfg = McConfig {
+            max_states: 1_000,
+            ..McConfig::default()
+        };
+        model_check(&mut row, 1, 1, inputs, cfg);
+        assert!(!row.ok && !row.exhausted && row.truncated == 1);
+        assert!(row.detail.contains("not exhausted"), "{}", row.detail);
+
+        let inputs = [false, false];
+        let mut row = mc_consensus(1, 1, inputs, true).row;
+        model_check(&mut row, 1, 1, inputs, McConfig::default());
+        assert!(!row.ok && row.exhausted && row.faults_injected == 0);
+        assert!(row.detail.contains("no crash branch"), "{}", row.detail);
+    }
+
     fn document(rows: &[Row]) -> Value {
         Value::obj(vec![
             ("schema", SCHEMA.into()),
@@ -1372,6 +1511,7 @@ mod tests {
     #[test]
     fn validate_accepts_real_rows_and_rejects_forgeries() {
         let rows = [
+            mc_consensus(1, 1, [false, false], false).run(),
             n2_update_scan::<Handshake<u64>>(0).run(),
             crash_publish("found", 1, Expect::Found(Some(Keep::Crash))).run(),
             waitfree_bound().run(),
@@ -1393,9 +1533,12 @@ mod tests {
             assert_ne!(edited, text, "nothing to forge at {from:?}");
             validate(&bprc_sim::json::parse(&edited).unwrap())
         };
-        assert!(forged("\"ok\": true", "\"ok\": false")[0].contains("snapshot-n2"));
+        // The first row is a model-checked one: it too must not claim
+        // exhaustion over a truncated search.
+        assert!(forged("\"ok\": true", "\"ok\": false")[0].contains("mc-consensus"));
         assert!(forged("\"exhausted\": true", "\"exhausted\": false")[0].contains("exhausted"));
-        assert!(forged("\"truncated\": 0", "\"truncated\": 2")[0].contains("untruncated"));
+        let errs = forged("\"truncated\": 0", "\"truncated\": 1");
+        assert!(errs[0].contains("mc-consensus") && errs[0].contains("untruncated"));
         assert!(forged(SCHEMA, "bprc.bench.verify/v1")[0].contains("schema"));
         assert!(forged("bprc-trace-v1", "bprc-trace-v0")[0].contains("trace"));
         assert!(forged("\"clean\"", "\"hopeful\"")[0].contains("unknown expectation"));

@@ -19,13 +19,15 @@ fn experiments(args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn misspelt_flags_and_unknown_commands_exit_2_with_usage() {
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 9] = [
         (&["verify-gate", "--weakmen"], "--weakmen"),
         (&["verify-gate", "--serial"], "--serial"),
         (&["verify-gate", "x.json"], "unexpected operand x.json"),
         (&["e1", "--out=x.json"], "--out=x.json"),
         (&["throughput"], "'throughput'"),
         (&["arena"], "'arena'"),
+        (&["e9"], "'e9'"),
+        (&["e10"], "'e10'"),
         (&["validate-arena"], "'validate-arena'"),
     ];
     for (args, offender) in cases {

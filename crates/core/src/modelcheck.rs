@@ -17,15 +17,23 @@
 //! \[AH88\], which this checker could never exhaust — is the paper's
 //! contribution, and what makes exhaustive verification possible at all.
 //!
+//! A search node is the turn driver's own [`TurnState`], and an edge is
+//! one [`TurnState::step`], so the checker and
+//! [`TurnDriver`](bprc_sim::turn::TurnDriver) take the same transitions; a
+//! crash sets the victim's phase to [`Phase::Done`] without an output.
 //! Flip branching works through [`bprc_coin::Flips::Queue`]: before stepping a scan
 //! the checker loads one predetermined outcome; if the step consumed it,
 //! the other outcome is explored from a snapshot too.
+//!
+//! The results reach the verification gate as its `mc-consensus-*` rows
+//! (`experiments verify-gate`): bounded consensus at n = 2 over the atomic
+//! snapshot, b and m ≤ 2, with and without one crash, each exhausted.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::hash::Hash;
 
 use bprc_sim::sched::Decision;
-use bprc_sim::turn::{Phase, TurnProcess, TurnStep};
+use bprc_sim::turn::{Phase, TurnProcess, TurnState};
 
 /// A protocol the checker can drive: a clonable turn process whose local
 /// randomness can be fed predetermined outcomes.
@@ -133,63 +141,27 @@ pub struct McReport<O = bool> {
     pub complete_paths: usize,
     /// True if the search hit `max_states` or `max_depth` before finishing.
     pub truncated: bool,
+    /// Crash branches taken: edges from an expanded state on which the
+    /// adversary crashes a process (0 unless `with_crashes`).
+    pub crash_branches: usize,
     /// The first safety violation found, if any.
     pub violation: Option<Violation<O>>,
     /// Distinct decision values seen across all explored paths.
     pub decisions_seen: Vec<O>,
 }
 
-impl<O> McReport<O> {
-    /// True if no violation was found and the space was fully explored.
-    pub fn verified(&self) -> bool {
-        self.violation.is_none() && !self.truncated
-    }
-}
-
-/// Canonical (behaviour-determining) image of a search node, used for
-/// visited-state deduplication.
-type Canon<M, O> = (Vec<M>, Vec<Phase<M>>, Vec<Option<O>>);
-
-#[derive(Clone)]
-struct Node<P: Checkable> {
-    procs: Vec<P>,
-    shared: Vec<P::Msg>,
-    phases: Vec<Phase<P::Msg>>,
-    decided: Vec<Option<P::Out>>,
-    crashed: Vec<bool>,
-}
-
-impl<P: Checkable> Node<P>
-where
-    P::Msg: Clone + Eq + Hash,
-    P::Out: Clone + Eq + Hash,
-{
-    fn canon(&self) -> Canon<P::Msg, P::Out> {
-        // Crashed processes are encoded by setting their phase to Done in
-        // `crash_process`, so (shared, phases, decided) stays canonical.
-        (
-            self.shared.clone(),
-            self.phases.clone(),
-            self.decided.clone(),
-        )
-    }
-
-    fn active(&self) -> Vec<usize> {
-        (0..self.procs.len())
-            .filter(|&p| !matches!(self.phases[p], Phase::Done) && !self.crashed[p])
-            .collect()
-    }
-}
-
 /// Exhaustively explores the protocol from its initial state.
 ///
 /// `procs` are the (already constructed) per-process state machines;
 /// `initial_shared` the registers' initial contents (processes' first
-/// writes are pending events, as in
-/// [`TurnDriver::with_initial_shared`](bprc_sim::turn::TurnDriver::with_initial_shared));
-/// `valid` is the validity predicate for decisions.
+/// writes are pending events, as in [`TurnState::new`]); `valid` is the
+/// validity predicate for decisions.
+///
+/// The frontier is first in, first out, so every state is expanded at its
+/// least depth: `max_depth` cuts exactly the longer paths, and a
+/// counterexample comes out shortest.
 pub fn check<P>(
-    mut procs: Vec<P>,
+    procs: Vec<P>,
     initial_shared: Vec<P::Msg>,
     valid: impl Fn(&P::Out) -> bool,
     cfg: McConfig,
@@ -199,41 +171,29 @@ where
     P::Msg: Clone + Eq + Hash,
     P::Out: Clone + Eq + Hash + std::fmt::Debug,
 {
-    assert_eq!(
-        procs.len(),
-        initial_shared.len(),
-        "one register per process"
-    );
-    let n = procs.len();
-    let phases: Vec<Phase<P::Msg>> = procs
-        .iter_mut()
-        .map(|p| Phase::Write(p.initial_msg()))
-        .collect();
-    let root = Node {
-        procs,
-        shared: initial_shared,
-        phases,
-        decided: vec![None; n],
-        crashed: vec![false; n],
-    };
+    let root = TurnState::new(procs, initial_shared);
+    let n = root.procs.len();
 
-    let mut visited: HashSet<Canon<P::Msg, P::Out>> = HashSet::new();
+    let mut visited = HashSet::new();
     // Arena of expanded nodes: (parent arena id, event from the parent).
     let mut arena: Vec<(usize, Option<McEvent>)> = Vec::new();
-    // DFS stack: (node, parent arena id, event from the parent, depth).
-    let mut stack: Vec<(Node<P>, usize, Option<McEvent>, usize)> =
-        vec![(root, usize::MAX, None, 0)];
+    // Frontier: (node, parent arena id, event from the parent, depth).
+    let mut frontier: VecDeque<(TurnState<P>, usize, Option<McEvent>, usize)> =
+        VecDeque::from([(root, usize::MAX, None, 0)]);
 
     let mut report = McReport {
         states: 0,
         complete_paths: 0,
         truncated: false,
+        crash_branches: 0,
         violation: None,
         decisions_seen: Vec::new(),
     };
 
-    while let Some((node, parent, event, depth)) = stack.pop() {
-        let active = node.active();
+    while let Some((node, parent, event, depth)) = frontier.pop_front() {
+        let active: Vec<usize> = (0..n)
+            .filter(|&p| !matches!(node.phases[p], Phase::Done))
+            .collect();
         if active.is_empty() {
             report.complete_paths += 1;
             continue;
@@ -242,7 +202,13 @@ where
             report.truncated = true;
             continue;
         }
-        if !visited.insert(node.canon()) {
+        // The canonical image: a crashed process is Done without an output.
+        let canon = (
+            node.shared.clone(),
+            node.phases.clone(),
+            node.outputs.clone(),
+        );
+        if !visited.insert(canon) {
             continue;
         }
         let id = arena.len();
@@ -250,54 +216,44 @@ where
         report.states += 1;
 
         for &pid in &active {
-            match &node.phases[pid] {
-                Phase::Write(m) => {
-                    let mut child = node.clone();
-                    child.shared[pid] = m.clone();
-                    child.phases[pid] = Phase::Scan;
-                    stack.push((
-                        child,
-                        id,
-                        Some(McEvent {
-                            decision: Decision::Grant(pid),
-                            flip: None,
-                        }),
-                        depth + 1,
-                    ));
-                }
+            // Probe whether a scan consumes a flip: if it does, branch on
+            // both outcomes; if not, step a clean clone so no stray queued
+            // outcome pollutes the state.
+            let flips: &[Option<bool>] = match node.phases[pid] {
                 Phase::Scan => {
-                    // Probe whether this scan consumes a flip: if it does,
-                    // branch on both outcomes; if not, re-run on a clean
-                    // clone so no stray queued outcome pollutes the state.
                     let mut probe = node.clone();
                     probe.procs[pid].load_flip(false);
-                    let _ = probe.procs[pid].on_scan(&probe.shared);
-                    let flips: &[Option<bool>] = if probe.procs[pid].pending_flips() == 0 {
+                    probe.step(pid);
+                    if probe.procs[pid].pending_flips() == 0 {
                         &[Some(false), Some(true)]
                     } else {
                         &[None]
-                    };
-                    for &flip in flips {
-                        let mut child = node.clone();
-                        if let Some(heads) = flip {
-                            child.procs[pid].load_flip(heads);
-                        }
-                        let step = child.procs[pid].on_scan(&child.shared);
-                        debug_assert_eq!(child.procs[pid].pending_flips(), 0);
-                        let ev = McEvent {
-                            decision: Decision::Grant(pid),
-                            flip,
-                        };
-                        if let Some(v) = apply_step(&mut child, pid, step, &mut report) {
-                            if let Err(viol) = validate::<P>(&node, v, &valid, &arena, id, ev) {
-                                report.violation = Some(viol);
-                                return report;
-                            }
-                        }
-                        stack.push((child, id, Some(ev), depth + 1));
                     }
                 }
-                Phase::Done => unreachable!("inactive process in active set"),
+                _ => &[None],
+            };
+            for &flip in flips {
+                let mut child = node.clone();
+                if let Some(heads) = flip {
+                    child.procs[pid].load_flip(heads);
+                }
+                child.step(pid);
+                debug_assert_eq!(child.procs[pid].pending_flips(), 0);
+                let ev = McEvent {
+                    decision: Decision::Grant(pid),
+                    flip,
+                };
+                // An active pid has no output yet, so an output is this step's decision.
+                if let Some(v) = child.outputs[pid].clone() {
+                    if !report.decisions_seen.contains(&v) {
+                        report.decisions_seen.push(v.clone());
+                    }
+                    if let Err(viol) = validate(&node.outputs, v, &valid, &arena, id, ev) {
+                        report.violation = Some(viol);
+                        return report;
+                    }
+                }
+                frontier.push_back((child, id, Some(ev), depth + 1));
             }
         }
         if cfg.with_crashes && active.len() >= 2 {
@@ -306,68 +262,31 @@ where
             // lost; encode the crash as phase = Done without a decision.
             for &pid in &active {
                 let mut child = node.clone();
-                child.crashed[pid] = true;
                 child.phases[pid] = Phase::Done;
-                stack.push((
-                    child,
-                    id,
-                    Some(McEvent {
-                        decision: Decision::Crash(pid),
-                        flip: None,
-                    }),
-                    depth + 1,
-                ));
+                let crash = McEvent {
+                    decision: Decision::Crash(pid),
+                    flip: None,
+                };
+                frontier.push_back((child, id, Some(crash), depth + 1));
+                report.crash_branches += 1;
             }
         }
     }
     report
 }
 
-/// Applies a turn step to a child node; returns the decision if one was
-/// made.
-fn apply_step<P>(
-    child: &mut Node<P>,
-    pid: usize,
-    step: TurnStep<P::Msg, P::Out>,
-    report: &mut McReport<P::Out>,
-) -> Option<P::Out>
-where
-    P: Checkable,
-    P::Msg: Clone + Eq + Hash,
-    P::Out: Clone + Eq + Hash,
-{
-    match step {
-        TurnStep::Write(m) => {
-            child.phases[pid] = Phase::Write(m);
-            None
-        }
-        TurnStep::Decide(v) => {
-            child.decided[pid] = Some(v.clone());
-            child.phases[pid] = Phase::Done;
-            if !report.decisions_seen.contains(&v) {
-                report.decisions_seen.push(v.clone());
-            }
-            Some(v)
-        }
-    }
-}
-
-/// Checks a fresh decision against agreement + validity; on failure builds
-/// the counterexample trace from the arena.
-fn validate<P>(
-    parent: &Node<P>,
-    v: P::Out,
-    valid: &impl Fn(&P::Out) -> bool,
+/// Checks a fresh decision against agreement (with the decisions in
+/// `outputs`) and validity; on failure builds the counterexample trace from
+/// the arena.
+fn validate<O: Clone + PartialEq>(
+    outputs: &[Option<O>],
+    v: O,
+    valid: &impl Fn(&O) -> bool,
     arena: &[(usize, Option<McEvent>)],
     parent_id: usize,
     event: McEvent,
-) -> Result<(), Violation<P::Out>>
-where
-    P: Checkable,
-    P::Msg: Clone + Eq + Hash,
-    P::Out: Clone + Eq + Hash,
-{
-    let kind = if let Some(other) = parent.decided.iter().flatten().find(|&o| *o != v) {
+) -> Result<(), Violation<O>> {
+    let kind = if let Some(other) = outputs.iter().flatten().find(|&o| *o != v) {
         Some(ViolationKind::Agreement {
             values: (other.clone(), v),
         })
@@ -376,22 +295,16 @@ where
     } else {
         None
     };
-    match kind {
-        None => Ok(()),
-        Some(kind) => {
-            let mut trace = vec![event];
-            let mut at = parent_id;
-            while at != usize::MAX {
-                let (parent, ev) = arena[at];
-                if let Some(ev) = ev {
-                    trace.push(ev);
-                }
-                at = parent;
-            }
-            trace.reverse();
-            Err(Violation { kind, trace })
-        }
+    let Some(kind) = kind else { return Ok(()) };
+    let mut trace = vec![event];
+    let mut at = parent_id;
+    while at != usize::MAX {
+        let (parent, ev) = arena[at];
+        trace.extend(ev);
+        at = parent;
     }
+    trace.reverse();
+    Err(Violation { kind, trace })
 }
 
 /// Convenience wrapper: exhaustively checks the bounded consensus protocol
@@ -429,11 +342,16 @@ mod tests {
         ConsensusParams::new(n, CoinParams::new(n, 1, 1))
     }
 
+    /// Exhausted without truncation or violation.
+    fn verified<O>(report: &McReport<O>) -> bool {
+        !report.truncated && report.violation.is_none()
+    }
+
     #[test]
     fn exhaustive_n2_unanimous() {
         for v in [false, true] {
             let report = check_bounded(&tiny_params(2), &[v, v], McConfig::default());
-            assert!(report.verified(), "violation: {:?}", report.violation);
+            assert!(verified(&report), "violation: {:?}", report.violation);
             assert_eq!(report.decisions_seen, vec![v], "only the input decided");
             assert!(report.complete_paths > 0);
             assert!(report.states > 10);
@@ -444,7 +362,7 @@ mod tests {
     fn exhaustive_n2_mixed() {
         let report = check_bounded(&tiny_params(2), &[false, true], McConfig::default());
         assert!(
-            report.verified(),
+            verified(&report),
             "violation: {:?}, states {}",
             report.violation,
             report.states
@@ -455,6 +373,7 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, vec![false, true]);
         assert!(report.states > 100);
+        assert_eq!(report.crash_branches, 0);
     }
 
     /// A deliberately broken protocol: decides its own input at its first
@@ -482,7 +401,7 @@ mod tests {
             self.inner.flips_mut().push_outcome(heads);
         }
         fn pending_flips(&self) -> usize {
-            0
+            self.inner.flips().queued()
         }
     }
 
@@ -500,6 +419,8 @@ mod tests {
         let v = report.violation.expect("must catch the disagreement");
         assert!(matches!(v.kind, ViolationKind::Agreement { .. }));
         assert!(!v.trace.is_empty(), "counterexample trace provided");
+        // The fixture never flips, so no step of its trace consumed a flip.
+        assert!(v.trace.iter().all(|ev| ev.flip.is_none()), "{:?}", v.trace);
     }
 
     #[test]
@@ -515,7 +436,7 @@ mod tests {
             },
         );
         assert!(
-            report.verified(),
+            verified(&report),
             "violation: {:?}, states {}",
             report.violation,
             report.states
@@ -525,6 +446,114 @@ mod tests {
             "crash branching should enlarge the space: {}",
             report.states
         );
+        assert!(report.crash_branches > 0);
+    }
+
+    /// A protocol over registers holding 0..=3: a scan reads `(own, other)`
+    /// and looks up the next write in `table`, where 255 means decide. It
+    /// never flips, so the checker never branches on a coin.
+    #[derive(Clone)]
+    struct TableProc {
+        pid: usize,
+        table: [[u8; 4]; 4],
+        initial: u8,
+        queued: usize,
+    }
+
+    impl bprc_sim::turn::TurnProcess for TableProc {
+        type Msg = u8;
+        type Out = u8;
+        fn initial_msg(&mut self) -> u8 {
+            self.initial
+        }
+        fn on_scan(&mut self, view: &[u8]) -> TurnStep<u8, u8> {
+            let (own, other) = (view[self.pid] % 4, view[1 - self.pid] % 4);
+            match self.table[usize::from(own)][usize::from(other)] {
+                255 => TurnStep::Decide(own),
+                next => TurnStep::Write(next),
+            }
+        }
+    }
+
+    impl Checkable for TableProc {
+        fn load_flip(&mut self, _heads: bool) {
+            self.queued += 1;
+        }
+        fn pending_flips(&self) -> usize {
+            self.queued
+        }
+    }
+
+    type Tables = [[[u8; 4]; 4]; 2];
+
+    fn table_procs(tables: Tables, initials: [u8; 2]) -> Vec<TableProc> {
+        let proc = |pid| TableProc {
+            pid,
+            table: tables[pid],
+            initial: initials[pid],
+            queued: 0,
+        };
+        vec![proc(0), proc(1)]
+    }
+
+    /// Whether some schedule of at most `budget` events decides: a plain
+    /// tree search, no state deduplication.
+    fn decides_within(state: &TurnState<TableProc>, budget: usize) -> bool {
+        let decides = |pid| {
+            let mut child = state.clone();
+            child.step(pid);
+            child.outputs[pid].is_some() || decides_within(&child, budget - 1)
+        };
+        budget > 0 && (0..2).any(|p| !matches!(state.phases[p], Phase::Done) && decides(p))
+    }
+
+    /// Every decision is invalid here, so the checker must report a
+    /// violation iff some schedule decides within `max_depth` events; the
+    /// counterexample, if any.
+    fn check_tables(tables: Tables, initials: [u8; 2], max_depth: usize) -> Option<Violation<u8>> {
+        let cfg = McConfig {
+            max_depth,
+            ..McConfig::default()
+        };
+        check(table_procs(tables, initials), vec![0, 0], |_| false, cfg).violation
+    }
+
+    /// p0 alone decides within 4 events (write 2, scan, write 3, scan), so
+    /// a depth bound of 8 must find it, however long the path on which the
+    /// search first meets the states along the way.
+    #[test]
+    fn depth_bound_keeps_violations_inside_it() {
+        let p0 = [[1, 0, 0, 3], [0, 0, 3, 0], [3, 1, 0, 3], [255, 2, 3, 255]];
+        let p1 = [[0, 3, 2, 0], [0, 1, 0, 3], [1, 0, 2, 255], [0, 255, 2, 2]];
+        let v = check_tables([p0, p1], [2, 2], 8).expect("a decision within the bound");
+        assert_eq!(v.trace.len(), 4, "shortest counterexample: {:?}", v.trace);
+    }
+
+    /// Seeded random table protocols at depth bounds 2..=11: the checker
+    /// finds a violation exactly when the tree search finds a decision.
+    #[test]
+    fn depth_bounded_check_agrees_with_tree_search() {
+        use bprc_sim::rng::stream_rng;
+        use rand::Rng;
+        for case in 0..300 {
+            let mut rng = stream_rng(0x4D43, case);
+            let mut tables: Tables = Default::default();
+            for cell in tables.iter_mut().flatten().flatten() {
+                *cell = if rng.gen_bool(0.2) {
+                    255
+                } else {
+                    rng.gen_range(0..4u32) as u8
+                };
+            }
+            let initials = [0, 1].map(|_| rng.gen_range(0..4u32) as u8);
+            let depth = rng.gen_range(2..12);
+            let root = TurnState::new(table_procs(tables, initials), vec![0, 0]);
+            assert_eq!(
+                check_tables(tables, initials, depth).is_some(),
+                decides_within(&root, depth),
+                "case {case}: {tables:?}, initial writes {initials:?}, depth {depth}"
+            );
+        }
     }
 
     #[test]
@@ -547,8 +576,7 @@ mod tests {
             |v: &u64| values.contains(v),
             McConfig {
                 max_states: 120_000,
-                max_depth: 500_000,
-                with_crashes: false,
+                ..McConfig::default()
             },
         );
         assert!(
@@ -571,7 +599,7 @@ mod tests {
             },
         );
         assert!(report.truncated);
-        assert!(!report.verified());
+        assert!(!verified(&report));
         assert!(report.violation.is_none(), "truncation is not a violation");
     }
 }

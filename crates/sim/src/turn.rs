@@ -11,6 +11,11 @@
 //! applies *scan* and *write* events one at a time under the control of a
 //! [`TurnAdversary`].
 //!
+//! The transition itself is [`TurnState::step`]: the driver wraps it with
+//! crashes, panics, fault notes and metrics, and the exhaustive model
+//! checker (`bprc_core::modelcheck`) expands clones of the same state, so a
+//! model-checked schedule and a driven one take the same steps.
+//!
 //! The scan here is an **atomic snapshot**: exactly the abstraction the
 //! paper's §2 scannable memory implements (verified separately in
 //! `bprc-snapshot` at the register level). Running against the abstraction
@@ -308,19 +313,76 @@ impl<O: PartialEq> TurnReport<O> {
     }
 }
 
-/// Drives `n` [`TurnProcess`]es under a [`TurnAdversary`].
-#[derive(Debug)]
+/// The protocol state of a turn-level run: every process's state machine,
+/// the registers, each process's phase and the decisions made.
+#[derive(Clone)]
+pub struct TurnState<P: TurnProcess> {
+    /// The per-process state machines, indexed by pid.
+    pub procs: Vec<P>,
+    /// Current contents of every process's register.
+    pub shared: Vec<P::Msg>,
+    /// Each process's phase; a decided process is [`Phase::Done`].
+    pub phases: Vec<Phase<P::Msg>>,
+    /// Decisions made so far.
+    pub outputs: Vec<Option<P::Out>>,
+}
+
+impl<P: TurnProcess> TurnState<P> {
+    /// The state whose registers hold `shared` (one value per process) and
+    /// where each process's `initial_msg` is a pending write.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `procs` is empty or `shared.len() != procs.len()`.
+    pub fn new(mut procs: Vec<P>, shared: Vec<P::Msg>) -> Self {
+        assert!(!procs.is_empty(), "need at least one process");
+        assert_eq!(shared.len(), procs.len(), "one initial value per process");
+        let phases = procs
+            .iter_mut()
+            .map(|p| Phase::Write(p.initial_msg()))
+            .collect();
+        let outputs = procs.iter().map(|_| None).collect();
+        TurnState {
+            procs,
+            shared,
+            phases,
+            outputs,
+        }
+    }
+
+    /// Applies `pid`'s next event: its pending write, or a scan that ends
+    /// in the next pending write or a decision (the phase becomes
+    /// [`Phase::Done`] and `outputs[pid]` is set).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pid` is done; a panic inside `on_scan` propagates.
+    pub fn step(&mut self, pid: usize) {
+        match std::mem::replace(&mut self.phases[pid], Phase::Scan) {
+            Phase::Write(m) => self.shared[pid] = m,
+            Phase::Scan => match self.procs[pid].on_scan(&self.shared) {
+                TurnStep::Write(m) => self.phases[pid] = Phase::Write(m),
+                TurnStep::Decide(o) => {
+                    self.outputs[pid] = Some(o);
+                    self.phases[pid] = Phase::Done;
+                }
+            },
+            Phase::Done => panic!("process {pid} already decided"),
+        }
+    }
+}
+
+/// Drives `n` [`TurnProcess`]es under a [`TurnAdversary`]: a [`TurnState`]
+/// plus the run's bookkeeping (crashes, halts, fault log, event counts and
+/// metrics).
 pub struct TurnDriver<P: TurnProcess> {
-    procs: Vec<P>,
-    shared: Vec<P::Msg>,
-    phases: Vec<Phase<P::Msg>>,
+    state: TurnState<P>,
     crashed: Vec<bool>,
     /// Pids neither done nor crashed, ascending, as [`TurnView::active`]
     /// borrows them. A pid leaves when it decides, crashes or panics.
     active: Vec<usize>,
     halted: Vec<Option<Halted>>,
     fault_log: Vec<(u64, usize, FaultKind)>,
-    outputs: Vec<Option<P::Out>>,
     events: u64,
     per_proc_events: Vec<u64>,
     metrics: MetricsRegistry,
@@ -348,23 +410,15 @@ impl<P: TurnProcess> TurnDriver<P> {
     /// # Panics
     ///
     /// Panics if `procs` is empty or `shared.len() != procs.len()`.
-    pub fn with_initial_shared(mut procs: Vec<P>, shared: Vec<P::Msg>) -> Self {
-        assert!(!procs.is_empty(), "need at least one process");
-        assert_eq!(shared.len(), procs.len(), "one initial value per process");
-        let n = procs.len();
-        let phases = procs
-            .iter_mut()
-            .map(|p| Phase::Write(p.initial_msg()))
-            .collect();
+    pub fn with_initial_shared(procs: Vec<P>, shared: Vec<P::Msg>) -> Self {
+        let state = TurnState::new(procs, shared);
+        let n = state.procs.len();
         TurnDriver {
-            procs,
-            shared,
-            phases,
+            state,
             crashed: vec![false; n],
             active: (0..n).collect(),
             halted: vec![None; n],
             fault_log: Vec::new(),
-            outputs: (0..n).map(|_| None).collect(),
             events: 0,
             per_proc_events: vec![0; n],
             metrics: MetricsRegistry::new(n),
@@ -379,7 +433,7 @@ impl<P: TurnProcess> TurnDriver<P> {
 
     /// Number of processes.
     pub fn n(&self) -> usize {
-        self.procs.len()
+        self.state.procs.len()
     }
 
     /// Events applied so far.
@@ -389,17 +443,17 @@ impl<P: TurnProcess> TurnDriver<P> {
 
     /// Current register contents (test/diagnostic access).
     pub fn shared(&self) -> &[P::Msg] {
-        &self.shared
+        &self.state.shared
     }
 
     /// Current phases (test/diagnostic access).
     pub fn phases(&self) -> &[Phase<P::Msg>] {
-        &self.phases
+        &self.state.phases
     }
 
     /// Decisions made so far.
     pub fn outputs(&self) -> &[Option<P::Out>] {
-        &self.outputs
+        &self.state.outputs
     }
 
     /// Active pids (not done, not crashed), ascending.
@@ -425,30 +479,22 @@ impl<P: TurnProcess> TurnDriver<P> {
         assert!(!self.crashed[pid], "process {pid} is crashed");
         self.events += 1;
         self.per_proc_events[pid] += 1;
-        match std::mem::replace(&mut self.phases[pid], Phase::Scan) {
-            Phase::Write(m) => {
-                self.shared[pid] = m;
-                self.metrics.proc(pid).incr(Counter::Updates, 1);
-                // phase already set to Scan
-            }
+        let writing = match self.state.phases[pid] {
+            Phase::Write(_) => true,
             Phase::Scan => {
                 self.metrics.proc(pid).incr(Counter::Scans, 1);
-                let proc = &mut self.procs[pid];
-                let shared = &self.shared;
-                let step =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| proc.on_scan(shared)));
-                match step {
-                    Ok(TurnStep::Write(m)) => self.phases[pid] = Phase::Write(m),
-                    Ok(TurnStep::Decide(o)) => {
-                        self.outputs[pid] = Some(o);
-                        self.phases[pid] = Phase::Done;
-                        self.metrics.proc(pid).incr(Counter::Decisions, 1);
-                        self.active.retain(|&p| p != pid);
-                    }
-                    Err(_) => self.halt_panicked(pid),
-                }
+                false
             }
             Phase::Done => panic!("process {pid} already decided"),
+        };
+        let state = &mut self.state;
+        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| state.step(pid))).is_err() {
+            self.halt_panicked(pid);
+        } else if writing {
+            self.metrics.proc(pid).incr(Counter::Updates, 1);
+        } else if self.state.outputs[pid].is_some() {
+            self.metrics.proc(pid).incr(Counter::Decisions, 1);
+            self.active.retain(|&p| p != pid);
         }
     }
 
@@ -456,7 +502,7 @@ impl<P: TurnProcess> TurnDriver<P> {
     pub fn crash(&mut self, pid: usize) {
         assert!(!self.crashed[pid], "process {pid} crashed twice");
         self.crashed[pid] = true;
-        if !matches!(self.phases[pid], Phase::Done) {
+        if !matches!(self.state.phases[pid], Phase::Done) {
             self.halted[pid] = Some(Halted::Crashed);
             self.active.retain(|&p| p != pid);
         }
@@ -492,8 +538,8 @@ impl<P: TurnProcess> TurnDriver<P> {
                 let view = TurnView {
                     events: self.events,
                     active: &self.active,
-                    shared: &self.shared,
-                    phases: &self.phases,
+                    shared: &self.state.shared,
+                    phases: &self.state.phases,
                     crashed: &self.crashed,
                 };
                 adversary.choose(&view)
@@ -530,7 +576,7 @@ impl<P: TurnProcess> TurnDriver<P> {
         }
         // Drain protocol-level telemetry once, at the end: cumulative
         // stats cost nothing per step this way.
-        for (pid, proc) in self.procs.iter().enumerate() {
+        for (pid, proc) in self.state.procs.iter().enumerate() {
             let m = self.metrics.proc(pid);
             proc.publish_telemetry(&m);
             if let Some(r) = proc.probe().round {
@@ -538,7 +584,7 @@ impl<P: TurnProcess> TurnDriver<P> {
             }
         }
         TurnReport {
-            outputs: self.outputs,
+            outputs: self.state.outputs,
             halted: self.halted,
             fault_events: self.fault_log,
             events: self.events,

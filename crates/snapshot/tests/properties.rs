@@ -69,6 +69,11 @@ fn p1_p3_hold_larger_world() {
         check_under::<DirectArrow>(5, 3, Box::new(RandomStrategy::new(seed)), seed);
         check_under::<HandshakeArrow>(5, 3, Box::new(RandomStrategy::new(seed)), seed);
     }
+    // Four processes, six update + scan rounds each.
+    for seed in 0..10 {
+        check_under::<DirectArrow>(4, 6, Box::new(RandomStrategy::new(seed)), seed);
+        check_under::<HandshakeArrow>(4, 6, Box::new(RandomStrategy::new(seed)), seed);
+    }
 }
 
 #[test]

@@ -41,7 +41,7 @@ impl Checkable for YoloDecider {
         self.inner.flips_mut().push_outcome(heads);
     }
     fn pending_flips(&self) -> usize {
-        0
+        self.inner.flips().queued()
     }
 }
 
@@ -83,6 +83,7 @@ fn main() {
     }
     println!(
         "\n(the real bounded protocol, checked the same way, has zero violations \
-         across its entire state space — see `cargo run --example model_check`)"
+         across its entire state space — see the `mc-consensus-*` rows of \
+         `experiments verify-gate`)"
     );
 }
