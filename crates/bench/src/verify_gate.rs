@@ -82,8 +82,9 @@ use crate::{Scale, Table};
 /// v2 dropped the wall-clock `elapsed_sec` and `schedules_per_sec` columns;
 /// v3 added the arena rows and their four race columns (`null` elsewhere);
 /// v4 added the model-checked rows and their `states` column (`null`
-/// elsewhere).
-pub const SCHEMA: &str = "bprc.bench.verify/v4";
+/// elsewhere); v5 added the explored rows' `runs` column (`null`
+/// elsewhere) and counts `pruned` as grants a node never branched on.
+pub const SCHEMA: &str = "bprc.bench.verify/v5";
 
 /// The pinned property list. A run prints (and records) the entries some
 /// row of its table carries, so a log always states what "PASS" covered.
@@ -205,6 +206,9 @@ struct Row {
     /// Distinct protocol states a model-checked row expanded; `None` on
     /// every other row.
     states: Option<usize>,
+    /// World executions of an explored row, blocked ones included; `None`
+    /// on every other row.
+    runs: Option<u64>,
     pruned: u64,
     truncated: u64,
     exhausted: bool,
@@ -251,6 +255,7 @@ impl Row {
     /// Copies an exploration's coverage counts into the row.
     fn record(&mut self, rep: &ExploreReport) {
         self.schedules = rep.schedules;
+        self.runs = Some(rep.runs);
         self.pruned = rep.pruned;
         self.truncated = rep.truncated;
         self.exhausted = rep.exhausted;
@@ -279,6 +284,7 @@ impl Row {
             ("expectation", self.expect.name().into()),
             ("schedules", self.schedules.into()),
             ("states", self.states.map_or(Value::Null, Value::from)),
+            ("runs", self.runs.map_or(Value::Null, Value::from)),
             ("pruned", self.pruned.into()),
             ("truncated", self.truncated.into()),
             ("exhausted", self.exhausted.into()),
@@ -517,8 +523,8 @@ fn n2_update_scan<B: SnapshotBackend<u64> + 'static>(fault_budget: u64) -> Check
 /// (a raise + value store, each of which may linger in the buffer) racing
 /// a full scan, which exercises every fence the memory carries; P1–P3 are
 /// checked through the flush-timed checker (a store linearizes at its
-/// flush, not its issue). Flush branching resets sleep sets (a flush is
-/// dependent with everything), so the space grows brutally with each
+/// flush, not its issue). A flush is dependent with everything (it resets
+/// sleep sets and is always branched), so the space grows brutally with each
 /// buffered store: both-sides-do-everything blows past 10^6 schedules,
 /// while this split stays exhaustive in minutes on the real code path.
 fn n2_writer_scanner(mode: WeakMode) -> Check {
@@ -1182,6 +1188,7 @@ const COLUMNS: &[&str] = &[
     "expectation",
     "schedules",
     "states",
+    "runs",
     "schedules_by_faults",
     "pruned",
     "exhausted",
@@ -1333,6 +1340,9 @@ mod tests {
         assert_eq!(lb.expect, Expect::Clean);
         assert!(lb.ok, "{}", lb.detail);
         assert!(lb.exhausted && lb.stores_buffered > 0);
+        // One schedule per Mazurkiewicz trace, the end-of-run drain's
+        // reorderings included (a complete run's path ends with the drain).
+        assert_eq!((lb.schedules, lb.runs), (9, Some(9)));
     }
 
     /// Every seeded bug is caught and its embedded trace replays; handed

@@ -109,8 +109,9 @@ counters! {
     Decisions => "decisions",
     /// Schedules fully explored by the systematic explorer (`explore`).
     SchedulesExplored => "schedules_explored",
-    /// Branches the explorer's sleep-set reduction proved redundant and
-    /// skipped.
+    /// Enabled grants an explorer node never branched on — asleep there,
+    /// or never asked for by a race — counted as the node pops
+    /// (`ExploreReport::pruned`).
     SchedulesPruned => "schedules_pruned",
     /// Explorer paths cut short by the step budget.
     SchedulesTruncated => "schedules_truncated",

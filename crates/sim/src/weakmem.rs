@@ -8,7 +8,7 @@
 //! write becomes a buffer insertion, and the moment a buffered write
 //! reaches shared memory is a first-class scheduler decision
 //! ([`Decision::Flush`](crate::sched::Decision)) — explorable by the
-//! existing DFS/sleep-set and PCT machinery exactly like a grant, and
+//! existing DFS/partial-order-reduction and PCT machinery like a grant, and
 //! serialized into `bprc-trace-v1` counterexamples as `{"flush": ...}`
 //! steps that shrink and replay unchanged.
 //!
@@ -40,8 +40,10 @@
 //! the store lands in memory. That is the same shape as a granted write
 //! under SC, so the branch-per-decision DFS enumerates reorderings the way
 //! it enumerates interleavings. Flush edges are treated as **dependent
-//! with everything** (they never enter a sleep set and reset the child's
-//! sleep set), which is conservative — it costs pruning, never coverage.
+//! with everything** (they never enter a sleep set, reset the child's
+//! sleep set and are always branched), which is conservative — it costs
+//! pruning, never coverage. The explorer's race pass ends a complete run
+//! with the end-of-run drain as one more such flush.
 //! [`Ctx::fence`](crate::world::Ctx::fence) drains the caller's own buffer
 //! as one scheduled gate, and fences are likewise dependent with
 //! everything in the independence relation.

@@ -10,8 +10,9 @@
 //!    naive collect, no double-collect retry) must be caught, shrunk to a
 //!    minimal decision trace, serialized to JSON, parsed back, and
 //!    replayed to the same violation.
-//! 3. **Reduction soundness** — the sleep-set reduction must reach exactly
-//!    the outcomes the unreduced enumeration reaches.
+//! 3. **Reduction soundness** — the partial-order reduction (source sets
+//!    plus sleep sets) must reach exactly the outcomes the unreduced
+//!    enumeration reaches.
 
 use bprc::registers::DirectArrow;
 use bprc::sim::explore::{
@@ -209,7 +210,7 @@ fn honest_scanner_passes_the_broken_fixture_checker() {
     assert!(rep.violation.is_none(), "{:?}", rep.violation);
 }
 
-/// Sleep-set soundness on the real stack: the reduced exploration reaches
+/// Reduction soundness on the real stack: the reduced exploration reaches
 /// exactly the set of outcomes (scan views + halt patterns) that the full
 /// enumeration reaches.
 #[test]
