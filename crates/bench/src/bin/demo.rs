@@ -4,23 +4,39 @@
 //! ```text
 //! demo [--protocol bounded|ah88|local|oracle] [--n 4] [--inputs 1010]
 //!      [--adversary random|rr|bsp|split|starver] [--seed 7]
-//!      [--registers] [--trace]
+//!      [--registers [--trace]]
 //! ```
 //!
-//! `--registers` runs the bounded protocol over the real register-level
-//! stack (lockstep, deterministic) instead of the turn-level driver;
-//! `--trace` additionally prints the recorded register timeline.
+//! By default the protocol runs under the turn-level driver. `--registers`
+//! runs it over the real register-level stack instead (lockstep,
+//! deterministic, the arena's handshake snapshot) under `--adversary
+//! random|rr` — the same policy values drive both executors; `--trace`
+//! additionally prints the recorded register timeline. A flag combination
+//! the demo cannot honour exits 2, naming the flag, before any run.
 
 use bprc_core::adversaries::{LeaderStarver, SplitAdversary};
+use bprc_core::arena::{entrants, ArenaBackend};
 use bprc_core::baselines::{AhCore, LocalCoinCore, OracleCore};
 use bprc_core::bounded::{BoundedCore, ConsensusParams};
-use bprc_core::threaded::ThreadedConsensus;
 use bprc_core::ProcState;
-use bprc_registers::DirectArrow;
 use bprc_sim::rng::derive_seed;
-use bprc_sim::sched::RandomStrategy;
-use bprc_sim::turn::{TurnAdversary, TurnBsp, TurnDriver, TurnRandom, TurnRoundRobin};
-use bprc_sim::World;
+use bprc_sim::sched::{RandomStrategy, Registers, RoundRobin};
+use bprc_sim::turn::{Turn, TurnBsp, TurnDriver, TurnProcess};
+use bprc_sim::{Gauge, Level, Strategy, World};
+
+/// Each protocol's name here and as an arena entrant.
+const PROTOCOLS: [(&str, &str); 4] = [
+    ("bounded", "bounded"),
+    ("ah88", "ah-atomic"),
+    ("local", "abrahamson"),
+    ("oracle", "oracle"),
+];
+
+const USAGE: &str = "usage: demo [--protocol bounded|ah88|local|oracle] [--n N] \
+                     [--inputs 1010] [--adversary random|rr|bsp|split|starver] \
+                     [--seed S] [--registers [--trace]]";
+
+const BUDGET: u64 = 100_000_000;
 
 #[derive(Debug)]
 struct Args {
@@ -58,14 +74,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--registers" => args.registers = true,
             "--trace" => args.trace = true,
-            "--help" | "-h" => {
-                return Err(
-                    "usage: demo [--protocol bounded|ah88|local|oracle] [--n N] \
-                     [--inputs 1010] [--adversary random|rr|bsp|split|starver] \
-                     [--seed S] [--registers] [--trace]"
-                        .into(),
-                )
-            }
+            "--help" | "-h" => return Err(USAGE.into()),
             other => return Err(format!("unknown flag {other} (try --help)")),
         }
     }
@@ -79,38 +88,62 @@ fn parse_args() -> Result<Args, String> {
             args.n
         ));
     }
+    let (protocol, adversary) = (args.protocol.as_str(), args.adversary.as_str());
+    if !PROTOCOLS.iter().any(|&(name, _)| name == protocol) {
+        return Err(format!(
+            "unknown --protocol {protocol} (bounded|ah88|local|oracle)"
+        ));
+    }
+    match adversary {
+        "random" | "rr" => {}
+        _ if args.registers => {
+            return Err(format!(
+                "--adversary {adversary} cannot drive --registers (random|rr)"
+            ))
+        }
+        "bsp" => {}
+        "split" | "starver" if protocol == "bounded" => {}
+        "split" | "starver" => {
+            return Err(format!(
+                "--adversary {adversary} is specific to --protocol bounded; use random|rr|bsp"
+            ))
+        }
+        _ => {
+            return Err(format!(
+                "unknown --adversary {adversary} (random|rr|bsp|split|starver)"
+            ))
+        }
+    }
+    if args.trace && !args.registers {
+        return Err(
+            "--trace needs --registers: only a register-level run records a timeline".into(),
+        );
+    }
     Ok(args)
 }
 
-fn adversary_for(
-    name: &str,
-    k: u32,
-    seed: u64,
-) -> Result<Box<dyn TurnAdversary<ProcState>>, String> {
-    Ok(match name {
-        "random" => Box::new(TurnRandom::new(seed)),
-        "rr" => Box::new(TurnRoundRobin::new()),
-        "bsp" => Box::new(TurnBsp::new()),
-        "split" => Box::new(SplitAdversary::new(k, seed)),
-        "starver" => Box::new(LeaderStarver::new(k)),
-        other => return Err(format!("unknown adversary {other}")),
-    })
+/// The policies that drive any level: one value type per policy.
+fn level_free<L: Level>(name: &str, seed: u64) -> Box<dyn Strategy<L>> {
+    match name {
+        "random" => Box::new(RandomStrategy::new(seed)),
+        "rr" => Box::new(RoundRobin::new()),
+        other => unreachable!("parse_args admits no level-free adversary {other}"),
+    }
 }
 
-fn generic_adversary<M>(name: &str, seed: u64) -> Result<Box<dyn TurnAdversary<M>>, String> {
-    Ok(match name {
-        "random" => Box::new(TurnRandom::new(seed)),
-        "rr" => Box::new(TurnRoundRobin::new()),
+/// The turn-level adversaries every protocol takes.
+fn turn_adversary<M>(name: &str, seed: u64) -> Box<dyn Strategy<Turn<M>>> {
+    match name {
         "bsp" => Box::new(TurnBsp::new()),
-        other => {
-            return Err(format!(
-                "adversary {other} is specific to the bounded protocol; use random|rr|bsp"
-            ))
-        }
-    })
+        other => level_free(other, seed),
+    }
 }
 
-fn summarize<O: std::fmt::Debug + PartialEq>(report: &bprc_sim::turn::TurnReport<O>) {
+fn run_turns<P: TurnProcess>(procs: Vec<P>, adversary: &mut dyn Strategy<Turn<P::Msg>>)
+where
+    P::Out: std::fmt::Debug + PartialEq,
+{
+    let report = TurnDriver::new(procs).run(adversary, BUDGET);
     println!("events:    {}", report.events);
     println!("completed: {}", report.completed);
     for (p, out) in report.outputs.iter().enumerate() {
@@ -124,123 +157,90 @@ fn summarize<O: std::fmt::Debug + PartialEq>(report: &bprc_sim::turn::TurnReport
     }
 }
 
-fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
+fn run_registers(args: &Args) {
+    let entrant = PROTOCOLS
+        .iter()
+        .find(|&&(name, _)| name == args.protocol)
+        .and_then(|&(_, entrant)| entrants().into_iter().find(|e| e.name() == entrant))
+        .expect("every demo protocol is an arena entrant");
+    let mut world = World::builder(args.n)
+        .seed(args.seed)
+        .step_limit(BUDGET)
+        .weak_memory(entrant.memory_mode())
+        .build();
+    let bodies = entrant.build(&world, ArenaBackend::Handshake, &args.inputs, args.seed);
+    let names = world.reg_names();
+    let report = world.run(bodies, level_free::<Registers>(&args.adversary, args.seed));
+    let gauge = |g| report.telemetry.gauge_max_all(g).unwrap_or(0);
+    println!(
+        "register-level run of {}: {} shared-memory operations, \
+         {} rounds, widest register {} bits",
+        entrant.name(),
+        report.steps,
+        gauge(Gauge::Round),
+        gauge(Gauge::MaxRegisterBits)
+    );
+    for (p, out) in report.outputs.iter().enumerate() {
+        println!("process {p} decided {:?}", out);
+    }
+    if args.trace {
+        if let Some(h) = &report.history {
+            let opts = bprc_sim::trace::TraceOptions {
+                reg_names: names,
+                ..Default::default()
+            };
+            println!("\n{}", bprc_sim::trace::render(h, args.n, &opts));
+            println!("{}", bprc_sim::trace::summary(h, args.n));
         }
-    };
+    }
+}
+
+fn main() {
+    let args = parse_args().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     println!(
         "protocol={} n={} inputs={:?} adversary={} seed={}\n",
         args.protocol, args.n, args.inputs, args.adversary, args.seed
     );
-    let budget = 100_000_000u64;
-
     if args.registers {
-        let params = ConsensusParams::quick(args.n);
-        let mut world = World::builder(args.n)
-            .seed(args.seed)
-            .step_limit(budget)
-            .build();
-        let inst = ThreadedConsensus::<DirectArrow>::new(&world, &params, &args.inputs, args.seed);
-        let names = world.reg_names();
-        let report = world.run(inst.bodies, Box::new(RandomStrategy::new(args.seed)));
-        println!(
-            "register-level run: {} shared-memory operations",
-            report.steps
-        );
-        for (p, out) in report.outputs.iter().enumerate() {
-            println!("process {p} decided {:?}", out);
-        }
-        if args.trace {
-            if let Some(h) = &report.history {
-                let opts = bprc_sim::trace::TraceOptions {
-                    reg_names: names,
-                    ..Default::default()
-                };
-                println!("\n{}", bprc_sim::trace::render(h, args.n, &opts));
-                println!("{}", bprc_sim::trace::summary(h, args.n));
-            }
-        }
-        return;
+        return run_registers(&args);
     }
 
+    let (n, seed) = (args.n, args.seed);
+    let coin = |p: usize| derive_seed(seed, p as u64);
     match args.protocol.as_str() {
         "bounded" => {
-            let params = ConsensusParams::quick(args.n);
-            let procs: Vec<BoundedCore> = (0..args.n)
-                .map(|p| {
-                    BoundedCore::new(
-                        params.clone(),
-                        p,
-                        args.inputs[p],
-                        derive_seed(args.seed, p as u64),
-                    )
-                })
+            let params = ConsensusParams::quick(n);
+            let procs: Vec<BoundedCore> = (0..n)
+                .map(|p| BoundedCore::new(params.clone(), p, args.inputs[p], coin(p)))
                 .collect();
-            let mut adv = match adversary_for(&args.adversary, params.k(), args.seed) {
-                Ok(a) => a,
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
+            let mut adv: Box<dyn Strategy<Turn<ProcState>>> = match args.adversary.as_str() {
+                "split" => Box::new(SplitAdversary::new(params.k(), seed)),
+                "starver" => Box::new(LeaderStarver::new(params.k())),
+                other => turn_adversary(other, seed),
             };
-            summarize(&TurnDriver::new(procs).run(adv.as_mut(), budget));
+            run_turns(procs, adv.as_mut());
         }
         "ah88" => {
-            let procs: Vec<AhCore> = (0..args.n)
-                .map(|p| {
-                    AhCore::new(
-                        args.n,
-                        p,
-                        args.inputs[p],
-                        derive_seed(args.seed, p as u64),
-                        3,
-                    )
-                })
+            let procs: Vec<AhCore> = (0..n)
+                .map(|p| AhCore::new(n, p, args.inputs[p], coin(p), 3))
                 .collect();
-            let mut adv = match generic_adversary(&args.adversary, args.seed) {
-                Ok(a) => a,
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            };
-            summarize(&TurnDriver::new(procs).run(adv.as_mut(), budget));
+            run_turns(procs, turn_adversary(&args.adversary, seed).as_mut());
         }
         "local" => {
-            let procs: Vec<LocalCoinCore> = (0..args.n)
-                .map(|p| {
-                    LocalCoinCore::new(args.n, p, args.inputs[p], derive_seed(args.seed, p as u64))
-                })
+            let procs: Vec<LocalCoinCore> = (0..n)
+                .map(|p| LocalCoinCore::new(n, p, args.inputs[p], coin(p)))
                 .collect();
-            let mut adv = match generic_adversary(&args.adversary, args.seed) {
-                Ok(a) => a,
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            };
-            summarize(&TurnDriver::new(procs).run(adv.as_mut(), budget));
+            run_turns(procs, turn_adversary(&args.adversary, seed).as_mut());
         }
         "oracle" => {
-            let procs: Vec<OracleCore> = (0..args.n)
-                .map(|p| OracleCore::new(args.n, p, args.inputs[p], args.seed))
+            let procs: Vec<OracleCore> = (0..n)
+                .map(|p| OracleCore::new(n, p, args.inputs[p], seed))
                 .collect();
-            let mut adv = match generic_adversary(&args.adversary, args.seed) {
-                Ok(a) => a,
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            };
-            summarize(&TurnDriver::new(procs).run(adv.as_mut(), budget));
+            run_turns(procs, turn_adversary(&args.adversary, seed).as_mut());
         }
-        other => {
-            eprintln!("unknown protocol {other} (bounded|ah88|local|oracle)");
-            std::process::exit(2);
-        }
+        other => unreachable!("parse_args admits no protocol {other}"),
     }
 }

@@ -1,7 +1,7 @@
 //! The experiment implementations (one per quantitative claim of the
 //! paper). Each returns a [`Table`]; the `experiments` binary prints them.
 
-use bprc_coin::montecarlo::{run_trials, StaleCollectAdversary, WalkRandom};
+use bprc_coin::montecarlo::{run_trials, StaleCollectAdversary};
 use bprc_coin::{theory, CoinParams};
 use bprc_core::baselines::{AhCore, LocalCoinCore, OracleCore};
 use bprc_core::bounded::{BoundedCore, ConsensusParams};
@@ -9,8 +9,8 @@ use bprc_core::meter::run_metered;
 use bprc_core::virtual_rounds::check_execution;
 use bprc_registers::DirectArrow;
 use bprc_sim::rng::derive_seed;
-use bprc_sim::sched::FnStrategy;
-use bprc_sim::turn::{TurnBsp, TurnDriver, TurnRandom};
+use bprc_sim::sched::{FnStrategy, RandomStrategy};
+use bprc_sim::turn::{TurnBsp, TurnDriver};
 use bprc_sim::world::{ProcBody, RunReport};
 use bprc_sim::{Counter, Decision, Gauge, World};
 use bprc_snapshot::{ScannableMemory, SnapshotBackend, SnapshotPort, WaitFreeSnapshot};
@@ -40,7 +40,7 @@ pub fn e1_disagreement(scale: Scale) -> Table {
     for b in [1u32, 2, 4, 8] {
         let params = CoinParams::new(n, b, 1_000_000);
         let random = run_trials(&params, trials, 100 + b as u64, 10_000_000, |t| {
-            Box::new(WalkRandom::new(t))
+            Box::new(RandomStrategy::new(t))
         });
         let adv = run_trials(&params, trials, 200 + b as u64, 10_000_000, |_| {
             Box::new(StaleCollectAdversary::new(0))
@@ -83,7 +83,7 @@ pub fn e2_walk_steps(scale: Scale) -> Table {
                 trials,
                 derive_seed(7, (n * 10 + b as usize) as u64),
                 100_000_000,
-                |t| Box::new(WalkRandom::new(t)),
+                |t| Box::new(RandomStrategy::new(t)),
             );
             let bound = params.expected_steps_bound();
             t.row(vec![
@@ -114,7 +114,7 @@ pub fn e3_overflow(scale: Scale) -> Table {
     for m in [4i64, 16, 64, 256, 1024] {
         let params = CoinParams::new(n, b, m);
         let s = run_trials(&params, trials, 300 + m as u64, 10_000_000, |t| {
-            Box::new(WalkRandom::new(t))
+            Box::new(RandomStrategy::new(t))
         });
         t.row(vec![
             m.to_string(),
@@ -156,7 +156,7 @@ pub fn e4_rounds(scale: Scale) -> Table {
                 &params,
                 &inputs,
                 derive_seed(40, trial * 100 + n as u64),
-                &mut TurnRandom::new(derive_seed(41, trial * 100 + n as u64)),
+                &mut RandomStrategy::new(derive_seed(41, trial * 100 + n as u64)),
                 50_000_000,
             );
             assert!(report.completed, "E4: instance did not terminate");
@@ -187,7 +187,7 @@ fn run_bounded(n: usize, seed: u64, budget: u64) -> Option<f64> {
     let procs: Vec<BoundedCore> = (0..n)
         .map(|p| BoundedCore::new(params.clone(), p, p % 2 == 0, derive_seed(seed, p as u64)))
         .collect();
-    let r = TurnDriver::new(procs).run(&mut TurnRandom::new(seed), budget);
+    let r = TurnDriver::new(procs).run(&mut RandomStrategy::new(seed), budget);
     r.completed.then_some(r.events as f64)
 }
 
@@ -195,7 +195,7 @@ fn run_ah(n: usize, seed: u64, budget: u64) -> Option<f64> {
     let procs: Vec<AhCore> = (0..n)
         .map(|p| AhCore::new(n, p, p % 2 == 0, derive_seed(seed, p as u64), 3))
         .collect();
-    let r = TurnDriver::new(procs).run(&mut TurnRandom::new(seed), budget);
+    let r = TurnDriver::new(procs).run(&mut RandomStrategy::new(seed), budget);
     r.completed.then_some(r.events as f64)
 }
 
@@ -203,7 +203,7 @@ fn run_local(n: usize, seed: u64, budget: u64) -> Option<f64> {
     let procs: Vec<LocalCoinCore> = (0..n)
         .map(|p| LocalCoinCore::new(n, p, p % 2 == 0, derive_seed(seed, p as u64)))
         .collect();
-    let r = TurnDriver::new(procs).run(&mut TurnRandom::new(seed), budget);
+    let r = TurnDriver::new(procs).run(&mut RandomStrategy::new(seed), budget);
     r.completed.then_some(r.events as f64)
 }
 
@@ -211,7 +211,7 @@ fn run_oracle(n: usize, seed: u64, budget: u64) -> Option<f64> {
     let procs: Vec<OracleCore> = (0..n)
         .map(|p| OracleCore::new(n, p, p % 2 == 0, seed))
         .collect();
-    let r = TurnDriver::new(procs).run(&mut TurnRandom::new(seed ^ 0x5A5A), budget);
+    let r = TurnDriver::new(procs).run(&mut RandomStrategy::new(seed ^ 0x5A5A), budget);
     r.completed.then_some(r.events as f64)
 }
 
@@ -361,10 +361,10 @@ struct AhHoldDeciders {
     rng: SmallRng,
 }
 
-impl bprc_sim::turn::TurnAdversary<bprc_core::baselines::aspnes_herlihy::AhState>
+impl bprc_sim::Strategy<bprc_sim::turn::Turn<bprc_core::baselines::aspnes_herlihy::AhState>>
     for AhHoldDeciders
 {
-    fn choose(
+    fn decide(
         &mut self,
         view: &bprc_sim::turn::TurnView<'_, bprc_core::baselines::aspnes_herlihy::AhState>,
     ) -> bprc_sim::sched::Decision {
@@ -383,7 +383,7 @@ impl bprc_sim::turn::TurnAdversary<bprc_core::baselines::aspnes_herlihy::AhState
         let mut up_writers: Vec<usize> = Vec::new();
         let mut down_writers: Vec<usize> = Vec::new();
         let mut scanners: Vec<usize> = Vec::new();
-        for &p in view.active {
+        for &p in view.runnable {
             match &view.phases[p] {
                 Phase::Write(m) if m.round > visible_max => {
                     let v = match m.pref {
@@ -421,7 +421,7 @@ impl bprc_sim::turn::TurnAdversary<bprc_core::baselines::aspnes_herlihy::AhState
                 .copied()
                 .collect();
             if pool.is_empty() {
-                let all: Vec<usize> = view.active.to_vec();
+                let all: Vec<usize> = view.runnable.to_vec();
                 return Decision::Grant(all[self.rng.gen_range(0..all.len())]);
             }
             return Decision::Grant(pool[self.rng.gen_range(0..pool.len())]);
@@ -714,7 +714,7 @@ fn ablation_run(params: &ConsensusParams, trials: u64, tag: u64) -> (f64, f64, u
             params,
             &inputs,
             derive_seed(tag, trial * 131 + n as u64),
-            &mut TurnRandom::new(derive_seed(tag + 1, trial * 131 + n as u64)),
+            &mut RandomStrategy::new(derive_seed(tag + 1, trial * 131 + n as u64)),
             20_000_000,
         );
         if report.completed {

@@ -37,7 +37,8 @@
 //! # Example
 //!
 //! ```
-//! use bprc_coin::montecarlo::{run_walk, WalkRoundRobin};
+//! use bprc_coin::montecarlo::run_walk;
+//! use bprc_sim::sched::RoundRobin;
 //! use bprc_coin::{CoinParams, CoinValue, FlipSource};
 //! use bprc_coin::flip::FairFlips;
 //!
@@ -46,7 +47,7 @@
 //! let flips: Vec<Box<dyn FlipSource>> = (0..3)
 //!     .map(|p| Box::new(FairFlips::new(7 + p as u64)) as Box<dyn FlipSource>)
 //!     .collect();
-//! let outcome = run_walk(&params, flips, &mut WalkRoundRobin::new(), 1_000_000);
+//! let outcome = run_walk(&params, flips, &mut RoundRobin::new(), 1_000_000);
 //! assert!(outcome.decisions.iter().all(|d| d.is_some()));
 //! assert!(!outcome.disagreed, "fair schedule, big b: agreement");
 //! # }

@@ -18,9 +18,15 @@
 //! coin's disagreement probability in the first place. The own-overflow
 //! check is local and costs no event: it is the same schedule, event for
 //! event, that [`crate::shared::SharedCoin`] runs over real registers.
+//!
+//! The adversary is the scheduler's own [`Strategy`] at the [`Walk`] level:
+//! it is shown a [`WalkView`] (every counter and phase) and grants the
+//! process whose next event runs. The level-free policies — round-robin,
+//! seeded random, PCT, fault plans — are the same values that drive a
+//! lockstep world, drawing the same stream; [`StaleCollectAdversary`] reads
+//! the walk and drives this level only.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use bprc_sim::sched::{Decision, Level, ScheduleView, Strategy};
 
 use crate::flip::{FairFlips, FlipSource};
 use crate::params::CoinParams;
@@ -42,78 +48,43 @@ pub enum WalkPhase {
     Done(CoinValue),
 }
 
-/// What a [`WalkAdversary`] sees.
+/// The walk level: the standalone coin of [`run_walk`], one counter read
+/// or counter write per step.
 #[derive(Debug)]
-pub struct WalkView<'a> {
+pub enum Walk {}
+
+/// The walk level's part of a [`WalkView`].
+#[derive(Debug)]
+pub struct WalkState<'a> {
     /// Current counter values (index = pid).
     pub counters: &'a [i64],
     /// Current phase of every process.
     pub phases: &'a [WalkPhase],
-    /// Undecided pids, ascending.
-    pub active: &'a [usize],
-    /// Events applied so far.
-    pub events: u64,
 }
 
-impl WalkView<'_> {
+impl WalkState<'_> {
     /// The current walk value `Σ c_i`.
     pub fn total(&self) -> i64 {
         self.counters.iter().sum()
     }
 }
 
-/// The strong adversary for the standalone coin.
-pub trait WalkAdversary {
-    /// Chooses which active process performs its next shared-memory event.
-    fn choose(&mut self, view: &WalkView<'_>) -> usize;
-}
+impl Level for Walk {
+    type State<'a> = WalkState<'a>;
 
-/// Fair rotation.
-#[derive(Debug, Clone, Default)]
-pub struct WalkRoundRobin {
-    next: usize,
-}
-
-impl WalkRoundRobin {
-    /// Creates the strategy.
-    pub fn new() -> Self {
-        Self::default()
+    fn narrowed<R>(view: &WalkView<'_>, keep: &[usize], f: impl FnOnce(&WalkView<'_>) -> R) -> R {
+        let runnable: Vec<usize> = keep.iter().map(|&i| view.runnable[i]).collect();
+        f(&ScheduleView {
+            step: view.step,
+            runnable: &runnable,
+            state: WalkState { ..view.state },
+        })
     }
 }
 
-impl WalkAdversary for WalkRoundRobin {
-    fn choose(&mut self, view: &WalkView<'_>) -> usize {
-        let pick = view
-            .active
-            .iter()
-            .copied()
-            .find(|&p| p >= self.next)
-            .unwrap_or(view.active[0]);
-        self.next = pick + 1;
-        pick
-    }
-}
-
-/// Uniformly random active process (seeded).
-#[derive(Debug, Clone)]
-pub struct WalkRandom {
-    rng: SmallRng,
-}
-
-impl WalkRandom {
-    /// Creates the strategy from a seed.
-    pub fn new(seed: u64) -> Self {
-        WalkRandom {
-            rng: SmallRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl WalkAdversary for WalkRandom {
-    fn choose(&mut self, view: &WalkView<'_>) -> usize {
-        view.active[self.rng.gen_range(0..view.active.len())]
-    }
-}
+/// What a walk-level adversary sees: `step` counts the events applied so
+/// far and `runnable` the undecided pids.
+pub type WalkView<'a> = ScheduleView<'a, Walk>;
 
 /// The stale-collect attack (needs `n ≥ 3` to bite):
 ///
@@ -141,7 +112,7 @@ impl StaleCollectAdversary {
 
     fn pick_other(&mut self, view: &WalkView<'_>) -> usize {
         let others: Vec<usize> = view
-            .active
+            .runnable
             .iter()
             .copied()
             .filter(|&p| p != self.victim)
@@ -154,30 +125,24 @@ impl StaleCollectAdversary {
     }
 }
 
-impl WalkAdversary for StaleCollectAdversary {
-    fn choose(&mut self, view: &WalkView<'_>) -> usize {
+impl Strategy<Walk> for StaleCollectAdversary {
+    fn decide(&mut self, view: &WalkView<'_>) -> Decision {
         let n = view.counters.len();
-        if !view.active.contains(&self.victim) {
-            return self.pick_other(view);
-        }
-        let total = view.total();
-        match &view.phases[self.victim] {
-            WalkPhase::Collect { read, .. } if *read + 2 == n => {
+        let victim_moves = view.runnable.contains(&self.victim)
+            && match &view.phases[self.victim] {
                 // One foreign read remaining: freeze the victim (its partial
                 // sum is now stale) and run the others.
-                self.pick_other(view)
-            }
-            _ => {
+                WalkPhase::Collect { read, .. } if *read + 2 == n => false,
                 // Advance the victim only while the walk is comfortably
                 // positive (so its stale prefix is large); otherwise drive
                 // the others.
-                if total >= n as i64 {
-                    self.victim
-                } else {
-                    self.pick_other(view)
-                }
-            }
-        }
+                _ => view.total() >= n as i64,
+            };
+        Decision::Grant(if victim_moves {
+            self.victim
+        } else {
+            self.pick_other(view)
+        })
     }
 }
 
@@ -209,11 +174,13 @@ impl WalkOutcome {
 ///
 /// # Panics
 ///
-/// Panics if `flips.len() != params.n()`.
+/// Panics if `flips.len() != params.n()`, or if the adversary decides
+/// anything but a grant of an undecided process: the walk has no crashes,
+/// injected panics or store buffers, and the panic names the decision.
 pub fn run_walk(
     params: &CoinParams,
     mut flips: Vec<Box<dyn FlipSource>>,
-    adversary: &mut dyn WalkAdversary,
+    adversary: &mut dyn Strategy<Walk>,
     max_events: u64,
 ) -> WalkOutcome {
     let n = params.n();
@@ -231,16 +198,21 @@ pub fn run_walk(
         if active.is_empty() || events >= max_events {
             break;
         }
-        let pid = {
-            let view = WalkView {
+        let decision = adversary.decide(&WalkView {
+            step: events,
+            runnable: &active,
+            state: WalkState {
                 counters: &counters,
                 phases: &phases,
-                active: &active,
-                events,
-            };
-            adversary.choose(&view)
+            },
+        });
+        let pid = match decision {
+            Decision::Grant(pid) if active.contains(&pid) => pid,
+            _ => panic!(
+                "illegal adversary decision {decision:?} at event {events}: \
+                 the walk grants undecided processes only (undecided = {active:?})"
+            ),
         };
-        assert!(active.contains(&pid), "adversary chose inactive {pid}");
         events += 1;
         match phases[pid].clone() {
             WalkPhase::Collect { read, sum } => {
@@ -353,7 +325,7 @@ pub fn run_trials(
     trials: u64,
     seed: u64,
     max_events_per_trial: u64,
-    mut mk_adversary: impl FnMut(u64) -> Box<dyn WalkAdversary>,
+    mut mk_adversary: impl FnMut(u64) -> Box<dyn Strategy<Walk>>,
 ) -> TrialStats {
     let mut stats = TrialStats {
         trials,
@@ -400,6 +372,7 @@ pub fn run_trials(
 mod tests {
     use super::*;
     use crate::flip::{BiasedFlips, ScriptedFlips};
+    use bprc_sim::sched::{FnStrategy, RandomStrategy, RoundRobin};
 
     fn boxed_fair(n: usize, seed: u64) -> Vec<Box<dyn FlipSource>> {
         (0..n)
@@ -410,9 +383,19 @@ mod tests {
     #[test]
     fn single_process_decides() {
         let p = CoinParams::new(1, 2, 100);
-        let out = run_walk(&p, boxed_fair(1, 7), &mut WalkRoundRobin::new(), 1_000_000);
+        let out = run_walk(&p, boxed_fair(1, 7), &mut RoundRobin::new(), 1_000_000);
         assert!(out.decisions[0].is_some());
         assert!(!out.disagreed);
+    }
+
+    /// The walk has no crashes, so a crash decision is rejected and the
+    /// panic names it.
+    #[test]
+    #[should_panic(expected = "illegal adversary decision Crash(1) at event 0")]
+    fn crash_decision_is_rejected() {
+        let p = CoinParams::new(2, 1, 100);
+        let mut crasher = FnStrategy::new(|_: &WalkView<'_>| Decision::Crash(1));
+        run_walk(&p, boxed_fair(2, 7), &mut crasher, 1_000);
     }
 
     #[test]
@@ -421,7 +404,7 @@ mod tests {
         let flips: Vec<Box<dyn FlipSource>> = (0..3)
             .map(|i| Box::new(BiasedFlips::new(i, 1.0)) as Box<dyn FlipSource>)
             .collect();
-        let out = run_walk(&p, flips, &mut WalkRoundRobin::new(), 1_000_000);
+        let out = run_walk(&p, flips, &mut RoundRobin::new(), 1_000_000);
         assert!(out
             .decisions
             .iter()
@@ -435,7 +418,7 @@ mod tests {
         let flips: Vec<Box<dyn FlipSource>> = (0..3)
             .map(|i| Box::new(BiasedFlips::new(i, 0.0)) as Box<dyn FlipSource>)
             .collect();
-        let out = run_walk(&p, flips, &mut WalkRoundRobin::new(), 1_000_000);
+        let out = run_walk(&p, flips, &mut RoundRobin::new(), 1_000_000);
         assert!(out
             .decisions
             .iter()
@@ -451,7 +434,7 @@ mod tests {
         let flips: Vec<Box<dyn FlipSource>> = (0..2)
             .map(|_| Box::new(ScriptedFlips::new(vec![false])) as Box<dyn FlipSource>)
             .collect();
-        let out = run_walk(&p, flips, &mut WalkRoundRobin::new(), 100_000);
+        let out = run_walk(&p, flips, &mut RoundRobin::new(), 100_000);
         assert!(out.overflowed);
         assert!(out
             .decisions
@@ -464,7 +447,7 @@ mod tests {
         let p = CoinParams::new(3, 1, 4);
         // Check invariant across the run by re-running many short prefixes.
         for max in [10, 50, 200, 1000] {
-            let out = run_walk(&p, boxed_fair(3, 99), &mut WalkRandom::new(5), max);
+            let out = run_walk(&p, boxed_fair(3, 99), &mut RandomStrategy::new(5), max);
             let _ = out;
             // The invariant lives inside walk_step's clamp; verify via a
             // scripted extreme:
@@ -472,15 +455,15 @@ mod tests {
         let flips: Vec<Box<dyn FlipSource>> = (0..3)
             .map(|_| Box::new(BiasedFlips::new(0, 1.0)) as Box<dyn FlipSource>)
             .collect();
-        let out = run_walk(&p, flips, &mut WalkRoundRobin::new(), 10_000);
+        let out = run_walk(&p, flips, &mut RoundRobin::new(), 10_000);
         assert!(out.events < 10_000, "should decide quickly");
     }
 
     #[test]
     fn trials_are_reproducible() {
         let p = CoinParams::new(3, 1, 50);
-        let s1 = run_trials(&p, 20, 11, 100_000, |t| Box::new(WalkRandom::new(t)));
-        let s2 = run_trials(&p, 20, 11, 100_000, |t| Box::new(WalkRandom::new(t)));
+        let s1 = run_trials(&p, 20, 11, 100_000, |t| Box::new(RandomStrategy::new(t)));
+        let s2 = run_trials(&p, 20, 11, 100_000, |t| Box::new(RandomStrategy::new(t)));
         assert_eq!(s1.disagreements, s2.disagreements);
         assert_eq!(s1.mean_walk_steps, s2.mean_walk_steps);
     }
@@ -490,10 +473,10 @@ mod tests {
         // Lemma 3.2 shape: steps grow with b (quadratically). Just check
         // monotonicity with loose trials.
         let small = run_trials(&CoinParams::new(2, 1, 10_000), 30, 3, 10_000_000, |t| {
-            Box::new(WalkRandom::new(t))
+            Box::new(RandomStrategy::new(t))
         });
         let large = run_trials(&CoinParams::new(2, 4, 10_000), 30, 3, 10_000_000, |t| {
-            Box::new(WalkRandom::new(t))
+            Box::new(RandomStrategy::new(t))
         });
         assert!(
             large.mean_walk_steps > small.mean_walk_steps,
@@ -519,7 +502,7 @@ mod tests {
     #[test]
     fn round_robin_agreement_is_overwhelming_with_big_b() {
         let p = CoinParams::new(3, 8, 1_000_000);
-        let stats = run_trials(&p, 25, 23, 50_000_000, |_| Box::new(WalkRoundRobin::new()));
+        let stats = run_trials(&p, 25, 23, 50_000_000, |_| Box::new(RoundRobin::new()));
         assert_eq!(stats.timeouts, 0);
         assert_eq!(
             stats.disagreements, 0,

@@ -7,20 +7,20 @@
 //! names the case, so a failure replays with that one stream.
 
 use bprc_coin::flip::{FairFlips, FlipSource, ScriptedFlips};
-use bprc_coin::montecarlo::{run_walk, WalkAdversary, WalkRandom, WalkRoundRobin, WalkView};
+use bprc_coin::montecarlo::{run_walk, Walk, WalkView};
 use bprc_coin::shared::SharedCoin;
 use bprc_coin::value::CoinValue;
 use bprc_coin::CoinParams;
 use bprc_sim::rng::{derive_seed, stream_rng};
-use bprc_sim::sched::{RandomStrategy, RoundRobin};
+use bprc_sim::sched::{Decision, RandomStrategy, RoundRobin};
 use bprc_sim::world::ProcBody;
-use bprc_sim::{Counter, Strategy, World};
+use bprc_sim::{Counter, Level, Strategy, World};
 use rand::Rng;
 
 const SEED: u64 = 128;
 const CASES: u64 = 128;
 
-/// Replays a script of process choices (mod the active set), asserting the
+/// Replays a script of process choices (mod the runnable set), asserting the
 /// counter bound on every view it is shown.
 struct ScriptedAdversary {
     script: Vec<usize>,
@@ -28,8 +28,8 @@ struct ScriptedAdversary {
     cap: i64,
 }
 
-impl WalkAdversary for ScriptedAdversary {
-    fn choose(&mut self, view: &WalkView<'_>) -> usize {
+impl Strategy<Walk> for ScriptedAdversary {
+    fn decide(&mut self, view: &WalkView<'_>) -> Decision {
         for &c in view.counters {
             assert!(
                 c.abs() <= self.cap,
@@ -39,7 +39,7 @@ impl WalkAdversary for ScriptedAdversary {
         }
         let pick = self.script.get(self.at).copied().unwrap_or(0);
         self.at += 1;
-        view.active[pick % view.active.len()]
+        Decision::Grant(view.runnable[pick % view.runnable.len()])
     }
 }
 
@@ -102,7 +102,7 @@ fn monotone_flips_decide_matching_side() {
         let flips: Vec<Box<dyn FlipSource>> = (0..n)
             .map(|_| Box::new(ScriptedFlips::new(vec![heads])) as Box<dyn FlipSource>)
             .collect();
-        let out = run_walk(&params, flips, &mut WalkRandom::new(seed), 1_000_000);
+        let out = run_walk(&params, flips, &mut RandomStrategy::new(seed), 1_000_000);
         let want = if heads {
             CoinValue::Heads
         } else {
@@ -135,8 +135,8 @@ fn run_walk_is_deterministic() {
                 })
                 .collect()
         };
-        let a = run_walk(&params, mk(), &mut WalkRandom::new(seed), 1_000_000);
-        let b = run_walk(&params, mk(), &mut WalkRandom::new(seed), 1_000_000);
+        let a = run_walk(&params, mk(), &mut RandomStrategy::new(seed), 1_000_000);
+        let b = run_walk(&params, mk(), &mut RandomStrategy::new(seed), 1_000_000);
         assert_eq!(a.decisions, b.decisions, "{at}");
         assert_eq!(a.events, b.events, "{at}");
         assert_eq!(a.walk_steps, b.walk_steps, "{at}");
@@ -144,13 +144,20 @@ fn run_walk_is_deterministic() {
 }
 
 /// `run_walk` is the fast executor for [`SharedCoin`]: under the same
-/// scheduler decisions and the same local flips, the simulator and the
+/// scheduling policy and the same local flips, the simulator and the
 /// coin over lockstep registers reach the same decisions with the same walk
 /// steps and the same number of events — the own-overflow check is local
-/// in both.
+/// in both. One policy value type drives both executors.
 #[test]
 fn run_walk_matches_the_shared_coin_over_registers() {
     const LIMIT: u64 = 10_000_000;
+    fn policy<L: Level>(round_robin: bool, seed: u64) -> Box<dyn Strategy<L>> {
+        if round_robin {
+            Box::new(RoundRobin::new())
+        } else {
+            Box::new(RandomStrategy::new(seed))
+        }
+    }
     for n in 2..=4 {
         for b in [1, 2] {
             for m in [1, 4, 16, 1_000_000] {
@@ -159,15 +166,8 @@ fn run_walk_matches_the_shared_coin_over_registers() {
                     for round_robin in [false, true] {
                         let at = format!("n {n} b {b} m {m} seed {seed} round-robin {round_robin}");
                         let flips = |p: usize| FairFlips::new(derive_seed(seed, p as u64));
-                        let (mut walk_adv, strategy): (Box<dyn WalkAdversary>, Box<dyn Strategy>) =
-                            if round_robin {
-                                (Box::new(WalkRoundRobin::new()), Box::new(RoundRobin::new()))
-                            } else {
-                                (
-                                    Box::new(WalkRandom::new(seed)),
-                                    Box::new(RandomStrategy::new(seed)),
-                                )
-                            };
+                        let mut walk_adv = policy::<Walk>(round_robin, seed);
+                        let strategy = policy(round_robin, seed);
                         let sources = (0..n)
                             .map(|p| Box::new(flips(p)) as Box<dyn FlipSource>)
                             .collect();

@@ -4,8 +4,8 @@
 //! inspect the protocol state (which the strong adversary of the model is
 //! allowed to do) and try to delay agreement.
 
-use bprc_sim::sched::Decision;
-use bprc_sim::turn::{TurnAdversary, TurnView};
+use bprc_sim::sched::{Decision, Strategy};
+use bprc_sim::turn::{Turn, TurnView};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -34,8 +34,8 @@ impl SplitAdversary {
     }
 }
 
-impl TurnAdversary<ProcState> for SplitAdversary {
-    fn choose(&mut self, view: &TurnView<'_, ProcState>) -> Decision {
+impl Strategy<Turn<ProcState>> for SplitAdversary {
+    fn decide(&mut self, view: &TurnView<'_, ProcState>) -> Decision {
         let g = view_graph(view.shared, self.k);
         // Count leader preferences.
         let mut zeros = 0usize;
@@ -58,14 +58,14 @@ impl TurnAdversary<ProcState> for SplitAdversary {
         };
         if let Some(want) = minority {
             if let Some(&p) = view
-                .active
+                .runnable
                 .iter()
                 .find(|&&p| view.shared[p].pref() == Pref::Val(want))
             {
                 return Decision::Grant(p);
             }
         }
-        Decision::Grant(view.active[self.rng.gen_range(0..view.active.len())])
+        Decision::Grant(view.runnable[self.rng.gen_range(0..view.runnable.len())])
     }
 }
 
@@ -86,17 +86,17 @@ impl LeaderStarver {
     }
 }
 
-impl TurnAdversary<ProcState> for LeaderStarver {
-    fn choose(&mut self, view: &TurnView<'_, ProcState>) -> Decision {
+impl Strategy<Turn<ProcState>> for LeaderStarver {
+    fn decide(&mut self, view: &TurnView<'_, ProcState>) -> Decision {
         let g = view_graph(view.shared, self.k);
         let non_leaders: Vec<usize> = view
-            .active
+            .runnable
             .iter()
             .copied()
             .filter(|&p| !g.is_leader(p))
             .collect();
         let pool = if non_leaders.is_empty() {
-            view.active
+            view.runnable
         } else {
             &non_leaders[..]
         };
@@ -133,12 +133,12 @@ impl HoldDeciders {
     }
 }
 
-impl TurnAdversary<ProcState> for HoldDeciders {
-    fn choose(&mut self, view: &TurnView<'_, ProcState>) -> Decision {
+impl Strategy<Turn<ProcState>> for HoldDeciders {
+    fn decide(&mut self, view: &TurnView<'_, ProcState>) -> Decision {
         use bprc_sim::turn::Phase;
         let mut held: Vec<(usize, Option<bool>)> = Vec::new();
         let mut free: Vec<usize> = Vec::new();
-        for &p in view.active {
+        for &p in view.runnable {
             match &view.phases[p] {
                 Phase::Write(m) if !m.edges().eq(view.shared[p].edges()) => {
                     held.push((p, m.pref().value()));
@@ -223,13 +223,13 @@ mod tests {
         // Chaos composition: the protocol-aware SplitAdversary wrapped in a
         // seeded fault plan (crashes, panics, stalls). Survivors must still
         // agree, and whatever the plan killed must show up in the report.
-        use bprc_sim::faults::{FaultPlan, FaultedTurnAdversary};
+        use bprc_sim::faults::{FaultPlan, FaultedStrategy};
         use bprc_sim::Halted;
         for seed in 0..8 {
             let n = 4;
             let plan = FaultPlan::seeded(seed, n, 400);
             let kills = plan.kill_count();
-            let mut adv = FaultedTurnAdversary::new(SplitAdversary::new(2, seed), plan);
+            let mut adv = FaultedStrategy::new(SplitAdversary::new(2, seed), plan);
             let r = TurnDriver::new(cores(n, seed)).run(&mut adv, 5_000_000);
             assert!(r.completed, "seed {seed}: chaos blocked termination");
             assert!(r.distinct_outputs().len() <= 1, "seed {seed}: disagreement");

@@ -172,13 +172,14 @@ impl TurnProcess for LocalCoinCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bprc_sim::turn::{TurnDriver, TurnRandom};
+    use bprc_sim::sched::RandomStrategy;
+    use bprc_sim::turn::TurnDriver;
 
     fn run(n: usize, inputs: &[bool], seed: u64, budget: u64) -> bprc_sim::turn::TurnReport<bool> {
         let procs: Vec<LocalCoinCore> = (0..n)
             .map(|p| LocalCoinCore::new(n, p, inputs[p], seed * 13 + p as u64))
             .collect();
-        TurnDriver::new(procs).run(&mut TurnRandom::new(seed), budget)
+        TurnDriver::new(procs).run(&mut RandomStrategy::new(seed), budget)
     }
 
     #[test]

@@ -187,13 +187,14 @@ impl TurnProcess for AhCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bprc_sim::turn::{TurnDriver, TurnRandom};
+    use bprc_sim::sched::RandomStrategy;
+    use bprc_sim::turn::TurnDriver;
 
     fn run(n: usize, inputs: &[bool], seed: u64) -> bprc_sim::turn::TurnReport<bool> {
         let procs: Vec<AhCore> = (0..n)
             .map(|p| AhCore::new(n, p, inputs[p], seed * 11 + p as u64, 3))
             .collect();
-        TurnDriver::new(procs).run(&mut TurnRandom::new(seed), 3_000_000)
+        TurnDriver::new(procs).run(&mut RandomStrategy::new(seed), 3_000_000)
     }
 
     #[test]

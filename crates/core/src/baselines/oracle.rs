@@ -144,13 +144,14 @@ impl TurnProcess for OracleCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bprc_sim::turn::{TurnDriver, TurnRandom};
+    use bprc_sim::sched::RandomStrategy;
+    use bprc_sim::turn::TurnDriver;
 
     fn run(n: usize, inputs: &[bool], seed: u64) -> bprc_sim::turn::TurnReport<bool> {
         let procs: Vec<OracleCore> = (0..n)
             .map(|p| OracleCore::new(n, p, inputs[p], seed))
             .collect();
-        TurnDriver::new(procs).run(&mut TurnRandom::new(seed ^ 0xABCD), 500_000)
+        TurnDriver::new(procs).run(&mut RandomStrategy::new(seed ^ 0xABCD), 500_000)
     }
 
     #[test]

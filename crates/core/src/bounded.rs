@@ -507,14 +507,15 @@ impl TurnProcess for BoundedCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bprc_sim::turn::{TurnDriver, TurnRandom, TurnReport, TurnRoundRobin};
+    use bprc_sim::sched::{RandomStrategy, RoundRobin};
+    use bprc_sim::turn::{TurnDriver, TurnReport};
 
     fn run_instance(n: usize, inputs: &[bool], seed: u64, max_events: u64) -> TurnReport<bool> {
         let params = ConsensusParams::quick(n);
         let procs: Vec<BoundedCore> = (0..n)
             .map(|p| BoundedCore::new(params.clone(), p, inputs[p], seed * 1000 + p as u64))
             .collect();
-        TurnDriver::new(procs).run(&mut TurnRandom::new(seed), max_events)
+        TurnDriver::new(procs).run(&mut RandomStrategy::new(seed), max_events)
     }
 
     #[test]
@@ -578,15 +579,15 @@ mod tests {
         let procs: Vec<BoundedCore> = (0..3)
             .map(|p| BoundedCore::new(params.clone(), p, inputs[p], p as u64))
             .collect();
-        let r = TurnDriver::new(procs).run(&mut TurnRoundRobin::new(), 3_000_000);
+        let r = TurnDriver::new(procs).run(&mut RoundRobin::new(), 3_000_000);
         assert!(r.completed);
         assert_eq!(r.distinct_outputs().len(), 1);
     }
 
     #[test]
     fn survivors_decide_despite_crashes() {
-        use bprc_sim::sched::Decision;
-        use bprc_sim::turn::{TurnFn, TurnView};
+        use bprc_sim::sched::{Decision, FnStrategy, Strategy};
+        use bprc_sim::turn::TurnView;
         for seed in 0..10 {
             let n = 4;
             let inputs: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
@@ -595,15 +596,15 @@ mod tests {
                 .map(|p| BoundedCore::new(params.clone(), p, inputs[p], seed * 7 + p as u64))
                 .collect();
             // Crash processes 0 and 1 early; schedule the rest randomly.
-            let mut inner = TurnRandom::new(seed);
-            let mut adversary = TurnFn(move |view: &TurnView<'_, ProcState>| {
-                if view.events == 5 && !view.crashed[0] && view.active.contains(&0) {
+            let mut inner = RandomStrategy::new(seed);
+            let mut adversary = FnStrategy::new(move |view: &TurnView<'_, ProcState>| {
+                if view.step == 5 && !view.crashed[0] && view.runnable.contains(&0) {
                     return Decision::Crash(0);
                 }
-                if view.events == 11 && !view.crashed[1] && view.active.contains(&1) {
+                if view.step == 11 && !view.crashed[1] && view.runnable.contains(&1) {
                     return Decision::Crash(1);
                 }
-                bprc_sim::turn::TurnAdversary::choose(&mut inner, view)
+                inner.decide(view)
             });
             let r = TurnDriver::new(procs).run(&mut adversary, 3_000_000);
             assert!(r.completed, "seed {seed}: survivors must terminate");

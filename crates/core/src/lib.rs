@@ -34,14 +34,15 @@
 //!
 //! ```
 //! use bprc_core::bounded::{BoundedCore, ConsensusParams};
-//! use bprc_sim::turn::{TurnDriver, TurnRandom};
+//! use bprc_sim::sched::RandomStrategy;
+//! use bprc_sim::turn::TurnDriver;
 //!
 //! # fn main() {
 //! let params = ConsensusParams::quick(3);
 //! let procs: Vec<BoundedCore> = (0..3)
 //!     .map(|pid| BoundedCore::new(params.clone(), pid, pid % 2 == 0, 42 + pid as u64))
 //!     .collect();
-//! let report = TurnDriver::new(procs).run(&mut TurnRandom::new(7), 1_000_000);
+//! let report = TurnDriver::new(procs).run(&mut RandomStrategy::new(7), 1_000_000);
 //! let decisions: Vec<bool> = report.outputs.iter().map(|o| o.unwrap()).collect();
 //! assert!(decisions.windows(2).all(|w| w[0] == w[1]), "agreement");
 //! # }

@@ -5,8 +5,8 @@
 //! exactly that, for the bounded protocol and for the \[AH88\] baseline whose
 //! registers grow with the round number.
 
-use bprc_sim::turn::{TurnAdversary, TurnDriver, TurnProcess, TurnReport};
-use bprc_sim::Gauge;
+use bprc_sim::turn::{Turn, TurnDriver, TurnProcess, TurnReport};
+use bprc_sim::{Gauge, Strategy};
 
 /// Runs a turn-based protocol while measuring register widths after every
 /// event, using `bits` to size one register's contents.
@@ -19,7 +19,7 @@ use bprc_sim::Gauge;
 /// [`bprc_sim::Telemetry::gauge_global`].
 pub fn run_metered<P: TurnProcess>(
     procs: Vec<P>,
-    adversary: &mut dyn TurnAdversary<P::Msg>,
+    adversary: &mut dyn Strategy<Turn<P::Msg>>,
     max_events: u64,
     bits: impl Fn(&P::Msg) -> u64,
 ) -> TurnReport<P::Out> {
@@ -42,7 +42,7 @@ mod tests {
     use super::*;
     use crate::baselines::aspnes_herlihy::AhCore;
     use crate::bounded::{BoundedCore, ConsensusParams};
-    use bprc_sim::turn::TurnRandom;
+    use bprc_sim::sched::RandomStrategy;
 
     #[test]
     fn bounded_protocol_register_width_is_flat() {
@@ -51,7 +51,7 @@ mod tests {
         let procs: Vec<BoundedCore> = (0..3)
             .map(|p| BoundedCore::new(params.clone(), p, p % 2 == 0, p as u64))
             .collect();
-        let report = run_metered(procs, &mut TurnRandom::new(3), 3_000_000, |s| {
+        let report = run_metered(procs, &mut RandomStrategy::new(3), 3_000_000, |s| {
             s.register_bits()
         });
         assert!(report.completed);
@@ -70,7 +70,7 @@ mod tests {
             .map(|p| AhCore::new(3, p, p % 2 == 0, 7 + p as u64, 3))
             .collect();
         let initial_bits = procs[0].register_bits();
-        let report = run_metered(procs, &mut TurnRandom::new(5), 3_000_000, |s| s.bits());
+        let report = run_metered(procs, &mut RandomStrategy::new(5), 3_000_000, |s| s.bits());
         assert!(report.completed);
         let max_bits = report.telemetry.gauge_global(Gauge::MaxRegisterBits);
         assert!(

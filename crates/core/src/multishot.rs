@@ -210,7 +210,8 @@ impl<S: ProposalSource> TurnProcess for LogCore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bprc_sim::turn::{TurnBsp, TurnDriver, TurnRandom};
+    use bprc_sim::sched::RandomStrategy;
+    use bprc_sim::turn::{TurnBsp, TurnDriver};
 
     fn run_log(proposals: Vec<Vec<u64>>, n_slots: usize, width: u32, seed: u64) -> Vec<Vec<u64>> {
         let n = proposals.len();
@@ -229,7 +230,7 @@ mod tests {
                 )
             })
             .collect();
-        let report = TurnDriver::new(procs).run(&mut TurnRandom::new(seed), 100_000_000);
+        let report = TurnDriver::new(procs).run(&mut RandomStrategy::new(seed), 100_000_000);
         assert!(report.completed, "log did not complete");
         report.outputs.into_iter().map(|o| o.unwrap()).collect()
     }
@@ -277,7 +278,7 @@ mod tests {
                 )
             })
             .collect();
-        let report = TurnDriver::new(procs).run(&mut TurnRandom::new(9), 100_000_000);
+        let report = TurnDriver::new(procs).run(&mut RandomStrategy::new(9), 100_000_000);
         assert!(report.completed);
         let log = report.outputs[0].clone().unwrap();
         assert_eq!(&log, report.outputs[1].as_ref().unwrap());

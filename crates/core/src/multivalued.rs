@@ -342,7 +342,8 @@ impl TurnProcess for MvCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bprc_sim::turn::{TurnDriver, TurnRandom, TurnRoundRobin};
+    use bprc_sim::sched::{RandomStrategy, RoundRobin};
+    use bprc_sim::turn::TurnDriver;
 
     fn run(values: &[u64], width: u32, seed: u64) -> bprc_sim::turn::TurnReport<u64> {
         let n = values.len();
@@ -350,7 +351,7 @@ mod tests {
         let procs: Vec<MvCore> = (0..n)
             .map(|p| MvCore::new(params.clone(), p, values[p], width, seed * 97 + p as u64))
             .collect();
-        TurnDriver::new(procs).run(&mut TurnRandom::new(seed), 20_000_000)
+        TurnDriver::new(procs).run(&mut RandomStrategy::new(seed), 20_000_000)
     }
 
     #[test]
@@ -395,7 +396,7 @@ mod tests {
         let procs: Vec<MvCore> = (0..2)
             .map(|p| MvCore::new(params.clone(), p, values[p], 4, p as u64))
             .collect();
-        let r = TurnDriver::new(procs).run(&mut TurnRoundRobin::new(), 20_000_000);
+        let r = TurnDriver::new(procs).run(&mut RoundRobin::new(), 20_000_000);
         assert!(r.completed);
         let d = r.distinct_outputs();
         assert!(values.contains(d[0]));

@@ -94,7 +94,8 @@ impl TurnProcess for TestAndSetCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bprc_sim::turn::{TurnBsp, TurnDriver, TurnRandom};
+    use bprc_sim::sched::RandomStrategy;
+    use bprc_sim::turn::{TurnBsp, TurnDriver};
 
     #[test]
     fn sticky_bit_sticks() {
@@ -104,7 +105,7 @@ mod tests {
             let procs: Vec<StickyBitCore> = (0..n)
                 .map(|p| StickyBitCore::new(params.clone(), p, p >= 2, seed * 5 + p as u64))
                 .collect();
-            let r = TurnDriver::new(procs).run(&mut TurnRandom::new(seed), 10_000_000);
+            let r = TurnDriver::new(procs).run(&mut RandomStrategy::new(seed), 10_000_000);
             assert!(r.completed, "seed {seed}");
             let d = r.distinct_outputs();
             assert_eq!(d.len(), 1, "seed {seed}: the bit must be single-valued");
@@ -118,7 +119,7 @@ mod tests {
         let procs: Vec<StickyBitCore> = (0..n)
             .map(|p| StickyBitCore::new(params.clone(), p, true, p as u64))
             .collect();
-        let r = TurnDriver::new(procs).run(&mut TurnRandom::new(2), 10_000_000);
+        let r = TurnDriver::new(procs).run(&mut RandomStrategy::new(2), 10_000_000);
         assert!(r.outputs.iter().all(|o| *o == Some(true)));
     }
 
@@ -130,7 +131,7 @@ mod tests {
             let procs: Vec<TestAndSetCore> = (0..n)
                 .map(|p| TestAndSetCore::new(params.clone(), p, seed * 9 + p as u64))
                 .collect();
-            let r = TurnDriver::new(procs).run(&mut TurnRandom::new(seed), 50_000_000);
+            let r = TurnDriver::new(procs).run(&mut RandomStrategy::new(seed), 50_000_000);
             assert!(r.completed, "seed {seed}");
             let winners = r.outputs.iter().filter(|o| matches!(o, Some(true))).count();
             assert_eq!(
@@ -156,19 +157,19 @@ mod tests {
 
     #[test]
     fn test_and_set_crash_leaves_a_winner_among_survivors() {
-        use bprc_sim::sched::Decision;
-        use bprc_sim::turn::{TurnAdversary, TurnFn, TurnView};
+        use bprc_sim::sched::{Decision, FnStrategy, Strategy};
+        use bprc_sim::turn::TurnView;
         let n = 3;
         let params = ConsensusParams::quick(n);
         let procs: Vec<TestAndSetCore> = (0..n)
             .map(|p| TestAndSetCore::new(params.clone(), p, 40 + p as u64))
             .collect();
-        let mut inner = TurnRandom::new(8);
-        let mut adversary = TurnFn(move |view: &TurnView<'_, MvState>| {
-            if view.events == 3 && view.active.contains(&0) && !view.crashed[0] {
+        let mut inner = RandomStrategy::new(8);
+        let mut adversary = FnStrategy::new(move |view: &TurnView<'_, MvState>| {
+            if view.step == 3 && view.runnable.contains(&0) && !view.crashed[0] {
                 return Decision::Crash(0);
             }
-            inner.choose(view)
+            inner.decide(view)
         });
         let r = TurnDriver::new(procs).run(&mut adversary, 50_000_000);
         assert!(r.completed);

@@ -204,7 +204,7 @@ pub fn check_execution(
     params: &crate::bounded::ConsensusParams,
     inputs: &[bool],
     seed: u64,
-    adversary: &mut dyn bprc_sim::turn::TurnAdversary<ProcState>,
+    adversary: &mut dyn bprc_sim::Strategy<bprc_sim::turn::Turn<ProcState>>,
     max_events: u64,
 ) -> (bprc_sim::turn::TurnReport<bool>, VirtualRoundTracker) {
     use std::cell::RefCell;
@@ -272,7 +272,7 @@ pub fn check_execution(
 mod tests {
     use super::*;
     use crate::bounded::ConsensusParams;
-    use bprc_sim::turn::{TurnRandom, TurnRoundRobin};
+    use bprc_sim::sched::{RandomStrategy, RoundRobin};
 
     #[test]
     fn virtual_rounds_are_monotone_under_random_schedules() {
@@ -283,7 +283,7 @@ mod tests {
                 &params,
                 &inputs,
                 seed,
-                &mut TurnRandom::new(seed),
+                &mut RandomStrategy::new(seed),
                 3_000_000,
             );
             assert!(report.completed, "seed {seed}");
@@ -301,7 +301,7 @@ mod tests {
         let params = ConsensusParams::quick(4);
         let inputs = [false, true, false, true];
         let (report, tracker) =
-            check_execution(&params, &inputs, 3, &mut TurnRoundRobin::new(), 3_000_000);
+            check_execution(&params, &inputs, 3, &mut RoundRobin::new(), 3_000_000);
         assert!(report.completed);
         assert!(
             tracker.violations().is_empty(),
@@ -356,7 +356,7 @@ mod tests {
             &params,
             &[true, false],
             1,
-            &mut TurnRoundRobin::new(),
+            &mut RoundRobin::new(),
             1_000_000,
         );
         assert!(

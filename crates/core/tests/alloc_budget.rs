@@ -14,15 +14,14 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
+use std::sync::Mutex;
 
 use bprc_core::bounded::{BoundedCore, ConsensusParams};
 use bprc_core::multishot::{LogCore, LogMsg, StaticProposals};
 use bprc_core::state::ProcState;
 use bprc_registers::DirectArrow;
-use bprc_sim::sched::RoundRobin;
-use bprc_sim::turn::{
-    Phase, TurnAdversary, TurnDriver, TurnFn, TurnRandom, TurnRoundRobin, TurnView,
-};
+use bprc_sim::sched::{FnStrategy, RandomStrategy, RoundRobin, Strategy};
+use bprc_sim::turn::{Phase, Turn, TurnDriver, TurnView};
 use bprc_sim::world::ProcBody;
 use bprc_sim::{Counter, Decision, Mode, World};
 use bprc_snapshot::ScannableMemory;
@@ -89,15 +88,16 @@ fn driver(seed: u64) -> TurnDriver<BoundedCore> {
 }
 
 /// Wraps `inner` so that `stepped` holds which pid the next event steps and
-/// whether that event is a scan.
+/// whether that event is a scan (a `Mutex`, not a `Cell`: strategies are
+/// `Send`; locking it allocates nothing).
 fn noting<'a, M>(
-    inner: &'a mut dyn TurnAdversary<M>,
-    stepped: &'a Cell<(usize, bool)>,
-) -> impl TurnAdversary<M> + 'a {
-    TurnFn(move |view: &TurnView<'_, M>| {
-        let decision = inner.choose(view);
+    inner: &'a mut dyn Strategy<Turn<M>>,
+    stepped: &'a Mutex<(usize, bool)>,
+) -> impl Strategy<Turn<M>> + 'a {
+    FnStrategy::new(move |view: &TurnView<'_, M>| {
+        let decision = inner.decide(view);
         if let Decision::Grant(pid) = decision {
-            stepped.set((pid, matches!(view.phases[pid], Phase::Scan)));
+            *stepped.lock().unwrap() = (pid, matches!(view.phases[pid], Phase::Scan));
         }
         decision
     })
@@ -107,7 +107,11 @@ fn noting<'a, M>(
 fn a_turn_allocates_only_the_state_it_publishes() {
     // Warm-up instance: anything lazily initialised per thread or per
     // process (metrics shards, the panic machinery) happens here.
-    assert!(driver(7).run(&mut TurnRandom::new(7), 1_000_000).completed);
+    assert!(
+        driver(7)
+            .run(&mut RandomStrategy::new(7), 1_000_000)
+            .completed
+    );
 
     // What publishing one state costs: the `ProcState` clone, measured.
     let state = ProcState::phantom(ConsensusParams::quick(N).layout());
@@ -119,15 +123,15 @@ fn a_turn_allocates_only_the_state_it_publishes() {
     // The counted instance. The adversary notes which pid it stepped and
     // whether that event is a scan; the observer, called after the event,
     // charges everything allocated since the previous event to it.
-    let stepped = Cell::new((0usize, false));
-    let mut inner = TurnRandom::new(11);
+    let stepped = Mutex::new((0usize, false));
+    let mut inner = RandomStrategy::new(11);
     let mut adversary = noting(&mut inner, &stepped);
     let (mut total, mut writing_scans) = (0u64, 0u64);
     let driver = driver(11);
     let mut mark = allocs();
     let report = driver.run_observed(&mut adversary, 1_000_000, |d| {
         let now = allocs();
-        let (pid, was_scan) = stepped.get();
+        let (pid, was_scan) = *stepped.lock().unwrap();
         let wrote = was_scan && matches!(d.phases()[pid], Phase::Write(_));
         let budget = if wrote { per_state } else { 0 };
         assert_eq!(
@@ -178,13 +182,13 @@ const C: u64 = 8;
 fn a_log_turn_allocates_the_message_it_publishes() {
     assert!(
         log_driver(2, 1)
-            .run(&mut TurnRoundRobin::new(), 10_000_000)
+            .run(&mut RoundRobin::new(), 10_000_000)
             .completed
     );
 
     let n = 2;
-    let stepped = Cell::new((0usize, false));
-    let mut inner = TurnRoundRobin::new();
+    let stepped = Mutex::new((0usize, false));
+    let mut inner = RoundRobin::new();
     let mut adversary = noting(&mut inner, &stepped);
     // Per pid: (slots, levels of the newest slot) as last published, and
     // whether the previous turn opened a level or a slot.
@@ -196,7 +200,7 @@ fn a_log_turn_allocates_the_message_it_publishes() {
     let mut mark = allocs();
     let report = driver.run_observed(&mut adversary, 10_000_000, |d| {
         let spent = allocs() - mark;
-        let (pid, was_scan) = stepped.get();
+        let (pid, was_scan) = *stepped.lock().unwrap();
         match &d.phases()[pid] {
             Phase::Write(msg) if was_scan => {
                 let now = (msg.slots.len(), msg.slots.last().unwrap().level_count());
@@ -251,7 +255,7 @@ fn log_msg(slots: usize) -> LogMsg {
         })
         .collect();
     let mut last = None;
-    TurnDriver::new(procs).run_observed(&mut TurnRoundRobin::new(), 1_000_000, |d| {
+    TurnDriver::new(procs).run_observed(&mut RoundRobin::new(), 1_000_000, |d| {
         last = Some(d.shared()[0].clone());
     });
     last.expect("the log took at least one event")

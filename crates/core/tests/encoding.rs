@@ -16,7 +16,8 @@ use bprc_core::multishot::{LogCore, LogMsg, StaticProposals};
 use bprc_core::multivalued::{MvCore, MvState};
 use bprc_core::state::{PackError, Pref, ProcParts, ProcState, RegisterLayout};
 use bprc_sim::rng::stream_rng;
-use bprc_sim::turn::{TurnDriver, TurnProcess, TurnRoundRobin};
+use bprc_sim::sched::RoundRobin;
+use bprc_sim::turn::{TurnDriver, TurnProcess};
 use rand::Rng;
 
 const SEED: u64 = 23;
@@ -254,10 +255,9 @@ fn an_out_of_domain_field_is_a_typed_error() {
 /// Everything `proc` publishes while it runs alone to its decision.
 fn solo_messages<P: TurnProcess>(proc: P) -> Vec<P::Msg> {
     let mut seen = Vec::new();
-    let report =
-        TurnDriver::new(vec![proc]).run_observed(&mut TurnRoundRobin::new(), 100_000, |d| {
-            seen.push(d.shared()[0].clone())
-        });
+    let report = TurnDriver::new(vec![proc]).run_observed(&mut RoundRobin::new(), 100_000, |d| {
+        seen.push(d.shared()[0].clone())
+    });
     assert!(report.completed);
     seen
 }

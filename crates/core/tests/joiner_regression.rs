@@ -11,7 +11,8 @@
 
 use bprc_core::bounded::ConsensusParams;
 use bprc_core::multishot::{LogCore, StaticProposals};
-use bprc_sim::turn::{TurnDriver, TurnRandom};
+use bprc_sim::sched::RandomStrategy;
+use bprc_sim::turn::TurnDriver;
 use bprc_strip::EdgeCounters;
 
 /// The exact configuration that livelocked before the fix (found by the
@@ -34,7 +35,7 @@ fn seed_73_multishot_regression() {
             )
         })
         .collect();
-    let r = TurnDriver::new(procs).run(&mut TurnRandom::new(seed), 2_000_000);
+    let r = TurnDriver::new(procs).run(&mut RandomStrategy::new(seed), 2_000_000);
     assert!(r.completed, "regression: seed 73 livelocked again");
     assert_eq!(r.distinct_outputs().len(), 1);
 }
@@ -102,7 +103,8 @@ fn staggered_joins_always_terminate() {
                     )
                 })
                 .collect();
-            let r = TurnDriver::new(procs).run(&mut TurnRandom::new(seed * 31 + lead), 10_000_000);
+            let r =
+                TurnDriver::new(procs).run(&mut RandomStrategy::new(seed * 31 + lead), 10_000_000);
             assert!(r.completed, "lead {lead} seed {seed}: livelock");
             assert_eq!(r.distinct_outputs().len(), 1, "lead {lead} seed {seed}");
         }

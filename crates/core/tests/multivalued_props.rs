@@ -8,7 +8,8 @@ use bprc_core::bounded::ConsensusParams;
 use bprc_core::multishot::{LogCore, StaticProposals};
 use bprc_core::multivalued::MvCore;
 use bprc_sim::rng::stream_rng;
-use bprc_sim::turn::{TurnDriver, TurnRandom};
+use bprc_sim::sched::RandomStrategy;
+use bprc_sim::turn::TurnDriver;
 use rand::Rng;
 
 const SEED: u64 = 48;
@@ -29,7 +30,7 @@ fn multivalued_agreement_validity() {
         let procs: Vec<MvCore> = (0..n)
             .map(|p| MvCore::new(params.clone(), p, values[p], width, seed ^ (p as u64) << 40))
             .collect();
-        let r = TurnDriver::new(procs).run(&mut TurnRandom::new(seed), 50_000_000);
+        let r = TurnDriver::new(procs).run(&mut RandomStrategy::new(seed), 50_000_000);
         assert!(r.completed, "{at}: did not terminate");
         let d = r.distinct_outputs();
         assert_eq!(d.len(), 1, "{at}: agreement violated");
@@ -66,7 +67,7 @@ fn multishot_log_agreement_per_slot() {
                 )
             })
             .collect();
-        let r = TurnDriver::new(procs).run(&mut TurnRandom::new(seed), 100_000_000);
+        let r = TurnDriver::new(procs).run(&mut RandomStrategy::new(seed), 100_000_000);
         assert!(r.completed, "{at}: did not terminate");
         let logs: Vec<&Vec<u64>> = r.outputs.iter().flatten().collect();
         assert_eq!(logs.len(), n, "{at}");

@@ -3,7 +3,7 @@
 //! leaders only if one did. After every scan of seeded runs, the core's graph
 //! and leader set must equal a fresh full `decode_rows_with` and `leaders()`
 //! of the view it scanned — for the binary core and for the joiners that
-//! `MvCore` levels and `LogCore` slots build, under `TurnRandom` and
+//! `MvCore` levels and `LogCore` slots build, under `RandomStrategy` and
 //! `TurnBsp`.
 //!
 //! Consensus runs decide within a few rounds, too few for a counter to wrap
@@ -22,10 +22,9 @@ use bprc_core::multishot::{LogCore, LogMsg, StaticProposals};
 use bprc_core::multivalued::{MvCore, MvState};
 use bprc_core::state::{Pref, ProcParts, ProcRef, ProcState, RegisterLayout};
 use bprc_sim::rng::stream_rng;
-use bprc_sim::turn::{
-    TurnAdversary, TurnBsp, TurnDriver, TurnProbe, TurnProcess, TurnRandom, TurnStep,
-};
-use bprc_sim::ProcMetrics;
+use bprc_sim::sched::RandomStrategy;
+use bprc_sim::turn::{Turn, TurnBsp, TurnDriver, TurnProbe, TurnProcess, TurnStep};
+use bprc_sim::{ProcMetrics, Strategy};
 use bprc_strip::DistanceGraph;
 use rand::Rng;
 
@@ -178,7 +177,7 @@ impl<P: Inspect> TurnProcess for Checked<P> {
 /// Runs `procs` to completion under `adversary`, checking every scan.
 fn run_checked<P: Inspect<Out: PartialEq>>(
     procs: Vec<P>,
-    adversary: &mut dyn TurnAdversary<P::Msg>,
+    adversary: &mut dyn Strategy<Turn<P::Msg>>,
     at: &str,
 ) -> Tally {
     let (n, tally) = (procs.len(), Rc::new(RefCell::new(Tally::default())));
@@ -205,11 +204,13 @@ fn params(n: usize, k: u32) -> ConsensusParams {
     ConsensusParams::with_k(n, k, CoinParams::new(n, 3, 1_000_000))
 }
 
+type Adversary<M> = Box<dyn Strategy<Turn<M>>>;
+
 /// Each run under a seeded random schedule and under the barrier-synchronous
 /// one.
-fn adversaries<M>(seed: u64) -> Vec<(&'static str, Box<dyn TurnAdversary<M>>)> {
+fn adversaries<M>(seed: u64) -> Vec<(&'static str, Adversary<M>)> {
     vec![
-        ("random", Box::new(TurnRandom::new(seed))),
+        ("random", Box::new(RandomStrategy::new(seed))),
         ("bsp", Box::new(TurnBsp::new())),
     ]
 }
@@ -251,7 +252,7 @@ fn a_scan_at_n8_re_decodes_a_fraction_of_a_row() {
             .collect();
         let tally = run_checked(
             procs,
-            &mut TurnRandom::new(rng.gen()),
+            &mut RandomStrategy::new(rng.gen()),
             &format!("seed {seed}"),
         );
         total.scans += tally.scans;

@@ -132,7 +132,7 @@ use parking_lot::Mutex;
 use crate::history::{FaultKind, OpKind, RegId};
 use crate::json::Value;
 use crate::metrics::{Counter, MetricsRegistry, Telemetry};
-use crate::sched::{Decision, FnStrategy, PendingOp, ScheduleView, Strategy};
+use crate::sched::{Decision, FnStrategy, Level, PendingOp, ScheduleView, Strategy};
 use crate::tracing::{Heartbeat, Histogram};
 use crate::weakmem::WeakMode;
 use crate::world::{Mode, ProcBody, RunReport, World};
@@ -365,18 +365,18 @@ impl DecisionTrace {
     }
 }
 
-/// Logs every decision the strategy it wraps issues, so any run can be
-/// kept as a [`DecisionTrace`]: [`run_trace`]'s canonical traces, and any
-/// sampled run a caller wants to replay.
-pub struct DecisionRecorder {
-    inner: Box<dyn Strategy>,
+/// Logs every decision the strategy it wraps issues, at any [`Level`], so
+/// any run can be kept as a [`DecisionTrace`]: [`run_trace`]'s canonical
+/// traces, and any sampled run a caller wants to replay.
+pub struct DecisionRecorder<S> {
+    inner: S,
     log: Arc<Mutex<Vec<Decision>>>,
 }
 
-impl DecisionRecorder {
+impl<S> DecisionRecorder<S> {
     /// Wraps `inner`, returning the recorder and a handle on its log, which
     /// stays readable after [`World::run`] has consumed the recorder.
-    pub fn new(inner: Box<dyn Strategy>) -> (Self, Arc<Mutex<Vec<Decision>>>) {
+    pub fn new(inner: S) -> (Self, Arc<Mutex<Vec<Decision>>>) {
         let log = Arc::new(Mutex::new(Vec::new()));
         let recorder = DecisionRecorder {
             inner,
@@ -386,8 +386,8 @@ impl DecisionRecorder {
     }
 }
 
-impl Strategy for DecisionRecorder {
-    fn decide(&mut self, view: &ScheduleView<'_>) -> Decision {
+impl<L: Level, S: Strategy<L>> Strategy<L> for DecisionRecorder<S> {
+    fn decide(&mut self, view: &ScheduleView<'_, L>) -> Decision {
         let decision = self.inner.decide(view);
         self.log.lock().push(decision);
         decision
@@ -1105,7 +1105,7 @@ where
     T: Send + 'static,
     F: FnMut() -> (World, Vec<ProcBody<T>>),
 {
-    let (recorder, log) = DecisionRecorder::new(Box::new(trace.replayer()));
+    let (recorder, log) = DecisionRecorder::new(trace.replayer());
     let (mut world, bodies) = make();
     let report = world.run(bodies, Box::new(recorder));
     let actual = DecisionTrace {

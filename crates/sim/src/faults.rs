@@ -3,16 +3,16 @@
 //! A [`FaultPlan`] is a declarative description of *when bad things happen*:
 //! crash process 2 at global step 40, stall process 0 between steps 100 and
 //! 250, inject a panic into process 1 after its 17th own step, starve
-//! process 3 after a 500-step allowance. Plans are pure data: they compose
-//! with **any** scheduling strategy at either granularity via the
-//! [`FaultedStrategy`] (thread/register level, [`Strategy`]) and
-//! [`FaultedTurnAdversary`] (turn level, [`TurnAdversary`]) wrappers, so the
-//! same chaos scenario can be replayed against round-robin, seeded-random,
-//! or bespoke adversaries without touching protocol code.
+//! process 3 after a 500-step allowance. Plans are pure data: the
+//! [`FaultedStrategy`] wrapper composes one with **any** [`Strategy`] at
+//! any [`Level`] — register, turn or walk — so the same chaos scenario can
+//! be replayed against round-robin, seeded-random, or bespoke adversaries
+//! without touching protocol code. Steps are the level's own: register
+//! operations in a world, scan/write events under the turn driver.
 //!
 //! Everything a plan does is visible afterwards: crash decisions appear as
 //! crash events, and stall edges, injected panics, and starvation crashes
-//! are reported through the wrappers' `drain_fault_notes` hooks, which the
+//! are reported through the wrapper's `drain_fault_notes` hook, which the
 //! world and turn driver record into the run's history / fault log.
 //!
 //! Semantics chosen to preserve the model's liveness guarantees:
@@ -21,8 +21,8 @@
 //!   issue — `Crash(pid)` or `Panic(pid)` — and fire it the first time
 //!   their trigger is due *and* the target is still schedulable; a point
 //!   whose target already finished or crashed is silently skipped (it fires
-//!   at most once). Both wrappers ask the plan for the decision that is due
-//!   before anything else, so the two granularities share one rule.
+//!   at most once). The wrapper asks the plan for the decision that is due
+//!   before anything else.
 //! * **Stall windows** hide the process from the wrapped strategy's view.
 //!   If hiding would leave the strategy with an empty view (every runnable
 //!   process stalled), the full view is passed through instead — a stall
@@ -40,8 +40,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::history::FaultKind;
-use crate::sched::{Decision, PendingOp, ScheduleView, Strategy};
-use crate::turn::{TurnAdversary, TurnView};
+use crate::sched::{Decision, Level, ScheduleView, Strategy};
 
 /// Keeps injected panics (`Decision::Panic` unwinds its target with a
 /// payload starting `"chaos: injected panic"`) off stderr: the hook it
@@ -103,8 +102,7 @@ pub struct StallWindow {
 ///
 /// Build one with the chainable constructors, or generate a randomized one
 /// with [`FaultPlan::seeded`]; then wrap a strategy with
-/// [`FaultedStrategy::new`] or a turn adversary with
-/// [`FaultedTurnAdversary::new`].
+/// [`FaultedStrategy::new`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Crash/panic points.
@@ -226,7 +224,7 @@ impl FaultPlan {
 
 /// Shared runtime state of a plan being executed against a run.
 ///
-/// Both wrappers embed one of these; it tracks which points fired, which
+/// [`FaultedStrategy`] embeds one of these; it tracks which points fired, which
 /// stall windows are open, per-process grant counts, and the fault notes
 /// not yet drained by the driver.
 #[derive(Debug, Clone)]
@@ -343,20 +341,20 @@ impl PlanEngine {
     }
 }
 
-/// Composes a [`FaultPlan`] with any register-level [`Strategy`].
+/// Composes a [`FaultPlan`] with any [`Strategy`], at any [`Level`].
 ///
 /// The wrapper fires due crash/panic points and starvation crashes before
 /// consulting the inner strategy, and hides stalled processes from the inner
 /// strategy's view (falling back to the full view if *everything* runnable
 /// is stalled). Fault notes are surfaced through
-/// [`Strategy::drain_fault_notes`], so the world records them.
+/// [`Strategy::drain_fault_notes`], so the executor records them.
 #[derive(Debug)]
 pub struct FaultedStrategy<S> {
     inner: S,
     engine: PlanEngine,
 }
 
-impl<S: Strategy> FaultedStrategy<S> {
+impl<S> FaultedStrategy<S> {
     /// Wraps `inner` with `plan`.
     pub fn new(inner: S, plan: FaultPlan) -> Self {
         FaultedStrategy {
@@ -366,71 +364,14 @@ impl<S: Strategy> FaultedStrategy<S> {
     }
 }
 
-impl<S: Strategy> Strategy for FaultedStrategy<S> {
-    fn decide(&mut self, view: &ScheduleView<'_>) -> Decision {
+impl<L: Level, S: Strategy<L>> Strategy<L> for FaultedStrategy<S> {
+    fn decide(&mut self, view: &ScheduleView<'_, L>) -> Decision {
         if let Some(fault) = self.engine.due(view.step, view.runnable) {
             return fault;
         }
         let decision = match self.engine.unstalled(view.step, view.runnable) {
             None => self.inner.decide(view),
-            Some(keep) => {
-                let runnable: Vec<usize> = keep.iter().map(|&i| view.runnable[i]).collect();
-                let pending: Vec<PendingOp> = keep.iter().map(|&i| view.pending[i]).collect();
-                self.inner.decide(&ScheduleView {
-                    runnable: &runnable,
-                    pending: &pending,
-                    ..*view
-                })
-            }
-        };
-        self.engine.counted(decision)
-    }
-
-    fn drain_fault_notes(&mut self) -> Vec<(usize, FaultKind)> {
-        let mut notes = self.engine.drain_notes();
-        notes.extend(self.inner.drain_fault_notes());
-        notes
-    }
-}
-
-/// Composes a [`FaultPlan`] with any [`TurnAdversary`] — identical
-/// semantics to [`FaultedStrategy`], at scan/write granularity (steps are
-/// turn events).
-#[derive(Debug)]
-pub struct FaultedTurnAdversary<A> {
-    inner: A,
-    engine: PlanEngine,
-}
-
-impl<A> FaultedTurnAdversary<A> {
-    /// Wraps `inner` with `plan`.
-    pub fn new(inner: A, plan: FaultPlan) -> Self {
-        FaultedTurnAdversary {
-            inner,
-            engine: PlanEngine::new(plan),
-        }
-    }
-
-    /// The wrapped adversary (e.g. to inspect its state after a run).
-    pub fn inner(&self) -> &A {
-        &self.inner
-    }
-}
-
-impl<M, A: TurnAdversary<M>> TurnAdversary<M> for FaultedTurnAdversary<A> {
-    fn choose(&mut self, view: &TurnView<'_, M>) -> Decision {
-        if let Some(fault) = self.engine.due(view.events, view.active) {
-            return fault;
-        }
-        let decision = match self.engine.unstalled(view.events, view.active) {
-            None => self.inner.choose(view),
-            Some(keep) => {
-                let active: Vec<usize> = keep.iter().map(|&i| view.active[i]).collect();
-                self.inner.choose(&TurnView {
-                    active: &active,
-                    ..*view
-                })
-            }
+            Some(keep) => L::narrowed(view, &keep, |view| self.inner.decide(view)),
         };
         self.engine.counted(decision)
     }
@@ -447,7 +388,7 @@ mod tests {
     use super::*;
     use crate::error::Halted;
     use crate::sched::RoundRobin;
-    use crate::turn::{TurnDriver, TurnProcess, TurnRoundRobin, TurnStep};
+    use crate::turn::{TurnDriver, TurnProcess, TurnStep};
     use crate::world::{ProcBody, World};
 
     #[test]
@@ -570,7 +511,7 @@ mod tests {
         }
         let procs = vec![Counter { left: 10 }, Counter { left: 10 }];
         let plan = FaultPlan::new().stall(0, 2, 12);
-        let mut adv = FaultedTurnAdversary::new(TurnRoundRobin::new(), plan);
+        let mut adv = FaultedStrategy::new(RoundRobin::new(), plan);
         // While the window is open, pid 0 must not move (pid 1 is available
         // the whole time, so the liveness fallback never triggers): its
         // register stays frozen at whatever it held when the window opened.
@@ -624,7 +565,7 @@ mod tests {
         // Stall the only process for the whole run: the fallback must let
         // it finish anyway.
         let plan = FaultPlan::new().stall(0, 0, 1_000_000);
-        let mut adv = FaultedTurnAdversary::new(TurnRoundRobin::new(), plan);
+        let mut adv = FaultedStrategy::new(RoundRobin::new(), plan);
         let report = TurnDriver::new(vec![Once]).run(&mut adv, 1_000);
         assert!(report.completed);
         assert_eq!(report.outputs[0], Some(7));
@@ -674,7 +615,7 @@ mod tests {
         }
         let procs = vec![P::Spin(Spin), P::Quick(Quick)];
         let plan = FaultPlan::new().panic_at(4, 0);
-        let mut adv = FaultedTurnAdversary::new(TurnRoundRobin::new(), plan);
+        let mut adv = FaultedStrategy::new(RoundRobin::new(), plan);
         let report = TurnDriver::new(procs).run(&mut adv, 1_000);
         assert!(report.completed);
         assert_eq!(report.halted[0], Some(Halted::Panicked));

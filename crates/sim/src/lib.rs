@@ -76,11 +76,11 @@ pub mod world;
 
 pub use error::Halted;
 pub use explore::{Counterexample, DecisionTrace, ExploreConfig, ExploreReport, Independence};
-pub use faults::{FaultPlan, FaultedStrategy, FaultedTurnAdversary};
+pub use faults::{FaultPlan, FaultedStrategy};
 pub use history::FaultKind;
 pub use metrics::{Counter, Gauge, MetricsRegistry, ProcMetrics, Telemetry};
 pub use reg::{FastPod, Reg, BIT_CHUNK_BITS, MAX_FAST_WORDS, NO_VERSION};
-pub use sched::{Decision, ScheduleView, Strategy};
+pub use sched::{Decision, Level, ScheduleView, Strategy};
 pub use tracing::{
     now_nanos, EventKind, FlightLog, FlightRecorder, Heartbeat, Hist, Histogram, TraceEvent,
     DEFAULT_RING_CAPACITY,

@@ -4,13 +4,24 @@
 //! it observes everything (memory contents, pending operations, past coin
 //! flips) and picks which process takes the next step, possibly crashing
 //! processes along the way. A [`Strategy`] is exactly that: at every
-//! quiescent point it is shown the runnable set and each process's pending
-//! operation, and returns a [`Decision`].
+//! decision point it is shown a [`ScheduleView`] — the step, the runnable
+//! set and the executor's own state — and returns a [`Decision`].
+//!
+//! One trait serves every executor: a strategy is generic over the
+//! [`Level`] it drives — [`Registers`] (the default, the lockstep world),
+//! [`Turn`](crate::turn::Turn) (the turn driver) or `bprc-coin`'s `Walk` —
+//! and its view dereferences to that level's own state. Policies that read
+//! only the step and the runnable set ([`RoundRobin`], [`RandomStrategy`],
+//! [`SoloBursts`], [`PctStrategy`], [`FnStrategy`], fault plans) implement
+//! every level, so one value drives any executor with the same stream;
+//! adversaries that read one level's state implement that level only.
 //!
 //! Adaptive adversaries that need to inspect memory can capture cloned
 //! [`Reg`](crate::reg::Reg) handles and use [`Reg::peek`](crate::reg::Reg::peek)
 //! inside their decision function — at decision time no process is mid-access,
 //! so peeks observe a consistent global state.
+
+use std::ops::Deref;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -28,16 +39,53 @@ pub struct PendingOp {
     pub tag: u64,
 }
 
-/// What the scheduler sees at a decision point.
-#[derive(Debug)]
-pub struct ScheduleView<'a> {
-    /// Global step index of the step about to be granted.
+/// An executor granularity an adversary can drive.
+pub trait Level: Sized {
+    /// What a view at this level carries besides the step and the runnable
+    /// set.
+    type State<'a>
+    where
+        Self: 'a;
+
+    /// Calls `f` with `view` narrowed to the runnable entries at the
+    /// ascending indices `keep` (how a fault plan hides stalled processes).
+    fn narrowed<R>(
+        view: &ScheduleView<'_, Self>,
+        keep: &[usize],
+        f: impl FnOnce(&ScheduleView<'_, Self>) -> R,
+    ) -> R;
+}
+
+/// What the adversary sees at a decision point.
+pub struct ScheduleView<'a, L: Level + 'a = Registers> {
+    /// Global step index of the step about to be granted (at turn and walk
+    /// level: the events applied so far).
     pub step: u64,
-    /// Processes eligible to run (blocked at a gate, not crashed/finished),
-    /// in increasing pid order.
+    /// Processes eligible to run (not crashed or finished), in increasing
+    /// pid order.
     pub runnable: &'a [usize],
+    /// The level's own state; the view dereferences to it.
+    pub state: L::State<'a>,
+}
+
+impl<'a, L: Level> Deref for ScheduleView<'a, L> {
+    type Target = L::State<'a>;
+
+    fn deref(&self) -> &L::State<'a> {
+        &self.state
+    }
+}
+
+/// The register level: the lockstep [`World`](crate::world::World), one
+/// register operation per step.
+#[derive(Debug)]
+pub enum Registers {}
+
+/// The register level's part of a [`ScheduleView`].
+#[derive(Debug)]
+pub struct RegisterState<'a> {
     /// The pending operation of each runnable process (parallel to
-    /// [`runnable`](ScheduleView::runnable)).
+    /// [`ScheduleView::runnable`]).
     pub pending: &'a [PendingOp],
     /// Buffered stores eligible to flush right now, as `(pid, reg)` pairs
     /// in ascending pid order (for each pid: TSO exposes the buffer head,
@@ -46,6 +94,27 @@ pub struct ScheduleView<'a> {
     /// before the weak-memory plane never see a flushable entry and keep
     /// their exact decision streams.
     pub flushable: &'a [(usize, RegId)],
+}
+
+impl Level for Registers {
+    type State<'a> = RegisterState<'a>;
+
+    fn narrowed<R>(
+        view: &ScheduleView<'_>,
+        keep: &[usize],
+        f: impl FnOnce(&ScheduleView<'_>) -> R,
+    ) -> R {
+        let runnable: Vec<usize> = keep.iter().map(|&i| view.runnable[i]).collect();
+        let pending: Vec<PendingOp> = keep.iter().map(|&i| view.pending[i]).collect();
+        f(&ScheduleView {
+            step: view.step,
+            runnable: &runnable,
+            state: RegisterState {
+                pending: &pending,
+                ..view.state
+            },
+        })
+    }
 }
 
 impl ScheduleView<'_> {
@@ -73,7 +142,7 @@ pub enum Decision {
     Panic(usize),
     /// Land one buffered store of `pid` targeting `reg` in shared memory
     /// (weak-memory modes only; the pair must appear in
-    /// [`ScheduleView::flushable`]). Like a crash, a flush does not consume
+    /// [`RegisterState::flushable`]). Like a crash, a flush does not consume
     /// a step — the scheduler is consulted again for the same step.
     Flush {
         /// The process whose store buffer drains one entry.
@@ -97,7 +166,7 @@ impl Decision {
 
     /// Whether this decision may be issued against `view`: grants, crashes
     /// and panics need their pid runnable, flushes need their `(pid, reg)`
-    /// entry in [`ScheduleView::flushable`].
+    /// entry in [`RegisterState::flushable`].
     pub fn legal(self, view: &ScheduleView<'_>) -> bool {
         match self {
             Decision::Grant(p) | Decision::Crash(p) | Decision::Panic(p) => {
@@ -108,25 +177,38 @@ impl Decision {
     }
 }
 
-/// The adversary interface.
+/// The adversary interface, at any [`Level`] (the register level by
+/// default, so `Box<dyn Strategy>` drives a [`World`](crate::world::World)).
 ///
-/// A strategy is consulted by whichever process thread makes the world
-/// quiescent (see [`World::run`](crate::world::World::run)), never by two
-/// at once — so it must be `Send`, but needs no synchronization of its own.
-/// State shared with the caller of `run` goes behind an `Arc<Mutex<_>>`.
-pub trait Strategy: Send {
-    /// Picks the next decision given the current quiescent state.
-    fn decide(&mut self, view: &ScheduleView<'_>) -> Decision;
+/// A world's strategy is consulted by whichever process thread makes the
+/// world quiescent (see [`World::run`](crate::world::World::run)), never by
+/// two at once — so it must be `Send`, but needs no synchronization of its
+/// own. State shared with the caller of `run` goes behind an
+/// `Arc<Mutex<_>>`.
+pub trait Strategy<L: Level = Registers>: Send {
+    /// Picks the next decision given the current state.
+    fn decide(&mut self, view: &ScheduleView<'_, L>) -> Decision;
 
-    /// Fault events the strategy wants appended to the recorded history.
+    /// Fault events the strategy wants appended to the run's record.
     ///
-    /// The world calls this after every decision and records each entry as
-    /// an [`Event::Fault`](crate::history::Event) at the current step —
-    /// this is how fault-injection wrappers (see the `faults` module) make
-    /// stall windows and starvation visible in replayable histories.
+    /// The executor calls this after every decision and records each entry
+    /// at the current step (an [`Event::Fault`](crate::history::Event) in a
+    /// world's history, an entry of a turn run's fault log) — this is how
+    /// fault-injection wrappers (see the `faults` module) make stall
+    /// windows and starvation visible in replayable histories.
     /// The default implementation reports nothing.
     fn drain_fault_notes(&mut self) -> Vec<(usize, FaultKind)> {
         Vec::new()
+    }
+}
+
+impl<L: Level, S: Strategy<L> + ?Sized> Strategy<L> for Box<S> {
+    fn decide(&mut self, view: &ScheduleView<'_, L>) -> Decision {
+        (**self).decide(view)
+    }
+
+    fn drain_fault_notes(&mut self) -> Vec<(usize, FaultKind)> {
+        (**self).drain_fault_notes()
     }
 }
 
@@ -143,8 +225,8 @@ impl RoundRobin {
     }
 }
 
-impl Strategy for RoundRobin {
-    fn decide(&mut self, view: &ScheduleView<'_>) -> Decision {
+impl<L: Level> Strategy<L> for RoundRobin {
+    fn decide(&mut self, view: &ScheduleView<'_, L>) -> Decision {
         // Grant the first runnable pid >= next (cyclically).
         let pick = view
             .runnable
@@ -172,8 +254,8 @@ impl RandomStrategy {
     }
 }
 
-impl Strategy for RandomStrategy {
-    fn decide(&mut self, view: &ScheduleView<'_>) -> Decision {
+impl<L: Level> Strategy<L> for RandomStrategy {
+    fn decide(&mut self, view: &ScheduleView<'_, L>) -> Decision {
         let i = self.rng.gen_range(0..view.runnable.len());
         Decision::Grant(view.runnable[i])
     }
@@ -183,9 +265,12 @@ impl Strategy for RandomStrategy {
 /// adversary in a test.
 pub struct FnStrategy<F>(F);
 
-impl<F: FnMut(&ScheduleView<'_>) -> Decision> FnStrategy<F> {
-    /// Wraps `f`.
-    pub fn new(f: F) -> Self {
+impl<F> FnStrategy<F> {
+    /// Wraps `f`, deciding at level `L`.
+    pub fn new<L: Level>(f: F) -> Self
+    where
+        F: FnMut(&ScheduleView<'_, L>) -> Decision,
+    {
         FnStrategy(f)
     }
 }
@@ -196,8 +281,8 @@ impl<F> std::fmt::Debug for FnStrategy<F> {
     }
 }
 
-impl<F: FnMut(&ScheduleView<'_>) -> Decision + Send> Strategy for FnStrategy<F> {
-    fn decide(&mut self, view: &ScheduleView<'_>) -> Decision {
+impl<L: Level, F: FnMut(&ScheduleView<'_, L>) -> Decision + Send> Strategy<L> for FnStrategy<F> {
+    fn decide(&mut self, view: &ScheduleView<'_, L>) -> Decision {
         (self.0)(view)
     }
 }
@@ -229,8 +314,8 @@ impl SoloBursts {
     }
 }
 
-impl Strategy for SoloBursts {
-    fn decide(&mut self, view: &ScheduleView<'_>) -> Decision {
+impl<L: Level> Strategy<L> for SoloBursts {
+    fn decide(&mut self, view: &ScheduleView<'_, L>) -> Decision {
         if !view.runnable.contains(&self.current) || self.remaining == 0 {
             // Move to the next runnable process after current.
             let next = view
@@ -338,8 +423,8 @@ impl PctStrategy {
     }
 }
 
-impl Strategy for PctStrategy {
-    fn decide(&mut self, view: &ScheduleView<'_>) -> Decision {
+impl<L: Level> Strategy<L> for PctStrategy {
+    fn decide(&mut self, view: &ScheduleView<'_, L>) -> Decision {
         while self.next_cp < self.change_points.len()
             && view.step >= self.change_points[self.next_cp]
         {
@@ -369,8 +454,10 @@ mod tests {
         ScheduleView {
             step,
             runnable,
-            pending,
-            flushable: &[],
+            state: RegisterState {
+                pending,
+                flushable: &[],
+            },
         }
     }
 

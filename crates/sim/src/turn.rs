@@ -9,7 +9,7 @@
 //! write`). This module schedules protocols at exactly that granularity:
 //! a [`TurnProcess`] is the per-process state machine, and a [`TurnDriver`]
 //! applies *scan* and *write* events one at a time under the control of a
-//! [`TurnAdversary`].
+//! [`Strategy`] at the [`Turn`] level.
 //!
 //! The transition itself is [`TurnState::step`]: the driver wraps it with
 //! crashes, panics, fault notes and metrics, and the exhaustive model
@@ -25,19 +25,23 @@
 //! process states and pending writes, and may delay a pending write
 //! arbitrarily long after the scan that produced it.
 //!
-//! The adversary answers with the register-level scheduler's
+//! The adversary is the scheduler's own [`Strategy`], shown a [`TurnView`]
+//! (the registers, every phase and the crashes) and answering with a
 //! [`Decision`]: a grant steps a process through its next event, a crash or
-//! an injected panic halts it. So strategies, turn adversaries, fault plans
-//! and recorded traces share one vocabulary; only `Flush` has no meaning
-//! here (turns have no store buffers) and the driver rejects it.
+//! an injected panic halts it. So round-robin, random, PCT and fault-plan
+//! adversaries are the same values that drive a world; only `Flush` has no
+//! meaning here (turns have no store buffers) and the driver rejects it.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use std::marker::PhantomData;
 
 use crate::error::Halted;
 use crate::history::FaultKind;
 use crate::metrics::{Counter, Gauge, MetricsRegistry, ProcMetrics, Telemetry};
-use crate::sched::Decision;
+use crate::sched::{Decision, Level, ScheduleView, Strategy};
+
+/// The register-level policies under the names turn-level code has long
+/// used; each is one type serving every level.
+pub use crate::sched::{RandomStrategy as TurnRandom, RoundRobin as TurnRoundRobin};
 
 /// What a process does after observing a scan.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,13 +121,13 @@ impl<M> Phase<M> {
     }
 }
 
-/// What the adversary sees before choosing the next event.
+/// The turn level: a [`TurnDriver`] whose registers hold `M`, one scan or
+/// write per step.
+pub struct Turn<M>(PhantomData<fn() -> M>);
+
+/// The turn level's part of a [`TurnView`].
 #[derive(Debug)]
-pub struct TurnView<'a, M> {
-    /// Events applied so far.
-    pub events: u64,
-    /// Processes eligible for a step (not done, not crashed), ascending.
-    pub active: &'a [usize],
+pub struct TurnLevelState<'a, M> {
     /// Current contents of every process's register.
     pub shared: &'a [M],
     /// Each process's phase (indexed by pid).
@@ -132,81 +136,30 @@ pub struct TurnView<'a, M> {
     pub crashed: &'a [bool],
 }
 
-/// The strong adversary at scan/write granularity.
-pub trait TurnAdversary<M> {
-    /// Chooses the next event: `Grant(pid)` lets an active process perform
-    /// its next scan or write, `Crash(pid)` crashes it, and `Panic(pid)`
-    /// halts it as [`Halted::Panicked`], recorded in
-    /// [`TurnReport::fault_events`] (there is no thread to unwind). The
-    /// driver rejects a `Flush`: turns have no store buffers.
-    fn choose(&mut self, view: &TurnView<'_, M>) -> Decision;
+impl<M> Level for Turn<M> {
+    type State<'a>
+        = TurnLevelState<'a, M>
+    where
+        M: 'a;
 
-    /// Fault events the adversary wants appended to the run's fault log
-    /// (see [`TurnReport::fault_events`]). The driver calls this after every
-    /// decision; fault-injection wrappers (the `faults` module) use it to
-    /// make stall windows and starvation visible. Default: nothing.
-    fn drain_fault_notes(&mut self) -> Vec<(usize, FaultKind)> {
-        Vec::new()
+    fn narrowed<R>(
+        view: &TurnView<'_, M>,
+        keep: &[usize],
+        f: impl FnOnce(&TurnView<'_, M>) -> R,
+    ) -> R {
+        let runnable: Vec<usize> = keep.iter().map(|&i| view.runnable[i]).collect();
+        f(&ScheduleView {
+            step: view.step,
+            runnable: &runnable,
+            state: TurnLevelState { ..view.state },
+        })
     }
 }
 
-impl<M, A: TurnAdversary<M> + ?Sized> TurnAdversary<M> for Box<A> {
-    fn choose(&mut self, view: &TurnView<'_, M>) -> Decision {
-        (**self).choose(view)
-    }
-
-    fn drain_fault_notes(&mut self) -> Vec<(usize, FaultKind)> {
-        (**self).drain_fault_notes()
-    }
-}
-
-/// Fair rotation among active processes.
-#[derive(Debug, Clone, Default)]
-pub struct TurnRoundRobin {
-    next: usize,
-}
-
-impl TurnRoundRobin {
-    /// Creates the strategy.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl<M> TurnAdversary<M> for TurnRoundRobin {
-    fn choose(&mut self, view: &TurnView<'_, M>) -> Decision {
-        let pick = view
-            .active
-            .iter()
-            .copied()
-            .find(|&p| p >= self.next)
-            .unwrap_or(view.active[0]);
-        self.next = pick + 1;
-        Decision::Grant(pick)
-    }
-}
-
-/// Uniformly random active process (seeded).
-#[derive(Debug, Clone)]
-pub struct TurnRandom {
-    rng: SmallRng,
-}
-
-impl TurnRandom {
-    /// Creates the strategy from a seed.
-    pub fn new(seed: u64) -> Self {
-        TurnRandom {
-            rng: SmallRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl<M> TurnAdversary<M> for TurnRandom {
-    fn choose(&mut self, view: &TurnView<'_, M>) -> Decision {
-        let i = self.rng.gen_range(0..view.active.len());
-        Decision::Grant(view.active[i])
-    }
-}
+/// What a turn-level adversary sees before choosing the next event: `step`
+/// counts the events applied so far and `runnable` the pids neither done
+/// nor crashed.
+pub type TurnView<'a, M> = ScheduleView<'a, Turn<M>>;
 
 /// The barrier-synchronous ("simultaneous reveal") adversary: it first
 /// steps every active process through its *scan* — all of them observing
@@ -232,8 +185,8 @@ impl TurnBsp {
     }
 }
 
-impl<M> TurnAdversary<M> for TurnBsp {
-    fn choose(&mut self, view: &TurnView<'_, M>) -> Decision {
+impl<M> Strategy<Turn<M>> for TurnBsp {
+    fn decide(&mut self, view: &TurnView<'_, M>) -> Decision {
         // Two strict phases: *gather* steps only scanners (memory is
         // frozen, everyone observes the same state) until none remain;
         // *release* steps only writers until none remain — a process that
@@ -241,8 +194,8 @@ impl<M> TurnAdversary<M> for TurnBsp {
         // again until the release completes, so no one observes a partial
         // reveal.
         let writing = |p: &usize| matches!(view.phases[*p], Phase::Write(_));
-        let writers = view.active.iter().filter(|p| writing(p)).count();
-        let scanners = view.active.len() - writers; // active: scanning or writing
+        let writers = view.runnable.iter().filter(|p| writing(p)).count();
+        let scanners = view.runnable.len() - writers; // runnable: scanning or writing
         if self.releasing && writers == 0 {
             self.releasing = false;
         } else if !self.releasing && scanners == 0 {
@@ -251,27 +204,12 @@ impl<M> TurnAdversary<M> for TurnBsp {
         let pool = if self.releasing { writers } else { scanners };
         self.rr = (self.rr + 1) % pool;
         let pick = view
-            .active
+            .runnable
             .iter()
             .filter(|p| writing(p) == self.releasing)
             .nth(self.rr)
             .expect("rr indexes the pool");
         Decision::Grant(*pick)
-    }
-}
-
-/// Closure adapter for bespoke adversaries.
-pub struct TurnFn<F>(pub F);
-
-impl<F> std::fmt::Debug for TurnFn<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TurnFn").finish_non_exhaustive()
-    }
-}
-
-impl<M, F: FnMut(&TurnView<'_, M>) -> Decision> TurnAdversary<M> for TurnFn<F> {
-    fn choose(&mut self, view: &TurnView<'_, M>) -> Decision {
-        (self.0)(view)
     }
 }
 
@@ -286,7 +224,7 @@ pub struct TurnReport<O> {
     pub halted: Vec<Option<Halted>>,
     /// Fault-injection events, as `(event_index, pid, kind)` in the order
     /// they occurred — injected panics plus whatever the adversary reported
-    /// via [`TurnAdversary::drain_fault_notes`].
+    /// via [`Strategy::drain_fault_notes`].
     pub fault_events: Vec<(u64, usize, FaultKind)>,
     /// Total events applied (scans + writes).
     pub events: u64,
@@ -372,14 +310,14 @@ impl<P: TurnProcess> TurnState<P> {
     }
 }
 
-/// Drives `n` [`TurnProcess`]es under a [`TurnAdversary`]: a [`TurnState`]
+/// Drives `n` [`TurnProcess`]es under a turn-level [`Strategy`]: a [`TurnState`]
 /// plus the run's bookkeeping (crashes, halts, fault log, event counts and
 /// metrics).
 pub struct TurnDriver<P: TurnProcess> {
     state: TurnState<P>,
     crashed: Vec<bool>,
-    /// Pids neither done nor crashed, ascending, as [`TurnView::active`]
-    /// borrows them. A pid leaves when it decides, crashes or panics.
+    /// Pids neither done nor crashed, ascending, as a [`TurnView`]'s
+    /// `runnable` borrows them. A pid leaves when it decides, crashes or panics.
     active: Vec<usize>,
     halted: Vec<Option<Halted>>,
     fault_log: Vec<(u64, usize, FaultKind)>,
@@ -510,9 +448,19 @@ impl<P: TurnProcess> TurnDriver<P> {
 
     /// Runs under `adversary` until every active process decided or
     /// `max_events` is reached, and returns the report.
+    ///
+    /// `Grant(pid)` steps an active process through its next scan or
+    /// write, `Crash(pid)` crashes it, and `Panic(pid)` halts it as
+    /// [`Halted::Panicked`], recorded in [`TurnReport::fault_events`]
+    /// (there is no thread to unwind).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a `Flush` (turns have no store buffers) or a decision
+    /// naming a pid that is not active.
     pub fn run(
         self,
-        adversary: &mut dyn TurnAdversary<P::Msg>,
+        adversary: &mut dyn Strategy<Turn<P::Msg>>,
         max_events: u64,
     ) -> TurnReport<P::Out> {
         self.run_observed(adversary, max_events, |_| {})
@@ -523,7 +471,7 @@ impl<P: TurnProcess> TurnDriver<P> {
     /// checkers, trace collectors).
     pub fn run_observed(
         mut self,
-        adversary: &mut dyn TurnAdversary<P::Msg>,
+        adversary: &mut dyn Strategy<Turn<P::Msg>>,
         max_events: u64,
         mut observer: impl FnMut(&Self),
     ) -> TurnReport<P::Out> {
@@ -536,13 +484,15 @@ impl<P: TurnProcess> TurnDriver<P> {
             }
             let decision = {
                 let view = TurnView {
-                    events: self.events,
-                    active: &self.active,
-                    shared: &self.state.shared,
-                    phases: &self.state.phases,
-                    crashed: &self.crashed,
+                    step: self.events,
+                    runnable: &self.active,
+                    state: TurnLevelState {
+                        shared: &self.state.shared,
+                        phases: &self.state.phases,
+                        crashed: &self.crashed,
+                    },
                 };
-                adversary.choose(&view)
+                adversary.decide(&view)
             };
             match decision {
                 // `step` itself rejects a crashed or decided pid.
@@ -598,6 +548,7 @@ impl<P: TurnProcess> TurnDriver<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::FnStrategy;
 
     /// Toy protocol: write your input, scan, decide the maximum seen.
     struct MaxFinder {
@@ -646,6 +597,29 @@ mod tests {
         driver.step(0);
         driver.step(0);
         assert_eq!(driver.outputs()[0], Some(30));
+    }
+
+    /// `DecisionRecorder` wraps a turn run as it wraps a world: its log,
+    /// replayed as a script, reproduces the run.
+    #[test]
+    fn recorded_turn_run_replays_from_its_log() {
+        use crate::explore::DecisionRecorder;
+        // Registers start at 0, so what a scan sees depends on the schedule.
+        let driver = || {
+            let procs = (0..4).map(|i| MaxFinder { input: i * 10 }).collect();
+            TurnDriver::with_initial_shared(procs, vec![0; 4])
+        };
+        let (mut recorder, log) = DecisionRecorder::new(TurnRandom::new(5));
+        let recorded = driver().run(&mut recorder, 1_000);
+        let script = std::mem::take(&mut *log.lock());
+        assert_eq!(script.len() as u64, recorded.events);
+        let mut script = script.into_iter();
+        let replayed = driver().run(
+            &mut FnStrategy::new(move |_: &TurnView<'_, u32>| script.next().expect("a decision")),
+            1_000,
+        );
+        assert_eq!(replayed.outputs, recorded.outputs);
+        assert_eq!(replayed.per_proc_events, recorded.per_proc_events);
     }
 
     #[test]
@@ -698,11 +672,11 @@ mod tests {
         }
         let mut saw_pending = false;
         let report = TurnDriver::new(vec![Toggler { left: 3 }]).run(
-            &mut TurnFn(|view: &TurnView<'_, u32>| {
+            &mut FnStrategy::new(|view: &TurnView<'_, u32>| {
                 if view.phases[0].pending_write().is_some() {
                     saw_pending = true;
                 }
-                Decision::Grant(view.active[0])
+                Decision::Grant(view.runnable[0])
             }),
             1_000,
         );
@@ -842,21 +816,23 @@ mod tests {
 
         // `run`: the adversary must be shown what the previous decision left
         // behind, which is also what the driver reports to the observer.
-        let at = std::cell::Cell::new(0usize);
+        // (An atomic, not a `Cell`: strategies are `Send`.)
+        let at = std::sync::atomic::AtomicUsize::new(0);
+        let at_now = || at.load(std::sync::atomic::Ordering::Relaxed);
         let report = TurnDriver::new(procs.to_vec()).run_observed(
-            &mut TurnFn(|view: &TurnView<'_, u32>| {
-                let i = at.get();
+            &mut FnStrategy::new(|view: &TurnView<'_, u32>| {
+                let i = at_now();
                 // (The first decision leaves everyone active.)
-                assert_eq!(view.active, script[i.saturating_sub(1)].1, "at {i}");
-                assert!(view.active.windows(2).all(|w| w[0] < w[1]));
-                at.set(i + 1);
+                assert_eq!(view.runnable, script[i.saturating_sub(1)].1, "at {i}");
+                assert!(view.runnable.windows(2).all(|w| w[0] < w[1]));
+                at.store(i + 1, std::sync::atomic::Ordering::Relaxed);
                 script[i].0
             }),
             100,
-            |d| assert_eq!(d.active(), script[at.get() - 1].1),
+            |d| assert_eq!(d.active(), script[at_now() - 1].1),
         );
         assert!(report.completed, "everyone left, so the run completes");
-        assert_eq!(at.get(), script.len());
+        assert_eq!(at_now(), script.len());
         assert_eq!(
             report.halted,
             [
@@ -886,11 +862,11 @@ mod tests {
     fn injected_panic_decision_halts_target() {
         let procs: Vec<MaxFinder> = (0..3).map(|i| MaxFinder { input: i * 10 }).collect();
         let report = TurnDriver::new(procs).run(
-            &mut TurnFn(|view: &TurnView<'_, u32>| {
-                if view.events == 0 && view.active.contains(&2) {
+            &mut FnStrategy::new(|view: &TurnView<'_, u32>| {
+                if view.step == 0 && view.runnable.contains(&2) {
                     Decision::Panic(2)
                 } else {
-                    Decision::Grant(view.active[0])
+                    Decision::Grant(view.runnable[0])
                 }
             }),
             1_000,
@@ -910,7 +886,7 @@ mod tests {
     fn flush_decision_is_rejected() {
         let procs: Vec<MaxFinder> = (0..2).map(|i| MaxFinder { input: i }).collect();
         TurnDriver::new(procs).run(
-            &mut TurnFn(|_: &TurnView<'_, u32>| Decision::Flush { pid: 0, reg: 0 }),
+            &mut FnStrategy::new(|_: &TurnView<'_, u32>| Decision::Flush { pid: 0, reg: 0 }),
             1_000,
         );
     }

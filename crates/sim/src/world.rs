@@ -24,7 +24,7 @@ use rand::SeedableRng;
 use crate::error::Halted;
 use crate::history::{Annotation, Event, FaultKind, History, OpKind, RegId};
 use crate::metrics::{Counter, MetricsRegistry, ProcMetrics, Tally, Telemetry};
-use crate::sched::{Decision, PendingOp, ScheduleView, Strategy};
+use crate::sched::{Decision, PendingOp, RegisterState, ScheduleView, Strategy};
 use crate::tracing::{
     fault_arg, now_nanos, EventKind, FlightLog, FlightRecorder, Hist, DEFAULT_RING_CAPACITY,
 };
@@ -561,8 +561,10 @@ impl WorldInner {
             let view = ScheduleView {
                 step: c.steps,
                 runnable: &runnable,
-                pending: &pending,
-                flushable: &flushable,
+                state: RegisterState {
+                    pending: &pending,
+                    flushable: &flushable,
+                },
             };
             strategy.decide(&view)
         };

@@ -11,7 +11,8 @@ use bprc::core::adversaries::{HoldDeciders, LeaderStarver, SplitAdversary};
 use bprc::core::bounded::ConsensusParams;
 use bprc::core::virtual_rounds::check_execution;
 use bprc::core::ProcState;
-use bprc::sim::turn::{TurnAdversary, TurnRandom, TurnRoundRobin};
+use bprc::sim::sched::{RandomStrategy, RoundRobin, Strategy};
+use bprc::sim::turn::Turn;
 
 fn main() {
     let n = 5;
@@ -23,9 +24,10 @@ fn main() {
         "adversary", "events", "max round", "decided"
     );
 
-    let mut cases: Vec<(&str, Box<dyn TurnAdversary<ProcState>>)> = vec![
-        ("round-robin (fair)", Box::new(TurnRoundRobin::new())),
-        ("random", Box::new(TurnRandom::new(7))),
+    type Adversary = Box<dyn Strategy<Turn<ProcState>>>;
+    let mut cases: Vec<(&str, Adversary)> = vec![
+        ("round-robin (fair)", Box::new(RoundRobin::new())),
+        ("random", Box::new(RandomStrategy::new(7))),
         (
             "split (camp-balancing)",
             Box::new(SplitAdversary::new(params.k(), 7)),

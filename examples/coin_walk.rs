@@ -7,8 +7,9 @@
 //! ```
 
 use bprc::coin::flip::{FairFlips, FlipSource};
-use bprc::coin::montecarlo::{run_trials, run_walk, WalkRandom, WalkRoundRobin};
+use bprc::coin::montecarlo::{run_trials, run_walk};
 use bprc::coin::{theory, CoinParams};
+use bprc::sim::sched::{RandomStrategy, RoundRobin};
 
 fn trace_one(params: &CoinParams, seed: u64) {
     // Re-run the walk step by step, printing a bar per ~10 walk steps.
@@ -25,7 +26,7 @@ fn trace_one(params: &CoinParams, seed: u64) {
     // Use the observer-free runner but trace by re-simulating with a
     // scripted printer: simplest is to run to completion and print the
     // summary, then show a coarse trace from a fresh identical run.
-    let out = run_walk(params, flips, &mut WalkRoundRobin::new(), 10_000_000);
+    let out = run_walk(params, flips, &mut RoundRobin::new(), 10_000_000);
     let width = 41usize;
     let scale = |v: i64| -> usize {
         let clamped = v.clamp(-barrier, barrier);
@@ -73,7 +74,7 @@ fn main() {
     );
 
     let stats = run_trials(&params, 200, 7, 10_000_000, |t| {
-        Box::new(WalkRandom::new(t))
+        Box::new(RandomStrategy::new(t))
     });
     println!(
         "200 coins: mean walk steps {:.1}, disagreement rate {:.3}, heads rate {:.2}",
@@ -86,7 +87,9 @@ fn main() {
     // overflowing process deterministically reads heads — the paper's
     // bounded-memory escape hatch.
     let tiny = CoinParams::new(3, 2, 2);
-    let stats = run_trials(&tiny, 200, 9, 10_000_000, |t| Box::new(WalkRandom::new(t)));
+    let stats = run_trials(&tiny, 200, 9, 10_000_000, |t| {
+        Box::new(RandomStrategy::new(t))
+    });
     println!(
         "200 coins with m = 2: overflow rate {:.2}, disagreement rate {:.3} (overflow absorbed)",
         stats.overflow_rate(),

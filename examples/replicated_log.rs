@@ -14,7 +14,8 @@
 
 use bprc::core::bounded::ConsensusParams;
 use bprc::core::multishot::{LogCore, StaticProposals};
-use bprc::sim::turn::{TurnDriver, TurnRandom};
+use bprc::sim::sched::RandomStrategy;
+use bprc::sim::turn::TurnDriver;
 
 /// Commands are tiny: an opcode plus an operand, packed into 16 bits.
 fn encode(op: u8, operand: u8) -> u64 {
@@ -61,7 +62,7 @@ fn main() {
         })
         .collect();
 
-    let report = TurnDriver::new(replicas).run(&mut TurnRandom::new(7), 200_000_000);
+    let report = TurnDriver::new(replicas).run(&mut RandomStrategy::new(7), 200_000_000);
     assert!(report.completed, "log must complete");
     let logs: Vec<Vec<u64>> = report.outputs.into_iter().map(|o| o.unwrap()).collect();
 

@@ -27,7 +27,8 @@
 //!
 //! ```
 //! use bprc::core::bounded::{BoundedCore, ConsensusParams};
-//! use bprc::sim::turn::{TurnDriver, TurnRandom};
+//! use bprc::sim::sched::RandomStrategy;
+//! use bprc::sim::turn::TurnDriver;
 //!
 //! # fn main() {
 //! let n = 4;
@@ -35,7 +36,7 @@
 //! let procs: Vec<BoundedCore> = (0..n)
 //!     .map(|pid| BoundedCore::new(params.clone(), pid, pid % 2 == 0, 7 + pid as u64))
 //!     .collect();
-//! let report = TurnDriver::new(procs).run(&mut TurnRandom::new(1), 10_000_000);
+//! let report = TurnDriver::new(procs).run(&mut RandomStrategy::new(1), 10_000_000);
 //! assert!(report.completed);
 //! assert_eq!(report.distinct_outputs().len(), 1, "agreement");
 //! # }

@@ -34,9 +34,9 @@ use bprc::core::multivalued::{MvCore, MvState};
 use bprc::core::threaded::{over_snapshot, ThreadedConsensus, WaitFreeConsensus};
 use bprc::core::ProcState;
 use bprc::registers::DirectArrow;
-use bprc::sim::faults::{quiet_injected_panics, FaultPlan, FaultedStrategy, FaultedTurnAdversary};
-use bprc::sim::sched::RandomStrategy;
-use bprc::sim::turn::{TurnAdversary, TurnBsp, TurnDriver, TurnRandom, TurnReport, TurnRoundRobin};
+use bprc::sim::faults::{quiet_injected_panics, FaultPlan, FaultedStrategy};
+use bprc::sim::sched::{PctStrategy, RandomStrategy, RoundRobin, Strategy};
+use bprc::sim::turn::{Turn, TurnBsp, TurnDriver, TurnReport};
 use bprc::sim::{Counter, FaultKind, Halted, Telemetry, World};
 use bprc::snapshot::{SnapshotBackend, WaitFreeSnapshot};
 
@@ -85,15 +85,16 @@ fn assert_contract<O: PartialEq + std::fmt::Debug>(
     }
 }
 
-/// One of the five turn-level adversaries for the bounded protocol,
-/// boxed so every scenario flows through the same harness.
-fn bounded_adversary(kind: usize, seed: u64) -> Box<dyn TurnAdversary<ProcState>> {
+/// One of the six turn-level adversaries for the bounded protocol of `n`
+/// processes, boxed so every scenario flows through the same harness.
+fn bounded_adversary(kind: usize, n: usize, seed: u64) -> Box<dyn Strategy<Turn<ProcState>>> {
     match kind {
-        0 => Box::new(TurnRoundRobin::new()),
-        1 => Box::new(TurnRandom::new(seed)),
+        0 => Box::new(RoundRobin::new()),
+        1 => Box::new(RandomStrategy::new(seed)),
         2 => Box::new(TurnBsp::new()),
         3 => Box::new(SplitAdversary::new(2, seed)),
-        _ => Box::new(LeaderStarver::new(2)),
+        4 => Box::new(LeaderStarver::new(2)),
+        _ => Box::new(PctStrategy::new(seed, n, 2, 300)),
     }
 }
 
@@ -101,12 +102,12 @@ fn bounded_adversary(kind: usize, seed: u64) -> Box<dyn TurnAdversary<ProcState>
 fn bounded_survives_seeded_chaos_under_every_adversary() {
     quiet_injected_panics();
     let n = 4;
-    for kind in 0..5usize {
+    for kind in 0..6usize {
         for seed in 0..24u64 {
             let inputs: Vec<bool> = (0..n).map(|p| (seed >> p) & 1 == 1).collect();
             let plan = FaultPlan::seeded(seed * 5 + kind as u64, n, 300);
             let kills = plan.kill_count();
-            let mut adv = FaultedTurnAdversary::new(bounded_adversary(kind, seed), plan);
+            let mut adv = FaultedStrategy::new(bounded_adversary(kind, n, seed), plan);
             let r = TurnDriver::new(bounded_cores(n, &inputs, seed)).run(&mut adv, 5_000_000);
             assert_contract(
                 &format!("bounded kind={kind} seed={seed}"),
@@ -133,12 +134,12 @@ fn multivalued_survives_seeded_chaos() {
                 .collect();
             let plan = FaultPlan::seeded(seed * 7 + kind as u64, n, 200);
             let kills = plan.kill_count();
-            let inner: Box<dyn TurnAdversary<MvState>> = match kind {
-                0 => Box::new(TurnRoundRobin::new()),
-                1 => Box::new(TurnRandom::new(seed)),
+            let inner: Box<dyn Strategy<Turn<MvState>>> = match kind {
+                0 => Box::new(RoundRobin::new()),
+                1 => Box::new(RandomStrategy::new(seed)),
                 _ => Box::new(TurnBsp::new()),
             };
-            let mut adv = FaultedTurnAdversary::new(inner, plan);
+            let mut adv = FaultedStrategy::new(inner, plan);
             let r = TurnDriver::new(procs).run(&mut adv, 5_000_000);
             assert_contract(&format!("mv kind={kind} seed={seed}"), &r, n, kills, |d| {
                 values.contains(d)
@@ -177,12 +178,12 @@ fn multishot_survives_seeded_chaos() {
                 .collect();
             let plan = FaultPlan::seeded(seed * 3 + kind as u64, n, 250);
             let kills = plan.kill_count();
-            let inner: Box<dyn TurnAdversary<bprc::core::multishot::LogMsg>> = match kind {
-                0 => Box::new(TurnRoundRobin::new()),
-                1 => Box::new(TurnRandom::new(seed)),
+            let inner: Box<dyn Strategy<Turn<bprc::core::multishot::LogMsg>>> = match kind {
+                0 => Box::new(RoundRobin::new()),
+                1 => Box::new(RandomStrategy::new(seed)),
                 _ => Box::new(TurnBsp::new()),
             };
-            let mut adv = FaultedTurnAdversary::new(inner, plan);
+            let mut adv = FaultedStrategy::new(inner, plan);
             let r = TurnDriver::new(procs).run(&mut adv, 5_000_000);
             assert_contract(
                 &format!("log kind={kind} seed={seed}"),
@@ -471,15 +472,15 @@ fn plan_driven_crash_sweep_covers_every_event_index() {
     let n = 3;
     let inputs = [true, false, true];
     let seed = 42;
-    let reference =
-        TurnDriver::new(bounded_cores(n, &inputs, seed)).run(&mut TurnRandom::new(seed), 5_000_000);
+    let reference = TurnDriver::new(bounded_cores(n, &inputs, seed))
+        .run(&mut RandomStrategy::new(seed), 5_000_000);
     assert!(reference.completed);
     let horizon = reference.events.min(120);
 
     for victim in 0..n {
         for crash_at in 0..horizon {
             let plan = FaultPlan::new().crash_at(crash_at, victim);
-            let mut adv = FaultedTurnAdversary::new(TurnRandom::new(seed), plan);
+            let mut adv = FaultedStrategy::new(RandomStrategy::new(seed), plan);
             let r = TurnDriver::new(bounded_cores(n, &inputs, seed)).run(&mut adv, 5_000_000);
             assert_contract(
                 &format!("sweep victim={victim} @ {crash_at}"),

@@ -7,7 +7,8 @@ use bprc::core::bounded::{BoundedCore, ConsensusParams};
 use bprc::core::multishot::{LogCore, LogMsg, StaticProposals};
 use bprc::core::multivalued::MvCore;
 use bprc::core::ProcState;
-use bprc::sim::turn::{TurnAdversary, TurnDriver, TurnFn, TurnRandom, TurnView};
+use bprc::sim::sched::{FnStrategy, RandomStrategy, Strategy};
+use bprc::sim::turn::{TurnDriver, TurnView};
 use bprc::sim::Decision;
 
 fn cores(n: usize, inputs: &[bool], seed: u64) -> Vec<BoundedCore> {
@@ -19,7 +20,7 @@ fn cores(n: usize, inputs: &[bool], seed: u64) -> Vec<BoundedCore> {
 
 /// Reference run length (events until everyone decides) for the given seed.
 fn reference_events(n: usize, inputs: &[bool], seed: u64) -> u64 {
-    let r = TurnDriver::new(cores(n, inputs, seed)).run(&mut TurnRandom::new(seed), 5_000_000);
+    let r = TurnDriver::new(cores(n, inputs, seed)).run(&mut RandomStrategy::new(seed), 5_000_000);
     assert!(r.completed);
     r.events
 }
@@ -33,14 +34,14 @@ fn crash_each_process_at_every_event() {
 
     for victim in 0..n {
         for crash_at in 0..horizon {
-            let mut inner = TurnRandom::new(seed);
+            let mut inner = RandomStrategy::new(seed);
             let mut crashed = false;
-            let mut adversary = TurnFn(|view: &TurnView<'_, ProcState>| {
-                if !crashed && view.events == crash_at && view.active.contains(&victim) {
+            let mut adversary = FnStrategy::new(|view: &TurnView<'_, ProcState>| {
+                if !crashed && view.step == crash_at && view.runnable.contains(&victim) {
                     crashed = true;
                     return Decision::Crash(victim);
                 }
-                inner.choose(view)
+                inner.decide(view)
             });
             let r = TurnDriver::new(cores(n, &inputs, seed)).run(&mut adversary, 5_000_000);
             assert!(
@@ -77,19 +78,19 @@ fn crash_two_of_four_at_every_pair_of_sampled_events() {
 
     for &c1 in &points {
         for &c2 in &points {
-            let mut inner = TurnRandom::new(seed);
+            let mut inner = RandomStrategy::new(seed);
             let mut done1 = false;
             let mut done2 = false;
-            let mut adversary = TurnFn(|view: &TurnView<'_, ProcState>| {
-                if !done1 && view.events >= c1 && view.active.contains(&0) {
+            let mut adversary = FnStrategy::new(|view: &TurnView<'_, ProcState>| {
+                if !done1 && view.step >= c1 && view.runnable.contains(&0) {
                     done1 = true;
                     return Decision::Crash(0);
                 }
-                if !done2 && view.events >= c2 && view.active.contains(&1) {
+                if !done2 && view.step >= c2 && view.runnable.contains(&1) {
                     done2 = true;
                     return Decision::Crash(1);
                 }
-                inner.choose(view)
+                inner.decide(view)
             });
             let r = TurnDriver::new(cores(n, &inputs, seed)).run(&mut adversary, 5_000_000);
             assert!(r.completed, "crashes @({c1},{c2}): no termination");
@@ -115,20 +116,20 @@ fn crash_each_process_at_every_event_multivalued() {
             .map(|p| MvCore::new(params.clone(), p, values[p], width, seed * 101 + p as u64))
             .collect()
     };
-    let reference = TurnDriver::new(mk(seed)).run(&mut TurnRandom::new(seed), 5_000_000);
+    let reference = TurnDriver::new(mk(seed)).run(&mut RandomStrategy::new(seed), 5_000_000);
     assert!(reference.completed);
     let horizon = reference.events.min(100);
 
     for victim in 0..n {
         for crash_at in 0..horizon {
-            let mut inner = TurnRandom::new(seed);
+            let mut inner = RandomStrategy::new(seed);
             let mut crashed = false;
-            let mut adversary = TurnFn(|view: &TurnView<'_, _>| {
-                if !crashed && view.events == crash_at && view.active.contains(&victim) {
+            let mut adversary = FnStrategy::new(|view: &TurnView<'_, _>| {
+                if !crashed && view.step == crash_at && view.runnable.contains(&victim) {
                     crashed = true;
                     return Decision::Crash(victim);
                 }
-                inner.choose(view)
+                inner.decide(view)
             });
             let r = TurnDriver::new(mk(seed)).run(&mut adversary, 5_000_000);
             assert!(
@@ -175,20 +176,20 @@ fn crash_each_process_at_every_event_multishot() {
             })
             .collect()
     };
-    let reference = TurnDriver::new(mk(seed)).run(&mut TurnRandom::new(seed), 5_000_000);
+    let reference = TurnDriver::new(mk(seed)).run(&mut RandomStrategy::new(seed), 5_000_000);
     assert!(reference.completed);
     let horizon = reference.events.min(60);
 
     for victim in 0..n {
         for crash_at in 0..horizon {
-            let mut inner = TurnRandom::new(seed);
+            let mut inner = RandomStrategy::new(seed);
             let mut crashed = false;
-            let mut adversary = TurnFn(|view: &TurnView<'_, LogMsg>| {
-                if !crashed && view.events == crash_at && view.active.contains(&victim) {
+            let mut adversary = FnStrategy::new(|view: &TurnView<'_, LogMsg>| {
+                if !crashed && view.step == crash_at && view.runnable.contains(&victim) {
                     crashed = true;
                     return Decision::Crash(victim);
                 }
-                inner.choose(view)
+                inner.decide(view)
             });
             let r = TurnDriver::new(mk(seed)).run(&mut adversary, 5_000_000);
             assert!(
@@ -288,14 +289,14 @@ fn all_but_one_crash_leaves_a_lone_decider() {
     for n in [2usize, 3, 5] {
         for survivor in 0..n {
             let inputs: Vec<bool> = (0..n).map(|i| i % 2 == 1).collect();
-            let mut inner = TurnRandom::new(3);
-            let mut adversary = TurnFn(|view: &TurnView<'_, ProcState>| {
-                if let Some(&victim) = view.active.iter().find(|&&p| p != survivor) {
+            let mut inner = RandomStrategy::new(3);
+            let mut adversary = FnStrategy::new(|view: &TurnView<'_, ProcState>| {
+                if let Some(&victim) = view.runnable.iter().find(|&&p| p != survivor) {
                     if !view.crashed[victim] {
                         return Decision::Crash(victim);
                     }
                 }
-                inner.choose(view)
+                inner.decide(view)
             });
             let r = TurnDriver::new(cores(n, &inputs, 3)).run(&mut adversary, 5_000_000);
             assert!(r.completed, "n={n} survivor={survivor}");

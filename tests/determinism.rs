@@ -2,13 +2,13 @@
 //! seeds — the property that makes adversarial bug hunts and the recorded
 //! experiment tables reproducible.
 
-use bprc::coin::montecarlo::{run_trials, WalkRandom};
+use bprc::coin::montecarlo::run_trials;
 use bprc::coin::CoinParams;
 use bprc::core::bounded::{BoundedCore, ConsensusParams};
 use bprc::core::threaded::ThreadedConsensus;
 use bprc::registers::DirectArrow;
-use bprc::sim::sched::RandomStrategy;
-use bprc::sim::turn::{TurnDriver, TurnRandom};
+use bprc::sim::sched::{FnStrategy, RandomStrategy, Strategy};
+use bprc::sim::turn::{Turn, TurnDriver};
 use bprc::sim::World;
 
 #[test]
@@ -19,7 +19,7 @@ fn turn_level_consensus_replays_exactly() {
         let procs: Vec<BoundedCore> = (0..n)
             .map(|p| BoundedCore::new(params.clone(), p, p % 2 == 0, seed + p as u64))
             .collect();
-        let r = TurnDriver::new(procs).run(&mut TurnRandom::new(seed), 20_000_000);
+        let r = TurnDriver::new(procs).run(&mut RandomStrategy::new(seed), 20_000_000);
         (r.outputs.clone(), r.events, r.per_proc_events.clone())
     };
     assert_eq!(run(5), run(5));
@@ -125,8 +125,8 @@ fn handshake_runs_are_pinned_across_refactors() {
 #[test]
 fn coin_monte_carlo_replays_exactly() {
     let p = CoinParams::new(3, 2, 1_000);
-    let a = run_trials(&p, 50, 13, 1_000_000, |t| Box::new(WalkRandom::new(t)));
-    let b = run_trials(&p, 50, 13, 1_000_000, |t| Box::new(WalkRandom::new(t)));
+    let a = run_trials(&p, 50, 13, 1_000_000, |t| Box::new(RandomStrategy::new(t)));
+    let b = run_trials(&p, 50, 13, 1_000_000, |t| Box::new(RandomStrategy::new(t)));
     assert_eq!(a.disagreements, b.disagreements);
     assert_eq!(a.overflows, b.overflows);
     assert_eq!(a.mean_walk_steps, b.mean_walk_steps);
@@ -176,7 +176,7 @@ type Fingerprint<O> = (Vec<Option<O>>, u64, [u64; 9], u64);
 
 fn composed_fingerprint<P>(
     procs: Vec<P>,
-    adversary: &mut dyn bprc::sim::turn::TurnAdversary<P::Msg>,
+    adversary: &mut dyn Strategy<Turn<P::Msg>>,
     digest: impl Fn(u64, &P::Msg) -> u64,
 ) -> Fingerprint<P::Out>
 where
@@ -206,10 +206,10 @@ where
 /// The schedule that runs each active process for `burst` events in turn:
 /// processes drift whole levels and slots apart, so later joiners meet
 /// peers far ahead and everyone reads phantoms.
-fn bursts<M>(burst: u64) -> impl bprc::sim::turn::TurnAdversary<M> {
-    bprc::sim::turn::TurnFn(move |view: &bprc::sim::turn::TurnView<'_, M>| {
-        let turn = (view.events / burst) as usize % view.active.len();
-        bprc::sim::Decision::Grant(view.active[turn])
+fn bursts<M>(burst: u64) -> impl Strategy<Turn<M>> {
+    FnStrategy::new(move |view: &bprc::sim::turn::TurnView<'_, M>| {
+        let turn = (view.step / burst) as usize % view.runnable.len();
+        bprc::sim::Decision::Grant(view.runnable[turn])
     })
 }
 
@@ -224,9 +224,10 @@ fn bursts<M>(burst: u64) -> impl bprc::sim::turn::TurnAdversary<M> {
 fn composed_runs_are_pinned_across_representations() {
     use bprc::core::multishot::{LogCore, StaticProposals};
     use bprc::core::multivalued::MvCore;
-    use bprc::sim::turn::{TurnAdversary, TurnBsp, TurnRoundRobin};
+    use bprc::sim::sched::RoundRobin;
+    use bprc::sim::turn::TurnBsp;
 
-    let mv = |adversary: &mut dyn TurnAdversary<_>| {
+    let mv = |adversary: &mut dyn Strategy<Turn<_>>| {
         let values = [13u64, 200, 77];
         let params = ConsensusParams::quick(values.len());
         let procs: Vec<MvCore> = (0..values.len())
@@ -235,7 +236,7 @@ fn composed_runs_are_pinned_across_representations() {
         let (out, events, totals, h) = composed_fingerprint(procs, adversary, digest::mv_state);
         (format!("{out:?}"), events, totals, h)
     };
-    let log = |n: usize, adversary: &mut dyn TurnAdversary<_>| {
+    let log = |n: usize, adversary: &mut dyn Strategy<Turn<_>>| {
         let params = ConsensusParams::quick(n);
         let procs: Vec<LogCore<StaticProposals>> = (0..n)
             .map(|p| {
@@ -292,7 +293,7 @@ fn composed_runs_are_pinned_across_representations() {
         ),
         (
             "mv n=3 w=8 round-robin",
-            mv(&mut TurnRoundRobin::new()),
+            mv(&mut RoundRobin::new()),
             (
                 decided("77", 3),
                 318,
@@ -302,7 +303,7 @@ fn composed_runs_are_pinned_across_representations() {
         ),
         (
             "log n=2 round-robin",
-            log(2, &mut TurnRoundRobin::new()),
+            log(2, &mut RoundRobin::new()),
             (
                 decided("[5, 16, 64, 38]", 2),
                 1288,

@@ -7,7 +7,7 @@ use bprc::core::threaded::ThreadedConsensus;
 use bprc::core::virtual_rounds::check_execution;
 use bprc::registers::{DirectArrow, HandshakeArrow};
 use bprc::sim::sched::RandomStrategy;
-use bprc::sim::turn::{TurnDriver, TurnRandom};
+use bprc::sim::turn::TurnDriver;
 use bprc::sim::{Mode, World};
 use bprc::snapshot::check_history;
 
@@ -70,7 +70,7 @@ fn turn_level_and_register_level_agree_on_semantics() {
     let procs: Vec<BoundedCore> = (0..n)
         .map(|p| BoundedCore::new(params.clone(), p, inputs[p], p as u64))
         .collect();
-    let turn_report = TurnDriver::new(procs).run(&mut TurnRandom::new(4), 5_000_000);
+    let turn_report = TurnDriver::new(procs).run(&mut RandomStrategy::new(4), 5_000_000);
     assert!(turn_report.completed);
     let turn_decisions = turn_report.distinct_outputs();
     assert_eq!(turn_decisions.len(), 1);
@@ -93,7 +93,7 @@ fn virtual_rounds_hold_across_many_seeds() {
             &params,
             &inputs,
             seed,
-            &mut TurnRandom::new(seed * 3 + 1),
+            &mut RandomStrategy::new(seed * 3 + 1),
             20_000_000,
         );
         assert!(report.completed, "seed {seed}");
@@ -108,7 +108,7 @@ fn multivalued_through_the_facade() {
     let procs: Vec<MvCore> = (0..3)
         .map(|p| MvCore::new(params.clone(), p, values[p], 16, p as u64))
         .collect();
-    let report = TurnDriver::new(procs).run(&mut TurnRandom::new(11), 50_000_000);
+    let report = TurnDriver::new(procs).run(&mut RandomStrategy::new(11), 50_000_000);
     assert!(report.completed);
     let d = report.distinct_outputs();
     assert_eq!(d.len(), 1);

@@ -14,8 +14,8 @@ use bprc::core::bounded::{BoundedCore, ConsensusParams};
 use bprc::core::threaded::ThreadedConsensus;
 use bprc::core::ProcState;
 use bprc::registers::DirectArrow;
-use bprc::sim::sched::FnStrategy;
-use bprc::sim::turn::{Phase, TurnAdversary, TurnDriver, TurnRandom, TurnView};
+use bprc::sim::sched::{FnStrategy, RandomStrategy, Strategy};
+use bprc::sim::turn::{Phase, Turn, TurnDriver, TurnView};
 use bprc::sim::{Decision, World};
 
 /// What one turn event was: which process, and whether it scanned or wrote.
@@ -31,9 +31,9 @@ struct Recording<'a, I> {
     log: &'a mut Vec<(usize, Kind)>,
 }
 
-impl<I: TurnAdversary<ProcState>> TurnAdversary<ProcState> for Recording<'_, I> {
-    fn choose(&mut self, view: &TurnView<'_, ProcState>) -> Decision {
-        let d = self.inner.choose(view);
+impl<I: Strategy<Turn<ProcState>>> Strategy<Turn<ProcState>> for Recording<'_, I> {
+    fn decide(&mut self, view: &TurnView<'_, ProcState>) -> Decision {
+        let d = self.inner.decide(view);
         if let Decision::Grant(pid) = d {
             let kind = match view.phases[pid] {
                 Phase::Write(_) => Kind::Write,
@@ -66,7 +66,7 @@ fn turn_schedule_replays_exactly_on_registers() {
             .collect();
         let mut log: Vec<(usize, Kind)> = Vec::new();
         let mut rec = Recording {
-            inner: TurnRandom::new(seed),
+            inner: RandomStrategy::new(seed),
             log: &mut log,
         };
         let phantoms = vec![ProcState::phantom(params.layout()); n];

@@ -14,7 +14,7 @@ use bprc::core::threaded::ThreadedConsensus;
 use bprc::registers::DirectArrow;
 use bprc::sim::rng::derive_seed;
 use bprc::sim::sched::RandomStrategy;
-use bprc::sim::turn::{TurnBsp, TurnDriver, TurnRandom};
+use bprc::sim::turn::{TurnBsp, TurnDriver};
 use bprc::sim::World;
 
 #[test]
@@ -33,7 +33,7 @@ fn soak_turn_level_agreement_5000_instances() {
                 )
             })
             .collect();
-        let r = TurnDriver::new(procs).run(&mut TurnRandom::new(seed), 50_000_000);
+        let r = TurnDriver::new(procs).run(&mut RandomStrategy::new(seed), 50_000_000);
         assert!(r.completed, "seed {seed}: no termination");
         assert_eq!(r.distinct_outputs().len(), 1, "seed {seed}: disagreement");
     }
@@ -102,7 +102,7 @@ fn soak_multishot_sweep() {
                         )
                     })
                     .collect();
-                let r = TurnDriver::new(procs).run(&mut TurnRandom::new(seed), 2_000_000);
+                let r = TurnDriver::new(procs).run(&mut RandomStrategy::new(seed), 2_000_000);
                 assert!(r.completed, "n={n} slots={slots} seed={seed}: livelock");
                 assert_eq!(
                     r.distinct_outputs().len(),
@@ -130,7 +130,7 @@ fn soak_multivalued_full_width() {
         let procs: Vec<MvCore> = (0..n)
             .map(|p| MvCore::new(params.clone(), p, values[p], 64, seed * 11 + p as u64))
             .collect();
-        let r = TurnDriver::new(procs).run(&mut TurnRandom::new(seed), 500_000_000);
+        let r = TurnDriver::new(procs).run(&mut RandomStrategy::new(seed), 500_000_000);
         assert!(r.completed, "seed {seed}");
         let d = r.distinct_outputs();
         assert_eq!(d.len(), 1, "seed {seed}");

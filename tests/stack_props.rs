@@ -11,7 +11,8 @@ use bprc::sim::explore::{
     explore, run_trace, shrink_trace, DecisionTrace, ExploreConfig, Independence,
 };
 use bprc::sim::rng::stream_rng;
-use bprc::sim::turn::{TurnDriver, TurnRandom};
+use bprc::sim::sched::RandomStrategy;
+use bprc::sim::turn::TurnDriver;
 use bprc::sim::world::{ProcBody, World};
 use bprc::sim::Decision;
 use bprc::snapshot::{check_history, ScannableMemory};
@@ -41,7 +42,7 @@ fn consensus_agreement_and_validity() {
         let procs: Vec<BoundedCore> = (0..n)
             .map(|p| BoundedCore::new(params.clone(), p, inputs[p], seed ^ (p as u64) << 32))
             .collect();
-        let report = TurnDriver::new(procs).run(&mut TurnRandom::new(seed), 10_000_000);
+        let report = TurnDriver::new(procs).run(&mut RandomStrategy::new(seed), 10_000_000);
         assert!(report.completed, "{at}: did not terminate within budget");
         let distinct = report.distinct_outputs();
         assert_eq!(distinct.len(), 1, "{at}: agreement violated");

@@ -9,7 +9,7 @@ use bprc::core::threaded::{ThreadedConsensus, WaitFreeConsensus};
 use bprc::registers::DirectArrow;
 use bprc::sim::history::OpKind;
 use bprc::sim::sched::RandomStrategy;
-use bprc::sim::turn::{TurnDriver, TurnRandom};
+use bprc::sim::turn::TurnDriver;
 use bprc::sim::{json, Counter, Gauge, Hist, Mode, World};
 
 const SEEDS: [u64; 4] = [3, 17, 101, 4242];
@@ -190,7 +190,7 @@ fn turn_driver_telemetry_matches_backend_invariants() {
         let procs: Vec<BoundedCore> = (0..n)
             .map(|p| BoundedCore::new(params.clone(), p, p % 2 == 0, seed * 31 + p as u64))
             .collect();
-        let rep = TurnDriver::new(procs).run(&mut TurnRandom::new(seed), 5_000_000);
+        let rep = TurnDriver::new(procs).run(&mut RandomStrategy::new(seed), 5_000_000);
         assert!(rep.completed, "seed {seed}");
         let t = &rep.telemetry;
         assert_eq!(t.total(Counter::Decisions), n as u64);
@@ -218,7 +218,7 @@ fn meter_fold_is_equivalent_to_gauges() {
     let procs: Vec<BoundedCore> = (0..n)
         .map(|p| BoundedCore::new(params.clone(), p, p % 2 == 0, p as u64))
         .collect();
-    let rep = run_metered(procs, &mut TurnRandom::new(9), 5_000_000, |s| {
+    let rep = run_metered(procs, &mut RandomStrategy::new(9), 5_000_000, |s| {
         s.register_bits()
     });
     assert!(rep.completed);
