@@ -1,9 +1,11 @@
 //! Process-global worker threads that outlive [`World::run`](crate::world::World::run).
 //!
-//! A run checks `n` workers out, sends each one process body, and checks
-//! them back in once every body reported — so the stateless explorer, the
-//! verify gate and every per-log world reuse the same few OS threads
-//! instead of paying a `thread::spawn`/`join` per process per run. Workers
+//! A run of `n` processes checks `n - 1` workers out, sends each one
+//! process body, runs the last body on its own calling thread, and checks
+//! the workers back in once every body reported — so the stateless
+//! explorer, the verify gate and every per-log world reuse the same few OS
+//! threads instead of paying a `thread::spawn`/`join` per process per
+//! run, and a one-process run takes no worker at all. Workers
 //! are spawned on demand, idle ones block on their channel (an untouched
 //! stack costs no resident memory), and concurrent runs (concurrent tests,
 //! say) simply check out disjoint sets.

@@ -9,6 +9,12 @@
 //! gate or by finishing — consults the strategy itself, under the central
 //! lock it already holds. A grant to itself costs nothing; a grant to
 //! another process is one `unpark`, issued after the lock is released.
+//!
+//! A run takes `n - 1` workers from the process-global pool (`sim::pool`);
+//! the thread that called [`World::run`] is pid `n - 1`'s process thread,
+//! so no thread of a run only waits: besides the hand-offs the schedule
+//! asks for, a run switches threads only to start its workers and to
+//! collect their reports.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -1219,10 +1225,13 @@ impl World {
 
     /// Runs `n` process bodies to completion under `strategy`.
     ///
-    /// Bodies run on pooled worker threads that outlive the run; the
-    /// calling thread only waits for them. In [`Mode::Lockstep`] the
-    /// strategy is consulted by whichever process thread makes the world
-    /// quiescent (see the module docs); in [`Mode::Free`] it is ignored.
+    /// Pids `0..n - 1` run on pooled worker threads that outlive the run;
+    /// the calling thread runs pid `n - 1`'s body itself, then waits for
+    /// the others, so a one-process world takes no worker at all. A body
+    /// hosted by the caller sees the caller's thread-local state and park
+    /// token. In [`Mode::Lockstep`] the strategy is consulted by whichever
+    /// process thread makes the world quiescent (see the module docs); in
+    /// [`Mode::Free`] it is ignored.
     ///
     /// # Panics
     ///
@@ -1232,7 +1241,7 @@ impl World {
     /// (granting a non-runnable process, crashing a finished process).
     pub fn run<T: Send + 'static>(
         &mut self,
-        bodies: Vec<ProcBody<T>>,
+        mut bodies: Vec<ProcBody<T>>,
         strategy: Box<dyn Strategy>,
     ) -> RunReport<T> {
         let n = self.inner.n;
@@ -1244,52 +1253,28 @@ impl World {
         if lockstep {
             self.inner.central.lock().strategy = Some(strategy);
         }
-        let workers = crate::pool::checkout(n);
+        // The caller hosts the last process itself: a worker per process
+        // would leave this thread blocked on the done channel, paying one
+        // more wake-up per run than any grant asks for.
+        let hosted = bodies.pop().expect("a world has at least one process");
+        let workers = crate::pool::checkout(n - 1);
         let (done_tx, done_rx) = mpsc::channel();
         for ((pid, body), worker) in bodies.into_iter().enumerate().zip(&workers) {
             let inner = Arc::clone(&self.inner);
             let done_tx = done_tx.clone();
-            let seed = inner
-                .seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(pid as u64);
             worker.run(move || {
-                /// Marks the process finished even if the body panics, so
-                /// the world never waits on a dead process.
-                struct FinishGuard {
-                    inner: Arc<WorldInner>,
-                    pid: usize,
-                }
-                impl Drop for FinishGuard {
-                    fn drop(&mut self) {
-                        self.inner.mark_finished(self.pid);
-                    }
-                }
-                let result = {
-                    let _guard = FinishGuard {
-                        inner: Arc::clone(&inner),
-                        pid,
-                    };
-                    if lockstep {
-                        let _ = inner.threads[pid].set(std::thread::current());
-                    }
-                    let mut ctx = Ctx::new(pid, seed, inner);
-                    // Contain panics (the body's own bugs or injected chaos
-                    // panics): the FinishGuard tells the world this process
-                    // is done, so the survivors keep running; the panic
-                    // payload is reported instead of re-thrown.
-                    catch_unwind(AssertUnwindSafe(move || body(&mut ctx))).map_err(panic_message)
-                };
-                // Sent after the guard dropped: a reported process has
-                // passed the baton on and touches the world no more.
+                let result = host(inner, pid, body);
+                // Sent once `host` returned: a reported process has passed
+                // the baton on and touches the world no more.
                 let _ = done_tx.send((pid, result));
             });
         }
         drop(done_tx);
 
+        let mut results: Vec<_> = (0..n).map(|_| None).collect();
+        results[n - 1] = Some(host(Arc::clone(&self.inner), n - 1, hosted));
         // Hear from every process before inspecting results: a panicked
         // process must not make us abandon the rest mid-run.
-        let mut results: Vec<_> = (0..n).map(|_| None).collect();
         for (pid, result) in done_rx {
             results[pid] = Some(result);
         }
@@ -1349,6 +1334,43 @@ impl World {
             flight,
         }
     }
+}
+
+/// Runs process `pid`'s body to completion on the current thread — a pool
+/// worker, or [`World::run`]'s caller for the last pid — and returns what
+/// it left: its result, or its contained panic's message.
+fn host<T>(
+    inner: Arc<WorldInner>,
+    pid: usize,
+    body: ProcBody<T>,
+) -> Result<Result<T, Halted>, String> {
+    /// Marks the process finished even if the body panics, so the world
+    /// never waits on a dead process.
+    struct FinishGuard {
+        inner: Arc<WorldInner>,
+        pid: usize,
+    }
+    impl Drop for FinishGuard {
+        fn drop(&mut self) {
+            self.inner.mark_finished(self.pid);
+        }
+    }
+    let _guard = FinishGuard {
+        inner: Arc::clone(&inner),
+        pid,
+    };
+    if inner.mode == Mode::Lockstep {
+        let _ = inner.threads[pid].set(std::thread::current());
+    }
+    let seed = inner
+        .seed
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(pid as u64);
+    let mut ctx = Ctx::new(pid, seed, inner);
+    // Contain panics (the body's own bugs or injected chaos panics): the
+    // FinishGuard tells the world this process is done, so the survivors
+    // keep running; the panic payload is reported instead of re-thrown.
+    catch_unwind(AssertUnwindSafe(move || body(&mut ctx))).map_err(panic_message)
 }
 
 /// Extracts a human-readable message from a panic payload.
@@ -1804,6 +1826,72 @@ mod tests {
         let rep = w.run(bodies, Box::new(RoundRobin::new()));
         assert_eq!(rep.outputs, vec![Some(1); 3]);
         assert_eq!(rep.steps, 3 * 21);
+    }
+
+    /// A one-process world takes no worker: its body runs on the caller's
+    /// thread, and the run's only hand-off is the first grant.
+    #[test]
+    fn a_one_process_world_runs_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        let mut w = World::builder(1).build();
+        let r = w.reg("r", 0u32);
+        let body: ProcBody<std::thread::ThreadId> = Box::new(move |ctx| {
+            for k in 0..5 {
+                r.write(ctx, k)?;
+            }
+            Ok(std::thread::current().id())
+        });
+        let rep = w.run(vec![body], Box::new(RoundRobin::new()));
+        assert_eq!(rep.outputs, vec![Some(caller)]);
+        assert_eq!(rep.steps, 5);
+        assert_eq!(
+            rep.handoffs, 1,
+            "the first grant counts, the rest are self-grants"
+        );
+    }
+
+    /// The caller hosts the last pid, so it takes decisions too; a strategy
+    /// panic on one of them is still stored and re-raised by `run` with its
+    /// own payload once every process reported — never contained as the
+    /// hosted pid's `Halted::Panicked`.
+    #[test]
+    fn strategy_panic_on_a_decision_the_caller_takes_is_reraised() {
+        #[derive(Debug)]
+        struct Bug(u64);
+        let caller = std::thread::current().id();
+        for n in [1, 3] {
+            let alive = Arc::new(());
+            let mut w = World::builder(n).build();
+            let r = w.reg("r", 0u32);
+            let bodies: Vec<ProcBody<()>> = (0..n)
+                .map(|_| {
+                    let (r, alive) = (r.clone(), Arc::clone(&alive));
+                    let b: ProcBody<()> = Box::new(move |ctx| {
+                        let _alive = alive;
+                        loop {
+                            r.write(ctx, 1)?;
+                        }
+                    });
+                    b
+                })
+                .collect();
+            let mut rr = RoundRobin::new();
+            let strategy = FnStrategy::new(move |view: &ScheduleView<'_>| {
+                if view.step >= 4 && std::thread::current().id() == caller {
+                    std::panic::panic_any(Bug(view.step));
+                }
+                rr.decide(view)
+            });
+            let caught = catch_unwind(AssertUnwindSafe(|| w.run(bodies, Box::new(strategy))));
+            let payload = caught.expect_err("the strategy's panic reaches run's caller");
+            let bug = payload.downcast::<Bug>().expect("the original payload");
+            assert!(bug.0 >= 4, "n = {n}: {bug:?}");
+            assert_eq!(
+                Arc::strong_count(&alive),
+                1,
+                "n = {n}: a process is still running"
+            );
+        }
     }
 
     fn k_step_bodies(world: &World, k: usize) -> Vec<ProcBody<()>> {

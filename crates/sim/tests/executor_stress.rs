@@ -105,19 +105,20 @@ fn ten_thousand_tiny_runs_replay_and_never_lose_a_wakeup() {
     }
 }
 
-/// Runs three two-access bodies and returns the threads that hosted them;
-/// with `wreck`, pid 1 panics inside its first access, holding the grant.
-fn hosts_of_one_run(wreck: bool) -> HashSet<ThreadId> {
-    let hosts = Arc::new(Mutex::new(HashSet::new()));
+/// Runs three two-access bodies and returns the thread that hosted each
+/// pid; with `wreck = Some(p)`, pid `p` panics inside its first access,
+/// holding the grant.
+fn hosts_of_one_run(wreck: Option<usize>) -> Vec<ThreadId> {
+    let hosts = Arc::new(Mutex::new(vec![None; 3]));
     let mut w = World::builder(3).build();
     let r = w.reg("r", 0u32);
     let bodies: Vec<ProcBody<()>> = (0..3)
         .map(|p| {
             let (r, hosts) = (r.clone(), Arc::clone(&hosts));
             let b: ProcBody<()> = Box::new(move |ctx| {
-                hosts.lock().unwrap().insert(std::thread::current().id());
+                hosts.lock().unwrap()[p] = Some(std::thread::current().id());
                 r.read_with(ctx, |_| {
-                    assert!(!(wreck && p == 1), "chaos: wrecked mid-access")
+                    assert!(wreck != Some(p), "chaos: wrecked mid-access")
                 })?;
                 r.write(ctx, 1)
             });
@@ -125,22 +126,36 @@ fn hosts_of_one_run(wreck: bool) -> HashSet<ThreadId> {
         })
         .collect();
     let rep = w.run(bodies, Box::new(RoundRobin::new()));
-    assert_eq!(rep.panicked_pids(), if wreck { vec![1] } else { vec![] });
-    assert_eq!(rep.decided_count(), if wreck { 2 } else { 3 });
-    let hosts = hosts.lock().unwrap().clone();
-    assert_eq!(hosts.len(), 3, "one worker per process");
+    assert_eq!(rep.panicked_pids(), wreck.into_iter().collect::<Vec<_>>());
+    assert_eq!(rep.decided_count(), if wreck.is_some() { 2 } else { 3 });
+    let hosts: Vec<ThreadId> = hosts.lock().unwrap().iter().map(|h| h.unwrap()).collect();
+    assert_eq!(
+        hosts.iter().collect::<HashSet<_>>().len(),
+        3,
+        "one thread per process"
+    );
     hosts
 }
 
+/// Pids 0 and 1 run on the same two pooled workers run after run, pid 2
+/// (the last) on the thread that called `run`, and a body that panics
+/// while holding its grant — on a worker or on the caller — leaves both
+/// arrangements as they were.
 #[test]
 fn consecutive_runs_reuse_the_same_workers_even_after_a_wrecked_run() {
     let _serial = serial();
     bprc_sim::faults::quiet_injected_panics();
-    let first = hosts_of_one_run(false);
-    assert_eq!(hosts_of_one_run(false), first);
-    assert_eq!(hosts_of_one_run(true), first, "the wrecked run itself");
-    assert_eq!(hosts_of_one_run(false), first, "the run after the wreck");
-    assert!(!first.contains(&std::thread::current().id()));
+    let first = hosts_of_one_run(None);
+    assert_eq!(
+        first[2],
+        std::thread::current().id(),
+        "the caller hosts pid 2"
+    );
+    assert_eq!(hosts_of_one_run(None), first);
+    assert_eq!(hosts_of_one_run(Some(1)), first, "a wrecked worker's run");
+    assert_eq!(hosts_of_one_run(None), first, "the run after it");
+    assert_eq!(hosts_of_one_run(Some(2)), first, "a wrecked caller's run");
+    assert_eq!(hosts_of_one_run(None), first, "the run after it");
 }
 
 /// A crashed process that dawdles on its way out: nothing is decided

@@ -520,92 +520,14 @@ where
             }
         }
     }
-
-    /// The original allocating scan, kept as the reference implementation:
-    /// fresh collect vectors every attempt, full second collect, full arrow
-    /// re-read, every register access a plain one-shot `read` that clones
-    /// the whole slot — no version tokens, no buffer reuse, no early exits.
-    /// The equivalence tests check the optimized scans against it. Not part
-    /// of the supported API.
-    ///
-    /// # Errors
-    ///
-    /// As for [`scan`](Port::scan).
-    #[doc(hidden)]
-    pub fn scan_legacy(&mut self, ctx: &mut Ctx) -> Result<Vec<T>, Halted> {
-        let n = self.shared.n;
-        let budget = self.shared.scan_retry_budget.load(Ordering::Relaxed);
-        let mut tries: u64 = 0;
-        ctx.annotate(labels::SCAN_START, vec![]);
-        loop {
-            tries += 1;
-            ctx.count(Counter::ScanAttempts, 1);
-            if tries > 1 {
-                ctx.count(Counter::ScanRetries, 1);
-            }
-            for j in 0..n {
-                if let Some(a) = &self.shared.arrows[j][self.me] {
-                    a.lower(ctx)?;
-                }
-            }
-            // Same weak-memory drain as the optimized scan (see
-            // [`Port::scan_slots`]); keeps the two implementations
-            // access-equivalent under every memory mode.
-            ctx.fence()?;
-            let mut c1: Vec<Option<Slot<T>>> = vec![None; n];
-            for (j, slot) in c1.iter_mut().enumerate() {
-                if j != self.me {
-                    *slot = Some(self.shared.values[j].read(ctx)?);
-                }
-            }
-            let mut c2: Vec<Option<Slot<T>>> = vec![None; n];
-            for (j, slot) in c2.iter_mut().enumerate() {
-                if j != self.me {
-                    *slot = Some(self.shared.values[j].read(ctx)?);
-                }
-            }
-            let mut raised = false;
-            for j in 0..n {
-                if let Some(a) = &self.shared.arrows[j][self.me] {
-                    if a.is_raised(ctx)? {
-                        raised = true;
-                    }
-                }
-            }
-            ctx.count(Counter::CollectReads, 2 * (n as u64 - 1));
-            let stable = !raised
-                && c1.iter().zip(&c2).all(|(x, y)| match (x, y) {
-                    (Some(x), Some(y)) => x.same_visible(y),
-                    (None, None) => true,
-                    _ => unreachable!("collects fill the same slots"),
-                });
-            if stable {
-                let view: Vec<Slot<T>> = c2
-                    .into_iter()
-                    .enumerate()
-                    .map(|(j, s)| match s {
-                        Some(s) => s,
-                        None => {
-                            debug_assert_eq!(j, self.me);
-                            self.last.clone()
-                        }
-                    })
-                    .collect();
-                ctx.annotate(labels::SCAN_END, view.iter().map(|s| s.seq).collect());
-                ctx.count(Counter::Scans, 1);
-                return Ok(view.into_iter().map(|s| s.value).collect());
-            }
-            if budget != 0 && tries >= budget {
-                ctx.count(Counter::ScanStarved, 1);
-                return Err(Halted::ScanStarved);
-            }
-        }
-    }
 }
 
 // The default Clone derive would demand T: Clone etc.; a Port must NOT be
 // cloneable anyway (it owns the single-writer local state), so none is
 // provided.
+
+#[cfg(test)]
+mod scan_equivalence;
 
 #[cfg(test)]
 mod tests {

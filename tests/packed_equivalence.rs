@@ -20,7 +20,7 @@
 //!    backends.
 //!
 //! The optimized scan's equivalence with the reference `scan_legacy` lives
-//! in `crates/snapshot/tests/scan_equivalence.rs`.
+//! in the `scan_equivalence` test module of `crates/snapshot/src/memory.rs`.
 
 use bprc::registers::DirectArrow;
 use bprc::sim::explore::{explore, ExploreConfig, Independence};
