@@ -3,11 +3,13 @@
 //! [`crate::memory`] (the paper's bounded handshake construction) and
 //! [`crate::waitfree`] (the AADGMS wait-free construction) share this
 //! machinery: the take-once port gate, the ghost-seq-keyed buffer-reuse
-//! collect pass, and the per-attempt bookkeeping that records every scan in
-//! the metrics plane ([`Counter`]s, ring events, the scan-latency
-//! histogram) — the one record of scans either backend keeps. The two
-//! modules keep only what genuinely differs (arrows and the stability rule
-//! on one side, movers and view borrowing on the other).
+//! collect read (a whole pass of them for the wait-free scan; the handshake
+//! scan makes each read its [`ScanMachine`](crate::ScanMachine) names), and
+//! the per-attempt bookkeeping that records every scan in the metrics plane
+//! ([`Counter`]s, ring events, the scan-latency histogram) — the one record
+//! of scans either backend keeps. The two modules keep only what genuinely
+//! differs (arrows and the stability rule on one side, movers and view
+//! borrowing on the other).
 //!
 //! Everything here is order-preserving relative to the original inlined
 //! code — the same counters bump in the same sequence around the same
@@ -73,15 +75,32 @@ pub(crate) fn collect_pass<S: SeqSlot>(
         if j == me {
             continue;
         }
-        let slot = &mut buf[j];
         reads += 1;
-        vers[j] = reg.read_changed(ctx, vers[j], |s| {
-            if slot.ghost_seq() != s.ghost_seq() {
-                slot.clone_from(s);
-            }
-        })?;
+        read_slot(ctx, reg, &mut buf[j], &mut vers[j])?;
     }
     Ok(reads)
+}
+
+/// One collect read of `reg` into the buffered `slot`: a version-token read
+/// that re-clones the slot only when its ghost seq changed, and leaves the
+/// register's new token in `ver`. One scheduled step.
+///
+/// # Errors
+///
+/// Returns [`Halted`] if the scheduler stopped this process.
+#[inline]
+pub(crate) fn read_slot<S: SeqSlot>(
+    ctx: &mut Ctx,
+    reg: &Swmr<S>,
+    slot: &mut S,
+    ver: &mut u64,
+) -> Result<(), Halted> {
+    *ver = reg.read_changed(ctx, *ver, |s| {
+        if slot.ghost_seq() != s.ghost_seq() {
+            slot.clone_from(s);
+        }
+    })?;
+    Ok(())
 }
 
 /// The open half of one scan's latency measurement: stamped by

@@ -67,5 +67,5 @@ pub mod waitfree;
 
 pub use backend::{ScanStats, SnapshotBackend, SnapshotPort};
 pub use checker::{check_history, CheckReport, IncrementalChecker, SnapshotViolation};
-pub use memory::{Port, ScannableMemory, SnapshotMeta};
+pub use memory::{Access, Port, ScanMachine, ScannableMemory, SnapshotMeta, UpdateMachine};
 pub use waitfree::{WaitFreeSnapshot, WfPort};

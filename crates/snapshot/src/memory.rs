@@ -1,4 +1,13 @@
 //! The scannable-memory construction (paper §2.2).
+//!
+//! What a scanning or updating process remembers between two register
+//! accesses — the attempt, and the position in it that fixes the phase and
+//! the index `j` — is a plain value: a [`ScanMachine`] or
+//! an [`UpdateMachine`]. Each names its next [`Access`] and takes that
+//! access's outcome as data, so it holds no context, register handle, ghost
+//! seq or version token. [`Port::scan`] and [`Port::update`] are loops that
+//! perform each named access through [`Ctx`]; the port keeps only the
+//! buffers (collects, version tokens, own slot) and the metrics plane.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -276,11 +285,200 @@ where
     }
 }
 
+/// One register access of a handshake scan or update, as
+/// [`ScanMachine::next`] and [`UpdateMachine::next`] name it. Indices are
+/// process ids; `me` is the machine's own.
+///
+/// With [`DirectArrow`](bprc_registers::DirectArrow) each raise, lower,
+/// read, check and write is one scheduled access (one `Event::Op` in a
+/// recorded history). A [`HandshakeArrow`](bprc_registers::HandshakeArrow)
+/// raise, lower or check is **two** scheduled accesses (a read of one bit,
+/// then a write or read of the other). A fence is a scheduled gate only
+/// under a weak memory mode; under sequential consistency, and in free
+/// mode, it is free and records no op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Access {
+    /// Raise arrow `A_{me,j}` (update).
+    Raise(usize),
+    /// Lower arrow `A_{j,me}` (scan).
+    Lower(usize),
+    /// Drain this process's store buffer.
+    Fence,
+    /// First-collect read of `V_j` (scan).
+    Collect1(usize),
+    /// Second-collect read of `V_j` (scan); feed whether it matched the
+    /// first collect's `(value, toggle)`.
+    Collect2(usize),
+    /// Re-check arrow `A_{j,me}` (scan); feed whether it is still lowered.
+    Check(usize),
+    /// Write `(value, !toggle)` into `V_me` (update).
+    Write,
+    /// The operation is complete (a scan's last attempt was clean).
+    Done,
+    /// The scan used its retry budget without a clean attempt.
+    Starved,
+}
+
+/// The paper's handshake `scan` as a value: everything the scanning process
+/// remembers between two accesses. A fed outcome needs no field of its
+/// own: a clean one leaves the machine where it is, a doomed one moves it
+/// to the next attempt.
+///
+/// Per attempt: lower the `n−1` arrows aimed at `me`, fence, collect every
+/// other `V_j` twice, re-check the arrows. A clean attempt makes exactly
+/// `4(n−1)` register accesses (plus the fence). Only a doomed attempt exits
+/// early: the second collect stops at the first `(value, toggle)` mismatch
+/// and skips the re-checks, and the re-checks stop at the first raised
+/// arrow. A doomed attempt is discarded wholesale, so doing less doomed
+/// work changes no outcome. The next attempt starts over, unless a budget of
+/// `k` attempts has been used, in which case the machine is starved.
+///
+/// Drive it by calling [`next`](ScanMachine::next), performing the named
+/// access, and, after a [`Access::Collect2`] or [`Access::Check`],
+/// [`feed`](ScanMachine::feed)ing its outcome.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ScanMachine {
+    n: usize,
+    me: usize,
+    /// Max attempts; 0 = unbounded.
+    budget: u64,
+    attempt: u64,
+    /// Accesses named so far in this attempt, which fixes the phase and
+    /// the index `j`; [`done`](ScanMachine::done) once done, one more once
+    /// starved.
+    k: usize,
+}
+
+impl ScanMachine {
+    /// A scan by process `me` of `n`, about to start its first attempt;
+    /// `budget` bounds the attempts (0 = unbounded, the paper's semantics).
+    pub fn new(n: usize, me: usize, budget: u64) -> Self {
+        debug_assert!(me < n, "pid {me} out of range");
+        ScanMachine {
+            n,
+            me,
+            budget,
+            attempt: 1,
+            k: 0,
+        }
+    }
+
+    /// The attempt the last named access belongs to (1-based).
+    pub fn attempt(&self) -> u64 {
+        self.attempt
+    }
+
+    /// Names the next access and moves past it. Once it names
+    /// [`Access::Done`] or [`Access::Starved`] it keeps naming it.
+    #[inline]
+    #[allow(clippy::should_implement_trait)] // never ends, so not an Iterator
+    pub fn next(&mut self) -> Access {
+        let (k, m, me) = (self.k, self.n - 1, self.me);
+        let access = if k < m {
+            Access::Lower(other(k, me))
+        } else if k == m {
+            Access::Fence
+        } else if k <= 2 * m {
+            Access::Collect1(other(k - m - 1, me))
+        } else if k <= 3 * m {
+            Access::Collect2(other(k - 2 * m - 1, me))
+        } else if k <= 4 * m {
+            Access::Check(other(k - 3 * m - 1, me))
+        } else if k == self.done() {
+            return Access::Done;
+        } else {
+            return Access::Starved;
+        };
+        self.k += 1;
+        access
+    }
+
+    /// Takes the outcome of the access just named, which must be a
+    /// [`Access::Collect2`] or an [`Access::Check`]: `clean` is whether the
+    /// second read matched the first collect's `(value, toggle)`, or
+    /// whether the arrow was still lowered. Other accesses have no outcome.
+    /// A doomed outcome ends the attempt at once: the machine moves to the
+    /// next attempt's start, or starves.
+    #[inline]
+    pub fn feed(&mut self, clean: bool) {
+        debug_assert!(
+            (2 * self.n..=self.done()).contains(&self.k),
+            "only a second-collect read or an arrow check has an outcome"
+        );
+        if !clean {
+            self.retry();
+        }
+    }
+
+    /// The position after a clean attempt's last access.
+    #[inline]
+    fn done(&self) -> usize {
+        4 * (self.n - 1) + 1
+    }
+
+    /// Ends a doomed attempt: starts the next, or starves on a spent budget.
+    #[cold]
+    fn retry(&mut self) {
+        if self.budget != 0 && self.attempt >= self.budget {
+            self.k = self.done() + 1;
+        } else {
+            self.attempt += 1;
+            self.k = 0;
+        }
+    }
+}
+
+/// The paper's handshake `write` as a value: raise the `n−1` arrows
+/// `A_{me,j}`, fence, write `V_me`, fence. Wait-free, so no access has an
+/// outcome to feed.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct UpdateMachine {
+    n: usize,
+    me: usize,
+    /// Accesses named so far.
+    k: usize,
+}
+
+impl UpdateMachine {
+    /// An update by process `me` of `n`, before its first access.
+    pub fn new(n: usize, me: usize) -> Self {
+        debug_assert!(me < n, "pid {me} out of range");
+        UpdateMachine { n, me, k: 0 }
+    }
+
+    /// Names the next access and moves past it: the raises, a fence, the
+    /// write, a fence, then [`Access::Done`] for good.
+    #[inline]
+    #[allow(clippy::should_implement_trait)] // never ends, so not an Iterator
+    pub fn next(&mut self) -> Access {
+        let (k, m) = (self.k, self.n - 1);
+        let access = if k < m {
+            Access::Raise(other(k, self.me))
+        } else if k == m || k == m + 2 {
+            Access::Fence
+        } else if k == m + 1 {
+            Access::Write
+        } else {
+            return Access::Done;
+        };
+        self.k += 1;
+        access
+    }
+}
+
+/// The `i`-th process index other than `me`.
+#[inline]
+fn other(i: usize, me: usize) -> usize {
+    i + usize::from(i >= me)
+}
+
 /// Process `pid`'s handle on the scannable memory.
 ///
 /// Owns the process-local state the paper keeps implicitly: the last value
 /// written (whose toggle the next write flips, and which fills the process's
-/// own slot in scan views) and the ghost sequence counter.
+/// own slot in scan views) and the ghost sequence counter. A scan's or an
+/// update's control state lives in a [`ScanMachine`] or [`UpdateMachine`]
+/// for the length of the call; the port performs the accesses it names.
 pub struct Port<T, A> {
     shared: Arc<Shared<T, A>>,
     me: usize,
@@ -328,7 +526,8 @@ where
     /// Publishes `value` (the paper's `write` procedure): raise every arrow
     /// `A_{me,j}`, then atomically write `(value, !toggle)` into `V_me`.
     ///
-    /// Wait-free: exactly `n−1` raises plus one register write.
+    /// Wait-free: exactly `n−1` raises plus one register write, the
+    /// accesses an [`UpdateMachine`] names.
     ///
     /// # Errors
     ///
@@ -340,31 +539,35 @@ where
         }
         ctx.clock();
         ctx.trace_event(EventKind::Update, seq);
-        for j in 0..self.shared.n {
-            if let Some(a) = &self.shared.arrows[self.me][j] {
-                a.raise(ctx)?;
-            }
-        }
-        // Weak-memory order: every raise must be globally visible before
-        // the value write can land, or a PSO store buffer would let a
-        // scanner collect the new value with no interference signal (a
-        // free no-op under sequential consistency).
-        ctx.fence()?;
-        let slot = Slot {
+        let mut slot = Some(Slot {
             value,
             toggle: !self.last.toggle,
             seq,
-        };
-        // The port keeps its own copy in a buffer it already owns; the
-        // value it was handed moves into the register.
-        self.staged.clone_from(&slot);
-        self.shared.values[self.me].write_tagged(ctx, slot, seq)?;
-        // Release: the value store must drain before update() returns. A
-        // store still sitting in this process's buffer after the call
-        // completes would let a scan that *starts later* return the old
-        // value — a real-time regularity (P1) violation no schedule can
-        // excuse. Deleting this fence is the `missing-fence` gate fixture.
-        ctx.fence()?;
+        });
+        let mut machine = UpdateMachine::new(self.shared.n, self.me);
+        loop {
+            match machine.next() {
+                Access::Raise(j) => self.arrow(self.me, j).raise(ctx)?,
+                // The first fence makes every raise globally visible before
+                // the value write can land, or a PSO store buffer would let
+                // a scanner collect the new value with no interference
+                // signal. The second (release) drains the value store before
+                // update() returns: a store still buffered after the call
+                // would let a scan that *starts later* return the old value
+                // — a real-time regularity (P1) violation no schedule can
+                // excuse. Deleting it is the `missing-fence` gate fixture.
+                Access::Fence => ctx.fence()?,
+                Access::Write => {
+                    let slot = slot.take().expect("an update writes once");
+                    // The port keeps its own copy in a buffer it already
+                    // owns; the value it was handed moves into the register.
+                    self.staged.clone_from(&slot);
+                    self.shared.values[self.me].write_tagged(ctx, slot, seq)?;
+                }
+                Access::Done => break,
+                other => unreachable!("an update never performs {other:?}"),
+            }
+        }
         std::mem::swap(&mut self.last, &mut self.staged);
         self.seq = seq;
         if ctx.recording() {
@@ -420,105 +623,84 @@ where
 
     /// On success the view is left in `self.c2` (own slot included).
     ///
-    /// Per attempt: lower `n−1` arrows, collect twice into the persistent
-    /// buffers, re-read the arrows. A *successful* attempt performs exactly
-    /// the same `4(n−1)` scheduled accesses as the original implementation
-    /// (the refinement tests pin this); only **failing** attempts exit
-    /// early — the second collect stops at the first visible
-    /// `(value, toggle)` mismatch and the arrow re-read is skipped after a
-    /// mismatch (or stops at the first raised arrow). A failed attempt is
-    /// discarded wholesale, so doing less doomed work changes no outcome.
+    /// Performs the accesses a [`ScanMachine`] names, into the persistent
+    /// buffers: collect reads go through the version tokens and skip
+    /// re-cloning slots whose ghost seq is unchanged. Each attempt opens
+    /// (counters, ring event) before its first access, and its collect
+    /// reads are flushed when it ends: clean, doomed or starved.
     fn scan_slots(&mut self, ctx: &mut Ctx) -> Result<(), Halted> {
-        let n = self.shared.n;
         let budget = self.shared.scan_retry_budget.load(Ordering::Relaxed);
+        let mut machine = ScanMachine::new(self.shared.n, self.me, budget);
         let mut attempt = crate::collect::AttemptTracker::default();
+        let mut reads = 0;
         let span = crate::collect::begin_scan(ctx);
+        attempt.begin_attempt(ctx);
         loop {
-            attempt.begin_attempt(ctx);
-            // Lower all arrows aimed at me.
-            for j in 0..n {
-                if let Some(a) = &self.shared.arrows[j][self.me] {
-                    a.lower(ctx)?;
-                }
-            }
-            // Weak-memory order: drain the lowers before collecting, so the
-            // arrow re-read below hits shared memory instead of forwarding
-            // this scanner's own stale (buffered) lower — which would mask a
-            // concurrent re-raise (a free no-op under sequential
-            // consistency).
-            ctx.fence()?;
-            // First collect, into the persistent buffer (the shared pass
-            // batch-validates through the version tokens and skips
-            // re-cloning slots whose ghost seq is unchanged).
-            let mut reads = crate::collect::collect_pass(
-                ctx,
-                &self.shared.values,
-                self.me,
-                &mut self.c1,
-                &mut self.v1,
-            )?;
-            // Second collect, compared against the first as it goes: the
-            // attempt is doomed at the first visible mismatch, so stop
-            // collecting there (failure path only). The comparison runs on
-            // the buffer *after* the access — the access leaves the buffer
-            // equal to the register's visible content (token unchanged ⟹
-            // register unwritten ⟹ buffer still current; otherwise the
-            // ghost-seq check re-cloned it), so this is the same predicate
-            // the register-side comparison computed.
-            let mut mismatch = false;
-            {
-                let (c2, v2) = (&mut self.c2, &mut self.v2);
-                for j in 0..n {
-                    if j == self.me {
-                        continue;
+            let access = machine.next();
+            match access {
+                Access::Lower(j) => {
+                    // A doomed outcome fed below moved the machine on to its
+                    // next attempt, which opens with this lower.
+                    if machine.attempt() != attempt.tries() {
+                        crate::collect::flush_collect_reads(ctx, reads);
+                        reads = 0;
+                        attempt.begin_attempt(ctx);
                     }
+                    self.arrow(j, self.me).lower(ctx)?;
+                }
+                // Drains the lowers before collecting, so the arrow re-check
+                // hits shared memory instead of forwarding this scanner's own
+                // stale (buffered) lower — which would mask a concurrent
+                // re-raise.
+                Access::Fence => ctx.fence()?,
+                // One call site for both collects, so the register read is
+                // inlined once. The second compares on the buffer *after* the
+                // access: the access leaves the buffer equal to the
+                // register's visible content (token unchanged ⟹ register
+                // unwritten ⟹ buffer still current; otherwise the ghost-seq
+                // check re-cloned it).
+                Access::Collect1(j) | Access::Collect2(j) => {
+                    let second = access == Access::Collect2(j);
+                    let (buf, vers) = if second {
+                        (&mut self.c2, &mut self.v2)
+                    } else {
+                        (&mut self.c1, &mut self.v1)
+                    };
                     reads += 1;
-                    let slot = &mut c2[j];
-                    v2[j] = self.shared.values[j].read_changed(ctx, v2[j], |s| {
-                        if slot.seq != s.seq {
-                            slot.clone_from(s);
-                        }
-                    })?;
-                    if !c2[j].same_visible(&self.c1[j]) {
-                        mismatch = true;
-                        break;
+                    let reg = &self.shared.values[j];
+                    crate::collect::read_slot(ctx, reg, &mut buf[j], &mut vers[j])?;
+                    if second {
+                        machine.feed(self.c2[j].same_visible(&self.c1[j]));
                     }
                 }
-            }
-            // Re-read arrows — skipped entirely after a mismatch, and a
-            // raised arrow short-circuits (both failure paths; a successful
-            // attempt always performs all n−1 checks).
-            let mut raised = false;
-            if !mismatch {
-                for j in 0..n {
-                    if let Some(a) = &self.shared.arrows[j][self.me] {
-                        if a.is_raised(ctx)? {
-                            raised = true;
-                            break;
-                        }
+                Access::Check(j) => machine.feed(!self.arrow(j, self.me).is_raised(ctx)?),
+                Access::Done => {
+                    crate::collect::flush_collect_reads(ctx, reads);
+                    let me = self.me;
+                    if self.c2[me].seq != self.last.seq {
+                        self.c2[me].clone_from(&self.last);
                     }
+                    let c2 = &self.c2;
+                    crate::collect::finish_scan(ctx, span, attempt.tries(), || {
+                        c2.iter().map(|s| s.seq).collect()
+                    });
+                    return Ok(());
                 }
-            }
-            // Account this attempt's collect reads whether it succeeded,
-            // retries, or is about to starve.
-            crate::collect::flush_collect_reads(ctx, reads);
-            if !mismatch && !raised {
-                let me = self.me;
-                if self.c2[me].seq != self.last.seq {
-                    self.c2[me].clone_from(&self.last);
+                Access::Starved => {
+                    crate::collect::flush_collect_reads(ctx, reads);
+                    return Err(crate::collect::starve_scan(ctx));
                 }
-                let c2 = &self.c2;
-                crate::collect::finish_scan(ctx, span, attempt.tries(), || {
-                    c2.iter().map(|s| s.seq).collect()
-                });
-                return Ok(());
-            }
-            if budget != 0 && attempt.tries() >= budget {
-                // Budget exhausted: report starvation instead of retrying
-                // forever under writer pressure.
-                return Err(crate::collect::starve_scan(ctx));
+                other => unreachable!("a scan never performs {other:?}"),
             }
         }
+    }
+
+    /// Arrow `A_{w,s}`; the machines never name the diagonal.
+    #[inline]
+    fn arrow(&self, w: usize, s: usize) -> &A {
+        self.shared.arrows[w][s]
+            .as_ref()
+            .expect("no arrow on the diagonal")
     }
 }
 
@@ -782,6 +964,302 @@ mod tests {
         let meta = mem.meta();
         assert_eq!(meta.value_regs.len(), 2);
         assert_ne!(meta.value_regs[0], meta.value_regs[1]);
+    }
+
+    /// The indices below `n` other than `me`.
+    fn others(n: usize, me: usize) -> Vec<usize> {
+        (0..n).filter(|&j| j != me).collect()
+    }
+
+    /// Drives `m` to `Done` or `Starved`, feeding `clean(access)` after each
+    /// second-collect read and arrow check; returns every access named.
+    fn drive(m: &mut ScanMachine, mut clean: impl FnMut(Access) -> bool) -> Vec<Access> {
+        let mut trace = Vec::new();
+        loop {
+            let a = m.next();
+            trace.push(a);
+            match a {
+                Access::Collect2(_) | Access::Check(_) => m.feed(clean(a)),
+                Access::Done | Access::Starved => return trace,
+                _ => {}
+            }
+            assert!(trace.len() < 10_000, "machine never finished");
+        }
+    }
+
+    #[test]
+    fn clean_scan_and_update_name_the_paper_accesses() {
+        for n in [1, 2, 3, 8] {
+            for me in [0, n - 1] {
+                let o = others(n, me);
+                let mut want: Vec<Access> = o.iter().map(|&j| Access::Lower(j)).collect();
+                want.push(Access::Fence);
+                want.extend(o.iter().map(|&j| Access::Collect1(j)));
+                want.extend(o.iter().map(|&j| Access::Collect2(j)));
+                want.extend(o.iter().map(|&j| Access::Check(j)));
+                want.push(Access::Done);
+                let mut m = ScanMachine::new(n, me, 0);
+                assert_eq!(drive(&mut m, |_| true), want, "n = {n}, me = {me}");
+                assert_eq!(m.attempt(), 1);
+                assert_eq!(m.next(), Access::Done, "done stays done");
+                // (n−1) lowers + 2(n−1) reads + (n−1) checks: the 4(n−1)
+                // solo scan cost, plus one fence.
+                assert_eq!(want.len() - 2, 4 * (n - 1));
+
+                let mut up = UpdateMachine::new(n, me);
+                let mut want: Vec<Access> = o.iter().map(|&j| Access::Raise(j)).collect();
+                want.extend([Access::Fence, Access::Write, Access::Fence, Access::Done]);
+                let got: Vec<Access> = want.iter().map(|_| up.next()).collect();
+                assert_eq!(got, want, "update, n = {n}, me = {me}");
+                assert_eq!(up.next(), Access::Done);
+            }
+        }
+    }
+
+    #[test]
+    fn a_mismatch_ends_the_second_collect_and_skips_the_rechecks() {
+        let (n, me) = (4, 1);
+        for &bad in &others(n, me) {
+            let mut m = ScanMachine::new(n, me, 0);
+            let mut doomed = false;
+            let trace = drive(&mut m, |a| {
+                let mismatch = !doomed && a == Access::Collect2(bad);
+                doomed |= mismatch;
+                !mismatch
+            });
+            // The first attempt stops at the mismatch: no later read, no
+            // re-check; the second attempt starts with its first lower.
+            let cut = trace
+                .iter()
+                .position(|&a| a == Access::Collect2(bad))
+                .unwrap();
+            assert!(trace[..cut].iter().all(|a| !matches!(a, Access::Check(_))));
+            assert_eq!(trace[cut + 1], Access::Lower(0));
+            assert_eq!(m.attempt(), 2);
+            assert_eq!(trace.len(), cut + 1 + 4 * (n - 1) + 2, "one clean retry");
+        }
+        // Stepwise: the access after the doomed feed is attempt 2's first.
+        let mut m = ScanMachine::new(3, 0, 0);
+        for want in [
+            Access::Lower(1),
+            Access::Lower(2),
+            Access::Fence,
+            Access::Collect1(1),
+            Access::Collect1(2),
+            Access::Collect2(1),
+        ] {
+            assert_eq!(m.next(), want);
+        }
+        m.feed(false);
+        assert_eq!(m.next(), Access::Lower(1));
+        assert_eq!(m.attempt(), 2);
+    }
+
+    #[test]
+    fn a_raised_arrow_ends_the_rechecks_at_that_arrow() {
+        let (n, me) = (4, 2);
+        for &up in &others(n, me) {
+            let mut m = ScanMachine::new(n, me, 0);
+            let mut doomed = false;
+            let trace = drive(&mut m, |a| {
+                let raised = !doomed && a == Access::Check(up);
+                doomed |= raised;
+                !raised
+            });
+            let cut = trace.iter().position(|&a| a == Access::Check(up)).unwrap();
+            assert_eq!(
+                trace[cut + 1],
+                Access::Lower(0),
+                "no check after the raised one"
+            );
+            assert_eq!(m.attempt(), 2);
+            assert_eq!(trace.len(), cut + 1 + 4 * (n - 1) + 2, "one clean retry");
+        }
+    }
+
+    #[test]
+    fn a_budget_of_k_starves_after_exactly_k_attempts() {
+        for k in 1..=4 {
+            let mut m = ScanMachine::new(2, 0, k);
+            let trace = drive(&mut m, |a| !matches!(a, Access::Collect2(_)));
+            assert_eq!(*trace.last().unwrap(), Access::Starved, "budget {k}");
+            assert_eq!(m.attempt(), k);
+            let attempts = trace.iter().filter(|&&a| a == Access::Fence).count();
+            assert_eq!(attempts as u64, k);
+            assert_eq!(m.next(), Access::Starved, "starved stays starved");
+        }
+        // Unbounded: the paper's scan retries for as long as it is doomed.
+        let mut m = ScanMachine::new(2, 0, 0);
+        let mut doomed = 100;
+        let trace = drive(&mut m, |a| match a {
+            Access::Check(_) if doomed > 0 => {
+                doomed -= 1;
+                false
+            }
+            _ => true,
+        });
+        assert_eq!(*trace.last().unwrap(), Access::Done);
+        assert_eq!(m.attempt(), 101);
+    }
+
+    #[test]
+    fn a_clone_taken_mid_scan_and_fed_alike_ends_equal() {
+        // Outcomes from a fixed script: the third second-collect read and
+        // the fifth arrow check are doomed.
+        let outcomes = || {
+            let (mut reads, mut checks) = (0, 0);
+            move |a: Access| match a {
+                Access::Collect2(_) => {
+                    reads += 1;
+                    reads != 3
+                }
+                _ => {
+                    checks += 1;
+                    checks != 5
+                }
+            }
+        };
+        for cut in [0, 1, 5, 9, 14] {
+            let mut original = ScanMachine::new(5, 3, 0);
+            let mut feed_original = outcomes();
+            let mut prefix = Vec::new();
+            while prefix.len() < cut {
+                let a = original.next();
+                prefix.push(a);
+                if matches!(a, Access::Collect2(_) | Access::Check(_)) {
+                    original.feed(feed_original(a));
+                }
+            }
+            let mut copy = original.clone();
+            assert_eq!(copy, original);
+            // The copy's outcome source has seen the same prefix.
+            let mut feed_copy = outcomes();
+            for &a in &prefix {
+                if matches!(a, Access::Collect2(_) | Access::Check(_)) {
+                    feed_copy(a);
+                }
+            }
+            let a = drive(&mut original, feed_original);
+            let b = drive(&mut copy, feed_copy);
+            assert_eq!(a, b, "cut at {cut}");
+            assert_eq!(copy, original, "cut at {cut}");
+            assert_eq!(*a.last().unwrap(), Access::Done);
+        }
+    }
+
+    /// Every `Event::Op` a scan or update records is the access its machine
+    /// names next, one for one (fences record no op under SC). The history
+    /// is replayed against fresh machines whose outcomes come from a shadow
+    /// of the registers: each update writes a distinct seq, so a second read
+    /// matches the first exactly when no write landed between them, and an
+    /// arrow is raised exactly when its writer wrote it last.
+    #[test]
+    fn each_machine_access_is_one_scheduled_access() {
+        use bprc_sim::history::{Event, OpKind};
+
+        enum Machine {
+            Scan(ScanMachine),
+            Update(UpdateMachine),
+        }
+        impl Machine {
+            fn next_op(&mut self) -> Access {
+                loop {
+                    let a = match self {
+                        Machine::Scan(m) => m.next(),
+                        Machine::Update(m) => m.next(),
+                    };
+                    if a != Access::Fence {
+                        return a;
+                    }
+                }
+            }
+        }
+
+        let n = 3;
+        let mut retries = 0;
+        for seed in 0..12 {
+            let mut w = World::builder(n).seed(seed).build();
+            let mem = ScannableMemory::<u64, DirectArrow>::new(&w, n, 0);
+            let bodies: Vec<ProcBody<()>> = (0..n)
+                .map(|i| {
+                    let mut p = mem.port(i);
+                    let b: ProcBody<()> = Box::new(move |ctx| {
+                        for k in 1..=4 {
+                            p.update(ctx, k)?;
+                            p.scan(ctx)?;
+                        }
+                        Ok(())
+                    });
+                    b
+                })
+                .collect();
+            let rep = w.run(bodies, Box::new(RandomStrategy::new(seed)));
+            assert!(rep.outputs.iter().all(Option::is_some), "seed {seed}");
+            let names = w.reg_names();
+            let id = |name: String| names.iter().position(|x| *x == name).unwrap();
+
+            let mut machines: Vec<Option<Machine>> = (0..n).map(|_| None).collect();
+            let mut last_tag = vec![0u64; names.len()];
+            let mut last_writer: Vec<Option<usize>> = vec![None; names.len()];
+            let mut first = vec![vec![0u64; n]; n];
+            for e in rep.history.as_ref().unwrap().events() {
+                match e {
+                    Event::Note { pid, note, .. } => match note.label {
+                        labels::SCAN_START => {
+                            machines[*pid] = Some(Machine::Scan(ScanMachine::new(n, *pid, 0)));
+                        }
+                        labels::UPD_START => {
+                            machines[*pid] = Some(Machine::Update(UpdateMachine::new(n, *pid)));
+                        }
+                        labels::SCAN_END | labels::UPD_END => {
+                            let mut m = machines[*pid].take().expect("an end has a start");
+                            assert_eq!(m.next_op(), Access::Done, "seed {seed}: ended early");
+                            if let Machine::Scan(m) = m {
+                                retries += m.attempt() - 1;
+                            }
+                        }
+                        _ => {}
+                    },
+                    Event::Op {
+                        pid,
+                        kind,
+                        reg,
+                        tag,
+                        ..
+                    } => {
+                        let p = *pid;
+                        let m = machines[p].as_mut().expect("every op is a machine's");
+                        let access = m.next_op();
+                        let want = match access {
+                            Access::Raise(j) => (OpKind::Write, id(format!("A_{p}_{j}"))),
+                            Access::Lower(j) => (OpKind::Write, id(format!("A_{j}_{p}"))),
+                            Access::Check(j) => (OpKind::Read, id(format!("A_{j}_{p}"))),
+                            Access::Collect1(j) | Access::Collect2(j) => {
+                                (OpKind::Read, id(format!("V_{j}")))
+                            }
+                            Access::Write => (OpKind::Write, id(format!("V_{p}"))),
+                            other => panic!("seed {seed}: pid {p} made an op at {other:?}"),
+                        };
+                        assert_eq!((*kind, *reg), want, "seed {seed}: pid {p} at {access:?}");
+                        if let Machine::Scan(m) = m {
+                            match access {
+                                Access::Collect1(j) => first[p][j] = last_tag[*reg],
+                                Access::Collect2(j) => m.feed(first[p][j] == last_tag[*reg]),
+                                Access::Check(j) => m.feed(last_writer[*reg] != Some(j)),
+                                _ => {}
+                            }
+                        }
+                        if *kind == OpKind::Write {
+                            last_tag[*reg] = *tag;
+                            last_writer[*reg] = Some(p);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            assert!(machines.iter().all(Option::is_none), "seed {seed}");
+        }
+        assert!(retries > 0, "the schedules must exercise retries");
     }
 
     #[test]

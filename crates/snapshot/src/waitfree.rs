@@ -238,6 +238,7 @@ where
             shared: Arc::clone(&self.shared),
             me: pid,
             last: snap[pid].clone(),
+            staged: snap[pid].clone(),
             c1: snap.clone(),
             c2: snap,
             v1: vec![NO_VERSION; n],
@@ -260,6 +261,9 @@ pub struct WfPort<T> {
     shared: Arc<WfShared<T>>,
     me: usize,
     last: WfSlot<T>,
+    /// Where `update` copies the slot it is about to write; swapped with
+    /// `last` once the write has landed, so neither is ever reallocated.
+    staged: WfSlot<T>,
     /// Persistent double-collect buffers (see [`crate::memory::Port`]):
     /// slots whose seq is unchanged since the buffered copy are provably
     /// identical — including their embedded views — and are not re-cloned.
@@ -305,7 +309,9 @@ where
     pub fn update(&mut self, ctx: &mut Ctx, value: T) -> Result<(), Halted> {
         self.scan_slots(ctx)?;
         let seq = self.last.seq + 1;
-        ctx.annotate(labels::UPD_START, vec![seq]);
+        if ctx.recording() {
+            ctx.annotate(labels::UPD_START, vec![seq]);
+        }
         ctx.clock();
         ctx.trace_event(EventKind::Update, seq);
         let slot = WfSlot {
@@ -313,9 +319,14 @@ where
             seq,
             view: self.view.clone(),
         };
-        self.shared.values[self.me].write_tagged(ctx, slot.clone(), seq)?;
-        self.last = slot;
-        ctx.annotate(labels::UPD_END, vec![seq]);
+        // The port keeps its own copy in a buffer it already owns; the slot
+        // moves into the register.
+        self.staged.clone_from(&slot);
+        self.shared.values[self.me].write_tagged(ctx, slot, seq)?;
+        std::mem::swap(&mut self.last, &mut self.staged);
+        if ctx.recording() {
+            ctx.annotate(labels::UPD_END, vec![seq]);
+        }
         ctx.count(Counter::Updates, 1);
         Ok(())
     }

@@ -1,8 +1,10 @@
 //! Mutation testing of the construction *and* the checker: broken variants
 //! of the scannable memory must produce views the P1–P3 checker rejects.
-//! Each mutant removes exactly one ingredient of the paper's construction,
-//! demonstrating that every ingredient is load-bearing (and that the
-//! checker has teeth).
+//! Each mutant removes ingredients of the paper's construction and nothing
+//! else, demonstrating that they are load-bearing (and that the checker has
+//! teeth): the naive collect drops the double collect, the arrows and the
+//! toggle; the no-toggle mutant runs the real scan and update machines
+//! minus the toggle and the raises.
 
 use bprc_sim::sched::FnStrategy;
 use bprc_sim::world::ProcBody;
@@ -122,11 +124,15 @@ fn naive_collect_is_caught_as_not_instantaneous() {
     );
 }
 
-/// The real construction minus the toggle bit: two consecutive writes of
-/// the same value become invisible to the double collect (ABA), so a scan
-/// can return a view that mixes epochs.
+/// The real construction minus the toggle bit and the writers' raises: its
+/// scan and update are the real [`ScanMachine`] and [`UpdateMachine`],
+/// driven over the mutant's own registers. Two consecutive writes of the
+/// same value become invisible to the double collect (ABA), and with no
+/// raised arrow nothing forces a retry, so a scan can return a view that
+/// mixes epochs.
 mod no_toggle {
     use super::*;
+    use bprc_snapshot::{Access, ScanMachine, UpdateMachine};
 
     pub struct NoToggle {
         values: Vec<Reg<(u64, u64)>>,
@@ -159,57 +165,56 @@ mod no_toggle {
                 .collect()
         }
 
-        /// Update WITHOUT raising arrows first — the other deliberate break
-        /// (isolating the toggle alone is awkward because the checker's
-        /// ghost seq would still differ; removing the arrows shows the same
-        /// failure mode: undetected mid-collect writes).
+        fn arrow(&self, w: usize, s: usize) -> &Reg<bool> {
+            self.arrows[w][s]
+                .as_ref()
+                .expect("no arrow on the diagonal")
+        }
+
+        /// The real update's accesses, WITHOUT the raises — the other
+        /// deliberate break (isolating the toggle alone is awkward because
+        /// the checker's ghost seq would still differ; removing the raises
+        /// shows the same failure mode: undetected mid-collect writes).
         pub fn update(&mut self, ctx: &mut Ctx, v: u64) -> Result<(), Halted> {
             self.seq += 1;
             ctx.annotate(labels::UPD_START, vec![self.seq]);
             self.last = (v, self.seq);
-            self.values[self.me].write_tagged(ctx, self.last, self.seq)?;
+            let mut m = UpdateMachine::new(self.values.len(), self.me);
+            loop {
+                match m.next() {
+                    Access::Raise(_) => {} // the mutation: no raise
+                    Access::Fence => ctx.fence()?,
+                    Access::Write => self.values[self.me].write_tagged(ctx, self.last, self.seq)?,
+                    Access::Done => break,
+                    other => unreachable!("an update never performs {other:?}"),
+                }
+            }
             ctx.annotate(labels::UPD_END, vec![self.seq]);
             Ok(())
         }
 
-        /// Double collect comparing VALUES only (no toggle, no ghost seq),
-        /// arrows checked but never raised by writers.
+        /// The real scan, comparing VALUES only (no toggle, no ghost seq).
         pub fn scan(&mut self, ctx: &mut Ctx) -> Result<Vec<u64>, Halted> {
             let n = self.values.len();
             ctx.annotate(labels::SCAN_START, vec![]);
+            let (mut c1, mut c2) = (vec![self.last; n], vec![self.last; n]);
+            let mut m = ScanMachine::new(n, self.me, 0);
             loop {
-                for j in 0..n {
-                    if let Some(a) = &self.arrows[j][self.me] {
-                        a.write(ctx, false)?;
+                match m.next() {
+                    Access::Lower(j) => self.arrow(j, self.me).write(ctx, false)?,
+                    Access::Fence => ctx.fence()?,
+                    Access::Collect1(j) => c1[j] = self.values[j].read(ctx)?,
+                    Access::Collect2(j) => {
+                        c2[j] = self.values[j].read(ctx)?;
+                        // The mutation: compare payload values only.
+                        m.feed(c2[j].0 == c1[j].0);
                     }
-                }
-                let mut c1 = Vec::new();
-                for (j, r) in self.values.iter().enumerate() {
-                    c1.push(if j == self.me {
-                        self.last
-                    } else {
-                        r.read(ctx)?
-                    });
-                }
-                let mut c2 = Vec::new();
-                for (j, r) in self.values.iter().enumerate() {
-                    c2.push(if j == self.me {
-                        self.last
-                    } else {
-                        r.read(ctx)?
-                    });
-                }
-                let mut raised = false;
-                for j in 0..n {
-                    if let Some(a) = &self.arrows[j][self.me] {
-                        raised |= a.read(ctx)?;
+                    Access::Check(j) => m.feed(!self.arrow(j, self.me).read(ctx)?),
+                    Access::Done => {
+                        ctx.annotate(labels::SCAN_END, c2.iter().map(|s| s.1).collect());
+                        return Ok(c2.into_iter().map(|s| s.0).collect());
                     }
-                }
-                // The mutation: compare payload values only.
-                let same = c1.iter().zip(&c2).all(|(x, y)| x.0 == y.0);
-                if same && !raised {
-                    ctx.annotate(labels::SCAN_END, c2.iter().map(|s| s.1).collect());
-                    return Ok(c2.into_iter().map(|s| s.0).collect());
+                    other => unreachable!("an unbounded scan never performs {other:?}"),
                 }
             }
         }

@@ -74,7 +74,8 @@ fn turn_schedule_replays_exactly_on_registers() {
         assert!(turn_report.completed, "seed {seed}");
 
         // 2. Replay on the register level: each turn event becomes a solo
-        //    burst of the exact operation cost (DirectArrow):
+        //    burst of the exact operation cost (DirectArrow), the accesses
+        //    an `UpdateMachine` and a clean `ScanMachine` attempt name:
         //      write (update) = (n−1) raises + 1 store      = n ops
         //      scan (solo)    = (n−1) lowers + 2(n−1) reads
         //                       + (n−1) arrow checks        = 4(n−1) ops
