@@ -70,8 +70,11 @@ impl DirectArrow {
     /// The boolean lands in a shared cache-line chunk whose mutations are
     /// `fetch_or`/`fetch_and` RMWs, so the *two*-writer discipline of an
     /// arrow (writer raises, scanner lowers) stays atomic and n² arrows
-    /// occupy ⌈n²/512⌉ cache lines instead of n² scattered cells.
-    /// Scheduling and telemetry are identical to a locked cell.
+    /// occupy ⌈n²/512⌉ cache lines instead of n² scattered cells. Every
+    /// raise and lower is an RMW, even of an arrow already in that state:
+    /// in free mode the RMW is what publishes the process's earlier value
+    /// writes (`bprc_sim::reg`'s bit backing says why). Scheduling and
+    /// telemetry are identical to a locked cell.
     pub fn new(world: &World, name: impl Into<String>) -> Self {
         DirectArrow {
             cell: world.bit_reg(name, false),
@@ -277,6 +280,87 @@ mod tests {
         let mut w = bprc_sim::World::builder(2).build();
         let a = HandshakeArrow::new(&w, "A", 0, 1);
         check_raise_after_lower_visible(&mut w, a);
+    }
+
+    /// What one single-process lockstep run wrote, as its books tell it:
+    /// the registers of its history's write ops, its `RegWrite` ring
+    /// events' args, and its `RegWrites`/`ArrowRaises`/`ArrowLowers`.
+    fn books(mut w: bprc_sim::World, body: ProcBody<()>) -> (Vec<usize>, Vec<usize>, [u64; 3]) {
+        let rep = w.run(vec![body], Box::new(RoundRobin::new()));
+        assert_eq!(rep.decided_count(), 1);
+        let history: Vec<usize> = rep
+            .history
+            .as_ref()
+            .expect("lockstep records its history")
+            .ops()
+            .filter(|op| op.2 == bprc_sim::history::OpKind::Write)
+            .map(|op| op.3)
+            .collect();
+        let ring: Vec<usize> = rep
+            .flight
+            .events(0)
+            .iter()
+            .filter(|e| e.kind == bprc_sim::EventKind::RegWrite)
+            .map(|e| e.arg as usize)
+            .collect();
+        let counts = [
+            Counter::RegWrites,
+            Counter::ArrowRaises,
+            Counter::ArrowLowers,
+        ]
+        .map(|c| rep.telemetry.counter(0, c));
+        (history, ring, counts)
+    }
+
+    /// A bit write of the value the bit already holds changes no memory,
+    /// but it is still a scheduled write: one `Event::Op` write
+    /// in the history, one `RegWrites` (and `ArrowRaises`/`ArrowLowers`)
+    /// tick and one `RegWrite` ring event, exactly as a write that flips
+    /// the bit.
+    #[test]
+    fn writes_that_change_nothing_keep_the_books() {
+        // A bare bit: false onto false, then true twice.
+        let w = bprc_sim::World::builder(1).build();
+        let b = w.bit_reg("b", false);
+        let bw = b.clone();
+        let body: ProcBody<()> = Box::new(move |ctx| {
+            for v in [false, true, true] {
+                bw.write(ctx, v)?;
+            }
+            Ok(())
+        });
+        assert_eq!(
+            books(w, body),
+            (vec![b.id(); 3], vec![b.id(); 3], [3, 0, 0])
+        );
+        assert!(b.peek());
+
+        // Both arrows: lower a lowered arrow, raise twice, lower twice.
+        fn arrow_run<A: ArrowCell>(w: bprc_sim::World, a: A) -> (Vec<usize>, Vec<usize>, [u64; 3]) {
+            let aw = a.clone();
+            let body: ProcBody<()> = Box::new(move |ctx| {
+                aw.lower(ctx)?;
+                aw.raise(ctx)?;
+                aw.raise(ctx)?;
+                aw.lower(ctx)?;
+                aw.lower(ctx)
+            });
+            let got = books(w, body);
+            assert!(!a.peek_raised());
+            got
+        }
+        let w = bprc_sim::World::builder(1).build();
+        let a = DirectArrow::new(&w, "A");
+        let id = a.cell.id();
+        assert_eq!(arrow_run(w, a), (vec![id; 5], vec![id; 5], [5, 2, 3]));
+
+        // The handshake writes `ack` on a lower and `flag` on a raise; the
+        // same process owns both here.
+        let w = bprc_sim::World::builder(1).build();
+        let a = HandshakeArrow::new(&w, "A", 0, 0);
+        let (flag, ack) = (a.flag.id(), a.ack.id());
+        let want = vec![ack, flag, flag, ack, ack];
+        assert_eq!(arrow_run(w, a), (want.clone(), want, [5, 2, 3]));
     }
 
     #[test]

@@ -309,6 +309,14 @@ impl<T> BitCell<T> {
         self.chunk.words[self.word].load(Ordering::SeqCst) & self.mask != 0
     }
 
+    /// Writes the bit with one RMW, even when the bit already holds `bit`.
+    /// A load in place of that RMW would be a correct write of this bit
+    /// alone, but it would drop an ordering the free-mode snapshot needs:
+    /// there `Ctx::fence` is a no-op, and a `SeqCst` RMW on an arrow is
+    /// what keeps the process's earlier value write (a seqlock `Release`
+    /// store) from being passed by its next arrow access. A `SeqCst` load
+    /// may be reordered before that store, so two scans could each miss
+    /// the other's update and return incomparable views.
     #[inline]
     fn set(&self, bit: bool) {
         let w = &self.chunk.words[self.word];

@@ -10,9 +10,10 @@
 //! - [`FlightRecorder`] — one fixed-capacity ring of atomic event slots
 //!   per process: the process's one ordered event record, which the
 //!   protocol timeline ([`crate::trace::render_unified`],
-//!   [`crate::trace::to_chrome_trace`]) is read from. A ring has a
-//!   **single writer** (its process), a relaxed write cursor, and never
-//!   blocks: when the ring is full, the oldest
+//!   [`crate::trace::to_chrome_trace`]) is read from. A ring has **one
+//!   writer at a time** (its process, or the scheduler at quiescence), a
+//!   relaxed load-and-store write cursor, and never blocks: when the ring
+//!   is full, the oldest
 //!   events are overwritten and the overflow is counted. Every event is
 //!   dual-stamped with a world step and [`now_nanos`], and which half is
 //!   exact depends on the backend. Under the lockstep scheduler the step is
@@ -154,9 +155,9 @@ pub struct TraceEvent {
     pub arg: u64,
 }
 
-/// One ring slot: four relaxed atomics. The single-writer discipline (one
-/// ring per process) means a snapshot taken after joining the writer sees
-/// each slot whole; mid-run readers could see a torn slot, which is why
+/// One ring slot: four relaxed atomics. The single-writer discipline (see
+/// [`Ring`]) means a snapshot taken after joining the writer sees each
+/// slot whole; mid-run readers could see a torn slot, which is why
 /// [`FlightRecorder::snapshot`] is documented as a post-join operation.
 struct Slot {
     step: AtomicU64,
@@ -176,24 +177,49 @@ impl Slot {
     }
 }
 
-/// One process's bounded event ring.
+/// One process's bounded event ring: it keeps the newest `capacity`
+/// events. The slots are allocated to the next power of two, so the slot
+/// of event `k` is `k & mask` — no division on the record path — and the
+/// `slots.len() − capacity` spare slots only ever hold events older than
+/// the kept suffix.
+///
+/// **One writer at a time.** The cursor is a relaxed load and store, not
+/// a `fetch_add`, so two concurrent writers would lose events. Every
+/// ring is written by its own process, with three exceptions, each of
+/// which writes another process's ring at lockstep quiescence while
+/// holding the world's central lock (the owner is parked at its gate or
+/// finished, and reached it through the same lock, so its earlier
+/// records happen-before the foreign one and its later ones after):
+/// the scheduler's crash decision (`Fault` arg 0, in `decide_once`), a
+/// store-buffer flush landed by a `Flush` decision or the end-of-run drain
+/// (`Flush`, in `land_store`), and the strategy's fault notes (`Fault`,
+/// at the end of `decide_once`). Free mode has no scheduler and so no
+/// foreign writer.
 struct Ring {
     slots: Vec<Slot>,
-    /// Total events ever written; `cursor % capacity` is the next slot.
+    /// `slots.len() − 1`; `slots.len()` is a power of two.
+    mask: u64,
+    /// How many of the newest events the ring reports.
+    capacity: u64,
+    /// Total events ever written; `cursor & mask` is the next slot.
     cursor: AtomicU64,
 }
 
 impl Ring {
     fn new(capacity: usize) -> Self {
+        let len = capacity.next_power_of_two();
         Ring {
-            slots: (0..capacity).map(|_| Slot::new()).collect(),
+            slots: (0..len).map(|_| Slot::new()).collect(),
+            mask: len as u64 - 1,
+            capacity: capacity as u64,
             cursor: AtomicU64::new(0),
         }
     }
 
     fn record(&self, step: u64, nanos: u64, kind: EventKind, arg: u64) {
-        let i = self.cursor.fetch_add(1, Ordering::Relaxed) as usize % self.slots.len();
-        let slot = &self.slots[i];
+        let k = self.cursor.load(Ordering::Relaxed);
+        self.cursor.store(k + 1, Ordering::Relaxed);
+        let slot = &self.slots[(k & self.mask) as usize];
         slot.step.store(step, Ordering::Relaxed);
         slot.nanos.store(nanos, Ordering::Relaxed);
         slot.kind.store(kind as u64, Ordering::Relaxed);
@@ -202,13 +228,11 @@ impl Ring {
 
     /// Oldest-first contents plus the overwritten-event count.
     fn snapshot(&self) -> (Vec<TraceEvent>, u64) {
-        let cap = self.slots.len() as u64;
         let written = self.cursor.load(Ordering::Relaxed);
-        let kept = written.min(cap);
-        let first = if written > cap { written % cap } else { 0 };
+        let kept = written.min(self.capacity);
         let mut out = Vec::with_capacity(kept as usize);
-        for k in 0..kept {
-            let slot = &self.slots[((first + k) % cap) as usize];
+        for k in written - kept..written {
+            let slot = &self.slots[(k & self.mask) as usize];
             let code = slot.kind.load(Ordering::Relaxed) as usize;
             let Some(&kind) = EventKind::ALL.get(code) else {
                 continue; // never-written slot (or torn mid-run read)
@@ -221,7 +245,7 @@ impl Ring {
                 arg: slot.arg.load(Ordering::Relaxed),
             });
         }
-        (out, written.saturating_sub(cap))
+        (out, written - kept)
     }
 }
 
@@ -230,8 +254,9 @@ pub const DEFAULT_RING_CAPACITY: usize = 2048;
 
 /// Per-process bounded event rings: the live flight recorder.
 ///
-/// Writes are wait-free relaxed stores on a ring owned by one writer;
-/// recording never blocks and never allocates. A capacity of 0 disables
+/// A record is five relaxed stores and one relaxed load on a ring with
+/// one writer at a time (see `Ring`): no read-modify-write, no
+/// division, never blocks, never allocates. A capacity of 0 disables
 /// the recorder entirely ([`FlightRecorder::record`] becomes a no-op
 /// branch), which is how the overhead self-measurement gets its baseline.
 pub struct FlightRecorder {
@@ -249,8 +274,8 @@ impl std::fmt::Debug for FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A recorder with one `capacity`-slot ring per process. `capacity = 0`
-    /// disables recording.
+    /// A recorder with one ring per process, each keeping the newest
+    /// `capacity` events. `capacity = 0` disables recording.
     pub fn new(n: usize, capacity: usize) -> Self {
         FlightRecorder {
             rings: (0..n).map(|_| Ring::new(capacity.max(1))).collect(),
@@ -697,15 +722,31 @@ mod tests {
 
     #[test]
     fn ring_keeps_newest_and_counts_overflow() {
-        let rec = FlightRecorder::new(1, 4);
-        for i in 0..10u64 {
-            rec.record(0, i, EventKind::RegWrite, i);
+        // Power-of-two capacities and not: the slots round up, the
+        // capacity does not.
+        for cap in [1u64, 3, 4, 5, 2048] {
+            for k in [0, cap - 1, cap, cap + 1, 3 * cap + 2] {
+                let rec = FlightRecorder::new(1, cap as usize);
+                for i in 0..k {
+                    rec.record(0, i, EventKind::RegWrite, i);
+                }
+                let log = rec.snapshot();
+                let args: Vec<u64> = log.events(0).iter().map(|e| e.arg).collect();
+                let want: Vec<u64> = (k.saturating_sub(cap)..k).collect();
+                assert_eq!(
+                    args, want,
+                    "cap {cap}, {k} writes: newest min(k, cap), oldest first"
+                );
+                assert!(log.events(0).iter().all(|e| e.step == e.arg));
+                assert!(log.events(0).windows(2).all(|w| w[0].nanos <= w[1].nanos));
+                assert_eq!(
+                    log.overflow(0),
+                    k.saturating_sub(cap),
+                    "cap {cap}, {k} writes"
+                );
+                assert_eq!(log.capacity(), cap as usize);
+            }
         }
-        let log = rec.snapshot();
-        assert_eq!(log.overflow(0), 6);
-        let args: Vec<u64> = log.events(0).iter().map(|e| e.arg).collect();
-        assert_eq!(args, vec![6, 7, 8, 9], "newest events win, oldest first");
-        assert!(log.events(0).windows(2).all(|w| w[0].nanos <= w[1].nanos));
     }
 
     #[test]

@@ -386,7 +386,10 @@ impl WorldInner {
 
     /// Lands one buffered store in shared memory and records the flush in
     /// history, metrics, and the flight recorder. Caller removed `entry`
-    /// from the buffer already.
+    /// from the buffer already, and holds the central lock: when the caller
+    /// is not `pid` (a `Flush` decision, the end-of-run drain) this is a
+    /// foreign write to `pid`'s ring at quiescence, which the ring's
+    /// one-writer rule allows (`tracing::Ring`).
     fn land_store(&self, c: &mut Central, pid: usize, entry: BufferedStore) {
         let reg = entry.reg;
         (entry.apply)();
@@ -621,8 +624,9 @@ impl WorldInner {
                 if self.record {
                     c.history.push(Event::Crash { step, pid });
                 }
-                // Safe single-writer exception: a crash decision is made
-                // at quiescence, when no process thread is mid-access.
+                // A foreign write to `pid`'s ring, one of the three the
+                // ring's one-writer rule allows (`tracing::Ring`): made at
+                // quiescence under the central lock, when `pid` is parked.
                 self.recorder.record(pid, step, EventKind::Fault, 0);
                 // The victim unwinds now; its finisher decides next.
                 if pid != me {
@@ -659,6 +663,8 @@ impl WorldInner {
             }
         }
         let step = c.steps;
+        // Foreign ring writes at quiescence, under the central lock (the
+        // ring's one-writer rule, `tracing::Ring`).
         for (pid, kind) in strategy.drain_fault_notes() {
             self.recorder
                 .record(pid, step, EventKind::Fault, fault_arg(kind));

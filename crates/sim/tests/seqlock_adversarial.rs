@@ -2,15 +2,19 @@
 //!
 //! `fast_reg` and `lane_reg` replace the `RwLock` cell with a word-packed
 //! seqlock lane (`reg.rs`): `fast_reg` a lane of its own one-lane slab,
-//! `lane_reg` a lane of a slab shared with its neighbours. The lane's one
-//! safety obligation is atomicity of the visible value: a reader must never
-//! observe a mix of two different writes. These tests attack that from
-//! three directions — real OS-thread races in free mode (on one lane, and
-//! across the adjacent version words of a shared slab), adversarial
-//! lockstep schedules across many seeds, and a cross-backing equivalence
-//! check (one-lane slab, shared-slab lane and packed bit, each against the
-//! locked cell `reg` allocates) that the backing is invisible to
-//! scheduling, telemetry, and history recording.
+//! `lane_reg` a lane of a slab shared with its neighbours. `bit_reg` packs
+//! a boolean into one bit of a shared word, written by an RMW. The lane's one safety
+//! obligation is atomicity of the visible value: a reader must never
+//! observe a mix of two different writes. A bit's is that neighbours in
+//! one word never disturb each other and that a two-writer bit (an arrow)
+//! shows the last write before each read. These tests attack both from
+//! three directions — real OS-thread races in free mode (on one lane,
+//! across the adjacent version words of a shared slab, and across the bits
+//! of one word, arrow included), adversarial lockstep schedules across many
+//! seeds, and a cross-backing equivalence check (one-lane slab, shared-slab
+//! lane and packed bit, each against the locked cell `reg` allocates) that
+//! the backing is invisible to scheduling, telemetry, and history
+//! recording.
 
 use bprc_sim::sched::{RandomStrategy, RoundRobin};
 use bprc_sim::world::{Mode, ProcBody, World};
@@ -151,6 +155,119 @@ fn free_threads_race_a_shared_slab_without_tearing_or_regressing() {
             let want = if lane < 2 { last_k } else { 0 };
             assert_eq!(r.peek(), pair(want), "seed {seed}: lane {lane}");
         }
+    }
+}
+
+/// Free-mode races on the packed bits, all on one 64-bit word (a world's
+/// first 64 `bit_reg`s share word 0 of its first chunk). Bit 2 is a
+/// two-writer arrow as `bprc-registers`' `DirectArrow` builds it (raise =
+/// write `true`, lower = write `false`, check = read): pid 0 lowers and
+/// checks, pid 1 raises. Pids 2 and 3 own bits 0–1 and 3–4 and rewrite them
+/// for as long as the arrow traffic lasts, repeating a value every other
+/// write, so writes that flip a bit and writes that keep it both race the
+/// arrow's. Each epoch:
+///
+/// - pid 0 lowers (every third epoch twice, the second a lower of a
+///   lowered arrow), checks, and publishes the epoch; the lower began after
+///   pid 1's raises of the last epoch returned, so the arrow must read
+///   lowered;
+/// - pid 1 waits for that epoch, raises 0, 1 or 2 times (the second a
+///   raise of a raised arrow) and acknowledges;
+/// - pid 0 waits for the acknowledgement and checks again: a raise that
+///   began after the lower returned must be seen.
+///
+/// Neighbours read back every write of their own bits. Bodies report
+/// violations instead of panicking, so a failure cannot leave a peer
+/// waiting on an epoch forever.
+#[test]
+fn free_threads_race_packed_bits_on_one_word() {
+    const EPOCHS: u64 = 40;
+    for seed in 0..110u64 {
+        let mut w = World::builder(4)
+            .seed(seed)
+            .mode(Mode::Free)
+            .step_limit(u64::MAX)
+            .build();
+        let bits: Vec<Reg<bool>> = (0..5).map(|b| w.bit_reg(format!("b{b}"), false)).collect();
+        let arrow = bits[2].clone();
+        let lowered = w.fast_reg("lowered", 0u64);
+        let acked = w.fast_reg("acked", 0u64);
+        let scanner: ProcBody<Vec<String>> = {
+            let (arrow, lowered, acked) = (arrow.clone(), lowered.clone(), acked.clone());
+            Box::new(move |ctx| {
+                let mut bad = Vec::new();
+                for e in 1..=EPOCHS {
+                    arrow.write(ctx, false)?;
+                    if e % 3 == 0 {
+                        arrow.write(ctx, false)?;
+                    }
+                    if arrow.read(ctx)? {
+                        bad.push(format!(
+                            "epoch {e}: a lower after a raise left the arrow raised"
+                        ));
+                    }
+                    lowered.write(ctx, e)?;
+                    let raises = loop {
+                        let a = acked.read(ctx)?;
+                        if a >> 2 == e {
+                            break a & 3;
+                        }
+                        std::thread::yield_now();
+                    };
+                    if arrow.read(ctx)? != (raises > 0) {
+                        bad.push(format!(
+                            "epoch {e}: {raises} raise(s) after the lower, check disagrees"
+                        ));
+                    }
+                }
+                Ok(bad)
+            })
+        };
+        let writer: ProcBody<Vec<String>> = {
+            let (arrow, lowered, acked) = (arrow.clone(), lowered.clone(), acked.clone());
+            Box::new(move |ctx| {
+                for e in 1..=EPOCHS {
+                    while lowered.read(ctx)? != e {
+                        std::thread::yield_now();
+                    }
+                    let raises = (seed + e) % 3;
+                    for _ in 0..raises {
+                        arrow.write(ctx, true)?;
+                    }
+                    acked.write(ctx, e << 2 | raises)?;
+                }
+                Ok(Vec::new())
+            })
+        };
+        let neighbour = |own: [usize; 2]| -> ProcBody<Vec<String>> {
+            let (bits, acked) = (bits.clone(), acked.clone());
+            Box::new(move |ctx| {
+                let mut bad = Vec::new();
+                for t in 0u64.. {
+                    for (i, &b) in own.iter().enumerate() {
+                        let v = (t + i as u64 + seed) / 2 % 2 == 1;
+                        bits[b].write(ctx, v)?;
+                        if bits[b].read(ctx)? != v {
+                            bad.push(format!("bit {b} lost its owner's write at round {t}"));
+                        }
+                    }
+                    if acked.read(ctx)? >> 2 == EPOCHS {
+                        break;
+                    }
+                    std::thread::yield_now();
+                }
+                Ok(bad)
+            })
+        };
+        let bodies = vec![scanner, writer, neighbour([0, 1]), neighbour([3, 4])];
+        let rep = w.run(bodies, Box::new(RoundRobin::new()));
+        assert_eq!(rep.decided_count(), 4, "seed {seed}: {:?}", rep.panics);
+        for (pid, out) in rep.outputs.iter().enumerate() {
+            let bad = out.as_ref().expect("every body finished");
+            assert!(bad.is_empty(), "seed {seed}, pid {pid}: {bad:?}");
+        }
+        let last_raises = (seed + EPOCHS) % 3;
+        assert_eq!(arrow.peek(), last_raises > 0, "seed {seed}: final arrow");
     }
 }
 
