@@ -24,9 +24,11 @@
 //! It implements [`TurnProcess`] for the fast driver; [`crate::threaded`]
 //! runs the *same* core over the real scannable memory.
 //!
-//! The core computes on its own fields unpacked ([`ProcParts`]) and packs
-//! them when it publishes; peers are read through the packed registers'
-//! field accessors ([`ProcRef`]), never unpacked.
+//! The core computes on its own fields unpacked ([`ProcParts`]) and keeps
+//! the register it last published packed beside them: a walk step patches
+//! the one counter it moved into that register, every other write repacks
+//! it, and publishing is a copy. Peers are read through the packed
+//! registers' field accessors ([`ProcRef`]), never unpacked.
 
 use bprc_coin::flip::{FlipSource, Flips};
 use bprc_coin::value::{coin_value_total, walk_step, CoinValue};
@@ -174,6 +176,8 @@ pub struct BoundedCore {
     me: usize,
     /// What this process last published, unpacked.
     state: ProcParts,
+    /// The same, packed: the register a write publishes.
+    published: ProcState,
     flips: Flips,
     stats: CoreStats,
     /// True until a late joiner performs its first, scan-based `inc`.
@@ -225,6 +229,7 @@ impl BoundedCore {
         core.join_pending = false;
         core.start_scan_cache();
         core.advance_round();
+        core.repack();
         core
     }
 
@@ -242,6 +247,7 @@ impl BoundedCore {
         let layout = params.layout();
         let mut state = ProcParts::phantom(&layout);
         state.pref = Pref::Val(input);
+        let published = ProcState::pack(layout, &state).expect(IN_DOMAIN);
         BoundedCore {
             graph: DistanceGraph::new(0, params.k()),
             rows: Vec::new(),
@@ -251,6 +257,7 @@ impl BoundedCore {
             layout,
             me: pid,
             state,
+            published,
             flips,
             stats: CoreStats::default(),
             join_pending: true,
@@ -272,14 +279,26 @@ impl BoundedCore {
         self.stats
     }
 
-    /// The state this process last published, packed afresh.
+    /// The state this process last published: a copy of the register it
+    /// keeps packed.
     pub fn state(&self) -> ProcState {
-        ProcState::pack(self.layout, &self.state).expect(IN_DOMAIN)
+        self.published.clone()
     }
 
-    /// Packs the last published state into `out`, one register wide.
-    pub(crate) fn pack_state_into(&self, out: &mut [u64]) {
-        self.layout.pack(&self.state, out).expect(IN_DOMAIN);
+    /// The fields of the state this process last published, unpacked: what
+    /// the core computes on.
+    pub fn parts(&self) -> &ProcParts {
+        &self.state
+    }
+
+    /// Copies the last published state into `out`, one register wide.
+    pub(crate) fn copy_state_into(&self, out: &mut [u64]) {
+        out.copy_from_slice(self.published.fields().words());
+    }
+
+    /// Re-encodes the register to publish from every field of `state`.
+    fn repack(&mut self) {
+        self.published.repack(&self.state).expect(IN_DOMAIN);
     }
 
     /// The local flip source.
@@ -367,7 +386,7 @@ impl BoundedCore {
     /// at-or-above me by less than K, and 0 otherwise (Observation 1).
     fn next_coin_value<'a>(&self, peer: &impl Fn(usize) -> ProcRef<'a>) -> CoinValue {
         let kk = self.params.k() as i64;
-        let slots = self.params.k() as usize + 1;
+        let slots = self.layout.coin_slots();
         let own = self.state.coins[self.state.next_coin_slot()];
         let mut total = own;
         for j in 0..self.params.n() {
@@ -377,7 +396,14 @@ impl BoundedCore {
             let dji = self.graph.delta(j, self.me);
             if (0..kk).contains(&dji) {
                 let s = peer(j);
-                let slot = (s.current_coin() + 1 + slots - dji as usize) % slots;
+                // next − w (mod K+1) with next ≤ K and 0 ≤ w < K: one
+                // conditional add in place of a division.
+                let (next, back) = (s.next_coin_slot(), dji as usize);
+                let slot = if next >= back {
+                    next - back
+                } else {
+                    next + slots - back
+                };
                 total += s.coin(slot);
             }
         }
@@ -385,14 +411,23 @@ impl BoundedCore {
     }
 
     /// The paper's `flip_next_coin`: one walk step on the next round's coin
-    /// slot.
+    /// slot, patched into the register to publish.
     fn flip_next_coin(&mut self) {
         let next = self.state.next_coin_slot();
         let heads = self.flips.flip();
         let before = self.state.coins[next];
-        self.state.coins[next] = walk_step(self.params.coin(), self.state.coins[next], heads);
+        let after = walk_step(self.params.coin(), before, heads);
+        self.state.coins[next] = after;
+        self.published.set_coin(next, after).expect(IN_DOMAIN);
+        // Field by field, so that checking allocates nothing at any width;
+        // `tests/encoding.rs` compares every published register with a full
+        // pack, word for word.
+        debug_assert!(
+            self.published.fields() == self.state,
+            "the patched register must hold my fields"
+        );
         self.stats.coin_flips += 1;
-        if self.state.coins[next] == before {
+        if after == before {
             // The step was clamped at ±Kn (the walk's reflecting barrier).
             self.stats.walk_extremes += 1;
         }
@@ -417,9 +452,9 @@ impl BoundedCore {
     }
 
     /// [`on_view`](Self::on_view) over registers borrowed wherever they lie:
-    /// `peer(j)` is process `j`'s. `Write(())` leaves the state to publish
-    /// in `self`, for [`state`](Self::state) or
-    /// [`pack_state_into`](Self::pack_state_into) to encode.
+    /// `peer(j)` is process `j`'s. `Write(())` leaves the register to
+    /// publish packed in `self`, for [`state`](Self::state) or
+    /// [`copy_state_into`](Self::copy_state_into) to copy out.
     pub(crate) fn turn<'a>(&mut self, peer: impl Fn(usize) -> ProcRef<'a>) -> TurnStep<(), bool> {
         debug_assert!(
             peer(self.me) == self.state,
@@ -434,6 +469,7 @@ impl BoundedCore {
         if self.join_pending {
             self.join_pending = false;
             self.advance_round();
+            self.repack();
             return TurnStep::Write(());
         }
 
@@ -456,6 +492,7 @@ impl BoundedCore {
         if let Some(v) = self.leaders_agreement(&peer) {
             self.state.pref = Pref::Val(v);
             self.advance_round();
+            self.repack();
             return TurnStep::Write(());
         }
 
@@ -463,6 +500,7 @@ impl BoundedCore {
         if self.state.pref != Pref::Bottom {
             self.state.pref = Pref::Bottom;
             self.stats.demotions += 1;
+            self.repack();
             return TurnStep::Write(());
         }
 
@@ -473,6 +511,7 @@ impl BoundedCore {
                 self.state.pref = Pref::Val(v.as_bool());
                 self.stats.coin_adoptions += 1;
                 self.advance_round();
+                self.repack();
             }
         }
         TurnStep::Write(())

@@ -305,7 +305,7 @@ impl MvCore {
             }
         }
         self.inner
-            .pack_state_into(self.state.level_words_mut(self.level));
+            .copy_state_into(self.state.level_words_mut(self.level));
         TurnStep::Write(())
     }
 }

@@ -238,6 +238,35 @@ impl RegisterLayout {
         w.finish();
         Ok(())
     }
+
+    /// Overwrites coin counter `slot` of the register packed in `words`
+    /// (exactly [`words`](Self::words) long) with `value`, leaving every
+    /// other bit as it is: the one field a walk step moves, re-encoded
+    /// without repacking the rest.
+    ///
+    /// # Errors
+    ///
+    /// [`PackError::Counter`] if `value` is outside ±(m+1), the domain
+    /// [`pack`](Self::pack) checks; `words` is unchanged then.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot > K` or `words` has the wrong width.
+    pub fn set_coin(&self, words: &mut [u64], slot: usize, value: i64) -> Result<(), PackError> {
+        assert_eq!(words.len(), self.words(), "destination has the wrong width");
+        assert!(slot < self.coin_slots(), "coin slot out of range");
+        if !(-self.m - 1..=self.m + 1).contains(&value) {
+            return Err(PackError::Counter {
+                slot,
+                value,
+                cap: self.m + 1,
+            });
+        }
+        let width = self.counter_bits;
+        let at = self.coins_at() + slot * width as usize;
+        set_bits(words, at, width, value as u64 & mask(width));
+        Ok(())
+    }
 }
 
 /// Writes fields back to back, least significant bit first, a word at a
@@ -295,6 +324,19 @@ fn get_bits(words: &[u64], at: usize, width: u32) -> u64 {
         lo
     };
     v & mask(width)
+}
+
+/// Overwrites the `width`-bit field at bit offset `at` with `value`, which
+/// must fit `width` bits.
+#[inline]
+fn set_bits(words: &mut [u64], at: usize, width: u32, value: u64) {
+    let (w, b) = (at / 64, (at % 64) as u32);
+    words[w] = words[w] & !(mask(width) << b) | value << b;
+    if b + width > 64 {
+        // The field straddles into the next word; `b > 0` here.
+        let spill = b + width - 64;
+        words[w + 1] = words[w + 1] & !mask(spill) | value >> (64 - b);
+    }
 }
 
 /// A field that cannot be encoded: boundedness is structural, so an
@@ -366,7 +408,17 @@ impl ProcParts {
     /// The slot index of the *next* round's coin (the paper's
     /// `next(current_coin)`).
     pub fn next_coin_slot(&self) -> usize {
-        (self.current_coin + 1) % self.coins.len()
+        next_slot(self.current_coin, self.coins.len())
+    }
+}
+
+/// The slot after `slot` in a circular array of `slots`, without dividing.
+#[inline]
+fn next_slot(slot: usize, slots: usize) -> usize {
+    if slot + 1 == slots {
+        0
+    } else {
+        slot + 1
     }
 }
 
@@ -414,7 +466,7 @@ impl<'a> ProcRef<'a> {
 
     /// The slot index of the next round's coin.
     pub fn next_coin_slot(&self) -> usize {
-        (self.current_coin() + 1) % self.layout.coin_slots()
+        next_slot(self.current_coin(), self.layout.coin_slots())
     }
 
     /// Coin counter `slot` (`slot ≤ K`).
@@ -516,6 +568,30 @@ impl fmt::Debug for ProcRef<'_> {
     }
 }
 
+/// Words a register may occupy and still be held inline by a [`ProcState`]:
+/// two cover n ≤ 20 under `ConsensusParams::quick` (m = 10⁶, K = 2).
+const INLINE_WORDS: usize = 2;
+
+/// A [`ProcState`]'s packed words: inline when the layout is at most
+/// [`INLINE_WORDS`] wide (the words past `layout.words()` are zero, so the
+/// derived `==` and `Hash` see the register only), on the heap, exactly
+/// `layout.words()` long, beyond that.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Words {
+    Inline([u64; INLINE_WORDS]),
+    Heap(Box<[u64]>),
+}
+
+impl Words {
+    fn zeroed(len: usize) -> Self {
+        if len <= INLINE_WORDS {
+            Words::Inline([0; INLINE_WORDS])
+        } else {
+            Words::Heap(vec![0; len].into_boxed_slice())
+        }
+    }
+}
+
 /// The complete register contents of one process in the bounded protocol,
 /// packed.
 ///
@@ -523,11 +599,14 @@ impl fmt::Debug for ProcRef<'_> {
 /// contributions to the K+1 most recent shared coins), the `current_coin`
 /// pointer, and the edge-counter row of the bounded rounds strip. Equal
 /// fields are equal words (padding is zero), so `==` and `Hash` are
-/// semantic; a clone is one allocation and `clone_from` none.
+/// semantic. A register of at most two words (n ≤ 20 under
+/// `ConsensusParams::quick`) is held inline, so its clone is a copy of 64
+/// bytes; a wider one is one heap buffer, which a clone allocates and
+/// `clone_from` reuses.
 #[derive(PartialEq, Eq, Hash)]
 pub struct ProcState {
     layout: RegisterLayout,
-    words: Vec<u64>,
+    words: Words,
 }
 
 impl ProcState {
@@ -537,7 +616,7 @@ impl ProcState {
     pub fn phantom(layout: RegisterLayout) -> Self {
         ProcState {
             layout,
-            words: vec![0; layout.words()],
+            words: Words::zeroed(layout.words()),
         }
     }
 
@@ -548,8 +627,48 @@ impl ProcState {
     /// Returns the first field outside its domain or of the wrong length.
     pub fn pack(layout: RegisterLayout, parts: &ProcParts) -> Result<Self, PackError> {
         let mut state = Self::phantom(layout);
-        layout.pack(parts, &mut state.words)?;
+        state.repack(parts)?;
         Ok(state)
+    }
+
+    /// Re-encodes every field from `parts`, in place.
+    ///
+    /// # Errors
+    ///
+    /// As [`pack`](Self::pack); the state is unspecified then.
+    pub(crate) fn repack(&mut self, parts: &ProcParts) -> Result<(), PackError> {
+        let layout = self.layout;
+        layout.pack(parts, self.words_mut())
+    }
+
+    /// Overwrites coin counter `slot` with `value`, leaving every other
+    /// field as it is: [`RegisterLayout::set_coin`] on this register.
+    ///
+    /// # Errors
+    ///
+    /// [`PackError::Counter`] if `value` is outside ±(m+1); the state is
+    /// unchanged then.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot > K`.
+    pub fn set_coin(&mut self, slot: usize, value: i64) -> Result<(), PackError> {
+        let layout = self.layout;
+        layout.set_coin(self.words_mut(), slot, value)
+    }
+
+    fn words(&self) -> &[u64] {
+        match &self.words {
+            Words::Inline(w) => &w[..self.layout.words()],
+            Words::Heap(w) => w,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.words {
+            Words::Inline(w) => &mut w[..self.layout.words()],
+            Words::Heap(w) => w,
+        }
     }
 
     /// Borrows the register for field access (every accessor lives on
@@ -557,10 +676,7 @@ impl ProcState {
     /// whole registers).
     #[inline]
     pub fn fields(&self) -> ProcRef<'_> {
-        ProcRef {
-            layout: &self.layout,
-            words: &self.words,
-        }
+        ProcRef::new(&self.layout, self.words())
     }
 
     /// The layout the register is packed under.
@@ -598,10 +714,15 @@ impl Clone for ProcState {
         }
     }
 
-    /// Reuses `self`'s buffer: no allocation once it is wide enough.
+    /// Reuses `self`'s heap buffer when both registers are of one width.
     fn clone_from(&mut self, source: &Self) {
-        self.layout = source.layout;
-        self.words.clone_from(&source.words);
+        match (&mut self.words, &source.words) {
+            (Words::Heap(dst), Words::Heap(src)) if dst.len() == src.len() => {
+                dst.copy_from_slice(src);
+                self.layout = source.layout;
+            }
+            _ => *self = source.clone(),
+        }
     }
 }
 

@@ -1,8 +1,10 @@
 //! Allocation budgets, counted by a wrapping global allocator:
 //!
 //! * under the turn driver, a `BoundedCore` scan that ends in a write
-//!   allocates the one word buffer of the `ProcState` it publishes; write
-//!   events, deciding scans and the driver's own loop allocate nothing;
+//!   allocates what a clone of the `ProcState` it publishes costs: nothing
+//!   at n = 8, where the register is held inline, and one word buffer at
+//!   n = 32, where it is not; write events, deciding scans and the driver's
+//!   own loop allocate nothing;
 //! * a `LogCore` turn at slot `s` allocates the `LogMsg` it publishes —
 //!   `1 + (s + 1)` buffers — plus a constant on the turns that open a level
 //!   or a slot, however many levels earlier slots hold;
@@ -77,11 +79,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-const N: usize = 8;
-
-fn driver(seed: u64) -> TurnDriver<BoundedCore> {
-    let params = ConsensusParams::quick(N);
-    let procs = (0..N)
+fn driver(n: usize, seed: u64) -> TurnDriver<BoundedCore> {
+    let params = ConsensusParams::quick(n);
+    let procs = (0..n)
         .map(|p| BoundedCore::new(params.clone(), p, p % 2 == 0, seed * 100 + p as u64))
         .collect();
     TurnDriver::new(procs)
@@ -103,22 +103,23 @@ fn noting<'a, M>(
     })
 }
 
-#[test]
-fn a_turn_allocates_only_the_state_it_publishes() {
+/// Runs a seeded `n`-process instance, asserting that every event allocates
+/// what publishing one state costs if it is a scan that ends in a write and
+/// nothing otherwise; returns that cost.
+fn turn_budget(n: usize) -> u64 {
     // Warm-up instance: anything lazily initialised per thread or per
     // process (metrics shards, the panic machinery) happens here.
     assert!(
-        driver(7)
-            .run(&mut RandomStrategy::new(7), 1_000_000)
+        driver(n, 7)
+            .run(&mut RandomStrategy::new(7), 10_000_000)
             .completed
     );
 
     // What publishing one state costs: the `ProcState` clone, measured.
-    let state = ProcState::phantom(ConsensusParams::quick(N).layout());
+    let state = ProcState::phantom(ConsensusParams::quick(n).layout());
     let before = allocs();
     drop(black_box(state.clone()));
     let per_state = allocs() - before;
-    assert_eq!(per_state, 1, "a packed ProcState is one word buffer");
 
     // The counted instance. The adversary notes which pid it stepped and
     // whether that event is a scan; the observer, called after the event,
@@ -127,9 +128,9 @@ fn a_turn_allocates_only_the_state_it_publishes() {
     let mut inner = RandomStrategy::new(11);
     let mut adversary = noting(&mut inner, &stepped);
     let (mut total, mut writing_scans) = (0u64, 0u64);
-    let driver = driver(11);
+    let driver = driver(n, 11);
     let mut mark = allocs();
-    let report = driver.run_observed(&mut adversary, 1_000_000, |d| {
+    let report = driver.run_observed(&mut adversary, 10_000_000, |d| {
         let now = allocs();
         let (pid, was_scan) = *stepped.lock().unwrap();
         let wrote = was_scan && matches!(d.phases()[pid], Phase::Write(_));
@@ -137,7 +138,7 @@ fn a_turn_allocates_only_the_state_it_publishes() {
         assert_eq!(
             now - mark,
             budget,
-            "event {} (pid {pid}, scan: {was_scan}, wrote: {wrote})",
+            "n = {n}, event {} (pid {pid}, scan: {was_scan}, wrote: {wrote})",
             d.events()
         );
         total += now - mark;
@@ -148,11 +149,23 @@ fn a_turn_allocates_only_the_state_it_publishes() {
     assert!(report.completed);
     let scans = report.telemetry.total(Counter::Scans);
     let decisions = report.telemetry.total(Counter::Decisions);
-    assert_eq!(decisions, N as u64);
+    assert_eq!(decisions, n as u64);
     assert_eq!(writing_scans, scans - decisions);
     assert!(writing_scans > 100, "only {writing_scans} writing scans");
     // Exact, and independent of the rand stream the seed expands to.
     assert_eq!(total, per_state * writing_scans);
+    per_state
+}
+
+#[test]
+fn a_turn_allocates_only_the_state_it_publishes() {
+    assert_eq!(std::mem::size_of::<ProcState>(), 64);
+    // (n, words, what a clone of its register allocates): two words at
+    // n = 8 are held inline, three at n = 32 live on the heap.
+    for (n, words, clone_cost) in [(8, 2, 0), (32, 3, 1)] {
+        assert_eq!(ConsensusParams::quick(n).layout().words(), words);
+        assert_eq!(turn_budget(n), clone_cost, "n = {n}");
+    }
 }
 
 const SLOTS: usize = 16;

@@ -2,22 +2,27 @@
 //! domain, the packed width is `register_bits`, padding is zero, equality on
 //! words is equality on fields (and on the edge words, of edge rows), an
 //! out-of-domain field is a typed error, and the composed payloads survive
-//! `clone`/`clone_from` into any destination.
+//! `clone`/`clone_from` into any destination. An in-place counter write
+//! equals a full pack, inline and on the heap, and so does every register a
+//! core publishes.
 //!
 //! Cases are seeded loops over `stream_rng(SEED, case)`; every assertion
 //! names the case, so a failure replays with that one stream.
 
+use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::rc::Rc;
 
 use bprc_coin::CoinParams;
-use bprc_core::bounded::ConsensusParams;
+use bprc_core::bounded::{BoundedCore, ConsensusParams};
 use bprc_core::multishot::{LogCore, LogMsg, StaticProposals};
 use bprc_core::multivalued::{MvCore, MvState};
 use bprc_core::state::{PackError, Pref, ProcParts, ProcState, RegisterLayout};
 use bprc_sim::rng::stream_rng;
-use bprc_sim::sched::RoundRobin;
-use bprc_sim::turn::{TurnDriver, TurnProcess};
+use bprc_sim::sched::{RandomStrategy, RoundRobin, Strategy};
+use bprc_sim::turn::{Turn, TurnBsp, TurnDriver, TurnProcess, TurnStep};
+use bprc_sim::{Counter, ProcMetrics};
 use rand::Rng;
 
 const SEED: u64 = 23;
@@ -321,4 +326,171 @@ fn composed_payloads_round_trip_through_clone_from() {
     }
     assert_eq!(holed.slots[1].level_count(), 0);
     assert_ne!(&holed, last);
+}
+
+/// Layouts for the in-place counter write: K ∈ {2, 3}, n on each side of the
+/// inline/heap edge (20 and 21 under `ConsensusParams::quick`), and counter
+/// widths that put some counter across a 64-bit word boundary.
+fn patch_layouts() -> Vec<RegisterLayout> {
+    let mut out = Vec::new();
+    for n in [1, 20, 21] {
+        for k in [2, 3] {
+            for m in [1, 10, 1_000_000] {
+                out.push(RegisterLayout::new(n, k, m));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn an_in_place_counter_write_equals_a_full_pack() {
+    let (mut straddled, mut inline, mut heap) = (false, false, false);
+    for layout in patch_layouts() {
+        let (k, cap) = (layout.k() as u64, layout.m() + 1);
+        let width = bits(2 * layout.m() as u64 + 3);
+        let coins_at = 2 + bits(k);
+        if layout.words() <= 2 {
+            inline = true;
+        } else {
+            heap = true;
+        }
+        for case in 0..CASES / 4 {
+            let mut rng = stream_rng(SEED, 1000 + case);
+            let parts = random_parts(&layout, &mut rng);
+            for slot in 0..layout.coin_slots() {
+                let at = coins_at + slot as u64 * width;
+                straddled |= at / 64 != (at + width - 1) / 64;
+                let mut values = vec![-cap, -cap + 1, -1, 0, 1, cap - 1, cap];
+                values.push(rng.gen_range(-cap..=cap));
+                for value in values {
+                    let at = format!("seed {SEED} case {case} {layout:?} slot {slot} = {value}");
+                    let mut want = parts.clone();
+                    want.coins[slot] = value;
+                    let want = ProcState::pack(layout, &want).unwrap();
+
+                    // On a `ProcState`, inline or on the heap.
+                    let mut patched = ProcState::pack(layout, &parts).unwrap();
+                    patched.set_coin(slot, value).unwrap();
+                    assert_eq!(patched, want, "{at}");
+                    assert_eq!(hash_of(&patched), hash_of(&want), "{at}");
+
+                    // On bare words.
+                    let mut words = ProcState::pack(layout, &parts)
+                        .unwrap()
+                        .fields()
+                        .words()
+                        .to_vec();
+                    layout.set_coin(&mut words, slot, value).unwrap();
+                    assert_eq!(words, want.fields().words(), "{at}: words");
+                }
+
+                // Out of domain: refused, and nothing is written.
+                let before = ProcState::pack(layout, &parts).unwrap();
+                for value in [cap + 1, -cap - 1, i64::MAX, i64::MIN] {
+                    let mut patched = before.clone();
+                    assert_eq!(
+                        patched.set_coin(slot, value),
+                        Err(PackError::Counter { slot, value, cap }),
+                        "{layout:?} slot {slot} = {value}"
+                    );
+                    assert_eq!(patched, before, "{layout:?} slot {slot} = {value}");
+                }
+            }
+        }
+    }
+    assert!(straddled, "no layout put a counter across a word boundary");
+    assert!(inline && heap, "both representations are covered");
+}
+
+#[test]
+#[should_panic(expected = "coin slot out of range")]
+fn an_in_place_write_past_the_last_slot_panics() {
+    let layout = RegisterLayout::new(2, 2, 10);
+    let _ = ProcState::phantom(layout).set_coin(3, 0);
+}
+
+/// Checks every register `inner` publishes against a full pack of the
+/// fields the core computed it from.
+struct Packed {
+    inner: BoundedCore,
+    writes: Rc<Cell<u64>>,
+}
+
+impl Packed {
+    fn check(&self, msg: &ProcState) {
+        let layout = self.inner.params().layout();
+        let want = ProcState::pack(layout, self.inner.parts()).unwrap();
+        assert_eq!(
+            msg,
+            &want,
+            "pid {} write {}",
+            self.inner.pid(),
+            self.writes.get()
+        );
+        self.writes.set(self.writes.get() + 1);
+    }
+}
+
+impl TurnProcess for Packed {
+    type Msg = ProcState;
+    type Out = bool;
+
+    fn initial_msg(&mut self) -> ProcState {
+        let msg = self.inner.initial_msg();
+        self.check(&msg);
+        msg
+    }
+
+    fn on_scan(&mut self, view: &[ProcState]) -> TurnStep<ProcState, bool> {
+        let step = self.inner.on_scan(view);
+        if let TurnStep::Write(msg) = &step {
+            self.check(msg);
+        }
+        step
+    }
+
+    fn publish_telemetry(&self, m: &ProcMetrics<'_>) {
+        self.inner.publish_telemetry(m);
+    }
+}
+
+type Adversary = Box<dyn Strategy<Turn<ProcState>>>;
+
+/// The release-mode twin of the core's `debug_assert`: every register a
+/// core publishes, whether a walk step patched one counter into it or a
+/// write repacked it, equals `ProcState::pack` of its parts.
+#[test]
+fn every_published_register_equals_a_full_pack() {
+    for n in [1, 2, 3, 8, 21] {
+        for seed in 0..2 {
+            let adversaries: [(&str, Adversary); 2] = [
+                ("random", Box::new(RandomStrategy::new(seed))),
+                ("bsp", Box::new(TurnBsp::new())),
+            ];
+            for (name, mut adversary) in adversaries {
+                let at = format!("n={n} seed={seed} {name}");
+                let writes = Rc::default();
+                let params = ConsensusParams::quick(n);
+                let procs = (0..n)
+                    .map(|p| Packed {
+                        inner: BoundedCore::new(
+                            params.clone(),
+                            p,
+                            p % 2 == 0,
+                            seed * 100 + p as u64,
+                        ),
+                        writes: Rc::clone(&writes),
+                    })
+                    .collect();
+                let report = TurnDriver::new(procs).run(&mut *adversary, 10_000_000);
+                assert!(report.completed, "{at}: did not complete");
+                assert_eq!(report.distinct_outputs().len(), 1, "{at}: disagreement");
+                assert!(writes.get() > n as u64, "{at}: {} writes", writes.get());
+                // Mixed inputs at n > 1 take walk steps: the patch is exercised.
+                let flips = report.telemetry.total(Counter::CoinFlips);
+                assert!(n == 1 || flips > 0, "{at}: no walk step");
+            }
+        }
+    }
 }

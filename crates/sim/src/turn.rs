@@ -323,7 +323,18 @@ pub struct TurnDriver<P: TurnProcess> {
     fault_log: Vec<(u64, usize, FaultKind)>,
     events: u64,
     per_proc_events: Vec<u64>,
+    /// Each pid's event counters, kept in plain fields and added to
+    /// `metrics` once, by [`finish`](Self::finish).
+    books: Vec<Books>,
     metrics: MetricsRegistry,
+}
+
+/// One pid's driver-side counters: `scans + updates` is its events.
+#[derive(Debug, Clone, Copy, Default)]
+struct Books {
+    scans: u64,
+    updates: u64,
+    decisions: u64,
 }
 
 impl<P: TurnProcess> TurnDriver<P> {
@@ -359,12 +370,15 @@ impl<P: TurnProcess> TurnDriver<P> {
             fault_log: Vec::new(),
             events: 0,
             per_proc_events: vec![0; n],
+            books: vec![Books::default(); n],
             metrics: MetricsRegistry::new(n),
         }
     }
 
     /// The driver's live metrics registry (observers use the global shard
-    /// for run-wide gauges such as memory high-water marks).
+    /// for run-wide gauges such as memory high-water marks). The per-pid
+    /// event counters (scans, updates, decisions) and what the processes
+    /// publish appear in it only when the run finishes.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }
@@ -420,7 +434,8 @@ impl<P: TurnProcess> TurnDriver<P> {
         let writing = match self.state.phases[pid] {
             Phase::Write(_) => true,
             Phase::Scan => {
-                self.metrics.proc(pid).incr(Counter::Scans, 1);
+                // Counted before it runs: a scan that panics is a scan.
+                self.books[pid].scans += 1;
                 false
             }
             Phase::Done => panic!("process {pid} already decided"),
@@ -429,9 +444,9 @@ impl<P: TurnProcess> TurnDriver<P> {
         if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| state.step(pid))).is_err() {
             self.halt_panicked(pid);
         } else if writing {
-            self.metrics.proc(pid).incr(Counter::Updates, 1);
+            self.books[pid].updates += 1;
         } else if self.state.outputs[pid].is_some() {
-            self.metrics.proc(pid).incr(Counter::Decisions, 1);
+            self.books[pid].decisions += 1;
             self.active.retain(|&p| p != pid);
         }
     }
@@ -524,10 +539,14 @@ impl<P: TurnProcess> TurnDriver<P> {
                 self.halted[p] = Some(Halted::StepLimit);
             }
         }
-        // Drain protocol-level telemetry once, at the end: cumulative
-        // stats cost nothing per step this way.
+        // Drain the event books and protocol-level telemetry once, at the
+        // end: cumulative counts cost no atomic per step this way.
         for (pid, proc) in self.state.procs.iter().enumerate() {
             let m = self.metrics.proc(pid);
+            let books = self.books[pid];
+            m.incr(Counter::Scans, books.scans);
+            m.incr(Counter::Updates, books.updates);
+            m.incr(Counter::Decisions, books.decisions);
             proc.publish_telemetry(&m);
             if let Some(r) = proc.probe().round {
                 m.gauge_set(Gauge::Round, r);
@@ -699,6 +718,20 @@ mod tests {
         assert_eq!(r.distinct_outputs(), vec![&1, &2]);
     }
 
+    /// Each pid's events are its scans plus its updates, in the report's
+    /// telemetry.
+    fn assert_books_balance<O>(report: &TurnReport<O>) {
+        let t = &report.telemetry;
+        for (pid, &events) in report.per_proc_events.iter().enumerate() {
+            assert_eq!(
+                events,
+                t.counter(pid, Counter::Scans) + t.counter(pid, Counter::Updates),
+                "pid {pid}"
+            );
+        }
+        assert_eq!(report.per_proc_events.iter().sum::<u64>(), report.events);
+    }
+
     #[test]
     fn driver_counts_scans_updates_decisions() {
         let procs: Vec<MaxFinder> = (0..4).map(|i| MaxFinder { input: i * 10 }).collect();
@@ -715,6 +748,42 @@ mod tests {
         for pid in 0..4 {
             assert_eq!(t.counter(pid, Counter::Scans), 1);
         }
+        assert_books_balance(&report);
+
+        // A crash adds nothing to anyone's books: pid 3 crashes before its
+        // first event, pid 2 after its write.
+        let procs: Vec<MaxFinder> = (0..4).map(|i| MaxFinder { input: i * 10 }).collect();
+        let report = TurnDriver::new(procs).run(
+            &mut FnStrategy::new(|view: &TurnView<'_, u32>| {
+                let live = |p| view.runnable.contains(&p);
+                if live(3) {
+                    Decision::Crash(3)
+                } else if live(2) && view.phases[2] == Phase::Scan {
+                    Decision::Crash(2)
+                } else {
+                    Decision::Grant(view.runnable[0])
+                }
+            }),
+            1_000,
+        );
+        let t = &report.telemetry;
+        assert_eq!(report.halted[2..], [Some(Halted::Crashed); 2]);
+        assert_eq!(report.per_proc_events, [2, 2, 1, 0]);
+        assert_eq!(
+            (2..4)
+                .map(|p| {
+                    let c = |k| t.counter(p, k);
+                    (
+                        c(Counter::Scans),
+                        c(Counter::Updates),
+                        c(Counter::Decisions),
+                    )
+                })
+                .collect::<Vec<_>>(),
+            [(0, 1, 0), (0, 0, 0)]
+        );
+        assert_eq!(t.total(Counter::Decisions), 2);
+        assert_books_balance(&report);
     }
 
     #[test]
@@ -768,6 +837,14 @@ mod tests {
         assert!(report.completed, "both bombs halt, so the run completes");
         assert_eq!(report.halted, vec![Some(Halted::Panicked); 2]);
         assert_eq!(report.outputs, vec![None, None]);
+        // The panicking scan is one scan, and no decision, for each bomb.
+        let t = &report.telemetry;
+        for pid in 0..2 {
+            assert_eq!(t.counter(pid, Counter::Scans), 1, "pid {pid}");
+            assert_eq!(t.counter(pid, Counter::Updates), 1, "pid {pid}");
+            assert_eq!(t.counter(pid, Counter::Decisions), 0, "pid {pid}");
+        }
+        assert_books_balance(&report);
     }
 
     /// The active list is incremental state: each of the four ways a pid
