@@ -240,15 +240,12 @@ impl BoundedCore {
     /// composed instances where participants start at different times —
     /// the multivalued levels and multi-shot slots do.
     ///
-    /// A joiner allocates no strip scratch until that first scan: composed
-    /// cores build joiners inside the turn that opens a level or a slot.
+    /// A joiner allocates no strip scratch until that first scan. It is the
+    /// core's buffers, allocated once, put through [`rejoin`](Self::rejoin).
     pub fn joiner(params: ConsensusParams, pid: usize, input: bool, flips: Flips) -> Self {
         assert!(pid < params.n(), "pid out of range");
         let layout = params.layout();
-        let mut state = ProcParts::phantom(&layout);
-        state.pref = Pref::Val(input);
-        let published = ProcState::pack(layout, &state).expect(IN_DOMAIN);
-        BoundedCore {
+        let mut core = BoundedCore {
             graph: DistanceGraph::new(0, params.k()),
             rows: Vec::new(),
             leaders: Vec::new(),
@@ -256,12 +253,36 @@ impl BoundedCore {
             params,
             layout,
             me: pid,
-            state,
-            published,
-            flips,
+            state: ProcParts::phantom(&layout),
+            published: ProcState::phantom(layout),
+            flips: Flips::queue(),
             stats: CoreStats::default(),
             join_pending: true,
-        }
+        };
+        core.rejoin(input, flips);
+        core
+    }
+
+    /// Returns this core, whatever it has done, to the state
+    /// [`joiner`](Self::joiner) builds with the same `input` and `flips`,
+    /// keeping its buffers: the fields, the register, the graph, the rows,
+    /// the leaders and the closure. Composed cores call it on the turn that
+    /// opens a level or a slot, where a new joiner would allocate them
+    /// again on its first scan.
+    pub fn rejoin(&mut self, input: bool, flips: Flips) {
+        let state = &mut self.state;
+        state.pref = Pref::Val(input);
+        state.coins.fill(0);
+        state.current_coin = 0;
+        state.edges.fill(0);
+        self.repack();
+        self.flips = flips;
+        self.stats = CoreStats::default();
+        self.join_pending = true;
+        // An empty scan cache, which the first scan sizes in place.
+        self.graph.reset(0);
+        self.rows.clear();
+        self.leaders.clear();
     }
 
     /// This process's id.
@@ -313,8 +334,8 @@ impl BoundedCore {
     }
 
     /// The distance graph of the last scan (before the first, the graph of
-    /// the all-zero initial memory; empty for a joiner that has not
-    /// scanned).
+    /// the all-zero initial memory; empty for a joiner, or a core since
+    /// [`rejoin`](Self::rejoin), that has not scanned).
     pub fn graph(&self) -> &DistanceGraph {
         &self.graph
     }
@@ -326,12 +347,15 @@ impl BoundedCore {
     }
 
     /// Sizes the scan cache as the decode of the all-zero initial memory:
-    /// every row zero, everyone level, everyone a leader.
+    /// every row zero, everyone level, everyone a leader. In place, so a
+    /// core since [`rejoin`](Self::rejoin) allocates nothing here.
     fn start_scan_cache(&mut self) {
         let n = self.params.n();
-        self.graph = DistanceGraph::new(n, self.params.k());
-        self.rows = vec![0; n * self.layout.edge_words()];
-        self.leaders = (0..n).collect();
+        self.graph.reset(n);
+        self.rows.clear();
+        self.rows.resize(n * self.layout.edge_words(), 0);
+        self.leaders.clear();
+        self.leaders.extend(0..n);
     }
 
     /// Brings the scan cache up to the scan `peer`: a row whose packed
@@ -544,10 +568,101 @@ impl TurnProcess for BoundedCore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use bprc_sim::sched::{RandomStrategy, RoundRobin};
-    use bprc_sim::turn::{TurnDriver, TurnReport};
+    use bprc_sim::turn::{Phase, TurnDriver, TurnReport, TurnState};
+    use rand::Rng;
+
+    /// A turn pid 0 took: the view it scanned and what it did.
+    pub(crate) type Recorded<P> = (
+        Vec<<P as TurnProcess>::Msg>,
+        TurnStep<<P as TurnProcess>::Msg, <P as TurnProcess>::Out>,
+    );
+
+    /// Runs `procs` under a seeded random schedule until pid 0 decides or
+    /// has taken `max` turns; returns those turns and pid 0's process.
+    pub(crate) fn recorded_turns<P: TurnProcess>(
+        mut procs: Vec<P>,
+        seed: u64,
+        max: usize,
+    ) -> (Vec<Recorded<P>>, P)
+    where
+        P::Out: Clone,
+    {
+        let shared = procs.iter_mut().map(|p| p.initial_msg()).collect();
+        let mut run = TurnState::new(procs, shared);
+        let mut rng = bprc_sim::rng::stream_rng(seed, 0);
+        let mut turns = Vec::new();
+        while turns.len() < max && !matches!(run.phases[0], Phase::Done) {
+            let active: Vec<usize> = (0..run.procs.len())
+                .filter(|&p| !matches!(run.phases[p], Phase::Done))
+                .collect();
+            let pid = active[rng.gen_range(0..active.len())];
+            let view =
+                (pid == 0 && matches!(run.phases[0], Phase::Scan)).then(|| run.shared.clone());
+            run.step(pid);
+            if let Some(view) = view {
+                let step = match &run.phases[0] {
+                    Phase::Write(m) => TurnStep::Write(m.clone()),
+                    _ => TurnStep::Decide(run.outputs[0].clone().expect("pid 0 decided")),
+                };
+                turns.push((view, step));
+            }
+        }
+        (turns, run.procs.swap_remove(0))
+    }
+
+    /// Equal through every accessor: what [`BoundedCore::rejoin`] promises.
+    pub(crate) fn assert_same_core(a: &BoundedCore, b: &BoundedCore) {
+        assert_eq!(a.pid(), b.pid());
+        assert_eq!(a.state(), b.state());
+        assert_eq!(a.parts(), b.parts());
+        assert_eq!(a.graph(), b.graph());
+        assert_eq!(a.leaders(), b.leaders());
+        assert_eq!(format!("{:?}", a.stats()), format!("{:?}", b.stats()));
+        assert_eq!(format!("{:?}", a.flips()), format!("{:?}", b.flips()));
+        assert_eq!(format!("{:?}", a.params()), format!("{:?}", b.params()));
+    }
+
+    #[test]
+    fn rejoin_equals_a_fresh_joiner() {
+        let n = 4;
+        let params = ConsensusParams::quick(n);
+        let joiner = |p: usize| {
+            BoundedCore::joiner(
+                params.clone(),
+                p,
+                p.is_multiple_of(2),
+                Flips::fair(40 + p as u64),
+            )
+        };
+        // A core well into another instance, its scan cache sized and moved.
+        let cores = (0..n)
+            .map(|p| BoundedCore::new(params.clone(), p, p % 2 == 1, 7 + p as u64))
+            .collect();
+        let (_, mut used) = recorded_turns(cores, 5, 60);
+        assert!(used.stats().rounds >= 3, "{:?}", used.stats());
+        assert_eq!(used.graph().n(), n);
+
+        // Instances of fresh joiners under eight schedules; before each,
+        // `used` rejoins from wherever the last one left it.
+        let mut replayed = 0;
+        for seed in 0..8 {
+            let (turns, _) = recorded_turns((0..n).map(joiner).collect(), seed, 1000);
+            used.rejoin(true, Flips::fair(40));
+            let mut fresh = joiner(0);
+            assert_same_core(&used, &fresh);
+            assert_eq!(fresh.graph().n(), 0);
+            assert!(fresh.leaders().is_empty());
+            for (t, (view, step)) in turns.iter().enumerate() {
+                assert_eq!(used.on_view(view), *step, "seed {seed}, turn {t}");
+                assert_eq!(fresh.on_view(view), *step, "seed {seed}, turn {t}");
+            }
+            replayed += turns.len();
+        }
+        assert!(replayed >= 200, "only {replayed} turns replayed");
+    }
 
     fn run_instance(n: usize, inputs: &[bool], seed: u64, max_events: u64) -> TurnReport<bool> {
         let params = ConsensusParams::quick(n);

@@ -64,6 +64,16 @@ impl Checkable for crate::multivalued::MvCore {
     }
 }
 
+impl<S: crate::multishot::ProposalSource + Clone> Checkable for crate::multishot::LogCore<S> {
+    fn load_flip(&mut self, heads: bool) {
+        self.inner_core_mut().load_flip(heads);
+    }
+
+    fn pending_flips(&self) -> usize {
+        self.inner_core().pending_flips()
+    }
+}
+
 impl Checkable for crate::baselines::abrahamson::LocalCoinCore {
     fn load_flip(&mut self, heads: bool) {
         self.flips_mut().push_outcome(heads);
@@ -585,6 +595,47 @@ mod tests {
             report.violation
         );
         assert!(report.states > 50_000, "explored {} states", report.states);
+    }
+
+    #[test]
+    fn multishot_bounded_verification() {
+        // The multi-shot log, explored up to a state budget: a replica that
+        // decides slot 0 restarts its cores in place for slot 1 (`rejoin`,
+        // `restart`), on every schedule the search reaches. Every log decided
+        // within the explored prefix must agree and hold, slot by slot, one
+        // of the proposals. Both slots are disputed, so a core that carried
+        // anything of slot 0 into slot 1 would show here.
+        use crate::multishot::{LogCore, LogMsg, StaticProposals};
+        let params = tiny_params(2);
+        let proposals = [vec![0u64, 1], vec![1, 0]];
+        let procs: Vec<LogCore<StaticProposals>> = (0..2)
+            .map(|p| {
+                let source = StaticProposals(proposals[p].clone());
+                LogCore::with_queue_flips(params.clone(), p, 2, 1, source)
+            })
+            .collect();
+        let shared = vec![LogMsg { slots: Vec::new() }; 2];
+        let report = check(
+            procs,
+            shared,
+            |log: &Vec<u64>| {
+                log.len() == 2 && (0..2).all(|s| proposals.iter().any(|pp| pp[s] == log[s]))
+            },
+            McConfig {
+                max_states: 120_000,
+                ..McConfig::default()
+            },
+        );
+        assert!(
+            report.violation.is_none(),
+            "violation: {:?}",
+            report.violation
+        );
+        assert!(report.states > 50_000, "explored {} states", report.states);
+        assert!(
+            !report.decisions_seen.is_empty(),
+            "no explored path decided both slots"
+        );
     }
 
     #[test]

@@ -47,6 +47,11 @@ impl<F: FnMut(&[u64]) -> u64> ProposalSource for F {
 
 /// What each replica publishes: its per-slot multivalued states, for the
 /// slots it has joined so far (bounded by `n_slots`).
+///
+/// Each slot's levels are shared copy-on-write ([`MvState`]): a replica
+/// never writes a slot again once it has moved past it, so a copy of the
+/// message copies one pointer per settled slot, and only the live slot's
+/// levels are ever copied word by word.
 #[derive(Debug, PartialEq, Eq, Hash)]
 pub struct LogMsg {
     /// One multivalued-consensus state per joined slot.
@@ -54,24 +59,26 @@ pub struct LogMsg {
 }
 
 impl Clone for LogMsg {
+    /// One allocation, the slot vector; the slots share their levels.
     fn clone(&self) -> Self {
         LogMsg {
             slots: self.slots.clone(),
         }
     }
 
-    /// Reuses `self`'s slots and their buffers: no allocation once they
-    /// are long enough.
+    /// Reuses `self`'s slot vector: no allocation once it is long enough,
+    /// and a slot `self` already shares is skipped.
     fn clone_from(&mut self, source: &Self) {
         self.slots.clone_from(&source.slots);
     }
 }
 
 /// One replica of the multi-shot log.
+///
+/// `Clone` when its source is: the model checker snapshots replicas to
+/// branch over schedules and flip outcomes.
+#[derive(Clone)]
 pub struct LogCore<S> {
-    params: ConsensusParams,
-    me: usize,
-    width: u32,
     n_slots: usize,
     seed: u64,
     source: S,
@@ -87,7 +94,7 @@ pub struct LogCore<S> {
 impl<S> std::fmt::Debug for LogCore<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LogCore")
-            .field("me", &self.me)
+            .field("me", &self.inner.inner_core().pid())
             .field("slot", &self.decided.len())
             .field("n_slots", &self.n_slots)
             .finish()
@@ -106,26 +113,50 @@ impl<S: ProposalSource> LogCore<S> {
         pid: usize,
         n_slots: usize,
         width: u32,
+        source: S,
+        seed: u64,
+    ) -> Self {
+        let slot0 = bprc_sim::rng::derive_seed(seed, 0);
+        Self::with_inner(params, n_slots, source, seed, |params, first| {
+            MvCore::new(params, pid, first, width, slot0)
+        })
+    }
+
+    /// Creates the replica with queue-fed local flips in every slot (for
+    /// the model checker — see [`crate::modelcheck`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`new`](Self::new).
+    pub fn with_queue_flips(
+        params: ConsensusParams,
+        pid: usize,
+        n_slots: usize,
+        width: u32,
+        source: S,
+    ) -> Self {
+        Self::with_inner(params, n_slots, source, 0, |params, first| {
+            MvCore::with_queue_flips(params, pid, first, width)
+        })
+    }
+
+    /// The replica whose slot-0 core `inner` builds from the parameters and
+    /// the first proposal.
+    fn with_inner(
+        params: ConsensusParams,
+        n_slots: usize,
         mut source: S,
         seed: u64,
+        inner: impl FnOnce(ConsensusParams, u64) -> MvCore,
     ) -> Self {
         assert!(n_slots >= 1, "need at least one slot");
         let first = source.next_proposal(&[]);
-        let inner = MvCore::new(
-            params.clone(),
-            pid,
-            first,
-            width,
-            bprc_sim::rng::derive_seed(seed, 0),
-        );
+        let inner = inner(params.clone(), first);
         let msg = LogMsg {
             slots: vec![inner.current_msg().clone()],
         };
         LogCore {
             phantom: MvState::phantom(params.layout()),
-            params,
-            me: pid,
-            width,
             n_slots,
             seed,
             source,
@@ -144,6 +175,12 @@ impl<S: ProposalSource> LogCore<S> {
     /// The current slot's multivalued core.
     pub fn inner_core(&self) -> &MvCore {
         &self.inner
+    }
+
+    /// Mutable access to the current slot's multivalued core (the model
+    /// checker feeds flip outcomes through it).
+    pub fn inner_core_mut(&mut self) -> &mut MvCore {
+        &mut self.inner
     }
 
     /// Protocol stats summed across every slot this replica worked on.
@@ -179,17 +216,17 @@ impl<S: ProposalSource> TurnProcess for LogCore<S> {
                 }
                 let proposal = self.source.next_proposal(&self.decided);
                 self.retired.absorb(&self.inner.cumulative_stats());
-                self.inner = MvCore::new(
-                    self.params.clone(),
-                    self.me,
+                self.inner.restart(
                     proposal,
-                    self.width,
                     bprc_sim::rng::derive_seed(self.seed, self.decided.len() as u64),
                 );
                 self.msg.slots.push(self.inner.current_msg().clone());
             }
         }
-        // The one copy a turn allocates: the register value it hands over.
+        // The register value it hands over: one slot vector, whose slots
+        // share their levels with `self.msg`. (The live slot's levels were
+        // copied once this turn, when the level was written, because the
+        // last published message still held them.)
         TurnStep::Write(self.msg.clone())
     }
 

@@ -15,10 +15,16 @@
 //! [`ProcState`] per level it has reached — at most `width` of them, so the
 //! construction stays bounded.
 //!
+//! A level's binary core is reset in place ([`BoundedCore::rejoin`]) when
+//! the process moves on, and an [`MvCore`] the same way
+//! ([`MvCore::restart`]) when a multi-shot log moves to its next slot.
+//!
 //! Processes may be levels apart: a participant that has not reached level
 //! `L` appears there as a phantom (round-0, ⊥) state, which the binary
 //! protocol already tolerates — it is just a process that has not taken a
 //! step yet.
+
+use std::sync::Arc;
 
 use bprc_sim::turn::{TurnProcess, TurnStep};
 
@@ -29,12 +35,18 @@ use crate::state::{ProcRef, ProcState, RegisterLayout};
 /// and its binary-instance states for levels `0..=current` (one per level
 /// joined; bounded by the width), packed back to back in one buffer at the
 /// layout's fixed stride.
+///
+/// The buffer is shared copy-on-write: a clone shares it, and the process
+/// that owns the state copies it before writing a level only if a clone —
+/// a register, a port's view — still holds it. A state nobody writes any
+/// more (a slot of a multi-shot log that the replica has moved past) costs
+/// a copy of one pointer. `==`, `Hash` and `Debug` read the contents.
 #[derive(PartialEq, Eq, Hash)]
 pub struct MvState {
     candidate: u64,
     layout: RegisterLayout,
     /// `level_count() × layout.words()` words.
-    words: Vec<u64>,
+    words: Arc<[u64]>,
 }
 
 impl MvState {
@@ -44,7 +56,7 @@ impl MvState {
         MvState {
             candidate: 0,
             layout,
-            words: Vec::new(),
+            words: Arc::default(),
         }
     }
 
@@ -54,7 +66,7 @@ impl MvState {
         MvState {
             candidate,
             layout: *level0.layout(),
-            words: level0.words().to_vec(),
+            words: Arc::from(level0.words()),
         }
     }
 
@@ -83,13 +95,16 @@ impl MvState {
             .map(|words| ProcRef::new(&self.layout, words))
     }
 
-    /// The words of `level`, opening it (zeroed) if it is the next one.
+    /// The words of `level`, opening it (zeroed) if it is the next one:
+    /// the buffer is copied first if a clone shares it, and grown by one
+    /// copy on opening.
     fn level_words_mut(&mut self, level: usize) -> &mut [u64] {
         let stride = self.layout.words();
         if level == self.level_count() {
-            self.words.resize((level + 1) * stride, 0);
+            let zeros = std::iter::repeat_n(0, stride);
+            self.words = self.words.iter().copied().chain(zeros).collect();
         }
-        &mut self.words[level * stride..(level + 1) * stride]
+        &mut Arc::make_mut(&mut self.words)[level * stride..(level + 1) * stride]
     }
 }
 
@@ -103,19 +118,23 @@ impl std::fmt::Debug for MvState {
 }
 
 impl Clone for MvState {
+    /// Shares the buffer: no allocation.
     fn clone(&self) -> Self {
         MvState {
             candidate: self.candidate,
             layout: self.layout,
-            words: self.words.clone(),
+            words: Arc::clone(&self.words),
         }
     }
 
-    /// Reuses `self`'s buffer: no allocation once it is long enough.
+    /// Shares `source`'s buffer, and skips even the reference count when
+    /// `self` already holds it.
     fn clone_from(&mut self, source: &Self) {
         self.candidate = source.candidate;
         self.layout = source.layout;
-        self.words.clone_from(&source.words);
+        if !Arc::ptr_eq(&self.words, &source.words) {
+            self.words = Arc::clone(&source.words);
+        }
     }
 }
 
@@ -133,7 +152,6 @@ enum FlipMode {
 #[derive(Debug, Clone)]
 pub struct MvCore {
     params: ConsensusParams,
-    me: usize,
     width: u32,
     flip_mode: FlipMode,
     level: usize,
@@ -167,6 +185,8 @@ impl MvCore {
         Self::with_mode(params, pid, value, width, FlipMode::Queue)
     }
 
+    /// The core's buffers, allocated once, put through
+    /// [`reset`](Self::reset).
     fn with_mode(
         params: ConsensusParams,
         pid: usize,
@@ -176,25 +196,47 @@ impl MvCore {
     ) -> Self {
         assert!((1..=64).contains(&width), "width must be in 1..=64");
         assert!(pid < params.n(), "pid out of range");
-        let value = if width == 64 {
-            value
-        } else {
-            value & ((1u64 << width) - 1)
-        };
-        let inner = Self::make_inner(&params, pid, value & 1 == 1, &flip_mode, 0);
-        let state = MvState::new(value, inner.state().fields());
-        MvCore {
-            phantom: ProcState::phantom(params.layout()),
+        let layout = params.layout();
+        let inner = BoundedCore::joiner(params.clone(), pid, false, bprc_coin::Flips::queue());
+        let mut core = MvCore {
+            phantom: ProcState::phantom(layout),
             params,
-            me: pid,
             width,
             flip_mode,
             level: 0,
             decided_bits: 0,
             inner,
             retired: CoreStats::default(),
-            state,
+            state: MvState::phantom(layout),
+        };
+        core.reset(value);
+        core
+    }
+
+    /// Returns this core, whatever it has done, to the state
+    /// [`new`](Self::new) builds with the same parameters, pid and width
+    /// and with `value` and `seed`, keeping the binary core's buffers. A
+    /// queue-fed core stays queue-fed and ignores `seed`. The register's
+    /// levels start over in a new buffer: the old one may still be shared.
+    pub fn restart(&mut self, value: u64, seed: u64) {
+        if let FlipMode::Seeded(s) = &mut self.flip_mode {
+            *s = seed;
         }
+        self.reset(value);
+    }
+
+    /// Level 0 of a proposal of `value` (only the low `width` bits).
+    fn reset(&mut self, value: u64) {
+        let value = if self.width == 64 {
+            value
+        } else {
+            value & ((1u64 << self.width) - 1)
+        };
+        self.level = 0;
+        self.decided_bits = 0;
+        self.retired = CoreStats::default();
+        self.inner.rejoin(value & 1 == 1, self.level_flips(0));
+        self.state = MvState::new(value, self.inner.state().fields());
     }
 
     /// Protocol stats summed across all levels this process has worked on
@@ -205,24 +247,18 @@ impl MvCore {
         s
     }
 
-    fn make_inner(
-        params: &ConsensusParams,
-        pid: usize,
-        input: bool,
-        mode: &FlipMode,
-        level: usize,
-    ) -> BoundedCore {
-        // Participants reach a level at different times (and, through the
-        // multi-shot log, even level 0 of later slots), so every inner core
-        // is a late *joiner*: its first inc is computed from its first scan
-        // rather than from the paper's assumed-all-zero initial memory.
-        let flips = match mode {
+    /// The local flips of `level`'s binary core. Participants reach a level
+    /// at different times (and, through the multi-shot log, even level 0 of
+    /// later slots), so every inner core is a late *joiner*
+    /// ([`BoundedCore::rejoin`]): its first inc is computed from its first
+    /// scan rather than from the paper's assumed-all-zero initial memory.
+    fn level_flips(&self, level: usize) -> bprc_coin::Flips {
+        match self.flip_mode {
             FlipMode::Seeded(seed) => {
-                bprc_coin::Flips::fair(bprc_sim::rng::derive_seed(*seed, level as u64))
+                bprc_coin::Flips::fair(bprc_sim::rng::derive_seed(seed, level as u64))
             }
             FlipMode::Queue => bprc_coin::Flips::queue(),
-        };
-        BoundedCore::joiner(params.clone(), pid, input, flips)
+        }
     }
 
     /// Access to the current level's binary core (the model checker feeds
@@ -295,13 +331,9 @@ impl MvCore {
                     return TurnStep::Decide(self.state.candidate);
                 }
                 self.retired.absorb(&self.inner.stats());
-                self.inner = Self::make_inner(
-                    &self.params,
-                    self.me,
-                    Self::bit(self.state.candidate, self.level),
-                    &self.flip_mode,
-                    self.level,
-                );
+                let flips = self.level_flips(self.level);
+                self.inner
+                    .rejoin(Self::bit(self.state.candidate, self.level), flips);
             }
         }
         self.inner
@@ -407,5 +439,74 @@ mod tests {
         let r = run(&[0xFF, 0xFF], 4, 2);
         assert!(r.completed);
         assert!(r.outputs.iter().all(|o| *o == Some(0xF)));
+    }
+
+    #[test]
+    fn restart_equals_a_fresh_core() {
+        use crate::bounded::tests::{assert_same_core, recorded_turns};
+        let (n, width) = (3, 4);
+        let params = ConsensusParams::quick(n);
+        let fresh =
+            |p: usize| MvCore::new(params.clone(), p, [0x35, 10, 3][p], width, 60 + p as u64);
+        // A core that has decided an instance: every level worked, a wider
+        // register, other flips.
+        let cores = (0..n)
+            .map(|p| MvCore::new(params.clone(), p, [9, 6, 12][p], width, 11 + p as u64))
+            .collect();
+        let (_, mut used) = recorded_turns(cores, 2, 100_000);
+        assert_eq!(used.level(), width as usize, "the instance decided");
+        assert!(used.cumulative_stats().rounds >= 3);
+
+        // Instances of fresh cores under eight schedules; before each, `used`
+        // restarts from wherever the last one left it.
+        let mut replayed = 0;
+        for seed in 0..8 {
+            let (turns, _) = recorded_turns((0..n).map(fresh).collect(), seed, 100_000);
+            used.restart(0x35, 60);
+            let mut fresh = fresh(0);
+            assert_eq!(used.level(), fresh.level());
+            assert_eq!(used.current_msg(), fresh.current_msg());
+            assert_eq!(used.current_msg().level_count(), 1);
+            assert_same_core(used.inner_core(), fresh.inner_core());
+            let stats = |c: &MvCore| format!("{:?}", c.cumulative_stats());
+            assert_eq!(stats(&used), stats(&fresh));
+            for (t, (view, step)) in turns.iter().enumerate() {
+                assert_eq!(used.on_scan(view), *step, "seed {seed}, turn {t}");
+                assert_eq!(fresh.on_scan(view), *step, "seed {seed}, turn {t}");
+            }
+            replayed += turns.len();
+        }
+        assert!(replayed >= 200, "only {replayed} turns replayed");
+    }
+
+    #[test]
+    fn a_clone_keeps_its_words_across_a_level_write() {
+        let layout = ConsensusParams::quick(2).layout();
+        let level0 = ProcState::phantom(layout);
+        let mut state = MvState::new(5, level0.fields());
+        let words = |s: &MvState| {
+            s.levels()
+                .flat_map(|l| l.words().to_vec())
+                .collect::<Vec<_>>()
+        };
+
+        // Writing a level the clone shares copies it first.
+        let before = state.clone();
+        state.level_words_mut(0)[0] = 7;
+        assert_eq!(words(&before), vec![0; layout.words()]);
+        assert_eq!(state.level(0).unwrap().words()[0], 7);
+
+        // So does opening a level; the clone keeps one.
+        let before = state.clone();
+        state.level_words_mut(1)[0] = 9;
+        assert_eq!((before.level_count(), state.level_count()), (1, 2));
+        assert_eq!(words(&before)[0], 7);
+        assert_eq!(words(&state)[layout.words()], 9);
+
+        // `clone_from` shares the buffer again; equal contents compare equal.
+        let mut copy = MvState::phantom(layout);
+        copy.clone_from(&state);
+        assert_eq!(copy, state);
+        assert!(Arc::ptr_eq(&copy.words, &state.words));
     }
 }

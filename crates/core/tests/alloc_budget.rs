@@ -5,9 +5,15 @@
 //!   at n = 8, where the register is held inline, and one word buffer at
 //!   n = 32, where it is not; write events, deciding scans and the driver's
 //!   own loop allocate nothing;
-//! * a `LogCore` turn at slot `s` allocates the `LogMsg` it publishes —
-//!   `1 + (s + 1)` buffers — plus a constant on the turns that open a level
-//!   or a slot, however many levels earlier slots hold;
+//! * a steady `LogCore` turn allocates two buffers at every slot — the slot
+//!   vector of the `LogMsg` it publishes and a copy of the live level's
+//!   words — because settled slots are shared, not copied; a turn that
+//!   opens a level or a slot, or a replica's first scan, adds at most a
+//!   constant, however many slots came before; the phantom a replica
+//!   reads for a slot another has not joined allocates nothing;
+//! * an `MvCore` writing scan allocates one copy of its level words, the
+//!   scans that advance a level included: the binary core is reset in
+//!   place, so only a process's first scan sizes strip scratch;
 //! * over real registers, a steady-state `scan_into` of an 8-slot `LogMsg`
 //!   allocates nothing, and neither does the `update` that publishes one.
 //!
@@ -20,6 +26,7 @@ use std::sync::Mutex;
 
 use bprc_core::bounded::{BoundedCore, ConsensusParams};
 use bprc_core::multishot::{LogCore, LogMsg, StaticProposals};
+use bprc_core::multivalued::{MvCore, MvState};
 use bprc_core::state::ProcState;
 use bprc_registers::DirectArrow;
 use bprc_sim::sched::{FnStrategy, RandomStrategy, RoundRobin, Strategy};
@@ -182,14 +189,20 @@ fn log_driver(n: usize, seed: u64) -> TurnDriver<LogCore<StaticProposals>> {
     TurnDriver::new(procs)
 }
 
-/// What a turn may allocate on top of the `LogMsg` it publishes, reached
-/// exactly by a turn that opens a slot: the new `BoundedCore`'s two working
-/// rows and its packed state, the new `MvCore`'s `MvState` and phantom, the
-/// message's copy of that `MvState`, and the doubling of the slot vector and
-/// of the decided list. A turn that opens a level builds the `BoundedCore`
-/// and may grow two level buffers; the turn after either sizes the new
-/// core's strip scratch (graph, closure). None of it depends on the slot.
-const C: u64 = 8;
+/// What a steady log turn allocates, at every slot: the slot vector of the
+/// `LogMsg` it publishes, and a copy of the live level's words, which the
+/// message published last still shares. The settled slots are shared, not
+/// copied.
+const STEADY: u64 = 2;
+
+/// What a turn may allocate on top of [`STEADY`], reached exactly by a
+/// replica's first scan, which sizes its core's strip scratch (the graph's
+/// two matrices, the rows, the leaders, the closure). A turn that opens a
+/// slot adds the new slot's level buffer and may double the slot vector
+/// and the decided list; one that opens a level grows the level buffer in
+/// place of copying it. Neither depends on the slot, and neither sizes
+/// strip scratch again: the cores are reset, not rebuilt.
+const C: u64 = 5;
 
 #[test]
 fn a_log_turn_allocates_the_message_it_publishes() {
@@ -199,14 +212,20 @@ fn a_log_turn_allocates_the_message_it_publishes() {
             .completed
     );
 
+    // What a replica that has not joined a slot reads as costs nothing.
+    let before = allocs();
+    let layout = ConsensusParams::quick(2).layout();
+    drop(black_box(MvState::phantom(layout)));
+    assert_eq!(allocs() - before, 0, "a phantom slot state allocated");
+
     let n = 2;
     let stepped = Mutex::new((0usize, false));
     let mut inner = RoundRobin::new();
     let mut adversary = noting(&mut inner, &stepped);
     // Per pid: (slots, levels of the newest slot) as last published, and
-    // whether the previous turn opened a level or a slot.
+    // whether it has scanned yet.
     let mut shape = vec![(1usize, 1usize); n];
-    let mut opened = vec![true; n];
+    let mut scanned = vec![false; n];
     let (mut steady, mut opening, mut worst) = (0u64, 0u64, 0u64);
     let mut steady_by_slot = [0u64; SLOTS];
     let driver = log_driver(n, 1);
@@ -218,28 +237,27 @@ fn a_log_turn_allocates_the_message_it_publishes() {
             Phase::Write(msg) if was_scan => {
                 let now = (msg.slots.len(), msg.slots.last().unwrap().level_count());
                 let slot = now.0 - 1;
-                let message = 1 + now.0 as u64;
                 let opens = now != shape[pid];
-                if opens || opened[pid] {
+                if opens || !scanned[pid] {
                     opening += 1;
                     assert!(
-                        (message..=message + C).contains(&spent),
+                        (STEADY..=STEADY + C).contains(&spent),
                         "event {}: pid {pid} slot {slot} opening turn allocated {spent}",
                         d.events()
                     );
-                    worst = worst.max(spent - message);
+                    worst = worst.max(spent - STEADY);
                 } else {
                     steady += 1;
                     steady_by_slot[slot] += 1;
                     assert_eq!(
                         spent,
-                        message,
+                        STEADY,
                         "event {}: pid {pid} slot {slot} steady turn",
                         d.events()
                     );
                 }
                 shape[pid] = now;
-                opened[pid] = opens;
+                scanned[pid] = true;
             }
             // A write event moves the message in; a deciding scan returns
             // the decided log (one vector) and only at the very end.
@@ -250,11 +268,79 @@ fn a_log_turn_allocates_the_message_it_publishes() {
     });
     assert!(report.completed);
     assert_eq!(report.outputs[0], report.outputs[1]);
-    // The slope is pinned where it is measured: late slots have steady
-    // turns too, and they cost exactly their message.
+    // The constant is pinned where it is measured: late slots have steady
+    // turns too, and they cost what the first slot's do.
     assert!(steady > opening, "{steady} steady, {opening} opening turns");
     assert!(steady_by_slot[SLOTS - 1] > 0 && steady_by_slot[0] > 0);
-    assert!(worst <= C, "worst opening excess {worst}");
+    assert_eq!(worst, C, "worst opening excess");
+}
+
+/// Under the turn driver, every writing scan of an `MvCore` allocates one
+/// copy of its level words, which the register it published last shares —
+/// the turns that advance a level and the turns after them too: the binary
+/// core is reset in place, so only a process's first scan sizes strip
+/// scratch (the [`C`] allocations), and a deciding scan allocates nothing.
+#[test]
+fn an_mv_level_advance_allocates_no_strip_scratch() {
+    let (n, width) = (3, 8);
+    let params = ConsensusParams::quick(n);
+    let cores = |seed: u64| -> Vec<MvCore> {
+        (0..n)
+            .map(|p| {
+                MvCore::new(
+                    params.clone(),
+                    p,
+                    [0x5A, 0xC3, 0x0F][p],
+                    width,
+                    seed + p as u64,
+                )
+            })
+            .collect()
+    };
+    assert!(
+        TurnDriver::new(cores(1))
+            .run(&mut RandomStrategy::new(1), 10_000_000)
+            .completed
+    );
+
+    let stepped = Mutex::new((0usize, false));
+    let mut inner = RandomStrategy::new(5);
+    let mut adversary = noting(&mut inner, &stepped);
+    let mut levels = vec![1usize; n];
+    let mut scanned = vec![false; n];
+    let (mut advances, mut after_advance) = (0u64, 0u64);
+    let mut advanced = vec![false; n];
+    let driver = TurnDriver::new(cores(5));
+    let mut mark = allocs();
+    let report = driver.run_observed(&mut adversary, 10_000_000, |d| {
+        let spent = allocs() - mark;
+        let (pid, was_scan) = *stepped.lock().unwrap();
+        match &d.phases()[pid] {
+            Phase::Write(msg) if was_scan => {
+                let first = !std::mem::replace(&mut scanned[pid], true);
+                let opens = msg.level_count() != levels[pid];
+                levels[pid] = msg.level_count();
+                let budget = if first { 1 + C } else { 1 };
+                assert_eq!(
+                    spent,
+                    budget,
+                    "event {}: pid {pid} (first scan: {first}, opens a level: {opens})",
+                    d.events()
+                );
+                advances += u64::from(opens);
+                after_advance += u64::from(std::mem::replace(&mut advanced[pid], opens));
+            }
+            _ => assert_eq!(spent, 0, "event {} (pid {pid})", d.events()),
+        }
+        mark = allocs();
+    });
+    assert!(report.completed);
+    assert_eq!(report.distinct_outputs().len(), 1);
+    assert!(
+        advances >= (n * (width as usize - 1)) as u64,
+        "{advances} level advances"
+    );
+    assert!(after_advance > 0);
 }
 
 /// The register value replica 0 of a solo two-replica log publishes after

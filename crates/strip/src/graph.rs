@@ -73,11 +73,23 @@ impl DistanceGraph {
     /// [`decode_rows`](Self::decode_rows).
     pub fn new(n: usize, k: u32) -> Self {
         assert!(k >= 1, "K must be positive");
-        DistanceGraph {
-            n,
+        let mut graph = DistanceGraph {
+            n: 0,
             k,
-            delta: vec![0; n * n],
-            counters: vec![0; n * n],
+            delta: Vec::new(),
+            counters: Vec::new(),
+        };
+        graph.reset(n);
+        graph
+    }
+
+    /// [`new`](Self::new) in place, keeping `K` and the buffers: allocates
+    /// only when `n` outgrows them.
+    pub fn reset(&mut self, n: usize) {
+        self.n = n;
+        for matrix in [&mut self.delta, &mut self.counters] {
+            matrix.clear();
+            matrix.resize(n * n, 0);
         }
     }
 

@@ -21,7 +21,10 @@
 //! * multivalued + multi-shot over the wait-free snapshot: 8 + 6 = 14
 //! * plan-driven crash sweep at every event index of a reference run
 //!
-//! Total: 242 composed chaos scenarios plus the exhaustive sweep. The
+//! Total: 242 composed chaos scenarios plus the exhaustive sweep. Beside
+//! them, 40 fault-free multi-shot logs run every replica live on its own
+//! OS thread (n ∈ {2, 3} × 20 seeds), where the replicas' slot states
+//! cross threads through real atomics. The
 //! wait-free scenarios additionally assert **zero starvation**: the
 //! writer-pressure schedule that drives the handshake memory to
 //! `ScanStarved` under a retry budget completes on the wait-free backend
@@ -37,7 +40,7 @@ use bprc::registers::DirectArrow;
 use bprc::sim::faults::{quiet_injected_panics, FaultPlan, FaultedStrategy};
 use bprc::sim::sched::{PctStrategy, RandomStrategy, RoundRobin, Strategy};
 use bprc::sim::turn::{Turn, TurnBsp, TurnDriver, TurnReport};
-use bprc::sim::{Counter, FaultKind, Halted, Telemetry, World};
+use bprc::sim::{Counter, FaultKind, Halted, Mode, Telemetry, World};
 use bprc::snapshot::{SnapshotBackend, WaitFreeSnapshot};
 
 fn bounded_cores(n: usize, inputs: &[bool], seed: u64) -> Vec<BoundedCore> {
@@ -398,6 +401,72 @@ fn multishot_full_stack_waitfree_chaos() {
             }
         }
         assert_no_starvation(&rep.telemetry, n, &format!("wf log seed={seed}"));
+    }
+}
+
+#[test]
+fn multishot_free_threads_every_replica_live() {
+    // Free mode: no adversary, every replica on an OS thread, over the
+    // handshake memory. A replica's published slot states share their
+    // level buffers with its own copy, the registers and the other
+    // replicas' views (copy-on-write), so those buffers cross threads.
+    use bprc::snapshot::ScannableMemory;
+    let (n_slots, width) = (8, 8);
+    for n in [2usize, 3] {
+        for seed in 0..20u64 {
+            let label = format!("free log n={n} seed={seed}");
+            let params = ConsensusParams::quick(n);
+            let proposals: Vec<Vec<u64>> = (0..n as u64)
+                .map(|p| {
+                    (0..n_slots as u64)
+                        .map(|s| (seed * 31 + p * 7 + s * 13) % 256)
+                        .collect()
+                })
+                .collect();
+            let procs: Vec<LogCore<StaticProposals>> = (0..n)
+                .map(|p| {
+                    let source = StaticProposals(proposals[p].clone());
+                    LogCore::new(
+                        params.clone(),
+                        p,
+                        n_slots,
+                        width,
+                        source,
+                        seed * 17 + p as u64,
+                    )
+                })
+                .collect();
+            let mut world = World::builder(n)
+                .seed(seed)
+                .mode(Mode::Free)
+                .step_limit(u64::MAX)
+                .build();
+            let initial = LogMsg { slots: Vec::new() };
+            let (_memory, bodies) =
+                over_snapshot::<_, ScannableMemory<LogMsg, DirectArrow>>(&world, procs, initial);
+            // Free mode ignores the strategy.
+            let rep = world.run(bodies, Box::new(RoundRobin::new()));
+            let logs: Vec<&Vec<u64>> = rep
+                .outputs
+                .iter()
+                .map(|o| {
+                    let halted = &rep.halted;
+                    o.as_ref()
+                        .unwrap_or_else(|| panic!("{label}: a replica halted: {halted:?}"))
+                })
+                .collect();
+            assert!(
+                logs.windows(2).all(|w| w[0] == w[1]),
+                "{label}: logs diverge: {logs:?}"
+            );
+            assert_eq!(logs[0].len(), n_slots, "{label}");
+            for (s, v) in logs[0].iter().enumerate() {
+                assert!(
+                    proposals.iter().any(|pp| pp[s] == *v),
+                    "{label}: slot {s} holds unproposed {v}"
+                );
+            }
+        }
     }
 }
 
