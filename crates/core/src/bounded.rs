@@ -166,8 +166,8 @@ const IN_DOMAIN: &str = "the protocol keeps every field inside its domain";
 ///
 /// `Clone` deliberately: the model checker snapshots cores to branch over
 /// schedules and flip outcomes. The strip scratch makes that 3·n² words
-/// (the graph's δ and counters, the closure) plus n edge rows and at most
-/// n leaders.
+/// (the graph's δ and counters, the closure) plus n row tails of one or two
+/// words and at most n leaders.
 #[derive(Debug, Clone)]
 pub struct BoundedCore {
     params: ConsensusParams,
@@ -183,15 +183,18 @@ pub struct BoundedCore {
     /// True until a late joiner performs its first, scan-based `inc`.
     join_pending: bool,
     /// The graph of the last scan, with the counters it was decoded from;
-    /// `rows` holds each process's edge row as that decode read it, packed
-    /// (`layout.edge_words()` words apiece), and `leaders` the graph's
-    /// leaders, ascending. All three start as the decode of the all-zero
-    /// initial memory, sized by [`with_flips`](Self::with_flips) or by a
-    /// joiner's first scan, so a scan re-decodes only the rows that moved.
+    /// `rows` holds each process's register as that decode read it, from
+    /// the first word with edge bits on, that word masked to them
+    /// ([`RegisterLayout::edge_tail`]), and `leaders` the graph's leaders,
+    /// ascending. All three start as the decode of the all-zero initial
+    /// memory, sized by [`with_flips`](Self::with_flips) or by a joiner's
+    /// first scan, so a scan re-decodes only the rows that moved.
     graph: DistanceGraph,
     rows: Vec<u64>,
     leaders: Vec<usize>,
-    /// The graph's closure on the turns that `inc`.
+    /// The graph's closure on the turns that `inc`: read off token
+    /// positions whenever the graph is a position graph, as every graph
+    /// sequential play reaches is.
     closure: Closure,
 }
 
@@ -353,33 +356,37 @@ impl BoundedCore {
         let n = self.params.n();
         self.graph.reset(n);
         self.rows.clear();
-        self.rows.resize(n * self.layout.edge_words(), 0);
+        self.rows.resize(n * self.row_words(), 0);
         self.leaders.clear();
         self.leaders.extend(0..n);
     }
 
-    /// Brings the scan cache up to the scan `peer`: a row whose packed
-    /// words equal the ones last decoded is skipped (process `j` alone
-    /// writes row `j`, so equal words are an equal row), any other is
-    /// unpacked, range-checked and re-decoded, and the leaders are
-    /// recomputed only if some row moved.
+    /// Words `rows` keeps per process: a register's words from the first
+    /// that holds edge bits on.
+    fn row_words(&self) -> usize {
+        self.layout.words() - self.layout.edge_tail().0
+    }
+
+    /// Brings the scan cache up to the scan `peer`: a row whose words equal
+    /// the ones last decoded is skipped (process `j` alone writes row `j`,
+    /// so equal words are an equal row), any other is unpacked,
+    /// range-checked and re-decoded, and the leaders are recomputed only if
+    /// some row moved. The words are compared as they lie, the first masked
+    /// to its edge bits ([`RegisterLayout::edge_tail`]).
     fn sync_scan_cache<'a>(&mut self, peer: &impl Fn(usize) -> ProcRef<'a>) {
         if self.rows.is_empty() {
             self.start_scan_cache();
         }
+        let ((from, mask), stride) = (self.layout.edge_tail(), self.row_words());
         let mut moved = false;
-        for (j, cached) in self
-            .rows
-            .chunks_exact_mut(self.layout.edge_words())
-            .enumerate()
-        {
+        for (j, cached) in self.rows.chunks_exact_mut(stride).enumerate() {
             let row = peer(j);
-            let mut same = true;
-            for (c, w) in cached.iter_mut().zip(row.edge_words()) {
-                same &= *c == w;
-                *c = w;
-            }
-            if !same {
+            let (first, rest) = row.words()[from..]
+                .split_first()
+                .expect("the edge row lies inside the register");
+            if cached[0] != first & mask || cached[1..] != *rest {
+                cached[0] = first & mask;
+                cached[1..].copy_from_slice(rest);
                 self.graph.decode_row_with(j, |out| row.edges_into(out));
                 moved = true;
             }
@@ -419,7 +426,12 @@ impl BoundedCore {
             }
             let dji = self.graph.delta(j, self.me);
             if (0..kk).contains(&dji) {
+                // Read under my copy of the layout, which every register of
+                // the instance shares: the loop then loads the field offsets
+                // once, not from each peer's register.
                 let s = peer(j);
+                debug_assert_eq!(s.layout(), &self.layout);
+                let s = ProcRef::new(&self.layout, s.words());
                 // next − w (mod K+1) with next ≤ K and 0 ≤ w < K: one
                 // conditional add in place of a division.
                 let (next, back) = (s.next_coin_slot(), dji as usize);

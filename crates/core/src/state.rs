@@ -155,13 +155,16 @@ impl RegisterLayout {
         self.words as usize
     }
 
-    /// Words [`ProcRef::edge_words`] yields: the edge row's bits, 64 to a
-    /// word.
+    /// Where the edge row starts: the first word that holds any of its
+    /// bits, and the mask of those bits in that word. The row is the
+    /// register's last field, so from that word on a register is the row
+    /// and zero padding: two registers of a layout hold the same row iff
+    /// their words from there on, the first masked, are equal, whatever
+    /// their other fields — one compare per word, no unpacking.
     #[inline]
-    pub fn edge_words(&self) -> usize {
-        // Computed, not stored: one more field would grow every
-        // `ProcState` past 64 bytes.
-        (self.n() * self.edge_bits as usize).div_ceil(64)
+    pub fn edge_tail(&self) -> (usize, u64) {
+        let at = self.edges_at();
+        (at / 64, !0 << (at % 64))
     }
 
     #[inline]
@@ -520,20 +523,6 @@ impl<'a> ProcRef<'a> {
             }
             at += bits as usize;
         }
-    }
-
-    /// The edge row as packed, shifted down to bit 0: 64 bits to a word, the
-    /// last word zero-padded, [`RegisterLayout::edge_words`] words. Two
-    /// registers of a layout hold the same row iff these words are equal,
-    /// whatever their other fields — one compare per word, no unpacking.
-    #[inline]
-    pub fn edge_words(&self) -> impl ExactSizeIterator<Item = u64> + 'a {
-        let (words, at) = (self.words, self.layout.edges_at());
-        let bits = self.layout.n() * self.layout.edge_bits as usize;
-        (0..self.layout.edge_words()).map(move |w| {
-            let from = 64 * w;
-            get_bits(words, at + from, (bits - from).min(64) as u32)
-        })
     }
 
     /// All fields, unpacked.

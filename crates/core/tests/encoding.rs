@@ -1,6 +1,6 @@
 //! The packed register encoding: `pack`/`unpack` round-trip over the whole
 //! domain, the packed width is `register_bits`, padding is zero, equality on
-//! words is equality on fields (and on the edge words, of edge rows), an
+//! words is equality on fields (and on the edge tails, of edge rows), an
 //! out-of-domain field is a typed error, and the composed payloads survive
 //! `clone`/`clone_from` into any destination. An in-place counter write
 //! equals a full pack, inline and on the heap, and so does every register a
@@ -153,26 +153,33 @@ fn pack_unpack_round_trips_at_the_declared_width() {
                 assert_eq!(hash_of(&packed), hash_of(&other_packed), "{at}");
             }
 
-            // The edge words are the edge row, ⌈log₂ 3K⌉ bits a counter from
-            // bit 0, zero above it — so equal iff the rows are — and blind to
-            // every other field.
-            let edge_words = |s: &ProcState| s.fields().edge_words().collect::<Vec<_>>();
-            let (row_words, width) = (edge_words(&packed), bits(3 * k - 1) as usize);
-            assert_eq!(row_words.len(), layout.edge_words(), "{at}");
-            assert_eq!(row_words.len(), (layout.n() * width).div_ceil(64), "{at}");
+            // From `edge_tail`'s word on, the first word masked, a register
+            // is its edge row, ⌈log₂ 3K⌉ bits a counter from the row's
+            // offset, and zero around it — so equal iff the rows are — and
+            // blind to every other field.
+            let (from, mask) = layout.edge_tail();
+            let tail = |s: &ProcState| {
+                let mut words = s.fields().words()[from..].to_vec();
+                words[0] &= mask;
+                words
+            };
+            let (row_words, width) = (tail(&packed), bits(3 * k - 1) as usize);
+            let edges_at = (want_bits - n * width as u64) as usize;
+            assert_eq!((from, mask), (edges_at / 64, !0 << (edges_at % 64)), "{at}");
+            let base = edges_at % 64;
             let bit = |at: usize| row_words[at / 64] >> (at % 64) & 1;
             for (j, &e) in parts.edges.iter().enumerate() {
-                let got = (0..width).fold(0, |v, b| v | bit(j * width + b) << b);
-                assert_eq!(got, e as u64, "{at}: edge word field {j}");
+                let got = (0..width).fold(0, |v, b| v | bit(base + j * width + b) << b);
+                assert_eq!(got, e as u64, "{at}: edge tail field {j}");
             }
-            let mut pad = layout.n() * width..64 * row_words.len();
-            assert!(pad.all(|at| bit(at) == 0), "{at}: edge word padding");
+            let mut pad = (0..base).chain(base + layout.n() * width..64 * row_words.len());
+            assert!(pad.all(|at| bit(at) == 0), "{at}: edge tail padding");
             let same_row = ProcParts {
                 edges: parts.edges.clone(),
                 ..random_parts(&layout, &mut rng)
             };
             let same_row = ProcState::pack(layout, &same_row).unwrap();
-            assert_eq!(edge_words(&same_row), edge_words(&packed), "{at}: same row");
+            assert_eq!(tail(&same_row), tail(&packed), "{at}: same row");
 
             // `clone` and `clone_from` (into a narrower and a wider buffer).
             assert_eq!(packed.clone(), packed, "{at}");

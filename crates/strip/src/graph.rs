@@ -26,6 +26,7 @@ pub struct Closure {
     /// Row-major; entries below `NEG_INF / 2` mean "no path".
     d: Vec<i64>,
     consistent: bool,
+    by_positions: bool,
 }
 
 impl Closure {
@@ -39,6 +40,12 @@ impl Closure {
     /// True iff the graph has no positive cycle: `dist(v,v) = 0` for all `v`.
     pub fn is_consistent(&self) -> bool {
         self.consistent
+    }
+
+    /// True iff the closure was read off token positions (the graph is a
+    /// position graph), false if Floyd–Warshall computed it.
+    pub fn by_positions(&self) -> bool {
+        self.by_positions
     }
 }
 
@@ -238,9 +245,9 @@ impl DistanceGraph {
         (0..self.n).filter(|&i| self.is_leader(i))
     }
 
-    /// Max-plus closure (Floyd–Warshall over the edges with `δ ≥ 0`). For
-    /// consistent states it recovers the *exact* shrunken distance even across
-    /// saturated direct edges: sorted-consecutive tokens are at most K apart.
+    /// Max-plus closure over the edges with `δ ≥ 0`. For consistent states it
+    /// recovers the *exact* shrunken distance even across saturated direct
+    /// edges: sorted-consecutive tokens are at most K apart.
     pub fn closure(&self) -> Closure {
         let mut c = Closure::default();
         self.closure_into(&mut c);
@@ -248,13 +255,105 @@ impl DistanceGraph {
     }
 
     /// [`closure`](Self::closure) into a reused buffer.
+    ///
+    /// A graph the token game reaches is `from_positions(p)` with its sorted
+    /// gaps at most K, and its closure is `p_a − p_b` where `p_a ≥ p_b`, with
+    /// no path otherwise. So the positions are tried first, in O(n²): each
+    /// pid's rank is how many tokens it is strictly above, and each rank's
+    /// position is the rank below's plus the δ of that pair. They are
+    /// accepted only if every `δ(a,b)` equals `clamp(p_a − p_b, −K, K)`:
+    /// then the graph *is* that position graph, whatever the ranks were, and
+    /// the closure is exact ([`Closure::by_positions`] says so). Any graph the
+    /// check refuses — degraded mode, or a consistent graph that is not a
+    /// position graph — gets the O(n³) Floyd–Warshall.
     pub fn closure_into(&self, out: &mut Closure) {
-        let n = self.n;
-        out.n = n;
+        let nn = self.n * self.n;
+        out.n = self.n;
         out.d.clear();
+        // A debug build keeps room for the cross-check's Floyd–Warshall
+        // beside the closure, so that checking allocates nothing the
+        // release build does not.
         out.d
-            .extend(self.delta.iter().map(|&w| if w >= 0 { w } else { NEG_INF }));
-        let d = &mut out.d[..];
+            .reserve(if cfg!(debug_assertions) { 2 * nn } else { nn });
+        out.d.resize(nn, 0);
+        out.by_positions = self.positions_closure(&mut out.d);
+        out.consistent = out.by_positions || self.floyd_warshall(&mut out.d);
+        if cfg!(debug_assertions) && out.by_positions {
+            out.d.resize(2 * nn, 0);
+            let (closure, oracle) = out.d.split_at_mut(nn);
+            let path = |v: &i64| (*v > NEG_INF / 2).then_some(*v);
+            assert!(
+                self.floyd_warshall(oracle) && closure.iter().map(path).eq(oracle.iter().map(path)),
+                "the position closure must equal Floyd–Warshall's"
+            );
+            out.d.truncate(nn);
+        }
+    }
+
+    /// The closure read off token positions into `d` (n × n), if the graph
+    /// is a position graph; false, with `d` scribbled on, if it is not.
+    fn positions_closure(&self, d: &mut [i64]) -> bool {
+        let (n, k) = (self.n, self.k as i64);
+        if n < 2 {
+            // One token, or none: its own position graph, with no path but
+            // the empty one.
+            d.fill(0);
+            return true;
+        }
+        let delta = &self.delta[..];
+        // Row 0 of `d` holds the positions and row 1 the ranks until the
+        // closure overwrites them, row 0 last and in place.
+        let (pos, rest) = d.split_at_mut(n);
+        let rank = &mut rest[..n];
+        for (a, r) in rank.iter_mut().enumerate() {
+            *r = delta[a * n..(a + 1) * n].iter().filter(|&&v| v > 0).count() as i64;
+        }
+        // Rank by rank upward: `below` is a pid of the last rank placed.
+        let (mut below, mut placed) = (None, 0);
+        for r in 0..n as i64 {
+            let mut first = None;
+            for a in 0..n {
+                if rank[a] == r {
+                    pos[a] = below.map_or(0, |b| pos[b] + delta[a * n + b]);
+                    first.get_or_insert(a);
+                    placed += 1;
+                }
+            }
+            below = first.or(below);
+            if placed == n {
+                break;
+            }
+        }
+        // The certificate: every pair, not only the consecutive ones.
+        for a in 0..n {
+            for b in 0..n {
+                if delta[a * n + b] != (pos[a] - pos[b]).clamp(-k, k) {
+                    return false;
+                }
+            }
+        }
+        let (pos, rest) = d.split_at_mut(n);
+        let path = |from: i64, to: i64| if from >= to { from - to } else { NEG_INF };
+        for (a, row) in rest.chunks_exact_mut(n).enumerate() {
+            let pa = pos[a + 1];
+            for (v, &pb) in row.iter_mut().zip(pos.iter()) {
+                *v = path(pa, pb);
+            }
+        }
+        let p0 = pos[0];
+        for v in pos.iter_mut() {
+            *v = path(p0, *v);
+        }
+        true
+    }
+
+    /// Floyd–Warshall over the edges with `δ ≥ 0` into `d` (n × n); returns
+    /// whether the graph is consistent.
+    fn floyd_warshall(&self, d: &mut [i64]) -> bool {
+        let n = self.n;
+        for (v, &w) in d.iter_mut().zip(&self.delta) {
+            *v = if w >= 0 { w } else { NEG_INF };
+        }
         // A positive cycle makes `d[mid][mid] > 0`, so pass `mid` rewrites
         // row and column `mid` while reading them: every entry is re-read
         // where it is used, never hoisted (the differential test shows a
@@ -269,7 +368,7 @@ impl DistanceGraph {
                 }
             }
         }
-        out.consistent = (0..n).all(|v| d[v * n + v] == 0);
+        (0..n).all(|v| d[v * n + v] == 0)
     }
 
     /// The paper's `dist(i,j)`: maximal path weight `i → j`, if a path

@@ -2,7 +2,10 @@
 //! `decode_row_with`, `closure_into`, `should_advance`, `inc_row` and their
 //! allocating wrappers) against the naive reference below: the `%`-based pair
 //! decode, the `Vec<Vec<Option<i64>>>` Floyd–Warshall and the per-`j`
-//! consistency check the kernels replaced.
+//! consistency check the kernels replaced. `closure_into` reads a position
+//! graph's closure off its token positions and gives any other graph to
+//! Floyd–Warshall; every state sequential play reaches must take the first
+//! path, and every counter matrix at three small sizes checks both.
 
 use std::collections::HashSet;
 
@@ -121,8 +124,8 @@ struct Scratch {
 }
 
 /// Checks every kernel and wrapper on one strip state; returns whether the
-/// state is consistent.
-fn check_state(rows: &Rows, k: u32, scratch: &mut Scratch) -> bool {
+/// state is consistent and whether its closure was read off token positions.
+fn check_state(rows: &Rows, k: u32, scratch: &mut Scratch) -> (bool, bool) {
     let n = rows.len();
     let delta = naive_graph(rows, k);
     let closure = naive_closure(&delta, false);
@@ -164,6 +167,11 @@ fn check_state(rows: &Rows, k: u32, scratch: &mut Scratch) -> bool {
     scratch.graph.closure_into(&mut scratch.closure);
     assert_eq!(flat.is_consistent(), consistent, "consistency of {rows:?}");
     assert_eq!(scratch.closure.is_consistent(), consistent);
+    assert_eq!(flat.by_positions(), scratch.closure.by_positions());
+    assert!(
+        consistent || !flat.by_positions(),
+        "{rows:?} is no position graph"
+    );
     for i in 0..n {
         for j in 0..n {
             assert_eq!(graph.delta(i, j), delta[i][j], "δ({i},{j}) of {rows:?}");
@@ -199,7 +207,7 @@ fn check_state(rows: &Rows, k: u32, scratch: &mut Scratch) -> bool {
         .filter(|&i| delta[i].iter().all(|&d| d >= 0))
         .collect();
     assert!(graph.leaders().eq(leaders));
-    consistent
+    (consistent, flat.by_positions())
 }
 
 fn new_scratch(k: u32) -> Scratch {
@@ -228,8 +236,9 @@ fn every_state_within_12_moves_of_zero_matches_the_reference() {
             for depth in 0..=12 {
                 let mut next = Vec::new();
                 for state in &frontier {
-                    let consistent = check_state(&rows_of(state), k, &mut scratch);
-                    assert!(consistent, "sequential play stays a legal game state");
+                    // A legal game state, and its closure off positions.
+                    let checked = check_state(&rows_of(state), k, &mut scratch);
+                    assert_eq!(checked, (true, true), "sequential play");
                     if depth == 12 {
                         continue;
                     }
@@ -260,7 +269,8 @@ fn seeded_random_plays_at_n8_match_the_reference() {
                 let i = rng.gen_range(0..8usize).min(rng.gen_range(0..8));
                 counters.inc_graph(i);
                 if step % 4 == 0 {
-                    assert!(check_state(&rows_of(&counters), k, &mut scratch));
+                    let checked = check_state(&rows_of(&counters), k, &mut scratch);
+                    assert_eq!(checked, (true, true));
                 }
             }
         }
@@ -283,7 +293,7 @@ fn seeded_inconsistent_rows_match_the_reference() {
         // A scratch sized by another state must not leak into this one.
         let mut scratch = new_scratch(k);
         check_state(&vec![vec![0; n + 1]; n + 1], k, &mut scratch);
-        if !check_state(&rows, k, &mut scratch) {
+        if !check_state(&rows, k, &mut scratch).0 {
             inconsistent += 1;
         }
         let delta = naive_graph(&rows, k);
@@ -304,6 +314,84 @@ fn seeded_inconsistent_rows_match_the_reference() {
         "{reread_matters} states need the re-read"
     );
     assert!(ties > 20, "{ties} tie pairs");
+}
+
+/// Every counter matrix of one size: each off-diagonal counter takes each
+/// of its 3K values (the diagonal is unused and stays 0), so position
+/// graphs, consistent graphs that are not position graphs, desynchronized
+/// pairs and positive cycles all occur. Each matrix's closure, consistency
+/// and every process's next row are checked against the reference. Returns
+/// (matrices, closures read off positions, refusals of consistent graphs,
+/// inconsistent graphs).
+fn every_counter_matrix(n: usize, k: u32) -> (u64, u64, u64, u64) {
+    let m = 3 * k;
+    let mut rows: Rows = vec![vec![0; n]; n];
+    let (mut graph, mut closure) = (DistanceGraph::new(n, k), Closure::default());
+    let (mut cases, mut accepted, mut refused_consistent, mut inconsistent) = (0, 0, 0, 0);
+    loop {
+        let delta = naive_graph(&rows, k);
+        let reference = naive_closure(&delta, false);
+        let consistent = (0..n).all(|v| reference[v][v] == Some(0));
+        graph.decode_rows(rows.iter().map(|r| &r[..]));
+        graph.closure_into(&mut closure);
+        assert_eq!(
+            closure.is_consistent(),
+            consistent,
+            "consistency of {rows:?}"
+        );
+        for (a, row) in reference.iter().enumerate() {
+            for (b, &dist) in row.iter().enumerate() {
+                assert_eq!(closure.get(a, b), dist, "dist({a},{b}) of {rows:?}");
+            }
+        }
+        for i in 0..n {
+            let mut want = rows[i].clone();
+            for (j, slot) in want.iter_mut().enumerate() {
+                if j != i && naive_should_advance(&delta, &reference, k, i, j) {
+                    *slot = (*slot + 1) % m;
+                }
+            }
+            let mut row = rows[i].clone();
+            inc_row(&graph, &closure, i, &mut row);
+            assert_eq!(row, want, "inc_row({i}) of {rows:?}");
+        }
+        cases += 1;
+        accepted += u64::from(closure.by_positions());
+        refused_consistent += u64::from(consistent && !closure.by_positions());
+        inconsistent += u64::from(!consistent);
+        // The next matrix: count up over the off-diagonal counters.
+        let mut carried = true;
+        for (i, j) in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))) {
+            if i != j && carried {
+                rows[i][j] = (rows[i][j] + 1) % m;
+                carried = rows[i][j] == 0;
+            }
+        }
+        if carried {
+            return (cases, accepted, refused_consistent, inconsistent);
+        }
+    }
+}
+
+/// The position certificate of `closure_into`, exhaustively: at (n, K) =
+/// (3, 1), (3, 2) and (4, 1) every counter matrix gets the reference's
+/// closure, and both branches are taken — graphs accepted as position
+/// graphs, consistent graphs refused (Floyd–Warshall's, not a degraded
+/// mode's) and inconsistent ones.
+#[test]
+fn every_small_counter_matrix_matches_the_reference() {
+    for (n, k, matrices) in [(3, 1, 729), (3, 2, 46_656), (4, 1, 531_441)] {
+        let (cases, accepted, refused_consistent, inconsistent) = every_counter_matrix(n, k);
+        let at = format!("n = {n}, K = {k}");
+        assert_eq!(cases, matrices, "{at}");
+        assert!(accepted > 0 && inconsistent > 0, "{at}");
+        assert_eq!(accepted + refused_consistent + inconsistent, cases, "{at}");
+        // At K = 1 an unsaturated edge weighs 0, and no consistent graph has
+        // a longer path beside it: consistent means position graph. At K = 2
+        // an edge of weight 1 can understate a two-step path of weight 2 in a
+        // graph with no positive cycle, and the certificate refuses that.
+        assert_eq!(refused_consistent > 0, k > 1, "{at}: consistent refusals");
+    }
 }
 
 #[test]
