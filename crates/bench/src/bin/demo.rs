@@ -16,7 +16,7 @@
 
 use bprc_core::adversaries::{LeaderStarver, SplitAdversary};
 use bprc_core::arena::{entrants, ArenaBackend};
-use bprc_core::baselines::{AhCore, LocalCoinCore, OracleCore};
+use bprc_core::baselines::RoundCore;
 use bprc_core::bounded::{BoundedCore, ConsensusParams};
 use bprc_core::ProcState;
 use bprc_sim::rng::derive_seed;
@@ -223,24 +223,16 @@ fn main() {
             };
             run_turns(procs, adv.as_mut());
         }
-        "ah88" => {
-            let procs: Vec<AhCore> = (0..n)
-                .map(|p| AhCore::new(n, p, args.inputs[p], coin(p), 3))
+        baseline => {
+            let procs: Vec<RoundCore> = (0..n)
+                .map(|p| match baseline {
+                    "ah88" => RoundCore::aspnes_herlihy(n, p, args.inputs[p], coin(p), 3),
+                    "local" => RoundCore::local_coin(n, p, args.inputs[p], coin(p)),
+                    "oracle" => RoundCore::oracle(n, p, args.inputs[p], seed),
+                    other => unreachable!("parse_args admits no protocol {other}"),
+                })
                 .collect();
             run_turns(procs, turn_adversary(&args.adversary, seed).as_mut());
         }
-        "local" => {
-            let procs: Vec<LocalCoinCore> = (0..n)
-                .map(|p| LocalCoinCore::new(n, p, args.inputs[p], coin(p)))
-                .collect();
-            run_turns(procs, turn_adversary(&args.adversary, seed).as_mut());
-        }
-        "oracle" => {
-            let procs: Vec<OracleCore> = (0..n)
-                .map(|p| OracleCore::new(n, p, args.inputs[p], seed))
-                .collect();
-            run_turns(procs, turn_adversary(&args.adversary, seed).as_mut());
-        }
-        other => unreachable!("parse_args admits no protocol {other}"),
     }
 }

@@ -18,12 +18,13 @@
 //!
 //! * `bounded` — the paper's bounded-polynomial protocol
 //!   ([`BoundedCore`]) over a genuine snapshot backend;
-//! * `ah-atomic` and `ah-regular` — Aspnes–Herlihy \[AH88\] ([`AhCore`]),
+//! * `ah-atomic` and `ah-regular` — Aspnes–Herlihy \[AH88\]
+//!   ([`RoundCore::aspnes_herlihy`]),
 //!   over atomic registers or — per the Hadzilacos–Hu–Toueg line (arXiv
 //!   2006.06771) — over [`WeakMode::Regular`] registers;
-//! * `abrahamson` — local coins ([`LocalCoinCore`]), exponential expected
-//!   time;
-//! * `oracle` — the atomic-shared-coin floor ([`OracleCore`]);
+//! * `abrahamson` — local coins ([`RoundCore::local_coin`]), exponential
+//!   expected time;
+//! * `oracle` — the atomic-shared-coin floor ([`RoundCore::oracle`]);
 //! * `swap-race` — the swap-race protocol
 //!   ([`crate::baselines::swap_race`]) on raw registers plus
 //!   [`bprc_sim::reg::Reg::swap`].
@@ -43,13 +44,10 @@ use bprc_sim::weakmem::{RandomFlushes, WeakMode};
 use bprc_sim::world::{ProcBody, World};
 use bprc_snapshot::{ScannableMemory, WaitFreeSnapshot};
 
-use crate::baselines::abrahamson::LcState;
-use crate::baselines::aspnes_herlihy::AhState;
-use crate::baselines::oracle::OracleState;
 use crate::baselines::swap_race::swap_race_bodies;
-use crate::baselines::{AhCore, LocalCoinCore, OracleCore};
+use crate::baselines::{RoundCore, RoundState};
 use crate::bounded::{BoundedCore, ConsensusParams};
-use crate::state::{Pref, ProcState};
+use crate::state::ProcState;
 use crate::threaded::over_snapshot;
 
 /// Which snapshot construction an arena instance scans through. Entrants
@@ -170,16 +168,14 @@ where
 /// [`WeakMode::Regular`], every register under the snapshot construction —
 /// values, handshakes, arrows — admits stale reads at explorable flush
 /// points.
-fn aspnes_herlihy(name: &'static str, mode: WeakMode) -> TurnEntrant<AhCore> {
+fn aspnes_herlihy(name: &'static str, mode: WeakMode) -> TurnEntrant<RoundCore> {
     TurnEntrant {
         name,
         mode,
-        core: |n, pid, input, seed| AhCore::new(n, pid, input, derive_seed(seed, pid as u64), 3),
-        initial: |_| AhState {
-            pref: Pref::Bottom,
-            round: 0,
-            coins: Default::default(),
+        core: |n, pid, input, seed| {
+            RoundCore::aspnes_herlihy(n, pid, input, derive_seed(seed, pid as u64), 3)
         },
+        initial: |_| RoundState::default(),
     }
 }
 
@@ -252,22 +248,16 @@ pub fn entrants() -> Vec<Box<dyn Consensus>> {
             name: "abrahamson",
             mode: WeakMode::Sc,
             core: |n, pid, input, seed| {
-                LocalCoinCore::new(n, pid, input, derive_seed(seed, pid as u64))
+                RoundCore::local_coin(n, pid, input, derive_seed(seed, pid as u64))
             },
-            initial: |_| LcState {
-                pref: Pref::Bottom,
-                round: 0,
-            },
+            initial: |_| RoundState::default(),
         }),
         Box::new(TurnEntrant {
             name: "oracle",
             mode: WeakMode::Sc,
             // The shared seed IS the oracle: identical for all.
-            core: OracleCore::new,
-            initial: |_| OracleState {
-                pref: Pref::Bottom,
-                round: 0,
-            },
+            core: RoundCore::oracle,
+            initial: |_| RoundState::default(),
         }),
         Box::new(SwapEntrant),
     ]
@@ -277,6 +267,7 @@ pub fn entrants() -> Vec<Box<dyn Consensus>> {
 mod tests {
     use super::*;
     use crate::baselines::swap_race::SWAP_RACE_REGISTER_BITS;
+    use crate::state::Pref;
     use crate::verify::ConsensusSpec;
     use bprc_sim::world::RunReport;
     use bprc_sim::Gauge;
@@ -350,7 +341,7 @@ mod tests {
         // The AH entrant's width gauge must reach at least its initial
         // width once every process decides (its strip only grows).
         let inputs = [true, false];
-        let initial_bits = AhState {
+        let initial_bits = RoundState {
             pref: Pref::Val(true),
             round: 1,
             coins: Default::default(),

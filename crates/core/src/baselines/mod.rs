@@ -13,13 +13,14 @@
 //!
 //! | entrant | time (analytic) | space (analytic) | provenance | measured here |
 //! |---|---|---|---|---|
-//! | [`aspnes_herlihy`] | polynomial expected | **unbounded** | \[AH88\] | arena rounds/ops/bits; register growth (E6) |
-//! | [`abrahamson`] | **exponential** expected | bounded-per-round | \[A88\] (simplified) | arena rounds/ops/bits; running time (E5) |
-//! | [`oracle`] | constant expected rounds | bounded | \[CIL87\]-style atomic-coin reference | arena rounds/ops/bits |
+//! | [`RoundCore::aspnes_herlihy`] | polynomial expected | **unbounded** | \[AH88\] | arena rounds/ops/bits; register growth (E6) |
+//! | [`RoundCore::local_coin`] | **exponential** expected | bounded-per-round | \[A88\] (simplified) | arena rounds/ops/bits; running time (E5) |
+//! | [`RoundCore::oracle`] | constant expected rounds | bounded | \[CIL87\]-style atomic-coin reference | arena rounds/ops/bits |
 //! | [`swap_race`] | probabilistic; deterministic for n = 2 (swap has consensus number 2) | bounded (rounds pre-allocated) | after Ovens, arXiv 2305.06507 | arena rounds/ops/bits |
 //!
-//! The three register-only baselines share the protocol skeleton (leaders,
-//! adoption, ⊥, coin) so that differences in the experiments isolate the
+//! The three register-only baselines are one protocol body, [`RoundCore`]
+//! (leaders, adoption, ⊥, coin), and differ only in the coin a demoted
+//! process consults, so that differences in the experiments isolate the
 //! *coin* and the *rounds representation*, which is where the paper's
 //! contribution lives. The Abrahamson baseline keeps the unbounded round
 //! counter of its siblings (we compare running time against it, not
@@ -28,18 +29,8 @@
 //! deliberately *not* register-only: it shows what the arena looks like
 //! when the model is strengthened with a consensus-number-2 primitive.
 
-pub mod abrahamson;
-pub mod aspnes_herlihy;
-pub mod oracle;
+pub mod round;
 pub mod swap_race;
 
-pub use abrahamson::LocalCoinCore;
-pub use aspnes_herlihy::AhCore;
-pub use oracle::OracleCore;
+pub use round::{RoundCore, RoundState};
 pub use swap_race::swap_race_bodies;
-
-/// Bits a `pref + round` register holds: 2 for the preference (value or
-/// ⊥), plus the round counter's current width.
-fn pref_round_bits(round: u64) -> u64 {
-    2 + (65 - round.leading_zeros() as u64)
-}

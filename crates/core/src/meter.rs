@@ -40,7 +40,7 @@ pub fn run_metered<P: TurnProcess>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baselines::aspnes_herlihy::AhCore;
+    use crate::baselines::RoundCore;
     use crate::bounded::{BoundedCore, ConsensusParams};
     use bprc_sim::sched::RandomStrategy;
 
@@ -66,10 +66,10 @@ mod tests {
     fn ah88_register_width_grows_with_rounds() {
         // Run the unbounded baseline long enough to advance several rounds;
         // its registers accumulate one coin entry per round.
-        let procs: Vec<AhCore> = (0..3)
-            .map(|p| AhCore::new(3, p, p % 2 == 0, 7 + p as u64, 3))
+        let procs: Vec<RoundCore> = (0..3)
+            .map(|p| RoundCore::aspnes_herlihy(3, p, p % 2 == 0, 7 + p as u64, 3))
             .collect();
-        let initial_bits = procs[0].register_bits();
+        let initial_bits = procs[0].probe().register_bits;
         let report = run_metered(procs, &mut RandomStrategy::new(5), 3_000_000, |s| s.bits());
         assert!(report.completed);
         let max_bits = report.telemetry.gauge_global(Gauge::MaxRegisterBits);

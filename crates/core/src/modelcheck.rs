@@ -74,7 +74,7 @@ impl<S: crate::multishot::ProposalSource + Clone> Checkable for crate::multishot
     }
 }
 
-impl Checkable for crate::baselines::abrahamson::LocalCoinCore {
+impl Checkable for crate::baselines::RoundCore {
     fn load_flip(&mut self, heads: bool) {
         self.flips_mut().push_outcome(heads);
     }
