@@ -118,7 +118,7 @@ impl Strategy<Turn<ProcState>> for LeaderStarver {
 /// safety nor grow the registers — the contrast with [`AH88`]'s strip is
 /// experiment E6.
 ///
-/// [`AH88`]: crate::baselines::aspnes_herlihy
+/// [`AH88`]: crate::baselines::RoundCore::aspnes_herlihy
 #[derive(Debug)]
 pub struct HoldDeciders {
     rng: SmallRng,

@@ -4,8 +4,8 @@
 //! never grows — this is the whole point of the paper, and the
 //! representation says so: a [`ProcState`] *is* that many bits, packed into
 //! words under a [`RegisterLayout`] derived from `(n, K, m)`. Compare
-//! [`crate::baselines::aspnes_herlihy`], whose register contents grow with
-//! the round number.
+//! [`crate::baselines::RoundCore::aspnes_herlihy`], whose register contents
+//! grow with the round number.
 //!
 //! | field | domain | bits | bounded by |
 //! |---|---|---|---|

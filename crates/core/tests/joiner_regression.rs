@@ -9,10 +9,13 @@
 //! [`bprc_strip::DistanceGraph::should_advance`]; these tests pin both the
 //! mechanism and the recovery.
 
-use bprc_core::bounded::ConsensusParams;
+use bprc_core::adversaries::HoldDeciders;
+use bprc_core::bounded::{BoundedCore, ConsensusParams};
 use bprc_core::multishot::{LogCore, StaticProposals};
+use bprc_core::ProcState;
+use bprc_sim::rng::derive_seed;
 use bprc_sim::sched::RandomStrategy;
-use bprc_sim::turn::TurnDriver;
+use bprc_sim::turn::{Phase, TurnDriver};
 use bprc_strip::EdgeCounters;
 
 /// The exact configuration that livelocked before the fix (found by the
@@ -109,4 +112,62 @@ fn staggered_joins_always_terminate() {
             assert_eq!(r.distinct_outputs().len(), 1, "lead {lead} seed {seed}");
         }
     }
+}
+
+/// An open finding, pinned where it shows. The degraded-mode gate switches
+/// to the direct-edge rule only on a positive cycle, so a *consistent*
+/// graph that is no token-game state — an unsaturated edge understating a
+/// longer path — still gets the max-path gate, whose exactness assumes a
+/// position graph. Nothing argues that the gate cannot stall there. This
+/// seed of the hold-the-deciders adversary at n = 4 publishes such a graph,
+/// a process scans it, and the run still completes and agrees; if the gate
+/// ever stalls on one, this is where it should show first.
+#[test]
+fn consistent_non_position_graph_is_scanned_and_survived() {
+    let (n, seed) = (4, 136u64);
+    let params = ConsensusParams::quick(n);
+    let k = params.k();
+    let procs: Vec<BoundedCore> = (0..n)
+        .map(|p| BoundedCore::new(params.clone(), p, p % 2 == 0, derive_seed(seed, p as u64)))
+        .collect();
+    let off_positions = |shared: &[ProcState]| {
+        let rows = shared.iter().map(|s| s.edges().collect::<Vec<u32>>());
+        let closure = EdgeCounters::from_rows(rows, k).make_graph().closure();
+        closure.is_consistent() && !closure.by_positions()
+    };
+    let (mut published, mut scanned) = (0u64, 0u64);
+    let mut was_off = false;
+    let mut was_scanning = vec![false; n];
+    let r = TurnDriver::new(procs).run_observed(&mut HoldDeciders::new(seed), 2_000_000, |d| {
+        let scanning: Vec<bool> = d
+            .phases()
+            .iter()
+            .map(|ph| matches!(ph, Phase::Scan))
+            .collect();
+        // A scan leaves the registers as they were: whoever left the scan
+        // phase in this event read the state the last event left.
+        if was_off && was_scanning.iter().zip(&scanning).any(|(&a, &b)| a && !b) {
+            scanned += 1;
+        }
+        let off = off_positions(d.shared());
+        published += u64::from(off && !was_off);
+        (was_off, was_scanning) = (off, scanning);
+    });
+    assert!(
+        published > 0,
+        "seed {seed}: no consistent non-position graph was published"
+    );
+    assert!(
+        scanned > 0,
+        "seed {seed}: no process scanned the non-position graph"
+    );
+    assert!(
+        r.completed,
+        "seed {seed}: the max-path gate stalled on a non-position graph"
+    );
+    assert_eq!(r.distinct_outputs().len(), 1, "seed {seed}");
+    eprintln!(
+        "PROBE published {published} scanned {scanned} events {}",
+        r.events
+    );
 }
