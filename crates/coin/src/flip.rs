@@ -1,4 +1,4 @@
-//! Local coin-flip sources.
+//! Local coin flips.
 //!
 //! The model gives each process a *local* fair coin the adversary cannot
 //! bias (it sees outcomes only after they are flipped). For experiments we
@@ -6,119 +6,92 @@
 //! barriers and the overflow rule behave as analyzed under worst-case flip
 //! sequences.
 
+use std::collections::VecDeque;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// A source of local coin flips (`true` = heads).
-pub trait FlipSource: Send {
-    /// Draws the next flip.
-    fn flip(&mut self) -> bool;
-}
-
-/// A fair seeded flip source.
-#[derive(Debug, Clone)]
-pub struct FairFlips {
-    rng: SmallRng,
-}
-
-impl FairFlips {
-    /// Creates a fair source from a seed.
-    pub fn new(seed: u64) -> Self {
-        FairFlips {
-            rng: SmallRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl FlipSource for FairFlips {
-    fn flip(&mut self) -> bool {
-        self.rng.gen::<bool>()
-    }
-}
-
-/// A biased source: heads with probability `p`.
-#[derive(Debug, Clone)]
-pub struct BiasedFlips {
-    rng: SmallRng,
-    p: f64,
-}
-
-impl BiasedFlips {
-    /// Creates a source with `P(heads) = p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= p <= 1.0`.
-    pub fn new(seed: u64, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "p must be a probability");
-        BiasedFlips {
-            rng: SmallRng::seed_from_u64(seed),
-            p,
-        }
-    }
-}
-
-impl FlipSource for BiasedFlips {
-    fn flip(&mut self) -> bool {
-        self.rng.gen::<f64>() < self.p
-    }
-}
-
-/// A scripted source: replays a fixed sequence, then repeats its last
-/// element (or heads if empty). For deterministic worst-case tests.
-#[derive(Debug, Clone)]
-pub struct ScriptedFlips {
-    script: Vec<bool>,
-    at: usize,
-}
-
-impl ScriptedFlips {
-    /// Creates a source replaying `script`.
-    pub fn new(script: Vec<bool>) -> Self {
-        ScriptedFlips { script, at: 0 }
-    }
-}
-
-impl FlipSource for ScriptedFlips {
-    fn flip(&mut self) -> bool {
-        let v = self.script.get(self.at).copied();
-        if self.at < self.script.len() {
-            self.at += 1;
-        }
-        v.or_else(|| self.script.last().copied()).unwrap_or(true)
-    }
-}
-
-/// A closed, clonable sum of the flip sources in this module, plus a
-/// [`Flips::Queue`] variant that draws from an externally loaded queue —
-/// the hook the model checker uses to *branch* on flip outcomes instead of
-/// sampling them.
+/// A process's local coin (`true` = heads): a closed, clonable sum of every
+/// flip source, plus a [`Flips::Queue`] variant that draws from an
+/// externally loaded queue — the hook the model checker uses to *branch* on
+/// flip outcomes instead of sampling them.
 ///
-/// Protocol cores store a `Flips` (rather than a `Box<dyn FlipSource>`) so
-/// they stay `Clone`-able, which exhaustive state-space exploration needs.
+/// Protocol cores store a `Flips` by value so they stay `Clone`-able, which
+/// exhaustive state-space exploration needs.
 #[derive(Debug, Clone)]
 pub enum Flips {
     /// Fair seeded flips.
-    Fair(FairFlips),
-    /// Biased flips.
-    Biased(BiasedFlips),
-    /// Scripted flips.
-    Scripted(ScriptedFlips),
+    Fair(SmallRng),
+    /// Heads with probability `p`.
+    Biased {
+        /// The seeded generator.
+        rng: SmallRng,
+        /// `P(heads)`.
+        p: f64,
+    },
+    /// Replays `script`, then repeats its last element (or heads if empty).
+    /// For deterministic worst-case tests.
+    Scripted {
+        /// The flips to replay.
+        script: Vec<bool>,
+        /// How many of them have been drawn.
+        at: usize,
+    },
     /// Flips drawn from a queue loaded by the driver; **panics when empty**
     /// (the model checker always pre-loads exactly one outcome before a
     /// step that might flip).
-    Queue(std::collections::VecDeque<bool>),
+    Queue(VecDeque<bool>),
 }
 
 impl Flips {
     /// A fair source from a seed.
     pub fn fair(seed: u64) -> Self {
-        Flips::Fair(FairFlips::new(seed))
+        Flips::Fair(SmallRng::seed_from_u64(seed))
+    }
+
+    /// A biased source: `P(heads) = p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0.0 <= p <= 1.0`.
+    pub fn biased(seed: u64, p: f64) -> Self {
+        assert!((0.0..=1.0).contains(&p), "p must be a probability");
+        Flips::Biased {
+            rng: SmallRng::seed_from_u64(seed),
+            p,
+        }
+    }
+
+    /// A source replaying `script`.
+    pub fn scripted(script: Vec<bool>) -> Self {
+        Flips::Scripted { script, at: 0 }
     }
 
     /// An empty queue source (load with [`Flips::push_outcome`]).
     pub fn queue() -> Self {
-        Flips::Queue(std::collections::VecDeque::new())
+        Flips::Queue(VecDeque::new())
+    }
+
+    /// Draws the next flip.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty [`Flips::Queue`].
+    pub fn flip(&mut self) -> bool {
+        match self {
+            Flips::Fair(rng) => rng.gen::<bool>(),
+            Flips::Biased { rng, p } => rng.gen::<f64>() < *p,
+            Flips::Scripted { script, at } => {
+                let v = script.get(*at).copied();
+                if *at < script.len() {
+                    *at += 1;
+                }
+                v.or_else(|| script.last().copied()).unwrap_or(true)
+            }
+            Flips::Queue(q) => q
+                .pop_front()
+                .expect("flip queue exhausted: the driver must pre-load outcomes"),
+        }
     }
 
     /// Appends a predetermined outcome (only for [`Flips::Queue`]).
@@ -142,19 +115,6 @@ impl Flips {
     }
 }
 
-impl FlipSource for Flips {
-    fn flip(&mut self) -> bool {
-        match self {
-            Flips::Fair(f) => f.flip(),
-            Flips::Biased(f) => f.flip(),
-            Flips::Scripted(f) => f.flip(),
-            Flips::Queue(q) => q
-                .pop_front()
-                .expect("flip queue exhausted: the driver must pre-load outcomes"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,7 +126,7 @@ mod tests {
         let mut g = Flips::fair(3);
         let b: Vec<bool> = (0..8).map(|_| g.flip()).collect();
         assert_eq!(a, b);
-        let mut s = Flips::Scripted(ScriptedFlips::new(vec![true, false]));
+        let mut s = Flips::scripted(vec![true, false]);
         assert!(s.flip());
         assert!(!s.flip());
     }
@@ -192,8 +152,8 @@ mod tests {
 
     #[test]
     fn fair_is_reproducible_and_roughly_fair() {
-        let mut a = FairFlips::new(5);
-        let mut b = FairFlips::new(5);
+        let mut a = Flips::fair(5);
+        let mut b = Flips::fair(5);
         let sa: Vec<bool> = (0..64).map(|_| a.flip()).collect();
         let sb: Vec<bool> = (0..64).map(|_| b.flip()).collect();
         assert_eq!(sa, sb);
@@ -203,20 +163,26 @@ mod tests {
 
     #[test]
     fn biased_extremes() {
-        let mut always = BiasedFlips::new(1, 1.0);
-        let mut never = BiasedFlips::new(1, 0.0);
+        let mut always = Flips::biased(1, 1.0);
+        let mut never = Flips::biased(1, 0.0);
         assert!((0..32).all(|_| always.flip()));
         assert!((0..32).all(|_| !never.flip()));
     }
 
     #[test]
+    #[should_panic(expected = "probability")]
+    fn biased_rejects_a_non_probability() {
+        let _ = Flips::biased(1, 1.5);
+    }
+
+    #[test]
     fn scripted_replays_then_repeats_last() {
-        let mut s = ScriptedFlips::new(vec![true, false, false]);
+        let mut s = Flips::scripted(vec![true, false, false]);
         assert_eq!(
             (0..5).map(|_| s.flip()).collect::<Vec<_>>(),
             vec![true, false, false, false, false]
         );
-        let mut empty = ScriptedFlips::new(vec![]);
+        let mut empty = Flips::scripted(vec![]);
         assert!(empty.flip(), "empty script defaults to heads");
     }
 }

@@ -39,14 +39,11 @@
 //! ```
 //! use bprc_coin::montecarlo::run_walk;
 //! use bprc_sim::sched::RoundRobin;
-//! use bprc_coin::{CoinParams, CoinValue, FlipSource};
-//! use bprc_coin::flip::FairFlips;
+//! use bprc_coin::{CoinParams, CoinValue, Flips};
 //!
 //! # fn main() {
 //! let params = CoinParams::new(3, 2, 1_000);
-//! let flips: Vec<Box<dyn FlipSource>> = (0..3)
-//!     .map(|p| Box::new(FairFlips::new(7 + p as u64)) as Box<dyn FlipSource>)
-//!     .collect();
+//! let flips: Vec<Flips> = (0..3).map(|p| Flips::fair(7 + p)).collect();
 //! let outcome = run_walk(&params, flips, &mut RoundRobin::new(), 1_000_000);
 //! assert!(outcome.decisions.iter().all(|d| d.is_some()));
 //! assert!(!outcome.disagreed, "fair schedule, big b: agreement");
@@ -63,6 +60,6 @@ pub mod shared;
 pub mod theory;
 pub mod value;
 
-pub use flip::{FlipSource, Flips};
+pub use flip::Flips;
 pub use params::CoinParams;
 pub use value::CoinValue;

@@ -28,7 +28,7 @@
 
 use bprc_sim::sched::{Decision, Level, ScheduleView, Strategy};
 
-use crate::flip::{FairFlips, FlipSource};
+use crate::flip::Flips;
 use crate::params::CoinParams;
 use crate::value::{coin_value_total, walk_step, CoinValue};
 
@@ -179,7 +179,7 @@ impl WalkOutcome {
 /// injected panics or store buffers, and the panic names the decision.
 pub fn run_walk(
     params: &CoinParams,
-    mut flips: Vec<Box<dyn FlipSource>>,
+    mut flips: Vec<Flips>,
     adversary: &mut dyn Strategy<Walk>,
     max_events: u64,
 ) -> WalkOutcome {
@@ -334,13 +334,8 @@ pub fn run_trials(
     let mut total_walk = 0f64;
     let mut total_events = 0f64;
     for t in 0..trials {
-        let flips: Vec<Box<dyn FlipSource>> = (0..params.n())
-            .map(|p| {
-                Box::new(FairFlips::new(bprc_sim::rng::derive_seed(
-                    seed,
-                    t * params.n() as u64 + p as u64,
-                ))) as Box<dyn FlipSource>
-            })
+        let flips: Vec<Flips> = (0..params.n() as u64)
+            .map(|p| Flips::fair(bprc_sim::rng::derive_seed(seed, t * params.n() as u64 + p)))
             .collect();
         let mut adversary = mk_adversary(t);
         let out = run_walk(params, flips, adversary.as_mut(), max_events_per_trial);
@@ -371,19 +366,16 @@ pub fn run_trials(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flip::{BiasedFlips, ScriptedFlips};
     use bprc_sim::sched::{FnStrategy, RandomStrategy, RoundRobin};
 
-    fn boxed_fair(n: usize, seed: u64) -> Vec<Box<dyn FlipSource>> {
-        (0..n)
-            .map(|p| Box::new(FairFlips::new(seed + p as u64)) as Box<dyn FlipSource>)
-            .collect()
+    fn fair(n: u64, seed: u64) -> Vec<Flips> {
+        (0..n).map(|p| Flips::fair(seed + p)).collect()
     }
 
     #[test]
     fn single_process_decides() {
         let p = CoinParams::new(1, 2, 100);
-        let out = run_walk(&p, boxed_fair(1, 7), &mut RoundRobin::new(), 1_000_000);
+        let out = run_walk(&p, fair(1, 7), &mut RoundRobin::new(), 1_000_000);
         assert!(out.decisions[0].is_some());
         assert!(!out.disagreed);
     }
@@ -395,15 +387,13 @@ mod tests {
     fn crash_decision_is_rejected() {
         let p = CoinParams::new(2, 1, 100);
         let mut crasher = FnStrategy::new(|_: &WalkView<'_>| Decision::Crash(1));
-        run_walk(&p, boxed_fair(2, 7), &mut crasher, 1_000);
+        run_walk(&p, fair(2, 7), &mut crasher, 1_000);
     }
 
     #[test]
     fn all_heads_under_biased_flips() {
         let p = CoinParams::new(3, 2, 100);
-        let flips: Vec<Box<dyn FlipSource>> = (0..3)
-            .map(|i| Box::new(BiasedFlips::new(i, 1.0)) as Box<dyn FlipSource>)
-            .collect();
+        let flips: Vec<Flips> = (0..3).map(|i| Flips::biased(i, 1.0)).collect();
         let out = run_walk(&p, flips, &mut RoundRobin::new(), 1_000_000);
         assert!(out
             .decisions
@@ -415,9 +405,7 @@ mod tests {
     #[test]
     fn all_tails_under_antibiased_flips() {
         let p = CoinParams::new(3, 2, 100);
-        let flips: Vec<Box<dyn FlipSource>> = (0..3)
-            .map(|i| Box::new(BiasedFlips::new(i, 0.0)) as Box<dyn FlipSource>)
-            .collect();
+        let flips: Vec<Flips> = (0..3).map(|i| Flips::biased(i, 0.0)).collect();
         let out = run_walk(&p, flips, &mut RoundRobin::new(), 1_000_000);
         assert!(out
             .decisions
@@ -431,9 +419,7 @@ mod tests {
         // walk can reach the barrier going down... with all-tails flips the
         // counters all sink to -(m+1) = -2 and everyone overflows to Heads.
         let p = CoinParams::new(2, 2, 1);
-        let flips: Vec<Box<dyn FlipSource>> = (0..2)
-            .map(|_| Box::new(ScriptedFlips::new(vec![false])) as Box<dyn FlipSource>)
-            .collect();
+        let flips = vec![Flips::scripted(vec![false]); 2];
         let out = run_walk(&p, flips, &mut RoundRobin::new(), 100_000);
         assert!(out.overflowed);
         assert!(out
@@ -447,14 +433,12 @@ mod tests {
         let p = CoinParams::new(3, 1, 4);
         // Check invariant across the run by re-running many short prefixes.
         for max in [10, 50, 200, 1000] {
-            let out = run_walk(&p, boxed_fair(3, 99), &mut RandomStrategy::new(5), max);
+            let out = run_walk(&p, fair(3, 99), &mut RandomStrategy::new(5), max);
             let _ = out;
             // The invariant lives inside walk_step's clamp; verify via a
             // scripted extreme:
         }
-        let flips: Vec<Box<dyn FlipSource>> = (0..3)
-            .map(|_| Box::new(BiasedFlips::new(0, 1.0)) as Box<dyn FlipSource>)
-            .collect();
+        let flips = vec![Flips::biased(0, 1.0); 3];
         let out = run_walk(&p, flips, &mut RoundRobin::new(), 10_000);
         assert!(out.events < 10_000, "should decide quickly");
     }

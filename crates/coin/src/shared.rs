@@ -4,7 +4,7 @@
 use bprc_registers::Swmr;
 use bprc_sim::{Counter, Ctx, EventKind, Halted, World};
 
-use crate::flip::FlipSource;
+use crate::flip::Flips;
 use crate::params::CoinParams;
 use crate::value::{coin_value_total, walk_step, CoinValue};
 
@@ -89,7 +89,7 @@ impl CoinPort {
     /// # Errors
     ///
     /// Returns [`Halted`] if the scheduler stopped this process.
-    pub fn walk_step(&mut self, ctx: &mut Ctx, flips: &mut dyn FlipSource) -> Result<(), Halted> {
+    pub fn walk_step(&mut self, ctx: &mut Ctx, flips: &mut Flips) -> Result<(), Halted> {
         let before = self.own;
         self.own = walk_step(&self.params, self.own, flips.flip());
         self.walk_steps += 1;
@@ -109,7 +109,7 @@ impl CoinPort {
     ///
     /// Returns [`Halted`] if the scheduler stopped this process (e.g. the
     /// world's step limit expired first).
-    pub fn flip(&mut self, ctx: &mut Ctx, flips: &mut dyn FlipSource) -> Result<CoinValue, Halted> {
+    pub fn flip(&mut self, ctx: &mut Ctx, flips: &mut Flips) -> Result<CoinValue, Halted> {
         loop {
             match self.coin_value(ctx)? {
                 CoinValue::Undecided => self.walk_step(ctx, flips)?,
@@ -122,20 +122,19 @@ impl CoinPort {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flip::{BiasedFlips, FairFlips};
     use bprc_sim::sched::{RandomStrategy, SoloBursts};
     use bprc_sim::world::{Mode, ProcBody};
 
     fn flip_bodies(
         coin: &SharedCoin,
         n: usize,
-        mk_flips: impl Fn(usize) -> Box<dyn FlipSource>,
+        mk_flips: impl Fn(usize) -> Flips,
     ) -> Vec<ProcBody<CoinValue>> {
         (0..n)
             .map(|i| {
                 let mut port = coin.port(i);
                 let mut flips = mk_flips(i);
-                let b: ProcBody<CoinValue> = Box::new(move |ctx| port.flip(ctx, flips.as_mut()));
+                let b: ProcBody<CoinValue> = Box::new(move |ctx| port.flip(ctx, &mut flips));
                 b
             })
             .collect()
@@ -150,9 +149,7 @@ mod tests {
                 .step_limit(5_000_000)
                 .build();
             let coin = SharedCoin::new(&world, params);
-            let bodies = flip_bodies(&coin, 3, |i| {
-                Box::new(FairFlips::new(seed * 100 + i as u64))
-            });
+            let bodies = flip_bodies(&coin, 3, |i| Flips::fair(seed * 100 + i as u64));
             let rep = world.run(bodies, Box::new(RandomStrategy::new(seed)));
             assert!(
                 rep.outputs.iter().all(|o| o.is_some()),
@@ -166,7 +163,7 @@ mod tests {
         let params = CoinParams::new(2, 2, 10_000);
         let mut world = bprc_sim::World::builder(2).step_limit(1_000_000).build();
         let coin = SharedCoin::new(&world, params);
-        let bodies = flip_bodies(&coin, 2, |i| Box::new(BiasedFlips::new(i as u64, 0.0)));
+        let bodies = flip_bodies(&coin, 2, |i| Flips::biased(i as u64, 0.0));
         let rep = world.run(bodies, Box::new(RandomStrategy::new(1)));
         assert!(rep
             .outputs
@@ -179,7 +176,7 @@ mod tests {
         let params = CoinParams::new(2, 1, 3); // tiny m: overflow certain
         let mut world = bprc_sim::World::builder(2).step_limit(1_000_000).build();
         let coin = SharedCoin::new(&world, params);
-        let bodies = flip_bodies(&coin, 2, |i| Box::new(FairFlips::new(i as u64)));
+        let bodies = flip_bodies(&coin, 2, |i| Flips::fair(i as u64));
         let rep = world.run(bodies, Box::new(SoloBursts::new(13)));
         assert!(rep.outputs.iter().all(|o| o.is_some()));
         for c in coin.peek_counters() {
@@ -199,7 +196,7 @@ mod tests {
         let coin = SharedCoin::new(&world, params);
         let mut port = coin.port(0);
         let bodies: Vec<ProcBody<(CoinValue, u64)>> = vec![Box::new(move |ctx| {
-            let mut flips = BiasedFlips::new(7, 1.0);
+            let mut flips = Flips::biased(7, 1.0);
             let v = port.flip(ctx, &mut flips)?;
             Ok((v, port.walk_steps()))
         })];
@@ -231,7 +228,7 @@ mod tests {
             .step_limit(u64::MAX)
             .build();
         let coin = SharedCoin::new(&world, params);
-        let bodies = flip_bodies(&coin, 4, |i| Box::new(FairFlips::new(42 + i as u64)));
+        let bodies = flip_bodies(&coin, 4, |i| Flips::fair(42 + i as u64));
         let rep = world.run(bodies, Box::new(RandomStrategy::new(0)));
         let decided: Vec<_> = rep.outputs.iter().flatten().collect();
         assert_eq!(decided.len(), 4);

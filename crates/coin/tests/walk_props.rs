@@ -6,11 +6,10 @@
 //! Cases are seeded loops over `stream_rng(SEED, case)`; every assertion
 //! names the case, so a failure replays with that one stream.
 
-use bprc_coin::flip::{FairFlips, FlipSource, ScriptedFlips};
 use bprc_coin::montecarlo::{run_walk, Walk, WalkView};
 use bprc_coin::shared::SharedCoin;
 use bprc_coin::value::CoinValue;
-use bprc_coin::CoinParams;
+use bprc_coin::{CoinParams, Flips};
 use bprc_sim::rng::{derive_seed, stream_rng};
 use bprc_sim::sched::{Decision, RandomStrategy, RoundRobin};
 use bprc_sim::world::ProcBody;
@@ -59,12 +58,12 @@ fn counters_bounded_under_arbitrary_schedules() {
         let at = format!("seed {SEED} case {case}: n {n} b {b} m {m}");
 
         let params = CoinParams::new(n, b, m);
-        let flips: Vec<Box<dyn FlipSource>> = (0..n)
+        let flips: Vec<Flips> = (0..n)
             .map(|p| {
                 // Rotate the script per process for variety.
                 let mut f = flip_bits.clone();
                 f.rotate_left(p % flip_bits.len());
-                Box::new(ScriptedFlips::new(f)) as Box<dyn FlipSource>
+                Flips::scripted(f)
             })
             .collect();
         let mut adversary = ScriptedAdversary {
@@ -99,9 +98,7 @@ fn monotone_flips_decide_matching_side() {
         let at = format!("seed {SEED} case {case}: n {n} b {b} heads {heads} seed {seed}");
 
         let params = CoinParams::new(n, b, 1_000);
-        let flips: Vec<Box<dyn FlipSource>> = (0..n)
-            .map(|_| Box::new(ScriptedFlips::new(vec![heads])) as Box<dyn FlipSource>)
-            .collect();
+        let flips = vec![Flips::scripted(vec![heads]); n];
         let out = run_walk(&params, flips, &mut RandomStrategy::new(seed), 1_000_000);
         let want = if heads {
             CoinValue::Heads
@@ -127,14 +124,7 @@ fn run_walk_is_deterministic() {
         let at = format!("seed {SEED} case {case}: n {n} seed {seed}");
 
         let params = CoinParams::new(n, 2, 100);
-        let mk = || -> Vec<Box<dyn FlipSource>> {
-            (0..n)
-                .map(|p| {
-                    Box::new(bprc_coin::flip::FairFlips::new(seed + p as u64))
-                        as Box<dyn FlipSource>
-                })
-                .collect()
-        };
+        let mk = || (0..n).map(|p| Flips::fair(seed + p as u64)).collect();
         let a = run_walk(&params, mk(), &mut RandomStrategy::new(seed), 1_000_000);
         let b = run_walk(&params, mk(), &mut RandomStrategy::new(seed), 1_000_000);
         assert_eq!(a.decisions, b.decisions, "{at}");
@@ -165,12 +155,10 @@ fn run_walk_matches_the_shared_coin_over_registers() {
                 for seed in 0..10 {
                     for round_robin in [false, true] {
                         let at = format!("n {n} b {b} m {m} seed {seed} round-robin {round_robin}");
-                        let flips = |p: usize| FairFlips::new(derive_seed(seed, p as u64));
+                        let flips = |p: usize| Flips::fair(derive_seed(seed, p as u64));
                         let mut walk_adv = policy::<Walk>(round_robin, seed);
                         let strategy = policy(round_robin, seed);
-                        let sources = (0..n)
-                            .map(|p| Box::new(flips(p)) as Box<dyn FlipSource>)
-                            .collect();
+                        let sources = (0..n).map(flips).collect();
                         let walk = run_walk(&params, sources, walk_adv.as_mut(), LIMIT);
 
                         let mut world = World::builder(n)

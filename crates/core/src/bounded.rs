@@ -30,7 +30,7 @@
 //! it, and publishing is a copy. Peers are read through the packed
 //! registers' field accessors ([`ProcRef`]), never unpacked.
 
-use bprc_coin::flip::{FlipSource, Flips};
+use bprc_coin::flip::Flips;
 use bprc_coin::value::{coin_value_total, walk_step, CoinValue};
 use bprc_coin::CoinParams;
 use bprc_sim::turn::{TurnProbe, TurnProcess, TurnStep};
@@ -323,11 +323,6 @@ impl BoundedCore {
     /// Re-encodes the register to publish from every field of `state`.
     fn repack(&mut self) {
         self.published.repack(&self.state).expect(IN_DOMAIN);
-    }
-
-    /// The local flip source.
-    pub fn flips(&self) -> &Flips {
-        &self.flips
     }
 
     /// Mutable access to the local flip source (the model checker loads
@@ -633,7 +628,7 @@ pub(crate) mod tests {
         assert_eq!(a.graph(), b.graph());
         assert_eq!(a.leaders(), b.leaders());
         assert_eq!(format!("{:?}", a.stats()), format!("{:?}", b.stats()));
-        assert_eq!(format!("{:?}", a.flips()), format!("{:?}", b.flips()));
+        assert_eq!(format!("{:?}", a.flips), format!("{:?}", b.flips));
         assert_eq!(format!("{:?}", a.params()), format!("{:?}", b.params()));
     }
 

@@ -21,9 +21,10 @@
 //! one [`TurnState::step`], so the checker and
 //! [`TurnDriver`](bprc_sim::turn::TurnDriver) take the same transitions; a
 //! crash sets the victim's phase to [`Phase::Done`] without an output.
-//! Flip branching works through [`bprc_coin::Flips::Queue`]: before stepping a scan
-//! the checker loads one predetermined outcome; if the step consumed it,
-//! the other outcome is explored from a snapshot too.
+//! Flip branching works through the process's own local coin, reached by
+//! [`Checkable::flips_mut`] and set to a [`Flips::Queue`]: before stepping
+//! a scan the checker pushes one predetermined outcome; if the step
+//! consumed it, the other outcome is explored from a snapshot too.
 //!
 //! The results reach the verification gate as its `mc-consensus-*` rows
 //! (`experiments verify-gate`): bounded consensus at n = 2 over the atomic
@@ -32,55 +33,39 @@
 use std::collections::{HashSet, VecDeque};
 use std::hash::Hash;
 
+use bprc_coin::Flips;
 use bprc_sim::sched::Decision;
 use bprc_sim::turn::{Phase, TurnProcess, TurnState};
 
 /// A protocol the checker can drive: a clonable turn process whose local
-/// randomness can be fed predetermined outcomes.
+/// coin is a [`Flips::queue`] the checker loads with predetermined
+/// outcomes.
 pub trait Checkable: TurnProcess + Clone {
-    /// Loads one predetermined flip outcome.
-    fn load_flip(&mut self, heads: bool);
-    /// Number of loaded-but-unconsumed outcomes.
-    fn pending_flips(&self) -> usize;
+    /// The local coin the next scan draws from.
+    fn flips_mut(&mut self) -> &mut Flips;
 }
 
 impl Checkable for crate::bounded::BoundedCore {
-    fn load_flip(&mut self, heads: bool) {
-        self.flips_mut().push_outcome(heads);
-    }
-
-    fn pending_flips(&self) -> usize {
-        self.flips().queued()
+    fn flips_mut(&mut self) -> &mut Flips {
+        self.flips_mut()
     }
 }
 
 impl Checkable for crate::multivalued::MvCore {
-    fn load_flip(&mut self, heads: bool) {
-        self.inner_core_mut().flips_mut().push_outcome(heads);
-    }
-
-    fn pending_flips(&self) -> usize {
-        self.inner_core().flips().queued()
+    fn flips_mut(&mut self) -> &mut Flips {
+        self.inner_core_mut().flips_mut()
     }
 }
 
 impl<S: crate::multishot::ProposalSource + Clone> Checkable for crate::multishot::LogCore<S> {
-    fn load_flip(&mut self, heads: bool) {
-        self.inner_core_mut().load_flip(heads);
-    }
-
-    fn pending_flips(&self) -> usize {
-        self.inner_core().pending_flips()
+    fn flips_mut(&mut self) -> &mut Flips {
+        self.inner_core_mut().flips_mut()
     }
 }
 
 impl Checkable for crate::baselines::RoundCore {
-    fn load_flip(&mut self, heads: bool) {
-        self.flips_mut().push_outcome(heads);
-    }
-
-    fn pending_flips(&self) -> usize {
-        self.flips().queued()
+    fn flips_mut(&mut self) -> &mut Flips {
+        self.flips_mut()
     }
 }
 
@@ -232,9 +217,9 @@ where
             let flips: &[Option<bool>] = match node.phases[pid] {
                 Phase::Scan => {
                     let mut probe = node.clone();
-                    probe.procs[pid].load_flip(false);
+                    probe.procs[pid].flips_mut().push_outcome(false);
                     probe.step(pid);
-                    if probe.procs[pid].pending_flips() == 0 {
+                    if probe.procs[pid].flips_mut().queued() == 0 {
                         &[Some(false), Some(true)]
                     } else {
                         &[None]
@@ -245,10 +230,10 @@ where
             for &flip in flips {
                 let mut child = node.clone();
                 if let Some(heads) = flip {
-                    child.procs[pid].load_flip(heads);
+                    child.procs[pid].flips_mut().push_outcome(heads);
                 }
                 child.step(pid);
-                debug_assert_eq!(child.procs[pid].pending_flips(), 0);
+                debug_assert_eq!(child.procs[pid].flips_mut().queued(), 0);
                 let ev = McEvent {
                     decision: Decision::Grant(pid),
                     flip,
@@ -327,7 +312,6 @@ pub fn check_bounded(
 ) -> McReport<bool> {
     use crate::bounded::BoundedCore;
     use crate::state::ProcState;
-    use bprc_coin::Flips;
 
     let n = params.n();
     assert_eq!(inputs.len(), n, "one input per process");
@@ -344,7 +328,7 @@ mod tests {
     use super::*;
     use crate::bounded::{BoundedCore, ConsensusParams};
     use crate::state::ProcState;
-    use bprc_coin::{CoinParams, Flips};
+    use bprc_coin::CoinParams;
     use bprc_sim::turn::TurnStep;
 
     fn tiny_params(n: usize) -> ConsensusParams {
@@ -407,11 +391,8 @@ mod tests {
     }
 
     impl Checkable for EagerDecider {
-        fn load_flip(&mut self, heads: bool) {
-            self.inner.flips_mut().push_outcome(heads);
-        }
-        fn pending_flips(&self) -> usize {
-            self.inner.flips().queued()
+        fn flips_mut(&mut self) -> &mut Flips {
+            self.inner.flips_mut()
         }
     }
 
@@ -461,13 +442,13 @@ mod tests {
 
     /// A protocol over registers holding 0..=3: a scan reads `(own, other)`
     /// and looks up the next write in `table`, where 255 means decide. It
-    /// never flips, so the checker never branches on a coin.
+    /// never draws from its coin, so the checker never branches on one.
     #[derive(Clone)]
     struct TableProc {
         pid: usize,
         table: [[u8; 4]; 4],
         initial: u8,
-        queued: usize,
+        flips: Flips,
     }
 
     impl bprc_sim::turn::TurnProcess for TableProc {
@@ -486,11 +467,8 @@ mod tests {
     }
 
     impl Checkable for TableProc {
-        fn load_flip(&mut self, _heads: bool) {
-            self.queued += 1;
-        }
-        fn pending_flips(&self) -> usize {
-            self.queued
+        fn flips_mut(&mut self) -> &mut Flips {
+            &mut self.flips
         }
     }
 
@@ -501,7 +479,7 @@ mod tests {
             pid,
             table: tables[pid],
             initial: initials[pid],
-            queued: 0,
+            flips: Flips::queue(),
         };
         vec![proc(0), proc(1)]
     }

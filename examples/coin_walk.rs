@@ -6,9 +6,8 @@
 //! cargo run --example coin_walk
 //! ```
 
-use bprc::coin::flip::{FairFlips, FlipSource};
 use bprc::coin::montecarlo::{run_trials, run_walk};
-use bprc::coin::{theory, CoinParams};
+use bprc::coin::{theory, CoinParams, Flips};
 use bprc::sim::sched::{RandomStrategy, RoundRobin};
 
 fn trace_one(params: &CoinParams, seed: u64) {
@@ -20,9 +19,8 @@ fn trace_one(params: &CoinParams, seed: u64) {
         params.b(),
         params.m()
     );
-    let flips: Vec<Box<dyn FlipSource>> = (0..n)
-        .map(|p| Box::new(FairFlips::new(seed + p as u64)) as Box<dyn FlipSource>)
-        .collect();
+    let fair = || (0..n).map(|p| Flips::fair(seed + p as u64));
+    let flips = fair().collect();
     // Use the observer-free runner but trace by re-simulating with a
     // scripted printer: simplest is to run to completion and print the
     // summary, then show a coarse trace from a fresh identical run.
@@ -34,7 +32,7 @@ fn trace_one(params: &CoinParams, seed: u64) {
     };
     // Re-simulate manually for the trace.
     let mut counters = vec![0i64; n];
-    let mut sources: Vec<FairFlips> = (0..n).map(|p| FairFlips::new(seed + p as u64)).collect();
+    let mut sources: Vec<Flips> = fair().collect();
     let mut step = 0u64;
     'outer: loop {
         for p in 0..n {

@@ -37,11 +37,8 @@ impl TurnProcess for YoloDecider {
 }
 
 impl Checkable for YoloDecider {
-    fn load_flip(&mut self, heads: bool) {
-        self.inner.flips_mut().push_outcome(heads);
-    }
-    fn pending_flips(&self) -> usize {
-        self.inner.flips().queued()
+    fn flips_mut(&mut self) -> &mut Flips {
+        self.inner.flips_mut()
     }
 }
 
