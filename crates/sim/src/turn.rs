@@ -540,7 +540,10 @@ impl<P: TurnProcess> TurnDriver<P> {
             }
         }
         // Drain the event books and protocol-level telemetry once, at the
-        // end: cumulative counts cost no atomic per step this way.
+        // end: cumulative counts cost no atomic per step this way. The
+        // final probe's width is the widest the process published, because
+        // a core's register width never shrinks; 0 means it does not size
+        // its registers, as in the register-level bridge.
         for (pid, proc) in self.state.procs.iter().enumerate() {
             let m = self.metrics.proc(pid);
             let books = self.books[pid];
@@ -548,8 +551,12 @@ impl<P: TurnProcess> TurnDriver<P> {
             m.incr(Counter::Updates, books.updates);
             m.incr(Counter::Decisions, books.decisions);
             proc.publish_telemetry(&m);
-            if let Some(r) = proc.probe().round {
+            let probe = proc.probe();
+            if let Some(r) = probe.round {
                 m.gauge_set(Gauge::Round, r);
+            }
+            if probe.register_bits > 0 {
+                m.gauge_max(Gauge::MaxRegisterBits, probe.register_bits);
             }
         }
         TurnReport {
@@ -806,6 +813,7 @@ mod tests {
             fn probe(&self) -> TurnProbe {
                 TurnProbe {
                     round: Some(3 - self.left as u64),
+                    register_bits: 5,
                     ..TurnProbe::default()
                 }
             }
@@ -816,6 +824,7 @@ mod tests {
         let report = TurnDriver::new(vec![Prober { left: 3 }]).run(&mut TurnRoundRobin::new(), 100);
         assert_eq!(report.telemetry.counter(0, Counter::RoundAdvances), 3);
         assert_eq!(report.telemetry.gauge(0, Gauge::Round), Some(3));
+        assert_eq!(report.telemetry.gauge(0, Gauge::MaxRegisterBits), Some(5));
     }
 
     #[test]
