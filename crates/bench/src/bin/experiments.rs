@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! experiments [all|e1|...|e14|e5b]... [--quick]   # markdown tables
-//! experiments verify-gate [--quick] [--weakmem]   # fail-closed gate: writes
-//!             [--out=PATH]                        #   BENCH_verify.json
+//! experiments verify-gate [--quick] [--out=PATH]  # fail-closed gate: writes
+//!                                                 #   BENCH_verify.json
 //! ```
 //!
 //! `verify-gate` writes its document *before* judging it and exits 1 iff
@@ -35,7 +35,7 @@ const EXPERIMENTS: [(&str, Experiment); 13] = [
 
 /// Every subcommand with the flags it takes (a trailing `=` takes a value);
 /// the experiment tables are the fallback command.
-const COMMANDS: [(&str, &[&str]); 1] = [("verify-gate", &["--quick", "--weakmem", "--out="])];
+const COMMANDS: [(&str, &[&str]); 1] = [("verify-gate", &["--quick", "--out="])];
 
 const EXPERIMENT_FLAGS: &[&str] = &["--quick"];
 
@@ -66,8 +66,8 @@ fn die_usage(msg: impl std::fmt::Display) -> ! {
 }
 
 /// `verify-gate`: write the document, then judge it.
-fn gate(opts: &verify_gate::GateOptions, out: &str) {
-    let doc = verify_gate::run(opts);
+fn gate(scale: Scale, out: &str) {
+    let doc = verify_gate::run(scale);
     if let Err(e) = std::fs::write(out, doc.render_pretty(2) + "\n") {
         die(1, format!("cannot write {out}: {e}"));
     }
@@ -108,13 +108,7 @@ fn main() {
     };
 
     match first {
-        "verify-gate" => gate(
-            &verify_gate::GateOptions {
-                scale,
-                weakmem: flags.contains(&"--weakmem"),
-            },
-            out.unwrap_or("BENCH_verify.json"),
-        ),
+        "verify-gate" => gate(scale, out.unwrap_or("BENCH_verify.json")),
         _ => {
             let names = if words.is_empty() || words.contains(&"all") {
                 EXPERIMENTS.iter().map(|(name, _)| *name).collect()

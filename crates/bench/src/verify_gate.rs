@@ -42,8 +42,8 @@
 //! wait-free attempt bound, and the arena race — every [`bprc_core::entrants`] protocol at n ∈ {2, 4, 8}
 //! over both snapshot backends, whose rows also record the decided
 //! fraction, mean rounds, mean register operations and widest register.
-//! `--weakmem` *adds* the weak-memory rows to the sequentially consistent
-//! ones, and only the property tags some row of the run carries are printed.
+//! The weak-memory rows run beside the sequentially consistent ones, and
+//! only the property tags some row of the run carries are printed.
 //! Every recorded value is a count, a mean of counts or a verdict, so a
 //! document is a pure function of the code: timing lives in `benchmark/`.
 
@@ -129,17 +129,6 @@ const MAX_STEPS: u64 = 40;
 
 /// Process counts the arena race runs at.
 const ARENA_SIZES: [usize; 3] = [2, 4, 8];
-
-/// How to run the gate.
-#[derive(Debug, Clone)]
-pub struct GateOptions {
-    /// Sizes the consensus PCT sweeps (300 seeds quick, 5,000 full); every
-    /// other row is identical at both scales.
-    pub scale: Scale,
-    /// Add the weak-memory rows: the litmus matrix, store-buffer
-    /// exploration of the real n = 2 stack, the missing-fence fixture.
-    pub weakmem: bool,
-}
 
 /// The decision kind a seeded bug depends on: it must survive shrinking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -919,7 +908,7 @@ fn waitfree_bound() -> Check {
             Box::new(move |ctx| sp.scan(ctx)),
         ];
         let strategy = FnStrategy::new(|view: &ScheduleView<'_>| {
-            if view.step % 3 == 0 && view.runnable.contains(&1) {
+            if view.step.is_multiple_of(3) && view.runnable.contains(&1) {
                 Decision::Grant(1)
             } else if view.runnable.contains(&0) {
                 Decision::Grant(0)
@@ -1173,9 +1162,13 @@ fn arena_race(seed: u64, trials: u64, step_limit: u64) -> Vec<Check> {
     checks
 }
 
-/// The gate's checks, in execution order.
-fn table(opts: &GateOptions) -> Vec<Check> {
-    let seeds = opts.scale.trials(300, 5_000);
+/// The gate's checks, in execution order. `scale` sizes the consensus PCT
+/// sweeps (300 seeds quick, 5,000 full); every other row is identical at
+/// both scales. The weak-memory rows come last: the litmus matrix,
+/// store-buffer exploration of the real n = 2 stack, the missing-fence
+/// fixture.
+fn table(scale: Scale) -> Vec<Check> {
+    let seeds = scale.trials(300, 5_000);
     let mut checks = Vec::new();
     for budget in [0, 1] {
         checks.push(n2_update_scan::<Handshake<u64>>(budget));
@@ -1204,23 +1197,21 @@ fn table(opts: &GateOptions) -> Vec<Check> {
         mc_multivalued(1, 1, [0, 1], true),
     ]);
     checks.extend(arena_race(42, 5, 1_000_000));
-    if opts.weakmem {
-        for prog in corpus() {
-            for mode in [WeakMode::Sc, WeakMode::Tso, WeakMode::Pso] {
-                checks.push(litmus(&prog, mode));
-            }
+    for prog in corpus() {
+        for mode in [WeakMode::Sc, WeakMode::Tso, WeakMode::Pso] {
+            checks.push(litmus(&prog, mode));
         }
-        checks.extend([
-            n2_writer_scanner(WeakMode::Tso),
-            n2_writer_scanner(WeakMode::Pso),
-            message_passing(
-                "fixture-missing-fence",
-                false,
-                Expect::Found(Some(Keep::Flush)),
-            ),
-            message_passing("control-fenced-mp", true, Expect::Clean),
-        ]);
     }
+    checks.extend([
+        n2_writer_scanner(WeakMode::Tso),
+        n2_writer_scanner(WeakMode::Pso),
+        message_passing(
+            "fixture-missing-fence",
+            false,
+            Expect::Found(Some(Keep::Flush)),
+        ),
+        message_passing("control-fenced-mp", true, Expect::Clean),
+    ]);
     checks
 }
 
@@ -1279,11 +1270,11 @@ fn render(rows: &[Value]) -> Table {
 /// verdict as it lands, then the coverage matrix; returns the [`SCHEMA`]
 /// document (the CLI writes it, then exits non-zero iff [`validate`]
 /// rejects it).
-pub fn run(opts: &GateOptions) -> Value {
+pub fn run(scale: Scale) -> Value {
     // The PCT sweep's seeded fault plans inject panics; the runs contain
     // and check them, so their unwind reports would only bury the verdict.
     quiet_injected_panics();
-    let checks = table(opts);
+    let checks = table(scale);
     println!("verify-gate: fail-closed verification over schedules x faults x memory modes");
     println!("  pinned properties:");
     let mut properties = Vec::new();
@@ -1303,7 +1294,7 @@ pub fn run(opts: &GateOptions) -> Value {
     println!("\n{}", render(&rows));
     Value::obj(vec![
         ("schema", SCHEMA.into()),
-        ("scale", opts.scale.name().into()),
+        ("scale", scale.name().into()),
         ("properties", Value::Arr(properties)),
         ("checks", Value::Arr(rows)),
     ])
@@ -1452,13 +1443,8 @@ mod tests {
 
     #[test]
     fn table_rows_are_unique_and_cover_the_property_list() {
-        let [sc, all] = [false, true].map(|weakmem| {
-            table(&GateOptions {
-                scale: Scale::Quick,
-                weakmem,
-            })
-        });
-        assert_eq!((sc.len(), all.len()), (58, 77));
+        let all = table(Scale::Quick);
+        assert_eq!(all.len(), 77);
         let known = |tag: &&str| PROPERTIES.iter().any(|(t, _)| t == tag);
         for (i, check) in all.iter().enumerate() {
             let row = &check.row;
@@ -1470,9 +1456,6 @@ mod tests {
             let carried = all.iter().any(|c| c.row.tags.contains(tag));
             assert!(carried, "no row carries {tag}");
         }
-        // `--weakmem` adds rows; a run without it carries no WEAKMEM tag.
-        assert!(sc.iter().all(|c| !c.row.tags.contains(&"WEAKMEM")));
-        assert!(sc.iter().zip(&all).all(|(a, b)| a.row.name == b.row.name));
         // The arena race covers the whole field: entrants × sizes × backends.
         let arena: Vec<&str> = all
             .iter()
@@ -1653,7 +1636,7 @@ mod tests {
         assert_eq!(
             table(section),
             table(&rendered),
-            "re-paste DESIGN.md § Scope limits from the matrix `verify-gate --quick --weakmem` prints"
+            "re-paste DESIGN.md § Scope limits from the matrix `verify-gate --quick` prints"
         );
     }
 

@@ -27,8 +27,9 @@ fn experiments(args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn misspelt_flags_and_unknown_commands_exit_2_with_usage() {
-    let cases: [(&[&str], &str); 9] = [
+    let cases: [(&[&str], &str); 10] = [
         (&["verify-gate", "--weakmen"], "--weakmen"),
+        (&["verify-gate", "--weakmem"], "--weakmem"),
         (&["verify-gate", "--serial"], "--serial"),
         (&["verify-gate", "x.json"], "unexpected operand x.json"),
         (&["e1", "--out=x.json"], "--out=x.json"),

@@ -520,7 +520,7 @@ mod tests {
             let reach = if depth == 0 { 6 } else { 4 };
             match self.next() % reach {
                 0 => Value::Null,
-                1 => Value::Bool(self.next() % 2 == 0),
+                1 => Value::Bool(self.next().is_multiple_of(2)),
                 2 => match self.next() % 3 {
                     // Integers (the dominant case in telemetry), small
                     // floats, and floats needing shortest-round-trip.

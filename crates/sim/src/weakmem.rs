@@ -336,8 +336,8 @@ pub fn critical_cycle(history: &History, reg_names: &[String]) -> Option<Critica
     let mut adj: Vec<Vec<(usize, EdgeKind)>> = vec![Vec::new(); m];
     // po: consecutive ops of each pid (transitively closed by path search).
     let mut last_of: Vec<Option<usize>> = Vec::new();
-    for i in 0..m {
-        let pid = ops[i].pid;
+    for (i, op) in ops.iter().enumerate() {
+        let pid = op.pid;
         if last_of.len() <= pid {
             last_of.resize(pid + 1, None);
         }
@@ -348,11 +348,11 @@ pub fn critical_cycle(history: &History, reg_names: &[String]) -> Option<Critica
     }
     // co: per-register visibility order over flushed writes.
     let mut by_reg: Vec<(RegId, Vec<usize>)> = Vec::new();
-    for i in 0..m {
-        if ops[i].kind == OpKind::Write && ops[i].vis.is_some() {
-            match by_reg.iter_mut().find(|(r, _)| *r == ops[i].reg) {
+    for (i, op) in ops.iter().enumerate() {
+        if op.kind == OpKind::Write && op.vis.is_some() {
+            match by_reg.iter_mut().find(|(r, _)| *r == op.reg) {
                 Some((_, v)) => v.push(i),
-                None => by_reg.push((ops[i].reg, vec![i])),
+                None => by_reg.push((op.reg, vec![i])),
             }
         }
     }
@@ -376,7 +376,7 @@ pub fn critical_cycle(history: &History, reg_names: &[String]) -> Option<Critica
                     && ops[w].pid == pid
                     && ops[w].reg == reg
                     && ops[w].issue < at
-                    && ops[w].vis.map_or(true, |v| v > at)
+                    && ops[w].vis.is_none_or(|v| v > at)
             })
             .max_by_key(|&w| ops[w].issue);
         let source = forwarded.or_else(|| {
@@ -429,7 +429,7 @@ pub fn critical_cycle(history: &History, reg_names: &[String]) -> Option<Critica
         for &(next, kind) in &adj[start] {
             if next == start {
                 let cycle = vec![(start, kind, start)];
-                if best.as_ref().map_or(true, |b| b.len() > 1) {
+                if best.as_ref().is_none_or(|b| b.len() > 1) {
                     best = Some(cycle);
                 }
                 continue;
@@ -452,7 +452,7 @@ pub fn critical_cycle(history: &History, reg_names: &[String]) -> Option<Critica
                         cur = p;
                     }
                     path.reverse();
-                    if best.as_ref().map_or(true, |b| b.len() > path.len()) {
+                    if best.as_ref().is_none_or(|b| b.len() > path.len()) {
                         best = Some(path);
                     }
                     break 'bfs;

@@ -50,7 +50,7 @@ fn tiny_run(seed: u64) -> Outcome {
         })
         .collect();
     let mut random = RandomStrategy::new(seed);
-    let mut panic_due = seed % 10 == 0;
+    let mut panic_due = seed.is_multiple_of(10);
     let base = FnStrategy::new(move |view: &ScheduleView<'_>| {
         if panic_due && view.step >= 2 {
             panic_due = false;
@@ -58,7 +58,7 @@ fn tiny_run(seed: u64) -> Outcome {
         }
         random.decide(view)
     });
-    let strategy: Box<dyn Strategy> = if seed % 4 == 0 {
+    let strategy: Box<dyn Strategy> = if seed.is_multiple_of(4) {
         let plan = FaultPlan::new().crash_at(seed % 5, seed as usize % n);
         Box::new(FaultedStrategy::new(base, plan))
     } else {

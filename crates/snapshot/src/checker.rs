@@ -599,12 +599,13 @@ mod tests {
     /// scans returning it are flagged, scans skipping it are clean.
     #[test]
     fn unflushed_crashed_store_is_never_visible() {
-        let mut ev = Vec::new();
-        ev.push(note(0, 0, labels::UPD_START, vec![1]));
-        ev.push(store(0, 0, 100, 1)); // buffered, then the buffer is dropped
-        ev.push(flush(1, 1, 101)); // unrelated flush keeps the history weak
-        ev.push(note(2, 1, labels::SCAN_START, vec![]));
-        ev.push(note(4, 1, labels::SCAN_END, vec![0, 0]));
+        let ev = vec![
+            note(0, 0, labels::UPD_START, vec![1]),
+            store(0, 0, 100, 1), // buffered, then the buffer is dropped
+            flush(1, 1, 101),    // unrelated flush keeps the history weak
+            note(2, 1, labels::SCAN_START, vec![]),
+            note(4, 1, labels::SCAN_END, vec![0, 0]),
+        ];
         let history = History::from_events(ev);
         let r = check_history(&history, &meta(2));
         assert!(
@@ -613,12 +614,13 @@ mod tests {
             r.violations
         );
 
-        let mut ev2 = Vec::new();
-        ev2.push(note(0, 0, labels::UPD_START, vec![1]));
-        ev2.push(store(0, 0, 100, 1));
-        ev2.push(flush(1, 1, 101));
-        ev2.push(note(2, 1, labels::SCAN_START, vec![]));
-        ev2.push(note(4, 1, labels::SCAN_END, vec![1, 0]));
+        let ev2 = vec![
+            note(0, 0, labels::UPD_START, vec![1]),
+            store(0, 0, 100, 1),
+            flush(1, 1, 101),
+            note(2, 1, labels::SCAN_START, vec![]),
+            note(4, 1, labels::SCAN_END, vec![1, 0]),
+        ];
         let r2 = check_history(&History::from_events(ev2), &meta(2));
         assert!(
             matches!(r2.violations[0], SnapshotViolation::FutureValue { .. }),

@@ -136,7 +136,7 @@ fn solo_action_equivalence<A: ArrowCell>(seed: u64) {
                     .wrapping_add(i as u64 + 1);
                 let mut reuse_view: Vec<u64> = Vec::new();
                 for step in 0..25u64 {
-                    if lcg(&mut rng) % 3 != 0 {
+                    if !lcg(&mut rng).is_multiple_of(3) {
                         port.update(ctx, (i as u64 + 1) * 10_000 + step)?;
                     } else {
                         port.scan_into(ctx, &mut reuse_view)?;

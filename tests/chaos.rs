@@ -288,7 +288,7 @@ fn full_stack_survives_seeded_chaos_waitfree() {
         }
         assert_no_starvation(&rep.telemetry, n, &format!("wf stack seed={seed}"));
         assert!(
-            !rep.halted.iter().any(|h| *h == Some(Halted::ScanStarved)),
+            !rep.halted.contains(&Some(Halted::ScanStarved)),
             "wf stack seed={seed}: wait-free scan starved"
         );
     }
@@ -497,7 +497,7 @@ fn writer_pressure_starves_handshake_but_not_waitfree() {
             Box::new(move |ctx| sp.scan(ctx)),
         ];
         let strategy = FnStrategy::new(|view: &bprc::sim::ScheduleView<'_>| {
-            if view.step % 3 == 0 && view.runnable.contains(&1) {
+            if view.step.is_multiple_of(3) && view.runnable.contains(&1) {
                 Decision::Grant(1)
             } else if view.runnable.contains(&0) {
                 Decision::Grant(0)
@@ -627,7 +627,7 @@ fn scan_retry_budget_degrades_full_stack_scan() {
         Box::new(move |ctx| sp.scan(ctx)),
     ];
     let strategy = FnStrategy::new(|view: &bprc::sim::ScheduleView<'_>| {
-        if view.step % 3 == 0 && view.runnable.contains(&1) {
+        if view.step.is_multiple_of(3) && view.runnable.contains(&1) {
             Decision::Grant(1)
         } else if view.runnable.contains(&0) {
             Decision::Grant(0)

@@ -267,7 +267,7 @@ fn crash_sweep_full_stack_waitfree() {
                 );
             }
             assert!(
-                !rep.halted.iter().any(|h| *h == Some(Halted::ScanStarved)),
+                !rep.halted.contains(&Some(Halted::ScanStarved)),
                 "wf sweep victim {victim} @ {crash_at}: a wait-free scan starved"
             );
             for pid in 0..n {

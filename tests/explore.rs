@@ -97,8 +97,8 @@ fn broken_scanner_factory() -> impl FnMut() -> (World, Vec<ProcBody<Vec<u64>>>) 
         // value doubles as the ghost sequence number.
         let v: Vec<_> = (0..3).map(|i| world.reg(format!("V{i}"), 0u64)).collect();
         let mut bodies: Vec<ProcBody<Vec<u64>>> = Vec::new();
-        for pid in 0..2 {
-            let reg = v[pid].clone();
+        for reg in &v[..2] {
+            let reg = reg.clone();
             bodies.push(Box::new(move |ctx| {
                 ctx.annotate(labels::UPD_START, vec![1]);
                 reg.write_tagged(ctx, 1, 1)?;
@@ -106,7 +106,7 @@ fn broken_scanner_factory() -> impl FnMut() -> (World, Vec<ProcBody<Vec<u64>>>) 
                 Ok(vec![])
             }));
         }
-        let regs: Vec<_> = v.iter().cloned().collect();
+        let regs: Vec<_> = v.to_vec();
         bodies.push(Box::new(move |ctx| {
             ctx.annotate(labels::SCAN_START, vec![]);
             let mut view = Vec::with_capacity(3);

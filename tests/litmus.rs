@@ -19,7 +19,7 @@ fn drive(prog: &LitmusProgram, mode: WeakMode) {
     let build = prog.build;
     let check = prog.check;
     let mut make = move || build(mode);
-    let rep = explore(&ExploreConfig::default(), &mut make, |r| check(r));
+    let rep = explore(&ExploreConfig::default(), &mut make, &check);
     if !prog.expected_found(mode) {
         assert!(
             rep.violation.is_none(),
@@ -127,7 +127,7 @@ fn sb_critical_cycle_blames_a_buffered_store() {
     let build = prog.build;
     let check = prog.check;
     let mut make = move || build(WeakMode::Tso);
-    let rep = explore(&ExploreConfig::default(), &mut make, |r| check(r));
+    let rep = explore(&ExploreConfig::default(), &mut make, &check);
     let cex = rep.violation.expect("sb is reachable under TSO");
     let (min, _) = shrink_trace(&mut make, &mut |r| check(r), cex.trace);
     let (replayed, _) = run_trace(&mut make, &min);
