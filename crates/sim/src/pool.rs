@@ -1,14 +1,25 @@
-//! Process-global worker threads that outlive [`World::run`](crate::world::World::run).
+//! Process-global free lists of resources that outlive the
+//! [`World`](crate::world::World)s using them, so building and running a
+//! world costs O(n) bookkeeping, not O(n) fresh resources. One mechanism,
+//! [`FreeList`], pools two resources:
 //!
-//! A run of `n` processes checks `n - 1` workers out, sends each one
-//! process body, runs the last body on its own calling thread, and checks
-//! the workers back in once every body reported — so the stateless
-//! explorer, the verify gate and every per-log world reuse the same few OS
-//! threads instead of paying a `thread::spawn`/`join` per process per
-//! run, and a one-process run takes no worker at all. Workers
-//! are spawned on demand, idle ones block on their channel (an untouched
-//! stack costs no resident memory), and concurrent runs (concurrent tests,
-//! say) simply check out disjoint sets.
+//! - **Worker threads.** A run of `n` processes checks `n - 1` workers out,
+//!   sends each one process body, runs the last body on its own calling
+//!   thread, and checks the workers back in once every body reported — so
+//!   the stateless explorer, the verify gate and every per-log world reuse
+//!   the same few OS threads instead of paying a `thread::spawn`/`join` per
+//!   process per run, and a one-process run takes no worker at all.
+//!   Workers are spawned on demand, idle ones block on their channel (an
+//!   untouched stack costs no resident memory), and concurrent runs
+//!   (concurrent tests, say) simply check out disjoint sets.
+//! - **Flight-recorder rings** ([`crate::tracing`]), one free list per slot
+//!   count: a world's recorder checks out one ring per process when it is
+//!   built and checks them in when it is dropped, so once the list is warm
+//!   a world's build allocates and writes none of its `n` × 64 KiB of
+//!   default-capacity slots.
+//!
+//! A free list keeps what was checked in until the process exits: its
+//! high-water mark, the most items of one kind that were ever out at once.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Sender};
@@ -20,10 +31,44 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// Dropping the handle ends the thread.
 pub(crate) struct Worker(Sender<Job>);
 
-/// Idle workers, most recently used last. Check-out takes from the end and
-/// check-in appends in order, so back-to-back runs on one thread get the
-/// same workers in the same pid order.
-static IDLE: Mutex<Vec<Worker>> = Mutex::new(Vec::new());
+/// A process-global free list. Check-out takes from the end and check-in
+/// appends in order, so back-to-back check-outs on one thread get the same
+/// items in the same order.
+pub(crate) struct FreeList<T>(Mutex<Vec<T>>);
+
+impl<T> FreeList<T> {
+    /// An empty list, for a `static`.
+    pub(crate) const fn new() -> Self {
+        FreeList(Mutex::new(Vec::new()))
+    }
+
+    /// The list. Nothing panics while it is held, and a `Vec` of idle
+    /// items is valid at every step anyway, so poison carries no news.
+    fn lock(&self) -> MutexGuard<'_, Vec<T>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Takes `n` items out of the list, making the ones it lacks (outside
+    /// the lock).
+    pub(crate) fn checkout(&self, n: usize, make: impl FnMut() -> T) -> Vec<T> {
+        let mut items = Vec::with_capacity(n);
+        {
+            let mut list = self.lock();
+            let keep = list.len().saturating_sub(n);
+            items.extend(list.drain(keep..));
+        }
+        items.resize_with(n, make);
+        items
+    }
+
+    /// Returns items to the list, in order.
+    pub(crate) fn checkin(&self, items: impl IntoIterator<Item = T>) {
+        self.lock().extend(items);
+    }
+}
+
+/// Idle workers, most recently used last.
+static IDLE: FreeList<Worker> = FreeList::new();
 
 impl Worker {
     fn spawn() -> Worker {
@@ -50,24 +95,12 @@ impl Worker {
     }
 }
 
-/// The idle list. Nothing panics while it is held, and a `Vec` of
-/// handles is valid at every step anyway, so poison carries no news.
-fn idle() -> MutexGuard<'static, Vec<Worker>> {
-    IDLE.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Takes `n` workers out of the pool, spawning the ones it lacks.
 pub(crate) fn checkout(n: usize) -> Vec<Worker> {
-    let mut workers = {
-        let mut list = idle();
-        let keep = list.len().saturating_sub(n);
-        list.split_off(keep)
-    };
-    workers.resize_with(n, Worker::spawn);
-    workers
+    IDLE.checkout(n, Worker::spawn)
 }
 
 /// Returns workers to the pool, in order.
 pub(crate) fn checkin(workers: Vec<Worker>) {
-    idle().extend(workers);
+    IDLE.checkin(workers);
 }

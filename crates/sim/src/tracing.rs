@@ -38,12 +38,21 @@
 //! leaves a readable ring behind. [`FlightRecorder::snapshot`] is taken
 //! after the world joins its threads (join gives the happens-before edge
 //! that makes the relaxed loads well-defined).
+//!
+//! Rings are pooled. A default-capacity ring is 2,048 slots, 64 KiB, and
+//! the stateless explorer builds a world per schedule, so a recorder takes
+//! its rings from a process-global free list keyed by slot count and hands
+//! them back when it is dropped: building one resets two words per ring
+//! instead of writing every slot. A reused ring needs no clearing, because a
+//! snapshot reads only the newest `min(cursor, capacity)` slots, and each of
+//! those was written through the recorder that owns the ring now.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::json::Value;
+use crate::pool::FreeList;
 
 /// Monotonic nanoseconds since the first call in this process.
 ///
@@ -206,12 +215,12 @@ struct Ring {
 }
 
 impl Ring {
-    fn new(capacity: usize) -> Self {
-        let len = capacity.next_power_of_two();
+    /// A ring of `len` never-written slots; `len` is a power of two.
+    fn new(len: usize) -> Self {
         Ring {
             slots: (0..len).map(|_| Slot::new()).collect(),
             mask: len as u64 - 1,
-            capacity: capacity as u64,
+            capacity: len as u64,
             cursor: AtomicU64::new(0),
         }
     }
@@ -235,7 +244,7 @@ impl Ring {
             let slot = &self.slots[(k & self.mask) as usize];
             let code = slot.kind.load(Ordering::Relaxed) as usize;
             let Some(&kind) = EventKind::ALL.get(code) else {
-                continue; // never-written slot (or torn mid-run read)
+                continue; // torn mid-run read of a fresh slot
             };
             out.push(TraceEvent {
                 pid: 0, // filled by the recorder
@@ -252,6 +261,14 @@ impl Ring {
 /// The default per-process ring capacity [`crate::World`]s are built with.
 pub const DEFAULT_RING_CAPACITY: usize = 2048;
 
+/// The idle rings with `len` slots (a power of two): one free list per slot
+/// count, indexed by its base-2 logarithm.
+fn free_rings(len: usize) -> &'static FreeList<Ring> {
+    static FREE: [FreeList<Ring>; usize::BITS as usize] =
+        [const { FreeList::new() }; usize::BITS as usize];
+    &FREE[len.trailing_zeros() as usize]
+}
+
 /// Per-process bounded event rings: the live flight recorder.
 ///
 /// A record is five relaxed stores and one relaxed load on a ring with
@@ -259,6 +276,10 @@ pub const DEFAULT_RING_CAPACITY: usize = 2048;
 /// division, never blocks, never allocates. A capacity of 0 disables
 /// the recorder entirely ([`FlightRecorder::record`] becomes a no-op
 /// branch), which is how the overhead self-measurement gets its baseline.
+///
+/// Building one is O(n): its rings come from a process-global free list
+/// and go back to it on drop (see the module docs), so only the first
+/// recorder of a shape allocates and writes its slots.
 pub struct FlightRecorder {
     rings: Vec<Ring>,
     capacity: usize,
@@ -276,11 +297,21 @@ impl std::fmt::Debug for FlightRecorder {
 impl FlightRecorder {
     /// A recorder with one ring per process, each keeping the newest
     /// `capacity` events. `capacity = 0` disables recording.
+    ///
+    /// Each ring has `capacity.max(1).next_power_of_two()` slots and is
+    /// taken from the idle rings of that slot count when there is one —
+    /// only its cursor and capacity are reset, its slots keep a dropped
+    /// recorder's events, which no snapshot of this one reads — and made
+    /// fresh otherwise.
     pub fn new(n: usize, capacity: usize) -> Self {
-        FlightRecorder {
-            rings: (0..n).map(|_| Ring::new(capacity.max(1))).collect(),
-            capacity,
+        let kept = capacity.max(1);
+        let len = kept.next_power_of_two();
+        let mut rings = free_rings(len).checkout(n, || Ring::new(len));
+        for ring in &mut rings {
+            ring.capacity = kept as u64;
+            *ring.cursor.get_mut() = 0;
         }
+        FlightRecorder { rings, capacity }
     }
 
     /// Whether events are being kept (capacity > 0).
@@ -318,8 +349,10 @@ impl FlightRecorder {
     }
 
     /// Freezes every ring into a [`FlightLog`]. Sound after the writers
-    /// have been joined (how [`World::run`](crate::World::run) uses it);
-    /// a mid-run snapshot may contain a torn slot, which is dropped.
+    /// have been joined (how [`World::run`](crate::World::run) uses it).
+    /// A mid-run snapshot may read a slot whose event is still being
+    /// written: it is dropped if its kind is torn, and may show the slot's
+    /// previous event (this recorder's, or a dropped one's) otherwise.
     pub fn snapshot(&self) -> FlightLog {
         let mut events = Vec::with_capacity(self.rings.len());
         let mut overflow = Vec::with_capacity(self.rings.len());
@@ -339,6 +372,17 @@ impl FlightRecorder {
             capacity: self.capacity,
             events,
             overflow,
+        }
+    }
+}
+
+impl Drop for FlightRecorder {
+    /// Hands the rings back to the free list of their slot count. Drop has
+    /// `&mut self`, so no writer is left.
+    fn drop(&mut self) {
+        let rings = std::mem::take(&mut self.rings);
+        if let Some(len) = rings.first().map(|ring| ring.slots.len()) {
+            free_rings(len).checkin(rings);
         }
     }
 }
