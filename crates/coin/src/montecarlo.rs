@@ -428,16 +428,49 @@ mod tests {
             .all(|d| matches!(d, Some(CoinValue::Heads))));
     }
 
+    /// Every counter the adversary is ever shown lies within `±(m+1)`.
+    /// The barrier (12) lies beyond `n·(m+1)` (9), so the walk can never
+    /// reach it: each process ends only by driving its own counter to
+    /// `±(m+1)` and overflowing to heads, so the longer prefixes press
+    /// counters against the cap. It is the overflow rule that holds them
+    /// there — a counter that reaches `±(m+1)` decides within the same
+    /// event and never steps again — so `walk_step`'s clamp is a second
+    /// line that no run of the walk reaches.
     #[test]
     fn counters_never_exceed_cap() {
-        let p = CoinParams::new(3, 1, 4);
-        // Check invariant across the run by re-running many short prefixes.
+        let tight = CoinParams::new(3, 4, 2);
+        let cap = tight.counter_cap();
         for max in [10, 50, 200, 1000] {
-            let out = run_walk(&p, fair(3, 99), &mut RandomStrategy::new(5), max);
-            let _ = out;
-            // The invariant lives inside walk_step's clamp; verify via a
-            // scripted extreme:
+            let mut random = RandomStrategy::new(5);
+            let mut widest = 0;
+            let mut checked = FnStrategy::new(|view: &WalkView<'_>| {
+                assert!(view.step < max, "asked past the budget at {}", view.step);
+                for &c in view.counters {
+                    assert!(
+                        c.abs() <= cap,
+                        "counter {c} beyond ±{cap} at event {}",
+                        view.step
+                    );
+                    widest = widest.max(c.abs());
+                }
+                random.decide(view)
+            });
+            let out = run_walk(&tight, fair(3, 99), &mut checked, max);
+            assert!(
+                out.events <= max,
+                "{} events in a prefix of {max}",
+                out.events
+            );
+            if max == 1000 {
+                assert_eq!(widest, cap, "no counter reached the cap");
+                assert!(out.overflowed);
+                assert!(out
+                    .decisions
+                    .iter()
+                    .all(|d| matches!(d, Some(CoinValue::Heads))));
+            }
         }
+        let p = CoinParams::new(3, 1, 4);
         let flips = vec![Flips::biased(0, 1.0); 3];
         let out = run_walk(&p, flips, &mut RoundRobin::new(), 10_000);
         assert!(out.events < 10_000, "should decide quickly");
