@@ -2,7 +2,7 @@
 //! of the same algorithm [`crate::montecarlo`] simulates.
 
 use bprc_registers::Swmr;
-use bprc_sim::{Counter, Ctx, EventKind, Halted, World};
+use bprc_sim::{Counter, Ctx, EventKind, Halted, RegName, World};
 
 use crate::flip::Flips;
 use crate::params::CoinParams;
@@ -20,7 +20,7 @@ impl SharedCoin {
     pub fn new(world: &World, params: CoinParams) -> Self {
         assert_eq!(world.n(), params.n(), "coin size must match the world");
         let counters = (0..params.n())
-            .map(|i| Swmr::new(world, format!("c_{i}"), i, 0i64))
+            .map(|i| Swmr::new(world, RegName::indexed("c_", i), i, 0i64))
             .collect();
         SharedCoin { params, counters }
     }

@@ -11,7 +11,7 @@
 //! [`HandshakeArrow`], the paper-footnote simulation from two single-writer
 //! bits.
 
-use bprc_sim::{Counter, Ctx, Halted, Reg, World};
+use bprc_sim::{Counter, Ctx, Halted, Reg, RegName, World};
 
 use crate::swmr::Swmr;
 
@@ -25,7 +25,7 @@ pub trait ArrowCell: Clone + Send + Sync + 'static {
     ///
     /// (`DirectArrow` ignores the pids; `HandshakeArrow` uses them to assign
     /// the two single-writer bits.)
-    fn alloc(world: &World, name: &str, writer: usize, scanner: usize) -> Self;
+    fn alloc(world: &World, name: impl Into<RegName>, writer: usize, scanner: usize) -> Self;
 
     /// Writer side: raise the arrow (announce an impending value write).
     ///
@@ -75,7 +75,7 @@ impl DirectArrow {
     /// in free mode the RMW is what publishes the process's earlier value
     /// writes (`bprc_sim::reg`'s bit backing says why). Scheduling and
     /// telemetry are identical to a locked cell.
-    pub fn new(world: &World, name: impl Into<String>) -> Self {
+    pub fn new(world: &World, name: impl Into<RegName>) -> Self {
         DirectArrow {
             cell: world.bit_reg(name, false),
         }
@@ -83,7 +83,7 @@ impl DirectArrow {
 }
 
 impl ArrowCell for DirectArrow {
-    fn alloc(world: &World, name: &str, _writer: usize, _scanner: usize) -> Self {
+    fn alloc(world: &World, name: impl Into<RegName>, _writer: usize, _scanner: usize) -> Self {
         DirectArrow::new(world, name)
     }
 
@@ -135,20 +135,22 @@ pub struct HandshakeArrow {
 }
 
 impl HandshakeArrow {
-    /// Allocates a lowered handshake arrow between `writer` and `scanner`.
+    /// Allocates a lowered handshake arrow between `writer` and `scanner`;
+    /// its bits are named `name` with the suffixes `.flag` and `.ack`.
     ///
     /// Each bit is single-writer, so both ride packed bits without even
     /// needing RMW arbitration between the endpoints.
-    pub fn new(world: &World, name: &str, writer: usize, scanner: usize) -> Self {
+    pub fn new(world: &World, name: impl Into<RegName>, writer: usize, scanner: usize) -> Self {
+        let name = name.into();
         HandshakeArrow {
-            flag: Swmr::new_bit(world, format!("{name}.flag"), writer, false),
-            ack: Swmr::new_bit(world, format!("{name}.ack"), scanner, false),
+            flag: Swmr::new_bit(world, name.clone().with_suffix(".flag"), writer, false),
+            ack: Swmr::new_bit(world, name.with_suffix(".ack"), scanner, false),
         }
     }
 }
 
 impl ArrowCell for HandshakeArrow {
-    fn alloc(world: &World, name: &str, writer: usize, scanner: usize) -> Self {
+    fn alloc(world: &World, name: impl Into<RegName>, writer: usize, scanner: usize) -> Self {
         HandshakeArrow::new(world, name, writer, scanner)
     }
 

@@ -1,6 +1,6 @@
 //! Single-writer multi-reader registers.
 
-use bprc_sim::{Ctx, FastPod, Halted, Reg, World};
+use bprc_sim::{Ctx, FastPod, Halted, Reg, RegName, World};
 
 /// A single-writer multi-reader atomic register.
 ///
@@ -50,7 +50,7 @@ impl<T> Clone for Swmr<T> {
 
 impl<T: Clone + Send + Sync + 'static> Swmr<T> {
     /// Allocates a SWMR register owned by process `writer`.
-    pub fn new(world: &World, name: impl Into<String>, writer: usize, init: T) -> Self {
+    pub fn new(world: &World, name: impl Into<RegName>, writer: usize, init: T) -> Self {
         Swmr {
             reg: world.reg(name, init),
             writer,
@@ -173,7 +173,7 @@ impl<T: FastPod> Swmr<T> {
         world: &World,
         slab: &bprc_sim::ValueSlab,
         lane: usize,
-        name: impl Into<String>,
+        name: impl Into<RegName>,
         writer: usize,
         init: T,
     ) -> Self {
@@ -188,7 +188,7 @@ impl Swmr<bool> {
     /// Like [`Swmr::new`] for a single bit, packed into a shared
     /// chunk (see [`World::bit_reg`](bprc_sim::World::bit_reg)). The SWMR
     /// discipline is unchanged.
-    pub fn new_bit(world: &World, name: impl Into<String>, writer: usize, init: bool) -> Self {
+    pub fn new_bit(world: &World, name: impl Into<RegName>, writer: usize, init: bool) -> Self {
         Swmr {
             reg: world.bit_reg(name, init),
             writer,

@@ -79,7 +79,7 @@ pub use explore::{Counterexample, DecisionTrace, ExploreConfig, ExploreReport, I
 pub use faults::{FaultPlan, FaultedStrategy};
 pub use history::FaultKind;
 pub use metrics::{Counter, Gauge, MetricsRegistry, ProcMetrics, Telemetry};
-pub use reg::{FastPod, Reg, BIT_CHUNK_BITS, MAX_FAST_WORDS, NO_VERSION};
+pub use reg::{FastPod, Reg, RegName, BIT_CHUNK_BITS, MAX_FAST_WORDS, NO_VERSION};
 pub use sched::{Decision, Level, ScheduleView, Strategy};
 pub use tracing::{
     now_nanos, EventKind, FlightLog, FlightRecorder, Heartbeat, Hist, Histogram, TraceEvent,

@@ -43,6 +43,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::json::Value;
+use crate::pool::FreeList;
 use crate::tracing::{AtomicHistogram, Hist, Histogram};
 
 macro_rules! counters {
@@ -186,11 +187,24 @@ impl Shard {
     }
 }
 
+/// The shards of dropped registries: one free list per length class
+/// (`len.next_power_of_two()`), indexed by its base-2 logarithm.
+fn free_shards(len: usize) -> &'static FreeList<Vec<Shard>> {
+    static FREE: [FreeList<Vec<Shard>>; usize::BITS as usize] =
+        [const { FreeList::new() }; usize::BITS as usize];
+    &FREE[len.next_power_of_two().trailing_zeros() as usize]
+}
+
 /// Sharded counters/gauges/histograms for `n` processes plus one global
 /// shard (pid-less accounting such as the §6 memory high-water).
 ///
 /// Cloneable handles are taken with [`MetricsRegistry::proc`]; snapshots
 /// with [`MetricsRegistry::snapshot`].
+///
+/// Building one costs no allocation once the process has dropped a
+/// registry of its size class: the shards come from a process-global free
+/// list and go back to it on drop, and a reused shard is zeroed in place
+/// with plain stores (see `sim::pool`).
 pub struct MetricsRegistry {
     n: usize,
     shards: Vec<Shard>,
@@ -204,13 +218,27 @@ impl std::fmt::Debug for MetricsRegistry {
     }
 }
 
+impl Drop for MetricsRegistry {
+    /// Hands the shards back to the free list of their length class.
+    fn drop(&mut self) {
+        let shards = std::mem::take(&mut self.shards);
+        free_shards(shards.len()).checkin([shards]);
+    }
+}
+
 impl MetricsRegistry {
-    /// A registry for `n` processes (plus the global shard).
+    /// A registry for `n` processes (plus the global shard), every count
+    /// zero and every gauge unset.
     pub fn new(n: usize) -> Self {
-        MetricsRegistry {
-            n,
-            shards: (0..n + 1).map(|_| Shard::new()).collect(),
+        let len = n + 1;
+        let mut shards = free_shards(len).take().unwrap_or_default();
+        shards.truncate(len);
+        for shard in &mut shards {
+            // `&mut`: no other handle exists, so these are plain stores.
+            *shard = Shard::new();
         }
+        shards.resize_with(len, Shard::new);
+        MetricsRegistry { n, shards }
     }
 
     /// Number of processes.
@@ -548,6 +576,31 @@ mod tests {
         assert_eq!(t.gauge(1, Gauge::MaxRegisterBits), Some(7));
         assert_eq!(t.gauge_max_all(Gauge::MaxRegisterBits), Some(7));
         assert_eq!(t.gauge_global(Gauge::MaxTotalBits), None);
+    }
+
+    #[test]
+    fn a_registry_built_after_a_used_one_reads_empty() {
+        // 5 + 1 and 7 + 1 shards share a length class, so a build can
+        // reuse a dropped registry's shards and must zero them, shrinking
+        // or growing the vector; 3 + 1 reuses them exactly.
+        let empty = AtomicHistogram::new().snapshot();
+        for (used, fresh) in [(3, 3), (5, 7), (7, 5)] {
+            let reg = MetricsRegistry::new(used);
+            for p in (0..used).map(|pid| reg.proc(pid)).chain([reg.global()]) {
+                p.incr(Counter::RegReads, 3);
+                p.gauge_set(Gauge::Round, 4);
+                p.hist_record(Hist::ScanLatencyNs, 1_000);
+            }
+            drop(reg);
+            let t = MetricsRegistry::new(fresh).snapshot();
+            assert_eq!(t.n(), fresh);
+            // Shard `fresh` is the global one.
+            for shard in 0..=fresh {
+                assert!(Counter::ALL.iter().all(|&c| t.counter(shard, c) == 0));
+                assert!(Gauge::ALL.iter().all(|&g| t.gauge(shard, g).is_none()));
+                assert!(Hist::ALL.iter().all(|&h| *t.hist(shard, h) == empty));
+            }
+        }
     }
 
     #[test]

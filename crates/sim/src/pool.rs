@@ -1,7 +1,7 @@
 //! Process-global free lists of resources that outlive the
 //! [`World`](crate::world::World)s using them, so building and running a
 //! world costs O(n) bookkeeping, not O(n) fresh resources. One mechanism,
-//! [`FreeList`], pools two resources:
+//! [`FreeList`], pools three resources:
 //!
 //! - **Worker threads.** A run of `n` processes checks `n - 1` workers out,
 //!   sends each one process body, runs the last body on its own calling
@@ -17,6 +17,11 @@
 //!   built and checks them in when it is dropped, so once the list is warm
 //!   a world's build allocates and writes none of its `n` × 64 KiB of
 //!   default-capacity slots.
+//! - **Metrics shards** ([`crate::metrics`]), one free list per length
+//!   class: a [`MetricsRegistry`](crate::metrics::MetricsRegistry) (one
+//!   per world, and one per turn driver) checks out one vector of `n + 1`
+//!   shards and zeroes it in place, which skips the allocator for its
+//!   `n + 1` × 1,856 bytes; zeroing them is the cost that is left.
 //!
 //! A free list keeps what was checked in until the process exits: its
 //! high-water mark, the most items of one kind that were ever out at once.
@@ -59,6 +64,11 @@ impl<T> FreeList<T> {
         }
         items.resize_with(n, make);
         items
+    }
+
+    /// Takes the most recently checked-in item, if any.
+    pub(crate) fn take(&self) -> Option<T> {
+        self.lock().pop()
     }
 
     /// Returns items to the list, in order.

@@ -12,10 +12,10 @@
 //!
 //! # Backings
 //!
-//! A register handle hides one of three backings, and which one is a pure
-//! function of what the allocator is handed — there is no world-level
-//! switch, because every backing is a linearizable cell and so a faithful
-//! model of the paper's one primitive:
+//! A register handle holds one of three backings by value, and which one
+//! is a pure function of what the allocator is handed — there is no
+//! world-level switch, because every backing is a linearizable cell and so
+//! a faithful model of the paper's one primitive:
 //!
 //! | allocator | backing |
 //! |---|---|
@@ -24,15 +24,18 @@
 //! | [`World::bit_reg`] | **Bit**, always |
 //! | [`World::value_slab`] + [`World::lane_reg`] | **Lane** of the shared slab iff its stride is in `1..=`[`MAX_FAST_WORDS`] and equals `init.words()`, and the lane exists; else as `fast_reg` |
 //!
-//! * **Lock** — a `parking_lot::RwLock<T>` cell. The wide-payload fallback,
-//!   the only backing whose [`Reg::swap`] is a true exchange on free
-//!   threads, and the oracle the equivalence tests compare the others
+//! * **Lock** — a `parking_lot::RwLock<T>` cell behind one `Arc`, the
+//!   only heap cell a register allocation makes. The wide-payload
+//!   fallback, the only backing whose [`Reg::swap`] is a true exchange on
+//!   free threads, and the oracle the equivalence tests compare the others
 //!   against.
 //! * **Bit** — a single boolean packed into one bit of a shared cache-line
 //!   chunk of atomic words ([`BIT_CHUNK_BITS`] = 512 booleans per line).
 //!   Raise/lower are `fetch_or`/`fetch_and` RMWs, so two writers on the
 //!   same bit — the paper's arrow registers — stay atomic, and neighbours
-//!   packed into the same word can never tear each other.
+//!   packed into the same word can never tear each other. The handle holds
+//!   the chunk's `Arc`, the word and the mask: allocating a bit allocates
+//!   nothing but a fresh chunk every 512 bits.
 //! * **Lane** — a *seqlock*: the [`FastPod`] payload packed into `AtomicU64`
 //!   words guarded by an even/odd version word. Readers are lock-free
 //!   (optimistic read, retry if the version moved); writers acquire the odd
@@ -40,7 +43,14 @@
 //!   all its lanes' version words in one contiguous array (and all payload
 //!   words in another), so a collect pass that only has to *check* versions
 //!   walks ⌈n/8⌉ cache lines instead of `n` scattered cells; a `fast_reg`
-//!   is simply a slab of one lane.
+//!   is simply a slab of one lane. The handle holds the slab's `Arc` and
+//!   its lane index, so a [`World::lane_reg`] allocates nothing.
+//!
+//! A clone of a handle shares the cell: it clones the `Arc` it holds
+//! (the locked cell, the chunk or the slab), never the value. Every access
+//! reaches the memory through that one `Arc`, with no per-register heap
+//! cell in between, and reaches the world's gate through the caller's
+//! [`Ctx`]: a handle holds no reference to its world.
 //!
 //! Every backing sits *behind* the world's access gate, so scheduling,
 //! telemetry counters and history recording are identical regardless of
@@ -61,6 +71,15 @@
 //! [`World::bit_reg`]: crate::world::World::bit_reg
 //! [`World::value_slab`]: crate::world::World::value_slab
 //! [`World::lane_reg`]: crate::world::World::lane_reg
+//!
+//! # Names
+//!
+//! A register's [`RegName`] is data: owned text, or a static prefix with
+//! one or two indices and an optional static suffix (`V_3`, `A_0_1.flag`).
+//! The world keeps the names and renders them only when
+//! [`World::reg_names`] is called, so naming a register formats nothing.
+//!
+//! [`World::reg_names`]: crate::world::World::reg_names
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -71,7 +90,7 @@ use crate::error::Halted;
 use crate::history::{OpKind, RegId};
 use crate::metrics::Counter;
 use crate::weakmem::BufferedStore;
-use crate::world::{Ctx, WorldInner};
+use crate::world::Ctx;
 
 /// Widest payload (in 64-bit words) a seqlock lane accepts; wider
 /// [`FastPod`] values fall back to the locked backing. Sized for payloads
@@ -91,6 +110,136 @@ const BIT_CHUNK_WORDS: usize = 8;
 
 /// Single-bit registers packed per `BitChunk`: 8 words × 64 bits.
 pub const BIT_CHUNK_BITS: usize = BIT_CHUNK_WORDS * 64;
+
+/// A register's name, kept as data and rendered only when read.
+///
+/// Either owned text (any `&str` or `String` converts into one) or a
+/// `&'static str` prefix followed by one or two indices and an optional
+/// static suffix: [`RegName::indexed`]`("V_", 3)` renders `V_3`,
+/// [`RegName::pair`]`("A_", 0, 1)` renders `A_0_1`, and
+/// [`with_suffix`](RegName::with_suffix)`(".flag")` appends `.flag`.
+/// Building an indexed name formats and allocates nothing, which is what
+/// lets the scannable memory's n² arrows cost no `format!`.
+///
+/// [`Display`](std::fmt::Display) gives the name's text; compare names by
+/// that text, since `"V_3"` and `RegName::indexed("V_", 3)` are held
+/// differently.
+///
+/// ```
+/// use bprc_sim::RegName;
+///
+/// assert_eq!(RegName::indexed("V_", 3).to_string(), "V_3");
+/// assert_eq!(RegName::pair("A_", 0, 1).with_suffix(".ack").to_string(), "A_0_1.ack");
+/// assert_eq!(RegName::from("ladder arrow").with_suffix(".flag").to_string(), "ladder arrow.flag");
+/// ```
+#[derive(Debug, Clone)]
+pub struct RegName(Repr);
+
+/// The second index of an indexed name that has only one.
+const NO_INDEX: u32 = u32::MAX;
+
+/// The indices are `u32`, which keeps a name at 40 bytes: a world holds
+/// one per register, n² of them for the scannable memory.
+#[derive(Debug, Clone)]
+enum Repr {
+    Text(Box<str>),
+    Indexed {
+        prefix: &'static str,
+        i: u32,
+        /// [`NO_INDEX`] for a name with one index.
+        j: u32,
+        suffix: &'static str,
+    },
+}
+
+/// `i` as a name's index.
+fn index(i: usize) -> u32 {
+    u32::try_from(i)
+        .ok()
+        .filter(|&i| i != NO_INDEX)
+        .expect("a register name's index must be below u32::MAX")
+}
+
+impl RegName {
+    /// `prefix` followed by `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `i < u32::MAX`.
+    pub fn indexed(prefix: &'static str, i: usize) -> Self {
+        RegName(Repr::Indexed {
+            prefix,
+            i: index(i),
+            j: NO_INDEX,
+            suffix: "",
+        })
+    }
+
+    /// `prefix` followed by `i`, an underscore and `j`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `i` and `j` are below `u32::MAX`.
+    pub fn pair(prefix: &'static str, i: usize, j: usize) -> Self {
+        RegName(Repr::Indexed {
+            prefix,
+            i: index(i),
+            j: index(j),
+            suffix: "",
+        })
+    }
+
+    /// This name followed by `suffix`. An indexed name without a suffix
+    /// takes it as data; any other name renders to new text.
+    pub fn with_suffix(self, suffix: &'static str) -> Self {
+        match self.0 {
+            Repr::Indexed {
+                prefix,
+                i,
+                j,
+                suffix: "",
+            } => RegName(Repr::Indexed {
+                prefix,
+                i,
+                j,
+                suffix,
+            }),
+            _ => RegName::from(format!("{self}{suffix}")),
+        }
+    }
+}
+
+impl std::fmt::Display for RegName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.0 {
+            Repr::Text(text) => f.write_str(text),
+            Repr::Indexed {
+                prefix,
+                i,
+                j,
+                suffix,
+            } => {
+                write!(f, "{prefix}{i}")?;
+                if *j != NO_INDEX {
+                    write!(f, "_{j}")?;
+                }
+                f.write_str(suffix)
+            }
+        }
+    }
+}
+
+impl From<&str> for RegName {
+    fn from(text: &str) -> Self {
+        RegName(Repr::Text(text.into()))
+    }
+}
+
+impl From<String> for RegName {
+    fn from(text: String) -> Self {
+        RegName(Repr::Text(text.into_boxed_str()))
+    }
+}
 
 /// Plain-old-data payloads that can ride a seqlock lane.
 ///
@@ -279,8 +428,8 @@ impl BitChunk {
 }
 
 /// One bit of a shared [`BitChunk`]. The `to_bit`/`from_bit` function
-/// pointers exist only so the type-erased [`Backing`] enum stays generic;
-/// in practice `T = bool` and both are the identity.
+/// pointers exist only so the [`Backing`] enum stays generic; in practice
+/// `T = bool` and both are the identity.
 struct BitCell<T> {
     chunk: Arc<BitChunk>,
     word: usize,
@@ -289,7 +438,18 @@ struct BitCell<T> {
     from_bit: fn(bool) -> T,
 }
 
+impl<T> Clone for BitCell<T> {
+    fn clone(&self) -> Self {
+        BitCell {
+            chunk: Arc::clone(&self.chunk),
+            ..*self
+        }
+    }
+}
+
 impl BitCell<bool> {
+    /// Bit `bit` of `chunk`, which must never have been handed out: a
+    /// fresh bit reads `false`, so only a raised `init` is written.
     fn new(chunk: Arc<BitChunk>, bit: usize, init: bool) -> Self {
         let cell = BitCell {
             chunk,
@@ -298,7 +458,9 @@ impl BitCell<bool> {
             to_bit: |b: &bool| *b,
             from_bit: |b| b,
         };
-        cell.set(init);
+        if init {
+            cell.set(true);
+        }
         cell
     }
 }
@@ -375,6 +537,15 @@ struct LaneCell<T> {
     unpack: fn(&[u64]) -> T,
 }
 
+impl<T> Clone for LaneCell<T> {
+    fn clone(&self) -> Self {
+        LaneCell {
+            slab: Arc::clone(&self.slab),
+            ..*self
+        }
+    }
+}
+
 impl<T> LaneCell<T> {
     fn load(&self) -> T {
         let (version, words) = self.slab.parts(self.lane);
@@ -403,12 +574,24 @@ impl<T> LaneCell<T> {
     }
 }
 
-/// A register's storage: the locked cell (any `T`), one bit of a shared
-/// [`BitChunk`], or a lane of a [`LaneSlab`] (small [`FastPod`] payloads).
+/// A register's storage, held by value in every handle: the locked cell
+/// (any `T`, the one backing with a heap cell of its own), one bit of a
+/// shared [`BitChunk`], or a lane of a [`LaneSlab`] (small [`FastPod`]
+/// payloads). A clone shares the storage through its `Arc`.
 enum Backing<T> {
-    Lock(RwLock<T>),
+    Lock(Arc<RwLock<T>>),
     Bit(BitCell<T>),
     Lane(LaneCell<T>),
+}
+
+impl<T> Clone for Backing<T> {
+    fn clone(&self) -> Self {
+        match self {
+            Backing::Lock(l) => Backing::Lock(Arc::clone(l)),
+            Backing::Bit(b) => Backing::Bit(b.clone()),
+            Backing::Lane(c) => Backing::Lane(c.clone()),
+        }
+    }
 }
 
 impl<T: Clone> Backing<T> {
@@ -484,22 +667,22 @@ impl<T: Clone> Backing<T> {
 ///
 /// Every [`read`](Reg::read) and [`write`](Reg::write) counts as one
 /// scheduled step; in lockstep mode the scheduler decides when it happens.
-/// Clone the handle to share the register between process bodies.
+/// Clone the handle to share the register between process bodies: the
+/// handle holds its backing by value (the module docs' table), and a clone
+/// shares the backing's cell, chunk or slab.
 ///
 /// Single-writer (SWMR) discipline is a *protocol* property, not enforced
 /// here — the [`bprc-registers`](../../registers) crate layers it on top.
 pub struct Reg<T> {
     id: RegId,
-    cell: Arc<Backing<T>>,
-    world: Arc<WorldInner>,
+    cell: Backing<T>,
 }
 
 impl<T> Clone for Reg<T> {
     fn clone(&self) -> Self {
         Reg {
             id: self.id,
-            cell: Arc::clone(&self.cell),
-            world: Arc::clone(&self.world),
+            cell: self.cell.clone(),
         }
     }
 }
@@ -511,11 +694,10 @@ impl<T> std::fmt::Debug for Reg<T> {
 }
 
 impl<T: Clone + Send + Sync + 'static> Reg<T> {
-    pub(crate) fn new(id: RegId, init: T, world: Arc<WorldInner>) -> Self {
+    pub(crate) fn new(id: RegId, init: T) -> Self {
         Reg {
             id,
-            cell: Arc::new(Backing::Lock(RwLock::new(init))),
-            world,
+            cell: Backing::Lock(Arc::new(RwLock::new(init))),
         }
     }
 
@@ -527,12 +709,12 @@ impl<T: Clone + Send + Sync + 'static> Reg<T> {
     /// Whether this register rides a lock-free backing (seqlock lane or
     /// packed bit) rather than the `RwLock` cell.
     pub fn is_fast(&self) -> bool {
-        !matches!(*self.cell, Backing::Lock(_))
+        !matches!(self.cell, Backing::Lock(_))
     }
 
     /// Whether this register is one bit of a packed `BitChunk`.
     pub fn is_bit(&self) -> bool {
-        matches!(*self.cell, Backing::Bit(_))
+        matches!(self.cell, Backing::Bit(_))
     }
 
     /// Atomically reads the register (one scheduled step).
@@ -542,7 +724,7 @@ impl<T: Clone + Send + Sync + 'static> Reg<T> {
     /// Returns [`Halted`] if the scheduler stopped this process.
     #[inline]
     pub fn read(&self, ctx: &mut Ctx) -> Result<T, Halted> {
-        let cell = &*self.cell;
+        let cell = &self.cell;
         if ctx.inner().weak_buffering() {
             let (pid, id) = (ctx.pid(), self.id);
             // Store-to-load forwarding: this process's newest buffered
@@ -569,7 +751,7 @@ impl<T: Clone + Send + Sync + 'static> Reg<T> {
     /// Returns [`Halted`] if the scheduler stopped this process.
     #[inline]
     pub fn read_with<R>(&self, ctx: &mut Ctx, f: impl FnOnce(&T) -> R) -> Result<R, Halted> {
-        let cell = &*self.cell;
+        let cell = &self.cell;
         if ctx.inner().weak_buffering() {
             let (pid, id) = (ctx.pid(), self.id);
             return ctx.inner().access_central(pid, OpKind::Read, id, 0, |c| {
@@ -613,7 +795,7 @@ impl<T: Clone + Send + Sync + 'static> Reg<T> {
         cached: u64,
         f: impl FnOnce(&T),
     ) -> Result<u64, Halted> {
-        let cell = &*self.cell;
+        let cell = &self.cell;
         if ctx.inner().weak_buffering() {
             let (pid, id) = (ctx.pid(), self.id);
             // A forwarded value has no backing version yet (the write is
@@ -652,7 +834,7 @@ impl<T: Clone + Send + Sync + 'static> Reg<T> {
     /// Returns [`Halted`] if the scheduler stopped this process.
     #[inline]
     pub fn write_tagged(&self, ctx: &mut Ctx, value: T, tag: u64) -> Result<(), Halted> {
-        let cell = &*self.cell;
+        let cell = &self.cell;
         if ctx.inner().weak_buffering() {
             let (pid, id) = (ctx.pid(), self.id);
             // The write parks in the process's store buffer: globally
@@ -661,7 +843,7 @@ impl<T: Clone + Send + Sync + 'static> Reg<T> {
             // for this process's own later reads, and the move captured by
             // the deferred `apply` closure that hits the backing.
             let fwd = value.clone();
-            let backing = Arc::clone(&self.cell);
+            let backing = self.cell.clone();
             let res = ctx
                 .inner()
                 .access_central(pid, OpKind::Write, id, tag, move |c| {
@@ -718,7 +900,7 @@ impl<T: Clone + Send + Sync + 'static> Reg<T> {
             "Reg::swap on a lock-free backing is load-then-store, atomic only under the \
              lockstep gate; in Mode::Free allocate swap registers with World::reg"
         );
-        let cell = Arc::clone(&self.cell);
+        let cell = &self.cell;
         if ctx.inner().weak_buffering() {
             let (pid, id) = (ctx.pid(), self.id);
             let inner = Arc::clone(ctx.inner());
@@ -748,18 +930,11 @@ impl<T: Clone + Send + Sync + 'static> Reg<T> {
 impl Reg<bool> {
     /// Allocates one bit of `chunk` (bit index `bit`, chunk-relative).
     /// Called via [`World::bit_reg`](crate::world::World::bit_reg).
-    pub(crate) fn new_bit(
-        id: RegId,
-        init: bool,
-        world: Arc<WorldInner>,
-        chunk: Arc<BitChunk>,
-        bit: usize,
-    ) -> Self {
+    pub(crate) fn new_bit(id: RegId, init: bool, chunk: Arc<BitChunk>, bit: usize) -> Self {
         debug_assert!(bit < BIT_CHUNK_BITS);
         Reg {
             id,
-            cell: Arc::new(Backing::Bit(BitCell::new(chunk, bit, init))),
-            world,
+            cell: Backing::Bit(BitCell::new(chunk, bit, init)),
         }
     }
 }
@@ -769,13 +944,7 @@ impl<T: FastPod> Reg<T> {
     /// `init.words()`. Called via
     /// [`World::fast_reg`](crate::world::World::fast_reg) (a private
     /// one-lane slab) and [`World::lane_reg`](crate::world::World::lane_reg).
-    pub(crate) fn new_lane(
-        id: RegId,
-        init: T,
-        world: Arc<WorldInner>,
-        slab: Arc<LaneSlab>,
-        lane: usize,
-    ) -> Self {
+    pub(crate) fn new_lane(id: RegId, init: T, slab: Arc<LaneSlab>, lane: usize) -> Self {
         debug_assert_eq!(slab.lane_words(), init.words());
         let cell = LaneCell {
             slab,
@@ -786,8 +955,7 @@ impl<T: FastPod> Reg<T> {
         cell.store(&init);
         Reg {
             id,
-            cell: Arc::new(Backing::Lane(cell)),
-            world,
+            cell: Backing::Lane(cell),
         }
     }
 }
@@ -868,7 +1036,7 @@ mod tests {
 
     /// The slab a lane register sits in; `None` for the other backings.
     fn slab_of<T>(r: &Reg<T>) -> Option<&Arc<LaneSlab>> {
-        match &*r.cell {
+        match &r.cell {
             Backing::Lane(c) => Some(&c.slab),
             _ => None,
         }

@@ -30,6 +30,7 @@ use rand::SeedableRng;
 use crate::error::Halted;
 use crate::history::{Annotation, Event, FaultKind, History, OpKind, RegId};
 use crate::metrics::{Counter, MetricsRegistry, ProcMetrics, Tally, Telemetry};
+use crate::reg::RegName;
 use crate::sched::{Decision, PendingOp, RegisterState, ScheduleView, Strategy};
 use crate::tracing::{
     fault_arg, now_nanos, EventKind, FlightLog, FlightRecorder, Hist, DEFAULT_RING_CAPACITY,
@@ -216,12 +217,10 @@ pub(crate) struct WorldInner {
     /// out to process contexts (see [`STEP_LEASE`]). Never exceeds the limit.
     free_steps: AtomicU64,
     free_shutdown: AtomicBool,
-    reg_names: Mutex<Vec<String>>,
     metrics: MetricsRegistry,
     recorder: FlightRecorder,
-    /// Bump allocator for [`World::bit_reg`] bits: the current bit chunk
-    /// and how many of its bits are handed out.
-    bit_alloc: Mutex<BitAlloc>,
+    /// The register allocator: one lock per allocated register.
+    alloc: Mutex<RegAlloc>,
 }
 
 /// The telemetry counter(s) one granted access of `kind` bumps. A swap is
@@ -240,10 +239,23 @@ fn op_counters(kind: OpKind, mut bump: impl FnMut(Counter)) {
     }
 }
 
+/// What allocating a register touches, under one lock: the name table
+/// (a register's id is its position in it) and the bump allocator for
+/// [`World::bit_reg`] bits — the current bit chunk and how many of its bits
+/// are handed out.
 #[derive(Default)]
-struct BitAlloc {
+struct RegAlloc {
+    names: Vec<RegName>,
     chunk: Option<Arc<crate::reg::BitChunk>>,
     used: usize,
+}
+
+impl RegAlloc {
+    /// Records a new register's name; its position is the register's id.
+    fn name(&mut self, name: RegName) -> RegId {
+        self.names.push(name);
+        self.names.len() - 1
+    }
 }
 
 impl WorldInner {
@@ -1041,10 +1053,9 @@ impl WorldBuilder {
                 threads: (0..self.n).map(|_| OnceLock::new()).collect(),
                 free_steps: AtomicU64::new(0),
                 free_shutdown: AtomicBool::new(false),
-                reg_names: Mutex::new(Vec::new()),
                 metrics: MetricsRegistry::new(self.n),
                 recorder: FlightRecorder::new(self.n, self.trace_capacity),
-                bit_alloc: Mutex::new(BitAlloc::default()),
+                alloc: Mutex::new(RegAlloc::default()),
             }),
             used: false,
         }
@@ -1108,9 +1119,12 @@ impl World {
 
     /// Names of all registers allocated so far (indexed by register id) —
     /// feed to [`trace::TraceOptions`](crate::trace::TraceOptions) for
-    /// labelled timelines.
+    /// labelled timelines. The world keeps each name as a [`RegName`] and
+    /// renders the text here, on each call, so allocating a register
+    /// formats nothing.
     pub fn reg_names(&self) -> Vec<String> {
-        self.inner.reg_names.lock().clone()
+        let alloc = self.inner.alloc.lock();
+        alloc.names.iter().map(RegName::to_string).collect()
     }
 
     /// The live metrics registry (counters update while a run is in
@@ -1120,10 +1134,9 @@ impl World {
     }
 
     /// Records a new register's name; its position is the register's id.
-    fn name_reg(&self, name: impl Into<String>) -> RegId {
-        let mut names = self.inner.reg_names.lock();
-        names.push(name.into());
-        names.len() - 1
+    fn name_reg(&self, name: impl Into<RegName>) -> RegId {
+        let name = name.into();
+        self.inner.alloc.lock().name(name)
     }
 
     /// Allocates a fresh linearizable register initialized to `init`, on
@@ -1134,10 +1147,10 @@ impl World {
     /// The `name` shows up in debugging output and history dumps.
     pub fn reg<T: Clone + Send + Sync + 'static>(
         &self,
-        name: impl Into<String>,
+        name: impl Into<RegName>,
         init: T,
     ) -> crate::reg::Reg<T> {
-        crate::reg::Reg::new(self.name_reg(name), init, Arc::clone(&self.inner))
+        crate::reg::Reg::new(self.name_reg(name), init)
     }
 
     /// Allocates a register on a seqlock lane of its own one-lane slab when
@@ -1150,16 +1163,16 @@ impl World {
     /// depend on which backing the register lands on.
     pub fn fast_reg<T: crate::reg::FastPod>(
         &self,
-        name: impl Into<String>,
+        name: impl Into<RegName>,
         init: T,
     ) -> crate::reg::Reg<T> {
-        let (id, inner) = (self.name_reg(name), Arc::clone(&self.inner));
+        let id = self.name_reg(name);
         let w = init.words();
         if (1..=crate::reg::MAX_FAST_WORDS).contains(&w) {
             let slab = Arc::new(crate::reg::LaneSlab::new(1, w));
-            crate::reg::Reg::new_lane(id, init, inner, slab, 0)
+            crate::reg::Reg::new_lane(id, init, slab, 0)
         } else {
-            crate::reg::Reg::new(id, init, inner)
+            crate::reg::Reg::new(id, init)
         }
     }
 
@@ -1172,9 +1185,10 @@ impl World {
     ///
     /// Access semantics — scheduling, counters, recorded history — are
     /// those of any other register.
-    pub fn bit_reg(&self, name: impl Into<String>, init: bool) -> crate::reg::Reg<bool> {
-        let id = self.name_reg(name);
-        let mut alloc = self.inner.bit_alloc.lock();
+    pub fn bit_reg(&self, name: impl Into<RegName>, init: bool) -> crate::reg::Reg<bool> {
+        let name = name.into();
+        let mut alloc = self.inner.alloc.lock();
+        let id = alloc.name(name);
         let chunk = match &alloc.chunk {
             Some(c) if alloc.used < crate::reg::BIT_CHUNK_BITS => Arc::clone(c),
             _ => {
@@ -1187,7 +1201,7 @@ impl World {
         let bit = alloc.used;
         alloc.used += 1;
         drop(alloc);
-        crate::reg::Reg::new_bit(id, init, Arc::clone(&self.inner), chunk, bit)
+        crate::reg::Reg::new_bit(id, init, chunk, bit)
     }
 
     /// Allocates a shared slab of `lanes` seqlock lanes, `lane_words`
@@ -1217,13 +1231,13 @@ impl World {
         &self,
         slab: &ValueSlab,
         lane: usize,
-        name: impl Into<String>,
+        name: impl Into<RegName>,
         init: T,
     ) -> crate::reg::Reg<T> {
         match &slab.slab {
             Some(s) if init.words() == slab.lane_words && lane < s.lanes() => {
                 let id = self.name_reg(name);
-                crate::reg::Reg::new_lane(id, init, Arc::clone(&self.inner), Arc::clone(s), lane)
+                crate::reg::Reg::new_lane(id, init, Arc::clone(s), lane)
             }
             _ => self.fast_reg(name, init),
         }

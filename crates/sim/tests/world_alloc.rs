@@ -2,12 +2,14 @@
 //! world of a shape has been built and dropped, building the next one
 //! allocates no more with the default flight-recorder capacity than with
 //! the recorder off, because the rings come back from the pool instead of
-//! being allocated (2,048 slots, 64 KiB, per process).
+//! being allocated (2,048 slots, 64 KiB, per process). Neither allocates
+//! the metrics shards (1,856 bytes per process, plus one), which come back
+//! from their own pool.
 //!
-//! This file holds a single test on purpose: the ring pool is
-//! process-global, and another test in the same process could take the
-//! warm rings between the warm-up and the measured build. The counter is
-//! per thread, so the harness's own threads do not add to it.
+//! This file holds a single test on purpose: the pools are process-global,
+//! and another test in the same process could take the warm rings or
+//! shards between the warm-up and the measured build. The counter is per
+//! thread, so the harness's own threads do not add to it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -70,6 +72,12 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// One default-capacity ring: 2,048 slots of four `u64`s.
 const RING_BYTES: u64 = 2048 * 32;
 
+/// What a warm world of `n` processes may allocate: its own bookkeeping,
+/// about 130 bytes a process. One metrics shard alone is 1,856 bytes.
+fn warm_budget(n: usize) -> u64 {
+    512 + 256 * n as u64
+}
+
 /// Bytes allocated by building an `n`-process world with ring capacity
 /// `capacity` (`None`: the default). The world is dropped afterwards, which
 /// hands its rings back to the pool.
@@ -102,6 +110,11 @@ fn a_warm_world_build_allocates_no_ring() {
             traced <= untraced + 4096,
             "n = {n}: a warm default build allocated {traced} bytes, \
              {untraced} with the recorder off"
+        );
+        assert!(
+            untraced <= warm_budget(n),
+            "n = {n}: a warm build allocated {untraced} bytes, over {}",
+            warm_budget(n)
         );
     }
 }

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bprc_registers::{ArrowCell, Swmr};
-use bprc_sim::{Counter, Ctx, EventKind, FastPod, Halted, World, NO_VERSION};
+use bprc_sim::{Counter, Ctx, EventKind, FastPod, Halted, RegName, World, NO_VERSION};
 
 /// History annotation labels used by this construction (consumed by
 /// [`crate::checker`]).
@@ -177,7 +177,7 @@ where
         world: &World,
         n: usize,
         init: T,
-        mk: impl Fn(&World, String, usize, Slot<T>) -> Swmr<Slot<T>>,
+        mk: impl Fn(&World, RegName, usize, Slot<T>) -> Swmr<Slot<T>>,
     ) -> Self {
         assert!(n >= 1, "need at least one process");
         assert_eq!(world.n(), n, "memory size must match the world");
@@ -185,7 +185,7 @@ where
             .map(|i| {
                 mk(
                     world,
-                    format!("V_{i}"),
+                    RegName::indexed("V_", i),
                     i,
                     Slot {
                         value: init.clone(),
@@ -202,7 +202,7 @@ where
                         if w == s {
                             None
                         } else {
-                            Some(A::alloc(world, &format!("A_{w}_{s}"), w, s))
+                            Some(A::alloc(world, RegName::pair("A_", w, s), w, s))
                         }
                     })
                     .collect()

@@ -39,7 +39,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use bprc_registers::Swmr;
-use bprc_sim::{Counter, Ctx, EventKind, FastPod, Halted, World, NO_VERSION};
+use bprc_sim::{Counter, Ctx, EventKind, FastPod, Halted, RegName, World, NO_VERSION};
 
 use crate::memory::{labels, SnapshotMeta};
 
@@ -171,7 +171,7 @@ where
         world: &World,
         n: usize,
         init: &T,
-        mk: impl Fn(&World, String, usize, WfSlot<T>) -> Swmr<WfSlot<T>>,
+        mk: impl Fn(&World, RegName, usize, WfSlot<T>) -> Swmr<WfSlot<T>>,
     ) -> Self {
         assert!(n >= 1, "need at least one process");
         assert_eq!(world.n(), n, "snapshot size must match the world");
@@ -180,7 +180,7 @@ where
             .map(|i| {
                 mk(
                     world,
-                    format!("WfV_{i}"),
+                    RegName::indexed("WfV_", i),
                     i,
                     WfSlot {
                         value: init.clone(),
