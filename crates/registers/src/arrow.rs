@@ -70,11 +70,11 @@ impl DirectArrow {
     /// The boolean lands in a shared cache-line chunk whose mutations are
     /// `fetch_or`/`fetch_and` RMWs, so the *two*-writer discipline of an
     /// arrow (writer raises, scanner lowers) stays atomic and n² arrows
-    /// occupy ⌈n²/512⌉ cache lines instead of n² scattered cells. Every
-    /// raise and lower is an RMW, even of an arrow already in that state:
-    /// in free mode the RMW is what publishes the process's earlier value
-    /// writes (`bprc_sim::reg`'s bit backing says why). Scheduling and
-    /// telemetry are identical to a locked cell.
+    /// occupy ⌈n²/512⌉ cache lines instead of n² scattered cells. A raise
+    /// of a raised arrow, or a lower of a lowered one, is a load and no
+    /// RMW; the snapshot's fences, real in free mode, order it
+    /// (`bprc_sim::reg`'s bit backing says why). Scheduling and telemetry
+    /// are identical to a locked cell.
     pub fn new(world: &World, name: impl Into<RegName>) -> Self {
         DirectArrow {
             cell: world.bit_reg(name, false),

@@ -125,7 +125,8 @@ counters! {
     /// flush decision, a fence drain, or the end-of-run drain.
     StoresFlushed => "stores_flushed",
     /// Memory fences that actually drained a buffer (free no-ops under
-    /// sequential consistency are not counted).
+    /// sequential consistency, and free mode's hardware fences, are not
+    /// counted).
     Fences => "fences",
 }
 

@@ -31,11 +31,15 @@
 //!   against.
 //! * **Bit** — a single boolean packed into one bit of a shared cache-line
 //!   chunk of atomic words ([`BIT_CHUNK_BITS`] = 512 booleans per line).
-//!   Raise/lower are `fetch_or`/`fetch_and` RMWs, so two writers on the
-//!   same bit — the paper's arrow registers — stay atomic, and neighbours
-//!   packed into the same word can never tear each other. The handle holds
-//!   the chunk's `Arc`, the word and the mask: allocating a bit allocates
-//!   nothing but a fresh chunk every 512 bits.
+//!   A write that changes the bit is a `fetch_or`/`fetch_and` RMW, so two
+//!   writers on the same bit — the paper's arrow registers — stay atomic,
+//!   and neighbours packed into the same word can never tear each other.
+//!   A write that does not change it is one load: a write of the value
+//!   the register already holds. That is sound because the snapshot's
+//!   ordering comes from `Ctx::fence`, a real fence in free mode, not
+//!   from its arrow writes being RMWs. The handle holds the chunk's
+//!   `Arc`, the word and the mask: allocating a bit allocates nothing but
+//!   a fresh chunk every 512 bits.
 //! * **Lane** — a *seqlock*: the [`FastPod`] payload packed into `AtomicU64`
 //!   words guarded by an even/odd version word. Readers are lock-free
 //!   (optimistic read, retry if the version moved); writers acquire the odd
@@ -97,6 +101,11 @@ use crate::world::Ctx;
 /// whose width depends on run parameters: the wait-free snapshot's slots
 /// embed an `n`-entry view.
 pub const MAX_FAST_WORDS: usize = 64;
+
+/// Lanes at most this many words wide are packed and unpacked through an
+/// 8-word stack buffer instead of a [`MAX_FAST_WORDS`] one: every lane the
+/// scannable memory allocates for a `u64` payload is this narrow.
+const SMALL_LANE_WORDS: usize = 8;
 
 /// Version token returned by [`Reg::read_changed`] when the backing has no
 /// seqlock version word (locked and bit cells). It is odd, so it can never
@@ -388,32 +397,23 @@ fn seq_store_words(version: &AtomicU64, words: &[AtomicU64], buf: &[u64]) {
     version.store(v + 2, Ordering::Release);
 }
 
-/// Version-token read: if the current version still equals `cached`, no
-/// write has been published since the read that produced `cached` (the
-/// writer's even→odd CAS is a globally visible RMW, so "version unchanged"
-/// proves no write even *began* publishing) — the payload words are
-/// provably identical to what that read returned and are not touched at
-/// all. Otherwise this is [`seq_load_words`]. Returns `(version, loaded)`;
-/// `loaded == false` means `buf` was left alone.
+/// Runs `f` on a zeroed stack buffer of `len` words: an 8-word one for a
+/// lane at most that wide, the [`MAX_FAST_WORDS`] one only for wider
+/// lanes, so a narrow lane's access zeroes 64 bytes, not 512.
 #[inline]
-fn seq_load_words_changed(
-    version: &AtomicU64,
-    words: &[AtomicU64],
-    cached: u64,
-    buf: &mut [u64],
-) -> (u64, bool) {
-    let v = version.load(Ordering::Acquire);
-    if v == cached && v & 1 == 0 {
-        return (v, false);
+fn with_buf<R>(len: usize, f: impl FnOnce(&mut [u64]) -> R) -> R {
+    if len <= SMALL_LANE_WORDS {
+        f(&mut [0u64; SMALL_LANE_WORDS][..len])
+    } else {
+        f(&mut [0u64; MAX_FAST_WORDS][..len])
     }
-    (seq_load_words(version, words, buf), true)
 }
 
 /// One cache line of packed single-bit registers: 8 atomic words = 512
-/// booleans. All mutation is RMW (`fetch_or` to set, `fetch_and` to clear),
-/// so bits sharing a word never tear each other and even a *two-writer* bit
-/// (the paper's arrow registers: writer raises, scanner lowers) stays
-/// atomic without a version word.
+/// booleans. Every change is an RMW (`fetch_or` to set, `fetch_and` to
+/// clear), so bits sharing a word never tear each other and even a
+/// *two-writer* bit (the paper's arrow registers: writer raises, scanner
+/// lowers) stays atomic without a version word.
 #[repr(align(64))]
 pub(crate) struct BitChunk {
     words: [AtomicU64; BIT_CHUNK_WORDS],
@@ -471,17 +471,21 @@ impl<T> BitCell<T> {
         self.chunk.words[self.word].load(Ordering::SeqCst) & self.mask != 0
     }
 
-    /// Writes the bit with one RMW, even when the bit already holds `bit`.
-    /// A load in place of that RMW would be a correct write of this bit
-    /// alone, but it would drop an ordering the free-mode snapshot needs:
-    /// there `Ctx::fence` is a no-op, and a `SeqCst` RMW on an arrow is
-    /// what keeps the process's earlier value write (a seqlock `Release`
-    /// store) from being passed by its next arrow access. A `SeqCst` load
-    /// may be reordered before that store, so two scans could each miss
-    /// the other's update and return incomparable views.
+    /// Writes the bit. A write that changes it is one `SeqCst` RMW
+    /// (`fetch_or`/`fetch_and`), so two writers of one bit and neighbours
+    /// in its word never lose each other's writes. A write that finds the
+    /// bit already holding `bit` is one `SeqCst` load and stops there: it
+    /// is a write of the value the register holds, which linearizes at the
+    /// load. The load orders nothing an RMW would have, and needs not to:
+    /// the snapshot orders its accesses with `Ctx::fence`, a real `SeqCst`
+    /// fence in free mode, after a scan's lowers and around an update's
+    /// value write.
     #[inline]
     fn set(&self, bit: bool) {
         let w = &self.chunk.words[self.word];
+        if (w.load(Ordering::SeqCst) & self.mask != 0) == bit {
+            return;
+        }
         if bit {
             w.fetch_or(self.mask, Ordering::SeqCst);
         } else {
@@ -549,28 +553,39 @@ impl<T> Clone for LaneCell<T> {
 impl<T> LaneCell<T> {
     fn load(&self) -> T {
         let (version, words) = self.slab.parts(self.lane);
-        let mut buf = [0u64; MAX_FAST_WORDS];
-        seq_load_words(version, words, &mut buf[..words.len()]);
-        (self.unpack)(&buf[..words.len()])
+        with_buf(words.len(), |buf| {
+            seq_load_words(version, words, buf);
+            (self.unpack)(buf)
+        })
     }
 
     fn store(&self, value: &T) {
         let (version, words) = self.slab.parts(self.lane);
-        let mut buf = [0u64; MAX_FAST_WORDS];
-        (self.pack)(value, &mut buf[..words.len()]);
-        seq_store_words(version, words, &buf[..words.len()]);
+        with_buf(words.len(), |buf| {
+            (self.pack)(value, buf);
+            seq_store_words(version, words, buf);
+        })
     }
 
-    /// See [`seq_load_words_changed`]: skips unpacking (and `f`) entirely
-    /// when the version token proves the register unchanged.
+    /// Version-token read: if the current version still equals `cached`,
+    /// no write has been published since the read that produced `cached`
+    /// (the writer's even→odd CAS is a globally visible RMW, so "version
+    /// unchanged" proves no write even *began* publishing). The payload
+    /// words are then provably identical to what that read returned, and
+    /// neither they nor a buffer are touched, nor `f` run. Otherwise this
+    /// is a [`seq_load_words`] read whose value `f` sees. Returns the
+    /// version read.
     fn load_if_changed(&self, cached: u64, f: impl FnOnce(&T)) -> u64 {
         let (version, words) = self.slab.parts(self.lane);
-        let mut buf = [0u64; MAX_FAST_WORDS];
-        let (v, loaded) = seq_load_words_changed(version, words, cached, &mut buf[..words.len()]);
-        if loaded {
-            f(&(self.unpack)(&buf[..words.len()]));
+        let v = version.load(Ordering::Acquire);
+        if v == cached && v & 1 == 0 {
+            return v;
         }
-        v
+        with_buf(words.len(), |buf| {
+            let v = seq_load_words(version, words, buf);
+            f(&(self.unpack)(buf));
+            v
+        })
     }
 }
 
@@ -1141,6 +1156,68 @@ mod tests {
         let rep = w.run(bodies, Box::new(RoundRobin::new()));
         assert_eq!(rep.outputs[0], Some(3));
         assert_eq!(rep.steps, 1, "read_with is one scheduled read");
+    }
+
+    /// `read_changed`'s token contract, in both modes. On a lane a current
+    /// token runs no closure and comes back unchanged; after a write the
+    /// closure sees the new value once and the token is new and even;
+    /// `NO_VERSION` always reads. The locked and bit backings always run
+    /// the closure and return `NO_VERSION`, whatever token they are handed.
+    #[test]
+    fn read_changed_skips_only_on_a_current_lane_token() {
+        /// One read: the token it returned and what its closure saw.
+        type Read = (u64, Vec<u64>);
+        fn read<T: Copy + Into<u64> + Send + Sync + 'static>(
+            r: &Reg<T>,
+            ctx: &mut Ctx,
+            cached: u64,
+        ) -> Result<Read, Halted> {
+            let mut seen = Vec::new();
+            let token = r.read_changed(ctx, cached, |v| seen.push((*v).into()))?;
+            Ok((token, seen))
+        }
+        for mode in [Mode::Lockstep, Mode::Free] {
+            let mut w = World::builder(1).mode(mode).build();
+            let lane = w.fast_reg("lane", 5u64);
+            let locked = w.reg("locked", 5u64);
+            let bit = w.bit_reg("bit", true);
+            let body: ProcBody<(Vec<Read>, Vec<Read>, Vec<Read>)> = Box::new(move |ctx| {
+                let first = read(&lane, ctx, NO_VERSION)?;
+                let t0 = first.0;
+                let mut lanes = vec![first, read(&lane, ctx, t0)?];
+                lane.write(ctx, 9)?;
+                let after = read(&lane, ctx, t0)?;
+                let t1 = after.0;
+                lanes.extend([after, read(&lane, ctx, t1)?, read(&lane, ctx, NO_VERSION)?]);
+                let mut others = [Vec::new(), Vec::new()];
+                for cached in [NO_VERSION, t0, t1] {
+                    others[0].push(read(&locked, ctx, cached)?);
+                    others[1].push(read(&bit, ctx, cached)?);
+                }
+                let [locks, bits] = others;
+                Ok((lanes, locks, bits))
+            });
+            let rep = w.run(vec![body], Box::new(RoundRobin::new()));
+            let (lanes, locks, bits) = rep.outputs[0].clone().expect("the body ran to its end");
+            let (t0, t1) = (lanes[0].0, lanes[2].0);
+            assert!(
+                t0 & 1 == 0 && t1 & 1 == 0 && t0 != t1,
+                "{mode:?}: tokens {t0}, {t1}"
+            );
+            assert_eq!(
+                lanes,
+                [
+                    (t0, vec![5]),
+                    (t0, vec![]),
+                    (t1, vec![9]),
+                    (t1, vec![]),
+                    (t1, vec![9]),
+                ],
+                "{mode:?}: lane"
+            );
+            assert_eq!(locks, vec![(NO_VERSION, vec![5]); 3], "{mode:?}: locked");
+            assert_eq!(bits, vec![(NO_VERSION, vec![1]); 3], "{mode:?}: bit");
+        }
     }
 
     #[test]

@@ -414,20 +414,30 @@ impl WorldInner {
             .record(pid, step, EventKind::Flush, reg as u64);
     }
 
-    /// Store-buffer fence on behalf of `pid`: a scheduled gate
-    /// ([`OpKind::Fence`] on the [`FENCE_REG`] sentinel) that drains the
-    /// caller's own buffer, oldest first, when granted. Free of charge
+    /// Store-buffer fence on behalf of `pid`. In free mode it is a real
+    /// `SeqCst` fence, uncounted: no access of this process before it is
+    /// reordered with one after it, which is what lets an arrow write that
+    /// changes nothing be a plain load (`BitCell::set`). On the lockstep
+    /// backend under [`WeakMode::Tso`]/[`WeakMode::Pso`] it is a scheduled
+    /// gate ([`OpKind::Fence`] on the [`FENCE_REG`] sentinel) that drains
+    /// the caller's own buffer, oldest first, when granted. Free of charge
     /// under SC (no gate, no step) so protocol code can fence
     /// unconditionally. Deliberately also free under [`WeakMode::Regular`]:
     /// no fence can make a regular register atomic, so the snapshot
     /// layer's pinned fences must not re-atomicize the weakened plane.
     pub(crate) fn fence(&self, pid: usize) -> Result<(), Halted> {
-        if !(self.mode == Mode::Lockstep && matches!(self.weak, WeakMode::Tso | WeakMode::Pso)) {
-            return Ok(());
+        match (self.mode, self.weak) {
+            (Mode::Free, _) => {
+                std::sync::atomic::fence(Ordering::SeqCst);
+                Ok(())
+            }
+            (Mode::Lockstep, WeakMode::Tso | WeakMode::Pso) => {
+                self.access_central(pid, OpKind::Fence, FENCE_REG, 0, |c| {
+                    self.drain_own_buffer(c, pid);
+                })
+            }
+            (Mode::Lockstep, WeakMode::Sc | WeakMode::Regular) => Ok(()),
         }
-        self.access_central(pid, OpKind::Fence, FENCE_REG, 0, |c| {
-            self.drain_own_buffer(c, pid);
-        })
     }
 
     /// Lands every store in `pid`'s own buffer, oldest first — the body of
@@ -927,9 +937,12 @@ impl Ctx {
     /// shared memory as one scheduled gate ([`Counter::Fences`] counts it;
     /// the history records an [`OpKind::Fence`] op plus one
     /// [`Event::Flush`](crate::history::Event) per landed store). Under
-    /// [`WeakMode::Sc`](crate::weakmem::WeakMode) — and in free mode,
-    /// where the hardware model is real — it is a free no-op, so protocol
-    /// code fences unconditionally at its ordering points.
+    /// [`WeakMode::Sc`](crate::weakmem::WeakMode) it is a free no-op, so
+    /// protocol code fences unconditionally at its ordering points. In
+    /// free mode, where the hardware model is real, it is a real `SeqCst`
+    /// fence — uncounted and unrecorded, so telemetry is the same as a
+    /// no-op's — and the snapshot's ordering rests on it, not on its
+    /// arrow writes being RMWs.
     pub fn fence(&self) -> Result<(), Halted> {
         self.inner.fence(self.pid)
     }

@@ -294,8 +294,9 @@ where
 /// recorded history). A [`HandshakeArrow`](bprc_registers::HandshakeArrow)
 /// raise, lower or check is **two** scheduled accesses (a read of one bit,
 /// then a write or read of the other). A fence is a scheduled gate only
-/// under a weak memory mode; under sequential consistency, and in free
-/// mode, it is free and records no op.
+/// under a weak memory mode; under sequential consistency it is free and
+/// records no op, and in free mode it is a hardware `SeqCst` fence that
+/// records no op either.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Access {
     /// Raise arrow `A_{me,j}` (update).
