@@ -379,7 +379,9 @@ impl BoundedCore {
             let (first, rest) = row.words()[from..]
                 .split_first()
                 .expect("the edge row lies inside the register");
-            if cached[0] != first & mask || cached[1..] != *rest {
+            // Word by word: a row is one or two words, and a slice
+            // comparison would call `bcmp` for it.
+            if cached[0] != first & mask || cached[1..].iter().zip(rest).any(|(c, r)| c != r) {
                 cached[0] = first & mask;
                 cached[1..].copy_from_slice(rest);
                 self.graph.decode_row_with(j, |out| row.edges_into(out));

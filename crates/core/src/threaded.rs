@@ -16,7 +16,7 @@
 //! telemetry gauges; [`ThreadedConsensusOn`] is the bounded protocol's
 //! instance over it.
 
-use bprc_sim::tracing::{now_nanos, EventKind, Hist};
+use bprc_sim::tracing::{EventKind, Hist};
 use bprc_sim::turn::{TurnProcess, TurnStep};
 use bprc_sim::world::ProcBody;
 use bprc_sim::{Counter, Gauge, World};
@@ -70,9 +70,13 @@ where
                 // `scan`/`write` spans the snapshot layer opens underneath.
                 // Width changes raise the register-width high-water gauge.
                 // The same probe deltas feed the latency histograms
-                // (per-round duration, first-step-to-decision).
+                // (per-round duration, first-step-to-decision), stamped
+                // with `Ctx::stamp`: no access has been made since the scan
+                // that fed `on_scan`, so that is the reading that closed it,
+                // and the bridge reads the clock only at the body's start,
+                // a reading the first update then carries.
                 let mut last = proc.probe();
-                let body_start = now_nanos();
+                let body_start = ctx.stamp();
                 let mut round_start = body_start;
                 if let Some(r) = last.round {
                     ctx.trace_event(EventKind::RoundAdvance, r);
@@ -95,7 +99,7 @@ where
                             if let Some(r) = now.round {
                                 ctx.metrics().gauge_set(Gauge::Round, r);
                                 ctx.trace_event(EventKind::RoundAdvance, r);
-                                let t = now_nanos();
+                                let t = ctx.stamp();
                                 ctx.hist_record(
                                     Hist::RoundDurationNs,
                                     t.saturating_sub(round_start),
@@ -116,9 +120,10 @@ where
                             TurnStep::Decide(v) => {
                                 ctx.count(Counter::Decisions, 1);
                                 ctx.trace_event(EventKind::Decide, 0);
+                                let t = ctx.stamp();
                                 ctx.hist_record(
                                     Hist::DecisionLatencyNs,
-                                    now_nanos().saturating_sub(body_start),
+                                    t.saturating_sub(body_start),
                                 );
                                 return Ok(v);
                             }

@@ -24,11 +24,13 @@
 //! | [`World::bit_reg`] | **Bit**, always |
 //! | [`World::value_slab`] + [`World::lane_reg`] | **Lane** of the shared slab iff its stride is in `1..=`[`MAX_FAST_WORDS`] and equals `init.words()`, and the lane exists; else as `fast_reg` |
 //!
-//! * **Lock** — a `parking_lot::RwLock<T>` cell behind one `Arc`, the
-//!   only heap cell a register allocation makes. The wide-payload
-//!   fallback, the only backing whose [`Reg::swap`] is a true exchange on
-//!   free threads, and the oracle the equivalence tests compare the others
-//!   against.
+//! * **Lock** — a `parking_lot::RwLock<T>` cell plus an even version
+//!   word behind one `Arc`, the only heap cell a register allocation
+//!   makes. Every write bumps the version by 2 inside its critical
+//!   section, so a [`Reg::read_changed`] whose cached token is current
+//!   skips with one load and takes no lock. The wide-payload fallback, the
+//!   only backing whose [`Reg::swap`] is a true exchange on free threads,
+//!   and the oracle the equivalence tests compare the others against.
 //! * **Bit** — a single boolean packed into one bit of a shared cache-line
 //!   chunk of atomic words ([`BIT_CHUNK_BITS`] = 512 booleans per line).
 //!   A write that changes the bit is a `fetch_or`/`fetch_and` RMW, so two
@@ -108,10 +110,11 @@ pub const MAX_FAST_WORDS: usize = 64;
 const SMALL_LANE_WORDS: usize = 8;
 
 /// Version token returned by [`Reg::read_changed`] when the backing has no
-/// seqlock version word (locked and bit cells). It is odd, so it can never
-/// equal a published (even) seqlock version: passing it back as the cached
-/// token always re-runs the closure, which is exactly the fail-safe
-/// behaviour those backings need.
+/// version word (bit cells), and the token a caller holds before its first
+/// read. It is odd, so it can never equal a published (even) lane or
+/// locked-cell version: passing it back as the cached token always re-runs
+/// the closure, which is exactly the fail-safe behaviour the bit backing
+/// needs.
 pub const NO_VERSION: u64 = u64::MAX;
 
 /// Atomic words per bit chunk — one 64-byte cache line.
@@ -589,12 +592,62 @@ impl<T> LaneCell<T> {
     }
 }
 
+/// The locked cell: the value under a `RwLock`, beside a version word that
+/// every write bumps by 2 inside its critical section. The version is even
+/// from the start and only ever grows, so a reader that cached it under the
+/// read lock learns from one load whether any write has landed since.
+///
+/// Orderings: the bump's `Release` store pairs with the token check's
+/// `Acquire` load, so a reader that sees a write's bump sees everything
+/// that happened before it. Under either lock the version is read
+/// `Relaxed`: the lock orders it, and no writer moves it while a read lock
+/// is held.
+struct LockCell<T> {
+    value: RwLock<T>,
+    version: AtomicU64,
+}
+
+impl<T> LockCell<T> {
+    fn new(init: T) -> Self {
+        LockCell {
+            value: RwLock::new(init),
+            version: AtomicU64::new(0),
+        }
+    }
+
+    /// Replaces the value under the write lock, returning the old one, and
+    /// publishes the write by bumping the version before the lock drops.
+    /// The write lock excludes every other writer, so the bump is a plain
+    /// load and store, not an RMW.
+    fn replace(&self, value: T) -> T {
+        let mut guard = self.value.write();
+        let prev = std::mem::replace(&mut *guard, value);
+        let v = self.version.load(Ordering::Relaxed);
+        self.version.store(v + 2, Ordering::Release);
+        prev
+    }
+
+    /// Version-token read: when the version still equals `cached`, no
+    /// write has landed since the read that produced `cached` (a write's
+    /// bump precedes its unlock, and a locked read sees the bump with the
+    /// value), so `f` is skipped and the lock is not taken. Otherwise `f`
+    /// runs under the read lock, and the version read there is returned.
+    fn with_changed(&self, cached: u64, f: impl FnOnce(&T)) -> u64 {
+        if self.version.load(Ordering::Acquire) == cached {
+            return cached;
+        }
+        let guard = self.value.read();
+        f(&guard);
+        self.version.load(Ordering::Relaxed)
+    }
+}
+
 /// A register's storage, held by value in every handle: the locked cell
 /// (any `T`, the one backing with a heap cell of its own), one bit of a
 /// shared [`BitChunk`], or a lane of a [`LaneSlab`] (small [`FastPod`]
 /// payloads). A clone shares the storage through its `Arc`.
 enum Backing<T> {
-    Lock(Arc<RwLock<T>>),
+    Lock(Arc<LockCell<T>>),
     Bit(BitCell<T>),
     Lane(LaneCell<T>),
 }
@@ -613,7 +666,7 @@ impl<T: Clone> Backing<T> {
     #[inline]
     fn load(&self) -> T {
         match self {
-            Backing::Lock(l) => l.read().clone(),
+            Backing::Lock(l) => l.value.read().clone(),
             Backing::Bit(b) => (b.from_bit)(b.get()),
             Backing::Lane(c) => c.load(),
         }
@@ -622,7 +675,7 @@ impl<T: Clone> Backing<T> {
     #[inline]
     fn store(&self, value: T) {
         match self {
-            Backing::Lock(l) => *l.write() = value,
+            Backing::Lock(l) => drop(l.replace(value)),
             Backing::Bit(b) => b.set((b.to_bit)(&value)),
             Backing::Lane(c) => c.store(&value),
         }
@@ -634,23 +687,21 @@ impl<T: Clone> Backing<T> {
     #[inline]
     fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
         match self {
-            Backing::Lock(l) => f(&l.read()),
+            Backing::Lock(l) => f(&l.value.read()),
             Backing::Bit(b) => f(&(b.from_bit)(b.get())),
             Backing::Lane(c) => f(&c.load()),
         }
     }
 
     /// Version-token read (see [`Reg::read_changed`]): the seqlock lane
-    /// skips `f` — without even touching the payload words — when the
-    /// version still equals `cached`; the locked and bit backings have no
-    /// version word, always run `f`, and return [`NO_VERSION`].
+    /// and the locked cell skip `f` when the version still equals
+    /// `cached` — the lane without touching the payload words, the locked
+    /// cell without taking its lock; the bit backing has no version word,
+    /// always runs `f`, and returns [`NO_VERSION`].
     #[inline]
     fn with_changed(&self, cached: u64, f: impl FnOnce(&T)) -> u64 {
         match self {
-            Backing::Lock(l) => {
-                f(&l.read());
-                NO_VERSION
-            }
+            Backing::Lock(l) => l.with_changed(cached, f),
             Backing::Bit(b) => {
                 f(&(b.from_bit)(b.get()));
                 NO_VERSION
@@ -667,7 +718,7 @@ impl<T: Clone> Backing<T> {
     #[inline]
     fn swap_value(&self, value: T) -> T {
         match self {
-            Backing::Lock(l) => std::mem::replace(&mut *l.write(), value),
+            Backing::Lock(l) => l.replace(value),
             other => {
                 let prev = other.load();
                 other.store(value);
@@ -712,7 +763,7 @@ impl<T: Clone + Send + Sync + 'static> Reg<T> {
     pub(crate) fn new(id: RegId, init: T) -> Self {
         Reg {
             id,
-            cell: Backing::Lock(Arc::new(RwLock::new(init))),
+            cell: Backing::Lock(Arc::new(LockCell::new(init))),
         }
     }
 
@@ -791,8 +842,12 @@ impl<T: Clone + Send + Sync + 'static> Reg<T> {
     /// CAS on that word, so observing `version == cached` (Acquire) proves
     /// no write began publishing after the read that produced `cached` —
     /// the skip linearizes as an ordinary optimistic read that won the
-    /// race. Backings without a version word (locked, bit) always run `f`
-    /// and return [`NO_VERSION`], which never matches.
+    /// race. On the locked cell the token is the version word every write
+    /// bumps by 2 before it releases the write lock: a write linearizes at
+    /// its bump, a locked read sees the bump with the value, and a skip on
+    /// an unchanged version linearizes before any write still inside its
+    /// critical section. The bit backing has no version word; it always
+    /// runs `f` and returns [`NO_VERSION`], which never matches.
     ///
     /// The snapshot layer's batched collect validation is built on this:
     /// with the value registers on a [`World::value_slab`], a steady
@@ -1158,13 +1213,14 @@ mod tests {
         assert_eq!(rep.steps, 1, "read_with is one scheduled read");
     }
 
-    /// `read_changed`'s token contract, in both modes. On a lane a current
-    /// token runs no closure and comes back unchanged; after a write the
-    /// closure sees the new value once and the token is new and even;
-    /// `NO_VERSION` always reads. The locked and bit backings always run
-    /// the closure and return `NO_VERSION`, whatever token they are handed.
+    /// `read_changed`'s token contract, in both modes. On a lane and on a
+    /// locked register a current token runs no closure and comes back
+    /// unchanged; after a write the closure sees the new value once and the
+    /// token is new and even; `NO_VERSION` always reads. The bit backing
+    /// always runs the closure and returns `NO_VERSION`, whatever token it
+    /// is handed.
     #[test]
-    fn read_changed_skips_only_on_a_current_lane_token() {
+    fn read_changed_skips_only_on_a_current_token() {
         /// One read: the token it returned and what its closure saw.
         type Read = (u64, Vec<u64>);
         fn read<T: Copy + Into<u64> + Send + Sync + 'static>(
@@ -1176,47 +1232,53 @@ mod tests {
             let token = r.read_changed(ctx, cached, |v| seen.push((*v).into()))?;
             Ok((token, seen))
         }
+        /// Reads with no token, with the first read's, writes 9, then reads
+        /// with the stale token, the new one and none.
+        fn sequence(r: &Reg<u64>, ctx: &mut Ctx) -> Result<Vec<Read>, Halted> {
+            let first = read(r, ctx, NO_VERSION)?;
+            let t0 = first.0;
+            let mut reads = vec![first, read(r, ctx, t0)?];
+            r.write(ctx, 9)?;
+            let after = read(r, ctx, t0)?;
+            let t1 = after.0;
+            reads.extend([after, read(r, ctx, t1)?, read(r, ctx, NO_VERSION)?]);
+            Ok(reads)
+        }
         for mode in [Mode::Lockstep, Mode::Free] {
             let mut w = World::builder(1).mode(mode).build();
             let lane = w.fast_reg("lane", 5u64);
             let locked = w.reg("locked", 5u64);
             let bit = w.bit_reg("bit", true);
             let body: ProcBody<(Vec<Read>, Vec<Read>, Vec<Read>)> = Box::new(move |ctx| {
-                let first = read(&lane, ctx, NO_VERSION)?;
-                let t0 = first.0;
-                let mut lanes = vec![first, read(&lane, ctx, t0)?];
-                lane.write(ctx, 9)?;
-                let after = read(&lane, ctx, t0)?;
-                let t1 = after.0;
-                lanes.extend([after, read(&lane, ctx, t1)?, read(&lane, ctx, NO_VERSION)?]);
-                let mut others = [Vec::new(), Vec::new()];
-                for cached in [NO_VERSION, t0, t1] {
-                    others[0].push(read(&locked, ctx, cached)?);
-                    others[1].push(read(&bit, ctx, cached)?);
+                let lanes = sequence(&lane, ctx)?;
+                let locks = sequence(&locked, ctx)?;
+                let mut bits = Vec::new();
+                for cached in [NO_VERSION, lanes[0].0, locks[0].0, locks[2].0] {
+                    bits.push(read(&bit, ctx, cached)?);
                 }
-                let [locks, bits] = others;
                 Ok((lanes, locks, bits))
             });
             let rep = w.run(vec![body], Box::new(RoundRobin::new()));
             let (lanes, locks, bits) = rep.outputs[0].clone().expect("the body ran to its end");
-            let (t0, t1) = (lanes[0].0, lanes[2].0);
-            assert!(
-                t0 & 1 == 0 && t1 & 1 == 0 && t0 != t1,
-                "{mode:?}: tokens {t0}, {t1}"
-            );
-            assert_eq!(
-                lanes,
-                [
-                    (t0, vec![5]),
-                    (t0, vec![]),
-                    (t1, vec![9]),
-                    (t1, vec![]),
-                    (t1, vec![9]),
-                ],
-                "{mode:?}: lane"
-            );
-            assert_eq!(locks, vec![(NO_VERSION, vec![5]); 3], "{mode:?}: locked");
-            assert_eq!(bits, vec![(NO_VERSION, vec![1]); 3], "{mode:?}: bit");
+            for (what, reads) in [("lane", lanes), ("locked", locks)] {
+                let (t0, t1) = (reads[0].0, reads[2].0);
+                assert!(
+                    t0 & 1 == 0 && t1 & 1 == 0 && t0 != t1,
+                    "{mode:?}: {what} tokens {t0}, {t1}"
+                );
+                assert_eq!(
+                    reads,
+                    [
+                        (t0, vec![5]),
+                        (t0, vec![]),
+                        (t1, vec![9]),
+                        (t1, vec![]),
+                        (t1, vec![9]),
+                    ],
+                    "{mode:?}: {what}"
+                );
+            }
+            assert_eq!(bits, vec![(NO_VERSION, vec![1]); 4], "{mode:?}: bit");
         }
     }
 

@@ -26,7 +26,11 @@
 //!
 //! A span opens at a ring event that starts a protocol step — the first
 //! `scan_begin` of a scan (arg 1), `update`, `round_advance`, `coin_flip`
-//! — and runs to the same ring's next such event.
+//! — and runs to the same ring's next such event. Under free threads an
+//! `update` that follows a scan carries the scan's closing clock reading
+//! ([`Ctx::stamp`](crate::world::Ctx::stamp)), so a `scan` span ends at
+//! the scan's close and the compute between the scan and the update falls
+//! into the `write` span.
 
 use std::fmt::Write as _;
 

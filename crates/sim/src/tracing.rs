@@ -21,11 +21,13 @@
 //!   parked since an earlier step must not stamp its event before a peer's,
 //!   or [`FlightLog::merged`] would stop being step-ordered). Under
 //!   [`Mode::Free`](crate::Mode::Free) the step is the process's own lease
-//!   cursor — an approximate global order — and only the *ends* of an
-//!   operation read the clock (a scan's opening and close, an update's
-//!   opening): the events in between, `reg_write` above all, **carry**
-//!   the last reading ([`FlightRecorder::record_at`]), so a register write
-//!   costs no clock read. Interior events are therefore time-stamped to
+//!   cursor — an approximate global order — and only the *ends* of a scan
+//!   read the clock (its opening and close; an update's opening reads it
+//!   only if the process has made an access since the last reading, see
+//!   [`Ctx::stamp`](crate::world::Ctx::stamp)): the events in between,
+//!   `reg_write` above all, **carry** the last reading
+//!   ([`FlightRecorder::record_at`]), so a register write costs no clock
+//!   read. Interior events are therefore time-stamped to
 //!   their enclosing operation and ordered within a ring by position and
 //!   step; stamps are still non-zero, non-decreasing per ring, and
 //!   comparable across rings.

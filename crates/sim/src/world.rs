@@ -729,6 +729,9 @@ pub struct Ctx {
     /// The last clock read made on this context; what the interior ring
     /// events of a free-mode operation are stamped with. 0 before the first.
     stamp: u64,
+    /// `granted` when `stamp` was read: [`Ctx::stamp`] reuses the reading
+    /// while the two agree.
+    stamp_granted: u64,
 }
 
 impl std::fmt::Debug for Ctx {
@@ -748,6 +751,7 @@ impl Ctx {
             lease_end: 0,
             granted: 0,
             stamp: 0,
+            stamp_granted: 0,
         }
     }
 
@@ -884,10 +888,29 @@ impl Ctx {
 
     /// Reads the monotonic clock ([`now_nanos`]) and remembers the reading
     /// as the stamp this process's interior free-mode ring events carry.
-    /// Called at the two ends of an operation, whose latency is then the
-    /// difference of the two readings.
+    /// Called at the two ends of a scan, whose latency is then the
+    /// difference of the two readings; an operation that records no
+    /// latency opens with [`Ctx::stamp`] instead.
     pub fn clock(&mut self) -> u64 {
         self.stamp = now_nanos();
+        self.stamp_granted = self.granted;
+        self.stamp
+    }
+
+    /// The context's last clock reading, read afresh ([`Ctx::clock`]) only
+    /// if there is none yet or this process has been granted an access
+    /// since. The reading is therefore never later than the next access,
+    /// which is what an operation's opening stamp must be: an update that
+    /// follows a scan with no access between carries the scan's closing
+    /// reading, and one that follows another update reads the clock.
+    /// Lockstep does not count grants on the context, so there it reads
+    /// only when there is no reading yet; lockstep ring events read their
+    /// own clock, so only a caller's own latency arithmetic sees the
+    /// reused reading.
+    pub fn stamp(&mut self) -> u64 {
+        if self.stamp == 0 || self.granted != self.stamp_granted {
+            self.clock();
+        }
         self.stamp
     }
 
@@ -903,11 +926,12 @@ impl Ctx {
     /// Records a flight-recorder event for this process, dual-stamped with
     /// the world step and monotonic nanoseconds. In lockstep mode the
     /// event reads the clock itself. In free mode it carries the context's
-    /// last reading ([`Ctx::clock`]) — the time of the enclosing
-    /// operation's opening — so that a register write does not
-    /// cost a clock read; within a ring, position and step order what the
-    /// shared stamp does not. Wait-free relaxed stores; a no-op when the
-    /// world was built with [`WorldBuilder::trace_capacity`]`(0)`.
+    /// last reading ([`Ctx::clock`], [`Ctx::stamp`]) — the time of the
+    /// enclosing operation's opening, or for an update that follows a scan
+    /// the scan's close — so that a register write does not cost a clock
+    /// read; within a ring, position and step order what the shared stamp
+    /// does not. Wait-free relaxed stores; a no-op when the world was built
+    /// with [`WorldBuilder::trace_capacity`]`(0)`.
     pub fn trace_event(&mut self, kind: EventKind, arg: u64) {
         if !self.inner.recorder.enabled() {
             return;

@@ -3,18 +3,23 @@
 //! `fast_reg` and `lane_reg` replace the `RwLock` cell with a word-packed
 //! seqlock lane (`reg.rs`): `fast_reg` a lane of its own one-lane slab,
 //! `lane_reg` a lane of a slab shared with its neighbours. `bit_reg` packs
-//! a boolean into one bit of a shared word, written by an RMW. The lane's one safety
-//! obligation is atomicity of the visible value: a reader must never
-//! observe a mix of two different writes. A bit's is that neighbours in
-//! one word never disturb each other and that a two-writer bit (an arrow)
-//! shows the last write before each read. These tests attack both from
-//! three directions — real OS-thread races in free mode (on one lane,
-//! across the adjacent version words of a shared slab, and across the bits
-//! of one word, arrow included), adversarial lockstep schedules across many
-//! seeds, and a cross-backing equivalence check (one-lane slab, shared-slab
-//! lane and packed bit, each against the locked cell `reg` allocates) that
-//! the backing is invisible to scheduling, telemetry, and history
-//! recording.
+//! a boolean into one bit of a shared word, written by an RMW. The lane's
+//! one safety obligation is atomicity of the visible value: a reader must
+//! never observe a mix of two different writes. A bit's is that neighbours
+//! in one word never disturb each other and that a two-writer bit (an
+//! arrow) shows the last write before each read. The locked cell `reg`
+//! allocates carries a version token too, and its obligation is that a
+//! current token never hides a write that has returned. These tests attack
+//! them from three directions — real OS-thread races in free mode (on one
+//! lane, across the adjacent version words of a shared slab, on the locked
+//! cell's token, and across the bits of one word, arrow included),
+//! adversarial lockstep schedules across many seeds, and a cross-backing
+//! equivalence check (one-lane slab, shared-slab lane and packed bit, each
+//! against the locked cell `reg` allocates) that the backing is invisible
+//! to scheduling, telemetry, and history recording.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use bprc_sim::sched::{RandomStrategy, RoundRobin};
 use bprc_sim::world::{Mode, ProcBody, World};
@@ -155,6 +160,86 @@ fn free_threads_race_a_shared_slab_without_tearing_or_regressing() {
             let want = if lane < 2 { last_k } else { 0 };
             assert_eq!(r.peek(), pair(want), "seed {seed}: lane {lane}");
         }
+    }
+}
+
+/// Free-mode race on the locked cell's version token. Pid 0 waits until
+/// every reader holds a token, then writes `1..=WRITES` to a `World::reg`
+/// (locked) register and, after each write returns, stores the value to a
+/// `SeqCst` counter. Pids 1–3 read with
+/// cached tokens, keeping the last value a read handed them as a collect
+/// keeps its buffer. A write is published by its version bump, so a reader
+/// that has loaded `k` from the counter must then hold at least `k`: a
+/// stale token that still matched would leave it an older value. No
+/// reader's values may go backwards, and a skip hands back the cached
+/// token. Readers report the first violation and stop, so a broken cell
+/// cannot leave one spinning.
+#[test]
+fn free_threads_race_the_locked_cells_version_token() {
+    const WRITES: u64 = 2_000;
+    for seed in 0..20u64 {
+        let mut w = World::builder(4)
+            .seed(seed)
+            .mode(Mode::Free)
+            .step_limit(u64::MAX)
+            .build();
+        let r = w.reg("V", 0u64);
+        assert!(!r.is_fast(), "World::reg must take the locked cell");
+        let published = Arc::new(AtomicU64::new(0));
+        let ready = Arc::new(AtomicU64::new(0));
+        let bodies: Vec<ProcBody<Option<String>>> = (0..4)
+            .map(|pid| {
+                let (r, published) = (r.clone(), Arc::clone(&published));
+                let ready = Arc::clone(&ready);
+                let b: ProcBody<Option<String>> = if pid == 0 {
+                    Box::new(move |ctx| {
+                        while ready.load(Ordering::SeqCst) < 3 {
+                            std::thread::yield_now();
+                        }
+                        for k in 1..=WRITES {
+                            r.write(ctx, k)?;
+                            published.store(k, Ordering::SeqCst);
+                        }
+                        Ok(None)
+                    })
+                } else {
+                    Box::new(move |ctx| {
+                        let mut held = 0u64;
+                        let mut token = r.read_changed(ctx, NO_VERSION, |v| held = *v)?;
+                        ready.fetch_add(1, Ordering::SeqCst);
+                        while held < WRITES {
+                            let k = published.load(Ordering::SeqCst);
+                            let mut got = None;
+                            let t = r.read_changed(ctx, token, |v| got = Some(*v))?;
+                            let v = match got {
+                                Some(v) => v,
+                                None if t != token => {
+                                    return Ok(Some(format!(
+                                        "a skip changed the token {token} to {t}"
+                                    )))
+                                }
+                                None => held,
+                            };
+                            if v < k || v < held {
+                                return Ok(Some(format!(
+                                    "read {v} after loading {k} from the counter, holding {held}"
+                                )));
+                            }
+                            (held, token) = (v, t);
+                        }
+                        Ok(None)
+                    })
+                };
+                b
+            })
+            .collect();
+        let rep = w.run(bodies, Box::new(RoundRobin::new()));
+        assert_eq!(rep.decided_count(), 4, "seed {seed}: {:?}", rep.panics);
+        for (pid, out) in rep.outputs.iter().enumerate() {
+            let bad = out.as_ref().expect("every body finished");
+            assert_eq!(*bad, None, "seed {seed}, pid {pid}");
+        }
+        assert_eq!(r.peek(), WRITES, "seed {seed}");
     }
 }
 

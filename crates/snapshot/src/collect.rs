@@ -46,14 +46,15 @@ pub(crate) fn claim_port(taken: &[AtomicBool], pid: usize) {
 /// One collect pass over everyone else's register, into the persistent
 /// buffer `buf`, with **batched validation** through the per-slot version
 /// tokens `vers` (see [`bprc_sim::Reg::read_changed`]): a slot whose
-/// register's seqlock version word still equals the cached token is
-/// provably untouched — the payload words are never loaded, the slot is
-/// not unpacked, nothing is cloned. With the value registers on a
-/// [`bprc_sim::World::value_slab`], the version words of all `n` slots are
-/// contiguous, so a steady pass sweeps ⌈n/8⌉ cache lines and deep-copies
-/// only the (usually few) changed slots. On backings without version words
-/// (`NO_VERSION` tokens) the pass degrades to the previous behaviour:
-/// every slot is read, and the ghost-seq comparison still skips the clone.
+/// register's version word still equals the cached token is provably
+/// untouched — a seqlock lane's payload words are never loaded, a locked
+/// cell's lock is never taken, the slot is not unpacked, nothing is
+/// cloned. With the value registers on a [`bprc_sim::World::value_slab`],
+/// the version words of all `n` slots are contiguous, so a steady pass
+/// sweeps ⌈n/8⌉ cache lines and deep-copies only the (usually few) changed
+/// slots. On a backing without a version word (bit cells, `NO_VERSION`
+/// tokens) every slot is read, and the ghost-seq comparison still skips
+/// the clone.
 ///
 /// Returns the number of register reads performed (the caller flushes them
 /// into the counters once the attempt's accounting point is reached). Each

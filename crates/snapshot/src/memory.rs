@@ -7,7 +7,8 @@
 //! access's outcome as data, so it holds no context, register handle, ghost
 //! seq or version token. [`Port::scan`] and [`Port::update`] are loops that
 //! perform each named access through [`Ctx`]; the port keeps only the
-//! buffers (collects, version tokens, own slot) and the metrics plane.
+//! buffers (collects, version tokens, the staged slot) and the metrics
+//! plane.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -236,7 +237,6 @@ where
         Port {
             shared: Arc::clone(&self.shared),
             me: pid,
-            last: snap[pid].clone(),
             staged: snap[pid].clone(),
             seq: 0,
             c1: snap.clone(),
@@ -477,15 +477,16 @@ fn other(i: usize, me: usize) -> usize {
 ///
 /// Owns the process-local state the paper keeps implicitly: the last value
 /// written (whose toggle the next write flips, and which fills the process's
-/// own slot in scan views) and the ghost sequence counter. A scan's or an
-/// update's control state lives in a [`ScanMachine`] or [`UpdateMachine`]
-/// for the length of the call; the port performs the accesses it names.
+/// own slot in scan views; it lives in `c2[me]`, which no collect touches)
+/// and the ghost sequence counter. A scan's or an update's control state
+/// lives in a [`ScanMachine`] or [`UpdateMachine`] for the length of the
+/// call; the port performs the accesses it names.
 pub struct Port<T, A> {
     shared: Arc<Shared<T, A>>,
     me: usize,
-    last: Slot<T>,
-    /// Where `update` copies the slot it is about to write; swapped with
-    /// `last` once the write has landed, so neither is ever reallocated.
+    /// Where `update` copies the slot it is about to write; swapped into
+    /// `c2[me]` once the update is complete, so neither is ever
+    /// reallocated.
     staged: Slot<T>,
     seq: u64,
     /// Persistent double-collect buffers, reused across attempts and across
@@ -493,14 +494,18 @@ pub struct Port<T, A> {
     /// ghost seq matches the register's is known identical (each writer's
     /// seq is strictly monotonic, so equal seq ⟹ the very same write) and
     /// is not re-cloned. The seq is *ghost* state: it drives this caching
-    /// and the checker, never the algorithm's stability decision.
+    /// and the checker, never the algorithm's stability decision. `c2[me]`
+    /// is the own slot, which only `update` writes and a scan's view shows
+    /// as it is.
     c1: Vec<Slot<T>>,
     c2: Vec<Slot<T>>,
-    /// Per-slot seqlock version tokens keyed to `c1`/`c2` (see
+    /// Per-slot version tokens keyed to `c1`/`c2` (see
     /// [`bprc_sim::Reg::read_changed`]): when a register's version word
     /// still equals the token, the payload is provably untouched and the
-    /// collect skips loading/unpacking it entirely. `NO_VERSION` on
-    /// backings without version words — those always read.
+    /// collect skips it entirely — a seqlock lane's payload words are not
+    /// loaded, a locked cell's lock is not taken. `NO_VERSION` before the
+    /// first read and on backings without version words (bits), which
+    /// always read.
     v1: Vec<u64>,
     v2: Vec<u64>,
 }
@@ -538,11 +543,11 @@ where
         if ctx.recording() {
             ctx.annotate(labels::UPD_START, vec![seq]);
         }
-        ctx.clock();
+        ctx.stamp();
         ctx.trace_event(EventKind::Update, seq);
         let mut slot = Some(Slot {
             value,
-            toggle: !self.last.toggle,
+            toggle: !self.c2[self.me].toggle,
             seq,
         });
         let mut machine = UpdateMachine::new(self.shared.n, self.me);
@@ -569,7 +574,7 @@ where
                 other => unreachable!("an update never performs {other:?}"),
             }
         }
-        std::mem::swap(&mut self.last, &mut self.staged);
+        std::mem::swap(&mut self.c2[self.me], &mut self.staged);
         self.seq = seq;
         if ctx.recording() {
             ctx.annotate(labels::UPD_END, vec![seq]);
@@ -677,10 +682,6 @@ where
                 Access::Check(j) => machine.feed(!self.arrow(j, self.me).is_raised(ctx)?),
                 Access::Done => {
                     crate::collect::flush_collect_reads(ctx, reads);
-                    let me = self.me;
-                    if self.c2[me].seq != self.last.seq {
-                        self.c2[me].clone_from(&self.last);
-                    }
                     let c2 = &self.c2;
                     crate::collect::finish_scan(ctx, span, attempt.tries(), || {
                         c2.iter().map(|s| s.seq).collect()

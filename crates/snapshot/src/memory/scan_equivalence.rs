@@ -88,8 +88,9 @@ where
                     .map(|(j, s)| match s {
                         Some(s) => s,
                         None => {
+                            // The port's own slot, which `update` keeps.
                             debug_assert_eq!(j, self.me);
-                            self.last.clone()
+                            self.c2[j].clone()
                         }
                     })
                     .collect();

@@ -271,11 +271,12 @@ pub struct WfPort<T> {
     /// because every `WfSlot` clone deep-copies an `n`-entry view.
     c1: Vec<WfSlot<T>>,
     c2: Vec<WfSlot<T>>,
-    /// Per-slot seqlock version tokens keyed to `c1`/`c2` (see
+    /// Per-slot version tokens keyed to `c1`/`c2` (see
     /// [`bprc_sim::Reg::read_changed`]): a register whose version word still
     /// equals the token is provably unwritten, so the collect skips the
     /// load *and* the `n`-entry embedded-view unpack — the expensive part
-    /// of a `WfSlot` read.
+    /// of a `WfSlot` read — on a seqlock lane, and the read lock on a
+    /// locked cell.
     v1: Vec<u64>,
     v2: Vec<u64>,
     /// Mover bookkeeping, reset per scan.
@@ -312,7 +313,7 @@ where
         if ctx.recording() {
             ctx.annotate(labels::UPD_START, vec![seq]);
         }
-        ctx.clock();
+        ctx.stamp();
         ctx.trace_event(EventKind::Update, seq);
         let slot = WfSlot {
             value,

@@ -17,6 +17,7 @@ use bprc::sim::trace::to_chrome_trace;
 use bprc::sim::tracing::{EventKind, FlightLog, Hist, DEFAULT_RING_CAPACITY};
 use bprc::sim::world::{ProcBody, RunReport};
 use bprc::sim::{json, Counter, Mode, World};
+use bprc::snapshot::ScannableMemory;
 
 /// Each lockstep crash and injected fault is one ring event, so the Chrome
 /// trace shows it exactly once (the history records the same faults, so an
@@ -160,13 +161,13 @@ fn chrome_trace_export_from_a_real_run_is_well_formed() {
     assert!(errs.is_empty(), "non-finite numbers in trace: {errs:?}");
 }
 
-/// The carried-stamp rule. Under `Mode::Free` only the ends of an operation
-/// read the clock: a scan's opening (the stamp its first `scan_begin`
-/// shows), its `scan_end`, and an update's opening (its `update` event).
-/// Every other event — `reg_write`, `collect_pass`, a retry's `scan_begin`,
-/// `round_advance`, `coin_flip`, `decide` — carries the previous event's
-/// reading, the scan-latency histogram is fed the difference of the two
-/// end stamps, and the log still exports.
+/// The carried-stamp rule. Under `Mode::Free` only the ends of a scan read
+/// the clock: its opening (the stamp its first `scan_begin` shows) and its
+/// `scan_end`. Every other event — `reg_write`, `collect_pass`, a retry's
+/// `scan_begin`, `round_advance`, `coin_flip`, `decide`, and an `update`,
+/// which here always follows a scan with no access between — carries the
+/// previous event's reading, the scan-latency histogram is fed the
+/// difference of the two end stamps, and the log still exports.
 #[test]
 fn free_mode_interior_events_carry_the_enclosing_operations_stamp() {
     let n = 3;
@@ -195,7 +196,7 @@ fn free_mode_interior_events_carry_the_enclosing_operations_stamp() {
             } else if e.kind == EventKind::ScanEnd {
                 scans += 1;
                 latency += e.nanos - opened;
-            } else if i > 0 && e.kind != EventKind::Update {
+            } else if i > 0 {
                 // Interior: no clock read of its own, so it carries the
                 // previous ring event's reading.
                 assert_eq!(
@@ -223,6 +224,54 @@ fn free_mode_interior_events_carry_the_enclosing_operations_stamp() {
     let mut errs = Vec::new();
     json::check_finite(&reparsed, "$", &mut errs);
     assert!(errs.is_empty(), "non-finite numbers in trace: {errs:?}");
+}
+
+/// The update stamp rule (`Ctx::stamp`), in free mode: an update reads the
+/// clock only if its process has made an access since the last reading.
+/// After a scan it carries the scan's closing reading, however long the
+/// process computed in between; after another update, whose accesses came
+/// since, it reads the clock afresh.
+#[test]
+fn a_free_mode_update_reuses_a_reading_only_while_no_access_came_between() {
+    let pause = std::time::Duration::from_millis(1);
+    let stamps = |scan_first: bool| {
+        let mut world = World::builder(1)
+            .mode(Mode::Free)
+            .step_limit(u64::MAX)
+            .build();
+        let mem = ScannableMemory::<u64, DirectArrow>::new(&world, 1, 0);
+        let mut port = mem.port(0);
+        let body: ProcBody<()> = Box::new(move |ctx| {
+            if scan_first {
+                port.scan(ctx)?;
+            } else {
+                port.update(ctx, 1)?;
+            }
+            std::thread::sleep(pause);
+            port.update(ctx, 2)
+        });
+        let rep = world.run(vec![body], Box::new(RoundRobin::new()));
+        assert_eq!(rep.decided_count(), 1, "{:?}", rep.panics);
+        let events = rep.flight.events(0);
+        let of = |kind: EventKind| -> Vec<u64> {
+            events
+                .iter()
+                .filter(|e| e.kind == kind)
+                .map(|e| e.nanos)
+                .collect()
+        };
+        (of(EventKind::ScanEnd), of(EventKind::Update))
+    };
+    let (ends, updates) = stamps(true);
+    assert_eq!(updates.len(), 1);
+    assert_eq!(ends, updates, "an update after a scan carries its close");
+    let (ends, updates) = stamps(false);
+    assert!(ends.is_empty());
+    assert_eq!(updates.len(), 2);
+    assert!(
+        updates[1] - updates[0] >= pause.as_nanos() as u64,
+        "the second update read the clock afresh: {updates:?}"
+    );
 }
 
 /// A free-mode run whose counts repeat exactly: the three consensus bodies
