@@ -15,7 +15,7 @@
 //! the demo cannot honour exits 2, naming the flag, before any run.
 
 use bprc_core::adversaries::{LeaderStarver, SplitAdversary};
-use bprc_core::arena::{entrants, ArenaBackend};
+use bprc_core::arena::entrants;
 use bprc_core::baselines::RoundCore;
 use bprc_core::bounded::{BoundedCore, ConsensusParams};
 use bprc_core::ProcState;
@@ -168,7 +168,7 @@ fn run_registers(args: &Args) {
         .step_limit(BUDGET)
         .weak_memory(entrant.memory_mode())
         .build();
-    let bodies = entrant.build(&world, ArenaBackend::Handshake, &args.inputs, args.seed);
+    let bodies = entrant.build(&world, &args.inputs, args.seed);
     let names = world.reg_names();
     let report = world.run(bodies, level_free::<Registers>(&args.adversary, args.seed));
     let gauge = |g| report.telemetry.gauge_max_all(g).unwrap_or(0);

@@ -1,7 +1,7 @@
 //! CLI driver for the experiment suite.
 //!
 //! ```text
-//! experiments [all|e1|...|e14|e5b]... [--quick]   # markdown tables
+//! experiments [all|e1|...|e13|e5b]... [--quick]   # markdown tables
 //! experiments verify-gate [--quick] [--out=PATH]  # fail-closed gate: writes
 //!                                                 #   BENCH_verify.json
 //! ```
@@ -17,7 +17,7 @@ use bprc_bench::{experiments, verify_gate, Scale, Table};
 
 type Experiment = fn(Scale) -> Table;
 
-const EXPERIMENTS: [(&str, Experiment); 13] = [
+const EXPERIMENTS: [(&str, Experiment); 12] = [
     ("e1", experiments::e1_disagreement),
     ("e2", experiments::e2_walk_steps),
     ("e3", experiments::e3_overflow),
@@ -30,7 +30,6 @@ const EXPERIMENTS: [(&str, Experiment); 13] = [
     ("e11", experiments::e11_ablation_b),
     ("e12", experiments::e12_ablation_k),
     ("e13", experiments::e13_ablation_m),
-    ("e14", experiments::e14_waitfree),
 ];
 
 /// Every subcommand with the flags it takes (a trailing `=` takes a value);

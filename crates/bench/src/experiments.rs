@@ -13,7 +13,7 @@ use bprc_sim::sched::{FnStrategy, RandomStrategy};
 use bprc_sim::turn::{Turn, TurnBsp, TurnDriver, TurnProcess};
 use bprc_sim::world::{ProcBody, RunReport};
 use bprc_sim::{Counter, Decision, Gauge, Strategy, World};
-use bprc_snapshot::{ScannableMemory, SnapshotBackend, SnapshotPort, WaitFreeSnapshot};
+use bprc_snapshot::ScannableMemory;
 use bprc_strip::{DistanceGraph, EdgeCounters, ShrunkenGame};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -554,17 +554,14 @@ pub fn e6_memory(scale: Scale) -> Table {
     t
 }
 
-/// The handshake memory E7 and E14 put under writer pressure.
-type Handshake = ScannableMemory<u64, DirectArrow>;
-
-/// E7's and E14's run: on backend `B`, one scanner (pid 0) attempting 20
+/// E7's run: on the handshake memory, one scanner (pid 0) attempting 20
 /// scans against two endless writers, in lockstep under a scheduler that
 /// grants a runnable writer with probability `pressure`, its coin seeded
 /// `derive_seed(tag, trial)`.
-fn writer_pressure<B: SnapshotBackend<u64>>(pressure: f64, tag: u64, trial: u64) -> RunReport<()> {
+fn writer_pressure(pressure: f64, tag: u64, trial: u64) -> RunReport<()> {
     let n = 3;
     let mut world = World::builder(n).seed(trial).step_limit(60_000).build();
-    let mem = B::alloc(&world, n, 0);
+    let mem = ScannableMemory::<u64, DirectArrow>::new(&world, n, 0);
     let mut scanner = mem.port(0);
     let mut bodies: Vec<ProcBody<()>> = vec![Box::new(move |ctx| {
         for _ in 0..20 {
@@ -613,7 +610,7 @@ pub fn e7_scan_retries(scale: Scale) -> Table {
         let mut scans = 0u64;
         let mut starved = 0u64;
         for trial in 0..trials {
-            let rep = writer_pressure::<Handshake>(pressure, 70, trial);
+            let rep = writer_pressure(pressure, 70, trial);
             attempts += rep.telemetry.counter(0, Counter::ScanAttempts);
             scans += rep.telemetry.counter(0, Counter::Scans);
             if rep.outputs[0].is_none() {
@@ -799,55 +796,6 @@ pub fn e13_ablation_m(scale: Scale) -> Table {
         "n = {n}, b = 2, {trials} trials per row; agreement/validity asserted in every trial"
     ));
     t.note("shape check: safety never depends on m; tiny m actually decides FASTER (overflows short-circuit the walk into deterministic heads) at the price of a badly biased coin; large m converges to the unbounded walk cost");
-    t
-}
-
-/// E14 (extension): the paper's scan vs the wait-free (AADGMS-style) scan
-/// under the same writer pressure as E7. The paper's scan starves at high
-/// pressure; the wait-free scan always completes within n+1 attempts by
-/// borrowing embedded views.
-pub fn e14_waitfree(scale: Scale) -> Table {
-    let trials = scale.trials(3, 10);
-    let mut t = Table::new(
-        "E14 — paper scan vs wait-free scan under writer pressure (extension)",
-        &[
-            "P[writer step]",
-            "paper: scans done",
-            "paper: starved",
-            "wait-free: scans done",
-            "wait-free: max attempts",
-        ],
-    );
-    for pressure in [0.5f64, 0.8, 0.95] {
-        let mut paper_scans = 0u64;
-        let mut paper_starved = 0u64;
-        let mut wf_scans = 0u64;
-        let mut wf_max_attempts = 0u64;
-        for trial in 0..trials {
-            let paper = writer_pressure::<Handshake>(pressure, 140, trial);
-            paper_scans += paper.telemetry.counter(0, Counter::Scans);
-            if paper.outputs[0].is_none() {
-                paper_starved += 1;
-            }
-            // Wait-free construction, identical pressure.
-            let wf = writer_pressure::<WaitFreeSnapshot<u64>>(pressure, 140, trial);
-            let scans = wf.telemetry.counter(0, Counter::Scans);
-            wf_scans += scans;
-            let attempts = wf.telemetry.counter(0, Counter::ScanAttempts);
-            wf_max_attempts = wf_max_attempts.max(attempts.div_ceil(scans.max(1)));
-        }
-        t.row(vec![
-            format!("{pressure:.2}"),
-            paper_scans.to_string(),
-            paper_starved.to_string(),
-            wf_scans.to_string(),
-            wf_max_attempts.to_string(),
-        ]);
-    }
-    t.note(format!(
-        "{trials} trials per row; 1 scanner attempting 20 scans + 2 relentless writers"
-    ));
-    t.note("the paper's protocol never needs a wait-free scan (its writers pause); the wait-free variant shows what the later literature added");
     t
 }
 

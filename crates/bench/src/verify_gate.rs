@@ -38,9 +38,9 @@
 //! the crash branches it took, which must be non-zero on a `-crash` row.
 //! What cannot be enumerated is
 //! `Expect::Sampled` by small runners emitting the same row shape: the PCT
-//! sweeps over the full consensus stack and the n = 4 snapshot, the
-//! wait-free attempt bound, and the arena race — every [`bprc_core::entrants`] protocol at n ∈ {2, 4, 8}
-//! over both snapshot backends, whose rows also record the decided
+//! sweeps over the full consensus stack and the n = 4 snapshot, and the
+//! arena race — every [`bprc_core::entrants`] protocol at n ∈ {2, 4, 8}
+//! over the handshake memory, whose rows also record the decided
 //! fraction, mean rounds, mean register operations and widest register.
 //! The weak-memory rows run beside the sequentially consistent ones, and
 //! only the property tags some row of the run carries are printed.
@@ -54,10 +54,9 @@ use std::rc::Rc;
 use bprc_coin::CoinParams;
 use bprc_core::modelcheck::{check, check_bounded, McConfig, McReport};
 use bprc_core::multivalued::{MvCore, MvState};
-use bprc_core::threaded::ThreadedConsensusOn;
+use bprc_core::threaded::ThreadedConsensus;
 use bprc_core::{
-    arena_strategy, check_telemetry_parity, entrants, ArenaBackend, Consensus, ConsensusParams,
-    ConsensusSpec, ProcState,
+    arena_strategy, check_telemetry_parity, entrants, Consensus, ConsensusParams, ConsensusSpec,
 };
 use bprc_registers::DirectArrow;
 use bprc_sim::explore::{
@@ -68,16 +67,14 @@ use bprc_sim::faults::quiet_injected_panics;
 use bprc_sim::json::{check_finite, Value};
 use bprc_sim::litmus::{corpus, LitmusProgram};
 use bprc_sim::rng::derive_seed;
-use bprc_sim::sched::{FnStrategy, PctStrategy};
+use bprc_sim::sched::PctStrategy;
 use bprc_sim::world::{ProcBody, RunReport, World};
 use bprc_sim::{
-    critical_cycle, Counter, Decision, FaultPlan, FaultedStrategy, Gauge, Heartbeat, ScheduleView,
-    Strategy, WeakMode,
+    critical_cycle, Counter, Decision, FaultPlan, FaultedStrategy, Gauge, Heartbeat, Strategy,
+    WeakMode,
 };
 use bprc_snapshot::memory::labels;
-use bprc_snapshot::{
-    check_history, ScannableMemory, SnapshotBackend, SnapshotMeta, SnapshotPort, WaitFreeSnapshot,
-};
+use bprc_snapshot::{check_history, ScannableMemory, SnapshotBackend, SnapshotMeta};
 
 use crate::{Scale, Table};
 
@@ -107,10 +104,6 @@ pub const PROPERTIES: &[(&str, &str)] = &[
     (
         "PARITY",
         "telemetry counters equal the recorded history, per process (independent planes)",
-    ),
-    (
-        "WFREE",
-        "wait-free scans complete within n+1 attempts under writer pressure",
     ),
     (
         "WEAKMEM",
@@ -460,11 +453,14 @@ where
     }
 }
 
-type Handshake<T> = ScannableMemory<T, DirectArrow>;
+type Handshake = ScannableMemory<u64, DirectArrow>;
 
-fn backend_meta<B: SnapshotBackend<u64>>(n: usize) -> SnapshotMeta {
+/// The handshake memory's name in the `snapshot_backend` column.
+const HANDSHAKE: &str = Handshake::NAME;
+
+fn handshake_meta(n: usize) -> SnapshotMeta {
     let world = World::builder(n).build();
-    B::alloc(&world, n, 0u64).meta()
+    Handshake::new(&world, n, 0).meta()
 }
 
 /// The per-schedule check of the sequentially consistent snapshot rows:
@@ -477,16 +473,17 @@ fn snapshot_check(r: &RunReport<Vec<u64>>, meta: &SnapshotMeta) -> Option<String
     check_telemetry_parity(r)
 }
 
-/// n = 2 over backend `B`, both processes update their slot then scan —
-/// every schedule, with every placement of up to `fault_budget` crashes.
-fn n2_update_scan<B: SnapshotBackend<u64> + 'static>(fault_budget: u64) -> Check {
-    let meta = backend_meta::<B>(2);
+/// n = 2 over the handshake memory, both processes update their slot then
+/// scan — every schedule, with every placement of up to `fault_budget`
+/// crashes.
+fn n2_update_scan(fault_budget: u64) -> Check {
+    let meta = handshake_meta(2);
     Check::explored(
         Row {
-            name: format!("snapshot-n2-update-scan-{}-b{fault_budget}", B::NAME),
+            name: format!("snapshot-n2-update-scan-{HANDSHAKE}-b{fault_budget}"),
             tags: &["P1-P3", "PARITY"],
             protocol: "update+scan",
-            backend: B::NAME,
+            backend: HANDSHAKE,
             n: 2,
             fault_budget,
             ..Row::default()
@@ -494,7 +491,7 @@ fn n2_update_scan<B: SnapshotBackend<u64> + 'static>(fault_budget: u64) -> Check
         Independence::ReadsOnly,
         |mode| {
             let world = World::builder(2).seed(0).weak_memory(mode).build();
-            let mem = B::alloc(&world, 2, 0u64);
+            let mem = Handshake::new(&world, 2, 0);
             let bodies: Vec<ProcBody<Vec<u64>>> = (0..2)
                 .map(|pid| {
                     let mut port = mem.port(pid);
@@ -520,13 +517,13 @@ fn n2_update_scan<B: SnapshotBackend<u64> + 'static>(fault_budget: u64) -> Check
 /// buffered store: both-sides-do-everything blows past 10^6 schedules,
 /// while this split stays exhaustive in minutes on the real code path.
 fn n2_writer_scanner(mode: WeakMode) -> Check {
-    let meta = backend_meta::<Handshake<u64>>(2);
+    let meta = handshake_meta(2);
     Check::explored(
         Row {
             name: format!("snapshot-n2-writer-scanner-{mode}"),
             tags: &["WEAKMEM"],
             protocol: "writer vs scanner",
-            backend: Handshake::<u64>::NAME,
+            backend: HANDSHAKE,
             mode,
             n: 2,
             ..Row::default()
@@ -534,7 +531,7 @@ fn n2_writer_scanner(mode: WeakMode) -> Check {
         Independence::ReadsOnly,
         |mode| {
             let world = World::builder(2).seed(0).weak_memory(mode).build();
-            let mem = Handshake::<u64>::alloc(&world, 2, 0u64);
+            let mem = Handshake::alloc(&world, 2, 0u64);
             let (mut writer, mut scanner) = (mem.port(0), mem.port(1));
             let bodies: Vec<ProcBody<Vec<u64>>> = vec![
                 Box::new(move |ctx| {
@@ -794,10 +791,11 @@ where
     }
 }
 
-/// The PCT sweep over the full consensus stack on backend `B`: every seed
-/// runs the whole protocol at register granularity under a fault-injecting
-/// strategy and must satisfy agreement, validity, P1–P3 and parity.
-fn pct_consensus<B: SnapshotBackend<ProcState> + 'static>(seeds: u64) -> Check {
+/// The PCT sweep over the full consensus stack on the handshake memory:
+/// every seed runs the whole protocol at register granularity under a
+/// fault-injecting strategy and must satisfy agreement, validity, P1–P3
+/// and parity.
+fn pct_consensus(seeds: u64) -> Check {
     let inputs = [true, false, true];
     let (n, d) = (inputs.len(), 3usize);
     // Short enough that sampled fault points usually land inside the run
@@ -805,10 +803,10 @@ fn pct_consensus<B: SnapshotBackend<ProcState> + 'static>(seeds: u64) -> Check {
     // uninformative).
     let horizon = 800u64;
     let row = Row {
-        name: format!("pct-consensus-n3-{}", B::NAME),
+        name: format!("pct-consensus-n3-{HANDSHAKE}"),
         tags: &["AGREE", "VALID", "P1-P3", "PARITY"],
         protocol: "bounded consensus",
-        backend: B::NAME,
+        backend: HANDSHAKE,
         n,
         depth: 60_000,
         fault_budget: 1,
@@ -818,7 +816,7 @@ fn pct_consensus<B: SnapshotBackend<ProcState> + 'static>(seeds: u64) -> Check {
     sampled(row, seeds, move |row, seed| {
         let mut world = World::builder(n).seed(0).step_limit(row.depth).build();
         let params = ConsensusParams::quick(n);
-        let inst = ThreadedConsensusOn::<B>::new(&world, &params, &inputs, seed);
+        let inst = ThreadedConsensus::<DirectArrow>::new(&world, &params, &inputs, seed);
         let meta = inst.memory.meta();
         // Alternate the two composition routes into the fault space: the
         // scheduler-native crash points (even seeds) and the declarative
@@ -847,19 +845,19 @@ fn pct_consensus<B: SnapshotBackend<ProcState> + 'static>(seeds: u64) -> Check {
 /// with d = 3 change points, every run's history checked against P1–P3.
 fn pct_snapshot(seeds: u64) -> Check {
     let (n, d, horizon) = (4usize, 3usize, 200u64);
-    let meta = backend_meta::<Handshake<u64>>(n);
+    let meta = handshake_meta(n);
     let row = Row {
         name: "pct-snapshot-n4-handshake".to_string(),
         tags: &["P1-P3"],
         protocol: "update+scan",
-        backend: Handshake::<u64>::NAME,
+        backend: HANDSHAKE,
         n,
         depth: 5_000,
         ..Row::default()
     };
     sampled(row, seeds, move |row, seed| {
         let mut world = World::builder(n).seed(0).step_limit(row.depth).build();
-        let mem = Handshake::<u64>::alloc(&world, n, 0);
+        let mem = Handshake::new(&world, n, 0);
         let bodies: Vec<ProcBody<Vec<u64>>> = (0..n)
             .map(|pid| {
                 let mut port = mem.port(pid);
@@ -875,58 +873,6 @@ fn pct_snapshot(seeds: u64) -> Check {
         match check_history(history, &meta).violations.first() {
             Some(v) => Err(format!("snapshot property violated: {v:?}")),
             None => Ok(format!("d={d}")),
-        }
-    })
-}
-
-/// The wait-freedom bound: a writer granted two of every three steps must
-/// not push the wait-free scan past n + 1 attempts or starve it. One
-/// adversarial schedule, so one "seed".
-fn waitfree_bound() -> Check {
-    let row = Row {
-        name: "waitfree-attempt-bound-n2".to_string(),
-        tags: &["WFREE"],
-        protocol: "endless writer vs scan",
-        backend: WaitFreeSnapshot::<u64>::NAME,
-        n: 2,
-        depth: 100_000,
-        ..Row::default()
-    };
-    sampled(row, 1, |row, _| {
-        let mut world = World::builder(2).step_limit(row.depth).build();
-        let mem = WaitFreeSnapshot::<u64>::alloc(&world, 2, 0);
-        let mut wp = mem.port(0);
-        let mut sp = mem.port(1);
-        let bodies: Vec<ProcBody<Vec<u64>>> = vec![
-            Box::new(move |ctx| {
-                let mut k = 0u64;
-                loop {
-                    k += 1;
-                    wp.update(ctx, k)?;
-                }
-            }),
-            Box::new(move |ctx| sp.scan(ctx)),
-        ];
-        let strategy = FnStrategy::new(|view: &ScheduleView<'_>| {
-            if view.step.is_multiple_of(3) && view.runnable.contains(&1) {
-                Decision::Grant(1)
-            } else if view.runnable.contains(&0) {
-                Decision::Grant(0)
-            } else {
-                Decision::Grant(1)
-            }
-        });
-        let rep = world.run(bodies, Box::new(strategy));
-        let attempts = rep.telemetry.counter(1, Counter::ScanAttempts);
-        if rep.outputs[1].is_some() && attempts <= 3 {
-            Ok(format!(
-                "scan completed in {attempts} attempts, bound n+1 = 3"
-            ))
-        } else {
-            Err(format!(
-                "attempts = {attempts} (bound 3), scan output {:?}, halted {:?}",
-                rep.outputs[1], rep.halted[1]
-            ))
         }
     })
 }
@@ -1049,8 +995,8 @@ fn model_check<O: Clone + Ord + Debug>(row: &mut Row, inputs: [O; 2], rep: McRep
     row.judge(verdict);
 }
 
-/// One arena cell: `trials` runs of `entrant` at `n` processes over
-/// `backend`, each seeded `derive_seed(seed, trial)`, capped at
+/// One arena cell: `trials` runs of `entrant` at `n` processes, each
+/// seeded `derive_seed(seed, trial)`, capped at
 /// `step_limit` steps and scheduled by [`arena_strategy`] for the
 /// entrant's memory model. A run fails the row if it violates agreement or
 /// validity, or decides without advancing a round, metering a register or
@@ -1060,16 +1006,15 @@ fn model_check<O: Clone + Ord + Debug>(row: &mut Row, inputs: [O; 2], rep: McRep
 fn arena_row(
     entrant: Rc<dyn Consensus>,
     n: usize,
-    backend: ArenaBackend,
     trials: u64,
     step_limit: u64,
     seed: u64,
 ) -> Check {
     let row = Row {
-        name: format!("arena-{}-n{n}-{}", entrant.name(), backend.name()),
+        name: format!("arena-{}-n{n}-{HANDSHAKE}", entrant.name()),
         tags: &["AGREE", "VALID"],
         protocol: entrant.name(),
-        backend: backend.name(),
+        backend: HANDSHAKE,
         mode: entrant.memory_mode(),
         n,
         depth: step_limit,
@@ -1080,8 +1025,7 @@ fn arena_row(
     let spec = ConsensusSpec::new(&inputs);
     sampled(row, trials, move |row, trial| {
         let trial_seed = derive_seed(seed, trial);
-        let make =
-            |record| arena_trial(&*entrant, &inputs, backend, step_limit, trial_seed, record);
+        let make = |record| arena_trial(&*entrant, &inputs, step_limit, trial_seed, record);
         let (mut world, bodies) = make(false);
         let (recorder, log) = DecisionRecorder::new(arena_strategy(row.mode, trial_seed));
         let rep = world.run(bodies, Box::new(recorder));
@@ -1127,7 +1071,6 @@ fn arena_row(
 fn arena_trial(
     entrant: &dyn Consensus,
     inputs: &[bool],
-    backend: ArenaBackend,
     step_limit: u64,
     trial_seed: u64,
     record_history: bool,
@@ -1138,25 +1081,22 @@ fn arena_trial(
         .record_history(record_history)
         .weak_memory(entrant.memory_mode())
         .build();
-    let bodies = entrant.build(&world, backend, inputs, trial_seed);
+    let bodies = entrant.build(&world, inputs, trial_seed);
     (world, bodies)
 }
 
-/// The arena race: every entrant × [`ARENA_SIZES`] × both backends, the
-/// cell at entrant `e`, size index `i` and backend index `b` seeded
-/// `derive_seed(seed, 100e + 10i + b)`.
+/// The arena race: every entrant × [`ARENA_SIZES`], the cell at entrant
+/// `e` and size index `i` seeded `derive_seed(seed, 100e + 10i)` — the
+/// seeds the committed `arena-*` rows and
+/// `quick_arena_race_pins_the_open_finding`'s cell 200 are pinned against.
 fn arena_race(seed: u64, trials: u64, step_limit: u64) -> Vec<Check> {
     let mut checks = Vec::new();
     for (e, entrant) in entrants().into_iter().enumerate() {
         let entrant: Rc<dyn Consensus> = entrant.into();
         for (i, &n) in ARENA_SIZES.iter().enumerate() {
-            for (b, backend) in ArenaBackend::ALL.into_iter().enumerate() {
-                let cell_seed = derive_seed(seed, (e * 100 + i * 10 + b) as u64);
-                let entrant = Rc::clone(&entrant);
-                checks.push(arena_row(
-                    entrant, n, backend, trials, step_limit, cell_seed,
-                ));
-            }
+            let cell_seed = derive_seed(seed, (e * 100 + i * 10) as u64);
+            let entrant = Rc::clone(&entrant);
+            checks.push(arena_row(entrant, n, trials, step_limit, cell_seed));
         }
     }
     checks
@@ -1170,19 +1110,15 @@ fn arena_race(seed: u64, trials: u64, step_limit: u64) -> Vec<Check> {
 fn table(scale: Scale) -> Vec<Check> {
     let seeds = scale.trials(300, 5_000);
     let mut checks = Vec::new();
-    for budget in [0, 1] {
-        checks.push(n2_update_scan::<Handshake<u64>>(budget));
-        checks.push(n2_update_scan::<WaitFreeSnapshot<u64>>(budget));
-    }
     checks.extend([
+        n2_update_scan(0),
+        n2_update_scan(1),
         writers_scanner("snapshot-n3-writers-scanner-b1", true, 1, Expect::Clean),
         writers_scanner("fixture-torn-scan", false, 0, Expect::Found(None)),
         crash_publish("fixture-crash-publish", 1, Expect::Found(Some(Keep::Crash))),
         crash_publish("control-crash-publish-b0", 0, Expect::Clean),
-        pct_consensus::<Handshake<ProcState>>(seeds),
-        pct_consensus::<WaitFreeSnapshot<ProcState>>(seeds),
+        pct_consensus(seeds),
         pct_snapshot(1_000),
-        waitfree_bound(),
     ]);
     checks.extend([
         mc_consensus(1, 1, [false, false], false),
@@ -1357,12 +1293,12 @@ mod tests {
 
     #[test]
     fn clean_row_reports_fault_coverage() {
-        let row = n2_update_scan::<WaitFreeSnapshot<u64>>(1).run();
+        let row = n2_update_scan(1).run();
         assert!(row.ok, "{}", row.detail);
         assert!(row.exhausted);
-        assert_eq!((row.schedules, row.truncated), (152, 0));
-        assert_eq!(row.schedules_by_faults, vec![18, 134]);
-        assert_eq!(row.faults_injected, 134);
+        assert_eq!((row.schedules, row.truncated), (4089, 0));
+        assert_eq!(row.schedules_by_faults, vec![486, 3603]);
+        assert_eq!(row.faults_injected, 3603);
         assert_eq!(row.trace, None);
     }
 
@@ -1427,24 +1363,19 @@ mod tests {
     #[test]
     fn sampled_runners_fill_the_same_row_shape() {
         quiet_injected_panics();
-        let rows = [
-            pct_consensus::<Handshake<ProcState>>(6).run(),
-            pct_consensus::<WaitFreeSnapshot<ProcState>>(6).run(),
-            pct_snapshot(20).run(),
-            waitfree_bound().run(),
-        ];
+        let rows = [pct_consensus(6).run(), pct_snapshot(20).run()];
         for row in &rows {
             assert!(row.ok, "{}: {}", row.name, row.detail);
             assert_eq!(row.expect, Expect::Sampled);
             assert!(!row.exhausted);
         }
-        assert_eq!(rows.map(|r| r.schedules), [6, 6, 20, 1]);
+        assert_eq!(rows.map(|r| r.schedules), [6, 20]);
     }
 
     #[test]
     fn table_rows_are_unique_and_cover_the_property_list() {
         let all = table(Scale::Quick);
-        assert_eq!(all.len(), 77);
+        assert_eq!(all.len(), 55);
         let known = |tag: &&str| PROPERTIES.iter().any(|(t, _)| t == tag);
         for (i, check) in all.iter().enumerate() {
             let row = &check.row;
@@ -1456,7 +1387,7 @@ mod tests {
             let carried = all.iter().any(|c| c.row.tags.contains(tag));
             assert!(carried, "no row carries {tag}");
         }
-        // The arena race covers the whole field: entrants × sizes × backends.
+        // The arena race covers the whole field: entrants × sizes.
         let arena: Vec<&str> = all
             .iter()
             .map(|c| c.row.name.as_str())
@@ -1465,9 +1396,7 @@ mod tests {
         let mut field = Vec::new();
         for entrant in entrants() {
             for n in ARENA_SIZES {
-                for backend in ArenaBackend::ALL {
-                    field.push(format!("arena-{}-n{n}-{}", entrant.name(), backend.name()));
-                }
+                field.push(format!("arena-{}-n{n}-{HANDSHAKE}", entrant.name()));
             }
         }
         assert_eq!(arena, field);
@@ -1475,8 +1404,7 @@ mod tests {
 
     /// Pins the open finding of DESIGN.md § Scope limits ("Open finding"):
     /// racing at seed 3, 2 trials and a 200,000-step limit fails exactly
-    /// one arena row, Aspnes–Herlihy over regular registers at n = 2 on the
-    /// handshake backend. The test fails if the finding moves or spreads;
+    /// one arena row, Aspnes–Herlihy over regular registers at n = 2. The test fails if the finding moves or spreads;
     /// deciding it empties the list.
     #[test]
     fn quick_arena_race_pins_the_open_finding() {
@@ -1495,8 +1423,7 @@ mod tests {
         // The row embeds the failing trial's shrunk trace, and it replays
         // to the disagreement on that trial's world (cell 200, trial 0).
         let (inputs, seed) = ([true, false], derive_seed(derive_seed(3, 200), 0));
-        let handshake = ArenaBackend::Handshake;
-        let mut make = || arena_trial(&*entrants()[2], &inputs, handshake, 200_000, seed, true);
+        let mut make = || arena_trial(&*entrants()[2], &inputs, 200_000, seed, true);
         let (replayed, _) = run_trace(&mut make, &embedded_trace(failed[0]));
         let disagreement = ConsensusSpec::new(&inputs).check(&replayed);
         assert!(disagreement.is_some(), "{:?}", replayed.outputs);
@@ -1559,9 +1486,9 @@ mod tests {
     fn validate_accepts_real_rows_and_rejects_forgeries() {
         let rows = [
             mc_consensus(1, 1, [false, false], false).run(),
-            n2_update_scan::<Handshake<u64>>(0).run(),
+            n2_update_scan(0).run(),
             crash_publish("found", 1, Expect::Found(Some(Keep::Crash))).run(),
-            waitfree_bound().run(),
+            pct_snapshot(2).run(),
         ];
         let doc = document(&rows);
         assert_eq!(validate(&doc), Vec::<String>::new());

@@ -27,7 +27,7 @@ fn experiments(args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn misspelt_flags_and_unknown_commands_exit_2_with_usage() {
-    let cases: [(&[&str], &str); 10] = [
+    let cases: [(&[&str], &str); 11] = [
         (&["verify-gate", "--weakmen"], "--weakmen"),
         (&["verify-gate", "--weakmem"], "--weakmem"),
         (&["verify-gate", "--serial"], "--serial"),
@@ -37,6 +37,7 @@ fn misspelt_flags_and_unknown_commands_exit_2_with_usage() {
         (&["arena"], "'arena'"),
         (&["e9"], "'e9'"),
         (&["e10"], "'e10'"),
+        (&["e14"], "'e14'"),
         (&["validate-arena"], "'validate-arena'"),
     ];
     for (args, offender) in cases {

@@ -17,7 +17,7 @@
 //! [`entrants`] lists them, in benchmark order:
 //!
 //! * `bounded` — the paper's bounded-polynomial protocol
-//!   ([`BoundedCore`]) over a genuine snapshot backend;
+//!   ([`BoundedCore`]) over the paper's handshake memory;
 //! * `ah-atomic` and `ah-regular` — Aspnes–Herlihy \[AH88\]
 //!   ([`RoundCore::aspnes_herlihy`]),
 //!   over atomic registers or — per the Hadzilacos–Hu–Toueg line (arXiv
@@ -42,36 +42,13 @@ use bprc_sim::sched::{RandomStrategy, Strategy};
 use bprc_sim::turn::TurnProcess;
 use bprc_sim::weakmem::{RandomFlushes, WeakMode};
 use bprc_sim::world::{ProcBody, World};
-use bprc_snapshot::{ScannableMemory, WaitFreeSnapshot};
+use bprc_snapshot::ScannableMemory;
 
 use crate::baselines::swap_race::swap_race_bodies;
 use crate::baselines::{RoundCore, RoundState};
 use crate::bounded::{BoundedCore, ConsensusParams};
 use crate::state::ProcState;
 use crate::threaded::over_snapshot;
-
-/// Which snapshot construction an arena instance scans through. Entrants
-/// that do not scan (the swap race) ignore it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ArenaBackend {
-    /// The paper's bounded handshake construction.
-    Handshake,
-    /// The wait-free AADGMS construction (scan starvation impossible).
-    WaitFree,
-}
-
-impl ArenaBackend {
-    /// Both backends, in benchmark order.
-    pub const ALL: [ArenaBackend; 2] = [ArenaBackend::Handshake, ArenaBackend::WaitFree];
-
-    /// Stable name for artifacts and logs.
-    pub fn name(self) -> &'static str {
-        match self {
-            ArenaBackend::Handshake => "handshake",
-            ArenaBackend::WaitFree => "waitfree",
-        }
-    }
-}
 
 /// One consensus protocol, buildable into a [`World`] on demand.
 ///
@@ -99,13 +76,7 @@ pub trait Consensus: Send + Sync {
     ///
     /// Panics if `inputs.len()` differs from the world size or the world's
     /// memory model differs from [`Consensus::memory_mode`].
-    fn build(
-        &self,
-        world: &World,
-        backend: ArenaBackend,
-        inputs: &[bool],
-        seed: u64,
-    ) -> Vec<ProcBody<bool>>;
+    fn build(&self, world: &World, inputs: &[bool], seed: u64) -> Vec<ProcBody<bool>>;
 }
 
 fn check_world<C: Consensus + ?Sized>(c: &C, world: &World, inputs: &[bool]) {
@@ -118,8 +89,8 @@ fn check_world<C: Consensus + ?Sized>(c: &C, world: &World, inputs: &[bool]) {
 }
 
 /// A scan/write entrant: `core(n, pid, input, seed)` builds each process's
-/// [`TurnProcess`], which [`over_snapshot`] runs over the chosen backend
-/// with every register initially `initial(n)`.
+/// [`TurnProcess`], which [`over_snapshot`] runs over the handshake memory
+/// (direct arrows) with every register initially `initial(n)`.
 struct TurnEntrant<P: TurnProcess> {
     name: &'static str,
     mode: WeakMode,
@@ -140,27 +111,14 @@ where
         self.mode
     }
 
-    fn build(
-        &self,
-        world: &World,
-        backend: ArenaBackend,
-        inputs: &[bool],
-        seed: u64,
-    ) -> Vec<ProcBody<bool>> {
+    fn build(&self, world: &World, inputs: &[bool], seed: u64) -> Vec<ProcBody<bool>> {
         check_world(self, world, inputs);
         let n = inputs.len();
         let procs: Vec<P> = (0..n)
             .map(|pid| (self.core)(n, pid, inputs[pid], seed))
             .collect();
         let initial = (self.initial)(n);
-        match backend {
-            ArenaBackend::Handshake => {
-                over_snapshot::<P, ScannableMemory<P::Msg, DirectArrow>>(world, procs, initial).1
-            }
-            ArenaBackend::WaitFree => {
-                over_snapshot::<P, WaitFreeSnapshot<P::Msg>>(world, procs, initial).1
-            }
-        }
+        over_snapshot::<P, ScannableMemory<P::Msg, DirectArrow>>(world, procs, initial).1
     }
 }
 
@@ -180,8 +138,7 @@ fn aspnes_herlihy(name: &'static str, mode: WeakMode) -> TurnEntrant<RoundCore> 
 }
 
 /// The swap-race protocol ([`crate::baselines::swap_race`]). Runs on raw
-/// registers plus [`bprc_sim::reg::Reg::swap`]; the snapshot backend
-/// parameter is ignored (there is nothing to scan).
+/// registers plus [`bprc_sim::reg::Reg::swap`]: there is nothing to scan.
 struct SwapEntrant;
 
 impl SwapEntrant {
@@ -194,13 +151,7 @@ impl Consensus for SwapEntrant {
         "swap-race"
     }
 
-    fn build(
-        &self,
-        world: &World,
-        _backend: ArenaBackend,
-        inputs: &[bool],
-        seed: u64,
-    ) -> Vec<ProcBody<bool>> {
+    fn build(&self, world: &World, inputs: &[bool], seed: u64) -> Vec<ProcBody<bool>> {
         check_world(self, world, inputs);
         swap_race_bodies(world, inputs, seed, Self::MAX_ROUNDS)
     }
@@ -281,7 +232,6 @@ mod tests {
 
     fn run(
         entrant: &dyn Consensus,
-        backend: ArenaBackend,
         inputs: &[bool],
         seed: u64,
         step_limit: u64,
@@ -291,7 +241,7 @@ mod tests {
             .step_limit(step_limit)
             .weak_memory(entrant.memory_mode())
             .build();
-        let bodies = entrant.build(&world, backend, inputs, seed);
+        let bodies = entrant.build(&world, inputs, seed);
         world.run(bodies, arena_strategy(entrant.memory_mode(), seed))
     }
 
@@ -299,29 +249,21 @@ mod tests {
     fn every_entrant_runs_under_the_shared_surface() {
         let inputs = [true, false, true];
         for entrant in entrants() {
-            for backend in ArenaBackend::ALL {
-                let rep = run(entrant.as_ref(), backend, &inputs, 11, 2_000_000);
-                let spec = ConsensusSpec::new(&inputs);
-                assert_eq!(
-                    spec.check(&rep),
-                    None,
-                    "{} over {}",
-                    entrant.name(),
-                    backend.name()
+            let rep = run(entrant.as_ref(), &inputs, 11, 2_000_000);
+            let spec = ConsensusSpec::new(&inputs);
+            assert_eq!(spec.check(&rep), None, "{}", entrant.name());
+            if rep.outputs.iter().any(|o| o.is_some()) {
+                let t = &rep.telemetry;
+                assert!(
+                    t.gauge_max_all(Gauge::Round).unwrap_or(0) >= 1,
+                    "{}: a deciding run advances rounds",
+                    entrant.name()
                 );
-                if rep.outputs.iter().any(|o| o.is_some()) {
-                    let t = &rep.telemetry;
-                    assert!(
-                        t.gauge_max_all(Gauge::Round).unwrap_or(0) >= 1,
-                        "{}: a deciding run advances rounds",
-                        entrant.name()
-                    );
-                    assert!(
-                        t.gauge_max_all(Gauge::MaxRegisterBits).unwrap_or(0) > 0,
-                        "{}: bodies must meter register width",
-                        entrant.name()
-                    );
-                }
+                assert!(
+                    t.gauge_max_all(Gauge::MaxRegisterBits).unwrap_or(0) > 0,
+                    "{}: bodies must meter register width",
+                    entrant.name()
+                );
             }
         }
     }
@@ -331,7 +273,7 @@ mod tests {
         let world = World::builder(2).build();
         let entrant = entrant("ah-regular");
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            entrant.build(&world, ArenaBackend::Handshake, &[true, false], 0)
+            entrant.build(&world, &[true, false], 0)
         }));
         assert!(r.is_err(), "atomic world must be rejected for ah-regular");
     }
@@ -347,13 +289,7 @@ mod tests {
             coins: Default::default(),
         }
         .bits();
-        let rep = run(
-            entrant("ah-atomic").as_ref(),
-            ArenaBackend::Handshake,
-            &inputs,
-            3,
-            2_000_000,
-        );
+        let rep = run(entrant("ah-atomic").as_ref(), &inputs, 3, 2_000_000);
         if rep.outputs.iter().all(|o| o.is_some()) {
             for pid in 0..inputs.len() {
                 let bits = rep.telemetry.gauge(pid, Gauge::MaxRegisterBits);
@@ -372,13 +308,7 @@ mod tests {
             assert_eq!(bits, want, "n = {n}");
             let inputs: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
             for (name, width) in [("bounded", bits), ("swap-race", SWAP_RACE_REGISTER_BITS)] {
-                let rep = run(
-                    entrant(name).as_ref(),
-                    ArenaBackend::Handshake,
-                    &inputs,
-                    5,
-                    20_000,
-                );
+                let rep = run(entrant(name).as_ref(), &inputs, 5, 20_000);
                 for pid in 0..n {
                     assert_eq!(
                         rep.telemetry.gauge(pid, Gauge::MaxRegisterBits),
@@ -392,13 +322,7 @@ mod tests {
 
     #[test]
     fn arena_telemetry_jsonl_carries_the_width_gauge() {
-        let rep = run(
-            entrant("bounded").as_ref(),
-            ArenaBackend::WaitFree,
-            &[true, false],
-            7,
-            2_000_000,
-        );
+        let rep = run(entrant("bounded").as_ref(), &[true, false], 7, 2_000_000);
         let jsonl = rep.telemetry.to_jsonl();
         let proc_lines = jsonl.lines().take(2);
         for line in proc_lines {

@@ -65,7 +65,7 @@ pub mod threaded;
 pub mod verify;
 pub mod virtual_rounds;
 
-pub use arena::{arena_strategy, entrants, ArenaBackend, Consensus};
+pub use arena::{arena_strategy, entrants, Consensus};
 pub use bounded::{BoundedCore, ConsensusParams};
 pub use state::{Pref, ProcState};
 pub use verify::{check_telemetry_parity, ConsensusSpec};

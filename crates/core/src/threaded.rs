@@ -7,20 +7,19 @@
 //! register granularity, in both lockstep (deterministic,
 //! adversary-scheduled) and free-running (OS threads) modes.
 //!
-//! The driver is generic over the [`SnapshotBackend`]: the paper's bounded
-//! handshake construction ([`ScannableMemory`], the default) or the
-//! wait-free AADGMS construction ([`bprc_snapshot::WaitFreeSnapshot`],
-//! immune to scan starvation). [`over_snapshot`] takes the backend as a
-//! type parameter and runs any [`TurnProcess`], publishing its probe's round
+//! [`over_snapshot`] takes the [`SnapshotBackend`] as a type parameter —
+//! the paper's handshake construction ([`ScannableMemory`]), or a wrapper
+//! around it — and runs any [`TurnProcess`], publishing its probe's round
 //! and register width as the [`Gauge::Round`] and [`Gauge::MaxRegisterBits`]
-//! telemetry gauges; [`ThreadedConsensusOn`] is the bounded protocol's
+//! telemetry gauges; [`ThreadedConsensus`] is the bounded protocol's
 //! instance over it.
 
+use bprc_registers::ArrowCell;
 use bprc_sim::tracing::{EventKind, Hist};
 use bprc_sim::turn::{TurnProcess, TurnStep};
 use bprc_sim::world::ProcBody;
 use bprc_sim::{Counter, Gauge, World};
-use bprc_snapshot::{ScannableMemory, SnapshotBackend, SnapshotPort, WaitFreeSnapshot};
+use bprc_snapshot::{ScannableMemory, SnapshotBackend, SnapshotPort};
 
 use crate::bounded::{BoundedCore, ConsensusParams};
 use crate::state::ProcState;
@@ -139,30 +138,16 @@ where
     (memory, bodies)
 }
 
-/// A full-stack consensus instance over any snapshot backend: the backend
-/// plus one body per process.
-///
-/// Use the aliases for the common cases: [`ThreadedConsensus`] (the paper's
-/// handshake memory) and [`WaitFreeConsensus`] (the wait-free snapshot,
-/// immune to scan starvation).
-pub struct ThreadedConsensusOn<B> {
-    /// The underlying snapshot backend (for stats and checker metadata).
-    pub memory: B,
+/// A full-stack consensus instance over the paper's handshake memory with
+/// arrow implementation `A`: the memory plus one body per process.
+pub struct ThreadedConsensus<A: ArrowCell> {
+    /// The underlying snapshot memory (for checker metadata).
+    pub memory: ScannableMemory<ProcState, A>,
     /// One body per process; pass to [`World::run`].
     pub bodies: Vec<ProcBody<bool>>,
 }
 
-/// The historical handshake-backed instance: [`ThreadedConsensusOn`] over
-/// [`ScannableMemory`] with arrow implementation `A`.
-pub type ThreadedConsensus<A> = ThreadedConsensusOn<ScannableMemory<ProcState, A>>;
-
-/// Consensus over the wait-free AADGMS snapshot: same protocol, same
-/// driver, but scans cannot starve — the writer-pressure adversary that
-/// drives the handshake memory to [`bprc_sim::Halted::ScanStarved`]
-/// (under a retry budget) costs this backend at most `n + 1` attempts.
-pub type WaitFreeConsensus = ThreadedConsensusOn<WaitFreeSnapshot<ProcState>>;
-
-impl<B: SnapshotBackend<ProcState>> ThreadedConsensusOn<B> {
+impl<A: ArrowCell> ThreadedConsensus<A> {
     /// Builds the instance in `world` with the given inputs.
     ///
     /// `seed` derives each process's local coin flips.
@@ -183,16 +168,15 @@ impl<B: SnapshotBackend<ProcState>> ThreadedConsensusOn<B> {
             })
             .collect();
         let (memory, bodies) = over_snapshot(world, procs, ProcState::phantom(params.layout()));
-        ThreadedConsensusOn { memory, bodies }
+        ThreadedConsensus { memory, bodies }
     }
 
-    /// Bounds (or unbounds) the backend's per-scan retry budget —
+    /// Bounds (or unbounds) the memory's per-scan retry budget —
     /// shorthand for `self.memory.set_scan_retry_budget(budget)`. With a
-    /// budget, a handshake scan starved by concurrent writers halts its
-    /// process as [`bprc_sim::Halted::ScanStarved`] instead of retrying
-    /// forever; on a wait-free backend this is a no-op (nothing to bound).
+    /// budget, a scan starved by concurrent writers halts its process as
+    /// [`bprc_sim::Halted::ScanStarved`] instead of retrying forever.
     pub fn set_scan_retry_budget(&self, budget: Option<u64>) {
-        SnapshotBackend::set_scan_retry_budget(&self.memory, budget);
+        self.memory.set_scan_retry_budget(budget);
     }
 }
 
@@ -236,38 +220,6 @@ mod tests {
             let decisions: Vec<bool> = rep.outputs.iter().map(|o| o.unwrap()).collect();
             assert!(decisions.windows(2).all(|w| w[0] == w[1]));
         }
-    }
-
-    #[test]
-    fn lockstep_full_stack_agreement_waitfree() {
-        for seed in 0..6 {
-            let params = ConsensusParams::quick(3);
-            let mut world = World::builder(3).seed(seed).step_limit(5_000_000).build();
-            let inst = WaitFreeConsensus::new(&world, &params, &[true, false, true], seed);
-            let meta = inst.memory.meta();
-            let rep = world.run(inst.bodies, Box::new(RandomStrategy::new(seed)));
-            let decisions: Vec<bool> = rep.outputs.iter().map(|o| o.unwrap()).collect();
-            assert!(
-                decisions.windows(2).all(|w| w[0] == w[1]),
-                "seed {seed}: agreement violated: {decisions:?}"
-            );
-            // P1–P3 hold for the wait-free interleavings too — the checker
-            // is backend-agnostic.
-            let check = check_history(rep.history.as_ref().unwrap(), &meta);
-            assert!(check.ok(), "seed {seed}: {:?}", check.violations);
-        }
-    }
-
-    #[test]
-    fn waitfree_validity_over_threads() {
-        let params = ConsensusParams::quick(3);
-        let mut world = World::builder(3)
-            .mode(Mode::Free)
-            .step_limit(u64::MAX)
-            .build();
-        let inst = WaitFreeConsensus::new(&world, &params, &[true, true, true], 5);
-        let rep = world.run(inst.bodies, Box::new(RandomStrategy::new(0)));
-        assert!(rep.outputs.iter().all(|o| *o == Some(true)));
     }
 
     #[test]

@@ -99,15 +99,10 @@ use crate::weakmem::BufferedStore;
 use crate::world::Ctx;
 
 /// Widest payload (in 64-bit words) a seqlock lane accepts; wider
-/// [`FastPod`] values fall back to the locked backing. Sized for payloads
-/// whose width depends on run parameters: the wait-free snapshot's slots
-/// embed an `n`-entry view.
-pub const MAX_FAST_WORDS: usize = 64;
-
-/// Lanes at most this many words wide are packed and unpacked through an
-/// 8-word stack buffer instead of a [`MAX_FAST_WORDS`] one: every lane the
-/// scannable memory allocates for a `u64` payload is this narrow.
-const SMALL_LANE_WORDS: usize = 8;
+/// [`FastPod`] values fall back to the locked backing. Eight words — one
+/// cache line — hold every lane payload in use with room to spare: the
+/// widest, a scannable-memory slot of a `u64`, packs into 3.
+pub const MAX_FAST_WORDS: usize = 8;
 
 /// Version token returned by [`Reg::read_changed`] when the backing has no
 /// version word (bit cells), and the token a caller holds before its first
@@ -257,9 +252,9 @@ impl From<String> for RegName {
 ///
 /// A `FastPod` value packs into [`words`](FastPod::words) 64-bit words and
 /// unpacks losslessly: `unpack(pack(v)) == v`. The width may depend on the
-/// value (the wait-free snapshot's slots grow with `n`), but the lane is
-/// sized from the **initial** value, so every value written to one register
-/// must report the same width. Implementations must be pure (no interior
+/// value (a `Vec<u64>` is as wide as it is long), but the lane is sized
+/// from the **initial** value, so every value written to one register must
+/// report the same width. Implementations must be pure (no interior
 /// mutability, no heap indirection in the packed form) — the seqlock stores
 /// the words themselves, so anything behind a pointer would defeat
 /// atomicity.
@@ -400,16 +395,11 @@ fn seq_store_words(version: &AtomicU64, words: &[AtomicU64], buf: &[u64]) {
     version.store(v + 2, Ordering::Release);
 }
 
-/// Runs `f` on a zeroed stack buffer of `len` words: an 8-word one for a
-/// lane at most that wide, the [`MAX_FAST_WORDS`] one only for wider
-/// lanes, so a narrow lane's access zeroes 64 bytes, not 512.
+/// Runs `f` on the first `len` words of a zeroed [`MAX_FAST_WORDS`]-word
+/// stack buffer (64 bytes).
 #[inline]
 fn with_buf<R>(len: usize, f: impl FnOnce(&mut [u64]) -> R) -> R {
-    if len <= SMALL_LANE_WORDS {
-        f(&mut [0u64; SMALL_LANE_WORDS][..len])
-    } else {
-        f(&mut [0u64; MAX_FAST_WORDS][..len])
-    }
+    f(&mut [0u64; MAX_FAST_WORDS][..len])
 }
 
 /// One cache line of packed single-bit registers: 8 atomic words = 512

@@ -1192,9 +1192,10 @@ impl World {
 
     /// Allocates a register on a seqlock lane of its own one-lane slab when
     /// the [`FastPod`](crate::reg::FastPod) payload packs into
-    /// `1..=`[`MAX_FAST_WORDS`](crate::reg::MAX_FAST_WORDS) words;
-    /// otherwise identical to [`World::reg`]. The width is fixed by `init`:
-    /// every later write must pack to the same number of words.
+    /// `1..=`[`MAX_FAST_WORDS`](crate::reg::MAX_FAST_WORDS) words (one
+    /// cache line); otherwise identical to [`World::reg`]. The width is
+    /// fixed by `init`: every later write must pack to the same number of
+    /// words.
     ///
     /// Access semantics — scheduling, counters, recorded history — do not
     /// depend on which backing the register lands on.

@@ -4,26 +4,23 @@
 //! *interface* — `update`/`scan` satisfying P1–P3 — is all the protocol
 //! needs; the handshake construction is one implementation of it, not part
 //! of the contract. This module names that contract so the upper stack
-//! (the `bprc-core` driver, the chaos harness, the benchmarks) can run over
-//! either implementation:
+//! (the `bprc-core` driver, the chaos harness, the benchmarks) is written
+//! against it rather than against one construction.
 //!
-//! * [`ScannableMemory`] — the paper's bounded handshake construction
-//!   (`"handshake"`). Bounded registers, but a scan can be starved by a
-//!   relentless writer (gate with
-//!   [`set_scan_retry_budget`](SnapshotBackend::set_scan_retry_budget)).
-//! * [`WaitFreeSnapshot`] — the AADGMS construction (`"waitfree"`).
-//!   Scans finish in at most `n + 1` attempts no matter what writers do,
-//!   at the price of unbounded sequence numbers.
-//!
-//! Both backends emit the same history annotations and metrics, so the
-//! P1–P3 checker ([`check_history`](crate::check_history) over [`SnapshotBackend::meta`]), the
-//! telemetry plane, and the phase timelines treat them identically.
+//! The one construction in this crate is [`ScannableMemory`], the paper's
+//! bounded handshake memory (`"handshake"`): bounded registers, but a scan
+//! can be starved by a relentless writer (gate with
+//! [`set_scan_retry_budget`](SnapshotBackend::set_scan_retry_budget)). A
+//! wrapper that forwards to it — a benchmark's instrumented backend, say —
+//! is a second implementation; it keeps the history annotations and
+//! metrics, so the P1–P3 checker ([`check_history`](crate::check_history)
+//! over [`SnapshotBackend::meta`]), the telemetry plane and the phase
+//! timelines treat it identically.
 
 use bprc_registers::ArrowCell;
 use bprc_sim::{Ctx, FastPod, Halted, World};
 
 use crate::memory::{Port, ScannableMemory, SnapshotMeta};
-use crate::waitfree::{WaitFreeSnapshot, WfPort};
 
 /// A process's handle on a snapshot object: the paper's `update` and
 /// `scan` operations (plus the allocation-free
@@ -43,14 +40,13 @@ pub trait SnapshotPort<T>: Send + 'static {
     ///
     /// # Errors
     ///
-    /// Returns [`Halted`] if the scheduler stopped this process — for
-    /// backends with a retry budget, [`Halted::ScanStarved`] when it runs
-    /// out.
+    /// Returns [`Halted`] if the scheduler stopped this process —
+    /// [`Halted::ScanStarved`] when the scan retry budget runs out.
     fn scan(&mut self, ctx: &mut Ctx) -> Result<Vec<T>, Halted>;
 
     /// Like [`scan`](SnapshotPort::scan) but refills `out` in place,
     /// reusing its capacity (and the elements' heap, via `clone_from`): a
-    /// steady-state scan allocates nothing on either backend.
+    /// steady-state scan allocates nothing.
     ///
     /// # Errors
     ///
@@ -70,8 +66,7 @@ pub trait SnapshotPort<T>: Send + 'static {
 pub struct ScanStats;
 
 /// A snapshot object: allocates in a [`World`], hands each process its
-/// [`SnapshotPort`] once, and exposes the checker metadata both
-/// constructions share.
+/// [`SnapshotPort`] once, and exposes the checker metadata.
 ///
 /// Handles are cheaply cloneable (ports stay single-owner); the bound
 /// exists so harnesses can keep a handle for the checker while bodies run.
@@ -82,8 +77,7 @@ where
     /// The port type handed to each process.
     type Port: SnapshotPort<T>;
 
-    /// Stable name for benchmark artifacts and logs (`"handshake"`,
-    /// `"waitfree"`).
+    /// Stable name for benchmark artifacts and logs (`"handshake"`).
     const NAME: &'static str;
 
     /// Allocates the object: `n` processes, all registers holding `init`.
@@ -121,18 +115,12 @@ where
         &ScanStats
     }
 
-    /// Bounds (or unbounds, with `None`) the scan retry budget. The
-    /// default is a no-op: a wait-free backend has nothing to bound — its
-    /// scans cannot starve.
-    fn set_scan_retry_budget(&self, budget: Option<u64>) {
-        let _ = budget;
-    }
+    /// Bounds (or unbounds, with `None`) the scan retry budget: a scan
+    /// that runs out halts its process as [`Halted::ScanStarved`].
+    fn set_scan_retry_budget(&self, budget: Option<u64>);
 
-    /// The current scan retry budget (`None` = unbounded, and always
-    /// `None` for backends whose scans cannot starve).
-    fn scan_retry_budget(&self) -> Option<u64> {
-        None
-    }
+    /// The current scan retry budget (`None` = unbounded).
+    fn scan_retry_budget(&self) -> Option<u64>;
 }
 
 impl<T, A> SnapshotBackend<T> for ScannableMemory<T, A>
@@ -195,58 +183,5 @@ where
 
     fn scan_into(&mut self, ctx: &mut Ctx, out: &mut Vec<T>) -> Result<(), Halted> {
         Port::scan_into(self, ctx, out)
-    }
-}
-
-impl<T> SnapshotBackend<T> for WaitFreeSnapshot<T>
-where
-    T: Clone + PartialEq + Send + Sync + 'static,
-{
-    type Port = WfPort<T>;
-
-    const NAME: &'static str = "waitfree";
-
-    fn alloc(world: &World, n: usize, init: T) -> Self {
-        WaitFreeSnapshot::new(world, n, init)
-    }
-
-    fn alloc_fast(world: &World, n: usize, init: T) -> Self
-    where
-        T: FastPod,
-    {
-        WaitFreeSnapshot::new_fast(world, n, init)
-    }
-
-    fn n(&self) -> usize {
-        WaitFreeSnapshot::n(self)
-    }
-
-    fn port(&self, pid: usize) -> Self::Port {
-        WaitFreeSnapshot::port(self, pid)
-    }
-
-    fn meta(&self) -> SnapshotMeta {
-        WaitFreeSnapshot::meta(self)
-    }
-}
-
-impl<T> SnapshotPort<T> for WfPort<T>
-where
-    T: Clone + PartialEq + Send + Sync + 'static,
-{
-    fn pid(&self) -> usize {
-        WfPort::pid(self)
-    }
-
-    fn update(&mut self, ctx: &mut Ctx, value: T) -> Result<(), Halted> {
-        WfPort::update(self, ctx, value)
-    }
-
-    fn scan(&mut self, ctx: &mut Ctx) -> Result<Vec<T>, Halted> {
-        WfPort::scan(self, ctx)
-    }
-
-    fn scan_into(&mut self, ctx: &mut Ctx, out: &mut Vec<T>) -> Result<(), Halted> {
-        WfPort::scan_into(self, ctx, out)
     }
 }

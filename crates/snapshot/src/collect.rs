@@ -1,15 +1,11 @@
-//! Shared double-collect plumbing for the two snapshot constructions.
+//! The double-collect plumbing of the handshake construction.
 //!
-//! [`crate::memory`] (the paper's bounded handshake construction) and
-//! [`crate::waitfree`] (the AADGMS wait-free construction) share this
-//! machinery: the take-once port gate, the ghost-seq-keyed buffer-reuse
-//! collect read (a whole pass of them for the wait-free scan; the handshake
-//! scan makes each read its [`ScanMachine`](crate::ScanMachine) names), and
-//! the per-attempt bookkeeping that records every scan in the metrics plane
-//! ([`Counter`]s, ring events, the scan-latency histogram) — the one record
-//! of scans either backend keeps. The two modules keep only what genuinely
-//! differs (arrows and the stability rule on one side, movers and view
-//! borrowing on the other).
+//! [`crate::memory`] keeps the algorithm — arrows, the stability rule, the
+//! [`ScanMachine`](crate::ScanMachine) that names each access; this module
+//! keeps what surrounds it: the take-once port gate, the ghost-seq-keyed
+//! buffer-reuse collect read, and the per-attempt bookkeeping that records
+//! every scan in the metrics plane ([`Counter`]s, ring events, the
+//! scan-latency histogram) — the one record of scans the memory keeps.
 //!
 //! Everything here is order-preserving relative to the original inlined
 //! code — the same counters bump in the same sequence around the same
@@ -23,15 +19,7 @@ use bprc_registers::Swmr;
 use bprc_sim::tracing::{EventKind, Hist};
 use bprc_sim::{Counter, Ctx, Halted};
 
-use crate::memory::labels;
-
-/// A register slot carrying a *ghost* sequence number: per-writer strictly
-/// monotonic, invisible to the algorithm. Equal seq ⟹ the very same write,
-/// which is what lets a collect skip re-cloning an unchanged slot.
-pub(crate) trait SeqSlot: Clone + Send + Sync + 'static {
-    /// The slot's ghost sequence number.
-    fn ghost_seq(&self) -> u64;
-}
+use crate::memory::{labels, Slot};
 
 /// Marks port `pid` taken (panicking if it already was) — every backend
 /// hands each process its port exactly once.
@@ -43,61 +31,28 @@ pub(crate) fn claim_port(taken: &[AtomicBool], pid: usize) {
     );
 }
 
-/// One collect pass over everyone else's register, into the persistent
-/// buffer `buf`, with **batched validation** through the per-slot version
-/// tokens `vers` (see [`bprc_sim::Reg::read_changed`]): a slot whose
-/// register's version word still equals the cached token is provably
-/// untouched — a seqlock lane's payload words are never loaded, a locked
-/// cell's lock is never taken, the slot is not unpacked, nothing is
-/// cloned. With the value registers on a [`bprc_sim::World::value_slab`],
-/// the version words of all `n` slots are contiguous, so a steady pass
-/// sweeps ⌈n/8⌉ cache lines and deep-copies only the (usually few) changed
-/// slots. On a backing without a version word (bit cells, `NO_VERSION`
-/// tokens) every slot is read, and the ghost-seq comparison still skips
-/// the clone.
-///
-/// Returns the number of register reads performed (the caller flushes them
-/// into the counters once the attempt's accounting point is reached). Each
-/// read is still one scheduled step — the packing changes how a granted
-/// access touches memory, never how many accesses happen.
-///
-/// # Errors
-///
-/// Returns [`Halted`] if the scheduler stopped this process mid-collect.
-pub(crate) fn collect_pass<S: SeqSlot>(
-    ctx: &mut Ctx,
-    values: &[Swmr<S>],
-    me: usize,
-    buf: &mut [S],
-    vers: &mut [u64],
-) -> Result<u64, Halted> {
-    let mut reads = 0;
-    for (j, reg) in values.iter().enumerate() {
-        if j == me {
-            continue;
-        }
-        reads += 1;
-        read_slot(ctx, reg, &mut buf[j], &mut vers[j])?;
-    }
-    Ok(reads)
-}
-
-/// One collect read of `reg` into the buffered `slot`: a version-token read
-/// that re-clones the slot only when its ghost seq changed, and leaves the
-/// register's new token in `ver`. One scheduled step.
+/// One collect read of `reg` into the buffered `slot`, with validation
+/// through the cached version token `ver` (see
+/// [`bprc_sim::Reg::read_changed`]): a register whose version word still
+/// equals the token is provably untouched — a seqlock lane's payload words
+/// are never loaded, a locked cell's lock is never taken, nothing is
+/// cloned. Otherwise the slot is re-cloned only when its ghost seq changed
+/// (on a backing without a version word every read gets here). Leaves the
+/// register's new token in `ver`. One scheduled step: the backing changes
+/// how a granted access touches memory, never how many accesses happen.
 ///
 /// # Errors
 ///
 /// Returns [`Halted`] if the scheduler stopped this process.
 #[inline]
-pub(crate) fn read_slot<S: SeqSlot>(
+pub(crate) fn read_slot<T: Clone + Send + Sync + 'static>(
     ctx: &mut Ctx,
-    reg: &Swmr<S>,
-    slot: &mut S,
+    reg: &Swmr<Slot<T>>,
+    slot: &mut Slot<T>,
     ver: &mut u64,
 ) -> Result<(), Halted> {
     *ver = reg.read_changed(ctx, *ver, |s| {
-        if slot.ghost_seq() != s.ghost_seq() {
+        if slot.seq != s.seq {
             slot.clone_from(s);
         }
     })?;

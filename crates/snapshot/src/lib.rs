@@ -63,9 +63,7 @@ pub mod backend;
 pub mod checker;
 pub(crate) mod collect;
 pub mod memory;
-pub mod waitfree;
 
 pub use backend::{ScanStats, SnapshotBackend, SnapshotPort};
 pub use checker::{check_history, CheckReport, IncrementalChecker, SnapshotViolation};
 pub use memory::{Access, Port, ScanMachine, ScannableMemory, SnapshotMeta, UpdateMachine};
-pub use waitfree::{WaitFreeSnapshot, WfPort};

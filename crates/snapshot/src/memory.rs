@@ -30,15 +30,17 @@ pub mod labels {
 }
 
 /// What one cell of the memory holds: the payload, the paper's alternating
-/// bit, and a *ghost* sequence number used only by the offline checker
-/// (the algorithm never branches on it — the double collect compares
-/// `(value, toggle)` only, so ABA hazards are real and must be handled by
-/// the toggle, exactly as in the paper).
+/// bit, and a *ghost* sequence number, per-writer strictly monotonic, used
+/// only by the offline checker and to let a collect skip re-cloning an
+/// unchanged slot (equal seq ⟹ the very same write). The algorithm never
+/// branches on it — the double collect compares `(value, toggle)` only, so
+/// ABA hazards are real and must be handled by the toggle, exactly as in
+/// the paper.
 #[derive(Debug)]
-struct Slot<T> {
+pub(crate) struct Slot<T> {
     value: T,
     toggle: bool,
-    seq: u64,
+    pub(crate) seq: u64,
 }
 
 impl<T: Clone> Clone for Slot<T> {
@@ -64,12 +66,6 @@ impl<T: PartialEq> Slot<T> {
     /// Algorithm-visible equality: payload and toggle, *not* the ghost seq.
     fn same_visible(&self, other: &Self) -> bool {
         self.value == other.value && self.toggle == other.toggle
-    }
-}
-
-impl<T: Clone + Send + Sync + 'static> crate::collect::SeqSlot for Slot<T> {
-    fn ghost_seq(&self) -> u64 {
-        self.seq
     }
 }
 

@@ -8,7 +8,7 @@
 //!    and, under `WeakMode::Regular`, every flush placement — of the first
 //!    `max_steps` register grants, with truncated paths still executed and
 //!    checked as prefixes);
-//! 2. a 100-seed PCT + crash sweep at n=3 over both snapshot backends;
+//! 2. a 100-seed PCT + crash sweep at n=3;
 //! 3. a regular-register litmus cell proving a stale read is reachable
 //!    exactly where atomicity forbids it, with the violating flush trace
 //!    round-tripping through `bprc-trace-v1` byte-identically;
@@ -21,7 +21,7 @@
 //! statement: no violation is reachable within the enumerated horizon.
 //! Layer 2 covers full executions, crashes included, by sampling.
 
-use bprc::core::{entrants, ArenaBackend, ConsensusSpec};
+use bprc::core::{entrants, ConsensusSpec};
 use bprc::sim::explore::{explore, run_trace, shrink_trace, DecisionTrace, ExploreConfig};
 use bprc::sim::faults::{FaultPlan, FaultedStrategy};
 use bprc::sim::rng::derive_seed;
@@ -30,7 +30,7 @@ use bprc::sim::weakmem::{critical_cycle, RandomFlushes, WeakMode};
 use bprc::sim::world::{ProcBody, World};
 use bprc::sim::{Counter, Decision};
 
-/// Depth-bounded exhaustive DFS at n=2 for every entrant on every backend.
+/// Depth-bounded exhaustive DFS at n=2 for every entrant.
 /// The explorer branches over every grant order and, in a
 /// `WeakMode::Regular` world, over every flush placement — so under the
 /// regular mode the same budget covers a strictly richer decision tree and
@@ -44,64 +44,55 @@ fn every_entrant_survives_bounded_exhaustive_n2_dfs() {
         // so the regular tree gets a shorter horizon to stay enumerable.
         let mode = entrant.memory_mode();
         let max_steps = if mode == WeakMode::Regular { 7 } else { 14 };
-        for backend in ArenaBackend::ALL {
-            let cfg = ExploreConfig {
-                max_steps,
-                max_schedules: 400_000,
-                ..ExploreConfig::default()
-            };
-            let make = || {
-                let world = World::builder(2).seed(0).weak_memory(mode).build();
-                let bodies = entrant.build(&world, backend, &inputs, 5);
-                (world, bodies)
-            };
-            let spec = ConsensusSpec::new(&inputs);
-            let rep = explore(&cfg, make, |r| spec.check(r));
-            assert!(
-                rep.violation.is_none(),
-                "{} over {}: {:?}",
-                entrant.name(),
-                backend.name(),
-                rep.violation
-            );
-            // The bounded tree must be fully enumerated: either genuinely
-            // exhausted, or cut only by the step bound (prefixes checked),
-            // never by the schedule-count safety valve.
-            assert!(
-                rep.exhausted || (rep.truncated > 0 && rep.schedules < cfg.max_schedules),
-                "{} over {}: enumeration hit the schedule valve \
-                 ({} schedules, {} truncated)",
-                entrant.name(),
-                backend.name(),
-                rep.schedules,
-                rep.truncated
-            );
-            // `schedules` counts only complete executions; with a step
-            // bound this small, most (often all) enumerated paths are
-            // checked as truncated prefixes. A truncated run widens its
-            // path to every awake grant, so the counts are exactly a plain
-            // sleep-set DFS's.
-            let expected = match (entrant.name(), backend) {
-                ("swap-race", _) => (2, 43),
-                ("ah-regular", ArenaBackend::Handshake) => (0, 2564),
-                ("ah-regular", ArenaBackend::WaitFree) => (0, 100),
-                (_, ArenaBackend::Handshake) => (0, 333),
-                (_, ArenaBackend::WaitFree) => (0, 365),
-            };
-            assert_eq!(
-                (rep.schedules, rep.truncated),
-                expected,
-                "{} over {}: (complete schedules, truncated prefixes)",
-                entrant.name(),
-                backend.name()
-            );
-        }
+        let cfg = ExploreConfig {
+            max_steps,
+            max_schedules: 400_000,
+            ..ExploreConfig::default()
+        };
+        let make = || {
+            let world = World::builder(2).seed(0).weak_memory(mode).build();
+            let bodies = entrant.build(&world, &inputs, 5);
+            (world, bodies)
+        };
+        let spec = ConsensusSpec::new(&inputs);
+        let rep = explore(&cfg, make, |r| spec.check(r));
+        assert!(
+            rep.violation.is_none(),
+            "{}: {:?}",
+            entrant.name(),
+            rep.violation
+        );
+        // The bounded tree must be fully enumerated: either genuinely
+        // exhausted, or cut only by the step bound (prefixes checked),
+        // never by the schedule-count safety valve.
+        assert!(
+            rep.exhausted || (rep.truncated > 0 && rep.schedules < cfg.max_schedules),
+            "{}: enumeration hit the schedule valve ({} schedules, {} truncated)",
+            entrant.name(),
+            rep.schedules,
+            rep.truncated
+        );
+        // `schedules` counts only complete executions; with a step
+        // bound this small, most (often all) enumerated paths are
+        // checked as truncated prefixes. A truncated run widens its
+        // path to every awake grant, so the counts are exactly a plain
+        // sleep-set DFS's.
+        let expected = match entrant.name() {
+            "swap-race" => (2, 43),
+            "ah-regular" => (0, 2564),
+            _ => (0, 333),
+        };
+        assert_eq!(
+            (rep.schedules, rep.truncated),
+            expected,
+            "{}: (complete schedules, truncated prefixes)",
+            entrant.name()
+        );
     }
 }
 
-/// 100-seed PCT sweep with one injected crash per run, at n=3, over both
-/// snapshot backends — full executions where the bounded DFS above only
-/// covers prefixes. Every entrant goes through the identical adversary
+/// 100-seed PCT sweep with one injected crash per run, at n=3 — full
+/// executions where the bounded DFS above only covers prefixes. Every entrant goes through the identical adversary
 /// stack: PCT grants, a scheduled crash, and (for regular-register
 /// entrants) random flush injections.
 #[test]
@@ -110,42 +101,34 @@ fn pct_crash_sweep_keeps_every_entrant_safe() {
     let inputs = [true, false, true];
     for entrant in entrants() {
         let mut decided_runs = 0u32;
-        for backend in ArenaBackend::ALL {
-            for seed in 0..100u64 {
-                let mut world = World::builder(n)
-                    .seed(seed)
-                    .step_limit(150_000)
-                    .record_history(false)
-                    .weak_memory(entrant.memory_mode())
-                    .build();
-                let bodies = entrant.build(&world, backend, &inputs, seed);
-                let victim = (seed as usize) % n;
-                let plan = FaultPlan::new().crash_at(20 + 13 * seed % 400, victim);
-                let pct = PctStrategy::new(seed, n, 3, 200);
-                let faulted = FaultedStrategy::new(pct, plan);
-                let rep = match entrant.memory_mode() {
-                    WeakMode::Sc => world.run(bodies, Box::new(faulted)),
-                    _ => world.run(
-                        bodies,
-                        Box::new(RandomFlushes::new(faulted, derive_seed(seed, 0xF1))),
-                    ),
-                };
-                let spec = ConsensusSpec::new(&inputs);
-                assert_eq!(
-                    spec.check(&rep),
-                    None,
-                    "{} over {} seed {seed}",
-                    entrant.name(),
-                    backend.name()
-                );
-                if rep.outputs.iter().any(|o| o.is_some()) {
-                    decided_runs += 1;
-                }
+        for seed in 0..100u64 {
+            let mut world = World::builder(n)
+                .seed(seed)
+                .step_limit(150_000)
+                .record_history(false)
+                .weak_memory(entrant.memory_mode())
+                .build();
+            let bodies = entrant.build(&world, &inputs, seed);
+            let victim = (seed as usize) % n;
+            let plan = FaultPlan::new().crash_at(20 + 13 * seed % 400, victim);
+            let pct = PctStrategy::new(seed, n, 3, 200);
+            let faulted = FaultedStrategy::new(pct, plan);
+            let rep = match entrant.memory_mode() {
+                WeakMode::Sc => world.run(bodies, Box::new(faulted)),
+                _ => world.run(
+                    bodies,
+                    Box::new(RandomFlushes::new(faulted, derive_seed(seed, 0xF1))),
+                ),
+            };
+            let spec = ConsensusSpec::new(&inputs);
+            assert_eq!(spec.check(&rep), None, "{} seed {seed}", entrant.name());
+            if rep.outputs.iter().any(|o| o.is_some()) {
+                decided_runs += 1;
             }
         }
         assert!(
             decided_runs > 0,
-            "{}: no run out of 200 decided — the sweep is vacuous",
+            "{}: no run out of 100 decided — the sweep is vacuous",
             entrant.name()
         );
     }
@@ -302,7 +285,7 @@ fn ah_regular_finding_replays_from_its_committed_trace() {
             .step_limit(200_000)
             .weak_memory(entrant.memory_mode())
             .build();
-        let bodies = entrant.build(&world, ArenaBackend::Handshake, &inputs, seed);
+        let bodies = entrant.build(&world, &inputs, seed);
         (world, bodies)
     };
     let trace = DecisionTrace::from_json(&bprc::sim::json::parse(TRACE).unwrap()).unwrap();

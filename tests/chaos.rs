@@ -17,31 +17,32 @@
 //! * multivalued consensus, turn level: 3 adversaries × 12 seeds = 36
 //! * multi-shot log, turn level: 3 adversaries × 8 seeds = 24
 //! * bounded consensus, full register-level stack: 24 seeds = 24
-//! * bounded consensus, full stack over the wait-free snapshot: 24
-//! * multivalued + multi-shot over the wait-free snapshot: 8 + 6 = 14
+//! * multivalued + multi-shot, full register-level stack: 8 + 6 = 14
 //! * plan-driven crash sweep at every event index of a reference run
 //!
-//! Total: 242 composed chaos scenarios plus the exhaustive sweep. Beside
+//! Total: 218 composed chaos scenarios plus the exhaustive sweep. Beside
 //! them, 40 fault-free multi-shot logs run every replica live on its own
 //! OS thread (n ∈ {2, 3} × 20 seeds), where the replicas' slot states
-//! cross threads through real atomics. The
-//! wait-free scenarios additionally assert **zero starvation**: the
-//! writer-pressure schedule that drives the handshake memory to
-//! `ScanStarved` under a retry budget completes on the wait-free backend
-//! with no starvation halts at all.
+//! cross threads through real atomics. The register-level scenarios run
+//! over the paper's handshake memory with no scan retry budget, and
+//! additionally assert **zero starvation**: without a budget a scan
+//! retries until it is stable, so no process halts as `ScanStarved`,
+//! whatever the plan and the schedule do. The writer-pressure schedule
+//! that drives a budgeted scan to `ScanStarved` is
+//! `scan_retry_budget_degrades_full_stack_scan`.
 
 use bprc::core::adversaries::{LeaderStarver, SplitAdversary};
 use bprc::core::bounded::{BoundedCore, ConsensusParams};
 use bprc::core::multishot::{LogCore, LogMsg, StaticProposals};
 use bprc::core::multivalued::{MvCore, MvState};
-use bprc::core::threaded::{over_snapshot, ThreadedConsensus, WaitFreeConsensus};
+use bprc::core::threaded::{over_snapshot, ThreadedConsensus};
 use bprc::core::ProcState;
 use bprc::registers::DirectArrow;
 use bprc::sim::faults::{quiet_injected_panics, FaultPlan, FaultedStrategy};
 use bprc::sim::sched::{PctStrategy, RandomStrategy, RoundRobin, Strategy};
 use bprc::sim::turn::{Turn, TurnBsp, TurnDriver, TurnReport};
 use bprc::sim::{Counter, FaultKind, Halted, Mode, Telemetry, World};
-use bprc::snapshot::{SnapshotBackend, WaitFreeSnapshot};
+use bprc::snapshot::ScannableMemory;
 
 fn bounded_cores(n: usize, inputs: &[bool], seed: u64) -> Vec<BoundedCore> {
     let params = ConsensusParams::quick(n);
@@ -209,7 +210,8 @@ fn multishot_survives_seeded_chaos() {
 fn full_stack_survives_seeded_chaos() {
     // The same contract over the real register-level stack: genuine §2
     // snapshot scans, arrows, and process threads, with panic containment
-    // exercised by actual unwinding.
+    // exercised by actual unwinding — and, with no retry budget, no scan
+    // is ever starved.
     quiet_injected_panics();
     let n = 3;
     for seed in 0..24u64 {
@@ -250,65 +252,30 @@ fn full_stack_survives_seeded_chaos() {
                 "stack seed={seed}: pid {p} panicked without a message"
             );
         }
-    }
-}
-
-#[test]
-fn full_stack_survives_seeded_chaos_waitfree() {
-    // The register-level chaos contract over the wait-free snapshot: same
-    // seeded plans, same assertions — plus one the handshake memory cannot
-    // make: no scan is ever starved, whatever the plan and schedule do.
-    quiet_injected_panics();
-    let n = 3;
-    for seed in 0..24u64 {
-        let params = ConsensusParams::quick(n);
-        let inputs: Vec<bool> = (0..n).map(|p| (seed >> p) & 1 == 1).collect();
-        let mut world = World::builder(n).seed(seed).step_limit(5_000_000).build();
-        let inst = WaitFreeConsensus::new(&world, &params, &inputs, seed);
-        let plan = FaultPlan::seeded(seed, n, 400);
-        let kills = plan.kill_count();
-        let strategy = FaultedStrategy::new(RandomStrategy::new(seed), plan);
-        let rep = world.run(inst.bodies, Box::new(strategy));
-        let distinct = rep.distinct_outputs();
-        assert!(
-            distinct.len() <= 1,
-            "wf stack seed={seed}: disagreement {distinct:?}"
-        );
-        let survivors = rep.outputs.iter().filter(|o| o.is_some()).count();
-        assert!(
-            survivors >= n - kills,
-            "wf stack seed={seed}: only {survivors} of >= {} survivors decided",
-            n - kills
-        );
-        for out in rep.outputs.iter().flatten() {
-            assert!(
-                inputs.contains(out),
-                "wf stack seed={seed}: invalid decision"
-            );
-        }
-        assert_no_starvation(&rep.telemetry, n, &format!("wf stack seed={seed}"));
+        assert_no_starvation(&rep.telemetry, n, &format!("stack seed={seed}"));
         assert!(
             !rep.halted.contains(&Some(Halted::ScanStarved)),
-            "wf stack seed={seed}: wait-free scan starved"
+            "stack seed={seed}: an unbudgeted scan starved"
         );
     }
 }
 
-/// Asserts the run recorded zero starved scans — the wait-free guarantee,
-/// checked through the per-pid [`Counter::ScanStarved`] telemetry.
+/// Asserts the run recorded zero starved scans — what a scan with no retry
+/// budget guarantees — through the per-pid [`Counter::ScanStarved`]
+/// telemetry.
 fn assert_no_starvation(telemetry: &Telemetry, n: usize, label: &str) {
     for pid in 0..n {
         assert_eq!(
             telemetry.counter(pid, Counter::ScanStarved),
             0,
-            "{label}: pid {pid} recorded a starved scan on a wait-free backend"
+            "{label}: pid {pid} recorded a starved scan without a retry budget"
         );
     }
 }
 
 #[test]
-fn multivalued_full_stack_waitfree_chaos() {
-    // Multivalued consensus over the wait-free snapshot under seeded fault
+fn multivalued_full_stack_chaos() {
+    // Multivalued consensus over the handshake memory under seeded fault
     // plans: agreement, validity, and zero starvation.
     quiet_injected_panics();
     let n = 3;
@@ -320,7 +287,8 @@ fn multivalued_full_stack_waitfree_chaos() {
             .collect();
         let initial = MvState::phantom(params.layout());
         let mut world = World::builder(n).seed(seed).step_limit(20_000_000).build();
-        let (_, bodies) = over_snapshot::<_, WaitFreeSnapshot<MvState>>(&world, procs, initial);
+        let (_, bodies) =
+            over_snapshot::<_, ScannableMemory<MvState, DirectArrow>>(&world, procs, initial);
         let plan = FaultPlan::seeded(seed * 7, n, 300);
         let kills = plan.kill_count();
         let strategy = FaultedStrategy::new(RandomStrategy::new(seed), plan);
@@ -328,26 +296,23 @@ fn multivalued_full_stack_waitfree_chaos() {
         let decisions: Vec<u64> = rep.outputs.iter().filter_map(|o| *o).collect();
         assert!(
             decisions.windows(2).all(|w| w[0] == w[1]),
-            "wf mv seed={seed}: disagreement {:?}",
+            "mv seed={seed}: disagreement {:?}",
             rep.outputs
         );
         assert!(
             decisions.len() >= n - kills,
-            "wf mv seed={seed}: survivors failed to decide"
+            "mv seed={seed}: survivors failed to decide"
         );
         for d in &decisions {
-            assert!(
-                values.contains(d),
-                "wf mv seed={seed}: invalid decision {d}"
-            );
+            assert!(values.contains(d), "mv seed={seed}: invalid decision {d}");
         }
-        assert_no_starvation(&rep.telemetry, n, &format!("wf mv seed={seed}"));
+        assert_no_starvation(&rep.telemetry, n, &format!("mv seed={seed}"));
     }
 }
 
 #[test]
-fn multishot_full_stack_waitfree_chaos() {
-    // The multi-shot log over the wait-free snapshot: surviving replicas
+fn multishot_full_stack_chaos() {
+    // The multi-shot log over the handshake memory: surviving replicas
     // agree slot for slot, every slot holds a proposed value, no scan
     // starves.
     quiet_injected_panics();
@@ -376,7 +341,8 @@ fn multishot_full_stack_waitfree_chaos() {
             .collect();
         let initial = LogMsg { slots: Vec::new() };
         let mut world = World::builder(n).seed(seed).step_limit(20_000_000).build();
-        let (_, bodies) = over_snapshot::<_, WaitFreeSnapshot<LogMsg>>(&world, procs, initial);
+        let (_, bodies) =
+            over_snapshot::<_, ScannableMemory<LogMsg, DirectArrow>>(&world, procs, initial);
         let plan = FaultPlan::seeded(seed * 3 + 1, n, 350);
         let kills = plan.kill_count();
         let strategy = FaultedStrategy::new(RandomStrategy::new(seed), plan);
@@ -384,23 +350,23 @@ fn multishot_full_stack_waitfree_chaos() {
         let logs: Vec<&Vec<u64>> = rep.outputs.iter().flatten().collect();
         assert!(
             logs.windows(2).all(|w| w[0] == w[1]),
-            "wf log seed={seed}: logs diverge: {:?}",
+            "log seed={seed}: logs diverge: {:?}",
             rep.outputs
         );
         assert!(
             logs.len() >= n - kills,
-            "wf log seed={seed}: survivors failed to finish the log"
+            "log seed={seed}: survivors failed to finish the log"
         );
         for log in &logs {
-            assert_eq!(log.len(), n_slots, "wf log seed={seed}");
+            assert_eq!(log.len(), n_slots, "log seed={seed}");
             for (s, v) in log.iter().enumerate() {
                 assert!(
                     proposals.iter().any(|pp| pp[s] == *v),
-                    "wf log seed={seed}: slot {s} holds unproposed {v}"
+                    "log seed={seed}: slot {s} holds unproposed {v}"
                 );
             }
         }
-        assert_no_starvation(&rep.telemetry, n, &format!("wf log seed={seed}"));
+        assert_no_starvation(&rep.telemetry, n, &format!("log seed={seed}"));
     }
 }
 
@@ -410,7 +376,6 @@ fn multishot_free_threads_every_replica_live() {
     // handshake memory. A replica's published slot states share their
     // level buffers with its own copy, the registers and the other
     // replicas' views (copy-on-write), so those buffers cross threads.
-    use bprc::snapshot::ScannableMemory;
     let (n_slots, width) = (8, 8);
     for n in [2usize, 3] {
         for seed in 0..20u64 {
@@ -467,69 +432,6 @@ fn multishot_free_threads_every_replica_live() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn writer_pressure_starves_handshake_but_not_waitfree() {
-    // The decisive backend comparison, one schedule, two memories: a
-    // writer granted two of every three steps. With a retry budget the
-    // handshake scan degrades to ScanStarved (that is
-    // `scan_retry_budget_degrades_full_stack_scan` above); the wait-free
-    // scan under the *same* adversary completes, with zero starvation
-    // halts, inside its n+1 attempt bound.
-    use bprc::sim::sched::FnStrategy;
-    use bprc::sim::Decision;
-    let run = |budget: Option<u64>| {
-        let mut world = World::builder(2).step_limit(100_000).build();
-        let mem = WaitFreeSnapshot::<u64>::alloc(&world, 2, 0);
-        mem.set_scan_retry_budget(budget); // no-op: nothing to bound
-        let mut wp = mem.port(0);
-        let mut sp = mem.port(1);
-        let bodies: Vec<bprc::sim::world::ProcBody<Vec<u64>>> = vec![
-            Box::new(move |ctx| {
-                let mut k = 0u64;
-                loop {
-                    k += 1;
-                    wp.update(ctx, k)?;
-                }
-            }),
-            Box::new(move |ctx| sp.scan(ctx)),
-        ];
-        let strategy = FnStrategy::new(|view: &bprc::sim::ScheduleView<'_>| {
-            if view.step.is_multiple_of(3) && view.runnable.contains(&1) {
-                Decision::Grant(1)
-            } else if view.runnable.contains(&0) {
-                Decision::Grant(0)
-            } else {
-                Decision::Grant(1)
-            }
-        });
-        let rep = world.run(bodies, Box::new(strategy));
-        (rep, mem)
-    };
-    for budget in [Some(8), None] {
-        let (rep, mem) = run(budget);
-        assert_ne!(
-            rep.halted[1],
-            Some(Halted::ScanStarved),
-            "budget {budget:?}: wait-free scan starved"
-        );
-        assert!(
-            rep.outputs[1].is_some(),
-            "budget {budget:?}: scan did not complete (halted: {:?})",
-            rep.halted[1]
-        );
-        assert_no_starvation(
-            &rep.telemetry,
-            2,
-            &format!("writer-pressure budget {budget:?}"),
-        );
-        assert_eq!(mem.scan_retry_budget(), None, "wait-free has no budget");
-        assert!(
-            rep.telemetry.counter(1, Counter::ScanAttempts) <= 2 + 1,
-            "n+1 attempt bound violated"
-        );
     }
 }
 
@@ -610,7 +512,6 @@ fn scan_retry_budget_degrades_full_stack_scan() {
     // not a livelock cut short only by the step limit.
     use bprc::sim::sched::FnStrategy;
     use bprc::sim::Decision;
-    use bprc::snapshot::ScannableMemory;
     let mut world = World::builder(2).step_limit(100_000).build();
     let mem = ScannableMemory::<u64, DirectArrow>::new(&world, 2, 0);
     mem.set_scan_retry_budget(Some(8));

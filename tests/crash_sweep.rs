@@ -216,13 +216,13 @@ fn crash_each_process_at_every_event_multishot() {
 }
 
 #[test]
-fn crash_sweep_full_stack_waitfree() {
-    // The sweep at register granularity over the wait-free snapshot: crash
+fn crash_sweep_full_stack() {
+    // The sweep at register granularity over the handshake memory: crash
     // each process at a grid of world steps of the reference schedule. The
-    // survivors decide, agree, decide validly — and no scan ever starves
-    // (the wait-free guarantee, which the handshake memory could not make
-    // under the same crashes plus writer pressure).
-    use bprc::core::threaded::WaitFreeConsensus;
+    // survivors decide, agree, decide validly — and, with no scan retry
+    // budget, no scan ever starves.
+    use bprc::core::threaded::ThreadedConsensus;
+    use bprc::registers::DirectArrow;
     use bprc::sim::faults::{FaultPlan, FaultedStrategy};
     use bprc::sim::sched::RandomStrategy;
     use bprc::sim::{Counter, Halted, World};
@@ -235,7 +235,7 @@ fn crash_sweep_full_stack_waitfree() {
     // Reference run: how many world steps until everyone decides.
     let reference_steps = {
         let mut world = World::builder(n).seed(seed).step_limit(5_000_000).build();
-        let inst = WaitFreeConsensus::new(&world, &params, &inputs, seed);
+        let inst = ThreadedConsensus::<DirectArrow>::new(&world, &params, &inputs, seed);
         let rep = world.run(inst.bodies, Box::new(RandomStrategy::new(seed)));
         assert!(rep.outputs.iter().all(|o| o.is_some()));
         rep.steps
@@ -245,36 +245,36 @@ fn crash_sweep_full_stack_waitfree() {
     for victim in 0..n {
         for crash_at in (0..horizon).step_by(23) {
             let mut world = World::builder(n).seed(seed).step_limit(5_000_000).build();
-            let inst = WaitFreeConsensus::new(&world, &params, &inputs, seed);
+            let inst = ThreadedConsensus::<DirectArrow>::new(&world, &params, &inputs, seed);
             let plan = FaultPlan::new().crash_at(crash_at, victim);
             let strategy = FaultedStrategy::new(RandomStrategy::new(seed), plan);
             let rep = world.run(inst.bodies, Box::new(strategy));
             let decisions: Vec<bool> = (0..n).filter_map(|p| rep.outputs[p]).collect();
             assert!(
                 decisions.len() >= n - 1,
-                "wf sweep victim {victim} @ {crash_at}: survivors failed to decide ({:?})",
+                "sweep victim {victim} @ {crash_at}: survivors failed to decide ({:?})",
                 rep.halted
             );
             assert!(
                 decisions.windows(2).all(|w| w[0] == w[1]),
-                "wf sweep victim {victim} @ {crash_at}: agreement violated: {:?}",
+                "sweep victim {victim} @ {crash_at}: agreement violated: {:?}",
                 rep.outputs
             );
             if let Some(&d) = decisions.first() {
                 assert!(
                     inputs.contains(&d),
-                    "wf sweep victim {victim} @ {crash_at}: invalid decision {d}"
+                    "sweep victim {victim} @ {crash_at}: invalid decision {d}"
                 );
             }
             assert!(
                 !rep.halted.contains(&Some(Halted::ScanStarved)),
-                "wf sweep victim {victim} @ {crash_at}: a wait-free scan starved"
+                "sweep victim {victim} @ {crash_at}: an unbudgeted scan starved"
             );
             for pid in 0..n {
                 assert_eq!(
                     rep.telemetry.counter(pid, Counter::ScanStarved),
                     0,
-                    "wf sweep victim {victim} @ {crash_at}: pid {pid} starved"
+                    "sweep victim {victim} @ {crash_at}: pid {pid} starved"
                 );
             }
         }

@@ -8,7 +8,7 @@
 use std::time::Instant;
 
 use bprc::core::bounded::ConsensusParams;
-use bprc::core::threaded::{ThreadedConsensus, WaitFreeConsensus};
+use bprc::core::threaded::ThreadedConsensus;
 use bprc::registers::DirectArrow;
 use bprc::sim::faults::{FaultPlan, FaultedStrategy};
 use bprc::sim::history::OpKind;
@@ -67,7 +67,7 @@ fn run_report_flight_log_captures_protocol_events() {
     let n = 3;
     let params = ConsensusParams::quick(n);
     let mut world = World::builder(n).seed(23).step_limit(5_000_000).build();
-    let inst = WaitFreeConsensus::new(&world, &params, &[false, true, false], 23);
+    let inst = ThreadedConsensus::<DirectArrow>::new(&world, &params, &[false, true, false], 23);
     let rep = world.run(inst.bodies, Box::new(RandomStrategy::new(23)));
     assert!(rep.outputs.iter().all(|o| o.is_some()));
     let flight = &rep.flight;
@@ -323,7 +323,8 @@ fn recorder_overhead_leaves_the_run_intact() {
                 .step_limit(5_000_000)
                 .trace_capacity(capacity)
                 .build();
-            let inst = WaitFreeConsensus::new(&world, &params, &[true, true, false], 47);
+            let inst =
+                ThreadedConsensus::<DirectArrow>::new(&world, &params, &[true, true, false], 47);
             let t0 = Instant::now();
             let r = world.run(inst.bodies, Box::new(RandomStrategy::new(47)));
             best = best.min(t0.elapsed().as_secs_f64());

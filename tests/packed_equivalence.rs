@@ -13,11 +13,9 @@
 //! 1. **Exhaustively** — every explorer-enumerated schedule of a small
 //!    update+scan configuration produces identical per-schedule
 //!    fingerprints (outputs, step counts, recorded histories) over
-//!    `alloc_fast` and `alloc`, and satisfies P1–P3 on each, for both
-//!    snapshot backends.
+//!    `alloc_fast` and `alloc`, and satisfies P1–P3 on each.
 //! 2. **Under crashes** — PCT-sampled schedules with injected crash
-//!    faults are allocation-invariant and keep P1–P3, for both snapshot
-//!    backends.
+//!    faults are allocation-invariant and keep P1–P3.
 //!
 //! The optimized scan's equivalence with the reference `scan_legacy` lives
 //! in the `scan_equivalence` test module of `crates/snapshot/src/memory.rs`.
@@ -27,13 +25,13 @@ use bprc::sim::explore::{explore, ExploreConfig, Independence};
 use bprc::sim::sched::PctStrategy;
 use bprc::sim::world::ProcBody;
 use bprc::sim::World;
-use bprc::snapshot::{
-    check_history, ScannableMemory, SnapshotBackend, SnapshotPort, WaitFreeSnapshot,
-};
+use bprc::snapshot::{check_history, ScannableMemory};
 
-/// A snapshot constructor: [`SnapshotBackend::alloc_fast`] (slab lanes) or
-/// [`SnapshotBackend::alloc`] (the locked oracle).
-type Alloc<B> = fn(&World, usize, u64) -> B;
+type Memory = ScannableMemory<u64, DirectArrow>;
+
+/// A memory constructor: [`ScannableMemory::new_fast`] (slab lanes) or
+/// [`ScannableMemory::new`] (the locked oracle).
+type Alloc = fn(&World, usize, u64) -> Memory;
 
 /// One explored schedule's observables: outputs, step count, the history
 /// as JSONL.
@@ -42,7 +40,7 @@ type Fingerprint = (Vec<Option<Vec<u64>>>, u64, String);
 /// Enumerates every schedule of the n=2 update+scan configuration over
 /// the memory `alloc` builds, checking P1–P3 on each and fingerprinting
 /// each run.
-fn explore_alloc<B: SnapshotBackend<u64>>(what: &str, alloc: Alloc<B>) -> (Vec<Fingerprint>, u64) {
+fn explore_alloc(what: &str, alloc: Alloc) -> (Vec<Fingerprint>, u64) {
     let factory = move || {
         let world = World::builder(2).seed(0).build();
         let mem = alloc(&world, 2, 0);
@@ -90,27 +88,16 @@ fn explore_alloc<B: SnapshotBackend<u64>>(what: &str, alloc: Alloc<B>) -> (Vec<F
 /// but along *all* schedules of the bounded workload, `alloc_fast` is
 /// indistinguishable — schedule by schedule — from `alloc`, and every
 /// schedule satisfies P1–P3.
-fn exhaustive_exploration_is_allocation_invariant<B: SnapshotBackend<u64>>() {
-    let (fast, fast_n) = explore_alloc::<B>("alloc_fast", B::alloc_fast);
-    let (locked, locked_n) = explore_alloc::<B>("alloc", B::alloc);
+#[test]
+fn exhaustive_snapshot_exploration_is_allocation_invariant_handshake() {
+    let (fast, fast_n) = explore_alloc("alloc_fast", Memory::new_fast);
+    let (locked, locked_n) = explore_alloc("alloc", Memory::new);
     assert!(fast_n > 10, "n=2 update+scan has many interleavings");
     assert_eq!(fast_n, locked_n);
     assert_eq!(
-        fast,
-        locked,
-        "{}: some schedule distinguishes alloc_fast from alloc observationally",
-        B::NAME
+        fast, locked,
+        "some schedule distinguishes alloc_fast from alloc observationally"
     );
-}
-
-#[test]
-fn exhaustive_snapshot_exploration_is_allocation_invariant_handshake() {
-    exhaustive_exploration_is_allocation_invariant::<ScannableMemory<u64, DirectArrow>>();
-}
-
-#[test]
-fn exhaustive_snapshot_exploration_is_allocation_invariant_waitfree() {
-    exhaustive_exploration_is_allocation_invariant::<WaitFreeSnapshot<u64>>();
 }
 
 /// One PCT-sampled crash schedule of the real stack over the memory `alloc`
@@ -118,11 +105,7 @@ fn exhaustive_snapshot_exploration_is_allocation_invariant_waitfree() {
 /// point crashes the leading process. Returns the full observable
 /// fingerprint; P1–P3 are asserted inline (the checker understands crashed
 /// updates).
-fn pct_crash_run<B: SnapshotBackend<u64>>(
-    what: &str,
-    alloc: Alloc<B>,
-    seed: u64,
-) -> (Vec<Option<u64>>, u64, String) {
+fn pct_crash_run(what: &str, alloc: Alloc, seed: u64) -> (Vec<Option<u64>>, u64, String) {
     let n = 3;
     let mut world = World::builder(n).seed(seed).step_limit(2_000_000).build();
     let mem = alloc(&world, n, 0);
@@ -156,21 +139,16 @@ fn pct_crash_run<B: SnapshotBackend<u64>>(
 
 /// PCT schedules with injected crashes are decided by step counts, which
 /// the packing never changes — so the same seed must produce the same
-/// crash, the same survivors, and the same history over `alloc_fast` and
-/// `alloc`, for both snapshot constructions.
-fn pct_crash_schedules_are_allocation_invariant<B: SnapshotBackend<u64>>() {
-    for seed in [0, 1, 7, 42, 99] {
-        assert_eq!(
-            pct_crash_run::<B>("alloc_fast", B::alloc_fast, seed),
-            pct_crash_run::<B>("alloc", B::alloc, seed),
-            "{} seed {seed}: alloc_fast vs alloc",
-            B::NAME
-        );
-    }
-}
-
+/// crash, the same survivors and the same history on both value-register
+/// backings: the slab lanes `alloc_fast` allocates and the locked cells of
+/// `alloc`.
 #[test]
 fn pct_crash_schedules_are_allocation_invariant_for_both_backends() {
-    pct_crash_schedules_are_allocation_invariant::<ScannableMemory<u64, DirectArrow>>();
-    pct_crash_schedules_are_allocation_invariant::<WaitFreeSnapshot<u64>>();
+    for seed in [0, 1, 7, 42, 99] {
+        assert_eq!(
+            pct_crash_run("alloc_fast", Memory::new_fast, seed),
+            pct_crash_run("alloc", Memory::new, seed),
+            "seed {seed}: alloc_fast vs alloc"
+        );
+    }
 }

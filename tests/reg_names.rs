@@ -7,7 +7,7 @@ use bprc::coin::shared::SharedCoin;
 use bprc::coin::CoinParams;
 use bprc::registers::{DirectArrow, HandshakeArrow};
 use bprc::sim::World;
-use bprc::snapshot::{ScannableMemory, SnapshotBackend, WaitFreeSnapshot};
+use bprc::snapshot::{ScannableMemory, SnapshotBackend};
 
 /// The names of a fresh `n`-process world after `alloc` ran on it.
 fn names(n: usize, alloc: impl FnOnce(&World)) -> Vec<String> {
@@ -53,13 +53,7 @@ fn handshake_arrows_name_their_two_bits() {
 }
 
 #[test]
-fn waitfree_snapshot_and_shared_coin_name_one_register_per_process() {
-    assert_eq!(
-        names(2, |w| {
-            WaitFreeSnapshot::<u64>::new(w, 2, 0);
-        }),
-        ["WfV_0", "WfV_1"]
-    );
+fn shared_coin_names_one_register_per_process() {
     assert_eq!(
         names(2, |w| {
             SharedCoin::new(w, CoinParams::new(2, 2, 4));
