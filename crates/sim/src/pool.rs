@@ -13,10 +13,11 @@
 //!   untouched stack costs no resident memory), and concurrent runs
 //!   (concurrent tests, say) simply check out disjoint sets.
 //! - **Flight-recorder rings** ([`crate::tracing`]), one free list per slot
-//!   count: a world's recorder checks out one ring per process when it is
-//!   built and checks them in when it is dropped, so once the list is warm
-//!   a world's build allocates and writes none of its `n` × 64 KiB of
-//!   default-capacity slots.
+//!   count: a world's recorder takes one ring per process at that process's
+//!   first recorded event, not at build, and checks in the rings it took
+//!   when it is dropped. A process that records nothing takes none, and
+//!   once the list is warm a recording process allocates and writes none
+//!   of its 64 KiB of default-capacity slots.
 //! - **Metrics shards** ([`crate::metrics`]), one free list per length
 //!   class: a [`MetricsRegistry`](crate::metrics::MetricsRegistry) (one
 //!   per world, and one per turn driver) checks out one vector of `n + 1`
@@ -24,7 +25,8 @@
 //!   `n + 1` × 1,856 bytes; zeroing them is the cost that is left.
 //!
 //! A free list keeps what was checked in until the process exits: its
-//! high-water mark, the most items of one kind that were ever out at once.
+//! high-water mark, the most items of one kind that were ever out at once
+//! (for rings, the most processes that had recorded in live worlds at once).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Sender};

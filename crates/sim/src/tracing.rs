@@ -11,9 +11,10 @@
 //!   per process: the process's one ordered event record, which the
 //!   protocol timeline ([`crate::trace::render_unified`],
 //!   [`crate::trace::to_chrome_trace`]) is read from. A ring has **one
-//!   writer at a time** (its process, or the scheduler at quiescence), a
-//!   relaxed load-and-store write cursor, and never blocks: when the ring
-//!   is full, the oldest
+//!   writer at a time** (its process, or the scheduler at quiescence) and
+//!   a relaxed load-and-store write cursor. A process takes its ring at its
+//!   first event, so one that records nothing holds none; every later
+//!   event never blocks: when the ring is full, the oldest
 //!   events are overwritten and the overflow is counted. Every event is
 //!   dual-stamped with a world step and [`now_nanos`], and which half is
 //!   exact depends on the backend. Under the lockstep scheduler the step is
@@ -41,13 +42,17 @@
 //! after the world joins its threads (join gives the happens-before edge
 //! that makes the relaxed loads well-defined).
 //!
-//! Rings are pooled. A default-capacity ring is 2,048 slots, 64 KiB, and
-//! the stateless explorer builds a world per schedule, so a recorder takes
-//! its rings from a process-global free list keyed by slot count and hands
-//! them back when it is dropped: building one resets two words per ring
-//! instead of writing every slot. A reused ring needs no clearing, because a
-//! snapshot reads only the newest `min(cursor, capacity)` slots, and each of
-//! those was written through the recorder that owns the ring now.
+//! Rings are pooled and taken per process, at its first event. A
+//! default-capacity ring is 2,048 slots, 64 KiB, that a fresh ring writes
+//! whole; the stateless explorer builds a world per schedule, and most
+//! processes of a wide free-mode world record nothing. So building a
+//! recorder takes no ring: a process's first event takes one from a
+//! process-global free list keyed by slot count — under the list's lock,
+//! allocating only if the list is empty — and resets its two words, and
+//! the dropped recorder hands back the rings its processes took. A reused
+//! ring needs no clearing, because a snapshot reads only the newest
+//! `min(cursor, capacity)` slots, and each of those was written through the
+//! recorder that owns the ring now.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -273,17 +278,21 @@ fn free_rings(len: usize) -> &'static FreeList<Ring> {
 
 /// Per-process bounded event rings: the live flight recorder.
 ///
-/// A record is five relaxed stores and one relaxed load on a ring with
-/// one writer at a time (see `Ring`): no read-modify-write, no
-/// division, never blocks, never allocates. A capacity of 0 disables
-/// the recorder entirely ([`FlightRecorder::record`] becomes a no-op
-/// branch), which is how the overhead self-measurement gets its baseline.
+/// A record is an acquire load that finds the process's ring, then five
+/// relaxed stores and one relaxed load on a ring with one writer at a time
+/// (see `Ring`): no read-modify-write, no division. A process's first
+/// record takes its ring from a process-global free list, which takes the
+/// list's lock and, if the list is cold, allocates and writes one ring;
+/// every later record never blocks and never allocates. A capacity of 0
+/// disables the recorder entirely ([`FlightRecorder::record`] becomes a
+/// no-op branch and no ring is ever taken), which is how the overhead
+/// self-measurement gets its baseline.
 ///
-/// Building one is O(n): its rings come from a process-global free list
-/// and go back to it on drop (see the module docs), so only the first
-/// recorder of a shape allocates and writes its slots.
+/// Building one allocates `n` empty ring cells and no ring; the rings its
+/// processes took go back to the free list on drop (see the module docs),
+/// so only the first recorders of a shape allocate and write slots.
 pub struct FlightRecorder {
-    rings: Vec<Ring>,
+    rings: Vec<OnceLock<Ring>>,
     capacity: usize,
 }
 
@@ -300,20 +309,29 @@ impl FlightRecorder {
     /// A recorder with one ring per process, each keeping the newest
     /// `capacity` events. `capacity = 0` disables recording.
     ///
-    /// Each ring has `capacity.max(1).next_power_of_two()` slots and is
-    /// taken from the idle rings of that slot count when there is one —
-    /// only its cursor and capacity are reset, its slots keep a dropped
-    /// recorder's events, which no snapshot of this one reads — and made
-    /// fresh otherwise.
+    /// It holds no ring yet: a process's ring, of
+    /// `capacity.next_power_of_two()` slots, is taken at its first record
+    /// ([`record_at`](FlightRecorder::record_at)).
     pub fn new(n: usize, capacity: usize) -> Self {
-        let kept = capacity.max(1);
-        let len = kept.next_power_of_two();
-        let mut rings = free_rings(len).checkout(n, || Ring::new(len));
-        for ring in &mut rings {
-            ring.capacity = kept as u64;
-            *ring.cursor.get_mut() = 0;
+        FlightRecorder {
+            rings: (0..n).map(|_| OnceLock::new()).collect(),
+            capacity,
         }
-        FlightRecorder { rings, capacity }
+    }
+
+    /// The slot count of this recorder's rings (`capacity > 0`).
+    fn ring_len(&self) -> usize {
+        self.capacity.next_power_of_two()
+    }
+
+    /// A ring for a process's first event: an idle one of this recorder's
+    /// slot count, its cursor and capacity reset, or a fresh one.
+    fn take_ring(&self) -> Ring {
+        let len = self.ring_len();
+        let mut ring = free_rings(len).take().unwrap_or_else(|| Ring::new(len));
+        ring.capacity = self.capacity as u64;
+        *ring.cursor.get_mut() = 0;
+        ring
     }
 
     /// Whether events are being kept (capacity > 0).
@@ -340,17 +358,27 @@ impl FlightRecorder {
     /// previous event, so the ring's stamps stay non-decreasing. This is
     /// how a free-mode process carries one clock read across the interior
     /// events of an operation (see the module docs).
+    ///
+    /// `pid`'s first event takes its ring: an idle one of this recorder's
+    /// slot count when the free list has one — only its cursor and capacity
+    /// are reset, its slots keep a dropped recorder's events, which no
+    /// snapshot of this one reads — and a fresh one otherwise. That takes
+    /// the free list's lock, a leaf lock, so the lockstep scheduler may take
+    /// a victim's ring under the world's central lock. Every later event is
+    /// one acquire load more than the ring write itself.
     #[inline]
     pub fn record_at(&self, pid: usize, step: u64, nanos: u64, kind: EventKind, arg: u64) {
         if self.capacity == 0 {
             return;
         }
-        if let Some(ring) = self.rings.get(pid) {
-            ring.record(step, nanos, kind, arg);
+        if let Some(cell) = self.rings.get(pid) {
+            cell.get_or_init(|| self.take_ring())
+                .record(step, nanos, kind, arg);
         }
     }
 
-    /// Freezes every ring into a [`FlightLog`]. Sound after the writers
+    /// Freezes every ring into a [`FlightLog`]; a process that recorded
+    /// nothing shows an empty ring with overflow 0. Sound after the writers
     /// have been joined (how [`World::run`](crate::World::run) uses it).
     /// A mid-run snapshot may read a slot whose event is still being
     /// written: it is dropped if its kind is torn, and may show the slot's
@@ -358,12 +386,8 @@ impl FlightRecorder {
     pub fn snapshot(&self) -> FlightLog {
         let mut events = Vec::with_capacity(self.rings.len());
         let mut overflow = Vec::with_capacity(self.rings.len());
-        for (pid, ring) in self.rings.iter().enumerate() {
-            let (mut evs, lost) = if self.capacity == 0 {
-                (Vec::new(), 0)
-            } else {
-                ring.snapshot()
-            };
+        for (pid, cell) in self.rings.iter().enumerate() {
+            let (mut evs, lost) = cell.get().map_or((Vec::new(), 0), Ring::snapshot);
             for e in &mut evs {
                 e.pid = pid;
             }
@@ -379,12 +403,12 @@ impl FlightRecorder {
 }
 
 impl Drop for FlightRecorder {
-    /// Hands the rings back to the free list of their slot count. Drop has
-    /// `&mut self`, so no writer is left.
+    /// Hands the rings it took back to the free list of their slot count.
+    /// Drop has `&mut self`, so no writer is left.
     fn drop(&mut self) {
-        let rings = std::mem::take(&mut self.rings);
-        if let Some(len) = rings.first().map(|ring| ring.slots.len()) {
-            free_rings(len).checkin(rings);
+        if self.enabled() {
+            let idle = free_rings(self.ring_len());
+            idle.checkin(self.rings.drain(..).filter_map(OnceLock::into_inner));
         }
     }
 }

@@ -2,8 +2,11 @@
 //! protocol events on real runs, free-mode events carry the clock reading
 //! of their enclosing operation, the Chrome trace export is loadable Trace
 //! Event JSON, leaving the recorder on does not distort the books the
-//! telemetry==history parity tests depend on, and a ring a dropped world
-//! handed back to the pool shows the next world only that world's events.
+//! telemetry==history parity tests depend on, a ring a dropped world
+//! handed back to the pool shows the next world only that world's events,
+//! and a process takes its ring only at its first event: one that records
+//! nothing leaves an empty ring, and first events racing in one world each
+//! take their own.
 
 use std::time::Instant;
 
@@ -17,7 +20,7 @@ use bprc::sim::trace::to_chrome_trace;
 use bprc::sim::tracing::{EventKind, FlightLog, Hist, DEFAULT_RING_CAPACITY};
 use bprc::sim::world::{ProcBody, RunReport};
 use bprc::sim::{json, Counter, Mode, World};
-use bprc::snapshot::ScannableMemory;
+use bprc::snapshot::{ScannableMemory, SnapshotBackend};
 
 /// Each lockstep crash and injected fault is one ring event, so the Chrome
 /// trace shows it exactly once (the history records the same faults, so an
@@ -489,5 +492,122 @@ fn concurrent_worlds_never_share_a_ring() {
     for t in threads {
         t.join()
             .expect("every snapshot holds only its own world's events");
+    }
+}
+
+/// A process takes its ring at its first event, so in a free n = 32 world
+/// where only pid 0 updates and scans the handshake memory, and the other
+/// 31 bodies return at once, the log still has 32 rings: pid 0's holds its
+/// register writes, and the others are empty with nothing overwritten.
+#[test]
+fn idle_processes_leave_empty_rings() {
+    let n = 32;
+    let mut world = World::builder(n)
+        .mode(Mode::Free)
+        .step_limit(u64::MAX)
+        .build();
+    let mem = ScannableMemory::<u64, DirectArrow>::alloc_fast(&world, n, 0);
+    let mut port = mem.port(0);
+    let mut bodies: Vec<ProcBody<()>> = vec![Box::new(move |ctx| {
+        port.update(ctx, 1)?;
+        port.scan(ctx).map(drop)
+    })];
+    bodies.extend((1..n).map(|_| -> ProcBody<()> { Box::new(|_| Ok(())) }));
+    let rep = world.run(bodies, Box::new(RoundRobin::new()));
+    assert_eq!(rep.decided_count(), n, "{:?}", rep.panics);
+    let flight = &rep.flight;
+    assert_eq!(flight.n(), n);
+    let writes = flight.count(0, EventKind::RegWrite) as u64;
+    assert!(writes > 0, "pid 0 recorded no reg_write");
+    assert_eq!(writes, rep.telemetry.counter(0, Counter::RegWrites));
+    assert_eq!(flight.count(0, EventKind::ScanEnd), 1);
+    for pid in 1..n {
+        assert!(
+            flight.events(pid).is_empty(),
+            "pid {pid}: {:?}",
+            flight.events(pid)
+        );
+        assert_eq!(flight.overflow(pid), 0, "pid {pid}");
+    }
+}
+
+/// A lockstep process crashed before its first access has recorded
+/// nothing itself: the scheduler's crash decision is its ring's first
+/// event, so the scheduler takes the ring, and the ring holds exactly that
+/// `Fault` event.
+#[test]
+fn a_process_crashed_before_its_first_access_holds_only_the_crash() {
+    let n = 2;
+    let mut world = World::builder(n).build();
+    let r = world.reg("r", 0u64);
+    let bodies: Vec<ProcBody<()>> = (0..n)
+        .map(|_| {
+            let r = r.clone();
+            let b: ProcBody<()> = Box::new(move |ctx| {
+                for k in 0..5 {
+                    r.write(ctx, k)?;
+                }
+                Ok(())
+            });
+            b
+        })
+        .collect();
+    let plan = FaultPlan::new().crash_at(0, 1);
+    let rep = world.run(
+        bodies,
+        Box::new(FaultedStrategy::new(RoundRobin::new(), plan)),
+    );
+    assert!(rep.outputs[0].is_some() && rep.outputs[1].is_none());
+    let crash: Vec<_> = rep
+        .flight
+        .events(1)
+        .iter()
+        .map(|e| (e.pid, e.kind, e.arg))
+        .collect();
+    assert_eq!(crash, [(1, EventKind::Fault, 0)]);
+    assert_eq!(rep.flight.overflow(1), 0);
+    assert_eq!(rep.flight.count(0, EventKind::RegWrite), 5);
+}
+
+/// The first events of one world race for rings: in each of 64 free
+/// worlds of n = 8, every process waits at a barrier and then writes its
+/// own register, so all 8 take their rings at once. Every ring holds only
+/// its own process's write.
+#[test]
+fn first_events_racing_in_one_world_take_their_own_rings() {
+    let n = 8;
+    for _ in 0..64 {
+        let mut world = World::builder(n)
+            .mode(Mode::Free)
+            .step_limit(u64::MAX)
+            .build();
+        let start = std::sync::Arc::new(std::sync::Barrier::new(n));
+        let bodies: Vec<ProcBody<()>> = (0..n)
+            .map(|pid| {
+                let r = world.reg(format!("r{pid}"), 0u64);
+                let start = std::sync::Arc::clone(&start);
+                let b: ProcBody<()> = Box::new(move |ctx| {
+                    start.wait();
+                    r.write(ctx, 1)
+                });
+                b
+            })
+            .collect();
+        let rep = world.run(bodies, Box::new(RoundRobin::new()));
+        assert_eq!(rep.decided_count(), n, "{:?}", rep.panics);
+        for pid in 0..n {
+            let events: Vec<_> = rep
+                .flight
+                .events(pid)
+                .iter()
+                .map(|e| (e.pid, e.kind, e.arg))
+                .collect();
+            assert_eq!(
+                events,
+                [(pid, EventKind::RegWrite, pid as u64)],
+                "pid {pid}"
+            );
+            assert_eq!(rep.flight.overflow(pid), 0, "pid {pid}");
+        }
     }
 }
