@@ -123,6 +123,77 @@ fn handshake_runs_are_pinned_across_refactors() {
     }
 }
 
+/// Pins multishot logs over real registers: `LogCore` replicas over the
+/// handshake memory in lockstep under round-robin, 4 slots of 8 bits.
+/// Captured before a written register value went back to its writer for
+/// reuse; how a value's buffers are recycled must be invisible here, down
+/// to the history's bytes.
+#[test]
+fn log_runs_are_pinned_at_register_level() {
+    use bprc::core::multishot::{LogCore, LogMsg, StaticProposals};
+    use bprc::core::threaded::over_snapshot;
+    use bprc::sim::sched::RoundRobin;
+    use bprc::snapshot::ScannableMemory;
+
+    let run = |n: usize| {
+        let params = ConsensusParams::quick(n);
+        let mut world = World::builder(n).step_limit(50_000_000).build();
+        let procs: Vec<LogCore<StaticProposals>> = (0..n)
+            .map(|p| {
+                let mine = (0..4)
+                    .map(|s| (p * 37 + s * 11 + 5) as u64 & 0xFF)
+                    .collect();
+                LogCore::new(
+                    params.clone(),
+                    p,
+                    4,
+                    8,
+                    StaticProposals(mine),
+                    90 + p as u64,
+                )
+            })
+            .collect();
+        let (_mem, bodies) = over_snapshot::<_, ScannableMemory<_, DirectArrow>>(
+            &world,
+            procs,
+            LogMsg { slots: Vec::new() },
+        );
+        let rep = world.run(bodies, Box::new(RoundRobin::new()));
+        let history = rep.history.as_ref().unwrap().to_jsonl();
+        (
+            format!("{:?}", rep.outputs),
+            rep.steps,
+            history.lines().count() as u64,
+            fnv1a(history.as_bytes()),
+        )
+    };
+    type Pinned = (String, u64, u64, u64);
+    let cases: [(usize, Pinned); 2] = [
+        (
+            2,
+            (
+                "[Some([42, 16, 27, 38]), Some([42, 16, 27, 38])]".into(),
+                2148,
+                3580,
+                12178054861946608874,
+            ),
+        ),
+        (
+            3,
+            (
+                "[Some([42, 16, 27, 38]), Some([42, 16, 27, 38]), Some([42, 16, 27, 38])]".into(),
+                9339,
+                12735,
+                13978332685363942192,
+            ),
+        ),
+    ];
+    for (n, want) in &cases {
+        let got = run(*n);
+        assert_eq!(&got, want, "n = {n}: pinned fingerprint changed");
+    }
+}
+
 #[test]
 fn coin_monte_carlo_replays_exactly() {
     let p = CoinParams::new(3, 2, 1_000);
