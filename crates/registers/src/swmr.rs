@@ -141,6 +141,22 @@ impl<T: Clone + Send + Sync + 'static> Swmr<T> {
     /// Panics if called by a process other than the designated writer.
     #[inline]
     pub fn write_tagged(&self, ctx: &mut Ctx, value: T, tag: u64) -> Result<(), Halted> {
+        self.write_displacing(ctx, value, tag).map(drop)
+    }
+
+    /// Like [`write_tagged`](Swmr::write_tagged), handing back the value
+    /// the write replaced where the backing held one (see
+    /// [`Reg::write_displacing`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Halted`] if the scheduler stopped this process.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called by a process other than the designated writer.
+    #[inline]
+    pub fn write_displacing(&self, ctx: &mut Ctx, value: T, tag: u64) -> Result<Option<T>, Halted> {
         assert_eq!(
             ctx.pid(),
             self.writer,
@@ -148,7 +164,7 @@ impl<T: Clone + Send + Sync + 'static> Swmr<T> {
             ctx.pid(),
             self.writer
         );
-        self.reg.write_tagged(ctx, value, tag)
+        self.reg.write_displacing(ctx, value, tag)
     }
 
     /// Unscheduled read for checkers/adversaries (see [`Reg::peek`]).

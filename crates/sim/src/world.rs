@@ -170,6 +170,18 @@ pub(crate) struct Central {
     /// Per-process store buffers (weak-memory modes; always empty under
     /// [`WeakMode::Sc`]).
     buffers: Vec<VecDeque<BufferedStore>>,
+    /// The lists a decision shows the strategy, kept between decisions so
+    /// that a lockstep step allocates nothing.
+    lists: DecisionLists,
+}
+
+/// What one consultation of the strategy shows it: the runnable pids,
+/// their pending ops, and the flushable buffered stores.
+#[derive(Default)]
+struct DecisionLists {
+    runnable: Vec<usize>,
+    pending: Vec<PendingOp>,
+    flushable: Vec<(usize, RegId)>,
 }
 
 impl Central {
@@ -542,10 +554,24 @@ impl WorldInner {
         wake.extend((0..self.n).filter(|&p| p != me && !c.finished[p]));
     }
 
-    /// One consultation of the strategy at a quiescent point.
+    /// One consultation of the strategy at a quiescent point, in the
+    /// lists the world keeps for it.
     fn decide_once(
         &self,
         c: &mut Central,
+        strategy: &mut dyn Strategy,
+        me: usize,
+        wake: &mut Vec<usize>,
+    ) {
+        let mut lists = std::mem::take(&mut c.lists);
+        self.decide_in(c, &mut lists, strategy, me, wake);
+        c.lists = lists;
+    }
+
+    fn decide_in(
+        &self,
+        c: &mut Central,
+        lists: &mut DecisionLists,
         strategy: &mut dyn Strategy,
         me: usize,
         wake: &mut Vec<usize>,
@@ -559,9 +585,15 @@ impl WorldInner {
             // process runs, so the history's order is the schedule's.
             c.history.sort_by_pid();
         }
-        let runnable: Vec<usize> = (0..self.n)
-            .filter(|&p| !c.finished[p] && !c.crashed[p] && c.waiting[p].is_some())
-            .collect();
+        let DecisionLists {
+            runnable,
+            pending,
+            flushable,
+        } = lists;
+        runnable.clear();
+        runnable.extend(
+            (0..self.n).filter(|&p| !c.finished[p] && !c.crashed[p] && c.waiting[p].is_some()),
+        );
         if runnable.is_empty() {
             // Everyone finished or crashed. Buffered stores of finished
             // processes land now, deterministically — unobservable, hence
@@ -576,11 +608,13 @@ impl WorldInner {
             self.shut_down(c, Halted::StepLimit, me, wake);
             return;
         }
-        let pending: Vec<PendingOp> = runnable
-            .iter()
-            .map(|&p| c.waiting[p].expect("runnable process has a pending op"))
-            .collect();
-        let mut flushable: Vec<(usize, RegId)> = Vec::new();
+        pending.clear();
+        pending.extend(
+            runnable
+                .iter()
+                .map(|&p| c.waiting[p].expect("runnable process has a pending op")),
+        );
+        flushable.clear();
         if self.weak_buffering() {
             for p in 0..self.n {
                 for r in flushable_of(self.weak, &c.buffers[p]) {
@@ -591,11 +625,8 @@ impl WorldInner {
         let decision = {
             let view = ScheduleView {
                 step: c.steps,
-                runnable: &runnable,
-                state: RegisterState {
-                    pending: &pending,
-                    flushable: &flushable,
-                },
+                runnable,
+                state: RegisterState { pending, flushable },
             };
             strategy.decide(&view)
         };
@@ -1086,6 +1117,7 @@ impl WorldBuilder {
                     strategy_panic: None,
                     decided_once: false,
                     buffers: (0..self.n).map(|_| VecDeque::new()).collect(),
+                    lists: DecisionLists::default(),
                 }),
                 threads: (0..self.n).map(|_| OnceLock::new()).collect(),
                 free_steps: AtomicU64::new(0),

@@ -29,12 +29,24 @@ pub trait SnapshotPort<T>: Send + 'static {
     /// This port's process id.
     fn pid(&self) -> usize;
 
-    /// Publishes `value` (the paper's `update`).
+    /// Publishes `value` (the paper's `update`). The value the write
+    /// displaces from this process's register, when the register held one
+    /// to give back, waits in the port for
+    /// [`take_displaced`](SnapshotPort::take_displaced).
     ///
     /// # Errors
     ///
     /// Returns [`Halted`] if the scheduler stopped this process.
     fn update(&mut self, ctx: &mut Ctx, value: T) -> Result<(), Halted>;
+
+    /// Hands out, once, the value the last [`update`](SnapshotPort::update)
+    /// displaced from this process's register — the process's own earlier
+    /// value, for it to publish its next value into. Its buffers may still
+    /// be shared with a copy another process's scan took, so reuse must
+    /// check before it writes. Default: `None` (nothing to hand back).
+    fn take_displaced(&mut self) -> Option<T> {
+        None
+    }
 
     /// Takes a snapshot: one value per process.
     ///
@@ -175,6 +187,10 @@ where
 
     fn update(&mut self, ctx: &mut Ctx, value: T) -> Result<(), Halted> {
         Port::update(self, ctx, value)
+    }
+
+    fn take_displaced(&mut self) -> Option<T> {
+        Port::take_displaced(self)
     }
 
     fn scan(&mut self, ctx: &mut Ctx) -> Result<Vec<T>, Halted> {
