@@ -164,7 +164,6 @@ fn run_registers(args: &Args) {
         .and_then(|&(_, entrant)| entrants().into_iter().find(|e| e.name() == entrant))
         .expect("every demo protocol is an arena entrant");
     let mut world = World::builder(args.n)
-        .seed(args.seed)
         .step_limit(BUDGET)
         .weak_memory(entrant.memory_mode())
         .build();

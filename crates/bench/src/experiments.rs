@@ -560,7 +560,7 @@ pub fn e6_memory(scale: Scale) -> Table {
 /// `derive_seed(tag, trial)`.
 fn writer_pressure(pressure: f64, tag: u64, trial: u64) -> RunReport<()> {
     let n = 3;
-    let mut world = World::builder(n).seed(trial).step_limit(60_000).build();
+    let mut world = World::builder(n).step_limit(60_000).build();
     let mem = ScannableMemory::<u64, DirectArrow>::new(&world, n, 0);
     let mut scanner = mem.port(0);
     let mut bodies: Vec<ProcBody<()>> = vec![Box::new(move |ctx| {

@@ -58,7 +58,7 @@ use bprc_core::threaded::ThreadedConsensus;
 use bprc_core::{
     arena_strategy, check_telemetry_parity, entrants, Consensus, ConsensusParams, ConsensusSpec,
 };
-use bprc_registers::DirectArrow;
+use bprc_registers::{ArrowCell, DirectArrow, HandshakeArrow};
 use bprc_sim::explore::{
     explore, run_trace, shrink_trace, Counterexample, DecisionRecorder, DecisionTrace,
     ExploreConfig, ExploreReport, Independence,
@@ -458,9 +458,25 @@ type Handshake = ScannableMemory<u64, DirectArrow>;
 /// The handshake memory's name in the `snapshot_backend` column.
 const HANDSHAKE: &str = Handshake::NAME;
 
-fn handshake_meta(n: usize) -> SnapshotMeta {
+fn handshake_meta<A: ArrowCell>(n: usize) -> SnapshotMeta {
     let world = World::builder(n).build();
-    Handshake::new(&world, n, 0).meta()
+    ScannableMemory::<u64, A>::new(&world, n, 0).meta()
+}
+
+/// An arrow the snapshot rows run over, and what it adds to their names:
+/// nothing for the two-writer [`DirectArrow`] cell, `-swmr` for the
+/// paper's footnote-3 [`HandshakeArrow`], with which every shared register
+/// of the memory is single-writer.
+trait Arrow: ArrowCell {
+    const SUFFIX: &'static str;
+}
+
+impl Arrow for DirectArrow {
+    const SUFFIX: &'static str = "";
+}
+
+impl Arrow for HandshakeArrow {
+    const SUFFIX: &'static str = "-swmr";
 }
 
 /// The per-schedule check of the sequentially consistent snapshot rows:
@@ -473,14 +489,17 @@ fn snapshot_check(r: &RunReport<Vec<u64>>, meta: &SnapshotMeta) -> Option<String
     check_telemetry_parity(r)
 }
 
-/// n = 2 over the handshake memory, both processes update their slot then
-/// scan — every schedule, with every placement of up to `fault_budget`
-/// crashes.
-fn n2_update_scan(fault_budget: u64) -> Check {
-    let meta = handshake_meta(2);
+/// n = 2 over the handshake memory with arrow `A`, both processes update
+/// their slot then scan — every schedule, with every placement of up to
+/// `fault_budget` crashes.
+fn n2_update_scan<A: Arrow>(fault_budget: u64) -> Check {
+    let meta = handshake_meta::<A>(2);
     Check::explored(
         Row {
-            name: format!("snapshot-n2-update-scan-{HANDSHAKE}-b{fault_budget}"),
+            name: format!(
+                "snapshot-n2-update-scan-{HANDSHAKE}{}-b{fault_budget}",
+                A::SUFFIX
+            ),
             tags: &["P1-P3", "PARITY"],
             protocol: "update+scan",
             backend: HANDSHAKE,
@@ -490,8 +509,8 @@ fn n2_update_scan(fault_budget: u64) -> Check {
         },
         Independence::ReadsOnly,
         |mode| {
-            let world = World::builder(2).seed(0).weak_memory(mode).build();
-            let mem = Handshake::new(&world, 2, 0);
+            let world = World::builder(2).weak_memory(mode).build();
+            let mem = ScannableMemory::<u64, A>::new(&world, 2, 0);
             let bodies: Vec<ProcBody<Vec<u64>>> = (0..2)
                 .map(|pid| {
                     let mut port = mem.port(pid);
@@ -517,7 +536,7 @@ fn n2_update_scan(fault_budget: u64) -> Check {
 /// buffered store: both-sides-do-everything blows past 10^6 schedules,
 /// while this split stays exhaustive in minutes on the real code path.
 fn n2_writer_scanner(mode: WeakMode) -> Check {
-    let meta = handshake_meta(2);
+    let meta = handshake_meta::<DirectArrow>(2);
     Check::explored(
         Row {
             name: format!("snapshot-n2-writer-scanner-{mode}"),
@@ -530,7 +549,7 @@ fn n2_writer_scanner(mode: WeakMode) -> Check {
         },
         Independence::ReadsOnly,
         |mode| {
-            let world = World::builder(2).seed(0).weak_memory(mode).build();
+            let world = World::builder(2).weak_memory(mode).build();
             let mem = Handshake::alloc(&world, 2, 0u64);
             let (mut writer, mut scanner) = (mem.port(0), mem.port(1));
             let bodies: Vec<ProcBody<Vec<u64>>> = vec![
@@ -566,7 +585,7 @@ fn writers_scanner_factory(
     double_collect: bool,
 ) -> impl Fn(WeakMode) -> (World, Vec<ProcBody<Vec<u64>>>) {
     move |mode| {
-        let world = World::builder(3).seed(0).weak_memory(mode).build();
+        let world = World::builder(3).weak_memory(mode).build();
         let v: Vec<_> = (0..3).map(|i| world.reg(format!("V{i}"), 0u64)).collect();
         let mut bodies: Vec<ProcBody<Vec<u64>>> = Vec::new();
         for reg in &v[..2] {
@@ -814,7 +833,7 @@ fn pct_consensus(seeds: u64) -> Check {
     };
     let spec = ConsensusSpec::new(&inputs);
     sampled(row, seeds, move |row, seed| {
-        let mut world = World::builder(n).seed(0).step_limit(row.depth).build();
+        let mut world = World::builder(n).step_limit(row.depth).build();
         let params = ConsensusParams::quick(n);
         let inst = ThreadedConsensus::<DirectArrow>::new(&world, &params, &inputs, seed);
         let meta = inst.memory.meta();
@@ -841,13 +860,14 @@ fn pct_consensus(seeds: u64) -> Check {
     })
 }
 
-/// The PCT sweep at n = 4 over the handshake memory: `seeds` schedules
-/// with d = 3 change points, every run's history checked against P1–P3.
-fn pct_snapshot(seeds: u64) -> Check {
+/// The PCT sweep at n = 4 over the handshake memory with arrow `A`:
+/// `seeds` schedules with d = 3 change points, every run's history checked
+/// against P1–P3.
+fn pct_snapshot<A: Arrow>(seeds: u64) -> Check {
     let (n, d, horizon) = (4usize, 3usize, 200u64);
-    let meta = handshake_meta(n);
+    let meta = handshake_meta::<A>(n);
     let row = Row {
-        name: "pct-snapshot-n4-handshake".to_string(),
+        name: format!("pct-snapshot-n4-{HANDSHAKE}{}", A::SUFFIX),
         tags: &["P1-P3"],
         protocol: "update+scan",
         backend: HANDSHAKE,
@@ -856,8 +876,8 @@ fn pct_snapshot(seeds: u64) -> Check {
         ..Row::default()
     };
     sampled(row, seeds, move |row, seed| {
-        let mut world = World::builder(n).seed(0).step_limit(row.depth).build();
-        let mem = Handshake::new(&world, n, 0);
+        let mut world = World::builder(n).step_limit(row.depth).build();
+        let mem = ScannableMemory::<u64, A>::new(&world, n, 0);
         let bodies: Vec<ProcBody<Vec<u64>>> = (0..n)
             .map(|pid| {
                 let mut port = mem.port(pid);
@@ -1076,7 +1096,6 @@ fn arena_trial(
     record_history: bool,
 ) -> (World, Vec<ProcBody<bool>>) {
     let world = World::builder(inputs.len())
-        .seed(trial_seed)
         .step_limit(step_limit)
         .record_history(record_history)
         .weak_memory(entrant.memory_mode())
@@ -1111,14 +1130,16 @@ fn table(scale: Scale) -> Vec<Check> {
     let seeds = scale.trials(300, 5_000);
     let mut checks = Vec::new();
     checks.extend([
-        n2_update_scan(0),
-        n2_update_scan(1),
+        n2_update_scan::<DirectArrow>(0),
+        n2_update_scan::<DirectArrow>(1),
+        n2_update_scan::<HandshakeArrow>(0),
         writers_scanner("snapshot-n3-writers-scanner-b1", true, 1, Expect::Clean),
         writers_scanner("fixture-torn-scan", false, 0, Expect::Found(None)),
         crash_publish("fixture-crash-publish", 1, Expect::Found(Some(Keep::Crash))),
         crash_publish("control-crash-publish-b0", 0, Expect::Clean),
         pct_consensus(seeds),
-        pct_snapshot(1_000),
+        pct_snapshot::<DirectArrow>(1_000),
+        pct_snapshot::<HandshakeArrow>(1_000),
     ]);
     checks.extend([
         mc_consensus(1, 1, [false, false], false),
@@ -1293,7 +1314,7 @@ mod tests {
 
     #[test]
     fn clean_row_reports_fault_coverage() {
-        let row = n2_update_scan(1).run();
+        let row = n2_update_scan::<DirectArrow>(1).run();
         assert!(row.ok, "{}", row.detail);
         assert!(row.exhausted);
         assert_eq!((row.schedules, row.truncated), (4089, 0));
@@ -1363,7 +1384,10 @@ mod tests {
     #[test]
     fn sampled_runners_fill_the_same_row_shape() {
         quiet_injected_panics();
-        let rows = [pct_consensus(6).run(), pct_snapshot(20).run()];
+        let rows = [
+            pct_consensus(6).run(),
+            pct_snapshot::<DirectArrow>(20).run(),
+        ];
         for row in &rows {
             assert!(row.ok, "{}: {}", row.name, row.detail);
             assert_eq!(row.expect, Expect::Sampled);
@@ -1375,7 +1399,7 @@ mod tests {
     #[test]
     fn table_rows_are_unique_and_cover_the_property_list() {
         let all = table(Scale::Quick);
-        assert_eq!(all.len(), 55);
+        assert_eq!(all.len(), 57);
         let known = |tag: &&str| PROPERTIES.iter().any(|(t, _)| t == tag);
         for (i, check) in all.iter().enumerate() {
             let row = &check.row;
@@ -1486,9 +1510,9 @@ mod tests {
     fn validate_accepts_real_rows_and_rejects_forgeries() {
         let rows = [
             mc_consensus(1, 1, [false, false], false).run(),
-            n2_update_scan(0).run(),
+            n2_update_scan::<DirectArrow>(0).run(),
             crash_publish("found", 1, Expect::Found(Some(Keep::Crash))).run(),
-            pct_snapshot(2).run(),
+            pct_snapshot::<DirectArrow>(2).run(),
         ];
         let doc = document(&rows);
         assert_eq!(validate(&doc), Vec::<String>::new());

@@ -161,13 +161,6 @@ pub struct WalkOutcome {
     pub disagreed: bool,
 }
 
-impl WalkOutcome {
-    /// True when every process decided the same value.
-    pub fn agreed(&self) -> bool {
-        !self.disagreed && self.decisions.iter().all(|d| d.is_some())
-    }
-}
-
 /// Simulates one shared coin to completion (or `max_events`).
 ///
 /// `flips` supplies each process's local coin; the adversary schedules.

@@ -25,11 +25,6 @@ impl SharedCoin {
         SharedCoin { params, counters }
     }
 
-    /// The coin's parameters.
-    pub fn params(&self) -> &CoinParams {
-        &self.params
-    }
-
     /// Takes process `pid`'s port.
     pub fn port(&self, pid: usize) -> CoinPort {
         assert!(pid < self.params.n(), "pid out of range");
@@ -40,11 +35,6 @@ impl SharedCoin {
             own: 0,
             walk_steps: 0,
         }
-    }
-
-    /// Unscheduled view of the counters (diagnostics).
-    pub fn peek_counters(&self) -> Vec<i64> {
-        self.counters.iter().map(|c| c.peek()).collect()
     }
 }
 
@@ -144,10 +134,7 @@ mod tests {
     fn lockstep_coin_decides_for_everyone() {
         for seed in 0..10 {
             let params = CoinParams::new(3, 2, 10_000);
-            let mut world = bprc_sim::World::builder(3)
-                .seed(seed)
-                .step_limit(5_000_000)
-                .build();
+            let mut world = bprc_sim::World::builder(3).step_limit(5_000_000).build();
             let coin = SharedCoin::new(&world, params);
             let bodies = flip_bodies(&coin, 3, |i| Flips::fair(seed * 100 + i as u64));
             let rep = world.run(bodies, Box::new(RandomStrategy::new(seed)));
@@ -179,7 +166,7 @@ mod tests {
         let bodies = flip_bodies(&coin, 2, |i| Flips::fair(i as u64));
         let rep = world.run(bodies, Box::new(SoloBursts::new(13)));
         assert!(rep.outputs.iter().all(|o| o.is_some()));
-        for c in coin.peek_counters() {
+        for c in coin.counters.iter().map(Swmr::peek) {
             assert!(
                 c.abs() <= params.counter_cap(),
                 "counter {c} escaped ±(m+1)"

@@ -14,11 +14,6 @@ pub enum CoinValue {
 }
 
 impl CoinValue {
-    /// Is this a decided value?
-    pub fn is_decided(&self) -> bool {
-        !matches!(self, CoinValue::Undecided)
-    }
-
     /// Converts heads/tails to a bit (`heads = true`).
     ///
     /// # Panics
@@ -111,8 +106,6 @@ mod tests {
 
     #[test]
     fn value_helpers() {
-        assert!(CoinValue::Heads.is_decided());
-        assert!(!CoinValue::Undecided.is_decided());
         assert!(CoinValue::Heads.as_bool());
         assert!(!CoinValue::Tails.as_bool());
         assert_eq!(CoinValue::from(true), CoinValue::Heads);

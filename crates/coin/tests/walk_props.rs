@@ -162,7 +162,6 @@ fn run_walk_matches_the_shared_coin_over_registers() {
                         let walk = run_walk(&params, sources, walk_adv.as_mut(), LIMIT);
 
                         let mut world = World::builder(n)
-                            .seed(seed)
                             .step_limit(LIMIT)
                             .record_history(false)
                             .build();

@@ -237,7 +237,6 @@ mod tests {
         step_limit: u64,
     ) -> RunReport<bool> {
         let mut world = World::builder(inputs.len())
-            .seed(seed)
             .step_limit(step_limit)
             .weak_memory(entrant.memory_mode())
             .build();

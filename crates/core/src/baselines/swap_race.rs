@@ -202,7 +202,7 @@ mod tests {
     use bprc_sim::{Counter, World};
 
     fn run(n: usize, inputs: &[bool], seed: u64) -> bprc_sim::world::RunReport<bool> {
-        let mut world = World::builder(n).seed(seed).step_limit(2_000_000).build();
+        let mut world = World::builder(n).step_limit(2_000_000).build();
         let bodies = swap_race_bodies(&world, inputs, seed, 64);
         world.run(bodies, Box::new(RandomStrategy::new(seed)))
     }

@@ -59,7 +59,6 @@ pub mod meter;
 pub mod modelcheck;
 pub mod multishot;
 pub mod multivalued;
-pub mod primitives;
 pub mod state;
 pub mod threaded;
 pub mod verify;

@@ -74,12 +74,8 @@ impl MvState {
     }
 
     /// The first write of a process proposing `candidate`, whose level-0
-    /// binary instance starts at `level0`.
-    pub fn new(candidate: u64, level0: ProcRef<'_>) -> Self {
-        Self::with_room(candidate, level0, 1)
-    }
-
-    /// As [`new`](Self::new), in a buffer with room for `room` levels.
+    /// binary instance starts at `level0`, in a buffer with room for `room`
+    /// levels.
     fn with_room(candidate: u64, level0: ProcRef<'_>, room: usize) -> Self {
         let first = level0.words();
         let zeros = std::iter::repeat_n(0, first.len() * (room - 1));
@@ -599,7 +595,7 @@ mod tests {
     fn a_clone_keeps_its_words_across_a_level_write() {
         let layout = ConsensusParams::quick(2).layout();
         let level0 = ProcState::phantom(layout);
-        let mut state = MvState::new(5, level0.fields());
+        let mut state = MvState::with_room(5, level0.fields(), 1);
         let words = |s: &MvState| {
             s.levels()
                 .flat_map(|l| l.words().to_vec())

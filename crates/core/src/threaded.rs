@@ -195,7 +195,7 @@ mod tests {
     fn lockstep_full_stack_agreement_direct_arrows() {
         for seed in 0..6 {
             let params = ConsensusParams::quick(3);
-            let mut world = World::builder(3).seed(seed).step_limit(5_000_000).build();
+            let mut world = World::builder(3).step_limit(5_000_000).build();
             let inst =
                 ThreadedConsensus::<DirectArrow>::new(&world, &params, &[true, false, true], seed);
             let meta = inst.memory.meta();
@@ -215,7 +215,7 @@ mod tests {
     fn lockstep_full_stack_agreement_handshake_arrows() {
         for seed in 0..4 {
             let params = ConsensusParams::quick(2);
-            let mut world = World::builder(2).seed(seed).step_limit(5_000_000).build();
+            let mut world = World::builder(2).step_limit(5_000_000).build();
             let inst =
                 ThreadedConsensus::<HandshakeArrow>::new(&world, &params, &[false, true], seed);
             let rep = world.run(inst.bodies, Box::new(RandomStrategy::new(seed)));
@@ -245,7 +245,7 @@ mod tests {
             let n = 2;
             let params = ConsensusParams::quick(n);
             let values = [19u64, 7];
-            let mut world = World::builder(n).seed(seed).step_limit(20_000_000).build();
+            let mut world = World::builder(n).step_limit(20_000_000).build();
             let procs: Vec<MvCore> = (0..n)
                 .map(|p| MvCore::new(params.clone(), p, values[p], 8, seed * 31 + p as u64))
                 .collect();
@@ -262,7 +262,7 @@ mod tests {
     #[test]
     fn threaded_backend_populates_telemetry() {
         let params = ConsensusParams::quick(3);
-        let mut world = World::builder(3).seed(7).step_limit(5_000_000).build();
+        let mut world = World::builder(3).step_limit(5_000_000).build();
         let inst = ThreadedConsensus::<DirectArrow>::new(&world, &params, &[true, false, true], 7);
         let rep = world.run(inst.bodies, Box::new(RandomStrategy::new(7)));
         assert!(rep.outputs.iter().all(|o| o.is_some()));
@@ -285,7 +285,7 @@ mod tests {
     fn crash_tolerance_full_stack() {
         for seed in 0..4 {
             let params = ConsensusParams::quick(3);
-            let mut world = World::builder(3).seed(seed).step_limit(5_000_000).build();
+            let mut world = World::builder(3).step_limit(5_000_000).build();
             let inst =
                 ThreadedConsensus::<DirectArrow>::new(&world, &params, &[true, false, false], seed);
             let plan = FaultPlan::new().crash_at(30, 0);
@@ -308,7 +308,7 @@ mod tests {
         quiet_injected_panics();
         for seed in 0..4 {
             let params = ConsensusParams::quick(3);
-            let mut world = World::builder(3).seed(seed).step_limit(5_000_000).build();
+            let mut world = World::builder(3).step_limit(5_000_000).build();
             let inst =
                 ThreadedConsensus::<DirectArrow>::new(&world, &params, &[true, false, true], seed);
             let plan = FaultPlan::new().panic_at(25, 1).stall(0, 60, 200);

@@ -16,7 +16,7 @@ fn step_limit_halts_gracefully_with_partial_decisions() {
     for budget in [1u64, 7, 33, 64, 150] {
         let n = 3;
         let params = ConsensusParams::quick(n);
-        let mut world = World::builder(n).seed(1).step_limit(budget).build();
+        let mut world = World::builder(n).step_limit(budget).build();
         let inst = ThreadedConsensus::<DirectArrow>::new(&world, &params, &[true, false, true], 1);
         let rep = world.run(inst.bodies, Box::new(RandomStrategy::new(1)));
         let mut decided_values: Vec<bool> = Vec::new();
@@ -64,7 +64,7 @@ fn tiny_coin_bounds_are_safe_at_register_level() {
     for seed in 0..6 {
         let n = 2;
         let params = ConsensusParams::new(n, CoinParams::new(n, 1, 1));
-        let mut world = World::builder(n).seed(seed).step_limit(5_000_000).build();
+        let mut world = World::builder(n).step_limit(5_000_000).build();
         let inst = ThreadedConsensus::<DirectArrow>::new(&world, &params, &[true, false], seed);
         let rep = world.run(inst.bodies, Box::new(RandomStrategy::new(seed)));
         let decisions: Vec<bool> = rep.outputs.iter().map(|o| o.unwrap()).collect();

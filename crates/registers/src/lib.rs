@@ -4,7 +4,8 @@
 //!
 //! * **single-writer multi-reader atomic registers** `V_i` — one per process,
 //!   holding that process's published value, with an *alternating (toggle)
-//!   bit* so consecutive writes by the same process always differ;
+//!   bit* so consecutive writes by the same process always differ (the bit
+//!   travels inside the value: `bprc-snapshot`'s slot type carries it);
 //! * **two-writer two-reader atomic "arrow" registers** `A_ij` — one per
 //!   ordered (writer, scanner) pair, used by the writer to announce "I have
 //!   updated `V_i`" and by the scanner to acknowledge it.
@@ -30,8 +31,6 @@
 
 pub mod arrow;
 pub mod swmr;
-pub mod toggled;
 
 pub use arrow::{ArrowCell, DirectArrow, HandshakeArrow};
 pub use swmr::Swmr;
-pub use toggled::Toggled;

@@ -62,11 +62,6 @@ impl<T: Clone + Send + Sync + 'static> Swmr<T> {
         self.reg.id()
     }
 
-    /// The pid allowed to write this register.
-    pub fn writer(&self) -> usize {
-        self.writer
-    }
-
     /// Atomically reads the register (any process).
     ///
     /// # Errors
@@ -75,18 +70,6 @@ impl<T: Clone + Send + Sync + 'static> Swmr<T> {
     #[inline]
     pub fn read(&self, ctx: &mut Ctx) -> Result<T, Halted> {
         self.reg.read(ctx)
-    }
-
-    /// Atomically reads the register and maps the value in place — one
-    /// scheduled step, no forced clone (see
-    /// [`Reg::read_with`](bprc_sim::Reg::read_with)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Halted`] if the scheduler stopped this process.
-    #[inline]
-    pub fn read_with<R>(&self, ctx: &mut Ctx, f: impl FnOnce(&T) -> R) -> Result<R, Halted> {
-        self.reg.read_with(ctx, f)
     }
 
     /// Version-token read — one scheduled step that skips `f` entirely when
@@ -129,23 +112,9 @@ impl<T: Clone + Send + Sync + 'static> Swmr<T> {
         self.reg.write(ctx, value)
     }
 
-    /// Like [`write`](Swmr::write) but records `tag` in the history (hidden
-    /// sequence numbers for offline checkers).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Halted`] if the scheduler stopped this process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called by a process other than the designated writer.
-    #[inline]
-    pub fn write_tagged(&self, ctx: &mut Ctx, value: T, tag: u64) -> Result<(), Halted> {
-        self.write_displacing(ctx, value, tag).map(drop)
-    }
-
-    /// Like [`write_tagged`](Swmr::write_tagged), handing back the value
-    /// the write replaced where the backing held one (see
+    /// Like [`write`](Swmr::write), but records `tag` in the history
+    /// (hidden sequence numbers for offline checkers) and hands back the
+    /// value the write replaced where the backing held one (see
     /// [`Reg::write_displacing`]).
     ///
     /// # Errors
@@ -267,11 +236,10 @@ mod tests {
     }
 
     #[test]
-    fn peek_and_writer_accessors() {
+    fn peek_and_poke() {
         let w = World::builder(1).build();
         let v = Swmr::new(&w, "v", 0, 5u32);
         assert_eq!(v.peek(), 5);
-        assert_eq!(v.writer(), 0);
         v.poke(6);
         assert_eq!(v.peek(), 6);
     }

@@ -21,7 +21,7 @@ const CHECK_START: &str = "hs:check:start";
 const CHECK_RESULT: &str = "hs:check:result";
 
 fn run_one<A: ArrowCell>(seed: u64, raises: u64, checks: u64) -> History {
-    let mut world = World::builder(2).seed(seed).step_limit(1_000_000).build();
+    let mut world = World::builder(2).step_limit(1_000_000).build();
     let arrow = A::alloc(&world, "A", 0, 1);
     let a_w = arrow.clone();
     let a_s = arrow;

@@ -1176,9 +1176,9 @@ mod tests {
 
     /// The flag-principle workload: each process raises its own flag then
     /// reads the other's. 4 ops, two per process.
-    fn flag_factory(seed: u64) -> impl Fn() -> (World, Vec<ProcBody<u32>>) {
+    fn flag_factory() -> impl Fn() -> (World, Vec<ProcBody<u32>>) {
         move || {
-            let w = World::builder(2).seed(seed).build();
+            let w = World::builder(2).build();
             let a = w.reg("a", 0u32);
             let b = w.reg("b", 0u32);
             let (a0, b0) = (a.clone(), b.clone());
@@ -1204,7 +1204,7 @@ mod tests {
             reduction: false,
             ..ExploreConfig::default()
         };
-        let rep = explore(&cfg, flag_factory(1), |_| None);
+        let rep = explore(&cfg, flag_factory(), |_| None);
         assert_eq!(rep.schedules, 6);
         assert_eq!(rep.pruned, 0);
         assert!(rep.exhausted);
@@ -1319,8 +1319,8 @@ mod tests {
 
     #[test]
     fn reduction_preserves_reachable_outcomes() {
-        let (full, full_rep) = outcome_set(flag_factory(2), false, 0);
-        let (reduced, red_rep) = outcome_set(flag_factory(2), true, 0);
+        let (full, full_rep) = outcome_set(flag_factory(), false, 0);
+        let (reduced, red_rep) = outcome_set(flag_factory(), true, 0);
         assert_eq!(full, reduced, "reduction lost a reachable outcome");
         assert!(red_rep.schedules <= full_rep.schedules);
         assert!(
@@ -1692,7 +1692,7 @@ mod tests {
             max_schedules: 2,
             ..ExploreConfig::default()
         };
-        let rep = explore(&cfg, flag_factory(0), |_| None);
+        let rep = explore(&cfg, flag_factory(), |_| None);
         assert_eq!(rep.schedules, 2);
         assert!(!rep.exhausted);
     }
@@ -1708,7 +1708,7 @@ mod tests {
             ..ExploreConfig::default()
         };
         let mut max_crashes = 0usize;
-        let rep = explore(&cfg, flag_factory(4), |r| {
+        let rep = explore(&cfg, flag_factory(), |r| {
             let crashes = r.history.as_ref().unwrap().crashes().count();
             max_crashes = max_crashes.max(crashes);
             None
@@ -1732,7 +1732,7 @@ mod tests {
     /// (outputs + crash pattern) of the unreduced fault enumeration.
     #[test]
     fn reduction_with_faults_preserves_reachable_outcomes() {
-        reduced_matches_unreduced("flag", flag_factory(5), 1);
+        reduced_matches_unreduced("flag", flag_factory(), 1);
         reduction_matches_unreduced_everywhere(1);
     }
 

@@ -261,14 +261,6 @@ impl History {
         })
     }
 
-    /// Iterates over store-buffer flush events, in order (empty under SC).
-    pub fn flushes(&self) -> impl Iterator<Item = (u64, usize, RegId)> + '_ {
-        self.events.iter().filter_map(|e| match e {
-            Event::Flush { step, pid, reg } => Some((*step, *pid, *reg)),
-            _ => None,
-        })
-    }
-
     /// Serializes the history as JSONL: one JSON object per event, in
     /// execution order, discriminated by a `"type"` key (`"op"`,
     /// `"note"`, `"crash"`, `"fault"`). Pairs with

@@ -35,7 +35,7 @@
 //! use bprc_sim::sched::RandomStrategy;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let mut world = World::builder(2).mode(Mode::Lockstep).seed(7).build();
+//! let mut world = World::builder(2).mode(Mode::Lockstep).build();
 //! let reg = world.reg("shared flag", 0u32);
 //! let r0 = reg.clone();
 //! let r1 = reg.clone();

@@ -242,11 +242,6 @@ impl MetricsRegistry {
         MetricsRegistry { n, shards }
     }
 
-    /// Number of processes.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// The metrics handle for process `pid`.
     ///
     /// # Panics
@@ -333,11 +328,6 @@ impl<'a> ProcMetrics<'a> {
         self.shard.counters[c as usize].fetch_add(k, Ordering::Relaxed);
     }
 
-    /// Reads counter `c` from this shard.
-    pub fn get(&self, c: Counter) -> u64 {
-        self.shard.counters[c as usize].load(Ordering::Relaxed)
-    }
-
     /// Sets gauge `g` to `v` (last-write-wins).
     pub fn gauge_set(&self, g: Gauge, v: u64) {
         self.shard.gauges[g as usize].store(v.saturating_add(1), Ordering::Relaxed);
@@ -346,14 +336,6 @@ impl<'a> ProcMetrics<'a> {
     /// Raises gauge `g` to at least `v` (high-water semantics).
     pub fn gauge_max(&self, g: Gauge, v: u64) {
         self.shard.gauges[g as usize].fetch_max(v.saturating_add(1), Ordering::Relaxed);
-    }
-
-    /// Reads gauge `g`; `None` if it was never set.
-    pub fn gauge(&self, g: Gauge) -> Option<u64> {
-        match self.shard.gauges[g as usize].load(Ordering::Relaxed) {
-            GAUGE_UNSET => None,
-            v => Some(v - 1),
-        }
     }
 
     /// Adds every non-zero count of `tally` to this shard and zeroes it.
@@ -390,11 +372,6 @@ impl Telemetry {
     /// started).
     pub fn empty(n: usize) -> Self {
         MetricsRegistry::new(n).snapshot()
-    }
-
-    /// Number of processes.
-    pub fn n(&self) -> usize {
-        self.n
     }
 
     /// Counter `c` for process `pid`.
@@ -594,7 +571,7 @@ mod tests {
             }
             drop(reg);
             let t = MetricsRegistry::new(fresh).snapshot();
-            assert_eq!(t.n(), fresh);
+            assert_eq!(t.n, fresh);
             // Shard `fresh` is the global one.
             for shard in 0..=fresh {
                 assert!(Counter::ALL.iter().all(|&c| t.counter(shard, c) == 0));

@@ -685,18 +685,6 @@ impl<T: Clone> Backing<T> {
         }
     }
 
-    /// Applies `f` to the current value without handing out an owned clone
-    /// (the locked cell maps under the read guard; the lock-free backings
-    /// materialize the small payload on the stack).
-    #[inline]
-    fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        match self {
-            Backing::Lock(l) => f(&l.value.read()),
-            Backing::Bit(b) => f(&(b.from_bit)(b.get())),
-            Backing::Lane(c) => f(&c.load()),
-        }
-    }
-
     /// Version-token read (see [`Reg::read_changed`]): the seqlock lane
     /// and the locked cell skip `f` when the version still equals
     /// `cached` — the lane without touching the payload words, the locked
@@ -809,37 +797,14 @@ impl<T: Clone + Send + Sync + 'static> Reg<T> {
         ctx.access(OpKind::Read, self.id, 0, || cell.load())
     }
 
-    /// Atomically reads the register and maps the value under the access —
-    /// one scheduled step, identical history/telemetry footprint to
-    /// [`read`](Reg::read), but `f` borrows the stored value, so callers
-    /// that only need to *inspect* (or conditionally clone) skip the
-    /// unconditional clone. This is what makes the snapshot layer's
-    /// buffer-reuse collects allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Halted`] if the scheduler stopped this process.
-    #[inline]
-    pub fn read_with<R>(&self, ctx: &mut Ctx, f: impl FnOnce(&T) -> R) -> Result<R, Halted> {
-        let cell = &self.cell;
-        if ctx.inner().weak_buffering() {
-            let (pid, id) = (ctx.pid(), self.id);
-            return ctx.inner().access_central(pid, OpKind::Read, id, 0, |c| {
-                match c.forwarded::<T>(pid, id) {
-                    Some(v) => f(v),
-                    None => cell.with(f),
-                }
-            });
-        }
-        ctx.access(OpKind::Read, self.id, 0, || cell.with(f))
-    }
-
     /// Atomically reads the register with a *version token*: one scheduled
-    /// step, identical history/telemetry footprint to
-    /// [`read_with`](Reg::read_with), but when the caller already holds a
-    /// copy validated at token `cached` and the register provably has not
-    /// been written since, `f` is **skipped entirely** — the payload words
-    /// are not even loaded. Returns the new token to cache.
+    /// step, identical history/telemetry footprint to [`read`](Reg::read),
+    /// but `f` borrows the stored value instead of taking a clone, and when
+    /// the caller already holds a copy validated at token `cached` and the
+    /// register provably has not been written since, `f` is **skipped
+    /// entirely** — the payload words are not even loaded. Returns the new
+    /// token to cache; [`NO_VERSION`] as `cached` always runs `f`. This is
+    /// what makes the snapshot layer's collects allocation-free.
     ///
     /// Soundness: on the seqlock backings the token is the cell's even/odd
     /// version word. A writer's first publishing act is an atomic even→odd
@@ -1259,18 +1224,6 @@ mod tests {
             assert_eq!(rep.telemetry.total(Counter::RegWrites), 3);
             assert_eq!(rep.telemetry.total(Counter::RegReads), 0);
         }
-    }
-
-    #[test]
-    fn read_with_maps_without_cloning() {
-        let mut w = World::builder(1).build();
-        let r = w.reg("r", vec![1u32, 2, 3]);
-        let r2 = r.clone();
-        let bodies: Vec<ProcBody<usize>> =
-            vec![Box::new(move |ctx| r2.read_with(ctx, |v| v.len()))];
-        let rep = w.run(bodies, Box::new(RoundRobin::new()));
-        assert_eq!(rep.outputs[0], Some(3));
-        assert_eq!(rep.steps, 1, "read_with is one scheduled read");
     }
 
     /// `read_changed`'s token contract, in both modes. On a lane and on a

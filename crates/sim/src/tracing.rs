@@ -339,11 +339,6 @@ impl FlightRecorder {
         self.capacity > 0
     }
 
-    /// Number of rings (processes / workers).
-    pub fn n(&self) -> usize {
-        self.rings.len()
-    }
-
     /// Records one event on `pid`'s ring, stamping [`now_nanos`]. No-op
     /// when disabled or `pid` is out of range.
     #[inline]
@@ -468,32 +463,6 @@ impl FlightLog {
     /// Kept events of `kind` on `pid`'s ring.
     pub fn count(&self, pid: usize, kind: EventKind) -> usize {
         self.events[pid].iter().filter(|e| e.kind == kind).count()
-    }
-
-    /// One JSON object: capacity, per-ring overflow, and every kept event
-    /// as `{pid, step, nanos, kind, arg}`.
-    pub fn to_json(&self) -> Value {
-        let events: Vec<Value> = self
-            .merged()
-            .iter()
-            .map(|e| {
-                Value::obj(vec![
-                    ("pid", e.pid.into()),
-                    ("step", e.step.into()),
-                    ("nanos", e.nanos.into()),
-                    ("kind", e.kind.name().into()),
-                    ("arg", e.arg.into()),
-                ])
-            })
-            .collect();
-        Value::obj(vec![
-            ("capacity", self.capacity.into()),
-            (
-                "overflow",
-                Value::Arr(self.overflow.iter().map(|&o| o.into()).collect()),
-            ),
-            ("events", Value::Arr(events)),
-        ])
     }
 }
 
@@ -741,7 +710,6 @@ pub struct Heartbeat {
     started: Instant,
     last: Instant,
     interval: std::time::Duration,
-    beats: u64,
 }
 
 impl Heartbeat {
@@ -752,18 +720,12 @@ impl Heartbeat {
             started: now,
             last: now,
             interval: std::time::Duration::from_secs_f64(interval_secs.max(0.01)),
-            beats: 0,
         }
     }
 
     /// Seconds since the heartbeat was created.
     pub fn elapsed_secs(&self) -> f64 {
         self.started.elapsed().as_secs_f64()
-    }
-
-    /// Lines printed so far.
-    pub fn beats(&self) -> u64 {
-        self.beats
     }
 
     /// Prints `line()` to stderr if the interval elapsed since the last
@@ -773,7 +735,6 @@ impl Heartbeat {
             return false;
         }
         self.last = Instant::now();
-        self.beats += 1;
         eprintln!("{}", line(self.elapsed_secs()));
         true
     }
@@ -965,7 +926,6 @@ mod tests {
         for _ in 0..100 {
             assert!(!hb.tick(|_| unreachable!("must not print")));
         }
-        assert_eq!(hb.beats(), 0);
     }
 
     #[test]
@@ -978,7 +938,6 @@ mod tests {
             printed = format!("beat at {secs:.3}s");
             printed.clone()
         }));
-        assert_eq!(hb.beats(), 1);
         assert!(printed.contains("beat at"));
     }
 }

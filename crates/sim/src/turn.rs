@@ -122,16 +122,6 @@ pub enum Phase<M> {
     Done,
 }
 
-impl<M> Phase<M> {
-    /// The pending write value, if the process is about to write.
-    pub fn pending_write(&self) -> Option<&M> {
-        match self {
-            Phase::Write(m) => Some(m),
-            _ => None,
-        }
-    }
-}
-
 /// The turn level: a [`TurnDriver`] whose registers hold `M`, one scan or
 /// write per step.
 pub struct Turn<M>(PhantomData<fn() -> M>);
@@ -399,11 +389,6 @@ impl<P: TurnProcess> TurnDriver<P> {
         &self.metrics
     }
 
-    /// Number of processes.
-    pub fn n(&self) -> usize {
-        self.state.procs.len()
-    }
-
     /// Events applied so far.
     pub fn events(&self) -> u64 {
         self.events
@@ -417,16 +402,6 @@ impl<P: TurnProcess> TurnDriver<P> {
     /// Current phases (test/diagnostic access).
     pub fn phases(&self) -> &[Phase<P::Msg>] {
         &self.state.phases
-    }
-
-    /// Decisions made so far.
-    pub fn outputs(&self) -> &[Option<P::Out>] {
-        &self.state.outputs
-    }
-
-    /// Active pids (not done, not crashed), ascending.
-    pub fn active(&self) -> &[usize] {
-        &self.active
     }
 
     fn halt_panicked(&mut self, pid: usize) {
@@ -633,12 +608,11 @@ mod tests {
         let procs: Vec<MaxFinder> = (0..4).map(|i| MaxFinder { input: i * 10 }).collect();
         let mut driver = TurnDriver::new(procs);
         driver.crash(3);
-        let active = driver.active();
-        assert_eq!(active, vec![0, 1, 2]);
+        assert_eq!(driver.active, vec![0, 1, 2]);
         // Drive manually: step 0 twice (write then scan+decide).
         driver.step(0);
         driver.step(0);
-        assert_eq!(driver.outputs()[0], Some(30));
+        assert_eq!(driver.state.outputs[0], Some(30));
     }
 
     /// `DecisionRecorder` wraps a turn run as it wraps a world: its log,
@@ -715,7 +689,7 @@ mod tests {
         let mut saw_pending = false;
         let report = TurnDriver::new(vec![Toggler { left: 3 }]).run(
             &mut FnStrategy::new(|view: &TurnView<'_, u32>| {
-                if view.phases[0].pending_write().is_some() {
+                if matches!(view.phases[0], Phase::Write(_)) {
                     saw_pending = true;
                 }
                 Decision::Grant(view.runnable[0])
@@ -931,7 +905,7 @@ mod tests {
                 script[i].0
             }),
             100,
-            |d| assert_eq!(d.active(), script[at_now() - 1].1),
+            |d| assert_eq!(d.active, script[at_now() - 1].1),
         );
         assert!(report.completed, "everyone left, so the run completes");
         assert_eq!(at_now(), script.len());
@@ -956,7 +930,7 @@ mod tests {
                 Crash(pid) | Panic(pid) => driver.crash(pid),
                 Decision::Flush { .. } => unreachable!("the script flushes nothing"),
             }
-            assert_eq!(driver.active(), after);
+            assert_eq!(driver.active, after);
         }
     }
 

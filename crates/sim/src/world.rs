@@ -24,8 +24,6 @@ use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::Thread;
 
 use parking_lot::{Mutex, MutexGuard};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 use crate::error::Halted;
 use crate::history::{Annotation, Event, FaultKind, History, OpKind, RegId};
@@ -41,7 +39,7 @@ use crate::weakmem::{flushable_of, BufferedStore, WeakMode, FENCE_REG};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Mode {
     /// Deterministic: a scheduler grants exactly one access at a time.
-    /// Executions are replayable from (seed, strategy) and record a
+    /// Executions are replayable from (bodies, strategy) and record a
     /// [`History`].
     #[default]
     Lockstep,
@@ -217,7 +215,6 @@ pub(crate) struct WorldInner {
     mode: Mode,
     step_limit: u64,
     record: bool,
-    seed: u64,
     /// The simulated memory model (store buffers when not
     /// [`WeakMode::Sc`]; lockstep only).
     weak: WeakMode,
@@ -730,24 +727,23 @@ impl WorldInner {
 
 /// How many steps a free-mode process takes from the world's budget at a
 /// time. One shared `fetch_update` per lease instead of one per access; also
-/// the most a live [`World::metrics`] counter can lag its process, and the
+/// the most a process's metrics shard can lag its own counts, and the
 /// most of the budget one process can hold unspent when the run is shut
 /// down (minus the step it leased for).
 const STEP_LEASE: u64 = 64;
 
 /// Per-process execution context handed to process bodies.
 ///
-/// Carries the process id, a deterministic per-process RNG (seeded from the
-/// world seed), and hooks for annotating the recorded history. It also keeps
-/// the process's books, because it is the one object only this process
-/// touches: counts made through [`Ctx::count`] are plain adds here,
+/// Carries the process id and hooks for annotating the recorded history;
+/// it holds no randomness (each core seeds its own local coin). It also
+/// keeps the process's books, because it is the one object only this
+/// process touches: counts made through [`Ctx::count`] are plain adds here,
 /// *published* to the process's metrics shard at every step-lease renewal
 /// and when the context drops — which it does on every way out of a body,
 /// `Ok`, [`Halted`], crash and panic unwind alike — so a
 /// [`RunReport`]'s telemetry is exact.
 pub struct Ctx {
     pid: usize,
-    rng: SmallRng,
     inner: Arc<WorldInner>,
     /// Counts not yet published to the shard.
     tally: Tally,
@@ -772,10 +768,9 @@ impl std::fmt::Debug for Ctx {
 }
 
 impl Ctx {
-    fn new(pid: usize, seed: u64, inner: Arc<WorldInner>) -> Self {
+    fn new(pid: usize, inner: Arc<WorldInner>) -> Self {
         Ctx {
             pid,
-            rng: SmallRng::seed_from_u64(seed),
             inner,
             tally: Tally::new(),
             step: 0,
@@ -791,16 +786,6 @@ impl Ctx {
         self.pid
     }
 
-    /// Number of processes in the world.
-    pub fn n(&self) -> usize {
-        self.inner.n
-    }
-
-    /// The process's deterministic RNG (local coin flips).
-    pub fn rng(&mut self) -> &mut SmallRng {
-        &mut self.rng
-    }
-
     /// Records a marker in the history (lockstep mode; no-op otherwise).
     pub fn annotate(&self, label: &'static str, data: Vec<u64>) {
         self.inner.annotate(self.pid, Annotation::new(label, data));
@@ -813,9 +798,7 @@ impl Ctx {
     }
 
     /// This process's metrics shard — gauges, histograms, and
-    /// counters written or read directly rather than through
-    /// [`Ctx::count`]. A counter read here lacks whatever [`Ctx::count`]
-    /// has not yet published.
+    /// counters written directly rather than through [`Ctx::count`].
     pub fn metrics(&self) -> ProcMetrics<'_> {
         self.inner.metrics.proc(self.pid)
     }
@@ -1035,7 +1018,6 @@ pub struct WorldBuilder {
     n: usize,
     mode: Mode,
     step_limit: u64,
-    seed: u64,
     record: bool,
     trace_capacity: usize,
     weak: WeakMode,
@@ -1054,9 +1036,10 @@ impl WorldBuilder {
         self
     }
 
-    /// Seeds the per-process RNGs (default 0).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+    /// Does nothing: a world draws no randomness. A run is a function of
+    /// its bodies (whose cores seed their own coins) and its strategy.
+    /// Kept only so existing callers of the builder still compile.
+    pub fn seed(self, _seed: u64) -> Self {
         self
     }
 
@@ -1100,7 +1083,6 @@ impl WorldBuilder {
                 mode: self.mode,
                 step_limit: self.step_limit,
                 record: self.record,
-                seed: self.seed,
                 weak: self.weak,
                 central: Mutex::new(Central {
                     granted: None,
@@ -1157,7 +1139,6 @@ impl World {
             n,
             mode: Mode::Lockstep,
             step_limit: 10_000_000,
-            seed: 0,
             record: true,
             trace_capacity: DEFAULT_RING_CAPACITY,
             weak: WeakMode::Sc,
@@ -1180,12 +1161,6 @@ impl World {
         self.inner.weak
     }
 
-    /// The global step budget this world was built with. The systematic
-    /// explorer (`explore` module) uses it to bound path depth.
-    pub fn step_limit(&self) -> u64 {
-        self.inner.step_limit
-    }
-
     /// Names of all registers allocated so far (indexed by register id) —
     /// feed to [`trace::TraceOptions`](crate::trace::TraceOptions) for
     /// labelled timelines. The world keeps each name as a [`RegName`] and
@@ -1194,12 +1169,6 @@ impl World {
     pub fn reg_names(&self) -> Vec<String> {
         let alloc = self.inner.alloc.lock();
         alloc.names.iter().map(RegName::to_string).collect()
-    }
-
-    /// The live metrics registry (counters update while a run is in
-    /// flight; [`RunReport::telemetry`] is the end-of-run snapshot).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.inner.metrics
     }
 
     /// Records a new register's name; its position is the register's id.
@@ -1452,11 +1421,7 @@ fn host<T>(
     if inner.mode == Mode::Lockstep {
         let _ = inner.threads[pid].set(std::thread::current());
     }
-    let seed = inner
-        .seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(pid as u64);
-    let mut ctx = Ctx::new(pid, seed, inner);
+    let mut ctx = Ctx::new(pid, inner);
     // Contain panics (the body's own bugs or injected chaos panics): the
     // FinishGuard tells the world this process is done, so the survivors
     // keep running; the panic payload is reported instead of re-thrown.
@@ -1506,7 +1471,7 @@ mod tests {
     #[test]
     fn lockstep_round_robin_is_deterministic() {
         let run = || {
-            let mut w = World::builder(2).seed(3).build();
+            let mut w = World::builder(2).build();
             let (bodies, _a, _b) = two_writer_bodies(&w);
             let r = w.run(bodies, Box::new(RoundRobin::new()));
             let ops: Vec<_> = r.history.as_ref().unwrap().ops().collect();
@@ -1521,7 +1486,7 @@ mod tests {
     #[test]
     fn random_strategy_replays_with_same_seed() {
         let run = |seed| {
-            let mut w = World::builder(2).seed(5).build();
+            let mut w = World::builder(2).build();
             let (bodies, _a, _b) = two_writer_bodies(&w);
             let r = w.run(bodies, Box::new(RandomStrategy::new(seed)));
             let ops: Vec<_> = r.history.as_ref().unwrap().ops().collect();
@@ -1535,7 +1500,7 @@ mod tests {
         // Classic: both write their flag then read the other's. At least one
         // must see the other's flag — no schedule lets both read 0.
         for seed in 0..50 {
-            let mut w = World::builder(2).seed(seed).build();
+            let mut w = World::builder(2).build();
             let (bodies, _a, _b) = two_writer_bodies(&w);
             let r = w.run(bodies, Box::new(RandomStrategy::new(seed)));
             let zeros = r.outputs.iter().filter(|o| matches!(o, Some(0))).count();
@@ -1745,7 +1710,7 @@ mod tests {
 
     #[test]
     fn lockstep_telemetry_matches_history_op_counts() {
-        let mut w = World::builder(2).seed(9).build();
+        let mut w = World::builder(2).build();
         let (bodies, _a, _b) = two_writer_bodies(&w);
         let rep = w.run(bodies, Box::new(RandomStrategy::new(9)));
         let h = rep.history.as_ref().unwrap();

@@ -16,7 +16,7 @@ use std::time::Duration;
 use bprc_sim::faults::{FaultPlan, FaultedStrategy};
 use bprc_sim::sched::{FnStrategy, RandomStrategy, RoundRobin};
 use bprc_sim::world::{ProcBody, World};
-use bprc_sim::{Decision, Halted, ScheduleView, Strategy};
+use bprc_sim::{Decision, Halted, ScheduleView, Strategy, NO_VERSION};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -32,7 +32,7 @@ type Outcome = (Vec<Option<u64>>, Vec<Option<Halted>>, u64, u64, String);
 /// poison and finisher decisions all pass through the baton.
 fn tiny_run(seed: u64) -> Outcome {
     let n = 3;
-    let mut w = World::builder(n).seed(seed).build();
+    let mut w = World::builder(n).build();
     let regs: Vec<_> = (0..n).map(|p| w.reg(format!("r{p}"), 0u64)).collect();
     let bodies: Vec<ProcBody<u64>> = (0..n)
         .map(|p| {
@@ -117,7 +117,7 @@ fn hosts_of_one_run(wreck: Option<usize>) -> Vec<ThreadId> {
             let (r, hosts) = (r.clone(), Arc::clone(&hosts));
             let b: ProcBody<()> = Box::new(move |ctx| {
                 hosts.lock().unwrap()[p] = Some(std::thread::current().id());
-                r.read_with(ctx, |_| {
+                r.read_changed(ctx, NO_VERSION, |_| {
                     assert!(wreck != Some(p), "chaos: wrecked mid-access")
                 })?;
                 r.write(ctx, 1)
@@ -170,7 +170,7 @@ fn consecutive_runs_reuse_the_same_workers_even_after_a_wrecked_run() {
 #[test]
 fn a_crashed_process_still_unwinding_takes_the_next_decision_itself() {
     let _serial = serial();
-    let mut w = World::builder(2).seed(7).build();
+    let mut w = World::builder(2).build();
     let r = w.reg("r", 0u64);
     let hosts = Arc::new(Mutex::new(vec![None; 2]));
     let bodies: Vec<ProcBody<u64>> = (0..2)

@@ -47,7 +47,7 @@ fn bodies(w: &World, alloc: Alloc) -> Vec<ProcBody<u64>> {
 fn every_pid_is_eventually_scheduled_across_seeds_and_backings() {
     for (backing, alloc) in BACKINGS {
         for seed in 0..SEEDS {
-            let mut w = World::builder(N).seed(0).build();
+            let mut w = World::builder(N).build();
             let bodies = bodies(&w, alloc);
             let rep = w.run(bodies, Box::new(PctStrategy::new(seed, N, 3, 100)));
             assert_eq!(
@@ -99,7 +99,7 @@ fn zero_change_points_degenerate_to_strict_priority_order() {
             let mut expect: Vec<usize> = (0..N).collect();
             expect.sort_by_key(|&p| std::cmp::Reverse(prios[p]));
 
-            let mut w = World::builder(N).seed(0).build();
+            let mut w = World::builder(N).build();
             let bodies = bodies(&w, alloc);
             let rep = w.run(bodies, Box::new(strat));
             let grant_pids: Vec<usize> = rep
@@ -130,7 +130,7 @@ fn zero_change_points_degenerate_to_strict_priority_order() {
 #[test]
 fn pct_runs_identically_on_both_backings() {
     let run = |alloc: Alloc, seed: u64| {
-        let mut w = World::builder(N).seed(0).build();
+        let mut w = World::builder(N).build();
         let bodies = bodies(&w, alloc);
         let rep = w.run(bodies, Box::new(PctStrategy::new(seed, N, 2, 60)));
         let ops: Vec<_> = rep.history.as_ref().unwrap().ops().collect();

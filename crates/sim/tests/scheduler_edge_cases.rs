@@ -108,7 +108,7 @@ fn crash_mid_multi_op_sequence_loses_nothing_written() {
 #[test]
 fn histories_are_identical_across_reruns_with_solo_bursts() {
     let run = || {
-        let mut w = World::builder(3).seed(5).build();
+        let mut w = World::builder(3).build();
         let r = w.reg("r", 0u64);
         let bodies: Vec<ProcBody<u64>> = (0..3)
             .map(|i| {
@@ -184,7 +184,7 @@ fn bodies_that_never_touch_memory_finish() {
 #[test]
 fn annotations_keep_deterministic_order() {
     let run = || {
-        let mut w = World::builder(2).seed(3).build();
+        let mut w = World::builder(2).build();
         let r = w.reg("r", 0u8);
         let bodies: Vec<ProcBody<()>> = (0..2)
             .map(|i| {

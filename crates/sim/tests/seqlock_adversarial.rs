@@ -48,7 +48,6 @@ fn assert_untorn(v: (u64, u64)) {
 fn free_threads_never_observe_torn_pairs_across_seeds() {
     for seed in 0..110u64 {
         let mut w = World::builder(4)
-            .seed(seed)
             .mode(Mode::Free)
             .step_limit(u64::MAX)
             .build();
@@ -95,7 +94,6 @@ fn free_threads_race_a_shared_slab_without_tearing_or_regressing() {
     const WRITES: u64 = 300;
     for seed in 0..110u64 {
         let mut w = World::builder(4)
-            .seed(seed)
             .mode(Mode::Free)
             .step_limit(u64::MAX)
             .build();
@@ -179,7 +177,6 @@ fn free_threads_race_the_locked_cells_version_token() {
     const WRITES: u64 = 2_000;
     for seed in 0..20u64 {
         let mut w = World::builder(4)
-            .seed(seed)
             .mode(Mode::Free)
             .step_limit(u64::MAX)
             .build();
@@ -269,7 +266,6 @@ fn free_threads_race_packed_bits_on_one_word() {
     const EPOCHS: u64 = 40;
     for seed in 0..110u64 {
         let mut w = World::builder(4)
-            .seed(seed)
             .mode(Mode::Free)
             .step_limit(u64::MAX)
             .build();
@@ -364,7 +360,7 @@ fn free_threads_race_packed_bits_on_one_word() {
 #[test]
 fn random_lockstep_schedules_never_observe_torn_pairs() {
     for seed in 0..120u64 {
-        let mut w = World::builder(3).seed(seed).build();
+        let mut w = World::builder(3).build();
         let r = w.fast_reg("pair", pair(0));
         let writer = {
             let r = r.clone();
@@ -401,7 +397,7 @@ fn random_lockstep_schedules_never_observe_torn_pairs() {
 #[test]
 fn seqlock_and_locked_cells_are_observationally_identical() {
     let run = |alloc: fn(&World) -> Reg<(u64, u64)>, seed: u64| {
-        let mut w = World::builder(3).seed(seed).build();
+        let mut w = World::builder(3).build();
         let r = alloc(&w);
         let bodies: Vec<ProcBody<u64>> = (0..3)
             .map(|i| {
@@ -455,7 +451,7 @@ fn explore_cell<T: Clone + Send + Sync + 'static>(
     use bprc_sim::explore::{explore, ExploreConfig};
 
     let factory = || {
-        let w = World::builder(2).seed(0).build();
+        let w = World::builder(2).build();
         let r = alloc(&w, vals[0].clone());
         let writer = {
             let r = r.clone();

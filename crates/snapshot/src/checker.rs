@@ -114,12 +114,15 @@ struct ScanRec {
 
 /// Streaming checker: feed history events one at a time, then [`finish`](Self::finish).
 ///
-/// [`check_history`] is the one-shot wrapper. The incremental form exists
-/// for callers that produce events faster than they can afford to buffer
-/// whole histories — the systematic explorer re-executes thousands of
-/// schedules and feeds each run's events straight through — and for
-/// checkpointing a live run mid-flight ([`IncrementalChecker::finish`]
-/// borrows, so it can be called repeatedly as events keep arriving).
+/// [`check_history`] is the one-shot wrapper, and its only in-tree
+/// caller. The systematic explorer does not feed this type: `bprc-sim`
+/// does not depend on `bprc-snapshot`, so an explorer's check closure
+/// calls [`check_history`] on each run's recorded history. The
+/// incremental form is for a caller that streams events as they arrive
+/// instead of buffering a whole history, such as a checker of free-thread
+/// runs read from the flight rings, and for checkpointing a live run
+/// mid-flight ([`IncrementalChecker::finish`] borrows, so it can be called
+/// repeatedly as events keep arriving).
 #[derive(Debug, Clone)]
 pub struct IncrementalChecker {
     /// writes[pid][seq] -> WriteRec; seq 0 is the implicit initial write.
@@ -212,11 +215,6 @@ impl IncrementalChecker {
             }
             _ => {}
         }
-    }
-
-    /// Completed scans seen so far.
-    pub fn scans_seen(&self) -> usize {
-        self.scans.len()
     }
 
     /// Verifies P1–P3 over everything fed so far. Non-consuming: callers
@@ -670,8 +668,9 @@ mod tests {
         let mut mid: Option<CheckReport> = None;
         for e in history.events() {
             inc.feed(e);
-            if inc.scans_seen() == 1 && mid.is_none() {
-                mid = Some(inc.finish());
+            let report = inc.finish();
+            if report.scans == 1 && mid.is_none() {
+                mid = Some(report);
             }
         }
         let mid = mid.expect("first scan completes mid-stream");

@@ -33,7 +33,7 @@
 //! use bprc_snapshot::ScannableMemory;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let mut world = World::builder(2).seed(1).build();
+//! let mut world = World::builder(2).build();
 //! let mem = ScannableMemory::<u32, DirectArrow>::new(&world, 2, 0);
 //! let mut p0 = mem.port(0);
 //! let mut p1 = mem.port(1);

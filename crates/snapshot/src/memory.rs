@@ -274,11 +274,6 @@ where
             k => Some(k),
         }
     }
-
-    /// Unscheduled view of current contents (diagnostics/adversaries only).
-    pub fn peek_values(&self) -> Vec<T> {
-        self.shared.values.iter().map(|v| v.peek().value).collect()
-    }
 }
 
 /// One register access of a handshake scan or update, as
@@ -845,7 +840,7 @@ mod tests {
     #[test]
     fn random_schedules_complete_when_writers_stop() {
         for seed in 0..20 {
-            let mut w = World::builder(3).seed(seed).build();
+            let mut w = World::builder(3).build();
             let mem = ScannableMemory::<u64, HandshakeArrow>::new(&w, 3, 0);
             let ports: Vec<_> = (0..3).map(|i| mem.port(i)).collect();
             let mut bodies: Vec<ProcBody<Vec<u64>>> = Vec::new();
@@ -1194,7 +1189,7 @@ mod tests {
         let n = 3;
         let mut retries = 0;
         for seed in 0..12 {
-            let mut w = World::builder(n).seed(seed).build();
+            let mut w = World::builder(n).build();
             let mem = ScannableMemory::<u64, DirectArrow>::new(&w, n, 0);
             let bodies: Vec<ProcBody<()>> = (0..n)
                 .map(|i| {
@@ -1276,12 +1271,5 @@ mod tests {
             assert!(machines.iter().all(Option::is_none), "seed {seed}");
         }
         assert!(retries > 0, "the schedules must exercise retries");
-    }
-
-    #[test]
-    fn peek_values_reflects_pokes() {
-        let w = World::builder(2).build();
-        let mem = ScannableMemory::<u8, DirectArrow>::new(&w, 2, 7);
-        assert_eq!(mem.peek_values(), vec![7, 7]);
     }
 }

@@ -34,7 +34,7 @@ fn bodies_for<A: ArrowCell>(
 }
 
 fn check_under<A: ArrowCell>(n: usize, rounds: u64, strategy: Box<dyn Strategy>, seed: u64) {
-    let mut world = World::builder(n).seed(seed).step_limit(2_000_000).build();
+    let mut world = World::builder(n).step_limit(2_000_000).build();
     let mem = ScannableMemory::<u64, A>::new(&world, n, 0);
     let meta = mem.meta();
     let bodies = bodies_for(&mem, n, rounds);
@@ -92,7 +92,7 @@ fn p1_p3_hold_with_crashes() {
     for seed in 0..20 {
         let plan = FaultPlan::new().crash_at(25 + seed, 0);
         let strategy = FaultedStrategy::new(RandomStrategy::new(seed), plan);
-        let mut world = World::builder(3).seed(seed).step_limit(2_000_000).build();
+        let mut world = World::builder(3).step_limit(2_000_000).build();
         let mem = ScannableMemory::<u64, HandshakeArrow>::new(&world, 3, 0);
         let meta = mem.meta();
         let bodies = bodies_for(&mem, 3, 4);

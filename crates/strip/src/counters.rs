@@ -130,11 +130,6 @@ impl EdgeCounters {
         self.n
     }
 
-    /// The window constant K.
-    pub fn k(&self) -> u32 {
-        self.k
-    }
-
     /// The cycle size `3K`.
     pub fn modulus(&self) -> u32 {
         3 * self.k

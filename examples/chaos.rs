@@ -25,7 +25,7 @@ fn main() {
     let n = 3;
     let seed = 7;
     let params = ConsensusParams::quick(n);
-    let mut world = World::builder(n).seed(seed).step_limit(5_000_000).build();
+    let mut world = World::builder(n).step_limit(5_000_000).build();
     let inst = ThreadedConsensus::<DirectArrow>::new(&world, &params, &[true, false, true], seed);
     inst.set_scan_retry_budget(Some(128));
 

@@ -10,8 +10,8 @@
 //! * [`sim`] — execution substrate: lockstep deterministic scheduler over
 //!   OS threads, free-running mode, adversaries, recorded histories, and a
 //!   fast turn-based driver;
-//! * [`registers`] — SWMR registers, toggle-bit values, and the two arrow
-//!   (`A_ij`) implementations;
+//! * [`registers`] — SWMR registers and the two arrow (`A_ij`)
+//!   implementations;
 //! * [`snapshot`] — the §2 bounded scannable memory (atomic snapshot) with
 //!   offline P1–P3 checkers;
 //! * [`coin`] — the §3 bounded weak shared coin (random walk with
@@ -20,8 +20,7 @@
 //!   cyclic edge counters; Claim 4.1 property-tested);
 //! * [`core`] — the §5 protocol, §6 virtual-round verifier, exhaustive
 //!   model checker, baselines (\[AH88\], \[A88\], oracle coin), the
-//!   multivalued extension, the multi-shot log, and the universal
-//!   primitives (sticky bits, test-and-set).
+//!   multivalued extension, and the multi-shot log.
 //!
 //! ## Quick start
 //!

@@ -50,7 +50,7 @@ fn every_entrant_survives_bounded_exhaustive_n2_dfs() {
             ..ExploreConfig::default()
         };
         let make = || {
-            let world = World::builder(2).seed(0).weak_memory(mode).build();
+            let world = World::builder(2).weak_memory(mode).build();
             let bodies = entrant.build(&world, &inputs, 5);
             (world, bodies)
         };
@@ -103,7 +103,6 @@ fn pct_crash_sweep_keeps_every_entrant_safe() {
         let mut decided_runs = 0u32;
         for seed in 0..100u64 {
             let mut world = World::builder(n)
-                .seed(seed)
                 .step_limit(150_000)
                 .record_history(false)
                 .weak_memory(entrant.memory_mode())
@@ -145,7 +144,7 @@ fn pct_crash_sweep_keeps_every_entrant_safe() {
 fn regular_registers_admit_stale_reads_where_atomicity_forbids() {
     fn factory(mode: WeakMode) -> impl FnMut() -> (World, Vec<ProcBody<Vec<u64>>>) {
         move || {
-            let world = World::builder(2).seed(0).weak_memory(mode).build();
+            let world = World::builder(2).weak_memory(mode).build();
             let x = world.reg("X", 0u64);
             let flag = world.reg("FLAG", 0u64);
             let (xw, fw) = (x.clone(), flag.clone());
@@ -220,7 +219,7 @@ fn regular_registers_admit_stale_reads_where_atomicity_forbids() {
 fn swap_traces_roundtrip_through_trace_v1() {
     fn factory() -> impl FnMut() -> (World, Vec<ProcBody<Vec<u64>>>) {
         || {
-            let world = World::builder(2).seed(0).build();
+            let world = World::builder(2).build();
             let t = world.reg("T", 0u64);
             let bodies: Vec<ProcBody<Vec<u64>>> = (0..2)
                 .map(|pid| {
@@ -281,7 +280,6 @@ fn ah_regular_finding_replays_from_its_committed_trace() {
     let seed = derive_seed(derive_seed(3, 200), 0);
     let mut make = || {
         let world = World::builder(2)
-            .seed(seed)
             .step_limit(200_000)
             .weak_memory(entrant.memory_mode())
             .build();

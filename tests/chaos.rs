@@ -217,7 +217,7 @@ fn full_stack_survives_seeded_chaos() {
     for seed in 0..24u64 {
         let params = ConsensusParams::quick(n);
         let inputs: Vec<bool> = (0..n).map(|p| (seed >> p) & 1 == 1).collect();
-        let mut world = World::builder(n).seed(seed).step_limit(5_000_000).build();
+        let mut world = World::builder(n).step_limit(5_000_000).build();
         let inst = ThreadedConsensus::<DirectArrow>::new(&world, &params, &inputs, seed);
         let plan = FaultPlan::seeded(seed, n, 400);
         let kills = plan.kill_count();
@@ -286,7 +286,7 @@ fn multivalued_full_stack_chaos() {
             .map(|p| MvCore::new(params.clone(), p, values[p], 4, seed * 31 + p as u64))
             .collect();
         let initial = MvState::phantom(params.layout());
-        let mut world = World::builder(n).seed(seed).step_limit(20_000_000).build();
+        let mut world = World::builder(n).step_limit(20_000_000).build();
         let (_, bodies) =
             over_snapshot::<_, ScannableMemory<MvState, DirectArrow>>(&world, procs, initial);
         let plan = FaultPlan::seeded(seed * 7, n, 300);
@@ -340,7 +340,7 @@ fn multishot_full_stack_chaos() {
             })
             .collect();
         let initial = LogMsg { slots: Vec::new() };
-        let mut world = World::builder(n).seed(seed).step_limit(20_000_000).build();
+        let mut world = World::builder(n).step_limit(20_000_000).build();
         let (_, bodies) =
             over_snapshot::<_, ScannableMemory<LogMsg, DirectArrow>>(&world, procs, initial);
         let plan = FaultPlan::seeded(seed * 3 + 1, n, 350);
@@ -402,7 +402,6 @@ fn multishot_free_threads_every_replica_live() {
                 })
                 .collect();
             let mut world = World::builder(n)
-                .seed(seed)
                 .mode(Mode::Free)
                 .step_limit(u64::MAX)
                 .build();
@@ -474,7 +473,7 @@ fn composed_crash_stall_panic_plan_full_stack() {
     let n = 4;
     let seed = 9;
     let params = ConsensusParams::quick(n);
-    let mut world = World::builder(n).seed(seed).step_limit(5_000_000).build();
+    let mut world = World::builder(n).step_limit(5_000_000).build();
     let inst =
         ThreadedConsensus::<DirectArrow>::new(&world, &params, &[true, false, true, false], seed);
     inst.set_scan_retry_budget(Some(64));

@@ -234,7 +234,7 @@ fn crash_sweep_full_stack() {
 
     // Reference run: how many world steps until everyone decides.
     let reference_steps = {
-        let mut world = World::builder(n).seed(seed).step_limit(5_000_000).build();
+        let mut world = World::builder(n).step_limit(5_000_000).build();
         let inst = ThreadedConsensus::<DirectArrow>::new(&world, &params, &inputs, seed);
         let rep = world.run(inst.bodies, Box::new(RandomStrategy::new(seed)));
         assert!(rep.outputs.iter().all(|o| o.is_some()));
@@ -244,7 +244,7 @@ fn crash_sweep_full_stack() {
 
     for victim in 0..n {
         for crash_at in (0..horizon).step_by(23) {
-            let mut world = World::builder(n).seed(seed).step_limit(5_000_000).build();
+            let mut world = World::builder(n).step_limit(5_000_000).build();
             let inst = ThreadedConsensus::<DirectArrow>::new(&world, &params, &inputs, seed);
             let plan = FaultPlan::new().crash_at(crash_at, victim);
             let strategy = FaultedStrategy::new(RandomStrategy::new(seed), plan);

@@ -32,7 +32,7 @@ fn register_level_consensus_replays_exactly() {
     let run = |seed: u64| {
         let n = 3;
         let params = ConsensusParams::quick(n);
-        let mut world = World::builder(n).seed(seed).step_limit(5_000_000).build();
+        let mut world = World::builder(n).step_limit(5_000_000).build();
         let inst =
             ThreadedConsensus::<DirectArrow>::new(&world, &params, &[true, false, true], seed);
         let rep = world.run(inst.bodies, Box::new(RandomStrategy::new(seed)));
@@ -43,6 +43,42 @@ fn register_level_consensus_replays_exactly() {
     assert_eq!(first, second);
     // The baton changed hands, but a re-granted process kept it.
     assert!(first.3 > 0 && first.3 < first.1, "handoffs {}", first.3);
+}
+
+/// A world draws no randomness — [`WorldBuilder::seed`] does nothing, and
+/// each core seeds its own coin — so a lockstep run is a function of its
+/// bodies and its strategy alone. Three world seeds, one register-level
+/// consensus run: the same outputs, history, steps and telemetry (every
+/// counter and gauge of every shard, and each histogram's sample count;
+/// the samples themselves are wall-clock durations).
+///
+/// [`WorldBuilder::seed`]: bprc::sim::WorldBuilder::seed
+#[test]
+fn lockstep_runs_do_not_depend_on_the_world_seed() {
+    use bprc::sim::{Counter, Gauge, Hist};
+    let run = |world_seed: u64| {
+        let n = 3;
+        let params = ConsensusParams::quick(n);
+        let mut world = World::builder(n)
+            .seed(world_seed)
+            .step_limit(5_000_000)
+            .build();
+        let inst = ThreadedConsensus::<DirectArrow>::new(&world, &params, &[true, false, true], 9);
+        let rep = world.run(inst.bodies, Box::new(RandomStrategy::new(9)));
+        let t = &rep.telemetry;
+        let mut books = Vec::new();
+        for shard in 0..=n {
+            books.extend(Counter::ALL.iter().map(|&c| Some(t.counter(shard, c))));
+            books.extend(Gauge::ALL.iter().map(|&g| t.gauge(shard, g)));
+            books.extend(Hist::ALL.iter().map(|&h| Some(t.hist(shard, h).count())));
+        }
+        let history = rep.history.as_ref().expect("lockstep records").to_jsonl();
+        (rep.outputs.clone(), history, rep.steps, books)
+    };
+    let first = run(0);
+    assert!(first.0.iter().all(Option::is_some), "{:?}", first.0);
+    assert_eq!(first, run(1));
+    assert_eq!(first, run(u64::MAX));
 }
 
 /// FNV-1a over the history JSONL: a stable, dependency-free fingerprint of

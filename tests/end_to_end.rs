@@ -19,7 +19,7 @@ fn full_stack_register_level_with_snapshot_checker() {
         let n = 3;
         let inputs = vec![seed % 2 == 0, true, false];
         let params = ConsensusParams::quick(n);
-        let mut world = World::builder(n).seed(seed).step_limit(5_000_000).build();
+        let mut world = World::builder(n).step_limit(5_000_000).build();
         let instance = ThreadedConsensus::<DirectArrow>::new(&world, &params, &inputs, seed);
         let meta = instance.memory.meta();
         let report = world.run(instance.bodies, Box::new(RandomStrategy::new(seed)));
@@ -47,7 +47,6 @@ fn full_stack_handshake_arrows_free_threads() {
         let inputs = vec![true, false, true];
         let params = ConsensusParams::quick(n);
         let mut world = World::builder(n)
-            .seed(seed)
             .mode(Mode::Free)
             .step_limit(u64::MAX)
             .build();
@@ -76,7 +75,7 @@ fn turn_level_and_register_level_agree_on_semantics() {
     assert_eq!(turn_decisions.len(), 1);
     assert!(inputs.contains(turn_decisions[0]));
 
-    let mut world = World::builder(n).seed(4).step_limit(5_000_000).build();
+    let mut world = World::builder(n).step_limit(5_000_000).build();
     let instance = ThreadedConsensus::<DirectArrow>::new(&world, &params, &inputs, 4);
     let reg_report = world.run(instance.bodies, Box::new(RandomStrategy::new(4)));
     let reg_decisions: Vec<bool> = reg_report.outputs.iter().map(|o| o.unwrap()).collect();

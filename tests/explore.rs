@@ -28,7 +28,7 @@ use bprc::snapshot::{check_history, ScannableMemory, SnapshotMeta};
 /// the pid-distinct value 10+pid so views are attributable.
 fn snapshot_factory() -> impl FnMut() -> (World, Vec<ProcBody<Vec<u64>>>) {
     || {
-        let world = World::builder(2).seed(0).build();
+        let world = World::builder(2).build();
         let mem = ScannableMemory::<u64, DirectArrow>::new(&world, 2, 0);
         let bodies: Vec<ProcBody<Vec<u64>>> = (0..2)
             .map(|pid| {
@@ -92,7 +92,7 @@ fn exhaustive_n2_update_scan_interleavings_satisfy_p1_p3() {
 /// reachable and the checker must catch them.
 fn broken_scanner_factory() -> impl FnMut() -> (World, Vec<ProcBody<Vec<u64>>>) {
     || {
-        let world = World::builder(3).seed(0).build();
+        let world = World::builder(3).build();
         // Hand-rolled layout mirroring ScannableMemory: V_i per process,
         // value doubles as the ghost sequence number.
         let v: Vec<_> = (0..3).map(|i| world.reg(format!("V{i}"), 0u64)).collect();
@@ -218,7 +218,7 @@ fn reduction_reaches_every_outcome_of_full_enumeration() {
     // A smaller workload so the unreduced enumeration stays fast: one
     // updater, one scanner.
     let factory = || {
-        let world = World::builder(2).seed(0).build();
+        let world = World::builder(2).build();
         let mem = ScannableMemory::<u64, DirectArrow>::new(&world, 2, 0);
         let mut upd = mem.port(0);
         let mut scn = mem.port(1);
@@ -268,7 +268,7 @@ fn pct_sampling_at_n4_stays_clean() {
         ScannableMemory::<u64, DirectArrow>::new(&world, 4, 0).meta()
     };
     for seed in 0..100u64 {
-        let mut world = World::builder(4).seed(0).step_limit(5_000).build();
+        let mut world = World::builder(4).step_limit(5_000).build();
         let mem = ScannableMemory::<u64, DirectArrow>::new(&world, 4, 0);
         let bodies: Vec<ProcBody<Vec<u64>>> = (0..4)
             .map(|pid| {

@@ -69,7 +69,7 @@ fn chrome_trace_shows_each_crash_and_fault_once() {
 fn run_report_flight_log_captures_protocol_events() {
     let n = 3;
     let params = ConsensusParams::quick(n);
-    let mut world = World::builder(n).seed(23).step_limit(5_000_000).build();
+    let mut world = World::builder(n).step_limit(5_000_000).build();
     let inst = ThreadedConsensus::<DirectArrow>::new(&world, &params, &[false, true, false], 23);
     let rep = world.run(inst.bodies, Box::new(RandomStrategy::new(23)));
     assert!(rep.outputs.iter().all(|o| o.is_some()));
@@ -114,7 +114,7 @@ fn run_report_flight_log_captures_protocol_events() {
 fn chrome_trace_export_from_a_real_run_is_well_formed() {
     let n = 4;
     let params = ConsensusParams::quick(n);
-    let mut world = World::builder(n).seed(31).step_limit(5_000_000).build();
+    let mut world = World::builder(n).step_limit(5_000_000).build();
     let inst =
         ThreadedConsensus::<DirectArrow>::new(&world, &params, &[true, false, true, false], 31);
     let rep = world.run(inst.bodies, Box::new(RandomStrategy::new(31)));
@@ -322,7 +322,6 @@ fn recorder_overhead_leaves_the_run_intact() {
         let mut rep = None;
         for _ in 0..3 {
             let mut world = World::builder(n)
-                .seed(47)
                 .step_limit(5_000_000)
                 .trace_capacity(capacity)
                 .build();

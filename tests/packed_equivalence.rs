@@ -42,7 +42,7 @@ type Fingerprint = (Vec<Option<Vec<u64>>>, u64, String);
 /// each run.
 fn explore_alloc(what: &str, alloc: Alloc) -> (Vec<Fingerprint>, u64) {
     let factory = move || {
-        let world = World::builder(2).seed(0).build();
+        let world = World::builder(2).build();
         let mem = alloc(&world, 2, 0);
         let bodies: Vec<ProcBody<Vec<u64>>> = (0..2)
             .map(|pid| {
@@ -107,7 +107,7 @@ fn exhaustive_snapshot_exploration_is_allocation_invariant_handshake() {
 /// updates).
 fn pct_crash_run(what: &str, alloc: Alloc, seed: u64) -> (Vec<Option<u64>>, u64, String) {
     let n = 3;
-    let mut world = World::builder(n).seed(seed).step_limit(2_000_000).build();
+    let mut world = World::builder(n).step_limit(2_000_000).build();
     let mem = alloc(&world, n, 0);
     let bodies: Vec<ProcBody<u64>> = (0..n)
         .map(|pid| {

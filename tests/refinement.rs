@@ -89,7 +89,7 @@ fn turn_schedule_replays_exactly_on_registers() {
                 Kind::Scan => scan_cost,
             })
             .sum();
-        let mut world = World::builder(n).seed(seed).step_limit(50_000_000).build();
+        let mut world = World::builder(n).step_limit(50_000_000).build();
         let inst = ThreadedConsensus::<DirectArrow>::new(&world, &params, &inputs, seed);
 
         let mut event_idx = 0usize;

@@ -61,7 +61,7 @@ fn soak_register_level_200_runs() {
     for seed in 0..200u64 {
         let n = 3;
         let params = ConsensusParams::quick(n);
-        let mut world = World::builder(n).seed(seed).step_limit(20_000_000).build();
+        let mut world = World::builder(n).step_limit(20_000_000).build();
         let inputs: Vec<bool> = (0..n).map(|i| (seed >> i) & 1 == 1).collect();
         let inst = ThreadedConsensus::<DirectArrow>::new(&world, &params, &inputs, seed);
         let rep = world.run(inst.bodies, Box::new(RandomStrategy::new(seed)));

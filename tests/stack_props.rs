@@ -129,7 +129,7 @@ fn coin_value_rules() {
 /// violation the shrink/replay properties drive.
 fn race_factory() -> impl FnMut() -> (World, Vec<ProcBody<u64>>) {
     || {
-        let w = World::builder(2).seed(0).build();
+        let w = World::builder(2).build();
         let r = w.reg("r", 0u64);
         let (r0, r1) = (r.clone(), r);
         let bodies: Vec<ProcBody<u64>> = vec![
@@ -163,7 +163,7 @@ fn every_n2_scan_update_interleaving_is_linearizable() {
             ScannableMemory::<u64, DirectArrow>::new(&w, 2, 0).meta()
         };
         let factory = move || {
-            let w = World::builder(2).seed(0).build();
+            let w = World::builder(2).build();
             let mem = ScannableMemory::<u64, DirectArrow>::new(&w, 2, 0);
             let mut upd = mem.port(updater);
             let mut scn = mem.port(1 - updater);

@@ -21,7 +21,7 @@ fn lockstep_metrics_equal_history_counts() {
     for seed in SEEDS {
         let n = 3;
         let params = ConsensusParams::quick(n);
-        let mut world = World::builder(n).seed(seed).step_limit(5_000_000).build();
+        let mut world = World::builder(n).step_limit(5_000_000).build();
         let inst =
             ThreadedConsensus::<DirectArrow>::new(&world, &params, &[true, false, true], seed);
         let rep = world.run(inst.bodies, Box::new(RandomStrategy::new(seed)));
@@ -74,7 +74,7 @@ fn scans_visible_in_unified_timeline() {
     // PRNG stream behind `rand`, so take the first seed that does.
     let rep = (0..32)
         .map(|seed| {
-            let mut world = World::builder(n).seed(seed).step_limit(5_000_000).build();
+            let mut world = World::builder(n).step_limit(5_000_000).build();
             let inst =
                 ThreadedConsensus::<DirectArrow>::new(&world, &params, &[true, false, true], seed);
             world.run(inst.bodies, Box::new(RandomStrategy::new(seed)))
@@ -199,7 +199,7 @@ fn meter_fold_is_equivalent_to_gauges() {
 fn telemetry_jsonl_round_trips() {
     let n = 2;
     let params = ConsensusParams::quick(n);
-    let mut world = World::builder(n).seed(5).step_limit(5_000_000).build();
+    let mut world = World::builder(n).step_limit(5_000_000).build();
     let inst = ThreadedConsensus::<DirectArrow>::new(&world, &params, &[true, false], 5);
     let rep = world.run(inst.bodies, Box::new(RandomStrategy::new(5)));
     let t = &rep.telemetry;
