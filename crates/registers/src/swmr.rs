@@ -91,6 +91,27 @@ impl<T: Clone + Send + Sync + 'static> Swmr<T> {
         self.reg.read_changed(ctx, cached, f)
     }
 
+    /// The run form of [`read_changed`](Swmr::read_changed): one
+    /// version-token read per item `(i, register)` with the token
+    /// `tokens[i]`, `visit` judging each (see [`Reg::read_changed_run`]).
+    /// In free mode the reads share one gate, in lockstep each is an
+    /// ordinary one. Returns how many reads `visit` accepted: all of them,
+    /// or the index of the refused one, after which the run stopped.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Halted`] if the scheduler stopped this process.
+    #[inline]
+    pub fn read_changed_run<'a>(
+        ctx: &mut Ctx,
+        regs: impl IntoIterator<Item = (usize, &'a Swmr<T>)>,
+        tokens: &mut [u64],
+        visit: impl FnMut(usize, Option<&T>) -> bool,
+    ) -> Result<usize, Halted> {
+        let regs = regs.into_iter().map(|(i, r)| (i, &r.reg));
+        Reg::read_changed_run(ctx, regs, tokens, visit)
+    }
+
     /// Atomically writes the register.
     ///
     /// # Errors

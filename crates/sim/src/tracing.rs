@@ -211,7 +211,7 @@ impl Slot {
 /// (`Flush`, in `land_store`), and the strategy's fault notes (`Fault`,
 /// at the end of `decide_once`). Free mode has no scheduler and so no
 /// foreign writer.
-struct Ring {
+pub(crate) struct Ring {
     slots: Vec<Slot>,
     /// `slots.len() − 1`; `slots.len()` is a power of two.
     mask: u64,
@@ -232,7 +232,8 @@ impl Ring {
         }
     }
 
-    fn record(&self, step: u64, nanos: u64, kind: EventKind, arg: u64) {
+    #[inline]
+    pub(crate) fn record(&self, step: u64, nanos: u64, kind: EventKind, arg: u64) {
         let k = self.cursor.load(Ordering::Relaxed);
         self.cursor.store(k + 1, Ordering::Relaxed);
         let slot = &self.slots[(k & self.mask) as usize];
@@ -363,13 +364,22 @@ impl FlightRecorder {
     /// one acquire load more than the ring write itself.
     #[inline]
     pub fn record_at(&self, pid: usize, step: u64, nanos: u64, kind: EventKind, arg: u64) {
+        if let Some(ring) = self.ring(pid) {
+            ring.record(step, nanos, kind, arg);
+        }
+    }
+
+    /// `pid`'s ring, taken as [`record_at`](FlightRecorder::record_at)
+    /// takes it, for a caller about to record into it: a run of register
+    /// writes looks its ring up once. `None` when disabled or `pid` is out
+    /// of range.
+    #[inline]
+    pub(crate) fn ring(&self, pid: usize) -> Option<&Ring> {
         if self.capacity == 0 {
-            return;
+            return None;
         }
-        if let Some(cell) = self.rings.get(pid) {
-            cell.get_or_init(|| self.take_ring())
-                .record(step, nanos, kind, arg);
-        }
+        let cell = self.rings.get(pid)?;
+        Some(cell.get_or_init(|| self.take_ring()))
     }
 
     /// Freezes every ring into a [`FlightLog`]; a process that recorded

@@ -1,9 +1,9 @@
 //! The double-collect plumbing of the handshake construction.
 //!
 //! [`crate::memory`] keeps the algorithm — arrows, the stability rule, the
-//! [`ScanMachine`](crate::ScanMachine) that names each access; this module
-//! keeps what surrounds it: the take-once port gate, the ghost-seq-keyed
-//! buffer-reuse collect read, and the per-attempt bookkeeping that records
+//! [`ScanMachine`](crate::ScanMachine) that names each run of accesses;
+//! this module keeps what surrounds it: the take-once port gate, the
+//! ghost-seq-keyed buffer-reuse collect run, and the per-attempt bookkeeping that records
 //! every scan in the metrics plane ([`Counter`]s, ring events, the
 //! scan-latency histogram) — the one record of scans the memory keeps.
 //!
@@ -19,7 +19,7 @@ use bprc_registers::Swmr;
 use bprc_sim::tracing::{EventKind, Hist};
 use bprc_sim::{Counter, Ctx, Halted};
 
-use crate::memory::{labels, Slot};
+use crate::memory::{labels, Run, Slot};
 
 /// Marks port `pid` taken (panicking if it already was) — every backend
 /// hands each process its port exactly once.
@@ -31,32 +31,46 @@ pub(crate) fn claim_port(taken: &[AtomicBool], pid: usize) {
     );
 }
 
-/// One collect read of `reg` into the buffered `slot`, with validation
-/// through the cached version token `ver` (see
-/// [`bprc_sim::Reg::read_changed`]): a register whose version word still
-/// equals the token is provably untouched — a seqlock lane's payload words
-/// are never loaded, a locked cell's lock is never taken, nothing is
-/// cloned. Otherwise the slot is re-cloned only when its ghost seq changed
-/// (on a backing without a version word every read gets here). Leaves the
-/// register's new token in `ver`. One scheduled step: the backing changes
-/// how a granted access touches memory, never how many accesses happen.
+/// Performs the collect run `run` into the buffers `buf` and their
+/// version tokens `vers` (both indexed by process): one version-token read
+/// per named register (see [`bprc_sim::Reg::read_changed`]). A register
+/// whose version word still equals the token is provably untouched — a
+/// seqlock lane's payload words are never loaded, a locked cell's lock is
+/// never taken, nothing is cloned. Otherwise the slot is re-cloned only
+/// when its ghost seq changed (on a backing without a version word every
+/// read gets that far). Each read leaves the register's new token in
+/// `vers`. One scheduled step per read, all through one free-mode gate:
+/// the backing changes how a granted access touches memory, never how
+/// many accesses happen.
+///
+/// With `first`, the first collect's slots, this is the second collect: it
+/// compares each slot it read with the first's `(value, toggle)` — on the
+/// buffer *after* the read, which then equals the register's visible
+/// content — and stops at the first mismatch. Returns how many reads were
+/// clean: all of them, or the index of the mismatch.
 ///
 /// # Errors
 ///
 /// Returns [`Halted`] if the scheduler stopped this process.
 #[inline]
-pub(crate) fn read_slot<T: Clone + Send + Sync + 'static>(
+pub(crate) fn collect_run<T: Clone + PartialEq + Send + Sync + 'static>(
     ctx: &mut Ctx,
-    reg: &Swmr<Slot<T>>,
-    slot: &mut Slot<T>,
-    ver: &mut u64,
-) -> Result<(), Halted> {
-    *ver = reg.read_changed(ctx, *ver, |s| {
-        if slot.seq != s.seq {
-            slot.clone_from(s);
+    run: Run,
+    values: &[Swmr<Slot<T>>],
+    buf: &mut [Slot<T>],
+    vers: &mut [u64],
+    first: Option<&[Slot<T>]>,
+) -> Result<usize, Halted> {
+    let regs = run.pids().map(|j| (j, &values[j]));
+    Swmr::read_changed_run(ctx, regs, vers, |j, read| {
+        let slot = &mut buf[j];
+        if let Some(s) = read {
+            if slot.seq != s.seq {
+                slot.clone_from(s);
+            }
         }
-    })?;
-    Ok(())
+        first.is_none_or(|c1| slot.same_visible(&c1[j]))
+    })
 }
 
 /// The open half of one scan's latency measurement: stamped by

@@ -66,4 +66,4 @@ pub mod memory;
 
 pub use backend::{ScanStats, SnapshotBackend, SnapshotPort};
 pub use checker::{check_history, CheckReport, IncrementalChecker, SnapshotViolation};
-pub use memory::{Access, Port, ScanMachine, ScannableMemory, SnapshotMeta, UpdateMachine};
+pub use memory::{Access, Port, Run, ScanMachine, ScannableMemory, SnapshotMeta, UpdateMachine};
