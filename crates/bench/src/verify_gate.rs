@@ -83,8 +83,10 @@ use crate::{Scale, Table};
 /// v3 added the arena rows and their four race columns (`null` elsewhere);
 /// v4 added the model-checked rows and their `states` column (`null`
 /// elsewhere); v5 added the explored rows' `runs` column (`null`
-/// elsewhere) and counts `pruned` as grants a node never branched on.
-pub const SCHEMA: &str = "bprc.bench.verify/v5";
+/// elsewhere) and counts `pruned` as grants a node never branched on; v6
+/// added the register-level rows' `handoffs` column (`null` on the
+/// turn-level `mc-*` rows).
+pub const SCHEMA: &str = "bprc.bench.verify/v6";
 
 /// The pinned property list. A run prints (and records) the entries some
 /// row of its table carries, so a log always states what "PASS" covered.
@@ -194,6 +196,10 @@ struct Row {
     /// World executions of an explored row, blocked ones included; `None`
     /// on every other row.
     runs: Option<u64>,
+    /// Baton hand-offs ([`RunReport::handoffs`]) summed over the row's
+    /// world executions; `None` on the turn-level model-checked rows,
+    /// which run no world.
+    handoffs: Option<u64>,
     pruned: u64,
     truncated: u64,
     exhausted: bool,
@@ -237,10 +243,16 @@ impl Row {
         self.detail = detail;
     }
 
+    /// Adds one sampled world execution's hand-offs to the row's.
+    fn count_handoffs<T>(&mut self, rep: &RunReport<T>) {
+        *self.handoffs.get_or_insert(0) += rep.handoffs;
+    }
+
     /// Copies an exploration's coverage counts into the row.
     fn record(&mut self, rep: &ExploreReport) {
         self.schedules = rep.schedules;
         self.runs = Some(rep.runs);
+        self.handoffs = Some(rep.handoffs);
         self.pruned = rep.pruned;
         self.truncated = rep.truncated;
         self.exhausted = rep.exhausted;
@@ -270,6 +282,7 @@ impl Row {
             ("schedules", self.schedules.into()),
             ("states", self.states.map_or(Value::Null, Value::from)),
             ("runs", self.runs.map_or(Value::Null, Value::from)),
+            ("handoffs", self.handoffs.map_or(Value::Null, Value::from)),
             ("pruned", self.pruned.into()),
             ("truncated", self.truncated.into()),
             ("exhausted", self.exhausted.into()),
@@ -849,6 +862,7 @@ fn pct_consensus(seeds: u64) -> Check {
             ))
         };
         let rep = world.run(inst.bodies, strategy);
+        row.count_handoffs(&rep);
         row.faults_injected += rep.history.as_ref().map_or(0, |h| h.crashes().count()) as u64;
         let violation = spec
             .check_with_snapshot(&meta, &rep)
@@ -889,6 +903,7 @@ fn pct_snapshot<A: Arrow>(seeds: u64) -> Check {
             })
             .collect();
         let rep = world.run(bodies, Box::new(PctStrategy::new(seed, n, d, horizon)));
+        row.count_handoffs(&rep);
         let history = rep.history.as_ref().expect("lockstep records history");
         match check_history(history, &meta).violations.first() {
             Some(v) => Err(format!("snapshot property violated: {v:?}")),
@@ -1049,6 +1064,7 @@ fn arena_row(
         let (mut world, bodies) = make(false);
         let (recorder, log) = DecisionRecorder::new(arena_strategy(row.mode, trial_seed));
         let rep = world.run(bodies, Box::new(recorder));
+        row.count_handoffs(&rep);
         let decided = rep.outputs.iter().filter(|o| o.is_some()).count() as u64;
         let rounds = rep.telemetry.gauge_max_all(Gauge::Round).unwrap_or(0);
         let bits = rep
@@ -1321,6 +1337,9 @@ mod tests {
         assert_eq!(row.schedules_by_faults, vec![486, 3603]);
         assert_eq!(row.faults_injected, 3603);
         assert_eq!(row.trace, None);
+        // The hand-offs of every world execution the exploration made, as
+        // the committed document records them.
+        assert_eq!(row.handoffs, Some(32954));
     }
 
     /// One reachable and one model-soundness cell of the litmus matrix.
@@ -1392,6 +1411,9 @@ mod tests {
             assert!(row.ok, "{}: {}", row.name, row.detail);
             assert_eq!(row.expect, Expect::Sampled);
             assert!(!row.exhausted);
+        }
+        for row in &rows {
+            assert!(row.handoffs.is_some_and(|h| h > 0), "{}", row.name);
         }
         assert_eq!(rows.map(|r| r.schedules), [6, 20]);
     }
@@ -1468,6 +1490,8 @@ mod tests {
         assert_eq!(pin(&quiet), (29, 6, 0));
         assert_eq!(pin(&crash), (53, 14, 30));
         assert!(crash.states > quiet.states);
+        // The turn-level checker runs no world, so it hands off nothing.
+        assert_eq!((quiet.handoffs, crash.handoffs), (None, None));
     }
 
     /// A model-checked row fails closed when it runs out of state budget,

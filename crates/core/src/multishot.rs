@@ -77,8 +77,16 @@ impl Clone for LogMsg {
     }
 
     /// Reuses `self`'s slot vector: no allocation once it is long enough,
-    /// and a slot `self` already shares is skipped.
+    /// and a slot `self` already shares is skipped. A vector too short for
+    /// the source grows to the source's room at once: a published message
+    /// has room for every slot of its log, so a copy that starts empty (a
+    /// port's own slot, the bridge's view) allocates once, not again each
+    /// time the log outgrows it.
     fn clone_from(&mut self, source: &Self) {
+        if self.slots.capacity() < source.slots.len() {
+            let room = source.slots.capacity();
+            self.slots.reserve_exact(room - self.slots.len());
+        }
         self.slots.clone_from(&source.slots);
     }
 }

@@ -216,6 +216,9 @@ pub struct ExploreReport {
     /// asleep (blocked), so `runs − schedules − truncated` is the work the
     /// reduction spent without checking anything.
     pub runs: u64,
+    /// Baton hand-offs summed over those executions
+    /// ([`RunReport::handoffs`](crate::RunReport::handoffs) of each).
+    pub handoffs: u64,
     /// Enabled grants a node never branched on — asleep there, or never
     /// asked for by a race — summed over the nodes as they pop (an early
     /// stop leaves the nodes still on the stack uncounted).
@@ -995,6 +998,7 @@ where
     let mut report = ExploreReport {
         schedules: 0,
         runs: 0,
+        handoffs: 0,
         pruned: 0,
         truncated: 0,
         exhausted: false,
@@ -1027,6 +1031,7 @@ where
         };
         let run_report = world.run(bodies, Box::new(controller));
         report.runs += 1;
+        report.handoffs += run_report.handoffs;
         let (cut, path_faults, path_len) = {
             let mut s = st.lock();
             s.finish_run();

@@ -126,3 +126,77 @@ fn an_exiting_body_hands_its_unspent_lease_back() {
     // The panicking process's counts were published by the unwind.
     assert_eq!(rep.telemetry.counter(0, Counter::RegWrites), 1);
 }
+
+/// A run's step budget, for `limit` steps: pid 0 alternates a write run of
+/// `BITS` packed bits (the shape of a scan's lowers, counting
+/// `ArrowLowers` per write attempted) and a version-token read run of
+/// `LANES` lanes (a collect) until the budget stops it; pid 1 then makes
+/// one access. Returns the report and how many writes pid 0 attempted: the
+/// writes among its first `limit` accesses, and the refused one if that
+/// was a write.
+fn budget_in_runs(limit: u64) -> (RunReport<()>, u64) {
+    const BITS: u64 = 20;
+    const LANES: u64 = 31;
+    let mut w = World::builder(2).mode(Mode::Free).step_limit(limit).build();
+    let bits: Vec<_> = (0..BITS)
+        .map(|i| w.bit_reg(format!("b{i}"), false))
+        .collect();
+    let slab = w.value_slab(LANES as usize, 1);
+    let lanes: Vec<_> = (0..LANES as usize)
+        .map(|i| w.lane_reg(&slab, i, format!("l{i}"), 0u64))
+        .collect();
+    let probe = lanes[0].clone();
+    let (stopped_tx, stopped_rx) = mpsc::channel();
+    let bodies: Vec<ProcBody<()>> = vec![
+        Box::new(move |ctx| {
+            let mut tokens = vec![bprc_sim::NO_VERSION; lanes.len()];
+            let halted = (|| loop {
+                bprc_sim::Reg::write_run(ctx, &bits, false, Some(Counter::ArrowLowers))?;
+                bprc_sim::Reg::read_changed_run(
+                    ctx,
+                    lanes.iter().enumerate(),
+                    &mut tokens,
+                    |_, _| true,
+                )?;
+            })();
+            stopped_tx.send(()).expect("pid 1 waits for pid 0");
+            halted
+        }),
+        Box::new(move |ctx| {
+            stopped_rx.recv().expect("pid 0 reports its halt");
+            probe.read(ctx).map(drop)
+        }),
+    ];
+    let rep = under_watchdog(format!("limit = {limit}"), move || {
+        w.run(bodies, Box::new(RoundRobin::new()))
+    });
+    let is_write = |k: u64| k % (BITS + LANES) < BITS;
+    let writes = (0..=limit).filter(|&k| is_write(k)).count() as u64;
+    (rep, writes)
+}
+
+/// Step limits that land inside a write run, inside a read run, and one
+/// step either side of a 64-step lease boundary in each (the runs are 20
+/// writes and 31 reads, so steps 64 and 128 fall inside the second write
+/// run and the third read run). The process that runs out is granted
+/// exactly the limit, renewing its lease mid-run where single accesses
+/// would, and every book agrees with that; the process that comes later
+/// finds the budget gone at its next access.
+#[test]
+fn a_run_is_granted_exactly_the_budget() {
+    for limit in [1, 10, 30, 63, 64, 65, 127, 128, 129] {
+        let (rep, writes) = budget_in_runs(limit);
+        let at = format!("limit = {limit}");
+        assert_eq!(
+            rep.halted,
+            vec![Some(Halted::StepLimit), Some(Halted::Shutdown)],
+            "{at}"
+        );
+        assert_eq!(rep.steps, limit, "{at}");
+        assert_eq!(rep.per_proc_steps, vec![limit, 0], "{at}");
+        let t = &rep.telemetry;
+        let accesses = |pid| t.counter(pid, Counter::RegReads) + t.counter(pid, Counter::RegWrites);
+        assert_eq!((accesses(0), accesses(1)), (limit, 0), "{at}");
+        assert_eq!(t.counter(0, Counter::ArrowLowers), writes, "{at}");
+    }
+}
