@@ -302,10 +302,7 @@ mod tests {
         // Inject a panic into one process mid-run over the real register
         // stack: the panic is contained, the survivors reach agreement, and
         // the injection is visible in the recorded history.
-        use bprc_sim::faults::quiet_injected_panics;
         use bprc_sim::{FaultKind, Halted};
-        // Expected contained panic: keep it off stderr.
-        quiet_injected_panics();
         for seed in 0..4 {
             let params = ConsensusParams::quick(3);
             let mut world = World::builder(3).step_limit(5_000_000).build();

@@ -228,16 +228,6 @@ mod tests {
     fn wrong_writer_panics() {
         // The ownership violation panics inside the process body; the world
         // contains it, halts the offender, and reports the message.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let expected = info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|s| s.contains("SWMR violation"));
-            if !expected {
-                prev(info);
-            }
-        }));
         let mut w = World::builder(2).build();
         let v = Swmr::new(&w, "v", 0, 0u8);
         let v1 = v.clone();
@@ -246,7 +236,6 @@ mod tests {
             Box::new(move |ctx| v1.write(ctx, 1)), // pid 1 writes pid 0's register
         ];
         let rep = w.run(bodies, Box::new(RoundRobin::new()));
-        let _ = std::panic::take_hook();
         assert_eq!(rep.outputs[0], Some(()), "innocent process finishes");
         assert_eq!(rep.halted[1], Some(Halted::Panicked));
         let msg = rep.panics[1].as_deref().expect("panic message captured");

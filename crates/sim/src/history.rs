@@ -56,19 +56,29 @@ pub enum FaultKind {
     StallEnd,
     /// A panic was injected; the process unwinds at its next gate.
     PanicInjected,
-    /// The process exhausted its step allowance and was crashed by the
-    /// fault plan (starvation made permanent).
-    Starved,
+}
+
+impl FaultKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [FaultKind; 3] = [
+        FaultKind::StallStart,
+        FaultKind::StallEnd,
+        FaultKind::PanicInjected,
+    ];
+
+    /// The kind's stable name (history JSON, trace labels).
+    pub fn name(self) -> &'static str {
+        match self {
+            FaultKind::StallStart => "stall:start",
+            FaultKind::StallEnd => "stall:end",
+            FaultKind::PanicInjected => "panic:injected",
+        }
+    }
 }
 
 impl fmt::Display for FaultKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FaultKind::StallStart => write!(f, "stall:start"),
-            FaultKind::StallEnd => write!(f, "stall:end"),
-            FaultKind::PanicInjected => write!(f, "panic:injected"),
-            FaultKind::Starved => write!(f, "starved"),
-        }
+        f.write_str(self.name())
     }
 }
 
@@ -123,8 +133,8 @@ pub enum Event {
         /// The crashed process.
         pid: usize,
     },
-    /// A fault-injection event (stall window edge, injected panic,
-    /// starvation crash) recorded by the chaos subsystem.
+    /// A fault-injection event (stall window edge, injected panic)
+    /// recorded by the chaos subsystem.
     Fault {
         /// Value of the global step counter when the fault was recorded.
         step: u64,

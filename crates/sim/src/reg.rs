@@ -934,7 +934,6 @@ impl<T: Clone + Send + Sync + 'static> Reg<T> {
                         pid,
                         BufferedStore {
                             reg: id,
-                            tag,
                             value: Box::new(fwd),
                             apply: Box::new(move || backing.store(value)),
                         },

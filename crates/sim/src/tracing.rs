@@ -58,6 +58,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
+use crate::history::FaultKind;
 use crate::json::Value;
 use crate::pool::FreeList;
 
@@ -127,28 +128,26 @@ impl std::fmt::Display for EventKind {
 
 /// The [`EventKind::Fault`] `arg` code for an injected fault. Code `0` is
 /// reserved for scheduler **crash decisions** (which have no
-/// [`FaultKind`](crate::history::FaultKind)); [`fault_label`] is the
-/// inverse, decoding the code back into a display name.
-pub fn fault_arg(kind: crate::history::FaultKind) -> u64 {
-    use crate::history::FaultKind;
+/// [`FaultKind`]); [`fault_label`] is the inverse, decoding the code back
+/// into a display name.
+pub fn fault_arg(kind: FaultKind) -> u64 {
     match kind {
         FaultKind::StallStart => 1,
         FaultKind::StallEnd => 2,
         FaultKind::PanicInjected => 3,
-        FaultKind::Starved => 4,
     }
 }
 
 /// Decodes an [`EventKind::Fault`] `arg` code into a display label —
-/// the inverse of [`fault_arg`], with `0` naming the scheduler-crash case.
+/// the inverse of [`fault_arg`] through [`FaultKind::name`], with `0`
+/// naming the scheduler-crash case.
 pub fn fault_label(arg: u64) -> &'static str {
     match arg {
         0 => "crash",
-        1 => "stall:start",
-        2 => "stall:end",
-        3 => "panic:injected",
-        4 => "starved",
-        _ => "fault:?",
+        _ => FaultKind::ALL
+            .into_iter()
+            .find(|&kind| fault_arg(kind) == arg)
+            .map_or("fault:?", FaultKind::name),
     }
 }
 
@@ -201,16 +200,15 @@ impl Slot {
 ///
 /// **One writer at a time.** The cursor is a relaxed load and store, not
 /// a `fetch_add`, so two concurrent writers would lose events. Every
-/// ring is written by its own process, with three exceptions, each of
-/// which writes another process's ring at lockstep quiescence while
-/// holding the world's central lock (the owner is parked at its gate or
-/// finished, and reached it through the same lock, so its earlier
-/// records happen-before the foreign one and its later ones after):
-/// the scheduler's crash decision (`Fault` arg 0, in `decide_once`), a
-/// store-buffer flush landed by a `Flush` decision or the end-of-run drain
-/// (`Flush`, in `land_store`), and the strategy's fault notes (`Fault`,
-/// at the end of `decide_once`). Free mode has no scheduler and so no
-/// foreign writer.
+/// ring is written by its own process, with one exception: the lockstep
+/// world's event sink (`WorldInner::record_event`) writes another
+/// process's ring when the scheduler crashes it, lands its buffered store
+/// (a `Flush` decision or the end-of-run drain) or records a fault note
+/// for it. It does so at quiescence while holding the world's central
+/// lock; the owner is parked at its gate or finished, and reached it
+/// through the same lock, so its earlier records happen-before the
+/// foreign one and its later ones after. Free mode has no scheduler and
+/// so no foreign writer.
 pub(crate) struct Ring {
     slots: Vec<Slot>,
     /// `slots.len() − 1`; `slots.len()` is a power of two.

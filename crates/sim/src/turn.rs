@@ -828,10 +828,9 @@ mod tests {
                 0
             }
             fn on_scan(&mut self, _: &[u32]) -> TurnStep<u32, u32> {
-                panic!("chaos: deliberate on_scan panic");
+                panic!("deliberate on_scan panic");
             }
         }
-        crate::faults::quiet_injected_panics();
         let report = TurnDriver::new(vec![Bomb, Bomb]).run(&mut TurnRoundRobin::new(), 100);
         assert!(report.completed, "both bombs halt, so the run completes");
         assert_eq!(report.halted, vec![Some(Halted::Panicked); 2]);
@@ -866,14 +865,13 @@ mod tests {
             fn on_scan(&mut self, _: &[u32]) -> TurnStep<u32, u32> {
                 match self {
                     Leaver::Decides => TurnStep::Decide(1),
-                    Leaver::Panics => panic!("chaos: deliberate on_scan panic"),
+                    Leaver::Panics => panic!("deliberate on_scan panic"),
                     Leaver::Spins => TurnStep::Write(0),
                 }
             }
         }
         use Decision::{Crash, Grant, Panic};
         use Leaver::{Decides, Panics, Spins};
-        crate::faults::quiet_injected_panics();
         let procs = [Spins, Decides, Spins, Panics, Decides, Spins];
         // Each decision with the active list it must leave behind.
         let script: [(Decision, &[usize]); 11] = [

@@ -129,10 +129,6 @@ impl fmt::Display for WeakMode {
 pub(crate) struct BufferedStore {
     /// Target register.
     pub reg: RegId,
-    /// The caller's tag (rides into nothing further; the Op event already
-    /// recorded it at grant time).
-    #[allow(dead_code)]
-    pub tag: u64,
     /// The buffered value, for same-process forwarding reads.
     pub value: Box<dyn Any + Send>,
     /// Applies the store to the backing cell.
@@ -661,7 +657,6 @@ mod tests {
     fn flushable_respects_the_buffer_discipline() {
         let mk = |reg: RegId| BufferedStore {
             reg,
-            tag: 0,
             value: Box::new(0u64),
             apply: Box::new(|| {}),
         };

@@ -26,6 +26,7 @@ use std::thread::Thread;
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::error::Halted;
+use crate::faults::InjectedPanic;
 use crate::history::{Annotation, Event, FaultKind, History, OpKind, RegId};
 use crate::metrics::{Counter, MetricsRegistry, ProcMetrics, Tally, Telemetry};
 use crate::reg::RegName;
@@ -305,28 +306,22 @@ impl WorldInner {
             }
             if c.poisoned[pid] {
                 // An injected panic: unwind on the process thread so
-                // panic containment is exercised for real. The
-                // FinishGuard then marks the process finished and takes
-                // the next decision.
+                // panic containment is exercised for real, with a typed
+                // payload that runs no panic hook. The FinishGuard then
+                // marks the process finished and takes the next decision.
                 c.poisoned[pid] = false;
                 c.waiting[pid] = None;
-                if self.record {
-                    let step = c.steps;
-                    c.history.push(Event::Fault {
+                let step = c.steps;
+                self.record_event(
+                    &mut c,
+                    Event::Fault {
                         step,
                         pid,
                         kind: FaultKind::PanicInjected,
-                    });
-                }
-                let step = c.steps;
-                self.recorder.record(
-                    pid,
-                    step,
-                    EventKind::Fault,
-                    fault_arg(FaultKind::PanicInjected),
+                    },
                 );
                 self.release(c, wake);
-                panic!("chaos: injected panic (pid {pid})");
+                resume_unwind(Box::new(InjectedPanic(pid)));
             }
             if let Some(h) = c.shutdown {
                 c.waiting[pid] = None;
@@ -353,21 +348,51 @@ impl WorldInner {
         // Counted at the same point the history records the op, so
         // lockstep telemetry and `History` agree event-for-event.
         self.count_op(pid, kind);
-        if matches!(kind, OpKind::Write | OpKind::Swap) {
-            self.recorder
-                .record(pid, step, EventKind::RegWrite, reg as u64);
-        }
-        if self.record {
-            c.history.push(Event::Op {
+        self.record_event(
+            &mut c,
+            Event::Op {
                 step,
                 pid,
                 kind,
                 reg,
                 tag,
-            });
-        }
+            },
+        );
         c.granted = None;
         Ok(r)
+    }
+
+    /// The one place a lockstep event is recorded: `event` goes to the
+    /// history when the world records one, and its flight-ring form to
+    /// the ring of the process it names — a write or swap as `RegWrite`,
+    /// a crash as `Fault` code 0, a fault note as `Fault` with its code,
+    /// a flush as `Flush`; a read, a fence and a note have none. The
+    /// caller holds the central lock, so when the event names a process
+    /// other than the caller's (a scheduler decision, the end-of-run
+    /// drain) this is a foreign write to that ring at quiescence, which
+    /// the ring's one-writer rule allows (`tracing::Ring`).
+    fn record_event(&self, c: &mut Central, event: Event) {
+        let ring = match event {
+            Event::Op {
+                step,
+                pid,
+                kind: OpKind::Write | OpKind::Swap,
+                reg,
+                ..
+            } => Some((pid, step, EventKind::RegWrite, reg as u64)),
+            Event::Crash { step, pid } => Some((pid, step, EventKind::Fault, 0)),
+            Event::Fault { step, pid, kind } => {
+                Some((pid, step, EventKind::Fault, fault_arg(kind)))
+            }
+            Event::Flush { step, pid, reg } => Some((pid, step, EventKind::Flush, reg as u64)),
+            Event::Op { .. } | Event::Note { .. } => None,
+        };
+        if let Some((pid, step, kind, arg)) = ring {
+            self.recorder.record(pid, step, kind, arg);
+        }
+        if self.record {
+            c.history.push(event);
+        }
     }
 
     /// Drops the central lock, *then* wakes `wake`: a thread unparked
@@ -407,20 +432,13 @@ impl WorldInner {
 
     /// Lands one buffered store in shared memory and records the flush in
     /// history, metrics, and the flight recorder. Caller removed `entry`
-    /// from the buffer already, and holds the central lock: when the caller
-    /// is not `pid` (a `Flush` decision, the end-of-run drain) this is a
-    /// foreign write to `pid`'s ring at quiescence, which the ring's
-    /// one-writer rule allows (`tracing::Ring`).
+    /// from the buffer already, and holds the central lock.
     fn land_store(&self, c: &mut Central, pid: usize, entry: BufferedStore) {
         let reg = entry.reg;
         (entry.apply)();
         let step = c.steps;
-        if self.record {
-            c.history.push(Event::Flush { step, pid, reg });
-        }
+        self.record_event(c, Event::Flush { step, pid, reg });
         self.metrics.proc(pid).incr(Counter::StoresFlushed, 1);
-        self.recorder
-            .record(pid, step, EventKind::Flush, reg as u64);
     }
 
     /// Store-buffer fence on behalf of `pid`. In free mode it is a real
@@ -472,12 +490,10 @@ impl WorldInner {
     }
 
     fn annotate(&self, pid: usize, note: Annotation) {
-        if let Mode::Lockstep = self.mode {
-            if self.record {
-                let mut c = self.central.lock();
-                let step = c.steps;
-                c.history.push(Event::Note { step, pid, note });
-            }
+        if self.mode == Mode::Lockstep && self.record {
+            let mut c = self.central.lock();
+            let step = c.steps;
+            self.record_event(&mut c, Event::Note { step, pid, note });
         }
     }
 
@@ -671,13 +687,7 @@ impl WorldInner {
                 // flush-before-crash to cover the published variants.
                 c.buffers[pid].clear();
                 let step = c.steps;
-                if self.record {
-                    c.history.push(Event::Crash { step, pid });
-                }
-                // A foreign write to `pid`'s ring, one of the three the
-                // ring's one-writer rule allows (`tracing::Ring`): made at
-                // quiescence under the central lock, when `pid` is parked.
-                self.recorder.record(pid, step, EventKind::Fault, 0);
+                self.record_event(c, Event::Crash { step, pid });
                 // The victim unwinds now; its finisher decides next.
                 if pid != me {
                     wake.push(pid);
@@ -713,14 +723,8 @@ impl WorldInner {
             }
         }
         let step = c.steps;
-        // Foreign ring writes at quiescence, under the central lock (the
-        // ring's one-writer rule, `tracing::Ring`).
         for (pid, kind) in strategy.drain_fault_notes() {
-            self.recorder
-                .record(pid, step, EventKind::Fault, fault_arg(kind));
-            if self.record {
-                c.history.push(Event::Fault { step, pid, kind });
-            }
+            self.record_event(c, Event::Fault { step, pid, kind });
         }
     }
 }
@@ -1517,7 +1521,9 @@ fn host<T>(
 
 /// Extracts a human-readable message from a panic payload.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
+    if let Some(injected) = payload.downcast_ref::<InjectedPanic>() {
+        injected.to_string()
+    } else if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
@@ -1870,7 +1876,6 @@ mod tests {
 
     #[test]
     fn injected_panic_decision_poisons_target() {
-        crate::faults::quiet_injected_panics();
         let mut w = World::builder(2).build();
         let r = w.reg("r", 0u32);
         let r0 = r.clone();

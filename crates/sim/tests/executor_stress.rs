@@ -74,7 +74,6 @@ fn tiny_run(seed: u64) -> Outcome {
 #[test]
 fn ten_thousand_tiny_runs_replay_and_never_lose_a_wakeup() {
     let _serial = serial();
-    bprc_sim::faults::quiet_injected_panics();
     let progress = Arc::new(AtomicU64::new(0));
     let (done_tx, done_rx) = mpsc::channel();
     let at = Arc::clone(&progress);
@@ -118,7 +117,7 @@ fn hosts_of_one_run(wreck: Option<usize>) -> Vec<ThreadId> {
             let b: ProcBody<()> = Box::new(move |ctx| {
                 hosts.lock().unwrap()[p] = Some(std::thread::current().id());
                 r.read_changed(ctx, NO_VERSION, |_| {
-                    assert!(wreck != Some(p), "chaos: wrecked mid-access")
+                    assert!(wreck != Some(p), "wrecked mid-access")
                 })?;
                 r.write(ctx, 1)
             });
@@ -144,7 +143,6 @@ fn hosts_of_one_run(wreck: Option<usize>) -> Vec<ThreadId> {
 #[test]
 fn consecutive_runs_reuse_the_same_workers_even_after_a_wrecked_run() {
     let _serial = serial();
-    bprc_sim::faults::quiet_injected_panics();
     let first = hosts_of_one_run(None);
     assert_eq!(
         first[2],

@@ -11,17 +11,13 @@
 use bprc::core::bounded::ConsensusParams;
 use bprc::core::threaded::ThreadedConsensus;
 use bprc::registers::DirectArrow;
-use bprc::sim::faults::{quiet_injected_panics, FaultPlan, FaultedStrategy};
+use bprc::sim::faults::{FaultPlan, FaultedStrategy};
 use bprc::sim::sched::RandomStrategy;
 use bprc::sim::trace::{render, render_unified, summary, TraceOptions};
 use bprc::sim::World;
 use bprc::sim::{Counter, Gauge};
 
 fn main() {
-    // The injected panic below is expected and contained; keep its default
-    // unwind report off the demo's output.
-    quiet_injected_panics();
-
     let n = 3;
     let seed = 7;
     let params = ConsensusParams::quick(n);

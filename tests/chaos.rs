@@ -1,5 +1,5 @@
 //! Chaos suite: composed fault plans (crashes, injected panics, stall
-//! windows, starvation) over every scheduling backend and every protocol
+//! windows) over every scheduling backend and every protocol
 //! flavor in the workspace.
 //!
 //! Each scenario wraps an ordinary adversary in a seeded [`FaultPlan`] and
@@ -9,7 +9,7 @@
 //! * **validity** — every decision is some process's input;
 //! * **survivor termination** — every process the plan did not kill decides;
 //! * **accountability** — every undecided process has a recorded fault
-//!   cause (crash, panic, or starvation), and injected panics appear in the
+//!   cause (crash or panic), and injected panics appear in the
 //!   run's fault log.
 //!
 //! Scenario counts (all seeded, all replayable):
@@ -38,7 +38,7 @@ use bprc::core::multivalued::{MvCore, MvState};
 use bprc::core::threaded::{over_snapshot, ThreadedConsensus};
 use bprc::core::ProcState;
 use bprc::registers::DirectArrow;
-use bprc::sim::faults::{quiet_injected_panics, FaultPlan, FaultedStrategy};
+use bprc::sim::faults::{FaultPlan, FaultedStrategy};
 use bprc::sim::sched::{PctStrategy, RandomStrategy, RoundRobin, Strategy};
 use bprc::sim::turn::{Turn, TurnBsp, TurnDriver, TurnReport};
 use bprc::sim::{Counter, FaultKind, Halted, Mode, Telemetry, World};
@@ -104,7 +104,6 @@ fn bounded_adversary(kind: usize, n: usize, seed: u64) -> Box<dyn Strategy<Turn<
 
 #[test]
 fn bounded_survives_seeded_chaos_under_every_adversary() {
-    quiet_injected_panics();
     let n = 4;
     for kind in 0..6usize {
         for seed in 0..24u64 {
@@ -126,7 +125,6 @@ fn bounded_survives_seeded_chaos_under_every_adversary() {
 
 #[test]
 fn multivalued_survives_seeded_chaos() {
-    quiet_injected_panics();
     let n = 3;
     let width = 4;
     for kind in 0..3usize {
@@ -154,7 +152,6 @@ fn multivalued_survives_seeded_chaos() {
 
 #[test]
 fn multishot_survives_seeded_chaos() {
-    quiet_injected_panics();
     let n = 3;
     let n_slots = 2;
     let width = 4;
@@ -212,7 +209,6 @@ fn full_stack_survives_seeded_chaos() {
     // snapshot scans, arrows, and process threads, with panic containment
     // exercised by actual unwinding — and, with no retry budget, no scan
     // is ever starved.
-    quiet_injected_panics();
     let n = 3;
     for seed in 0..24u64 {
         let params = ConsensusParams::quick(n);
@@ -277,7 +273,6 @@ fn assert_no_starvation(telemetry: &Telemetry, n: usize, label: &str) {
 fn multivalued_full_stack_chaos() {
     // Multivalued consensus over the handshake memory under seeded fault
     // plans: agreement, validity, and zero starvation.
-    quiet_injected_panics();
     let n = 3;
     for seed in 0..8u64 {
         let params = ConsensusParams::quick(n);
@@ -315,7 +310,6 @@ fn multishot_full_stack_chaos() {
     // The multi-shot log over the handshake memory: surviving replicas
     // agree slot for slot, every slot holds a proposed value, no scan
     // starves.
-    quiet_injected_panics();
     let n = 3;
     let n_slots = 2;
     for seed in 0..6u64 {
@@ -469,7 +463,6 @@ fn composed_crash_stall_panic_plan_full_stack() {
     // late injected panic — over the threaded stack, with a scan retry
     // budget active: every degradation path in one run, and the fault
     // timeline lands in the recorded history.
-    quiet_injected_panics();
     let n = 4;
     let seed = 9;
     let params = ConsensusParams::quick(n);

@@ -301,7 +301,6 @@ fn exit_path_run(exit: Exit) -> bprc::sim::world::RunReport<Vec<u64>> {
 #[test]
 fn counts_survive_every_exit_path() {
     use bprc::sim::Halted;
-    bprc::sim::faults::quiet_injected_panics();
     const PINNED: [Counter; 6] = [
         Counter::ArrowLowers,
         Counter::ArrowChecks,
