@@ -25,10 +25,12 @@ use bprc_snapshot::{check_history, SnapshotMeta};
 /// Checks that a run's telemetry agrees with its recorded history: for
 /// every process, the [`Counter::RegReads`] / [`Counter::RegWrites`]
 /// counters must equal the read/write operations the history recorded for
-/// that process. The two planes are produced by independent code paths
-/// (atomic counters at the register cells vs. the scheduler's event log),
-/// so divergence means one of them lied — a verification-gate property,
-/// not a consensus one.
+/// that process. The two are not independent witnesses: in lockstep the
+/// world bumps the counters and records the op at one place, the access
+/// gate, so what this holds is the world's op-to-counter mapping (a swap
+/// counts as a read and a write, a fence as neither) against the recorded
+/// ops, process by process — a verification-gate property, not a
+/// consensus one.
 ///
 /// Returns `None` on parity, `Some(reason)` naming the first divergent
 /// process.

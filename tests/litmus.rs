@@ -2,19 +2,20 @@
 //! program's forbidden outcome must be **unreachable under SC over an
 //! exhaustive exploration**, and under TSO/PSO it must be *found* exactly
 //! when the model's physics say so (see the matrix in `bprc::sim::litmus`)
-//! — then shrunk, serialized, parsed back byte-identically, and replayed
-//! to the same violation. Buffering happens at the scheduling layer, above
-//! the register backing, so the backing is not a dimension of the matrix:
-//! 5 programs × 3 modes, 15 cells.
+//! — then confirmed by `Counterexample::confirm` (shrunk, serialized,
+//! parsed back byte-identically, and replayed to the same violation).
+//! Buffering happens at the scheduling layer, above the register backing,
+//! so the backing is not a dimension of the matrix: 5 programs × 3 modes,
+//! 15 cells.
 
-use bprc::sim::explore::{explore, run_trace, shrink_trace, DecisionTrace, ExploreConfig};
+use bprc::sim::explore::{explore, run_trace, ExploreConfig};
 use bprc::sim::litmus::{corpus, LitmusProgram};
-use bprc::sim::weakmem::{critical_cycle, WeakMode};
+use bprc::sim::weakmem::WeakMode;
 
 /// Exhaustively explores `prog` under `mode` and asserts the
 /// forbidden outcome is found exactly when the corpus matrix says it is.
-/// When found: shrink, round-trip the JSON artifact, replay, and demand a
-/// critical cycle from the violating history.
+/// When found: confirm the artifact, check that it stays clean under SC,
+/// and demand a critical cycle from the violating history.
 fn drive(prog: &LitmusProgram, mode: WeakMode) {
     let build = prog.build;
     let check = prog.check;
@@ -43,25 +44,23 @@ fn drive(prog: &LitmusProgram, mode: WeakMode) {
             prog.name, rep.schedules,
         )
     });
-    // Shrink while the violation persists.
-    let (min, shrink_runs) = shrink_trace(&mut make, &mut |r| check(r), cex.trace.clone());
-    assert!(shrink_runs > 0, "{}: shrinking must re-execute", prog.name);
-    assert!(min.decisions.len() <= cex.trace.decisions.len());
-
-    // Byte-identical JSON round-trip.
-    let json = min.to_json();
-    let parsed = DecisionTrace::from_json(&json).expect("the shrunk artifact must parse back");
-    assert_eq!(
-        parsed.to_json(),
-        json,
-        "{}: round-trip must be byte-identical",
+    // Shrink, round-trip and replay the artifact; a weak-mode violation
+    // comes with its critical cycle.
+    let found = cex.trace.decisions.len();
+    let confirmed = cex.confirm(&mut make, &mut |r| check(r));
+    assert!(
+        confirmed.shrink_runs > 0,
+        "{}: shrinking must re-execute",
         prog.name
     );
+    assert!(confirmed.trace.decisions.len() <= found);
+    if let Err(e) = confirmed.verdict {
+        panic!("{} under {mode}: {e}", prog.name);
+    }
 
     // The violation must hinge on weak memory: the same trace against an
     // SC build (flush entries skip as never-flushable) stays clean.
-    let mut make_sc = move || build(WeakMode::Sc);
-    let (sc_replay, _) = run_trace(&mut make_sc, &parsed);
+    let (sc_replay, _) = run_trace(&mut move || build(WeakMode::Sc), &confirmed.trace);
     assert!(
         check(&sc_replay).is_none(),
         "{}: the shrunk trace must not reproduce under SC: {:?}",
@@ -69,24 +68,7 @@ fn drive(prog: &LitmusProgram, mode: WeakMode) {
         sc_replay.outputs,
     );
 
-    // Replay reproduces the violation, and the violating history explains
-    // itself as a critical cycle.
-    let (replayed, _) = run_trace(&mut make, &parsed);
-    assert!(
-        check(&replayed).is_some(),
-        "{} under {mode}: replayed trace must reproduce: {:?}",
-        prog.name,
-        replayed.outputs,
-    );
-    let history = replayed
-        .history
-        .as_ref()
-        .expect("lockstep litmus runs record history");
-    let names = {
-        let (w, _) = build(mode);
-        w.reg_names()
-    };
-    let cycle = critical_cycle(history, &names).unwrap_or_else(|| {
+    let cycle = confirmed.cycle.unwrap_or_else(|| {
         panic!(
             "{} under {mode}: a reordering violation must \
              yield a critical cycle",
@@ -129,14 +111,8 @@ fn sb_critical_cycle_blames_a_buffered_store() {
     let mut make = move || build(WeakMode::Tso);
     let rep = explore(&ExploreConfig::default(), &mut make, &check);
     let cex = rep.violation.expect("sb is reachable under TSO");
-    let (min, _) = shrink_trace(&mut make, &mut |r| check(r), cex.trace);
-    let (replayed, _) = run_trace(&mut make, &min);
-    let history = replayed.history.as_ref().unwrap();
-    let names = {
-        let (w, _) = build(WeakMode::Tso);
-        w.reg_names()
-    };
-    let cycle = critical_cycle(history, &names).expect("sb violation forms a cycle");
+    let confirmed = cex.confirm(&mut make, &mut |r| check(r));
+    let cycle = confirmed.cycle.expect("sb violation forms a cycle");
     assert!(
         cycle.reordered.contains("stayed buffered"),
         "the explanation must blame the delayed store: {}",

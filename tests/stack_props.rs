@@ -7,9 +7,7 @@
 
 use bprc::core::bounded::{BoundedCore, ConsensusParams};
 use bprc::registers::DirectArrow;
-use bprc::sim::explore::{
-    explore, run_trace, shrink_trace, DecisionTrace, ExploreConfig, Independence,
-};
+use bprc::sim::explore::{explore, run_trace, Counterexample, ExploreConfig, Independence};
 use bprc::sim::rng::stream_rng;
 use bprc::sim::sched::RandomStrategy;
 use bprc::sim::turn::TurnDriver;
@@ -197,9 +195,9 @@ fn every_n2_scan_update_interleaving_is_linearizable() {
 }
 
 /// Shrunk counterexample traces survive the full artifact pipeline:
-/// pad a violating trace with arbitrary junk decisions, shrink it, and
-/// the minimal trace must round-trip through JSON byte-identically and
-/// still reproduce the violation when replayed.
+/// pad a violating trace with arbitrary junk decisions and confirm it as
+/// the counterexample; the minimal trace must round-trip through JSON
+/// byte-identically and still reproduce the violation when replayed.
 #[test]
 fn shrunk_counterexample_traces_round_trip_byte_identically() {
     let found = explore(&ExploreConfig::default(), race_factory(), stale_read)
@@ -229,21 +227,15 @@ fn shrunk_counterexample_traces_round_trip_byte_identically() {
         }
 
         let padded_len = padded.decisions.len();
-        let (min, _) = shrink_trace(&mut make, &mut |r| stale_read(r), padded);
-        assert!(min.decisions.len() <= padded_len, "{at}");
-
-        let doc = min.to_json().render();
-        let parsed = DecisionTrace::from_json(&bprc::sim::json::parse(&doc).unwrap()).unwrap();
-        assert_eq!(&parsed, &min, "{at}");
-        assert_eq!(
-            parsed.to_json().render(),
-            doc,
-            "{at}: round-trip must be byte-identical"
-        );
-        let (replayed, _) = run_trace(&mut make, &parsed);
-        assert!(
-            stale_read(&replayed).is_some(),
-            "{at}: shrunk trace no longer violates"
-        );
+        let description = found.description.clone();
+        let confirmed = Counterexample {
+            trace: padded,
+            description,
+        }
+        .confirm(&mut make, &mut |r| stale_read(r));
+        assert!(confirmed.trace.decisions.len() <= padded_len, "{at}");
+        if let Err(e) = confirmed.verdict {
+            panic!("{at}: {e}");
+        }
     }
 }
